@@ -47,12 +47,14 @@ trace-test:
 	$(GO) run ./cmd/predata-bench -experiment trace -json BENCH_trace.json
 
 # elastic-soak runs the elasticity suite: autoscaler + xray driver
-# units, the resize/handoff/conservation tests (raced, shuffled —
+# units, the membership-diff table, the static≡elastic bit-identity
+# test and the resize/handoff/conservation tests (raced, shuffled —
 # includes a crash injected during a grow step), and the elastic
-# experiment (DESIGN.md §11). CI repeats it across fault seeds 1/7/42.
+# experiment (DESIGN.md §11). CI's chaos-soak lane calls this and the
+# three soak targets below across fault seeds 1/7/42.
 elastic-soak:
 	$(GO) test -race -shuffle=on -count=1 ./internal/elastic/ ./internal/apps/xray/
-	$(GO) test -race -shuffle=on -count=1 -run 'Elastic|Reconfigure|Split|Resize' ./internal/predata/ ./internal/mpi/ ./internal/dataspaces/
+	$(GO) test -race -shuffle=on -count=1 -run 'Elastic|Reconfigure|Split|Resize|Membership' ./internal/predata/ ./internal/mpi/ ./internal/dataspaces/
 	$(GO) run ./cmd/predata-bench -experiment elastic -json BENCH_elastic.json
 
 # adversary-soak runs the adversarial-wire suite: chunk integrity under

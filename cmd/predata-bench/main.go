@@ -32,32 +32,24 @@ func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to regenerate: fig7|fig8|fig9|fig10|fig11|offline|des|chaos|overload|trace|elastic|adversary|restart|serve|ablations|all")
 	op := flag.String("op", "all", "fig7 operator: sort|hist|hist2d|all")
-	jsonPath := flag.String("json", "BENCH_overload.json",
-		"overload/trace/elastic/adversary/restart/serve experiments: write the summary as JSON to this path (empty disables; trace, elastic, adversary, restart and serve default to BENCH_trace.json / BENCH_elastic.json / BENCH_adversary.json / BENCH_restart.json / BENCH_serve.json)")
+	jsonPath := flag.String("json", "",
+		"overload/trace/elastic/adversary/restart/serve experiments: write the summary as JSON to this path (default BENCH_<experiment>.json; -experiment all writes only the overload summary, to BENCH_overload.json; an explicit empty path disables)")
 	flag.Parse()
 
-	// The flag default carries the overload experiment's filename; the
-	// trace experiment gets its own unless -json was set explicitly.
+	// Unless -json was given (even as ""), each experiment writes to its
+	// own BENCH_<experiment>.json.
 	jsonSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "json" {
 			jsonSet = true
 		}
 	})
-	if *experiment == "trace" && !jsonSet {
-		*jsonPath = "BENCH_trace.json"
-	}
-	if *experiment == "elastic" && !jsonSet {
-		*jsonPath = "BENCH_elastic.json"
-	}
-	if *experiment == "adversary" && !jsonSet {
-		*jsonPath = "BENCH_adversary.json"
-	}
-	if *experiment == "restart" && !jsonSet {
-		*jsonPath = "BENCH_restart.json"
-	}
-	if *experiment == "serve" && !jsonSet {
-		*jsonPath = "BENCH_serve.json"
+	if !jsonSet {
+		name := *experiment
+		if name == "all" {
+			name = "overload"
+		}
+		*jsonPath = "BENCH_" + name + ".json"
 	}
 
 	if err := run(os.Stdout, *experiment, *op, *jsonPath); err != nil {

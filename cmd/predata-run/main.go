@@ -257,6 +257,12 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 	}
 	for rank, perDump := range res.StagingStats {
 		for dump, st := range perDump {
+			// Rows are dump-indexed on every rank; a dump the rank sat out
+			// is a placeholder, named for why.
+			if why := satOut(st); why != "" {
+				fmt.Printf("staging rank %d dump %d: %s\n", rank, dump, why)
+				continue
+			}
 			fmt.Printf("staging rank %d dump %d: %d requests, %.1f MB pulled, modeled pull %v, process wall %v\n",
 				rank, dump, st.Requests, float64(st.BytesPulled)/1e6,
 				st.PullModeled.Round(time.Millisecond), st.ProcessWall.Round(time.Millisecond))
@@ -281,6 +287,20 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 		}
 	}
 	return nil
+}
+
+// satOut names why a staging rank recorded a placeholder for a dump, or
+// returns "" for a dump it served.
+func satOut(st *predata.DumpStats) string {
+	switch {
+	case st.Parked:
+		return "parked (outside the elastic active set)"
+	case st.Fenced:
+		return "fenced (no staging quorum)"
+	case st.Down:
+		return "down (restart window)"
+	}
+	return ""
 }
 
 // exportTrace snapshots the flight recorder, checks the recording against

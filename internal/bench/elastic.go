@@ -134,7 +134,7 @@ func elasticFramesWant() int64 {
 // elasticFramesGot sums every histogram bin over every dump result. One
 // histogrammed column means each frame lands in exactly one bin, so the
 // sum equals the frames processed — regardless of which dumps each rank
-// served (elastic result rows are in served order, not dump order).
+// served (a dump a rank sat out is an empty placeholder row).
 func elasticFramesGot(res *predata.PipelineResult) int64 {
 	var total int64
 	for _, perDump := range res.StagingResults {
@@ -175,8 +175,8 @@ func elasticRow(name string, numStaging int, res *predata.PipelineResult, wall t
 	var max time.Duration
 	for _, perDump := range res.StagingStats {
 		for _, st := range perDump {
-			if st == nil {
-				continue
+			if st == nil || st.Parked {
+				continue // dump means are over served dumps only
 			}
 			d := st.GatherWall + st.AggregateWall + st.ProcessWall
 			sum += d

@@ -22,8 +22,8 @@ import (
 // and rejoining from its journal, and the whole service crashing
 // mid-dump and rebuilding by replay. The per-writer particle count
 // runs above the adversary's: journaling pays a fixed few commit
-// barriers per dump, so the overhead budget (<10% of the dump
-// wall-clock) is only meaningful against a dump big enough to measure.
+// barriers per dump, so its share of the wall-clock (the journal
+// column) is only meaningful against a dump big enough to measure.
 const restPerRank = 8000
 
 // restBounce takes staging index 1 (endpoint 9) down over dumps 1-2; it
@@ -182,15 +182,18 @@ func perDumpIdentical(a, b *predata.PipelineResult) int {
 // and bouncing a rank while the flow controller is starved. It
 // demonstrates the durability contract: a journaled dump is never
 // silently lost — every leg either matches the baseline census
-// bit-for-bit or declares its degradation — and journaling stays under
-// a tenth of the dump wall-clock. When jsonPath is non-empty the legs
-// are also written there as JSON.
+// bit-for-bit or declares its degradation. The journaling share of
+// the wall-clock is reported (the journal column, journal_pct in the
+// JSON) but not gated: on a ~90 ms leg it moves by several points
+// between runs, and the figure to quote is the benchmark ledger's
+// wal.journal_share at scale. When jsonPath is non-empty the legs are
+// also written there as JSON.
 func Restart(w io.Writer, jsonPath string) error {
 	seed := chaosSeed()
 	header(w, fmt.Sprintf("Restart — journal, checkpoint and crash-restart recovery (seed %d)", seed))
 
 	// Journal onto memory-backed storage when the host has it: staging
-	// nodes journal to fast node-local devices, and the overhead budget
+	// nodes journal to fast node-local devices, and the journal column
 	// below measures the journaling layer itself — framing, CRC, copies,
 	// commit barriers — not the bandwidth of whatever disk backs the
 	// bench harness's temp directory.
@@ -246,7 +249,7 @@ func Restart(w io.Writer, jsonPath string) error {
 	if base.DataLoss != 0 || base.DegradedDumps != 0 {
 		return fmt.Errorf("bench: no-journal leg not clean: %+v", base)
 	}
-	// Journaling must be invisible in the results and cheap on the clock.
+	// Journaling must be invisible in the results.
 	if clean.DataLoss != 0 || clean.DegradedDumps != 0 {
 		return fmt.Errorf("bench: clean journal leg not lossless: %+v", clean)
 	}
@@ -258,9 +261,6 @@ func Restart(w io.Writer, jsonPath string) error {
 	}
 	if wantCkpt := int64(advStaging * advDumps / 2); clean.Checkpoints != wantCkpt {
 		return fmt.Errorf("bench: clean leg cut %d checkpoints, want %d", clean.Checkpoints, wantCkpt)
-	}
-	if clean.JournalPct >= 10 {
-		return fmt.Errorf("bench: journal overhead %.2f%% of dump wall-clock, budget is <10%%", clean.JournalPct)
 	}
 	// The bounce reroutes its writers and rejoins without losing a value.
 	if bounce.DataLoss != 0 {
@@ -312,6 +312,6 @@ func Restart(w io.Writer, jsonPath string) error {
 		}
 		fmt.Fprintf(w, "\nrestart legs written to %s\n", jsonPath)
 	}
-	fmt.Fprintf(w, "\nbounced ranks rejoin from their journals, a whole-service crash replays back bit-identical, journaling costs under a tenth of the dump — no silent loss anywhere\n")
+	fmt.Fprintf(w, "\nbounced ranks rejoin from their journals, a whole-service crash replays back bit-identical — no silent loss anywhere (journaling cost: the journal column here, wal.journal_share in the benchmark ledger)\n")
 	return nil
 }

@@ -4,16 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"sync"
 	"time"
 
 	"predata/internal/evpath"
-	"predata/internal/faults"
-	"predata/internal/mpi"
 	"predata/internal/staging"
 	"predata/internal/trace"
 	"predata/internal/wal"
@@ -24,7 +20,7 @@ import (
 // journalChunk), a commit record seals each completed dump
 // (commitDump), and a crashed incarnation's successor rebuilds from the
 // journal (Recover) and finishes the interrupted dump out of it
-// (IngestDump + ReplayDump, the two halves of the crashall drill).
+// (ingestDump + replayDump, the two halves of the crashall drill).
 //
 // Invariant: a request or chunk is journaled exactly once, at first
 // arrival. Requests re-seeded from recovery are *not* re-journaled —
@@ -97,21 +93,28 @@ func (s *Server) commitDump(timestep int64) error {
 	return nil
 }
 
-// gatherRequests runs the request gather for one dump: consume requests
-// buffered for this timestep, then receive — journaling each arrival —
-// until every served writer has delivered, stashing early arrivals for
-// their own dumps.
-func (s *Server) gatherRequests(timestep int64, stats *DumpStats) ([]FetchRequest, error) {
+// gatherRequests runs the request gather for one dump (Stage 2a):
+// consume requests buffered for this timestep, then receive — journaling
+// each arrival — until every served writer has delivered, stashing
+// early arrivals for their own dumps. When membership can change the
+// gather is deadline-bound: the staging area is collective, so one
+// wedged gather wedges every rank.
+func (s *Server) gatherRequests(timestep int64, stats *DumpStats) (reqs []FetchRequest, err error) {
 	start := time.Now()
-	served, err := s.servedAt(timestep)
+	sp := s.cfg.Tracer.Begin(trace.PhaseGather, s.cfg.Endpoint.ID(), -1, timestep, -1)
+	defer func() {
+		sp.End(int64(len(reqs)))
+		stats.GatherWall = time.Since(start)
+	}()
+	served, err := s.cfg.Membership.servedBy(s.cfg.StagingIndex, timestep)
 	if err != nil {
 		return nil, err
 	}
 	var deadline time.Time
-	if s.cfg.Faults != nil || s.cfg.Membership != nil {
+	if s.cfg.Membership.bounded() {
 		deadline = start.Add(s.retry.DumpDeadline)
 	}
-	reqs := s.pending[timestep]
+	reqs = s.pending[timestep]
 	delete(s.pending, timestep)
 	got := make(map[int]bool, len(served))
 	for _, r := range reqs {
@@ -161,7 +164,7 @@ func (s *Server) gatherRequests(timestep int64, stats *DumpStats) ([]FetchReques
 // recovered journal state: uncommitted requests re-enter the pending
 // buffer (deduped per dump and writer — the journal may be re-scanned
 // across repeated bounces) and uncommitted chunk records queue for
-// ReplayDump. It returns the number of records re-admitted and must be
+// replayDump. It returns the number of records re-admitted and must be
 // called before the first dump is served.
 func (s *Server) Recover(st *wal.State) (int, error) {
 	if st == nil {
@@ -199,33 +202,25 @@ func (s *Server) Recover(st *wal.State) (int, error) {
 	return replayed, nil
 }
 
-// IngestDump is the crash-vulnerable half of the whole-service crash
+// ingestDump is the crash-vulnerable half of the whole-service crash
 // drill: gather this dump's fetch requests and pull every chunk,
 // journaling both, with NO collective and NO engine work — exactly the
 // state a process has accumulated when a mid-dump crash takes the whole
 // staging area down. Requests stay in pending (the journal holds them
-// too) so the rebuilt incarnation's ReplayDump finds them. A down or
+// too) so the rebuilt incarnation's replayDump finds them. A down or
 // persistently corrupt source is recorded as the usual drop; the
-// missing chunk simply never reaches the journal.
-func (s *Server) IngestDump(timestep int64) (*DumpStats, error) {
+// missing chunk simply never reaches the journal. The returned ledger
+// is the dump's: replayDump continues it.
+func (s *Server) ingestDump(timestep int64) (*DumpStats, error) {
 	if s.cfg.Journal == nil {
-		return nil, fmt.Errorf("predata: IngestDump(%d) needs a journal — ingest without durability would lose the dump", timestep)
+		return nil, fmt.Errorf("predata: ingestDump(%d) needs a journal — ingest without durability would lose the dump", timestep)
 	}
-	if s.cfg.Tracer != nil {
-		s.cfg.Comm.SetTraceDump(timestep)
-		s.cfg.Engine.SetTraceDump(timestep)
-	}
-	s.cfg.Endpoint.SetEpoch(timestep)
-	stats := &DumpStats{}
-	start := time.Now()
-	sp := s.cfg.Tracer.Begin(trace.PhaseGather, s.cfg.Endpoint.ID(), -1, timestep, -1)
-	reqs, err := s.gatherRequests(timestep, stats)
+	d := &dumpRun{stats: &DumpStats{}}
+	s.beginDump(timestep, d.stats)
+	reqs, err := s.gatherRequests(timestep, d.stats)
 	if err != nil {
-		sp.End(0)
-		return stats, err
+		return nil, err
 	}
-	sp.End(int64(len(reqs)))
-	stats.GatherWall = time.Since(start)
 	// The gather consumed this dump's pending slot; put the requests
 	// back so the post-crash replay can re-derive them without touching
 	// the fabric. (Recovery normally reloads them from the journal; the
@@ -234,175 +229,55 @@ func (s *Server) IngestDump(timestep int64) (*DumpStats, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.retry.DumpDeadline)
 	defer cancel()
-	var mu sync.Mutex
 	for _, req := range reqs {
-		buf, d, err := s.pullWithRetry(ctx, req, stats, &mu)
-		if err != nil {
-			if errors.Is(err, faults.ErrEndpointDown) {
-				stats.Drops++
-				s.cfg.Tracer.Instant(trace.PhaseDrop, s.cfg.Endpoint.ID(),
-					req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
-				continue
-			}
-			if errors.Is(err, staging.ErrCorrupt) {
-				stats.CorruptDrops++
-				s.cfg.Tracer.Instant(trace.PhaseCorruptDrop, s.cfg.Endpoint.ID(),
-					req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
-				continue
-			}
-			return stats, fmt.Errorf("predata: ingest pull from rank %d: %w", req.WriterRank, err)
-		}
-		stats.BytesPulled += int64(len(buf))
-		stats.PullModeled += d
-		if err := s.journalChunk(req, buf); err != nil {
-			return stats, err
+		if _, _, err := s.pullChunk(ctx, req, d); err != nil {
+			return nil, err
 		}
 	}
 	if err := s.cfg.Journal.Sync(); err != nil {
-		return stats, fmt.Errorf("predata: syncing ingest journal for dump %d: %w", timestep, err)
+		return nil, fmt.Errorf("predata: syncing ingest journal for dump %d: %w", timestep, err)
 	}
-	return stats, nil
+	return d.stats, nil
 }
 
-// ReplayDump finishes a dump out of the journal: the recovered requests
-// supply the piggybacked partials for the (collective) exchange, and the
-// recovered chunk records feed a fresh stone graph in ChunkOrder — no
-// fabric pull happens, the sources released their regions to the crashed
-// incarnation long ago. All staging ranks must call ReplayDump
-// collectively with the same timestep after reconfiguring onto the same
-// epoch. Each replayed chunk stamps PhaseWalReplay with the payload CRC
-// so trace.Verify can match it against the crashed incarnation's
-// PhaseJournal append.
-func (s *Server) ReplayDump(timestep int64, ops []staging.Operator) (*staging.Result, *DumpStats, error) {
-	stats := &DumpStats{RecoveryWall: s.recovery}
-	s.recovery = 0
-	if s.cfg.Tracer != nil {
-		s.cfg.Comm.SetTraceDump(timestep)
-		s.cfg.Engine.SetTraceDump(timestep)
-	}
-	s.cfg.Endpoint.SetEpoch(timestep)
-
+// replayDump finishes a dump out of the journal: the recovered requests
+// supply the piggybacked partials for the (collective) exchange — they
+// were journaled inside their requests, so the global aggregate after
+// the crash is byte-for-byte the one the crashed service would have
+// built — and the recovered chunk records feed a fresh stone graph in
+// ChunkOrder. No fabric pull happens: the sources released their
+// regions to the crashed incarnation long ago. stats is the ledger the
+// crashed incarnation's ingestDump opened. All staging ranks must call
+// replayDump collectively with the same timestep after reconfiguring
+// onto the same epoch.
+func (s *Server) replayDump(timestep int64, ops []staging.Operator, stats *DumpStats) (*staging.Result, error) {
+	s.beginDump(timestep, stats)
 	reqs := s.pending[timestep]
 	delete(s.pending, timestep)
 	recs := s.replayable[timestep]
 	delete(s.replayable, timestep)
-	stats.Requests = len(reqs)
 	stats.WalReplayed = len(recs)
-	for _, r := range reqs {
-		if s.cfg.Route(r.WriterRank, s.cfg.NumCompute, s.cfg.NumStaging) != s.cfg.StagingIndex {
-			stats.Redistributed++
+	return s.reduceDump(timestep, ops, reqs, stats, nil, func(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone) {
+		// Issue the records exactly as the live feed would have issued
+		// their pulls, keyed through their journaled requests.
+		pos := make(map[int]int, len(reqs))
+		for i, r := range reqs {
+			pos[r.WriterRank] = i
 		}
-	}
-
-	// Partial exchange, identical to the live path: the partials were
-	// journaled inside their requests, so the global aggregate after the
-	// crash is byte-for-byte the one the crashed service would have built.
-	start := time.Now()
-	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
-	local := make([]RankPartial, len(reqs))
-	for i, r := range reqs {
-		local[i] = RankPartial{Rank: r.WriterRank, Partial: r.Partial}
-	}
-	all, err := mpi.Allgather(s.cfg.Comm, local)
-	if err != nil {
-		sp.End(0)
-		return nil, stats, fmt.Errorf("predata: replay partial exchange: %w", err)
-	}
-	var agg map[string]any
-	if s.cfg.Aggregate != nil {
-		var flat []RankPartial
-		for _, row := range all {
-			flat = append(flat, row...)
-		}
-		sort.Slice(flat, func(i, j int) bool { return flat[i].Rank < flat[j].Rank })
-		agg = s.cfg.Aggregate(flat)
-	}
-	sp.End(0)
-	stats.AggregateWall = time.Since(start)
-
-	// Order chunk records exactly as the live pull loop would have issued
-	// them, keyed through their journaled requests.
-	start = time.Now()
-	order := s.cfg.ChunkOrder
-	if order == nil {
-		order = func(a, b FetchRequest) bool { return a.WriterRank < b.WriterRank }
-	}
-	reqBy := make(map[int]FetchRequest, len(reqs))
-	for _, r := range reqs {
-		reqBy[r.WriterRank] = r
-	}
-	sort.Slice(recs, func(i, j int) bool { return order(reqBy[recs[i].Writer], reqBy[recs[j].Writer]) })
-
-	chunks := make(chan *staging.Chunk, 1)
-	mgr := evpath.NewManager()
-	terminal, err := mgr.NewTerminalStone(func(e *evpath.Event) error {
-		chunks <- e.Data.(*staging.Chunk)
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	head := terminal
-	if s.cfg.ChunkFilter != nil {
-		filterStone, err := mgr.NewFilterStone(func(e *evpath.Event) bool {
-			return s.cfg.ChunkFilter(e.Data.(*staging.Chunk))
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		if err := filterStone.LinkTo(terminal); err != nil {
-			return nil, stats, err
-		}
-		head = filterStone
-	}
-	decode, err := mgr.NewTransformStone(func(e *evpath.Event) (*evpath.Event, error) {
-		chunk, err := staging.DecodeChunk(e.Data.([]byte))
-		if err != nil {
-			return nil, fmt.Errorf("predata: replaying chunk from rank %d: %w",
-				int(e.Attrs["writer"]), err)
-		}
-		return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	if err := decode.LinkTo(head); err != nil {
-		return nil, stats, err
-	}
-
-	var submitErr error
-	go func() {
+		sort.SliceStable(recs, func(i, j int) bool { return pos[recs[i].Writer] < pos[recs[j].Writer] })
 		for _, rec := range recs {
+			// The payload CRC lets trace.Verify match the replay against
+			// the crashed incarnation's PhaseJournal append.
 			s.cfg.Tracer.Instant(trace.PhaseWalReplay, s.cfg.Endpoint.ID(), -1,
 				rec.Timestep, int64(rec.Writer), int64(crc32.ChecksumIEEE(rec.Payload)))
-			err := decode.Submit(&evpath.Event{
+			err := decode.SubmitContext(ctx, &evpath.Event{
 				Attrs: map[string]int64{"writer": int64(rec.Writer), "timestep": rec.Timestep},
-				Data:  rec.Payload,
+				Data:  &pulledChunk{buf: rec.Payload},
 			})
 			if err != nil {
-				submitErr = err
-				break
+				d.fail(err)
+				return
 			}
 		}
-		if cerr := mgr.Close(); cerr != nil && submitErr == nil {
-			submitErr = cerr
-		}
-		close(chunks)
-	}()
-	res, err := s.cfg.Engine.ProcessDump(s.cfg.Comm, chunks, ops, agg)
-	stats.ProcessWall = time.Since(start)
-	if submitErr != nil {
-		return nil, stats, submitErr
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	if cerr := s.commitDump(timestep); cerr != nil {
-		return nil, stats, cerr
-	}
-	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
-		(s.cfg.Faults != nil &&
-			len(activeStagingAt(s.cfg.Faults, s.cfg.StagingBase, s.cfg.NumStaging, timestep)) < s.cfg.NumStaging)
-	stats.Degraded = res.Degraded
-	return res, stats, nil
+	})
 }

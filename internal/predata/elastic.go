@@ -1,20 +1,15 @@
 package predata
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"predata/internal/dataspaces"
 	"predata/internal/elastic"
-	"predata/internal/fabric"
 	"predata/internal/flowctl"
 	"predata/internal/mpi"
-	"predata/internal/staging"
 	"predata/internal/trace"
 )
 
@@ -82,404 +77,115 @@ type ScaleReport struct {
 // RunElastic executes computeFn on NumCompute ranks against an elastic
 // staging pool: NumStaging ranks are provisioned, but each dump is
 // served by the active subset the autoscaler chose at the previous
-// boundary. Grows widen the serving communicator onto parked reserve
-// ranks via the crash-recovery rehash path; shrinks retire ranks by
-// drain-then-Split (the departing rank finishes its dump — leases
+// boundary. It is RunPipeline's staged runtime with a membership value
+// that also consults the announced active count: grows widen the
+// serving communicator onto parked reserve ranks, shrinks retire ranks
+// by drain-then-Split (the departing rank finishes its dump — leases
 // flushed, spill replayed — hands its shards to the survivors, and goes
 // silent). Every resize is stamped into the flight recorder as a scale
 // epoch that trace.Verify checks for cross-rank agreement, chunk
 // conservation, and retired-rank silence.
 func RunElastic(cfg PipelineConfig, ecfg ElasticConfig, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, *ScaleReport, error) {
-	if cfg.NumCompute < 1 || cfg.NumStaging < 1 {
-		return nil, nil, fmt.Errorf("predata: pipeline sizes compute=%d staging=%d must be >= 1",
-			cfg.NumCompute, cfg.NumStaging)
-	}
-	if cfg.Dumps < 0 {
-		return nil, nil, fmt.Errorf("predata: negative dump count %d", cfg.Dumps)
-	}
-	pol := ecfg.Policy
-	if err := pol.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if pol.Max > cfg.NumStaging {
-		return nil, nil, fmt.Errorf("predata: elastic Max %d exceeds the provisioned staging pool %d",
-			pol.Max, cfg.NumStaging)
-	}
-	if cfg.NumStaging > 62 {
-		return nil, nil, fmt.Errorf("predata: staging pool %d exceeds 62, the scale-epoch bitmask width",
-			cfg.NumStaging)
-	}
 	start := ecfg.Start
 	if start == 0 {
-		start = pol.Min
+		start = ecfg.Policy.Min
 	}
-	if start < pol.Min {
-		start = pol.Min
-	}
-	if start > pol.Max {
-		start = pol.Max
-	}
-
-	total := cfg.NumCompute + cfg.NumStaging
-	if cfg.FaultPlan != nil && len(cfg.FaultPlan.Partitions) > 0 {
-		return nil, nil, fmt.Errorf(
-			"predata: elastic runs do not support partition faults; quorum fencing requires the fixed-membership pipeline")
-	}
-	if cfg.FaultPlan != nil && (len(cfg.FaultPlan.Restarts) > 0 || len(cfg.FaultPlan.CrashAlls) > 0) {
-		return nil, nil, fmt.Errorf(
-			"predata: elastic runs do not support restart or crashall faults; journal replay requires the fixed-membership pipeline")
-	}
-	inj, err := newPlanInjector(cfg)
+	start = min(max(start, ecfg.Policy.Min), ecfg.Policy.Max)
+	el := &elasticRun{cfg: ecfg, start: start, sched: elastic.NewSchedule(start)}
+	res, err := runStaged(cfg, el, computeFn, opsFor)
 	if err != nil {
 		return nil, nil, err
 	}
-	fcfg := cfg.Fabric
-	if fcfg.LinkBandwidth == 0 {
-		fcfg = fabric.DefaultConfig(total)
+	return res, &el.report, nil
+}
+
+// elasticRun is the autoscaling side of a staged run: the announced
+// schedule its membership value consults, and the work only an elastic
+// run does at a boundary — the shard handoff, the scale-epoch stamp,
+// and the telemetry exchange that feeds the next decision.
+type elasticRun struct {
+	cfg   ElasticConfig
+	start int // initial active count, clamped into [Min, Max]
+	sched *elastic.Schedule
+
+	mu     sync.Mutex // guards report
+	report ScaleReport
+}
+
+// installEpoch is the elastic part of entering a membership epoch: the
+// designated survivor rehashes the shared space onto the new active
+// count and records the epoch, and every live rank stamps the epoch it
+// is entering — first dump, active count, and the active-index bitmask
+// that trace.Verify checks for cross-rank agreement and retired-rank
+// silence.
+func (el *elasticRun) installEpoch(r *stagingRank, ts int64, next epochView) error {
+	tr := r.cfg.Tracer
+	if r.idx == next.active[0] {
+		ep := ScaleEpoch{Epoch: r.epoch, FirstDump: ts, Active: len(next.active), Direction: elastic.Hold}
+		if el.cfg.Space != nil {
+			start := time.Now()
+			st, err := el.cfg.Space.Resize(len(next.active))
+			if err != nil {
+				return fmt.Errorf("shard handoff: %w", err)
+			}
+			ep.HandoffCells, ep.HandoffWall = st.MovedCells, time.Since(start)
+			tr.Instant(trace.PhaseHandoff, r.rank, -1, ts, r.epoch, ep.HandoffCells)
+		}
+		switch prev := r.view.active; {
+		case prev == nil:
+			// initial configuration, not a resize
+		case len(next.active) > len(prev):
+			ep.Direction = elastic.Grow
+		case len(next.active) < len(prev):
+			ep.Direction = elastic.Shrink
+		}
+		el.mu.Lock()
+		el.report.Epochs = append(el.report.Epochs, ep)
+		el.mu.Unlock()
 	}
-	fcfg.Endpoints = total
-	fcfg.Faults = inj
-	fcfg.Tracer = cfg.Tracer
-	fab, err := fabric.New(fcfg)
+	var mask int64
+	for _, idx := range next.active {
+		mask |= 1 << idx
+	}
+	tr.Instant(trace.PhaseScaleEpoch, r.rank, len(next.active), ts, r.epoch, mask)
+	return nil
+}
+
+// observe is the boundary telemetry exchange after dump ts, over the
+// full live pool with the ranks sitting out included: every rank feeds
+// the identical merged view into its own scaler, so all ranks reach the
+// same decision independently and announce it for the next dump. ov is
+// this rank's overload stats for the dump (nil if it sat out); lost is
+// the number of ranks the pool lost entering it.
+func (el *elasticRun) observe(r *stagingRank, ts int64, ov *flowctl.OverloadStats, lost int) error {
+	// Only the pool's lowest rank reports the boundary's crash losses,
+	// so the merge counts them once.
+	if r.pool.Rank() != 0 {
+		lost = 0
+	}
+	rows, err := mpi.Allgather(r.pool, []elastic.Telemetry{elastic.FromOverload(ts, ov, lost)})
 	if err != nil {
-		return nil, nil, err
+		return fmt.Errorf("telemetry exchange: %w", err)
 	}
-	defer fab.Shutdown()
-	var timedOut atomic.Bool
-	if cfg.Timeout > 0 {
-		watchdog := time.AfterFunc(cfg.Timeout, func() {
-			timedOut.Store(true)
-			fab.Shutdown()
-		})
-		defer watchdog.Stop()
+	dec := r.scaler.Observe(elastic.Merge(slices.Concat(rows...)))
+	r.cfg.Tracer.Instant(trace.PhaseScale, r.rank, dec.Direction, ts, r.epoch, int64(dec.Target))
+	if err := el.sched.Announce(ts+1, dec.Target); err != nil {
+		return fmt.Errorf("announcing dump %d: %w", ts+1, err)
 	}
-
-	retry := cfg.Retry.withDefaults()
-	sched := elastic.NewSchedule(start)
-	// member derives one dump's active set from shared state alone: the
-	// announced autoscaler target and the fault plan's live set. Clients
-	// route with it, servers derive their served writers from it, and
-	// the staging loop below re-derives it — all three always agree. The
-	// wait is deadline-bounded so a dead pool cannot wedge a writer.
-	member := func(ts int64) ([]int, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), retry.DumpDeadline)
-		defer cancel()
-		n, err := sched.ActiveAt(ctx, ts)
-		if err != nil {
-			return nil, err
+	if active := r.view.active; r.idx == active[0] {
+		n := len(active)
+		st := r.scaler.Stats()
+		el.mu.Lock()
+		rep := &el.report
+		rep.RankDumps += int64(n)
+		if rep.MinActive == 0 || n < rep.MinActive {
+			rep.MinActive = n
 		}
-		live := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, ts)
-		if len(live) == 0 {
-			return nil, fmt.Errorf("predata: no staging rank alive at dump %d", ts)
-		}
-		if n > len(live) {
-			n = len(live)
-		}
-		return live[:n], nil
+		rep.MaxActive = max(rep.MaxActive, n)
+		rep.Decisions, rep.Grows, rep.Shrinks = st.Decisions, st.Grows, st.Shrinks
+		rep.Holds, rep.CooldownHolds = st.Holds, st.CooldownHolds
+		rep.FinalActive = r.scaler.Current()
+		el.mu.Unlock()
 	}
-
-	res := &PipelineResult{
-		StagingResults: make([][]*staging.Result, cfg.NumStaging),
-		StagingStats:   make([][]*DumpStats, cfg.NumStaging),
-		ClientVisible:  make([]float64, cfg.NumCompute),
-	}
-	var (
-		reportMu sync.Mutex
-		report   FaultReport
-		scale    ScaleReport
-	)
-
-	err = mpi.Run(total, func(world *mpi.Comm) (rankErr error) {
-		// A failed rank must not leave peers blocked: poison the schedule
-		// so writers waiting on future announcements fail fast, and shut
-		// the fabric down for everyone blocked on it.
-		defer func() {
-			if rankErr != nil {
-				sched.Abort(fmt.Errorf("predata: rank %d failed: %w", world.Rank(), rankErr))
-				fab.Shutdown()
-			}
-		}()
-		world.SetTracer(cfg.Tracer)
-		isCompute := world.Rank() < cfg.NumCompute
-		color := 0
-		if !isCompute {
-			color = 1
-		}
-		comm, err := world.Split(color, world.Rank())
-		if err != nil {
-			return err
-		}
-		ep, err := fab.Endpoint(world.Rank())
-		if err != nil {
-			return err
-		}
-		if isCompute {
-			client, err := NewClient(ClientConfig{
-				WriterRank:       comm.Rank(),
-				NumCompute:       cfg.NumCompute,
-				NumStaging:       cfg.NumStaging,
-				Endpoint:         ep,
-				StagingBase:      cfg.NumCompute,
-				Route:            cfg.Route,
-				Transform:        cfg.Transform,
-				PartialCalculate: cfg.PartialCalculate,
-				Faults:           inj,
-				Membership:       member,
-				Retry:            cfg.Retry,
-				Tracer:           cfg.Tracer,
-			})
-			if err != nil {
-				return err
-			}
-			if err := computeFn(comm, client); err != nil {
-				return fmt.Errorf("compute rank %d: %w", comm.Rank(), err)
-			}
-			res.ClientVisible[comm.Rank()] = client.VisibleTime.Seconds()
-			reportMu.Lock()
-			report.Retries += client.Retries
-			report.ReroutedDumps += client.Rerouted
-			reportMu.Unlock()
-			//predata:vet-ignore collectivecheck compute ranks leave here by design; every later collective runs on staging-side communicators
-			return nil
-		}
-
-		myIdx := comm.Rank() // staging identity; stable across every resize
-		var flow *flowctl.Controller
-		if cfg.BufferMB > 0 {
-			opol := cfg.Overload
-			opol.BudgetBytes = int64(cfg.BufferMB) << 20
-			flow, err = flowctl.NewController(opol)
-			if err != nil {
-				return err
-			}
-			flow.SetTracer(cfg.Tracer, world.Rank())
-		}
-		engine := staging.NewEngine(cfg.Engine)
-		engine.SetTracer(cfg.Tracer, world.Rank())
-		server, err := NewServer(ServerConfig{
-			StagingIndex:    myIdx,
-			Comm:            comm,
-			Endpoint:        ep,
-			NumCompute:      cfg.NumCompute,
-			NumStaging:      cfg.NumStaging,
-			StagingBase:     cfg.NumCompute,
-			Route:           cfg.Route,
-			Aggregate:       cfg.Aggregate,
-			Engine:          engine,
-			PullConcurrency: cfg.PullConcurrency,
-			ChunkOrder:      cfg.ChunkOrder,
-			ChunkFilter:     cfg.ChunkFilter,
-			Faults:          inj,
-			Membership:      member,
-			Retry:           cfg.Retry,
-			Flow:            flow,
-			Tracer:          cfg.Tracer,
-		})
-		if err != nil {
-			return err
-		}
-		scaler, err := elastic.New(pol, start)
-		if err != nil {
-			return err
-		}
-
-		results := make([]*staging.Result, 0, cfg.Dumps)
-		stats := make([]*DumpStats, 0, cfg.Dumps)
-		fullCur := comm // all live staging ranks: parked + active
-		prevLive := liveStagingAt(nil, cfg.NumCompute, cfg.NumStaging, 0)
-		var prevSet []int
-		epoch := int64(-1)
-		for dump := 0; dump < cfg.Dumps; dump++ {
-			dumpT := int64(dump)
-			fullCur.SetTraceDump(dumpT)
-			// Derive this dump's membership from shared state (no Peek
-			// miss is possible: this rank itself announced dumpT at the
-			// previous boundary, and dump 0 is pre-announced).
-			n, ok := sched.Peek(dumpT)
-			if !ok {
-				return fmt.Errorf("staging rank %d: dump %d has no announced active count", myIdx, dump)
-			}
-			live := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, dumpT)
-			if len(live) == 0 {
-				return fmt.Errorf("staging rank %d: no staging rank alive at dump %d", myIdx, dump)
-			}
-			if n > len(live) {
-				n = len(live)
-			}
-			set := live[:n]
-			lost := len(prevLive) - len(live)
-
-			if !slices.Equal(live, prevLive) || !slices.Equal(set, prevSet) {
-				// Membership epoch boundary: crashed ranks leave the pool,
-				// the serving communicator is re-derived over the new
-				// active set, and the shared space's shards are handed off.
-				recStart := time.Now()
-				if !slices.Equal(live, prevLive) {
-					// Pool shrink via the crash-recovery path: the dead rank
-					// splits out with color < 0, drops off the fabric, and
-					// exits with the dumps it served.
-					rsp := cfg.Tracer.Begin(trace.PhaseRecovery, world.Rank(), -1, dumpT, -1)
-					crashColor := 0
-					if inj.DownAt(cfg.NumCompute+myIdx, dumpT) {
-						crashColor = -1
-					}
-					nf, err := fullCur.Split(crashColor, myIdx)
-					if err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d pool shrink at dump %d: %w", myIdx, dump, err)
-					}
-					if crashColor < 0 {
-						if err := fab.FailEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						cfg.Tracer.Instant(trace.PhaseCrashExit, world.Rank(), -1, dumpT, int64(len(results)), 0)
-						rsp.End(0)
-						//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use communicators that exclude it
-						break
-					}
-					fullCur = nf
-					fullCur.SetTraceDump(dumpT)
-					rsp.End(int64(len(live)))
-				}
-				epoch++
-				pos := slices.Index(set, myIdx)
-				retiring := pos < 0 && slices.Contains(prevSet, myIdx)
-				var drain trace.Span
-				if retiring {
-					// Drain-then-Split retirement: the departing rank already
-					// flushed its leases and replayed its spill inside the
-					// previous ServeDump; what remains is leaving the serving
-					// communicator while the survivors take over its shards.
-					drain = cfg.Tracer.Begin(trace.PhaseDrain, world.Rank(), -1, dumpT, epoch)
-				}
-				activeColor := 0
-				if pos < 0 {
-					activeColor = 1
-				}
-				sub, err := fullCur.Split(activeColor, myIdx)
-				if err != nil {
-					drain.End(0)
-					return fmt.Errorf("staging rank %d serving split at dump %d: %w", myIdx, dump, err)
-				}
-				if pos >= 0 {
-					if err := server.Reconfigure(sub, epoch, time.Since(recStart)); err != nil {
-						drain.End(0)
-						return fmt.Errorf("staging rank %d reconfigure at dump %d: %w", myIdx, dump, err)
-					}
-				}
-				if myIdx == set[0] {
-					// The designated survivor performs the shard handoff and
-					// records the epoch for the report.
-					var handoffCells int64
-					var handoffWall time.Duration
-					if ecfg.Space != nil {
-						hs := time.Now()
-						st, err := ecfg.Space.Resize(len(set))
-						if err != nil {
-							drain.End(0)
-							return fmt.Errorf("staging rank %d shard handoff at dump %d: %w", myIdx, dump, err)
-						}
-						handoffCells = st.MovedCells
-						handoffWall = time.Since(hs)
-						cfg.Tracer.Instant(trace.PhaseHandoff, world.Rank(), -1, dumpT, epoch, handoffCells)
-					}
-					dir := elastic.Hold
-					switch {
-					case prevSet == nil:
-						// initial configuration, not a resize
-					case len(set) > len(prevSet):
-						dir = elastic.Grow
-					case len(set) < len(prevSet):
-						dir = elastic.Shrink
-					}
-					reportMu.Lock()
-					scale.Epochs = append(scale.Epochs, ScaleEpoch{
-						Epoch:        epoch,
-						FirstDump:    dumpT,
-						Active:       len(set),
-						Direction:    dir,
-						HandoffCells: handoffCells,
-						HandoffWall:  handoffWall,
-					})
-					reportMu.Unlock()
-				}
-				// End on the zero Span (not retiring) is a no-op.
-				drain.End(int64(len(set)))
-				// Every live rank stamps the epoch it is entering: first
-				// dump, active count, and the active-index bitmask that
-				// trace.Verify checks for cross-rank agreement and
-				// retired-rank silence.
-				var mask int64
-				for _, idx := range set {
-					mask |= 1 << idx
-				}
-				cfg.Tracer.Instant(trace.PhaseScaleEpoch, world.Rank(), len(set), dumpT, epoch, mask)
-				prevSet = append([]int(nil), set...)
-				prevLive = live
-			}
-
-			var dumpOv *flowctl.OverloadStats
-			if slices.Contains(set, myIdx) {
-				//predata:vet-ignore collectivecheck membership-derived branch: ServeDump's collectives run on the serving communicator, which holds exactly the ranks whose shared derivation lands in set; parked ranks are outside it
-				r, st, err := server.ServeDump(dumpT, opsFor(dump))
-				if err != nil {
-					return fmt.Errorf("staging rank %d dump %d: %w", myIdx, dump, err)
-				}
-				results = append(results, r)
-				stats = append(stats, st)
-				dumpOv = st.Overload
-			}
-
-			// Boundary telemetry exchange over the full live pool, parked
-			// ranks included: every rank feeds the identical merged view
-			// into its own scaler, so all ranks reach the same decision
-			// independently. Only the pool's lowest rank reports the
-			// boundary's crash losses, so the merge counts them once.
-			reportLost := 0
-			if fullCur.Rank() == 0 {
-				reportLost = lost
-			}
-			rows, err := mpi.Allgather(fullCur,
-				[]elastic.Telemetry{elastic.FromOverload(dumpT, dumpOv, reportLost)})
-			if err != nil {
-				return fmt.Errorf("staging rank %d telemetry exchange at dump %d: %w", myIdx, dump, err)
-			}
-			flat := make([]elastic.Telemetry, 0, len(rows))
-			for _, row := range rows {
-				flat = append(flat, row...)
-			}
-			dec := scaler.Observe(elastic.Merge(flat))
-			cfg.Tracer.Instant(trace.PhaseScale, world.Rank(), dec.Direction, dumpT, epoch, int64(dec.Target))
-			if err := sched.Announce(dumpT+1, dec.Target); err != nil {
-				return fmt.Errorf("staging rank %d announcing dump %d: %w", myIdx, dump+1, err)
-			}
-			if myIdx == set[0] {
-				reportMu.Lock()
-				scale.RankDumps += int64(len(set))
-				if scale.MinActive == 0 || len(set) < scale.MinActive {
-					scale.MinActive = len(set)
-				}
-				if len(set) > scale.MaxActive {
-					scale.MaxActive = len(set)
-				}
-				st := scaler.Stats()
-				scale.Decisions, scale.Grows, scale.Shrinks = st.Decisions, st.Grows, st.Shrinks
-				scale.Holds, scale.CooldownHolds = st.Holds, st.CooldownHolds
-				scale.FinalActive = scaler.Current()
-				reportMu.Unlock()
-			}
-		}
-		res.StagingResults[myIdx] = results
-		res.StagingStats[myIdx] = stats
-		return nil
-	})
-	if err != nil {
-		if timedOut.Load() {
-			err = errors.Join(fmt.Errorf("predata: elastic pipeline timed out after %v", cfg.Timeout), err)
-		}
-		return nil, nil, errors.Join(errors.New("predata: elastic pipeline failed"), err)
-	}
-	finishReports(&cfg, inj, &report, res)
-	return res, &scale, nil
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"predata/internal/elastic"
 	"predata/internal/fabric"
 	"predata/internal/faults"
 	"predata/internal/flowctl"
@@ -244,19 +245,37 @@ type PipelineResult struct {
 // RunPipeline executes computeFn on NumCompute ranks and the staging
 // servers on NumStaging ranks, all within one message-passing world wired
 // to one fabric: ranks [0, NumCompute) are compute, the rest staging.
+// Staging membership follows the fault plan alone.
 func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, error) {
-	if cfg.NumCompute < 1 || cfg.NumStaging < 1 {
-		return nil, fmt.Errorf("predata: pipeline sizes compute=%d staging=%d must be >= 1",
-			cfg.NumCompute, cfg.NumStaging)
-	}
-	if cfg.Dumps < 0 {
-		return nil, fmt.Errorf("predata: negative dump count %d", cfg.Dumps)
-	}
-	total := cfg.NumCompute + cfg.NumStaging
-	inj, err := newPlanInjector(cfg)
+	return runStaged(cfg, nil, computeFn, opsFor)
+}
+
+// stagedRun is the state every rank of one run shares.
+type stagedRun struct {
+	cfg    PipelineConfig
+	fab    *fabric.Fabric
+	member *Membership
+	el     *elasticRun // nil: the fault plan alone decides membership
+	res    *PipelineResult
+
+	mu     sync.Mutex // guards report
+	report FaultReport
+}
+
+// runStaged is the one staged runtime behind RunPipeline and RunElastic:
+// one world, one fabric, one membership value shared by every client,
+// server and staging loop. The two entry points differ only in what the
+// membership value consults — el adds the autoscaler's announced count
+// to the fault plan — and in the elastic-only boundary work el performs.
+func runStaged(cfg PipelineConfig, el *elasticRun, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, error) {
+	inj, err := validate(cfg, el)
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Route == nil {
+		cfg.Route = DefaultRoute
+	}
+	total := cfg.NumCompute + cfg.NumStaging
 	fcfg := cfg.Fabric
 	if fcfg.LinkBandwidth == 0 {
 		fcfg = fabric.DefaultConfig(total)
@@ -278,22 +297,28 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 		defer watchdog.Stop()
 	}
 
-	res := &PipelineResult{
-		StagingResults: make([][]*staging.Result, cfg.NumStaging),
-		StagingStats:   make([][]*DumpStats, cfg.NumStaging),
-		ClientVisible:  make([]float64, cfg.NumCompute),
+	run := &stagedRun{
+		cfg: cfg, fab: fab, el: el,
+		member: newMembership(inj, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.NumCompute),
+		res: &PipelineResult{
+			StagingResults: make([][]*staging.Result, cfg.NumStaging),
+			StagingStats:   make([][]*DumpStats, cfg.NumStaging),
+			ClientVisible:  make([]float64, cfg.NumCompute),
+		},
 	}
-	var (
-		reportMu sync.Mutex
-		report   FaultReport
-	)
+	if el != nil {
+		run.member.sched = el.sched
+		run.member.deadline = cfg.Retry.withDefaults().DumpDeadline
+	}
 
 	err = mpi.Run(total, func(world *mpi.Comm) (rankErr error) {
-		// A failed rank must not leave peers blocked on the fabric: shut
-		// the fabric down so pending RecvCtl/Pull calls fail fast (the
-		// message-passing side aborts via mpi.Run's own error handling).
+		// A failed rank must not leave peers blocked: fail the writers
+		// waiting on future membership announcements, and shut the fabric
+		// down so pending RecvCtl/Pull calls fail fast (the
+		// message-passing side aborts via the world's own error handling).
 		defer func() {
 			if rankErr != nil {
+				run.member.abort(fmt.Errorf("predata: rank %d failed: %w", world.Rank(), rankErr))
 				fab.Shutdown()
 			}
 		}()
@@ -312,410 +337,9 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 			return err
 		}
 		if isCompute {
-			client, err := NewClient(ClientConfig{
-				WriterRank:       comm.Rank(),
-				NumCompute:       cfg.NumCompute,
-				NumStaging:       cfg.NumStaging,
-				Endpoint:         ep,
-				StagingBase:      cfg.NumCompute,
-				Route:            cfg.Route,
-				Transform:        cfg.Transform,
-				PartialCalculate: cfg.PartialCalculate,
-				Faults:           inj,
-				Retry:            cfg.Retry,
-				Tracer:           cfg.Tracer,
-			})
-			if err != nil {
-				return err
-			}
-			if err := computeFn(comm, client); err != nil {
-				return fmt.Errorf("compute rank %d: %w", comm.Rank(), err)
-			}
-			res.ClientVisible[comm.Rank()] = client.VisibleTime.Seconds()
-			reportMu.Lock()
-			report.Retries += client.Retries
-			report.ReroutedDumps += client.Rerouted
-			reportMu.Unlock()
-			//predata:vet-ignore collectivecheck compute ranks leave here by design; every later collective runs on the staging-only communicator
-			return nil
+			return run.compute(comm, ep, computeFn)
 		}
-		myIdx := comm.Rank() // staging identity; stable across comm shrinks
-		var flow *flowctl.Controller
-		if cfg.BufferMB > 0 {
-			pol := cfg.Overload
-			pol.BudgetBytes = int64(cfg.BufferMB) << 20
-			flow, err = flowctl.NewController(pol)
-			if err != nil {
-				return err
-			}
-			flow.SetTracer(cfg.Tracer, world.Rank())
-		}
-		// Durable staging: recover whatever a previous incarnation's
-		// journal holds (recovery-on-start), then open for appending.
-		// Each restart/crashall rebuild below repeats the same sequence.
-		var journal *wal.Log
-		var walDir string
-		var startState *wal.State
-		// foldJournal banks the current handle's append totals into the
-		// run report; called before every Close so bounced handles are
-		// not lost.
-		foldJournal := func() {
-			if journal == nil {
-				return
-			}
-			reportMu.Lock()
-			report.WalRecords += journal.Records()
-			report.WalBytes += journal.Bytes()
-			report.JournalWall += journal.Wall()
-			reportMu.Unlock()
-		}
-		// The rank owns whichever handle `journal` holds at exit —
-		// including ones the restart paths below re-open — so the
-		// shutdown closure is registered before any of them, on every
-		// path.
-		defer func() {
-			foldJournal()
-			if journal != nil {
-				_ = journal.Close()
-			}
-		}()
-		if cfg.WALDir != "" {
-			walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("rank-%d", world.Rank()))
-			startState, err = wal.Recover(walDir)
-			if err != nil {
-				return err
-			}
-			journal, err = wal.Open(walDir)
-			if err != nil {
-				return err
-			}
-		}
-		// mkServer builds a fresh runtime incarnation around the current
-		// journal handle — once at start, and again after every rebuild.
-		mkServer := func(c *mpi.Comm) (*Server, error) {
-			engine := staging.NewEngine(cfg.Engine)
-			engine.SetTracer(cfg.Tracer, world.Rank())
-			return NewServer(ServerConfig{
-				StagingIndex:    myIdx,
-				Comm:            c,
-				Endpoint:        ep,
-				NumCompute:      cfg.NumCompute,
-				NumStaging:      cfg.NumStaging,
-				StagingBase:     cfg.NumCompute,
-				Route:           cfg.Route,
-				Aggregate:       cfg.Aggregate,
-				Engine:          engine,
-				PullConcurrency: cfg.PullConcurrency,
-				ChunkOrder:      cfg.ChunkOrder,
-				ChunkFilter:     cfg.ChunkFilter,
-				Faults:          inj,
-				Retry:           cfg.Retry,
-				Flow:            flow,
-				Journal:         journal,
-				Tracer:          cfg.Tracer,
-			})
-		}
-		server, err := mkServer(comm)
-		if err != nil {
-			return err
-		}
-		if startState != nil {
-			if _, err := server.Recover(startState); err != nil {
-				return err
-			}
-		}
-		results := make([]*staging.Result, 0, cfg.Dumps)
-		stats := make([]*DumpStats, 0, cfg.Dumps)
-		alive := comm
-		prevLive := liveStagingAt(nil, cfg.NumCompute, cfg.NumStaging, 0) // everyone
-		prevActive := prevLive
-		hasPartitions := cfg.FaultPlan != nil && len(cfg.FaultPlan.Partitions) > 0
-		hasRestarts := cfg.FaultPlan != nil && len(cfg.FaultPlan.Restarts) > 0
-		hasWindows := hasPartitions || hasRestarts
-		fenced := false
-		parked := false
-		epoch := int64(-1)
-		for dump := 0; dump < cfg.Dumps; dump++ {
-			// Membership is dump-aligned and derived from the shared plan.
-			// Crashes shrink the alive communicator: the dying rank splits
-			// out (color < 0 — MPI_UNDEFINED), drops off the fabric, and
-			// exits cleanly with the dumps it served. Partitions fence
-			// alive ranks that cannot reach a staging quorum, and restart
-			// windows park ranks mid-bounce: the active communicator —
-			// alive minus fenced/parked — is re-split from the alive one
-			// at every membership boundary, so an inactive rank parks
-			// (still answering splits) and rejoins the collective the
-			// moment its window closes.
-			nowLive := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(dump))
-			nowActive := nowLive
-			if hasWindows {
-				nowActive = activeStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(dump))
-			}
-			if !slices.Equal(nowLive, prevLive) || !slices.Equal(nowActive, prevActive) {
-				recStart := time.Now()
-				rsp := cfg.Tracer.Begin(trace.PhaseRecovery, world.Rank(), -1, int64(dump), -1)
-				if !slices.Equal(nowLive, prevLive) {
-					color := 0
-					if inj.DownAt(cfg.NumCompute+myIdx, int64(dump)) {
-						color = -1
-					}
-					sub, err := alive.Split(color, myIdx)
-					if err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d shrink at dump %d: %w", myIdx, dump, err)
-					}
-					if color < 0 {
-						if err := fab.FailEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						cfg.Tracer.Instant(trace.PhaseCrashExit, world.Rank(), -1, int64(dump), int64(len(results)), 0)
-						rsp.End(0)
-						//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use the shrunk communicator that excludes it
-						break
-					}
-					alive = sub
-				}
-				active := alive
-				amActive := contains(nowActive, myIdx)
-				if hasWindows {
-					if hasPartitions {
-						// Dump-aligned probe: how many live peers this rank
-						// reaches, and whether that is a strict majority.
-						reach := int64(0)
-						for _, j := range nowLive {
-							if j == myIdx || !inj.Unreachable(cfg.NumCompute+myIdx, cfg.NumCompute+j, int64(dump)) {
-								reach++
-							}
-						}
-						quorum := int64(0)
-						if amActive {
-							quorum = 1
-						}
-						cfg.Tracer.Instant(trace.PhaseProbe, world.Rank(), -1, int64(dump), reach, quorum)
-					}
-					fcolor := 0
-					if !amActive {
-						fcolor = 1
-					}
-					sub, err := alive.Split(fcolor, myIdx)
-					if err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d fence split at dump %d: %w", myIdx, dump, err)
-					}
-					active = sub
-				}
-				epoch++
-				if amActive {
-					if parked {
-						// Revival: rejoin the fabric, recover the journal
-						// the bounced incarnation sealed at shutdown, and
-						// rebuild the runtime around the replayed state.
-						if err := fab.ReviveEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						st, err := wal.Recover(walDir)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						// The park above always folds and seals the handle
-						// before fencing; guard anyway so no edit can leak
-						// a live journal into the rebind below.
-						if journal != nil {
-							foldJournal()
-							_ = journal.Close()
-						}
-						journal, err = wal.Open(walDir)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						server, err = mkServer(active)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						replayed, err := server.Recover(st)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						reportMu.Lock()
-						report.Restarts++
-						reportMu.Unlock()
-						cfg.Tracer.Instant(trace.PhaseRestart, world.Rank(), -1, int64(dump), epoch, int64(replayed))
-						parked = false
-					}
-					if fenced {
-						// Heal: the membership epoch advanced past the
-						// fence window, and every in-window request census
-						// excluded this rank, so nothing it serves from
-						// here on can double-process a chunk.
-						cfg.Tracer.Instant(trace.PhaseHeal, world.Rank(), -1, int64(dump), epoch, 0)
-						reportMu.Lock()
-						report.Heals++
-						reportMu.Unlock()
-						fenced = false
-					}
-					if err := server.Reconfigure(active, epoch, time.Since(recStart)); err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d reconfigure at dump %d: %w", myIdx, dump, err)
-					}
-				} else if hasRestarts && inj.RestartDownAt(cfg.NumCompute+myIdx, int64(dump)) {
-					if !parked {
-						// Controlled bounce at the dump boundary: drain
-						// in-flight requests into the journal (buffered
-						// pending ones are already there), seal it, and
-						// drop off the fabric for the window.
-						for _, m := range ep.DrainCtl() {
-							if req, ok := m.Data.(FetchRequest); ok {
-								if err := server.journalRequest(req); err != nil {
-									rsp.End(0)
-									return err
-								}
-							}
-						}
-						foldJournal()
-						if journal != nil {
-							if err := journal.Close(); err != nil {
-								rsp.End(0)
-								return err
-							}
-							journal = nil
-						}
-						if err := fab.FailEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						parked = true
-					}
-				} else {
-					fenced = true
-				}
-				rsp.End(int64(len(nowActive)))
-				prevLive, prevActive = nowLive, nowActive
-			}
-			if parked {
-				// Down for the bounce: the process is gone for these dumps
-				// and its writers rerouted. Placeholder entries keep dump
-				// indices aligned across ranks.
-				results = append(results, &staging.Result{
-					PerOperator: map[string]map[string]any{},
-					Degraded:    true,
-				})
-				stats = append(stats, &DumpStats{Down: true, Degraded: true})
-				continue
-			}
-			if fenced {
-				// Sat out: alive but without quorum. Placeholder entries
-				// keep dump indices aligned across ranks for downstream
-				// consumers; marked Degraded because this rank reduced
-				// nothing for the dump (its writers rerouted to the
-				// quorum side).
-				results = append(results, &staging.Result{
-					PerOperator: map[string]map[string]any{},
-					Degraded:    true,
-				})
-				stats = append(stats, &DumpStats{Fenced: true, Degraded: true})
-				continue
-			}
-			if journal != nil && inj.CrashAllAt(int64(dump)) {
-				// Whole-service crash drill, in three acts. Act 1: the
-				// crash-vulnerable half — gather and pull this dump,
-				// journaling everything, with no collective or engine
-				// work (the state a process holds when the crash lands).
-				ist, err := server.IngestDump(int64(dump))
-				if err != nil {
-					return fmt.Errorf("staging rank %d crashall ingest at dump %d: %w", myIdx, dump, err)
-				}
-				// Act 2: the crash itself. Every incarnation's in-memory
-				// state is gone; only the journal survives. Rebuild the
-				// runtime from recovery under a fresh membership epoch
-				// (membership itself is unchanged — everyone died and
-				// everyone came back).
-				recStart := time.Now()
-				foldJournal()
-				if err := journal.Close(); err != nil {
-					return fmt.Errorf("staging rank %d crashall at dump %d: %w", myIdx, dump, err)
-				}
-				wst, err := wal.Recover(walDir)
-				if err != nil {
-					return err
-				}
-				journal, err = wal.Open(walDir)
-				if err != nil {
-					return err
-				}
-				server, err = mkServer(alive)
-				if err != nil {
-					return err
-				}
-				replayed, err := server.Recover(wst)
-				if err != nil {
-					return err
-				}
-				epoch++
-				if err := server.Reconfigure(alive, epoch, time.Since(recStart)); err != nil {
-					return fmt.Errorf("staging rank %d crashall reconfigure at dump %d: %w", myIdx, dump, err)
-				}
-				reportMu.Lock()
-				report.Restarts++
-				reportMu.Unlock()
-				cfg.Tracer.Instant(trace.PhaseRestart, world.Rank(), -1, int64(dump), epoch, int64(replayed))
-				// Act 3: finish the dump out of the journal — partials
-				// from the recovered requests, chunks from the recovered
-				// records, no fabric pull.
-				r, st, err := server.ReplayDump(int64(dump), opsFor(dump))
-				if err != nil {
-					return fmt.Errorf("staging rank %d crashall replay at dump %d: %w", myIdx, dump, err)
-				}
-				// The movement costs were paid by the crashed incarnation
-				// during ingest; fold them into the dump's ledger.
-				st.Requests = ist.Requests
-				st.Redistributed = ist.Redistributed
-				st.BytesPulled += ist.BytesPulled
-				st.PullModeled += ist.PullModeled
-				st.Retries += ist.Retries
-				st.CorruptPulls += ist.CorruptPulls
-				st.HedgedPulls += ist.HedgedPulls
-				st.HedgeWins += ist.HedgeWins
-				st.GatherWall = ist.GatherWall
-				if ist.Drops > 0 || ist.CorruptDrops > 0 {
-					st.Drops += ist.Drops
-					st.CorruptDrops += ist.CorruptDrops
-					r.Degraded = true
-					st.Degraded = true
-				}
-				results = append(results, r)
-				stats = append(stats, st)
-				continue
-			}
-			r, st, err := server.ServeDump(int64(dump), opsFor(dump))
-			if err != nil {
-				return fmt.Errorf("staging rank %d dump %d: %w", myIdx, dump, err)
-			}
-			results = append(results, r)
-			stats = append(stats, st)
-			if journal != nil && cfg.CheckpointEvery > 0 && (dump+1)%cfg.CheckpointEvery == 0 {
-				// Dump-boundary checkpoint: everything below dump+1 is
-				// reduced and committed, so the journal compacts down to
-				// the records the checkpoint does not cover.
-				kept, err := journal.WriteCheckpoint(wal.Checkpoint{Epoch: epoch, NextDump: int64(dump) + 1})
-				if err != nil {
-					return fmt.Errorf("staging rank %d checkpoint at dump %d: %w", myIdx, dump, err)
-				}
-				cfg.Tracer.Instant(trace.PhaseCheckpoint, world.Rank(), -1, int64(dump), int64(dump)+1, 0)
-				cfg.Tracer.Instant(trace.PhaseWalTruncate, world.Rank(), -1, int64(dump), int64(dump)+1, int64(kept))
-				reportMu.Lock()
-				report.Checkpoints++
-				reportMu.Unlock()
-			}
-		}
-		res.StagingResults[myIdx] = results
-		res.StagingStats[myIdx] = stats
-		return nil
+		return run.stage(world.Rank(), comm, ep, opsFor)
 	})
 	if err != nil {
 		if timedOut.Load() {
@@ -723,24 +347,488 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 		}
 		return nil, errors.Join(errors.New("predata: pipeline failed"), err)
 	}
-	finishReports(&cfg, inj, &report, res)
-	return res, nil
+	finishReports(&cfg, inj, &run.report, run.res)
+	return run.res, nil
 }
 
-// newPlanInjector builds the fault injector from the pipeline's plan,
-// validating that crashes target only staging endpoints and leave at
-// least one staging rank alive. A nil plan yields a nil injector.
-func newPlanInjector(cfg PipelineConfig) (*faults.Injector, error) {
+// compute runs the application on one compute rank. Compute ranks leave
+// the job when it returns; every later collective runs on staging-side
+// communicators.
+func (run *stagedRun) compute(comm *mpi.Comm, ep *fabric.Endpoint, computeFn ComputeFunc) error {
+	cfg := run.cfg
+	client, err := NewClient(ClientConfig{
+		WriterRank:       comm.Rank(),
+		NumCompute:       cfg.NumCompute,
+		NumStaging:       cfg.NumStaging,
+		Endpoint:         ep,
+		StagingBase:      cfg.NumCompute,
+		Route:            cfg.Route,
+		Transform:        cfg.Transform,
+		PartialCalculate: cfg.PartialCalculate,
+		Membership:       run.member,
+		Retry:            cfg.Retry,
+		Tracer:           cfg.Tracer,
+	})
+	if err != nil {
+		return err
+	}
+	if err := computeFn(comm, client); err != nil {
+		return fmt.Errorf("compute rank %d: %w", comm.Rank(), err)
+	}
+	run.res.ClientVisible[comm.Rank()] = client.VisibleTime.Seconds()
+	run.mu.Lock()
+	run.report.Retries += client.Retries
+	run.report.ReroutedDumps += client.Rerouted
+	run.mu.Unlock()
+	return nil
+}
+
+// stagingRank is one staging rank's runtime across the run's dumps.
+type stagingRank struct {
+	*stagedRun
+	rank int // world rank, which is also the fabric endpoint id
+	idx  int // staging identity; stable across every membership change
+	ep   *fabric.Endpoint
+	flow *flowctl.Controller
+	// pool spans every live staging rank, serving or not — a rank that
+	// sits dumps out still answers the pool's splits, so it rejoins the
+	// moment its window closes. active is the communicator the current
+	// epoch's serving set reduces on: pool itself while every live rank
+	// serves, else the serving side of a split of it.
+	pool, active *mpi.Comm
+	server       *Server
+	// journal is the open write-ahead log of the current incarnation, nil
+	// without WALDir and while the rank is down for a restart window.
+	journal *wal.Log
+	walDir  string
+	scaler  *elastic.Autoscaler // nil unless the run is elastic
+	view    epochView           // membership of the dump last entered
+	state   rankState
+	epoch   int64
+}
+
+// stage runs one staging rank: per-rank setup, then the dump loop.
+func (run *stagedRun) stage(rank int, comm *mpi.Comm, ep *fabric.Endpoint, opsFor OperatorFactory) (err error) {
+	cfg := run.cfg
+	r := &stagingRank{
+		stagedRun: run, rank: rank, idx: comm.Rank(), ep: ep,
+		pool: comm, active: comm,
+		view:  run.member.everyone,
+		epoch: -1,
+	}
+	if run.el != nil {
+		// An elastic pool starts with nobody serving, so dump 0's active
+		// set is installed — and stamped — as scale epoch 0.
+		r.view.active, r.state = nil, idle
+		if r.scaler, err = elastic.New(run.el.cfg.Policy, run.el.start); err != nil {
+			return err
+		}
+	}
+	if cfg.BufferMB > 0 {
+		pol := cfg.Overload
+		pol.BudgetBytes = int64(cfg.BufferMB) << 20
+		if r.flow, err = flowctl.NewController(pol); err != nil {
+			return err
+		}
+		r.flow.SetTracer(cfg.Tracer, rank)
+	}
+	if cfg.WALDir != "" {
+		r.walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("rank-%d", rank))
+	}
+	// The rank owns whichever journal handle it holds at exit, including
+	// ones the restart paths re-open, so the shutdown seal is registered
+	// before any of them opens.
+	defer func() {
+		if serr := r.seal(); err == nil {
+			err = serr
+		}
+	}()
+	// Recovery-on-start: a journal left behind by a previous run's
+	// incarnation is replayed before the first dump is served.
+	if _, err := r.incarnate(); err != nil {
+		return err
+	}
+
+	for dump := 0; dump < cfg.Dumps; dump++ {
+		ts := int64(dump)
+		// Membership is dump-aligned and derived from shared state, so
+		// every rank diffs the same two views and reaches the same
+		// boundary decision without a membership protocol.
+		next, err := run.member.at(ts)
+		if err != nil {
+			return fmt.Errorf("staging rank %d: %w", r.idx, err)
+		}
+		lost := len(r.view.live) - len(next.live)
+		if boundary, t := diffMembership(r.view, next, r.idx); boundary {
+			if err := r.enterEpoch(ts, next, t); err != nil {
+				return fmt.Errorf("staging rank %d entering dump %d: %w", r.idx, dump, err)
+			}
+			if t == leave {
+				//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use communicators that exclude it
+				break
+			}
+		}
+		// Stamped after the boundary: a leaving rank's last collective
+		// belongs to the dump it last served.
+		r.pool.SetTraceDump(ts)
+
+		var res *staging.Result
+		var st *DumpStats
+		switch {
+		case r.state != serving:
+			// Sat out: placeholder rows keep dump indices aligned across
+			// ranks; the rank's writers were routed to the serving set.
+			res, st = placeholder(r.state)
+		case r.journal != nil && run.member.inj.CrashAllAt(ts):
+			res, st, err = r.crashAll(ts, opsFor(dump))
+		default:
+			// Membership-derived branch: the dump's collectives run on the
+			// active communicator, which holds exactly the ranks whose
+			// shared derivation lands in the serving set; the ranks
+			// sitting out above are outside it.
+			res, st, err = r.server.ServeDump(ts, opsFor(dump))
+			if err == nil {
+				err = r.checkpoint(dump)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("staging rank %d dump %d: %w", r.idx, dump, err)
+		}
+		// Every dump records exactly one row, served or not, so
+		// StagingResults[rank][i] is dump i on every rank.
+		run.res.StagingResults[r.idx] = append(run.res.StagingResults[r.idx], res)
+		run.res.StagingStats[r.idx] = append(run.res.StagingStats[r.idx], st)
+		if run.el != nil {
+			if err := run.el.observe(r, ts, st.Overload, lost); err != nil {
+				return fmt.Errorf("staging rank %d dump %d: %w", r.idx, dump, err)
+			}
+		}
+	}
+	return nil
+}
+
+// enterEpoch carries this rank across a membership epoch boundary into
+// dump ts. Whatever moved — a crash, a partition window opening or
+// closing, a restart bounce, an autoscaler resize, or several at once —
+// the sequence is the same: crashed ranks split out of the pool (t says
+// whether this rank is one), the epoch advances once, ranks that stop
+// serving stand down, the serving communicator is re-derived, ranks that
+// start serving stand up, and every serving rank installs the new
+// communicator.
+func (r *stagingRank) enterEpoch(ts int64, next epochView, t transition) (err error) {
+	tr := r.cfg.Tracer
+	recStart := time.Now()
+	sp := tr.Begin(trace.PhaseRecovery, r.rank, -1, ts, -1)
+	// The drain span stays zero — its End a no-op — unless this rank is
+	// being retired by the autoscaler.
+	var drain trace.Span
+	entered := int64(0)
+	defer func() {
+		drain.End(entered)
+		sp.End(entered)
+	}()
+	if !slices.Equal(next.live, r.view.live) {
+		// Pool shrink: the dying rank splits out (color < 0 —
+		// MPI_UNDEFINED), drops off the fabric, and exits cleanly with
+		// the dumps it served.
+		color := 0
+		if t == leave {
+			color = -1
+		}
+		sub, err := r.pool.Split(color, r.idx)
+		if err != nil {
+			return fmt.Errorf("pool shrink: %w", err)
+		}
+		if t == leave {
+			if err := r.fab.FailEndpoint(r.rank); err != nil {
+				return err
+			}
+			tr.Instant(trace.PhaseCrashExit, r.rank, -1, ts, ts, 0)
+			return nil
+		}
+		r.pool = sub
+	}
+	r.epoch++
+	// From here on the rank acts on its own state change, was → state, not
+	// on t: a rank can trade one reason for sitting out for another (a
+	// fence window closing as a restart window opens) at a boundary some
+	// other rank caused, without changing sides of the serving set.
+	was, state := r.state, r.member.stateOf(next, r.idx, ts)
+	if was == down && state != serving {
+		// A parked rank stays off the fabric with its journal sealed until
+		// it serves again, whatever else keeps it out in the meantime.
+		state = down
+	}
+	if inj := r.member.inj; len(inj.Plan().Partitions) > 0 {
+		// Dump-aligned probe: how many live peers this rank reaches, and
+		// whether that is a strict majority.
+		quorum := int64(0)
+		if state == serving {
+			quorum = 1
+		}
+		tr.Instant(trace.PhaseProbe, r.rank, -1, ts,
+			int64(stagingReach(inj, r.cfg.NumCompute, next.live, r.idx, ts)), quorum)
+	}
+	switch {
+	case state == down && was != down:
+		if err := r.park(); err != nil {
+			return err
+		}
+	case state == idle && was == serving:
+		// Drain-then-Split retirement: the departing rank already flushed
+		// its leases and replayed its spill inside its last ServeDump; what
+		// remains is leaving the serving communicator while the survivors
+		// take over its shards.
+		drain = tr.Begin(trace.PhaseDrain, r.rank, -1, ts, r.epoch)
+	}
+	// A fenced rank just stops serving: alive, but without quorum.
+	r.active = r.pool
+	if len(next.active) < len(next.live) {
+		color := 0
+		if state != serving {
+			color = 1
+		}
+		if r.active, err = r.pool.Split(color, r.idx); err != nil {
+			return fmt.Errorf("serving split: %w", err)
+		}
+	}
+	if state == serving {
+		switch was {
+		case down:
+			// Revival: rejoin the fabric and rebuild the runtime from the
+			// journal the bounced incarnation sealed when it parked.
+			if err := r.fab.ReviveEndpoint(r.rank); err != nil {
+				return err
+			}
+			if err := r.restart(ts); err != nil {
+				return err
+			}
+		case fenced:
+			// Heal: the membership epoch advanced past the fence window,
+			// and every in-window request census excluded this rank, so
+			// nothing it serves from here on can double-process a chunk.
+			tr.Instant(trace.PhaseHeal, r.rank, -1, ts, r.epoch, 0)
+			r.mu.Lock()
+			r.report.Heals++
+			r.mu.Unlock()
+		}
+		// A rank joining an elastic grow, like one that served all along,
+		// needs nothing more than the communicator installed here.
+		if err := r.server.Reconfigure(r.active, r.epoch, time.Since(recStart)); err != nil {
+			return fmt.Errorf("reconfigure: %w", err)
+		}
+	}
+	if r.el != nil {
+		if err := r.el.installEpoch(r, ts, next); err != nil {
+			return err
+		}
+	}
+	r.view, r.state = next, state
+	entered = int64(len(next.active))
+	return nil
+}
+
+// incarnate builds a fresh runtime incarnation of this rank on its
+// active communicator out of whatever its journal directory holds: seal
+// any handle still open, recover the records the previous incarnation
+// left, open the journal for appending, build a server around the handle
+// and seed it with the recovered state. It runs at start
+// (recovery-on-start), on revival from a restart window and inside the
+// crashall drill, and returns the number of records re-admitted.
+func (r *stagingRank) incarnate() (int, error) {
+	if err := r.seal(); err != nil {
+		return 0, err
+	}
+	cfg := r.cfg
+	var recovered *wal.State
+	if r.walDir != "" {
+		var err error
+		if recovered, err = wal.Recover(r.walDir); err != nil {
+			return 0, err
+		}
+		if r.journal, err = wal.Open(r.walDir); err != nil {
+			return 0, err
+		}
+	}
+	engine := staging.NewEngine(cfg.Engine)
+	engine.SetTracer(cfg.Tracer, r.rank)
+	server, err := NewServer(ServerConfig{
+		StagingIndex:    r.idx,
+		Comm:            r.active,
+		Endpoint:        r.ep,
+		NumCompute:      cfg.NumCompute,
+		NumStaging:      cfg.NumStaging,
+		StagingBase:     cfg.NumCompute,
+		Route:           cfg.Route,
+		Aggregate:       cfg.Aggregate,
+		Engine:          engine,
+		PullConcurrency: cfg.PullConcurrency,
+		ChunkOrder:      cfg.ChunkOrder,
+		ChunkFilter:     cfg.ChunkFilter,
+		Membership:      r.member,
+		Retry:           cfg.Retry,
+		Flow:            r.flow,
+		Journal:         r.journal,
+		Tracer:          cfg.Tracer,
+	})
+	if err != nil {
+		return 0, err
+	}
+	r.server = server
+	return server.Recover(recovered)
+}
+
+// seal banks the open journal handle's append totals into the run
+// report and closes it. No-op without one.
+func (r *stagingRank) seal() error {
+	if r.journal == nil {
+		return nil
+	}
+	r.mu.Lock()
+	r.report.WalRecords += r.journal.Records()
+	r.report.WalBytes += r.journal.Bytes()
+	r.report.JournalWall += r.journal.Wall()
+	r.mu.Unlock()
+	err := r.journal.Close()
+	r.journal = nil
+	return err
+}
+
+// restart re-incarnates this rank from its journal under the current
+// epoch and counts the restart.
+func (r *stagingRank) restart(ts int64) error {
+	replayed, err := r.incarnate()
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.report.Restarts++
+	r.mu.Unlock()
+	r.cfg.Tracer.Instant(trace.PhaseRestart, r.rank, -1, ts, r.epoch, int64(replayed))
+	return nil
+}
+
+// park is the controlled bounce at a restart window's opening boundary:
+// drain in-flight requests into the journal (buffered pending ones are
+// already there), seal it, and drop off the fabric for the window.
+func (r *stagingRank) park() error {
+	for _, m := range r.ep.DrainCtl() {
+		if req, ok := m.Data.(FetchRequest); ok {
+			if err := r.server.journalRequest(req); err != nil {
+				return err
+			}
+		}
+	}
+	if err := r.seal(); err != nil {
+		return err
+	}
+	return r.fab.FailEndpoint(r.rank)
+}
+
+// crashAll is the whole-service crash drill, in three acts.
+func (r *stagingRank) crashAll(ts int64, ops []staging.Operator) (*staging.Result, *DumpStats, error) {
+	// Act 1: the crash-vulnerable half — gather and pull this dump,
+	// journaling everything, with no collective or engine work (the
+	// state a process holds when the crash lands).
+	st, err := r.server.ingestDump(ts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crashall ingest: %w", err)
+	}
+	// Act 2: the crash itself. Every incarnation's in-memory state is
+	// gone; only the journal survives. Rebuild the runtime from recovery
+	// under a fresh membership epoch (membership itself is unchanged —
+	// everyone died and everyone came back).
+	recStart := time.Now()
+	r.epoch++
+	if err := r.restart(ts); err != nil {
+		return nil, nil, fmt.Errorf("crashall rebuild: %w", err)
+	}
+	if err := r.server.Reconfigure(r.active, r.epoch, time.Since(recStart)); err != nil {
+		return nil, nil, fmt.Errorf("crashall reconfigure: %w", err)
+	}
+	// Act 3: finish the dump out of the journal — partials from the
+	// recovered requests, chunks from the recovered records, no fabric
+	// pull. The movement costs the crashed incarnation paid during
+	// ingest stay on the dump's ledger.
+	res, err := r.server.replayDump(ts, ops, st)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crashall replay: %w", err)
+	}
+	return res, st, nil
+}
+
+// checkpoint writes the dump-boundary checkpoint when the cadence says
+// so: everything below dump+1 is reduced and committed, so the journal
+// compacts down to the records the checkpoint does not cover.
+func (r *stagingRank) checkpoint(dump int) error {
+	every := r.cfg.CheckpointEvery
+	if r.journal == nil || every <= 0 || (dump+1)%every != 0 {
+		return nil
+	}
+	next := int64(dump) + 1
+	kept, err := r.journal.WriteCheckpoint(wal.Checkpoint{Epoch: r.epoch, NextDump: next})
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	r.cfg.Tracer.Instant(trace.PhaseCheckpoint, r.rank, -1, int64(dump), next, 0)
+	r.cfg.Tracer.Instant(trace.PhaseWalTruncate, r.rank, -1, int64(dump), next, int64(kept))
+	r.mu.Lock()
+	r.report.Checkpoints++
+	r.mu.Unlock()
+	return nil
+}
+
+// validate is the one admission check of a staged run: job sizes, the
+// elastic policy against the provisioned pool, the fault plan against
+// the job's endpoints, and the feature compositions the runtime does
+// not support. It returns the plan's injector (nil without a plan).
+func validate(cfg PipelineConfig, el *elasticRun) (*faults.Injector, error) {
+	if cfg.NumCompute < 1 || cfg.NumStaging < 1 {
+		return nil, fmt.Errorf("predata: pipeline sizes compute=%d staging=%d must be >= 1",
+			cfg.NumCompute, cfg.NumStaging)
+	}
+	if cfg.Dumps < 0 {
+		return nil, fmt.Errorf("predata: negative dump count %d", cfg.Dumps)
+	}
+	if el != nil {
+		if err := el.cfg.Policy.Validate(); err != nil {
+			return nil, err
+		}
+		if el.cfg.Policy.Max > cfg.NumStaging {
+			return nil, fmt.Errorf("predata: elastic Max %d exceeds the provisioned staging pool %d",
+				el.cfg.Policy.Max, cfg.NumStaging)
+		}
+		if cfg.NumStaging > 62 {
+			return nil, fmt.Errorf("predata: staging pool %d exceeds 62, the scale-epoch bitmask width",
+				cfg.NumStaging)
+		}
+	}
 	if cfg.FaultPlan == nil {
 		return nil, nil
 	}
+	plan := cfg.FaultPlan
+	// Rejected compositions. Quorum fencing decides who serves from the
+	// plan alone and the autoscaler from telemetry alone; a pool that is
+	// both resized and fenced needs one rule for which of the two trims
+	// the serving set first, and a bounced or crashed-all rank's journal
+	// replay assumes the writers it recovers are still routed to it.
+	// (Restart windows overlapping partition windows are rejected by the
+	// plan's own validation: a rank cannot fence and restart at once.)
+	if el != nil && len(plan.Partitions) > 0 {
+		return nil, fmt.Errorf(
+			"predata: elastic runs do not support partition faults; quorum fencing requires the fixed-membership pipeline")
+	}
+	if el != nil && (len(plan.Restarts) > 0 || len(plan.CrashAlls) > 0) {
+		return nil, fmt.Errorf(
+			"predata: elastic runs do not support restart or crashall faults; journal replay requires the fixed-membership pipeline")
+	}
 	total := cfg.NumCompute + cfg.NumStaging
-	inj, err := faults.NewInjector(*cfg.FaultPlan)
+	inj, err := faults.NewInjector(*plan)
 	if err != nil {
 		return nil, err
 	}
 	crashed := map[int]bool{}
-	for _, c := range cfg.FaultPlan.Crashes {
+	for _, c := range plan.Crashes {
 		if c.Endpoint < cfg.NumCompute || c.Endpoint >= total {
 			return nil, fmt.Errorf(
 				"predata: crash endpoint %d is not a staging endpoint [%d,%d)",
@@ -751,7 +839,7 @@ func newPlanInjector(cfg PipelineConfig) (*faults.Injector, error) {
 	if len(crashed) >= cfg.NumStaging {
 		return nil, fmt.Errorf("predata: plan crashes all %d staging ranks", cfg.NumStaging)
 	}
-	for _, pt := range cfg.FaultPlan.Partitions {
+	for _, pt := range plan.Partitions {
 		for _, g := range [][]int{pt.GroupA, pt.GroupB} {
 			for _, ep := range g {
 				if ep >= total {
@@ -761,11 +849,11 @@ func newPlanInjector(cfg PipelineConfig) (*faults.Injector, error) {
 			}
 		}
 	}
-	if (len(cfg.FaultPlan.Restarts) > 0 || len(cfg.FaultPlan.CrashAlls) > 0) && cfg.WALDir == "" {
+	if (len(plan.Restarts) > 0 || len(plan.CrashAlls) > 0) && cfg.WALDir == "" {
 		return nil, fmt.Errorf(
 			"predata: plan has restart/crashall faults but no WALDir — bounced ranks need a journal to rebuild from")
 	}
-	for _, r := range cfg.FaultPlan.Restarts {
+	for _, r := range plan.Restarts {
 		if r.Endpoint < cfg.NumCompute || r.Endpoint >= total {
 			return nil, fmt.Errorf(
 				"predata: restart endpoint %d is not a staging endpoint [%d,%d)",
@@ -774,7 +862,8 @@ func newPlanInjector(cfg PipelineConfig) (*faults.Injector, error) {
 		// Every window dump must keep at least one rank serving, or the
 		// writers routed around the bounce have nowhere to go.
 		for d := r.AtDump; d < r.AtDump+r.Downtime; d++ {
-			if len(activeStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(d))) == 0 {
+			live := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(d))
+			if len(activeStagingAt(inj, cfg.NumCompute, live, int64(d))) == 0 {
 				return nil, fmt.Errorf(
 					"predata: plan leaves no active staging rank at dump %d (every rank crashed, fenced, or restarting)", d)
 			}

@@ -107,16 +107,11 @@ type ClientConfig struct {
 	// PartialCalculate is the optional Stage-1a local pass whose small
 	// result piggybacks on the fetch request.
 	PartialCalculate PartialFunc
-	// Faults is the shared fault plan, consulted for dump-indexed staging
-	// membership so writes route around crashed staging ranks. Nil means
-	// fault-free routing.
-	Faults *faults.Injector
-	// Membership, when non-nil, supplies the dump-indexed active staging
-	// set (ascending staging indices): Route then picks a position within
-	// that set instead of within the full staging area. Elastic pipelines
-	// install a hook that blocks — deadline-bounded — until the dump's
-	// active count has been announced. Nil keeps static fault-plan routing.
-	Membership func(timestep int64) ([]int, error)
+	// Membership is the run's shared membership value: each write routes
+	// to the staging rank it names for the dump, around crashed, fenced,
+	// restarting and elastically parked ranks. Nil means a fixed,
+	// fault-free staging area.
+	Membership *Membership
 	// Retry bounds transient-fault retries of the fetch-request send.
 	// Zero fields take DefaultRetryPolicy values.
 	Retry RetryPolicy
@@ -155,6 +150,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Route == nil {
 		cfg.Route = DefaultRoute
+	}
+	if cfg.Membership == nil {
+		cfg.Membership = newMembership(nil, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
 	}
 	return &Client{cfg: cfg, retry: cfg.Retry.withDefaults()}, nil
 }
@@ -222,29 +220,14 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	buf := staging.Seal(enc)
 	c.cfg.Endpoint.SetEpoch(timestep)
 	h := c.cfg.Endpoint.Expose(buf)
-	var idx int
-	if c.cfg.Membership != nil {
-		set, err := c.cfg.Membership(timestep)
-		if err != nil {
-			return 0, fmt.Errorf("predata: resolving dump %d staging membership: %w", timestep, err)
-		}
-		if len(set) == 0 {
-			return 0, fmt.Errorf("predata: empty staging membership at dump %d", timestep)
-		}
-		idx = set[c.cfg.Route(c.cfg.WriterRank, c.cfg.NumCompute, len(set))]
-	} else {
-		var rerouted bool
-		var err error
-		idx, rerouted, err = effectiveRoute(c.cfg.Route, c.cfg.Faults,
-			c.cfg.WriterRank, c.cfg.NumCompute, c.cfg.NumStaging, c.cfg.StagingBase, timestep)
-		if err != nil {
-			return 0, err
-		}
-		if rerouted {
-			c.Rerouted++
-			c.cfg.Tracer.Instant(trace.PhaseReroute, c.cfg.Endpoint.ID(),
-				c.cfg.StagingBase+idx, timestep, 0, 0)
-		}
+	idx, rerouted, err := c.cfg.Membership.serverFor(c.cfg.WriterRank, timestep)
+	if err != nil {
+		return 0, err
+	}
+	if rerouted {
+		c.Rerouted++
+		c.cfg.Tracer.Instant(trace.PhaseReroute, c.cfg.Endpoint.ID(),
+			c.cfg.StagingBase+idx, timestep, 0, 0)
 	}
 	dst := c.cfg.StagingBase + idx
 	req := FetchRequest{
@@ -282,7 +265,7 @@ func (c *Client) sendWithRetry(dst int, req FetchRequest) error {
 			if attempt+1 >= c.retry.MaxAttempts {
 				return err
 			}
-		case errors.Is(err, faults.ErrEndpointDown) && c.cfg.Faults.Revives(dst, req.Timestep):
+		case errors.Is(err, faults.ErrEndpointDown) && c.cfg.Membership.inj.Revives(dst, req.Timestep):
 			if time.Now().After(deadline) {
 				return fmt.Errorf("predata: endpoint %d still down past the dump deadline awaiting its restart: %w", dst, err)
 			}
@@ -336,21 +319,16 @@ type ServerConfig struct {
 	// StagingBase is the fabric endpoint id of staging index 0. Zero
 	// means the conventional layout, NumCompute.
 	StagingBase int
-	// Faults is the shared fault plan, consulted for dump-indexed
-	// membership (which staging ranks serve which writers at dump t).
-	// Nil means fault-free membership.
-	Faults *faults.Injector
-	// Membership, when non-nil, supplies the dump-indexed active staging
-	// set: this rank serves the writers that Route maps to its position
-	// within the set, and serves nothing for dumps where it is parked.
-	// It must be the same function the clients route with. With
-	// Membership set, ServeDump always runs under the retry policy's
-	// DumpDeadline — the elastic scaling loop must be deadline-bounded.
-	Membership func(timestep int64) ([]int, error)
+	// Membership is the run's shared membership value — the same one the
+	// clients route with: this rank serves the writers it assigns to
+	// StagingIndex at each dump, and nothing for dumps it sits out. Nil
+	// means a fixed, fault-free staging area.
+	Membership *Membership
 	// Retry bounds transient-fault retries and the per-dump gather
 	// deadline. Zero fields take DefaultRetryPolicy values; the deadline
-	// is enforced only when Faults is non-nil, preserving the fault-free
-	// contract that gathers block until the watchdog intervenes.
+	// is enforced only when Membership can change between dumps (a fault
+	// plan or an elastic schedule), preserving the fault-free contract
+	// that gathers block until the watchdog intervenes.
 	Retry RetryPolicy
 	// Flow, when non-nil, is this rank's memory-budget controller: every
 	// pull is admitted against its byte budget, overflow spills to disk
@@ -411,6 +389,11 @@ type DumpStats struct {
 	// Down marks a dump this rank sat out inside a restart window: the
 	// process was bounced and its writers were rerouted until revival.
 	Down bool
+	// Parked marks a dump this rank sat out because the elastic
+	// autoscaler's active count did not reach it. Unlike Fenced and Down
+	// the row is not Degraded: the dump's writers were placed on the
+	// active ranks by design.
+	Parked bool
 	// WalReplayed counts chunks this dump decoded out of the journal
 	// instead of pulling them over the fabric (crash-restart replay).
 	WalReplayed int
@@ -435,8 +418,6 @@ type Server struct {
 	served []int // compute ranks this staging index serves, ascending
 	// pending buffers fetch requests that arrived for future timesteps.
 	pending map[int64][]FetchRequest
-	// servedBy caches the per-timestep served set under crash rerouting.
-	servedBy map[int64][]int
 	// replayable holds journaled chunk records recovered from a crashed
 	// incarnation's log, keyed by timestep, awaiting ReplayDump.
 	replayable map[int64][]wal.Record
@@ -471,11 +452,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.StagingBase < 1 {
 		cfg.StagingBase = cfg.NumCompute
 	}
+	if cfg.Membership == nil {
+		cfg.Membership = newMembership(nil, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
+	}
 	s := &Server{
 		cfg:        cfg,
 		retry:      cfg.Retry.withDefaults(),
 		pending:    make(map[int64][]FetchRequest),
-		servedBy:   make(map[int64][]int),
 		replayable: make(map[int64][]wal.Record),
 		epoch:      -1,
 	}
@@ -490,60 +473,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // Served returns the compute ranks this staging rank serves (fault-free).
 func (s *Server) Served() []int { return append([]int(nil), s.served...) }
-
-// servedAt returns the compute ranks this staging index serves at
-// timestep, accounting for crash rerouting (fault-free it is Served())
-// or, under a Membership hook, for the dump's active set: parked ranks
-// serve nothing, actives serve the writers Route maps to their
-// position within the set.
-func (s *Server) servedAt(timestep int64) ([]int, error) {
-	if s.cfg.Membership != nil {
-		if cached, ok := s.servedBy[timestep]; ok {
-			return cached, nil
-		}
-		set, err := s.cfg.Membership(timestep)
-		if err != nil {
-			return nil, fmt.Errorf("predata: resolving dump %d staging membership: %w", timestep, err)
-		}
-		pos := -1
-		for i, idx := range set {
-			if idx == s.cfg.StagingIndex {
-				pos = i
-			}
-		}
-		served := []int{}
-		if pos >= 0 {
-			for r := 0; r < s.cfg.NumCompute; r++ {
-				if s.cfg.Route(r, s.cfg.NumCompute, len(set)) == pos {
-					served = append(served, r)
-				}
-			}
-		}
-		s.servedBy[timestep] = served
-		return served, nil
-	}
-	if s.cfg.Faults == nil ||
-		(len(s.cfg.Faults.Plan().Crashes) == 0 && len(s.cfg.Faults.Plan().Partitions) == 0 &&
-			len(s.cfg.Faults.Plan().Restarts) == 0) {
-		return s.served, nil
-	}
-	if cached, ok := s.servedBy[timestep]; ok {
-		return cached, nil
-	}
-	served := []int{}
-	for r := 0; r < s.cfg.NumCompute; r++ {
-		idx, _, err := effectiveRoute(s.cfg.Route, s.cfg.Faults,
-			r, s.cfg.NumCompute, s.cfg.NumStaging, s.cfg.StagingBase, timestep)
-		if err != nil {
-			continue // nobody alive to serve r; the pipeline validates against this
-		}
-		if idx == s.cfg.StagingIndex {
-			served = append(served, r)
-		}
-	}
-	s.servedBy[timestep] = served
-	return served, nil
-}
 
 // Epoch returns the membership epoch of the installed communicator; -1
 // before the first Reconfigure.
@@ -587,11 +516,24 @@ func (s *Server) Reconfigure(comm *mpi.Comm, epoch int64, recovery time.Duration
 // pull + decode + stream chunks through the engine. All staging ranks must
 // call ServeDump collectively with the same timestep and operator list.
 func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Result, *DumpStats, error) {
-	stats := &DumpStats{RecoveryWall: s.recovery}
+	stats := &DumpStats{}
+	s.beginDump(timestep, stats)
+	reqs, err := s.gatherRequests(timestep, stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.reduceDump(timestep, ops, reqs, stats, s.cfg.Flow, s.feedPulled)
+	return res, stats, err
+}
+
+// beginDump is the prologue every dump body shares: charge pending
+// reconfiguration time to the dump and stamp it onto every layer this
+// rank records from.
+func (s *Server) beginDump(timestep int64, stats *DumpStats) {
+	stats.RecoveryWall += s.recovery
 	s.recovery = 0
 	if s.cfg.Tracer != nil {
-		// Stamp the dump onto every layer this rank records from:
-		// collective instants, engine phase spans, and the fabric's
+		// Collective instants, engine phase spans, and the fabric's
 		// control-plane events all group under this timestep.
 		s.cfg.Comm.SetTraceDump(timestep)
 		s.cfg.Engine.SetTraceDump(timestep)
@@ -599,24 +541,47 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 	// The endpoint epoch always tracks the dump: partition windows key
 	// off it for control-plane sends, tracer or not.
 	s.cfg.Endpoint.SetEpoch(timestep)
+}
 
-	// Stage 2a: gather fetch requests from every served compute rank.
-	// Under fault injection the gather is deadline-bound: the staging
-	// area is collective, so one wedged gather wedges every rank.
-	start := time.Now()
-	sp := s.cfg.Tracer.Begin(trace.PhaseGather, s.cfg.Endpoint.ID(), -1, timestep, -1)
-	reqs, err := s.gatherRequests(timestep, stats)
-	if err != nil {
-		sp.End(0)
-		return nil, nil, err
+// dumpRun is the state one dump's chunk feed shares with the goroutines
+// it starts: the ledger, the admission flow, and the first feed failure.
+type dumpRun struct {
+	stats *DumpStats
+	flow  *flowctl.DumpFlow // nil without a budget
+	mu    sync.Mutex        // guards stats and err while the feed runs
+	err   error
+}
+
+// fail stores the first feed failure.
+func (d *dumpRun) fail(err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err == nil {
+		d.err = err
 	}
-	sp.End(int64(len(reqs)))
-	stats.GatherWall = time.Since(start)
+}
 
-	// Stage 2b: exchange piggybacked partials across the staging area and
-	// aggregate them globally.
-	start = time.Now()
-	sp = s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
+func (d *dumpRun) failed() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err != nil
+}
+
+// chunkFeed submits one dump's packed chunks — reqs is in stream order —
+// to the stone graph's decode stone and returns once the last one is in.
+// The live feed pulls them over the fabric; the crash-restart feed reads
+// them back out of the journal.
+type chunkFeed func(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone)
+
+// reduceDump is the collective half of every dump body: exchange the
+// piggybacked partials and aggregate them (Stage 2b), then stream the
+// feed's chunks through the stone graph into the engine (Stages 3+4),
+// seal the dump in the journal and mark it Degraded if anything was
+// lost. budget, when non-nil, admits the feed's chunks against this
+// rank's memory budget.
+func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, stats *DumpStats, budget *flowctl.Controller, feed chunkFeed) (*staging.Result, error) {
+	start := time.Now()
+	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
 	local := make([]RankPartial, len(reqs))
 	for i, r := range reqs {
 		local[i] = RankPartial{Rank: r.WriterRank, Partial: r.Partial}
@@ -624,7 +589,7 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 	all, err := mpi.Allgather(s.cfg.Comm, local)
 	if err != nil {
 		sp.End(0)
-		return nil, nil, fmt.Errorf("predata: partial exchange: %w", err)
+		return nil, fmt.Errorf("predata: partial exchange: %w", err)
 	}
 	var agg map[string]any
 	if s.cfg.Aggregate != nil {
@@ -638,8 +603,7 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 	sp.End(0)
 	stats.AggregateWall = time.Since(start)
 
-	// Stages 3+4: pull chunks (bounded concurrency) and stream them
-	// through the engine. Pulls run in a producer pool so that network
+	// Stages 3+4. The feed runs beside the engine so that network
 	// movement overlaps Map execution, as on the real machine.
 	start = time.Now()
 	order := s.cfg.ChunkOrder
@@ -653,31 +617,70 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 	// and submission waits must have a horizon, or a mis-sized budget
 	// could wedge the collective staging area.
 	ctx := context.Background()
-	var flow *flowctl.DumpFlow
-	if s.cfg.Flow != nil {
+	d := &dumpRun{stats: stats}
+	if budget != nil {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.retry.DumpDeadline)
 		defer cancel()
-		flow = s.cfg.Flow.StartDump(timestep)
-		defer flow.Finish()
+		d.flow = budget.StartDump(timestep)
+		defer d.flow.Finish()
 	}
+	mgr, decode, filter, err := s.newStoneGraph(d.flow, chunks)
+	if err != nil {
+		return nil, err
+	}
+	go func() {
+		feed(ctx, d, reqs, decode)
+		// Drain the stone graph, then release the engine.
+		if err := mgr.Close(); err != nil {
+			d.fail(err)
+		}
+		if filter != nil {
+			d.mu.Lock()
+			stats.ChunksFiltered = int(filter.Stats().Dropped)
+			d.mu.Unlock()
+		}
+		close(chunks)
+	}()
+	res, err := s.cfg.Engine.ProcessDump(s.cfg.Comm, chunks, ops, agg)
+	// ProcessDump returns only after the chunks channel is closed, so the
+	// feed and the stone graph are done and stats/d.err are stable.
+	stats.ProcessWall = time.Since(start)
+	if d.flow != nil {
+		ov := d.flow.Finish()
+		stats.Overload = &ov
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := s.commitDump(timestep); err != nil {
+		return nil, err
+	}
+	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
+		(stats.Overload != nil && stats.Overload.PassedChunks > 0) ||
+		s.cfg.Membership.shorthanded(timestep)
+	stats.Degraded = res.Degraded
+	return res, nil
+}
 
-	// Pulled buffers flow through an event-stream graph before reaching
-	// the engine: decode stone -> optional filter stone -> terminal stone
-	// feeding the engine's channel. The stones' bounded queues propagate
-	// backpressure from a slow engine all the way to the pull workers.
-	mgr := evpath.NewManager()
-	terminal, err := mgr.NewTerminalStone(func(e *evpath.Event) error {
+// newStoneGraph builds the event-stream graph packed chunks cross on
+// their way to the engine: decode stone -> optional filter stone ->
+// terminal stone feeding chunks. The stones' bounded queues propagate
+// backpressure from a slow engine all the way to the feed.
+func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Chunk) (mgr *evpath.Manager, decode, filter *evpath.Stone, err error) {
+	mgr = evpath.NewManager()
+	head, err := mgr.NewTerminalStone(func(e *evpath.Event) error {
 		chunks <- e.Data.(*staging.Chunk)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	head := terminal
-	var filterStone *evpath.Stone
 	if s.cfg.ChunkFilter != nil {
-		filterStone, err = mgr.NewFilterStone(func(e *evpath.Event) bool {
+		filter, err = mgr.NewFilterStone(func(e *evpath.Event) bool {
 			chunk := e.Data.(*staging.Chunk)
 			keep := s.cfg.ChunkFilter(chunk)
 			if !keep && chunk.Release != nil {
@@ -688,24 +691,24 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 			return keep
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if err := filterStone.LinkTo(terminal); err != nil {
-			return nil, nil, err
+		if err := filter.LinkTo(head); err != nil {
+			return nil, nil, nil, err
 		}
-		head = filterStone
+		head = filter
 	}
-	decode, err := mgr.NewTransformStone(func(e *evpath.Event) (*evpath.Event, error) {
-		buf, release := eventPayload(e)
-		chunk, err := staging.DecodeChunk(buf)
+	decode, err = mgr.NewTransformStone(func(e *evpath.Event) (*evpath.Event, error) {
+		p := e.Data.(*pulledChunk)
+		chunk, err := staging.DecodeChunk(p.buf)
 		if err != nil {
-			if release != nil {
-				release()
+			if p.release != nil {
+				p.release()
 			}
 			return nil, fmt.Errorf("predata: decode chunk from rank %d: %w",
 				int(e.Attrs["writer"]), err)
 		}
-		chunk.Release = release
+		chunk.Release = p.release
 		if flow != nil {
 			if shedding, sampled := flow.ShedClass(); shedding {
 				if sampled {
@@ -718,39 +721,36 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 		return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := decode.LinkTo(head); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if s.cfg.Flow != nil {
+	if flow != nil {
 		// Byte-weighted stone queue: the decode stone's backlog is bounded
 		// by the same budget the accountant enforces, so the stone graph
 		// cannot buffer more than one budget's worth of packed bytes.
-		weigh := func(e *evpath.Event) int64 {
-			buf, _ := eventPayload(e)
-			return int64(len(buf))
-		}
+		weigh := func(e *evpath.Event) int64 { return int64(len(e.Data.(*pulledChunk).buf)) }
 		if err := decode.SetByteLimit(s.cfg.Flow.Budget().Capacity(), weigh); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
+	return mgr, decode, filter, nil
+}
 
-	var (
-		prodWG  sync.WaitGroup
-		pullMu  sync.Mutex
-		pullErr error
-	)
+// feedPulled is the live chunk feed: a bounded pool of pull workers
+// moves each request's chunk over the fabric — admitted against the
+// budget, CRC-verified, journaled — and submits it to the stone graph;
+// once every pull is issued, spilled chunks are replayed behind them.
+func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone) {
+	var workers sync.WaitGroup
 	reqCh := make(chan FetchRequest)
 	for w := 0; w < s.cfg.PullConcurrency; w++ {
-		prodWG.Add(1)
+		workers.Add(1)
 		go func() {
-			defer prodWG.Done()
+			defer workers.Done()
 			for req := range reqCh {
-				pullMu.Lock()
-				failed := pullErr != nil
-				pullMu.Unlock()
-				if failed {
+				if d.failed() {
 					continue // drain remaining requests without pulling
 				}
 				// Credit-based admission: the pull is only issued once the
@@ -759,145 +759,98 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 				// staging memory — absorbs the wait, and the compute side
 				// stays asynchronous.
 				var adm *flowctl.Admission
-				if flow != nil {
-					a, err := flow.Admit(ctx, int64(req.Bytes))
+				if d.flow != nil {
+					a, err := d.flow.Admit(ctx, int64(req.Bytes))
 					if err != nil {
-						s.recordPullErr(&pullMu, &pullErr,
-							fmt.Errorf("predata: admitting chunk from rank %d: %w", req.WriterRank, err))
+						d.fail(fmt.Errorf("predata: admitting chunk from rank %d: %w", req.WriterRank, err))
 						continue
 					}
 					adm = a
 				}
-				buf, d, err := s.pullWithRetry(ctx, req, stats, &pullMu)
-				if err != nil {
+				buf, ok, err := s.pullChunk(ctx, req, d)
+				if !ok {
+					// Dropped or failed: nothing enters the graph.
 					if adm != nil {
 						adm.Abort()
 					}
-					// A crashed source endpoint loses only its own chunk:
-					// record the drop and let the dump complete Degraded.
-					// Anything else (shutdown, decode) aborts the dump.
-					if errors.Is(err, faults.ErrEndpointDown) {
-						pullMu.Lock()
-						stats.Drops++
-						pullMu.Unlock()
-						s.cfg.Tracer.Instant(trace.PhaseDrop, s.cfg.Endpoint.ID(),
-							req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
-						continue
+					if err != nil {
+						d.fail(err)
 					}
-					// A source that stays corrupt after the re-pull budget is
-					// shed like an overloaded chunk: the bad bytes must never
-					// reach Reduce, so the dump completes without them,
-					// explicitly Degraded.
-					if errors.Is(err, staging.ErrCorrupt) {
-						pullMu.Lock()
-						stats.CorruptDrops++
-						pullMu.Unlock()
-						s.cfg.Tracer.Instant(trace.PhaseCorruptDrop, s.cfg.Endpoint.ID(),
-							req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
-						continue
-					}
-					s.recordPullErr(&pullMu, &pullErr,
-						fmt.Errorf("predata: pull from rank %d: %w", req.WriterRank, err))
-					continue
-				}
-				pullMu.Lock()
-				stats.BytesPulled += int64(len(buf))
-				stats.PullModeled += d
-				pullMu.Unlock()
-				// Durability point: the chunk's bytes hit the journal before
-				// the stone graph sees them, so a crash anywhere downstream
-				// can replay instead of re-pulling a long-released region.
-				if jerr := s.journalChunk(req, buf); jerr != nil {
-					if adm != nil {
-						adm.Abort()
-					}
-					s.recordPullErr(&pullMu, &pullErr, jerr)
 					continue
 				}
 				if err := s.routePulled(ctx, decode, adm, req, buf); err != nil {
-					s.recordPullErr(&pullMu, &pullErr, err)
+					d.fail(err)
 				}
 			}
 		}()
 	}
-	go func() {
-		for _, r := range reqs {
-			reqCh <- r
-		}
-		close(reqCh)
-	}()
-	go func() {
-		prodWG.Wait()
-		if flow != nil {
-			// Lossless completion: replay the spill segment through the
-			// same stone graph before the engine's stream ends, acquiring
-			// real budget credits per chunk so replay drains no faster
-			// than the engine.
-			err := flow.Replay(ctx, func(writer int, ts int64, payload []byte, release func()) error {
-				return decode.SubmitContext(ctx, &evpath.Event{
-					Attrs: map[string]int64{"writer": int64(writer), "timestep": ts},
-					Data:  &pulledChunk{buf: payload, release: release},
-				})
+	for _, r := range reqs {
+		reqCh <- r
+	}
+	close(reqCh)
+	workers.Wait()
+	if d.flow != nil {
+		// Lossless completion: replay the spill segment through the same
+		// stone graph before the engine's stream ends, acquiring real
+		// budget credits per chunk so replay drains no faster than the
+		// engine.
+		err := d.flow.Replay(ctx, func(writer int, ts int64, payload []byte, release func()) error {
+			return decode.SubmitContext(ctx, &evpath.Event{
+				Attrs: map[string]int64{"writer": int64(writer), "timestep": ts},
+				Data:  &pulledChunk{buf: payload, release: release},
 			})
-			if err != nil {
-				s.recordPullErr(&pullMu, &pullErr, fmt.Errorf("predata: spill replay: %w", err))
-			}
+		})
+		if err != nil {
+			d.fail(fmt.Errorf("predata: spill replay: %w", err))
 		}
-		// Drain the stone graph, then release the engine.
-		if err := mgr.Close(); err != nil {
-			s.recordPullErr(&pullMu, &pullErr, err)
-		}
-		if filterStone != nil {
-			pullMu.Lock()
-			stats.ChunksFiltered = int(filterStone.Stats().Dropped)
-			pullMu.Unlock()
-		}
-		close(chunks)
-	}()
-	res, err := s.cfg.Engine.ProcessDump(s.cfg.Comm, chunks, ops, agg)
-	// ProcessDump returns only after the chunks channel is closed, so the
-	// producer pool and the stone graph are done and stats/pullErr are
-	// stable.
-	stats.ProcessWall = time.Since(start)
-	if flow != nil {
-		ov := flow.Finish()
-		stats.Overload = &ov
 	}
-	if pullErr != nil {
-		return nil, stats, pullErr
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	if cerr := s.commitDump(timestep); cerr != nil {
-		return nil, stats, cerr
-	}
-	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
-		(stats.Overload != nil && stats.Overload.PassedChunks > 0) ||
-		(s.cfg.Faults != nil &&
-			len(activeStagingAt(s.cfg.Faults, s.cfg.StagingBase, s.cfg.NumStaging, timestep)) < s.cfg.NumStaging)
-	stats.Degraded = res.Degraded
-	return res, stats, nil
 }
 
-// pulledChunk is the event payload for an admitted chunk: the packed
-// bytes plus the budget-lease release hook the decode stone attaches to
-// the decoded Chunk.
+// pullChunk moves one request's chunk to this rank and makes it
+// durable. A chunk lost with its endpoint, or whose source copy stays
+// corrupt past the re-pull budget, is recorded as a drop (ok false, no
+// error): the dump completes without it, explicitly Degraded — the bad
+// bytes must never reach Reduce. Anything else (shutdown, a journal
+// failure) is an error that aborts the dump.
+func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun) (buf []byte, ok bool, err error) {
+	buf, modeled, err := s.pullWithRetry(ctx, req, d.stats, &d.mu)
+	if err != nil {
+		var drops *int
+		var phase trace.Phase
+		switch {
+		case errors.Is(err, faults.ErrEndpointDown):
+			drops, phase = &d.stats.Drops, trace.PhaseDrop
+		case errors.Is(err, staging.ErrCorrupt):
+			drops, phase = &d.stats.CorruptDrops, trace.PhaseCorruptDrop
+		default:
+			return nil, false, fmt.Errorf("predata: pull from rank %d: %w", req.WriterRank, err)
+		}
+		d.mu.Lock()
+		*drops++
+		d.mu.Unlock()
+		s.cfg.Tracer.Instant(phase, s.cfg.Endpoint.ID(),
+			req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
+		return nil, false, nil
+	}
+	d.mu.Lock()
+	d.stats.BytesPulled += int64(len(buf))
+	d.stats.PullModeled += modeled
+	d.mu.Unlock()
+	// Durability point: the chunk's bytes hit the journal before the
+	// stone graph sees them, so a crash anywhere downstream can replay
+	// instead of re-pulling a long-released region.
+	if err := s.journalChunk(req, buf); err != nil {
+		return nil, false, err
+	}
+	return buf, true, nil
+}
+
+// pulledChunk is the decode stone's event payload: a chunk's packed
+// bytes plus, when the chunk was admitted against the budget, the
+// lease release hook the decode stone attaches to the decoded Chunk.
 type pulledChunk struct {
 	buf     []byte
 	release func()
-}
-
-// eventPayload unwraps a decode-stone event: plain []byte (no admission
-// control) or *pulledChunk (admitted against the budget).
-func eventPayload(e *evpath.Event) (buf []byte, release func()) {
-	switch d := e.Data.(type) {
-	case []byte:
-		return d, nil
-	case *pulledChunk:
-		return d.buf, d.release
-	}
-	return nil, nil
 }
 
 // routePulled hands a pulled chunk to its admitted fate: stream into the
@@ -907,7 +860,7 @@ func eventPayload(e *evpath.Event) (buf []byte, release func()) {
 func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, buf []byte) error {
 	attrs := map[string]int64{"writer": int64(req.WriterRank), "timestep": req.Timestep}
 	if adm == nil {
-		return decode.SubmitContext(ctx, &evpath.Event{Attrs: attrs, Data: buf})
+		return decode.SubmitContext(ctx, &evpath.Event{Attrs: attrs, Data: &pulledChunk{buf: buf}})
 	}
 	switch adm.Decision() {
 	case flowctl.DecideProcess:
@@ -1101,13 +1054,4 @@ func (s *Server) hedgedPull(ctx context.Context, req FetchRequest, stats *DumpSt
 	s.cfg.Tracer.Instant(trace.PhaseHedgeCancel, s.cfg.Endpoint.ID(), req.Handle.Endpoint,
 		req.Timestep, int64(req.WriterRank), hedgeWon)
 	return res.buf, res.d, res.err
-}
-
-// recordPullErr stores the first pull failure.
-func (s *Server) recordPullErr(mu *sync.Mutex, slot *error, err error) {
-	mu.Lock()
-	defer mu.Unlock()
-	if *slot == nil {
-		*slot = err
-	}
 }

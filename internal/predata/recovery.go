@@ -1,11 +1,15 @@
 package predata
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
+	"predata/internal/elastic"
 	"predata/internal/faults"
+	"predata/internal/staging"
 )
 
 // RetryPolicy bounds how the compute and staging runtimes react to
@@ -105,30 +109,35 @@ func liveStagingAt(inj *faults.Injector, stagingBase, numStaging int, dump int64
 	return live
 }
 
-// stagingQuorumAt reports whether live staging index i can reach a
-// strict majority of the live staging set (itself included) at dump —
-// the dump-aligned probe/quorum decision. A rank partitioned away from
-// the majority is *fenced* for the window: it is alive but must not
-// serve, or the two sides of the cut would run split-brain dumps
-// against the same membership epoch.
-func stagingQuorumAt(inj *faults.Injector, stagingBase int, live []int, i int, dump int64) bool {
+// stagingReach counts the live staging ranks (itself included) that
+// live staging index i can reach at dump — the dump-aligned probe.
+func stagingReach(inj *faults.Injector, stagingBase int, live []int, i int, dump int64) int {
 	reach := 0
 	for _, j := range live {
 		if j == i || !inj.Unreachable(stagingBase+i, stagingBase+j, dump) {
 			reach++
 		}
 	}
-	return reach*2 > len(live)
+	return reach
 }
 
-// activeStagingAt returns the staging indices that serve dumps at dump:
-// the live (uncrashed) set, minus ranks a partition fences away from
-// the staging-side quorum, minus ranks sitting out a restart window
-// (down for the bounce but still live membership — they rejoin with
-// their journal). With no partitions or restarts in the plan it is
-// exactly liveStagingAt, so crash-only schedules keep their behavior.
-func activeStagingAt(inj *faults.Injector, stagingBase, numStaging int, dump int64) []int {
-	live := liveStagingAt(inj, stagingBase, numStaging, dump)
+// stagingQuorumAt reports whether live staging index i reaches a strict
+// majority of the live staging set at dump. A rank partitioned away
+// from the majority is *fenced* for the window: it is alive but must
+// not serve, or the two sides of the cut would run split-brain dumps
+// against the same membership epoch.
+func stagingQuorumAt(inj *faults.Injector, stagingBase int, live []int, i int, dump int64) bool {
+	return stagingReach(inj, stagingBase, live, i, dump)*2 > len(live)
+}
+
+// activeStagingAt returns the members of live — a dump's uncrashed
+// staging indices — that the plan lets serve it: live minus ranks a
+// partition fences away from the staging-side quorum, minus ranks
+// sitting out a restart window (down for the bounce but still live
+// membership — they rejoin with their journal). With no partitions or
+// restarts in the plan it is live itself, so crash-only schedules keep
+// their behavior.
+func activeStagingAt(inj *faults.Injector, stagingBase int, live []int, dump int64) []int {
 	if inj == nil || (len(inj.Plan().Partitions) == 0 && len(inj.Plan().Restarts) == 0) {
 		return live
 	}
@@ -146,32 +155,102 @@ func activeStagingAt(inj *faults.Injector, stagingBase, numStaging int, dump int
 	return active
 }
 
-// effectiveRoute resolves the staging index serving writerRank at dump,
-// rehashing onto the surviving ranks when the primary's endpoint has
-// crashed, and walking past staging ranks the writer cannot reach (or
-// that are fenced without quorum) when a partition cuts the link. Both
-// sides of the fabric derive membership from the same shared fault plan
-// — the modeled equivalent of a dump-aligned probe — so producers and
-// survivors agree on each dump's request census without running a
-// membership protocol. The conventional layout is assumed: writer rank
-// r lives at fabric endpoint r.
-func effectiveRoute(route RouteFunc, inj *faults.Injector, writerRank, numCompute, numStaging, stagingBase int, dump int64) (idx int, rerouted bool, err error) {
-	primary := route(writerRank, numCompute, numStaging)
-	if inj == nil {
+// Membership is the one value a run derives staging membership from.
+// Compute clients route with it, staging servers derive the writers they
+// serve from it, and the staging loop diffs consecutive dumps of it into
+// membership epochs — so all three always agree without running a
+// membership protocol. The fault plan decides who is live and who a
+// partition or restart window keeps from serving; an elastic run
+// additionally caps the serving set at the autoscaler's announced count.
+// A Client or Server built without one gets a fixed, fault-free value
+// over its own layout.
+type Membership struct {
+	inj                                 *faults.Injector
+	route                               RouteFunc
+	numCompute, numStaging, stagingBase int
+	// everyone is the view with every staging rank serving: each dump's
+	// view when nothing can change membership, and what a fixed pool's
+	// first dump is diffed against.
+	everyone epochView
+	// sched, when non-nil, is the elastic schedule: at blocks — bounded
+	// by deadline, so a dead pool cannot wedge a writer — until the
+	// dump's active count has been announced.
+	sched    *elastic.Schedule
+	deadline time.Duration
+}
+
+// newMembership returns the membership of a fixed staging area laid out
+// as given, subject to inj's plan (nil: fault-free).
+func newMembership(inj *faults.Injector, route RouteFunc, numCompute, numStaging, stagingBase int) *Membership {
+	all := liveStagingAt(nil, stagingBase, numStaging, 0)
+	return &Membership{inj: inj, route: route,
+		numCompute: numCompute, numStaging: numStaging, stagingBase: stagingBase,
+		everyone: epochView{live: all, active: all}}
+}
+
+// epochView is one dump's staging membership: live holds the staging
+// indices the plan has not crashed, active ⊆ live the ones that serve.
+// Both ascend.
+type epochView struct{ live, active []int }
+
+// at derives dump ts's membership. Every consumer resolves a dump
+// through one call: a writer routes under the view, a server lists the
+// writers it serves under it, and the staging loop diffs it against the
+// previous dump's.
+func (m *Membership) at(ts int64) (epochView, error) {
+	if m.inj == nil && m.sched == nil {
+		return m.everyone, nil
+	}
+	live := liveStagingAt(m.inj, m.stagingBase, m.numStaging, ts)
+	v := epochView{live: live, active: activeStagingAt(m.inj, m.stagingBase, live, ts)}
+	if m.sched == nil {
+		return v, nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), m.deadline)
+	defer cancel()
+	n, err := m.sched.ActiveAt(ctx, ts)
+	if err != nil {
+		return v, fmt.Errorf("predata: resolving dump %d staging membership: %w", ts, err)
+	}
+	if len(v.active) == 0 {
+		return v, fmt.Errorf("predata: no staging rank can serve dump %d", ts)
+	}
+	if n < len(v.active) {
+		v.active = v.active[:n]
+	}
+	return v, nil
+}
+
+// pick resolves the staging index serving writer under dump ts's view v.
+// An elastic run places the writer by Route's position within the active
+// set, so every resize rebalances the whole pool. A fixed pool keeps each
+// writer on its primary, rehashing onto the serving ranks when the
+// primary has crashed or sits the dump out, and walking past staging
+// ranks the writer cannot reach when a partition cuts the link. Both
+// sides of the fabric derive the view from the same shared fault plan —
+// the modeled equivalent of a dump-aligned probe — so producers and
+// survivors agree on each dump's request census. The conventional layout
+// is assumed: writer rank r lives at fabric endpoint r.
+func (m *Membership) pick(v epochView, writer int, ts int64) (idx int, rerouted bool, err error) {
+	if m.sched != nil {
+		return v.active[m.route(writer, m.numCompute, len(v.active))], false, nil
+	}
+	primary := m.route(writer, m.numCompute, m.numStaging)
+	if m.inj == nil {
 		return primary, false, nil
 	}
-	active := activeStagingAt(inj, stagingBase, numStaging, dump)
+	active := v.active
 	if len(active) == 0 {
-		if len(liveStagingAt(inj, stagingBase, numStaging, dump)) == 0 {
-			return 0, false, fmt.Errorf("predata: no staging rank alive at dump %d: %w", dump, faults.ErrEndpointDown)
+		if len(v.live) == 0 {
+			return 0, false, fmt.Errorf("predata: no staging rank alive at dump %d: %w", ts, faults.ErrEndpointDown)
 		}
 		return 0, false, fmt.Errorf("predata: no staging rank holds quorum at dump %d (partition split the staging area evenly): %w",
-			dump, faults.ErrUnreachable)
+			ts, faults.ErrUnreachable)
 	}
 	reachable := func(i int) bool {
-		return !inj.Unreachable(writerRank, stagingBase+i, dump)
+		return !m.inj.Unreachable(writer, m.stagingBase+i, ts)
 	}
-	if contains(active, primary) && reachable(primary) {
+	if slices.Contains(active, primary) && reachable(primary) {
 		return primary, false, nil
 	}
 	// Walk the active set starting from the crash-rehash position, so
@@ -185,14 +264,120 @@ func effectiveRoute(route RouteFunc, inj *faults.Injector, writerRank, numComput
 		}
 	}
 	return 0, false, fmt.Errorf("predata: writer %d cannot reach any active staging rank at dump %d: %w",
-		writerRank, dump, faults.ErrUnreachable)
+		writer, ts, faults.ErrUnreachable)
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+// serverFor resolves the staging index that serves writer's dump ts.
+func (m *Membership) serverFor(writer int, ts int64) (idx int, rerouted bool, err error) {
+	v, err := m.at(ts)
+	if err != nil {
+		return 0, false, err
+	}
+	return m.pick(v, writer, ts)
+}
+
+// servedBy lists the writers staging index idx serves at dump ts,
+// ascending. A writer nobody can serve is skipped: the run's validation
+// rejects plans that leave one.
+func (m *Membership) servedBy(idx int, ts int64) ([]int, error) {
+	v, err := m.at(ts)
+	if err != nil {
+		return nil, err
+	}
+	served := []int{}
+	for w := 0; w < m.numCompute; w++ {
+		if i, _, err := m.pick(v, w, ts); err == nil && i == idx {
+			served = append(served, w)
 		}
 	}
-	return false
+	return served, nil
+}
+
+// bounded reports that a dump's gather must run under the dump
+// deadline: with faults or resizes in play a request may never arrive,
+// and one wedged gather wedges the whole collective staging area.
+func (m *Membership) bounded() bool { return m.inj != nil || m.sched != nil }
+
+// shorthanded reports that the plan keeps a staging rank from serving
+// dump ts (crashed, fenced or restarting) — the dump is then Degraded.
+// An elastically parked rank is a capacity decision, not a loss.
+func (m *Membership) shorthanded(ts int64) bool {
+	if m.inj == nil {
+		return false
+	}
+	live := liveStagingAt(m.inj, m.stagingBase, m.numStaging, ts)
+	return len(activeStagingAt(m.inj, m.stagingBase, live, ts)) < m.numStaging
+}
+
+// abort fails every writer blocked on a future dump's announcement.
+func (m *Membership) abort(err error) {
+	if m.sched != nil {
+		m.sched.Abort(err)
+	}
+}
+
+// rankState says whether a live staging rank serves a dump and, if
+// not, why it sits the dump out.
+type rankState int
+
+const (
+	serving rankState = iota
+	idle              // the autoscaler's announced count does not reach it
+	fenced            // a partition cut it off from the staging quorum
+	down              // inside a restart window: off the fabric, journal sealed
+)
+
+// stateOf classifies live staging index idx under view v.
+func (m *Membership) stateOf(v epochView, idx int, ts int64) rankState {
+	switch {
+	case slices.Contains(v.active, idx):
+		return serving
+	case m.inj.RestartDownAt(m.stagingBase+idx, ts):
+		return down
+	case len(m.inj.Plan().Partitions) > 0 && !stagingQuorumAt(m.inj, m.stagingBase, v.live, idx, ts):
+		return fenced
+	}
+	return idle
+}
+
+// transition is what one membership boundary means for one staging rank.
+type transition int
+
+const (
+	stay       transition = iota // same side of the serving set as before
+	leave                        // crashed: splits out of the pool and exits
+	deactivate                   // stops serving: fenced, restart-parked or retired
+	activate                     // starts serving: healed, revived or joined
+)
+
+// diffMembership compares dump views prev → next. boundary reports a
+// membership epoch boundary: every live rank bumps its epoch exactly
+// once, however many ranks moved and whether the pool, the serving set
+// or both changed. t is staging index idx's own transition across it —
+// which side of the pool and of the serving set it lands on. Why a rank
+// sits out is not in the views (see stateOf), so what it does to stand
+// down or up is decided from its state change, not from t.
+func diffMembership(prev, next epochView, idx int) (boundary bool, t transition) {
+	boundary = !slices.Equal(prev.live, next.live) || !slices.Equal(prev.active, next.active)
+	was, is := slices.Contains(prev.active, idx), slices.Contains(next.active, idx)
+	switch {
+	case !slices.Contains(next.live, idx):
+		t = leave
+	case was && !is:
+		t = deactivate
+	case !was && is:
+		t = activate
+	}
+	return boundary, t
+}
+
+// placeholder is the row a live rank records for a dump it sat out, so
+// StagingResults[rank][i] is dump i on every rank. A fenced or bounced
+// rank's row is Degraded — the plan took capacity away — while an
+// elastically parked rank's is not: its writers were placed elsewhere
+// by design.
+func placeholder(why rankState) (*staging.Result, *DumpStats) {
+	degraded := why != idle
+	return &staging.Result{PerOperator: map[string]map[string]any{}, Degraded: degraded},
+		&DumpStats{Parked: why == idle, Fenced: why == fenced, Down: why == down, Degraded: degraded}
 }

@@ -39,15 +39,16 @@ func TestEffectiveRouteRehash(t *testing.T) {
 		numStaging = 3
 		base       = 8 // staging idx 1 lives at endpoint 9
 	)
+	member := newMembership(inj, DefaultRoute, numCompute, numStaging, base)
 	for w := 0; w < numCompute; w++ {
 		// Before the crash every writer keeps its primary.
-		idx, rerouted, err := effectiveRoute(DefaultRoute, inj, w, numCompute, numStaging, base, 1)
+		idx, rerouted, err := member.serverFor(w, 1)
 		if err != nil || rerouted || idx != DefaultRoute(w, numCompute, numStaging) {
 			t.Errorf("pre-crash writer %d: idx=%d rerouted=%v err=%v", w, idx, rerouted, err)
 		}
 		// After the crash nobody routes to the dead index, and writers whose
 		// primary died land on a survivor.
-		idx, rerouted, err = effectiveRoute(DefaultRoute, inj, w, numCompute, numStaging, base, 2)
+		idx, rerouted, err = member.serverFor(w, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestEffectiveRouteRehash(t *testing.T) {
 	all, _ := faults.NewInjector(faults.Plan{Crashes: []faults.Crash{
 		{Endpoint: 8, AtDump: 0}, {Endpoint: 9, AtDump: 0}, {Endpoint: 10, AtDump: 0},
 	}})
-	if _, _, err := effectiveRoute(DefaultRoute, all, 0, numCompute, numStaging, base, 0); err == nil {
+	if _, _, err := newMembership(all, DefaultRoute, numCompute, numStaging, base).serverFor(0, 0); err == nil {
 		t.Error("routing with zero live staging ranks succeeded")
 	}
 }
