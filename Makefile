@@ -1,7 +1,7 @@
 GO ?= go
 VET_BIN := bin/predata-vet
 
-.PHONY: all build test race fmt vet vet-fixtures bench-smoke trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
+.PHONY: all build test race fmt vet vet-fixtures bench-smoke benchmark benchmark-compare trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
 
 all: build vet test
 
@@ -37,6 +37,18 @@ $(VET_BIN): $(shell find cmd/predata-vet internal/analysis -name '*.go' -not -pa
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# benchmark runs the repository benchmark (benchmark/README.md): four
+# workloads over the data path, each checked against a naive reference,
+# ~20 s apiece; results are appended to benchmark/out/results.json.
+# benchmark-compare prints one row per (workload, metric) for two result
+# sets and exits 1 when an end-to-end metric regressed past its bound:
+#   make benchmark-compare A=benchmark/out/A.json B=benchmark/out/B.json
+benchmark:
+	$(GO) run ./benchmark -seed 1
+
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # trace-test runs the flight-recorder suite: trace unit + fuzz-seed
 # tests, the 64:1 trace-driven conformance tests (raced, shuffled), and

@@ -62,6 +62,19 @@ type ElasticSummary struct {
 	Runs       []ElasticRun `json:"runs"`
 }
 
+// The experiment's consumer is a slow analytics kernel (slowOp, as in the
+// overload experiment): elasticMapCost per chunk on a one-worker engine,
+// against a budget that holds one burst chunk. A rank serving m burst
+// chunks makes the last admission in flight wait min(m-1, PullConcurrency)
+// x elasticMapCost, so with the patience between 2x and 4x the cost a
+// rank with three writers (the full pool) keeps up, a rank with all eight
+// (static-small) must spill, and neither depends on how fast the data
+// path in front of the operator happens to be.
+const (
+	elasticMapCost  = 2 * time.Millisecond
+	elasticPatience = 7 * time.Millisecond
+)
+
 // elasticCfg is the pipeline shape shared by all three legs: only the
 // provisioned staging count varies. Spill and pass limits sit far above
 // the workload so the ladder never sheds — every frame flows through
@@ -77,7 +90,7 @@ func elasticCfg(numStaging int, spillDir string) predata.PipelineConfig {
 		PullConcurrency:  4,
 		BufferMB:         elasticBufferMB,
 		Overload: flowctl.Policy{
-			Patience:        time.Millisecond,
+			Patience:        elasticPatience,
 			SpillDir:        spillDir,
 			SpillLimitBytes: 1 << 40,
 			PassLimitBytes:  1 << 40,
@@ -118,7 +131,7 @@ func elasticOps(dump int) []staging.Operator {
 	if err != nil {
 		return nil
 	}
-	return []staging.Operator{h}
+	return []staging.Operator{&slowOp{Operator: h, delay: elasticMapCost}}
 }
 
 // elasticFramesWant is the conservation figure: every rank follows the

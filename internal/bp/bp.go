@@ -18,12 +18,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"predata/internal/pfs"
+	"predata/internal/wire"
 )
 
 // Magic values delimiting a BP file.
@@ -137,44 +137,40 @@ func (w *Writer) WritePG(rank int, timestep int64, chunks []VarChunk) (time.Dura
 			return 0, err
 		}
 	}
-	// Serialize the PG: header then payloads, recording payload offsets
-	// relative to the start of the PG.
-	buf := make([]byte, 0, 1024)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(chunks)))
-	type pending struct {
-		entry   indexEntry
-		payload []float64
+	// Size the PG before writing it — header, then the payloads
+	// contiguously — so the whole group is one presized buffer written
+	// once and handed to the file system as one sequential write.
+	size := 4
+	for i := range chunks {
+		c := &chunks[i]
+		size += 4 + len(c.Name) + 3*4 + 8*(len(c.Dims)+len(c.Global)+len(c.Offsets)+len(c.Data))
 	}
-	var pend []pending
+	buf := make([]byte, 0, size)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(chunks)))
+	entries := make([]indexEntry, len(chunks))
 	for i := range chunks {
 		c := &chunks[i]
 		buf = appendString(buf, c.Name)
 		buf = appendU64s(buf, c.Dims)
 		buf = appendU64s(buf, c.Global)
 		buf = appendU64s(buf, c.Offsets)
-		pend = append(pend, pending{
-			entry: indexEntry{
-				Name:       c.Name,
-				Timestep:   timestep,
-				WriterRank: int64(rank),
-				Dims:       c.Dims,
-				Global:     c.Global,
-				Offsets:    c.Offsets,
-			},
-			payload: c.Data,
-		})
+		entries[i] = indexEntry{
+			Name:       c.Name,
+			Timestep:   timestep,
+			WriterRank: int64(rank),
+			Dims:       c.Dims,
+			Global:     c.Global,
+			Offsets:    c.Offsets,
+		}
 	}
-	// Payloads follow the PG header contiguously; each carries a CRC so
-	// readers can detect corruption.
-	rel := int64(len(buf))
-	for i := range pend {
-		pend[i].entry.DataOff = rel
-		rel += int64(len(pend[i].payload)) * 8
-	}
-	for i := range pend {
+	// Payloads follow the PG header contiguously, their offsets recorded
+	// relative to the start of the PG; each carries a CRC so readers can
+	// detect corruption.
+	for i := range chunks {
 		start := len(buf)
-		buf = appendF64s(buf, pend[i].payload)
-		pend[i].entry.Checksum = crc32.ChecksumIEEE(buf[start:])
+		buf = wire.AppendFloat64s(buf, chunks[i].Data)
+		entries[i].DataOff = int64(start)
+		entries[i].Checksum = crc32.ChecksumIEEE(buf[start:])
 	}
 
 	// Reserve the file region and publish index entries.
@@ -185,10 +181,10 @@ func (w *Writer) WritePG(rank int, timestep int64, chunks []VarChunk) (time.Dura
 	}
 	base := w.off
 	w.off += int64(len(buf))
-	for i := range pend {
-		pend[i].entry.DataOff += base
-		w.index = append(w.index, pend[i].entry)
+	for i := range entries {
+		entries[i].DataOff += base
 	}
+	w.index = append(w.index, entries...)
 	w.mu.Unlock()
 
 	d, err := w.f.WriteAt(buf, base)
@@ -244,13 +240,6 @@ func appendU64s(b []byte, v []uint64) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
 	for _, x := range v {
 		b = binary.LittleEndian.AppendUint64(b, x)
-	}
-	return b
-}
-
-func appendF64s(b []byte, v []float64) []byte {
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
 }
@@ -484,11 +473,8 @@ func (r *Reader) readChunkPayload(e indexEntry) ([]float64, time.Duration, error
 		return nil, 0, fmt.Errorf("bp: variable %q chunk at offset %d failed checksum (got %08x want %08x)",
 			e.Name, e.DataOff, got, e.Checksum)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out, d, nil
+	// raw is private to this call, so the payload is read in place.
+	return wire.Float64s(raw), d, nil
 }
 
 // scatterChunk places a row-major chunk into its position within the

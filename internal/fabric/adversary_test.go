@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"predata/internal/faults"
+	"predata/internal/staging"
 )
 
 func injected(t *testing.T, plan faults.Plan) *faults.Injector {
@@ -235,5 +236,99 @@ func TestSendSiteCorruptionPersists(t *testing.T) {
 	}
 	if !bytes.Equal(first, again) {
 		t.Fatal("persistent corruption changed between pulls")
+	}
+}
+
+// TestHedgedPullsShareTheExposedBuffer is the hand-off rule: a pull does
+// not copy. Two retained pulls of one handle (a hedge and its primary)
+// return the exposed backing array itself, the region outlives both until
+// Ack, and the acked buffer stays valid in the puller's hands.
+func TestHedgedPullsShareTheExposedBuffer(t *testing.T) {
+	f, err := New(quiet(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := f.Endpoint(0)
+	dst, _ := f.Endpoint(1)
+	frame := staging.Seal([]byte("one frame, written once"))
+	want := append([]byte(nil), frame...)
+	h := src.Expose(frame)
+
+	first, _, err := dst.PullRetain(context.Background(), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := dst.PullRetain(context.Background(), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &frame[0] || &second[0] != &frame[0] {
+		t.Fatal("a fault-free pull copied the region instead of handing it off")
+	}
+	if src.ExposedBytes() != int64(len(frame)) {
+		t.Fatalf("region gone before Ack: %d bytes exposed", src.ExposedBytes())
+	}
+	if err := dst.Ack(h); err != nil {
+		t.Fatal(err)
+	}
+	if src.ExposedBytes() != 0 {
+		t.Fatalf("Ack left %d bytes exposed", src.ExposedBytes())
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatal("pulled frame changed after the region was released")
+	}
+	// A consuming Pull hands off the same way.
+	got, _, err := dst.Pull(src.Expose(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &frame[0] {
+		t.Fatal("consuming pull copied the region")
+	}
+}
+
+// TestCorruptPullDeliveryIsPrivateCopy: injected wire corruption is the one
+// writer of a pulled frame, and it writes a copy. The damaged delivery has
+// its own backing array, the region's bytes are untouched, and the re-pull
+// returns the region itself and passes Unseal — corruption still heals.
+func TestCorruptPullDeliveryIsPrivateCopy(t *testing.T) {
+	cfg := quiet(2)
+	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Corrupt{
+		{Endpoint: 0, Op: faults.OpPull, Prob: 0.5},
+	}})
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := f.Endpoint(0)
+	dst, _ := f.Endpoint(1)
+	frame := staging.Seal(bytes.Repeat([]byte("payload "), 512))
+	want := append([]byte(nil), frame...)
+	h := src.Expose(frame)
+	damaged := 0
+	for i := 0; i < 64; i++ {
+		got, _, err := dst.PullRetain(context.Background(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("pull %d: injected corruption reached the exposed region", i)
+		}
+		if _, uerr := staging.Unseal(got); uerr != nil {
+			damaged++
+			if !errors.Is(uerr, staging.ErrCorrupt) {
+				t.Fatalf("pull %d: %v", i, uerr)
+			}
+			if &got[0] == &frame[0] {
+				t.Fatalf("pull %d: corrupt delivery aliases the region", i)
+			}
+			continue
+		}
+		if &got[0] != &frame[0] {
+			t.Fatalf("pull %d: clean delivery is a copy", i)
+		}
+	}
+	if damaged == 0 || damaged == 64 {
+		t.Fatalf("p=0.5 wire corruption damaged %d of 64 deliveries", damaged)
 	}
 }

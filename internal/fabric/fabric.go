@@ -486,8 +486,9 @@ func (e *Endpoint) SetEpoch(epoch int64) {
 }
 
 // Expose registers buf as a pullable memory region and returns its handle.
-// The caller must not mutate buf until the region is released (pulled with
-// release=true or explicitly Released).
+// Ownership of buf passes to the fabric: a pull hands these very bytes to
+// the puller rather than copying them, so the caller may read buf but may
+// never write it again, not even after the region is released.
 //
 // A send-site corrupt fault (corrupt:EP:PROB:send) flips a byte in the
 // region itself — the source's copy is bad, so every pull of this
@@ -572,9 +573,11 @@ func (e *Endpoint) Interference() time.Duration {
 	return f.eps[e.id].interference
 }
 
-// Pull transfers the region named by h into a fresh buffer, releasing the
-// region on the source endpoint. It returns the data and the modeled
-// transfer duration.
+// Pull transfers the region named by h to the caller, releasing the region
+// on the source endpoint. It returns the data and the modeled transfer
+// duration. The data is the exposed buffer itself, handed off, not copied:
+// every pull of a handle returns the same backing array, shared read-only
+// with whoever else pulled it, so the puller must not write it.
 //
 // On a scheduled fabric, a pull whose source endpoint is inside a busy
 // phase blocks until the phase ends. On an unscheduled fabric it proceeds
@@ -706,20 +709,21 @@ func (e *Endpoint) pull(ctx context.Context, h Handle, consume bool) ([]byte, ti
 	bw := f.cfg.LinkBandwidth / sharers
 	d := f.cfg.Latency + time.Duration(float64(len(reg.buf))/bw*noise*slowdown*float64(time.Second))
 
-	out := make([]byte, len(reg.buf))
-	copy(out, reg.buf)
-	// A pull-site corrupt fault flips a byte in the delivered copy only —
-	// wire corruption. The region keeps its intact bytes, so a CRC-failed
-	// delivery heals on re-pull (which is why PullRetain leaves the
-	// region in place until the puller acks).
+	out := reg.buf
+	// A pull-site corrupt fault flips a byte in this delivery only — wire
+	// corruption. It is the one writer of a pulled frame, so it takes a
+	// private copy first: the region keeps its intact bytes and a
+	// CRC-failed delivery heals on re-pull (which is why PullRetain leaves
+	// the region in place until the puller acks).
 	if pos, hit := f.cfg.Faults.CorruptFault(faults.OpPull, h.Endpoint, len(out)); hit {
+		out = append([]byte(nil), reg.buf...)
 		out[pos] ^= 0xFF
 		f.cfg.Tracer.Instant(trace.PhaseCorrupt, e.id, h.Endpoint, reg.epoch, 0, int64(pos))
 	}
 	if f.cfg.PaceScale > 0 {
-		// The bytes are already copied and the source region consumed, so
-		// ctx expiry only cuts the modeled pacing short — the pull still
-		// succeeds.
+		// The bytes are already handed over and the source region
+		// consumed, so ctx expiry only cuts the modeled pacing short — the
+		// pull still succeeds.
 		pace := time.NewTimer(time.Duration(float64(d) * f.cfg.PaceScale))
 		select {
 		case <-pace.C:

@@ -11,18 +11,25 @@ package ffs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+
+	"predata/internal/wire"
 )
 
-// Magic identifies an FFS-encoded buffer.
-const Magic = 0x46465331 // "FFS1"
+// Magic identifies an FFS-encoded buffer. "FFS2" pads numeric payloads to
+// 8-byte offsets; there is one format and no FFS1 reader — encoded buffers
+// (chunks, journals, spill segments) do not outlive a run's binary.
+const Magic = 0x46465332 // "FFS2"
 
 // Kind enumerates the value types a field can carry.
 type Kind uint8
 
 // Field kinds. Scalars are fixed-width little-endian; slices and strings
-// are length-prefixed; arrays carry dimension metadata.
+// are length-prefixed; arrays carry dimension metadata. The payload of a
+// numeric slice or array starts at an 8-byte offset of the buffer, behind
+// zero padding both sides derive from the cursor.
 const (
 	KindInvalid Kind = iota
 	KindInt64
@@ -140,36 +147,105 @@ func (a *Array) Validate() error {
 // int64, uint64, float64, string, []byte, []int64, []float64, or *Array.
 type Record map[string]any
 
-// writer is an append-only little-endian buffer.
-type writer struct{ buf []byte }
+// ErrTooLarge marks a string, byte or dimension field longer than the
+// format's 32-bit length prefix can carry.
+var ErrTooLarge = errors.New("ffs: field exceeds the 32-bit length prefix")
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+// fitsLen32 reports whether a length fits the u32 length prefix.
+func fitsLen32(n int) bool { return uint64(n) <= math.MaxUint32 }
+
+// writer lays a record out in the wire format. The same field walk runs
+// twice: once sizing (nothing is written, n counts the bytes a write would
+// add), once appending into a buffer presized to that measure — so the size
+// and the bytes can never disagree. n is the cursor relative to the start of
+// the FFS buffer; alignment pads are derived from it.
+type writer struct {
+	buf    []byte
+	n      int
+	sizing bool
+	err    error
 }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
-func (w *writer) bytes(b []byte) { w.u32(uint32(len(b))); w.buf = append(w.buf, b...) }
+
+func (w *writer) u8(v uint8) {
+	if !w.sizing {
+		w.buf = append(w.buf, v)
+	}
+	w.n++
+}
+
+func (w *writer) u32(v uint32) {
+	if !w.sizing {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
+	w.n += 4
+}
+
+func (w *writer) u64(v uint64) {
+	if !w.sizing {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
+	w.n += 8
+}
+
+func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
+
+// len32 writes a u32 length prefix, failing the walk when n does not fit.
+func (w *writer) len32(n int) {
+	if !fitsLen32(n) && w.err == nil {
+		w.err = fmt.Errorf("%w: %d bytes or elements", ErrTooLarge, n)
+	}
+	w.u32(uint32(n))
+}
+
+func (w *writer) str(s string) {
+	w.len32(len(s))
+	if !w.sizing {
+		w.buf = append(w.buf, s...)
+	}
+	w.n += len(s)
+}
+
+func (w *writer) bytes(b []byte) {
+	w.len32(len(b))
+	if !w.sizing {
+		w.buf = append(w.buf, b...)
+	}
+	w.n += len(b)
+}
+
 func (w *writer) u64s(v []uint64) {
-	w.u32(uint32(len(v)))
+	w.len32(len(v))
 	for _, x := range v {
 		w.u64(x)
 	}
 }
-func (w *writer) f64s(v []float64) {
-	w.u64(uint64(len(v)))
-	for _, x := range v {
-		w.f64(x)
+
+// words writes the header of a numeric payload of count 8-byte elements:
+// the count, then zero bytes up to the next 8-byte offset of the FFS
+// buffer, so a receiver holding the buffer at an aligned address can read
+// the payload in place. The caller appends the payload itself.
+func (w *writer) words(count int) {
+	w.u64(uint64(count))
+	for w.n&7 != 0 {
+		w.u8(0)
 	}
 }
-func (w *writer) i64s(v []int64) {
-	w.u64(uint64(len(v)))
-	for _, x := range v {
-		w.i64(x)
+
+func (w *writer) f64s(v []float64) {
+	w.words(len(v))
+	if !w.sizing {
+		w.buf = wire.AppendFloat64s(w.buf, v)
 	}
+	w.n += 8 * len(v)
+}
+
+func (w *writer) i64s(v []int64) {
+	w.words(len(v))
+	if !w.sizing {
+		w.buf = wire.AppendInt64s(w.buf, v)
+	}
+	w.n += 8 * len(v)
 }
 
 // reader is a bounds-checked little-endian cursor.
@@ -236,13 +312,14 @@ func (r *reader) str() string {
 	return s
 }
 
+// bytesField returns the field as a view over the buffer, capped so an
+// append by the holder cannot reach the bytes that follow.
 func (r *reader) bytesField() []byte {
 	n := int(r.u32())
 	if !r.need(n) {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:r.off+n])
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
@@ -262,36 +339,86 @@ func (r *reader) u64s() []uint64 {
 	return out
 }
 
-func (r *reader) f64s() []float64 {
+// words reads the header writer.words wrote and returns the payload's
+// bytes: the count, the alignment pad (which must be zero bytes), then
+// count 8-byte elements, all bounds-checked against the buffer.
+func (r *reader) words(what string) []byte {
 	n := r.u64()
-	if n > uint64(len(r.buf)-r.off)/8 {
-		r.fail("float64 slice length %d exceeds buffer", n)
+	pad := -r.off & 7
+	if !r.need(pad) {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
+	for _, b := range r.buf[r.off : r.off+pad] {
+		if b != 0 {
+			r.fail("non-zero alignment pad before %s payload at offset %d", what, r.off)
+			return nil
+		}
 	}
-	return out
+	r.off += pad
+	if n > uint64(len(r.buf)-r.off)/8 {
+		r.fail("%s slice length %d exceeds buffer", what, n)
+		return nil
+	}
+	p := r.buf[r.off : r.off+int(n)*8]
+	r.off += len(p)
+	return p
+}
+
+// f64s and i64s return the payload as a view over the buffer when the host
+// can read it in place (see package wire), else as a converted copy.
+func (r *reader) f64s() []float64 {
+	p := r.words("float64")
+	if r.err != nil {
+		return nil
+	}
+	return wire.Float64s(p)
 }
 
 func (r *reader) i64s() []int64 {
-	n := r.u64()
-	if n > uint64(len(r.buf)-r.off)/8 {
-		r.fail("int64 slice length %d exceeds buffer", n)
+	p := r.words("int64")
+	if r.err != nil {
 		return nil
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.i64()
+	return wire.Int64s(p)
+}
+
+// Size returns the exact length of the record's encoding under the schema,
+// validating the record on the way: it fails exactly where Encode would.
+func Size(schema *Schema, rec Record) (int, error) {
+	w := &writer{sizing: true}
+	if err := w.record(schema, rec); err != nil {
+		return 0, err
 	}
-	return out
+	return w.n, nil
+}
+
+// AppendEncode appends the record's encoding to dst and returns the
+// extended slice. The FFS buffer starts at len(dst): alignment pads are
+// measured from there, so a caller that wants the numeric payloads
+// decodable in place keeps len(dst) a multiple of 8 (a reserved frame
+// header, say) in a buffer with Size bytes of spare capacity. Each byte is
+// written once; application arrays are copied, never retained.
+func AppendEncode(dst []byte, schema *Schema, rec Record) ([]byte, error) {
+	w := &writer{buf: dst}
+	if err := w.record(schema, rec); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
 }
 
 // Encode serializes the record under the schema into a self-describing
-// buffer: header, schema description, then field values in schema order.
+// buffer of exactly Size bytes: header, schema description, then field
+// values in schema order.
 func Encode(schema *Schema, rec Record) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 256)}
+	n, err := Size(schema, rec)
+	if err != nil {
+		return nil, err
+	}
+	return AppendEncode(make([]byte, 0, n), schema, rec)
+}
+
+// record walks the whole encoding: header, schema, values.
+func (w *writer) record(schema *Schema, rec Record) error {
 	w.u32(Magic)
 	w.str(schema.Name)
 	w.u32(uint32(len(schema.Fields)))
@@ -302,13 +429,13 @@ func Encode(schema *Schema, rec Record) ([]byte, error) {
 	for _, f := range schema.Fields {
 		v, ok := rec[f.Name]
 		if !ok {
-			return nil, fmt.Errorf("ffs: record missing field %q", f.Name)
+			return fmt.Errorf("ffs: record missing field %q", f.Name)
 		}
 		if err := encodeValue(w, f, v); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return w.buf, nil
+	return w.err
 }
 
 func encodeValue(w *writer, f Field, v any) error {
@@ -383,7 +510,10 @@ func encodeValue(w *writer, f Field, v any) error {
 }
 
 // Decode parses a self-describing buffer produced by Encode, returning the
-// embedded schema and the field values.
+// embedded schema and the field values. Array, slice and []byte values are
+// views over buf wherever the host can read them in place (package wire),
+// so the cost is O(fields), not O(bytes): the caller must not write buf
+// afterwards, and a value keeps buf alive for as long as it is referenced.
 func Decode(buf []byte) (*Schema, Record, error) {
 	r := &reader{buf: buf}
 	if m := r.u32(); r.err == nil && m != Magic {
@@ -456,30 +586,4 @@ func decodeValue(r *reader, f Field) (any, error) {
 	default:
 		return nil, fmt.Errorf("ffs: field %q has unsupported kind %v", f.Name, f.Kind)
 	}
-}
-
-// DecodeSchema parses only the schema header of an encoded buffer, without
-// materializing values — staging operators use this to route chunks by
-// group without paying for a full decode.
-func DecodeSchema(buf []byte) (*Schema, error) {
-	r := &reader{buf: buf}
-	if m := r.u32(); r.err == nil && m != Magic {
-		return nil, fmt.Errorf("ffs: bad magic 0x%08x", m)
-	}
-	schema := &Schema{Name: r.str()}
-	nf := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nf < 0 || nf > 1<<20 {
-		return nil, fmt.Errorf("ffs: implausible field count %d", nf)
-	}
-	schema.Fields = make([]Field, nf)
-	for i := range schema.Fields {
-		schema.Fields[i] = Field{Name: r.str(), Kind: Kind(r.u8())}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return schema, nil
 }

@@ -56,6 +56,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if gotSchema.Name != "particles" || len(gotSchema.Fields) != len(schema.Fields) {
 		t.Fatalf("schema mismatch: %+v", gotSchema)
 	}
+	if gotSchema.FieldIndex("weights") != 6 {
+		t.Errorf("FieldIndex(weights) = %d", gotSchema.FieldIndex("weights"))
+	}
+	if gotSchema.FieldIndex("nope") != -1 {
+		t.Errorf("FieldIndex(nope) = %d", gotSchema.FieldIndex("nope"))
+	}
 	for i, f := range schema.Fields {
 		if gotSchema.Fields[i] != f {
 			t.Errorf("field %d: got %+v want %+v", i, gotSchema.Fields[i], f)
@@ -140,27 +146,6 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 	buf = append(buf, 0xFF)
 	if _, _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDecodeSchemaOnly(t *testing.T) {
-	schema := particleSchema()
-	buf, err := Encode(schema, sampleRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSchema(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "particles" || len(got.Fields) != 8 {
-		t.Fatalf("schema %+v", got)
-	}
-	if got.FieldIndex("weights") != 6 {
-		t.Errorf("FieldIndex(weights) = %d", got.FieldIndex("weights"))
-	}
-	if got.FieldIndex("nope") != -1 {
-		t.Errorf("FieldIndex(nope) = %d", got.FieldIndex("nope"))
 	}
 }
 

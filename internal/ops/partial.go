@@ -49,17 +49,27 @@ func MinMaxPartial(varName string, cols []int) predata.PartialFunc {
 			out.Min[i] = math.Inf(1)
 			out.Max[i] = math.Inf(-1)
 		}
-		for ci, c := range cols {
+		for _, c := range cols {
 			if c < 0 || c >= k {
 				return nil, fmt.Errorf("ops: column %d outside [0,%d)", c, k)
 			}
-			for r := 0; r < rows; r++ {
-				x := v.Float64[r*k+c]
-				if x < out.Min[ci] {
-					out.Min[ci] = x
+		}
+		// One pass over the chunk, rows outer: this hook runs inside the
+		// application's visible write, and a pass per column would stream
+		// the whole array from memory once for each. Walking the data by
+		// reslicing keeps the row bounds checks out of the loop.
+		lo, hi := out.Min[:len(cols)], out.Max[:len(cols)]
+		data := v.Float64
+		for r := 0; r < rows; r++ {
+			row := data[:k:k]
+			data = data[k:]
+			for ci, c := range cols {
+				x := row[c]
+				if x < lo[ci] {
+					lo[ci] = x
 				}
-				if x > out.Max[ci] {
-					out.Max[ci] = x
+				if x > hi[ci] {
+					hi[ci] = x
 				}
 			}
 		}

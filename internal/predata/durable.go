@@ -59,9 +59,20 @@ func (s *Server) journalRequest(req FetchRequest) error {
 	if err := s.cfg.Journal.AppendRequest(req.WriterRank, req.Timestep, blob); err != nil {
 		return fmt.Errorf("predata: journaling request from rank %d: %w", req.WriterRank, err)
 	}
-	s.cfg.Tracer.Instant(trace.PhaseJournal, s.cfg.Endpoint.ID(), -1,
-		req.Timestep, int64(req.WriterRank), int64(crc32.ChecksumIEEE(blob)))
+	s.traceCRC(trace.PhaseJournal, req.Timestep, req.WriterRank, blob)
 	return nil
+}
+
+// traceCRC records a journal-fidelity instant whose Arg is the payload's
+// CRC — trace.Verify matches a PhaseWalReplay against the crashed
+// incarnation's PhaseJournal by it. The checksum is a full pass over the
+// payload, so it is computed only when a recorder is there to read it.
+func (s *Server) traceCRC(phase trace.Phase, timestep int64, writer int, payload []byte) {
+	if !s.cfg.Tracer.Enabled() {
+		return
+	}
+	s.cfg.Tracer.Instant(phase, s.cfg.Endpoint.ID(), -1,
+		timestep, int64(writer), int64(crc32.ChecksumIEEE(payload)))
 }
 
 // journalChunk appends one pulled chunk's packed bytes. The PhaseJournal
@@ -74,8 +85,7 @@ func (s *Server) journalChunk(req FetchRequest, buf []byte) error {
 	if err := s.cfg.Journal.AppendChunk(req.WriterRank, req.Timestep, buf); err != nil {
 		return fmt.Errorf("predata: journaling chunk from rank %d: %w", req.WriterRank, err)
 	}
-	s.cfg.Tracer.Instant(trace.PhaseJournal, s.cfg.Endpoint.ID(), -1,
-		req.Timestep, int64(req.WriterRank), int64(crc32.ChecksumIEEE(buf)))
+	s.traceCRC(trace.PhaseJournal, req.Timestep, req.WriterRank, buf)
 	return nil
 }
 
@@ -268,8 +278,7 @@ func (s *Server) replayDump(timestep int64, ops []staging.Operator, stats *DumpS
 		for _, rec := range recs {
 			// The payload CRC lets trace.Verify match the replay against
 			// the crashed incarnation's PhaseJournal append.
-			s.cfg.Tracer.Instant(trace.PhaseWalReplay, s.cfg.Endpoint.ID(), -1,
-				rec.Timestep, int64(rec.Writer), int64(crc32.ChecksumIEEE(rec.Payload)))
+			s.traceCRC(trace.PhaseWalReplay, rec.Timestep, rec.Writer, rec.Payload)
 			err := decode.SubmitContext(ctx, &evpath.Event{
 				Attrs: map[string]int64{"writer": int64(rec.Writer), "timestep": rec.Timestep},
 				Data:  &pulledChunk{buf: rec.Payload},

@@ -156,8 +156,17 @@ func xrayTotalFrames(baseFrames int, factors []float64) int64 {
 	return n
 }
 
+// frameCost is the modeled analysis cost of one detector frame in
+// frameCountOp's Map. A burst chunk (16,000 frames) takes 4 ms — four
+// times the soak's admission patience — so a rank holding two of them
+// overruns its budget whatever the speed of the data path in front of the
+// operator, and a quiet chunk (200 frames) costs next to nothing.
+const frameCost = 250 * time.Nanosecond
+
 // frameCountOp counts detector frames across chunks, shuffling the
-// per-chunk counts to one reducer so conservation sums are exact.
+// per-chunk counts to one reducer so conservation sums are exact. Its Map
+// is a slow consumer (frameCost per frame): overload in these tests comes
+// from the operator falling behind the burst, as it does in production.
 type frameCountOp struct {
 	mu sync.Mutex
 	n  int64
@@ -169,6 +178,7 @@ func (c *frameCountOp) Initialize(ctx *staging.Context, agg map[string]any) erro
 }
 func (c *frameCountOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if arr, ok := chunk.Record["frames"].(*ffs.Array); ok && len(arr.Dims) == 2 {
+		time.Sleep(time.Duration(arr.Dims[0]) * frameCost)
 		ctx.Emit(0, int64(arr.Dims[0]))
 	}
 	return nil

@@ -210,14 +210,10 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	}
 	full[fieldRank] = int64(c.cfg.WriterRank)
 	full[fieldTimestep] = timestep
-	enc, err := ffs.Encode(packed, full)
+	buf, err := packFrame(packed, full)
 	if err != nil {
 		return 0, fmt.Errorf("predata: pack: %w", err)
 	}
-	// Seal at encode: the CRC frame travels through the fabric untouched
-	// and is verified on the staging side before anything reduces the
-	// chunk, so corruption anywhere along the path is caught end to end.
-	buf := staging.Seal(enc)
 	c.cfg.Endpoint.SetEpoch(timestep)
 	h := c.cfg.Endpoint.Expose(buf)
 	idx, rerouted, err := c.cfg.Membership.serverFor(c.cfg.WriterRank, timestep)
@@ -245,6 +241,30 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	c.PackedBytes += int64(len(buf))
 	sentBytes = int64(len(buf))
 	return visible, nil
+}
+
+// packFrame is Stage 1b: it sizes the record's encoding, allocates the one
+// buffer the chunk will ever occupy, encodes behind the reserved seal
+// header and seals in place. Seal at encode: the CRC frame travels through
+// the fabric untouched and is verified on the staging side before anything
+// reduces the chunk, so corruption anywhere along the path is caught end to
+// end. A record too large for the frame's length field is a named error
+// here, not a wrapped length the staging rank would re-pull as corruption.
+func packFrame(schema *ffs.Schema, rec ffs.Record) ([]byte, error) {
+	n, err := ffs.Size(schema, rec)
+	if err != nil {
+		return nil, err
+	}
+	size, err := staging.FrameSize(n)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := ffs.AppendEncode(make([]byte, staging.SealOverhead, size), schema, rec)
+	if err != nil {
+		return nil, err
+	}
+	staging.SealInPlace(frame)
+	return frame, nil
 }
 
 // sendWithRetry dispatches the fetch request, retrying transient faults

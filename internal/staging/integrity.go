@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // ErrCorrupt marks a sealed chunk whose frame or checksum failed
@@ -32,31 +33,66 @@ var ErrCorrupt = errors.New("chunk corrupt")
 
 const sealMagic = "PDCHNK1\n"
 
-// sealOverhead is the framing cost Seal adds: magic, length, checksum.
-const sealOverhead = len(sealMagic) + 8
+// SealOverhead is the length of the seal header — magic, length, checksum
+// — that precedes the payload in a frame. It is a multiple of 8, so a
+// payload laid out for 8-byte offsets keeps them inside the frame.
+const SealOverhead = len(sealMagic) + 8
 
-// Seal frames payload with a magic header, its length, and a CRC so the
-// receiver can verify the delivery end-to-end. The input is not
-// retained or mutated.
+// ErrFrameTooLarge marks a payload the header's 32-bit length field cannot
+// describe. Sealing it anyway would wrap the length, and the receiver
+// would take an undamaged chunk for a corrupt one.
+var ErrFrameTooLarge = errors.New("staging: chunk payload exceeds the seal frame's 4 GiB limit")
+
+// FrameSize returns the length of the sealed frame for a payload of
+// payloadLen bytes, or ErrFrameTooLarge — before anything is allocated.
+func FrameSize(payloadLen int) (int, error) {
+	if uint64(payloadLen) > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payloadLen)
+	}
+	return SealOverhead + payloadLen, nil
+}
+
+// SealInPlace seals a frame whose payload is already in position: frame is
+// FrameSize(n) bytes with the payload at frame[SealOverhead:], and the
+// header — magic, length, CRC of the payload — is written into the
+// reserved frame[:SealOverhead]. No second buffer exists at any point.
+func SealInPlace(frame []byte) {
+	writeSealHeader(frame, frame[SealOverhead:])
+}
+
+// writeSealHeader fills frame's header for payload, whose length FrameSize
+// has checked.
+func writeSealHeader(frame, payload []byte) {
+	n := copy(frame, sealMagic)
+	binary.LittleEndian.PutUint32(frame[n:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[n+4:], crc32.ChecksumIEEE(payload))
+}
+
+// Seal frames a copy of payload with a magic header, its length, and a CRC
+// so the receiver can verify the delivery end-to-end. The input is not
+// retained or mutated. It panics on a payload FrameSize rejects; a caller
+// that can meet one sizes the frame with FrameSize and seals in place.
 func Seal(payload []byte) []byte {
-	out := make([]byte, sealOverhead+len(payload))
-	n := copy(out, sealMagic)
-	binary.LittleEndian.PutUint32(out[n:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[n+4:], crc32.ChecksumIEEE(payload))
-	copy(out[sealOverhead:], payload)
+	size, err := FrameSize(len(payload))
+	if err != nil {
+		panic(err)
+	}
+	out := make([]byte, size)
+	writeSealHeader(out, payload)
+	copy(out[SealOverhead:], payload)
 	return out
 }
 
 // Sealed reports whether buf starts with a seal frame header.
 func Sealed(buf []byte) bool {
-	return len(buf) >= sealOverhead && string(buf[:len(sealMagic)]) == sealMagic
+	return len(buf) >= SealOverhead && string(buf[:len(sealMagic)]) == sealMagic
 }
 
 // Unseal verifies a sealed frame and returns the payload (aliasing
 // buf's memory, no copy). A missing magic, a length mismatch, or a
 // checksum mismatch returns an error wrapping ErrCorrupt.
 func Unseal(buf []byte) ([]byte, error) {
-	if len(buf) < sealOverhead {
+	if len(buf) < SealOverhead {
 		return nil, fmt.Errorf("staging: sealed chunk truncated at %d bytes: %w", len(buf), ErrCorrupt)
 	}
 	if string(buf[:len(sealMagic)]) != sealMagic {
@@ -64,7 +100,7 @@ func Unseal(buf []byte) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(buf[len(sealMagic):])
 	want := binary.LittleEndian.Uint32(buf[len(sealMagic)+4:])
-	payload := buf[sealOverhead:]
+	payload := buf[SealOverhead:]
 	if int(n) != len(payload) {
 		return nil, fmt.Errorf("staging: sealed chunk length %d, frame says %d: %w", len(payload), n, ErrCorrupt)
 	}

@@ -57,3 +57,42 @@ func TestSealDoesNotAliasInput(t *testing.T) {
 		t.Fatalf("mutating the input after Seal broke the frame: %v", err)
 	}
 }
+
+// TestSealInPlaceMatchesSeal: a payload written behind a reserved header
+// and sealed where it lies is byte-for-byte the frame Seal builds by copy,
+// and the payload bytes are not touched.
+func TestSealInPlaceMatchesSeal(t *testing.T) {
+	payload := bytes.Repeat([]byte("in-place "), 1000)
+	size, err := FrameSize(len(payload))
+	if err != nil || size != SealOverhead+len(payload) {
+		t.Fatalf("FrameSize(%d) = %d, %v", len(payload), size, err)
+	}
+	frame := make([]byte, SealOverhead, size)
+	frame = append(frame, payload...)
+	backing := &frame[0]
+	SealInPlace(frame)
+	if &frame[0] != backing || !bytes.Equal(frame, Seal(payload)) {
+		t.Fatal("in-place seal differs from Seal's frame")
+	}
+	got, err := Unseal(frame)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("Unseal of in-place frame: %v", err)
+	}
+	if SealOverhead%8 != 0 {
+		t.Errorf("SealOverhead %d breaks the payload's 8-byte offsets", SealOverhead)
+	}
+}
+
+// TestSealLengthOverflowIsNamed checks the size test with a synthetic
+// length — no 4 GiB allocation: the last length the 32-bit field holds is
+// accepted, the next is ErrFrameTooLarge instead of a wrapped header that
+// Unseal would report as corruption.
+func TestSealLengthOverflowIsNamed(t *testing.T) {
+	const limit = 1<<32 - 1
+	if size, err := FrameSize(limit); err != nil || size != SealOverhead+limit {
+		t.Fatalf("FrameSize(%d) = %d, %v", limit, size, err)
+	}
+	if _, err := FrameSize(limit + 1); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("FrameSize(4 GiB) = %v, want ErrFrameTooLarge", err)
+	}
+}

@@ -1,0 +1,110 @@
+// Package wire moves numeric payloads between []float64/[]int64 and their
+// little-endian byte form in bulk. It is the one place in the tree that
+// imports unsafe: on a little-endian host a float64 slice already is its
+// wire form, so encoding is one memmove and decoding is a view over the
+// received bytes (FFS's "receiver makes right": convert only when the host
+// needs it). Host byte order is probed once at init and the address
+// alignment of a view is checked per call; whenever either does not hold the
+// portable element loop runs instead, so results never depend on the host.
+package wire
+
+import (
+	"encoding/binary"
+	"math"
+	"unsafe"
+)
+
+// hostLittleEndian reports whether the host stores the low byte first.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// word is an element type whose in-memory form on a little-endian host is
+// its wire form.
+type word interface{ float64 | int64 }
+
+// bytesOf returns v's memory as bytes. Bytes have no alignment, so this
+// direction needs no address check.
+func bytesOf[T word](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
+}
+
+// viewOf returns b's words in place when the host is little-endian and b
+// starts on an 8-byte boundary.
+func viewOf[T word](b []byte) ([]T, bool) {
+	if !hostLittleEndian || len(b) < 8 {
+		return nil, false
+	}
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%8 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(p), len(b)/8), true
+}
+
+// AppendFloat64s appends v to b as little-endian IEEE-754 doubles.
+func AppendFloat64s(b []byte, v []float64) []byte {
+	if hostLittleEndian {
+		return append(b, bytesOf(v)...)
+	}
+	return appendFloat64sPortable(b, v)
+}
+
+// AppendInt64s appends v to b as little-endian two's-complement words.
+func AppendInt64s(b []byte, v []int64) []byte {
+	if hostLittleEndian {
+		return append(b, bytesOf(v)...)
+	}
+	return appendInt64sPortable(b, v)
+}
+
+// Float64s returns the len(b)/8 doubles encoded in b: a view sharing b's
+// memory when the host is little-endian and b is 8-byte aligned, otherwise
+// a converted copy. The result is never nil and never extends past b. A
+// caller that receives a view must treat b as read-only for as long as the
+// result is in use.
+func Float64s(b []byte) []float64 {
+	if v, ok := viewOf[float64](b); ok {
+		return v
+	}
+	return float64sPortable(b)
+}
+
+// Int64s is Float64s for two's-complement words.
+func Int64s(b []byte) []int64 {
+	if v, ok := viewOf[int64](b); ok {
+		return v
+	}
+	return int64sPortable(b)
+}
+
+func appendFloat64sPortable(b []byte, v []float64) []byte {
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+func appendInt64sPortable(b []byte, v []int64) []byte {
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
+	}
+	return b
+}
+
+func float64sPortable(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return out
+}
+
+func int64sPortable(b []byte) []int64 {
+	out := make([]int64, len(b)/8)
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return out
+}

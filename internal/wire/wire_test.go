@@ -1,0 +1,87 @@
+package wire
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+func samples(n int) ([]float64, []int64) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	f := make([]float64, n)
+	i := make([]int64, n)
+	for k := range f {
+		f[k] = rng.NormFloat64()
+		i[k] = rng.Int63() - rng.Int63()
+	}
+	if n > 3 {
+		f[0], f[1], f[2], f[3] = math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)
+		i[0], i[1] = math.MinInt64, math.MaxInt64
+	}
+	return f, i
+}
+
+// TestBulkMatchesPortable: the bulk encoders write, and the views read, the
+// bytes the portable element loops define — NaN payloads and signed zeros
+// included, which is why floats are compared as bits.
+func TestBulkMatchesPortable(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		f, i := samples(n)
+		prefix := []byte("hdr")
+		fb := AppendFloat64s(append([]byte(nil), prefix...), f)
+		if want := appendFloat64sPortable(append([]byte(nil), prefix...), f); !bytes.Equal(fb, want) {
+			t.Fatalf("n=%d: AppendFloat64s differs from the portable encoding", n)
+		}
+		ib := AppendInt64s(append([]byte(nil), prefix...), i)
+		if want := appendInt64sPortable(append([]byte(nil), prefix...), i); !bytes.Equal(ib, want) {
+			t.Fatalf("n=%d: AppendInt64s differs from the portable encoding", n)
+		}
+
+		// Decode the same words from an aligned and from an odd address.
+		words := make([]byte, 8*n+1)
+		for _, off := range []int{0, 1} {
+			in := words[off : off+8*n]
+			copy(in, fb[len(prefix):])
+			got, want := Float64s(in), float64sPortable(in)
+			if len(got) != n || got == nil {
+				t.Fatalf("n=%d off=%d: Float64s returned %d elements (nil %v)", n, off, len(got), got == nil)
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) || math.Float64bits(got[k]) != math.Float64bits(f[k]) {
+					t.Fatalf("n=%d off=%d: float64 %d decoded %x, portable %x, encoded %x", n, off, k,
+						math.Float64bits(got[k]), math.Float64bits(want[k]), math.Float64bits(f[k]))
+				}
+			}
+			copy(in, ib[len(prefix):])
+			gi := Int64s(in)
+			if len(gi) != n || gi == nil || (n > 0 && !reflect.DeepEqual(gi, int64sPortable(in))) || (n > 0 && !reflect.DeepEqual(gi, i)) {
+				t.Fatalf("n=%d off=%d: Int64s decoded %v, want %v", n, off, gi, i)
+			}
+		}
+	}
+}
+
+// TestViewOnlyWhenAligned: a view shares the input's memory and stops at
+// its end; a misaligned input is converted into fresh memory instead.
+func TestViewOnlyWhenAligned(t *testing.T) {
+	words := make([]byte, 8*4+1)
+	base := reflect.ValueOf(words).Pointer()
+	if base%8 != 0 {
+		t.Skipf("allocator returned a misaligned buffer at %#x", base)
+	}
+	aligned, odd := Float64s(words[:32]), Float64s(words[1:33])
+	if got := reflect.ValueOf(aligned).Pointer(); hostLittleEndian && got != base {
+		t.Errorf("aligned input decoded into a copy at %#x, want a view at %#x", got, base)
+	}
+	if cap(aligned) != 4 {
+		t.Errorf("view capacity %d reaches past its 4 elements", cap(aligned))
+	}
+	if got := reflect.ValueOf(odd).Pointer(); got >= base && got < base+uintptr(len(words)) {
+		t.Errorf("misaligned input decoded as a view at %#x", got)
+	}
+	if ints := Int64s(words[:32]); hostLittleEndian && reflect.ValueOf(ints).Pointer() != base {
+		t.Error("aligned int64 input decoded into a copy")
+	}
+}
