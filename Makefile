@@ -1,7 +1,7 @@
 GO ?= go
 VET_BIN := bin/predata-vet
 
-.PHONY: all build test race fmt vet vet-fixtures bench-smoke benchmark benchmark-compare trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
+.PHONY: all build test race fmt loc vet vet-fixtures bench-smoke benchmark benchmark-compare trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
 
 all: build vet test
 
@@ -16,6 +16,17 @@ race:
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test, non-testdata Go lines of every top-level
+# package (cmd/X, internal/X, examples/X, benchmark) and of the tree —
+# the size figure ROADMAP aim 2 tracks and a simplicity PR reports at
+# the parent and at the change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
+	  | xargs -0 wc -l \
+	  | awk '$$2 == "total" { next } \
+	      { n = split($$2, p, "/"); pkg = n > 3 ? p[2] "/" p[3] : (n > 2 ? p[2] : "."); loc[pkg] += $$1; all += $$1 } \
+	      END { for (pkg in loc) printf "%7d %s\n", loc[pkg], pkg | "sort -k2"; close("sort -k2"); printf "%7d total\n", all }'
 
 # vet runs the analyzer fixture suite, the standard toolchain vet, and
 # the project suite over the tree. The predata-vet binary is built once
@@ -99,6 +110,8 @@ serve-soak:
 	$(GO) test -race -shuffle=on -count=1 -run 'FairShare|Starv|Subscribe|VerifyServe|Tenant' ./internal/flowctl/ ./internal/dataspaces/ ./internal/trace/ ./internal/queryapp/ ./cmd/predata-serve/
 	$(GO) run ./cmd/predata-bench -experiment serve -json BENCH_serve.json
 
+# evaluation regenerates every figure and runs every soak experiment,
+# gates included; add -json PATH by hand to keep the document.
 evaluation:
 	$(GO) run ./cmd/predata-bench -experiment all
 

@@ -2,65 +2,96 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"predata/internal/bench"
 )
 
-func TestRunEachExperiment(t *testing.T) {
-	cases := []struct {
-		experiment string
-		marker     string
-	}{
-		{"fig7", "sorting operation"},
-		{"fig8", "GTC improvement"},
-		{"fig9", "DataSpaces"},
-		{"fig10", "Pixie3D"},
-		{"fig11", "merged vs unmerged"},
-		{"offline", "in-transit"},
-		{"overload", "degradation ladder"},
-		{"trace", "trace overhead"},
-		{"elastic", "staging autoscaling"},
-		{"ablations", "scheduled vs unscheduled"},
+// stubs is the real registry's names, in order, over entries that only
+// record that they ran: the command's job is selection and order, and
+// the experiments themselves run once, in internal/bench's tests.
+func stubs(ran *[]string) []bench.Experiment {
+	var registry []bench.Experiment
+	for _, e := range bench.Experiments("all") {
+		name := e.Name
+		registry = append(registry, bench.Experiment{Name: name, Run: func(*bench.Report) error {
+			*ran = append(*ran, name)
+			return nil
+		}})
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.experiment, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := run(&buf, c.experiment, "all", ""); err != nil {
+	return registry
+}
+
+func TestRunEachExperiment(t *testing.T) {
+	for _, e := range bench.Experiments("all") {
+		t.Run(e.Name, func(t *testing.T) {
+			var ran []string
+			if err := run(&bytes.Buffer{}, stubs(&ran), e.Name, ""); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(buf.String(), c.marker) {
-				t.Errorf("%s output missing %q", c.experiment, c.marker)
+			if len(ran) != 1 || ran[0] != e.Name {
+				t.Errorf("-experiment %s ran %v", e.Name, ran)
 			}
 		})
 	}
 }
 
 func TestRunAll(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "all", "all", ""); err != nil {
+	var ran, want []string
+	registry := stubs(&ran)
+	for _, e := range registry {
+		want = append(want, e.Name)
+	}
+	if err := run(&bytes.Buffer{}, registry, "all", ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, marker := range []string{
-		"Fig. 7", "Fig. 8", "Fig. 9", "Fig. 10", "Fig. 11",
-		"offline", "Ablation",
-	} {
-		if !strings.Contains(buf.String(), marker) {
-			t.Errorf("all output missing %q", marker)
-		}
+	if strings.Join(ran, " ") != strings.Join(want, " ") {
+		t.Errorf("all ran %v, want the registry in order %v", ran, want)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "fig99", "all", ""); err == nil {
+	if err := run(&bytes.Buffer{}, bench.Experiments("all"), "fig99", ""); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunBadFig7Op(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "fig7", "nonsense", ""); err == nil {
+	if err := run(&bytes.Buffer{}, bench.Experiments("nonsense"), "fig7", ""); err == nil {
 		t.Fatal("unknown fig7 operator accepted")
+	}
+}
+
+// TestRunWritesJSONOnlyWhenAsked drives the real registry's cheapest
+// entry end to end: no -json, no file; -json PATH, the document.
+func TestRunWritesJSONOnlyWhenAsked(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	if err := run(&bytes.Buffer{}, bench.Experiments("all"), "offline", ""); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("a run without -json left %v behind", left)
+	}
+	path := filepath.Join(dir, "out.json")
+	if err := run(&bytes.Buffer{}, bench.Experiments("all"), "offline", path); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), `"experiments": []`) {
+		t.Errorf("document of a model-only experiment:\n%s", doc)
 	}
 }

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"predata/internal/adios"
+	"predata/internal/apps/gtc"
 	"predata/internal/apps/xray"
-	"predata/internal/bench"
 	"predata/internal/bp"
 	"predata/internal/elastic"
 	"predata/internal/faults"
@@ -353,7 +353,7 @@ func partialCols(app string) []int {
 	case "xray":
 		return []int{xray.AttrEnergy, xray.AttrX, xray.AttrY}
 	}
-	return []int{bench.ColZeta, bench.ColRadial, bench.ColRank}
+	return []int{gtc.AttrZeta, gtc.AttrRadial, gtc.AttrRank}
 }
 
 // parseScalePolicy builds the autoscaler policy from the -elastic
@@ -450,8 +450,8 @@ func computeFn(app string, particles, local, frames, dumps int, seed int64) pred
 	}
 	return func(comm *mpi.Comm, client *predata.Client) error {
 		for step := 0; step < dumps; step++ {
-			arr := bench.GenParticles(comm.Rank(), particles, int64(step))
-			if _, err := client.Write(bench.ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
+			arr := gtc.GenParticles(comm.Rank(), particles, int64(step))
+			if _, err := client.Write(gtc.ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
 				return err
 			}
 		}
@@ -472,10 +472,10 @@ func operatorFactory(app string, names []string) (predata.OperatorFactory, error
 	// Column choices per workload: the GTC particle attributes, or the
 	// detector-frame attributes of the xray proxy.
 	v := varFor(app)
-	keyMajor, keyMinor := bench.ColRank, bench.ColID
-	histCols := []int{bench.ColZeta, bench.ColRadial, bench.ColWeight}
-	pairCols := [][2]int{{bench.ColZeta, bench.ColRadial}}
-	indexCols := []int{bench.ColZeta, bench.ColRadial}
+	keyMajor, keyMinor := gtc.AttrRank, gtc.AttrLocalID
+	histCols := []int{gtc.AttrZeta, gtc.AttrRadial, gtc.AttrWeight}
+	pairCols := [][2]int{{gtc.AttrZeta, gtc.AttrRadial}}
+	indexCols := []int{gtc.AttrZeta, gtc.AttrRadial}
 	if app == "xray" {
 		keyMajor, keyMinor = xray.AttrEnergy, xray.AttrFrameID
 		histCols = []int{xray.AttrEnergy, xray.AttrIntensity}
@@ -597,7 +597,7 @@ func runInCompute(app string, compute, particles, local, dumps int) error {
 				return err
 			}
 		} else {
-			arr := bench.GenParticles(rank, particles, int64(step))
+			arr := gtc.GenParticles(rank, particles, int64(step))
 			if err := w.Write("p", arr); err != nil {
 				return err
 			}

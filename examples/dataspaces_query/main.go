@@ -16,6 +16,7 @@ import (
 	"log"
 	"time"
 
+	"predata/internal/apps/gtc"
 	"predata/internal/bench"
 	"predata/internal/dataspaces"
 	"predata/internal/ffs"
@@ -36,7 +37,7 @@ func main() {
 	res, _, err := bench.MiniPipeline(numCompute, numStaging, perRank,
 		func(dump int) []staging.Operator {
 			op, err := ops.NewSortOperator(ops.SortConfig{
-				Var: "p", KeyMajor: bench.ColRank, KeyMinor: bench.ColID,
+				Var: "p", KeyMajor: gtc.AttrRank, KeyMinor: gtc.AttrLocalID,
 				AggFromColumn: true, KeepResult: true,
 			})
 			if err != nil {
@@ -66,11 +67,11 @@ func main() {
 	for _, arr := range sorted {
 		rows := int(arr.Dims[0])
 		for i := 0; i < rows; i++ {
-			row := arr.Float64[i*bench.AttrCount:]
-			id := uint64(row[bench.ColID])
-			rank := uint64(row[bench.ColRank])
+			row := arr.Float64[i*gtc.AttrCount:]
+			id := uint64(row[gtc.AttrLocalID])
+			rank := uint64(row[gtc.AttrRank])
 			err := space.Put("weight", 0, []uint64{id, rank}, []uint64{id + 1, rank + 1},
-				[]float64{row[bench.ColWeight]})
+				[]float64{row[gtc.AttrWeight]})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -255,3 +255,40 @@ func TestSchema(t *testing.T) {
 		t.Errorf("schema %+v", s)
 	}
 }
+
+func TestGenParticlesShape(t *testing.T) {
+	arr := GenParticles(3, 100, 1)
+	if arr.Dims[0] != 100 || arr.Dims[1] != AttrCount {
+		t.Fatalf("dims %v", arr.Dims)
+	}
+	// All rows carry the writer rank, and the local ids form a permutation.
+	seen := make(map[int]bool)
+	for i := 0; i < 100; i++ {
+		row := arr.Float64[i*AttrCount:]
+		if row[AttrRank] != 3 {
+			t.Fatalf("row %d rank %g", i, row[AttrRank])
+		}
+		seen[int(row[AttrLocalID])] = true
+	}
+	if len(seen) != 100 {
+		t.Fatalf("%d distinct ids", len(seen))
+	}
+	// Deterministic per (rank, seed).
+	again := GenParticles(3, 100, 1)
+	for i := range arr.Float64 {
+		if arr.Float64[i] != again.Float64[i] {
+			t.Fatal("generator not deterministic")
+		}
+	}
+	other := GenParticles(4, 100, 1)
+	diff := false
+	for i := range arr.Float64 {
+		if arr.Float64[i] != other.Float64[i] {
+			diff = true
+			break
+		}
+	}
+	if !diff {
+		t.Fatal("different ranks produced identical particles")
+	}
+}

@@ -2,30 +2,42 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
 
+	"predata/internal/apps/gtc"
 	"predata/internal/bitmap"
 	"predata/internal/model"
 	"predata/internal/ops"
 	"predata/internal/staging"
 )
 
-// AblationScheduling quantifies the value of scheduling asynchronous data
+// ablations runs the five design-choice ablations in order.
+func ablations(rp *Report) error {
+	for _, f := range []func(*Report) error{
+		ablationScheduling, ablationCombine, ablationRatio, ablationFunctionalScaling, ablationBitmap,
+	} {
+		if err := f(rp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ablationScheduling quantifies the value of scheduling asynchronous data
 // movement around the simulation's collective phases (Section IV-A): the
 // model compares scheduled vs unscheduled GTC runs at every scale.
-func AblationScheduling(w io.Writer) error {
+func ablationScheduling(rp *Report) error {
 	m := model.Jaguar()
-	header(w, "Ablation — scheduled vs unscheduled asynchronous data movement (GTC)")
-	fmt.Fprintf(w, "%8s %22s %22s\n", "cores", "scheduled improvement", "unscheduled improvement")
+	rp.header("Ablation — scheduled vs unscheduled asynchronous data movement (GTC)")
+	rp.printf("%8s %22s %22s\n", "cores", "scheduled improvement", "unscheduled improvement")
 	for _, cores := range model.GTCScales {
 		s := m.GTCRun(cores)
 		u := m.GTCRunUnscheduled(cores)
-		fmt.Fprintf(w, "%8d %21.2f%% %21.2f%%\n", cores, s.ImprovementPct, u.ImprovementPct)
+		rp.printf("%8d %21.2f%% %21.2f%%\n", cores, s.ImprovementPct, u.ImprovementPct)
 	}
-	fmt.Fprintf(w, "\nwithout scheduling, transfer interference erases the staging benefit at scale\n")
+	rp.printf("\nwithout scheduling, transfer interference erases the staging benefit at scale\n")
 	return nil
 }
 
@@ -53,35 +65,38 @@ func (c *countingHist) Combine(tag int, values []any) ([]any, error) {
 	return c.HistogramOperator.Combine(tag, values)
 }
 
-// AblationCombine measures the shuffle-volume effect of the compute-side
+// ablationCombine measures the shuffle-volume effect of the compute-side
 // Combine pass with the real pipeline: the same workload with the
 // combiner on and off.
-func AblationCombine(w io.Writer) error {
-	header(w, "Ablation — combiner on/off (real pipeline, shuffle volume)")
+func ablationCombine(rp *Report) error {
+	rp.header("Ablation — combiner on/off (real pipeline, shuffle volume)")
 	run := func(enabled bool) (int, time.Duration, error) {
-		var total int
+		// Every (rank, dump) operator instance is kept so the values it
+		// saw cross the shuffle can be summed once the run is over.
 		var mu sync.Mutex
-		_, wall, err := MiniPipeline(8, 2, 10000, func(int) []staging.Operator {
-			h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-				Var: "p", Columns: []int{ColZeta, ColRadial, ColWeight, ColVPar}, Bins: 128,
-				AggRanges: true,
-			})
-			if err != nil {
-				return nil
-			}
-			c := &countingHist{HistogramOperator: h, combine: enabled}
-			// Accumulate the count when the pipeline finishes via a
-			// finalize wrapper.
-			return []staging.Operator{&onFinalize{Operator: c, fn: func() {
-				c.mu.Lock()
-				n := c.shuffled
-				c.mu.Unlock()
+		var hists []*countingHist
+		o, err := leg{
+			name: "combiner", cfg: gtcShape(8, 2, 1), perRank: 10000,
+			ops: func(int) ([]staging.Operator, error) {
+				h, err := ops.NewHistogramOperator(ops.HistogramConfig{
+					Var: "p", Columns: []int{gtc.AttrZeta, gtc.AttrRadial, gtc.AttrWeight, gtc.AttrVPar}, Bins: 128,
+					AggRanges: true,
+				})
+				if err != nil {
+					return nil, err
+				}
+				c := &countingHist{HistogramOperator: h, combine: enabled}
 				mu.Lock()
-				total += n
+				hists = append(hists, c)
 				mu.Unlock()
-			}}}
-		})
-		return total, wall, err
+				return []staging.Operator{c}, nil
+			},
+		}.run(rp.seed)
+		var total int
+		for _, c := range hists {
+			total += c.shuffled
+		}
+		return total, o.wall, err
 	}
 	withC, wallC, err := run(true)
 	if err != nil {
@@ -91,41 +106,21 @@ func AblationCombine(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "combiner on : %6d values shuffled (wall %v)\n", withC, wallC.Round(time.Millisecond))
-	fmt.Fprintf(w, "combiner off: %6d values shuffled (wall %v)\n", without, wallN.Round(time.Millisecond))
+	rp.printf("combiner on : %6d values shuffled (wall %v)\n", withC, wallC.Round(time.Millisecond))
+	rp.printf("combiner off: %6d values shuffled (wall %v)\n", without, wallN.Round(time.Millisecond))
 	if withC > 0 {
-		fmt.Fprintf(w, "shuffle-volume reduction: %.1fx\n", float64(without)/float64(withC))
+		rp.printf("shuffle-volume reduction: %.1fx\n", float64(without)/float64(withC))
 	}
 	return nil
 }
 
-// onFinalize runs fn after the wrapped operator's Finalize.
-type onFinalize struct {
-	staging.Operator
-	fn func()
-}
-
-func (o *onFinalize) Finalize(ctx *staging.Context) error {
-	err := o.Operator.Finalize(ctx)
-	o.fn()
-	return err
-}
-
-// Combine forwards the inner operator's combiner when present.
-func (o *onFinalize) Combine(tag int, values []any) ([]any, error) {
-	if c, ok := o.Operator.(staging.Combiner); ok {
-		return c.Combine(tag, values)
-	}
-	return values, nil
-}
-
-// AblationRatio sweeps the compute:staging core ratio: the tradeoff the
+// ablationRatio sweeps the compute:staging core ratio: the tradeoff the
 // paper's future-work section wants performance models for. Larger ratios
 // cost less but the staging operators must still fit the I/O interval.
-func AblationRatio(w io.Writer) error {
+func ablationRatio(rp *Report) error {
 	m := model.Jaguar()
-	header(w, "Ablation — staging-area sizing (16,384 compute cores)")
-	fmt.Fprintf(w, "%8s %14s %14s %14s %10s\n",
+	rp.header("Ablation — staging-area sizing (16,384 compute cores)")
+	rp.printf("%8s %14s %14s %14s %10s\n",
 		"ratio", "extra cores %", "sort wall (s)", "hist wall (s)", "fits 120s")
 	for _, ratio := range []int{32, 64, 128, 256} {
 		sort, hist := m.StagingRatioSweep(16384, ratio)
@@ -133,56 +128,55 @@ func AblationRatio(w io.Writer) error {
 		if sort > 120 || hist > 120 {
 			fits = "NO"
 		}
-		fmt.Fprintf(w, "%7d:1 %14.2f %14.1f %14.1f %10s\n",
+		rp.printf("%7d:1 %14.2f %14.1f %14.1f %10s\n",
 			ratio, 100.0/float64(ratio), sort, hist, fits)
 	}
-	fmt.Fprintf(w, "\nthe paper's 64:1 ratio (1.5%% extra resources) keeps every operator inside the I/O interval\n")
+	rp.printf("\nthe paper's 64:1 ratio (1.5%% extra resources) keeps every operator inside the I/O interval\n")
 	return nil
 }
 
-// AblationFunctionalScaling checks the operator-cost assumption the
+// ablationFunctionalScaling checks the operator-cost assumption the
 // performance model scales up: the real histogram operator's map time
 // must grow roughly linearly with per-staging-rank data volume (weak
 // scaling of the staging area holds volume per rank constant, so linear
 // per-volume cost is what keeps staging time flat across job sizes).
-func AblationFunctionalScaling(w io.Writer) error {
-	header(w, "Ablation — functional weak-scaling check (histogram map time vs volume)")
+func ablationFunctionalScaling(rp *Report) error {
+	rp.header("Ablation — functional weak-scaling check (histogram map time vs volume)")
 	sizes := []int{5000, 10000, 20000, 40000}
 	times := make([]time.Duration, len(sizes))
 	for i, perRank := range sizes {
-		res, _, err := MiniPipeline(8, 2, perRank, func(int) []staging.Operator {
-			op, err := ops.NewHistogramOperator(ops.HistogramConfig{
-				Var: "p", Columns: []int{ColZeta, ColRadial, ColWeight, ColVPar},
-				Bins: 64, AggRanges: true,
-			})
-			if err != nil {
-				return nil
-			}
-			return []staging.Operator{op}
-		})
+		o, err := leg{
+			name: "weak-scaling", cfg: gtcShape(8, 2, 1), perRank: perRank,
+			ops: func(int) ([]staging.Operator, error) {
+				return one(ops.NewHistogramOperator(ops.HistogramConfig{
+					Var: "p", Columns: []int{gtc.AttrZeta, gtc.AttrRadial, gtc.AttrWeight, gtc.AttrVPar},
+					Bins: 64, AggRanges: true,
+				}))
+			},
+		}.run(rp.seed)
 		if err != nil {
 			return err
 		}
 		var mapT time.Duration
-		for _, r := range res.StagingResults {
+		for _, r := range o.res.StagingResults {
 			mapT += r[0].OperatorBreakdown["histogram"].Get("map")
 		}
 		times[i] = mapT
-		fmt.Fprintf(w, "%7d particles/rank: map %v\n", perRank, mapT.Round(time.Microsecond))
+		rp.printf("%7d particles/rank: map %v\n", perRank, mapT.Round(time.Microsecond))
 	}
 	// Report the growth factor over the 8x volume range.
 	if times[0] > 0 {
-		fmt.Fprintf(w, "8x volume -> %.1fx map time (linear cost keeps staging time flat under weak scaling)\n",
+		rp.printf("8x volume -> %.1fx map time (linear cost keeps staging time flat under weak scaling)\n",
 			float64(times[len(times)-1])/float64(times[0]))
 	}
 	return nil
 }
 
-// AblationBitmap compares indexed range queries against full scans with
+// ablationBitmap compares indexed range queries against full scans with
 // the real WAH implementation — the design choice behind GTC's range
 // query task.
-func AblationBitmap(w io.Writer) error {
-	header(w, "Ablation — WAH bitmap index vs full scan (range query, 1M particles)")
+func ablationBitmap(rp *Report) error {
+	rp.header("Ablation — WAH bitmap index vs full scan (range query, 1M particles)")
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(1))
 	values := make([]float64, n)
@@ -221,7 +215,7 @@ func AblationBitmap(w io.Writer) error {
 	if hits != scanHits {
 		return fmt.Errorf("bench: index returned %d hits, scan %d", hits, scanHits)
 	}
-	fmt.Fprintf(w, "selectivity %.1f%%: indexed %v, full scan %v (%.1fx), index size %d words\n",
+	rp.printf("selectivity %.1f%%: indexed %v, full scan %v (%.1fx), index size %d words\n",
 		100*float64(hits)/n, indexed, scanned,
 		float64(scanned)/float64(indexed), ix.CompressedWords())
 	return nil

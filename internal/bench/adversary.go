@@ -1,19 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"time"
 
 	"predata/internal/fabric"
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
-	"predata/internal/staging"
 )
 
 // The adversary experiment's shared shape: enough writers and staging
@@ -32,230 +23,114 @@ const (
 // endpoints 8 and 9 keep serving, then heals at dump 3.
 const advPartition = "partition:10|8,9@1-2"
 
-// AdversaryRun is one leg of the adversarial-wire experiment in
-// BENCH_adversary.json form: goodput plus the corruption, partition and
-// hedging trajectories.
-type AdversaryRun struct {
-	Name   string `json:"name"`
-	WallMS int64  `json:"wall_ms"`
-	// GoodputMValS is values verifiably reduced per wall second, in
-	// millions — the figure corruption re-pulls, fence windows and
-	// hedged stragglers each tax in their own way.
-	GoodputMValS float64 `json:"goodput_mval_s"`
-	// Corruption trajectory: injector fires, CRC rejections healed by
-	// re-pull, and chunks abandoned because the source copy is bad.
-	Corruptions  int64 `json:"corruptions"`
-	CorruptPulls int64 `json:"corrupt_pulls"`
-	CorruptDrops int64 `json:"corrupt_drops"`
-	// Partition trajectory: link refusals, per-rank dumps sat out
-	// without quorum, fenced ranks rejoining, rerouted writes, and the
-	// wall time spent reconfiguring membership.
-	Unreachables  int64 `json:"unreachables"`
-	FencedDumps   int64 `json:"fenced_dumps"`
-	Heals         int64 `json:"heals"`
-	ReroutedDumps int64 `json:"rerouted_dumps"`
-	RecoveryMS    int64 `json:"recovery_ms"`
-	// Straggler trajectory: pulls that armed a hedge past the
-	// bandwidth-model deadline and races the hedge won.
-	HedgedPulls int64 `json:"hedged_pulls"`
-	HedgeWins   int64 `json:"hedge_wins"`
-	// DegradedDumps and DataLoss close the ledger: explicit degradation
-	// versus silently missing values (always zero — loss is loud).
-	DegradedDumps int64 `json:"degraded_dumps"`
-	DataLoss      int64 `json:"data_loss"`
+// advParams is the shape the adversary and restart experiments share, as
+// their documents record it.
+var advParams = row{
+	{"writers", advCompute, "", ""},
+	{"staging", advStaging, "", ""},
+	{"dumps", advDumps, "", ""},
 }
 
-// AdversarySummary is the JSON document the adversary experiment emits.
-type AdversarySummary struct {
-	Seed    int64          `json:"seed"`
-	Writers int            `json:"writers"`
-	Staging int            `json:"staging"`
-	Dumps   int            `json:"dumps"`
-	Runs    []AdversaryRun `json:"runs"`
-}
-
-// advBenchRun executes one leg: the GTC-style workload under a fault
-// plan (empty spec for fault-free) over an optionally paced fabric.
-func advBenchRun(spec string, seed int64, fcfg *fabric.Config) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       advCompute,
-		NumStaging:       advStaging,
-		Dumps:            advDumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-		Timeout:          2 * time.Minute,
-	}
-	if fcfg != nil {
-		cfg.Fabric = *fcfg
-		// The straggler leg triggers at the model estimate itself: the
-		// heavy log-normal noise puts roughly half of all pulls past it,
-		// so hedges fire reliably instead of only on the distribution tail.
-		cfg.Retry = predata.RetryPolicy{HedgeFactor: 1}
-	}
-	if spec != "" {
-		plan, err := faults.ParsePlan(spec, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.FaultPlan = &plan
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < advDumps; step++ {
-				arr := GenParticles(comm.Rank(), advPerRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), err
-}
-
-// advBenchRow condenses one leg into its JSON form. Loss is measured
-// against the conservation figure: every particle bins exactly twice
-// (two histogrammed columns) per dump.
-func advBenchRow(name string, res *predata.PipelineResult, wall time.Duration) AdversaryRun {
-	want := int64(advCompute*advPerRank) * 2 * int64(advDumps)
-	var got int64
-	for d := 0; d < advDumps; d++ {
-		got += histTotal(res, d)
-	}
-	row := AdversaryRun{
-		Name:     name,
-		WallMS:   wall.Milliseconds(),
-		DataLoss: want - got,
-	}
-	if wall > 0 {
-		row.GoodputMValS = float64(got) / wall.Seconds() / 1e6
-	}
-	if f := res.Fault; f != nil {
-		row.Corruptions = f.Corruptions
-		row.CorruptPulls = f.CorruptPulls
-		row.CorruptDrops = f.CorruptDrops
-		row.Unreachables = f.Unreachables
-		row.FencedDumps = f.FencedDumps
-		row.Heals = f.Heals
-		row.ReroutedDumps = f.ReroutedDumps
-		row.RecoveryMS = f.RecoveryWall.Milliseconds()
-		row.HedgedPulls = f.HedgedPulls
-		row.HedgeWins = f.HedgeWins
-		row.DegradedDumps = f.DegradedDumps
-	}
-	return row
-}
-
-// Adversary runs the adversarial-wire experiment: the same workload
+// adversary runs the adversarial-wire experiment: the same workload
 // fault-free, under wire corruption (healed by CRC-verified re-pulls),
 // under persistent source corruption (shed loudly after the attempt
 // budget), across a staging partition (fence, serve degraded, heal),
 // and over a noisy paced fabric (stragglers hedged). It demonstrates
 // the robustness contract: corruption and partitions never silently
 // lose data — every leg either matches the baseline bit-for-bit or
-// declares its degradation. When jsonPath is non-empty the legs are
-// also written there as JSON.
-func Adversary(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Adversary — wire corruption, partitions and stragglers (seed %d)", seed))
+// declares its degradation.
+func adversary(rp *Report) error {
+	rp.seeded("Adversary — wire corruption, partitions and stragglers")
 
-	type leg struct {
-		name string
-		spec string
-		fcfg *fabric.Config
-	}
+	shape := gtcShape(advCompute, advStaging, advDumps)
 	// The straggler leg paces the fabric against its bandwidth model and
 	// adds heavy log-normal transfer noise so slow pulls blow the model
-	// deadline and hedge.
-	noisy := fabric.DefaultConfig(advCompute + advStaging)
-	noisy.PaceScale = 50
-	noisy.VarSigma = 2.0
-	legs := []leg{
-		{"fault-free", "", nil},
-		{"wire corrupt p=0.15", "corrupt:*:0.15:pull", nil},
-		{"source corrupt w0", "corrupt:0:1:send", nil},
-		{"partition dumps 1-2", advPartition, nil},
-		{"straggler hedging", "", &noisy},
+	// deadline and hedge. It triggers at the model estimate itself: the
+	// noise puts roughly half of all pulls past it, so hedges fire
+	// reliably instead of only on the distribution tail.
+	noisy := shape
+	noisy.Fabric = fabric.DefaultConfig(advCompute + advStaging)
+	noisy.Fabric.PaceScale = 50
+	noisy.Fabric.VarSigma = 2.0
+	noisy.Retry = predata.RetryPolicy{HedgeFactor: 1}
+
+	outs, err := runLegs(rp.seed, []leg{
+		{name: "fault-free", cfg: shape, perRank: advPerRank},
+		{name: "wire corrupt p=0.15", cfg: shape, perRank: advPerRank, plan: "corrupt:*:0.15:pull"},
+		{name: "source corrupt w0", cfg: shape, perRank: advPerRank, plan: "corrupt:0:1:send"},
+		{name: "partition dumps 1-2", cfg: shape, perRank: advPerRank, plan: advPartition},
+		{name: "straggler hedging", cfg: noisy, perRank: advPerRank},
+	})
+	if err != nil {
+		return err
 	}
 
-	rows := make([]AdversaryRun, 0, len(legs))
-	for _, l := range legs {
-		res, wall, err := advBenchRun(l.spec, seed, l.fcfg)
-		if err != nil {
-			return fmt.Errorf("bench: %s leg: %w", l.name, err)
-		}
-		rows = append(rows, advBenchRow(l.name, res, wall))
+	// Goodput, then the corruption trajectory (injector fires, CRC
+	// rejections healed by re-pull, chunks abandoned because the source
+	// copy is bad), the partition trajectory (link refusals, per-rank
+	// dumps sat out without quorum, fenced ranks rejoining, rerouted
+	// writes, wall time reconfiguring membership), the straggler
+	// trajectory (pulls that armed a hedge, races the hedge won), and the
+	// ledger's close: explicit degradation versus silently missing values.
+	var rows []row
+	for _, o := range outs {
+		f := o.res.Fault
+		rows = append(rows, row{
+			{"name", o.name, "run", "%s"},
+			{"wall_ms", o.wall.Milliseconds(), "wall", "%dms"},
+			{"goodput_mval_s", o.goodput(), "goodput", "%.2fM"},
+			{"corruptions", f.Corruptions, "corrupt", "%d"},
+			{"corrupt_pulls", f.CorruptPulls, "crcFail", "%d"},
+			{"corrupt_drops", f.CorruptDrops, "drops", "%d"},
+			{"unreachables", f.Unreachables, "", ""},
+			{"fenced_dumps", f.FencedDumps, "fenced", "%d"},
+			{"heals", f.Heals, "heals", "%d"},
+			{"rerouted_dumps", f.ReroutedDumps, "", ""},
+			{"recovery_ms", f.RecoveryWall.Milliseconds(), "", ""},
+			{"hedged_pulls", f.HedgedPulls, "hedged", "%d"},
+			{"hedge_wins", f.HedgeWins, "", ""},
+			{"degraded_dumps", f.DegradedDumps, "degr", "%d"},
+			{"data_loss", o.loss(), "loss", "%d"},
+		})
 	}
-
-	fmt.Fprintf(w, "%-22s %8s %9s %7s %7s %7s %7s %6s %7s %6s %5s\n",
-		"run", "wall", "goodput", "corrupt", "crcFail", "drops", "fenced", "heals", "hedged", "degr", "loss")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %6dms %7.2fM %7d %7d %7d %7d %6d %7d %6d %5d\n",
-			r.Name, r.WallMS, r.GoodputMValS, r.Corruptions, r.CorruptPulls,
-			r.CorruptDrops, r.FencedDumps, r.Heals, r.HedgedPulls, r.DegradedDumps, r.DataLoss)
-	}
+	rp.section("adversary", advParams, rows)
 
 	// The invariants the experiment exists to demonstrate.
-	base, wire, source, part, straggler := rows[0], rows[1], rows[2], rows[3], rows[4]
-	if base.DataLoss != 0 || base.DegradedDumps != 0 {
-		return fmt.Errorf("bench: fault-free leg not clean: %+v", base)
+	base, wire, source, part, straggler := outs[0], outs[1], outs[2], outs[3], outs[4]
+	if base.loss() != 0 || base.res.Fault.DegradedDumps != 0 {
+		return fmt.Errorf("bench: fault-free leg not clean: %v", rows[0])
 	}
-	if wire.Corruptions == 0 || wire.CorruptPulls == 0 {
-		return fmt.Errorf("bench: wire leg injected no corruption: %+v", wire)
+	if f := wire.res.Fault; f.Corruptions == 0 || f.CorruptPulls == 0 {
+		return fmt.Errorf("bench: wire leg injected no corruption: %v", rows[1])
 	}
-	if wire.DataLoss != 0 || wire.CorruptDrops != 0 || wire.DegradedDumps != 0 {
-		return fmt.Errorf("bench: wire corruption must heal losslessly via re-pull: %+v", wire)
+	if f := wire.res.Fault; wire.loss() != 0 || f.CorruptDrops != 0 || f.DegradedDumps != 0 {
+		return fmt.Errorf("bench: wire corruption must heal losslessly via re-pull: %v", rows[1])
 	}
 	// Persistent source corruption sheds writer 0's chunk every dump —
 	// loudly: the loss is exactly one writer's contribution, and every
 	// affected dump is marked Degraded.
-	if source.CorruptDrops != int64(advDumps) {
-		return fmt.Errorf("bench: source leg dropped %d chunks, want %d", source.CorruptDrops, advDumps)
+	if drops := source.res.Fault.CorruptDrops; drops != int64(advDumps) {
+		return fmt.Errorf("bench: source leg dropped %d chunks, want %d", drops, advDumps)
 	}
-	if wantLoss := int64(advPerRank) * 2 * int64(advDumps); source.DataLoss != wantLoss {
+	if wantLoss := int64(advPerRank) * 2 * int64(advDumps); source.loss() != wantLoss {
 		return fmt.Errorf("bench: source leg lost %d values, want exactly %d (writer 0's share)",
-			source.DataLoss, wantLoss)
+			source.loss(), wantLoss)
 	}
-	if source.DegradedDumps == 0 {
-		return fmt.Errorf("bench: source leg shed chunks without declaring degradation: %+v", source)
+	if source.res.Fault.DegradedDumps == 0 {
+		return fmt.Errorf("bench: source leg shed chunks without declaring degradation: %v", rows[2])
 	}
-	if part.Heals != 1 || part.FencedDumps == 0 {
-		return fmt.Errorf("bench: partition leg did not fence and heal: %+v", part)
+	if f := part.res.Fault; f.Heals != 1 || f.FencedDumps == 0 {
+		return fmt.Errorf("bench: partition leg did not fence and heal: %v", rows[3])
 	}
-	if part.DataLoss != 0 {
-		return fmt.Errorf("bench: partition leg lost %d values across the fence window", part.DataLoss)
+	if part.loss() != 0 {
+		return fmt.Errorf("bench: partition leg lost %d values across the fence window", part.loss())
 	}
-	if straggler.HedgedPulls == 0 {
-		return fmt.Errorf("bench: straggler leg never hedged: %+v", straggler)
+	if straggler.res.Fault.HedgedPulls == 0 {
+		return fmt.Errorf("bench: straggler leg never hedged: %v", rows[4])
 	}
-	if straggler.DataLoss != 0 || straggler.DegradedDumps != 0 {
-		return fmt.Errorf("bench: straggler leg not lossless: %+v", straggler)
+	if straggler.loss() != 0 || straggler.res.Fault.DegradedDumps != 0 {
+		return fmt.Errorf("bench: straggler leg not lossless: %v", rows[4])
 	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(AdversarySummary{
-			Seed: seed, Writers: advCompute, Staging: advStaging, Dumps: advDumps, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write adversary json: %w", err)
-		}
-		fmt.Fprintf(w, "\nadversary legs written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\ncorruption heals or sheds loudly, partitions fence and heal lossless, stragglers hedge — no silent loss anywhere\n")
+	rp.printf("\ncorruption heals or sheds loudly, partitions fence and heal lossless, stragglers hedge — no silent loss anywhere\n")
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (Section V). Each Fig* function prints the same rows/series
-// the paper reports, combining two sources:
+// evaluation (Section V) and the soak experiments that gate the runtime's
+// loss/replay/verify contracts. The paper figures combine two sources:
 //
 //   - the calibrated performance model (package model) at the paper's
 //     scales, 512-16,384 cores, reproducing the figures' shapes; and
@@ -8,110 +8,39 @@
 //     staging, ops, bp, pfs) at laptop scale, demonstrating that the
 //     actual code paths produce the same qualitative behavior.
 //
-// The harness is shared by cmd/predata-bench and the testing.B benchmarks
-// in the repository root.
+// Every functional run of the GTC mini-workload is a leg (leg.go): a
+// PipelineConfig, a fault plan and a modeled Map cost, whose one run
+// method returns an outcome — the runtime's own PipelineResult plus the
+// exact conservation census. An experiment is a table of legs, a column
+// list that turns each outcome into a row, and the gates it exists to
+// enforce; a row renders both as a table line and as a JSON object, and
+// Report.Emit writes the one document (report.go). Experiments lists the
+// entry points cmd/predata-bench walks.
 package bench
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
 	"time"
 
+	"predata/internal/apps/gtc"
 	"predata/internal/dataspaces"
-	"predata/internal/ffs"
 	"predata/internal/model"
-	"predata/internal/mpi"
 	"predata/internal/ops"
-	"predata/internal/predata"
 	"predata/internal/queryapp"
 	"predata/internal/staging"
 )
 
-// Particle attribute columns of the GTC workload generator (the paper's
-// eight attributes).
-const (
-	ColZeta = iota
-	ColRadial
-	ColTheta
-	ColVPar
-	ColVPerp
-	ColWeight
-	ColRank
-	ColID
-	AttrCount
-)
-
-// ParticleSchema is the ADIOS group of the GTC mini-workload.
-var ParticleSchema = &ffs.Schema{
-	Name:   "particles",
-	Fields: []ffs.Field{{Name: "p", Kind: ffs.KindArray}},
-}
-
-// GenParticles builds a shuffled particle array for one writer rank: the
-// workload generator behind the functional mini-runs.
-func GenParticles(rank, n int, seed int64) *ffs.Array {
-	rng := rand.New(rand.NewSource(seed + int64(rank)*7919))
-	data := make([]float64, n*AttrCount)
-	for i := 0; i < n; i++ {
-		row := data[i*AttrCount:]
-		row[ColZeta] = rng.Float64()
-		row[ColRadial] = rng.Float64()
-		row[ColTheta] = rng.Float64()
-		row[ColVPar] = rng.NormFloat64()
-		row[ColVPerp] = rng.NormFloat64()
-		row[ColWeight] = rng.Float64()
-		row[ColRank] = float64(rank)
-		row[ColID] = float64(i)
-	}
-	rng.Shuffle(n, func(a, b int) {
-		for c := 0; c < AttrCount; c++ {
-			data[a*AttrCount+c], data[b*AttrCount+c] = data[b*AttrCount+c], data[a*AttrCount+c]
-		}
-	})
-	return &ffs.Array{Dims: []uint64{uint64(n), AttrCount}, Float64: data}
-}
-
-// MiniPipeline runs one dump of numCompute writers (perRank particles
-// each) through numStaging staging ranks with the given operators, and
-// returns the staging results plus the wall time of the whole dump.
-func MiniPipeline(numCompute, numStaging, perRank int, opsFor predata.OperatorFactory) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            1,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			arr := GenParticles(comm.Rank(), perRank, 1)
-			_, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, 0)
-			return err
-		},
-		opsFor)
-	return res, time.Since(start), err
-}
-
-// header prints a section banner.
-func header(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n=== %s ===\n", title)
-}
-
-// Fig7 regenerates the per-operation timing figure for one operator
+// fig7 regenerates the per-operation timing figure for one operator
 // ("sort", "hist", "hist2d") or all three.
-func Fig7(w io.Writer, op string) error {
+func fig7(rp *Report, op string) error {
 	m := model.Jaguar()
 	runOne := func(name string, f func(int) model.OpPlacementTime) {
-		header(w, fmt.Sprintf("Fig. 7 — %s operation (In-Compute-Node vs Staging)", name))
-		fmt.Fprintf(w, "%8s %14s %14s %14s %14s\n",
+		rp.header(fmt.Sprintf("Fig. 7 — %s operation (In-Compute-Node vs Staging)", name))
+		rp.printf("%8s %14s %14s %14s %14s\n",
 			"cores", "IC wall (s)", "IC visible (s)", "ST wall (s)", "ST latency (s)")
 		for _, cores := range model.GTCScales {
 			r := f(cores)
-			fmt.Fprintf(w, "%8d %14.2f %14.2f %14.2f %14.2f\n",
+			rp.printf("%8d %14.2f %14.2f %14.2f %14.2f\n",
 				cores, r.InComputeWall, r.InComputeVisible, r.StagingWall, r.StagingLatency)
 		}
 	}
@@ -129,116 +58,102 @@ func Fig7(w io.Writer, op string) error {
 	default:
 		return fmt.Errorf("bench: unknown fig7 operator %q (want sort|hist|hist2d|all)", op)
 	}
-	return fig7Functional(w)
+	return fig7Functional(rp)
 }
 
 // fig7Functional runs the three operators through the real pipeline at
 // laptop scale and reports measured wall times, demonstrating the same
 // streaming path the model scales up.
-func fig7Functional(w io.Writer) error {
-	header(w, "Fig. 7 — functional mini-run (real pipeline, 8 writers x 20k particles, 2 staging ranks)")
-	type mini struct {
-		name string
-		mk   func() (staging.Operator, error)
-	}
-	minis := []mini{
-		{"sort", func() (staging.Operator, error) {
-			return ops.NewSortOperator(ops.SortConfig{
-				Var: "p", KeyMajor: ColRank, KeyMinor: ColID, AggFromColumn: true,
-			})
+func fig7Functional(rp *Report) error {
+	rp.header("Fig. 7 — functional mini-run (real pipeline, 8 writers x 20k particles, 2 staging ranks)")
+	minis := []leg{
+		{name: "sort", ops: func(int) ([]staging.Operator, error) {
+			return one(ops.NewSortOperator(ops.SortConfig{
+				Var: "p", KeyMajor: gtc.AttrRank, KeyMinor: gtc.AttrLocalID, AggFromColumn: true,
+			}))
 		}},
-		{"hist", func() (staging.Operator, error) {
-			return ops.NewHistogramOperator(ops.HistogramConfig{
-				Var: "p", Columns: []int{ColZeta, ColRadial, ColWeight}, Bins: 64, AggRanges: true,
-			})
+		{name: "hist", ops: func(int) ([]staging.Operator, error) {
+			return one(ops.NewHistogramOperator(ops.HistogramConfig{
+				Var: "p", Columns: []int{gtc.AttrZeta, gtc.AttrRadial, gtc.AttrWeight}, Bins: 64, AggRanges: true,
+			}))
 		}},
-		{"hist2d", func() (staging.Operator, error) {
-			return ops.NewHistogram2DOperator(ops.Histogram2DConfig{
-				Var: "p", Pairs: [][2]int{{ColZeta, ColRadial}}, Bins: 32, AggRanges: true,
-			})
+		{name: "hist2d", ops: func(int) ([]staging.Operator, error) {
+			return one(ops.NewHistogram2DOperator(ops.Histogram2DConfig{
+				Var: "p", Pairs: [][2]int{{gtc.AttrZeta, gtc.AttrRadial}}, Bins: 32, AggRanges: true,
+			}))
 		}},
 	}
 	for _, mn := range minis {
-		var mkErr error
-		res, wall, err := MiniPipeline(8, 2, 20000, func(int) []staging.Operator {
-			op, err := mn.mk()
-			if err != nil {
-				mkErr = err
-				return nil
-			}
-			return []staging.Operator{op}
-		})
+		mn.cfg, mn.perRank = gtcShape(8, 2, 1), 20000
+		o, err := mn.run(rp.seed)
 		if err != nil {
 			return err
 		}
-		if mkErr != nil {
-			return mkErr
-		}
 		var mapT, shuffleT, reduceT time.Duration
-		for _, r := range res.StagingResults {
+		for _, r := range o.res.StagingResults {
 			mapT += r[0].Breakdown.Get("map")
 			shuffleT += r[0].Breakdown.Get("shuffle")
 			reduceT += r[0].Breakdown.Get("reduce")
 		}
-		fmt.Fprintf(w, "%8s wall=%8v map=%8v shuffle=%8v reduce=%8v\n",
-			mn.name, wall.Round(time.Millisecond), mapT.Round(time.Millisecond),
+		rp.printf("%8s wall=%8v map=%8v shuffle=%8v reduce=%8v\n",
+			mn.name, o.wall.Round(time.Millisecond), mapT.Round(time.Millisecond),
 			shuffleT.Round(time.Millisecond), reduceT.Round(time.Millisecond))
 	}
 	return nil
 }
 
-// Fig8 regenerates the GTC simulation-performance figure: total time,
+// fig8 regenerates the GTC simulation-performance figure: total time,
 // breakdown, improvement, and CPU savings per scale.
-func Fig8(w io.Writer) error {
+func fig8(rp *Report) error {
 	m := model.Jaguar()
-	header(w, "Fig. 8(a) — GTC improvement and CPU saving (Staging vs In-Compute-Node)")
-	fmt.Fprintf(w, "%8s %14s %18s\n", "cores", "improvement %", "CPU saving (core-h)")
+	rp.header("Fig. 8(a) — GTC improvement and CPU saving (Staging vs In-Compute-Node)")
+	rp.printf("%8s %14s %18s\n", "cores", "improvement %", "CPU saving (core-h)")
 	for _, cores := range model.GTCScales {
 		r := m.GTCRun(cores)
-		fmt.Fprintf(w, "%8d %14.2f %18.1f\n", cores, r.ImprovementPct, r.CPUSavingHours)
+		rp.printf("%8d %14.2f %18.1f\n", cores, r.ImprovementPct, r.CPUSavingHours)
 	}
-	header(w, "Fig. 8(b) — GTC total execution time breakdown (seconds, 30-minute run)")
-	fmt.Fprintf(w, "%8s | %10s %10s %10s %10s | %10s %10s %10s\n",
+	rp.header("Fig. 8(b) — GTC total execution time breakdown (seconds, 30-minute run)")
+	rp.printf("%8s | %10s %10s %10s %10s | %10s %10s %10s\n",
 		"cores", "IC main", "IC write", "IC ops", "IC total", "ST main", "ST I/O", "ST total")
 	for _, cores := range model.GTCScales {
 		r := m.GTCRun(cores)
-		fmt.Fprintf(w, "%8d | %10.1f %10.1f %10.1f %10.1f | %10.1f %10.1f %10.1f\n",
+		rp.printf("%8d | %10.1f %10.1f %10.1f %10.1f | %10.1f %10.1f %10.1f\n",
 			cores,
 			r.InCompute.MainLoop, r.InCompute.IOBlocking, r.InCompute.Operations, r.InCompute.Total,
 			r.Staging.MainLoop, r.Staging.IOBlocking, r.Staging.Total)
 	}
 	r := m.GTCRun(16384)
-	fmt.Fprintf(w, "\nheadlines at 16,384 cores: visible write %.2fs/dump (paper: 8.6s) -> %.2fs/dump staged (paper: 0.30s); improvement %.1f%% (paper: 2.7%%); CPU saving %.0f core-h (paper: 98)\n",
+	rp.printf("\nheadlines at 16,384 cores: visible write %.2fs/dump (paper: 8.6s) -> %.2fs/dump staged (paper: 0.30s); improvement %.1f%% (paper: 2.7%%); CPU saving %.0f core-h (paper: 98)\n",
 		r.InCompute.IOBlocking/float64(r.Dumps), r.Staging.IOBlocking/float64(r.Dumps),
 		r.ImprovementPct, r.CPUSavingHours)
-	return fig8Functional(w)
+	return fig8Functional(rp)
 }
 
 // fig8Functional runs the GTC proxy under both configurations with the
 // real implementation at laptop scale and compares the per-dump I/O
 // blocking each one exposes to the simulation.
-func fig8Functional(w io.Writer) error {
-	header(w, "Fig. 8 — functional mini-run (GTC proxy, 8 ranks x 2 steps, both configurations)")
-	ic, st, err := GTCConfigComparison(8, 2, 10000)
+func fig8Functional(rp *Report) error {
+	rp.header("Fig. 8 — functional mini-run (GTC proxy, 8 ranks x 2 steps, both configurations)")
+	ic, st, err := gtcConfigComparison(8, 2, 10000)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "In-Compute-Node: mean visible I/O %v/dump (modeled synchronous shared-file write)\n",
+	rp.printf("In-Compute-Node: mean visible I/O %v/dump (modeled synchronous shared-file write)\n",
 		ic.Round(time.Microsecond))
-	fmt.Fprintf(w, "Staging:         mean visible I/O %v/dump (pack + fetch-request dispatch)\n",
+	rp.printf("Staging:         mean visible I/O %v/dump (pack + fetch-request dispatch)\n",
 		st.Round(time.Microsecond))
 	if st > 0 {
-		fmt.Fprintf(w, "latency hiding: %.0fx\n", float64(ic)/float64(st))
+		rp.printf("latency hiding: %.0fx\n", float64(ic)/float64(st))
 	}
 	return nil
 }
 
-// Offline regenerates the Section V-B.3 comparison: offline operations
+// offline regenerates the Section V-B.3 comparison: offline operations
 // applied after data reaches disk vs PreDatA's in-transit operations.
-func Offline(w io.Writer) error {
+func offline(rp *Report) error {
 	m := model.Jaguar()
-	header(w, "Section V-B.3 — offline operation vs in-transit PreDatA (GTC sort)")
-	fmt.Fprintf(w, "%8s %10s %14s %12s %14s %14s %10s\n",
+	rp.header("Section V-B.3 — offline operation vs in-transit PreDatA (GTC sort)")
+	rp.printf("%8s %10s %14s %12s %14s %14s %10s\n",
 		"cores", "dump (GB)", "extra storage", "disk trips", "offline (s)", "in-transit (s)", "monitoring")
 	scales := append(append([]int(nil), model.GTCScales...), 65536)
 	for _, cores := range scales {
@@ -247,38 +162,38 @@ func Offline(w io.Writer) error {
 		if !r.FitsMonitoring {
 			fits = "NO"
 		}
-		fmt.Fprintf(w, "%8d %10.1f %13.1fG %12d %14.1f %14.1f %10s\n",
+		rp.printf("%8d %10.1f %13.1fG %12d %14.1f %14.1f %10s\n",
 			cores, r.DumpBytes/1e9, r.ExtraStorageBytes/1e9, r.DiskTripsSort,
 			r.SortLatency, r.InTransitSortLatency, fits)
 	}
-	fmt.Fprintf(w, "\nat 65,536 cores the dump is ~1 TB: offline sorting consumes 1 TB extra storage every 120 s, moves the data through the disk controllers three times, and its latency breaks the online-monitoring use case (paper, Section V-B.3)\n")
+	rp.printf("\nat 65,536 cores the dump is ~1 TB: offline sorting consumes 1 TB extra storage every 120 s, moves the data through the disk controllers three times, and its latency breaks the online-monitoring use case (paper, Section V-B.3)\n")
 	return nil
 }
 
-// Fig9 regenerates the DataSpaces setup/hashing/query figure.
-func Fig9(w io.Writer) error {
+// fig9 regenerates the DataSpaces setup/hashing/query figure.
+func fig9(rp *Report) error {
 	m := model.Jaguar()
-	header(w, "Fig. 9 — DataSpaces setup, hashing and query time")
-	fmt.Fprintf(w, "%12s %10s %10s %10s %10s %10s %12s\n",
+	rp.header("Fig. 9 — DataSpaces setup, hashing and query time")
+	rp.printf("%12s %10s %10s %10s %10s %10s %12s\n",
 		"query cores", "fetch (s)", "sort (s)", "index (s)", "setup (s)", "query (s)", "11 queries")
 	for _, q := range model.DSQueryCores {
 		r := m.DataSpaces(q)
-		fmt.Fprintf(w, "%12d %10.1f %10.1f %10.2f %10.1f %10.2f %12.1f\n",
+		rp.printf("%12d %10.1f %10.1f %10.2f %10.1f %10.2f %12.1f\n",
 			q, r.FetchSeconds, r.SortSeconds, r.IndexSeconds,
 			r.SetupSeconds, r.QuerySeconds, r.TotalQuerySeconds)
 	}
 	r := m.DataSpaces(64)
-	fmt.Fprintf(w, "\nheadlines: fetch %.1fs (paper: 20.3s), sort %.1fs (paper: 30.6s), index %.2fs (paper: 2.08s); preparation <= 55s and querying <= 80s within the 120s I/O interval\n",
+	rp.printf("\nheadlines: fetch %.1fs (paper: 20.3s), sort %.1fs (paper: 30.6s), index %.2fs (paper: 2.08s); preparation <= 55s and querying <= 80s within the 120s I/O interval\n",
 		r.FetchSeconds, r.SortSeconds, r.IndexSeconds)
-	return fig9Functional(w)
+	return fig9Functional(rp)
 }
 
 // fig9Functional stages and sorts particles with the real pipeline,
 // inserts them into a real DataSpaces space indexed on (local id, writer
 // rank), and runs the Fig. 9 query pattern: disjoint sub-region gets from
 // several querying "cores", with per-server query distribution reported.
-func fig9Functional(w io.Writer) error {
-	header(w, "Fig. 9 — functional mini-run (real space: stage -> sort -> index -> query)")
+func fig9Functional(rp *Report) error {
+	rp.header("Fig. 9 — functional mini-run (real space: stage -> sort -> index -> query)")
 	const (
 		numCompute = 8
 		numStaging = 2
@@ -293,23 +208,21 @@ func fig9Functional(w io.Writer) error {
 		return err
 	}
 	start := time.Now()
-	res, _, err := MiniPipeline(numCompute, numStaging, perRank,
-		func(int) []staging.Operator {
-			op, err := ops.NewDataSpacesOperator(ops.DataSpacesConfig{
+	o, err := leg{
+		name: "stage+sort+index", cfg: gtcShape(numCompute, numStaging, 1), perRank: perRank,
+		ops: func(int) ([]staging.Operator, error) {
+			return one(ops.NewDataSpacesOperator(ops.DataSpacesConfig{
 				Var: "p", Space: space, Object: "weight",
-				ValueCol: ColWeight, IDCol: ColID, RankCol: ColRank,
-			})
-			if err != nil {
-				return nil
-			}
-			return []staging.Operator{op}
-		})
+				ValueCol: gtc.AttrWeight, IDCol: gtc.AttrLocalID, RankCol: gtc.AttrRank,
+			}))
+		},
+	}.run(rp.seed)
 	if err != nil {
 		return err
 	}
 	var inserted int64
 	for rank := 0; rank < numStaging; rank++ {
-		n, _ := res.StagingResults[rank][0].PerOperator["dataspaces"]["inserted"].(int64)
+		n, _ := o.res.StagingResults[rank][0].PerOperator["dataspaces"]["inserted"].(int64)
 		inserted += n
 	}
 	indexWall := time.Since(start)
@@ -323,28 +236,28 @@ func fig9Functional(w io.Writer) error {
 		return err
 	}
 	st := space.Stats()
-	fmt.Fprintf(w, "staged + indexed %d particles in %v; %d querying cores x 11 queries retrieved %d cells in %.3fs (setup %.4fs, per-query %.4fs)\n",
+	rp.printf("staged + indexed %d particles in %v; %d querying cores x 11 queries retrieved %d cells in %.3fs (setup %.4fs, per-query %.4fs)\n",
 		inserted, indexWall.Round(time.Millisecond), queryCores, qres.Cells,
 		qres.TotalSeconds, qres.SetupSeconds, qres.QuerySeconds)
-	fmt.Fprintf(w, "query distribution across %d servers: %v block lookups\n",
+	rp.printf("query distribution across %d servers: %v block lookups\n",
 		space.Servers(), st.QueriesPerServer)
 	return nil
 }
 
-// Fig10 regenerates the Pixie3D simulation-performance figure.
-func Fig10(w io.Writer) error {
+// fig10 regenerates the Pixie3D simulation-performance figure.
+func fig10(rp *Report) error {
 	m := model.JaguarXT4()
-	header(w, "Fig. 10 — Pixie3D simulation performance (XT4, 128:1 staging ratio)")
-	fmt.Fprintf(w, "%8s | %10s %10s | %10s %10s | %12s %10s\n",
+	rp.header("Fig. 10 — Pixie3D simulation performance (XT4, 128:1 staging ratio)")
+	rp.printf("%8s | %10s %10s | %10s %10s | %12s %10s\n",
 		"cores", "IC write", "IC total", "ST visible", "ST total", "slowdown %", "CPU ratio")
 	for _, cores := range model.PixieScales {
 		r := m.PixieRun(cores)
-		fmt.Fprintf(w, "%8d | %10.2f %10.1f | %10.2f %10.1f | %12.3f %10.4f\n",
+		rp.printf("%8d | %10.2f %10.1f | %10.2f %10.1f | %12.3f %10.4f\n",
 			cores,
 			r.InCompute.IOBlocking/float64(r.Dumps), r.InCompute.Total,
 			r.Staging.IOBlocking/float64(r.Dumps), r.Staging.Total,
 			r.SlowdownPct, r.CPURatio)
 	}
-	fmt.Fprintf(w, "\nheadlines: staging slows Pixie3D by 0.01%%-0.7%% (paper: same band) and the CPU-cost gap narrows with scale\n")
-	return fig10Functional(w)
+	rp.printf("\nheadlines: staging slows Pixie3D by 0.01%%-0.7%% (paper: same band) and the CPU-cost gap narrows with scale\n")
+	return fig10Functional(rp)
 }

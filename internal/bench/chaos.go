@@ -2,181 +2,72 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"strconv"
 	"time"
-
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
-	"predata/internal/predata"
-	"predata/internal/staging"
 )
 
-// chaosSeed resolves the fault seed for the chaos experiment: the
-// PREDATA_FAULT_SEED environment variable when set (the CI chaos-soak
-// lane sweeps it), 1 otherwise.
-func chaosSeed() int64 {
-	if s := os.Getenv("PREDATA_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 1
-}
-
-// chaosRun executes a multi-dump GTC-style pipeline under a fault plan
-// (nil for the fault-free baseline) and returns results plus wall time.
-func chaosRun(numCompute, numStaging, perRank, dumps int, plan *faults.Plan) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            dumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-		FaultPlan:        plan,
-		Timeout:          2 * time.Minute,
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < dumps; step++ {
-				arr := GenParticles(comm.Rank(), perRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), err
-}
-
-// histTotal sums every histogram bin a run produced, per dump — the
-// data-conservation invariant: each particle lands in exactly one bin
-// per histogrammed column.
-func histTotal(res *predata.PipelineResult, dump int) int64 {
-	var total int64
-	for _, perDump := range res.StagingResults {
-		if dump >= len(perDump) {
-			continue // crashed rank, post-crash dump
-		}
-		hists, _ := perDump[dump].PerOperator["histogram"]["histograms"].(map[int][]int64)
-		for _, bins := range hists {
-			for _, n := range bins {
-				total += n
-			}
-		}
-	}
-	return total
-}
-
-// Chaos runs the fault-injection experiment: the same workload fault-free,
+// chaos runs the fault-injection experiment: the same workload fault-free,
 // under transient faults, and under a staging-rank crash. It demonstrates
 // the recovery layer's contract — transient faults are absorbed with
 // identical results, a crash degrades but never loses data, and the
 // chaotic runs stay within a bounded slowdown of the baseline.
-func Chaos(w io.Writer) error {
+func chaos(rp *Report) error {
 	const (
 		numCompute = 8
-		numStaging = 2
 		perRank    = 5000
-		dumps      = 3
 		crashIdx   = 1
 		crashDump  = 1
 	)
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Chaos — fault injection and recovery (seed %d)", seed))
-
-	base, baseWall, err := chaosRun(numCompute, numStaging, perRank, dumps, nil)
-	if err != nil {
-		return fmt.Errorf("bench: fault-free baseline: %w", err)
-	}
-
-	tPlan, err := faults.ParsePlan("transient:*:0.1", seed)
-	if err != nil {
-		return err
-	}
-	trans, transWall, err := chaosRun(numCompute, numStaging, perRank, dumps, &tPlan)
-	if err != nil {
-		return fmt.Errorf("bench: transient run: %w", err)
-	}
-
-	cPlan, err := faults.ParsePlan(
-		fmt.Sprintf("crash:%d@%d;transient:*:0.05", numCompute+crashIdx, crashDump), seed)
+	rp.seeded("Chaos — fault injection and recovery")
+	shape := gtcShape(numCompute, 2, 3)
+	outs, err := runLegs(rp.seed, []leg{
+		{name: "fault-free", cfg: shape, perRank: perRank},
+		{name: "transient p=0.1", cfg: shape, perRank: perRank, plan: "transient:*:0.1"},
+		{name: fmt.Sprintf("staging crash @dump %d", crashDump), cfg: shape, perRank: perRank,
+			plan: fmt.Sprintf("crash:%d@%d;transient:*:0.05", numCompute+crashIdx, crashDump)},
+	})
 	if err != nil {
 		return err
 	}
-	crash, crashWall, err := chaosRun(numCompute, numStaging, perRank, dumps, &cPlan)
-	if err != nil {
-		return fmt.Errorf("bench: crash run: %w", err)
-	}
-
-	fmt.Fprintf(w, "%-28s %12s %10s %10s %10s %9s\n",
-		"run", "wall", "transients", "retries", "degraded", "loss")
-	// Per-dump histogram totals verify zero data loss: every particle of
+	// The loss column verifies zero data loss per dump: every particle of
 	// every writer is binned exactly twice (two histogrammed columns).
-	want := int64(numCompute*perRank) * 2
-	loss := func(res *predata.PipelineResult) int64 {
-		var l int64
-		for d := 0; d < dumps; d++ {
-			l += want - histTotal(res, d)
-		}
-		return l
+	var rows []row
+	for _, o := range outs {
+		f := o.res.Fault
+		rows = append(rows, row{
+			{"name", o.name, "run", "%s"},
+			{"wall_ms", o.wall.Milliseconds(), "wall", "%dms"},
+			{"transients", f.InjectedTransients, "transients", "%d"},
+			{"retries", f.Retries, "retries", "%d"},
+			{"degraded_dumps", f.DegradedDumps, "degraded", "%d"},
+			{"data_loss", o.loss(), "loss", "%d"},
+		})
 	}
-	row := func(name string, res *predata.PipelineResult, wall time.Duration) {
-		var transients, retries, degraded int64
-		if res.Fault != nil {
-			transients = res.Fault.InjectedTransients
-			retries = res.Fault.Retries
-			degraded = res.Fault.DegradedDumps
-		}
-		fmt.Fprintf(w, "%-28s %12v %10d %10d %10d %9d\n",
-			name, wall.Round(time.Millisecond), transients, retries, degraded, loss(res))
-	}
-	row("fault-free", base, baseWall)
-	row("transient p=0.1", trans, transWall)
-	row(fmt.Sprintf("staging crash @dump %d", crashDump), crash, crashWall)
+	rp.section("chaos", nil, rows)
 
 	// Invariants the experiment exists to demonstrate.
-	for d := 0; d < dumps; d++ {
-		if got := histTotal(trans, d); got != want {
-			return fmt.Errorf("bench: transient run lost data at dump %d: %d != %d", d, got, want)
-		}
-		if got := histTotal(crash, d); got != want {
-			return fmt.Errorf("bench: crash run lost data at dump %d: %d != %d", d, got, want)
+	base, trans, crash := outs[0], outs[1], outs[2]
+	want := int64(numCompute*perRank) * 2
+	for _, o := range []outcome{trans, crash} {
+		for d, got := range o.census {
+			if got != want {
+				return fmt.Errorf("bench: %s run lost data at dump %d: %d != %d", o.name, d, got, want)
+			}
 		}
 	}
-	if trans.Fault.InjectedTransients > 0 && trans.Fault.Retries == 0 {
+	if trans.res.Fault.InjectedTransients > 0 && trans.res.Fault.Retries == 0 {
 		return fmt.Errorf("bench: transients fired but nothing retried")
 	}
-	if crash.Fault.DegradedDumps == 0 {
+	if crash.res.Fault.DegradedDumps == 0 {
 		return fmt.Errorf("bench: crash run reports no degraded dumps")
 	}
 	// Bounded slowdown: chaotic runs finish within an order of magnitude
 	// of the baseline (generous — CI machines are noisy).
-	for _, c := range []struct {
-		name string
-		wall time.Duration
-	}{{"transient", transWall}, {"crash", crashWall}} {
-		if c.wall > 10*baseWall+time.Second {
+	for _, o := range []outcome{trans, crash} {
+		if o.wall > 10*base.wall+time.Second {
 			return fmt.Errorf("bench: %s run wall %v exceeds bounded slowdown of baseline %v",
-				c.name, c.wall, baseWall)
+				o.name, o.wall, base.wall)
 		}
 	}
-	fmt.Fprintf(w, "\nrecovery absorbs transients with identical results and completes a staging crash degraded, lossless\n")
+	rp.printf("\nrecovery absorbs transients with identical results and completes a staging crash degraded, lossless\n")
 	return nil
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -30,37 +28,6 @@ const (
 	elasticBaseFrames = 200
 	elasticBufferMB   = 1
 )
-
-// ElasticRun is one leg of the elasticity experiment in BENCH_*.json
-// form: provisioning cost (rank-dumps), overflow volume, and latency.
-type ElasticRun struct {
-	Name         string `json:"name"`
-	StagingRanks int    `json:"staging_ranks"` // provisioned pool size
-	WallMS       int64  `json:"wall_ms"`
-	DumpMeanMS   int64  `json:"dump_mean_ms"`
-	DumpMaxMS    int64  `json:"dump_max_ms"`
-	SpilledBytes int64  `json:"spilled_bytes"`
-	PassedBytes  int64  `json:"passed_bytes"`
-	ShedChunks   int64  `json:"shed_chunks"`
-	Throttles    int64  `json:"throttles"`
-	// RankDumps is the run's rank-hour proxy: the sum of serving rank
-	// counts over all dumps (static legs: ranks x dumps).
-	RankDumps int64 `json:"rank_dumps"`
-	// Autoscaler activity; zero on the static legs.
-	Grows     int64 `json:"grows"`
-	Shrinks   int64 `json:"shrinks"`
-	MinActive int   `json:"min_active"`
-	MaxActive int   `json:"max_active"`
-	DataLoss  int64 `json:"data_loss"`
-}
-
-// ElasticSummary is the JSON document the elastic experiment emits.
-type ElasticSummary struct {
-	Seed       int64        `json:"seed"`
-	BaseFrames int          `json:"base_frames"`
-	Factors    []float64    `json:"burst_factors"`
-	Runs       []ElasticRun `json:"runs"`
-}
 
 // The experiment's consumer is a slow analytics kernel (slowOp, as in the
 // overload experiment): elasticMapCost per chunk on a one-worker engine,
@@ -124,14 +91,14 @@ func elasticWorkload(seed int64) predata.ComputeFunc {
 	}
 }
 
-func elasticOps(dump int) []staging.Operator {
-	h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-		Var: "frames", Columns: []int{xray.AttrEnergy}, Bins: 64, AggRanges: true,
-	})
-	if err != nil {
-		return nil
-	}
-	return []staging.Operator{&slowOp{Operator: h, delay: elasticMapCost}}
+// elasticOps is the one-column energy histogram behind the modeled slow
+// consumer.
+func elasticOps() *checkedOps {
+	return &checkedOps{mapCost: elasticMapCost, build: func(int) ([]staging.Operator, error) {
+		return one(ops.NewHistogramOperator(ops.HistogramConfig{
+			Var: "frames", Columns: []int{xray.AttrEnergy}, Bins: 64, AggRanges: true,
+		}))
+	}}
 }
 
 // elasticFramesWant is the conservation figure: every rank follows the
@@ -144,167 +111,145 @@ func elasticFramesWant() int64 {
 	return perRank * elasticCompute
 }
 
-// elasticFramesGot sums every histogram bin over every dump result. One
-// histogrammed column means each frame lands in exactly one bin, so the
-// sum equals the frames processed — regardless of which dumps each rank
-// served (a dump a rank sat out is an empty placeholder row).
-func elasticFramesGot(res *predata.PipelineResult) int64 {
-	var total int64
-	for _, perDump := range res.StagingResults {
-		for _, r := range perDump {
-			if r == nil {
-				continue
-			}
-			hists, _ := r.PerOperator["histogram"]["histograms"].(map[int][]int64)
-			for _, bins := range hists {
-				for _, n := range bins {
-					total += n
-				}
-			}
-		}
-	}
-	return total
-}
-
-// elasticRow condenses one leg into its JSON form.
-func elasticRow(name string, numStaging int, res *predata.PipelineResult, wall time.Duration, rankDumps int64, scale *predata.ScaleReport) ElasticRun {
-	row := ElasticRun{
-		Name:         name,
-		StagingRanks: numStaging,
-		WallMS:       wall.Milliseconds(),
-		RankDumps:    rankDumps,
-		MinActive:    numStaging,
-		MaxActive:    numStaging,
-		DataLoss:     elasticFramesWant() - elasticFramesGot(res),
-	}
-	if ov := res.Overload; ov != nil {
-		row.SpilledBytes = ov.SpilledBytes
-		row.PassedBytes = ov.PassedBytes
-		row.ShedChunks = ov.ShedChunks
-		row.Throttles = ov.Throttles
-	}
+// dumpWalls is the mean and the longest per-rank dump wall-clock over
+// the dumps a rank actually served.
+func dumpWalls(res *predata.PipelineResult) (mean, longest time.Duration) {
 	var sum time.Duration
 	var n int64
-	var max time.Duration
 	for _, perDump := range res.StagingStats {
 		for _, st := range perDump {
 			if st == nil || st.Parked {
-				continue // dump means are over served dumps only
+				continue
 			}
 			d := st.GatherWall + st.AggregateWall + st.ProcessWall
 			sum += d
 			n++
-			if d > max {
-				max = d
-			}
+			longest = max(longest, d)
 		}
 	}
 	if n > 0 {
-		row.DumpMeanMS = (sum / time.Duration(n)).Milliseconds()
+		mean = sum / time.Duration(n)
 	}
-	row.DumpMaxMS = max.Milliseconds()
-	if scale != nil {
-		row.Grows = scale.Grows
-		row.Shrinks = scale.Shrinks
-		row.MinActive = scale.MinActive
-		row.MaxActive = scale.MaxActive
-	}
-	return row
+	return mean, longest
 }
 
-// Elastic runs the autoscaling experiment: the bursty detector-frame
+// provisioning is one leg of the elasticity experiment: the outcome of
+// the burst schedule on a pool of staging ranks, plus the pool's scaling
+// activity (for a static pool: none, every rank serving every dump).
+// Its census counts frames: one histogrammed column means each frame
+// lands in exactly one bin, whichever dumps each rank served.
+type provisioning struct {
+	outcome
+	pool  int
+	scale *predata.ScaleReport
+}
+
+// overflow is the volume the flow ladder had to move out of memory.
+func (p provisioning) overflow() int64 {
+	return p.res.Overload.SpilledBytes + p.res.Overload.PassedBytes
+}
+
+// provision runs the burst schedule on a pool of the given size: under
+// the autoscaler when policy is non-nil, statically otherwise.
+func provision(seed int64, name string, pool int, policy *elastic.Policy) (provisioning, error) {
+	p := provisioning{pool: pool}
+	dir, err := os.MkdirTemp("", "predata-elastic-*")
+	if err != nil {
+		return p, err
+	}
+	defer os.RemoveAll(dir)
+	dumps := len(elasticFactors)
+	operators := elasticOps()
+	var res *predata.PipelineResult
+	start := time.Now()
+	if policy == nil {
+		p.scale = &predata.ScaleReport{RankDumps: int64(pool * dumps), MinActive: pool, MaxActive: pool}
+		res, err = predata.RunPipeline(elasticCfg(pool, dir), elasticWorkload(seed), operators.factory)
+	} else {
+		res, p.scale, err = predata.RunElastic(elasticCfg(pool, dir),
+			predata.ElasticConfig{Policy: *policy}, elasticWorkload(seed), operators.factory)
+	}
+	wall := time.Since(start)
+	if err = operators.after(err); err != nil {
+		return p, fmt.Errorf("bench: %s leg: %w", name, err)
+	}
+	p.outcome = outcome{name: name, res: res, wall: wall, census: census(res, dumps), want: elasticFramesWant()}
+	return p, nil
+}
+
+// elasticity runs the autoscaling experiment: the bursty detector-frame
 // workload under three provisioning strategies — a static pool sized
 // for the quiet baseline (static-small), a static pool sized for the
 // burst (static-large), and the elastic pool that grows into the burst
 // and drains back out. The elastic leg must overflow less than
 // static-small and consume fewer rank-dumps than static-large, losing
-// no frames anywhere. When jsonPath is non-empty the three legs are
-// also written there as JSON.
-func Elastic(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Elastic — telemetry-driven staging autoscaling (seed %d)", seed))
-	dumps := len(elasticFactors)
+// no frames anywhere.
+func elasticity(rp *Report) error {
+	rp.seeded("Elastic — telemetry-driven staging autoscaling")
 
-	staticLeg := func(name string, numStaging int) (ElasticRun, error) {
-		dir, err := os.MkdirTemp("", "predata-elastic-*")
-		if err != nil {
-			return ElasticRun{}, err
-		}
-		defer os.RemoveAll(dir)
-		start := time.Now()
-		res, err := predata.RunPipeline(elasticCfg(numStaging, dir), elasticWorkload(seed), elasticOps)
-		if err != nil {
-			return ElasticRun{}, fmt.Errorf("bench: %s leg: %w", name, err)
-		}
-		return elasticRow(name, numStaging, res, time.Since(start),
-			int64(numStaging)*int64(dumps), nil), nil
-	}
-
-	small, err := staticLeg("static-small", 1)
+	small, err := provision(rp.seed, "static-small", 1, nil)
 	if err != nil {
 		return err
 	}
-	large, err := staticLeg("static-large", elasticPool)
+	large, err := provision(rp.seed, "static-large", elasticPool, nil)
+	if err != nil {
+		return err
+	}
+	el, err := provision(rp.seed, fmt.Sprintf("elastic 1:%d", elasticPool), elasticPool,
+		&elastic.Policy{Min: 1, Max: elasticPool, GrowK: 1, ShrinkJ: 2, Cooldown: 1})
 	if err != nil {
 		return err
 	}
 
-	dir, err := os.MkdirTemp("", "predata-elastic-*")
-	if err != nil {
-		return err
+	// Provisioning cost (rank_dumps: the run's rank-hour proxy, the sum
+	// of serving rank counts over all dumps), overflow volume, latency,
+	// and autoscaler activity — zero on the static legs.
+	legs := []provisioning{small, large, el}
+	var rows []row
+	for _, p := range legs {
+		ov := p.res.Overload
+		mean, longest := dumpWalls(p.res)
+		rows = append(rows, row{
+			{"name", p.name, "run", "%s"},
+			{"staging_ranks", p.pool, "", ""},
+			{"wall_ms", p.wall.Milliseconds(), "wall", "%dms"},
+			{"dump_mean_ms", mean.Milliseconds(), "dumpMean", "%dms"},
+			{"dump_max_ms", longest.Milliseconds(), "dumpMax", "%dms"},
+			{"spilled_bytes", ov.SpilledBytes, "", ""},
+			{"passed_bytes", ov.PassedBytes, "", ""},
+			{"", float64(p.overflow()) / (1 << 20), "spillMB", "%.2f"},
+			{"shed_chunks", ov.ShedChunks, "", ""},
+			{"throttles", ov.Throttles, "", ""},
+			{"rank_dumps", p.scale.RankDumps, "rankDumps", "%d"},
+			{"", fmt.Sprintf("%d..%d", p.scale.MinActive, p.scale.MaxActive), "active", "%s"},
+			{"grows", p.scale.Grows, "grows", "%d"},
+			{"shrinks", p.scale.Shrinks, "shrnk", "%d"},
+			{"min_active", p.scale.MinActive, "", ""},
+			{"max_active", p.scale.MaxActive, "", ""},
+			{"data_loss", p.loss(), "loss", "%d"},
+		})
 	}
-	defer os.RemoveAll(dir)
-	start := time.Now()
-	res, scale, err := predata.RunElastic(elasticCfg(elasticPool, dir), predata.ElasticConfig{
-		Policy: elastic.Policy{Min: 1, Max: elasticPool, GrowK: 1, ShrinkJ: 2, Cooldown: 1},
-	}, elasticWorkload(seed), elasticOps)
-	if err != nil {
-		return fmt.Errorf("bench: elastic leg: %w", err)
-	}
-	elasticLeg := elasticRow(fmt.Sprintf("elastic 1:%d", elasticPool), elasticPool,
-		res, time.Since(start), scale.RankDumps, scale)
-
-	rows := []ElasticRun{small, large, elasticLeg}
-	fmt.Fprintf(w, "%-16s %8s %9s %9s %9s %10s %10s %7s %6s %6s\n",
-		"run", "wall", "dumpMean", "dumpMax", "spillMB", "rankDumps", "active", "grows", "shrnk", "loss")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %6dms %7dms %7dms %9.2f %10d %7s %7d %6d %6d\n",
-			r.Name, r.WallMS, r.DumpMeanMS, r.DumpMaxMS,
-			float64(r.SpilledBytes+r.PassedBytes)/(1<<20), r.RankDumps,
-			fmt.Sprintf("%d..%d", r.MinActive, r.MaxActive), r.Grows, r.Shrinks, r.DataLoss)
-	}
+	rp.section("elastic", row{
+		{"base_frames", elasticBaseFrames, "", ""},
+		{"burst_factors", elasticFactors, "", ""},
+	}, rows)
 
 	// The invariants the experiment exists to demonstrate.
-	for _, r := range rows {
-		if r.DataLoss != 0 {
-			return fmt.Errorf("bench: %s lost %d frames", r.Name, r.DataLoss)
+	for _, p := range legs {
+		if p.loss() != 0 {
+			return fmt.Errorf("bench: %s lost %d frames", p.name, p.loss())
 		}
 	}
-	overflow := func(r ElasticRun) int64 { return r.SpilledBytes + r.PassedBytes }
-	if overflow(elasticLeg) >= overflow(small) {
-		return fmt.Errorf("bench: elastic overflow %d B not below static-small %d B",
-			overflow(elasticLeg), overflow(small))
+	if el.overflow() >= small.overflow() {
+		return fmt.Errorf("bench: elastic overflow %d B not below static-small %d B", el.overflow(), small.overflow())
 	}
-	if elasticLeg.RankDumps >= large.RankDumps {
+	if el.scale.RankDumps >= large.scale.RankDumps {
 		return fmt.Errorf("bench: elastic rank-dumps %d not below static-large %d",
-			elasticLeg.RankDumps, large.RankDumps)
+			el.scale.RankDumps, large.scale.RankDumps)
 	}
-	if elasticLeg.Grows == 0 {
-		return fmt.Errorf("bench: elastic leg never grew: %+v", elasticLeg)
+	if el.scale.Grows == 0 {
+		return fmt.Errorf("bench: elastic leg never grew: %v", rows[2])
 	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(ElasticSummary{
-			Seed: seed, BaseFrames: elasticBaseFrames, Factors: elasticFactors, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write elastic json: %w", err)
-		}
-		fmt.Fprintf(w, "\nelastic comparison written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\nelastic leg overflows less than static-small and consumes fewer rank-dumps than static-large, with zero frames lost\n")
+	rp.printf("\nelastic leg overflows less than static-small and consumes fewer rank-dumps than static-large, with zero frames lost\n")
 	return nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"predata/internal/bp"
@@ -15,36 +14,36 @@ import (
 	"predata/internal/staging"
 )
 
-// Fig11 regenerates the merged-vs-unmerged read comparison, from both the
+// fig11 regenerates the merged-vs-unmerged read comparison, from both the
 // calibrated model at the paper's 4,096-core scale and a functional run
 // in which the real staging pipeline produces the merged file.
-func Fig11(w io.Writer) error {
+func fig11(rp *Report) error {
 	m := model.JaguarXT4()
-	header(w, "Fig. 11 — read time of one global array: merged vs unmerged BP files")
-	fmt.Fprintf(w, "%8s %12s %12s %14s %10s\n",
+	rp.header("Fig. 11 — read time of one global array: merged vs unmerged BP files")
+	rp.printf("%8s %12s %12s %14s %10s\n",
 		"cores", "merged (s)", "unmerged (s)", "extents", "speedup")
 	for _, cores := range model.PixieScales {
 		r := m.PixieRead(cores)
-		fmt.Fprintf(w, "%8d %12.2f %12.2f %14d %9.1fx\n",
+		rp.printf("%8d %12.2f %12.2f %14d %9.1fx\n",
 			cores, r.MergedSeconds, r.UnmergedRead, r.UnmergedChunks, r.Speedup)
 	}
 
-	merged, unmerged, chunks, err := Fig11Functional(64, 16)
+	merged, unmerged, chunks, err := fig11Functional(64, 16)
 	if err != nil {
 		return err
 	}
-	header(w, "Fig. 11 — functional mini-run (real BP files on the modeled file system)")
-	fmt.Fprintf(w, "64 writers, 16^3 local arrays: unmerged %v (%d extents) vs merged %v -> %.1fx\n",
+	rp.header("Fig. 11 — functional mini-run (real BP files on the modeled file system)")
+	rp.printf("64 writers, 16^3 local arrays: unmerged %v (%d extents) vs merged %v -> %.1fx\n",
 		unmerged.Round(time.Millisecond), chunks, merged.Round(time.Millisecond),
 		float64(unmerged)/float64(merged))
 	return nil
 }
 
-// Fig11Functional writes one Pixie3D-like global array both ways — the
+// fig11Functional writes one Pixie3D-like global array both ways — the
 // unmerged layout directly from compute writers, and the merged layout
 // through the real staging ReorgOperator — then reads it back from each
 // file and returns the modeled read durations.
-func Fig11Functional(writers, local int) (mergedRead, unmergedRead time.Duration, unmergedChunks int, err error) {
+func fig11Functional(writers, local int) (mergedRead, unmergedRead time.Duration, unmergedChunks int, err error) {
 	fs, err := pfs.New(pfs.Config{
 		NumOSTs:      16,
 		OSTBandwidth: 500e6,
@@ -94,20 +93,17 @@ func Fig11Functional(writers, local int) (mergedRead, unmergedRead time.Duration
 		return 0, 0, 0, err
 	}
 	cfg := predata.PipelineConfig{NumCompute: writers, NumStaging: 2, Dumps: 1}
+	operators := &checkedOps{build: func(int) ([]staging.Operator, error) {
+		return one(ops.NewReorgOperator(ops.ReorgConfig{Vars: []string{"rho"}, Output: mergedW}))
+	}}
 	_, err = predata.RunPipeline(cfg,
 		func(comm *mpi.Comm, client *predata.Client) error {
 			arr := chunkOf(comm.Rank())
 			_, err := client.Write(schema, ffs.Record{"rho": arr}, 0)
 			return err
 		},
-		func(int) []staging.Operator {
-			op, err := ops.NewReorgOperator(ops.ReorgConfig{Vars: []string{"rho"}, Output: mergedW})
-			if err != nil {
-				return nil
-			}
-			return []staging.Operator{op}
-		})
-	if err != nil {
+		operators.factory)
+	if err = operators.after(err); err != nil {
 		return 0, 0, 0, err
 	}
 	if _, err := mergedW.Close(); err != nil {

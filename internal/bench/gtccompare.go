@@ -14,37 +14,27 @@ import (
 	"predata/internal/staging"
 )
 
-// GTCConfigComparison runs the GTC proxy under the paper's two
-// configurations with the real implementation and returns the mean
-// visible I/O blocking per dump under each:
-//
-//   - In-Compute-Node: synchronous shared-BP-file write through the
-//     modeled parallel file system (Modeled duration);
-//   - Staging: PreDatA staging writer (real pack + dispatch time), with
-//     the histogram operator consuming the dumps in the staging area.
-func GTCConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible time.Duration, err error) {
-	// --- In-Compute-Node configuration. ---
-	fs, err := pfs.New(pfs.Config{
-		NumOSTs: 16, OSTBandwidth: 500e6, StripeSize: 1 << 20,
-		OpLatency: 5 * time.Millisecond, Seed: 1,
-	})
+// proxy is what the two application proxies share: a simulation step and
+// an output dump through an ADIOS writer.
+type proxy interface {
+	Step(*mpi.Comm) error
+	WriteOutput(adios.Writer) (adios.StepResult, error)
+}
+
+// inComputeVisible runs a proxy under the In-Compute-Node configuration —
+// every rank writes the shared BP file synchronously through the modeled
+// parallel file system — and returns the mean modeled visible I/O per dump.
+func inComputeVisible(fs *pfs.FileSystem, file string, ranks, steps int, newSim func(rank int) (proxy, error)) (time.Duration, error) {
+	bw, err := bp.CreateWriter(fs, file, 8)
 	if err != nil {
-		return 0, 0, err
-	}
-	bw, err := bp.CreateWriter(fs, "gtc_ic.bp", 8)
-	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	var (
-		mu      sync.Mutex
-		icTotal time.Duration
-		icN     int
+		mu    sync.Mutex
+		total time.Duration
 	)
 	err = mpi.Run(ranks, func(comm *mpi.Comm) error {
-		sim, err := gtc.New(gtc.Config{
-			Rank: comm.Rank(), NumRanks: ranks,
-			ParticlesPerRank: perRank, MigrationFraction: 0.1, Seed: 11,
-		})
+		sim, err := newSim(comm.Rank())
 		if err != nil {
 			return err
 		}
@@ -61,8 +51,7 @@ func GTCConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible t
 				return err
 			}
 			mu.Lock()
-			icTotal += sr.Modeled
-			icN++
+			total += sr.Modeled
 			mu.Unlock()
 		}
 		if err := comm.Barrier(); err != nil {
@@ -70,6 +59,33 @@ func GTCConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible t
 		}
 		return w.Close()
 	})
+	return total / time.Duration(ranks*steps), err
+}
+
+// gtcConfigComparison runs the GTC proxy under the paper's two
+// configurations with the real implementation and returns the mean
+// visible I/O blocking per dump under each:
+//
+//   - In-Compute-Node: synchronous shared-BP-file write through the
+//     modeled parallel file system (Modeled duration);
+//   - Staging: PreDatA staging writer (real pack + dispatch time), with
+//     the histogram operator consuming the dumps in the staging area.
+func gtcConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible time.Duration, err error) {
+	fs, err := pfs.New(pfs.Config{
+		NumOSTs: 16, OSTBandwidth: 500e6, StripeSize: 1 << 20,
+		OpLatency: 5 * time.Millisecond, Seed: 1,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	newSim := func(rank int) (*gtc.Simulation, error) {
+		return gtc.New(gtc.Config{
+			Rank: rank, NumRanks: ranks,
+			ParticlesPerRank: perRank, MigrationFraction: 0.1, Seed: 11,
+		})
+	}
+	inCompute, err = inComputeVisible(fs, "gtc_ic.bp", ranks, steps,
+		func(rank int) (proxy, error) { return newSim(rank) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -77,6 +93,7 @@ func GTCConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible t
 	// --- Staging configuration: same proxy, staging writer, histogram
 	// operator consuming every dump. ---
 	var (
+		mu      sync.Mutex
 		stTotal time.Duration
 		stN     int
 	)
@@ -86,12 +103,15 @@ func GTCConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible t
 		Dumps:      steps,
 		Engine:     staging.Config{Workers: 2},
 	}
+	operators := &checkedOps{build: func(int) ([]staging.Operator, error) {
+		return one(ops.NewHistogramOperator(ops.HistogramConfig{
+			Var: "electrons", Columns: []int{gtc.AttrZeta}, Bins: 32,
+			Ranges: map[int][2]float64{gtc.AttrZeta: {0, 7}},
+		}))
+	}}
 	_, err = predata.RunPipeline(cfg,
 		func(comm *mpi.Comm, client *predata.Client) error {
-			sim, err := gtc.New(gtc.Config{
-				Rank: comm.Rank(), NumRanks: ranks,
-				ParticlesPerRank: perRank, MigrationFraction: 0.1, Seed: 11,
-			})
+			sim, err := newSim(comm.Rank())
 			if err != nil {
 				return err
 			}
@@ -123,18 +143,9 @@ func GTCConfigComparison(ranks, steps, perRank int) (inCompute, stagingVisible t
 			}
 			return nil
 		},
-		func(dump int) []staging.Operator {
-			op, err := ops.NewHistogramOperator(ops.HistogramConfig{
-				Var: "electrons", Columns: []int{gtc.AttrZeta}, Bins: 32,
-				Ranges: map[int][2]float64{gtc.AttrZeta: {0, 7}},
-			})
-			if err != nil {
-				return nil
-			}
-			return []staging.Operator{op}
-		})
-	if err != nil {
+		operators.factory)
+	if err = operators.after(err); err != nil {
 		return 0, 0, err
 	}
-	return icTotal / time.Duration(icN), stTotal / time.Duration(stN), nil
+	return inCompute, stTotal / time.Duration(stN), nil
 }

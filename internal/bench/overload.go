@@ -1,257 +1,128 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
 	"predata/internal/flowctl"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
-	"predata/internal/staging"
 )
 
-// slowOp wraps an operator with a fixed per-chunk Map cost, modelling an
-// expensive analytics kernel so the consumer drains slower than the
-// fabric delivers — the byte-rate imbalance that forces the flow ladder
-// to act. Optional-ness passes through so shedding still applies.
-type slowOp struct {
-	staging.Operator
-	delay time.Duration
-}
-
-func (s *slowOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
-	time.Sleep(s.delay)
-	return s.Operator.Map(ctx, chunk)
-}
-
-func (s *slowOp) Optional() bool {
-	o, ok := s.Operator.(staging.Optional)
-	return ok && o.Optional()
-}
-
-// OverloadRun is one leg of the overload experiment in BENCH_*.json form:
-// the overload trajectory — spill bytes, shed operators, peak accounted
-// memory — alongside the wall time and loss check.
-type OverloadRun struct {
-	Name           string   `json:"name"`
-	WallMS         int64    `json:"wall_ms"`
-	BudgetBytes    int64    `json:"budget_bytes"`
-	Throttles      int64    `json:"throttles"`
-	ThrottleWaitMS int64    `json:"throttle_wait_ms"`
-	SpilledChunks  int64    `json:"spilled_chunks"`
-	SpilledBytes   int64    `json:"spilled_bytes"`
-	ReplayedChunks int64    `json:"replayed_chunks"`
-	SampledChunks  int64    `json:"sampled_chunks"`
-	ShedChunks     int64    `json:"shed_chunks"`
-	PassedChunks   int64    `json:"passed_chunks"`
-	PassedBytes    int64    `json:"passed_bytes"`
-	PeakBytes      int64    `json:"peak_bytes"`
-	MaxLevel       string   `json:"max_level"`
-	ShedOperators  []string `json:"shed_operators"`
-	DegradedDumps  int64    `json:"degraded_dumps"`
-	DataLoss       int64    `json:"data_loss"`
-}
-
-// OverloadSummary is the JSON document the overload experiment emits.
-type OverloadSummary struct {
-	Seed int64         `json:"seed"`
-	Runs []OverloadRun `json:"runs"`
-}
-
-// overloadRun executes the GTC-style workload with a slow histogram
-// consumer under the given buffer budget, overload policy, and fault plan.
-func overloadRun(numCompute, numStaging, perRank, dumps, bufferMB int, pol flowctl.Policy, plan *faults.Plan) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            dumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 1},
-		PullConcurrency:  4,
-		BufferMB:         bufferMB,
-		Overload:         pol,
-		FaultPlan:        plan,
-		Timeout:          2 * time.Minute,
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{&slowOp{Operator: h, delay: 3 * time.Millisecond}}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < dumps; step++ {
-				arr := GenParticles(comm.Rank(), perRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), err
-}
-
-// overloadRow condenses one leg's pipeline result into its JSON form.
-func overloadRow(name string, res *predata.PipelineResult, wall time.Duration, loss int64) OverloadRun {
-	row := OverloadRun{
-		Name:          name,
-		WallMS:        wall.Milliseconds(),
-		MaxLevel:      flowctl.LevelName(flowctl.LevelNormal),
-		ShedOperators: []string{},
-		DataLoss:      loss,
-	}
-	if ov := res.Overload; ov != nil {
-		row.BudgetBytes = ov.BudgetBytes
-		row.Throttles = ov.Throttles
-		row.ThrottleWaitMS = ov.ThrottleWait.Milliseconds()
-		row.SpilledChunks = ov.SpilledChunks
-		row.SpilledBytes = ov.SpilledBytes
-		row.ReplayedChunks = ov.ReplayedChunks
-		row.SampledChunks = ov.SampledChunks
-		row.ShedChunks = ov.ShedChunks
-		row.PassedChunks = ov.PassedChunks
-		row.PassedBytes = ov.PassedBytes
-		row.PeakBytes = ov.PeakBytes
-		row.MaxLevel = flowctl.LevelName(ov.MaxLevel)
-	}
+// shedding condenses a run's per-dump results: how many were marked
+// Degraded and which operators the ladder withheld chunks from.
+func shedding(res *predata.PipelineResult) (degraded int64, operators []string) {
+	operators = []string{}
 	seen := map[string]bool{}
 	for _, perDump := range res.StagingResults {
 		for _, r := range perDump {
 			if r.Degraded {
-				row.DegradedDumps++
+				degraded++
 			}
 			for _, op := range r.ShedOperators {
 				if !seen[op] {
 					seen[op] = true
-					row.ShedOperators = append(row.ShedOperators, op)
+					operators = append(operators, op)
 				}
 			}
 		}
 	}
-	return row
+	return degraded, operators
 }
 
-// Overload runs the memory-budget experiment: the same slow-consumer
+// overload runs the memory-budget experiment: the same slow-consumer
 // workload unconstrained, under a budget smaller than one dump (spill),
 // with the shed rung forced, and under a budget combined with transient
 // fabric faults. It demonstrates the flow-control contract — spilling is
 // lossless and result-identical, shedding degrades only optional
 // operators, and the accountant's peak stays within budget + one chunk.
-// When jsonPath is non-empty the per-leg overload trajectory is also
-// written there as JSON.
-func Overload(w io.Writer, jsonPath string) error {
+func overload(rp *Report) error {
 	const (
-		numCompute = 8
-		numStaging = 2
-		perRank    = 6000 // ~384 KB/chunk; 4 chunks/rank/dump ≈ 1.5 MB > 1 MB budget
-		dumps      = 2
-		bufferMB   = 1
+		perRank  = 6000 // ~384 KB/chunk; 4 chunks/rank/dump ≈ 1.5 MB > 1 MB budget
+		bufferMB = 1
+		mapCost  = 3 * time.Millisecond
 	)
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Overload — memory budget and degradation ladder (seed %d)", seed))
+	rp.seeded("Overload — memory budget and degradation ladder")
 
-	base, baseWall, err := overloadRun(numCompute, numStaging, perRank, dumps, 0, flowctl.Policy{}, nil)
-	if err != nil {
-		return fmt.Errorf("bench: unconstrained baseline: %w", err)
+	shape := gtcShape(8, 2, 2)
+	shape.Engine.Workers = 1
+	shape.PullConcurrency = 4
+	budgeted := func(pol flowctl.Policy) predata.PipelineConfig {
+		cfg := shape
+		cfg.BufferMB = bufferMB
+		cfg.Overload = pol
+		return cfg
 	}
-
 	spillPol := flowctl.Policy{Patience: 2 * time.Millisecond}
-	spill, spillWall, err := overloadRun(numCompute, numStaging, perRank, dumps, bufferMB, spillPol, nil)
-	if err != nil {
-		return fmt.Errorf("bench: spill run: %w", err)
-	}
-
 	shedPol := flowctl.Policy{
 		Patience:        time.Millisecond,
 		SpillLimitBytes: 1,       // first spilled byte escalates to shed
 		PassLimitBytes:  1 << 40, // never to raw pass-through
 		ShedSample:      2,
 	}
-	shed, shedWall, err := overloadRun(numCompute, numStaging, perRank, dumps, bufferMB, shedPol, nil)
-	if err != nil {
-		return fmt.Errorf("bench: shed run: %w", err)
-	}
-
-	plan, err := faults.ParsePlan("transient:*:0.1", seed)
+	outs, err := runLegs(rp.seed, []leg{
+		{name: "unconstrained", cfg: shape, perRank: perRank, mapCost: mapCost},
+		{name: fmt.Sprintf("budget %d MB (spill)", bufferMB), cfg: budgeted(spillPol), perRank: perRank, mapCost: mapCost},
+		{name: fmt.Sprintf("budget %d MB, shed forced", bufferMB), cfg: budgeted(shedPol), perRank: perRank, mapCost: mapCost},
+		{name: fmt.Sprintf("budget %d MB + transient p=0.1", bufferMB), cfg: budgeted(spillPol), perRank: perRank, mapCost: mapCost,
+			plan: "transient:*:0.1"},
+	})
 	if err != nil {
 		return err
-	}
-	chaotic, chaoticWall, err := overloadRun(numCompute, numStaging, perRank, dumps, bufferMB, spillPol, &plan)
-	if err != nil {
-		return fmt.Errorf("bench: overload+faults run: %w", err)
 	}
 
 	// Data conservation as in the chaos experiment: every particle lands
 	// in exactly one bin per histogrammed column — except chunks withheld
 	// from the (optional) histogram by shedding, which are reported, not
 	// lost.
-	want := int64(numCompute*perRank) * 2
-	loss := func(res *predata.PipelineResult) int64 {
-		var l int64
-		for d := 0; d < dumps; d++ {
-			l += want - histTotal(res, d)
-		}
-		return l
+	const mb = 1 << 20
+	var rows []row
+	for _, o := range outs {
+		ov := o.res.Overload
+		degraded, shedOps := shedding(o.res)
+		rows = append(rows, row{
+			{"name", o.name, "run", "%s"},
+			{"wall_ms", o.wall.Milliseconds(), "wall", "%dms"},
+			{"budget_bytes", ov.BudgetBytes, "", ""},
+			{"throttles", ov.Throttles, "throttle", "%d"},
+			{"throttle_wait_ms", ov.ThrottleWait.Milliseconds(), "", ""},
+			{"spilled_chunks", ov.SpilledChunks, "", ""},
+			{"spilled_bytes", ov.SpilledBytes, "", ""},
+			{"", float64(ov.SpilledBytes) / mb, "spillMB", "%.2f"},
+			{"replayed_chunks", ov.ReplayedChunks, "replayed", "%d"},
+			{"sampled_chunks", ov.SampledChunks, "", ""},
+			{"shed_chunks", ov.ShedChunks, "shed", "%d"},
+			{"passed_chunks", ov.PassedChunks, "", ""},
+			{"passed_bytes", ov.PassedBytes, "", ""},
+			{"peak_bytes", ov.PeakBytes, "", ""},
+			{"", float64(ov.PeakBytes) / mb, "peakMB", "%.2f"},
+			{"max_level", flowctl.LevelName(ov.MaxLevel), "level", "%s"},
+			{"shed_operators", shedOps, "", ""},
+			{"degraded_dumps", degraded, "", ""},
+			{"data_loss", o.loss(), "loss", "%d"},
+		})
 	}
-
-	rows := []OverloadRun{
-		overloadRow("unconstrained", base, baseWall, loss(base)),
-		overloadRow(fmt.Sprintf("budget %d MB (spill)", bufferMB), spill, spillWall, loss(spill)),
-		overloadRow(fmt.Sprintf("budget %d MB, shed forced", bufferMB), shed, shedWall, loss(shed)),
-		overloadRow(fmt.Sprintf("budget %d MB + transient p=0.1", bufferMB), chaotic, chaoticWall, loss(chaotic)),
-	}
-	fmt.Fprintf(w, "%-30s %9s %9s %8s %10s %10s %9s %8s %6s\n",
-		"run", "wall", "throttle", "spillMB", "replayed", "shed", "peakMB", "level", "loss")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-30s %8dms %9d %8.2f %10d %10d %9.2f %8s %6d\n",
-			r.Name, r.WallMS, r.Throttles, float64(r.SpilledBytes)/(1<<20),
-			r.ReplayedChunks, r.ShedChunks, float64(r.PeakBytes)/(1<<20), r.MaxLevel, r.DataLoss)
-	}
+	rp.section("overload", nil, rows)
 
 	// Invariants the experiment exists to demonstrate.
-	if rows[1].Throttles == 0 || rows[1].SpilledChunks == 0 {
-		return fmt.Errorf("bench: spill run never throttled or spilled: %+v", rows[1])
+	spill, shed, chaotic := outs[1], outs[2], outs[3]
+	if ov := spill.res.Overload; ov.Throttles == 0 || ov.SpilledChunks == 0 {
+		return fmt.Errorf("bench: spill run never throttled or spilled: %v", rows[1])
 	}
-	if rows[1].ReplayedChunks != rows[1].SpilledChunks {
-		return fmt.Errorf("bench: spill run lost chunks: replayed %d of %d",
-			rows[1].ReplayedChunks, rows[1].SpilledChunks)
+	if ov := spill.res.Overload; ov.ReplayedChunks != ov.SpilledChunks {
+		return fmt.Errorf("bench: spill run lost chunks: replayed %d of %d", ov.ReplayedChunks, ov.SpilledChunks)
 	}
-	if rows[1].DataLoss != 0 || rows[3].DataLoss != 0 {
-		return fmt.Errorf("bench: spill-level runs must be lossless: %+v / %+v", rows[1], rows[3])
+	if spill.loss() != 0 || chaotic.loss() != 0 {
+		return fmt.Errorf("bench: spill-level runs must be lossless: %v / %v", rows[1], rows[3])
 	}
 	chunkBytes := int64(perRank * 8 * 8) // 8 float64 columns
-	for _, r := range rows[1:] {
-		if r.PeakBytes > r.BudgetBytes+2*chunkBytes {
-			return fmt.Errorf("bench: %s peak %d exceeds budget %d + slack", r.Name, r.PeakBytes, r.BudgetBytes)
+	for _, o := range outs[1:] {
+		if ov := o.res.Overload; ov.PeakBytes > ov.BudgetBytes+2*chunkBytes {
+			return fmt.Errorf("bench: %s peak %d exceeds budget %d + slack", o.name, ov.PeakBytes, ov.BudgetBytes)
 		}
 	}
-	if rows[2].ShedChunks == 0 || len(rows[2].ShedOperators) == 0 || rows[2].DegradedDumps == 0 {
-		return fmt.Errorf("bench: forced shed run never shed: %+v", rows[2])
+	if degraded, shedOps := shedding(shed.res); shed.res.Overload.ShedChunks == 0 || len(shedOps) == 0 || degraded == 0 {
+		return fmt.Errorf("bench: forced shed run never shed: %v", rows[2])
 	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(OverloadSummary{Seed: seed, Runs: rows}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write overload json: %w", err)
-		}
-		fmt.Fprintf(w, "\noverload trajectory written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\nbudgeted runs stay within budget + one chunk, spill is lossless, shed degrades only optional operators\n")
+	rp.printf("\nbudgeted runs stay within budget + one chunk, spill is lossless, shed degrades only optional operators\n")
 	return nil
 }

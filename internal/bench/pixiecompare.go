@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
-	"predata/internal/adios"
 	"predata/internal/apps/pixie3d"
 	"predata/internal/bp"
 	"predata/internal/ffs"
@@ -17,13 +14,13 @@ import (
 	"predata/internal/staging"
 )
 
-// PixieConfigComparison runs the Pixie3D proxy under both configurations
+// pixieConfigComparison runs the Pixie3D proxy under both configurations
 // with the real implementation: the In-Compute-Node path writes the
 // unmerged shared BP file synchronously; the Staging path ships the
 // fields through PreDatA where the reorg operator produces the merged
 // file. It returns the mean visible I/O per dump under each
 // configuration and the merged/unmerged read gap.
-func PixieConfigComparison(grid [3]int, local, steps int) (icVisible, stVisible time.Duration, readSpeedup float64, err error) {
+func pixieConfigComparison(grid [3]int, local, steps int) (icVisible, stVisible time.Duration, readSpeedup float64, err error) {
 	ranks := grid[0] * grid[1] * grid[2]
 	fs, err := pfs.New(pfs.Config{
 		NumOSTs: 16, OSTBandwidth: 500e6, StripeSize: 1 << 20,
@@ -33,45 +30,14 @@ func PixieConfigComparison(grid [3]int, local, steps int) (icVisible, stVisible 
 		return 0, 0, 0, err
 	}
 
-	// In-Compute-Node: synchronous unmerged shared file.
-	unmerged, err := bp.CreateWriter(fs, "pixie_ic.bp", 8)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var (
-		mu    sync.Mutex
-		icSum time.Duration
-		icN   int
-	)
-	err = mpi.Run(ranks, func(comm *mpi.Comm) error {
-		sim, err := pixie3d.New(pixie3d.Config{
-			Rank: comm.Rank(), ProcGrid: grid, LocalSize: local, InnerIters: 1, Seed: 31,
+	newSim := func(rank int) (*pixie3d.Simulation, error) {
+		return pixie3d.New(pixie3d.Config{
+			Rank: rank, ProcGrid: grid, LocalSize: local, InnerIters: 1, Seed: 31,
 		})
-		if err != nil {
-			return err
-		}
-		w, err := adios.NewMPIIOWriter(unmerged, comm.Rank(), comm.Rank() == 0)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < steps; s++ {
-			if err := sim.Step(comm); err != nil {
-				return err
-			}
-			sr, err := sim.WriteOutput(w)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			icSum += sr.Modeled
-			icN++
-			mu.Unlock()
-		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		return w.Close()
-	})
+	}
+	// In-Compute-Node: synchronous unmerged shared file.
+	icVisible, err = inComputeVisible(fs, "pixie_ic.bp", ranks, steps,
+		func(rank int) (proxy, error) { return newSim(rank) })
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -82,15 +48,17 @@ func PixieConfigComparison(grid [3]int, local, steps int) (icVisible, stVisible 
 		return 0, 0, 0, err
 	}
 	var (
+		mu    sync.Mutex
 		stSum time.Duration
 		stN   int
 	)
+	operators := &checkedOps{build: func(int) ([]staging.Operator, error) {
+		return one(ops.NewReorgOperator(ops.ReorgConfig{Vars: pixie3d.VarNames, Output: merged}))
+	}}
 	cfg := predata.PipelineConfig{NumCompute: ranks, NumStaging: max(1, ranks/4), Dumps: steps}
 	_, err = predata.RunPipeline(cfg,
 		func(comm *mpi.Comm, client *predata.Client) error {
-			sim, err := pixie3d.New(pixie3d.Config{
-				Rank: comm.Rank(), ProcGrid: grid, LocalSize: local, InnerIters: 1, Seed: 31,
-			})
+			sim, err := newSim(comm.Rank())
 			if err != nil {
 				return err
 			}
@@ -117,16 +85,8 @@ func PixieConfigComparison(grid [3]int, local, steps int) (icVisible, stVisible 
 			}
 			return nil
 		},
-		func(dump int) []staging.Operator {
-			op, err := ops.NewReorgOperator(ops.ReorgConfig{
-				Vars: pixie3d.VarNames, Output: merged,
-			})
-			if err != nil {
-				return nil
-			}
-			return []staging.Operator{op}
-		})
-	if err != nil {
+		operators.factory)
+	if err = operators.after(err); err != nil {
 		return 0, 0, 0, err
 	}
 	if _, err := merged.Close(); err != nil {
@@ -152,21 +112,21 @@ func PixieConfigComparison(grid [3]int, local, steps int) (icVisible, stVisible 
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return icSum / time.Duration(icN), stSum / time.Duration(stN),
+	return icVisible, stSum / time.Duration(stN),
 		float64(du) / float64(dm), nil
 }
 
 // fig10Functional prints the real-implementation Pixie3D comparison.
-func fig10Functional(w io.Writer) error {
-	header(w, "Fig. 10 — functional mini-run (Pixie3D proxy, 2x2x2 grid, both configurations)")
-	ic, st, speedup, err := PixieConfigComparison([3]int{2, 2, 2}, 8, 2)
+func fig10Functional(rp *Report) error {
+	rp.header("Fig. 10 — functional mini-run (Pixie3D proxy, 2x2x2 grid, both configurations)")
+	ic, st, speedup, err := pixieConfigComparison([3]int{2, 2, 2}, 8, 2)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "In-Compute-Node: mean visible I/O %v/dump (synchronous unmerged write)\n",
+	rp.printf("In-Compute-Node: mean visible I/O %v/dump (synchronous unmerged write)\n",
 		ic.Round(time.Microsecond))
-	fmt.Fprintf(w, "Staging:         mean visible I/O %v/dump (pack only; reorg hidden in staging)\n",
+	rp.printf("Staging:         mean visible I/O %v/dump (pack only; reorg hidden in staging)\n",
 		st.Round(time.Microsecond))
-	fmt.Fprintf(w, "merged-layout read gain: %.1fx\n", speedup)
+	rp.printf("merged-layout read gain: %.1fx\n", speedup)
 	return nil
 }

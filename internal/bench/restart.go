@@ -1,18 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"time"
+	"slices"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
-	"predata/internal/staging"
 	"predata/internal/trace"
 )
 
@@ -34,148 +27,7 @@ const restBounce = "restart:9@1:2"
 // requests and chunks are journaled but before any reduction.
 const restCrashAll = "crashall@2"
 
-// RestartRun is one leg of the durability experiment in
-// BENCH_restart.json form: goodput plus the journal, checkpoint and
-// recovery trajectories.
-type RestartRun struct {
-	Name   string `json:"name"`
-	WallMS int64  `json:"wall_ms"`
-	// GoodputMValS is values verifiably reduced per wall second, in
-	// millions — the figure journaling overhead and recovery stalls tax.
-	GoodputMValS float64 `json:"goodput_mval_s"`
-	// Journal trajectory: records and bytes appended, wall time spent
-	// inside WAL writes summed across ranks, and that time as a percent
-	// of the per-rank dump wall-clock (ranks journal concurrently).
-	WalRecords int64   `json:"wal_records"`
-	WalBytes   int64   `json:"wal_bytes"`
-	JournalMS  int64   `json:"journal_ms"`
-	JournalPct float64 `json:"journal_pct"`
-	// Checkpoint and recovery trajectory: checkpoints cut, ranks
-	// restarted, and journal records replayed through the engine.
-	Checkpoints int64 `json:"checkpoints"`
-	Restarts    int64 `json:"restarts"`
-	WalReplayed int64 `json:"wal_replayed"`
-	// Reroutes and overload shedding around the bounce window.
-	ReroutedDumps int64 `json:"rerouted_dumps"`
-	SpilledChunks int64 `json:"spilled_chunks"`
-	// DegradedDumps and DataLoss close the ledger: explicit degradation
-	// versus silently missing values (always zero — loss is loud).
-	DegradedDumps int64 `json:"degraded_dumps"`
-	DataLoss      int64 `json:"data_loss"`
-}
-
-// RestartSummary is the JSON document the restart experiment emits.
-type RestartSummary struct {
-	Seed    int64        `json:"seed"`
-	Writers int          `json:"writers"`
-	Staging int          `json:"staging"`
-	Dumps   int          `json:"dumps"`
-	Runs    []RestartRun `json:"runs"`
-}
-
-// restBenchRun executes one leg of the durability experiment. A
-// non-empty walDir turns on journaling; bufferMB>0 adds the flow
-// controller for the overload leg. The returned recorder holds the
-// leg's flight recording for trace.Verify.
-func restBenchRun(spec string, seed int64, walDir string, checkpointEvery, bufferMB int) (*predata.PipelineResult, time.Duration, *trace.Recorder, error) {
-	recorder := trace.New(trace.Config{
-		NumCompute: advCompute, NumStaging: advStaging, Dumps: advDumps,
-	})
-	cfg := predata.PipelineConfig{
-		NumCompute:       advCompute,
-		NumStaging:       advStaging,
-		Dumps:            advDumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-		Timeout:          2 * time.Minute,
-		WALDir:           walDir,
-		CheckpointEvery:  checkpointEvery,
-		BufferMB:         bufferMB,
-		Tracer:           recorder,
-	}
-	if spec != "" {
-		plan, err := faults.ParsePlan(spec, seed)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		cfg.FaultPlan = &plan
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < advDumps; step++ {
-				arr := GenParticles(comm.Rank(), restPerRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), recorder, err
-}
-
-// restBenchRow condenses one leg into its JSON form. Loss is measured
-// against the conservation figure: every particle bins exactly twice
-// (two histogrammed columns) per dump.
-func restBenchRow(name string, res *predata.PipelineResult, wall time.Duration) RestartRun {
-	want := int64(advCompute*restPerRank) * 2 * int64(advDumps)
-	var got int64
-	for d := 0; d < advDumps; d++ {
-		got += histTotal(res, d)
-	}
-	row := RestartRun{
-		Name:     name,
-		WallMS:   wall.Milliseconds(),
-		DataLoss: want - got,
-	}
-	if wall > 0 {
-		row.GoodputMValS = float64(got) / wall.Seconds() / 1e6
-	}
-	if f := res.Fault; f != nil {
-		row.WalRecords = f.WalRecords
-		row.WalBytes = f.WalBytes
-		row.JournalMS = f.JournalWall.Milliseconds()
-		if wall > 0 && advStaging > 0 {
-			// Ranks journal concurrently: the honest overhead figure is
-			// the per-rank average journal time against the run's wall.
-			row.JournalPct = 100 * f.JournalWall.Seconds() / float64(advStaging) / wall.Seconds()
-		}
-		row.Checkpoints = f.Checkpoints
-		row.Restarts = f.Restarts
-		row.WalReplayed = f.WalReplayed
-		row.ReroutedDumps = f.ReroutedDumps
-		row.DegradedDumps = f.DegradedDumps
-	}
-	if o := res.Overload; o != nil {
-		row.SpilledChunks = o.SpilledChunks
-	}
-	return row
-}
-
-// perDumpIdentical reports the first dump whose histogram census
-// diverges between two legs, or -1 when every dump matches.
-func perDumpIdentical(a, b *predata.PipelineResult) int {
-	for d := 0; d < advDumps; d++ {
-		if histTotal(a, d) != histTotal(b, d) {
-			return d
-		}
-	}
-	return -1
-}
-
-// Restart runs the durability experiment: the same workload without a
+// restart runs the durability experiment: the same workload without a
 // journal, journaling with a checkpoint cadence (measuring the
 // overhead), bouncing one staging rank across a two-dump window,
 // crashing the whole staging service mid-dump and replaying it back,
@@ -186,11 +38,9 @@ func perDumpIdentical(a, b *predata.PipelineResult) int {
 // the wall-clock is reported (the journal column, journal_pct in the
 // JSON) but not gated: on a ~90 ms leg it moves by several points
 // between runs, and the figure to quote is the benchmark ledger's
-// wal.journal_share at scale. When jsonPath is non-empty the legs are
-// also written there as JSON.
-func Restart(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Restart — journal, checkpoint and crash-restart recovery (seed %d)", seed))
+// wal.journal_share at scale.
+func restart(rp *Report) error {
+	rp.seeded("Restart — journal, checkpoint and crash-restart recovery")
 
 	// Journal onto memory-backed storage when the host has it: staging
 	// nodes journal to fast node-local devices, and the journal column
@@ -206,86 +56,101 @@ func Restart(w io.Writer, jsonPath string) error {
 		return err
 	}
 	defer os.RemoveAll(walRoot)
-	walDir := func(leg string) string { return walRoot + "/" + leg }
 
-	type leg struct {
-		name            string
-		spec            string
-		walDir          string
-		checkpointEvery int
-		bufferMB        int
+	// Every leg is flight-recorded; a non-empty journal name turns on
+	// journaling under walRoot, bufferMB > 0 adds the flow controller.
+	shape := func(journal string, checkpointEvery, bufferMB int) predata.PipelineConfig {
+		cfg := gtcShape(advCompute, advStaging, advDumps)
+		if journal != "" {
+			cfg.WALDir = walRoot + "/" + journal
+		}
+		cfg.CheckpointEvery = checkpointEvery
+		cfg.BufferMB = bufferMB
+		cfg.Tracer = trace.New(trace.Config{NumCompute: advCompute, NumStaging: advStaging, Dumps: advDumps})
+		return cfg
 	}
 	legs := []leg{
-		{"no journal", "", "", 0, 0},
-		{"journal clean", "", walDir("clean"), 2, 0},
-		{"single restart", restBounce, walDir("bounce"), 0, 0},
-		{"crashall replay", restCrashAll, walDir("crashall"), 0, 0},
-		{"restart overloaded", restBounce, walDir("overload"), 0, 1},
+		{name: "no journal", cfg: shape("", 0, 0), perRank: restPerRank},
+		{name: "journal clean", cfg: shape("clean", 2, 0), perRank: restPerRank},
+		{name: "single restart", cfg: shape("bounce", 0, 0), perRank: restPerRank, plan: restBounce},
+		{name: "crashall replay", cfg: shape("crashall", 0, 0), perRank: restPerRank, plan: restCrashAll},
+		{name: "restart overloaded", cfg: shape("overload", 0, 1), perRank: restPerRank, plan: restBounce},
+	}
+	outs, err := runLegs(rp.seed, legs)
+	if err != nil {
+		return err
 	}
 
-	rows := make([]RestartRun, 0, len(legs))
-	results := make([]*predata.PipelineResult, 0, len(legs))
-	recorders := make([]*trace.Recorder, 0, len(legs))
-	for _, l := range legs {
-		res, wall, rec, err := restBenchRun(l.spec, seed, l.walDir, l.checkpointEvery, l.bufferMB)
-		if err != nil {
-			return fmt.Errorf("bench: %s leg: %w", l.name, err)
-		}
-		rows = append(rows, restBenchRow(l.name, res, wall))
-		results = append(results, res)
-		recorders = append(recorders, rec)
+	// Goodput, then the journal trajectory (records and bytes appended,
+	// wall time inside WAL writes summed across ranks, and that time as a
+	// percent of the run's wall — ranks journal concurrently, so the
+	// honest overhead figure is the per-rank average), the checkpoint and
+	// recovery trajectory, reroutes and spills around the bounce window,
+	// and the ledger's close: explicit degradation versus silent loss.
+	var rows []row
+	for _, o := range outs {
+		f := o.res.Fault
+		rows = append(rows, row{
+			{"name", o.name, "run", "%s"},
+			{"wall_ms", o.wall.Milliseconds(), "wall", "%dms"},
+			{"goodput_mval_s", o.goodput(), "goodput", "%.2fM"},
+			{"wal_records", f.WalRecords, "walRecs", "%d"},
+			{"wal_bytes", f.WalBytes, "", ""},
+			{"journal_ms", f.JournalWall.Milliseconds(), "", ""},
+			{"journal_pct", 100 * f.JournalWall.Seconds() / advStaging / o.wall.Seconds(), "journal", "%.2f%%"},
+			{"checkpoints", f.Checkpoints, "ckpts", "%d"},
+			{"restarts", f.Restarts, "rstrt", "%d"},
+			{"wal_replayed", f.WalReplayed, "rply", "%d"},
+			{"rerouted_dumps", f.ReroutedDumps, "rerout", "%d"},
+			{"spilled_chunks", o.res.Overload.SpilledChunks, "", ""},
+			{"degraded_dumps", f.DegradedDumps, "degr", "%d"},
+			{"data_loss", o.loss(), "loss", "%d"},
+		})
 	}
-
-	fmt.Fprintf(w, "%-20s %8s %9s %8s %9s %8s %6s %5s %7s %6s %5s\n",
-		"run", "wall", "goodput", "walRecs", "journal", "ckpts", "rstrt", "rply", "rerout", "degr", "loss")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s %6dms %7.2fM %8d %7.2f%% %8d %6d %5d %7d %6d %5d\n",
-			r.Name, r.WallMS, r.GoodputMValS, r.WalRecords, r.JournalPct,
-			r.Checkpoints, r.Restarts, r.WalReplayed, r.ReroutedDumps, r.DegradedDumps, r.DataLoss)
-	}
+	rp.section("restart", advParams, rows)
 
 	// The invariants the experiment exists to demonstrate.
-	base, clean, bounce, crash, overload := rows[0], rows[1], rows[2], rows[3], rows[4]
-	if base.DataLoss != 0 || base.DegradedDumps != 0 {
-		return fmt.Errorf("bench: no-journal leg not clean: %+v", base)
+	base, clean, bounce, crash, overloaded := outs[0], outs[1], outs[2], outs[3], outs[4]
+	if base.loss() != 0 || base.res.Fault.DegradedDumps != 0 {
+		return fmt.Errorf("bench: no-journal leg not clean: %v", rows[0])
 	}
 	// Journaling must be invisible in the results.
-	if clean.DataLoss != 0 || clean.DegradedDumps != 0 {
-		return fmt.Errorf("bench: clean journal leg not lossless: %+v", clean)
+	if clean.loss() != 0 || clean.res.Fault.DegradedDumps != 0 {
+		return fmt.Errorf("bench: clean journal leg not lossless: %v", rows[1])
 	}
-	if d := perDumpIdentical(results[0], results[1]); d >= 0 {
-		return fmt.Errorf("bench: journaling changed dump %d's census", d)
+	if !slices.Equal(base.census, clean.census) {
+		return fmt.Errorf("bench: journaling changed the per-dump census: %v != %v", clean.census, base.census)
 	}
-	if clean.WalRecords == 0 || clean.WalBytes == 0 {
-		return fmt.Errorf("bench: clean journal leg appended nothing: %+v", clean)
+	if f := clean.res.Fault; f.WalRecords == 0 || f.WalBytes == 0 {
+		return fmt.Errorf("bench: clean journal leg appended nothing: %v", rows[1])
 	}
-	if wantCkpt := int64(advStaging * advDumps / 2); clean.Checkpoints != wantCkpt {
-		return fmt.Errorf("bench: clean leg cut %d checkpoints, want %d", clean.Checkpoints, wantCkpt)
+	if got, want := clean.res.Fault.Checkpoints, int64(advStaging*advDumps/2); got != want {
+		return fmt.Errorf("bench: clean leg cut %d checkpoints, want %d", got, want)
 	}
 	// The bounce reroutes its writers and rejoins without losing a value.
-	if bounce.DataLoss != 0 {
-		return fmt.Errorf("bench: single restart leg lost %d values across the bounce", bounce.DataLoss)
+	if bounce.loss() != 0 {
+		return fmt.Errorf("bench: single restart leg lost %d values across the bounce", bounce.loss())
 	}
-	if bounce.Restarts != 1 || bounce.ReroutedDumps == 0 {
-		return fmt.Errorf("bench: single restart leg did not bounce and reroute: %+v", bounce)
+	if f := bounce.res.Fault; f.Restarts != 1 || f.ReroutedDumps == 0 {
+		return fmt.Errorf("bench: single restart leg did not bounce and reroute: %v", rows[2])
 	}
 	// The whole-service crash replays back bit-identical: no degradation
 	// anywhere, every rank rebuilt, the crashed dump's chunks replayed.
-	if crash.DataLoss != 0 || crash.DegradedDumps != 0 {
-		return fmt.Errorf("bench: crashall leg must replay losslessly: %+v", crash)
+	if crash.loss() != 0 || crash.res.Fault.DegradedDumps != 0 {
+		return fmt.Errorf("bench: crashall leg must replay losslessly: %v", rows[3])
 	}
-	if d := perDumpIdentical(results[0], results[3]); d >= 0 {
-		return fmt.Errorf("bench: crashall replay diverged from the baseline at dump %d", d)
+	if !slices.Equal(base.census, crash.census) {
+		return fmt.Errorf("bench: crashall replay diverged from the baseline census: %v != %v", crash.census, base.census)
 	}
-	if crash.Restarts != int64(advStaging) {
-		return fmt.Errorf("bench: crashall rebuilt %d ranks, want %d", crash.Restarts, advStaging)
+	if got := crash.res.Fault.Restarts; got != int64(advStaging) {
+		return fmt.Errorf("bench: crashall rebuilt %d ranks, want %d", got, advStaging)
 	}
-	if crash.WalReplayed != int64(advCompute) {
-		return fmt.Errorf("bench: crashall replayed %d chunks, want %d", crash.WalReplayed, advCompute)
+	if got := crash.res.Fault.WalReplayed; got != int64(advCompute) {
+		return fmt.Errorf("bench: crashall replayed %d chunks, want %d", got, advCompute)
 	}
 	// The flight recording must prove it: replays matched to journal
 	// appends byte-for-byte and no chunk reduced by two incarnations.
-	rep, err := trace.Verify(recorders[3].Snapshot())
+	rep, err := trace.Verify(legs[3].cfg.Tracer.Snapshot())
 	if err != nil {
 		return fmt.Errorf("bench: crashall leg failed trace verification: %w", err)
 	}
@@ -293,25 +158,12 @@ func Restart(w io.Writer, jsonPath string) error {
 		return fmt.Errorf("bench: crashall recording ran no WAL/restart checks: %+v", rep)
 	}
 	// Bouncing under a starved flow controller may shed, but only loudly.
-	if overload.Restarts != 1 {
-		return fmt.Errorf("bench: overloaded restart leg did not bounce: %+v", overload)
+	if overloaded.res.Fault.Restarts != 1 {
+		return fmt.Errorf("bench: overloaded restart leg did not bounce: %v", rows[4])
 	}
-	if overload.DataLoss != 0 && overload.DegradedDumps == 0 {
-		return fmt.Errorf("bench: overloaded restart leg lost %d values silently", overload.DataLoss)
+	if overloaded.loss() != 0 && overloaded.res.Fault.DegradedDumps == 0 {
+		return fmt.Errorf("bench: overloaded restart leg lost %d values silently", overloaded.loss())
 	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(RestartSummary{
-			Seed: seed, Writers: advCompute, Staging: advStaging, Dumps: advDumps, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write restart json: %w", err)
-		}
-		fmt.Fprintf(w, "\nrestart legs written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\nbounced ranks rejoin from their journals, a whole-service crash replays back bit-identical — no silent loss anywhere (journaling cost: the journal column here, wal.journal_share in the benchmark ledger)\n")
+	rp.printf("\nbounced ranks rejoin from their journals, a whole-service crash replays back bit-identical — no silent loss anywhere (journaling cost: the journal column here, wal.journal_share in the benchmark ledger)\n")
 	return nil
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -38,58 +36,26 @@ const (
 // serveVersionBytes is one ingested version's payload.
 const serveVersionBytes = serveRows * serveCols * 8
 
-// serveCtx bounds one leg's ingest phase; a wedged admission queue
-// fails the leg instead of hanging the bench.
-func serveCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 2*time.Minute)
-}
-
-// ServeRun is one leg of the multi-tenant serve experiment.
-type ServeRun struct {
-	Name    string `json:"name"`
-	Tenants int    `json:"tenants"`
-	// Ingest phase: sustained throughput across all tenant streams.
-	IngestedMB   float64 `json:"ingested_mb"`
-	IngestWallMS int64   `json:"ingest_wall_ms"`
-	IngestMBps   float64 `json:"ingest_mbps"`
-	// Query phase: per-query latency under concurrent tenant traffic —
-	// the median of per-tenant p50s and the worst per-tenant p99.
-	Queries    int64   `json:"queries"`
-	QueryP50US float64 `json:"query_p50_us"`
-	QueryP99US float64 `json:"query_p99_us"`
-	// Cache and admission activity.
-	CacheHits    int64   `json:"cache_hits"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	Waits        int64   `json:"admission_waits"`
-	// Trace verification coverage: objects checked for tenant isolation
-	// and hits checked for cache coherence. Zero leakage is implied by
-	// the leg completing — Verify fails the run otherwise.
-	TenantChecks int `json:"tenant_checks"`
-	CacheChecks  int `json:"cache_checks"`
-}
-
-// ServeCacheComparison is the repeated-region workload measured with
-// the result cache on and off; Speedup is uncached p50 over cached p50.
-type ServeCacheComparison struct {
-	CachedP50US   float64 `json:"cached_p50_us"`
-	UncachedP50US float64 `json:"uncached_p50_us"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// ServeSummary is the JSON document the serve experiment emits.
-type ServeSummary struct {
-	Seed           int64                `json:"seed"`
-	Versions       int                  `json:"versions"`
-	RowsPerVersion int                  `json:"rows_per_version"`
-	Runs           []ServeRun           `json:"runs"`
-	Cache          ServeCacheComparison `json:"cache_comparison"`
+// perTenant runs fn once per session, all at once, and returns their
+// errors joined once every tenant has finished.
+func perTenant(sessions []*serve.Session, fn func(i int, s *serve.Session) error) error {
+	errs := make([]error, len(sessions))
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func(i int, s *serve.Session) {
+			defer wg.Done()
+			errs[i] = fn(i, s)
+		}(i, s)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // serveLeg runs one daemon with the given tenant count: concurrent
 // ingest streams (sliding resident window), then a concurrent query
 // sweep per tenant, with exact conservation and a verified trace.
-func serveLeg(name string, tenants, cacheEntries int, seed int64) (ServeRun, error) {
-	row := ServeRun{Name: name, Tenants: tenants}
+func serveLeg(name string, tenants, cacheEntries int, seed int64) (row, error) {
 	rec := trace.New(trace.Config{Shards: 8, ShardCapacity: 1 << 14})
 	d, err := serve.Open(serve.Config{
 		Servers:       2,
@@ -99,7 +65,7 @@ func serveLeg(name string, tenants, cacheEntries int, seed int64) (ServeRun, err
 		Tracer:        rec,
 	})
 	if err != nil {
-		return row, fmt.Errorf("bench: %s: %w", name, err)
+		return nil, fmt.Errorf("bench: %s: %w", name, err)
 	}
 	defer d.Close()
 
@@ -107,200 +73,185 @@ func serveLeg(name string, tenants, cacheEntries int, seed int64) (ServeRun, err
 	for i := range sessions {
 		s, err := d.Join(fmt.Sprintf("sim%02d", i), 1+i%3)
 		if err != nil {
-			return row, fmt.Errorf("bench: %s: %w", name, err)
+			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		sessions[i] = s
 	}
 
 	// Ingest phase: every tenant streams its versions concurrently,
-	// evicting past the resident window so the pot stays live.
-	ctx, cancel := serveCtx()
+	// evicting past the resident window so the pot stays live. The
+	// context bounds the phase: a wedged admission queue fails the leg
+	// instead of hanging the bench.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	start := time.Now()
-	var wg sync.WaitGroup
-	errc := make(chan error, tenants)
-	for i, s := range sessions {
-		wg.Add(1)
-		go func(i int, s *serve.Session) {
-			defer wg.Done()
-			data := make([]float64, serveRows*serveCols)
-			for v := 0; v < serveVersions; v++ {
-				stamp := float64(seed%1000)*1e6 + float64(i)*1e3 + float64(v)
-				for j := range data {
-					data[j] = stamp
-				}
-				if err := s.Ingest(ctx, "field", v, []uint64{0, 0}, []uint64{serveRows, serveCols}, data); err != nil {
-					errc <- fmt.Errorf("bench: %s tenant %d version %d: %w", name, i, v, err)
-					return
-				}
-				if v >= serveWindow {
-					if err := s.EvictVersion("field", v-serveWindow); err != nil {
-						errc <- err
-						return
-					}
+	err = perTenant(sessions, func(i int, s *serve.Session) error {
+		data := make([]float64, serveRows*serveCols)
+		for v := 0; v < serveVersions; v++ {
+			stamp := float64(seed%1000)*1e6 + float64(i)*1e3 + float64(v)
+			for j := range data {
+				data[j] = stamp
+			}
+			if err := s.Ingest(ctx, "field", v, []uint64{0, 0}, []uint64{serveRows, serveCols}, data); err != nil {
+				return fmt.Errorf("bench: %s tenant %d version %d: %w", name, i, v, err)
+			}
+			if v >= serveWindow {
+				if err := s.EvictVersion("field", v-serveWindow); err != nil {
+					return err
 				}
 			}
-		}(i, s)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		return row, err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ingestWall := time.Since(start)
-	row.IngestedMB = float64(tenants) * serveVersions * serveVersionBytes / (1 << 20)
-	row.IngestWallMS = ingestWall.Milliseconds()
-	if s := ingestWall.Seconds(); s > 0 {
-		row.IngestMBps = row.IngestedMB / s
-	}
+	ingestedMB := float64(tenants) * serveVersions * serveVersionBytes / (1 << 20)
 
 	// Query phase: every tenant sweeps its freshest version in parallel.
 	results := make([]queryapp.TenantResult, tenants)
-	qerrc := make(chan error, tenants)
-	for i, s := range sessions {
-		wg.Add(1)
-		go func(i int, s *serve.Session) {
-			defer wg.Done()
-			res, err := queryapp.RunTenant(queryapp.TenantConfig{
-				Session: s,
-				Object:  "field",
-				Version: serveVersions - 1,
-				Domain:  []uint64{serveRows, serveCols},
-				Cores:   serveQueryCores,
-				Queries: serveQueryCount,
-				Rounds:  serveQueryRounds,
-			})
-			if err != nil {
-				qerrc <- fmt.Errorf("bench: %s tenant %d queries: %w", name, i, err)
-				return
-			}
-			results[i] = res
-		}(i, s)
+	err = perTenant(sessions, func(i int, s *serve.Session) error {
+		res, err := queryapp.RunTenant(queryapp.TenantConfig{
+			Session: s,
+			Object:  "field",
+			Version: serveVersions - 1,
+			Domain:  []uint64{serveRows, serveCols},
+			Cores:   serveQueryCores,
+			Queries: serveQueryCount,
+			Rounds:  serveQueryRounds,
+		})
+		if err != nil {
+			return fmt.Errorf("bench: %s tenant %d queries: %w", name, i, err)
+		}
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	close(qerrc)
-	for err := range qerrc {
-		return row, err
-	}
+	// Per-query latency under concurrent tenant traffic: the median of
+	// per-tenant p50s and the worst per-tenant p99.
 	p50s := make([]float64, 0, tenants)
+	var p99 float64
+	var queries int64
 	for _, r := range results {
 		p50s = append(p50s, r.P50Seconds*1e6)
-		if p99 := r.P99Seconds * 1e6; p99 > row.QueryP99US {
-			row.QueryP99US = p99
-		}
-		row.Queries += r.Queries + r.Reduces
+		p99 = max(p99, r.P99Seconds*1e6)
+		queries += r.Queries + r.Reduces
 	}
 	sort.Float64s(p50s)
-	row.QueryP50US = p50s[len(p50s)/2]
 
 	// Exact per-tenant frame conservation — zero loss, zero invention.
+	var waits int64
 	for i, s := range sessions {
 		st, err := s.Stats()
 		if err != nil {
-			return row, err
+			return nil, err
 		}
 		if st.Ingests != serveVersions || st.IngestedCells != int64(serveVersions)*serveRows*serveCols {
-			return row, fmt.Errorf("bench: %s tenant %d: %d ingests / %d cells, want %d / %d — frames lost",
+			return nil, fmt.Errorf("bench: %s tenant %d: %d ingests / %d cells, want %d / %d — frames lost",
 				name, i, st.Ingests, st.IngestedCells, serveVersions, int64(serveVersions)*serveRows*serveCols)
 		}
-		row.Waits += st.Admission.Waits
+		waits += st.Admission.Waits
 	}
 	cs := d.CacheStats()
-	row.CacheHits = cs.Hits
+	var hitRate float64
 	if total := cs.Hits + cs.Misses; total > 0 {
-		row.CacheHitRate = float64(cs.Hits) / float64(total)
+		hitRate = float64(cs.Hits) / float64(total)
 	}
 
 	// Zero cross-tenant leakage: the recording must verify, and must
 	// actually have covered every tenant's object.
 	rep, err := trace.Verify(rec.Snapshot())
 	if err != nil {
-		return row, fmt.Errorf("bench: %s trace: %w", name, err)
+		return nil, fmt.Errorf("bench: %s trace: %w", name, err)
 	}
 	if rep.TenantChecks < tenants {
-		return row, fmt.Errorf("bench: %s: verify covered %d objects, want >= %d", name, rep.TenantChecks, tenants)
+		return nil, fmt.Errorf("bench: %s: verify covered %d objects, want >= %d", name, rep.TenantChecks, tenants)
 	}
-	row.TenantChecks = rep.TenantChecks
-	row.CacheChecks = rep.CacheChecks
-	return row, nil
+	// tenant_checks and cache_checks are the verification coverage:
+	// objects checked for tenant isolation and hits checked for cache
+	// coherence. Zero leakage is implied by the leg completing — Verify
+	// fails the run otherwise.
+	return row{
+		{"name", name, "run", "%s"},
+		{"tenants", tenants, "tenants", "%d"},
+		{"ingested_mb", ingestedMB, "ingestMB", "%.2f"},
+		{"ingest_wall_ms", ingestWall.Milliseconds(), "", ""},
+		{"ingest_mbps", ingestedMB / ingestWall.Seconds(), "ingMB/s", "%.1f"},
+		{"queries", queries, "queries", "%d"},
+		{"query_p50_us", p50s[len(p50s)/2], "qP50us", "%.2f"},
+		{"query_p99_us", p99, "qP99us", "%.2f"},
+		{"cache_hits", cs.Hits, "", ""},
+		{"cache_hit_rate", hitRate, "hitRate", "%.2f"},
+		{"admission_waits", waits, "waits", "%d"},
+		{"tenant_checks", rep.TenantChecks, "", ""},
+		{"cache_checks", rep.CacheChecks, "", ""},
+		{"", rep.TenantChecks + rep.CacheChecks, "checks", "%d"},
+	}, nil
 }
 
-// Serve runs the multi-tenant streaming-service experiment: sustained
+// serving runs the multi-tenant streaming-service experiment: sustained
 // ingest with concurrent query sweeps under 1, 4, and 16 tenants, every
 // leg trace-verified for tenant isolation and cache coherence with
 // exact frame conservation, plus a cache on/off comparison on the
-// repeated-region workload. When jsonPath is non-empty the summary is
-// also written there as JSON.
-func Serve(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Serve — multi-tenant streaming staging with query traffic (seed %d)", seed))
+// repeated-region workload.
+func serving(rp *Report) error {
+	rp.seeded("Serve — multi-tenant streaming staging with query traffic")
 
-	legs := []struct {
+	var rows []row
+	for _, l := range []struct {
 		name    string
 		tenants int
 	}{
 		{"single-tenant", 1},
 		{"fair-share-4", 4},
 		{"query-storm-16", 16},
-	}
-	rows := make([]ServeRun, 0, len(legs))
-	for _, leg := range legs {
-		row, err := serveLeg(leg.name, leg.tenants, serveCacheCap, seed)
+	} {
+		leg, err := serveLeg(l.name, l.tenants, serveCacheCap, rp.seed)
 		if err != nil {
 			return err
 		}
-		rows = append(rows, row)
+		rows = append(rows, leg)
 	}
 
 	// The cache comparison re-runs the single-tenant repeated-region
-	// workload with the cache disabled.
-	uncached, err := serveLeg("single-tenant-nocache", 1, 0, seed)
+	// workload with the cache disabled; speedup is uncached p50 over
+	// cached p50.
+	uncachedLeg, err := serveLeg("single-tenant-nocache", 1, 0, rp.seed)
 	if err != nil {
 		return err
 	}
-	cmp := ServeCacheComparison{
-		CachedP50US:   rows[0].QueryP50US,
-		UncachedP50US: uncached.QueryP50US,
+	cached := rows[0].get("query_p50_us").(float64)
+	uncached := uncachedLeg.get("query_p50_us").(float64)
+	var speedup float64
+	if cached > 0 {
+		speedup = uncached / cached
 	}
-	if cmp.CachedP50US > 0 {
-		cmp.Speedup = cmp.UncachedP50US / cmp.CachedP50US
-	}
-
-	fmt.Fprintf(w, "%-16s %8s %9s %10s %8s %10s %10s %8s %7s %7s\n",
-		"run", "tenants", "ingestMB", "ingMB/s", "queries", "qP50us", "qP99us", "hitRate", "waits", "checks")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %8d %9.2f %10.1f %8d %10.2f %10.2f %8.2f %7d %7d\n",
-			r.Name, r.Tenants, r.IngestedMB, r.IngestMBps, r.Queries,
-			r.QueryP50US, r.QueryP99US, r.CacheHitRate, r.Waits, r.TenantChecks+r.CacheChecks)
-	}
-	fmt.Fprintf(w, "\ncache on repeated regions: p50 %.2fus cached vs %.2fus uncached (%.1fx)\n",
-		cmp.CachedP50US, cmp.UncachedP50US, cmp.Speedup)
+	rp.section("serve", row{
+		{"versions", serveVersions, "", ""},
+		{"rows_per_version", serveRows, "", ""},
+		{"cache_comparison", row{
+			{"cached_p50_us", cached, "", ""},
+			{"uncached_p50_us", uncached, "", ""},
+			{"speedup", speedup, "", ""},
+		}, "", ""},
+	}, rows)
+	rp.printf("\ncache on repeated regions: p50 %.2fus cached vs %.2fus uncached (%.1fx)\n", cached, uncached, speedup)
 
 	// The invariants the experiment exists to demonstrate. Conservation
 	// and trace verification already gated inside each leg; here the
 	// cache must earn its keep on the repeated-region workload.
-	if cmp.Speedup < 2 {
+	if speedup < 2 {
 		return fmt.Errorf("bench: cache speedup %.2fx below 2x on repeated regions (cached %.2fus, uncached %.2fus)",
-			cmp.Speedup, cmp.CachedP50US, cmp.UncachedP50US)
+			speedup, cached, uncached)
 	}
-	for _, r := range rows {
-		if r.CacheChecks == 0 {
-			return fmt.Errorf("bench: %s: no cache-coherence checks in the verified trace", r.Name)
+	for _, leg := range rows {
+		if leg.get("cache_checks").(int) == 0 {
+			return fmt.Errorf("bench: %s: no cache-coherence checks in the verified trace", leg.get("name"))
 		}
 	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(ServeSummary{
-			Seed: seed, Versions: serveVersions, RowsPerVersion: serveRows, Runs: rows, Cache: cmp,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write serve json: %w", err)
-		}
-		fmt.Fprintf(w, "\nserve comparison written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\nall legs conserve every tenant's frames with verified isolation; the result cache beats uncached reads >=2x on repeated regions\n")
+	rp.printf("\nall legs conserve every tenant's frames with verified isolation; the result cache beats uncached reads >=2x on repeated regions\n")
 	return nil
 }

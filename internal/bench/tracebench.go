@@ -1,98 +1,34 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"sort"
 	"time"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
-	"predata/internal/staging"
 	"predata/internal/trace"
 )
-
-// TraceRun is one leg of the tracing experiment in BENCH_*.json form:
-// wall time plus the structures the flight recorder captured and the
-// verifier checked.
-type TraceRun struct {
-	Name             string `json:"name"`
-	WallMS           int64  `json:"wall_ms"`
-	Events           int    `json:"events"`
-	Dropped          int64  `json:"dropped"`
-	Collectives      int    `json:"collectives"`
-	CollectiveGroups int    `json:"collective_groups"`
-	ShuffleEdges     int    `json:"shuffle_edges"`
-	ReplayChecks     int    `json:"replay_checks"`
-}
-
-// TraceSummary is the JSON document the trace experiment emits.
-type TraceSummary struct {
-	Seed        int64      `json:"seed"`
-	OverheadPct float64    `json:"overhead_pct"`
-	Runs        []TraceRun `json:"runs"`
-}
-
-// traceWorkload runs the GTC mini-workload once with the given recorder
-// (nil for the untraced baseline) and fault plan, returning the wall
-// time of the whole pipeline.
-func traceWorkload(numCompute, numStaging, perRank, dumps int, tracer *trace.Recorder, plan *faults.Plan) (time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            dumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		FaultPlan:        plan,
-		Tracer:           tracer,
-		Timeout:          2 * time.Minute,
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	_, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < dumps; step++ {
-				arr := GenParticles(comm.Rank(), perRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, opsFor)
-	return time.Since(start), err
-}
 
 // tracePair runs reps back-to-back (untraced, traced) pairs of the
 // workload and reports the median paired overhead ratio. Pairing puts
 // both legs under the same instantaneous machine load, and the median
 // of per-pair ratios discards the pairs a GC cycle or scheduler stall
-// landed in — the noise on a ~250 ms goroutine pipeline is far larger
+// landed in — the noise on a ~50 ms goroutine pipeline is far larger
 // than the recorder's true cost, so min-vs-min or mean estimators
 // flake. Also returns each leg's fastest wall clock (for the report
 // table) and the recording of the fastest traced repetition.
-func tracePair(reps, numCompute, numStaging, perRank, dumps int) (untraced, traced time.Duration, overheadPct float64, bestRec *trace.Recording, err error) {
+func tracePair(seed int64, reps int, shape predata.PipelineConfig, perRank int) (untraced, traced time.Duration, overheadPct float64, bestRec *trace.Recording, err error) {
 	untraced, traced = -1, -1
 	ratios := make([]float64, 0, reps)
 	timed := func(rec *trace.Recorder) (time.Duration, error) {
 		// Start every leg from a collected heap so GC cycles triggered by
 		// the previous leg's garbage don't land inside this one's timing.
 		runtime.GC()
-		return traceWorkload(numCompute, numStaging, perRank, dumps, rec, nil)
+		cfg := shape
+		cfg.Tracer = rec
+		o, err := leg{name: "overhead measurement", cfg: cfg, perRank: perRank}.run(seed)
+		return o.wall, err
 	}
 	for i := 0; i < reps; i++ {
 		// Right-size the rings for this workload (~2,300 events, spread
@@ -101,7 +37,7 @@ func tracePair(reps, numCompute, numStaging, perRank, dumps int) (untraced, trac
 		// pipeline and drown the recording cost we are measuring.
 		// Capacity stays ~3.5× the event count, so nothing drops.
 		rec := trace.New(trace.Config{
-			NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
+			NumCompute: shape.NumCompute, NumStaging: shape.NumStaging, Dumps: shape.Dumps,
 			Shards: 4, ShardCapacity: 2048,
 		})
 		var u, tr time.Duration
@@ -136,38 +72,41 @@ func tracePair(reps, numCompute, numStaging, perRank, dumps int) (untraced, trac
 	return untraced, traced, 100 * (median - 1), bestRec, nil
 }
 
-// traceRow condenses one verified leg into its JSON form.
-func traceRow(name string, wall time.Duration, rec *trace.Recording, rep *trace.VerifyReport) TraceRun {
-	row := TraceRun{Name: name, WallMS: wall.Milliseconds()}
-	if rec != nil {
-		row.Events = len(rec.Events)
-		row.Dropped = rec.Dropped
+// traceRow is one leg of the tracing experiment: wall time plus the
+// structures the flight recorder captured and the verifier checked.
+func traceRow(name string, wall time.Duration, rec *trace.Recording, rep *trace.VerifyReport) row {
+	return row{
+		{"name", name, "run", "%s"},
+		{"wall_ms", wall.Milliseconds(), "wall", "%dms"},
+		{"events", len(rec.Events), "events", "%d"},
+		{"dropped", rec.Dropped, "dropped", "%d"},
+		{"collectives", rep.Collectives, "colls", "%d"},
+		{"collective_groups", rep.CollectiveGroups, "", ""},
+		{"shuffle_edges", rep.ShuffleEdges, "shuffle", "%d"},
+		{"replay_checks", rep.ReplayChecks, "replays", "%d"},
 	}
-	if rep != nil {
-		row.Collectives = rep.Collectives
-		row.CollectiveGroups = rep.CollectiveGroups
-		row.ShuffleEdges = rep.ShuffleEdges
-		row.ReplayChecks = rep.ReplayChecks
-	}
-	return row
 }
 
-// Trace measures the flight recorder's cost and proves its recordings
-// check out: the same workload best-of-3 untraced and traced must stay
-// within 5% of each other, and a traced 64:1 run that crashes a staging
-// rank mid-stream must still produce a recording that passes
-// trace.Verify — collective sequences aligned across survivors, shuffle
-// happens-before intact, replays ordered before Reduce. When jsonPath
-// is non-empty the per-leg numbers are also written there as JSON.
-func Trace(w io.Writer, jsonPath string) error {
+// traceOverheadBound is the ledger's bound on a timed row
+// (BENCHMARK.json): the median paired overhead is reported, and fails
+// the experiment only above it. The recorder's true cost (~2,300 events
+// of a few ns each) sits far below a ~50 ms workload's run-to-run noise,
+// so a tighter gate here would test the host, not the recorder; the
+// number of record is trace.overhead_ratio in the benchmark ledger.
+const traceOverheadBound = 25.0
+
+// traceOverhead measures the flight recorder's cost and proves its
+// recordings check out: the same workload runs untraced and traced in
+// alternating pairs, and a traced 64:1 run that crashes a staging rank
+// mid-stream must still produce a recording that passes trace.Verify —
+// collective sequences aligned across survivors, shuffle happens-before
+// intact, replays ordered before Reduce.
+func traceOverhead(rp *Report) error {
 	const (
-		numCompute = 8
-		numStaging = 2
-		perRank    = 4000 // small chunks: pipeline machinery, not GC churn
+		perRank = 4000 // small chunks: pipeline machinery, not GC churn
 		// Many dumps amortize per-dump scheduling jitter and keep the
-		// legs near 50 ms: a shorter workload (it was 12 dumps before the
-		// one-copy chunk path made a dump ~3x cheaper) puts the run-to-run
-		// noise, in percent, above the 5% the gate is looking for.
+		// legs near 50 ms, so the paired ratios are about the recorder
+		// and not about timer noise.
 		dumps = 36
 		reps  = 7
 
@@ -178,30 +117,15 @@ func Trace(w io.Writer, jsonPath string) error {
 		crashDumps   = 3
 		crashDump    = 1
 	)
-	seed := chaosSeed()
-	header(w, fmt.Sprintf("Trace — flight-recorder overhead and verified invariants (seed %d)", seed))
+	rp.seeded("Trace — flight-recorder overhead and verified invariants")
 
-	// The true recording cost (~2,300 events of a few ns each) sits far
-	// below this workload's run-to-run noise, so a single measurement can
-	// still land above the budget by chance. Re-measure up to three
-	// times and keep the best median: tracing is declared over budget
-	// only if every attempt exceeds 5%.
-	var (
-		untraced, traced time.Duration
-		overhead         float64
-		rec              *trace.Recording
-	)
-	for attempt := 0; ; attempt++ {
-		u, t, o, r, err := tracePair(reps, numCompute, numStaging, perRank, dumps)
-		if err != nil {
-			return fmt.Errorf("bench: overhead measurement: %w", err)
-		}
-		if attempt == 0 || o < overhead {
-			untraced, traced, overhead, rec = u, t, o, r
-		}
-		if overhead <= 5.0 || attempt == 2 {
-			break
-		}
+	// One pull in flight per staging rank, here and on the crash leg: the
+	// setting the overhead has always been measured at.
+	shape := gtcShape(8, 2, dumps)
+	shape.PullConcurrency = 1
+	untraced, traced, overhead, rec, err := tracePair(rp.seed, reps, shape, perRank)
+	if err != nil {
+		return err
 	}
 	rep, err := trace.Verify(rec)
 	if err != nil {
@@ -209,40 +133,37 @@ func Trace(w io.Writer, jsonPath string) error {
 	}
 
 	crashEP := crashCompute + 1
-	plan, err := faults.ParsePlan(fmt.Sprintf("crash:%d@%d", crashEP, crashDump), seed)
+	crashLeg := leg{
+		name:    fmt.Sprintf("traced 64:1 + crash:%d@%d", crashEP, crashDump),
+		cfg:     gtcShape(crashCompute, crashStaging, crashDumps),
+		perRank: crashPerRank,
+		plan:    fmt.Sprintf("crash:%d@%d", crashEP, crashDump),
+	}
+	crashLeg.cfg.PullConcurrency = 1
+	crashLeg.cfg.Tracer = trace.New(trace.Config{
+		NumCompute: crashCompute, NumStaging: crashStaging, Dumps: crashDumps,
+	})
+	crashOut, err := crashLeg.run(rp.seed)
 	if err != nil {
 		return err
 	}
-	crashRec := trace.New(trace.Config{
-		NumCompute: crashCompute, NumStaging: crashStaging, Dumps: crashDumps,
-	})
-	crashWall, err := traceWorkload(crashCompute, crashStaging, crashPerRank, crashDumps, crashRec, &plan)
-	if err != nil {
-		return fmt.Errorf("bench: traced crash run: %w", err)
-	}
-	crash := crashRec.Snapshot()
+	crash := crashLeg.cfg.Tracer.Snapshot()
 	crashRep, err := trace.Verify(crash)
 	if err != nil {
 		return fmt.Errorf("bench: traced 64:1 crash run failed verification: %w", err)
 	}
 
-	rows := []TraceRun{
-		traceRow(fmt.Sprintf("untraced best-of-%d", reps), untraced, nil, nil),
+	rp.section("trace", row{{"overhead_pct", overhead, "", ""}}, []row{
+		traceRow(fmt.Sprintf("untraced best-of-%d", reps), untraced, &trace.Recording{}, &trace.VerifyReport{}),
 		traceRow(fmt.Sprintf("traced best-of-%d (paired)", reps), traced, rec, rep),
-		traceRow(fmt.Sprintf("traced 64:1 + crash:%d@%d", crashEP, crashDump), crashWall, crash, crashRep),
-	}
-	fmt.Fprintf(w, "%-28s %9s %8s %8s %7s %8s %8s\n",
-		"run", "wall", "events", "dropped", "colls", "shuffle", "replays")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-28s %8dms %8d %8d %7d %8d %8d\n",
-			r.Name, r.WallMS, r.Events, r.Dropped, r.Collectives, r.ShuffleEdges, r.ReplayChecks)
-	}
-	fmt.Fprintf(w, "\ntrace overhead %.2f%% (median of %d paired runs; best traced %v vs best untraced %v)\n",
-		overhead, reps, traced, untraced)
+		traceRow(crashLeg.name, crashOut.wall, crash, crashRep),
+	})
+	rp.printf("\ntrace overhead %.2f%% (median of %d paired runs; best traced %v vs best untraced %v; bound %.0f%%)\n",
+		overhead, reps, traced, untraced, traceOverheadBound)
 
 	// Invariants the experiment exists to demonstrate.
-	if overhead > 5.0 {
-		return fmt.Errorf("bench: tracing overhead %.2f%% exceeds the 5%% budget", overhead)
+	if overhead > traceOverheadBound {
+		return fmt.Errorf("bench: tracing overhead %.2f%% exceeds the %.0f%% timed-row bound", overhead, traceOverheadBound)
 	}
 	if rec.Dropped != 0 || crash.Dropped != 0 {
 		return fmt.Errorf("bench: recordings dropped events (%d traced, %d crash)", rec.Dropped, crash.Dropped)
@@ -253,19 +174,6 @@ func Trace(w io.Writer, jsonPath string) error {
 	if crashRep.Collectives == 0 || crashRep.ShuffleEdges == 0 {
 		return fmt.Errorf("bench: crash run verified nothing: %+v", crashRep)
 	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(TraceSummary{
-			Seed: seed, OverheadPct: overhead, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write trace json: %w", err)
-		}
-		fmt.Fprintf(w, "trace summary written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\ntracing costs <5%% wall clock and a crashed 64:1 run still verifies all ordering invariants\n")
+	rp.printf("\nboth recordings dropped nothing, and a crashed 64:1 run still verifies all ordering invariants\n")
 	return nil
 }

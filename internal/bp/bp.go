@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -425,10 +426,14 @@ func (r *Reader) Vars() []VarInfo {
 	return out
 }
 
-// ReadVar assembles the full global array of the named variable at the
-// given timestep, issuing one pfs read per stored chunk. The returned
-// duration is the sum of the modeled chunk-read durations — the quantity
-// Fig. 11 compares between merged and unmerged files.
+// ReadVar assembles the full array of the named variable at the given
+// timestep, issuing one pfs read per stored chunk: a global variable's
+// chunks are scattered to their offsets; a local variable's entries (no
+// global dimensions — one per process group that wrote it) are
+// concatenated in index order along dimension 0, so the returned dims
+// carry the summed first dimension. The returned duration is the sum of
+// the modeled chunk-read durations — the quantity Fig. 11 compares
+// between merged and unmerged files.
 func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time.Duration, error) {
 	var entries []indexEntry
 	for _, e := range r.index {
@@ -441,10 +446,18 @@ func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time
 	}
 	global := entries[0].Global
 	if global == nil {
-		global = entries[0].Dims
+		global = append([]uint64(nil), entries[0].Dims...)
+		for _, e := range entries[1:] {
+			if len(e.Dims) == 0 || e.Global != nil || len(e.Dims) != len(global) || !slices.Equal(e.Dims[1:], global[1:]) {
+				return nil, nil, 0, fmt.Errorf("bp: local variable %q timestep %d: entry dims %v do not stack on %v",
+					name, timestep, e.Dims, entries[0].Dims)
+			}
+			global[0] += e.Dims[0]
+		}
 	}
 	out := make([]float64, elems(global))
 	var total time.Duration
+	next := 0 // where the next local entry lands
 	for _, e := range entries {
 		data, d, err := r.readChunkPayload(e)
 		if err != nil {
@@ -452,7 +465,7 @@ func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time
 		}
 		total += d
 		if e.Global == nil {
-			copy(out, data)
+			next += copy(out[next:], data)
 			continue
 		}
 		scatterChunk(out, global, data, e.Dims, e.Offsets)

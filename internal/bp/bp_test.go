@@ -2,6 +2,7 @@ package bp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -304,6 +305,44 @@ func TestMultipleTimesteps(t *testing.T) {
 	}
 	if _, _, _, err := r.ReadVar("x", 9); err == nil {
 		t.Error("missing timestep accepted")
+	}
+}
+
+// TestReadVarStacksLocalEntries: two ranks write one local variable (no
+// global dimensions) into one file; ReadVar returns both blocks stacked
+// along dimension 0 in index order, and refuses entries whose trailing
+// dimensions differ.
+func TestReadVarStacksLocalEntries(t *testing.T) {
+	fs := newFS(t)
+	w, _ := CreateWriter(fs, "local.bp", 4)
+	blocks := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8, 9, 10}}
+	for rank, data := range blocks {
+		if _, err := w.WritePG(rank, 0, []VarChunk{
+			{Name: "rows", Dims: []uint64{uint64(len(data) / 2), 2}, Data: data},
+			{Name: "ragged", Dims: []uint64{2, uint64(len(data) / 2)}, Data: data},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(fs, "local.bp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, dims, _, err := r.ReadVar("rows", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}; !slices.Equal(got, want) {
+		t.Errorf("data %v, want both ranks' blocks %v", got, want)
+	}
+	if want := []uint64{5, 2}; !slices.Equal(dims, want) {
+		t.Errorf("dims %v, want %v", dims, want)
+	}
+	if _, _, _, err := r.ReadVar("ragged", 0); err == nil {
+		t.Error("entries with different trailing dimensions were stacked")
 	}
 }
 

@@ -61,10 +61,6 @@ const (
 	DecidePass
 )
 
-// PassSinkFunc receives raw packed chunks during pass-through. Sinks are
-// called from several pull workers and must be safe for concurrent use.
-type PassSinkFunc func(writer int, timestep int64, payload []byte) error
-
 // Policy tunes the budget and the ladder. The zero value of every field
 // takes a default; BudgetBytes must be positive.
 type Policy struct {
@@ -88,11 +84,9 @@ type Policy struct {
 	// PassLimitBytes caps the spilled bytes before the dump escalates to
 	// raw pass-through. Default 4x SpillLimitBytes.
 	PassLimitBytes int64
-	// SpillDir hosts the temp segments ("" = OS temp dir).
+	// SpillDir hosts the temp segments ("" = OS temp dir): the spill
+	// segments, and the retained segment raw pass-through chunks go to.
 	SpillDir string
-	// PassSink consumes raw chunks during pass-through. Nil writes them
-	// to a retained segment file next to the spill segments.
-	PassSink PassSinkFunc
 }
 
 func (p Policy) withDefaults() Policy {
@@ -394,8 +388,8 @@ func (a *Admission) Spill(writer int, timestep int64, payload []byte) error {
 	return nil
 }
 
-// Pass finalizes a DecidePass admission: hand the raw payload to the PFS
-// sink (or the retained pass segment) and release the overdraft.
+// Pass finalizes a DecidePass admission: append the raw payload to the
+// retained pass segment and release the overdraft.
 func (a *Admission) Pass(writer int, timestep int64, payload []byte) error {
 	if a.decision != DecidePass || a.done {
 		return errors.New("flowctl: Pass on a non-pass or finished admission")
@@ -414,9 +408,6 @@ func (a *Admission) Pass(writer int, timestep int64, payload []byte) error {
 }
 
 func (df *DumpFlow) sinkPass(writer int, timestep int64, payload []byte) error {
-	if sink := df.c.pol.PassSink; sink != nil {
-		return sink(writer, timestep, payload)
-	}
 	df.mu.Lock()
 	if df.passSeg == nil {
 		seg, err := CreateSegment(df.c.pol.SpillDir, "predata-pass-*.seg")
@@ -488,8 +479,8 @@ func (df *DumpFlow) Replay(ctx context.Context, deliver func(writer int, timeste
 	})
 }
 
-// PassSegmentPath returns the retained pass-through segment's path, if
-// the default file sink was used ("" otherwise).
+// PassSegmentPath returns the retained pass-through segment's path ("" if
+// the dump passed nothing).
 func (df *DumpFlow) PassSegmentPath() string {
 	df.mu.Lock()
 	defer df.mu.Unlock()

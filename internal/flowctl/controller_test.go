@@ -172,14 +172,7 @@ func TestLadderEscalatesToShedAndPass(t *testing.T) {
 	pol.SpillLimitBytes = 250
 	pol.PassLimitBytes = 500
 	pol.ShedSample = 2
-	var passMu sync.Mutex
-	var passed [][]byte
-	pol.PassSink = func(writer int, timestep int64, payload []byte) error {
-		passMu.Lock()
-		passed = append(passed, append([]byte(nil), payload...))
-		passMu.Unlock()
-		return nil
-	}
+	pol.SpillDir = t.TempDir()
 	c, err := NewController(pol)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
@@ -235,12 +228,6 @@ func TestLadderEscalatesToShedAndPass(t *testing.T) {
 	if err := a.Pass(4, 7, []byte("raw-bytes")); err != nil {
 		t.Fatalf("Pass: %v", err)
 	}
-	passMu.Lock()
-	nPassed := len(passed)
-	passMu.Unlock()
-	if nPassed == 0 {
-		t.Fatal("pass sink never invoked")
-	}
 
 	st := df.Finish()
 	if st.MaxLevel != LevelPass {
@@ -248,6 +235,25 @@ func TestLadderEscalatesToShedAndPass(t *testing.T) {
 	}
 	if st.ShedChunks == 0 || st.SampledChunks == 0 || st.PassedChunks == 0 {
 		t.Fatalf("stats = %+v, want nonzero shed/sampled/passed", st)
+	}
+	// Every passed chunk is in the retained segment, raw, the last one
+	// being the admission passed just above.
+	var passed int64
+	var last []byte
+	err = ReplaySegment(df.PassSegmentPath(), func(writer int, timestep int64, payload []byte) error {
+		passed++
+		last = append(last[:0], payload...)
+		if timestep != 7 {
+			t.Errorf("passed chunk stamped timestep %d, want 7", timestep)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("replaying the pass segment %q: %v", df.PassSegmentPath(), err)
+	}
+	if passed != st.PassedChunks || string(last) != "raw-bytes" {
+		t.Fatalf("pass segment holds %d chunks ending %q, want %d ending %q",
+			passed, last, st.PassedChunks, "raw-bytes")
 	}
 }
 
