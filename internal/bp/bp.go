@@ -58,15 +58,24 @@ func elems(dims []uint64) uint64 {
 
 // Validate checks the chunk's dimensional consistency.
 func (vc *VarChunk) Validate() error {
+	if err := vc.validateShape(); err != nil {
+		return err
+	}
+	if uint64(len(vc.Data)) != elems(vc.Dims) {
+		return fmt.Errorf("bp: variable %q dims %v imply %d elements, have %d",
+			vc.Name, vc.Dims, elems(vc.Dims), len(vc.Data))
+	}
+	return nil
+}
+
+// validateShape checks everything but Data, which a reserved chunk does not
+// have yet.
+func (vc *VarChunk) validateShape() error {
 	if vc.Name == "" {
 		return fmt.Errorf("bp: chunk with empty variable name")
 	}
 	if len(vc.Dims) == 0 {
 		return fmt.Errorf("bp: variable %q has no dimensions", vc.Name)
-	}
-	if uint64(len(vc.Data)) != elems(vc.Dims) {
-		return fmt.Errorf("bp: variable %q dims %v imply %d elements, have %d",
-			vc.Name, vc.Dims, elems(vc.Dims), len(vc.Data))
 	}
 	if vc.Global != nil {
 		if len(vc.Global) != len(vc.Dims) || len(vc.Offsets) != len(vc.Dims) {
@@ -138,57 +147,118 @@ func (w *Writer) WritePG(rank int, timestep int64, chunks []VarChunk) (time.Dura
 			return 0, err
 		}
 	}
-	// Size the PG before writing it — header, then the payloads
-	// contiguously — so the whole group is one presized buffer written
-	// once and handed to the file system as one sequential write.
-	size := 4
+	pg := w.reserve(rank, timestep, chunks)
 	for i := range chunks {
-		c := &chunks[i]
-		size += 4 + len(c.Name) + 3*4 + 8*(len(c.Dims)+len(c.Global)+len(c.Offsets)+len(c.Data))
+		copy(pg.Chunks[i].Data, chunks[i].Data)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(chunks)))
-	entries := make([]indexEntry, len(chunks))
+	return pg.Commit()
+}
+
+// PG is a reserved process group: laid out and sized, its payloads still to
+// be filled. Nothing reaches the file until Commit, so an abandoned PG costs
+// its memory and nothing else.
+type PG struct {
+	// Chunks are the group's variables in the order reserved. Each Data
+	// has the length its Dims imply and lies inside the group's one
+	// buffer, so what the producer computes into it is already in place.
+	Chunks []VarChunk
+
+	w       *Writer
+	frame   []byte // the whole group as it will sit in the file
+	entries []indexEntry
+}
+
+// ReservePG lays out one process group for the given chunk shapes (Data
+// must be nil) and returns it for the caller to fill and Commit. This is how
+// an operator that computes its output — rather than holding it already —
+// writes it exactly once.
+func (w *Writer) ReservePG(rank int, timestep int64, chunks []VarChunk) (*PG, error) {
+	for i := range chunks {
+		if err := chunks[i].validateShape(); err != nil {
+			return nil, err
+		}
+		if chunks[i].Data != nil {
+			return nil, fmt.Errorf("bp: reserving variable %q that already has data (use WritePG)", chunks[i].Name)
+		}
+	}
+	return w.reserve(rank, timestep, chunks), nil
+}
+
+// reserve is the one place a process group is laid out: the chunk count,
+// each chunk's name and dimension vectors, then the payloads contiguously.
+// The group is sized first so that it is one buffer, written once and handed
+// to the file system as one sequential write. The chunks' shapes have been
+// validated; their Data is ignored.
+func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) *PG {
+	header, words := 4, 0
 	for i := range chunks {
 		c := &chunks[i]
-		buf = appendString(buf, c.Name)
-		buf = appendU64s(buf, c.Dims)
-		buf = appendU64s(buf, c.Global)
-		buf = appendU64s(buf, c.Offsets)
-		entries[i] = indexEntry{
+		header += 4 + len(c.Name) + 3*4 + 8*(len(c.Dims)+len(c.Global)+len(c.Offsets))
+		words += int(elems(c.Dims))
+	}
+	frame, payload := wire.Float64Frame(header, words)
+	pg := &PG{Chunks: slices.Clone(chunks), w: w, frame: frame, entries: make([]indexEntry, len(chunks))}
+	hdr := binary.LittleEndian.AppendUint32(frame[:0], uint32(len(chunks)))
+	for i := range pg.Chunks {
+		c := &pg.Chunks[i]
+		hdr = appendString(hdr, c.Name)
+		hdr = appendU64s(hdr, c.Dims)
+		hdr = appendU64s(hdr, c.Global)
+		hdr = appendU64s(hdr, c.Offsets)
+		// Payload offsets are relative to the start of the group until
+		// Commit knows where the group lands.
+		n := int(elems(c.Dims))
+		pg.entries[i] = indexEntry{
 			Name:       c.Name,
 			Timestep:   timestep,
 			WriterRank: int64(rank),
 			Dims:       c.Dims,
 			Global:     c.Global,
 			Offsets:    c.Offsets,
+			DataOff:    int64(len(frame) - 8*len(payload)),
 		}
+		c.Data, payload = payload[:n:n], payload[n:]
 	}
-	// Payloads follow the PG header contiguously, their offsets recorded
-	// relative to the start of the PG; each carries a CRC so readers can
-	// detect corruption.
-	for i := range chunks {
-		start := len(buf)
-		buf = wire.AppendFloat64s(buf, chunks[i].Data)
-		entries[i].DataOff = int64(start)
-		entries[i].Checksum = crc32.ChecksumIEEE(buf[start:])
+	return pg
+}
+
+// Commit checksums the payloads, reserves the group's place in the file and
+// writes it, returning the modeled duration. The buffer passes to the file
+// system: after Commit the caller may still read Chunks[i].Data but must
+// never write to it again. A PG commits once.
+func (pg *PG) Commit() (time.Duration, error) {
+	if pg.frame == nil {
+		return 0, fmt.Errorf("bp: process group already committed")
+	}
+	frame := pg.frame
+	pg.frame = nil
+	// Each payload carries a CRC so readers can detect corruption.
+	for i := range pg.Chunks {
+		if err := pg.Chunks[i].Validate(); err != nil {
+			return 0, err // the caller replaced Data or Dims
+		}
+		data := pg.Chunks[i].Data
+		raw := frame[pg.entries[i].DataOff:][:8*len(data)]
+		wire.PutFloat64s(raw, data)
+		pg.entries[i].Checksum = crc32.ChecksumIEEE(raw)
 	}
 
 	// Reserve the file region and publish index entries.
+	w := pg.w
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return 0, fmt.Errorf("bp: write to closed writer")
 	}
 	base := w.off
-	w.off += int64(len(buf))
-	for i := range entries {
-		entries[i].DataOff += base
+	w.off += int64(len(frame))
+	for i := range pg.entries {
+		pg.entries[i].DataOff += base
 	}
-	w.index = append(w.index, entries...)
+	w.index = append(w.index, pg.entries...)
 	w.mu.Unlock()
 
-	d, err := w.f.WriteAt(buf, base)
+	d, err := w.f.WriteOwned(frame, base)
 	if err != nil {
 		return 0, err
 	}
@@ -249,8 +319,8 @@ func appendU64s(b []byte, v []uint64) []byte {
 type VarInfo struct {
 	Name     string
 	Timestep int64
-	// Global is the global dimension vector; for local-only variables it
-	// is the dims of the single chunk.
+	// Global is the global dimension vector; for a local-only variable it
+	// is what ReadVar returns: the entries' dims stacked along dimension 0.
 	Global []uint64
 	// Chunks is the number of extents holding the variable's data: the
 	// writer count for chunked layout, 1 for merged layout.
@@ -406,10 +476,12 @@ func (r *Reader) Vars() []VarInfo {
 		if !ok {
 			g := e.Global
 			if g == nil {
-				g = e.Dims
+				g = slices.Clone(e.Dims)
 			}
 			vi = &VarInfo{Name: e.Name, Timestep: e.Timestep, Global: g}
 			agg[k] = vi
+		} else if e.Global == nil && len(e.Dims) > 0 && len(vi.Global) > 0 {
+			vi.Global[0] += e.Dims[0]
 		}
 		vi.Chunks++
 	}
@@ -499,7 +571,7 @@ func scatterChunk(dst []float64, global []uint64, src []float64, dims, offsets [
 	}
 	// Iterate over all rows (innermost dimension contiguous).
 	rowLen := dims[rank-1]
-	rows := elems(dims) / max64(rowLen, 1)
+	rows := elems(dims) / max(rowLen, 1)
 	idx := make([]uint64, rank) // multi-index over chunk rows
 	for row := uint64(0); row < rows; row++ {
 		// Compute destination offset of this row.
@@ -584,8 +656,8 @@ func copyIntersection(dst []float64, dstOff, dstDims []uint64, src []float64, sr
 	lo := make([]uint64, rank)
 	hi := make([]uint64, rank)
 	for i := 0; i < rank; i++ {
-		lo[i] = max64(dstOff[i], srcOff[i])
-		hi[i] = min64(dstOff[i]+dstDims[i], srcOff[i]+srcDims[i])
+		lo[i] = max(dstOff[i], srcOff[i])
+		hi[i] = min(dstOff[i]+dstDims[i], srcOff[i]+srcDims[i])
 	}
 	// Iterate the intersection one innermost-run at a time.
 	runLen := hi[rank-1] - lo[rank-1]
@@ -623,18 +695,4 @@ func flatten(idx, boxOff, boxDims []uint64) uint64 {
 		stride *= boxDims[d]
 	}
 	return pos
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -310,8 +310,8 @@ func TestMultipleTimesteps(t *testing.T) {
 
 // TestReadVarStacksLocalEntries: two ranks write one local variable (no
 // global dimensions) into one file; ReadVar returns both blocks stacked
-// along dimension 0 in index order, and refuses entries whose trailing
-// dimensions differ.
+// along dimension 0 in index order, Vars reports those stacked dimensions,
+// and ReadVar refuses entries whose trailing dimensions differ.
 func TestReadVarStacksLocalEntries(t *testing.T) {
 	fs := newFS(t)
 	w, _ := CreateWriter(fs, "local.bp", 4)
@@ -340,6 +340,14 @@ func TestReadVarStacksLocalEntries(t *testing.T) {
 	}
 	if want := []uint64{5, 2}; !slices.Equal(dims, want) {
 		t.Errorf("dims %v, want %v", dims, want)
+	}
+	for _, vi := range r.Vars() {
+		if vi.Name == "rows" && (!slices.Equal(vi.Global, dims) || vi.Chunks != 2) {
+			t.Errorf("Vars reports rows as %v in %d chunks, ReadVar returns %v from 2", vi.Global, vi.Chunks, dims)
+		}
+	}
+	if _, dims, _, _ = r.ReadVar("rows", 0); !slices.Equal(dims, []uint64{5, 2}) {
+		t.Errorf("listing the variables changed what ReadVar returns to %v", dims)
 	}
 	if _, _, _, err := r.ReadVar("ragged", 0); err == nil {
 		t.Error("entries with different trailing dimensions were stacked")
@@ -457,6 +465,7 @@ func BenchmarkReadVarChunked64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,0 +1,540 @@
+package ops
+
+import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"predata/internal/bp"
+	"predata/internal/ffs"
+	"predata/internal/mpi"
+	"predata/internal/pfs"
+	"predata/internal/staging"
+)
+
+// Sort tests drive the operator through the staging engine directly, one
+// goroutine per staging rank, so that a test decides which rank maps which
+// chunk and in what order — the two things a pipeline run leaves to timing.
+
+// Row layout of the hand-built chunks: the two label columns, then the
+// row's identity (writer, row number), which no sort may separate from its
+// label and which exposes the order equal labels come out in.
+const (
+	sortMajor = iota
+	sortMinor
+	sortWriter
+	sortRow
+	sortCols
+)
+
+// sortChunk packs labels into a chunk from the given writer: labels[i] is
+// row i's (major, minor).
+func sortChunk(writer int, step int64, labels [][2]float64) *staging.Chunk {
+	data := make([]float64, 0, len(labels)*sortCols)
+	for i, l := range labels {
+		data = append(data, l[0], l[1], float64(writer), float64(i))
+	}
+	return &staging.Chunk{
+		WriterRank: writer,
+		Timestep:   step,
+		Schema:     particleSchema,
+		Record:     ffs.Record{"p": &ffs.Array{Dims: []uint64{uint64(len(labels)), sortCols}, Float64: data}},
+	}
+}
+
+// dealChunks hands chunks to staging ranks round-robin, the way writers are
+// assigned to staging ranks.
+func dealChunks(chunks []*staging.Chunk, ranks int) [][]*staging.Chunk {
+	streams := make([][]*staging.Chunk, ranks)
+	for i, c := range chunks {
+		streams[i%ranks] = append(streams[i%ranks], c)
+	}
+	return streams
+}
+
+// runSortDump serves one dump: staging rank r maps streams[r] in order with
+// the given number of Map workers (one worker makes emit order the delivery
+// order) through ops[r].
+func runSortDump(t testing.TB, streams [][]*staging.Chunk, workers int, ops []staging.Operator) []*staging.Result {
+	t.Helper()
+	results := make([]*staging.Result, len(streams))
+	err := mpi.Run(len(streams), func(c *mpi.Comm) error {
+		mine := streams[c.Rank()]
+		ch := make(chan *staging.Chunk, len(mine))
+		for _, chunk := range mine {
+			ch <- chunk
+		}
+		close(ch)
+		eng := staging.NewEngine(staging.Config{Workers: workers})
+		res, err := eng.ProcessDump(c, ch, ops[c.Rank():c.Rank()+1], nil)
+		results[c.Rank()] = res
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// keptSortOps returns one fresh KeepResult operator per staging rank.
+func keptSortOps(t testing.TB, ranks int, rng [2]float64) []staging.Operator {
+	t.Helper()
+	ops := make([]staging.Operator, ranks)
+	for r := range ops {
+		op, err := NewSortOperator(SortConfig{
+			Var: "p", KeyMajor: sortMajor, KeyMinor: sortMinor, MajorRange: rng, KeepResult: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[r] = op
+	}
+	return ops
+}
+
+// keptRows concatenates the ranks' kept outputs in rank order.
+func keptRows(results []*staging.Result) []float64 {
+	var all []float64
+	for _, r := range results {
+		all = append(all, r.PerOperator["sort"]["sorted"].(*ffs.Array).Float64...)
+	}
+	return all
+}
+
+// refCmp is the documented key order, written without keyImage:
+// -Inf < ... < -0 < +0 < ... < +Inf < NaN, every NaN alike.
+func refCmp(a, b float64) int {
+	aNaN, bNaN := a != a, b != b
+	switch {
+	case aNaN || bNaN:
+		return btoi(aNaN) - btoi(bNaN)
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return btoi(math.Signbit(b)) - btoi(math.Signbit(a)) // equal: only ±0 differ
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// referenceSort is the oracle: every row of every chunk, taken in (writer,
+// row) order, stably sorted by label with the standard library.
+func referenceSort(chunks []*staging.Chunk) []float64 {
+	byWriter := slices.Clone(chunks)
+	sort.SliceStable(byWriter, func(a, b int) bool { return byWriter[a].WriterRank < byWriter[b].WriterRank })
+	var rows [][]float64
+	for _, c := range byWriter {
+		data := c.Record["p"].(*ffs.Array).Float64
+		for i := 0; i+sortCols <= len(data); i += sortCols {
+			rows = append(rows, data[i:i+sortCols])
+		}
+	}
+	sort.SliceStable(rows, func(a, b int) bool {
+		if c := refCmp(rows[a][sortMajor], rows[b][sortMajor]); c != 0 {
+			return c < 0
+		}
+		return refCmp(rows[a][sortMinor], rows[b][sortMinor]) < 0
+	})
+	return slices.Concat(rows...)
+}
+
+// sameBits compares float slices bit for bit (NaN equals NaN, -0 is not +0).
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestSortMatchesStableReference: over shapes chosen to hit every branch of
+// the radix sort and the gallop merge, for 1 to 5 staging ranks, the ranks'
+// outputs laid end to end equal a stable standard-library sort of the input.
+func TestSortMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	labels := func(n int, f func(i int) [2]float64) [][2]float64 {
+		out := make([][2]float64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		rng.Shuffle(n, func(a, b int) { out[a], out[b] = out[b], out[a] })
+		return out
+	}
+	writers := func(w int, mk func(writer int) [][2]float64) []*staging.Chunk {
+		out := make([]*staging.Chunk, w)
+		for i := range out {
+			out[i] = sortChunk(i, 0, mk(i))
+		}
+		return out
+	}
+	shapes := []struct {
+		name   string
+		chunks []*staging.Chunk
+		rng    [2]float64
+	}{
+		{"gtc: one major per writer, disjoint runs", writers(6, func(w int) [][2]float64 {
+			return labels(300, func(i int) [2]float64 { return [2]float64{float64(w), float64(i)} })
+		}), [2]float64{0, 5}},
+		{"fully interleaved runs", writers(7, func(w int) [][2]float64 {
+			return labels(200, func(i int) [2]float64 { return [2]float64{float64(i / 50), float64(i*7 + w)} })
+		}), [2]float64{0, 3}},
+		{"one run", writers(1, func(int) [][2]float64 {
+			return labels(500, func(i int) [2]float64 { return [2]float64{float64(i % 9), float64(i)} })
+		}), [2]float64{0, 8}},
+		{"all keys equal", writers(5, func(int) [][2]float64 {
+			return labels(120, func(int) [2]float64 { return [2]float64{4, 2} })
+		}), [2]float64{0, 8}},
+		{"duplicate labels across writers", writers(4, func(int) [][2]float64 {
+			return labels(150, func(i int) [2]float64 { return [2]float64{float64(i % 6), float64(i % 10)} })
+		}), [2]float64{0, 5}},
+		{"every row to the first rank", writers(4, func(w int) [][2]float64 {
+			return labels(100, func(i int) [2]float64 { return [2]float64{rng.Float64(), float64(i)} })
+		}), [2]float64{0, 1e6}},
+		{"every row to the last rank", writers(4, func(w int) [][2]float64 {
+			return labels(100, func(i int) [2]float64 { return [2]float64{50 + rng.Float64(), float64(i)} })
+		}), [2]float64{0, 50}},
+		{"a middle rank receives nothing", writers(4, func(w int) [][2]float64 {
+			return labels(100, func(i int) [2]float64 { return [2]float64{float64(i%2) * 100, float64(i)} })
+		}), [2]float64{0, 100}},
+		{"empty chunks among full ones", writers(6, func(w int) [][2]float64 {
+			if w%2 == 0 {
+				return nil
+			}
+			return labels(80, func(i int) [2]float64 { return [2]float64{float64(i % 4), float64(w*1000 + i)} })
+		}), [2]float64{0, 3}},
+		{"only empty chunks", writers(3, func(int) [][2]float64 { return nil }), [2]float64{0, 1}},
+		{"64 writers", writers(64, func(w int) [][2]float64 {
+			return labels(40, func(i int) [2]float64 { return [2]float64{float64(w % 8), float64(i*64 + w)} })
+		}), [2]float64{0, 7}},
+		{"real-valued keys of both signs, every byte varying", writers(5, func(int) [][2]float64 {
+			return labels(400, func(int) [2]float64 {
+				return [2]float64{rng.NormFloat64() * 1e3, math.Float64frombits(rng.Uint64()>>2 | uint64(rng.Intn(2))<<63)}
+			})
+		}), [2]float64{-3e3, 3e3}},
+		{"zero-width range", writers(3, func(w int) [][2]float64 {
+			return labels(60, func(i int) [2]float64 { return [2]float64{7, float64(i % 20)} })
+		}), [2]float64{7, 7}},
+	}
+	for _, sh := range shapes {
+		want := referenceSort(sh.chunks)
+		for ranks := 1; ranks <= 5; ranks++ {
+			t.Run(fmt.Sprintf("%s/%d ranks", sh.name, ranks), func(t *testing.T) {
+				results := runSortDump(t, dealChunks(sh.chunks, ranks), 2, keptSortOps(t, ranks, sh.rng))
+				var rows int64
+				for _, r := range results {
+					rows += r.PerOperator["sort"]["rows"].(int64)
+				}
+				if got := keptRows(results); rows != int64(len(want)/sortCols) || !sameBits(got, want) {
+					t.Fatalf("%d rows out for %d in; output differs from the stable reference sort", rows, len(want)/sortCols)
+				}
+			})
+		}
+	}
+}
+
+// TestSortSixtyFourWritersToOneRank is the paper's 64:1 ratio: one staging
+// rank merges 64 runs.
+func TestSortSixtyFourWritersToOneRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	chunks := make([]*staging.Chunk, 64)
+	for w := range chunks {
+		labels := make([][2]float64, 50+rng.Intn(50))
+		for i := range labels {
+			labels[i] = [2]float64{float64(rng.Intn(64)), float64(rng.Intn(200))}
+		}
+		chunks[w] = sortChunk(w, 0, labels)
+	}
+	results := runSortDump(t, dealChunks(chunks, 1), 2, keptSortOps(t, 1, [2]float64{0, 63}))
+	if !sameBits(keptRows(results), referenceSort(chunks)) {
+		t.Fatal("64-run merge differs from the stable reference sort")
+	}
+}
+
+// newSortFS returns the in-memory file system the sort tests write to.
+func newSortFS(tb testing.TB) *pfs.FileSystem {
+	tb.Helper()
+	fs, err := pfs.New(pfs.Config{NumOSTs: 4, OSTBandwidth: 1e9, StripeSize: 1 << 20, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fs
+}
+
+// sortDumpToFiles runs one dump in which staging rank r sorts by cfg into
+// its own BP file "sorted-<r>.bp" on fs; the files are closed on return.
+func sortDumpToFiles(tb testing.TB, fs *pfs.FileSystem, streams [][]*staging.Chunk, workers int, cfg SortConfig) {
+	tb.Helper()
+	writers := make([]*bp.Writer, len(streams))
+	ops := make([]staging.Operator, len(streams))
+	for r := range writers {
+		w, err := bp.CreateWriter(fs, fmt.Sprintf("sorted-%d.bp", r), 4)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg.Output = w
+		op, err := NewSortOperator(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		writers[r], ops[r] = w, op
+	}
+	runSortDump(tb, streams, workers, ops)
+	for _, w := range writers {
+		if _, err := w.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// sortToFiles sorts one dump of sortChunk rows, one Map worker per rank so
+// that emit order is delivery order, and returns each rank's file.
+func sortToFiles(t *testing.T, streams [][]*staging.Chunk, rng [2]float64) [][]byte {
+	t.Helper()
+	fs := newSortFS(t)
+	sortDumpToFiles(t, fs, streams, 1, SortConfig{Var: "p", KeyMajor: sortMajor, KeyMinor: sortMinor, MajorRange: rng})
+	files := make([][]byte, len(streams))
+	for r := range files {
+		var buf bytes.Buffer
+		if err := fs.Export(fmt.Sprintf("sorted-%d.bp", r), &buf); err != nil {
+			t.Fatal(err)
+		}
+		files[r] = buf.Bytes()
+	}
+	return files
+}
+
+// TestSortTiesDoNotDependOnArrivalOrder: two writers carry the same labels;
+// whichever chunk a rank maps first, equal labels come out by (writer rank,
+// row) and the files are byte-identical.
+func TestSortTiesDoNotDependOnArrivalOrder(t *testing.T) {
+	labels := make([][2]float64, 90)
+	for i := range labels {
+		labels[i] = [2]float64{float64(i % 3), float64(i % 5)}
+	}
+	a, b, c := sortChunk(0, 4, labels), sortChunk(1, 4, labels), sortChunk(2, 4, labels[:31])
+	rng := [2]float64{0, 2}
+	first := sortToFiles(t, [][]*staging.Chunk{{a, b}, {c}}, rng)
+	second := sortToFiles(t, [][]*staging.Chunk{{b, a}, {c}}, rng)
+	third := sortToFiles(t, [][]*staging.Chunk{{c}, {b, a}}, rng)
+	for r := range first {
+		if !bytes.Equal(first[r], second[r]) || !bytes.Equal(first[r], third[r]) {
+			t.Errorf("rank %d's file depends on the order its chunks arrived in", r)
+		}
+	}
+}
+
+// TestSortKeyOrderTable pins the order of the keys plain < does not define.
+func TestSortKeyOrderTable(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ascending := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, negZero,
+		0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for i := 1; i < len(ascending); i++ {
+		if lo, hi := ascending[i-1], ascending[i]; keyImage(lo) >= keyImage(hi) || refCmp(lo, hi) >= 0 {
+			t.Errorf("%g does not sort before %g", lo, hi)
+		}
+	}
+	otherNaN := math.Float64frombits(0xfff8000000000123)
+	if keyImage(otherNaN) != keyImage(math.NaN()) || refCmp(otherNaN, math.NaN()) != 0 {
+		t.Error("two NaNs with different payloads sort apart")
+	}
+
+	// Destination ranks follow the same order: non-decreasing along the
+	// table, -Inf on the first rank, +Inf and NaN on the last.
+	const ranks = 4
+	s := &SortOperator{lo: -10, hi: 10}
+	prev := 0
+	for _, v := range ascending {
+		b := s.bucketOf(v, ranks)
+		if b < prev || b >= ranks {
+			t.Errorf("bucketOf(%g) = %d after %d", v, b, prev)
+		}
+		prev = b
+	}
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{{math.Inf(-1), 0}, {-10, 0}, {negZero, 1}, {0, 1}, {1e-9, 2}, {10, ranks - 1}, {math.Inf(1), ranks - 1}, {math.NaN(), ranks - 1}} {
+		if got := s.bucketOf(c.v, ranks); got != c.want {
+			t.Errorf("bucketOf(%g) = %d, want %d", c.v, got, c.want)
+		}
+	}
+	flat := &SortOperator{lo: 3, hi: 3}
+	if got := flat.bucketOf(math.NaN(), ranks); got != ranks-1 {
+		t.Errorf("zero-width range: bucketOf(NaN) = %d, want the last rank", got)
+	}
+
+	// End to end: the table as major and as minor keys, scattered over two
+	// writers, comes out in table order with every NaN major on the last
+	// rank.
+	var labels [][2]float64
+	for _, major := range ascending {
+		for _, minor := range ascending {
+			labels = append(labels, [2]float64{major, minor})
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(labels), func(a, b int) { labels[a], labels[b] = labels[b], labels[a] })
+	chunks := []*staging.Chunk{sortChunk(0, 0, labels[:50]), sortChunk(1, 0, labels[50:])}
+	results := runSortDump(t, dealChunks(chunks, 3), 1, keptSortOps(t, 3, [2]float64{-10, 10}))
+	if !sameBits(keptRows(results), referenceSort(chunks)) {
+		t.Error("special keys come out in an order other than the documented one")
+	}
+	for r, res := range results[:2] {
+		rows := res.PerOperator["sort"]["sorted"].(*ffs.Array).Float64
+		for i := sortMajor; i < len(rows); i += sortCols {
+			if rows[i] != rows[i] {
+				t.Fatalf("rank %d holds a NaN major key; those belong to the last rank", r)
+			}
+		}
+	}
+}
+
+// TestSortOperatorReusedAcrossDumps: one operator instance serves two dumps
+// that differ in timestep and in row width; the file's index carries both
+// timesteps.
+func TestSortOperatorReusedAcrossDumps(t *testing.T) {
+	fs := newSortFS(t)
+	w, err := bp.CreateWriter(fs, "reused.bp", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := NewSortOperator(SortConfig{Var: "p", KeyMajor: 0, KeyMinor: 1, MajorRange: [2]float64{0, 9}, Output: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := &staging.Chunk{WriterRank: 0, Timestep: 9, Schema: particleSchema, Record: ffs.Record{
+		"p": &ffs.Array{Dims: []uint64{2, 6}, Float64: []float64{5, 1, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0}},
+	}}
+	for _, chunk := range []*staging.Chunk{sortChunk(0, 3, [][2]float64{{4, 1}, {1, 1}, {2, 2}}), wide} {
+		runSortDump(t, [][]*staging.Chunk{{chunk}}, 1, []staging.Operator{op})
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := bp.OpenReader(fs, "reused.bp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, vi := range r.Vars() {
+		got = append(got, fmt.Sprintf("%s@%d%v", vi.Name, vi.Timestep, vi.Global))
+	}
+	if want := []string{"p_sorted@3[3 4]", "p_sorted@9[2 6]"}; !slices.Equal(got, want) {
+		t.Errorf("index holds %v, want %v", got, want)
+	}
+}
+
+// goldenSortInput is the fixed dump behind TestSortOutputMatchesParentBytes:
+// five writers of GTC-like labels plus one of real-valued labels of both
+// signs, all distinct, dealt to three staging ranks.
+func goldenSortInput() [][]*staging.Chunk {
+	rng := rand.New(rand.NewSource(2010))
+	var chunks []*staging.Chunk
+	for w := 0; w < 5; w++ {
+		labels := make([][2]float64, 257+w)
+		for i := range labels {
+			labels[i] = [2]float64{float64(w), float64(i)}
+		}
+		rng.Shuffle(len(labels), func(a, b int) { labels[a], labels[b] = labels[b], labels[a] })
+		chunks = append(chunks, sortChunk(w, 17, labels))
+	}
+	labels := make([][2]float64, 300)
+	for i := range labels {
+		labels[i] = [2]float64{rng.NormFloat64() * 2, rng.NormFloat64()}
+	}
+	chunks = append(chunks, sortChunk(5, 17, labels))
+	return dealChunks(chunks, 3)
+}
+
+// TestSortOutputMatchesParentBytes: where the old comparator defined the
+// order (distinct, non-NaN labels) the new data path writes the same files —
+// header, payload, CRCs, footer index, attributes. The lengths and CRCs were
+// captured by running sortToFiles(goldenSortInput()) on the sort.Slice
+// implementation this one replaced.
+func TestSortOutputMatchesParentBytes(t *testing.T) {
+	want := []struct {
+		size int
+		crc  uint32
+	}{{3019, 0x5c70129a}, {20907, 0x23a61206}, {27627, 0x9226fed0}}
+	for r, file := range sortToFiles(t, goldenSortInput(), [2]float64{-4, 4}) {
+		if got := crc32.ChecksumIEEE(file); len(file) != want[r].size || got != want[r].crc {
+			t.Errorf("rank %d wrote %d bytes with CRC %#08x, the replaced implementation %d bytes with CRC %#08x",
+				r, len(file), got, want[r].size, want[r].crc)
+		}
+	}
+}
+
+// sortBenchInput builds writers×rows GTC-like rows. Disjoint: every writer
+// has its own major key, so a rank's runs do not overlap and merge by whole
+// copies. Interleaved: all writers share one major key and stripe the minor
+// key, so consecutive output rows always come from different runs — the
+// merge's worst case.
+func sortBenchInput(writers, rows int, interleaved bool) ([]*staging.Chunk, [2]float64) {
+	rng := rand.New(rand.NewSource(1))
+	chunks := make([]*staging.Chunk, writers)
+	for w := range chunks {
+		data := make([]float64, rows*attrCount)
+		for i, r := range rng.Perm(rows) {
+			row := data[i*attrCount : (i+1)*attrCount]
+			row[colRank], row[colID] = float64(w), float64(r)
+			if interleaved {
+				row[colRank], row[colID] = float64(r*2/rows), float64(r*writers+w)
+			}
+		}
+		chunks[w] = &staging.Chunk{WriterRank: w, Schema: particleSchema,
+			Record: ffs.Record{"p": &ffs.Array{Dims: []uint64{uint64(rows), attrCount}, Float64: data}}}
+	}
+	if interleaved {
+		return chunks, [2]float64{0, 1}
+	}
+	return chunks, [2]float64{0, float64(writers - 1)}
+}
+
+// sortBenchDump runs one two-rank, two-worker dump over GTC-shaped chunks,
+// each rank writing its own BP file on fs.
+func sortBenchDump(tb testing.TB, fs *pfs.FileSystem, chunks []*staging.Chunk, rng [2]float64) {
+	sortDumpToFiles(tb, fs, dealChunks(chunks, 2), 2, SortConfig{Var: "p", KeyMajor: colRank, KeyMinor: colID, MajorRange: rng})
+}
+
+// TestSortDumpAllocationBudget: on the staging side a sorted row is
+// allocated twice — in its run and in the process group, which the file
+// system keeps — around 24-byte entries and their radix scratch: 2.75 bytes
+// per payload byte at eight columns. The replaced path (growing blocks,
+// combined copy, reduce copy, index permutation, gather, group, file) took
+// more than 10.
+func TestSortDumpAllocationBudget(t *testing.T) {
+	fs := newSortFS(t)
+	chunks, rng := sortBenchInput(8, 1<<14, false)
+	payload := uint64(8 * (1 << 14) * attrCount * 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sortBenchDump(t, fs, chunks, rng)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, payload*29/10; got > limit {
+		t.Errorf("one sort dump of %d payload bytes allocated %d (%.2f B/B), budget %d (2.9 B/B)",
+			payload, got, float64(got)/float64(payload), limit)
+	}
+}
+
+func BenchmarkSortDump(b *testing.B) {
+	for _, shape := range []string{"disjoint", "interleaved"} {
+		b.Run(shape, func(b *testing.B) {
+			fs := newSortFS(b)
+			const writers, rows = 8, 1 << 15
+			chunks, rng := sortBenchInput(writers, rows, shape == "interleaved")
+			b.ReportAllocs()
+			b.SetBytes(writers * rows * attrCount * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sortBenchDump(b, fs, chunks, rng)
+			}
+		})
+	}
+}

@@ -17,8 +17,8 @@ func (fs *FileSystem) Export(name string, w io.Writer) error {
 		return fmt.Errorf("pfs: export %s: no such file", name)
 	}
 	fd.mu.Lock()
-	data := make([]byte, len(fd.data))
-	copy(data, fd.data)
+	data := make([]byte, fd.size)
+	fd.load(data, 0)
 	fd.mu.Unlock()
 	_, err := w.Write(data)
 	return err
@@ -51,7 +51,8 @@ func (fs *FileSystem) Import(name string, r io.Reader, stripes int) error {
 	if stripes > fs.cfg.NumOSTs {
 		stripes = fs.cfg.NumOSTs
 	}
-	fd := &fileData{stripes: stripes, data: data}
+	fd := &fileData{stripes: stripes}
+	fd.store(data, 0, true)
 	fs.mu.Lock()
 	fs.files[name] = fd
 	fs.mu.Unlock()

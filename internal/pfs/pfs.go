@@ -14,9 +14,11 @@
 package pfs
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -79,10 +81,78 @@ type FileSystem struct {
 	stats    Stats
 }
 
+// fileData stores a file as a sorted list of non-overlapping, non-empty
+// extents; bytes no extent covers read as zeros. A write therefore costs the
+// bytes it carries and nothing else: extending a file never touches what the
+// file already holds.
 type fileData struct {
 	mu      sync.Mutex
-	data    []byte
+	extents []extent
+	size    int64
 	stripes int // stripe count chosen at create time
+}
+
+type extent struct {
+	off  int64
+	data []byte
+}
+
+// from returns the index of the first extent that ends beyond off.
+func (fd *fileData) from(off int64) int {
+	return sort.Search(len(fd.extents), func(i int) bool {
+		e := fd.extents[i]
+		return e.off+int64(len(e.data)) > off
+	})
+}
+
+// gapEnd returns where a gap that starts before extent i ends: at that
+// extent's first byte, or at limit when the extents stop short of it.
+func (fd *fileData) gapEnd(i int, limit int64) int64 {
+	if i < len(fd.extents) && fd.extents[i].off < limit {
+		return fd.extents[i].off
+	}
+	return limit
+}
+
+// store lays p over [off, off+len(p)) and extends the file to cover it.
+// Bytes that land on a stored extent are copied into it; bytes that land on
+// nothing become new extents — pieces of p itself when the caller gave p
+// away (owned), copies otherwise.
+func (fd *fileData) store(p []byte, off int64, owned bool) {
+	end := off + int64(len(p))
+	fd.size = max(fd.size, end)
+	i := fd.from(off)
+	for pos := off; pos < end; i++ {
+		if i < len(fd.extents) && fd.extents[i].off <= pos {
+			e := fd.extents[i]
+			pos += int64(copy(e.data[pos-e.off:], p[pos-off:]))
+			continue
+		}
+		stop := fd.gapEnd(i, end)
+		piece := p[pos-off : stop-off]
+		if !owned {
+			piece = bytes.Clone(piece)
+		}
+		fd.extents = slices.Insert(fd.extents, i, extent{off: pos, data: piece})
+		pos = stop
+	}
+}
+
+// load fills p from [off, off+len(p)), which must lie inside the file.
+func (fd *fileData) load(p []byte, off int64) {
+	end := off + int64(len(p))
+	i := fd.from(off)
+	for pos := off; pos < end; {
+		if i < len(fd.extents) && fd.extents[i].off <= pos {
+			e := fd.extents[i]
+			pos += int64(copy(p[pos-off:], e.data[pos-e.off:]))
+			i++
+			continue
+		}
+		stop := fd.gapEnd(i, end)
+		clear(p[pos-off : stop-off])
+		pos = stop
+	}
 }
 
 // New creates an empty file system with the given machine description.
@@ -190,23 +260,28 @@ func (f *File) Name() string { return f.name }
 func (f *File) Size() int64 {
 	f.fd.mu.Lock()
 	defer f.fd.mu.Unlock()
-	return int64(len(f.fd.data))
+	return f.fd.size
 }
 
-// WriteAt stores p at offset off, extending the file as needed, and
-// returns the modeled duration of the request.
+// WriteAt stores a copy of p at offset off, extending the file as needed,
+// and returns the modeled duration of the request. p stays the caller's.
 func (f *File) WriteAt(p []byte, off int64) (time.Duration, error) {
+	return f.writeAt(p, off, false)
+}
+
+// WriteOwned is WriteAt for a buffer the caller gives away: where p lands on
+// no stored bytes the file keeps p itself instead of a copy, so the caller
+// must never write to p again (it may still read it).
+func (f *File) WriteOwned(p []byte, off int64) (time.Duration, error) {
+	return f.writeAt(p, off, true)
+}
+
+func (f *File) writeAt(p []byte, off int64, owned bool) (time.Duration, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("pfs: write %s: negative offset %d", f.name, off)
 	}
 	f.fd.mu.Lock()
-	end := off + int64(len(p))
-	if end > int64(len(f.fd.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.fd.data)
-		f.fd.data = grown
-	}
-	copy(f.fd.data[off:end], p)
+	f.fd.store(p, off, owned)
 	stripes := f.fd.stripes
 	f.fd.mu.Unlock()
 
@@ -214,11 +289,12 @@ func (f *File) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return d, nil
 }
 
-// Append stores p at the end of the file and returns (offset, duration).
+// Append stores a copy of p at the end of the file and returns (offset,
+// duration).
 func (f *File) Append(p []byte) (int64, time.Duration, error) {
 	f.fd.mu.Lock()
-	off := int64(len(f.fd.data))
-	f.fd.data = append(f.fd.data, p...)
+	off := f.fd.size
+	f.fd.store(p, off, false)
 	stripes := f.fd.stripes
 	f.fd.mu.Unlock()
 	d := f.fs.chargeOp(int64(len(p)), off, stripes, true)
@@ -232,12 +308,12 @@ func (f *File) ReadAt(p []byte, off int64) (time.Duration, error) {
 		return 0, fmt.Errorf("pfs: read %s: negative offset %d", f.name, off)
 	}
 	f.fd.mu.Lock()
-	if off+int64(len(p)) > int64(len(f.fd.data)) {
-		sz := len(f.fd.data)
+	if off+int64(len(p)) > f.fd.size {
+		sz := f.fd.size
 		f.fd.mu.Unlock()
 		return 0, fmt.Errorf("pfs: read %s: [%d:%d) beyond size %d", f.name, off, off+int64(len(p)), sz)
 	}
-	copy(p, f.fd.data[off:off+int64(len(p))])
+	f.fd.load(p, off)
 	stripes := f.fd.stripes
 	f.fd.mu.Unlock()
 

@@ -307,6 +307,7 @@ func BenchmarkWrite1MB(b *testing.B) {
 	fs, _ := New(quietConfig())
 	f, _ := fs.Create("bench", 4)
 	buf := make([]byte, 1<<20)
+	b.ReportAllocs()
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -524,6 +524,8 @@ func BenchmarkEngineMapShuffleReduce(b *testing.B) {
 	for i := range vals {
 		vals[i] = rand.Float64()
 	}
+	b.ReportAllocs()
+	b.SetBytes(4 * 2 * int64(len(vals)) * 8) // four ranks map two chunks each
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := mpi.Run(4, func(c *mpi.Comm) error {

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -99,6 +100,34 @@ type Log struct {
 	bytes   int64
 	wall    time.Duration
 	closed  bool
+
+	// size is the journal file's length once everything buffered is
+	// flushed; uncached is the page-aligned prefix already durable and
+	// dropped from the page cache; newest is the highest Timestep of any
+	// record in the file (noRecord when it holds none). Open derives all
+	// three from its scan, so they describe the file, not just this
+	// handle's appends.
+	size     int64
+	uncached int64
+	newest   int64
+}
+
+// noRecord is Log.newest for a journal that holds no record.
+const noRecord = math.MinInt64
+
+var pageSize = int64(os.Getpagesize())
+
+// uncache drops the journal's durable pages from the page cache. Nothing
+// reads them back short of a restart, and left cached they are released
+// in one journal-sized lump when a checkpoint replaces the file — memory
+// that may have to be faulted in afresh under the next dumps' appends
+// (DESIGN.md §14). Call after fsync: only clean pages are dropped. The
+// last, partial page stays so that the next append does not read it back.
+func (l *Log) uncache() {
+	if end := l.size &^ (pageSize - 1); end > l.uncached {
+		dropCache(l.f, l.uncached, end-l.uncached)
+		l.uncached = end
+	}
 }
 
 // Open creates or re-opens the journal in dir (created if missing).
@@ -110,7 +139,8 @@ func Open(dir string) (*Log, error) {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
 	path := filepath.Join(dir, journalName)
-	_, validLen, _, scanErr := scanJournal(path, func(Record) {})
+	newest := int64(noRecord)
+	_, validLen, _, scanErr := scanJournal(path, func(rec Record) { newest = max(newest, rec.Timestep) })
 	fresh := false
 	switch {
 	case errors.Is(scanErr, os.ErrNotExist):
@@ -137,8 +167,9 @@ func Open(dir string) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: write magic: %w", err)
 		}
+		validLen = int64(len(journalMagic))
 	}
-	return &Log{dir: dir, path: path, f: f, w: bufio.NewWriter(f)}, nil
+	return &Log{dir: dir, path: path, f: f, w: bufio.NewWriter(f), size: validLen, newest: newest}, nil
 }
 
 // Dir returns the directory the journal lives in.
@@ -168,6 +199,8 @@ func (l *Log) append(rec Record) error {
 	}
 	l.records++
 	l.bytes += int64(headerSize + len(rec.Payload))
+	l.size += int64(headerSize + len(rec.Payload))
+	l.newest = max(l.newest, rec.Timestep)
 	l.wall += time.Since(start)
 	return nil
 }
@@ -206,6 +239,7 @@ func (l *Log) Sync() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
+	l.uncache()
 	l.wall += time.Since(start)
 	return nil
 }
@@ -322,14 +356,19 @@ func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	}
 
 	// Step 2: journal truncation — rewrite keeping only the records the
-	// checkpoint does not cover, then swap atomically.
+	// checkpoint does not cover, then swap atomically. When the file
+	// holds no record that recent (the usual case: a checkpoint follows
+	// its dump's commit) nothing survives and the journal is not read
+	// back — the last commit dropped its pages from the cache.
 	var keep []Record
-	if _, _, _, err := scanJournal(l.path, func(rec Record) {
-		if rec.Timestep >= c.NextDump {
-			keep = append(keep, rec)
+	if l.newest >= c.NextDump {
+		if _, _, _, err := scanJournal(l.path, func(rec Record) {
+			if rec.Timestep >= c.NextDump {
+				keep = append(keep, rec)
+			}
+		}); err != nil {
+			return 0, err
 		}
-	}); err != nil {
-		return 0, err
 	}
 	jtmp := filepath.Join(l.dir, journalName+".tmp")
 	if err := writeJournal(jtmp, keep); err != nil {
@@ -352,6 +391,11 @@ func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	}
 	l.f = nf
 	l.w = bufio.NewWriter(nf)
+	l.size, l.uncached, l.newest = int64(len(journalMagic)), 0, noRecord
+	for _, rec := range keep {
+		l.size += int64(headerSize + len(rec.Payload))
+		l.newest = max(l.newest, rec.Timestep)
+	}
 	l.wall += time.Since(start)
 	return len(keep), nil
 }

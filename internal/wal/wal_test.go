@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -371,5 +372,148 @@ func replayableRecords(whole []byte, off int) int {
 		}
 		pos += headerSize + length
 		n++
+	}
+}
+
+// journalState checks the handle's picture of its file against the file:
+// size is what Stat reports once synced, and the uncached prefix ends on
+// the last page boundary inside it.
+func journalState(t *testing.T, l *Log, when string) {
+	t.Helper()
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(l.Dir(), journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.size != fi.Size() {
+		t.Fatalf("%s: handle thinks the journal is %d bytes, the file is %d", when, l.size, fi.Size())
+	}
+	if want := fi.Size() &^ (pageSize - 1); l.uncached != want {
+		t.Fatalf("%s: uncached prefix %d, want %d (file %d bytes)", when, l.uncached, want, fi.Size())
+	}
+}
+
+func TestHandleTracksJournalFile(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir)
+	journalState(t, l, "fresh")
+	big := make([]byte, 3*int(pageSize)+17)
+	for ts := int64(0); ts < 3; ts++ {
+		if err := l.AppendChunk(0, ts, big); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendCommit(ts); err != nil {
+			t.Fatal(err)
+		}
+		journalState(t, l, fmt.Sprintf("after dump %d", ts))
+	}
+	// A checkpoint that carries a record forward, then one that does not.
+	if err := l.AppendRequest(1, 5, []byte("early")); err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 3}); err != nil || kept != 1 {
+		t.Fatalf("checkpoint 3: kept %d, err %v", kept, err)
+	}
+	journalState(t, l, "after carrying checkpoint")
+	if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 6}); err != nil || kept != 0 {
+		t.Fatalf("checkpoint 6: kept %d, err %v", kept, err)
+	}
+	journalState(t, l, "after emptying checkpoint")
+	if err := l.AppendChunk(0, 6, big); err != nil {
+		t.Fatal(err)
+	}
+	journalState(t, l, "after post-checkpoint append")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A torn tail is cut off on re-open; the handle starts from the cut.
+	path := filepath.Join(dir, journalName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, "torn"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, dir)
+	defer l2.Close()
+	journalState(t, l2, "re-opened over a torn tail")
+	if l2.newest != 6 {
+		t.Fatalf("re-opened handle's newest record is dump %d, want 6", l2.newest)
+	}
+}
+
+// TestCheckpointKeepsCarryingForward pins the bookkeeping that lets a
+// checkpoint skip reading the journal back: a record carried across one
+// checkpoint is still known to the handle at the next, so it is carried
+// again rather than dropped unread.
+func TestCheckpointKeepsCarryingForward(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir)
+	if err := l.AppendChunk(0, 0, []byte("c0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendCommit(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendRequest(7, 4, []byte("far-future")); err != nil {
+		t.Fatal(err)
+	}
+	for next := int64(1); next <= 4; next++ {
+		kept, err := l.WriteCheckpoint(Checkpoint{NextDump: next})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept != 1 {
+			t.Fatalf("checkpoint at %d kept %d records, want the one request for dump 4", next, kept)
+		}
+	}
+	if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 5}); err != nil || kept != 0 {
+		t.Fatalf("checkpoint past the request: kept %d, err %v", kept, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 0 || st.NextDump() != 5 {
+		t.Fatalf("after the last checkpoint: %d records, next dump %d", st.Records, st.NextDump())
+	}
+}
+
+// TestEmptyingCheckpointDoesNotReadJournal is the allocation tripwire for
+// the usual checkpoint — every record is covered — which used to read the
+// whole journal back, one buffer per record, only to keep none of it.
+func TestEmptyingCheckpointDoesNotReadJournal(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir)
+	defer l.Close()
+	chunk := make([]byte, 1<<20)
+	for ts := int64(0); ts < 4; ts++ {
+		for w := 0; w < 4; w++ {
+			if err := l.AppendChunk(w, ts, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.AppendCommit(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 4})
+	runtime.ReadMemStats(&after)
+	if err != nil || kept != 0 {
+		t.Fatalf("kept %d, err %v", kept, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("a checkpoint that keeps nothing allocated %d bytes over a %d-byte journal", got, 16*len(chunk))
 	}
 }

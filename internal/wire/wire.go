@@ -6,6 +6,8 @@
 // needs it). Host byte order is probed once at init and the address
 // alignment of a view is checked per call; whenever either does not hold the
 // portable element loop runs instead, so results never depend on the host.
+// Float64Frame goes the other way: it allocates the words first and exposes
+// their bytes, so a producer can compute straight into its output buffer.
 package wire
 
 import (
@@ -77,6 +79,44 @@ func Int64s(b []byte) []int64 {
 		return v
 	}
 	return int64sPortable(b)
+}
+
+// Float64Frame allocates one buffer of header bytes followed by n doubles and
+// returns it with the doubles. On a little-endian host the storage is
+// allocated as words and the header is packed against the front of the first
+// payload word, so words is frame[header:] itself — aligned by construction,
+// no padding in the frame — and filling words fills the frame. On any other
+// host words is separate storage. Either way the caller finishes with
+// PutFloat64s(frame[header:], words).
+func Float64Frame(header, n int) (frame []byte, words []float64) {
+	if !hostLittleEndian {
+		return make([]byte, header+8*n), make([]float64, n)
+	}
+	lead := (header + 7) / 8 // words the header occupies, the first one partly
+	store := make([]float64, lead+n)
+	return bytesOf(store)[lead*8-header:], store[lead:]
+}
+
+// PutFloat64s writes v over dst[:8*len(v)] as little-endian IEEE-754 doubles.
+// When dst already is v's memory (a Float64Frame on a little-endian host)
+// there is nothing to do.
+func PutFloat64s(dst []byte, v []float64) {
+	if len(v) == 0 {
+		return
+	}
+	if !hostLittleEndian {
+		putFloat64sPortable(dst, v)
+		return
+	}
+	if src := bytesOf(v); &src[0] != &dst[0] {
+		copy(dst[:len(src)], src)
+	}
+}
+
+func putFloat64sPortable(dst []byte, v []float64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(x))
+	}
 }
 
 func appendFloat64sPortable(b []byte, v []float64) []byte {

@@ -85,3 +85,46 @@ func TestViewOnlyWhenAligned(t *testing.T) {
 		t.Error("aligned int64 input decoded into a copy")
 	}
 }
+
+// TestFloat64FrameIsItsWords: filling the words of a frame fills the frame —
+// header packed against the payload at every header length modulo 8, no
+// padding — and on a host that cannot share the memory PutFloat64s encodes
+// the same bytes.
+func TestFloat64FrameIsItsWords(t *testing.T) {
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{hostLittleEndian, false} {
+		hostLittleEndian = le
+		for header := 0; header <= 17; header++ {
+			for _, n := range []int{0, 1, 5} {
+				f, _ := samples(n)
+				frame, words := Float64Frame(header, n)
+				if len(frame) != header+8*n || len(words) != n {
+					t.Fatalf("header %d n %d: frame of %d bytes, %d words", header, n, len(frame), len(words))
+				}
+				for i := range frame[:header] {
+					frame[i] = byte(i + 1)
+				}
+				copy(words, f)
+				PutFloat64s(frame[header:], words)
+				want := make([]byte, header)
+				for i := range want {
+					want[i] = byte(i + 1)
+				}
+				if want = appendFloat64sPortable(want, f); !bytes.Equal(frame, want) {
+					t.Fatalf("little-endian %v header %d n %d: frame % x, want % x", le, header, n, frame, want)
+				}
+				shared := n > 0 && reflect.ValueOf(words).Pointer() == reflect.ValueOf(frame[header:]).Pointer()
+				if n > 0 && shared != le {
+					t.Errorf("little-endian %v header %d: words share the frame's memory: %v", le, header, shared)
+				}
+			}
+		}
+	}
+	// Encoding into a buffer that is not the words' own memory copies.
+	f, _ := samples(9)
+	dst := make([]byte, 8*len(f))
+	PutFloat64s(dst, f)
+	if !bytes.Equal(dst, appendFloat64sPortable(nil, f)) {
+		t.Error("PutFloat64s into separate memory differs from the portable encoding")
+	}
+}
