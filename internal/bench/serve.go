@@ -31,6 +31,9 @@ const (
 	serveQueryCores  = 2
 	serveQueryCount  = 4
 	serveQueryRounds = 4
+	// serveCachePairs is how many cache-on/cache-off pairs the cache
+	// comparison takes its medians over.
+	serveCachePairs = 15
 )
 
 // serveVersionBytes is one ingested version's payload.
@@ -195,7 +198,7 @@ func serveLeg(name string, tenants, cacheEntries int, seed int64) (row, error) {
 // serving runs the multi-tenant streaming-service experiment: sustained
 // ingest with concurrent query sweeps under 1, 4, and 16 tenants, every
 // leg trace-verified for tenant isolation and cache coherence with
-// exact frame conservation, plus a cache on/off comparison on the
+// exact frame conservation, plus a cache on/off latency reading on the
 // repeated-region workload.
 func serving(rp *Report) error {
 	rp.seeded("Serve — multi-tenant streaming staging with query traffic")
@@ -217,41 +220,63 @@ func serving(rp *Report) error {
 	}
 
 	// The cache comparison re-runs the single-tenant repeated-region
-	// workload with the cache disabled; speedup is uncached p50 over
-	// cached p50.
-	uncachedLeg, err := serveLeg("single-tenant-nocache", 1, 0, rp.seed)
-	if err != nil {
-		return err
+	// workload with the cache on and off in alternating pairs and reports
+	// each side's median p50 and, as speedup, the median of the per-pair
+	// uncached/cached ratios. One pair says nothing: a leg's p50 is over
+	// 32 queries of a few microseconds, and whichever leg runs first in a
+	// cold process reads two to three times slower than it does warm.
+	// The speedup is a reading, not a target — now that a Get copies rows
+	// a hit saves microseconds, not hundreds of them (DESIGN.md §15) —
+	// and the timing gate is only that the cache must not make queries
+	// slower than the ledger lets a timed row move.
+	var cachedP50s, uncachedP50s, ratios []float64
+	for i := 0; i < serveCachePairs; i++ {
+		capacity := [2]int{serveCacheCap, 0} // cache on, cache off
+		var p50 [2]float64
+		for j := range p50 {
+			// Alternate which side of the pair runs first.
+			side := (i + j) % 2
+			leg, err := serveLeg("cache-comparison", 1, capacity[side], rp.seed)
+			if err != nil {
+				return err
+			}
+			p50[side] = leg.get("query_p50_us").(float64)
+		}
+		cachedP50s, uncachedP50s = append(cachedP50s, p50[0]), append(uncachedP50s, p50[1])
+		ratios = append(ratios, p50[1]/p50[0])
 	}
-	cached := rows[0].get("query_p50_us").(float64)
-	uncached := uncachedLeg.get("query_p50_us").(float64)
-	var speedup float64
-	if cached > 0 {
-		speedup = uncached / cached
-	}
+	cached, uncached, speedup := median(cachedP50s), median(uncachedP50s), median(ratios)
 	rp.section("serve", row{
 		{"versions", serveVersions, "", ""},
 		{"rows_per_version", serveRows, "", ""},
 		{"cache_comparison", row{
+			{"pairs", serveCachePairs, "", ""},
 			{"cached_p50_us", cached, "", ""},
 			{"uncached_p50_us", uncached, "", ""},
 			{"speedup", speedup, "", ""},
 		}, "", ""},
 	}, rows)
-	rp.printf("\ncache on repeated regions: p50 %.2fus cached vs %.2fus uncached (%.1fx)\n", cached, uncached, speedup)
+	rp.printf("\ncache on repeated regions: p50 %.2fus cached vs %.2fus uncached (%.2fx, medians of %d pairs; bound: cached within %.0f%% of uncached)\n",
+		cached, uncached, speedup, serveCachePairs, timedRowBound)
 
 	// The invariants the experiment exists to demonstrate. Conservation
 	// and trace verification already gated inside each leg; here the
-	// cache must earn its keep on the repeated-region workload.
-	if speedup < 2 {
-		return fmt.Errorf("bench: cache speedup %.2fx below 2x on repeated regions (cached %.2fus, uncached %.2fus)",
-			speedup, cached, uncached)
+	// cache must answer every repeated round and be seen doing it
+	// coherently.
+	if speedup < 1/(1+timedRowBound/100) {
+		return fmt.Errorf("bench: cached p50 %.2fus exceeds uncached p50 %.2fus (median pair %.2fx) by more than the %.0f%% timed-row bound",
+			cached, uncached, speedup, timedRowBound)
 	}
+	const wantHitRate = float64(serveQueryRounds-1) / serveQueryRounds
 	for _, leg := range rows {
+		if rate := leg.get("cache_hit_rate").(float64); rate < wantHitRate {
+			return fmt.Errorf("bench: %s: cache hit rate %.2f, want every round past the first to hit (%.2f)",
+				leg.get("name"), rate, wantHitRate)
+		}
 		if leg.get("cache_checks").(int) == 0 {
 			return fmt.Errorf("bench: %s: no cache-coherence checks in the verified trace", leg.get("name"))
 		}
 	}
-	rp.printf("\nall legs conserve every tenant's frames with verified isolation; the result cache beats uncached reads >=2x on repeated regions\n")
+	rp.printf("\nall legs conserve every tenant's frames with verified isolation; every repeated region is answered from the result cache\n")
 	return nil
 }

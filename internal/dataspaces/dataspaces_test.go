@@ -549,6 +549,8 @@ func BenchmarkPutGet2D(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := make([]float64, 1024*256/16)
+	b.ReportAllocs()
+	b.SetBytes(2 * int64(len(data)) * 8) // put, then got
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := i

@@ -2,6 +2,7 @@ package dataspaces
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -129,5 +130,112 @@ func TestRestoreReplacesAndRehashes(t *testing.T) {
 	}
 	if err := empty.Restore([]byte("not a gob stream")); err == nil {
 		t.Fatal("corrupt blob accepted")
+	}
+}
+
+// restoreForeign snapshots one full version of a space over the given
+// domain and restores it into snapSpace's 64 x 64 domain of 16 x 16
+// blocks, which already holds an object; the restore must fail, and
+// leave that object readable.
+func restoreForeign(t *testing.T, dom Domain) error {
+	t.Helper()
+	src, err := New(Config{Servers: 2, Domain: dom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Put("field", 1, []uint64{0, 0}, dom.Dims, make([]float64, dom.Dims[0]*dom.Dims[1])); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := snapSpace(t, 2)
+	if err := dst.Put("mine", 1, []uint64{0, 0}, []uint64{64, 64}, make([]float64, 64*64)); err != nil {
+		t.Fatal(err)
+	}
+	err = dst.Restore(blob)
+	if err == nil {
+		// What trusting the blob used to cost: the foreign blocks are
+		// installed, and reading them indexes past a slab.
+		t.Error("foreign snapshot accepted")
+	}
+	if _, err := dst.Get("mine", 1, []uint64{0, 0}, []uint64{64, 64}); err != nil {
+		t.Errorf("a rejected restore disturbed the space: %v", err)
+	}
+	return err
+}
+
+// TestRestoreRejectsBlockOutsideGrid: a snapshot of a larger domain names
+// blocks this space's grid does not have.
+func TestRestoreRejectsBlockOutsideGrid(t *testing.T) {
+	err := restoreForeign(t, Domain{Dims: []uint64{64, 160}, BlockSize: []uint64{16, 16}})
+	if err != nil && !strings.Contains(err.Error(), "outside") {
+		t.Errorf("error %q does not say the block is outside the grid", err)
+	}
+}
+
+// TestRestoreRejectsWrongCellCount: a snapshot of the same domain under
+// another block size names blocks the grid has, with the wrong cells.
+func TestRestoreRejectsWrongCellCount(t *testing.T) {
+	err := restoreForeign(t, Domain{Dims: []uint64{64, 64}, BlockSize: []uint64{32, 32}})
+	if err != nil && !strings.Contains(err.Error(), "1024 cells") {
+		t.Errorf("error %q does not name the cell count", err)
+	}
+}
+
+// TestSnapshotOfRecycledSlabs: identical contents snapshot to identical
+// bytes even when one space holds them in slabs another version left its
+// values in, and a block every cell of which was put restores as one.
+func TestSnapshotOfRecycledSlabs(t *testing.T) {
+	part := make([]float64, 5*40)
+	for i := range part {
+		part[i] = float64(i) + 0.5
+	}
+	fill := func(s *Space) []byte {
+		t.Helper()
+		if err := s.Put("obj", 2, []uint64{3, 7}, []uint64{8, 47}, part); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("obj", 2, []uint64{16, 16}, []uint64{32, 32}, make([]float64, 256)); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	fresh := fill(snapSpace(t, 2))
+	used := snapSpace(t, 2)
+	junk := make([]float64, 64*64)
+	for i := range junk {
+		junk[i] = -1
+	}
+	if err := used.Put("obj", 1, []uint64{0, 0}, []uint64{64, 64}, junk); err != nil {
+		t.Fatal(err)
+	}
+	used.EvictVersion("obj", 1)
+	if !bytes.Equal(fill(used), fresh) {
+		t.Fatal("a space on recycled slabs snapshots differently from a fresh one with the same contents")
+	}
+	back := snapSpace(t, 3)
+	if err := back.Restore(fresh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Get("obj", 2, []uint64{3, 7}, []uint64{8, 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range part {
+		if got[i] != part[i] {
+			t.Fatalf("cell %d: %g != %g", i, got[i], part[i])
+		}
+	}
+	if _, err := back.Get("obj", 2, []uint64{2, 7}, []uint64{4, 9}); err == nil {
+		t.Error("a cell nobody put reads back after a restore")
+	}
+	if _, err := back.Get("obj", 2, []uint64{16, 16}, []uint64{32, 32}); err != nil {
+		t.Errorf("a full block does not read back after a restore: %v", err)
 	}
 }

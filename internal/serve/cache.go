@@ -81,14 +81,14 @@ type CacheStats struct {
 
 // queryCache is the serve daemon's result cache with dump-epoch
 // invalidation. The coherence protocol: a reader captures the epoch
-// BEFORE reading the space (begin), and the fill is discarded if the
-// epoch moved in between — so a result computed from pre-invalidation
-// bytes can never be installed over a newer epoch. A hit is valid only
-// while the entry's fill epoch equals the current epoch. Trace events
-// are recorded inside the cache mutex, which linearizes their
-// timestamps: the cache-coherence Verify rule can then compare hit and
-// invalidation times exactly. (Trace appends are lock-free, so nothing
-// blocks under the mutex.)
+// BEFORE reading the space (a missed lookup hands it back), and the fill
+// is discarded if the epoch moved in between — so a result computed from
+// pre-invalidation bytes can never be installed over a newer epoch. A hit
+// is valid only while the entry's fill epoch equals the current epoch.
+// Trace events are recorded inside the cache mutex, which linearizes
+// their timestamps: the cache-coherence Verify rule can then compare hit
+// and invalidation times exactly. (Trace appends are lock-free, so
+// nothing blocks under the mutex.)
 type queryCache struct {
 	mu      sync.Mutex
 	max     int
@@ -109,33 +109,29 @@ func newQueryCache(maxEntries int, tracer *trace.Recorder) *queryCache {
 	}
 }
 
-// begin returns the current epoch for (obj, version). Callers capture
-// it before reading the space and pass it to fill.
-func (c *queryCache) begin(ov objVer) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epochs[ov]
-}
-
 // lookup returns the cached result for key if it is coherent: present
-// and filled under the current epoch of its (obj, version). Stale
-// entries are dropped on sight. The returned slice is the cache's own
-// copy — callers must not mutate it.
-func (c *queryCache) lookup(key string, tenant int, hash int64, version int) (data []float64, scalar float64, ok bool) {
+// and filled under the current epoch of ov, the key's (obj, version).
+// Stale entries are dropped on sight. On a miss it returns that current
+// epoch instead: the caller reads the space next and passes the epoch to
+// fill, and capturing it under the same lock as the miss keeps it BEFORE
+// the read. The returned slice is the cache's own copy — callers must
+// not mutate it.
+func (c *queryCache) lookup(key string, ov objVer, tenant int, hash int64) (data []float64, scalar float64, e0 int64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e0 = c.epochs[ov]
 	ent, present := c.entries[key]
-	if present && ent.epoch == c.epochs[ent.ov] {
+	if present && ent.epoch == e0 {
 		c.lru.MoveToFront(ent.elem)
 		c.stats.Hits++
-		c.tracer.Instant(trace.PhaseCacheHit, tenant, tenant, int64(version), hash, ent.epoch)
-		return ent.data, ent.scalar, true
+		c.tracer.Instant(trace.PhaseCacheHit, tenant, tenant, int64(ov.version), hash, ent.epoch)
+		return ent.data, ent.scalar, e0, true
 	}
 	if present {
 		c.removeLocked(ent)
 	}
 	c.stats.Misses++
-	return nil, 0, false
+	return nil, 0, e0, false
 }
 
 // fill installs a result computed from a space read that began at

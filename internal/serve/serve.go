@@ -282,11 +282,12 @@ func (s *Session) Query(name string, version int, lb, ub []uint64) ([]float64, e
 	ov := objVer{qual, version}
 	if c := s.d.cache; c != nil {
 		key = cacheKey(qual, version, lb, ub, opGet)
-		e0 = c.begin(ov)
-		if data, _, ok := c.lookup(key, s.id, hash, version); ok {
+		data, _, epoch, ok := c.lookup(key, ov, s.id, hash)
+		if ok {
 			s.noteQuery()
 			return append([]float64(nil), data...), nil
 		}
+		e0 = epoch
 	}
 	data, err := s.d.space.Get(qual, version, lb, ub)
 	if err != nil {
@@ -310,11 +311,12 @@ func (s *Session) Reduce(name string, version int, lb, ub []uint64, op dataspace
 	ov := objVer{qual, version}
 	if c := s.d.cache; c != nil {
 		key = cacheKey(qual, version, lb, ub, opReduceMin+queryOp(op))
-		e0 = c.begin(ov)
-		if _, scalar, ok := c.lookup(key, s.id, hash, version); ok {
+		_, scalar, epoch, ok := c.lookup(key, ov, s.id, hash)
+		if ok {
 			s.noteReduce()
 			return scalar, nil
 		}
+		e0 = epoch
 	}
 	v, err := s.d.space.Reduce(qual, version, lb, ub, op)
 	if err != nil {
