@@ -331,8 +331,7 @@ func exportTrace(recorder *trace.Recorder, path string) error {
 		}
 		return fmt.Errorf("trace: verification failed with %d violations", len(rep.Violations))
 	}
-	fmt.Printf("trace: %d events -> %s (dropped %d); verified %d collective groups, %d shuffle edges, %d replay checks\n",
-		len(rec.Events), path, rec.Dropped, rep.CollectiveGroups, rep.ShuffleEdges, rep.ReplayChecks)
+	fmt.Printf("trace: %s (dropped %d); verified %s\n", path, rec.Dropped, rep)
 	return nil
 }
 

@@ -116,10 +116,7 @@ func cmdValidate(args []string) error {
 	if verr != nil {
 		return verr
 	}
-	fmt.Printf("%s: OK — %d events, %d collective groups (%d calls), %d shuffle edges, %d replay checks, %d budgeted ranks, %d WAL replays, %d restart fences, %d checkpoint truncations\n",
-		args[0], rep.Events, rep.CollectiveGroups, rep.Collectives,
-		rep.ShuffleEdges, rep.ReplayChecks, rep.LeaseRanks,
-		rep.WALChecks, rep.RestartChecks, rep.CheckpointChecks)
+	fmt.Printf("%s: OK — %s\n", args[0], rep)
 	return nil
 }
 

@@ -103,7 +103,7 @@ func TestRegistry(t *testing.T) {
 		{name: "overload", legs: 4,
 			keys: "name wall_ms budget_bytes throttles throttle_wait_ms spilled_chunks spilled_bytes replayed_chunks sampled_chunks shed_chunks passed_chunks passed_bytes peak_bytes max_level shed_operators degraded_dumps data_loss"},
 		{name: "trace", legs: 3, params: "overhead_pct",
-			keys: "name wall_ms events dropped collectives collective_groups shuffle_edges replay_checks"},
+			keys: "name wall_ms events dropped collective_groups shuffle_edges replay_checks"},
 		{name: "elastic", legs: 3, params: "base_frames burst_factors",
 			keys: "name staging_ranks wall_ms dump_mean_ms dump_max_ms spilled_bytes passed_bytes shed_chunks throttles rank_dumps grows shrinks min_active max_active data_loss"},
 		{name: "adversary", legs: 5, params: "writers staging dumps",

@@ -154,8 +154,8 @@ func restart(rp *Report) error {
 	if err != nil {
 		return fmt.Errorf("bench: crashall leg failed trace verification: %w", err)
 	}
-	if rep.WALChecks == 0 || rep.RestartChecks == 0 {
-		return fmt.Errorf("bench: crashall recording ran no WAL/restart checks: %+v", rep)
+	if rep.Checks[trace.RuleWALReplay] == 0 || rep.Checks[trace.RuleRestartOnce] == 0 {
+		return fmt.Errorf("bench: crashall recording ran no WAL/restart checks: %s", rep)
 	}
 	// Bouncing under a starved flow controller may shed, but only loudly.
 	if overloaded.res.Fault.Restarts != 1 {

@@ -85,10 +85,9 @@ func traceRow(name string, wall time.Duration, rec *trace.Recording, rep *trace.
 		{"wall_ms", wall.Milliseconds(), "wall", "%dms"},
 		{"events", len(rec.Events), "events", "%d"},
 		{"dropped", rec.Dropped, "dropped", "%d"},
-		{"collectives", rep.Collectives, "colls", "%d"},
-		{"collective_groups", rep.CollectiveGroups, "", ""},
-		{"shuffle_edges", rep.ShuffleEdges, "shuffle", "%d"},
-		{"replay_checks", rep.ReplayChecks, "replays", "%d"},
+		{"collective_groups", rep.Checks[trace.RuleCollectives], "groups", "%d"},
+		{"shuffle_edges", rep.Checks[trace.RuleShuffleOrder], "shuffle", "%d"},
+		{"replay_checks", rep.Checks[trace.RuleReplayOrder], "replays", "%d"},
 	}
 }
 
@@ -175,11 +174,10 @@ func traceOverhead(rp *Report) error {
 	if rec.Dropped != 0 || crash.Dropped != 0 {
 		return fmt.Errorf("bench: recordings dropped events (%d traced, %d crash)", rec.Dropped, crash.Dropped)
 	}
-	if rep.Collectives == 0 || rep.ShuffleEdges == 0 {
-		return fmt.Errorf("bench: traced run verified nothing: %+v", rep)
-	}
-	if crashRep.Collectives == 0 || crashRep.ShuffleEdges == 0 {
-		return fmt.Errorf("bench: crash run verified nothing: %+v", crashRep)
+	for _, r := range []*trace.VerifyReport{rep, crashRep} {
+		if r.Checks[trace.RuleCollectives] == 0 || r.Checks[trace.RuleShuffleOrder] == 0 {
+			return fmt.Errorf("bench: a traced run verified no collective groups or shuffle edges: %s", r)
+		}
 	}
 	rp.printf("\nboth recordings dropped nothing, and a crashed 64:1 run still verifies all ordering invariants\n")
 	return nil

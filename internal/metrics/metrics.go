@@ -86,57 +86,6 @@ func (g *Gauge) Peak() int64 {
 	return g.peak
 }
 
-// Timer accumulates wall-clock time across repeated Start/Stop intervals.
-// The zero value is ready to use. Timer is not safe for concurrent use;
-// use one Timer per goroutine and merge with Add.
-type Timer struct {
-	total   time.Duration
-	started time.Time
-	running bool
-	count   int
-}
-
-// Start begins a new interval. Starting an already-running timer panics,
-// since that always indicates a bookkeeping bug in the instrumented code.
-func (t *Timer) Start() {
-	if t.running {
-		panic("metrics: Timer.Start called on running timer")
-	}
-	t.started = time.Now()
-	t.running = true
-}
-
-// Stop ends the current interval and adds it to the total.
-func (t *Timer) Stop() {
-	if !t.running {
-		panic("metrics: Timer.Stop called on stopped timer")
-	}
-	t.total += time.Since(t.started)
-	t.running = false
-	t.count++
-}
-
-// Total reports the accumulated duration over all completed intervals.
-func (t *Timer) Total() time.Duration { return t.total }
-
-// Count reports the number of completed intervals.
-func (t *Timer) Count() int { return t.count }
-
-// Add merges the accumulated total and count of other into t.
-func (t *Timer) Add(other *Timer) {
-	t.total += other.total
-	t.count += other.count
-}
-
-// AddDuration adds an externally-measured duration as one interval.
-func (t *Timer) AddDuration(d time.Duration) {
-	t.total += d
-	t.count++
-}
-
-// Reset clears the timer to its zero state.
-func (t *Timer) Reset() { *t = Timer{} }
-
 // Summary holds order statistics and moments of a sample of float64
 // observations (seconds, bytes, counts, ...).
 type Summary struct {

@@ -10,54 +10,6 @@ import (
 	"time"
 )
 
-func TestTimerAccumulates(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	time.Sleep(2 * time.Millisecond)
-	tm.Stop()
-	if tm.Total() < 2*time.Millisecond {
-		t.Errorf("total %v too small", tm.Total())
-	}
-	if tm.Count() != 1 {
-		t.Errorf("count %d", tm.Count())
-	}
-	tm.AddDuration(10 * time.Millisecond)
-	if tm.Total() < 12*time.Millisecond || tm.Count() != 2 {
-		t.Errorf("after AddDuration: total=%v count=%d", tm.Total(), tm.Count())
-	}
-	var other Timer
-	other.AddDuration(5 * time.Millisecond)
-	tm.Add(&other)
-	if tm.Count() != 3 {
-		t.Errorf("after Add: count=%d", tm.Count())
-	}
-	tm.Reset()
-	if tm.Total() != 0 || tm.Count() != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
-func TestTimerMisusePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("double Start did not panic")
-		}
-	}()
-	var tm Timer
-	tm.Start()
-	tm.Start()
-}
-
-func TestTimerStopWithoutStartPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Stop without Start did not panic")
-		}
-	}()
-	var tm Timer
-	tm.Stop()
-}
-
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
 	if s.N != 0 || s.Mean != 0 {

@@ -155,7 +155,7 @@ func TestAdversarySoak(t *testing.T) {
 				if !hasPhase(rec, trace.PhaseProbe) || !hasPhase(rec, trace.PhaseHeal) {
 					t.Error("fence window left no probe/heal trace events")
 				}
-				if vrep.HealChecks == 0 {
+				if vrep.Checks[trace.RuleHealOnce] == 0 {
 					t.Errorf("heal recorded but exclusivity unchecked: %+v", vrep)
 				}
 			})
@@ -225,7 +225,7 @@ func TestSourceCorruptionFallsThroughToShed(t *testing.T) {
 	if !hasPhase(rec, trace.PhaseCorruptDrop) {
 		t.Error("no corrupt-drop trace event")
 	}
-	if vrep.CorruptChecks == 0 {
+	if vrep.Checks[trace.RuleCorruptQuarantine] == 0 {
 		t.Errorf("corrupt drops recorded but quarantine unchecked: %+v", vrep)
 	}
 }
@@ -276,7 +276,7 @@ func TestHedgedPullsUnderStraggler(t *testing.T) {
 	if hedged == 0 {
 		t.Fatalf("no hedged pulls under VarSigma %g, PaceScale %g (wins %d)", fcfg.VarSigma, fcfg.PaceScale, wins)
 	}
-	if rep.HedgeChecks == 0 {
+	if rep.Checks[trace.RuleHedgeResolution] == 0 {
 		t.Errorf("hedges fired but races unchecked: %+v", rep)
 	}
 	for dump := 0; dump < advDumps; dump++ {

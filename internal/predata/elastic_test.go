@@ -314,11 +314,11 @@ func TestElasticGrowsUnderBurstThenShrinks(t *testing.T) {
 	}
 
 	// The recording must carry the elastic structures the verifier checks.
-	if rep.ScaleEpochs < 2 {
-		t.Errorf("verifier cross-checked %d scale epochs, want >= 2", rep.ScaleEpochs)
+	if rep.Checks[trace.RuleScaleEpochs] < 2 {
+		t.Errorf("verifier cross-checked %d scale epochs, want >= 2", rep.Checks[trace.RuleScaleEpochs])
 	}
-	if rep.ChunkChecks != cfg.Dumps {
-		t.Errorf("chunk conservation checked %d dumps, want %d", rep.ChunkChecks, cfg.Dumps)
+	if rep.Checks[trace.RuleChunkConservation] != cfg.Dumps {
+		t.Errorf("chunk conservation checked %d dumps, want %d", rep.Checks[trace.RuleChunkConservation], cfg.Dumps)
 	}
 	for _, ph := range []trace.Phase{trace.PhaseScale, trace.PhaseScaleEpoch,
 		trace.PhaseHandoff, trace.PhaseDrain, trace.PhaseSpill} {
@@ -380,8 +380,8 @@ func TestElasticShrinksWhenIdle(t *testing.T) {
 	if !hasPhase(rec, trace.PhaseDrain) {
 		t.Error("no drain span recorded for any retiring rank")
 	}
-	if rep.ScaleEpochs < 2 {
-		t.Errorf("verifier cross-checked %d scale epochs, want >= 2", rep.ScaleEpochs)
+	if rep.Checks[trace.RuleScaleEpochs] < 2 {
+		t.Errorf("verifier cross-checked %d scale epochs, want >= 2", rep.Checks[trace.RuleScaleEpochs])
 	}
 
 	// Conservation: the steady workload's values all reduce exactly once.
@@ -440,11 +440,11 @@ func TestElasticCrashDuringGrow(t *testing.T) {
 			if got := sumFrameCounts(res); got != want {
 				t.Errorf("counted %d frames, want %d", got, want)
 			}
-			if rep.ScaleEpochs < 2 {
-				t.Errorf("verifier cross-checked %d scale epochs, want >= 2", rep.ScaleEpochs)
+			if rep.Checks[trace.RuleScaleEpochs] < 2 {
+				t.Errorf("verifier cross-checked %d scale epochs, want >= 2", rep.Checks[trace.RuleScaleEpochs])
 			}
-			if rep.ChunkChecks != cfg.Dumps {
-				t.Errorf("chunk conservation checked %d dumps, want %d", rep.ChunkChecks, cfg.Dumps)
+			if rep.Checks[trace.RuleChunkConservation] != cfg.Dumps {
+				t.Errorf("chunk conservation checked %d dumps, want %d", rep.Checks[trace.RuleChunkConservation], cfg.Dumps)
 			}
 			if res.Fault == nil || len(res.Fault.CrashedStaging) != 1 {
 				t.Errorf("fault report %+v, want one crashed staging rank", res.Fault)

@@ -168,10 +168,10 @@ func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 	}
 	// The recording must actually exercise the new rules: replays matched
 	// to appends, and the exclusivity census over every retired chunk.
-	if rep.WALChecks == 0 {
+	if rep.Checks[trace.RuleWALReplay] == 0 {
 		t.Errorf("no WAL replay fidelity checks ran: %+v", rep)
 	}
-	if rep.RestartChecks == 0 {
+	if rep.Checks[trace.RuleRestartOnce] == 0 {
 		t.Errorf("no restart exclusivity checks ran: %+v", rep)
 	}
 }
@@ -212,7 +212,7 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace.Verify: %v", err)
 	}
-	if rep.CheckpointChecks == 0 {
+	if rep.Checks[trace.RuleCheckpointOrder] == 0 {
 		t.Errorf("no checkpoint-before-truncate checks ran: %+v", rep)
 	}
 }

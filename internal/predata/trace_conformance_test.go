@@ -73,10 +73,10 @@ func TestTraceConformance64to1(t *testing.T) {
 					cfg.FaultPlan = &plan
 				}
 				rec, rep := runTraced(t, cfg, 50, countOps)
-				if rep.Collectives == 0 || rep.CollectiveGroups == 0 {
+				if rep.Checks[trace.RuleCollectives] == 0 {
 					t.Errorf("no collectives verified: %+v", rep)
 				}
-				if rep.ShuffleEdges == 0 {
+				if rep.Checks[trace.RuleShuffleOrder] == 0 {
 					t.Errorf("no shuffle happens-before edges verified: %+v", rep)
 				}
 				if rec.Dropped != 0 {
@@ -125,7 +125,7 @@ func TestTraceConformanceCrashRecovery(t *testing.T) {
 				Dumps:      dumps,
 				FaultPlan:  &plan,
 			}, 20, countOps)
-			if rep.ShuffleEdges == 0 || rep.Collectives == 0 {
+			if rep.Checks[trace.RuleShuffleOrder] == 0 || rep.Checks[trace.RuleCollectives] == 0 {
 				t.Errorf("crash run verified nothing: %+v", rep)
 			}
 			if !hasPhase(rec, trace.PhaseCrashExit) {
@@ -203,7 +203,7 @@ func TestTraceConformanceOverload(t *testing.T) {
 				}}
 			})
 			_ = seed // legs differ by shuffled goroutine interleaving, not data
-			if rep.LeaseRanks == 0 {
+			if rep.Checks[trace.RuleLeasePeak] == 0 {
 				t.Errorf("no budgeted ranks verified: %+v", rep)
 			}
 			if !hasPhase(rec, trace.PhaseLease) || !hasPhase(rec, trace.PhaseBudgetCap) {
@@ -215,7 +215,7 @@ func TestTraceConformanceOverload(t *testing.T) {
 			if hasPhase(rec, trace.PhaseSpill) != hasPhase(rec, trace.PhaseReplay) {
 				t.Error("spill events without matching replay events (or vice versa)")
 			}
-			if rep.ReplayChecks == 0 && hasPhase(rec, trace.PhaseSpill) {
+			if rep.Checks[trace.RuleReplayOrder] == 0 && hasPhase(rec, trace.PhaseSpill) {
 				t.Errorf("spills recorded but replay order unchecked: %+v", rep)
 			}
 		})

@@ -285,7 +285,7 @@ func TestCachePropertyNeverStale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace verify: %v", err)
 	}
-	if rep.CacheChecks == 0 {
+	if rep.Checks[trace.RuleCacheCoherence] == 0 {
 		t.Fatal("verify checked no cache coherence events")
 	}
 }

@@ -493,7 +493,7 @@ func decodeIngest(buf []byte) (qual string, version int, lb, ub []uint64, data [
 	}
 	n := binary.BigEndian.Uint32(buf)
 	buf = buf[4:]
-	if uint32(len(buf)) < n+9 {
+	if uint64(len(buf)) < uint64(n)+9 { // in 64 bits: n+9 wraps a uint32 near 2^32
 		return "", 0, nil, nil, nil, bad
 	}
 	qual = string(buf[:n])

@@ -235,7 +235,7 @@ func assertVerified(t *testing.T, rec *trace.Recorder) {
 	if err != nil {
 		t.Fatalf("trace verify: %v", err)
 	}
-	if rep.TenantChecks == 0 {
+	if rep.Checks[trace.RuleTenantIsolation] == 0 {
 		t.Fatal("verify checked no tenant isolation — serve events missing from the recording")
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"predata/internal/dataspaces"
@@ -18,6 +19,25 @@ func rowData(n int, base float64) []float64 {
 		d[i] = base + float64(i)
 	}
 	return d
+}
+
+// TestDecodeIngestRejectsTruncation feeds decodeIngest every prefix of a
+// valid journal payload, and a name length that wraps uint32 arithmetic:
+// each must be an error, never a panic.
+func TestDecodeIngestRejectsTruncation(t *testing.T) {
+	valid := encodeIngest("gtc/field", 3, []uint64{0, 8}, []uint64{1, 11}, rowData(8, 1))
+	if _, version, _, _, data, err := decodeIngest(valid); err != nil || version != 3 || len(data) != 8 {
+		t.Fatalf("valid payload: version %d, %d cells, %v", version, len(data), err)
+	}
+	inputs := map[string][]byte{"name length 0xFFFFFFF8": append([]byte{0xFF, 0xFF, 0xFF, 0xF8}, make([]byte, 16)...)}
+	for n := 0; n < len(valid); n++ {
+		inputs[fmt.Sprintf("first %d bytes", n)] = valid[:n]
+	}
+	for name, buf := range inputs {
+		if _, _, _, _, _, err := decodeIngest(buf); err == nil {
+			t.Errorf("%s: truncated payload decoded", name)
+		}
+	}
 }
 
 func TestDaemonLifecycle(t *testing.T) {

@@ -228,33 +228,46 @@ func TestPhaseAndCollNames(t *testing.T) {
 	}
 }
 
+// ev builds an instant event for the synthetic recordings Verify's
+// tests perturb.
+func ev(ph Phase, rank, ep int32, dump, seq, arg, at int64) Event {
+	return Event{Kind: KindInstant, Phase: ph, Rank: rank, Endpoint: ep,
+		Dump: dump, Seq: seq, Arg: arg, Start: at, End: at}
+}
+
+// chunk is rank's engine retiring writer's chunk of dump at time at.
+func chunk(rank int32, dump, writer, at int64) Event {
+	return ev(PhaseChunk, rank, int32(writer), dump, writer, 0, at)
+}
+
 // synthetic builds a minimal recording that satisfies every Verify
 // invariant; tests then perturb it to prove each check fires.
 func synthetic() *Recording {
-	ev := func(k Kind, ph Phase, rank, ep int32, dump, seq, arg, start, end int64) Event {
-		return Event{Kind: k, Phase: ph, Rank: rank, Endpoint: ep,
-			Dump: dump, Seq: seq, Arg: arg, Start: start, End: end}
+	span := func(ph Phase, rank int32, start, end int64) Event {
+		e := ev(ph, rank, -1, 0, 0, 0, start)
+		e.Kind, e.End = KindSpan, end
+		return e
 	}
 	return &Recording{
 		NumCompute: 2, NumStaging: 2, Dumps: 1,
 		Events: []Event{
 			// Both staging ranks consume the same collective sequence on comm 9.
-			ev(KindInstant, PhaseCollective, 2, CollBarrier, 0, -1, 9, 10, 10),
-			ev(KindInstant, PhaseCollective, 3, CollBarrier, 0, -1, 9, 11, 11),
-			ev(KindInstant, PhaseCollective, 2, CollAlltoall, 0, -2, 9, 30, 30),
-			ev(KindInstant, PhaseCollective, 3, CollAlltoall, 0, -2, 9, 31, 31),
+			ev(PhaseCollective, 2, CollBarrier, 0, -1, 9, 10),
+			ev(PhaseCollective, 3, CollBarrier, 0, -1, 9, 11),
+			ev(PhaseCollective, 2, CollAlltoall, 0, -2, 9, 30),
+			ev(PhaseCollective, 3, CollAlltoall, 0, -2, 9, 31),
 			// Shuffle windows close before either reduce opens.
-			ev(KindSpan, PhaseShuffle, 2, -1, 0, 0, 0, 20, 40),
-			ev(KindSpan, PhaseShuffle, 3, -1, 0, 0, 0, 25, 45),
-			ev(KindSpan, PhaseReduce, 2, -1, 0, 0, 0, 50, 60),
-			ev(KindSpan, PhaseReduce, 3, -1, 0, 0, 0, 52, 62),
+			span(PhaseShuffle, 2, 20, 40),
+			span(PhaseShuffle, 3, 25, 45),
+			span(PhaseReduce, 2, 50, 60),
+			span(PhaseReduce, 3, 52, 62),
 			// A spill replayed before the reduce.
-			ev(KindInstant, PhaseReplay, 2, 0, 0, 0, 4096, 46, 46),
+			ev(PhaseReplay, 2, 0, 0, 0, 4096, 46),
 			// Budget: capacity 100, grants to 90, largest grant 50.
-			ev(KindInstant, PhaseBudgetCap, 2, -1, -1, 0, 100, 5, 5),
-			ev(KindInstant, PhaseLease, 2, -1, -1, 40, 40, 15, 15),
-			ev(KindInstant, PhaseLease, 2, -1, -1, 90, 50, 16, 16),
-			ev(KindInstant, PhaseLease, 2, -1, -1, 50, -40, 47, 47),
+			ev(PhaseBudgetCap, 2, -1, -1, 0, 100, 5),
+			ev(PhaseLease, 2, -1, -1, 40, 40, 15),
+			ev(PhaseLease, 2, -1, -1, 90, 50, 16),
+			ev(PhaseLease, 2, -1, -1, 50, -40, 47),
 		},
 	}
 }
@@ -264,11 +277,8 @@ func TestVerifyCleanRecording(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean recording failed verify: %v", err)
 	}
-	if rep.CollectiveGroups != 1 || rep.Collectives != 4 {
-		t.Fatalf("collective accounting %d groups / %d calls", rep.CollectiveGroups, rep.Collectives)
-	}
-	if rep.ShuffleEdges != 2 || rep.ReplayChecks != 1 || rep.LeaseRanks != 1 {
-		t.Fatalf("report %+v", rep)
+	if c := rep.Checks; c[RuleCollectives] != 1 || c[RuleShuffleOrder] != 2 || c[RuleReplayOrder] != 1 || c[RuleLeasePeak] != 1 {
+		t.Fatalf("report %s", rep)
 	}
 }
 
@@ -295,8 +305,8 @@ func TestVerifyLeasePeakOversizedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oversized grant + one overdraft rejected: %v", err)
 	}
-	if rep.LeaseRanks != 1 {
-		t.Fatalf("lease ranks %d, want 1", rep.LeaseRanks)
+	if rep.Checks[RuleLeasePeak] != 1 {
+		t.Fatalf("lease ranks %d, want 1", rep.Checks[RuleLeasePeak])
 	}
 	// Anything beyond two oversized chunks is an accounting leak.
 	if _, err := Verify(oversized(1201)); err == nil {
@@ -369,6 +379,60 @@ func TestVerifyDetectsViolations(t *testing.T) {
 		if !found {
 			t.Errorf("%s: violations %q lack %q", name, rep.Violations, tc.want)
 		}
+	}
+}
+
+// TestEveryRuleBites proves each rule both runs and fails on its own: a
+// clean base recording gives it something to check, and one mutation of
+// that base fails Verify with violations of that rule alone. A rule
+// added without a row here fails the test.
+func TestEveryRuleBites(t *testing.T) {
+	appendEvent := func(e Event) func(*Recording) {
+		return func(r *Recording) { r.Events = append(r.Events, e) }
+	}
+	cases := [NumRules]struct {
+		base   func() *Recording
+		mutate func(*Recording)
+	}{
+		RuleCollectives:       {synthetic, func(r *Recording) { r.Events[3].Endpoint = CollBcast }},
+		RuleShuffleOrder:      {synthetic, func(r *Recording) { r.Events[4].End = 55 }},
+		RuleReplayOrder:       {synthetic, func(r *Recording) { r.Events[8].Start, r.Events[8].End = 55, 55 }},
+		RuleLeasePeak:         {synthetic, func(r *Recording) { r.Events[11].Seq = 200 }},
+		RuleScaleEpochs:       {syntheticElastic, func(r *Recording) { r.Events[2].Arg = 0b010 }},
+		RuleChunkConservation: {syntheticElastic, func(r *Recording) { r.Events[6].Phase = PhaseRetry }},
+		RuleCorruptQuarantine: {syntheticAdversary, func(r *Recording) { r.Events[2].Phase, r.Events[3].Phase = PhaseRetry, PhaseRetry }},
+		RuleHealOnce:          {syntheticAdversary, appendEvent(chunk(4, 1, 2, 41))},
+		RuleHedgeResolution:   {syntheticAdversary, func(r *Recording) { r.Events[6].Phase = PhaseRetry }},
+		RuleWALReplay:         {syntheticRestart, func(r *Recording) { r.Events[10].Arg = 0xBEEF }},
+		RuleRestartOnce:       {syntheticRestart, appendEvent(chunk(2, 0, 1, 36))},
+		RuleCheckpointOrder:   {syntheticRestart, func(r *Recording) { r.Events[5].Phase = PhaseRetry }},
+		RuleTenantIsolation:   {syntheticServe, appendEvent(ev(PhaseServeQuery, 2, 2, 0, 0x1111, 1, 25))},
+		RuleCacheCoherence:    {syntheticServe, appendEvent(ev(PhaseCacheHit, 1, 1, 0, 0x1111, 0, 26))},
+	}
+	for r := Rule(0); r < NumRules; r++ {
+		t.Run(r.String(), func(t *testing.T) {
+			tc := cases[r]
+			if tc.base == nil {
+				t.Fatal("no base recording and mutation for this rule")
+			}
+			rep, err := Verify(tc.base())
+			if err != nil {
+				t.Fatalf("clean base: %v", err)
+			}
+			if rep.Checks[r] == 0 {
+				t.Fatalf("clean base gave the rule nothing to check: %s", rep)
+			}
+			rec := tc.base()
+			tc.mutate(rec)
+			if rep, err = Verify(rec); err == nil {
+				t.Fatal("mutation not detected")
+			}
+			for _, v := range rep.Violations {
+				if !strings.HasPrefix(v, r.String()+": ") {
+					t.Errorf("violation outside the rule: %s", v)
+				}
+			}
+		})
 	}
 }
 

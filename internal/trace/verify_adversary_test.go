@@ -11,34 +11,27 @@ import (
 // corrupt-dropped after detection, one partition fence that heals, and
 // one hedged pull whose race resolved.
 func syntheticAdversary() *Recording {
-	ev := func(k Kind, ph Phase, rank, ep int32, dump, seq, arg, start, end int64) Event {
-		return Event{Kind: k, Phase: ph, Rank: rank, Endpoint: ep,
-			Dump: dump, Seq: seq, Arg: arg, Start: start, End: end}
-	}
-	chunk := func(rank int32, dump, writer, at int64) Event {
-		return ev(KindInstant, PhaseChunk, rank, int32(writer), dump, writer, 0, at, at)
-	}
 	return &Recording{
 		NumCompute: 3, NumStaging: 2, Dumps: 2,
 		Events: []Event{
 			// Dump 0: writer 0's pull fails CRC once, re-pull heals, chunk
 			// retires normally.
-			ev(KindInstant, PhaseCorruptDetect, 3, 0, 0, 0, 0, 10, 10),
+			ev(PhaseCorruptDetect, 3, 0, 0, 0, 0, 10),
 			chunk(3, 0, 0, 12),
 			// Writer 1's source stays bad: detected twice, then dropped.
-			ev(KindInstant, PhaseCorruptDetect, 3, 1, 0, 1, 0, 14, 14),
-			ev(KindInstant, PhaseCorruptDetect, 3, 1, 0, 1, 1, 16, 16),
-			ev(KindInstant, PhaseCorruptDrop, 3, 1, 0, 1, 0, 18, 18),
+			ev(PhaseCorruptDetect, 3, 1, 0, 1, 0, 14),
+			ev(PhaseCorruptDetect, 3, 1, 0, 1, 1, 16),
+			ev(PhaseCorruptDrop, 3, 1, 0, 1, 0, 18),
 			// Writer 2 hedges and the race resolves (hedge lost).
-			ev(KindInstant, PhaseHedge, 4, 2, 0, 2, 0, 20, 20),
-			ev(KindInstant, PhaseHedgeCancel, 4, 2, 0, 2, 0, 22, 22),
+			ev(PhaseHedge, 4, 2, 0, 2, 0, 20),
+			ev(PhaseHedgeCancel, 4, 2, 0, 2, 0, 22),
 			chunk(4, 0, 2, 24),
 			// Dump 1: rank 4 is fenced (probe without quorum), its writer
 			// served by rank 3; rank 4 heals afterwards.
-			ev(KindInstant, PhaseProbe, 4, -1, 1, 1, 0, 30, 30),
-			ev(KindInstant, PhaseProbe, 3, -1, 1, 1, 1, 30, 30),
+			ev(PhaseProbe, 4, -1, 1, 1, 0, 30),
+			ev(PhaseProbe, 3, -1, 1, 1, 1, 30),
 			chunk(3, 1, 0, 32), chunk(3, 1, 1, 33), chunk(3, 1, 2, 34),
-			ev(KindInstant, PhaseHeal, 4, -1, 1, 1, 0, 40, 40),
+			ev(PhaseHeal, 4, -1, 1, 1, 0, 40),
 		},
 	}
 }
@@ -48,14 +41,14 @@ func TestVerifyAdversaryClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean adversary recording failed verify: %v", err)
 	}
-	if rep.CorruptChecks != 1 {
-		t.Errorf("CorruptChecks = %d, want 1", rep.CorruptChecks)
+	if n := rep.Checks[RuleCorruptQuarantine]; n != 1 {
+		t.Errorf("corrupt-quarantine checks = %d, want 1", n)
 	}
-	if rep.HealChecks != 5 {
-		t.Errorf("HealChecks = %d, want 5 (every engine-retired (dump, writer))", rep.HealChecks)
+	if n := rep.Checks[RuleHealOnce]; n != 5 {
+		t.Errorf("heal-once checks = %d, want 5 (every engine-retired (dump, writer))", n)
 	}
-	if rep.HedgeChecks != 1 {
-		t.Errorf("HedgeChecks = %d, want 1", rep.HedgeChecks)
+	if n := rep.Checks[RuleHedgeResolution]; n != 1 {
+		t.Errorf("hedge-resolution checks = %d, want 1", n)
 	}
 }
 
@@ -148,7 +141,7 @@ func TestVerifyHealExclusivityGatedOnHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heal-free recording tripped exclusivity: %v", err)
 	}
-	if rep.HealChecks != 0 {
-		t.Fatalf("HealChecks = %d without a heal event", rep.HealChecks)
+	if n := rep.Checks[RuleHealOnce]; n != 0 {
+		t.Fatalf("heal-once checks = %d without a heal event", n)
 	}
 }

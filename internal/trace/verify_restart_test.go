@@ -11,31 +11,27 @@ import (
 // dump 1 and replays its journaled chunks after the restart — each chunk
 // engine-retired exactly once, each replay matching its append.
 func syntheticRestart() *Recording {
-	ev := func(ph Phase, rank int32, dump, seq, arg, at int64) Event {
-		return Event{Kind: KindInstant, Phase: ph, Rank: rank, Endpoint: -1,
-			Dump: dump, Seq: seq, Arg: arg, Start: at, End: at}
-	}
 	return &Recording{
 		NumCompute: 2, NumStaging: 2, Dumps: 2,
 		Events: []Event{
 			// Dump 0: journal both chunks, retire, commit, checkpoint, truncate.
-			ev(PhaseJournal, 2, 0, 0, 0xAAAA, 10),
-			ev(PhaseJournal, 2, 0, 1, 0xBBBB, 11),
-			ev(PhaseChunk, 2, 0, 0, 0, 12),
-			ev(PhaseChunk, 2, 0, 1, 0, 13),
-			ev(PhaseWalCommit, 2, 0, 0, 0, 14),
-			ev(PhaseCheckpoint, 2, 0, 1, 0, 15),  // covers dumps < 1
-			ev(PhaseWalTruncate, 2, 0, 1, 0, 16), // keeps dumps >= 1
+			ev(PhaseJournal, 2, -1, 0, 0, 0xAAAA, 10),
+			ev(PhaseJournal, 2, -1, 0, 1, 0xBBBB, 11),
+			ev(PhaseChunk, 2, -1, 0, 0, 0, 12),
+			ev(PhaseChunk, 2, -1, 0, 1, 0, 13),
+			ev(PhaseWalCommit, 2, -1, 0, 0, 0, 14),
+			ev(PhaseCheckpoint, 2, -1, 0, 1, 0, 15),  // covers dumps < 1
+			ev(PhaseWalTruncate, 2, -1, 0, 1, 0, 16), // keeps dumps >= 1
 			// Dump 1: chunks journaled, then the service crashes and restarts;
 			// the journaled chunks replay and retire exactly once.
-			ev(PhaseJournal, 2, 1, 0, 0xCCCC, 20),
-			ev(PhaseJournal, 2, 1, 1, 0xDDDD, 21),
-			ev(PhaseRestart, 2, 1, 1, 2, 30),
-			ev(PhaseWalReplay, 2, 1, 0, 0xCCCC, 31),
-			ev(PhaseWalReplay, 2, 1, 1, 0xDDDD, 32),
-			ev(PhaseChunk, 2, 1, 0, 0, 33),
-			ev(PhaseChunk, 2, 1, 1, 0, 34),
-			ev(PhaseWalCommit, 2, 1, 0, 0, 35),
+			ev(PhaseJournal, 2, -1, 1, 0, 0xCCCC, 20),
+			ev(PhaseJournal, 2, -1, 1, 1, 0xDDDD, 21),
+			ev(PhaseRestart, 2, -1, 1, 1, 2, 30),
+			ev(PhaseWalReplay, 2, -1, 1, 0, 0xCCCC, 31),
+			ev(PhaseWalReplay, 2, -1, 1, 1, 0xDDDD, 32),
+			ev(PhaseChunk, 2, -1, 1, 0, 0, 33),
+			ev(PhaseChunk, 2, -1, 1, 1, 0, 34),
+			ev(PhaseWalCommit, 2, -1, 1, 0, 0, 35),
 		},
 	}
 }
@@ -45,14 +41,14 @@ func TestVerifyRestartClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean restart recording failed verify: %v", err)
 	}
-	if rep.WALChecks != 2 {
-		t.Errorf("WALChecks = %d, want 2", rep.WALChecks)
+	if n := rep.Checks[RuleWALReplay]; n != 2 {
+		t.Errorf("wal-replay checks = %d, want 2", n)
 	}
-	if rep.RestartChecks != 4 {
-		t.Errorf("RestartChecks = %d, want 4 (every engine-retired (dump, writer))", rep.RestartChecks)
+	if n := rep.Checks[RuleRestartOnce]; n != 4 {
+		t.Errorf("restart-once checks = %d, want 4 (every engine-retired (dump, writer))", n)
 	}
-	if rep.CheckpointChecks != 1 {
-		t.Errorf("CheckpointChecks = %d, want 1", rep.CheckpointChecks)
+	if n := rep.Checks[RuleCheckpointOrder]; n != 1 {
+		t.Errorf("checkpoint-order checks = %d, want 1", n)
 	}
 }
 
@@ -152,8 +148,7 @@ func TestVerifyRestartRulesGated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart-free recording tripped exclusivity: %v", err)
 	}
-	if rep.RestartChecks != 0 || rep.WALChecks != 0 {
-		t.Fatalf("RestartChecks=%d WALChecks=%d without restart/replay events",
-			rep.RestartChecks, rep.WALChecks)
+	if rep.Checks[RuleRestartOnce] != 0 || rep.Checks[RuleWALReplay] != 0 {
+		t.Fatalf("restart/replay rules ran without restart/replay events: %s", rep)
 	}
 }

@@ -10,15 +10,8 @@ import (
 // ranks 2..4), epoch 0 serving dumps 0-1 on staging index 0 alone and
 // epoch 1 serving dumps 2-3 on indices {0, 1}. Index 2 stays parked.
 func syntheticElastic() *Recording {
-	ev := func(k Kind, ph Phase, rank, ep int32, dump, seq, arg, start, end int64) Event {
-		return Event{Kind: k, Phase: ph, Rank: rank, Endpoint: ep,
-			Dump: dump, Seq: seq, Arg: arg, Start: start, End: end}
-	}
-	chunk := func(rank int32, dump, writer, at int64) Event {
-		return ev(KindInstant, PhaseChunk, rank, int32(writer), dump, writer, 0, at, at)
-	}
 	epoch := func(rank int32, dump, seq, mask, count, at int64) Event {
-		return ev(KindInstant, PhaseScaleEpoch, rank, int32(count), dump, seq, mask, at, at)
+		return ev(PhaseScaleEpoch, rank, int32(count), dump, seq, mask, at)
 	}
 	return &Recording{
 		NumCompute: 2, NumStaging: 3, Dumps: 4,
@@ -38,7 +31,7 @@ func syntheticElastic() *Recording {
 			// dump 3 writer 1's chunk passes through raw instead.
 			chunk(2, 2, 0, 40), chunk(3, 2, 1, 41),
 			chunk(2, 3, 0, 50),
-			ev(KindInstant, PhasePass, 3, 1, 3, 0, 512, 51, 51),
+			ev(PhasePass, 3, 1, 3, 0, 512, 51),
 		},
 	}
 }
@@ -48,11 +41,11 @@ func TestVerifyScaleEpochsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean elastic recording failed verify: %v", err)
 	}
-	if rep.ScaleEpochs != 2 {
-		t.Fatalf("ScaleEpochs = %d, want 2", rep.ScaleEpochs)
+	if n := rep.Checks[RuleScaleEpochs]; n != 2 {
+		t.Fatalf("scale-epochs checks = %d, want 2", n)
 	}
-	if rep.ChunkChecks != 4 {
-		t.Fatalf("ChunkChecks = %d, want 4", rep.ChunkChecks)
+	if n := rep.Checks[RuleChunkConservation]; n != 4 {
+		t.Fatalf("chunk-conservation checks = %d, want 4", n)
 	}
 }
 
@@ -157,6 +150,35 @@ func TestVerifyScaleDetectsViolations(t *testing.T) {
 	}
 }
 
+// A violation from another rule must not switch off the silence check:
+// only an inconsistent epoch table may.
+func TestScaleSilenceNotMaskedByOtherRules(t *testing.T) {
+	others := map[string][]Event{
+		"backwards span": {{Kind: KindSpan, Phase: PhaseThrottle, Rank: 2, Endpoint: -1,
+			Dump: -1, Seq: -1, Start: 60, End: 59}},
+		"lease peak over budget": {ev(PhaseBudgetCap, 2, -1, -1, 0, 100, 5), ev(PhaseLease, 2, -1, -1, 500, 50, 6)},
+	}
+	for name, other := range others {
+		t.Run(name, func(t *testing.T) {
+			rec := syntheticElastic()
+			// Parked staging index 2 (rank 4) retires writer 1's dump-3
+			// chunk, which is otherwise only passed through: conserved, but
+			// not silent.
+			rec.Events = append(append(rec.Events, chunk(4, 3, 1, 52)), other...)
+			rep, err := Verify(rec)
+			if err == nil {
+				t.Fatal("violations not detected")
+			}
+			for _, v := range rep.Violations {
+				if strings.HasPrefix(v, "scale-epochs: ") && strings.Contains(v, "rank 4 is outside the active set") {
+					return
+				}
+			}
+			t.Fatalf("silence violation masked: %q", rep.Violations)
+		})
+	}
+}
+
 // The double-reduce and loss rules must stay out of non-elastic
 // recordings: pipelines with chunk filters drop chunks untraced.
 func TestVerifyChunkConservationGatedOnScaleEpochs(t *testing.T) {
@@ -176,7 +198,7 @@ func TestVerifyChunkConservationGatedOnScaleEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("non-elastic recording tripped conservation: %v", err)
 	}
-	if rep.ChunkChecks != 0 || rep.ScaleEpochs != 0 {
-		t.Fatalf("rules ran without scale epochs: %+v", rep)
+	if rep.Checks[RuleChunkConservation] != 0 || rep.Checks[RuleScaleEpochs] != 0 {
+		t.Fatalf("rules ran without scale epochs: %s", rep)
 	}
 }

@@ -11,34 +11,30 @@ import (
 // → hit cycle. Object hashes are distinct per tenant because the hash
 // covers the tenant-qualified name.
 func syntheticServe() *Recording {
-	ev := func(ph Phase, tenant int32, obj, arg, at int64) Event {
-		return Event{Kind: KindInstant, Phase: ph, Rank: tenant, Endpoint: tenant,
-			Dump: 0, Seq: obj, Arg: arg, Start: at, End: at}
-	}
 	const objA, objB = 0x1111, 0x2222
 	return &Recording{
 		NumCompute: 2, NumStaging: 1, Dumps: 2,
 		Events: []Event{
-			ev(PhaseTenantJoin, 1, 0, 1, 1),
-			ev(PhaseTenantJoin, 2, 0, 1, 2),
+			ev(PhaseTenantJoin, 1, 1, 0, 0, 1, 1),
+			ev(PhaseTenantJoin, 2, 2, 0, 0, 1, 2),
 			// Tenant 1: ingest v0, query, cache fill + hit under epoch 0.
-			ev(PhaseServeIngest, 1, objA, 0, 10),
-			ev(PhaseServeQuery, 1, objA, 0, 12),
-			ev(PhaseCacheFill, 1, objA, 0, 12),
-			ev(PhaseCacheHit, 1, objA, 0, 14),
+			ev(PhaseServeIngest, 1, 1, 0, objA, 0, 10),
+			ev(PhaseServeQuery, 1, 1, 0, objA, 0, 12),
+			ev(PhaseCacheFill, 1, 1, 0, objA, 0, 12),
+			ev(PhaseCacheHit, 1, 1, 0, objA, 0, 14),
 			// Tenant 2 works its own object concurrently.
-			ev(PhaseServeIngest, 2, objB, 0, 11),
-			ev(PhaseServeQuery, 2, objB, 0, 13),
-			ev(PhaseCacheFill, 2, objB, 0, 13),
-			ev(PhaseCacheHit, 2, objB, 0, 15),
+			ev(PhaseServeIngest, 2, 2, 0, objB, 0, 11),
+			ev(PhaseServeQuery, 2, 2, 0, objB, 0, 13),
+			ev(PhaseCacheFill, 2, 2, 0, objB, 0, 13),
+			ev(PhaseCacheHit, 2, 2, 0, objB, 0, 15),
 			// Tenant 1 re-ingests version 0: its epoch bumps to 1, the
 			// next query refills, later hits carry the new epoch.
-			ev(PhaseServeIngest, 1, objA, 1, 20),
-			ev(PhaseCacheInvalidate, 1, objA, 1, 20),
-			ev(PhaseServeQuery, 1, objA, 1, 22),
-			ev(PhaseCacheFill, 1, objA, 1, 22),
-			ev(PhaseCacheHit, 1, objA, 1, 24),
-			ev(PhaseTenantLeave, 2, 0, 0, 30),
+			ev(PhaseServeIngest, 1, 1, 0, objA, 1, 20),
+			ev(PhaseCacheInvalidate, 1, 1, 0, objA, 1, 20),
+			ev(PhaseServeQuery, 1, 1, 0, objA, 1, 22),
+			ev(PhaseCacheFill, 1, 1, 0, objA, 1, 22),
+			ev(PhaseCacheHit, 1, 1, 0, objA, 1, 24),
+			ev(PhaseTenantLeave, 2, 2, 0, 0, 0, 30),
 		},
 	}
 }
@@ -48,11 +44,11 @@ func TestVerifyServeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean serve recording failed verify: %v", err)
 	}
-	if rep.TenantChecks != 2 {
-		t.Errorf("TenantChecks = %d, want 2 (one per object)", rep.TenantChecks)
+	if n := rep.Checks[RuleTenantIsolation]; n != 2 {
+		t.Errorf("tenant-isolation checks = %d, want 2 (one per object)", n)
 	}
-	if rep.CacheChecks != 3 {
-		t.Errorf("CacheChecks = %d, want 3 (one per cache hit)", rep.CacheChecks)
+	if n := rep.Checks[RuleCacheCoherence]; n != 3 {
+		t.Errorf("cache-coherence checks = %d, want 3 (one per cache hit)", n)
 	}
 }
 
