@@ -90,8 +90,9 @@ adversary-soak:
 	$(GO) run ./cmd/predata-bench -experiment adversary -json BENCH_adversary.json
 
 # restart-soak runs the durability suite: WAL framing/recovery units
-# and fuzz seeds, journal-backed restart, whole-service crashall replay
-# and checkpoint truncation through the pipeline, the revive/drain
+# and fuzz seeds, journal-backed restart, whole-service crashall
+# recovery (chunks re-pulled from the regions their writers hold until
+# commit) and checkpoint truncation through the pipeline, the revive/drain
 # fabric paths (raced, shuffled), and the restart experiment
 # (DESIGN.md §14). CI repeats it across fault seeds 1/7/42.
 restart-soak:

@@ -239,7 +239,7 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 			fmt.Printf(", %d duplicated ctl messages (%d absorbed)", rep.Duplicates, rep.DupDrops)
 		}
 		if rep.WalRecords > 0 || rep.Restarts > 0 {
-			fmt.Printf(", %d WAL records (%.1f MB, %v journaling), %d checkpoints, %d restarts (%d chunks replayed)",
+			fmt.Printf(", %d WAL records (%.1f MB, %v journaling), %d checkpoints, %d restarts (%d chunks re-pulled)",
 				rep.WalRecords, float64(rep.WalBytes)/1e6, rep.JournalWall.Round(time.Microsecond),
 				rep.Checkpoints, rep.Restarts, rep.WalReplayed)
 		}

@@ -13,7 +13,7 @@ import (
 // staging ranks, 4 dumps) and drives the durability layer through its
 // three regimes: journaling with nothing going wrong, one rank bouncing
 // and rejoining from its journal, and the whole service crashing
-// mid-dump and rebuilding by replay. The per-writer particle count
+// mid-dump and rebuilding by re-pulling. The per-writer particle count
 // runs above the adversary's: journaling pays a fixed few commit
 // barriers per dump, so its share of the wall-clock (the journal
 // column) is only meaningful against a dump big enough to measure.
@@ -24,13 +24,14 @@ const restPerRank = 8000
 const restBounce = "restart:9@1:2"
 
 // restCrashAll kills every staging rank mid-dump 2, after the dump's
-// requests and chunks are journaled but before any reduction.
+// requests are journaled and its chunks pulled but before any
+// reduction; the writers still hold the regions the requests name.
 const restCrashAll = "crashall@2"
 
 // restart runs the durability experiment: the same workload without a
 // journal, journaling with a checkpoint cadence (measuring the
 // overhead), bouncing one staging rank across a two-dump window,
-// crashing the whole staging service mid-dump and replaying it back,
+// crashing the whole staging service mid-dump and re-pulling it,
 // and bouncing a rank while the flow controller is starved. It
 // demonstrates the durability contract: a journaled dump is never
 // silently lost — every leg either matches the baseline census
@@ -135,7 +136,7 @@ func restart(rp *Report) error {
 		return fmt.Errorf("bench: single restart leg did not bounce and reroute: %v", rows[2])
 	}
 	// The whole-service crash replays back bit-identical: no degradation
-	// anywhere, every rank rebuilt, the crashed dump's chunks replayed.
+	// anywhere, every rank rebuilt, the crashed dump's chunks re-pulled.
 	if crash.loss() != 0 || crash.res.Fault.DegradedDumps != 0 {
 		return fmt.Errorf("bench: crashall leg must replay losslessly: %v", rows[3])
 	}
@@ -146,10 +147,10 @@ func restart(rp *Report) error {
 		return fmt.Errorf("bench: crashall rebuilt %d ranks, want %d", got, advStaging)
 	}
 	if got := crash.res.Fault.WalReplayed; got != int64(advCompute) {
-		return fmt.Errorf("bench: crashall replayed %d chunks, want %d", got, advCompute)
+		return fmt.Errorf("bench: crashall re-pulled %d chunks, want %d", got, advCompute)
 	}
-	// The flight recording must prove it: replays matched to journal
-	// appends byte-for-byte and no chunk reduced by two incarnations.
+	// The flight recording must prove it: re-pulls matched by checksum to
+	// journaled requests and no chunk reduced by two incarnations.
 	rep, err := trace.Verify(legs[3].cfg.Tracer.Snapshot())
 	if err != nil {
 		return fmt.Errorf("bench: crashall leg failed trace verification: %w", err)

@@ -52,10 +52,7 @@ func advRun(t *testing.T, spec string, seed int64) (*PipelineResult, *trace.Reco
 		Dumps:      cfg.Dumps,
 	})
 	cfg.Tracer = recorder
-	res, err := RunPipeline(cfg, chaoticCompute(cfg.Dumps, advPerRank), countOps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDrained(t, cfg, chaoticCompute(cfg.Dumps, advPerRank), countOps)
 	rec := recorder.Snapshot()
 	rep, err := trace.Verify(rec)
 	if err != nil {
@@ -234,7 +231,8 @@ func TestSourceCorruptionFallsThroughToShed(t *testing.T) {
 // transfer noise, slow pulls blow the bandwidth-model deadline, hedges
 // fire, and every race resolves — with zero data loss and no
 // degradation. The trace's hedge-resolution rule checks the races from
-// the recording alone.
+// the recording alone. The run is journaled, so a hedge and its primary
+// hold one region until the commit, whose one Ack releases it.
 func TestHedgedPullsUnderStraggler(t *testing.T) {
 	fcfg := fabric.DefaultConfig(advCompute + advStaging)
 	fcfg.PaceScale = 50
@@ -242,11 +240,12 @@ func TestHedgedPullsUnderStraggler(t *testing.T) {
 	recorder := trace.New(trace.Config{
 		NumCompute: advCompute, NumStaging: advStaging, Dumps: advDumps,
 	})
-	res, err := RunPipeline(PipelineConfig{
+	res := runDrained(t, PipelineConfig{
 		NumCompute: advCompute,
 		NumStaging: advStaging,
 		Dumps:      advDumps,
 		Fabric:     fcfg,
+		WALDir:     t.TempDir(),
 		Timeout:    2 * time.Minute,
 		Tracer:     recorder,
 		// Trigger at the model estimate itself (factor 1, floor below the
@@ -255,9 +254,6 @@ func TestHedgedPullsUnderStraggler(t *testing.T) {
 		// whole run without firing and flake.
 		Retry: RetryPolicy{HedgeFactor: 1, HedgeFloor: 200 * time.Microsecond},
 	}, chaoticCompute(advDumps, advPerRank), countOps)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := recorder.Snapshot()
 	rep, err := trace.Verify(rec)
 	if err != nil {

@@ -5,27 +5,31 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"time"
 
-	"predata/internal/evpath"
 	"predata/internal/staging"
 	"predata/internal/trace"
 	"predata/internal/wal"
 )
 
 // This file is the staging runtime's durability layer: every fetch
-// request and pulled chunk is journaled on arrival (gatherRequests /
-// journalChunk), a commit record seals each completed dump
-// (commitDump), and a crashed incarnation's successor rebuilds from the
-// journal (Recover) and finishes the interrupted dump out of it
-// (ingestDump + replayDump, the two halves of the crashall drill).
+// request is journaled on arrival (gatherRequests), a commit record
+// seals each completed dump (commitDump), and a crashed incarnation's
+// successor rebuilds from the journal (Recover) and finishes the
+// interrupted dump by re-pulling it (ingestDump + replayDump, the two
+// halves of the crashall drill).
 //
-// Invariant: a request or chunk is journaled exactly once, at first
-// arrival. Requests re-seeded from recovery are *not* re-journaled —
-// their records still live in the journal tail — so recovery never
-// double-seeds pending and a replayed dump never double-reduces.
+// Chunks are journaled by reference. A request names its chunk by
+// region handle and seal checksum, and with a journal the writer keeps
+// that region until the dump's commit record is durable: reduceDump acks
+// every region it pulled only after commitDump's fsync returns. So every
+// uncommitted chunk has a live copy in its writer's exposed region, and
+// the journal holds requests and commit markers — a few KB per dump.
+//
+// Invariant: a request is journaled exactly once, at first arrival.
+// Requests re-seeded from recovery are *not* re-journaled — their
+// records still live in the journal tail — so recovery never
+// double-seeds pending and a re-pulled dump never double-reduces.
 
 // encodeRequest gob-encodes a fetch request for the journal. Partial
 // payloads ride an any-typed field: concrete partial types must be
@@ -47,7 +51,9 @@ func decodeRequest(blob []byte) (FetchRequest, error) {
 }
 
 // journalRequest appends one just-arrived fetch request to the journal
-// and stamps the append. No-op without a journal.
+// and stamps the append. The PhaseJournal Arg is the checksum the
+// request names its chunk by, which trace.Verify matches against the
+// PhaseWalReplay of a re-pull after a restart. No-op without a journal.
 func (s *Server) journalRequest(req FetchRequest) error {
 	if s.cfg.Journal == nil {
 		return nil
@@ -59,33 +65,8 @@ func (s *Server) journalRequest(req FetchRequest) error {
 	if err := s.cfg.Journal.AppendRequest(req.WriterRank, req.Timestep, blob); err != nil {
 		return fmt.Errorf("predata: journaling request from rank %d: %w", req.WriterRank, err)
 	}
-	s.traceCRC(trace.PhaseJournal, req.Timestep, req.WriterRank, blob)
-	return nil
-}
-
-// traceCRC records a journal-fidelity instant whose Arg is the payload's
-// CRC — trace.Verify matches a PhaseWalReplay against the crashed
-// incarnation's PhaseJournal by it. The checksum is a full pass over the
-// payload, so it is computed only when a recorder is there to read it.
-func (s *Server) traceCRC(phase trace.Phase, timestep int64, writer int, payload []byte) {
-	if !s.cfg.Tracer.Enabled() {
-		return
-	}
-	s.cfg.Tracer.Instant(phase, s.cfg.Endpoint.ID(), -1,
-		timestep, int64(writer), int64(crc32.ChecksumIEEE(payload)))
-}
-
-// journalChunk appends one pulled chunk's packed bytes. The PhaseJournal
-// Arg carries the payload CRC, which trace.Verify matches against the
-// corresponding PhaseWalReplay after a restart. No-op without a journal.
-func (s *Server) journalChunk(req FetchRequest, buf []byte) error {
-	if s.cfg.Journal == nil {
-		return nil
-	}
-	if err := s.cfg.Journal.AppendChunk(req.WriterRank, req.Timestep, buf); err != nil {
-		return fmt.Errorf("predata: journaling chunk from rank %d: %w", req.WriterRank, err)
-	}
-	s.traceCRC(trace.PhaseJournal, req.Timestep, req.WriterRank, buf)
+	s.cfg.Tracer.Instant(trace.PhaseJournal, s.cfg.Endpoint.ID(), -1,
+		req.Timestep, int64(req.WriterRank), int64(req.Sum))
 	return nil
 }
 
@@ -172,10 +153,9 @@ func (s *Server) gatherRequests(timestep int64, stats *DumpStats) (reqs []FetchR
 
 // Recover seeds a freshly built server from a crashed incarnation's
 // recovered journal state: uncommitted requests re-enter the pending
-// buffer (deduped per dump and writer — the journal may be re-scanned
-// across repeated bounces) and uncommitted chunk records queue for
-// replayDump. It returns the number of records re-admitted and must be
-// called before the first dump is served.
+// buffer, deduped per dump and writer — the journal may be re-scanned
+// across repeated bounces. It returns the number of requests re-admitted
+// and must be called before the first dump is served.
 func (s *Server) Recover(st *wal.State) (int, error) {
 	if st == nil {
 		return 0, nil
@@ -202,32 +182,27 @@ func (s *Server) Recover(st *wal.State) (int, error) {
 		s.pending[req.Timestep] = append(s.pending[req.Timestep], req)
 		replayed++
 	}
-	for _, rec := range st.Chunks {
-		if st.CommittedDump(rec.Timestep) {
-			continue
-		}
-		s.replayable[rec.Timestep] = append(s.replayable[rec.Timestep], rec)
-		replayed++
-	}
 	return replayed, nil
 }
 
 // ingestDump is the crash-vulnerable half of the whole-service crash
-// drill: gather this dump's fetch requests and pull every chunk,
-// journaling both, with NO collective and NO engine work — exactly the
-// state a process has accumulated when a mid-dump crash takes the whole
-// staging area down. Requests stay in pending (the journal holds them
-// too) so the rebuilt incarnation's replayDump finds them. A down or
-// persistently corrupt source is recorded as the usual drop; the
-// missing chunk simply never reaches the journal. The returned ledger
-// is the dump's: replayDump continues it.
+// drill: gather this dump's fetch requests, journaling them, and pull
+// every chunk with NO collective and NO engine work — exactly the state
+// a process has accumulated when a mid-dump crash takes the whole
+// staging area down. The pulls retain their regions without an Ack, and
+// the crash discards what they delivered. Which chunks drop, arrive
+// corrupt or make it is decided — and counted — once, by replayDump's
+// re-pull; here only the movement is charged. Requests stay in pending
+// (the journal holds them too) so the rebuilt incarnation's replayDump
+// finds them. The returned ledger is the dump's: replayDump continues
+// it.
 func (s *Server) ingestDump(timestep int64) (*DumpStats, error) {
 	if s.cfg.Journal == nil {
 		return nil, fmt.Errorf("predata: ingestDump(%d) needs a journal — ingest without durability would lose the dump", timestep)
 	}
-	d := &dumpRun{stats: &DumpStats{}}
-	s.beginDump(timestep, d.stats)
-	reqs, err := s.gatherRequests(timestep, d.stats)
+	stats := &DumpStats{}
+	s.beginDump(timestep, stats)
+	reqs, err := s.gatherRequests(timestep, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -240,53 +215,31 @@ func (s *Server) ingestDump(timestep int64) (*DumpStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.retry.DumpDeadline)
 	defer cancel()
 	for _, req := range reqs {
-		if _, _, err := s.pullChunk(ctx, req, d); err != nil {
-			return nil, err
+		frame, modeled, err := s.cfg.Endpoint.PullRetain(ctx, req.Handle)
+		if err != nil {
+			continue // the re-pull meets the same fault and records it
 		}
+		stats.BytesPulled += int64(len(frame) - staging.SealOverhead)
+		stats.PullModeled += modeled
 	}
 	if err := s.cfg.Journal.Sync(); err != nil {
 		return nil, fmt.Errorf("predata: syncing ingest journal for dump %d: %w", timestep, err)
 	}
-	return d.stats, nil
+	return stats, nil
 }
 
-// replayDump finishes a dump out of the journal: the recovered requests
+// replayDump finishes a dump after a crashall: the recovered requests
 // supply the piggybacked partials for the (collective) exchange — they
 // were journaled inside their requests, so the global aggregate after
 // the crash is byte-for-byte the one the crashed service would have
-// built — and the recovered chunk records feed a fresh stone graph in
-// ChunkOrder. No fabric pull happens: the sources released their
-// regions to the crashed incarnation long ago. stats is the ledger the
-// crashed incarnation's ingestDump opened. All staging ranks must call
-// replayDump collectively with the same timestep after reconfiguring
-// onto the same epoch.
+// built — and name the chunks, which are re-pulled from the regions
+// their writers still hold, exactly as a live dump pulls them. stats is
+// the ledger the crashed incarnation's ingestDump opened. All staging
+// ranks must call replayDump collectively with the same timestep after
+// reconfiguring onto the same epoch.
 func (s *Server) replayDump(timestep int64, ops []staging.Operator, stats *DumpStats) (*staging.Result, error) {
 	s.beginDump(timestep, stats)
 	reqs := s.pending[timestep]
 	delete(s.pending, timestep)
-	recs := s.replayable[timestep]
-	delete(s.replayable, timestep)
-	stats.WalReplayed = len(recs)
-	return s.reduceDump(timestep, ops, reqs, stats, nil, func(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone) {
-		// Issue the records exactly as the live feed would have issued
-		// their pulls, keyed through their journaled requests.
-		pos := make(map[int]int, len(reqs))
-		for i, r := range reqs {
-			pos[r.WriterRank] = i
-		}
-		sort.SliceStable(recs, func(i, j int) bool { return pos[recs[i].Writer] < pos[recs[j].Writer] })
-		for _, rec := range recs {
-			// The payload CRC lets trace.Verify match the replay against
-			// the crashed incarnation's PhaseJournal append.
-			s.traceCRC(trace.PhaseWalReplay, rec.Timestep, rec.Writer, rec.Payload)
-			err := decode.SubmitContext(ctx, &evpath.Event{
-				Attrs: map[string]int64{"writer": int64(rec.Writer), "timestep": rec.Timestep},
-				Data:  &pulledChunk{buf: rec.Payload},
-			})
-			if err != nil {
-				d.fail(err)
-				return
-			}
-		}
-	})
+	return s.reduceDump(timestep, ops, reqs, &dumpRun{stats: stats, replay: true})
 }

@@ -129,7 +129,7 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 	)
 	run := func(bufMB int) *PipelineResult {
 		t.Helper()
-		res, err := RunPipeline(PipelineConfig{
+		return runDrained(t, PipelineConfig{
 			NumCompute:       numCompute,
 			NumStaging:       numStaging,
 			Dumps:            dumps,
@@ -149,10 +149,6 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 					perChunk:   5 * time.Millisecond,
 				}}
 			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
 
 	constrained := run(bufferMB)
@@ -233,7 +229,7 @@ func TestOverloadShedDegradesOptionalOperators(t *testing.T) {
 		dumps      = 2
 		perRank    = 40_000
 	)
-	res, err := RunPipeline(PipelineConfig{
+	res := runDrained(t, PipelineConfig{
 		NumCompute:       numCompute,
 		NumStaging:       numStaging,
 		Dumps:            dumps,
@@ -256,9 +252,6 @@ func TestOverloadShedDegradesOptionalOperators(t *testing.T) {
 				perChunk:   5 * time.Millisecond,
 			}, &optionalHist{minmaxHist{bins: 16}}}
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ov := res.Overload
 	if ov == nil {
 		t.Fatal("no overload report")

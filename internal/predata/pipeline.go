@@ -71,10 +71,11 @@ type PipelineConfig struct {
 	Overload flowctl.Policy
 	// WALDir, when non-empty, turns on durable staging: every staging
 	// rank keeps a write-ahead journal under WALDir/rank-N, recording
-	// fetch requests and pulled chunks on arrival and sealing each
-	// completed dump with a commit record. A journal left behind by a
-	// previous incarnation is recovered on start. Required for plans
-	// with restart or crashall faults — bounced ranks rebuild from it.
+	// fetch requests on arrival and sealing each completed dump with a
+	// commit record; writers keep each chunk's region until its dump's
+	// commit is durable. A journal left behind by a previous incarnation
+	// is recovered on start. Required for plans with restart or crashall
+	// faults — bounced ranks rebuild from it.
 	WALDir string
 	// CheckpointEvery, when positive, writes a dump-boundary checkpoint
 	// every CheckpointEvery dumps and truncates the journal down to the
@@ -146,8 +147,8 @@ type FaultReport struct {
 	WalRecords  int64
 	WalBytes    int64
 	JournalWall time.Duration
-	// WalReplayed counts chunks decoded out of a journal instead of
-	// pulled over the fabric; Checkpoints counts checkpoint+truncate
+	// WalReplayed counts chunks re-pulled after a crashall recovery,
+	// named by journaled requests; Checkpoints counts checkpoint+truncate
 	// cycles across all ranks.
 	WalReplayed int64
 	Checkpoints int64
@@ -727,15 +728,17 @@ func (r *stagingRank) park() error {
 
 // crashAll is the whole-service crash drill, in three acts.
 func (r *stagingRank) crashAll(ts int64, ops []staging.Operator) (*staging.Result, *DumpStats, error) {
-	// Act 1: the crash-vulnerable half — gather and pull this dump,
-	// journaling everything, with no collective or engine work (the
-	// state a process holds when the crash lands).
+	// Act 1: the crash-vulnerable half — gather this dump, journaling
+	// its requests, and pull its chunks without acknowledging them, with
+	// no collective or engine work (the state a process holds when the
+	// crash lands).
 	st, err := r.server.ingestDump(ts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("crashall ingest: %w", err)
 	}
 	// Act 2: the crash itself. Every incarnation's in-memory state is
-	// gone; only the journal survives. Rebuild the runtime from recovery
+	// gone, the pulled bytes with it; only the journal and the writers'
+	// regions survive. Rebuild the runtime from recovery
 	// under a fresh membership epoch (membership itself is unchanged —
 	// everyone died and everyone came back).
 	recStart := time.Now()
@@ -746,10 +749,10 @@ func (r *stagingRank) crashAll(ts int64, ops []staging.Operator) (*staging.Resul
 	if err := r.server.Reconfigure(r.active, r.epoch, time.Since(recStart)); err != nil {
 		return nil, nil, fmt.Errorf("crashall reconfigure: %w", err)
 	}
-	// Act 3: finish the dump out of the journal — partials from the
-	// recovered requests, chunks from the recovered records, no fabric
-	// pull. The movement costs the crashed incarnation paid during
-	// ingest stay on the dump's ledger.
+	// Act 3: finish the dump from the journal — partials from the
+	// recovered requests, chunks re-pulled from the regions they name.
+	// The movement costs the crashed incarnation paid during ingest stay
+	// on the dump's ledger.
 	res, err := r.server.replayDump(ts, ops, st)
 	if err != nil {
 		return nil, nil, fmt.Errorf("crashall replay: %w", err)

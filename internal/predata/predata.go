@@ -43,7 +43,12 @@ type FetchRequest struct {
 	WriterRank int
 	Timestep   int64
 	Bytes      int
-	Partial    any // result of PartialCalculate, piggybacked on the request
+	// Sum is the sealed frame's payload CRC (staging.SealSum): a pull
+	// that verifies but carries another checksum is not this request's
+	// chunk. With it, a journaled request names its chunk's bytes as well
+	// as its region.
+	Sum     uint32
+	Partial any // result of PartialCalculate, piggybacked on the request
 }
 
 // RankPartial pairs a compute rank with its piggybacked partial result.
@@ -231,8 +236,9 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 		WriterRank: c.cfg.WriterRank,
 		Timestep:   timestep,
 		Bytes:      len(buf),
+		Sum:        staging.SealSum(buf),
+		Partial:    partial,
 	}
-	req.Partial = partial
 	if err := c.sendWithRetry(dst, req); err != nil {
 		return 0, fmt.Errorf("predata: fetch request: %w", err)
 	}
@@ -359,12 +365,13 @@ type ServerConfig struct {
 	// policy's DumpDeadline, since admission waits must have a horizon.
 	Flow *flowctl.Controller
 	// Journal, when non-nil, is this rank's write-ahead log. Every fetch
-	// request is journaled as it arrives and every pulled chunk's packed
-	// bytes are journaled before the chunk enters the stone graph, so a
-	// crashed incarnation's successor can replay the dump instead of
-	// losing it; a commit record seals each completed dump and lets
-	// recovery dedupe against work the engine already retired. Nil runs
-	// without durability (the pre-journal behavior).
+	// request is journaled as it arrives; the chunk it names is journaled
+	// by reference: its writer keeps the exposed region until the dump's
+	// commit record is durable, so a crashed incarnation's successor
+	// re-pulls the dump instead of losing it. The commit record seals each
+	// completed dump and lets recovery dedupe against work the engine
+	// already retired. Nil runs without durability, and every region is
+	// acknowledged as soon as its pull verifies.
 	Journal *wal.Log
 	// Tracer, when non-nil, records gather/aggregate spans and retry
 	// instants into the flight recorder. ServeDump also stamps the
@@ -414,8 +421,8 @@ type DumpStats struct {
 	// the row is not Degraded: the dump's writers were placed on the
 	// active ranks by design.
 	Parked bool
-	// WalReplayed counts chunks this dump decoded out of the journal
-	// instead of pulling them over the fabric (crash-restart replay).
+	// WalReplayed counts chunks this dump re-pulled from their writers'
+	// regions after a crashall recovery, named by journaled requests.
 	WalReplayed int
 	// Degraded mirrors the dump result's Degraded mark.
 	Degraded bool
@@ -438,9 +445,6 @@ type Server struct {
 	served []int // compute ranks this staging index serves, ascending
 	// pending buffers fetch requests that arrived for future timesteps.
 	pending map[int64][]FetchRequest
-	// replayable holds journaled chunk records recovered from a crashed
-	// incarnation's log, keyed by timestep, awaiting ReplayDump.
-	replayable map[int64][]wal.Record
 	// recovery accumulates membership-reconfiguration wall time, reported
 	// on the next served dump.
 	recovery time.Duration
@@ -476,11 +480,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Membership = newMembership(nil, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
 	}
 	s := &Server{
-		cfg:        cfg,
-		retry:      cfg.Retry.withDefaults(),
-		pending:    make(map[int64][]FetchRequest),
-		replayable: make(map[int64][]wal.Record),
-		epoch:      -1,
+		cfg:     cfg,
+		retry:   cfg.Retry.withDefaults(),
+		pending: make(map[int64][]FetchRequest),
+		epoch:   -1,
 	}
 	for r := 0; r < cfg.NumCompute; r++ {
 		if cfg.Route(r, cfg.NumCompute, cfg.NumStaging) == cfg.StagingIndex {
@@ -542,7 +545,7 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := s.reduceDump(timestep, ops, reqs, stats, s.cfg.Flow, s.feedPulled)
+	res, err := s.reduceDump(timestep, ops, reqs, &dumpRun{stats: stats})
 	return res, stats, err
 }
 
@@ -564,12 +567,20 @@ func (s *Server) beginDump(timestep int64, stats *DumpStats) {
 }
 
 // dumpRun is the state one dump's chunk feed shares with the goroutines
-// it starts: the ledger, the admission flow, and the first feed failure.
+// it starts: the ledger, the admission flow, the regions held for the
+// commit, and the first feed failure.
 type dumpRun struct {
 	stats *DumpStats
 	flow  *flowctl.DumpFlow // nil without a budget
-	mu    sync.Mutex        // guards stats and err while the feed runs
-	err   error
+	// replay marks a crashall's finishing dump: every pull re-pulls a
+	// chunk a crashed incarnation had already pulled once.
+	replay bool
+	mu     sync.Mutex // guards stats, held and err while the feed runs
+	// held lists the regions pulled but not yet acknowledged: with a
+	// journal, the copy of each chunk a crash would leave until the dump
+	// commits.
+	held []fabric.Handle
+	err  error
 }
 
 // fail stores the first feed failure.
@@ -587,19 +598,13 @@ func (d *dumpRun) failed() bool {
 	return d.err != nil
 }
 
-// chunkFeed submits one dump's packed chunks — reqs is in stream order —
-// to the stone graph's decode stone and returns once the last one is in.
-// The live feed pulls them over the fabric; the crash-restart feed reads
-// them back out of the journal.
-type chunkFeed func(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone)
-
 // reduceDump is the collective half of every dump body: exchange the
-// piggybacked partials and aggregate them (Stage 2b), then stream the
-// feed's chunks through the stone graph into the engine (Stages 3+4),
-// seal the dump in the journal and mark it Degraded if anything was
-// lost. budget, when non-nil, admits the feed's chunks against this
-// rank's memory budget.
-func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, stats *DumpStats, budget *flowctl.Controller, feed chunkFeed) (*staging.Result, error) {
+// piggybacked partials and aggregate them (Stage 2b), then pull reqs'
+// chunks through the stone graph into the engine (Stages 3+4), seal the
+// dump in the journal, release the regions it held and mark it Degraded
+// if anything was lost.
+func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, d *dumpRun) (*staging.Result, error) {
+	stats := d.stats
 	start := time.Now()
 	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
 	local := make([]RankPartial, len(reqs))
@@ -637,12 +642,11 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 	// and submission waits must have a horizon, or a mis-sized budget
 	// could wedge the collective staging area.
 	ctx := context.Background()
-	d := &dumpRun{stats: stats}
-	if budget != nil {
+	if s.cfg.Flow != nil {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.retry.DumpDeadline)
 		defer cancel()
-		d.flow = budget.StartDump(timestep)
+		d.flow = s.cfg.Flow.StartDump(timestep)
 		defer d.flow.Finish()
 	}
 	mgr, decode, filter, err := s.newStoneGraph(d.flow, chunks)
@@ -650,7 +654,7 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 		return nil, err
 	}
 	go func() {
-		feed(ctx, d, reqs, decode)
+		s.feedPulled(ctx, d, reqs, decode)
 		// Drain the stone graph, then release the engine.
 		if err := mgr.Close(); err != nil {
 			d.fail(err)
@@ -678,6 +682,14 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 	}
 	if err := s.commitDump(timestep); err != nil {
 		return nil, err
+	}
+	// The commit is durable: the writers may reuse the regions that were
+	// the dump's only other copy. Every pulled chunk is released here,
+	// whatever became of it — processed, spilled, passed or filtered.
+	for _, h := range d.held {
+		if err := s.cfg.Endpoint.Ack(h); err != nil {
+			return nil, err
+		}
 	}
 	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
 		(stats.Overload != nil && stats.Overload.PassedChunks > 0) ||
@@ -758,9 +770,10 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 	return mgr, decode, filter, nil
 }
 
-// feedPulled is the live chunk feed: a bounded pool of pull workers
-// moves each request's chunk over the fabric — admitted against the
-// budget, CRC-verified, journaled — and submits it to the stone graph;
+// feedPulled submits one dump's chunks — reqs is in stream order — to
+// the stone graph's decode stone and returns once the last one is in: a
+// bounded pool of pull workers moves each request's chunk over the
+// fabric — admitted against the budget, CRC-verified — and submits it;
 // once every pull is issued, spilled chunks are replayed behind them.
 func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone) {
 	var workers sync.WaitGroup
@@ -826,14 +839,14 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 	}
 }
 
-// pullChunk moves one request's chunk to this rank and makes it
-// durable. A chunk lost with its endpoint, or whose source copy stays
+// pullChunk moves one request's chunk to this rank and returns its
+// payload. A chunk lost with its endpoint, or whose source copy stays
 // corrupt past the re-pull budget, is recorded as a drop (ok false, no
 // error): the dump completes without it, explicitly Degraded — the bad
-// bytes must never reach Reduce. Anything else (shutdown, a journal
-// failure) is an error that aborts the dump.
-func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun) (buf []byte, ok bool, err error) {
-	buf, modeled, err := s.pullWithRetry(ctx, req, d.stats, &d.mu)
+// bytes must never reach Reduce. Anything else (shutdown) is an error
+// that aborts the dump.
+func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun) (payload []byte, ok bool, err error) {
+	frame, modeled, err := s.pullWithRetry(ctx, req, d.stats, &d.mu)
 	if err != nil {
 		var drops *int
 		var phase trace.Phase
@@ -852,17 +865,24 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun) (b
 			req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
 		return nil, false, nil
 	}
+	payload = frame[staging.SealOverhead:]
 	d.mu.Lock()
-	d.stats.BytesPulled += int64(len(buf))
+	d.stats.BytesPulled += int64(len(payload))
 	d.stats.PullModeled += modeled
-	d.mu.Unlock()
-	// Durability point: the chunk's bytes hit the journal before the
-	// stone graph sees them, so a crash anywhere downstream can replay
-	// instead of re-pulling a long-released region.
-	if err := s.journalChunk(req, buf); err != nil {
-		return nil, false, err
+	if s.cfg.Journal != nil {
+		d.held = append(d.held, req.Handle)
 	}
-	return buf, true, nil
+	if d.replay {
+		d.stats.WalReplayed++
+	}
+	d.mu.Unlock()
+	if d.replay {
+		// The frame's own checksum lets trace.Verify match the re-pull
+		// against the crashed incarnation's journaled request.
+		s.cfg.Tracer.Instant(trace.PhaseWalReplay, s.cfg.Endpoint.ID(), -1,
+			req.Timestep, int64(req.WriterRank), int64(staging.SealSum(frame)))
+	}
+	return payload, true, nil
 }
 
 // pulledChunk is the decode stone's event payload: a chunk's packed
@@ -943,27 +963,35 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 	}
 }
 
-// pullWithRetry pulls one chunk end-to-end verified: the transfer uses
-// the non-consuming PullRetain, the delivered frame's CRC is checked
-// before anything downstream sees the bytes, and the source region is
-// acknowledged (released) only after verification. Injected transients
-// *and* corrupted deliveries are retried with capped exponential
-// backoff within the attempt budget — wire corruption heals on re-pull
-// because the source still holds the intact region. A source that stays
-// corrupt exhausts the budget and surfaces staging.ErrCorrupt for the
-// caller's shed path. ctx bounds each pull's deferred-phase wait
-// (background ctx preserves the fault-free contract of blocking until
-// the watchdog intervenes).
+// pullWithRetry pulls one chunk end-to-end verified and returns its
+// sealed frame: the transfer uses the non-consuming PullRetain, and the
+// delivered frame's CRC is checked — and must be the one the request
+// names — before anything downstream sees the bytes. Without a journal
+// the source region is acknowledged (released) right after
+// verification; with one it stays exposed until reduceDump's commit.
+// Injected transients *and* corrupted deliveries are retried with
+// capped exponential backoff within the attempt budget — wire
+// corruption heals on re-pull because the source still holds the intact
+// region. A source that stays corrupt exhausts the budget and surfaces
+// staging.ErrCorrupt for the caller's shed path. ctx bounds each pull's
+// deferred-phase wait (background ctx preserves the fault-free contract
+// of blocking until the watchdog intervenes).
 func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex) ([]byte, time.Duration, error) {
 	for attempt := 0; ; attempt++ {
-		buf, d, err := s.hedgedPull(ctx, req, stats, mu)
+		frame, d, err := s.hedgedPull(ctx, req, stats, mu)
 		if err == nil {
-			payload, perr := staging.Unseal(buf)
+			_, perr := staging.Unseal(frame)
+			if perr == nil && staging.SealSum(frame) != req.Sum {
+				perr = fmt.Errorf("predata: pulled frame's checksum %08x, request names %08x: %w",
+					staging.SealSum(frame), req.Sum, staging.ErrCorrupt)
+			}
 			if perr == nil {
-				if aerr := s.cfg.Endpoint.Ack(req.Handle); aerr != nil {
-					return nil, 0, aerr
+				if s.cfg.Journal == nil {
+					if aerr := s.cfg.Endpoint.Ack(req.Handle); aerr != nil {
+						return nil, 0, aerr
+					}
 				}
-				return payload, d, nil
+				return frame, d, nil
 			}
 			mu.Lock()
 			stats.CorruptPulls++

@@ -170,7 +170,7 @@ func TestStagingCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPipeline(PipelineConfig{
+	res := runDrained(t, PipelineConfig{
 		NumCompute: numCompute,
 		NumStaging: numStaging,
 		Dumps:      dumps,
@@ -178,9 +178,6 @@ func TestStagingCrashRecovery(t *testing.T) {
 		Timeout:    60 * time.Second,
 	}, chaoticCompute(dumps, perRank),
 		func(dump int) []staging.Operator { return []staging.Operator{&countOp{}} })
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The crashed rank served exactly the pre-crash dumps.
 	if got := len(res.StagingResults[crashIdx]); got != crashDump {
@@ -311,6 +308,78 @@ func TestPullDropCompletesDegraded(t *testing.T) {
 		}
 		if n := res.PerOperator["count"]["n"].(int64); n != 3 {
 			return fmt.Errorf("count %d, want 3 (the surviving chunk)", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPullRejectsFrameNotNamedByRequest: a request names its chunk by
+// the seal's checksum as well as by region. A pull that delivers a
+// frame which verifies but carries another checksum is not that chunk:
+// it is retried like a corrupt delivery and, since every re-pull returns
+// the same frame, shed after the attempt budget — the dump completes
+// without it, Degraded, and the region is released.
+func TestPullRejectsFrameNotNamedByRequest(t *testing.T) {
+	const attempts = 3
+	err := mpi.Run(1, func(world *mpi.Comm) error {
+		// Writer 1 routes to endpoint 3, where the test reads its request
+		// and forwards it to the staging rank at endpoint 2 with another
+		// checksum.
+		fab, err := fabric.New(fabric.DefaultConfig(4))
+		if err != nil {
+			return err
+		}
+		defer fab.Shutdown()
+		eps := make([]*fabric.Endpoint, 4)
+		for i := range eps {
+			eps[i], _ = fab.Endpoint(i)
+		}
+		for w, base := range []int{2, 3} {
+			client, err := NewClient(ClientConfig{
+				WriterRank: w, NumCompute: 2, NumStaging: 1,
+				Endpoint: eps[w], StagingBase: base,
+			})
+			if err != nil {
+				return err
+			}
+			if _, err := client.Write(testSchema, ffs.Record{"values": []float64{1, 2, 3}}, 0); err != nil {
+				return err
+			}
+		}
+		_, msg, err := eps[3].RecvCtl()
+		if err != nil {
+			return err
+		}
+		req := msg.(FetchRequest)
+		req.Sum ^= 1
+		if err := eps[1].SendCtl(2, req); err != nil {
+			return err
+		}
+		server, err := NewServer(ServerConfig{
+			StagingIndex: 0, Comm: world, Endpoint: eps[2], NumCompute: 2,
+			Retry: RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+		})
+		if err != nil {
+			return err
+		}
+		res, stats, err := server.ServeDump(0, []staging.Operator{&countOp{}})
+		if err != nil {
+			return fmt.Errorf("dump failed instead of shedding the chunk: %w", err)
+		}
+		if stats.CorruptPulls != attempts || stats.CorruptDrops != 1 {
+			return fmt.Errorf("corrupt pulls %d, drops %d; want %d and 1", stats.CorruptPulls, stats.CorruptDrops, attempts)
+		}
+		if !res.Degraded {
+			return fmt.Errorf("dump without writer 1's chunk not marked Degraded")
+		}
+		if n := res.PerOperator["count"]["n"].(int64); n != 3 {
+			return fmt.Errorf("count %d, want 3 (writer 0's chunk only)", n)
+		}
+		if n := eps[1].ExposedBytes(); n != 0 {
+			return fmt.Errorf("shed chunk's region still exposes %d bytes", n)
 		}
 		return nil
 	})

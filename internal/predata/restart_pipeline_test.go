@@ -8,15 +8,206 @@ import (
 	"testing"
 	"time"
 
+	"predata/internal/fabric"
 	"predata/internal/faults"
+	"predata/internal/ffs"
+	"predata/internal/flowctl"
+	"predata/internal/mpi"
 	"predata/internal/staging"
 	"predata/internal/trace"
+	"predata/internal/wal"
 )
 
 // The test partial rides FetchRequest's any-typed field into the
 // journal; gob needs the concrete type registered to round-trip it.
 func init() {
 	gob.Register([2]float64{})
+}
+
+// runDrained is RunPipeline for a test that owns the whole run: it fails
+// t on a pipeline error and, once the run is over, on any compute
+// endpoint that still exposes a region — a chunk no Ack released, at
+// pull time or at its dump's commit.
+func runDrained(t *testing.T, cfg PipelineConfig, compute ComputeFunc, ops OperatorFactory) *PipelineResult {
+	t.Helper()
+	writers := make([]*fabric.Endpoint, cfg.NumCompute)
+	res, err := RunPipeline(cfg, func(comm *mpi.Comm, client *Client) error {
+		writers[comm.Rank()] = client.Endpoint()
+		return compute(comm, client)
+	}, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, ep := range writers {
+		if n := ep.ExposedBytes(); n != 0 {
+			t.Errorf("writer %d still exposes %d bytes after the run: a region was never released", rank, n)
+		}
+	}
+	return res
+}
+
+// probeOp is countOp with a hook that runs in Reduce: after every chunk
+// of the dump has been pulled, and before the dump commits.
+type probeOp struct {
+	countOp
+	probe func()
+}
+
+func (p *probeOp) Reduce(ctx *staging.Context, tag int, values []any) error {
+	p.probe()
+	return p.countOp.Reduce(ctx, tag, values)
+}
+
+// TestJournaledRegionHeldUntilCommit pins journal by reference: with a
+// journal, every chunk the dump will reduce — and one the filter drops —
+// still has its writer's region exposed while Reduce runs, and every
+// region is released once ServeDump has committed the dump. Without a
+// journal each region is released as soon as its pull verifies. Either
+// way a source that stays corrupt is released when the re-pulls give
+// up: it is shed, not part of the dump.
+func TestJournaledRegionHeldUntilCommit(t *testing.T) {
+	const (
+		processed = 0 // reduced
+		corrupt   = 1 // source copy damaged at Expose: corrupt-dropped
+		filtered  = 2 // dropped by the ChunkFilter stone
+		writers   = 3
+	)
+	plan, err := faults.ParsePlan(fmt.Sprintf("corrupt:%d:1:send", corrupt), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journaled), func(t *testing.T) {
+			inj, err := faults.NewInjector(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fcfg := fabric.DefaultConfig(writers + 1)
+			fcfg.Faults = inj
+			fab, err := fabric.New(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fab.Shutdown()
+			eps := make([]*fabric.Endpoint, writers)
+			for w := range eps {
+				eps[w], _ = fab.Endpoint(w)
+				client, err := NewClient(ClientConfig{
+					WriterRank: w, NumCompute: writers, NumStaging: 1,
+					Endpoint: eps[w], StagingBase: writers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := client.Write(testSchema, ffs.Record{"values": []float64{1, 2, 3}}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var journal *wal.Log
+			if journaled {
+				if journal, err = wal.Open(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				defer journal.Close()
+			}
+			probed := false
+			op := &probeOp{probe: func() {
+				probed = true
+				for w, ep := range eps {
+					n := ep.ExposedBytes()
+					if held := journaled && w != corrupt; held != (n > 0) {
+						t.Errorf("in Reduce: writer %d exposes %d bytes, want held=%v", w, n, held)
+					}
+				}
+			}}
+			err = mpi.Run(1, func(world *mpi.Comm) error {
+				sep, err := fab.Endpoint(writers)
+				if err != nil {
+					return err
+				}
+				server, err := NewServer(ServerConfig{
+					StagingIndex: 0, Comm: world, Endpoint: sep, NumCompute: writers,
+					ChunkFilter: func(c *staging.Chunk) bool { return c.WriterRank != filtered },
+					Retry:       RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+					Journal:     journal,
+				})
+				if err != nil {
+					return err
+				}
+				_, stats, err := server.ServeDump(0, []staging.Operator{op})
+				if err != nil {
+					return err
+				}
+				if stats.CorruptDrops != 1 || stats.ChunksFiltered != 1 {
+					return fmt.Errorf("dump stats %+v, want one corrupt drop and one filtered chunk", stats)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !probed {
+				t.Fatal("Reduce never ran the probe")
+			}
+			for w, ep := range eps {
+				if n := ep.ExposedBytes(); n != 0 {
+					t.Errorf("after ServeDump: writer %d still exposes %d bytes", w, n)
+				}
+			}
+		})
+	}
+}
+
+// TestJournaledLadderAcksAtCommit drives a journaled dump down the
+// degradation ladder — spill escalating straight to raw pass-through —
+// with a filter on the stream, and checks that every region is still
+// released: spilled, passed and filtered chunks are all acknowledged
+// at their dump's commit.
+func TestJournaledLadderAcksAtCommit(t *testing.T) {
+	const (
+		numCompute = 16
+		numStaging = 2
+		dumps      = 2
+		perRank    = 40_000
+	)
+	res := runDrained(t, PipelineConfig{
+		NumCompute:       numCompute,
+		NumStaging:       numStaging,
+		Dumps:            dumps,
+		PartialCalculate: localMinMax,
+		Aggregate:        globalMinMax,
+		PullConcurrency:  4,
+		// Writer 0 streams first on its rank, ahead of any overload.
+		ChunkFilter: func(c *staging.Chunk) bool { return c.WriterRank != 0 },
+		BufferMB:    1,
+		Overload: flowctl.Policy{
+			Patience:        time.Millisecond,
+			SpillLimitBytes: 1, // the first spilled byte escalates
+			PassLimitBytes:  1, // straight to raw pass-through
+			SpillDir:        t.TempDir(),
+		},
+		WALDir:  t.TempDir(),
+		Timeout: 2 * time.Minute,
+	}, chaoticCompute(dumps, perRank),
+		func(dump int) []staging.Operator {
+			return []staging.Operator{&slowHist{
+				minmaxHist: minmaxHist{bins: 16},
+				perChunk:   5 * time.Millisecond,
+			}}
+		})
+	ov := res.Overload
+	if ov == nil || ov.SpilledChunks == 0 || ov.PassedChunks == 0 {
+		t.Fatalf("ladder never spilled and passed: %+v", ov)
+	}
+	filtered := 0
+	for _, rankStats := range res.StagingStats {
+		for _, st := range rankStats {
+			filtered += st.ChunksFiltered
+		}
+	}
+	if filtered == 0 {
+		t.Error("the filter dropped no chunk")
+	}
 }
 
 // TestRestartRecoveryLossless: one staging rank bounces for two dumps
@@ -39,7 +230,7 @@ func TestRestartRecoveryLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPipeline(PipelineConfig{
+	res := runDrained(t, PipelineConfig{
 		NumCompute: numCompute,
 		NumStaging: numStaging,
 		Dumps:      dumps,
@@ -48,9 +239,6 @@ func TestRestartRecoveryLossless(t *testing.T) {
 		Timeout:    2 * time.Minute,
 	}, chaoticCompute(dumps, perRank),
 		func(dump int) []staging.Operator { return []staging.Operator{&countOp{}} })
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for dump := 0; dump < dumps; dump++ {
 		var total int64
@@ -94,12 +282,13 @@ func TestRestartRecoveryLossless(t *testing.T) {
 }
 
 // TestCrashAllRecoveryBitIdentical: the whole staging service crashes
-// mid-dump after journaling its gathered requests and pulled chunks,
-// rebuilds every rank from the journals under a fresh epoch, and
-// finishes the dump by replay. Every dump's results — including the
-// crashed one — must be byte-identical to the fault-free run, with
-// nothing Degraded, and the flight recording must pass the WAL replay
-// fidelity and restart exclusivity rules.
+// mid-dump after journaling its gathered requests and pulling their
+// chunks, rebuilds every rank from the journals under a fresh epoch, and
+// finishes the dump by re-pulling the chunks from the regions their
+// writers still hold. Every dump's results — including the crashed one
+// — must be byte-identical to the fault-free run, with nothing
+// Degraded, and the flight recording must pass the WAL replay fidelity
+// and restart exclusivity rules.
 func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 	const (
 		numCompute = 8
@@ -116,7 +305,7 @@ func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 		recorder := trace.New(trace.Config{
 			NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
 		})
-		res, err := RunPipeline(PipelineConfig{
+		res := runDrained(t, PipelineConfig{
 			NumCompute:       numCompute,
 			NumStaging:       numStaging,
 			Dumps:            dumps,
@@ -127,9 +316,6 @@ func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 			Timeout:          2 * time.Minute,
 			Tracer:           recorder,
 		}, chaoticCompute(dumps, perRank), ops)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rep, err := trace.Verify(recorder.Snapshot())
 		if err != nil {
 			t.Fatalf("trace.Verify: %v", err)
@@ -164,10 +350,11 @@ func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 		t.Errorf("Restarts = %d, want %d (every rank rebuilt)", fr.Restarts, numStaging)
 	}
 	if fr.WalReplayed != numCompute {
-		t.Errorf("WalReplayed = %d, want %d (every chunk of the crashed dump)", fr.WalReplayed, numCompute)
+		t.Errorf("WalReplayed = %d, want %d (every chunk of the crashed dump re-pulled)", fr.WalReplayed, numCompute)
 	}
-	// The recording must actually exercise the new rules: replays matched
-	// to appends, and the exclusivity census over every retired chunk.
+	// The recording must actually exercise the new rules: re-pulls matched
+	// to journaled requests, and the exclusivity census over every
+	// retired chunk.
 	if rep.Checks[trace.RuleWALReplay] == 0 {
 		t.Errorf("no WAL replay fidelity checks ran: %+v", rep)
 	}
@@ -189,7 +376,7 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 	recorder := trace.New(trace.Config{
 		NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
 	})
-	res, err := RunPipeline(PipelineConfig{
+	res := runDrained(t, PipelineConfig{
 		NumCompute:      numCompute,
 		NumStaging:      numStaging,
 		Dumps:           dumps,
@@ -199,9 +386,6 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 		Tracer:          recorder,
 	}, chaoticCompute(dumps, perRank),
 		func(dump int) []staging.Operator { return []staging.Operator{&countOp{}} })
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Fault == nil {
 		t.Fatal("journaled run produced no fault report")
 	}

@@ -345,7 +345,7 @@ func TestRestartFenceHandoffs(t *testing.T) {
 			recorder := trace.New(trace.Config{
 				NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
 			})
-			res, err := RunPipeline(PipelineConfig{
+			res := runDrained(t, PipelineConfig{
 				NumCompute: numCompute,
 				NumStaging: numStaging,
 				Dumps:      dumps,
@@ -355,9 +355,6 @@ func TestRestartFenceHandoffs(t *testing.T) {
 				Timeout:    2 * time.Minute,
 				Tracer:     recorder,
 			}, chaoticCompute(dumps, perRank), countOps)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if _, err := trace.Verify(recorder.Snapshot()); err != nil {
 				t.Fatalf("trace.Verify: %v", err)
 			}

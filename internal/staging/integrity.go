@@ -88,6 +88,13 @@ func Sealed(buf []byte) bool {
 	return len(buf) >= SealOverhead && string(buf[:len(sealMagic)]) == sealMagic
 }
 
+// SealSum returns the payload checksum recorded in a sealed frame's
+// header — after a successful Unseal, the CRC32 of the payload itself.
+// frame must hold at least SealOverhead bytes.
+func SealSum(frame []byte) uint32 {
+	return binary.LittleEndian.Uint32(frame[len(sealMagic)+4:])
+}
+
 // Unseal verifies a sealed frame and returns the payload (aliasing
 // buf's memory, no copy). A missing magic, a length mismatch, or a
 // checksum mismatch returns an error wrapping ErrCorrupt.
@@ -99,7 +106,7 @@ func Unseal(buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("staging: sealed chunk magic damaged: %w", ErrCorrupt)
 	}
 	n := binary.LittleEndian.Uint32(buf[len(sealMagic):])
-	want := binary.LittleEndian.Uint32(buf[len(sealMagic)+4:])
+	want := SealSum(buf)
 	payload := buf[SealOverhead:]
 	if int(n) != len(payload) {
 		return nil, fmt.Errorf("staging: sealed chunk length %d, frame says %d: %w", len(payload), n, ErrCorrupt)

@@ -84,11 +84,11 @@ const (
 	PhaseHeal          // predata: fenced rank rejoined the serving set (Seq = epoch installed)
 	PhaseHedge         // predata: hedged pull launched (Endpoint = source, Seq = writer)
 	PhaseHedgeCancel   // predata: hedge race resolved, losing attempt cancelled (Endpoint = source, Seq = writer, Arg = 1 hedge won)
-	PhaseJournal       // wal: record appended to the staging journal (Seq = writer, Arg = payload crc32)
+	PhaseJournal       // wal: fetch request appended to the staging journal (Seq = writer, Arg = crc32 of the chunk payload it names)
 	PhaseWalCommit     // wal: dump commit record fsynced (Dump = committed dump)
 	PhaseCheckpoint    // wal: dump-boundary checkpoint written (Seq = first dump NOT covered)
 	PhaseWalTruncate   // wal: journal truncated behind a checkpoint (Seq = first dump kept, Arg = records kept)
-	PhaseWalReplay     // predata: journaled chunk re-entered the pipeline after a restart (Seq = writer, Arg = payload crc32)
+	PhaseWalReplay     // predata: chunk re-pulled after a crashall recovery (Seq = writer, Arg = the pulled frame's seal crc32)
 	PhaseRestart       // pipeline: rank rejoined after a restart or crashall recovery (Seq = epoch installed, Arg = records replayed)
 
 	PhaseServeIngest     // serve: dump version ingested for a tenant (Rank = tenant, Endpoint = tenant, Seq = object hash, Arg = version)

@@ -63,10 +63,11 @@ const (
 	// cancels and joins the loser), and no resolution appears without a
 	// launch. A check is a (rank, dump, writer) that hedged.
 	RuleHedgeResolution
-	// RuleWALReplay: every chunk replayed from the journal (PhaseWalReplay,
-	// Arg = payload crc32) matches an append (PhaseJournal) of the same
-	// (dump, writer) and checksum — recovery re-enters exactly the bytes
-	// that were journaled. A check is a replay.
+	// RuleWALReplay: every chunk re-pulled after recovery (PhaseWalReplay,
+	// Arg = the pulled frame's seal crc32) matches a journaled request
+	// (PhaseJournal, Arg = the crc32 the request names) of the same (dump,
+	// writer) and checksum — recovery re-enters exactly the bytes that
+	// were journaled by reference. A check is a replay.
 	RuleWALReplay
 	// RuleRestartOnce: on recordings containing a restart, no (dump,
 	// writer) chunk is engine-retired more than once — commit dedup keeps
@@ -572,8 +573,9 @@ func (v *verifier) hedgeResolution() {
 	}
 }
 
-// walReplay: a replay without a matching append means recovery
-// fabricated bytes; a checksum mismatch means the round trip mutated them.
+// walReplay: a replay without a matching append means recovery pulled a
+// chunk no journaled request named; a checksum mismatch means the
+// re-pull delivered other bytes than the request named.
 func (v *verifier) walReplay() {
 	journaled := map[dw]map[int64]bool{}
 	var replays []*Event
@@ -590,10 +592,10 @@ func (v *verifier) walReplay() {
 		v.check()
 		k := dw{e.Dump, e.Seq}
 		if len(journaled[k]) == 0 {
-			v.fail("dump %d: writer %d's chunk replayed from the journal without any recorded append",
+			v.fail("dump %d: writer %d's chunk re-pulled after recovery without any recorded append",
 				e.Dump, e.Seq)
 		} else if !journaled[k][e.Arg] {
-			v.fail("dump %d: writer %d's replayed chunk checksum %#x matches no journal append",
+			v.fail("dump %d: writer %d's re-pulled chunk checksum %#x matches no journal append",
 				e.Dump, e.Seq, uint32(e.Arg))
 		}
 	}

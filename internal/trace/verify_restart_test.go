@@ -7,14 +7,15 @@ import (
 
 // syntheticRestart builds a recording of a clean crash-restart recovery:
 // 2 writers, 2 staging ranks (world ranks 2..3). Rank 2 journals both
-// dump-0 chunks, commits, checkpoints, truncates, then crashes mid
-// dump 1 and replays its journaled chunks after the restart — each chunk
-// engine-retired exactly once, each replay matching its append.
+// dump-0 requests, commits, checkpoints, truncates, then crashes mid
+// dump 1 and re-pulls the chunks its journaled requests name after the
+// restart — each chunk engine-retired exactly once, each replay matching
+// its append's checksum.
 func syntheticRestart() *Recording {
 	return &Recording{
 		NumCompute: 2, NumStaging: 2, Dumps: 2,
 		Events: []Event{
-			// Dump 0: journal both chunks, retire, commit, checkpoint, truncate.
+			// Dump 0: journal both requests, retire, commit, checkpoint, truncate.
 			ev(PhaseJournal, 2, -1, 0, 0, 0xAAAA, 10),
 			ev(PhaseJournal, 2, -1, 0, 1, 0xBBBB, 11),
 			ev(PhaseChunk, 2, -1, 0, 0, 0, 12),
@@ -22,8 +23,8 @@ func syntheticRestart() *Recording {
 			ev(PhaseWalCommit, 2, -1, 0, 0, 0, 14),
 			ev(PhaseCheckpoint, 2, -1, 0, 1, 0, 15),  // covers dumps < 1
 			ev(PhaseWalTruncate, 2, -1, 0, 1, 0, 16), // keeps dumps >= 1
-			// Dump 1: chunks journaled, then the service crashes and restarts;
-			// the journaled chunks replay and retire exactly once.
+			// Dump 1: requests journaled, then the service crashes and
+			// restarts; the chunks they name are re-pulled and retire once.
 			ev(PhaseJournal, 2, -1, 1, 0, 0xCCCC, 20),
 			ev(PhaseJournal, 2, -1, 1, 1, 0xDDDD, 21),
 			ev(PhaseRestart, 2, -1, 1, 1, 2, 30),

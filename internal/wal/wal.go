@@ -5,15 +5,17 @@
 //
 // The framing follows the PDSPILL1 discipline from internal/flowctl —
 // little-endian fixed header, CRC32-IEEE over the payload — extended
-// with a kind byte, because the journal records three things: chunks
-// as they arrive (the pulled, CRC-verified packed bytes — staging
-// memory is the only other copy, the writer's region having been
-// acknowledged at pull time), fetch requests as they are consumed from
-// the fabric mailbox (the pending-map state a restart would otherwise
-// forget), and dump-boundary commit markers. A commit record is the
-// durability point: it is flushed and fsynced, and on recovery every
-// chunk/request of a committed dump is deduplicated away, which is
-// what makes replay exactly-once across a restart.
+// with a kind byte, because the journal records three things: fetch
+// requests as they are consumed from the fabric mailbox (the
+// pending-map state a restart would otherwise forget), dump-boundary
+// commit markers, and — in the streaming service only — ingested
+// payloads. The staging pipeline journals its chunks by reference: a
+// request names the writer's region and the seal's checksum, and the
+// writer keeps that region until the dump's commit is durable, so a
+// restart re-pulls instead of replaying bytes from here. A commit
+// record is the durability point: it is flushed and fsynced, and on
+// recovery every chunk/request of a committed dump is deduplicated
+// away, which is what makes replay exactly-once across a restart.
 //
 // Unlike a spill segment, a torn journal tail is *normal*: the process
 // died mid-append. Recovery keeps the longest valid prefix and reports
@@ -68,8 +70,9 @@ var ErrCorrupt = errors.New("wal: corrupt")
 type Kind uint8
 
 const (
-	// KindChunk is a pulled, CRC-verified packed chunk (the unsealed
-	// encoded bytes), journaled on arrival.
+	// KindChunk is a payload journaled by value on arrival. Only the
+	// streaming service writes them (its ingests, through AppendChunk);
+	// the staging pipeline journals chunks by reference, in requests.
 	KindChunk Kind = 1
 	// KindRequest is a fetch request consumed from the fabric mailbox,
 	// serialized by the caller (the pending-map state).
@@ -205,7 +208,7 @@ func (l *Log) append(rec Record) error {
 	return nil
 }
 
-// AppendChunk journals one pulled chunk's packed bytes.
+// AppendChunk journals one payload by value (a KindChunk record).
 func (l *Log) AppendChunk(writer int, timestep int64, payload []byte) error {
 	return l.append(Record{Kind: KindChunk, Writer: writer, Timestep: timestep, Payload: payload})
 }
