@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -29,7 +27,7 @@ func TestRunEachExperiment(t *testing.T) {
 	for _, e := range bench.Experiments("all") {
 		t.Run(e.Name, func(t *testing.T) {
 			var ran []string
-			if err := run(&bytes.Buffer{}, stubs(&ran), e.Name, ""); err != nil {
+			if err := run(&bytes.Buffer{}, stubs(&ran), e.Name); err != nil {
 				t.Fatal(err)
 			}
 			if len(ran) != 1 || ran[0] != e.Name {
@@ -45,7 +43,7 @@ func TestRunAll(t *testing.T) {
 	for _, e := range registry {
 		want = append(want, e.Name)
 	}
-	if err := run(&bytes.Buffer{}, registry, "all", ""); err != nil {
+	if err := run(&bytes.Buffer{}, registry, "all"); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(ran, " ") != strings.Join(want, " ") {
@@ -53,45 +51,19 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: a name outside the registry is an error —
+// a typo, or a soak scenario such as chaos, which is a go test
+// (EXPERIMENTS.md), not an experiment.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(&bytes.Buffer{}, bench.Experiments("all"), "fig99", ""); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, name := range []string{"fig99", "chaos"} {
+		if err := run(&bytes.Buffer{}, bench.Experiments("all"), name); err == nil {
+			t.Errorf("unknown experiment %q accepted", name)
+		}
 	}
 }
 
 func TestRunBadFig7Op(t *testing.T) {
-	if err := run(&bytes.Buffer{}, bench.Experiments("nonsense"), "fig7", ""); err == nil {
+	if err := run(&bytes.Buffer{}, bench.Experiments("nonsense"), "fig7"); err == nil {
 		t.Fatal("unknown fig7 operator accepted")
-	}
-}
-
-// TestRunWritesJSONOnlyWhenAsked drives the real registry's cheapest
-// entry end to end: no -json, no file; -json PATH, the document.
-func TestRunWritesJSONOnlyWhenAsked(t *testing.T) {
-	dir := t.TempDir()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chdir(wd) })
-	if err := run(&bytes.Buffer{}, bench.Experiments("all"), "offline", ""); err != nil {
-		t.Fatal(err)
-	}
-	if left, _ := os.ReadDir(dir); len(left) != 0 {
-		t.Fatalf("a run without -json left %v behind", left)
-	}
-	path := filepath.Join(dir, "out.json")
-	if err := run(&bytes.Buffer{}, bench.Experiments("all"), "offline", path); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(doc), `"experiments": []`) {
-		t.Errorf("document of a model-only experiment:\n%s", doc)
 	}
 }

@@ -75,7 +75,7 @@ func ablationCombine(rp *Report) error {
 		// saw cross the shuffle can be summed once the run is over.
 		var mu sync.Mutex
 		var hists []*countingHist
-		o, err := leg{
+		_, wall, err := leg{
 			name: "combiner", cfg: gtcShape(8, 2, 1), perRank: 10000,
 			ops: func(int) ([]staging.Operator, error) {
 				h, err := ops.NewHistogramOperator(ops.HistogramConfig{
@@ -91,12 +91,12 @@ func ablationCombine(rp *Report) error {
 				mu.Unlock()
 				return []staging.Operator{c}, nil
 			},
-		}.run(rp.seed)
+		}.run()
 		var total int
 		for _, c := range hists {
 			total += c.shuffled
 		}
-		return total, o.wall, err
+		return total, wall, err
 	}
 	withC, wallC, err := run(true)
 	if err != nil {
@@ -145,7 +145,7 @@ func ablationFunctionalScaling(rp *Report) error {
 	sizes := []int{5000, 10000, 20000, 40000}
 	times := make([]time.Duration, len(sizes))
 	for i, perRank := range sizes {
-		o, err := leg{
+		res, _, err := leg{
 			name: "weak-scaling", cfg: gtcShape(8, 2, 1), perRank: perRank,
 			ops: func(int) ([]staging.Operator, error) {
 				return one(ops.NewHistogramOperator(ops.HistogramConfig{
@@ -153,12 +153,12 @@ func ablationFunctionalScaling(rp *Report) error {
 					Bins: 64, AggRanges: true,
 				}))
 			},
-		}.run(rp.seed)
+		}.run()
 		if err != nil {
 			return err
 		}
 		var mapT time.Duration
-		for _, r := range o.res.StagingResults {
+		for _, r := range res.StagingResults {
 			mapT += r[0].OperatorBreakdown["histogram"].Get("map")
 		}
 		times[i] = mapT

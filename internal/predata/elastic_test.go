@@ -165,9 +165,12 @@ const frameCost = 250 * time.Nanosecond
 
 // frameCountOp counts detector frames across chunks, shuffling the
 // per-chunk counts to one reducer so conservation sums are exact. Its Map
-// is a slow consumer (frameCost per frame): overload in these tests comes
-// from the operator falling behind the burst, as it does in production.
+// is a slow consumer (frameCost per frame, or perChunk per chunk when
+// set): overload in these tests comes from the operator falling behind
+// the burst, as it does in production.
 type frameCountOp struct {
+	perChunk time.Duration
+
 	mu sync.Mutex
 	n  int64
 }
@@ -178,7 +181,11 @@ func (c *frameCountOp) Initialize(ctx *staging.Context, agg map[string]any) erro
 }
 func (c *frameCountOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if arr, ok := chunk.Record["frames"].(*ffs.Array); ok && len(arr.Dims) == 2 {
-		time.Sleep(time.Duration(arr.Dims[0]) * frameCost)
+		cost := c.perChunk
+		if cost == 0 {
+			cost = time.Duration(arr.Dims[0]) * frameCost
+		}
+		time.Sleep(cost)
 		ctx.Emit(0, int64(arr.Dims[0]))
 	}
 	return nil
@@ -328,6 +335,78 @@ func TestElasticGrowsUnderBurstThenShrinks(t *testing.T) {
 	}
 	if rec.Dropped != 0 {
 		t.Errorf("recording dropped %d events", rec.Dropped)
+	}
+}
+
+// TestElasticBeatsStaticProvisioning runs the burst schedule on three
+// pools: static-small (one rank, sized for the quiet dumps), static-large
+// (three, sized for the burst) and elastic 1:3. The consumer costs a
+// fixed mapCost per chunk on one worker, and the 1 MiB budget holds one
+// burst chunk, so with every writer's pull in flight a rank's last burst
+// admission waits (writers-1) x mapCost: 70 ms for all eight writers,
+// 20-30 ms for three or four. The patience sits between with a margin
+// on each side wider than scheduling noise under a loaded -race run, so
+// static-small must spill and a grown pool keeps up, whatever the speed
+// of the data path. The elastic pool must overflow less than
+// static-small and spend fewer rank-dumps than static-large, and no leg
+// may lose a frame.
+func TestElasticBeatsStaticProvisioning(t *testing.T) {
+	const (
+		pool     = 3
+		mapCost  = 10 * time.Millisecond
+		patience = 45 * time.Millisecond
+	)
+	opsFor := func(int) []staging.Operator {
+		return []staging.Operator{&frameCountOp{perChunk: mapCost}}
+	}
+	type leg struct {
+		overflow int64 // bytes spilled or passed raw
+		scale    *ScaleReport
+	}
+	provision := func(name string, ranks int, policy *elastic.Policy) leg {
+		cfg := elasticSoakConfig(t, ranks)
+		cfg.Engine = staging.Config{Workers: 1}
+		cfg.PullConcurrency = cfg.NumCompute
+		cfg.Overload.Patience = patience
+		cfg.Timeout = 2 * time.Minute
+		compute := xrayCompute(cfg.Dumps, burstBaseFrames, burstFactors, burstSeed)
+		var (
+			res *PipelineResult
+			err error
+			// A static pool serves every dump with every rank.
+			scale = &ScaleReport{RankDumps: int64(ranks * cfg.Dumps)}
+		)
+		if policy == nil {
+			res, err = RunPipeline(cfg, compute, opsFor)
+		} else {
+			res, scale, err = RunElastic(cfg, ElasticConfig{Policy: *policy}, compute, opsFor)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := int64(cfg.NumCompute) * xrayTotalFrames(burstBaseFrames, burstFactors)
+		if got := sumFrameCounts(res); got != want {
+			t.Errorf("%s counted %d frames, want %d", name, got, want)
+		}
+		return leg{overflow: res.Overload.SpilledBytes + res.Overload.PassedBytes, scale: scale}
+	}
+	small := provision("static-small", 1, nil)
+	large := provision("static-large", pool, nil)
+	el := provision("elastic 1:3", pool, &elastic.Policy{Min: 1, Max: pool, GrowK: 1, ShrinkJ: 2, Cooldown: 1})
+
+	// The triggers fired: the one-rank pool overflowed and the autoscaler
+	// grew in response. Without them the comparisons below are vacuous.
+	if small.overflow == 0 {
+		t.Fatal("static-small never spilled: the burst put no pressure on one rank")
+	}
+	if el.scale.Grows < 1 {
+		t.Fatalf("elastic pool never grew: %+v", el.scale)
+	}
+	if el.overflow >= small.overflow {
+		t.Errorf("elastic overflow %d B not below static-small %d B", el.overflow, small.overflow)
+	}
+	if el.scale.RankDumps >= large.scale.RankDumps {
+		t.Errorf("elastic rank-dumps %d not below static-large %d", el.scale.RankDumps, large.scale.RankDumps)
 	}
 }
 

@@ -118,7 +118,8 @@ func (h *slowHist) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 // cost), so the rank must throttle and spill — yet the dump completes
 // losslessly: operator results are identical to the unconstrained run,
 // every spilled chunk is replayed, and the accountant's peak never
-// exceeds budget + one chunk.
+// exceeds budget + one chunk. The constrained run goes once clean and
+// once under transient faults on every endpoint.
 func TestOverloadSoakSpillLossless(t *testing.T) {
 	const (
 		numCompute = 8
@@ -127,7 +128,7 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 		perRank    = 40_000 // ~320 KB packed per chunk; 4 chunks/rank/dump ≈ 1.3 MB > 1 MB budget
 		bufferMB   = 1
 	)
-	run := func(bufMB int) *PipelineResult {
+	run := func(bufMB int, plan *faults.Plan) *PipelineResult {
 		t.Helper()
 		return runDrained(t, PipelineConfig{
 			NumCompute:       numCompute,
@@ -141,7 +142,8 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 				Patience: 2 * time.Millisecond,
 				SpillDir: t.TempDir(),
 			},
-			Timeout: 2 * time.Minute,
+			FaultPlan: plan,
+			Timeout:   2 * time.Minute,
 		}, chaoticCompute(dumps, perRank),
 			func(dump int) []staging.Operator {
 				return []staging.Operator{&slowHist{
@@ -151,64 +153,80 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 			})
 	}
 
-	constrained := run(bufferMB)
-	unconstrained := run(0)
-
-	ov := constrained.Overload
-	if ov == nil {
-		t.Fatal("no overload report from a budgeted run")
-	}
+	unconstrained := run(0, nil)
 	if unconstrained.Overload != nil {
 		t.Fatal("overload report present without a budget")
 	}
-	if ov.Throttles == 0 {
-		t.Error("overloaded run recorded no throttles")
-	}
-	if ov.SpilledChunks == 0 || ov.SpilledBytes == 0 {
-		t.Errorf("overloaded run spilled nothing: %+v", ov)
-	}
-	if ov.ReplayedChunks != ov.SpilledChunks {
-		t.Errorf("replayed %d of %d spilled chunks — spill was lossy",
-			ov.ReplayedChunks, ov.SpilledChunks)
-	}
-	if ov.PassedChunks != 0 || ov.ShedChunks != 0 {
-		t.Errorf("soak escalated past spill: %+v", ov)
-	}
-
-	// Peak accounted memory <= budget + one chunk. Every chunk packs the
-	// same record shape, so the per-chunk size falls out of the totals.
-	var totalBytes int64
-	var totalChunks int
-	for _, rankStats := range constrained.StagingStats {
-		for _, st := range rankStats {
-			totalBytes += st.BytesPulled
-			totalChunks += st.Requests
-		}
-	}
-	chunkBytes := totalBytes / int64(totalChunks)
-	if ov.PeakBytes > ov.BudgetBytes+chunkBytes {
-		t.Errorf("peak accounted bytes %d exceeds budget %d + one chunk %d",
-			ov.PeakBytes, ov.BudgetBytes, chunkBytes)
-	}
-	if chunkBytes*4 <= ov.BudgetBytes {
-		t.Fatalf("soak mis-sized: 4 chunks (%d B) fit the budget (%d B) — no overload pressure",
-			chunkBytes*4, ov.BudgetBytes)
-	}
-
-	// Losslessness: operator results identical to the unconstrained run,
-	// and nothing marked Degraded (spill never degrades).
-	for rank := 0; rank < numStaging; rank++ {
-		for dump := 0; dump < dumps; dump++ {
-			want := unconstrained.StagingResults[rank][dump]
-			got := constrained.StagingResults[rank][dump]
-			if got.Degraded {
-				t.Errorf("rank %d dump %d degraded under spill-only overload", rank, dump)
+	for _, spec := range []string{"none", "transient:*:0.1"} {
+		t.Run("plan="+spec, func(t *testing.T) {
+			var plan *faults.Plan
+			if spec != "none" {
+				p, err := faults.ParsePlan(spec, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan = &p
 			}
-			if !reflect.DeepEqual(got.PerOperator, want.PerOperator) {
-				t.Errorf("rank %d dump %d results diverged under budget:\nbudget %v\nfree   %v",
-					rank, dump, got.PerOperator, want.PerOperator)
+			constrained := run(bufferMB, plan)
+			if plan != nil && (constrained.Fault == nil || constrained.Fault.InjectedTransients == 0) {
+				t.Errorf("transient plan never fired: %+v", constrained.Fault)
 			}
-		}
+
+			ov := constrained.Overload
+			if ov == nil {
+				t.Fatal("no overload report from a budgeted run")
+			}
+			if ov.Throttles == 0 {
+				t.Error("overloaded run recorded no throttles")
+			}
+			if ov.SpilledChunks == 0 || ov.SpilledBytes == 0 {
+				t.Errorf("overloaded run spilled nothing: %+v", ov)
+			}
+			if ov.ReplayedChunks != ov.SpilledChunks {
+				t.Errorf("replayed %d of %d spilled chunks — spill was lossy",
+					ov.ReplayedChunks, ov.SpilledChunks)
+			}
+			if ov.PassedChunks != 0 || ov.ShedChunks != 0 {
+				t.Errorf("soak escalated past spill: %+v", ov)
+			}
+
+			// Peak accounted memory <= budget + one chunk. Every chunk packs
+			// the same record shape, so the per-chunk size falls out of the
+			// totals.
+			var totalBytes int64
+			var totalChunks int
+			for _, rankStats := range constrained.StagingStats {
+				for _, st := range rankStats {
+					totalBytes += st.BytesPulled
+					totalChunks += st.Requests
+				}
+			}
+			chunkBytes := totalBytes / int64(totalChunks)
+			if ov.PeakBytes > ov.BudgetBytes+chunkBytes {
+				t.Errorf("peak accounted bytes %d exceeds budget %d + one chunk %d",
+					ov.PeakBytes, ov.BudgetBytes, chunkBytes)
+			}
+			if chunkBytes*4 <= ov.BudgetBytes {
+				t.Fatalf("soak mis-sized: 4 chunks (%d B) fit the budget (%d B) — no overload pressure",
+					chunkBytes*4, ov.BudgetBytes)
+			}
+
+			// Losslessness: operator results identical to the unconstrained
+			// run, and nothing marked Degraded (spill never degrades).
+			for rank := 0; rank < numStaging; rank++ {
+				for dump := 0; dump < dumps; dump++ {
+					want := unconstrained.StagingResults[rank][dump]
+					got := constrained.StagingResults[rank][dump]
+					if got.Degraded {
+						t.Errorf("rank %d dump %d degraded under spill-only overload", rank, dump)
+					}
+					if !reflect.DeepEqual(got.PerOperator, want.PerOperator) {
+						t.Errorf("rank %d dump %d results diverged under budget:\nbudget %v\nfree   %v",
+							rank, dump, got.PerOperator, want.PerOperator)
+					}
+				}
+			}
+		})
 	}
 }
 

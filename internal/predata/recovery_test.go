@@ -152,10 +152,11 @@ func TestTransientFaultRecoveryMatchesFaultFree(t *testing.T) {
 	}
 }
 
-// TestStagingCrashRecovery: one staging rank crashes at a dump boundary.
-// The crashed rank keeps the dumps it already served; survivors absorb
-// its writers, every remaining dump completes with full data (zero loss),
-// and those dumps are marked Degraded rather than failing.
+// TestStagingCrashRecovery: one staging rank crashes at a dump boundary,
+// alone and with transient faults on every endpoint. The crashed rank
+// keeps the dumps it already served; survivors absorb its writers, every
+// remaining dump completes with full data (zero loss), and those dumps
+// are marked Degraded rather than failing.
 func TestStagingCrashRecovery(t *testing.T) {
 	const (
 		numCompute = 8
@@ -165,67 +166,75 @@ func TestStagingCrashRecovery(t *testing.T) {
 		crashDump  = 2
 		perRank    = 20
 	)
-	plan, err := faults.ParsePlan(
-		fmt.Sprintf("crash:%d@%d", numCompute+crashIdx, crashDump), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runDrained(t, PipelineConfig{
-		NumCompute: numCompute,
-		NumStaging: numStaging,
-		Dumps:      dumps,
-		FaultPlan:  &plan,
-		Timeout:    60 * time.Second,
-	}, chaoticCompute(dumps, perRank),
-		func(dump int) []staging.Operator { return []staging.Operator{&countOp{}} })
-
-	// The crashed rank served exactly the pre-crash dumps.
-	if got := len(res.StagingResults[crashIdx]); got != crashDump {
-		t.Fatalf("crashed rank served %d dumps, want %d", got, crashDump)
-	}
-	for dump := 0; dump < dumps; dump++ {
-		var total int64
-		degraded := false
-		for rank := 0; rank < numStaging; rank++ {
-			if dump >= len(res.StagingResults[rank]) {
-				continue // crashed rank, post-crash dump
+	crash := fmt.Sprintf("crash:%d@%d", numCompute+crashIdx, crashDump)
+	for _, spec := range []string{crash, crash + ";transient:*:0.05"} {
+		t.Run(spec, func(t *testing.T) {
+			plan, err := faults.ParsePlan(spec, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			r := res.StagingResults[rank][dump]
-			if n, ok := r.PerOperator["count"]["n"].(int64); ok {
-				total += n
-			}
-			degraded = degraded || r.Degraded
-		}
-		// Zero data loss: every dump accounts for every writer's values.
-		if total != numCompute*perRank {
-			t.Errorf("dump %d counted %d values, want %d", dump, total, numCompute*perRank)
-		}
-		if dump < crashDump && degraded {
-			t.Errorf("dump %d degraded before the crash", dump)
-		}
-		if dump >= crashDump && !degraded {
-			t.Errorf("dump %d not marked degraded after the crash", dump)
-		}
-	}
+			res := runDrained(t, PipelineConfig{
+				NumCompute: numCompute,
+				NumStaging: numStaging,
+				Dumps:      dumps,
+				FaultPlan:  &plan,
+				Timeout:    60 * time.Second,
+			}, chaoticCompute(dumps, perRank),
+				func(dump int) []staging.Operator { return []staging.Operator{&countOp{}} })
 
-	rep := res.Fault
-	if rep == nil {
-		t.Fatal("no fault report")
-	}
-	if !reflect.DeepEqual(rep.CrashedStaging, []int{crashIdx}) {
-		t.Errorf("crashed staging %v, want [%d]", rep.CrashedStaging, crashIdx)
-	}
-	if rep.ReroutedDumps == 0 {
-		t.Error("no client writes were rerouted around the crash")
-	}
-	if rep.Redistributed == 0 {
-		t.Error("survivors report no redistributed requests")
-	}
-	if rep.Drops != 0 {
-		t.Errorf("dump-aligned crash dropped %d chunks; recovery must be lossless", rep.Drops)
-	}
-	if rep.DegradedDumps == 0 {
-		t.Error("no dumps marked degraded in the report")
+			// The crashed rank served exactly the pre-crash dumps.
+			if got := len(res.StagingResults[crashIdx]); got != crashDump {
+				t.Fatalf("crashed rank served %d dumps, want %d", got, crashDump)
+			}
+			for dump := 0; dump < dumps; dump++ {
+				var total int64
+				degraded := false
+				for rank := 0; rank < numStaging; rank++ {
+					if dump >= len(res.StagingResults[rank]) {
+						continue // crashed rank, post-crash dump
+					}
+					r := res.StagingResults[rank][dump]
+					if n, ok := r.PerOperator["count"]["n"].(int64); ok {
+						total += n
+					}
+					degraded = degraded || r.Degraded
+				}
+				// Zero data loss: every dump accounts for every writer's values.
+				if total != numCompute*perRank {
+					t.Errorf("dump %d counted %d values, want %d", dump, total, numCompute*perRank)
+				}
+				if dump < crashDump && degraded {
+					t.Errorf("dump %d degraded before the crash", dump)
+				}
+				if dump >= crashDump && !degraded {
+					t.Errorf("dump %d not marked degraded after the crash", dump)
+				}
+			}
+
+			rep := res.Fault
+			if rep == nil {
+				t.Fatal("no fault report")
+			}
+			if len(plan.Transients) > 0 && (rep.InjectedTransients == 0 || rep.Retries == 0) {
+				t.Errorf("transients injected %d, retried %d: the composed plan never fired",
+					rep.InjectedTransients, rep.Retries)
+			}
+			if !reflect.DeepEqual(rep.CrashedStaging, []int{crashIdx}) {
+				t.Errorf("crashed staging %v, want [%d]", rep.CrashedStaging, crashIdx)
+			}
+			if rep.ReroutedDumps == 0 {
+				t.Error("no client writes were rerouted around the crash")
+			}
+			if rep.Redistributed == 0 {
+				t.Error("survivors report no redistributed requests")
+			}
+			if rep.Drops != 0 {
+				t.Errorf("dump-aligned crash dropped %d chunks; recovery must be lossless", rep.Drops)
+			}
+			if rep.DegradedDumps == 0 {
+				t.Error("no dumps marked degraded in the report")
+			}
+		})
 	}
 }
 

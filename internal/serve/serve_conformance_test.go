@@ -229,6 +229,35 @@ func assertCacheBitIdentical(t *testing.T, d *Daemon, s *Session, p streamPlan) 
 	}
 }
 
+// cacheRounds is how many times assertCacheSweep reads its region set.
+const cacheRounds = 4
+
+// assertCacheSweep reads one region set of the tenant's freshest version
+// — its rows in slices of four — cacheRounds times over, with nothing
+// else running, and checks that the result cache answered every round
+// past the first: hits / (hits + misses) >= (rounds-1) / rounds.
+func assertCacheSweep(t *testing.T, d *Daemon, s *Session, p streamPlan) {
+	t.Helper()
+	v := len(p.sizes) - 1
+	rows := uint64(p.sizes[v])
+	before := d.CacheStats()
+	for round := 0; round < cacheRounds; round++ {
+		for lo := uint64(0); lo < rows; lo += 4 {
+			if _, err := s.Query("field", v, []uint64{lo, 0}, []uint64{min(lo+4, rows), confCols}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := d.CacheStats()
+	hits, lookups := after.Hits-before.Hits, after.Hits+after.Misses-before.Hits-before.Misses
+	if lookups == 0 || hits*cacheRounds < lookups*(cacheRounds-1) {
+		t.Errorf("tenant %s: %d of %d lookups hit over %d rounds, want at least %d/%d",
+			p.tenant, hits, lookups, cacheRounds, cacheRounds-1, cacheRounds)
+	}
+}
+
+// assertVerified checks the recording and that the tenant-isolation and
+// cache-coherence rules each had something to check.
 func assertVerified(t *testing.T, rec *trace.Recorder) {
 	t.Helper()
 	rep, err := trace.Verify(rec.Snapshot())
@@ -237,6 +266,9 @@ func assertVerified(t *testing.T, rec *trace.Recorder) {
 	}
 	if rep.Checks[trace.RuleTenantIsolation] == 0 {
 		t.Fatal("verify checked no tenant isolation — serve events missing from the recording")
+	}
+	if rep.Checks[trace.RuleCacheCoherence] == 0 {
+		t.Fatal("verify checked no cache hit for coherence — cache events missing from the recording")
 	}
 }
 
@@ -287,6 +319,7 @@ func runTwoTenantScenario(t *testing.T, d *Daemon, rec *trace.Recorder, plans []
 	for i, p := range plans {
 		assertConservation(t, d, sessions[i], p)
 		assertCacheBitIdentical(t, d, sessions[i], p)
+		assertCacheSweep(t, d, sessions[i], p)
 	}
 	assertVerified(t, rec)
 }
@@ -375,6 +408,7 @@ func TestConformanceJoinLeaveMidStream(t *testing.T) {
 			assertConservation(t, d, gtc, resident)
 			assertConservation(t, d, late, latePlan)
 			assertCacheBitIdentical(t, d, gtc, resident)
+			assertCacheSweep(t, d, gtc, resident)
 			if got, want := d.Epoch(), int64(4); got != want {
 				t.Fatalf("membership epoch %d after 3 joins + 1 leave, want %d", got, want)
 			}
@@ -518,6 +552,7 @@ func TestConformanceQueryStormUnderOverload(t *testing.T) {
 				if st.IngestedCells != p.cells() {
 					t.Errorf("tenant %s: %d cells, want %d", p.tenant, st.IngestedCells, p.cells())
 				}
+				assertCacheSweep(t, d, sessions[i], p)
 			}
 			assertVerified(t, rec)
 		})
