@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,45 +36,68 @@ import (
 	"predata/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(cli(os.Args[1:])) }
+
+// cli parses args, runs the chosen configuration under the optional CPU
+// profile and returns the exit status: 0, 1 for a failed run, 2 for a bad
+// invocation. The profile is stopped and flushed on every path.
+func cli(args []string) (code int) {
+	flags := flag.NewFlagSet("predata-run", flag.ContinueOnError)
 	var (
-		mode      = flag.String("mode", "staging", "configuration: staging|incompute")
-		adiosCfg  = flag.String("adios-config", "", "ADIOS XML config selecting the method per group (overrides -mode)")
-		app       = flag.String("app", "gtc", "workload: gtc|pixie3d|xray")
-		compute   = flag.Int("compute", 16, "compute ranks")
-		stagingN  = flag.Int("staging", 4, "staging ranks")
-		particles = flag.Int("particles", 50000, "particles per compute rank (gtc)")
-		local     = flag.Int("local", 16, "local array edge (pixie3d)")
-		frames    = flag.Int("frames", 64, "quiet-dump frames per compute rank (xray; bursts scale this 10-100x)")
-		dumps     = flag.Int("dumps", 2, "I/O dumps")
-		opsFlag   = flag.String("ops", "sort,hist", "operators: sort,hist,hist2d,index,reorg")
-		workers   = flag.Int("workers", 2, "map workers per staging rank")
-		faultPlan = flag.String("fault-plan", "",
+		mode      = flags.String("mode", "staging", "configuration: staging|incompute")
+		adiosCfg  = flags.String("adios-config", "", "ADIOS XML config selecting the method per group (overrides -mode)")
+		app       = flags.String("app", "gtc", "workload: gtc|pixie3d|xray")
+		compute   = flags.Int("compute", 16, "compute ranks")
+		stagingN  = flags.Int("staging", 4, "staging ranks")
+		particles = flags.Int("particles", 50000, "particles per compute rank (gtc)")
+		local     = flags.Int("local", 16, "local array edge (pixie3d)")
+		frames    = flags.Int("frames", 64, "quiet-dump frames per compute rank (xray; bursts scale this 10-100x)")
+		dumps     = flags.Int("dumps", 2, "I/O dumps")
+		opsFlag   = flags.String("ops", "sort,hist", "operators: sort,hist,hist2d,index,reorg")
+		workers   = flags.Int("workers", 2, "map workers per staging rank")
+		faultPlan = flags.String("fault-plan", "",
 			"fault plan, e.g. 'transient:*:0.1;crash:9@1;degrade:3:0-2:4;corrupt:*:0.1:pull;partition:10|8,9@1-2;dup:*:0.2' (staging mode only)")
-		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault plan's probabilistic draws")
-		hedgeFactor = flag.Float64("hedge-factor", 0,
+		faultSeed   = flags.Int64("fault-seed", 1, "seed for the fault plan's probabilistic draws")
+		hedgeFactor = flags.Float64("hedge-factor", 0,
 			"straggler hedging: re-issue a pull once it exceeds this multiple of the bandwidth-model estimate (0 uses the default, negative disables; staging mode only)")
-		bufferMB = flag.Int("buffer-mb", -1,
+		bufferMB = flags.Int("buffer-mb", -1,
 			"staging memory budget in MB (0 disables; -1 takes the ADIOS <buffer size-MB> when -adios-config is given, else 0)")
-		spillDir = flag.String("spill-dir", "", "directory for overload spill segments (default: system temp)")
-		walDir   = flag.String("wal-dir", "",
+		spillDir = flags.String("spill-dir", "", "directory for overload spill segments (default: system temp)")
+		walDir   = flags.String("wal-dir", "",
 			"durable staging: keep per-rank write-ahead journals under this directory and recover from them on start (required for restart/crashall fault plans; staging mode only)")
-		checkpointEvery = flag.Int("checkpoint-every", 0,
+		checkpointEvery = flags.Int("checkpoint-every", 0,
 			"write a dump-boundary checkpoint and truncate the journals every N dumps (0 disables; requires -wal-dir)")
-		tracePath = flag.String("trace", "",
+		tracePath = flags.String("trace", "",
 			"flight-record the run and write the trace here (.json: Chrome trace_event; otherwise PDTRACE1 binary; staging mode only)")
-		elasticSpec = flag.String("elastic", "",
+		elasticSpec = flags.String("elastic", "",
 			"autoscale the active staging pool within \"min:max\" of the provisioned -staging ranks (staging mode only)")
-		scalePolicy = flag.String("scale-policy", "",
+		scalePolicy = flags.String("scale-policy", "",
 			"autoscaler tuning as comma-separated k=v pairs: growk, shrinkj, lowutil, cooldown, maxstep, window (requires -elastic)")
+		cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	stop, err := trace.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "predata-run:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "predata-run:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *adiosCfg != "" {
 		m, cfgBufMB, err := modeFromConfig(*adiosCfg, *app)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "predata-run:", err)
-			os.Exit(1)
+			return 1
 		}
 		*mode = m
 		// The XML buffer hint is the budget unless -buffer-mb overrides it.
@@ -87,42 +111,43 @@ func main() {
 	if *mode == "incompute" {
 		if *faultPlan != "" {
 			fmt.Fprintln(os.Stderr, "predata-run: -fault-plan requires -mode staging")
-			os.Exit(2)
+			return 2
 		}
 		if *tracePath != "" {
 			fmt.Fprintln(os.Stderr, "predata-run: -trace requires -mode staging")
-			os.Exit(2)
+			return 2
 		}
 		if *elasticSpec != "" {
 			fmt.Fprintln(os.Stderr, "predata-run: -elastic requires -mode staging")
-			os.Exit(2)
+			return 2
 		}
 		if *hedgeFactor != 0 {
 			fmt.Fprintln(os.Stderr, "predata-run: -hedge-factor requires -mode staging")
-			os.Exit(2)
+			return 2
 		}
 		if *walDir != "" || *checkpointEvery != 0 {
 			fmt.Fprintln(os.Stderr, "predata-run: -wal-dir and -checkpoint-every require -mode staging")
-			os.Exit(2)
+			return 2
 		}
 		if *app == "xray" {
 			fmt.Fprintln(os.Stderr, "predata-run: the xray workload requires -mode staging")
-			os.Exit(2)
+			return 2
 		}
 		if err := runInCompute(*app, *compute, *particles, *local, *dumps); err != nil {
 			fmt.Fprintln(os.Stderr, "predata-run:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *mode != "staging" {
 		fmt.Fprintln(os.Stderr, "predata-run: unknown -mode", *mode)
-		os.Exit(2)
+		return 2
 	}
 	if err := run(*app, *compute, *stagingN, *particles, *local, *frames, *dumps, *workers, *opsFlag, *faultPlan, *faultSeed, *hedgeFactor, *bufferMB, *spillDir, *walDir, *checkpointEvery, *tracePath, *elasticSpec, *scalePolicy); err != nil {
 		fmt.Fprintln(os.Stderr, "predata-run:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func run(app string, compute, stagingN, particles, local, frames, dumps, workers int, opsFlag, faultPlan string, faultSeed int64, hedgeFactor float64, bufferMB int, spillDir, walDir string, checkpointEvery int, tracePath, elasticSpec, scalePolicy string) error {

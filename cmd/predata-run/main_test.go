@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -259,5 +260,31 @@ func TestModeFromConfig(t *testing.T) {
 	}
 	if _, _, err := modeFromConfig("/nonexistent/x.xml", "gtc"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestCPUProfile: -cpuprofile leaves a flushed, gzip-compressed profile
+// after a run that succeeds and after one that fails once profiling began.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"ok", []string{"-app", "pixie3d", "-compute", "4", "-staging", "1", "-local", "8", "-dumps", "1", "-ops", "reorg"}, 0},
+		{"failed", []string{"-ops", "frobnicate"}, 1},
+	} {
+		path := filepath.Join(dir, c.name+".prof")
+		if got := cli(append(c.args, "-cpuprofile", path)); got != c.code {
+			t.Fatalf("%s: exit status %d, want %d", c.name, got, c.code)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %s does not start with the gzip magic", c.name, path)
+		}
 	}
 }

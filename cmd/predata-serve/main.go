@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,24 +29,48 @@ import (
 	"predata/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(cli(os.Args[1:])) }
+
+// cli parses args and serves under the optional CPU profile, returning the
+// exit status: 0, 1 for a failed run, 2 for a bad invocation. The profile
+// is stopped and flushed on every path.
+func cli(args []string) (code int) {
+	flags := flag.NewFlagSet("predata-serve", flag.ContinueOnError)
 	var (
-		tenants  = flag.Int("tenants", 4, "concurrent simulation clients (tenants)")
-		versions = flag.Int("versions", 6, "dump versions each tenant streams")
-		rows     = flag.Int("rows", 32, "rows per ingested version")
-		cols     = flag.Int("cols", 256, "columns per ingested version")
-		window   = flag.Int("window", 2, "resident versions per tenant (older versions are evicted)")
-		cache    = flag.Int("cache", 1024, "query result cache entries (0 disables)")
-		cores    = flag.Int("query-cores", 2, "querying cores per tenant")
-		queries  = flag.Int("queries", 4, "queries per core per round")
-		rounds   = flag.Int("rounds", 3, "query sweep rounds (rounds past the first repeat regions)")
-		walDir   = flag.String("wal-dir", "", "journal every ingest under this directory for crash recovery")
+		tenants    = flags.Int("tenants", 4, "concurrent simulation clients (tenants)")
+		versions   = flags.Int("versions", 6, "dump versions each tenant streams")
+		rows       = flags.Int("rows", 32, "rows per ingested version")
+		cols       = flags.Int("cols", 256, "columns per ingested version")
+		window     = flags.Int("window", 2, "resident versions per tenant (older versions are evicted)")
+		cache      = flags.Int("cache", 1024, "query result cache entries (0 disables)")
+		cores      = flags.Int("query-cores", 2, "querying cores per tenant")
+		queries    = flags.Int("queries", 4, "queries per core per round")
+		rounds     = flags.Int("rounds", 3, "query sweep rounds (rounds past the first repeat regions)")
+		walDir     = flags.String("wal-dir", "", "journal every ingest under this directory for crash recovery")
+		cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	stop, err := trace.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "predata-serve:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "predata-serve:", err)
+			code = max(code, 1)
+		}
+	}()
 	if err := run(os.Stdout, *tenants, *versions, *rows, *cols, *window, *cache, *cores, *queries, *rounds, *walDir); err != nil {
 		fmt.Fprintln(os.Stderr, "predata-serve:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func run(w io.Writer, tenants, versions, rows, cols, window, cache, cores, queries, rounds int, walDir string) error {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,5 +54,31 @@ func TestServeRejectsBadShapes(t *testing.T) {
 	}
 	if err := run(&buf, 2, 4, 32, 64, 2, 0, 8, 8, 1, ""); err == nil {
 		t.Error("query shape exceeding rows accepted")
+	}
+}
+
+// TestCPUProfile: -cpuprofile leaves a flushed, gzip-compressed profile
+// after a run that succeeds and after one that fails once profiling began.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"ok", []string{"-tenants", "2", "-versions", "2", "-cols", "64", "-rounds", "1"}, 0},
+		{"failed", []string{"-tenants", "0"}, 1},
+	} {
+		path := filepath.Join(dir, c.name+".prof")
+		if got := cli(append(c.args, "-cpuprofile", path)); got != c.code {
+			t.Fatalf("%s: exit status %d, want %d", c.name, got, c.code)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %s does not start with the gzip magic", c.name, path)
+		}
 	}
 }

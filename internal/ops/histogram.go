@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"predata/internal/bp"
@@ -173,13 +174,19 @@ func (h *HistogramOperator) Reduce(ctx *staging.Context, tag int, values []any) 
 }
 
 // Finalize publishes the histograms this rank owns and optionally writes
-// them to the output file.
+// them to the output file, by ascending column.
 func (h *HistogramOperator) Finalize(ctx *staging.Context) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make(map[int][]int64, len(h.counts))
+	cols := make([]int, 0, len(h.counts))
+	for c := range h.counts {
+		cols = append(cols, c)
+	}
+	slices.Sort(cols)
 	var chunks []bp.VarChunk
-	for c, counts := range h.counts {
+	for _, c := range cols {
+		counts := h.counts[c]
 		out[c] = counts
 		data := make([]float64, len(counts))
 		for i, n := range counts {

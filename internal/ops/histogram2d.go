@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"predata/internal/bp"
@@ -159,13 +161,19 @@ func (h *Histogram2DOperator) Reduce(ctx *staging.Context, tag int, values []any
 }
 
 // Finalize publishes the matrices this rank owns and optionally writes
-// them out.
+// them out, by ascending pair.
 func (h *Histogram2DOperator) Finalize(ctx *staging.Context) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make(map[[2]int][]int64, len(h.counts))
+	pairs := make([][2]int, 0, len(h.counts))
+	for p := range h.counts {
+		pairs = append(pairs, p)
+	}
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	var chunks []bp.VarChunk
-	for p, counts := range h.counts {
+	for _, p := range pairs {
+		counts := h.counts[p]
 		out[p] = counts
 		data := make([]float64, len(counts))
 		for i, n := range counts {

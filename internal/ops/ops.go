@@ -13,6 +13,14 @@
 //
 // Each operator plugs into the staging engine (package staging) and is
 // written against the chunk schema the predata compute client produces.
+//
+// Sort and reorg compute their output straight into a process group
+// reserved from their bp.Writer (bp.ReservePG, filled in Reduce, committed
+// in Finalize), so the bytes they write exist once on the staging side;
+// a KeepResult array is a read-only view of the committed group. Operators
+// that write several chunks write them in a fixed order — reorg in Vars
+// order, the histograms by ascending column or pair — so one input gives
+// byte-identical files.
 package ops
 
 import (

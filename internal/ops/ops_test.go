@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"predata/internal/bitmap"
@@ -481,6 +482,28 @@ func TestReorgOperatorIncompleteCoverage(t *testing.T) {
 		})
 	if err == nil {
 		t.Fatal("incomplete coverage accepted")
+	}
+}
+
+func TestReorgOperatorRejectsOverlap(t *testing.T) {
+	// Two writers send the same half: the element count matches the global
+	// array, but the halves overlap and the other half is a gap. Reduce
+	// must reject rather than write it zero-filled.
+	cfg := predata.PipelineConfig{NumCompute: 2, NumStaging: 1, Dumps: 1}
+	_, err := predata.RunPipeline(cfg,
+		func(comm *mpi.Comm, client *predata.Client) error {
+			half := func() *ffs.Array {
+				return &ffs.Array{Dims: []uint64{2}, Global: []uint64{4}, Offsets: []uint64{0}, Float64: []float64{2, 2}}
+			}
+			_, err := client.Write(pixieSchema, ffs.Record{"rho": half(), "temp": half()}, 0)
+			return err
+		},
+		func(dump int) []staging.Operator {
+			op, _ := NewReorgOperator(ReorgConfig{Vars: []string{"rho", "temp"}})
+			return []staging.Operator{op}
+		})
+	if err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("overlapping chunks: err = %v, want an overlap error", err)
 	}
 }
 

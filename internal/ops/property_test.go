@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"predata/internal/bp"
 	"predata/internal/ffs"
 	"predata/internal/mpi"
 	"predata/internal/predata"
@@ -308,7 +310,8 @@ func TestPropHistogramShedSampledScaled(t *testing.T) {
 }
 
 // TestPropReorgRoundTrip: for randomized 3D decompositions, chunk-merge
-// reconstructs the original global array bit-exactly.
+// reconstructs the original global array bit-exactly — in the kept result,
+// and, with Output set, in the file read back as well.
 func TestPropReorgRoundTrip(t *testing.T) {
 	decomps := [][3]int{{2, 2, 2}, {4, 2, 1}, {1, 2, 4}}
 	for i, seed := range propSeeds {
@@ -336,51 +339,76 @@ func TestPropReorgRoundTrip(t *testing.T) {
 				}
 				return out
 			}
-			res, err := predata.RunPipeline(predata.PipelineConfig{
-				NumCompute: numCompute, NumStaging: 2, Dumps: 1,
-			}, func(comm *mpi.Comm, client *predata.Client) error {
-				r := comm.Rank()
-				ox := (r / (py * pz)) * local
-				oy := (r / pz % py) * local
-				oz := (r % pz) * local
-				rec := ffs.Record{"rho": &ffs.Array{
-					Dims:    []uint64{uint64(local), uint64(local), uint64(local)},
-					Global:  []uint64{uint64(gx), uint64(gy), uint64(gz)},
-					Offsets: []uint64{uint64(ox), uint64(oy), uint64(oz)},
-					Float64: blockOf(ox, oy, oz),
-				}}
-				_, err := client.Write(reorgSchema, rec, 0)
-				return err
-			}, func(dump int) []staging.Operator {
-				op, err := NewReorgOperator(ReorgConfig{Vars: []string{"rho"}, KeepResult: true})
-				if err != nil {
-					t.Error(err)
-					return nil
-				}
-				return []staging.Operator{op}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var merged *ffs.Array
-			for rank := 0; rank < 2; rank++ {
-				if v, ok := res.StagingResults[rank][0].PerOperator["reorg"]["rho"]; ok {
-					if merged != nil {
-						t.Fatal("rho merged on two ranks")
+			for _, write := range []bool{false, true} {
+				t.Run(fmt.Sprintf("write=%t", write), func(t *testing.T) {
+					fs := newTestFS(t)
+					var out *bp.Writer
+					if write {
+						w, err := bp.CreateWriter(fs, "merged.bp", 4)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = w
 					}
-					merged = v.(*ffs.Array)
-				}
-			}
-			if merged == nil {
-				t.Fatal("rho not merged")
-			}
-			if len(merged.Float64) != len(ref) {
-				t.Fatalf("merged %d elems, want %d", len(merged.Float64), len(ref))
-			}
-			for j := range ref {
-				if merged.Float64[j] != ref[j] {
-					t.Fatalf("elem %d = %g, want %g — round trip broken", j, merged.Float64[j], ref[j])
-				}
+					res, err := predata.RunPipeline(predata.PipelineConfig{
+						NumCompute: numCompute, NumStaging: 2, Dumps: 1,
+					}, func(comm *mpi.Comm, client *predata.Client) error {
+						r := comm.Rank()
+						ox := (r / (py * pz)) * local
+						oy := (r / pz % py) * local
+						oz := (r % pz) * local
+						rec := ffs.Record{"rho": &ffs.Array{
+							Dims:    []uint64{uint64(local), uint64(local), uint64(local)},
+							Global:  []uint64{uint64(gx), uint64(gy), uint64(gz)},
+							Offsets: []uint64{uint64(ox), uint64(oy), uint64(oz)},
+							Float64: blockOf(ox, oy, oz),
+						}}
+						_, err := client.Write(reorgSchema, rec, 0)
+						return err
+					}, func(dump int) []staging.Operator {
+						op, err := NewReorgOperator(ReorgConfig{Vars: []string{"rho"}, Output: out, KeepResult: true})
+						if err != nil {
+							t.Error(err)
+							return nil
+						}
+						return []staging.Operator{op}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var merged *ffs.Array
+					for rank := 0; rank < 2; rank++ {
+						if v, ok := res.StagingResults[rank][0].PerOperator["reorg"]["rho"]; ok {
+							if merged != nil {
+								t.Fatal("rho merged on two ranks")
+							}
+							merged = v.(*ffs.Array)
+						}
+					}
+					if merged == nil {
+						t.Fatal("rho not merged")
+					}
+					if !slices.Equal(merged.Float64, ref) {
+						t.Fatal("kept result differs from the reference — round trip broken")
+					}
+					if !write {
+						return
+					}
+					if _, err := out.Close(); err != nil {
+						t.Fatal(err)
+					}
+					r, err := bp.OpenReader(fs, "merged.bp")
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, _, _, err := r.ReadVar("rho", 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, merged.Float64) || !slices.Equal(got, ref) {
+						t.Fatal("file read back differs from the kept result or the reference")
+					}
+				})
 			}
 		})
 	}

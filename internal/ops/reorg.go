@@ -2,7 +2,9 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"predata/internal/bp"
 	"predata/internal/ffs"
@@ -16,26 +18,33 @@ type ReorgConfig struct {
 	// and Offsets set.
 	Vars []string
 	// Output, when non-nil, receives each merged contiguous global array
-	// as one chunk at Finalize — producing the "merged" BP layout whose
-	// read performance Fig. 11 measures.
+	// as one chunk in a process group of its own — producing the "merged"
+	// BP layout whose read performance Fig. 11 measures.
 	Output *bp.Writer
 	// KeepResult stores the merged arrays in the dump result under the
-	// variable names. Intended for tests and small runs.
+	// variable names; with Output set they are the written groups' data,
+	// read-only. Intended for tests and small runs.
 	KeepResult bool
 }
 
 // ReorgOperator merges the scattered partial chunks of global arrays into
 // larger contiguous arrays: the paper's Pixie3D array-layout
 // reorganization. Map routes each variable's partial chunks to the staging
-// rank owning that variable; Reduce assembles the contiguous global array;
-// Finalize writes it.
+// rank owning that variable; Reduce checks that they tile the global array
+// exactly and scatters them into it — straight into a reserved process
+// group when the operator writes one, so the array exists exactly once;
+// Finalize commits the groups in Vars order.
 type ReorgOperator struct {
 	cfg    ReorgConfig
 	varIdx map[string]int
 
+	// Per-dump state, reset by Initialize. The engine reduces one tag at a
+	// time, so merged and pgs, indexed by tag (position in Vars), need no
+	// lock; mu guards step, which concurrent Maps set.
 	mu     sync.Mutex
-	merged map[string]*ffs.Array
 	step   int64
+	merged []*ffs.Array // nil where another rank owns the variable
+	pgs    []*bp.PG     // the reserved group each merged array lies in, if writing
 }
 
 // NewReorgOperator validates the configuration and returns the operator.
@@ -61,10 +70,9 @@ func (o *ReorgOperator) Name() string { return "reorg" }
 
 // Initialize resets per-dump state.
 func (o *ReorgOperator) Initialize(ctx *staging.Context, agg map[string]any) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.merged = make(map[string]*ffs.Array, len(o.cfg.Vars))
 	o.step = 0
+	o.merged = make([]*ffs.Array, len(o.cfg.Vars))
+	o.pgs = make([]*bp.PG, len(o.cfg.Vars))
 	return nil
 }
 
@@ -96,21 +104,33 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 }
 
 // Reduce assembles one variable's contiguous global array from its
-// partial chunks.
+// partial chunks, once they are shown to tile it exactly: pairwise
+// disjoint, and together as many elements as the array has.
 func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
 	if tag < 0 || tag >= len(o.cfg.Vars) {
 		return fmt.Errorf("ops: reorg reduce got tag %d", tag)
 	}
 	name := o.cfg.Vars[tag]
 	var global []uint64
-	for _, v := range values {
+	var covered uint64
+	for i, v := range values {
 		arr := v.(*ffs.Array)
 		if global == nil {
 			global = arr.Global
-		} else if !dimsEqual(global, arr.Global) {
+		} else if !slices.Equal(global, arr.Global) {
 			return fmt.Errorf("ops: variable %q chunks disagree on global dims (%v vs %v)",
 				name, global, arr.Global)
 		}
+		// Pairwise: O(k²) box tests for the k writers' chunks, negligible
+		// beside the scatter at tens of writers; thousands would want a
+		// sort-and-sweep instead.
+		for _, w := range values[:i] {
+			if prev := w.(*ffs.Array); overlap(arr, prev) {
+				return fmt.Errorf("ops: variable %q chunks at offsets %v and %v overlap",
+					name, prev.Offsets, arr.Offsets)
+			}
+		}
+		covered += arr.Elems()
 	}
 	if global == nil {
 		return nil
@@ -119,62 +139,71 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	for _, d := range global {
 		n *= d
 	}
-	out := make([]float64, n)
-	var covered uint64
-	for _, v := range values {
-		arr := v.(*ffs.Array)
-		scatterRows(out, global, arr.Float64, arr.Dims, arr.Offsets)
-		covered += arr.Elems()
-	}
 	if covered != n {
 		return fmt.Errorf("ops: variable %q chunks cover %d of %d elements", name, covered, n)
 	}
-	o.mu.Lock()
-	o.merged[name] = &ffs.Array{Dims: global, Global: global,
-		Offsets: make([]uint64, len(global)), Float64: out}
-	o.mu.Unlock()
-	return nil
-}
-
-// Finalize writes the merged arrays this rank owns.
-func (o *ReorgOperator) Finalize(ctx *staging.Context) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var names []string
-	var chunks []bp.VarChunk
-	for name, arr := range o.merged {
-		names = append(names, name)
-		chunks = append(chunks, bp.VarChunk{
-			Name:    name,
-			Dims:    arr.Dims,
-			Global:  arr.Global,
-			Offsets: arr.Offsets,
-			Data:    arr.Float64,
-		})
-		if o.cfg.KeepResult {
-			ctx.SetResult(name, arr)
-		}
-	}
-	ctx.SetResult("merged_vars", names)
-	if o.cfg.Output != nil && len(chunks) > 0 {
-		if err := o.cfg.Output.SetAttribute("layout", "merged contiguous global arrays"); err != nil {
-			return fmt.Errorf("ops: reorg attribute: %w", err)
-		}
-		d, err := o.cfg.Output.WritePG(ctx.Rank(), o.step, chunks)
+	merged := &ffs.Array{Dims: global, Global: global, Offsets: make([]uint64, len(global))}
+	if o.cfg.Output == nil {
+		merged.Float64 = make([]float64, n)
+	} else {
+		pg, err := o.cfg.Output.ReservePG(ctx.Rank(), o.step, []bp.VarChunk{{
+			Name: name, Dims: global, Global: global, Offsets: merged.Offsets,
+		}})
 		if err != nil {
 			return fmt.Errorf("ops: reorg output: %w", err)
 		}
-		ctx.SetResult("write_modeled_seconds", d.Seconds())
+		o.pgs[tag], merged.Float64 = pg, pg.Chunks[0].Data
 	}
+	for _, v := range values {
+		arr := v.(*ffs.Array)
+		scatterRows(merged.Float64, global, arr.Float64, arr.Dims, arr.Offsets)
+	}
+	o.merged[tag] = merged
 	return nil
 }
 
-func dimsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// Finalize publishes the merged arrays this rank owns and commits their
+// process groups, both in Vars order.
+func (o *ReorgOperator) Finalize(ctx *staging.Context) error {
+	var names []string
+	for tag, arr := range o.merged {
+		if arr == nil {
+			continue
+		}
+		names = append(names, o.cfg.Vars[tag])
+		if o.cfg.KeepResult {
+			// After Commit the array belongs to the file system; a result
+			// holder may read it and nothing more.
+			ctx.SetResult(o.cfg.Vars[tag], arr)
+		}
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	ctx.SetResult("merged_vars", names)
+	if o.cfg.Output == nil || names == nil {
+		return nil
+	}
+	if err := o.cfg.Output.SetAttribute("layout", "merged contiguous global arrays"); err != nil {
+		return fmt.Errorf("ops: reorg attribute: %w", err)
+	}
+	var modeled time.Duration
+	for _, pg := range o.pgs {
+		if pg == nil {
+			continue
+		}
+		d, err := pg.Commit()
+		if err != nil {
+			return fmt.Errorf("ops: reorg output: %w", err)
+		}
+		modeled += d
+	}
+	ctx.SetResult("write_modeled_seconds", modeled.Seconds())
+	return nil
+}
+
+// overlap reports whether two chunks' boxes share an element. A box with
+// an empty dimension overlaps nothing.
+func overlap(a, b *ffs.Array) bool {
+	for d := range a.Dims {
+		if max(a.Offsets[d], b.Offsets[d]) >= min(a.Offsets[d]+a.Dims[d], b.Offsets[d]+b.Dims[d]) {
 			return false
 		}
 	}

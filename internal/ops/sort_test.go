@@ -18,9 +18,10 @@ import (
 	"predata/internal/staging"
 )
 
-// Sort tests drive the operator through the staging engine directly, one
-// goroutine per staging rank, so that a test decides which rank maps which
-// chunk and in what order — the two things a pipeline run leaves to timing.
+// Sort and reorg tests drive the operator through the staging engine
+// directly, one goroutine per staging rank, so that a test decides which
+// rank maps which chunk and in what order — the two things a pipeline run
+// leaves to timing.
 
 // Row layout of the hand-built chunks: the two label columns, then the
 // row's identity (writer, row number), which no sort may separate from its
@@ -58,10 +59,10 @@ func dealChunks(chunks []*staging.Chunk, ranks int) [][]*staging.Chunk {
 	return streams
 }
 
-// runSortDump serves one dump: staging rank r maps streams[r] in order with
+// runDump serves one dump: staging rank r maps streams[r] in order with
 // the given number of Map workers (one worker makes emit order the delivery
 // order) through ops[r].
-func runSortDump(t testing.TB, streams [][]*staging.Chunk, workers int, ops []staging.Operator) []*staging.Result {
+func runDump(t testing.TB, streams [][]*staging.Chunk, workers int, ops []staging.Operator) []*staging.Result {
 	t.Helper()
 	results := make([]*staging.Result, len(streams))
 	err := mpi.Run(len(streams), func(c *mpi.Comm) error {
@@ -227,7 +228,7 @@ func TestSortMatchesStableReference(t *testing.T) {
 		want := referenceSort(sh.chunks)
 		for ranks := 1; ranks <= 5; ranks++ {
 			t.Run(fmt.Sprintf("%s/%d ranks", sh.name, ranks), func(t *testing.T) {
-				results := runSortDump(t, dealChunks(sh.chunks, ranks), 2, keptSortOps(t, ranks, sh.rng))
+				results := runDump(t, dealChunks(sh.chunks, ranks), 2, keptSortOps(t, ranks, sh.rng))
 				var rows int64
 				for _, r := range results {
 					rows += r.PerOperator["sort"]["rows"].(int64)
@@ -252,20 +253,31 @@ func TestSortSixtyFourWritersToOneRank(t *testing.T) {
 		}
 		chunks[w] = sortChunk(w, 0, labels)
 	}
-	results := runSortDump(t, dealChunks(chunks, 1), 2, keptSortOps(t, 1, [2]float64{0, 63}))
+	results := runDump(t, dealChunks(chunks, 1), 2, keptSortOps(t, 1, [2]float64{0, 63}))
 	if !sameBits(keptRows(results), referenceSort(chunks)) {
 		t.Fatal("64-run merge differs from the stable reference sort")
 	}
 }
 
-// newSortFS returns the in-memory file system the sort tests write to.
-func newSortFS(tb testing.TB) *pfs.FileSystem {
+// newTestFS returns the in-memory file system the sort and reorg tests
+// write to.
+func newTestFS(tb testing.TB) *pfs.FileSystem {
 	tb.Helper()
 	fs, err := pfs.New(pfs.Config{NumOSTs: 4, OSTBandwidth: 1e9, StripeSize: 1 << 20, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return fs
+}
+
+// exportFile returns the bytes of a closed file on fs.
+func exportFile(tb testing.TB, fs *pfs.FileSystem, name string) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := fs.Export(name, &buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // sortDumpToFiles runs one dump in which staging rank r sorts by cfg into
@@ -286,7 +298,7 @@ func sortDumpToFiles(tb testing.TB, fs *pfs.FileSystem, streams [][]*staging.Chu
 		}
 		writers[r], ops[r] = w, op
 	}
-	runSortDump(tb, streams, workers, ops)
+	runDump(tb, streams, workers, ops)
 	for _, w := range writers {
 		if _, err := w.Close(); err != nil {
 			tb.Fatal(err)
@@ -298,15 +310,11 @@ func sortDumpToFiles(tb testing.TB, fs *pfs.FileSystem, streams [][]*staging.Chu
 // that emit order is delivery order, and returns each rank's file.
 func sortToFiles(t *testing.T, streams [][]*staging.Chunk, rng [2]float64) [][]byte {
 	t.Helper()
-	fs := newSortFS(t)
+	fs := newTestFS(t)
 	sortDumpToFiles(t, fs, streams, 1, SortConfig{Var: "p", KeyMajor: sortMajor, KeyMinor: sortMinor, MajorRange: rng})
 	files := make([][]byte, len(streams))
 	for r := range files {
-		var buf bytes.Buffer
-		if err := fs.Export(fmt.Sprintf("sorted-%d.bp", r), &buf); err != nil {
-			t.Fatal(err)
-		}
-		files[r] = buf.Bytes()
+		files[r] = exportFile(t, fs, fmt.Sprintf("sorted-%d.bp", r))
 	}
 	return files
 }
@@ -382,7 +390,7 @@ func TestSortKeyOrderTable(t *testing.T) {
 	}
 	rand.New(rand.NewSource(5)).Shuffle(len(labels), func(a, b int) { labels[a], labels[b] = labels[b], labels[a] })
 	chunks := []*staging.Chunk{sortChunk(0, 0, labels[:50]), sortChunk(1, 0, labels[50:])}
-	results := runSortDump(t, dealChunks(chunks, 3), 1, keptSortOps(t, 3, [2]float64{-10, 10}))
+	results := runDump(t, dealChunks(chunks, 3), 1, keptSortOps(t, 3, [2]float64{-10, 10}))
 	if !sameBits(keptRows(results), referenceSort(chunks)) {
 		t.Error("special keys come out in an order other than the documented one")
 	}
@@ -400,7 +408,7 @@ func TestSortKeyOrderTable(t *testing.T) {
 // that differ in timestep and in row width; the file's index carries both
 // timesteps.
 func TestSortOperatorReusedAcrossDumps(t *testing.T) {
-	fs := newSortFS(t)
+	fs := newTestFS(t)
 	w, err := bp.CreateWriter(fs, "reused.bp", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +421,7 @@ func TestSortOperatorReusedAcrossDumps(t *testing.T) {
 		"p": &ffs.Array{Dims: []uint64{2, 6}, Float64: []float64{5, 1, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0}},
 	}}
 	for _, chunk := range []*staging.Chunk{sortChunk(0, 3, [][2]float64{{4, 1}, {1, 1}, {2, 2}}), wide} {
-		runSortDump(t, [][]*staging.Chunk{{chunk}}, 1, []staging.Operator{op})
+		runDump(t, [][]*staging.Chunk{{chunk}}, 1, []staging.Operator{op})
 	}
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -510,7 +518,7 @@ func sortBenchDump(tb testing.TB, fs *pfs.FileSystem, chunks []*staging.Chunk, r
 // combined copy, reduce copy, index permutation, gather, group, file) took
 // more than 10.
 func TestSortDumpAllocationBudget(t *testing.T) {
-	fs := newSortFS(t)
+	fs := newTestFS(t)
 	chunks, rng := sortBenchInput(8, 1<<14, false)
 	payload := uint64(8 * (1 << 14) * attrCount * 8)
 	var before, after runtime.MemStats
@@ -526,7 +534,7 @@ func TestSortDumpAllocationBudget(t *testing.T) {
 func BenchmarkSortDump(b *testing.B) {
 	for _, shape := range []string{"disjoint", "interleaved"} {
 		b.Run(shape, func(b *testing.B) {
-			fs := newSortFS(b)
+			fs := newTestFS(b)
 			const writers, rows = 8, 1 << 15
 			chunks, rng := sortBenchInput(writers, rows, shape == "interleaved")
 			b.ReportAllocs()
