@@ -3,7 +3,6 @@
 //
 //	predata-vet ./...
 //	predata-vet -json ./internal/staging ./internal/predata
-//	predata-vet -fix ./...            # apply mechanical suggested fixes
 //	predata-vet -run typederr ./...   # one analyzer only
 //	predata-vet -report-waivers ./... # audit vet-ignore directives
 //
@@ -17,6 +16,7 @@
 //	lockhold         blocking operations while a mutex is held
 //	spanend          trace spans must reach End on every path
 //	typederr         ==/!= against sentinel errors instead of errors.Is
+//	walrelease       journal handles must be closed on every path
 //
 // A finding is suppressed by a comment on the offending line or the
 // line immediately above:
@@ -49,13 +49,12 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("predata-vet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON (suppressed findings included)")
-	fix := fs.Bool("fix", false, "apply mechanical suggested fixes in place")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	reportWaivers := fs.Bool("report-waivers", false,
 		"audit vet-ignore directives; exit 1 if any suppresses nothing")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: predata-vet [-json] [-fix] [-run names] [-report-waivers] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: predata-vet [-json] [-run names] [-report-waivers] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -116,15 +115,6 @@ func run(args []string) int {
 			return 1
 		}
 		return 0
-	}
-
-	if *fix {
-		n, err := analysis.ApplyFixes(findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "predata-vet: applying fixes: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "predata-vet: rewrote %d file(s); re-run to verify\n", n)
 	}
 
 	if *jsonOut {

@@ -14,6 +14,14 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 	}
 }
 
+// TestFixIsUnknownFlag: typederr names the errors.Is rewrite in its
+// message; nothing rewrites source, so -fix is a usage error.
+func TestFixIsUnknownFlag(t *testing.T) {
+	if got := run([]string{"-fix", "./..."}); got != 2 {
+		t.Fatalf("-fix exit = %d, want 2", got)
+	}
+}
+
 // TestRepoIsVetClean is the acceptance gate: the full suite over the
 // whole module must produce no unsuppressed findings. Every waiver in
 // the tree carries its reason inline, so a new finding fails here first.

@@ -13,12 +13,10 @@ import (
 // Reader is the read-side ADIOS API: step-oriented iteration over a BP
 // file, mirroring the write side's BeginStep/EndStep discipline. Analysis
 // codes (the paper's VisIt-style consumers) walk the available steps and
-// read full variables or sub-regions.
+// read full variables.
 type Reader struct {
 	r     *bp.Reader
 	steps []int64
-	// vars[name] lists the steps at which the variable appears.
-	vars map[string][]int64
 
 	cur     int
 	open    bool
@@ -31,11 +29,10 @@ func OpenReader(fs *pfs.FileSystem, name string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := &Reader{r: br, vars: make(map[string][]int64), cur: -1}
+	rd := &Reader{r: br, cur: -1}
 	stepSet := map[int64]bool{}
 	for _, vi := range br.Vars() {
 		stepSet[vi.Timestep] = true
-		rd.vars[vi.Name] = append(rd.vars[vi.Name], vi.Timestep)
 	}
 	for s := range stepSet {
 		rd.steps = append(rd.steps, s)
@@ -47,22 +44,6 @@ func OpenReader(fs *pfs.FileSystem, name string) (*Reader, error) {
 // Steps returns the timesteps present in the file, ascending.
 func (rd *Reader) Steps() []int64 {
 	return append([]int64(nil), rd.steps...)
-}
-
-// Variables returns the names of variables present at the given step,
-// sorted.
-func (rd *Reader) Variables(step int64) []string {
-	var out []string
-	for name, steps := range rd.vars {
-		for _, s := range steps {
-			if s == step {
-				out = append(out, name)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BeginStep advances to the next available step. It returns false when
@@ -99,18 +80,4 @@ func (rd *Reader) Read(name string) (*ffs.Array, error) {
 	}
 	rd.Modeled += d
 	return &ffs.Array{Dims: dims, Float64: data}, nil
-}
-
-// ReadSelection returns the hyper-rectangle [offsets, offsets+dims) of
-// the named global variable at the open step.
-func (rd *Reader) ReadSelection(name string, offsets, dims []uint64) (*ffs.Array, error) {
-	if !rd.open {
-		return nil, fmt.Errorf("adios: ReadSelection(%q) outside a step", name)
-	}
-	data, d, err := rd.r.ReadSubregion(name, rd.steps[rd.cur], offsets, dims)
-	if err != nil {
-		return nil, err
-	}
-	rd.Modeled += d
-	return &ffs.Array{Dims: dims, Offsets: offsets, Float64: data}, nil
 }

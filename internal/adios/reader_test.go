@@ -82,42 +82,6 @@ func TestReaderStepIteration(t *testing.T) {
 	}
 }
 
-func TestReaderVariablesPerStep(t *testing.T) {
-	rd, err := writeThreeSteps(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vars := rd.Variables(0); len(vars) != 1 || vars[0] != "v" {
-		t.Fatalf("step 0 vars %v", vars)
-	}
-	if vars := rd.Variables(1); len(vars) != 2 || vars[0] != "extra" {
-		t.Fatalf("step 1 vars %v", vars)
-	}
-	if vars := rd.Variables(9); len(vars) != 0 {
-		t.Fatalf("missing step vars %v", vars)
-	}
-}
-
-func TestReaderSelection(t *testing.T) {
-	rd, err := writeThreeSteps(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rd.BeginStep(); err != nil {
-		t.Fatal(err)
-	}
-	sel, err := rd.ReadSelection("v", []uint64{1}, []uint64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Float64) != 2 || sel.Float64[0] != 0.5 || sel.Float64[1] != 0.75 {
-		t.Fatalf("selection %v", sel.Float64)
-	}
-	if err := rd.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReaderDiscipline(t *testing.T) {
 	rd, err := writeThreeSteps(t)
 	if err != nil {
@@ -137,9 +101,6 @@ func TestReaderDiscipline(t *testing.T) {
 	}
 	if _, err := rd.Read("ghost"); err == nil {
 		t.Error("read of missing variable accepted")
-	}
-	if _, err := rd.ReadSelection("v", []uint64{3}, []uint64{5}); err == nil {
-		t.Error("out-of-bounds selection accepted")
 	}
 }
 

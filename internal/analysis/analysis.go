@@ -11,11 +11,10 @@
 // whole suite over any package pattern, honoring //predata:vet-ignore
 // suppression directives.
 //
-// The API mirrors go/analysis closely (Analyzer, Pass, Diagnostic,
-// SuggestedFix) so the suite could be rebased onto the upstream
-// multichecker without touching analyzer logic; only the loader and
-// driver are bespoke, built on go list, go/parser and go/types with the
-// source importer.
+// The API mirrors go/analysis closely (Analyzer, Pass, Diagnostic) so
+// the suite could be rebased onto the upstream multichecker without
+// touching analyzer logic; only the loader and driver are bespoke, built
+// on go list, go/parser and go/types with the source importer.
 package analysis
 
 import (
@@ -61,22 +60,6 @@ type Diagnostic struct {
 	Pos     token.Pos
 	End     token.Pos // optional; token.NoPos means unknown
 	Message string
-	// SuggestedFixes carries mechanical rewrites, applied by
-	// predata-vet -fix.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained mechanical rewrite.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // ---- shared type-resolution helpers used by the analyzers ----

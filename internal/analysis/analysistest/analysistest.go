@@ -151,125 +151,6 @@ func checkFixture(fset *token.FileSet, dir string, files []*ast.File) (*types.Pa
 	return pkg, info, nil
 }
 
-// RunWithFixes copies the fixture at dir into a scratch directory, runs
-// the analyzer, applies every suggested fix, and asserts the fix pass
-// converges: the rewritten package still type-checks, a re-run reports
-// nothing, and a second apply pass leaves every byte unchanged. The
-// fixture must contain only findings whose fixes eliminate them.
-func RunWithFixes(t *testing.T, a *analysis.Analyzer, dir string) {
-	t.Helper()
-	scratch := t.TempDir()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, e.Name()), src, 0o644); err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-	}
-
-	fset, diags := runOnce(t, a, scratch)
-	fixable := 0
-	for _, d := range diags {
-		if len(d.SuggestedFixes) > 0 {
-			fixable++
-		}
-	}
-	if fixable == 0 {
-		t.Fatalf("analysistest: fixture %s produced no suggested fixes", dir)
-	}
-	if _, err := analysis.ApplyDiagnosticFixes(fset, diags); err != nil {
-		t.Fatalf("analysistest: applying fixes: %v", err)
-	}
-	after := snapshot(t, scratch)
-
-	// The apply must converge: a clean re-run and no further rewrites.
-	fset2, diags2 := runOnce(t, a, scratch)
-	for _, d := range diags2 {
-		t.Errorf("analysistest: diagnostic survives -fix: %s: %s",
-			fset2.Position(d.Pos), d.Message)
-	}
-	if _, err := analysis.ApplyDiagnosticFixes(fset2, diags2); err != nil {
-		t.Fatalf("analysistest: second fix pass: %v", err)
-	}
-	for name, want := range after {
-		got := snapshot(t, scratch)[name]
-		if got != want {
-			t.Errorf("analysistest: %s changed on second -fix pass:\n-- first --\n%s\n-- second --\n%s",
-				name, want, got)
-		}
-	}
-}
-
-// runOnce type-checks the fixture at dir and runs the analyzer,
-// collecting raw diagnostics. A type-check failure is fatal — after a
-// fix pass it means the fixes produced uncompilable code.
-func runOnce(t *testing.T, a *analysis.Analyzer, dir string) (*token.FileSet, []analysis.Diagnostic) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("analysistest: parse %s: %v", e.Name(), err)
-		}
-		files = append(files, f)
-	}
-	pkg, info, err := checkFixture(fset, dir, files)
-	if err != nil {
-		t.Fatalf("analysistest: type-check %s: %v", dir, err)
-	}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-	}
-	var diags []analysis.Diagnostic
-	pass.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: %s: %v", a.Name, err)
-	}
-	return fset, diags
-}
-
-// snapshot reads every fixture file's contents keyed by base name.
-func snapshot(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	out := map[string]string{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		out[e.Name()] = string(src)
-	}
-	return out
-}
-
 // dirImporter resolves imports relative to the fixture directory, which
 // lives inside the module, so project packages import normally.
 type dirImporter struct {

@@ -3,8 +3,8 @@
 // deadlock shape.
 //
 // The mpi package's contract (and real MPI's) is that collectives —
-// Barrier, Split, Dup, Bcast/Reduce/Allreduce/Gather/Allgather/Scatter/
-// Alltoall/Scan/ExScan, and the collective entry points built on them
+// Barrier, Split, Dup, Bcast/Reduce/Allreduce/Gather/Allgather/
+// Alltoall/Scan, and the collective entry points built on them
 // (staging.Engine.ProcessDump, predata.Server.ServeDump) — are invoked
 // by every rank of the communicator in the same sequence. A collective
 // reached by only some ranks hangs the others forever: the survivors
@@ -88,7 +88,7 @@ func collectiveName(info *types.Info, call *ast.CallExpr) string {
 	if fn.Pkg() != nil && fn.Pkg().Path() == mpiPath && isPkgFunc(fn) {
 		switch name {
 		case "Bcast", "Reduce", "Allreduce", "Gather", "Allgather",
-			"Scatter", "Alltoall", "Scan", "ExScan":
+			"Alltoall", "Scan":
 			return "mpi." + name
 		}
 	}

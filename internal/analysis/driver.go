@@ -6,7 +6,6 @@ import (
 	"go/ast"
 	"go/token"
 	"io"
-	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -25,9 +24,6 @@ type Finding struct {
 	// not fail the run.
 	Suppressed   bool   `json:"suppressed,omitempty"`
 	SuppressedBy string `json:"suppressedBy,omitempty"`
-
-	diag Diagnostic
-	fset *token.FileSet
 }
 
 // IgnoreDirective is the suppression comment honored by the driver:
@@ -128,7 +124,6 @@ func RunAnalyzersWithWaivers(pkgs []*Package, analyzers []*Analyzer) ([]Finding,
 						Column:   p.Column,
 						Message: fmt.Sprintf("malformed directive: want %s <analyzer> <reason>",
 							IgnoreDirective),
-						fset: pkg.Fset,
 					})
 				}
 			}
@@ -163,8 +158,6 @@ func RunAnalyzersWithWaivers(pkgs []*Package, analyzers []*Analyzer) ([]Finding,
 					Line:     pos.Line,
 					Column:   pos.Column,
 					Message:  d.Message,
-					diag:     d,
-					fset:     pkg.Fset,
 				}
 				if reason, ok := suppressor(a.Name, pos); ok {
 					f.Suppressed = true
@@ -262,88 +255,4 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(findings)
-}
-
-// ApplyDiagnosticFixes applies the suggested fixes of raw diagnostics
-// resolved against fset — the harness entry point for testing a fix
-// round-trip without a driver run.
-func ApplyDiagnosticFixes(fset *token.FileSet, diags []Diagnostic) (int, error) {
-	findings := make([]Finding, len(diags))
-	for i, d := range diags {
-		findings[i] = Finding{diag: d, fset: fset}
-	}
-	return ApplyFixes(findings)
-}
-
-// ApplyFixes applies every suggested fix attached to unsuppressed
-// findings, rewriting files in place. Overlapping edits within one file
-// are rejected. It returns the number of files rewritten.
-func ApplyFixes(findings []Finding) (int, error) {
-	type edit struct {
-		start, end int // byte offsets
-		text       string
-	}
-	perFile := map[string][]edit{}
-	for _, f := range findings {
-		if f.Suppressed {
-			continue
-		}
-		for _, fix := range f.diag.SuggestedFixes {
-			for _, te := range fix.TextEdits {
-				start := f.fset.Position(te.Pos)
-				end := f.fset.Position(te.End)
-				if start.Filename == "" || start.Filename != end.Filename {
-					return 0, fmt.Errorf("analysis: fix for %s spans files", f.Message)
-				}
-				perFile[start.Filename] = append(perFile[start.Filename],
-					edit{start.Offset, end.Offset, te.NewText})
-			}
-		}
-	}
-	rewritten := 0
-	for path, edits := range perFile {
-		sort.Slice(edits, func(i, j int) bool {
-			if edits[i].start != edits[j].start {
-				return edits[i].start < edits[j].start
-			}
-			if edits[i].end != edits[j].end {
-				return edits[i].end < edits[j].end
-			}
-			return edits[i].text < edits[j].text
-		})
-		// Identical edits collapse to one: several findings in a file may
-		// each carry the same companion edit (typederr's import insert).
-		uniq := edits[:0]
-		for i, e := range edits {
-			if i == 0 || e != edits[i-1] {
-				uniq = append(uniq, e)
-			}
-		}
-		edits = uniq
-		for i := 1; i < len(edits); i++ {
-			if edits[i].start < edits[i-1].end {
-				return rewritten, fmt.Errorf("analysis: overlapping fixes in %s", path)
-			}
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return rewritten, err
-		}
-		var buf strings.Builder
-		last := 0
-		for _, e := range edits {
-			if e.start < last || e.end > len(src) {
-				return rewritten, fmt.Errorf("analysis: fix offsets out of range in %s", path)
-			}
-			buf.Write(src[last:e.start])
-			buf.WriteString(e.text)
-			last = e.end
-		}
-		buf.Write(src[last:])
-		if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
-			return rewritten, err
-		}
-		rewritten++
-	}
-	return rewritten, nil
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -202,65 +200,5 @@ func a() {}
 	}
 	if len(findings) != 2 || findings[0].Line >= findings[1].Line {
 		t.Fatalf("findings not in position order: %+v", findings)
-	}
-}
-
-// fixReporter rewrites every `1 + 2` to `3` via a suggested fix.
-var fixReporter = &Analyzer{
-	Name: "fixer",
-	Doc:  "folds 1+2",
-	Run: func(pass *Pass) error {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if b, ok := n.(*ast.BinaryExpr); ok && types.ExprString(b) == "1 + 2" {
-					pass.Report(Diagnostic{
-						Pos:     b.Pos(),
-						Message: "constant fold",
-						SuggestedFixes: []SuggestedFix{{
-							Message:   "fold to 3",
-							TextEdits: []TextEdit{{Pos: b.Pos(), End: b.End(), NewText: "3"}},
-						}},
-					})
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
-
-func TestApplyFixes(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.go")
-	src := "package p\n\nfunc f() int { return 1 + 2 }\n"
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	pkg, err := checkUnit(fset, nil, ModulePath+"/synthetic", dir, []string{"a.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{fixReporter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ApplyFixes(findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("rewrote %d files, want 1", n)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "func f() int { return 3 }"; !strings.Contains(string(out), want) {
-		t.Fatalf("fix not applied:\n%s", out)
-	}
-	// Result must still parse.
-	if _, err := parser.ParseFile(token.NewFileSet(), path, nil, 0); err != nil {
-		t.Fatalf("fixed file no longer parses: %v", err)
 	}
 }

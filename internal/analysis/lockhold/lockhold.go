@@ -336,15 +336,13 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		}
 	case methodOn(fn, analysis.ModulePath+"/internal/mpi", "Comm"):
 		switch name {
-		case "Recv", "Sendrecv", "Barrier", "Split", "Dup":
+		case "Recv", "Barrier", "Split", "Dup":
 			return "mpi.Comm." + name, true
 		}
-	case methodOn(fn, analysis.ModulePath+"/internal/mpi", "Request") && name == "Wait":
-		return "mpi.Request.Wait", true
 	case fn.Pkg() != nil && fn.Pkg().Path() == analysis.ModulePath+"/internal/mpi" && isPkgFunc(fn):
 		switch name {
 		case "Bcast", "Reduce", "Allreduce", "Gather", "Allgather",
-			"Scatter", "Alltoall", "Scan", "ExScan":
+			"Alltoall", "Scan":
 			return "mpi." + name, true
 		}
 	}

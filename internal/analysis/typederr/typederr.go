@@ -20,10 +20,8 @@
 // (registry logic), and sentinels outside this module (stdlib contracts
 // such as io.EOF are the caller's business).
 //
-// Each ==/!= finding carries a mechanical suggested fix; predata-vet
-// -fix applies it, inserting the "errors" import when the file lacks
-// one so the rewritten file still compiles and a second -fix run is a
-// byte-identical no-op.
+// Each ==/!= finding names the errors.Is form that replaces it; the
+// rewrite is left to the author.
 package typederr
 
 import (
@@ -46,11 +44,10 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		importEdit := errorsImportEdit(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
-				checkBinary(pass, n, importEdit)
+				checkBinary(pass, n)
 			case *ast.SwitchStmt:
 				checkSwitch(pass, n)
 			}
@@ -58,31 +55,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// errorsImportEdit returns the TextEdit that makes `errors.Is` resolve
-// in f — inserting "errors" into the import block — or nil when the
-// file already imports it unaliased. Every finding in the file carries
-// the same edit; the driver deduplicates identical edits on apply.
-func errorsImportEdit(f *ast.File) *analysis.TextEdit {
-	for _, imp := range f.Imports {
-		if imp.Path.Value == `"errors"` && imp.Name == nil {
-			return nil
-		}
-	}
-	for _, d := range f.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			pos := gd.Lparen + 1
-			return &analysis.TextEdit{Pos: pos, End: pos, NewText: "\n\t\"errors\""}
-		}
-		return &analysis.TextEdit{Pos: gd.Pos(), End: gd.Pos(), NewText: "import \"errors\"\n"}
-	}
-	pos := f.Name.End()
-	return &analysis.TextEdit{Pos: pos, End: pos, NewText: "\n\nimport \"errors\""}
 }
 
 // sentinel returns the sentinel-error variable an expression refers to,
@@ -115,7 +87,7 @@ func sentinel(info *types.Info, e ast.Expr) *types.Var {
 	return v
 }
 
-func checkBinary(pass *analysis.Pass, b *ast.BinaryExpr, importEdit *analysis.TextEdit) {
+func checkBinary(pass *analysis.Pass, b *ast.BinaryExpr) {
 	if b.Op != token.EQL && b.Op != token.NEQ {
 		return
 	}
@@ -143,19 +115,7 @@ func checkBinary(pass *analysis.Pass, b *ast.BinaryExpr, importEdit *analysis.Te
 		Message: fmt.Sprintf(
 			"comparison %s %s %s breaks on wrapped errors; use %s",
 			types.ExprString(b.X), op, types.ExprString(b.Y), fixed),
-		SuggestedFixes: []analysis.SuggestedFix{{
-			Message:   fmt.Sprintf("replace with %s", fixed),
-			TextEdits: fixEdits(b, fixed, importEdit),
-		}},
 	})
-}
-
-func fixEdits(b *ast.BinaryExpr, fixed string, importEdit *analysis.TextEdit) []analysis.TextEdit {
-	edits := []analysis.TextEdit{{Pos: b.Pos(), End: b.End(), NewText: fixed}}
-	if importEdit != nil {
-		edits = append(edits, *importEdit)
-	}
-	return edits
 }
 
 func checkSwitch(pass *analysis.Pass, s *ast.SwitchStmt) {

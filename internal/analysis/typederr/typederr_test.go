@@ -10,11 +10,3 @@ import (
 func TestTypederr(t *testing.T) {
 	analysistest.Run(t, typederr.Analyzer, "testdata/src/a")
 }
-
-// TestFixesConverge is the -fix idempotence regression: applying every
-// suggested fix must leave a package that type-checks, reports nothing,
-// and is byte-identical under a second -fix pass — including files that
-// did not import "errors" before the rewrite.
-func TestFixesConverge(t *testing.T) {
-	analysistest.RunWithFixes(t, typederr.Analyzer, "testdata/src/fix")
-}

@@ -185,9 +185,6 @@ func (s *Simulation) Particles(sp Species) *ffs.Array {
 	}
 }
 
-// Step number of the simulation.
-func (s *Simulation) StepNumber() int64 { return s.step }
-
 // Schema is the ADIOS output group of the GTC proxy: the two particle
 // arrays.
 func Schema() *ffs.Schema {

@@ -99,9 +99,6 @@ func New(cfg Config) (*Simulation, error) {
 // Coords returns this rank's position in the process grid.
 func (s *Simulation) Coords() [3]int { return s.coords }
 
-// StepNumber returns the current step.
-func (s *Simulation) StepNumber() int64 { return s.step }
-
 // Step advances one outer iteration: InnerIters rounds of a short local
 // stencil update followed by the collectives of the implicit solver
 // (a residual Allreduce and a solution Bcast).

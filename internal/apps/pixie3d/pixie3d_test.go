@@ -108,8 +108,8 @@ func TestStepRunsCollectives(t *testing.T) {
 				return err
 			}
 		}
-		if sim.StepNumber() != 2 {
-			return fmt.Errorf("step %d", sim.StepNumber())
+		if sim.step != 2 {
+			return fmt.Errorf("step %d", sim.step)
 		}
 		// Fields stay finite under the damped stencil.
 		for _, name := range VarNames {

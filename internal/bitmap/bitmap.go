@@ -2,8 +2,8 @@
 // and binned bitmap indexes over floating-point attributes, the technique
 // the paper adopts (via Sinha & Winslett) for GTC's range queries: instead
 // of scanning the whole particle array, a query ORs the bitmaps of the
-// bins overlapping the range, ANDs across attributes, and re-checks only
-// the particles in the boundary bins.
+// bins overlapping the range and re-checks only the particles in the
+// boundary bins.
 package bitmap
 
 import (
@@ -166,52 +166,37 @@ func (it *runIter) next() (group uint64, ok bool) {
 	return val, true
 }
 
-// binaryOp combines two equal-length bitmaps group-wise.
-func binaryOp(a, b *Bitmap, op func(x, y uint64) uint64) (*Bitmap, error) {
-	if a.nbits != b.nbits {
-		return nil, fmt.Errorf("bitmap: length mismatch %d vs %d", a.nbits, b.nbits)
+// Or returns the union of two equal-length bitmaps, combined group-wise.
+func (bm *Bitmap) Or(o *Bitmap) (*Bitmap, error) {
+	if bm.nbits != o.nbits {
+		return nil, fmt.Errorf("bitmap: length mismatch %d vs %d", bm.nbits, o.nbits)
 	}
-	ita := &runIter{words: a.words}
-	itb := &runIter{words: b.words}
+	ita := &runIter{words: bm.words}
+	itb := &runIter{words: o.words}
 	out := &Builder{lastSet: -1}
 	var produced uint64
-	for produced < a.nbits {
+	for produced < bm.nbits {
 		ga, oka := ita.next()
 		gb, okb := itb.next()
 		if !oka || !okb {
-			return nil, fmt.Errorf("bitmap: internal: ran out of groups at bit %d of %d", produced, a.nbits)
+			return nil, fmt.Errorf("bitmap: internal: ran out of groups at bit %d of %d", produced, bm.nbits)
 		}
-		g := op(ga, gb)
-		if produced+groupBits <= a.nbits {
+		g := ga | gb
+		if produced+groupBits <= bm.nbits {
 			out.current = g
 			out.flushGroup()
 			out.nbits += groupBits
 			produced += groupBits
 		} else {
 			// Final partial group.
-			width := a.nbits - produced
+			width := bm.nbits - produced
 			g &= (uint64(1) << width) - 1
 			out.words = append(out.words, g)
 			out.nbits += width
 			produced += width
 		}
 	}
-	return &Bitmap{words: out.words, nbits: a.nbits}, nil
-}
-
-// And returns the intersection of two bitmaps.
-func (bm *Bitmap) And(o *Bitmap) (*Bitmap, error) {
-	return binaryOp(bm, o, func(x, y uint64) uint64 { return x & y })
-}
-
-// Or returns the union of two bitmaps.
-func (bm *Bitmap) Or(o *Bitmap) (*Bitmap, error) {
-	return binaryOp(bm, o, func(x, y uint64) uint64 { return x | y })
-}
-
-// AndNot returns the difference bm &^ o.
-func (bm *Bitmap) AndNot(o *Bitmap) (*Bitmap, error) {
-	return binaryOp(bm, o, func(x, y uint64) uint64 { return x &^ y })
+	return &Bitmap{words: out.words, nbits: bm.nbits}, nil
 }
 
 // Count returns the number of set bits. Fill words are counted wholesale,

@@ -121,45 +121,3 @@ func (ix *Index) Query(values []float64, q RangeQuery) ([]uint64, error) {
 	}
 	return out, nil
 }
-
-// QueryAnd intersects range queries over several indexes (one per
-// attribute) built over the same row set, re-checking candidates against
-// the per-attribute raw values.
-func QueryAnd(ixs []*Index, values [][]float64, qs []RangeQuery) ([]uint64, error) {
-	if len(ixs) == 0 || len(ixs) != len(values) || len(ixs) != len(qs) {
-		return nil, fmt.Errorf("bitmap: QueryAnd needs equal-length non-empty indexes/values/queries")
-	}
-	cand, err := ixs[0].Candidates(qs[0])
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(ixs); i++ {
-		if ixs[i].N != ixs[0].N {
-			return nil, fmt.Errorf("bitmap: QueryAnd indexes cover %d and %d rows", ixs[0].N, ixs[i].N)
-		}
-		c, err := ixs[i].Candidates(qs[i])
-		if err != nil {
-			return nil, err
-		}
-		cand, err = cand.And(c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows := cand.Indices()
-	out := rows[:0]
-	for _, r := range rows {
-		keep := true
-		for i := range qs {
-			v := values[i][r]
-			if v < qs[i].Lo || v >= qs[i].Hi {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}

@@ -597,102 +597,3 @@ func scatterChunk(dst []float64, global []uint64, src []float64, dims, offsets [
 		}
 	}
 }
-
-// ReadSubregion reads the hyper-rectangle [offsets, offsets+dims) of the
-// named global variable, touching only the chunks that intersect it.
-func (r *Reader) ReadSubregion(name string, timestep int64, offsets, dims []uint64) ([]float64, time.Duration, error) {
-	var entries []indexEntry
-	for _, e := range r.index {
-		if e.Name == name && e.Timestep == timestep {
-			entries = append(entries, e)
-		}
-	}
-	if len(entries) == 0 {
-		return nil, 0, fmt.Errorf("bp: variable %q timestep %d not in file", name, timestep)
-	}
-	global := entries[0].Global
-	if global == nil {
-		return nil, 0, fmt.Errorf("bp: variable %q is not a global array", name)
-	}
-	if len(offsets) != len(global) || len(dims) != len(global) {
-		return nil, 0, fmt.Errorf("bp: subregion rank mismatch for %q", name)
-	}
-	for i := range dims {
-		if offsets[i]+dims[i] > global[i] {
-			return nil, 0, fmt.Errorf("bp: subregion exceeds global bounds in dim %d", i)
-		}
-	}
-	out := make([]float64, elems(dims))
-	var total time.Duration
-	for _, e := range entries {
-		if !intersects(e.Offsets, e.Dims, offsets, dims) {
-			continue
-		}
-		data, d, err := r.readChunkPayload(e)
-		if err != nil {
-			return nil, total, err
-		}
-		total += d
-		copyIntersection(out, offsets, dims, data, e.Offsets, e.Dims)
-	}
-	r.ModeledTime += total
-	return out, total, nil
-}
-
-// intersects reports whether two hyper-rectangles overlap.
-func intersects(aOff, aDims, bOff, bDims []uint64) bool {
-	for i := range aOff {
-		if aOff[i]+aDims[i] <= bOff[i] || bOff[i]+bDims[i] <= aOff[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// copyIntersection copies the overlap of chunk (srcOff/srcDims) into the
-// requested region (dstOff/dstDims), both row-major.
-func copyIntersection(dst []float64, dstOff, dstDims []uint64, src []float64, srcOff, srcDims []uint64) {
-	rank := len(dstDims)
-	lo := make([]uint64, rank)
-	hi := make([]uint64, rank)
-	for i := 0; i < rank; i++ {
-		lo[i] = max(dstOff[i], srcOff[i])
-		hi[i] = min(dstOff[i]+dstDims[i], srcOff[i]+srcDims[i])
-	}
-	// Iterate the intersection one innermost-run at a time.
-	runLen := hi[rank-1] - lo[rank-1]
-	if runLen == 0 {
-		return
-	}
-	idx := make([]uint64, rank)
-	copy(idx, lo)
-	for {
-		dstPos := flatten(idx, dstOff, dstDims)
-		srcPos := flatten(idx, srcOff, srcDims)
-		copy(dst[dstPos:dstPos+runLen], src[srcPos:srcPos+runLen])
-		// Advance over outer dims.
-		d := rank - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < hi[d] {
-				break
-			}
-			idx[d] = lo[d]
-		}
-		if d < 0 {
-			break
-		}
-	}
-}
-
-// flatten converts a global multi-index into a flat position within the
-// row-major box (boxOff, boxDims).
-func flatten(idx, boxOff, boxDims []uint64) uint64 {
-	var pos uint64
-	stride := uint64(1)
-	for d := len(boxDims) - 1; d >= 0; d-- {
-		pos += (idx[d] - boxOff[d]) * stride
-		stride *= boxDims[d]
-	}
-	return pos
-}

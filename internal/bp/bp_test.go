@@ -221,63 +221,6 @@ func TestWriteRead3DChunks(t *testing.T) {
 	}
 }
 
-func TestReadSubregion(t *testing.T) {
-	fs := newFS(t)
-	const g = 8
-	ref := make([]float64, g*g)
-	for i := range ref {
-		ref[i] = float64(i)
-	}
-	// Write as 4 chunks of 4x4.
-	w, _ := CreateWriter(fs, "grid.bp", 4)
-	rank := 0
-	for ox := uint64(0); ox < g; ox += 4 {
-		for oy := uint64(0); oy < g; oy += 4 {
-			block := make([]float64, 16)
-			pos := 0
-			for x := ox; x < ox+4; x++ {
-				for y := oy; y < oy+4; y++ {
-					block[pos] = ref[x*g+y]
-					pos++
-				}
-			}
-			w.WritePG(rank, 0, []VarChunk{{
-				Name: "v", Dims: []uint64{4, 4}, Global: []uint64{g, g},
-				Offsets: []uint64{ox, oy}, Data: block,
-			}})
-			rank++
-		}
-	}
-	w.Close()
-	r, err := OpenReader(fs, "grid.bp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 3x5 region spanning chunk boundaries.
-	got, _, err := r.ReadSubregion("v", 0, []uint64{2, 1}, []uint64{3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := uint64(0); x < 3; x++ {
-		for y := uint64(0); y < 5; y++ {
-			want := ref[(x+2)*g+(y+1)]
-			if got[x*5+y] != want {
-				t.Fatalf("region (%d,%d) = %g want %g", x, y, got[x*5+y], want)
-			}
-		}
-	}
-	// Bounds checks.
-	if _, _, err := r.ReadSubregion("v", 0, []uint64{6, 6}, []uint64{4, 4}); err == nil {
-		t.Error("out-of-bounds subregion accepted")
-	}
-	if _, _, err := r.ReadSubregion("v", 0, []uint64{0}, []uint64{1}); err == nil {
-		t.Error("rank-mismatched subregion accepted")
-	}
-	if _, _, err := r.ReadSubregion("nope", 0, []uint64{0, 0}, []uint64{1, 1}); err == nil {
-		t.Error("unknown variable accepted")
-	}
-}
-
 func TestMultipleTimesteps(t *testing.T) {
 	fs := newFS(t)
 	w, _ := CreateWriter(fs, "steps.bp", 4)

@@ -266,30 +266,6 @@ func (s *Space) blockID(coord vec) uint64 {
 	return d
 }
 
-// blockCoord is blockID's inverse. It fails for an id no block of this
-// space's grid has — ids come back from outside in a snapshot.
-func (s *Space) blockCoord(id uint64) (vec, error) {
-	var c vec
-	var err error
-	switch s.nd {
-	case 1:
-		c[2] = id
-	case 2:
-		c[1], c[2], err = s.curve2.Decode(id)
-	default:
-		c[0], c[1], c[2], err = s.curve3.Decode(id)
-	}
-	if err != nil {
-		return vec{}, err
-	}
-	for d := range c {
-		if c[d] >= s.nblk[d] {
-			return vec{}, fmt.Errorf("block %v outside the %v block grid", s.unpad(c), s.unpad(s.nblk))
-		}
-	}
-	return c, nil
-}
-
 // blockBounds returns block coord's lower bound and its extent, clipped
 // at the domain's edge.
 func (s *Space) blockBounds(coord vec) (lb, ext vec) {

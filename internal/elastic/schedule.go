@@ -81,14 +81,6 @@ func (s *Schedule) ActiveAt(ctx context.Context, dump int64) (int, error) {
 	}
 }
 
-// Peek returns the announced count for dump without blocking.
-func (s *Schedule) Peek(dump int64) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.counts[dump]
-	return n, ok
-}
-
 // Abort poisons the schedule: every pending and future ActiveAt returns
 // err. Idempotent; the first error wins. RunElastic calls it when a
 // rank fails so writers blocked on future dumps fail fast instead of

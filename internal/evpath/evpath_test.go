@@ -335,6 +335,7 @@ func BenchmarkChainThroughput(b *testing.B) {
 	sink, _ := m.NewTerminalStone(func(e *Event) error { return nil })
 	filter, _ := m.NewFilterStone(func(e *Event) bool { return true })
 	filter.LinkTo(sink)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := filter.Submit(&Event{}); err != nil {

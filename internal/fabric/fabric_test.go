@@ -477,6 +477,7 @@ func BenchmarkPull1MB(b *testing.B) {
 	a, _ := f.Endpoint(0)
 	c, _ := f.Endpoint(1)
 	buf := make([]byte, 1<<20)
+	b.ReportAllocs()
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

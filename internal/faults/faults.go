@@ -205,13 +205,6 @@ type Plan struct {
 	CrashAlls  []CrashAll
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool {
-	return len(p.Crashes) == 0 && len(p.Transients) == 0 && len(p.Degrades) == 0 &&
-		len(p.Corrupts) == 0 && len(p.Partitions) == 0 && len(p.Dups) == 0 &&
-		len(p.Restarts) == 0 && len(p.CrashAlls) == 0
-}
-
 // Validate checks rule ranges — probabilities in [0, 1], degrade factors
 // >= 1, endpoint ids >= AnyEndpoint, crash dumps >= 0 — and rejects
 // conflicting duplicates: a second crash for an endpoint would silently
@@ -552,21 +545,6 @@ func (in *Injector) RestartDownAt(endpoint int, dump int64) bool {
 		}
 	}
 	return false
-}
-
-// RestartAt returns the restart whose window opens exactly at dump for
-// the endpoint — the boundary where the rank must drain, journal and
-// go down.
-func (in *Injector) RestartAt(endpoint int, dump int64) (Restart, bool) {
-	if in == nil {
-		return Restart{}, false
-	}
-	for _, r := range in.plan.Restarts {
-		if r.Endpoint == endpoint && int64(r.AtDump) == dump {
-			return r, true
-		}
-	}
-	return Restart{}, false
 }
 
 // Revives reports whether the endpoint, though possibly down right

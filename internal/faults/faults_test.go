@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -235,7 +236,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if in.Stats() != nil {
 		t.Error("nil injector has stats")
 	}
-	if !in.Plan().Empty() {
+	if !reflect.DeepEqual(in.Plan(), Plan{}) {
 		t.Error("nil injector has a plan")
 	}
 	in.NoteDownRefusal()

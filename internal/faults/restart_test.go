@@ -103,12 +103,6 @@ func TestInjectorRestartQueries(t *testing.T) {
 	if in.RestartDownAt(9, 2) {
 		t.Error("unrelated endpoint down")
 	}
-	if r, ok := in.RestartAt(10, 2); !ok || r.Downtime != 2 {
-		t.Errorf("RestartAt(10, 2) = %+v, %v", r, ok)
-	}
-	if _, ok := in.RestartAt(10, 3); ok {
-		t.Error("RestartAt matched mid-window")
-	}
 	if in.Revives(10, 3) {
 		t.Error("Revives true inside the window")
 	}
@@ -132,20 +126,5 @@ func TestInjectorRestartQueries(t *testing.T) {
 	var nilInj *Injector
 	if nilInj.RestartDownAt(0, 0) || nilInj.CrashAllAt(0) || nilInj.Revives(0, 0) {
 		t.Error("nil injector restarted")
-	}
-	if _, ok := nilInj.RestartAt(0, 0); ok {
-		t.Error("nil injector RestartAt")
-	}
-}
-
-func TestEmptyIncludesRestartFamilies(t *testing.T) {
-	if !(Plan{}).Empty() {
-		t.Fatal("zero plan not empty")
-	}
-	if (Plan{Restarts: []Restart{{Endpoint: 1, AtDump: 0, Downtime: 1}}}).Empty() {
-		t.Fatal("restart plan reported empty")
-	}
-	if (Plan{CrashAlls: []CrashAll{{AtDump: 0}}}).Empty() {
-		t.Fatal("crashall plan reported empty")
 	}
 }

@@ -265,6 +265,7 @@ func BenchmarkEncode1MParticleChunk(b *testing.B) {
 	schema := &Schema{Name: "p", Fields: []Field{{Name: "arr", Kind: KindArray}}}
 	data := make([]float64, 1<<17)
 	rec := Record{"arr": &Array{Dims: []uint64{1 << 17}, Float64: data}}
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -281,6 +282,7 @@ func BenchmarkDecode1MParticleChunk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -166,38 +166,6 @@ func flattenGather[T any](rows [][]T) []flatGather[T] {
 	return []flatGather[T]{f}
 }
 
-// Scatter distributes root's per-rank slices: rank i receives parts[i].
-// Non-root ranks pass nil parts.
-func Scatter[T any](c *Comm, parts [][]T, root int) ([]T, error) {
-	if err := checkRoot(c, root); err != nil {
-		return nil, err
-	}
-	if c.rank == root && len(parts) != c.Size() {
-		return nil, fmt.Errorf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts))
-	}
-	tag := c.nextCollTag(trace.CollScatter)
-	if c.rank == root {
-		for i, p := range parts {
-			if i == root {
-				continue
-			}
-			if err := c.send(i, tag, p); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	msg, err := c.recv(root, tag)
-	if err != nil {
-		return nil, err
-	}
-	part, ok := msg.Data.([]T)
-	if !ok && msg.Data != nil {
-		return nil, fmt.Errorf("mpi: Scatter type mismatch: got %T", msg.Data)
-	}
-	return part, nil
-}
-
 // Alltoall performs a personalized all-to-all exchange: rank r sends
 // send[i] to rank i and receives recv[i] from rank i. Slice lengths may
 // differ per destination (MPI_Alltoallv semantics).
@@ -257,38 +225,6 @@ func Scan[T any](c *Comm, in []T, op func(a, b T) T) ([]T, error) {
 		}
 	}
 	return acc, nil
-}
-
-// ExScan computes the exclusive prefix reduction: rank 0 receives the
-// provided zero value repeated, rank r>0 receives op(in_0, ..., in_{r-1}).
-func ExScan[T any](c *Comm, in []T, op func(a, b T) T, zero T) ([]T, error) {
-	inc, err := Scan(c, in, op)
-	if err != nil {
-		return nil, err
-	}
-	tag := c.nextCollTag(trace.CollExScan)
-	// Shift the inclusive result right by one rank.
-	if c.rank < c.Size()-1 {
-		if err := c.send(c.rank+1, tag, inc); err != nil {
-			return nil, err
-		}
-	}
-	if c.rank == 0 {
-		out := make([]T, len(in))
-		for i := range out {
-			out[i] = zero
-		}
-		return out, nil
-	}
-	msg, err := c.recv(c.rank-1, tag)
-	if err != nil {
-		return nil, err
-	}
-	prev, ok := msg.Data.([]T)
-	if !ok {
-		return nil, fmt.Errorf("mpi: ExScan type mismatch: got %T", msg.Data)
-	}
-	return prev, nil
 }
 
 func checkRoot(c *Comm, root int) error {

@@ -93,26 +93,6 @@ func (m *mailbox) take(comm, src, tag int) (envelope, error) {
 	}
 }
 
-// peek reports whether a message matching (comm, src, tag) is queued,
-// without removing it.
-func (m *mailbox) peek(comm, src, tag int) (src2, tag2 int, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, e := range m.queue {
-		if e.comm != comm {
-			continue
-		}
-		if src != AnySource && e.src != src {
-			continue
-		}
-		if tag != AnyTag && e.tag != tag {
-			continue
-		}
-		return e.src, e.tag, true
-	}
-	return 0, 0, false
-}
-
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
@@ -170,13 +150,6 @@ func (c *Comm) Size() int { return len(c.members) }
 // reconfigure from a conflicting one.
 func (c *Comm) ID() int { return c.id }
 
-// WorldRank returns the caller's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.members[c.rank] }
-
-// Members returns the world rank of each communicator rank, in
-// communicator order. The returned slice is a copy.
-func (c *Comm) Members() []int { return append([]int(nil), c.members...) }
-
 // Send delivers data to rank `to` with the given tag (tag must be >= 0).
 // The payload is handed off by reference; the sender must not mutate it
 // afterwards.
@@ -214,64 +187,6 @@ func (c *Comm) recv(from, tag int) (Message, error) {
 		return Message{}, err
 	}
 	return Message{Src: e.src, Tag: e.tag, Data: e.data}, nil
-}
-
-// Request represents an in-flight nonblocking operation.
-type Request struct {
-	done chan struct{}
-	msg  Message
-	err  error
-}
-
-// Wait blocks until the operation completes and returns its result. For
-// send requests the Message is the zero value.
-func (r *Request) Wait() (Message, error) {
-	<-r.done
-	return r.msg, r.err
-}
-
-// Isend starts a nonblocking send. Because mailboxes are unbounded the
-// operation completes immediately, but the Request form keeps call sites
-// symmetric with Irecv.
-func (c *Comm) Isend(to, tag int, data any) *Request {
-	r := &Request{done: make(chan struct{})}
-	r.err = c.Send(to, tag, data)
-	close(r.done)
-	return r
-}
-
-// Iprobe reports whether a message matching (from, tag) is waiting,
-// returning its actual source and tag without consuming it.
-func (c *Comm) Iprobe(from, tag int) (src, msgTag int, ok bool, err error) {
-	if tag < 0 && tag != AnyTag {
-		return 0, 0, false, fmt.Errorf("mpi: Iprobe tag %d must be >= 0 or AnyTag", tag)
-	}
-	if from != AnySource && (from < 0 || from >= len(c.members)) {
-		return 0, 0, false, fmt.Errorf("mpi: Iprobe from rank %d outside communicator of size %d",
-			from, len(c.members))
-	}
-	src, msgTag, ok = c.world.boxes[c.members[c.rank]].peek(c.id, from, tag)
-	return src, msgTag, ok, nil
-}
-
-// Sendrecv sends to `to` and receives from `from` in one call, safe
-// against the head-to-head exchange deadlock that naive Send-then-Recv
-// would risk on a rendezvous transport.
-func (c *Comm) Sendrecv(to, sendTag int, data any, from, recvTag int) (Message, error) {
-	if err := c.Send(to, sendTag, data); err != nil {
-		return Message{}, err
-	}
-	return c.Recv(from, recvTag)
-}
-
-// Irecv starts a nonblocking receive matching (from, tag).
-func (c *Comm) Irecv(from, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	go func() {
-		r.msg, r.err = c.Recv(from, tag)
-		close(r.done)
-	}()
-	return r
 }
 
 // nextCollTag reserves the internal tag for the next collective call. All

@@ -122,7 +122,7 @@ func TestSplitColorAssignmentOnRetirement(t *testing.T) {
 				return fmt.Errorf("epoch %d: world rank %d got comm rank %d, want %d",
 					e, world.Rank(), sub.Rank(), wantRank)
 			}
-			views, err := Allgather(sub, []int{sub.ID(), sub.WorldRank()})
+			views, err := Allgather(sub, []int{sub.ID(), world.Rank()})
 			if err != nil {
 				return err
 			}

@@ -39,7 +39,6 @@ type HistogramOperator struct {
 	mu     sync.Mutex
 	ranges map[int][2]float64
 	counts map[int][]int64 // column -> final counts (on the owning rank)
-	step   int64
 }
 
 // NewHistogramOperator validates the configuration and returns the operator.
@@ -114,18 +113,12 @@ func (h *HistogramOperator) Map(ctx *staging.Context, chunk *staging.Chunk) erro
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	if h.step == 0 {
-		h.step = chunk.Timestep
-	}
-	ranges := h.ranges
-	h.mu.Unlock()
 	for tag, c := range h.cfg.Columns {
 		if c >= k {
 			return fmt.Errorf("ops: histogram column %d outside %d columns", c, k)
 		}
 		counts := make([]int64, h.cfg.Bins)
-		r := ranges[c]
+		r := h.ranges[c]
 		for row := 0; row < rows; row++ {
 			counts[binOf(arr.Float64[row*k+c], r, h.cfg.Bins)]++
 		}
@@ -205,7 +198,7 @@ func (h *HistogramOperator) Finalize(ctx *staging.Context) error {
 	}
 	ctx.SetResult("ranges", ranges)
 	if h.cfg.Output != nil && len(chunks) > 0 {
-		d, err := h.cfg.Output.WritePG(ctx.Rank(), h.step, chunks)
+		d, err := h.cfg.Output.WritePG(ctx.Rank(), ctx.Step(), chunks)
 		if err != nil {
 			return fmt.Errorf("ops: histogram output: %w", err)
 		}

@@ -37,7 +37,6 @@ type Histogram2DOperator struct {
 	mu     sync.Mutex
 	ranges map[int][2]float64
 	counts map[[2]int][]int64
-	step   int64
 }
 
 // NewHistogram2DOperator validates the configuration and returns the
@@ -52,10 +51,15 @@ func NewHistogram2DOperator(cfg Histogram2DConfig) (*Histogram2DOperator, error)
 	if len(cfg.Pairs) == 0 {
 		return nil, fmt.Errorf("ops: 2D histogram needs at least one column pair")
 	}
+	seen := map[[2]int]bool{}
 	for _, p := range cfg.Pairs {
 		if p[0] < 0 || p[1] < 0 {
 			return nil, fmt.Errorf("ops: 2D histogram pair %v has negative column", p)
 		}
+		if seen[p] {
+			return nil, fmt.Errorf("ops: 2D histogram pair %v repeated", p)
+		}
+		seen[p] = true
 	}
 	return &Histogram2DOperator{cfg: cfg}, nil
 }
@@ -98,19 +102,13 @@ func (h *Histogram2DOperator) Map(ctx *staging.Context, chunk *staging.Chunk) er
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	if h.step == 0 {
-		h.step = chunk.Timestep
-	}
-	ranges := h.ranges
-	h.mu.Unlock()
 	bins := h.cfg.Bins
 	for tag, p := range h.cfg.Pairs {
 		if p[0] >= k || p[1] >= k {
 			return fmt.Errorf("ops: 2D histogram pair %v outside %d columns", p, k)
 		}
 		counts := make([]int64, bins*bins)
-		rx, ry := ranges[p[0]], ranges[p[1]]
+		rx, ry := h.ranges[p[0]], h.ranges[p[1]]
 		for row := 0; row < rows; row++ {
 			bx := binOf(arr.Float64[row*k+p[0]], rx, bins)
 			by := binOf(arr.Float64[row*k+p[1]], ry, bins)
@@ -187,7 +185,7 @@ func (h *Histogram2DOperator) Finalize(ctx *staging.Context) error {
 	}
 	ctx.SetResult("histograms2d", out)
 	if h.cfg.Output != nil && len(chunks) > 0 {
-		d, err := h.cfg.Output.WritePG(ctx.Rank(), h.step, chunks)
+		d, err := h.cfg.Output.WritePG(ctx.Rank(), ctx.Step(), chunks)
 		if err != nil {
 			return fmt.Errorf("ops: 2D histogram output: %w", err)
 		}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -243,3 +244,87 @@ func (a *readOnceAudit) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 }
 func (a *readOnceAudit) Reduce(ctx *staging.Context, tag int, values []any) error { return nil }
 func (a *readOnceAudit) Finalize(ctx *staging.Context) error                      { return nil }
+
+// TestOutputTimestepFromEngine: with more staging ranks than writers, some
+// ranks map no chunk yet own a histogram column, a 2-D pair or a merged
+// array; every rank writes each dump's output under that dump's timestep.
+func TestOutputTimestepFromEngine(t *testing.T) {
+	const (
+		numCompute = 2
+		numStaging = 4
+		dumps      = 3
+		n          = 32
+	)
+	fs := newTestFS(t)
+	out, err := bp.CreateWriter(fs, "out.bp", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := []string{"rho", "temp", "px", "py"}
+	fields := []ffs.Field{{Name: "p", Kind: ffs.KindArray}}
+	for _, v := range vars {
+		fields = append(fields, ffs.Field{Name: v, Kind: ffs.KindArray})
+	}
+	schema := &ffs.Schema{Name: "mixed", Fields: fields}
+	unit := map[int][2]float64{colX: {0, 1}, colY: {0, 1}, colZ: {0, 1}, colWeight: {0, 1}}
+	cfg := predata.PipelineConfig{NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps}
+	_, err = predata.RunPipeline(cfg,
+		func(comm *mpi.Comm, client *predata.Client) error {
+			for step := 0; step < dumps; step++ {
+				rec := ffs.Record{"p": makeParticles(comm.Rank(), n, newRNG(comm.Rank()+step*100))}
+				for _, v := range vars {
+					rec[v] = &ffs.Array{Dims: []uint64{n}, Global: []uint64{numCompute * n},
+						Offsets: []uint64{uint64(comm.Rank() * n)}, Float64: make([]float64, n)}
+				}
+				if _, err := client.Write(schema, rec, int64(step)); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func(dump int) []staging.Operator {
+			hist, err := NewHistogramOperator(HistogramConfig{Var: "p", Columns: []int{colX, colY, colZ, colWeight},
+				Bins: 4, Ranges: unit, Output: out})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			hist2d, err := NewHistogram2DOperator(Histogram2DConfig{Var: "p",
+				Pairs: [][2]int{{colX, colY}, {colX, colZ}, {colY, colZ}, {colX, colWeight}}, Bins: 4, Ranges: unit, Output: out})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			reorg, err := NewReorgOperator(ReorgConfig{Vars: vars, Output: out})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return []staging.Operator{hist, hist2d, reorg}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := bp.OpenReader(fs, "out.bp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[string][]int64{}
+	for _, vi := range r.Vars() {
+		for i := 0; i < vi.Chunks; i++ {
+			steps[vi.Name] = append(steps[vi.Name], vi.Timestep)
+		}
+	}
+	if len(steps) != 12 {
+		t.Errorf("file holds %d variables, want 12", len(steps))
+	}
+	for name, got := range steps {
+		slices.Sort(got)
+		if !slices.Equal(got, []int64{0, 1, 2}) {
+			t.Errorf("%s written at timesteps %v, want [0 1 2]", name, got)
+		}
+	}
+}

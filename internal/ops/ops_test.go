@@ -281,6 +281,18 @@ func TestHistogram2DOperatorValidation(t *testing.T) {
 	}
 }
 
+// TestHistogram2DRejectsRepeatedPair: a repeated pair would be reduced on
+// two ranks and written twice under one name, so ReadVar would stack the
+// two matrices. The transposed pair is a different histogram.
+func TestHistogram2DRejectsRepeatedPair(t *testing.T) {
+	if _, err := NewHistogram2DOperator(Histogram2DConfig{Var: "p", Bins: 4, Pairs: [][2]int{{0, 1}, {0, 1}}}); err == nil {
+		t.Error("repeated pair accepted")
+	}
+	if _, err := NewHistogram2DOperator(Histogram2DConfig{Var: "p", Bins: 4, Pairs: [][2]int{{0, 1}, {1, 0}}}); err != nil {
+		t.Errorf("transposed pair rejected: %v", err)
+	}
+}
+
 func TestHistogram2DOperatorMatchesReference(t *testing.T) {
 	const (
 		numCompute = 3

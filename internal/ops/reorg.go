@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"predata/internal/bp"
@@ -40,9 +39,7 @@ type ReorgOperator struct {
 
 	// Per-dump state, reset by Initialize. The engine reduces one tag at a
 	// time, so merged and pgs, indexed by tag (position in Vars), need no
-	// lock; mu guards step, which concurrent Maps set.
-	mu     sync.Mutex
-	step   int64
+	// lock.
 	merged []*ffs.Array // nil where another rank owns the variable
 	pgs    []*bp.PG     // the reserved group each merged array lies in, if writing
 }
@@ -70,7 +67,6 @@ func (o *ReorgOperator) Name() string { return "reorg" }
 
 // Initialize resets per-dump state.
 func (o *ReorgOperator) Initialize(ctx *staging.Context, agg map[string]any) error {
-	o.step = 0
 	o.merged = make([]*ffs.Array, len(o.cfg.Vars))
 	o.pgs = make([]*bp.PG, len(o.cfg.Vars))
 	return nil
@@ -78,11 +74,6 @@ func (o *ReorgOperator) Initialize(ctx *staging.Context, agg map[string]any) err
 
 // Map emits each variable's partial chunk under the variable's tag.
 func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
-	o.mu.Lock()
-	if o.step == 0 {
-		o.step = chunk.Timestep
-	}
-	o.mu.Unlock()
 	for _, name := range o.cfg.Vars {
 		v, ok := chunk.Record[name]
 		if !ok {
@@ -146,7 +137,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	if o.cfg.Output == nil {
 		merged.Float64 = make([]float64, n)
 	} else {
-		pg, err := o.cfg.Output.ReservePG(ctx.Rank(), o.step, []bp.VarChunk{{
+		pg, err := o.cfg.Output.ReservePG(ctx.Rank(), ctx.Step(), []bp.VarChunk{{
 			Name: name, Dims: global, Global: global, Offsets: merged.Offsets,
 		}})
 		if err != nil {

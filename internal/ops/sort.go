@@ -52,7 +52,6 @@ type SortOperator struct {
 	mu     sync.Mutex
 	k      int // columns per row, adopted from the first chunk or run seen
 	lo, hi float64
-	step   int64
 	sorted []float64 // rows owned by this rank, sorted; inside pg when writing
 	rows   int
 	pg     *bp.PG // the reserved output group sorted lies in, if any
@@ -85,18 +84,18 @@ func (s *SortOperator) Initialize(ctx *staging.Context, agg map[string]any) erro
 		return fmt.Errorf("ops: sort major range %v is inverted", r)
 	}
 	s.lo, s.hi = r[0], r[1]
-	s.k, s.step = 0, 0
+	s.k = 0
 	s.sorted, s.rows, s.pg = nil, 0, nil
 	return nil
 }
 
-// adopt records the dump's row width and timestep from the first chunk or
-// run seen and holds every later one to the same width.
-func (s *SortOperator) adopt(k int, step int64) error {
+// adopt records the dump's row width from the first chunk or run seen and
+// holds every later one to the same width.
+func (s *SortOperator) adopt(k int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.k == 0 {
-		s.k, s.step = k, step
+		s.k = k
 	} else if s.k != k {
 		return fmt.Errorf("ops: sort saw row widths %d and %d in one dump", s.k, k)
 	}
@@ -154,9 +153,8 @@ const entryRowBits = 32
 // what the receiver needs to merge and label them even when it mapped no
 // chunk of its own.
 type sortedRun struct {
-	K      int   // columns per row
-	Writer int   // compute rank that wrote the chunk; breaks label ties
-	Step   int64 // the chunk's timestep
+	K      int // columns per row
+	Writer int // compute rank that wrote the chunk; breaks label ties
 	Rows   []float64
 }
 
@@ -174,7 +172,7 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if len(arr.Float64) != rows*k || uint64(rows) >= 1<<entryRowBits {
 		return fmt.Errorf("ops: sort cannot index %d values as %d rows of %d", len(arr.Float64), rows, k)
 	}
-	if err := s.adopt(k, chunk.Timestep); err != nil {
+	if err := s.adopt(k); err != nil {
 		return err
 	}
 	if rows == 0 {
@@ -215,7 +213,7 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 			copy(block[i*k:i*k+k], src[r*k:r*k+k])
 		}
 		entries = entries[n:]
-		ctx.Emit(dst, &sortedRun{K: k, Writer: chunk.WriterRank, Step: chunk.Timestep, Rows: block})
+		ctx.Emit(dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: block})
 	}
 	return nil
 }
@@ -281,7 +279,7 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 	}
 	for _, v := range values {
 		run := v.(*sortedRun)
-		if err := s.adopt(run.K, run.Step); err != nil {
+		if err := s.adopt(run.K); err != nil {
 			return err
 		}
 	}
@@ -296,7 +294,7 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 	if s.cfg.Output == nil {
 		s.sorted = make([]float64, s.rows*s.k)
 	} else {
-		pg, err := s.cfg.Output.ReservePG(ctx.Rank(), s.step, []bp.VarChunk{{
+		pg, err := s.cfg.Output.ReservePG(ctx.Rank(), ctx.Step(), []bp.VarChunk{{
 			Name: s.cfg.Var + "_sorted",
 			Dims: []uint64{uint64(s.rows), uint64(s.k)},
 		}})

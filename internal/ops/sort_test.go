@@ -61,9 +61,15 @@ func dealChunks(chunks []*staging.Chunk, ranks int) [][]*staging.Chunk {
 
 // runDump serves one dump: staging rank r maps streams[r] in order with
 // the given number of Map workers (one worker makes emit order the delivery
-// order) through ops[r].
+// order) through ops[r]. The dump's timestep is its chunks'.
 func runDump(t testing.TB, streams [][]*staging.Chunk, workers int, ops []staging.Operator) []*staging.Result {
 	t.Helper()
+	var step int64
+	for _, s := range streams {
+		for _, chunk := range s {
+			step = chunk.Timestep
+		}
+	}
 	results := make([]*staging.Result, len(streams))
 	err := mpi.Run(len(streams), func(c *mpi.Comm) error {
 		mine := streams[c.Rank()]
@@ -73,6 +79,7 @@ func runDump(t testing.TB, streams [][]*staging.Chunk, workers int, ops []stagin
 		}
 		close(ch)
 		eng := staging.NewEngine(staging.Config{Workers: workers})
+		eng.SetDump(step)
 		res, err := eng.ProcessDump(c, ch, ops[c.Rank():c.Rank()+1], nil)
 		results[c.Rank()] = res
 		return err

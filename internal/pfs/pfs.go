@@ -5,8 +5,8 @@
 // written (the BP layer depends on this). Every operation additionally
 // returns a modeled duration derived from a machine description: per-request
 // latency (metadata + seek), per-OST bandwidth, striping, sharing between
-// concurrent requests, an injected external load (other jobs on the shared
-// machine), and log-normal variability. The paper's evaluation leans on
+// concurrent requests, and log-normal variability standing in for the other
+// jobs on the shared machine. The paper's evaluation leans on
 // precisely these effects: synchronous-write latency growing with scale,
 // file-system noise that staging insulates the simulation from (the 0.25 s
 // to 7 s histogram-write spread), and the chunked-vs-merged read gap of
@@ -73,12 +73,11 @@ type Stats struct {
 type FileSystem struct {
 	cfg Config
 
-	mu       sync.Mutex
-	files    map[string]*fileData
-	rng      *rand.Rand
-	active   int     // in-flight requests (internal sharers)
-	external float64 // external load in units of equivalent concurrent jobs
-	stats    Stats
+	mu     sync.Mutex
+	files  map[string]*fileData
+	rng    *rand.Rand
+	active int // in-flight requests (sharers)
+	stats  Stats
 }
 
 // fileData stores a file as a sorted list of non-overlapping, non-empty
@@ -171,18 +170,6 @@ func New(cfg Config) (*FileSystem, error) {
 		files: make(map[string]*fileData),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
-}
-
-// SetExternalLoad injects load from other jobs sharing the file system,
-// in units of equivalent concurrent full-bandwidth streams. Zero means the
-// machine is otherwise idle.
-func (fs *FileSystem) SetExternalLoad(sharers float64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if sharers < 0 {
-		sharers = 0
-	}
-	fs.external = sharers
 }
 
 // Stats returns a snapshot of accumulated traffic counters.
@@ -325,13 +312,13 @@ func (f *File) ReadAt(p []byte, off int64) (time.Duration, error) {
 //
 // Model: the request touches up to `stripes` OSTs (fewer if it spans fewer
 // stripe units), giving a peak bandwidth of touched*OSTBandwidth. That
-// bandwidth is shared with the other in-flight internal requests and with
-// the injected external load, proportionally. A log-normal multiplier adds
-// the shared-machine variability the paper observes.
+// bandwidth is shared with the other in-flight requests, proportionally. A
+// log-normal multiplier adds the shared-machine variability the paper
+// observes.
 func (fs *FileSystem) chargeOp(size, off int64, stripes int, write bool) time.Duration {
 	fs.mu.Lock()
 	fs.active++
-	sharers := float64(fs.active) + fs.external
+	sharers := float64(fs.active)
 	noise := 1.0
 	if fs.cfg.VarSigma > 0 {
 		noise = math.Exp(fs.rng.NormFloat64() * fs.cfg.VarSigma)

@@ -181,23 +181,6 @@ func TestStripingIncreasesBandwidth(t *testing.T) {
 	}
 }
 
-func TestExternalLoadSlowsOperations(t *testing.T) {
-	fs, _ := New(quietConfig())
-	f, _ := fs.Create("x", 1)
-	buf := make([]byte, 8<<20)
-	dIdle, _ := f.WriteAt(buf, 0)
-	fs.SetExternalLoad(7)
-	dBusy, _ := f.WriteAt(buf, 0)
-	if float64(dBusy) < 4*float64(dIdle) {
-		t.Errorf("external load: idle %v busy %v (want >= ~4x)", dIdle, dBusy)
-	}
-	fs.SetExternalLoad(-3) // clamps to zero
-	dAgain, _ := f.WriteAt(buf, 0)
-	if dAgain > dIdle*11/10 {
-		t.Errorf("negative load not clamped: %v vs %v", dAgain, dIdle)
-	}
-}
-
 func TestVariabilityProducesSpread(t *testing.T) {
 	cfg := quietConfig()
 	cfg.VarSigma = 0.5

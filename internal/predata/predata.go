@@ -555,15 +555,15 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 func (s *Server) beginDump(timestep int64, stats *DumpStats) {
 	stats.RecoveryWall += s.recovery
 	s.recovery = 0
-	if s.cfg.Tracer != nil {
-		// Collective instants, engine phase spans, and the fabric's
-		// control-plane events all group under this timestep.
-		s.cfg.Comm.SetTraceDump(timestep)
-		s.cfg.Engine.SetTraceDump(timestep)
-	}
-	// The endpoint epoch always tracks the dump: partition windows key
-	// off it for control-plane sends, tracer or not.
+	// Tracer or not, the engine hands the timestep to the operators (and
+	// stamps it on its phase spans), and the endpoint epoch tracks it:
+	// partition windows and the fabric's control-plane events key off it.
+	s.cfg.Engine.SetDump(timestep)
 	s.cfg.Endpoint.SetEpoch(timestep)
+	if s.cfg.Tracer != nil {
+		// Collective instants group under the timestep too.
+		s.cfg.Comm.SetTraceDump(timestep)
+	}
 }
 
 // dumpRun is the state one dump's chunk feed shares with the goroutines

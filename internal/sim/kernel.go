@@ -113,8 +113,6 @@ type Resource struct {
 	jobs       []*job
 	lastUpdate float64
 	completion EventID
-	// Busy integrates job-seconds for utilization reporting.
-	busyTime float64
 }
 
 // job is a group of `count` identical jobs progressing together; grouping
@@ -156,12 +154,6 @@ func (r *Resource) InFlight() int {
 	return n
 }
 
-// BusyTime reports the integral of busy time (any job active).
-func (r *Resource) BusyTime() float64 {
-	r.advance()
-	return r.busyTime
-}
-
 // advance progresses all jobs to the current virtual time.
 func (r *Resource) advance() {
 	now := r.k.Now()
@@ -177,7 +169,6 @@ func (r *Resource) advance() {
 			j.remaining = 0
 		}
 	}
-	r.busyTime += dt
 }
 
 // reschedule plans the next completion event.

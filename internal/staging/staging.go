@@ -110,12 +110,13 @@ type Config struct {
 type Engine struct {
 	cfg Config
 
-	// Flight-recorder state. A staging rank serves dumps serially from
+	// dump is the timestep being served, and the flight-recorder state
+	// stamps it on phase spans. A staging rank serves dumps serially from
 	// one goroutine, so plain fields suffice; the Map workers only read
 	// them.
-	tracer    *trace.Recorder
-	traceEP   int
-	traceDump int64
+	dump    int64
+	tracer  *trace.Recorder
+	traceEP int
 }
 
 // NewEngine returns an engine with the given configuration.
@@ -123,7 +124,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	return &Engine{cfg: cfg, traceEP: -1, traceDump: -1}
+	return &Engine{cfg: cfg, traceEP: -1}
 }
 
 // SetTracer attaches a flight recorder; endpoint is the world rank
@@ -134,10 +135,10 @@ func (e *Engine) SetTracer(tr *trace.Recorder, endpoint int) {
 	e.traceEP = endpoint
 }
 
-// SetTraceDump stamps subsequent phase spans with the dump being
-// processed. The caller must not invoke it concurrently with
-// ProcessDump.
-func (e *Engine) SetTraceDump(dump int64) { e.traceDump = dump }
+// SetDump names the timestep the next ProcessDump serves (0 until
+// set): operators read it as Context.Step, and phase spans carry it. The
+// caller must not invoke it concurrently with ProcessDump.
+func (e *Engine) SetDump(dump int64) { e.dump = dump }
 
 // Context is the per-operator, per-dump execution context handed to every
 // operator callback.
@@ -147,7 +148,7 @@ type Context struct {
 	mu      sync.Mutex
 	emitted map[int][]any
 	results map[string]any
-	user    any
+	step    int64
 }
 
 // Rank returns the staging rank executing this context.
@@ -155,6 +156,11 @@ func (c *Context) Rank() int { return c.comm.Rank() }
 
 // Ranks returns the number of staging ranks.
 func (c *Context) Ranks() int { return c.comm.Size() }
+
+// Step returns the timestep of the dump being processed. The engine
+// knows it before the first chunk arrives, so a rank that maps no chunk
+// still writes its output under the right timestep.
+func (c *Context) Step() int64 { return c.step }
 
 // Comm exposes the staging communicator so operators can run custom
 // shuffles and synchronization with standard message passing — the paper's
@@ -174,13 +180,6 @@ func (c *Context) SetResult(key string, value any) {
 	defer c.mu.Unlock()
 	c.results[key] = value
 }
-
-// SetUser attaches operator-private state carried across phases of one
-// dump (set in Initialize, read in Map/Reduce/Finalize).
-func (c *Context) SetUser(v any) { c.user = v }
-
-// User returns the operator-private state.
-func (c *Context) User() any { return c.user }
 
 // Result reports the outcome of one dump on one staging rank.
 type Result struct {
@@ -239,12 +238,13 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			op:      op.Name(),
 			emitted: make(map[int][]any),
 			results: make(map[string]any),
+			step:    e.dump,
 		}
 	}
 
 	// Initialize.
 	start := time.Now()
-	sp := e.tracer.Begin(trace.PhaseInitialize, e.traceEP, -1, e.traceDump, -1)
+	sp := e.tracer.Begin(trace.PhaseInitialize, e.traceEP, -1, e.dump, -1)
 	for i, op := range ops {
 		if err := op.Initialize(ctxs[i], agg); err != nil {
 			sp.End(0)
@@ -268,7 +268,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		}
 	}
 	start = time.Now()
-	sp = e.tracer.Begin(trace.PhaseMap, e.traceEP, -1, e.traceDump, -1)
+	sp = e.tracer.Begin(trace.PhaseMap, e.traceEP, -1, e.dump, -1)
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -344,7 +344,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	for i, op := range ops {
 		opBD := res.OperatorBreakdown[op.Name()]
 		start = time.Now()
-		sp = e.tracer.Begin(trace.PhaseCombine, e.traceEP, -1, e.traceDump, int64(i))
+		sp = e.tracer.Begin(trace.PhaseCombine, e.traceEP, -1, e.dump, int64(i))
 		ctx := ctxs[i]
 		if cb, ok := op.(Combiner); ok {
 			for tag, vals := range ctx.emitted {
@@ -366,7 +366,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		sp.End(int64(emitted))
 
 		start = time.Now()
-		sp = e.tracer.Begin(trace.PhaseShuffle, e.traceEP, -1, e.traceDump, int64(i))
+		sp = e.tracer.Begin(trace.PhaseShuffle, e.traceEP, -1, e.dump, int64(i))
 		partition := func(tag int) int {
 			if p, ok := op.(Partitioner); ok {
 				return p.Partition(tag, comm.Size())
@@ -395,7 +395,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		opBD.Add("shuffle", time.Since(start))
 
 		start = time.Now()
-		sp = e.tracer.Begin(trace.PhaseReduce, e.traceEP, -1, e.traceDump, int64(i))
+		sp = e.tracer.Begin(trace.PhaseReduce, e.traceEP, -1, e.dump, int64(i))
 		groups := make(map[int][]any)
 		for _, row := range recv {
 			for _, tv := range row {
@@ -421,7 +421,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 
 	// Finalize.
 	start = time.Now()
-	sp = e.tracer.Begin(trace.PhaseFinalize, e.traceEP, -1, e.traceDump, -1)
+	sp = e.tracer.Begin(trace.PhaseFinalize, e.traceEP, -1, e.dump, -1)
 	for i, op := range ops {
 		if err := op.Finalize(ctxs[i]); err != nil {
 			sp.End(0)

@@ -297,9 +297,6 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// Enabled reports whether events are actually being recorded.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // now returns nanoseconds since the recording epoch (monotonic).
 func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
 

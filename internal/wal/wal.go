@@ -292,13 +292,11 @@ func (l *Log) Wall() time.Duration {
 }
 
 // Checkpoint is the compact dump-boundary state: every dump below
-// NextDump is fully reduced and committed, Epoch is the membership
-// epoch at the boundary, and Shard is an opaque shard snapshot (e.g.
-// dataspaces.Space.Snapshot) restored wholesale on recovery.
+// NextDump is fully reduced and committed, and Epoch is the membership
+// epoch at the boundary.
 type Checkpoint struct {
 	Epoch    int64
 	NextDump int64
-	Shard    []byte
 }
 
 // WriteCheckpoint durably writes the checkpoint, then truncates the
@@ -331,16 +329,12 @@ func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint64(hdr[1:9], uint64(c.Epoch))
 	binary.LittleEndian.PutUint64(hdr[9:17], uint64(c.NextDump))
-	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(c.Shard)))
-	binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(c.Shard))
+	// The length and CRC words (17:25) describe an empty payload: zero.
 	werr := func() error {
 		if _, err := cf.Write([]byte(checkpointMagic)); err != nil {
 			return err
 		}
 		if _, err := cf.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := cf.Write(c.Shard); err != nil {
 			return err
 		}
 		return cf.Sync()
@@ -527,15 +521,14 @@ func readCheckpoint(dir string) (Checkpoint, bool, error) {
 		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
 	}
 	hdr := b[len(checkpointMagic) : len(checkpointMagic)+headerSize]
-	shard := b[len(checkpointMagic)+headerSize:]
+	payload := b[len(checkpointMagic)+headerSize:]
 	length := binary.LittleEndian.Uint32(hdr[17:21])
-	if int(length) != len(shard) || crc32.ChecksumIEEE(shard) != binary.LittleEndian.Uint32(hdr[21:25]) {
+	if int(length) != len(payload) || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
 		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
 	}
 	return Checkpoint{
 		Epoch:    int64(binary.LittleEndian.Uint64(hdr[1:9])),
 		NextDump: int64(binary.LittleEndian.Uint64(hdr[9:17])),
-		Shard:    shard,
 	}, true, nil
 }
 
