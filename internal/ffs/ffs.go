@@ -154,6 +154,20 @@ var ErrTooLarge = errors.New("ffs: field exceeds the 32-bit length prefix")
 // fitsLen32 reports whether a length fits the u32 length prefix.
 func fitsLen32(n int) bool { return uint64(n) <= math.MaxUint32 }
 
+// Visitor receives the ranges AppendEncode appends, in order, each exactly
+// once. A block of a float64 array's payload arrives as (wrote, a, lo, hi):
+// the bytes of rows [lo, hi) of a's leading dimension. Every other range —
+// headers, scalars, dims, other payloads — arrives as (wrote, nil, 0, 0).
+// wrote aliases the buffer being built and is valid to read during the call.
+type Visitor func(wrote []byte, a *Array, lo, hi int)
+
+// VisitBlockBytes caps the numeric payload block handed to a Visitor: small
+// enough that the block is still in a core's L2 cache when the visitor reads
+// it, and below the size where a bulk copy bypasses the cache. A float64
+// array's block is as many whole rows as fit, or one row when a row is
+// larger.
+const VisitBlockBytes = 256 << 10
+
 // writer lays a record out in the wire format. The same field walk runs
 // twice: once sizing (nothing is written, n counts the bytes a write would
 // add), once appending into a buffer presized to that measure — so the size
@@ -164,6 +178,16 @@ type writer struct {
 	n      int
 	sizing bool
 	err    error
+	visit  Visitor // nil: nothing is visited
+	seen   int     // buf[:seen] has been visited (or is the caller's prefix)
+}
+
+// flush visits the bytes appended since the last visited range.
+func (w *writer) flush() {
+	if w.visit != nil && len(w.buf) > w.seen {
+		w.visit(w.buf[w.seen:len(w.buf):len(w.buf)], nil, 0, 0)
+		w.seen = len(w.buf)
+	}
 }
 
 func (w *writer) u8(v uint8) {
@@ -232,20 +256,50 @@ func (w *writer) words(count int) {
 	}
 }
 
-func (w *writer) f64s(v []float64) {
+// f64s writes a float64 payload; a is the array it belongs to, or nil.
+func (w *writer) f64s(v []float64, a *Array) {
 	w.words(len(v))
-	if !w.sizing {
-		w.buf = wire.AppendFloat64s(w.buf, v)
-	}
-	w.n += 8 * len(v)
+	appendPayload(w, v, a, wire.AppendFloat64s)
 }
 
 func (w *writer) i64s(v []int64) {
 	w.words(len(v))
-	if !w.sizing {
-		w.buf = wire.AppendInt64s(w.buf, v)
-	}
+	appendPayload(w, v, nil, wire.AppendInt64s)
+}
+
+// appendPayload appends the words of a numeric payload. With a visitor it
+// appends them in blocks of at most VisitBlockBytes and visits each block as
+// it lands, while it is still in cache: whole leading-dimension rows when a
+// is a float64 array, plain ranges otherwise.
+func appendPayload[T float64 | int64](w *writer, v []T, a *Array, put func([]byte, []T) []byte) {
 	w.n += 8 * len(v)
+	if w.sizing {
+		return
+	}
+	if w.visit == nil {
+		w.buf = put(w.buf, v)
+		return
+	}
+	w.flush()
+	rows, per := len(v), 1 // per: words in a row
+	if a != nil && a.Dims[0] != 0 {
+		rows, per = int(a.Dims[0]), len(v)/int(a.Dims[0])
+	}
+	step := rows // rows in a block; empty rows all go in one
+	if per > 0 {
+		step = max(VisitBlockBytes/(8*per), 1)
+	}
+	for lo := 0; lo < rows; lo += step {
+		hi := min(lo+step, rows)
+		at := len(w.buf)
+		w.buf = put(w.buf, v[lo*per:hi*per])
+		if wrote := w.buf[at:len(w.buf):len(w.buf)]; a != nil {
+			w.visit(wrote, a, lo, hi)
+		} else {
+			w.visit(wrote, nil, 0, 0)
+		}
+	}
+	w.seen = len(w.buf)
 }
 
 // reader is a bounds-checked little-endian cursor.
@@ -398,11 +452,19 @@ func Size(schema *Schema, rec Record) (int, error) {
 // decodable in place keeps len(dst) a multiple of 8 (a reserved frame
 // header, say) in a buffer with Size bytes of spare capacity. Each byte is
 // written once; application arrays are copied, never retained.
-func AppendEncode(dst []byte, schema *Schema, rec Record) ([]byte, error) {
-	w := &writer{buf: dst}
+//
+// A non-nil visit is called on every appended range, in order, so it sees
+// each byte of the encoding exactly once and never dst's prefix: a running
+// checksum of the visited ranges is the checksum of the encoding. Numeric
+// payloads are appended and visited in blocks of at most VisitBlockBytes,
+// so the visitor reads each block while the copy has left it in cache.
+// An array is validated before any of it is written or visited.
+func AppendEncode(dst []byte, schema *Schema, rec Record, visit Visitor) ([]byte, error) {
+	w := &writer{buf: dst, visit: visit, seen: len(dst)}
 	if err := w.record(schema, rec); err != nil {
 		return nil, err
 	}
+	w.flush()
 	return w.buf, nil
 }
 
@@ -414,7 +476,7 @@ func Encode(schema *Schema, rec Record) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return AppendEncode(make([]byte, 0, n), schema, rec)
+	return AppendEncode(make([]byte, 0, n), schema, rec, nil)
 }
 
 // record walks the whole encoding: header, schema, values.
@@ -484,7 +546,7 @@ func encodeValue(w *writer, f Field, v any) error {
 		if !ok {
 			return mismatch()
 		}
-		w.f64s(x)
+		w.f64s(x, nil)
 	case KindArray:
 		a, ok := v.(*Array)
 		if !ok {
@@ -498,7 +560,7 @@ func encodeValue(w *writer, f Field, v any) error {
 		w.u64s(a.Offsets)
 		if a.Float64 != nil {
 			w.u8(1)
-			w.f64s(a.Float64)
+			w.f64s(a.Float64, a)
 		} else {
 			w.u8(2)
 			w.i64s(a.Int64)

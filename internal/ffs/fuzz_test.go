@@ -1,6 +1,9 @@
 package ffs
 
 import (
+	"bytes"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -74,6 +77,107 @@ func FuzzDecode(f *testing.F) {
 				check(name, x.Float64)
 				check(name, x.Int64)
 			}
+		}
+	})
+}
+
+// FuzzAppendEncodeVisit holds the visitor to its contract over records of
+// every shape the fuzzer draws: the visited ranges, concatenated, are
+// Encode's bytes and nothing of dst's prefix, so a running CRC32 of them is
+// the encoding's; a float64 array's blocks are whole rows, in order,
+// covering the array, each as many rows as fit in VisitBlockBytes (one row
+// when a row is larger); and the encoding decodes back to the record.
+func FuzzAppendEncodeVisit(f *testing.F) {
+	f.Add(uint32(65536), uint32(8), uint8(3), uint32(100), true, int64(1)) // 4 MiB: 16 blocks
+	f.Add(uint32(0), uint32(8), uint8(0), uint32(0), false, int64(2))      // no rows
+	f.Add(uint32(2), uint32(40000), uint8(5), uint32(3), true, int64(3))   // rows larger than a block
+	f.Add(uint32(32769), uint32(1), uint8(7), uint32(40000), false, int64(4))
+	f.Add(uint32(33000), uint32(8), uint8(1), uint32(7), true, int64(5))
+	f.Add(uint32(5), uint32(0), uint8(2), uint32(1), false, int64(6)) // rows of no words
+	f.Fuzz(func(t *testing.T, rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bool, seed int64) {
+		rows, rowWords, sliceLen = rows%70000, rowWords%40000, sliceLen%40000
+		if rowWords > 0 && uint64(rows)*uint64(rowWords) > 1<<20 {
+			rows = 1 << 20 / rowWords
+		}
+		value := func(i int) float64 { return float64(int64(i)*(seed|1)%1000003) / 8 }
+		floats := make([]float64, int(rows)*int(rowWords))
+		for i := range floats {
+			floats[i] = value(i)
+		}
+		ints := make([]int64, sliceLen)
+		for i := range ints {
+			ints[i] = int64(i) * seed
+		}
+		arr := &Array{Dims: []uint64{uint64(rows), uint64(rowWords)}, Float64: floats}
+		if global {
+			arr.Global, arr.Offsets = []uint64{uint64(rows) + 3, uint64(rowWords)}, []uint64{3, 0}
+		}
+		schema := &Schema{Name: strings.Repeat("n", int(nameLen%8)), Fields: []Field{
+			{Name: "i", Kind: KindInt64},
+			{Name: "s", Kind: KindString},
+			{Name: "I", Kind: KindInt64Slice},
+			{Name: "F", Kind: KindFloat64Slice},
+			{Name: "a", Kind: KindArray},
+			{Name: "A", Kind: KindArray},
+		}}
+		rec := Record{
+			"i": seed, "s": strings.Repeat("s", int(nameLen%5)), "I": ints, "F": floats[:min(len(floats), int(sliceLen%70))],
+			"a": arr, "A": &Array{Dims: []uint64{3, 2}, Int64: []int64{1, -2, 3, -4, 5, -6}},
+		}
+		want, err := Encode(schema, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var (
+			seen []byte
+			sum  uint32
+			next int // the row the next float block must start at
+		)
+		rowBytes := 8 * int(rowWords)
+		visit := func(wrote []byte, a *Array, lo, hi int) {
+			seen = append(seen, wrote...)
+			sum = crc32.Update(sum, crc32.IEEETable, wrote)
+			if a == nil {
+				return
+			}
+			switch {
+			case a != arr:
+				t.Fatalf("block of %p, which is not the float64 array", a)
+			case lo != next || hi <= lo || hi > int(rows):
+				t.Fatalf("block [%d, %d) after row %d of %d", lo, hi, next, rows)
+			case len(wrote) != (hi-lo)*rowBytes:
+				t.Fatalf("block [%d, %d) wrote %d bytes, rows are %d bytes", lo, hi, len(wrote), rowBytes)
+			case len(wrote) > VisitBlockBytes && hi-lo > 1:
+				t.Fatalf("block [%d, %d) of %d bytes exceeds the %d-byte cap", lo, hi, len(wrote), VisitBlockBytes)
+			case hi < int(rows) && len(wrote)+rowBytes <= VisitBlockBytes:
+				t.Fatalf("block [%d, %d) of %d bytes stops short of the cap", lo, hi, len(wrote))
+			}
+			next = hi
+		}
+		prefix := []byte{0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE}
+		out, err := AppendEncode(append(make([]byte, 0, len(prefix)+len(want)), prefix...), schema, rec, visit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
+			t.Fatal("AppendEncode with a visitor wrote other bytes than Encode")
+		}
+		if !bytes.Equal(seen, want) {
+			t.Fatalf("visited %d bytes, not the %d-byte encoding", len(seen), len(want))
+		}
+		if sum != crc32.ChecksumIEEE(want) {
+			t.Fatalf("running CRC %08x, encoding's %08x", sum, crc32.ChecksumIEEE(want))
+		}
+		if next != int(rows) {
+			t.Fatalf("float blocks covered rows [0, %d) of %d", next, rows)
+		}
+		gotSchema, got, err := Decode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotSchema, schema) || !reflect.DeepEqual(got, rec) {
+			t.Fatal("decode did not give the record back")
 		}
 	})
 }

@@ -25,15 +25,37 @@ type ColumnMinMax struct {
 	Rows int
 }
 
+// Combine folds next, the partial of the rows that follow m's, into m:
+// per column it keeps m's value on ties and never adopts a NaN, exactly as
+// the one pass does, so folding the partials of consecutive row blocks in
+// order gives the one pass's result bit for bit. It reuses m's storage.
+func (m ColumnMinMax) Combine(next any) any {
+	n := next.(ColumnMinMax)
+	for i := range m.Min {
+		if n.Min[i] < m.Min[i] {
+			m.Min[i] = n.Min[i]
+		}
+		if n.Max[i] > m.Max[i] {
+			m.Max[i] = n.Max[i]
+		}
+	}
+	m.Rows += n.Rows
+	return m
+}
+
 // MinMaxPartial returns a PartialCalculate hook computing the local
 // min/max of the given columns of the [N, K] array variable varName —
 // the paper's Stage-1a example ("calculating local min/max values of
-// partial array chunks").
+// partial array chunks"). Its ColumnMinMax result is a predata.Combiner,
+// so Client.Write runs it block by block inside the packing walk.
 func MinMaxPartial(varName string, cols []int) predata.PartialFunc {
 	return func(schema *ffs.Schema, rec ffs.Record) (any, error) {
 		v, ok := rec[varName].(*ffs.Array)
 		if !ok {
 			return nil, fmt.Errorf("ops: record has no array variable %q", varName)
+		}
+		if err := v.Validate(); err != nil {
+			return nil, fmt.Errorf("ops: variable %q: %w", varName, err)
 		}
 		if len(v.Dims) != 2 || v.Float64 == nil {
 			return nil, fmt.Errorf("ops: variable %q is not a 2D float64 array", varName)

@@ -21,6 +21,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -77,7 +79,28 @@ func DefaultRoute(writerRank, numCompute, numStaging int) int {
 // PartialFunc is the compute-node first pass: a local, deterministic
 // operation on the output data whose (small) result rides on the fetch
 // request. Examples: local min/max, local array dimensions.
+//
+// When the record holds exactly one float64 array with at least one row,
+// Write calls the hook inside the packing walk, once per block of whole
+// rows the encoder has just copied into the frame, so the hook reads rows
+// that are still in cache. Each call gets a view record, lent for the call
+// only (the next block re-cuts it): every field as given, except that the
+// array is rows [lo, hi) — Dims[0] is hi-lo and, when Global is set,
+// Offsets[0] is advanced by lo. If the first block's result is a Combiner,
+// the blocks' results are folded in row order with Combine and the fold is
+// the partial; an error on a later block fails the Write. Otherwise — the
+// first result is not a Combiner, or that call failed — and for every
+// other record, the hook runs once on the whole record and its result is
+// the partial.
 type PartialFunc func(schema *ffs.Schema, rec ffs.Record) (any, error)
+
+// Combiner is a PartialFunc result that can absorb the result of the rows
+// that follow its own. Folding the results of any split of the rows into
+// consecutive blocks, in row order, must give exactly the result of one
+// call on all the rows. Combine may reuse the receiver's storage.
+type Combiner interface {
+	Combine(next any) any
+}
 
 // TransformFunc is an optional compute-node local processing pass applied
 // to the output before packing — the paper's Stage-1a "filtering out
@@ -194,14 +217,6 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 			return 0, fmt.Errorf("predata: Transform: %w", err)
 		}
 	}
-	var partial any
-	if c.cfg.PartialCalculate != nil {
-		p, err := c.cfg.PartialCalculate(schema, rec)
-		if err != nil {
-			return 0, fmt.Errorf("predata: PartialCalculate: %w", err)
-		}
-		partial = p
-	}
 	packed := &ffs.Schema{
 		Name: schema.Name,
 		Fields: append([]ffs.Field{
@@ -215,9 +230,14 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	}
 	full[fieldRank] = int64(c.cfg.WriterRank)
 	full[fieldTimestep] = timestep
-	buf, err := packFrame(packed, full)
+	fold := newPartialFold(c.cfg.PartialCalculate, schema, rec)
+	buf, err := packFrame(packed, full, fold)
 	if err != nil {
 		return 0, fmt.Errorf("predata: pack: %w", err)
+	}
+	partial, err := fold.result()
+	if err != nil {
+		return 0, fmt.Errorf("predata: PartialCalculate: %w", err)
 	}
 	c.cfg.Endpoint.SetEpoch(timestep)
 	h := c.cfg.Endpoint.Expose(buf)
@@ -249,14 +269,18 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	return visible, nil
 }
 
-// packFrame is Stage 1b: it sizes the record's encoding, allocates the one
-// buffer the chunk will ever occupy, encodes behind the reserved seal
-// header and seals in place. Seal at encode: the CRC frame travels through
-// the fabric untouched and is verified on the staging side before anything
-// reduces the chunk, so corruption anywhere along the path is caught end to
-// end. A record too large for the frame's length field is a named error
-// here, not a wrapped length the staging rank would re-pull as corruption.
-func packFrame(schema *ffs.Schema, rec ffs.Record) ([]byte, error) {
+// packFrame is Stage 1b, with Stage 1a folded into it: it sizes the
+// record's encoding, allocates the one buffer the chunk will ever occupy,
+// encodes behind the reserved seal header and seals in place. It is one
+// walk over the data: the encoder copies each cache-sized block into the
+// frame and hands it over, the partial fold reads the block's rows, and the
+// seal's CRC takes its bytes, all while the block is still in cache. Seal at
+// encode: the CRC frame travels through the fabric untouched and is
+// verified on the staging side before anything reduces the chunk, so
+// corruption anywhere along the path is caught end to end. A record too
+// large for the frame's length field is a named error here, not a wrapped
+// length the staging rank would re-pull as corruption.
+func packFrame(schema *ffs.Schema, rec ffs.Record, fold *partialFold) ([]byte, error) {
 	n, err := ffs.Size(schema, rec)
 	if err != nil {
 		return nil, err
@@ -265,12 +289,115 @@ func packFrame(schema *ffs.Schema, rec ffs.Record) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame, err := ffs.AppendEncode(make([]byte, staging.SealOverhead, size), schema, rec)
+	var sum uint32
+	frame, err := ffs.AppendEncode(make([]byte, staging.SealOverhead, size), schema, rec,
+		func(wrote []byte, a *ffs.Array, lo, hi int) {
+			fold.block(a, lo, hi)
+			sum = crc32.Update(sum, crc32.IEEETable, wrote)
+		})
 	if err != nil {
 		return nil, err
 	}
-	staging.SealInPlace(frame)
+	staging.SealInPlace(frame, sum)
 	return frame, nil
+}
+
+// partialFold runs the PartialCalculate hook inside packFrame's walk, block
+// by block over the record's one float64 array (see PartialFunc).
+type partialFold struct {
+	fn     PartialFunc
+	schema *ffs.Schema
+	rec    ffs.Record
+	field  string
+	arr    *ffs.Array // the array folded block by block; nil: none, or no longer
+	acc    any        // the fold of the blocks so far
+	folded bool       // the first block's result was a Combiner
+	err    error      // a later block's hook or fold failed
+
+	viewRec ffs.Record // rec with cut in place of arr
+	cut     *ffs.Array // arr's rows of the current block
+}
+
+// newPartialFold returns the fold for one Write, or nil when there is no
+// hook: a nil fold visits nothing and its partial is nil.
+func newPartialFold(fn PartialFunc, schema *ffs.Schema, rec ffs.Record) *partialFold {
+	if fn == nil {
+		return nil
+	}
+	f := &partialFold{fn: fn, schema: schema, rec: rec}
+	arrays := 0
+	for name, v := range rec {
+		if a, ok := v.(*ffs.Array); ok && a.Float64 != nil {
+			arrays++
+			f.field, f.arr = name, a
+		}
+	}
+	if arrays != 1 || len(f.arr.Dims) == 0 || f.arr.Dims[0] == 0 {
+		f.arr = nil
+	}
+	return f
+}
+
+// block folds rows [lo, hi) of a, which the walk has just copied; any
+// other range of the walk (a nil or another array) is not the fold's.
+func (f *partialFold) block(a *ffs.Array, lo, hi int) {
+	if f == nil || a == nil || a != f.arr || f.err != nil {
+		return
+	}
+	p, err := f.fn(f.schema, f.view(lo, hi))
+	if !f.folded {
+		if _, ok := p.(Combiner); err != nil || !ok {
+			f.arr = nil // not foldable: the hook runs on the whole record
+			return
+		}
+		f.acc, f.folded = p, true
+		return
+	}
+	if err != nil {
+		f.err = fmt.Errorf("rows [%d, %d) of %q: %w", lo, hi, f.field, err)
+		return
+	}
+	c, ok := f.acc.(Combiner)
+	if !ok {
+		f.err = fmt.Errorf("Combine returned %T, not a Combiner", f.acc)
+		return
+	}
+	f.acc = c.Combine(p)
+}
+
+// view returns the record with the array cut to rows [lo, hi). One record
+// and one array serve every block, re-cut each time.
+func (f *partialFold) view(lo, hi int) ffs.Record {
+	a := f.arr
+	if f.cut == nil {
+		f.cut = &ffs.Array{Dims: slices.Clone(a.Dims), Global: a.Global, Offsets: slices.Clone(a.Offsets)}
+		f.viewRec = make(ffs.Record, len(f.rec))
+		for k, x := range f.rec {
+			f.viewRec[k] = x
+		}
+		f.viewRec[f.field] = f.cut
+	}
+	per := len(a.Float64) / int(a.Dims[0])
+	f.cut.Dims[0] = uint64(hi - lo)
+	if a.Global != nil {
+		f.cut.Offsets[0] = a.Offsets[0] + uint64(lo)
+	}
+	f.cut.Float64 = a.Float64[lo*per : hi*per : hi*per]
+	return f.viewRec
+}
+
+// result returns the partial: the fold of the blocks, or, when nothing was
+// folded, one call on the whole record.
+func (f *partialFold) result() (any, error) {
+	switch {
+	case f == nil:
+		return nil, nil
+	case f.err != nil:
+		return nil, f.err
+	case f.folded:
+		return f.acc, nil
+	}
+	return f.fn(f.schema, f.rec)
 }
 
 // sendWithRetry dispatches the fetch request, retrying transient faults

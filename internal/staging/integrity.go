@@ -54,18 +54,15 @@ func FrameSize(payloadLen int) (int, error) {
 
 // SealInPlace seals a frame whose payload is already in position: frame is
 // FrameSize(n) bytes with the payload at frame[SealOverhead:], and the
-// header — magic, length, CRC of the payload — is written into the
-// reserved frame[:SealOverhead]. No second buffer exists at any point.
-func SealInPlace(frame []byte) {
-	writeSealHeader(frame, frame[SealOverhead:])
-}
-
-// writeSealHeader fills frame's header for payload, whose length FrameSize
-// has checked.
-func writeSealHeader(frame, payload []byte) {
+// header — magic, length, sum — is written into the reserved
+// frame[:SealOverhead]. sum is the payload's CRC32 (IEEE), which the caller
+// folded with crc32.Update while it wrote the payload, block by block with
+// each block still in cache; the payload is not read again. No second
+// buffer exists at any point.
+func SealInPlace(frame []byte, sum uint32) {
 	n := copy(frame, sealMagic)
-	binary.LittleEndian.PutUint32(frame[n:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[n+4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(frame[n:], uint32(len(frame)-SealOverhead))
+	binary.LittleEndian.PutUint32(frame[n+4:], sum)
 }
 
 // Seal frames a copy of payload with a magic header, its length, and a CRC
@@ -78,8 +75,8 @@ func Seal(payload []byte) []byte {
 		panic(err)
 	}
 	out := make([]byte, size)
-	writeSealHeader(out, payload)
 	copy(out[SealOverhead:], payload)
+	SealInPlace(out, crc32.ChecksumIEEE(payload))
 	return out
 }
 

@@ -3,6 +3,7 @@ package staging
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -58,9 +59,10 @@ func TestSealDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestSealInPlaceMatchesSeal: a payload written behind a reserved header
-// and sealed where it lies is byte-for-byte the frame Seal builds by copy,
-// and the payload bytes are not touched.
+// TestSealInPlaceMatchesSeal: a payload written behind a reserved header,
+// its CRC folded block by block as it was written, and sealed where it lies
+// is byte-for-byte the frame Seal builds by copy, and the payload bytes are
+// not touched. A sum that is not the payload's makes a frame Unseal refuses.
 func TestSealInPlaceMatchesSeal(t *testing.T) {
 	payload := bytes.Repeat([]byte("in-place "), 1000)
 	size, err := FrameSize(len(payload))
@@ -68,9 +70,15 @@ func TestSealInPlaceMatchesSeal(t *testing.T) {
 		t.Fatalf("FrameSize(%d) = %d, %v", len(payload), size, err)
 	}
 	frame := make([]byte, SealOverhead, size)
-	frame = append(frame, payload...)
+	var sum uint32
+	for rest := payload; len(rest) > 0; {
+		block := rest[:min(len(rest), 777)]
+		rest = rest[len(block):]
+		frame = append(frame, block...)
+		sum = crc32.Update(sum, crc32.IEEETable, frame[len(frame)-len(block):])
+	}
 	backing := &frame[0]
-	SealInPlace(frame)
+	SealInPlace(frame, sum)
 	if &frame[0] != backing || !bytes.Equal(frame, Seal(payload)) {
 		t.Fatal("in-place seal differs from Seal's frame")
 	}
@@ -80,6 +88,10 @@ func TestSealInPlaceMatchesSeal(t *testing.T) {
 	}
 	if SealOverhead%8 != 0 {
 		t.Errorf("SealOverhead %d breaks the payload's 8-byte offsets", SealOverhead)
+	}
+	SealInPlace(frame, sum^1)
+	if _, err := Unseal(frame); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("frame sealed with a wrong sum: Unseal = %v, want ErrCorrupt", err)
 	}
 }
 
