@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -339,5 +340,56 @@ func BenchmarkFullScan100k(b *testing.B) {
 			}
 		}
 		_ = out
+	}
+}
+
+// TestBinClampsOutOfRange: values past either end of the range, infinities
+// and NaN land in the edge bins. Converting before clamping sends +Inf and
+// anything at 1e18 or above to bin 0 on amd64, where an out-of-range
+// float-to-int conversion gives math.MinInt64.
+func TestBinClampsOutOfRange(t *testing.T) {
+	r := [2]float64{0, 1}
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{
+		{math.Inf(1), 63}, {1e18, 63}, {1e300, 63}, {1, 63}, {0.99999, 63},
+		{math.Inf(-1), 0}, {-1e18, 0}, {-0.5, 0}, {math.NaN(), 0}, {0, 0},
+		{0.5, 32}, {1.0 / 64, 1},
+	} {
+		if got := Bin(c.x, r, 64); got != c.want {
+			t.Errorf("Bin(%g, [0, 1], 64) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestIndexQueryUnboundedAbove: a query whose upper bound is +Inf (or any
+// bound past the range) returns every row at or above its lower bound.
+func TestIndexQueryUnboundedAbove(t *testing.T) {
+	values := make([]float64, 500)
+	rng := rand.New(rand.NewSource(5))
+	for i := range values {
+		values[i] = rng.Float64()
+	}
+	ix, err := BuildIndex(values, 64, [2]float64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hi := range []float64{math.Inf(1), 1e18} {
+		for _, lo := range []float64{0, 0.5} {
+			rows, err := ix.Query(values, RangeQuery{Lo: lo, Hi: hi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for _, v := range values {
+				if v >= lo {
+					want++
+				}
+			}
+			if len(rows) != want {
+				t.Errorf("Query [%g, %g) returned %d rows, want %d", lo, hi, len(rows), want)
+			}
+		}
 	}
 }

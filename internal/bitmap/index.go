@@ -15,17 +15,24 @@ type Index struct {
 	bitmaps []*Bitmap
 }
 
-// binFor maps a value to its bin, clamping to the edge bins.
-func (ix *Index) binFor(x float64) int {
-	b := int(float64(ix.Bins) * (x - ix.Range[0]) / (ix.Range[1] - ix.Range[0]))
-	if b < 0 {
-		b = 0
+// Bin maps x to one of bins equal-width bins over the range r, clamping
+// to the edge bins: below the range (and NaN) to bin 0, at or above its
+// top (and +Inf) to bin bins-1. It clamps as a float, before converting:
+// an out-of-range float-to-int conversion is implementation-defined (on
+// amd64 it gives math.MinInt64, which would land +Inf in bin 0).
+func Bin(x float64, r [2]float64, bins int) int {
+	b := float64(bins) * (x - r[0]) / (r[1] - r[0])
+	if !(b > 0) {
+		return 0
 	}
-	if b >= ix.Bins {
-		b = ix.Bins - 1
+	if b >= float64(bins) {
+		return bins - 1
 	}
-	return b
+	return int(b)
 }
+
+// binFor maps a value to its bin, clamping to the edge bins.
+func (ix *Index) binFor(x float64) int { return Bin(x, ix.Range, ix.Bins) }
 
 // BuildIndex builds a binned index over values.
 func BuildIndex(values []float64, bins int, r [2]float64) (*Index, error) {

@@ -168,6 +168,45 @@ type Visitor func(wrote []byte, a *Array, lo, hi int)
 // larger.
 const VisitBlockBytes = 256 << 10
 
+// BlockRows returns the rows of perRow float64 words each (perRow > 0) that
+// make one visited block: as many whole rows as fit in VisitBlockBytes, or
+// one row when a row is larger. A kernel that walks an array in blocks of
+// BlockRows rows reads it in the blocks AppendEncode and Walk visit.
+func BlockRows(perRow int) int { return max(VisitBlockBytes/(8*perRow), 1) }
+
+// SoleFloat64Array returns the field name and array of rec's float64 array
+// when it has exactly one, and nil otherwise: the array whose rows the
+// visitors of AppendEncode and Walk hand over block by block.
+func SoleFloat64Array(rec Record) (string, *Array) {
+	var (
+		field string
+		sole  *Array
+	)
+	for name, v := range rec {
+		if a, ok := v.(*Array); ok && a.Float64 != nil {
+			if sole != nil {
+				return "", nil
+			}
+			field, sole = name, a
+		}
+	}
+	return field, sole
+}
+
+// arrayBlocks returns how a float64 array of n words is cut into visited
+// blocks: rows of per words, step rows to a block. An array with no leading
+// rows counts its words as rows; rows of no words all go in one block.
+func arrayBlocks(a *Array, n int) (rows, per, step int) {
+	rows, per = n, 1
+	if a.Dims[0] != 0 {
+		rows, per = int(a.Dims[0]), n/int(a.Dims[0])
+	}
+	if per == 0 {
+		return rows, 0, rows
+	}
+	return rows, per, BlockRows(per)
+}
+
 // writer lays a record out in the wire format. The same field walk runs
 // twice: once sizing (nothing is written, n counts the bytes a write would
 // add), once appending into a buffer presized to that measure — so the size
@@ -281,13 +320,9 @@ func appendPayload[T float64 | int64](w *writer, v []T, a *Array, put func([]byt
 		return
 	}
 	w.flush()
-	rows, per := len(v), 1 // per: words in a row
-	if a != nil && a.Dims[0] != 0 {
-		rows, per = int(a.Dims[0]), len(v)/int(a.Dims[0])
-	}
-	step := rows // rows in a block; empty rows all go in one
-	if per > 0 {
-		step = max(VisitBlockBytes/(8*per), 1)
+	rows, per, step := len(v), 1, BlockRows(1)
+	if a != nil {
+		rows, per, step = arrayBlocks(a, len(v))
 	}
 	for lo := 0; lo < rows; lo += step {
 		hi := min(lo+step, rows)
@@ -351,6 +386,13 @@ func (r *reader) u64() uint64 {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return v
+}
+
+// skip steps over n bytes.
+func (r *reader) skip(n int) {
+	if r.need(n) {
+		r.off += n
+	}
 }
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
@@ -608,6 +650,103 @@ func Decode(buf []byte) (*Schema, Record, error) {
 		return nil, nil, fmt.Errorf("ffs: %d trailing bytes after record", len(buf)-r.off)
 	}
 	return schema, rec, nil
+}
+
+// Walk visits buf, an encoding that Decode turned into rec, in the ranges
+// AppendEncode visited while writing it: every byte exactly once, in order.
+// The payload of each float64 array arrives in blocks of whole rows of at
+// most VisitBlockBytes as (block, a, lo, hi), a being rec's decoded array;
+// every other range arrives as (range, nil, 0, 0). Walk parses only the
+// headers and hands each payload range over unread, so a running checksum
+// of the visited ranges is the checksum of buf, and a visitor that also
+// reads a block's rows (from a.Float64) reads them while the checksum has
+// just pulled the block into cache. A buf whose layout does not match rec
+// is an error.
+func Walk(buf []byte, rec Record, visit Visitor) error {
+	r := &reader{buf: buf}
+	seen := 0
+	flush := func() {
+		if r.off > seen {
+			visit(buf[seen:r.off:r.off], nil, 0, 0)
+			seen = r.off
+		}
+	}
+	if m := r.u32(); r.err == nil && m != Magic {
+		return fmt.Errorf("ffs: bad magic 0x%08x", m)
+	}
+	r.skip(int(r.u32())) // schema name
+	nf := int(r.u32())
+	if r.err != nil {
+		return r.err
+	}
+	if nf > 1<<20 {
+		return fmt.Errorf("ffs: implausible field count %d", nf)
+	}
+	// The field descriptors are read a second time, in step with the
+	// values, by a cursor of their own: nothing is allocated.
+	desc := &reader{buf: buf, off: r.off}
+	for range nf {
+		r.skip(int(r.u32()))
+		r.u8()
+	}
+	for range nf {
+		if r.err != nil || desc.err != nil {
+			break
+		}
+		n := int(desc.u32())
+		if !desc.need(n) {
+			break
+		}
+		name := buf[desc.off : desc.off+n]
+		desc.off += n
+		switch kind := Kind(desc.u8()); kind {
+		case KindInt64, KindUint64, KindFloat64:
+			r.skip(8)
+		case KindString, KindBytes:
+			r.skip(int(r.u32()))
+		case KindInt64Slice:
+			r.words("int64")
+		case KindFloat64Slice:
+			r.words("float64")
+		case KindArray:
+			for range 3 { // dims, global, offsets
+				r.skip(8 * int(r.u32()))
+			}
+			if r.u8() != 1 {
+				r.words("int64")
+				continue
+			}
+			p := r.words("float64")
+			if r.err != nil {
+				break
+			}
+			a, ok := rec[string(name)].(*Array)
+			if !ok || a.Float64 == nil || len(a.Float64) != len(p)/8 || a.Validate() != nil {
+				return fmt.Errorf("ffs: walk: field %q is not the record's float64 array", name)
+			}
+			end := r.off
+			r.off -= len(p)
+			flush() // up to the payload
+			rows, per, step := arrayBlocks(a, len(a.Float64))
+			for lo := 0; lo < rows; lo += step {
+				hi := min(lo+step, rows)
+				visit(p[lo*per*8:hi*per*8:hi*per*8], a, lo, hi)
+			}
+			r.off, seen = end, end
+		default:
+			return fmt.Errorf("ffs: field %q has unsupported kind %v", name, kind)
+		}
+	}
+	switch {
+	case r.err != nil:
+		return r.err
+	case desc.err != nil:
+		return desc.err
+	case r.off != len(buf):
+		return fmt.Errorf("ffs: %d trailing bytes after record", len(buf)-r.off)
+	}
+	flush()
+	return nil
 }
 
 func decodeValue(r *reader, f Field) (any, error) {

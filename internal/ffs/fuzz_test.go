@@ -2,7 +2,9 @@ package ffs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,90 +90,24 @@ func FuzzDecode(f *testing.F) {
 // covering the array, each as many rows as fit in VisitBlockBytes (one row
 // when a row is larger); and the encoding decodes back to the record.
 func FuzzAppendEncodeVisit(f *testing.F) {
-	f.Add(uint32(65536), uint32(8), uint8(3), uint32(100), true, int64(1)) // 4 MiB: 16 blocks
-	f.Add(uint32(0), uint32(8), uint8(0), uint32(0), false, int64(2))      // no rows
-	f.Add(uint32(2), uint32(40000), uint8(5), uint32(3), true, int64(3))   // rows larger than a block
-	f.Add(uint32(32769), uint32(1), uint8(7), uint32(40000), false, int64(4))
-	f.Add(uint32(33000), uint32(8), uint8(1), uint32(7), true, int64(5))
-	f.Add(uint32(5), uint32(0), uint8(2), uint32(1), false, int64(6)) // rows of no words
+	visitSeeds(f)
 	f.Fuzz(func(t *testing.T, rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bool, seed int64) {
-		rows, rowWords, sliceLen = rows%70000, rowWords%40000, sliceLen%40000
-		if rowWords > 0 && uint64(rows)*uint64(rowWords) > 1<<20 {
-			rows = 1 << 20 / rowWords
-		}
-		value := func(i int) float64 { return float64(int64(i)*(seed|1)%1000003) / 8 }
-		floats := make([]float64, int(rows)*int(rowWords))
-		for i := range floats {
-			floats[i] = value(i)
-		}
-		ints := make([]int64, sliceLen)
-		for i := range ints {
-			ints[i] = int64(i) * seed
-		}
-		arr := &Array{Dims: []uint64{uint64(rows), uint64(rowWords)}, Float64: floats}
-		if global {
-			arr.Global, arr.Offsets = []uint64{uint64(rows) + 3, uint64(rowWords)}, []uint64{3, 0}
-		}
-		schema := &Schema{Name: strings.Repeat("n", int(nameLen%8)), Fields: []Field{
-			{Name: "i", Kind: KindInt64},
-			{Name: "s", Kind: KindString},
-			{Name: "I", Kind: KindInt64Slice},
-			{Name: "F", Kind: KindFloat64Slice},
-			{Name: "a", Kind: KindArray},
-			{Name: "A", Kind: KindArray},
-		}}
-		rec := Record{
-			"i": seed, "s": strings.Repeat("s", int(nameLen%5)), "I": ints, "F": floats[:min(len(floats), int(sliceLen%70))],
-			"a": arr, "A": &Array{Dims: []uint64{3, 2}, Int64: []int64{1, -2, 3, -4, 5, -6}},
-		}
+		schema, rec, arr := fuzzRecord(rows, rowWords, nameLen, sliceLen, global, seed)
 		want, err := Encode(schema, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		var (
-			seen []byte
-			sum  uint32
-			next int // the row the next float block must start at
-		)
-		rowBytes := 8 * int(rowWords)
-		visit := func(wrote []byte, a *Array, lo, hi int) {
-			seen = append(seen, wrote...)
-			sum = crc32.Update(sum, crc32.IEEETable, wrote)
-			if a == nil {
-				return
-			}
-			switch {
-			case a != arr:
-				t.Fatalf("block of %p, which is not the float64 array", a)
-			case lo != next || hi <= lo || hi > int(rows):
-				t.Fatalf("block [%d, %d) after row %d of %d", lo, hi, next, rows)
-			case len(wrote) != (hi-lo)*rowBytes:
-				t.Fatalf("block [%d, %d) wrote %d bytes, rows are %d bytes", lo, hi, len(wrote), rowBytes)
-			case len(wrote) > VisitBlockBytes && hi-lo > 1:
-				t.Fatalf("block [%d, %d) of %d bytes exceeds the %d-byte cap", lo, hi, len(wrote), VisitBlockBytes)
-			case hi < int(rows) && len(wrote)+rowBytes <= VisitBlockBytes:
-				t.Fatalf("block [%d, %d) of %d bytes stops short of the cap", lo, hi, len(wrote))
-			}
-			next = hi
-		}
+		log := &visitLog{t: t, arr: arr}
 		prefix := []byte{0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE}
-		out, err := AppendEncode(append(make([]byte, 0, len(prefix)+len(want)), prefix...), schema, rec, visit)
+		out, err := AppendEncode(append(make([]byte, 0, len(prefix)+len(want)), prefix...), schema, rec, log.visit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
 			t.Fatal("AppendEncode with a visitor wrote other bytes than Encode")
 		}
-		if !bytes.Equal(seen, want) {
-			t.Fatalf("visited %d bytes, not the %d-byte encoding", len(seen), len(want))
-		}
-		if sum != crc32.ChecksumIEEE(want) {
-			t.Fatalf("running CRC %08x, encoding's %08x", sum, crc32.ChecksumIEEE(want))
-		}
-		if next != int(rows) {
-			t.Fatalf("float blocks covered rows [0, %d) of %d", next, rows)
-		}
+		log.check(want)
 		gotSchema, got, err := Decode(want)
 		if err != nil {
 			t.Fatal(err)
@@ -180,4 +116,141 @@ func FuzzAppendEncodeVisit(f *testing.F) {
 			t.Fatal("decode did not give the record back")
 		}
 	})
+}
+
+// FuzzDecodeWalk holds Walk to the same contract from the receiving side:
+// over the decoded record of every drawn encoding, the visited ranges
+// concatenate to the buffer and their running CRC32 is its checksum; the
+// float64 array's blocks are whole rows, in order, within the cache-sized
+// cap, handed over with the decoded array; and each block's bytes are that
+// array's rows [lo, hi). A record that is not the buffer's is an error.
+func FuzzDecodeWalk(f *testing.F) {
+	visitSeeds(f)
+	f.Fuzz(func(t *testing.T, rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bool, seed int64) {
+		schema, rec, _ := fuzzRecord(rows, rowWords, nameLen, sliceLen, global, seed)
+		buf, err := Encode(schema, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := got["a"].(*Array)
+		log := &visitLog{t: t, arr: a}
+		per := 0
+		if a.Dims[0] != 0 {
+			per = len(a.Float64) / int(a.Dims[0])
+		}
+		if err := Walk(buf, got, func(b []byte, va *Array, lo, hi int) {
+			log.visit(b, va, lo, hi)
+			if va == nil {
+				return
+			}
+			for i, x := range a.Float64[lo*per : hi*per] {
+				if w := binary.LittleEndian.Uint64(b[8*i:]); w != math.Float64bits(x) {
+					t.Fatalf("block [%d, %d) word %d is %#x, the decoded row holds %#x", lo, hi, i, w, math.Float64bits(x))
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		log.check(buf)
+		delete(got, "a")
+		if err := Walk(buf, got, func([]byte, *Array, int, int) {}); err == nil {
+			t.Fatal("Walk accepted a record without the buffer's array")
+		}
+	})
+}
+
+// visitLog checks the ranges a Visitor receives, as they arrive, against
+// the contract AppendEncode and Walk share; check compares the whole with
+// the buffer once the walk is over.
+type visitLog struct {
+	t    *testing.T
+	arr  *Array // the float64 array whose blocks arrive
+	seen []byte
+	sum  uint32
+	next int // the row the next float block must start at
+}
+
+func (l *visitLog) visit(b []byte, a *Array, lo, hi int) {
+	t := l.t
+	l.seen = append(l.seen, b...)
+	l.sum = crc32.Update(l.sum, crc32.IEEETable, b)
+	if a == nil {
+		return
+	}
+	rows, rowBytes := int(l.arr.Dims[0]), 8*int(l.arr.Dims[1])
+	switch {
+	case a != l.arr:
+		t.Fatalf("block of %p, which is not the float64 array", a)
+	case lo != l.next || hi <= lo || hi > rows:
+		t.Fatalf("block [%d, %d) after row %d of %d", lo, hi, l.next, rows)
+	case len(b) != (hi-lo)*rowBytes:
+		t.Fatalf("block [%d, %d) holds %d bytes, rows are %d bytes", lo, hi, len(b), rowBytes)
+	case len(b) > VisitBlockBytes && hi-lo > 1:
+		t.Fatalf("block [%d, %d) of %d bytes exceeds the %d-byte cap", lo, hi, len(b), VisitBlockBytes)
+	case hi < rows && len(b)+rowBytes <= VisitBlockBytes:
+		t.Fatalf("block [%d, %d) of %d bytes stops short of the cap", lo, hi, len(b))
+	}
+	l.next = hi
+}
+
+func (l *visitLog) check(want []byte) {
+	t := l.t
+	if !bytes.Equal(l.seen, want) {
+		t.Fatalf("visited %d bytes, not the %d-byte encoding", len(l.seen), len(want))
+	}
+	if l.sum != crc32.ChecksumIEEE(want) {
+		t.Fatalf("running CRC %08x, encoding's %08x", l.sum, crc32.ChecksumIEEE(want))
+	}
+	if l.next != int(l.arr.Dims[0]) {
+		t.Fatalf("float blocks covered rows [0, %d) of %d", l.next, l.arr.Dims[0])
+	}
+}
+
+// visitSeeds are the record shapes both visitor fuzzers start from.
+func visitSeeds(f *testing.F) {
+	f.Add(uint32(65536), uint32(8), uint8(3), uint32(100), true, int64(1)) // 4 MiB: 16 blocks
+	f.Add(uint32(0), uint32(8), uint8(0), uint32(0), false, int64(2))      // no rows
+	f.Add(uint32(2), uint32(40000), uint8(5), uint32(3), true, int64(3))   // rows larger than a block
+	f.Add(uint32(32769), uint32(1), uint8(7), uint32(40000), false, int64(4))
+	f.Add(uint32(33000), uint32(8), uint8(1), uint32(7), true, int64(5))
+	f.Add(uint32(5), uint32(0), uint8(2), uint32(1), false, int64(6)) // rows of no words
+}
+
+// fuzzRecord builds the record a visitor fuzzer draws: every field kind, a
+// [rows, rowWords] float64 array arr (bounded to 8 MiB) and an int64 array.
+func fuzzRecord(rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bool, seed int64) (*Schema, Record, *Array) {
+	rows, rowWords, sliceLen = rows%70000, rowWords%40000, sliceLen%40000
+	if rowWords > 0 && uint64(rows)*uint64(rowWords) > 1<<20 {
+		rows = 1 << 20 / rowWords
+	}
+	value := func(i int) float64 { return float64(int64(i)*(seed|1)%1000003) / 8 }
+	floats := make([]float64, int(rows)*int(rowWords))
+	for i := range floats {
+		floats[i] = value(i)
+	}
+	ints := make([]int64, sliceLen)
+	for i := range ints {
+		ints[i] = int64(i) * seed
+	}
+	arr := &Array{Dims: []uint64{uint64(rows), uint64(rowWords)}, Float64: floats}
+	if global {
+		arr.Global, arr.Offsets = []uint64{uint64(rows) + 3, uint64(rowWords)}, []uint64{3, 0}
+	}
+	schema := &Schema{Name: strings.Repeat("n", int(nameLen%8)), Fields: []Field{
+		{Name: "i", Kind: KindInt64},
+		{Name: "s", Kind: KindString},
+		{Name: "I", Kind: KindInt64Slice},
+		{Name: "F", Kind: KindFloat64Slice},
+		{Name: "a", Kind: KindArray},
+		{Name: "A", Kind: KindArray},
+	}}
+	rec := Record{
+		"i": seed, "s": strings.Repeat("s", int(nameLen%5)), "I": ints, "F": floats[:min(len(floats), int(sliceLen%70))],
+		"a": arr, "A": &Array{Dims: []uint64{3, 2}, Int64: []int64{1, -2, 3, -4, 5, -6}},
+	}
+	return schema, rec, arr
 }

@@ -5,7 +5,9 @@ import (
 	"slices"
 	"sync"
 
+	"predata/internal/bitmap"
 	"predata/internal/bp"
+	"predata/internal/ffs"
 	"predata/internal/staging"
 )
 
@@ -95,36 +97,71 @@ func (h *HistogramOperator) Initialize(ctx *staging.Context, agg map[string]any)
 	return nil
 }
 
-// binOf maps a value to its bin under range r.
-func binOf(x float64, r [2]float64, bins int) int {
-	b := int(float64(bins) * (x - r[0]) / (r[1] - r[0]))
-	if b < 0 {
-		b = 0
-	}
-	if b >= bins {
-		b = bins - 1
-	}
-	return b
-}
-
-// Map bins the chunk's rows locally and emits one count vector per column.
+// Map bins the chunk's rows locally and emits one count vector per column:
+// the block kernel of StartMap, run over the whole array.
 func (h *HistogramOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
-	arr, rows, k, err := matrixVar(chunk, h.cfg.Var)
+	m, arr, err := h.startMap(ctx, chunk)
 	if err != nil {
 		return err
 	}
-	for tag, c := range h.cfg.Columns {
-		if c >= k {
-			return fmt.Errorf("ops: histogram column %d outside %d columns", c, k)
-		}
-		counts := make([]int64, h.cfg.Bins)
-		r := h.ranges[c]
-		for row := 0; row < rows; row++ {
-			counts[binOf(arr.Float64[row*k+c], r, h.cfg.Bins)]++
-		}
-		ctx.Emit(tag, counts)
-	}
+	staging.MapInBlocks(m, arr)
 	return nil
+}
+
+// StartMap implements staging.BlockMapper: the chunk's counts, filled
+// block by block.
+func (h *HistogramOperator) StartMap(ctx *staging.Context, chunk *staging.Chunk) (staging.RowMapper, error) {
+	m, _, err := h.startMap(ctx, chunk)
+	return m, err
+}
+
+func (h *HistogramOperator) startMap(ctx *staging.Context, chunk *staging.Chunk) (*histRows, *ffs.Array, error) {
+	arr, _, k, err := matrixVar(chunk, h.cfg.Var)
+	if err != nil {
+		return nil, nil, err
+	}
+	cols, bins := h.cfg.Columns, h.cfg.Bins
+	m := &histRows{ctx: ctx, data: arr.Float64, k: k, cols: cols,
+		counts: make([][]int64, len(cols)), ranges: make([][2]float64, len(cols))}
+	all := make([]int64, len(cols)*bins)
+	for i, c := range cols {
+		if c >= k {
+			return nil, nil, fmt.Errorf("ops: histogram column %d outside %d columns", c, k)
+		}
+		m.counts[i], m.ranges[i] = all[i*bins:(i+1)*bins:(i+1)*bins], h.ranges[c]
+	}
+	return m, arr, nil
+}
+
+// histRows is one chunk's 1-D counts: tag i counts column cols[i].
+type histRows struct {
+	ctx    *staging.Context
+	data   []float64 // the [rows, k] array, row-major
+	k      int
+	cols   []int
+	counts [][]int64
+	ranges [][2]float64
+}
+
+// MapRows bins rows [lo, hi) one column at a time: the block is in cache,
+// so each column's pass costs no memory traffic, and the column's counts
+// and range stay in registers across the loop.
+func (m *histRows) MapRows(lo, hi int) {
+	k := m.k
+	block := m.data[lo*k : hi*k]
+	for i, c := range m.cols {
+		counts, r := m.counts[i], m.ranges[i]
+		for j := c; j < len(block); j += k {
+			counts[bitmap.Bin(block[j], r, len(counts))]++
+		}
+	}
+}
+
+// Emit emits one count vector per column.
+func (m *histRows) Emit() {
+	for tag, counts := range m.counts {
+		m.ctx.Emit(tag, counts)
+	}
 }
 
 // Combine sums the local count vectors per column before the shuffle.
@@ -208,6 +245,7 @@ func (h *HistogramOperator) Finalize(ctx *staging.Context) error {
 }
 
 var (
-	_ staging.Operator = (*HistogramOperator)(nil)
-	_ staging.Combiner = (*HistogramOperator)(nil)
+	_ staging.Operator    = (*HistogramOperator)(nil)
+	_ staging.Combiner    = (*HistogramOperator)(nil)
+	_ staging.BlockMapper = (*HistogramOperator)(nil)
 )

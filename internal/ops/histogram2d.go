@@ -6,7 +6,9 @@ import (
 	"slices"
 	"sync"
 
+	"predata/internal/bitmap"
 	"predata/internal/bp"
+	"predata/internal/ffs"
 	"predata/internal/staging"
 )
 
@@ -96,27 +98,74 @@ func (h *Histogram2DOperator) Initialize(ctx *staging.Context, agg map[string]an
 	return nil
 }
 
-// Map bins the chunk's rows into one Bins x Bins matrix per pair.
+// Map bins the chunk's rows into one Bins x Bins matrix per pair: the
+// block kernel of StartMap, run over the whole array.
 func (h *Histogram2DOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
-	arr, rows, k, err := matrixVar(chunk, h.cfg.Var)
+	m, arr, err := h.startMap(ctx, chunk)
 	if err != nil {
 		return err
 	}
-	bins := h.cfg.Bins
-	for tag, p := range h.cfg.Pairs {
+	staging.MapInBlocks(m, arr)
+	return nil
+}
+
+// StartMap implements staging.BlockMapper: the chunk's matrices, filled
+// block by block.
+func (h *Histogram2DOperator) StartMap(ctx *staging.Context, chunk *staging.Chunk) (staging.RowMapper, error) {
+	m, _, err := h.startMap(ctx, chunk)
+	return m, err
+}
+
+func (h *Histogram2DOperator) startMap(ctx *staging.Context, chunk *staging.Chunk) (*hist2DRows, *ffs.Array, error) {
+	arr, _, k, err := matrixVar(chunk, h.cfg.Var)
+	if err != nil {
+		return nil, nil, err
+	}
+	pairs, bins := h.cfg.Pairs, h.cfg.Bins
+	m := &hist2DRows{ctx: ctx, data: arr.Float64, k: k, bins: bins, pairs: pairs,
+		counts: make([][]int64, len(pairs)), ranges: make([][2][2]float64, len(pairs))}
+	cells := bins * bins
+	all := make([]int64, len(pairs)*cells)
+	for i, p := range pairs {
 		if p[0] >= k || p[1] >= k {
-			return fmt.Errorf("ops: 2D histogram pair %v outside %d columns", p, k)
+			return nil, nil, fmt.Errorf("ops: 2D histogram pair %v outside %d columns", p, k)
 		}
-		counts := make([]int64, bins*bins)
-		rx, ry := h.ranges[p[0]], h.ranges[p[1]]
-		for row := 0; row < rows; row++ {
-			bx := binOf(arr.Float64[row*k+p[0]], rx, bins)
-			by := binOf(arr.Float64[row*k+p[1]], ry, bins)
+		m.counts[i] = all[i*cells : (i+1)*cells : (i+1)*cells]
+		m.ranges[i] = [2][2]float64{h.ranges[p[0]], h.ranges[p[1]]}
+	}
+	return m, arr, nil
+}
+
+// hist2DRows is one chunk's matrices: tag i counts the pair pairs[i].
+type hist2DRows struct {
+	ctx    *staging.Context
+	data   []float64 // the [rows, k] array, row-major
+	k      int
+	bins   int
+	pairs  [][2]int
+	counts [][]int64
+	ranges [][2][2]float64
+}
+
+// MapRows bins rows [lo, hi) one pair at a time over the cached block.
+func (m *hist2DRows) MapRows(lo, hi int) {
+	k, bins := m.k, m.bins
+	block := m.data[lo*k : hi*k]
+	for i, p := range m.pairs {
+		counts, rx, ry := m.counts[i], m.ranges[i][0], m.ranges[i][1]
+		for j := 0; j < len(block); j += k {
+			bx := bitmap.Bin(block[j+p[0]], rx, bins)
+			by := bitmap.Bin(block[j+p[1]], ry, bins)
 			counts[bx*bins+by]++
 		}
-		ctx.Emit(tag, counts)
 	}
-	return nil
+}
+
+// Emit emits one matrix per pair.
+func (m *hist2DRows) Emit() {
+	for tag, counts := range m.counts {
+		m.ctx.Emit(tag, counts)
+	}
 }
 
 // Combine sums matrices bound for the same pair.
@@ -195,6 +244,7 @@ func (h *Histogram2DOperator) Finalize(ctx *staging.Context) error {
 }
 
 var (
-	_ staging.Operator = (*Histogram2DOperator)(nil)
-	_ staging.Combiner = (*Histogram2DOperator)(nil)
+	_ staging.Operator    = (*Histogram2DOperator)(nil)
+	_ staging.Combiner    = (*Histogram2DOperator)(nil)
+	_ staging.BlockMapper = (*Histogram2DOperator)(nil)
 )

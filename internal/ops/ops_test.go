@@ -240,7 +240,7 @@ func TestHistogramOperatorMatchesReference(t *testing.T) {
 		arr := makeParticles(rank, perRank, rng)
 		for i := 0; i < perRank; i++ {
 			for _, c := range []int{colX, colWeight} {
-				ref[c][binOf(arr.Float64[i*attrCount+c], [2]float64{0, 1}, bins)]++
+				ref[c][bitmap.Bin(arr.Float64[i*attrCount+c], [2]float64{0, 1}, bins)]++
 			}
 		}
 	}
@@ -318,8 +318,8 @@ func TestHistogram2DOperatorMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(rank) + 1))
 		arr := makeParticles(rank, perRank, rng)
 		for i := 0; i < perRank; i++ {
-			bx := binOf(arr.Float64[i*attrCount+colX], [2]float64{0, 1}, bins)
-			by := binOf(arr.Float64[i*attrCount+colY], [2]float64{0, 1}, bins)
+			bx := bitmap.Bin(arr.Float64[i*attrCount+colX], [2]float64{0, 1}, bins)
+			by := bitmap.Bin(arr.Float64[i*attrCount+colY], [2]float64{0, 1}, bins)
 			ref[bx*bins+by]++
 		}
 	}

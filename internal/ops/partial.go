@@ -76,23 +76,27 @@ func MinMaxPartial(varName string, cols []int) predata.PartialFunc {
 				return nil, fmt.Errorf("ops: column %d outside [0,%d)", c, k)
 			}
 		}
-		// One pass over the chunk, rows outer: this hook runs inside the
-		// application's visible write, and a pass per column would stream
-		// the whole array from memory once for each. Walking the data by
-		// reslicing keeps the row bounds checks out of the loop.
-		lo, hi := out.Min[:len(cols)], out.Max[:len(cols)]
-		data := v.Float64
-		for r := 0; r < rows; r++ {
-			row := data[:k:k]
-			data = data[k:]
+		// One pass over the chunk, in cache-sized blocks of whole rows: this
+		// hook runs inside the application's visible write, and a pass per
+		// column over the whole array would stream it from memory once for
+		// each. Within a block (in cache) the loop is per column, with the
+		// column's min and max in locals; per column the rows are still
+		// seen in order, so ties keep the earlier value as one scan would.
+		step := ffs.BlockRows(max(k, 1))
+		for lo := 0; lo < rows; lo += step {
+			block := v.Float64[lo*k : min(lo+step, rows)*k]
 			for ci, c := range cols {
-				x := row[c]
-				if x < lo[ci] {
-					lo[ci] = x
+				mn, mx := out.Min[ci], out.Max[ci]
+				for j := c; j < len(block); j += k {
+					x := block[j]
+					if x < mn {
+						mn = x
+					}
+					if x > mx {
+						mx = x
+					}
 				}
-				if x > hi[ci] {
-					hi[ci] = x
-				}
+				out.Min[ci], out.Max[ci] = mn, mx
 			}
 		}
 		return out, nil

@@ -133,7 +133,7 @@ func TestPropSortPermutation(t *testing.T) {
 }
 
 // TestPropHistogramConservation: every 1D histogram's bin counts sum to
-// exactly the global particle count — binOf clamps, so no value can
+// exactly the global particle count — bitmap.Bin clamps, so no value can
 // escape the range.
 func TestPropHistogramConservation(t *testing.T) {
 	const (

@@ -325,14 +325,8 @@ func newPartialFold(fn PartialFunc, schema *ffs.Schema, rec ffs.Record) *partial
 		return nil
 	}
 	f := &partialFold{fn: fn, schema: schema, rec: rec}
-	arrays := 0
-	for name, v := range rec {
-		if a, ok := v.(*ffs.Array); ok && a.Float64 != nil {
-			arrays++
-			f.field, f.arr = name, a
-		}
-	}
-	if arrays != 1 || len(f.arr.Dims) == 0 || f.arr.Dims[0] == 0 {
+	f.field, f.arr = ffs.SoleFloat64Array(rec)
+	if f.arr == nil || len(f.arr.Dims) == 0 || f.arr.Dims[0] == 0 {
 		f.arr = nil
 	}
 	return f
@@ -702,6 +696,10 @@ type dumpRun struct {
 	// replay marks a crashall's finishing dump: every pull re-pulls a
 	// chunk a crashed incarnation had already pulled once.
 	replay bool
+	// blocks marks a dump whose operators all map block by block: a chunk
+	// it processes is pulled with only its seal header checked, and the
+	// engine checks the payload in its walk (staging.Chunk.Unverified).
+	blocks bool
 	mu     sync.Mutex // guards stats, held and err while the feed runs
 	// held lists the regions pulled but not yet acknowledged: with a
 	// journal, the copy of each chunk a crash would leave until the dump
@@ -732,6 +730,8 @@ func (d *dumpRun) failed() bool {
 // if anything was lost.
 func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, d *dumpRun) (*staging.Result, error) {
 	stats := d.stats
+	// A filter stone would judge a chunk before its bytes are checked.
+	d.blocks = s.cfg.ChunkFilter == nil && blockMapped(ops)
 	start := time.Now()
 	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
 	local := make([]RankPartial, len(reqs))
@@ -832,7 +832,9 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Chunk) (mgr *evpath.Manager, decode, filter *evpath.Stone, err error) {
 	mgr = evpath.NewManager()
 	head, err := mgr.NewTerminalStone(func(e *evpath.Event) error {
-		chunks <- e.Data.(*staging.Chunk)
+		if chunk := e.Data.(*staging.Chunk); chunk != nil {
+			chunks <- chunk
+		}
 		return nil
 	})
 	if err != nil {
@@ -859,13 +861,18 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 	}
 	decode, err = mgr.NewTransformStone(func(e *evpath.Event) (*evpath.Event, error) {
 		p := e.Data.(*pulledChunk)
-		chunk, err := staging.DecodeChunk(p.buf)
-		if err != nil {
+		chunk, err := p.decode()
+		if err != nil || chunk == nil {
 			if p.release != nil {
 				p.release()
 			}
-			return nil, fmt.Errorf("predata: decode chunk from rank %d: %w",
-				int(e.Attrs["writer"]), err)
+			if err != nil {
+				return nil, fmt.Errorf("predata: decode chunk from rank %d: %w",
+					int(e.Attrs["writer"]), err)
+			}
+			// Corrupt past the re-pull budget: the drop is recorded, and
+			// the terminal stone lets the nil chunk go.
+			return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
 		}
 		chunk.Release = p.release
 		if flow != nil {
@@ -927,7 +934,13 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					}
 					adm = a
 				}
-				buf, ok, err := s.pullChunk(ctx, req, d)
+				// A processed chunk of a block-mapped dump is checked in the
+				// engine's walk, not here.
+				var check *unverifiedPull
+				if d.blocks && (adm == nil || adm.Decision() == flowctl.DecideProcess) {
+					check = &unverifiedPull{s: s, ctx: ctx, d: d, req: req}
+				}
+				buf, ok, err := s.pullChunk(ctx, req, d, check)
 				if !ok {
 					// Dropped or failed: nothing enters the graph.
 					if adm != nil {
@@ -938,7 +951,7 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					}
 					continue
 				}
-				if err := s.routePulled(ctx, decode, adm, req, buf); err != nil {
+				if err := s.routePulled(ctx, decode, adm, req, &pulledChunk{buf: buf, check: check}); err != nil {
 					d.fail(err)
 				}
 			}
@@ -967,30 +980,17 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 }
 
 // pullChunk moves one request's chunk to this rank and returns its
-// payload. A chunk lost with its endpoint, or whose source copy stays
-// corrupt past the re-pull budget, is recorded as a drop (ok false, no
-// error): the dump completes without it, explicitly Degraded — the bad
-// bytes must never reach Reduce. Anything else (shutdown) is an error
-// that aborts the dump.
-func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun) (payload []byte, ok bool, err error) {
-	frame, modeled, err := s.pullWithRetry(ctx, req, d.stats, &d.mu)
+// payload: verified, or, with check set, with only its seal header
+// checked, check recording the attempt it came from. A chunk lost for good
+// is recorded by lost (ok false, no error); anything else lost returns is
+// an error that aborts the dump.
+func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, check *unverifiedPull) (payload []byte, ok bool, err error) {
+	frame, modeled, attempt, err := s.pullWithRetry(ctx, req, d.stats, &d.mu, 0, check != nil)
 	if err != nil {
-		var drops *int
-		var phase trace.Phase
-		switch {
-		case errors.Is(err, faults.ErrEndpointDown):
-			drops, phase = &d.stats.Drops, trace.PhaseDrop
-		case errors.Is(err, staging.ErrCorrupt):
-			drops, phase = &d.stats.CorruptDrops, trace.PhaseCorruptDrop
-		default:
-			return nil, false, fmt.Errorf("predata: pull from rank %d: %w", req.WriterRank, err)
-		}
-		d.mu.Lock()
-		*drops++
-		d.mu.Unlock()
-		s.cfg.Tracer.Instant(phase, s.cfg.Endpoint.ID(),
-			req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
-		return nil, false, nil
+		return nil, false, s.lost(req, d, err)
+	}
+	if check != nil {
+		check.attempt = attempt
 	}
 	payload = frame[staging.SealOverhead:]
 	d.mu.Lock()
@@ -1012,44 +1012,143 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun) (p
 	return payload, true, nil
 }
 
+// lost takes a pull that failed for good. A chunk lost with its endpoint,
+// or whose source copy stays corrupt past the re-pull budget, is recorded
+// as a drop and nil returned: the dump completes without it, explicitly
+// Degraded — the bad bytes must never reach Reduce. Anything else
+// (shutdown) comes back as the error that aborts the dump.
+func (s *Server) lost(req FetchRequest, d *dumpRun, err error) error {
+	var drops *int
+	var phase trace.Phase
+	switch {
+	case errors.Is(err, faults.ErrEndpointDown):
+		drops, phase = &d.stats.Drops, trace.PhaseDrop
+	case errors.Is(err, staging.ErrCorrupt):
+		drops, phase = &d.stats.CorruptDrops, trace.PhaseCorruptDrop
+	default:
+		return fmt.Errorf("predata: pull from rank %d: %w", req.WriterRank, err)
+	}
+	d.mu.Lock()
+	*drops++
+	d.mu.Unlock()
+	s.cfg.Tracer.Instant(phase, s.cfg.Endpoint.ID(),
+		req.WriterRank, req.Timestep, int64(req.WriterRank), 0)
+	return nil
+}
+
+// blockMapped reports whether every operator maps chunks block by block.
+func blockMapped(ops []staging.Operator) bool {
+	for _, op := range ops {
+		if _, ok := op.(staging.BlockMapper); !ok {
+			return false
+		}
+	}
+	return len(ops) > 0
+}
+
+// unverifiedPull is a chunk pulled with only its seal header checked: the
+// engine checks the payload against the request's sum in its walk and
+// calls back (staging.Chunk.Verified and Corrupt).
+type unverifiedPull struct {
+	s       *Server
+	ctx     context.Context
+	d       *dumpRun
+	req     FetchRequest
+	attempt int // the pull attempt the payload came from
+}
+
+// ack releases the writer's region once the payload verified. With a
+// journal the region is held until the dump commits, like every chunk's.
+func (u *unverifiedPull) ack() {
+	if u.s.cfg.Journal != nil {
+		return
+	}
+	if err := u.s.cfg.Endpoint.Ack(u.req.Handle); err != nil {
+		u.d.fail(err)
+	}
+}
+
+// corrupt takes a failed payload check as the CRC failure of the attempt
+// the payload came from, and carries on as pullWithRetry would: re-pull
+// under the same backoff and attempt budget — verifying at the pull now —
+// and decode. It returns the intact chunk, or nil once the chunk is
+// dropped (lost records it).
+func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
+	s, d, req := u.s, u.d, u.req
+	err := fmt.Errorf("predata: chunk from rank %d attempt %d: payload checksum: %w",
+		req.WriterRank, u.attempt, staging.ErrCorrupt)
+	if err = s.retryAfter(req, d.stats, &d.mu, u.attempt, err); err == nil {
+		var frame []byte
+		if frame, _, _, err = s.pullWithRetry(u.ctx, req, d.stats, &d.mu, u.attempt+1, false); err == nil {
+			return staging.DecodeChunk(frame[staging.SealOverhead:])
+		}
+	}
+	return nil, s.lost(req, d, err)
+}
+
 // pulledChunk is the decode stone's event payload: a chunk's packed
 // bytes plus, when the chunk was admitted against the budget, the
-// lease release hook the decode stone attaches to the decoded Chunk.
+// lease release hook the decode stone attaches to the decoded Chunk,
+// and, when the payload is still unchecked, the pull to call back.
 type pulledChunk struct {
 	buf     []byte
 	release func()
+	check   *unverifiedPull
+}
+
+// decode decodes the chunk, handing an unchecked payload's check on to
+// the engine. An unchecked payload that fails to decode is checksummed
+// first: a mismatch is corruption, taken through the re-pull path (nil
+// once dropped), while intact bytes are a real decode error.
+func (p *pulledChunk) decode() (*staging.Chunk, error) {
+	chunk, err := staging.DecodeChunk(p.buf)
+	if p.check == nil {
+		return chunk, err
+	}
+	if err != nil {
+		if crc32.ChecksumIEEE(p.buf) != p.check.req.Sum {
+			return p.check.corrupt()
+		}
+		p.check.ack()
+		return nil, err
+	}
+	chunk.Unverified, chunk.Sum = p.buf, p.check.req.Sum
+	chunk.Verified, chunk.Corrupt = p.check.ack, p.check.corrupt
+	return chunk, nil
 }
 
 // routePulled hands a pulled chunk to its admitted fate: stream into the
 // stone graph (process), append to the overflow segment (spill), or write
 // raw to the PFS sink (pass). With no admission (adm == nil) it streams
 // unconditionally, the pre-budget behavior.
-func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, buf []byte) error {
+func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, p *pulledChunk) error {
 	attrs := map[string]int64{"writer": int64(req.WriterRank), "timestep": req.Timestep}
-	if adm == nil {
-		return decode.SubmitContext(ctx, &evpath.Event{Attrs: attrs, Data: &pulledChunk{buf: buf}})
-	}
-	switch adm.Decision() {
-	case flowctl.DecideProcess:
-		release, err := adm.Keep()
-		if err != nil {
-			return err
+	if adm != nil {
+		switch adm.Decision() {
+		case flowctl.DecideSpill:
+			return adm.Spill(req.WriterRank, req.Timestep, p.buf)
+		case flowctl.DecidePass:
+			return adm.Pass(req.WriterRank, req.Timestep, p.buf)
+		case flowctl.DecideProcess:
+			release, err := adm.Keep()
+			if err != nil {
+				return err
+			}
+			p.release = release
+		default:
+			return fmt.Errorf("predata: unknown admission decision %d", adm.Decision())
 		}
-		err = decode.SubmitContext(ctx, &evpath.Event{
-			Attrs: attrs,
-			Data:  &pulledChunk{buf: buf, release: release},
-		})
-		if err != nil {
-			release()
-			return err
-		}
-		return nil
-	case flowctl.DecideSpill:
-		return adm.Spill(req.WriterRank, req.Timestep, buf)
-	case flowctl.DecidePass:
-		return adm.Pass(req.WriterRank, req.Timestep, buf)
 	}
-	return fmt.Errorf("predata: unknown admission decision %d", adm.Decision())
+	if err := decode.SubmitContext(ctx, &evpath.Event{Attrs: attrs, Data: p}); err != nil {
+		if p.release != nil {
+			p.release()
+		}
+		if p.check != nil {
+			p.check.ack() // the dump fails; its region must not outlive it
+		}
+		return err
+	}
+	return nil
 }
 
 // recvRequest receives one fetch request, retrying injected transient
@@ -1091,61 +1190,89 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 }
 
 // pullWithRetry pulls one chunk end-to-end verified and returns its
-// sealed frame: the transfer uses the non-consuming PullRetain, and the
-// delivered frame's CRC is checked — and must be the one the request
-// names — before anything downstream sees the bytes. Without a journal
-// the source region is acknowledged (released) right after
-// verification; with one it stays exposed until reduceDump's commit.
-// Injected transients *and* corrupted deliveries are retried with
-// capped exponential backoff within the attempt budget — wire
-// corruption heals on re-pull because the source still holds the intact
-// region. A source that stays corrupt exhausts the budget and surfaces
-// staging.ErrCorrupt for the caller's shed path. ctx bounds each pull's
-// deferred-phase wait (background ctx preserves the fault-free contract
-// of blocking until the watchdog intervenes).
-func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex) ([]byte, time.Duration, error) {
-	for attempt := 0; ; attempt++ {
+// sealed frame and the attempt that delivered it, counting attempts from
+// first: the transfer uses the non-consuming PullRetain, and the delivered
+// frame's seal is checked — its CRC must be the one the request names —
+// before anything downstream sees the bytes. Without a journal the source
+// region is acknowledged (released) right after verification; with one it
+// stays exposed until reduceDump's commit. With unverified set only the
+// seal header is checked and the region is not acknowledged here: the
+// payload's CRC is the caller's (unverifiedPull). Injected transients
+// *and* corrupted deliveries are retried with capped exponential backoff
+// within the attempt budget (retryAfter) — wire corruption heals on
+// re-pull because the source still holds the intact region. A source that
+// stays corrupt exhausts the budget and surfaces staging.ErrCorrupt for
+// the caller's shed path. ctx bounds each pull's deferred-phase wait
+// (background ctx preserves the fault-free contract of blocking until the
+// watchdog intervenes).
+func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex, first int, unverified bool) ([]byte, time.Duration, int, error) {
+	for attempt := first; ; attempt++ {
 		frame, d, err := s.hedgedPull(ctx, req, stats, mu)
 		if err == nil {
-			_, perr := staging.Unseal(frame)
-			if perr == nil && staging.SealSum(frame) != req.Sum {
-				perr = fmt.Errorf("predata: pulled frame's checksum %08x, request names %08x: %w",
-					staging.SealSum(frame), req.Sum, staging.ErrCorrupt)
-			}
-			if perr == nil {
-				if s.cfg.Journal == nil {
+			if err = checkFrame(frame, req, attempt, !unverified); err == nil {
+				if s.cfg.Journal == nil && !unverified {
 					if aerr := s.cfg.Endpoint.Ack(req.Handle); aerr != nil {
-						return nil, 0, aerr
+						return nil, 0, 0, aerr
 					}
 				}
-				return frame, d, nil
+				return frame, d, attempt, nil
 			}
-			mu.Lock()
-			stats.CorruptPulls++
-			mu.Unlock()
-			s.cfg.Tracer.Instant(trace.PhaseCorruptDetect, s.cfg.Endpoint.ID(),
-				req.Handle.Endpoint, req.Timestep, int64(req.WriterRank), int64(attempt))
-			err = fmt.Errorf("predata: chunk from rank %d attempt %d: %w", req.WriterRank, attempt, perr)
 		} else if !errors.Is(err, faults.ErrTransient) {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		if attempt+1 >= s.retry.MaxAttempts {
-			if errors.Is(err, staging.ErrCorrupt) {
-				// Every attempt delivered damaged bytes: the source copy is
-				// bad and re-pulling cannot help. Release the region so the
-				// writer's exposed-bytes accounting drains; the caller sheds
-				// the chunk.
-				_ = s.cfg.Endpoint.Ack(req.Handle)
-			}
-			return nil, 0, err
+		if err := s.retryAfter(req, stats, mu, attempt, err); err != nil {
+			return nil, 0, 0, err
 		}
-		mu.Lock()
-		stats.Retries++
-		mu.Unlock()
-		s.cfg.Tracer.Instant(trace.PhaseRetry, s.cfg.Endpoint.ID(), req.Handle.Endpoint,
-			req.Timestep, int64(attempt), 0)
-		time.Sleep(s.retry.backoff(attempt))
 	}
+}
+
+// checkFrame checks a pulled frame against its request: the seal header,
+// the payload CRC when payloadCRC is set, and the request's sum.
+func checkFrame(frame []byte, req FetchRequest, attempt int, payloadCRC bool) error {
+	var err error
+	if payloadCRC {
+		_, err = staging.Unseal(frame)
+	} else {
+		_, err = staging.FramePayload(frame)
+	}
+	if err == nil && staging.SealSum(frame) != req.Sum {
+		err = fmt.Errorf("predata: pulled frame's checksum %08x, request names %08x: %w",
+			staging.SealSum(frame), req.Sum, staging.ErrCorrupt)
+	}
+	if err != nil {
+		return fmt.Errorf("predata: chunk from rank %d attempt %d: %w", req.WriterRank, attempt, err)
+	}
+	return nil
+}
+
+// retryAfter records the failure of a pull attempt — a corrupt delivery
+// counts as a CRC failure — and sleeps the backoff before the next one, or
+// returns err when the attempt budget is spent. A chunk still corrupt on
+// the last attempt has a bad source copy that re-pulling cannot help: its
+// region is released so the writer's exposed-bytes accounting drains, and
+// the caller sheds the chunk.
+func (s *Server) retryAfter(req FetchRequest, stats *DumpStats, mu *sync.Mutex, attempt int, err error) error {
+	corrupt := errors.Is(err, staging.ErrCorrupt)
+	if corrupt {
+		mu.Lock()
+		stats.CorruptPulls++
+		mu.Unlock()
+		s.cfg.Tracer.Instant(trace.PhaseCorruptDetect, s.cfg.Endpoint.ID(),
+			req.Handle.Endpoint, req.Timestep, int64(req.WriterRank), int64(attempt))
+	}
+	if attempt+1 >= s.retry.MaxAttempts {
+		if corrupt {
+			_ = s.cfg.Endpoint.Ack(req.Handle)
+		}
+		return err
+	}
+	mu.Lock()
+	stats.Retries++
+	mu.Unlock()
+	s.cfg.Tracer.Instant(trace.PhaseRetry, s.cfg.Endpoint.ID(), req.Handle.Endpoint,
+		req.Timestep, int64(attempt), 0)
+	time.Sleep(s.retry.backoff(attempt))
+	return nil
 }
 
 // hedgedPull is one transfer attempt with straggler protection: when

@@ -2,12 +2,14 @@ package staging
 
 // End-to-end chunk integrity. A chunk is sealed where it is encoded —
 // on the compute client, before the bytes touch the fabric — and
-// unsealed where it is consumed, on the staging server right after the
-// pull and before anything downstream (evpath stones, the engine's
-// Reduce) sees it. The frame travels through fabric.Pull and any
-// intermediate hops untouched, so a CRC mismatch at unseal time proves
-// the wire (or the source's memory) damaged the payload somewhere along
-// the whole path, not just on the last hop.
+// verified where it is consumed, on the staging server, before anything
+// it produces reaches the engine's Reduce: right after the pull, or, when
+// every operator maps it block by block, inside the engine's one walk
+// over the payload, before any operator emits (Chunk.Unverified). The
+// frame travels through fabric.Pull and any intermediate hops untouched,
+// so a CRC mismatch at verification proves the wire (or the source's
+// memory) damaged the payload somewhere along the whole path, not just on
+// the last hop.
 //
 // Frame layout, little-endian:
 //
@@ -92,10 +94,12 @@ func SealSum(frame []byte) uint32 {
 	return binary.LittleEndian.Uint32(frame[len(sealMagic)+4:])
 }
 
-// Unseal verifies a sealed frame and returns the payload (aliasing
-// buf's memory, no copy). A missing magic, a length mismatch, or a
-// checksum mismatch returns an error wrapping ErrCorrupt.
-func Unseal(buf []byte) ([]byte, error) {
+// FramePayload checks a sealed frame's header — magic and length — and
+// returns the payload (aliasing buf's memory, no copy) without reading it:
+// the caller owes the payload's checksum against SealSum(buf), either with
+// Unseal's one pass or folded into its own walk over the bytes. A damaged
+// header returns an error wrapping ErrCorrupt.
+func FramePayload(buf []byte) ([]byte, error) {
 	if len(buf) < SealOverhead {
 		return nil, fmt.Errorf("staging: sealed chunk truncated at %d bytes: %w", len(buf), ErrCorrupt)
 	}
@@ -103,12 +107,22 @@ func Unseal(buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("staging: sealed chunk magic damaged: %w", ErrCorrupt)
 	}
 	n := binary.LittleEndian.Uint32(buf[len(sealMagic):])
-	want := SealSum(buf)
 	payload := buf[SealOverhead:]
 	if int(n) != len(payload) {
 		return nil, fmt.Errorf("staging: sealed chunk length %d, frame says %d: %w", len(payload), n, ErrCorrupt)
 	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	return payload, nil
+}
+
+// Unseal verifies a sealed frame and returns the payload (aliasing
+// buf's memory, no copy). A missing magic, a length mismatch, or a
+// checksum mismatch returns an error wrapping ErrCorrupt.
+func Unseal(buf []byte) ([]byte, error) {
+	payload, err := FramePayload(buf)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := crc32.ChecksumIEEE(payload), SealSum(buf); got != want {
 		return nil, fmt.Errorf("staging: chunk checksum %08x, frame says %08x: %w", got, want, ErrCorrupt)
 	}
 	return payload, nil

@@ -52,8 +52,25 @@ type Chunk struct {
 	Shed ShedClass
 	// Release, when non-nil, returns the chunk's memory-budget credits.
 	// The engine calls it exactly once, after the last operator's Map has
-	// seen the chunk (including error and shed paths).
+	// seen the chunk (including error, shed and corrupt-drop paths).
 	Release func()
+
+	// Unverified, when non-nil, is the FFS payload Record was decoded
+	// from, whose checksum nobody has checked yet: the engine checks it
+	// against Sum before any operator emits a value of the chunk. When
+	// every operator that sees the chunk is a BlockMapper and the record
+	// has one float64 array, the check rides the engine's one walk over
+	// the payload (ffs.Walk); otherwise the payload is checksummed before
+	// the first Map. On a match the engine calls Verified; on a mismatch
+	// it drops whatever the walk accumulated and calls Corrupt.
+	Unverified []byte
+	Sum        uint32
+	Verified   func()
+	// Corrupt returns a re-pulled copy of the chunk to map in this one's
+	// place (the engine keeps this chunk's Shed and Release), or nil when
+	// the chunk is dropped: it then reaches no operator and records no
+	// PhaseChunk. An error fails the dump like a Map error.
+	Corrupt func() (*Chunk, error)
 }
 
 // Optional marks an operator the overload ladder may degrade to sampled
@@ -90,6 +107,40 @@ type Operator interface {
 // (the classic combiner optimization).
 type Combiner interface {
 	Combine(tag int, values []any) ([]any, error)
+}
+
+// BlockMapper is an optional Operator extension for an operator whose Map
+// reads only the rows of the chunk's one float64 array, so it can map a
+// chunk block by block while the engine's walk has each block in cache.
+// StartMap validates the chunk as Map would and returns the chunk's
+// accumulator; the engine then hands it every row of the record's sole
+// float64 array, in order, in blocks of ffs.BlockRows rows, and calls Emit
+// once the payload verifies. Map must give what StartMap, every block and
+// Emit give.
+type BlockMapper interface {
+	StartMap(ctx *Context, chunk *Chunk) (RowMapper, error)
+}
+
+// RowMapper is one chunk's accumulator for a BlockMapper.
+type RowMapper interface {
+	// MapRows maps rows [lo, hi) of the chunk's float64 array.
+	MapRows(lo, hi int)
+	// Emit emits the chunk's intermediate values with Context.Emit. A
+	// chunk whose payload fails verification is never emitted.
+	Emit()
+}
+
+// MapInBlocks runs m over all rows of a in the walk's blocks and emits:
+// a BlockMapper's Map.
+func MapInBlocks(m RowMapper, a *ffs.Array) {
+	rows := int(a.Dims[0])
+	if rows > 0 {
+		step := ffs.BlockRows(max(len(a.Float64)/rows, 1))
+		for lo := 0; lo < rows; lo += step {
+			m.MapRows(lo, min(lo+step, rows))
+		}
+	}
+	m.Emit()
 }
 
 // Partitioner is an optional Operator extension overriding the default
@@ -269,10 +320,9 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	}
 	start = time.Now()
 	sp = e.tracer.Begin(trace.PhaseMap, e.traceEP, -1, e.dump, -1)
+	m := &mapper{ops: ops, ctxs: ctxs, optional: optional, bd: res.OperatorBreakdown}
 	var (
 		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		mapErr   error
 		nChunks  int64
 		nSkips   int64
 		shedSeen bool
@@ -283,25 +333,15 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		go func() {
 			defer wg.Done()
 			for chunk := range chunks {
-				for i, op := range ops {
-					if optional[i] && chunk.Shed == ShedSkipped {
-						continue
-					}
-					opStart := time.Now()
-					if err := op.Map(ctxs[i], chunk); err != nil {
-						errMu.Lock()
-						if mapErr == nil {
-							mapErr = fmt.Errorf("staging: %s.Map: %w", op.Name(), err)
-						}
-						errMu.Unlock()
-					}
-					res.OperatorBreakdown[op.Name()].Add("map", time.Since(opStart))
-				}
+				mapped := m.mapChunk(chunk)
 				if chunk.Release != nil {
 					chunk.Release()
 				}
-				e.tracer.Instant(trace.PhaseChunk, e.traceEP, chunk.WriterRank,
-					chunk.Timestep, int64(chunk.WriterRank), int64(chunk.Shed))
+				if mapped == nil {
+					continue // dropped as corrupt
+				}
+				e.tracer.Instant(trace.PhaseChunk, e.traceEP, mapped.WriterRank,
+					mapped.Timestep, int64(mapped.WriterRank), int64(chunk.Shed))
 				countMu.Lock()
 				nChunks++
 				if chunk.Shed != ShedNone {
@@ -327,7 +367,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		}
 	}
 	res.Breakdown.Add("map", time.Since(start))
-	if mapErr != nil {
+	if mapErr := m.err; mapErr != nil {
 		// All ranks must still participate in the shuffle collectives to
 		// avoid deadlocking peers; exchange empty buckets, then report.
 		for range ops {
@@ -439,8 +479,9 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 // reserved field names "_rank" and "_timestep" (the predata compute
 // runtime adds them when packing).
 func DecodeChunk(buf []byte) (*Chunk, error) {
-	// The pipeline unseals right after the pull, so buf is normally a raw
-	// FFS frame here; accepting a still-sealed chunk (verifying it in
+	// The pipeline hands over a raw FFS payload: verified at the pull, or
+	// still unchecked for the engine's walk (Chunk.Unverified, which the
+	// caller sets). Accepting a still-sealed chunk (verifying it in
 	// passing) keeps direct callers honest without a second API.
 	if Sealed(buf) {
 		payload, err := Unseal(buf)
