@@ -17,9 +17,9 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 
 	"predata/internal/apps/gtc"
+	"predata/internal/bitmap"
 	"predata/internal/dataspaces"
 	"predata/internal/ffs"
 	"predata/internal/mpi"
@@ -36,12 +36,10 @@ const (
 )
 
 // weightHistOp is a custom PreDatA operator: Map bins the weight column
-// locally, Reduce sums counts, Finalize publishes the histogram into the
-// shared space under the dump's timestep as its version.
+// locally, Reduce sums counts and publishes the histogram into the shared
+// space under the dump's timestep as its version.
 type weightHistOp struct {
 	space *dataspaces.Space
-	mu    sync.Mutex
-	step  int64
 }
 
 func (o *weightHistOp) Name() string { return "weighthist" }
@@ -53,22 +51,13 @@ func (o *weightHistOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if !ok {
 		return fmt.Errorf("chunk missing electrons array")
 	}
-	o.mu.Lock()
-	o.step = chunk.Timestep
-	o.mu.Unlock()
 	counts := make([]int64, bins)
 	rows := int(arr.Dims[0])
 	k := int(arr.Dims[1])
 	for i := 0; i < rows; i++ {
-		w := arr.Float64[i*k+gtc.AttrWeight]
-		b := int(w * bins) // weights start in [0,1) and drift slowly
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
+		// Weights start in [0,1) and drift slowly; outliers land in the
+		// edge bins.
+		counts[bitmap.Bin(arr.Float64[i*k+gtc.AttrWeight], [2]float64{0, 1}, bins)]++
 	}
 	ctx.Emit(0, counts)
 	return nil
@@ -81,11 +70,8 @@ func (o *weightHistOp) Reduce(ctx *staging.Context, tag int, values []any) error
 			sum[i] += float64(c)
 		}
 	}
-	o.mu.Lock()
-	step := o.step
-	o.mu.Unlock()
 	// Version the histogram by timestep so monitors can diff steps.
-	return o.space.Put("weight_hist", int(step), []uint64{0}, []uint64{bins}, sum)
+	return o.space.Put("weight_hist", int(ctx.Step()), []uint64{0}, []uint64{bins}, sum)
 }
 
 func (o *weightHistOp) Finalize(ctx *staging.Context) error { return nil }

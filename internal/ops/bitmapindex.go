@@ -17,8 +17,12 @@ type BitmapIndexConfig struct {
 	Columns []int
 	// Bins is the bin count of each index.
 	Bins int
-	// Ranges gives the static [lo, hi] per column; AggRanges refines from
-	// the aggregates (MinMaxAggregate keys).
+	// Ranges gives the static [lo, hi] per column, [0, 1] for a column it
+	// omits. When AggRanges is true, each finite aggregate bound
+	// (MinMaxAggregate keys) replaces the static one; an infinite or NaN
+	// bound — a dump with no rows, or a column holding ±Inf — is ignored.
+	// A range that ends up empty (hi <= lo) widens to [lo, lo+1]. This is
+	// the histograms' rule.
 	Ranges    map[int][2]float64
 	AggRanges bool
 }
@@ -42,19 +46,8 @@ type BitmapIndexOperator struct {
 // NewBitmapIndexOperator validates the configuration and returns the
 // operator.
 func NewBitmapIndexOperator(cfg BitmapIndexConfig) (*BitmapIndexOperator, error) {
-	if cfg.Var == "" {
-		return nil, fmt.Errorf("ops: bitmap index needs a variable name")
-	}
-	if cfg.Bins < 1 {
-		return nil, fmt.Errorf("ops: bitmap index bins %d must be >= 1", cfg.Bins)
-	}
-	if len(cfg.Columns) == 0 {
-		return nil, fmt.Errorf("ops: bitmap index needs at least one column")
-	}
-	for _, c := range cfg.Columns {
-		if c < 0 {
-			return nil, fmt.Errorf("ops: bitmap index column %d is negative", c)
-		}
+	if err := checkBinned("bitmap index", cfg.Var, cfg.Bins, cfg.Columns, 1); err != nil {
+		return nil, err
 	}
 	return &BitmapIndexOperator{cfg: cfg}, nil
 }
@@ -66,22 +59,9 @@ func (b *BitmapIndexOperator) Name() string { return "bitmapindex" }
 func (b *BitmapIndexOperator) Initialize(ctx *staging.Context, agg map[string]any) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ranges = make(map[int][2]float64, len(b.cfg.Columns))
+	b.ranges = binRanges(b.cfg.Columns, b.cfg.Ranges, b.cfg.AggRanges, agg)
 	b.cols = make(map[int][]float64, len(b.cfg.Columns))
 	b.rows = 0
-	for _, c := range b.cfg.Columns {
-		r, ok := b.cfg.Ranges[c]
-		if !ok {
-			r = [2]float64{0, 1}
-		}
-		if b.cfg.AggRanges {
-			r = rangeFromAgg(agg, c, r)
-		}
-		if r[1] <= r[0] {
-			r[1] = r[0] + 1
-		}
-		b.ranges[c] = r
-	}
 	return nil
 }
 

@@ -532,6 +532,11 @@ func TestBitmapIndexOperatorValidation(t *testing.T) {
 	if _, err := NewBitmapIndexOperator(BitmapIndexConfig{Var: "p", Bins: 2, Columns: []int{-2}}); err == nil {
 		t.Error("negative column accepted")
 	}
+	// A repeated column was appended twice per chunk: an index over 2N rows
+	// whose queries named rows that do not exist.
+	if _, err := NewBitmapIndexOperator(BitmapIndexConfig{Var: "p", Bins: 2, Columns: []int{0, 0}}); err == nil {
+		t.Error("repeated column accepted")
+	}
 }
 
 func TestBitmapIndexOperatorQueriesMatchScan(t *testing.T) {

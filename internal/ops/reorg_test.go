@@ -3,6 +3,7 @@ package ops
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -137,6 +138,40 @@ func TestOutputBytesRepeat(t *testing.T) {
 		} else if !bytes.Equal(file, first) {
 			t.Fatalf("run %d wrote a different file than run 0", run)
 		}
+	}
+}
+
+// TestHistogramOutputGoldenBytes pins the file one staging rank writes for
+// TestOutputBytesRepeat's particles through both histogram constructors:
+// variable names, dims, the order of columns and pairs, and every count.
+func TestHistogramOutputGoldenBytes(t *testing.T) {
+	chunks := reorgChunks(8, 2, []string{"rho", "temp"})
+	for w, c := range chunks {
+		c.Record["p"] = makeParticles(w, 100, rand.New(rand.NewSource(int64(w))))
+	}
+	unit := map[int][2]float64{colX: {0, 1}, colY: {0, 1}, colZ: {0, 1}, colWeight: {0, 1}}
+	fs := newTestFS(t)
+	w, err := bp.CreateWriter(fs, "dump.bp", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := NewHistogramOperator(HistogramConfig{Var: "p", Columns: []int{colWeight, colX, colZ, colY}, Bins: 8, Ranges: unit, Output: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist2d, err := NewHistogram2DOperator(Histogram2DConfig{Var: "p", Pairs: [][2]int{{colY, colZ}, {colX, colY}, {colX, colWeight}}, Bins: 4, Ranges: unit, Output: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := processDump(chunks, hist, hist2d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file := exportFile(t, fs, "dump.bp")
+	if n, sum := len(file), crc32.ChecksumIEEE(file); n != 1416 || sum != 0xf1974d41 {
+		t.Errorf("histogram file is %d bytes with CRC32 %08x, want 1416 bytes with f1974d41", n, sum)
 	}
 }
 
