@@ -1,9 +1,11 @@
 // Package flowctl implements the staging area's memory-budget and
 // overload-protection machinery: a byte-denominated accountant with
-// high/low watermarks (Budget/Lease), credit-based admission of incoming
-// chunks, a spill-to-disk overflow queue of BP-style temp segments, and
-// the degradation ladder the staging engine climbs under persistent
-// overload — throttle, spill, shed optional operators, raw pass-through.
+// high/low watermarks (Budget/Lease) and the one admission queue in
+// front of it (FairShare registers weighted tenants on that queue),
+// credit-based admission of incoming chunks, a spill-to-disk overflow
+// queue of BP-style temp segments, and the degradation ladder the
+// staging engine climbs under persistent overload — throttle, spill,
+// shed optional operators, raw pass-through.
 //
 // The paper's central resource constraint motivates all of it: staging
 // nodes are provisioned at 64:1–128:1 compute:staging ratios with a
@@ -17,17 +19,25 @@ package flowctl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"predata/internal/metrics"
 	"predata/internal/trace"
 )
 
 // Budget is a byte-denominated memory accountant with watermark-based
 // overload signaling. Callers Acquire a Lease before admitting bytes into
 // memory and Release it when the bytes leave (after the engine has mapped
-// the chunk). Admission is FIFO: a large request blocks later small ones
+// the chunk).
+//
+// The budget owns the only admission queue: a FIFO of waiters per
+// tenant. Its own tenant (weight 1, no guaranteed share) serves
+// Acquire, TryAcquire and Overdraft; FairShare registers weighted
+// tenants on the same queue. Every release, and every waiter that gives
+// up, drains the queue: it grants the heads that fit, the tenant with
+// the smallest in-use/weight ratio first. With only the budget's own
+// tenant that is plain FIFO — a large request blocks later small ones
 // rather than starving behind them.
 //
 // Two rules keep the accountant live and bound its peak:
@@ -43,20 +53,26 @@ type Budget struct {
 	high     int64 // overload latches on at used >= high
 	low      int64 // ...and off at used <= low (hysteresis)
 
+	// mu guards every field below except the tracer's.
 	mu       sync.Mutex
-	used     *metrics.Gauge
+	used     int64
+	peak     int64
 	overHigh bool
-	waiters  []*waiter
 
-	throttles    metrics.Counter
-	throttleWait int64 // nanoseconds, guarded by mu
+	own         tenant          // Acquire, TryAcquire, Overdraft
+	tenants     map[int]*tenant // registered through FairShare
+	totalWeight int64           // of the registered tenants
+	queued      int             // waiters across every tenant
 
-	// Utilization window (guarded by mu): a per-dump measurement of how
-	// much of the budget was actually held. winIntegral accumulates
-	// used-bytes × wall-time between movements, so winIntegral / window
-	// duration is the time-weighted mean held bytes — the signal the
-	// autoscaler's shrink rule reads. ResetWindow opens a fresh window;
-	// Window closes out the integral and snapshots it.
+	throttles    int64
+	throttleWait int64 // nanoseconds
+
+	// Utilization window: a per-dump measurement of how much of the
+	// budget was actually held. winIntegral accumulates used-bytes ×
+	// wall-time between movements, so winIntegral / window duration is
+	// the time-weighted mean held bytes — the signal the autoscaler's
+	// shrink rule reads. ResetWindow opens a fresh window; Window closes
+	// out the integral and snapshots it.
 	winStart    time.Time
 	winLast     time.Time
 	winIntegral float64 // byte·nanoseconds
@@ -66,6 +82,27 @@ type Budget struct {
 	// sees concurrent use.
 	tracer  *trace.Recorder
 	traceEP int
+}
+
+// tenant is one FIFO of the admission queue and the accounting of what
+// it holds. Fields other than b, id and weight are guarded by b.mu.
+type tenant struct {
+	b      *Budget
+	id     int
+	weight int64
+	inUse  int64
+	queue  []*waiter
+
+	grants    int64
+	waits     int64
+	waitTime  int64 // nanoseconds
+	peakInUse int64
+}
+
+type waiter struct {
+	n       int64
+	ready   chan struct{} // closed by the drain on grant
+	granted bool
 }
 
 // SetTracer attaches a flight recorder: every budget movement records
@@ -79,21 +116,16 @@ func (b *Budget) SetTracer(tr *trace.Recorder, endpoint int) {
 	tr.Instant(trace.PhaseBudgetCap, endpoint, -1, -1, 0, b.capacity)
 }
 
-type waiter struct {
-	n       int64
-	ready   chan struct{} // closed by the releaser on grant
-	granted bool
-}
-
 // BudgetStats snapshots the accountant's counters.
 type BudgetStats struct {
 	Capacity int64
 	Used     int64
 	// Peak is the high-water mark of accounted bytes, overdrafts included.
 	Peak int64
-	// Throttles counts Acquire calls that had to wait for credits.
+	// Throttles counts admissions, of every tenant, that had to wait
+	// for credits.
 	Throttles int64
-	// ThrottleWait is the total wall time Acquire calls spent waiting.
+	// ThrottleWait is the total wall time those admissions spent waiting.
 	ThrottleWait time.Duration
 }
 
@@ -107,12 +139,13 @@ func NewBudget(capacity int64, highFrac, lowFrac float64) (*Budget, error) {
 		return nil, fmt.Errorf("flowctl: watermarks low=%g high=%g must satisfy 0 <= low < high <= 1",
 			lowFrac, highFrac)
 	}
-	return &Budget{
+	b := &Budget{
 		capacity: capacity,
 		high:     int64(float64(capacity) * highFrac),
 		low:      int64(float64(capacity) * lowFrac),
-		used:     &metrics.Gauge{},
-	}, nil
+	}
+	b.own = tenant{b: b, id: -1, weight: 1}
+	return b, nil
 }
 
 // Capacity returns the budget in bytes.
@@ -121,8 +154,16 @@ func (b *Budget) Capacity() int64 { return b.capacity }
 // fitsLocked reports whether n more bytes can be admitted now. A request
 // that alone exceeds the capacity is admitted when the budget is idle.
 func (b *Budget) fitsLocked(n int64) bool {
-	used := b.used.Value()
-	return used+n <= b.capacity || used == 0
+	return b.used+n <= b.capacity || b.used == 0
+}
+
+// shareLocked is a registered tenant's guaranteed slice of the
+// capacity; the budget's own tenant has none.
+func (b *Budget) shareLocked(t *tenant) int64 {
+	if t == &b.own || b.totalWeight == 0 {
+		return 0
+	}
+	return b.capacity * t.weight / b.totalWeight
 }
 
 // advanceWindowLocked folds the wall time since the last budget
@@ -131,11 +172,11 @@ func (b *Budget) fitsLocked(n int64) bool {
 func (b *Budget) advanceWindowLocked(now time.Time) {
 	if b.winLast.IsZero() {
 		b.winStart, b.winLast = now, now
-		b.winPeak = b.used.Value()
+		b.winPeak = b.used
 		return
 	}
 	if dt := now.Sub(b.winLast); dt > 0 {
-		b.winIntegral += float64(b.used.Value()) * float64(dt)
+		b.winIntegral += float64(b.used) * float64(dt)
 	}
 	b.winLast = now
 }
@@ -148,7 +189,7 @@ func (b *Budget) ResetWindow() {
 	now := time.Now()
 	b.winStart, b.winLast = now, now
 	b.winIntegral = 0
-	b.winPeak = b.used.Value()
+	b.winPeak = b.used
 }
 
 // WindowStats describes one utilization window: the peak bytes held
@@ -169,22 +210,25 @@ func (b *Budget) Window() WindowStats {
 	if d := b.winLast.Sub(b.winStart); d > 0 {
 		ws.MeanBytes = int64(b.winIntegral / float64(d))
 	} else {
-		ws.MeanBytes = b.used.Value()
+		ws.MeanBytes = b.used
 	}
 	return ws
 }
 
-// admitLocked accounts n admitted bytes and updates the overload latch.
-func (b *Budget) admitLocked(n int64) {
+// admitLocked accounts n bytes granted to t and updates the overload
+// latch.
+func (b *Budget) admitLocked(t *tenant, n int64) {
 	b.advanceWindowLocked(time.Now())
-	v := b.used.Add(n)
-	if v > b.winPeak {
-		b.winPeak = v
-	}
-	b.tracer.Instant(trace.PhaseLease, b.traceEP, -1, -1, v, n)
-	if v >= b.high {
+	b.used += n
+	b.peak = max(b.peak, b.used)
+	b.winPeak = max(b.winPeak, b.used)
+	t.inUse += n
+	t.peakInUse = max(t.peakInUse, t.inUse)
+	t.grants++
+	b.tracer.Instant(trace.PhaseLease, b.traceEP, -1, -1, b.used, n)
+	if b.used >= b.high {
 		if !b.overHigh {
-			b.tracer.Instant(trace.PhaseOverload, b.traceEP, -1, -1, v, 1)
+			b.tracer.Instant(trace.PhaseOverload, b.traceEP, -1, -1, b.used, 1)
 		}
 		b.overHigh = true
 	}
@@ -192,74 +236,78 @@ func (b *Budget) admitLocked(n int64) {
 
 // Acquire blocks until n bytes of credit are available (or ctx is done)
 // and returns a Lease over them. A zero-byte request returns an inert
-// lease immediately. Waiters are served FIFO.
+// lease immediately. The budget's own waiters are served FIFO.
 func (b *Budget) Acquire(ctx context.Context, n int64) (*Lease, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("flowctl: Acquire of negative size %d", n)
-	}
-	if n == 0 {
+	b.mu.Lock()
+	return b.acquireLocked(ctx, &b.own, n)
+}
+
+// acquireLocked is the one admission path; it is entered with b.mu held
+// and releases it. The request is granted at once if the pot fits it
+// and either nobody is queued, or t's own queue is empty and n keeps t
+// within its guaranteed share (overtaking other tenants' backlogs).
+// Otherwise it joins t's FIFO until the drain grants it or ctx is done.
+func (b *Budget) acquireLocked(ctx context.Context, t *tenant, n int64) (*Lease, error) {
+	if n <= 0 {
+		b.mu.Unlock()
+		if n < 0 {
+			return nil, fmt.Errorf("flowctl: Acquire of negative size %d", n)
+		}
 		return &Lease{}, nil
 	}
-	b.mu.Lock()
-	if len(b.waiters) == 0 && b.fitsLocked(n) {
-		b.admitLocked(n)
+	if b.fitsLocked(n) && (b.queued == 0 || (len(t.queue) == 0 && t.inUse+n <= b.shareLocked(t))) {
+		b.admitLocked(t, n)
 		b.mu.Unlock()
-		return &Lease{b: b, n: n}, nil
+		return &Lease{t: t, n: n}, nil
 	}
 	w := &waiter{n: n, ready: make(chan struct{})}
-	b.waiters = append(b.waiters, w)
-	b.throttles.Inc()
+	t.queue = append(t.queue, w)
+	t.waits++
+	b.queued++
+	b.throttles++
 	start := time.Now()
 	b.mu.Unlock()
 
 	sp := b.tracer.Begin(trace.PhaseThrottle, b.traceEP, -1, -1, -1)
 	select {
 	case <-w.ready:
-		sp.End(n)
-		b.noteWait(start)
-		return &Lease{b: b, n: n}, nil
 	case <-ctx.Done():
 	}
-	sp.End(0)
-	// Cancelled — but a concurrent release may have granted us already;
-	// a grant observed here wins (the bytes are accounted to us).
 	b.mu.Lock()
-	if w.granted {
-		b.mu.Unlock()
-		b.noteWait(start)
-		return &Lease{b: b, n: n}, nil
+	// A grant observed under the lock wins the race with cancellation:
+	// the bytes are already accounted to us.
+	granted := w.granted
+	if !granted {
+		i := slices.Index(t.queue, w)
+		t.queue = slices.Delete(t.queue, i, i+1)
+		b.queued--
+		b.drainLocked() // the waiters behind us may fit now
 	}
-	for i, q := range b.waiters {
-		if q == w {
-			b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
-			break
-		}
+	wait := time.Since(start).Nanoseconds()
+	t.waitTime += wait
+	b.throttleWait += wait
+	b.mu.Unlock()
+	if !granted {
+		sp.End(0)
+		return nil, fmt.Errorf("flowctl: waiting for %d bytes of budget credit: %w", n, ctx.Err())
 	}
-	b.mu.Unlock()
-	b.noteWait(start)
-	return nil, fmt.Errorf("flowctl: waiting for %d bytes of budget credit: %w", n, ctx.Err())
-}
-
-func (b *Budget) noteWait(start time.Time) {
-	d := time.Since(start).Nanoseconds()
-	b.mu.Lock()
-	b.throttleWait += d
-	b.mu.Unlock()
+	sp.End(n)
+	return &Lease{t: t, n: n}, nil
 }
 
 // TryAcquire grants n bytes immediately or reports failure without
-// waiting. Pending FIFO waiters are never overtaken.
+// waiting. Queued waiters are never overtaken.
 func (b *Budget) TryAcquire(n int64) (*Lease, bool) {
 	if n <= 0 {
 		return &Lease{}, n == 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.waiters) > 0 || !b.fitsLocked(n) {
+	if b.queued > 0 || !b.fitsLocked(n) {
 		return nil, false
 	}
-	b.admitLocked(n)
-	return &Lease{b: b, n: n}, true
+	b.admitLocked(&b.own, n)
+	return &Lease{t: &b.own, n: n}, true
 }
 
 // Overdraft accounts n bytes immediately regardless of pressure. It
@@ -275,35 +323,68 @@ func (b *Budget) Overdraft(n int64) *Lease {
 		return &Lease{}
 	}
 	b.mu.Lock()
-	b.admitLocked(n)
+	b.admitLocked(&b.own, n)
 	b.mu.Unlock()
-	return &Lease{b: b, n: n}
+	return &Lease{t: &b.own, n: n}
 }
 
-// release returns n bytes and hands credits to FIFO waiters in order.
-func (b *Budget) release(n int64) {
+// release returns n bytes held by t and drains the queue.
+func (b *Budget) release(t *tenant, n int64) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.advanceWindowLocked(time.Now())
-	v := b.used.Add(-n)
-	b.tracer.Instant(trace.PhaseLease, b.traceEP, -1, -1, v, -n)
-	if v <= b.low {
+	b.used -= n
+	t.inUse -= n
+	b.tracer.Instant(trace.PhaseLease, b.traceEP, -1, -1, b.used, -n)
+	if b.used <= b.low {
 		if b.overHigh {
-			b.tracer.Instant(trace.PhaseOverload, b.traceEP, -1, -1, v, 0)
+			b.tracer.Instant(trace.PhaseOverload, b.traceEP, -1, -1, b.used, 0)
 		}
 		b.overHigh = false
 	}
-	var granted []*waiter
-	for len(b.waiters) > 0 && b.fitsLocked(b.waiters[0].n) {
-		w := b.waiters[0]
-		b.waiters = b.waiters[1:]
+	b.drainLocked()
+}
+
+// drainLocked grants queue heads while the pot has room, picking at each
+// step, among the tenants whose head fits, the one with the smallest
+// in-use/weight ratio (ties by id) — deficit-weighted round-robin. A
+// tenant whose head does not fit is skipped (another tenant's smaller
+// head may still fit), but only tenants with a smaller ratio overtake
+// it, so the skip cannot starve it: its ratio only shrinks as others
+// are charged. With only the budget's own tenant this is plain FIFO.
+func (b *Budget) drainLocked() {
+	for b.queued > 0 {
+		next := b.pickLocked(&b.own, nil)
+		for _, t := range b.tenants {
+			next = b.pickLocked(t, next)
+		}
+		if next == nil {
+			return
+		}
+		w := next.queue[0]
+		next.queue[0] = nil
+		next.queue = next.queue[1:]
+		b.queued--
 		w.granted = true
-		b.admitLocked(w.n)
-		granted = append(granted, w)
-	}
-	b.mu.Unlock()
-	for _, w := range granted {
+		b.admitLocked(next, w.n)
 		close(w.ready)
 	}
+}
+
+// pickLocked returns whichever of t and best the drain serves first;
+// t is a candidate only if its queue head fits the pot.
+func (b *Budget) pickLocked(t, best *tenant) *tenant {
+	if len(t.queue) == 0 || !b.fitsLocked(t.queue[0].n) {
+		return best
+	}
+	if best == nil {
+		return t
+	}
+	rt, rb := t.inUse*best.weight, best.inUse*t.weight
+	if rt < rb || rt == rb && t.id < best.id {
+		return t
+	}
+	return best
 }
 
 // Overloaded reports the hysteresis latch: true once used bytes reach the
@@ -321,9 +402,9 @@ func (b *Budget) Stats() BudgetStats {
 	defer b.mu.Unlock()
 	return BudgetStats{
 		Capacity:     b.capacity,
-		Used:         b.used.Value(),
-		Peak:         b.used.Peak(),
-		Throttles:    b.throttles.Value(),
+		Used:         b.used,
+		Peak:         b.peak,
+		Throttles:    b.throttles,
 		ThrottleWait: time.Duration(b.throttleWait),
 	}
 }
@@ -332,7 +413,7 @@ func (b *Budget) Stats() BudgetStats {
 // call concurrently with other budget operations. The zero Lease is an
 // inert no-op.
 type Lease struct {
-	b    *Budget
+	t    *tenant
 	n    int64
 	once sync.Once
 }
@@ -342,8 +423,8 @@ func (l *Lease) Bytes() int64 { return l.n }
 
 // Release returns the lease's bytes to the budget.
 func (l *Lease) Release() {
-	if l == nil || l.b == nil {
+	if l == nil || l.t == nil {
 		return
 	}
-	l.once.Do(func() { l.b.release(l.n) })
+	l.once.Do(func() { l.t.b.release(l.t, l.n) })
 }

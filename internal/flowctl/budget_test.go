@@ -260,3 +260,62 @@ func TestBudgetConcurrentChurn(t *testing.T) {
 		t.Fatalf("used after churn = %d, want 0", got)
 	}
 }
+
+// TestBudgetGiveUpWakesNextWaiter: a queue head that gives up must not
+// strand the waiter behind it. With 60 of 100 bytes held, a 50-byte
+// request queues, then a 30-byte one behind it; cancelling the head
+// leaves 30 bytes that fit, so the second waiter is granted at once
+// rather than waiting out its own deadline.
+func TestBudgetGiveUpWakesNextWaiter(t *testing.T) {
+	b := mustBudget(t, 100)
+	held, err := b.Acquire(context.Background(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Release()
+
+	headCtx, cancelHead := context.WithCancel(context.Background())
+	headErr := make(chan error, 1)
+	go func() {
+		_, err := b.Acquire(headCtx, 50)
+		headErr <- err
+	}()
+	waitForThrottles(t, b, 1)
+
+	type result struct {
+		lease *Lease
+		err   error
+	}
+	second := make(chan result, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		l, err := b.Acquire(ctx, 30)
+		second <- result{l, err}
+	}()
+	waitForThrottles(t, b, 2)
+
+	cancelHead()
+	if err := <-headErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled head returned %v, want Canceled", err)
+	}
+	r := <-second
+	if r.err != nil {
+		t.Fatalf("waiter behind a cancelled head: %v (it fits: 60+30 <= 100)", r.err)
+	}
+	r.lease.Release()
+	if got := b.Stats().Used; got != 60 {
+		t.Fatalf("used = %d, want 60", got)
+	}
+}
+
+func waitForThrottles(t *testing.T, b *Budget, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Stats().Throttles < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d throttles, want %d", b.Stats().Throttles, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

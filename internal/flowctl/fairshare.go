@@ -3,19 +3,18 @@ package flowctl
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 )
 
-// FairShare layers multi-tenant admission over one Budget: instead of a
-// single global pot with one FIFO queue, every tenant owns a weighted
-// sub-budget — its guaranteed share of the capacity — and overload is
-// arbitrated by weighted FIFO across tenants rather than strict arrival
-// order. The serve daemon gives every simulation client (tenant) one
-// registration, so a misbehaving tenant that floods the staging area
-// can exhaust only its own share; other tenants' requests are granted
-// ahead of its backlog the moment bytes free up.
+// FairShare is the tenant registry of a Budget's admission queue:
+// instead of a single global pot with one FIFO queue, every registered
+// tenant owns a weighted sub-budget — its guaranteed share of the
+// capacity — and overload is arbitrated by weighted FIFO across tenants
+// rather than strict arrival order. The serve daemon gives every
+// simulation client (tenant) one registration, so a misbehaving tenant
+// that floods the staging area can exhaust only its own share; other
+// tenants' requests are granted ahead of its backlog the moment bytes
+// free up.
 //
 // Two rules define fairness here:
 //
@@ -23,43 +22,16 @@ import (
 //     within weight/Σweights of the capacity is granted as soon as the
 //     pot physically has room, overtaking every other tenant's queued
 //     backlog (it never waits behind someone else's overload);
-//   - weighted FIFO: when multiple tenants queue, releases grant the
-//     head request of the tenant with the smallest in-use/weight ratio
-//     first — deficit round-robin, so each tenant's throughput under
-//     sustained overload converges to its weight share.
+//   - weighted FIFO: when multiple tenants queue, the budget's drain
+//     grants the head request of the tenant with the smallest
+//     in-use/weight ratio first — deficit round-robin, so each tenant's
+//     throughput under sustained overload converges to its weight share.
 //
-// Within one tenant, requests stay strictly FIFO.
+// Within one tenant, requests stay strictly FIFO. FairShare holds no
+// state of its own: registrations, queues and counters live in the
+// budget, under its one mutex.
 type FairShare struct {
 	b *Budget
-
-	// mu guards tenants, totalWeight, and waiters. Lock order: f.mu may
-	// be held across b.TryAcquire (which takes the budget's own mutex);
-	// nothing ever takes f.mu while holding the budget's lock, so the
-	// two never nest in both orders.
-	mu          sync.Mutex
-	tenants     map[int]*tenantShare
-	totalWeight int64
-	waiters     int
-}
-
-// tenantShare is one tenant's admission state.
-type tenantShare struct {
-	id     int
-	weight int64
-	inUse  int64
-	queue  []*fairWaiter
-
-	grants    int64
-	waits     int64
-	waitTime  int64 // nanoseconds
-	peakInUse int64
-}
-
-type fairWaiter struct {
-	n       int64
-	ready   chan struct{}
-	granted bool
-	lease   *Lease
 }
 
 // FairStats snapshots one tenant's admission accounting.
@@ -79,18 +51,14 @@ type FairStats struct {
 	WaitTime time.Duration
 }
 
-// NewFairShare builds a fair-share arbiter over the given budget. The
-// budget must not be used for blocking Acquire calls by anyone else:
-// the arbiter grants through TryAcquire so the budget's own FIFO queue
-// stays empty.
+// NewFairShare builds a fair-share tenant registry over the given
+// budget. Registered tenants queue beside the budget's own Acquire
+// callers; the budget's own tenant has weight 1 and no guaranteed share.
 func NewFairShare(b *Budget) (*FairShare, error) {
 	if b == nil {
 		return nil, fmt.Errorf("flowctl: FairShare needs a budget")
 	}
-	return &FairShare{
-		b:       b,
-		tenants: make(map[int]*tenantShare),
-	}, nil
+	return &FairShare{b: b}, nil
 }
 
 // Budget exposes the underlying accountant (for stats and tracing).
@@ -103,13 +71,17 @@ func (f *FairShare) Register(id, weight int) error {
 	if weight < 1 {
 		return fmt.Errorf("flowctl: tenant %d weight %d must be >= 1", id, weight)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.tenants[id]; ok {
+	b := f.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.tenants[id]; ok {
 		return fmt.Errorf("flowctl: tenant %d already registered", id)
 	}
-	f.tenants[id] = &tenantShare{id: id, weight: int64(weight)}
-	f.totalWeight += int64(weight)
+	if b.tenants == nil {
+		b.tenants = make(map[int]*tenant)
+	}
+	b.tenants[id] = &tenant{b: b, id: id, weight: int64(weight)}
+	b.totalWeight += int64(weight)
 	return nil
 }
 
@@ -117,199 +89,57 @@ func (f *FairShare) Register(id, weight int) error {
 // fails while the tenant still holds bytes or has queued requests, so a
 // leave is graceful by construction: drain first, then go.
 func (f *FairShare) Deregister(id int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ts, ok := f.tenants[id]
+	b := f.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t, ok := b.tenants[id]
 	if !ok {
 		return fmt.Errorf("flowctl: tenant %d not registered", id)
 	}
-	if ts.inUse > 0 || len(ts.queue) > 0 {
+	if t.inUse > 0 || len(t.queue) > 0 {
 		return fmt.Errorf("flowctl: tenant %d leaving with %d bytes held and %d queued requests",
-			id, ts.inUse, len(ts.queue))
+			id, t.inUse, len(t.queue))
 	}
-	delete(f.tenants, id)
-	f.totalWeight -= ts.weight
+	delete(b.tenants, id)
+	b.totalWeight -= t.weight
 	return nil
-}
-
-// shareLocked is the tenant's guaranteed slice of the capacity.
-func (f *FairShare) shareLocked(ts *tenantShare) int64 {
-	if f.totalWeight == 0 {
-		return 0
-	}
-	return f.b.Capacity() * ts.weight / f.totalWeight
 }
 
 // Stats snapshots one tenant's admission accounting.
 func (f *FairShare) Stats(id int) (FairStats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ts, ok := f.tenants[id]
+	b := f.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t, ok := b.tenants[id]
 	if !ok {
 		return FairStats{}, fmt.Errorf("flowctl: tenant %d not registered", id)
 	}
 	return FairStats{
-		Weight:         int(ts.weight),
-		ShareBytes:     f.shareLocked(ts),
-		InUseBytes:     ts.inUse,
-		PeakInUseBytes: ts.peakInUse,
-		Grants:         ts.grants,
-		Waits:          ts.waits,
-		WaitTime:       time.Duration(ts.waitTime),
+		Weight:         int(t.weight),
+		ShareBytes:     b.shareLocked(t),
+		InUseBytes:     t.inUse,
+		PeakInUseBytes: t.peakInUse,
+		Grants:         t.grants,
+		Waits:          t.waits,
+		WaitTime:       time.Duration(t.waitTime),
 	}, nil
-}
-
-// grantLocked accounts a grant against the tenant and the budget.
-// Returns nil when the pot physically cannot admit n bytes right now.
-func (f *FairShare) grantLocked(ts *tenantShare, n int64) *Lease {
-	lease, ok := f.b.TryAcquire(n)
-	if !ok {
-		return nil
-	}
-	ts.inUse += n
-	if ts.inUse > ts.peakInUse {
-		ts.peakInUse = ts.inUse
-	}
-	ts.grants++
-	return lease
 }
 
 // Acquire admits n bytes for the tenant, blocking (FIFO within the
 // tenant, weighted FIFO across tenants) until the request can be
 // granted or ctx is done. The returned release func must be called
-// when the bytes leave memory.
+// when the bytes leave memory; calling it again is a no-op.
 func (f *FairShare) Acquire(ctx context.Context, id int, n int64) (release func(), err error) {
-	if n < 0 {
-		return nil, fmt.Errorf("flowctl: fair-share Acquire of negative size %d", n)
-	}
-	if n == 0 {
-		return func() {}, nil
-	}
-	f.mu.Lock()
-	ts, ok := f.tenants[id]
+	b := f.b
+	b.mu.Lock()
+	t, ok := b.tenants[id]
 	if !ok {
-		f.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("flowctl: tenant %d not registered", id)
 	}
-	// Immediate grant: within the guaranteed share (overtakes other
-	// tenants' backlogs), or nobody is queued anywhere and the pot has
-	// room (work-conserving — an idle pot never makes anyone wait).
-	withinShare := ts.inUse+n <= f.shareLocked(ts) && len(ts.queue) == 0
-	idlePath := f.waiters == 0
-	if withinShare || idlePath {
-		if lease := f.grantLocked(ts, n); lease != nil {
-			f.mu.Unlock()
-			return f.releaseFunc(ts, lease), nil
-		}
+	lease, err := b.acquireLocked(ctx, t, n)
+	if err != nil {
+		return nil, err
 	}
-	// Queue: strictly FIFO within the tenant, drained weighted-FIFO
-	// across tenants by release.
-	w := &fairWaiter{n: n, ready: make(chan struct{})}
-	ts.queue = append(ts.queue, w)
-	ts.waits++
-	f.waiters++
-	start := time.Now()
-	f.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		f.noteWait(ts, start)
-		return f.releaseFunc(ts, w.lease), nil
-	case <-ctx.Done():
-	}
-	f.mu.Lock()
-	if w.granted {
-		// A concurrent release granted us before the cancellation took
-		// hold; the grant wins (the bytes are already accounted to us).
-		f.mu.Unlock()
-		f.noteWait(ts, start)
-		return f.releaseFunc(ts, w.lease), nil
-	}
-	for i, q := range ts.queue {
-		if q == w {
-			ts.queue = append(ts.queue[:i], ts.queue[i+1:]...)
-			break
-		}
-	}
-	f.waiters--
-	f.mu.Unlock()
-	f.noteWait(ts, start)
-	return nil, fmt.Errorf("flowctl: tenant %d waiting for %d bytes of fair-share credit: %w", id, n, ctx.Err())
-}
-
-func (f *FairShare) noteWait(ts *tenantShare, start time.Time) {
-	d := time.Since(start).Nanoseconds()
-	f.mu.Lock()
-	ts.waitTime += d
-	f.mu.Unlock()
-}
-
-// releaseFunc wraps a lease so the tenant's in-use accounting and the
-// cross-tenant queues are updated exactly once on release.
-func (f *FairShare) releaseFunc(ts *tenantShare, lease *Lease) func() {
-	released := make(chan struct{}, 1)
-	n := lease.Bytes()
-	return func() {
-		select {
-		case released <- struct{}{}:
-		default:
-			return // already released
-		}
-		lease.Release()
-		f.mu.Lock()
-		ts.inUse -= n
-		granted := f.drainLocked()
-		f.mu.Unlock()
-		for _, w := range granted {
-			close(w.ready)
-		}
-	}
-}
-
-// drainLocked grants queued requests while the pot has room, picking at
-// each step the tenant head with the smallest in-use/weight ratio —
-// deficit-weighted round-robin. A tenant whose head doesn't fit is
-// skipped (a later, smaller head of another tenant may still fit), but
-// only tenants with strictly larger deficit ratios overtake it, so the
-// skip cannot starve: its ratio only shrinks as others are charged.
-func (f *FairShare) drainLocked() []*fairWaiter {
-	var granted []*fairWaiter
-	for {
-		queued := make([]*tenantShare, 0, len(f.tenants))
-		for _, ts := range f.tenants {
-			if len(ts.queue) > 0 {
-				queued = append(queued, ts)
-			}
-		}
-		if len(queued) == 0 {
-			return granted
-		}
-		// Smallest in-use per weight first; ties broken by id for
-		// determinism.
-		sort.Slice(queued, func(i, j int) bool {
-			a, b := queued[i], queued[j]
-			ra := a.inUse * b.weight
-			rb := b.inUse * a.weight
-			if ra != rb {
-				return ra < rb
-			}
-			return a.id < b.id
-		})
-		progressed := false
-		for _, ts := range queued {
-			w := ts.queue[0]
-			if lease := f.grantLocked(ts, w.n); lease != nil {
-				ts.queue = ts.queue[1:]
-				f.waiters--
-				w.granted = true
-				w.lease = lease
-				granted = append(granted, w)
-				progressed = true
-				break // re-rank: the grant changed the deficit order
-			}
-		}
-		if !progressed {
-			return granted
-		}
-	}
+	return lease.Release, nil
 }

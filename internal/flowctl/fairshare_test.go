@@ -394,3 +394,53 @@ func ExampleFairShare() {
 	fmt.Println(a.ShareBytes, b.ShareBytes)
 	// Output: 75 25
 }
+
+// TestFairShareGiveUpWakesNextWaiter: the fair-share form of a waiter
+// that gives up. Three weight-1 tenants share 100 bytes (33 each).
+// Tenant 0 holds 60, tenant 1 queues 50, and tenant 2 queues 35 — it
+// fits the pot but exceeds its share, so it waits behind the backlog.
+// Once tenant 1 gives up, tenant 2 must be granted at once.
+func TestFairShareGiveUpWakesNextWaiter(t *testing.T) {
+	f := newTestFairShare(t, 100)
+	for id := 0; id < 3; id++ {
+		if err := f.Register(id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release, err := f.Acquire(context.Background(), 0, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	err1 := make(chan error, 1)
+	go func() {
+		_, err := f.Acquire(ctx1, 1, 50)
+		err1 <- err
+	}()
+	waitForWaits(t, f, 1, 1)
+
+	err2 := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		release, err := f.Acquire(ctx, 2, 35)
+		if err == nil {
+			release()
+		}
+		err2 <- err
+	}()
+	waitForWaits(t, f, 2, 1)
+
+	cancel1()
+	if err := <-err1; err == nil {
+		t.Fatal("cancelled tenant 1 was granted")
+	}
+	if err := <-err2; err != nil {
+		t.Fatalf("tenant 2 behind a cancelled waiter: %v (it fits: 60+35 <= 100)", err)
+	}
+	if st, _ := f.Stats(2); st.Grants != 1 {
+		t.Fatalf("tenant 2 stats: %+v", st)
+	}
+}

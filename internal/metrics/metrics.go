@@ -13,7 +13,7 @@ import (
 )
 
 // noCopy enforces the "must not be copied after first use" contract of
-// Counter and Gauge mechanically: embedding it gives the struct Lock
+// Counter mechanically: embedding it gives the struct Lock
 // and Unlock methods, so `go vet`'s copylocks analyzer flags any copy.
 // It synchronizes nothing. See golang.org/issues/8005.
 type noCopy struct{}
@@ -37,54 +37,6 @@ func (c *Counter) Add(delta int64) { c.n.Add(delta) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge tracks a current level and its high-water mark — bytes admitted
-// under a memory budget, events queued on a stone, leases outstanding.
-// Safe for concurrent use. The zero value is ready; a Gauge must not be
-// copied after first use (enforced by `go vet`).
-type Gauge struct {
-	noCopy noCopy
-	mu     sync.Mutex
-	v      int64
-	peak   int64
-}
-
-// Add moves the level by delta (negative to release) and returns the new
-// level, updating the high-water mark.
-func (g *Gauge) Add(delta int64) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.v += delta
-	if g.v > g.peak {
-		g.peak = g.v
-	}
-	return g.v
-}
-
-// Set forces the level to v (e.g. re-baselining between dumps),
-// updating the high-water mark like Add.
-func (g *Gauge) Set(v int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.v = v
-	if v > g.peak {
-		g.peak = v
-	}
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Peak returns the highest level ever observed.
-func (g *Gauge) Peak() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.peak
-}
 
 // Summary holds order statistics and moments of a sample of float64
 // observations (seconds, bytes, counts, ...).

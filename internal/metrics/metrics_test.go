@@ -97,57 +97,9 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAndPeak(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	if g.Value() != 10 || g.Peak() != 10 {
-		t.Fatalf("after Set(10): value %d peak %d", g.Value(), g.Peak())
-	}
-	g.Set(3)
-	if g.Value() != 3 || g.Peak() != 10 {
-		t.Fatalf("Set downward moved the peak: value %d peak %d", g.Value(), g.Peak())
-	}
-	g.Add(20)
-	if g.Value() != 23 || g.Peak() != 23 {
-		t.Fatalf("after Add(20): value %d peak %d", g.Value(), g.Peak())
-	}
-}
-
-// TestGaugeConcurrent hammers every Gauge method from many goroutines;
-// run with -race to prove Set participates in the same lock discipline
-// as Add/Value/Peak.
-func TestGaugeConcurrent(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	const goroutines, iters = 8, 2000
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < iters; j++ {
-				switch j % 4 {
-				case 0:
-					g.Add(1)
-				case 1:
-					g.Add(-1)
-				case 2:
-					g.Set(int64(i))
-				default:
-					_ = g.Value()
-					_ = g.Peak()
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if g.Peak() < g.Value() {
-		t.Fatalf("peak %d below final value %d", g.Peak(), g.Value())
-	}
-}
-
 // TestVetFlagsCopies proves the noCopy embedding is load-bearing: `go
-// vet` over the testdata/copycheck package (which copies a used Gauge
-// and Counter by value) must fail with copylocks diagnostics. testdata
+// vet` over the testdata/copycheck package (which copies a used
+// Counter by value) must fail with copylocks diagnostics. testdata
 // is invisible to ./... patterns, so the bad package never breaks a
 // regular build or vet run.
 func TestVetFlagsCopies(t *testing.T) {
@@ -158,15 +110,15 @@ func TestVetFlagsCopies(t *testing.T) {
 	cmd := exec.Command(goBin, "vet", "./testdata/copycheck")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go vet accepted a by-value copy of Gauge/Counter:\n%s", out)
+		t.Fatalf("go vet accepted a by-value copy of Counter:\n%s", out)
 	}
 	text := string(out)
 	if !strings.Contains(text, "copies lock") {
 		t.Fatalf("vet failed for the wrong reason:\n%s", text)
 	}
-	// Both the Gauge copy and the Counter copy must be flagged; vet
-	// names the destination variable and the containing type.
-	for _, want := range []string{"copycheck.go", "metrics.Gauge", "metrics.Counter"} {
+	// The Counter copy must be flagged; vet names the destination
+	// variable and the containing type.
+	for _, want := range []string{"copycheck.go", "metrics.Counter"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("vet output lacks %q:\n%s", want, text)
 		}

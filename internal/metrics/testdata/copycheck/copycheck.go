@@ -1,23 +1,14 @@
-// Package copycheck deliberately copies metrics.Counter and
-// metrics.Gauge by value. It exists only as a `go vet` target: the
-// copylocks analyzer must flag both copies (the embedded noCopy gives
-// the types Lock/Unlock methods), which TestVetFlagsCopies asserts by
-// running vet over this directory. The package never builds into
-// anything.
+// Package copycheck deliberately copies a metrics.Counter by value. It
+// exists only as a `go vet` target: the copylocks analyzer must flag the
+// copy (the embedded noCopy gives the type Lock/Unlock methods), which
+// TestVetFlagsCopies asserts by running vet over this directory. The
+// package never builds into anything.
 package copycheck
 
 import "predata/internal/metrics"
 
-// CopyGauge returns a by-value copy of a used Gauge — exactly the bug
-// the noCopy embedding makes vet catch.
-func CopyGauge() int64 {
-	var g metrics.Gauge
-	g.Add(1)
-	g2 := g // want "copies lock"
-	return g2.Value()
-}
-
-// CopyCounter does the same for Counter.
+// CopyCounter returns a by-value copy of a used Counter — exactly the
+// bug the noCopy embedding makes vet catch.
 func CopyCounter() int64 {
 	var c metrics.Counter
 	c.Inc()

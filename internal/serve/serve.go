@@ -200,6 +200,7 @@ func (d *Daemon) Join(tenant string, weight int) (*Session, error) {
 	d.epoch++
 	s := &Session{d: d, id: id, tenant: tenant,
 		leases: make(map[objVer][]func()), resident: make(map[objVer]int64)}
+	s.leaving, s.signalLeave = context.WithCancel(context.Background())
 	d.sessions[tenant] = s
 	d.tracer.Instant(trace.PhaseTenantJoin, id, id, 0, d.epoch, int64(weight))
 	if rs, err := d.space.Resize(d.targetServersLocked()); err == nil && rs.From != rs.To {
@@ -214,6 +215,13 @@ type Session struct {
 	d      *Daemon
 	id     int
 	tenant string
+
+	// leaving is cancelled by Leave, failing every ingest still queued
+	// for admission; inflight counts ingests from before admission
+	// until their lease is recorded, so Leave can wait them out.
+	leaving     context.Context
+	signalLeave context.CancelFunc
+	inflight    sync.WaitGroup
 
 	mu       sync.Mutex
 	leases   map[objVer][]func()
@@ -232,14 +240,31 @@ func (s *Session) ID() int { return s.id }
 // the cells' bytes, journal append (when durable), Put into the shared
 // space under the tenant's namespace, and cache invalidation for the
 // version. The admission lease is held while the bytes are resident —
-// it returns to the pot when the version is evicted.
+// it returns to the pot when the version is evicted. An ingest that
+// Leave overtakes before admission fails without journaling or putting.
 func (s *Session) Ingest(ctx context.Context, name string, version int, lb, ub []uint64, data []float64) error {
 	qual := qualify(s.tenant, name)
 	hash := objHash(qual)
 	bytes := int64(len(data)) * 8
+	s.mu.Lock()
+	if s.left {
+		s.mu.Unlock()
+		return s.errLeft()
+	}
+	s.inflight.Add(1)
+	s.mu.Unlock()
+	defer s.inflight.Done()
+	ctx, cancel := context.WithCancel(ctx)
+	stop := context.AfterFunc(s.leaving, cancel)
 	release, err := s.d.fair.Acquire(ctx, s.id, bytes)
+	stop()
+	cancel()
 	if err != nil {
 		return err
+	}
+	if s.leaving.Err() != nil {
+		release()
+		return s.errLeft()
 	}
 	if s.d.journal != nil {
 		if err := s.d.journal.AppendChunk(s.id, ingestTimestep(qual, version), encodeIngest(qual, version, lb, ub, data)); err != nil {
@@ -255,11 +280,6 @@ func (s *Session) Ingest(ctx context.Context, name string, version int, lb, ub [
 		s.d.cache.invalidate(objVer{qual, version}, s.id, hash)
 	}
 	s.mu.Lock()
-	if s.left {
-		s.mu.Unlock()
-		release()
-		return fmt.Errorf("serve: tenant %q left", s.tenant)
-	}
 	ov := objVer{qual, version}
 	s.leases[ov] = append(s.leases[ov], release)
 	s.resident[ov] += bytes
@@ -391,7 +411,10 @@ func (s *Session) evict(ov objVer, releases []func(), bytes int64) error {
 	return nil
 }
 
-// Leave drains the tenant out of the daemon: every resident version is
+func (s *Session) errLeft() error { return fmt.Errorf("serve: tenant %q left", s.tenant) }
+
+// Leave drains the tenant out of the daemon: ingests still queued for
+// admission fail, admitted ones finish, then every resident version is
 // evicted (leases return to the pot, durable state is committed away),
 // the fair-share registration is removed, the membership epoch bumps,
 // and the shard pool rescales down. The session is invalid afterwards.
@@ -402,6 +425,10 @@ func (s *Session) Leave() error {
 		return fmt.Errorf("serve: tenant %q already left", s.tenant)
 	}
 	s.left = true
+	s.mu.Unlock()
+	s.signalLeave()
+	s.inflight.Wait()
+	s.mu.Lock()
 	pending := s.leases
 	bytes := s.resident
 	s.leases = make(map[objVer][]func())

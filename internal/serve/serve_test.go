@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"predata/internal/dataspaces"
 	"predata/internal/trace"
@@ -211,5 +212,79 @@ func TestDaemonWALRecovery(t *testing.T) {
 	}
 	if _, err := s2.Query("gone", 3, lb, ub); err == nil {
 		t.Fatal("evicted version resurrected by recovery")
+	}
+}
+
+// TestDaemonLeaveFailsQueuedIngest: a tenant leaves while one of its
+// ingests waits for admission. The pot holds one 8×8 version, so with
+// v1 resident the ingest of v2 queues. Leave must fail that ingest
+// without journaling or putting it, evict v1, and deregister the
+// tenant; no cell remains, a restarted daemon recovers none, and the
+// tenant can rejoin.
+func TestDaemonLeaveFailsQueuedIngest(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", durable), func(t *testing.T) {
+			cfg := Config{Servers: 2, Domain: testDomain(), CapacityBytes: 512}
+			if durable {
+				cfg.WALDir = t.TempDir()
+			}
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			s, err := d.Join("gtc", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			lb, ub := []uint64{0, 0}, []uint64{8, 8}
+			if err := s.Ingest(ctx, "field", 1, lb, ub, rowData(64, 1)); err != nil {
+				t.Fatal(err)
+			}
+			queued := make(chan error, 1)
+			go func() { queued <- s.Ingest(ctx, "field", 2, lb, ub, rowData(64, 2)) }()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				st, err := s.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Admission.Waits >= 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("ingest of v2 never queued for admission")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			if err := s.Leave(); err != nil {
+				t.Fatalf("Leave with a queued ingest: %v", err)
+			}
+			if err := <-queued; err == nil {
+				t.Fatal("queued ingest succeeded after its tenant left")
+			}
+			if n := d.Space().MemoryCells(); n != 0 {
+				t.Fatalf("%d cells of the departed tenant remain", n)
+			}
+			if _, err := d.Join("gtc", 1); err != nil {
+				t.Fatalf("rejoin after leave: %v", err)
+			}
+			if !durable {
+				return
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			if n := d2.Space().MemoryCells(); n != 0 {
+				t.Fatalf("restart recovered %d cells of the departed tenant", n)
+			}
+		})
 	}
 }
