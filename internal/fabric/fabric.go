@@ -486,9 +486,11 @@ func (e *Endpoint) SetEpoch(epoch int64) {
 }
 
 // Expose registers buf as a pullable memory region and returns its handle.
-// Ownership of buf passes to the fabric: a pull hands these very bytes to
-// the puller rather than copying them, so the caller may read buf but may
-// never write it again, not even after the region is released.
+// A pull hands these very bytes to the puller rather than copying them, so
+// while the region is exposed the caller may read buf but not write it.
+// Once the region is released — the puller's Ack after its last read of
+// the bytes, the owner's Release, or the endpoint's crash — the caller may
+// reuse buf (Exposed reports which).
 //
 // A send-site corrupt fault (corrupt:EP:PROB:send) flips a byte in the
 // region itself — the source's copy is bad, so every pull of this
@@ -526,6 +528,19 @@ func (e *Endpoint) Release(h Handle) error {
 	}
 	delete(st.regions, h.ID)
 	return nil
+}
+
+// Exposed reports whether the region named by h is still exposed: not yet
+// acknowledged, released, or lost with its endpoint.
+func (e *Endpoint) Exposed(h Handle) bool {
+	f := e.f
+	if h.Endpoint < 0 || h.Endpoint >= len(f.eps) {
+		return false
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.eps[h.Endpoint].regions[h.ID]
+	return ok
 }
 
 // ExposedBytes reports the total size of regions currently exposed on this
@@ -577,7 +592,10 @@ func (e *Endpoint) Interference() time.Duration {
 // on the source endpoint. It returns the data and the modeled transfer
 // duration. The data is the exposed buffer itself, handed off, not copied:
 // every pull of a handle returns the same backing array, shared read-only
-// with whoever else pulled it, so the puller must not write it.
+// with whoever else pulled it, so the puller must not write it. Pull
+// releases the region as it hands the bytes over, so an owner that reuses
+// released buffers (Expose) is pulled with PullRetain and acknowledged
+// after the puller's last read.
 //
 // On a scheduled fabric, a pull whose source endpoint is inside a busy
 // phase blocks until the phase ends. On an unscheduled fabric it proceeds
@@ -598,18 +616,19 @@ func (e *Endpoint) PullContext(ctx context.Context, h Handle) ([]byte, time.Dura
 // PullRetain is PullContext without consuming the region: the source
 // keeps the handle exposed until the puller calls Ack (or the owner
 // Release). This is the integrity-checked transfer primitive — the
-// puller verifies the delivered bytes end-to-end first and acknowledges
-// only then, so a corrupted delivery can be re-pulled, and concurrent
-// hedged pulls of the same handle are safe.
+// puller verifies the delivered bytes end-to-end and acknowledges only
+// after its last read of them, so a corrupted delivery can be re-pulled,
+// concurrent hedged pulls of the same handle are safe, and the owner may
+// reuse the buffer once the region is gone.
 func (e *Endpoint) PullRetain(ctx context.Context, h Handle) ([]byte, time.Duration, error) {
 	return e.pull(ctx, h, false)
 }
 
 // Ack releases the region named by h from the puller's side, completing
-// a PullRetain transfer after end-to-end verification. Acking a region
-// that is already gone — the loser of a hedged pull acking after the
-// winner, or an owner that crashed — is a harmless no-op, so hedge
-// races need no extra coordination.
+// a PullRetain transfer: the puller is done reading the bytes, and the
+// owner may reuse them. Acking a region that is already gone — the loser
+// of a hedged pull acking after the winner, or an owner that crashed — is
+// a harmless no-op, so hedge races need no extra coordination.
 func (e *Endpoint) Ack(h Handle) error {
 	f := e.f
 	if h.Endpoint < 0 || h.Endpoint >= len(f.eps) {

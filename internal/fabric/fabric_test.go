@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -68,6 +69,35 @@ func TestCtlMessages(t *testing.T) {
 	}
 	if err := a.SendCtl(9, nil); err == nil {
 		t.Error("SendCtl to invalid endpoint accepted")
+	}
+}
+
+// TestExposedUntilAcked: a retained pull leaves the region exposed, so
+// its owner may not reuse the buffer; the puller's Ack, or the owner's
+// Release, ends that.
+func TestExposedUntilAcked(t *testing.T) {
+	f, _ := New(quiet(2))
+	compute, _ := f.Endpoint(0)
+	staging, _ := f.Endpoint(1)
+	h := compute.Expose([]byte("frame"))
+	if _, _, err := staging.PullRetain(context.Background(), h); err != nil {
+		t.Fatal(err)
+	}
+	if !compute.Exposed(h) || !staging.Exposed(h) {
+		t.Fatal("a retained region reads as released")
+	}
+	if err := staging.Ack(h); err != nil {
+		t.Fatal(err)
+	}
+	if compute.Exposed(h) {
+		t.Error("an acked region reads as exposed")
+	}
+	h2 := compute.Expose([]byte("frame"))
+	if err := compute.Release(h2); err != nil {
+		t.Fatal(err)
+	}
+	if compute.Exposed(h2) || compute.Exposed(Handle{Endpoint: 7, ID: h2.ID}) {
+		t.Error("a released region, or one outside the fabric, reads as exposed")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"predata/internal/wire"
 )
@@ -108,12 +109,21 @@ func (a *Array) Elems() uint64 {
 	return n
 }
 
-// Validate checks dimensional consistency of the array.
+// Validate checks dimensional consistency of the array, in uint64
+// arithmetic that must not wrap: dims whose element count exceeds 2^64-1,
+// or an offset whose sum with its extent does, describe no array.
 func (a *Array) Validate() error {
 	if len(a.Dims) == 0 {
 		return fmt.Errorf("ffs: array has no dimensions")
 	}
-	want := a.Elems()
+	want := uint64(1)
+	for _, d := range a.Dims {
+		hi, lo := bits.Mul64(want, d)
+		if hi != 0 {
+			return fmt.Errorf("ffs: array dims %v imply more than 2^64-1 elements", a.Dims)
+		}
+		want = lo
+	}
 	var have uint64
 	switch {
 	case a.Float64 != nil && a.Int64 != nil:
@@ -134,9 +144,13 @@ func (a *Array) Validate() error {
 				a.Dims, a.Global, a.Offsets)
 		}
 		for i := range a.Dims {
-			if a.Offsets[i]+a.Dims[i] > a.Global[i] {
+			end, carry := bits.Add64(a.Offsets[i], a.Dims[i], 0)
+			if carry != 0 {
+				return fmt.Errorf("ffs: chunk offset %d + extent %d in dim %d wraps", a.Offsets[i], a.Dims[i], i)
+			}
+			if end > a.Global[i] {
 				return fmt.Errorf("ffs: chunk [%d:%d) exceeds global dim %d of %d",
-					a.Offsets[i], a.Offsets[i]+a.Dims[i], i, a.Global[i])
+					a.Offsets[i], end, i, a.Global[i])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package ffs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"strings"
@@ -157,6 +159,44 @@ func TestArrayElems(t *testing.T) {
 	empty := &Array{}
 	if empty.Elems() != 0 {
 		t.Errorf("empty elems %d", empty.Elems())
+	}
+}
+
+// TestValidateOffsetWrap: an offset whose sum with its extent wraps
+// uint64 lands the box nowhere in the global array, though the wrapped
+// end (here 1) is inside it. Neither Validate nor Decode may take it.
+func TestValidateOffsetWrap(t *testing.T) {
+	a := &Array{Dims: []uint64{2, 4}, Global: []uint64{4, 4}, Offsets: []uint64{math.MaxUint64, 0}, Float64: make([]float64, 8)}
+	if err := a.Validate(); err == nil || !strings.Contains(err.Error(), "wraps") {
+		t.Errorf("Validate = %v, want the offset wrap", err)
+	}
+	// Encode validates first, so write the box at offset 2 and patch the
+	// offset list's first entry (count 2, then 2 and 0) to 2^64-1.
+	schema := &Schema{Name: "w", Fields: []Field{{Name: "a", Kind: KindArray}}}
+	a.Offsets[0] = 2
+	buf, err := Encode(schema, Record{"a": a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets := binary.LittleEndian.AppendUint32(nil, 2)
+	offsets = binary.LittleEndian.AppendUint64(offsets, 2)
+	offsets = binary.LittleEndian.AppendUint64(offsets, 0)
+	at := bytes.Index(buf, offsets)
+	if at < 0 || bytes.Index(buf[at+1:], offsets) >= 0 {
+		t.Fatal("offset list not found once in the encoding")
+	}
+	binary.LittleEndian.PutUint64(buf[at+4:], math.MaxUint64)
+	if _, _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "wraps") {
+		t.Errorf("Decode = %v, want the offset wrap", err)
+	}
+}
+
+// TestValidateElemCountWrap: dims whose element count wraps uint64 (2^33 x
+// 2^31 = 2^64, which wraps to 0) must not pass for an empty array.
+func TestValidateElemCountWrap(t *testing.T) {
+	a := &Array{Dims: []uint64{1 << 33, 1 << 31}, Float64: []float64{}}
+	if err := a.Validate(); err == nil || !strings.Contains(err.Error(), "2^64") {
+		t.Errorf("Validate = %v, want the element-count overflow", err)
 	}
 }
 

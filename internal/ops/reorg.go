@@ -89,6 +89,11 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		if arr.Float64 == nil {
 			return fmt.Errorf("ops: variable %q is not a float64 array", name)
 		}
+		// Decode validated arrays it built, but a chunk need not come from
+		// Decode, and Reduce scatters by these dims and offsets.
+		if err := arr.Validate(); err != nil {
+			return fmt.Errorf("ops: variable %q: %w", name, err)
+		}
 		ctx.Emit(o.varIdx[name], arr)
 	}
 	return nil

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"predata/internal/bp"
@@ -59,6 +61,26 @@ func processDump(chunks []*staging.Chunk, ops ...staging.Operator) (*staging.Res
 		return err
 	})
 	return res, err
+}
+
+// TestReorgRejectsWrappingOffset: beside a chunk at offset 0, a chunk at
+// offset 2^64-1 whose end wraps to 1 seems to tile the 4x4 array — 16 of
+// 16 elements, no overlap — and Reduce would scatter it out of range.
+// Map rejects it, naming the variable.
+func TestReorgRejectsWrappingOffset(t *testing.T) {
+	op, err := NewReorgOperator(ReorgConfig{Vars: []string{"rho"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(w int, off uint64) *staging.Chunk {
+		return &staging.Chunk{WriterRank: w, Schema: pixieSchema, Record: ffs.Record{"rho": &ffs.Array{
+			Dims: []uint64{2, 4}, Global: []uint64{4, 4}, Offsets: []uint64{off, 0}, Float64: make([]float64, 8),
+		}}}
+	}
+	_, err = processDump([]*staging.Chunk{chunk(0, 0), chunk(1, math.MaxUint64)}, op)
+	if err == nil || !strings.Contains(err.Error(), `variable "rho"`) || strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("dump = %v, want Map's error naming variable \"rho\"", err)
+	}
 }
 
 // TestReorgCoverageFailureWritesNothing: rho tiles its array and is

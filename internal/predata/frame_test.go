@@ -357,11 +357,105 @@ func TestPartialErrorOnLaterBlockFailsWrite(t *testing.T) {
 	}
 }
 
+// pullNext receives the next fetch request on stagingEP and pulls its
+// frame, acknowledging the region when ack is set.
+func pullNext(t *testing.T, stagingEP *fabric.Endpoint, ack bool) []byte {
+	t.Helper()
+	_, msg, err := stagingEP.RecvCtl()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := msg.(FetchRequest).Handle
+	frame, _, err := stagingEP.PullRetain(context.Background(), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack {
+		if err := stagingEP.Ack(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return frame
+}
+
+// TestWriteReusesReleasedFrame: once the staging side has acknowledged a
+// region, the next Write packs into the same backing array, and the frame
+// it seals there is the golden one, byte for byte (in a predata_poison
+// build the array was filled with 0xA5 in between, so every byte was
+// written again).
+func TestWriteReusesReleasedFrame(t *testing.T) {
+	g := goldenFrames()[0]
+	client, stagingEP := newFrameClient(t, g.hook)
+	if _, err := client.Write(g.schema, g.rec, 7); err != nil {
+		t.Fatal(err)
+	}
+	first := pullNext(t, stagingEP, true)
+	if _, err := client.Write(g.schema, g.rec, 7); err != nil {
+		t.Fatal(err)
+	}
+	second := pullNext(t, stagingEP, false)
+	if &first[0] != &second[0] {
+		t.Error("the second Write did not reuse the released frame")
+	}
+	if len(second) != g.len || crc32.ChecksumIEEE(second) != g.crc {
+		t.Errorf("reused frame: %d bytes, crc %08x; want %d, %08x", len(second), crc32.ChecksumIEEE(second), g.len, g.crc)
+	}
+}
+
+// TestWriteWhileExposedGetsFreshFrame: a Write while the previous region
+// is still exposed — the staging side may still read it — packs into a new
+// frame and leaves the exposed one intact.
+func TestWriteWhileExposedGetsFreshFrame(t *testing.T) {
+	g := goldenFrames()[0]
+	client, stagingEP := newFrameClient(t, g.hook)
+	if _, err := client.Write(g.schema, g.rec, 7); err != nil {
+		t.Fatal(err)
+	}
+	first := pullNext(t, stagingEP, false)
+	if _, err := client.Write(g.schema, g.rec, 8); err != nil {
+		t.Fatal(err)
+	}
+	second := pullNext(t, stagingEP, false)
+	if &first[0] == &second[0] {
+		t.Fatal("the second Write packed into a frame whose region is still exposed")
+	}
+	if crc32.ChecksumIEEE(first) != g.crc {
+		t.Error("the exposed frame changed under the second Write")
+	}
+}
+
+// TestSteadyStateWriteAllocation: a writer whose previous region has been
+// released allocates under 1 % of a 4 MiB frame per Write — no frame, only
+// the request and the partial's per-block values.
+func TestSteadyStateWriteAllocation(t *testing.T) {
+	g := goldenFrames()[0]
+	client, stagingEP := newFrameClient(t, g.hook)
+	write := func(ts int64) {
+		if _, err := client.Write(g.schema, g.rec, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ts := int64(0); ts < 2; ts++ { // warm-up: the frame, mailbox and region table growth
+		write(ts)
+		pullNext(t, stagingEP, true)
+	}
+	const writes = 8
+	var allocated uint64
+	for ts := int64(2); ts < 2+writes; ts++ {
+		allocated += totalAlloc(func() { write(ts) })
+		pullNext(t, stagingEP, true)
+	}
+	if perWrite, limit := allocated/writes, uint64(g.len/100); perWrite >= limit {
+		t.Errorf("a steady-state Write allocated %d bytes for a %d-byte frame (limit %d)", perWrite, g.len, limit)
+	}
+}
+
 var packedFrame []byte
 
 // BenchmarkPackFrame is Stages 1a and 1b of one 4 MiB particle record with
-// a combinable min/max hook: the walk that copies, folds the partial and
-// checksums each block, then the seal.
+// a combinable min/max hook, in the steady state of a writer whose last
+// frame has been released: the walk that copies into that frame, folds the
+// partial and checksums each block, then the seal.
 func BenchmarkPackFrame(b *testing.B) {
 	g := goldenFrames()[0]
 	packed := &ffs.Schema{Name: g.schema.Name, Fields: append([]ffs.Field{
@@ -373,7 +467,7 @@ func BenchmarkPackFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fold := newPartialFold(spanHook, g.schema, g.rec)
-		frame, err := packFrame(packed, full, fold)
+		frame, err := packFrame(packed, full, fold, func(int) []byte { return packedFrame })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -162,6 +162,18 @@ type Client struct {
 	// Rerouted counts dumps whose fetch request was rehashed onto a
 	// surviving staging rank because the primary had crashed.
 	Rerouted int64
+
+	// frames are the frames behind regions this client has exposed, each
+	// with its handle; spare is at most one frame whose region is gone.
+	// Write packs into a released frame that is large enough (reclaim).
+	frames []exposedFrame
+	spare  []byte
+}
+
+// exposedFrame is a packed frame and the region it was exposed as.
+type exposedFrame struct {
+	buf []byte
+	h   fabric.Handle
 }
 
 // NewClient validates the configuration and returns a client.
@@ -231,7 +243,7 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	full[fieldRank] = int64(c.cfg.WriterRank)
 	full[fieldTimestep] = timestep
 	fold := newPartialFold(c.cfg.PartialCalculate, schema, rec)
-	buf, err := packFrame(packed, full, fold)
+	buf, err := packFrame(packed, full, fold, c.reclaim)
 	if err != nil {
 		return 0, fmt.Errorf("predata: pack: %w", err)
 	}
@@ -241,6 +253,7 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	}
 	c.cfg.Endpoint.SetEpoch(timestep)
 	h := c.cfg.Endpoint.Expose(buf)
+	c.frames = append(c.frames, exposedFrame{buf: buf, h: h})
 	idx, rerouted, err := c.cfg.Membership.serverFor(c.cfg.WriterRank, timestep)
 	if err != nil {
 		return 0, err
@@ -269,18 +282,59 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	return visible, nil
 }
 
+// reclaim returns a frame of at least size bytes whose region is gone —
+// the staging side is done reading it — or nil. Of the other released
+// frames it keeps the largest as the spare and drops the rest. A reclaimed
+// frame is poisoned first in a predata_poison build, so a staging read
+// that outlives its region fails an oracle instead of reading stale bytes.
+func (c *Client) reclaim(size int) []byte {
+	var fit []byte
+	take := func(b []byte) {
+		switch {
+		case fit == nil && cap(b) >= size:
+			fit = b
+		case cap(b) > cap(c.spare):
+			c.spare = b
+		}
+	}
+	if spare := c.spare; spare != nil {
+		c.spare = nil
+		take(spare)
+	}
+	live := c.frames[:0]
+	for _, f := range c.frames {
+		if c.cfg.Endpoint.Exposed(f.h) {
+			live = append(live, f)
+		} else {
+			take(f.buf)
+		}
+	}
+	clear(c.frames[len(live):])
+	c.frames = live
+	if fit != nil && poisonReclaimed {
+		fit = fit[:cap(fit)]
+		for i := range fit {
+			fit[i] = 0xA5
+		}
+	}
+	return fit
+}
+
 // packFrame is Stage 1b, with Stage 1a folded into it: it sizes the
-// record's encoding, allocates the one buffer the chunk will ever occupy,
-// encodes behind the reserved seal header and seals in place. It is one
-// walk over the data: the encoder copies each cache-sized block into the
-// frame and hands it over, the partial fold reads the block's rows, and the
-// seal's CRC takes its bytes, all while the block is still in cache. Seal at
-// encode: the CRC frame travels through the fabric untouched and is
-// verified on the staging side before anything reduces the chunk, so
-// corruption anywhere along the path is caught end to end. A record too
-// large for the frame's length field is a named error here, not a wrapped
-// length the staging rank would re-pull as corruption.
-func packFrame(schema *ffs.Schema, rec ffs.Record, fold *partialFold) ([]byte, error) {
+// record's encoding, takes the one buffer the chunk will ever occupy —
+// from reuse, given the frame size, when that returns a frame at least
+// that large, else a new one — encodes behind the reserved seal header and
+// seals in place. It is one walk over the data: the encoder copies each
+// cache-sized block into the frame and hands it over, the partial fold
+// reads the block's rows, and the seal's CRC takes its bytes, all while
+// the block is still in cache. The encoder writes every byte of the
+// frame, so a reused frame needs no clearing. Seal at encode: the CRC
+// frame travels through the fabric untouched and is verified on the
+// staging side before anything reduces the chunk, so corruption anywhere
+// along the path is caught end to end. A record too large for the frame's
+// length field is a named error here, not a wrapped length the staging
+// rank would re-pull as corruption.
+func packFrame(schema *ffs.Schema, rec ffs.Record, fold *partialFold, reuse func(size int) []byte) ([]byte, error) {
 	n, err := ffs.Size(schema, rec)
 	if err != nil {
 		return nil, err
@@ -289,8 +343,12 @@ func packFrame(schema *ffs.Schema, rec ffs.Record, fold *partialFold) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
+	dst := reuse(size)
+	if cap(dst) < size {
+		dst = make([]byte, staging.SealOverhead, size)
+	}
 	var sum uint32
-	frame, err := ffs.AppendEncode(make([]byte, staging.SealOverhead, size), schema, rec,
+	frame, err := ffs.AppendEncode(dst[:staging.SealOverhead], schema, rec,
 		func(wrote []byte, a *ffs.Array, lo, hi int) {
 			fold.block(a, lo, hi)
 			sum = crc32.Update(sum, crc32.IEEETable, wrote)
@@ -492,7 +550,9 @@ type ServerConfig struct {
 	// re-pulls the dump instead of losing it. The commit record seals each
 	// completed dump and lets recovery dedupe against work the engine
 	// already retired. Nil runs without durability, and every region is
-	// acknowledged as soon as its pull verifies.
+	// acknowledged after the staging area's last read of its bytes: a
+	// block-mapped chunk's after its walk, every other chunk's at the end
+	// of the dump.
 	Journal *wal.Log
 	// Tracer, when non-nil, records gather/aggregate spans and retry
 	// instants into the flight recorder. ServeDump also stamps the
@@ -701,9 +761,11 @@ type dumpRun struct {
 	// engine checks the payload in its walk (staging.Chunk.Unverified).
 	blocks bool
 	mu     sync.Mutex // guards stats, held and err while the feed runs
-	// held lists the regions pulled but not yet acknowledged: with a
-	// journal, the copy of each chunk a crash would leave until the dump
-	// commits.
+	// held lists the regions pulled and acknowledged only at the end of
+	// the dump: every chunk the staging side may still read after it is
+	// mapped (views into the frame feed Reduce and Finalize) and, with a
+	// journal, every chunk — its region is the copy a crash would leave
+	// until the dump commits.
 	held []fabric.Handle
 	err  error
 }
@@ -727,7 +789,10 @@ func (d *dumpRun) failed() bool {
 // piggybacked partials and aggregate them (Stage 2b), then pull reqs'
 // chunks through the stone graph into the engine (Stages 3+4), seal the
 // dump in the journal, release the regions it held and mark it Degraded
-// if anything was lost.
+// if anything was lost. The regions are released once every rank's
+// engine has returned — Finalize is the last reader of a chunk's bytes —
+// and, with a journal, only once the commit is durable: a failed
+// journaled dump keeps them for the re-pull.
 func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, d *dumpRun) (*staging.Result, error) {
 	stats := d.stats
 	// A filter stone would judge a chunk before its bytes are checked.
@@ -794,6 +859,14 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 		close(chunks)
 	}()
 	res, err := s.cfg.Engine.ProcessDump(s.cfg.Comm, chunks, ops, agg)
+	// Reduce and Finalize read the values every rank's chunks emitted —
+	// views into their writers' frames, unless every operator is a block
+	// mapper — so no rank releases a region before all ranks are done with
+	// the dump. A rank whose engine failed returns instead, and its exit
+	// fails the others' barrier (mpi.Run's abort).
+	if err == nil && !d.blocks {
+		err = s.cfg.Comm.Barrier()
+	}
 	// ProcessDump returns only after the chunks channel is closed, so the
 	// feed and the stone graph are done and stats/d.err are stable.
 	stats.ProcessWall = time.Since(start)
@@ -802,21 +875,23 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 		stats.Overload = &ov
 	}
 	if d.err != nil {
-		return nil, d.err
+		err = d.err
+	}
+	if err == nil {
+		err = s.commitDump(timestep)
+	}
+	// Every held chunk is released here, whatever became of it —
+	// processed, spilled, passed or filtered — and its writer may reuse
+	// the frame.
+	if err == nil || s.cfg.Journal == nil {
+		for _, h := range d.held {
+			if aerr := s.cfg.Endpoint.Ack(h); aerr != nil && err == nil {
+				err = aerr
+			}
+		}
 	}
 	if err != nil {
 		return nil, err
-	}
-	if err := s.commitDump(timestep); err != nil {
-		return nil, err
-	}
-	// The commit is durable: the writers may reuse the regions that were
-	// the dump's only other copy. Every pulled chunk is released here,
-	// whatever became of it — processed, spilled, passed or filtered.
-	for _, h := range d.held {
-		if err := s.cfg.Endpoint.Ack(h); err != nil {
-			return nil, err
-		}
 	}
 	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
 		(stats.Overload != nil && stats.Overload.PassedChunks > 0) ||
@@ -875,6 +950,9 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 			return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
 		}
 		chunk.Release = p.release
+		if chunk.Unverified != nil {
+			chunk.Release = p.check.done(p.release)
+		}
 		if flow != nil {
 			if shedding, sampled := flow.ShedClass(); shedding {
 				if sampled {
@@ -996,7 +1074,7 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, ch
 	d.mu.Lock()
 	d.stats.BytesPulled += int64(len(payload))
 	d.stats.PullModeled += modeled
-	if s.cfg.Journal != nil {
+	if check == nil || s.cfg.Journal != nil {
 		d.held = append(d.held, req.Handle)
 	}
 	if d.replay {
@@ -1050,15 +1128,35 @@ func blockMapped(ops []staging.Operator) bool {
 // engine checks the payload against the request's sum in its walk and
 // calls back (staging.Chunk.Verified and Corrupt).
 type unverifiedPull struct {
-	s       *Server
-	ctx     context.Context
-	d       *dumpRun
-	req     FetchRequest
-	attempt int // the pull attempt the payload came from
+	s        *Server
+	ctx      context.Context
+	d        *dumpRun
+	req      FetchRequest
+	attempt  int  // the pull attempt the payload came from
+	verified bool // the engine's check of the payload matched
 }
 
-// ack releases the writer's region once the payload verified. With a
-// journal the region is held until the dump commits, like every chunk's.
+// pass is the chunk's Verified hook.
+func (u *unverifiedPull) pass() { u.verified = true }
+
+// done returns the chunk's Release hook. The engine calls it once its
+// reads of the payload are over — after the walk, or after the Maps that
+// follow a whole-payload check — so it returns the budget credits and,
+// when the payload verified, acks the writer's region: block mappers emit
+// nothing that aliases the payload.
+func (u *unverifiedPull) done(release func()) func() {
+	return func() {
+		if release != nil {
+			release()
+		}
+		if u.verified {
+			u.ack()
+		}
+	}
+}
+
+// ack releases the writer's region. With a journal the region is held
+// until the dump commits, like every chunk's.
 func (u *unverifiedPull) ack() {
 	if u.s.cfg.Journal != nil {
 		return
@@ -1071,12 +1169,19 @@ func (u *unverifiedPull) ack() {
 // corrupt takes a failed payload check as the CRC failure of the attempt
 // the payload came from, and carries on as pullWithRetry would: re-pull
 // under the same backoff and attempt budget — verifying at the pull now —
-// and decode. It returns the intact chunk, or nil once the chunk is
-// dropped (lost records it).
+// and decode. From here the region is held to the end of the dump, like
+// any chunk's mapped from a verified pull, unless the re-pulls give up and
+// release it (retryAfter). It returns the intact chunk, or nil once the
+// chunk is dropped (lost records it).
 func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 	s, d, req := u.s, u.d, u.req
 	err := fmt.Errorf("predata: chunk from rank %d attempt %d: payload checksum: %w",
 		req.WriterRank, u.attempt, staging.ErrCorrupt)
+	if s.cfg.Journal == nil { // a journaled dump holds it already
+		d.mu.Lock()
+		d.held = append(d.held, req.Handle)
+		d.mu.Unlock()
+	}
 	if err = s.retryAfter(req, d.stats, &d.mu, u.attempt, err); err == nil {
 		var frame []byte
 		if frame, _, _, err = s.pullWithRetry(u.ctx, req, d.stats, &d.mu, u.attempt+1, false); err == nil {
@@ -1113,7 +1218,7 @@ func (p *pulledChunk) decode() (*staging.Chunk, error) {
 		return nil, err
 	}
 	chunk.Unverified, chunk.Sum = p.buf, p.check.req.Sum
-	chunk.Verified, chunk.Corrupt = p.check.ack, p.check.corrupt
+	chunk.Verified, chunk.Corrupt = p.check.pass, p.check.corrupt
 	return chunk, nil
 }
 
@@ -1193,11 +1298,11 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 // sealed frame and the attempt that delivered it, counting attempts from
 // first: the transfer uses the non-consuming PullRetain, and the delivered
 // frame's seal is checked — its CRC must be the one the request names —
-// before anything downstream sees the bytes. Without a journal the source
-// region is acknowledged (released) right after verification; with one it
-// stays exposed until reduceDump's commit. With unverified set only the
-// seal header is checked and the region is not acknowledged here: the
-// payload's CRC is the caller's (unverifiedPull). Injected transients
+// before anything downstream sees the bytes. The region stays exposed: the
+// bytes handed on are the writer's frame, acknowledged only after the
+// staging side's last read of them (unverifiedPull.ack or reduceDump).
+// With unverified set only the seal header is checked: the payload's CRC
+// is the caller's (unverifiedPull). Injected transients
 // *and* corrupted deliveries are retried with capped exponential backoff
 // within the attempt budget (retryAfter) — wire corruption heals on
 // re-pull because the source still holds the intact region. A source that
@@ -1210,11 +1315,6 @@ func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *Dum
 		frame, d, err := s.hedgedPull(ctx, req, stats, mu)
 		if err == nil {
 			if err = checkFrame(frame, req, attempt, !unverified); err == nil {
-				if s.cfg.Journal == nil && !unverified {
-					if aerr := s.cfg.Endpoint.Ack(req.Handle); aerr != nil {
-						return nil, 0, 0, aerr
-					}
-				}
 				return frame, d, attempt, nil
 			}
 		} else if !errors.Is(err, faults.ErrTransient) {

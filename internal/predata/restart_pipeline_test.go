@@ -62,9 +62,12 @@ func (p *probeOp) Reduce(ctx *staging.Context, tag int, values []any) error {
 // journal, every chunk the dump will reduce — and one the filter drops —
 // still has its writer's region exposed while Reduce runs, and every
 // region is released once ServeDump has committed the dump. Without a
-// journal each region is released as soon as its pull verifies. Either
-// way a source that stays corrupt is released when the re-pulls give
-// up: it is shed, not part of the dump.
+// journal the regions are held just as long, because the staging side
+// reads a chunk's bytes until the dump's Finalize returns and the writer
+// reuses a released frame; this used to release each region as soon as
+// its pull verified, and the flip of that expectation is deliberate.
+// Either way a source that stays corrupt is released when the re-pulls
+// give up: it is shed, not part of the dump.
 func TestJournaledRegionHeldUntilCommit(t *testing.T) {
 	const (
 		processed = 0 // reduced
@@ -115,7 +118,7 @@ func TestJournaledRegionHeldUntilCommit(t *testing.T) {
 				probed = true
 				for w, ep := range eps {
 					n := ep.ExposedBytes()
-					if held := journaled && w != corrupt; held != (n > 0) {
+					if held := w != corrupt; held != (n > 0) {
 						t.Errorf("in Reduce: writer %d exposes %d bytes, want held=%v", w, n, held)
 					}
 				}

@@ -52,7 +52,8 @@ type Chunk struct {
 	Shed ShedClass
 	// Release, when non-nil, returns the chunk's memory-budget credits.
 	// The engine calls it exactly once, after the last operator's Map has
-	// seen the chunk (including error, shed and corrupt-drop paths).
+	// seen the chunk (including error, shed and corrupt-drop paths); the
+	// engine itself reads none of the chunk's bytes after it.
 	Release func()
 
 	// Unverified, when non-nil, is the FFS payload Record was decoded
@@ -61,8 +62,10 @@ type Chunk struct {
 	// every operator that sees the chunk is a BlockMapper and the record
 	// has one float64 array, the check rides the engine's one walk over
 	// the payload (ffs.Walk); otherwise the payload is checksummed before
-	// the first Map. On a match the engine calls Verified; on a mismatch
-	// it drops whatever the walk accumulated and calls Corrupt.
+	// the first Map. On a match the engine calls Verified — before those
+	// Maps read the record, so the engine's last read is Release's to
+	// mark; on a mismatch it drops whatever the walk accumulated and calls
+	// Corrupt.
 	Unverified []byte
 	Sum        uint32
 	Verified   func()
@@ -85,6 +88,11 @@ type Optional interface {
 // concurrently from multiple worker threads when the engine is configured
 // with Workers > 1; implementations must either be safe for that or be
 // wrapped with Workers == 1.
+//
+// A chunk's record values are views into its writer's frame, read-only.
+// An operator may keep them — emit them, read them in Reduce — until the
+// dump's Finalize returns, and no longer: after that the writer reuses the
+// frame for a later dump.
 type Operator interface {
 	// Name identifies the operator in results and errors.
 	Name() string
@@ -116,7 +124,9 @@ type Combiner interface {
 // accumulator; the engine then hands it every row of the record's sole
 // float64 array, in order, in blocks of ffs.BlockRows rows, and calls Emit
 // once the payload verifies. Map must give what StartMap, every block and
-// Emit give.
+// Emit give. A block-mapped chunk's bytes go back to their writer as soon
+// as the engine is done with the chunk (Chunk.Release), so the values a
+// BlockMapper emits, from Emit or Map, must not alias the payload.
 type BlockMapper interface {
 	StartMap(ctx *Context, chunk *Chunk) (RowMapper, error)
 }
