@@ -62,7 +62,7 @@ func cli(args []string) (code int) {
 			"straggler hedging: re-issue a pull once it exceeds this multiple of the bandwidth-model estimate (0 uses the default, negative disables; staging mode only)")
 		bufferMB = flags.Int("buffer-mb", -1,
 			"staging memory budget in MB (0 disables; -1 takes the ADIOS <buffer size-MB> when -adios-config is given, else 0)")
-		spillDir = flags.String("spill-dir", "", "directory for overload spill segments (default: system temp)")
+		spillDir = flags.String("spill-dir", "", "directory for overload spill and pass logs (default: system temp)")
 		walDir   = flags.String("wal-dir", "",
 			"durable staging: keep per-rank write-ahead journals under this directory and recover from them on start (required for restart/crashall fault plans; staging mode only)")
 		checkpointEvery = flags.Int("checkpoint-every", 0,

@@ -21,7 +21,7 @@ import (
 
 // Magic identifies an FFS-encoded buffer. "FFS2" pads numeric payloads to
 // 8-byte offsets; there is one format and no FFS1 reader — encoded buffers
-// (chunks, journals, spill segments) do not outlive a run's binary.
+// (chunks, journals, spill logs) do not outlive a run's binary.
 const Magic = 0x46465332 // "FFS2"
 
 // Kind enumerates the value types a field can carry.
@@ -642,12 +642,17 @@ func Decode(buf []byte) (*Schema, Record, error) {
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	if nf < 0 || nf > 1<<20 {
-		return nil, nil, fmt.Errorf("ffs: implausible field count %d", nf)
+	// Each field descriptor takes at least a name length and a kind byte,
+	// so the bytes left bound the count before anything is allocated.
+	if left := len(buf) - r.off; nf < 0 || nf > left/5 {
+		return nil, nil, fmt.Errorf("ffs: implausible field count %d for %d bytes left", nf, left)
 	}
 	schema.Fields = make([]Field, nf)
 	for i := range schema.Fields {
 		schema.Fields[i] = Field{Name: r.str(), Kind: Kind(r.u8())}
+	}
+	if r.err != nil {
+		return nil, nil, r.err
 	}
 	rec := make(Record, nf)
 	for _, f := range schema.Fields {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,25 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, _, err := Decode(buf[:n]); err == nil {
 			t.Fatalf("prefix of %d bytes decoded successfully", n)
 		}
+	}
+}
+
+// TestDecodeImplausibleFieldCount feeds Decode 12 bytes: the magic, an
+// empty schema name and a field count of 2^20. The count must be refused
+// against the bytes left before anything is sized by it.
+func TestDecodeImplausibleFieldCount(t *testing.T) {
+	buf := binary.LittleEndian.AppendUint32(nil, Magic)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(buf)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible field count") {
+		t.Fatalf("err = %v, want an implausible field count", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("decoding %d bytes allocated %d bytes", len(buf), got)
 	}
 }
 

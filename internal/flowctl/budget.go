@@ -3,7 +3,7 @@
 // high/low watermarks (Budget/Lease) and the one admission queue in
 // front of it (FairShare registers weighted tenants on that queue),
 // credit-based admission of incoming chunks, a spill-to-disk overflow
-// queue of BP-style temp segments, and the degradation ladder the
+// queue kept as a wal log of chunk records, and the degradation ladder the
 // staging engine climbs under persistent overload — throttle, spill,
 // shed optional operators, raw pass-through.
 //

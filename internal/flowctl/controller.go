@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"predata/internal/trace"
+	"predata/internal/wal"
 )
 
 // Ladder levels. Under persistent overload a dump escalates monotonically
@@ -20,7 +21,7 @@ const (
 	// policy's patience for credits.
 	LevelNormal = iota
 	// LevelSpill admits what fits immediately and spills the rest to a
-	// disk segment, replayed before Reduce — lossless, slower.
+	// disk log, replayed before Reduce — lossless, slower.
 	LevelSpill
 	// LevelShed additionally starves optional operators down to sampled
 	// input; their results are flagged Degraded.
@@ -55,7 +56,7 @@ const (
 	// DecideProcess: credits held — pull and stream through the engine.
 	DecideProcess Decision = iota
 	// DecideSpill: no credits — pull under a serialized overdraft and
-	// spill to the overflow segment.
+	// spill to the overflow log.
 	DecideSpill
 	// DecidePass: ladder exhausted — pull and write raw to the PFS sink.
 	DecidePass
@@ -84,8 +85,9 @@ type Policy struct {
 	// PassLimitBytes caps the spilled bytes before the dump escalates to
 	// raw pass-through. Default 4x SpillLimitBytes.
 	PassLimitBytes int64
-	// SpillDir hosts the temp segments ("" = OS temp dir): the spill
-	// segments, and the retained segment raw pass-through chunks go to.
+	// SpillDir hosts each dump's temp log directories ("" = OS temp
+	// dir): the spill log, and the retained log raw pass-through chunks
+	// go to.
 	SpillDir string
 }
 
@@ -188,7 +190,7 @@ func (c *Controller) Budget() *Budget { return c.budget }
 // Policy returns the resolved (defaulted) policy.
 func (c *Controller) Policy() Policy { return c.pol }
 
-// StartDump opens per-dump flow state: ladder level, spill segment, and
+// StartDump opens per-dump flow state: ladder level, spill log, and
 // decision counters.
 func (c *Controller) StartDump(timestep int64) *DumpFlow {
 	c.budget.ResetWindow()
@@ -214,11 +216,10 @@ type DumpFlow struct {
 	mu        sync.Mutex
 	level     int
 	maxLevel  int
-	spilled   int64 // payload bytes spilled this dump
-	shedTick  int64 // sampling counter while shedding
-	seg       *SegmentWriter
-	passSeg   *SegmentWriter
-	passPath  string
+	spilled   int64    // payload bytes spilled this dump
+	shedTick  int64    // sampling counter while shedding
+	spill     *wal.Log // chunk records, opened at the first spill
+	pass      *wal.Log // chunk records, opened at the first pass
 	stats     OverloadStats
 	finished  bool
 	finalStat OverloadStats
@@ -348,28 +349,39 @@ func (a *Admission) Abort() {
 	a.finish()
 }
 
+// appendLog appends one chunk record to the dump's log in *slot,
+// opening it in a fresh directory under the policy's SpillDir first if
+// the dump has none yet.
+func (df *DumpFlow) appendLog(slot **wal.Log, pattern string, writer int, timestep int64, payload []byte) error {
+	df.mu.Lock()
+	if *slot == nil {
+		dir, err := os.MkdirTemp(df.c.pol.SpillDir, pattern)
+		if err != nil {
+			df.mu.Unlock()
+			return fmt.Errorf("flowctl: %w", err)
+		}
+		l, err := wal.Open(dir)
+		if err != nil {
+			df.mu.Unlock()
+			os.RemoveAll(dir)
+			return err
+		}
+		*slot = l
+	}
+	l := *slot
+	df.mu.Unlock()
+	return l.AppendChunk(writer, timestep, payload)
+}
+
 // Spill finalizes a DecideSpill admission: append the pulled payload to
-// the dump's overflow segment, release the overdraft, and escalate the
-// ladder when the spill volume crosses the policy's limits.
+// the dump's spill log, release the overdraft, and escalate the ladder
+// when the spill volume crosses the policy's limits.
 func (a *Admission) Spill(writer int, timestep int64, payload []byte) error {
 	if a.decision != DecideSpill || a.done {
 		return errors.New("flowctl: Spill on a non-spill or finished admission")
 	}
 	df := a.df
-	df.mu.Lock()
-	if df.seg == nil {
-		seg, err := CreateSegment(df.c.pol.SpillDir, "predata-spill-*.seg")
-		if err != nil {
-			df.mu.Unlock()
-			a.finish()
-			return err
-		}
-		df.seg = seg
-	}
-	seg := df.seg
-	df.mu.Unlock()
-
-	if err := seg.Append(writer, timestep, payload); err != nil {
+	if err := df.appendLog(&df.spill, "predata-spill-*", writer, timestep, payload); err != nil {
 		a.finish()
 		return err
 	}
@@ -389,13 +401,13 @@ func (a *Admission) Spill(writer int, timestep int64, payload []byte) error {
 }
 
 // Pass finalizes a DecidePass admission: append the raw payload to the
-// retained pass segment and release the overdraft.
+// retained pass log and release the overdraft.
 func (a *Admission) Pass(writer int, timestep int64, payload []byte) error {
 	if a.decision != DecidePass || a.done {
 		return errors.New("flowctl: Pass on a non-pass or finished admission")
 	}
 	df := a.df
-	err := df.sinkPass(writer, timestep, payload)
+	err := df.appendLog(&df.pass, "predata-pass-*", writer, timestep, payload)
 	if err == nil {
 		df.c.tracer.Instant(trace.PhasePass, df.c.traceEP, writer, timestep, 0, int64(len(payload)))
 		df.mu.Lock()
@@ -405,22 +417,6 @@ func (a *Admission) Pass(writer int, timestep int64, payload []byte) error {
 	}
 	a.finish()
 	return err
-}
-
-func (df *DumpFlow) sinkPass(writer int, timestep int64, payload []byte) error {
-	df.mu.Lock()
-	if df.passSeg == nil {
-		seg, err := CreateSegment(df.c.pol.SpillDir, "predata-pass-*.seg")
-		if err != nil {
-			df.mu.Unlock()
-			return err
-		}
-		df.passSeg = seg
-		df.passPath = seg.Path()
-	}
-	seg := df.passSeg
-	df.mu.Unlock()
-	return seg.Append(writer, timestep, payload)
 }
 
 // ShedClass reports how the next chunk entering the engine should be
@@ -446,32 +442,35 @@ func (df *DumpFlow) ShedClass() (shedding, sampled bool) {
 	return true, sampled
 }
 
-// Replay drains the dump's spill segment back through deliver, in spill
+// Replay drains the dump's spill log back through deliver, in spill
 // order, acquiring real budget credits per chunk — the backpressure that
 // makes replay wait for the engine to drain. deliver receives the release
-// hook to attach to the decoded chunk. The segment is removed afterwards.
+// hook to attach to the decoded chunk. A torn or damaged record fails
+// Replay with an error wrapping wal.ErrCorrupt after the chunks before
+// it: a spill is lossless or loud, never a silent prefix. The log is
+// removed afterwards.
 func (df *DumpFlow) Replay(ctx context.Context, deliver func(writer int, timestep int64, payload []byte, release func()) error) error {
 	df.mu.Lock()
-	seg := df.seg
-	df.seg = nil
+	spill := df.spill
+	df.spill = nil
 	df.mu.Unlock()
-	if seg == nil {
+	if spill == nil {
 		return nil
 	}
-	if err := seg.Close(); err != nil {
+	defer os.RemoveAll(spill.Dir())
+	if err := spill.Close(); err != nil {
 		return err
 	}
-	defer os.Remove(seg.Path())
-	return ReplaySegment(seg.Path(), func(writer int, timestep int64, payload []byte) error {
-		lease, err := df.c.budget.Acquire(ctx, int64(len(payload)))
+	return wal.Scan(spill.Dir(), func(rec wal.Record) error {
+		lease, err := df.c.budget.Acquire(ctx, int64(len(rec.Payload)))
 		if err != nil {
 			return err
 		}
-		if err := deliver(writer, timestep, payload, lease.Release); err != nil {
+		if err := deliver(rec.Writer, rec.Timestep, rec.Payload, lease.Release); err != nil {
 			lease.Release()
 			return err
 		}
-		df.c.tracer.Instant(trace.PhaseReplay, df.c.traceEP, writer, timestep, int64(writer), int64(len(payload)))
+		df.c.tracer.Instant(trace.PhaseReplay, df.c.traceEP, rec.Writer, rec.Timestep, int64(rec.Writer), int64(len(rec.Payload)))
 		df.mu.Lock()
 		df.stats.ReplayedChunks++
 		df.mu.Unlock()
@@ -479,17 +478,20 @@ func (df *DumpFlow) Replay(ctx context.Context, deliver func(writer int, timeste
 	})
 }
 
-// PassSegmentPath returns the retained pass-through segment's path ("" if
-// the dump passed nothing).
-func (df *DumpFlow) PassSegmentPath() string {
+// PassLogDir returns the directory of the retained pass-through log, a
+// wal journal of chunk records ("" if the dump passed nothing).
+func (df *DumpFlow) PassLogDir() string {
 	df.mu.Lock()
 	defer df.mu.Unlock()
-	return df.passPath
+	if df.pass == nil {
+		return ""
+	}
+	return df.pass.Dir()
 }
 
 // Finish closes the dump's flow state and returns its OverloadStats.
 // Idempotent: later calls return the same snapshot. An unreplayed spill
-// segment (abort path) is removed.
+// log (abort path) is removed; the pass log is closed and kept.
 func (df *DumpFlow) Finish() OverloadStats {
 	df.mu.Lock()
 	defer df.mu.Unlock()
@@ -497,13 +499,13 @@ func (df *DumpFlow) Finish() OverloadStats {
 		return df.finalStat
 	}
 	df.finished = true
-	if df.seg != nil {
-		df.seg.Remove()
-		df.seg = nil
+	if df.spill != nil {
+		df.spill.Close()
+		os.RemoveAll(df.spill.Dir())
+		df.spill = nil
 	}
-	if df.passSeg != nil {
-		df.passSeg.Close()
-		df.passSeg = nil
+	if df.pass != nil {
+		df.pass.Close()
 	}
 	now := df.c.budget.Stats()
 	df.stats.Throttles = now.Throttles - df.base.Throttles

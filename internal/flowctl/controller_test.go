@@ -2,9 +2,12 @@ package flowctl
 
 import (
 	"context"
+	"os"
 	"sync"
 	"testing"
 	"time"
+
+	"predata/internal/wal"
 )
 
 func testPolicy(budget int64) Policy {
@@ -236,23 +239,23 @@ func TestLadderEscalatesToShedAndPass(t *testing.T) {
 	if st.ShedChunks == 0 || st.SampledChunks == 0 || st.PassedChunks == 0 {
 		t.Fatalf("stats = %+v, want nonzero shed/sampled/passed", st)
 	}
-	// Every passed chunk is in the retained segment, raw, the last one
-	// being the admission passed just above.
+	// Every passed chunk is in the retained log, raw, the last one being
+	// the admission passed just above.
 	var passed int64
 	var last []byte
-	err = ReplaySegment(df.PassSegmentPath(), func(writer int, timestep int64, payload []byte) error {
+	err = wal.Scan(df.PassLogDir(), func(rec wal.Record) error {
 		passed++
-		last = append(last[:0], payload...)
-		if timestep != 7 {
-			t.Errorf("passed chunk stamped timestep %d, want 7", timestep)
+		last = rec.Payload
+		if rec.Timestep != 7 {
+			t.Errorf("passed chunk stamped timestep %d, want 7", rec.Timestep)
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("replaying the pass segment %q: %v", df.PassSegmentPath(), err)
+		t.Fatalf("reading the pass log in %q: %v", df.PassLogDir(), err)
 	}
 	if passed != st.PassedChunks || string(last) != "raw-bytes" {
-		t.Fatalf("pass segment holds %d chunks ending %q, want %d ending %q",
+		t.Fatalf("pass log holds %d chunks ending %q, want %d ending %q",
 			passed, last, st.PassedChunks, "raw-bytes")
 	}
 }
@@ -281,7 +284,9 @@ func TestAdmissionAbortReleasesResources(t *testing.T) {
 }
 
 func TestFinishIdempotentAndCleansSegments(t *testing.T) {
-	c, _ := NewController(testPolicy(100))
+	pol := testPolicy(100)
+	pol.SpillDir = t.TempDir()
+	c, _ := NewController(pol)
 	df := c.StartDump(1)
 	ctx := context.Background()
 	hold, _ := df.Admit(ctx, 100)
@@ -291,10 +296,13 @@ func TestFinishIdempotentAndCleansSegments(t *testing.T) {
 		t.Fatalf("Spill: %v", err)
 	}
 	rel()
-	st1 := df.Finish() // abort path: spill segment removed unreplayed
+	st1 := df.Finish() // abort path: spill log removed unreplayed
 	st2 := df.Finish()
 	if st1 != st2 {
 		t.Fatalf("Finish not idempotent: %+v vs %+v", st1, st2)
+	}
+	if left, _ := os.ReadDir(pol.SpillDir); len(left) != 0 {
+		t.Fatalf("Finish left %d entries in the spill directory", len(left))
 	}
 	if st1.SpilledChunks != 1 || st1.ReplayedChunks != 0 {
 		t.Fatalf("stats = %+v, want 1 spilled, 0 replayed", st1)

@@ -1041,7 +1041,7 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 	close(reqCh)
 	workers.Wait()
 	if d.flow != nil {
-		// Lossless completion: replay the spill segment through the same
+		// Lossless completion: replay the spill log through the same
 		// stone graph before the engine's stream ends, acquiring real
 		// budget credits per chunk so replay drains no faster than the
 		// engine.
@@ -1223,7 +1223,7 @@ func (p *pulledChunk) decode() (*staging.Chunk, error) {
 }
 
 // routePulled hands a pulled chunk to its admitted fate: stream into the
-// stone graph (process), append to the overflow segment (spill), or write
+// stone graph (process), append to the overflow log (spill), or write
 // raw to the PFS sink (pass). With no admission (adm == nil) it streams
 // unconditionally, the pre-budget behavior.
 func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, p *pulledChunk) error {

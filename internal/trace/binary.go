@@ -8,8 +8,8 @@ import (
 	"os"
 )
 
-// Binary recording format, sibling of flowctl's PDSPILL1 spill
-// segments:
+// Binary recording format, sibling of wal's PDWAL1 record logs (the
+// journal, and flowctl's spill and pass logs):
 //
 //	magic   "PDTRACE1"                       8 bytes
 //	header  numCompute int32 | numStaging int32 | dumps int32 |

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -157,6 +158,9 @@ func FuzzWALTruncatedTail(f *testing.F) {
 // must never error or panic — the damage either lands in the tail
 // (prefix shortens, Torn) or in the magic (ErrCorrupt, the one loud
 // case) — and the surviving prefix must still satisfy commit dedup.
+// Scan, the strict reader spill replay uses, must deliver exactly the
+// records recovery kept and fail with ErrCorrupt exactly when recovery
+// saw damage.
 func FuzzWALBitFlip(f *testing.F) {
 	f.Add(uint(0), byte(0xff))
 	f.Add(uint(8), byte(0x01))
@@ -174,12 +178,18 @@ func FuzzWALBitFlip(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, journalName), whole, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		var scanned int64
+		scanErr := Scan(dir, func(Record) error { scanned++; return nil })
 		st, err := Recover(dir)
 		if err != nil {
-			if off < len(journalMagic) {
+			if off < len(journalMagic) && errors.Is(scanErr, ErrCorrupt) {
 				return // damaged magic is the one loud failure
 			}
-			t.Fatalf("bit flip at %d: %v", off, err)
+			t.Fatalf("bit flip at %d: %v (scan: %v)", off, err, scanErr)
+		}
+		if scanned != st.Records || (scanErr != nil) != st.Torn || (scanErr != nil && !errors.Is(scanErr, ErrCorrupt)) {
+			t.Fatalf("bit flip at %d: Scan delivered %d records with err %v; Recover kept %d, torn=%v",
+				off, scanned, scanErr, st.Records, st.Torn)
 		}
 		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
 			if st.CommittedDump(r.Timestep) {

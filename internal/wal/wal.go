@@ -3,25 +3,29 @@
 // (PDCKPT1), so a staging rank survives a process crash or a whole-
 // service restart without losing in-flight dumps.
 //
-// The framing follows the PDSPILL1 discipline from internal/flowctl —
-// little-endian fixed header, CRC32-IEEE over the payload — extended
-// with a kind byte, because the journal records three things: fetch
-// requests as they are consumed from the fabric mailbox (the
-// pending-map state a restart would otherwise forget), dump-boundary
-// commit markers, and — in the streaming service only — ingested
-// payloads. The staging pipeline journals its chunks by reference: a
-// request names the writer's region and the seal's checksum, and the
-// writer keeps that region until the dump's commit is durable, so a
-// restart re-pulls instead of replaying bytes from here. A commit
-// record is the durability point: it is flushed and fsynced, and on
-// recovery every chunk/request of a committed dump is deduplicated
+// Every record — journal entry or checkpoint — is framed one way, by
+// one writer (writeRecord) and one reader (readRecord): a little-endian
+// fixed header (kind, writer, timestep, length) and a CRC32-IEEE over
+// the payload, whose length the reader bounds by the bytes left in the
+// file. The journal records fetch requests as they are consumed from the
+// fabric mailbox (the pending-map state a restart would otherwise
+// forget), dump-boundary commit markers, and — in the streaming service
+// only — ingested payloads. The staging pipeline journals its chunks by
+// reference: a request names the writer's region and the seal's
+// checksum, and the writer keeps that region until the dump's commit is
+// durable, so a restart re-pulls instead of replaying bytes from here. A
+// commit record is the durability point: it is flushed and fsynced, and
+// on recovery every chunk/request of a committed dump is deduplicated
 // away, which is what makes replay exactly-once across a restart.
 //
-// Unlike a spill segment, a torn journal tail is *normal*: the process
-// died mid-append. Recovery keeps the longest valid prefix and reports
-// Torn instead of failing, so replay after a crash at any byte offset
-// yields a prefix-consistent state (property-tested). Only a damaged
-// magic — the file is not a journal at all — is an error.
+// To recovery a torn journal tail is *normal*: the process died
+// mid-append. Recover keeps the longest valid prefix and reports Torn
+// instead of failing, so replay after a crash at any byte offset yields
+// a prefix-consistent state (property-tested). Only a damaged magic —
+// the file is not a journal at all — is an error. flowctl's spill and
+// pass queues are Logs of chunk records too, read back by Scan, to
+// which a torn or damaged record is ErrCorrupt: a spill is lossless or
+// loud.
 //
 // Checkpoints compact the journal: WriteCheckpoint durably writes the
 // checkpoint (tmp + rename + sync) FIRST and only then rewrites the
@@ -34,6 +38,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,16 +59,12 @@ const (
 
 	// header: kind uint8 | writer int64 | timestep int64 | length uint32 | crc32 uint32
 	headerSize = 1 + 8 + 8 + 4 + 4
-
-	// maxRecord guards recovery against a corrupt length field: no real
-	// record approaches 64 MB, so anything larger is treated as a torn
-	// tail instead of a gigantic allocation.
-	maxRecord = 64 << 20
 )
 
 // ErrCorrupt marks a file that is not a journal or checkpoint at all
-// (bad magic). Torn or bit-flipped record tails are NOT errors — they
-// truncate recovery to the valid prefix.
+// (bad magic), a damaged checkpoint, and — to Scan only — a torn or
+// bit-flipped record. To recovery a damaged record is a torn tail, not
+// an error: it truncates recovery to the valid prefix.
 var ErrCorrupt = errors.New("wal: corrupt")
 
 // Kind classifies a journal record.
@@ -143,7 +144,7 @@ func Open(dir string) (*Log, error) {
 	}
 	path := filepath.Join(dir, journalName)
 	newest := int64(noRecord)
-	_, validLen, _, scanErr := scanJournal(path, func(rec Record) { newest = max(newest, rec.Timestep) })
+	_, validLen, _, scanErr := scanJournal(path, func(rec Record) error { newest = max(newest, rec.Timestep); return nil })
 	fresh := false
 	switch {
 	case errors.Is(scanErr, os.ErrNotExist):
@@ -185,19 +186,7 @@ func (l *Log) append(rec Record) error {
 	if l.closed {
 		return fmt.Errorf("wal: append to closed journal %s", l.path)
 	}
-	if len(rec.Payload) > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", len(rec.Payload), maxRecord)
-	}
-	var hdr [headerSize]byte
-	hdr[0] = byte(rec.Kind)
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
-	binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
-	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
-	binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(rec.Payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := l.w.Write(rec.Payload); err != nil {
+	if err := writeRecord(l.w, rec); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.records++
@@ -247,7 +236,7 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the journal. Idempotent.
+// Close flushes and closes the journal without an fsync. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -326,15 +315,13 @@ func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(c.Epoch))
-	binary.LittleEndian.PutUint64(hdr[9:17], uint64(c.NextDump))
-	// The length and CRC words (17:25) describe an empty payload: zero.
 	werr := func() error {
-		if _, err := cf.Write([]byte(checkpointMagic)); err != nil {
+		if _, err := cf.WriteString(checkpointMagic); err != nil {
 			return err
 		}
-		if _, err := cf.Write(hdr[:]); err != nil {
+		// One kind-0 record with an empty payload: Epoch in the writer
+		// word, NextDump in the timestep word.
+		if err := writeRecord(cf, Record{Writer: int(c.Epoch), Timestep: c.NextDump}); err != nil {
 			return err
 		}
 		return cf.Sync()
@@ -359,10 +346,11 @@ func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	// back — the last commit dropped its pages from the cache.
 	var keep []Record
 	if l.newest >= c.NextDump {
-		if _, _, _, err := scanJournal(l.path, func(rec Record) {
+		if _, _, _, err := scanJournal(l.path, func(rec Record) error {
 			if rec.Timestep >= c.NextDump {
 				keep = append(keep, rec)
 			}
+			return nil
 		}); err != nil {
 			return 0, err
 		}
@@ -405,20 +393,11 @@ func writeJournal(path string, recs []Record) error {
 	}
 	w := bufio.NewWriter(f)
 	werr := func() error {
-		if _, err := w.Write([]byte(journalMagic)); err != nil {
+		if _, err := w.WriteString(journalMagic); err != nil {
 			return err
 		}
-		var hdr [headerSize]byte
 		for _, rec := range recs {
-			hdr[0] = byte(rec.Kind)
-			binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
-			binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
-			binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
-			binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(rec.Payload))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(rec.Payload); err != nil {
+			if err := writeRecord(w, rec); err != nil {
 				return err
 			}
 		}
@@ -449,19 +428,71 @@ func syncDir(dir string) error {
 	return nil
 }
 
+// writeRecord frames rec onto w: its header, then its payload. It is
+// the only writer of a record header. It refuses only a payload the
+// 32-bit length field cannot express, before writing anything.
+func writeRecord(w io.Writer, rec Record) error {
+	if uint64(len(rec.Payload)) > math.MaxUint32 {
+		return fmt.Errorf("a %d-byte payload overflows the 32-bit length field", len(rec.Payload))
+	}
+	var hdr [headerSize]byte
+	hdr[0] = byte(rec.Kind)
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
+	binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
+	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
+	binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(rec.Payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(rec.Payload)
+	return err
+}
+
+// readRecord reads the next record from r, which holds the last left
+// bytes of its file. It is the only parser of a record header. It
+// reports false at the end of the file and at a torn or damaged record:
+// a short header, a length running past the end of the file, a short
+// payload or a checksum mismatch. Bounding the length by left is what
+// keeps a damaged length field from allocating more than the file holds.
+func readRecord(r io.Reader, left int64) (Record, bool) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil || left < headerSize {
+		return Record{}, false
+	}
+	length := int64(binary.LittleEndian.Uint32(hdr[17:21]))
+	if length > left-headerSize {
+		return Record{}, false
+	}
+	payload := make([]byte, length)
+	if _, err := io.ReadFull(r, payload); err != nil || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
+		return Record{}, false
+	}
+	return Record{
+		Kind:     Kind(hdr[0]),
+		Writer:   int(int64(binary.LittleEndian.Uint64(hdr[1:9]))),
+		Timestep: int64(binary.LittleEndian.Uint64(hdr[9:17])),
+		Payload:  payload,
+	}, true
+}
+
 // scanJournal reads the journal's valid prefix, calling fn for each
-// well-formed, CRC-verified record. It returns the record count, the
-// byte length of the valid prefix, and whether trailing bytes were
-// discarded (torn tail — normal after a crash). A missing file returns
-// os.ErrNotExist; a damaged magic returns ErrCorrupt. An entirely
-// empty or magic-truncated file counts as an empty journal with a torn
-// tail, not corruption: the crash hit before the magic landed.
-func scanJournal(path string, fn func(Record)) (records int64, validLen int64, torn bool, err error) {
+// well-formed, CRC-verified record and stopping at fn's first error. It
+// returns the record count, the byte length of the valid prefix, and
+// whether trailing bytes were discarded (torn tail — normal after a
+// crash). A missing file returns os.ErrNotExist; a damaged magic returns
+// ErrCorrupt. An entirely empty or magic-truncated file counts as an
+// empty journal with a torn tail, not corruption: the crash hit before
+// the magic landed.
+func scanJournal(path string, fn func(Record) error) (records int64, validLen int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("wal: %w", err)
+	}
 	r := bufio.NewReader(f)
 	magic := make([]byte, len(journalMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -471,38 +502,34 @@ func scanJournal(path string, fn func(Record)) (records int64, validLen int64, t
 		return 0, 0, false, fmt.Errorf("wal: %s has bad magic %q: %w", path, magic, ErrCorrupt)
 	}
 	validLen = int64(len(journalMagic))
-	var hdr [headerSize]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// EOF exactly at a record boundary is a clean tail; anything
-			// shorter is torn.
-			torn = !errors.Is(err, io.EOF)
-			return records, validLen, torn, nil
+		// The end of the file exactly at a record boundary is a clean
+		// tail; anything else is torn.
+		rec, ok := readRecord(r, fi.Size()-validLen)
+		if !ok || rec.Kind != KindChunk && rec.Kind != KindRequest && rec.Kind != KindCommit {
+			return records, validLen, validLen != fi.Size(), nil
 		}
-		kind := Kind(hdr[0])
-		if kind != KindChunk && kind != KindRequest && kind != KindCommit {
-			return records, validLen, true, nil
+		if err := fn(rec); err != nil {
+			return records, validLen, false, err
 		}
-		length := binary.LittleEndian.Uint32(hdr[17:21])
-		if length > maxRecord {
-			return records, validLen, true, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return records, validLen, true, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
-			return records, validLen, true, nil
-		}
-		fn(Record{
-			Kind:     kind,
-			Writer:   int(int64(binary.LittleEndian.Uint64(hdr[1:9]))),
-			Timestep: int64(binary.LittleEndian.Uint64(hdr[9:17])),
-			Payload:  payload,
-		})
 		records++
-		validLen += int64(headerSize) + int64(length)
+		validLen += headerSize + int64(len(rec.Payload))
 	}
+}
+
+// Scan calls fn for each record of the journal in dir, in append order,
+// stopping at fn's first error. Unlike Recover it reads strictly: a
+// torn or damaged record, or an empty file, fails the scan with an
+// error wrapping ErrCorrupt once the records before it have been
+// delivered; a missing journal is os.ErrNotExist. Each record's payload
+// is a fresh buffer that fn may keep.
+func Scan(dir string, fn func(Record) error) error {
+	path := filepath.Join(dir, journalName)
+	_, validLen, torn, err := scanJournal(path, fn)
+	if err == nil && torn {
+		err = fmt.Errorf("wal: %s is damaged after byte %d: %w", path, validLen, ErrCorrupt)
+	}
+	return err
 }
 
 // readCheckpoint loads the checkpoint file. A missing file reports
@@ -517,19 +544,15 @@ func readCheckpoint(dir string) (Checkpoint, bool, error) {
 		}
 		return Checkpoint{}, false, fmt.Errorf("wal: read checkpoint: %w", err)
 	}
-	if len(b) < len(checkpointMagic)+headerSize || string(b[:len(checkpointMagic)]) != checkpointMagic {
+	body, ok := bytes.CutPrefix(b, []byte(checkpointMagic))
+	var rec Record
+	if ok {
+		rec, ok = readRecord(bytes.NewReader(body), int64(len(body)))
+	}
+	if !ok || headerSize+len(rec.Payload) != len(body) {
 		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
 	}
-	hdr := b[len(checkpointMagic) : len(checkpointMagic)+headerSize]
-	payload := b[len(checkpointMagic)+headerSize:]
-	length := binary.LittleEndian.Uint32(hdr[17:21])
-	if int(length) != len(payload) || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
-		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
-	}
-	return Checkpoint{
-		Epoch:    int64(binary.LittleEndian.Uint64(hdr[1:9])),
-		NextDump: int64(binary.LittleEndian.Uint64(hdr[9:17])),
-	}, true, nil
+	return Checkpoint{Epoch: int64(rec.Writer), NextDump: rec.Timestep}, true, nil
 }
 
 // State is what recovery hands the restarted server: the checkpoint
@@ -583,31 +606,30 @@ func Recover(dir string) (*State, error) {
 		st.Checkpoint = ck
 		st.LastCommitted = ck.NextDump - 1
 	}
-	records, _, torn, err := func() (int64, int64, bool, error) {
-		return scanJournal(filepath.Join(dir, journalName), func(rec Record) {
-			if st.HaveCheckpoint && rec.Timestep < st.Checkpoint.NextDump {
-				return // covered by the checkpoint: a pre-truncation leftover
+	records, _, torn, err := scanJournal(filepath.Join(dir, journalName), func(rec Record) error {
+		if st.HaveCheckpoint && rec.Timestep < st.Checkpoint.NextDump {
+			return nil // covered by the checkpoint: a pre-truncation leftover
+		}
+		switch rec.Kind {
+		case KindCommit:
+			st.Committed[rec.Timestep] = true
+			if rec.Timestep > st.LastCommitted {
+				st.LastCommitted = rec.Timestep
 			}
-			switch rec.Kind {
-			case KindCommit:
-				st.Committed[rec.Timestep] = true
-				if rec.Timestep > st.LastCommitted {
-					st.LastCommitted = rec.Timestep
-				}
-				// Dedup: drop everything already collected for the dump.
-				st.Chunks = dropTimestep(st.Chunks, rec.Timestep)
-				st.Requests = dropTimestep(st.Requests, rec.Timestep)
-			case KindChunk:
-				if !st.Committed[rec.Timestep] {
-					st.Chunks = append(st.Chunks, rec)
-				}
-			case KindRequest:
-				if !st.Committed[rec.Timestep] {
-					st.Requests = append(st.Requests, rec)
-				}
+			// Dedup: drop everything already collected for the dump.
+			st.Chunks = dropTimestep(st.Chunks, rec.Timestep)
+			st.Requests = dropTimestep(st.Requests, rec.Timestep)
+		case KindChunk:
+			if !st.Committed[rec.Timestep] {
+				st.Chunks = append(st.Chunks, rec)
 			}
-		})
-	}()
+		case KindRequest:
+			if !st.Committed[rec.Timestep] {
+				st.Requests = append(st.Requests, rec)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return st, nil

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -254,12 +255,102 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
-func TestOversizeRecordRefused(t *testing.T) {
+// TestLargeChunkRecovers appends a 65 MiB chunk: a record's only limit
+// is its 32-bit length field, and recovery reads it back whole.
+func TestLargeChunkRecovers(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
-	defer l.Close()
-	if err := l.AppendChunk(0, 0, make([]byte, maxRecord+1)); err == nil {
-		t.Fatal("oversize record accepted")
+	big := make([]byte, 65<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	if err := l.AppendChunk(2, 9, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Torn || len(st.Chunks) != 1 || !bytes.Equal(st.Chunks[0].Payload, big) {
+		t.Fatalf("65 MiB chunk did not round-trip: torn=%v chunks=%d", st.Torn, len(st.Chunks))
+	}
+}
+
+// TestGoldenBytes pins the bytes of a journal holding one record of each
+// kind, of a checkpoint, and of the journal a checkpoint rewrites, and
+// recovers the pinned bytes: journals and checkpoints written by any
+// version of the codec must still read back.
+func TestGoldenBytes(t *testing.T) {
+	const (
+		journal = "504457414c310a00" +
+			"0103000000000000000700000000000000050000002e710695" + "6368756e6b" +
+			"02feffffffffffffff080000000000000002000000a5fcc702" + "01fe" +
+			"03ffffffffffffffff07000000000000000000000000000000"
+		checkpoint = "5044434b5054310a" +
+			"00050000000000000008000000000000000000000000000000"
+		rewritten = "504457414c310a00" +
+			"02feffffffffffffff080000000000000002000000a5fcc702" + "01fe"
+	)
+	dir := t.TempDir()
+	l := mustOpen(t, dir)
+	if err := l.AppendChunk(3, 7, []byte("chunk")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendRequest(-2, 8, []byte{0x01, 0xfe}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendCommit(7); err != nil {
+		t.Fatal(err)
+	}
+	golden := func(name, want string) {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(got) != want {
+			t.Fatalf("%s bytes\n got %x\nwant %s", name, got, want)
+		}
+	}
+	golden(journalName, journal)
+	if kept, err := l.WriteCheckpoint(Checkpoint{Epoch: 5, NextDump: 8}); err != nil || kept != 1 {
+		t.Fatalf("checkpoint kept %d, err %v", kept, err)
+	}
+	golden(checkpointName, checkpoint)
+	golden(journalName, rewritten)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The pinned bytes recover: the whole journal alone, then the
+	// checkpoint beside the journal it rewrote.
+	for _, files := range []map[string]string{
+		{journalName: journal},
+		{journalName: rewritten, checkpointName: checkpoint},
+	} {
+		rdir := t.TempDir()
+		for name, h := range files {
+			b, _ := hex.DecodeString(h)
+			if err := os.WriteFile(filepath.Join(rdir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := Recover(rdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Torn || len(st.Requests) != 1 || st.NextDump() != 8 {
+			t.Fatalf("golden files %v: torn=%v requests=%d next dump %d", len(files), st.Torn, len(st.Requests), st.NextDump())
+		}
+		if r := st.Requests[0]; r.Writer != -2 || r.Timestep != 8 || !bytes.Equal(r.Payload, []byte{0x01, 0xfe}) {
+			t.Fatalf("golden request: %+v", r)
+		}
+		if _, ok := files[checkpointName]; ok && st.Checkpoint != (Checkpoint{Epoch: 5, NextDump: 8}) {
+			t.Fatalf("golden checkpoint: %+v", st.Checkpoint)
+		}
 	}
 }
 
