@@ -100,27 +100,29 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // FuncIs reports whether fn is the package-level function pkgPath.name.
 func FuncIs(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
+	return fn != nil && fn.Pkg() != nil && IsPkgFunc(fn) && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // MethodIs reports whether fn is method name on type pkgPath.typeName
 // (value or pointer receiver).
 func MethodIs(fn *types.Func, pkgPath, typeName, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
+	return fn != nil && fn.Name() == name && MethodOn(fn, pkgPath, typeName)
+}
+
+// MethodOn reports whether fn is some method on type pkgPath.typeName
+// (value or pointer receiver).
+func MethodOn(fn *types.Func, pkgPath, typeName string) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
 	}
 	return NamedTypeIs(sig.Recv().Type(), pkgPath, typeName)
+}
+
+// IsPkgFunc reports whether fn is a function rather than a method.
+func IsPkgFunc(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil
 }
 
 // NamedTypeIs reports whether t (after stripping pointers and aliases)

@@ -79,23 +79,23 @@ func collectiveName(info *types.Info, call *ast.CallExpr) string {
 	}
 	name := fn.Name()
 	mpiPath := analysis.ModulePath + "/internal/mpi"
-	if methodOn(fn, mpiPath, "Comm") {
+	if analysis.MethodOn(fn, mpiPath, "Comm") {
 		switch name {
 		case "Barrier", "Split", "Dup":
 			return "Comm." + name
 		}
 	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == mpiPath && isPkgFunc(fn) {
+	if fn.Pkg() != nil && fn.Pkg().Path() == mpiPath && analysis.IsPkgFunc(fn) {
 		switch name {
 		case "Bcast", "Reduce", "Allreduce", "Gather", "Allgather",
 			"Alltoall", "Scan":
 			return "mpi." + name
 		}
 	}
-	if methodOn(fn, analysis.ModulePath+"/internal/staging", "Engine") && name == "ProcessDump" {
+	if analysis.MethodOn(fn, analysis.ModulePath+"/internal/staging", "Engine") && name == "ProcessDump" {
 		return "Engine.ProcessDump"
 	}
-	if methodOn(fn, analysis.ModulePath+"/internal/predata", "Server") && name == "ServeDump" {
+	if analysis.MethodOn(fn, analysis.ModulePath+"/internal/predata", "Server") && name == "ServeDump" {
 		return "Server.ServeDump"
 	}
 	return ""
@@ -108,8 +108,8 @@ func isRankCall(info *types.Info, call *ast.CallExpr) bool {
 	if fn == nil || fn.Name() != "Rank" {
 		return false
 	}
-	return methodOn(fn, analysis.ModulePath+"/internal/mpi", "Comm") ||
-		methodOn(fn, analysis.ModulePath+"/internal/staging", "Context")
+	return analysis.MethodOn(fn, analysis.ModulePath+"/internal/mpi", "Comm") ||
+		analysis.MethodOn(fn, analysis.ModulePath+"/internal/staging", "Context")
 }
 
 // checkFunc analyzes one top-level function (closures included: captured
@@ -375,17 +375,4 @@ func objAsVar(info *types.Info, id *ast.Ident) (*types.Var, bool) {
 	}
 	v, ok := info.Uses[id].(*types.Var)
 	return v, ok
-}
-
-func isPkgFunc(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-func methodOn(fn *types.Func, pkgPath, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return analysis.NamedTypeIs(sig.Recv().Type(), pkgPath, typeName)
 }

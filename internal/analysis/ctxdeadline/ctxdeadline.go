@@ -175,7 +175,7 @@ func isBackoff(fn *types.Func) bool {
 // deadline checks.
 func isTimeCmpMethod(fn *types.Func) bool {
 	return (fn.Name() == "Before" || fn.Name() == "After") &&
-		methodOn(fn, "time", "Time")
+		analysis.MethodOn(fn, "time", "Time")
 }
 
 // isCtxSignal matches context.Context.Done/Err.
@@ -183,20 +183,5 @@ func isCtxSignal(fn *types.Func) bool {
 	if fn.Name() != "Done" && fn.Name() != "Err" {
 		return false
 	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == "context" {
-		return true
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return analysis.NamedTypeIs(sig.Recv().Type(), "context", "Context")
-}
-
-func methodOn(fn *types.Func, pkgPath, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return analysis.NamedTypeIs(sig.Recv().Type(), pkgPath, typeName)
+	return fn.Pkg() != nil && fn.Pkg().Path() == "context" || analysis.MethodOn(fn, "context", "Context")
 }

@@ -190,7 +190,7 @@ func hasJoin(info *types.Info, body *ast.BlockStmt) bool {
 			if fn == nil {
 				return true
 			}
-			if fn.Name() == "Done" && methodOnType(fn, "sync", "WaitGroup") {
+			if fn.Name() == "Done" && analysis.MethodOn(fn, "sync", "WaitGroup") {
 				found = true
 			}
 			if (fn.Name() == "Done" || fn.Name() == "Err") && fromContext(fn) {
@@ -202,21 +202,6 @@ func hasJoin(info *types.Info, body *ast.BlockStmt) bool {
 	return found
 }
 
-func methodOnType(fn *types.Func, pkgPath, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return analysis.NamedTypeIs(sig.Recv().Type(), pkgPath, typeName)
-}
-
 func fromContext(fn *types.Func) bool {
-	if fn.Pkg() != nil && fn.Pkg().Path() == "context" {
-		return true
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return analysis.NamedTypeIs(sig.Recv().Type(), "context", "Context")
+	return fn.Pkg() != nil && fn.Pkg().Path() == "context" || analysis.MethodOn(fn, "context", "Context")
 }

@@ -237,12 +237,7 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr) (lockOp, string) {
 	if !ok {
 		return opNone, ""
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return opNone, ""
-	}
-	recv := sig.Recv().Type()
-	if !analysis.NamedTypeIs(recv, "sync", "Mutex") && !analysis.NamedTypeIs(recv, "sync", "RWMutex") {
+	if !analysis.MethodOn(fn, "sync", "Mutex") && !analysis.MethodOn(fn, "sync", "RWMutex") {
 		return opNone, ""
 	}
 	key := types.ExprString(sel.X)
@@ -321,25 +316,25 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	}
 	name := fn.Name()
 	// Exemption: sync.Cond.Wait releases its lock while parked.
-	if name == "Wait" && methodOn(fn, "sync", "Cond") {
+	if name == "Wait" && analysis.MethodOn(fn, "sync", "Cond") {
 		return "", false
 	}
 	switch {
 	case analysis.FuncIs(fn, "time", "Sleep"):
 		return "time.Sleep", true
-	case name == "Wait" && methodOn(fn, "sync", "WaitGroup"):
+	case name == "Wait" && analysis.MethodOn(fn, "sync", "WaitGroup"):
 		return "sync.WaitGroup.Wait", true
-	case methodOn(fn, analysis.ModulePath+"/internal/fabric", "Endpoint"):
+	case analysis.MethodOn(fn, analysis.ModulePath+"/internal/fabric", "Endpoint"):
 		switch name {
 		case "Pull", "SendCtl", "RecvCtl", "RecvCtlTimeout":
 			return "fabric." + name, true
 		}
-	case methodOn(fn, analysis.ModulePath+"/internal/mpi", "Comm"):
+	case analysis.MethodOn(fn, analysis.ModulePath+"/internal/mpi", "Comm"):
 		switch name {
 		case "Recv", "Barrier", "Split", "Dup":
 			return "mpi.Comm." + name, true
 		}
-	case fn.Pkg() != nil && fn.Pkg().Path() == analysis.ModulePath+"/internal/mpi" && isPkgFunc(fn):
+	case fn.Pkg() != nil && fn.Pkg().Path() == analysis.ModulePath+"/internal/mpi" && analysis.IsPkgFunc(fn):
 		switch name {
 		case "Bcast", "Reduce", "Allreduce", "Gather", "Allgather",
 			"Alltoall", "Scan":
@@ -347,19 +342,6 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func isPkgFunc(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-func methodOn(fn *types.Func, pkgPath, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return analysis.NamedTypeIs(sig.Recv().Type(), pkgPath, typeName)
 }
 
 func report(pass *analysis.Pass, pos token.Pos, what string, h held) {

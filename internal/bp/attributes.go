@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"predata/internal/wire"
 )
 
 // Attribute is a small named metadata item stored in the file footer —
@@ -60,10 +62,10 @@ func encodeAttributes(attrs map[string]Attribute) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(names)))
 	for _, n := range names {
 		a := attrs[n]
-		buf = appendString(buf, a.Name)
+		buf = wire.AppendString(buf, a.Name)
 		if a.IsString {
 			buf = append(buf, 1)
-			buf = appendString(buf, a.String)
+			buf = wire.AppendString(buf, a.String)
 		} else {
 			buf = append(buf, 0)
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Float))
@@ -73,33 +75,29 @@ func encodeAttributes(attrs map[string]Attribute) []byte {
 }
 
 // decodeAttributes parses the attribute table.
-func decodeAttributes(c *cursor) (map[string]Attribute, error) {
-	n := int(c.u32())
-	if c.err != nil {
-		return nil, c.err
+func decodeAttributes(c *wire.Cursor) (map[string]Attribute, error) {
+	n := int(c.U32())
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("bp: implausible attribute count %d", n)
+	// An attribute takes at least its name's length and a kind byte.
+	if left := c.Left(); n > left/5 {
+		return nil, fmt.Errorf("bp: implausible attribute count %d for %d bytes left", n, left)
 	}
 	out := make(map[string]Attribute, n)
-	for i := 0; i < n; i++ {
-		a := Attribute{Name: c.str()}
-		if !c.need(1) {
-			return nil, c.err
-		}
-		kind := c.buf[c.off]
-		c.off++
-		switch kind {
+	for range n {
+		a := Attribute{Name: c.Str()}
+		switch kind := c.U8(); kind {
 		case 1:
 			a.IsString = true
-			a.String = c.str()
+			a.String = c.Str()
 		case 0:
-			a.Float = math.Float64frombits(c.u64())
+			a.Float = math.Float64frombits(c.U64())
 		default:
 			return nil, fmt.Errorf("bp: attribute %q has bad kind %d", a.Name, kind)
 		}
-		if c.err != nil {
-			return nil, c.err
+		if c.Err() != nil {
+			return nil, c.Err()
 		}
 		out[a.Name] = a
 	}

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"predata/internal/ffs"
 	"predata/internal/pfs"
 	"predata/internal/wire"
 )
@@ -44,51 +45,31 @@ type VarChunk struct {
 	Data    []float64
 }
 
-// elems returns the element count implied by Dims.
-func elems(dims []uint64) uint64 {
-	if len(dims) == 0 {
-		return 0
-	}
-	n := uint64(1)
-	for _, d := range dims {
-		n *= d
-	}
-	return n
-}
-
-// Validate checks the chunk's dimensional consistency.
+// Validate checks the chunk's geometry (ffs.Box) and that Data holds the
+// elements its dims imply.
 func (vc *VarChunk) Validate() error {
-	if err := vc.validateShape(); err != nil {
+	n, err := vc.shape()
+	if err != nil {
 		return err
 	}
-	if uint64(len(vc.Data)) != elems(vc.Dims) {
+	if uint64(len(vc.Data)) != n {
 		return fmt.Errorf("bp: variable %q dims %v imply %d elements, have %d",
-			vc.Name, vc.Dims, elems(vc.Dims), len(vc.Data))
+			vc.Name, vc.Dims, n, len(vc.Data))
 	}
 	return nil
 }
 
-// validateShape checks everything but Data, which a reserved chunk does not
-// have yet.
-func (vc *VarChunk) validateShape() error {
+// shape checks everything but Data, which a reserved chunk does not have
+// yet, and returns the chunk's element count.
+func (vc *VarChunk) shape() (uint64, error) {
 	if vc.Name == "" {
-		return fmt.Errorf("bp: chunk with empty variable name")
+		return 0, fmt.Errorf("bp: chunk with empty variable name")
 	}
-	if len(vc.Dims) == 0 {
-		return fmt.Errorf("bp: variable %q has no dimensions", vc.Name)
+	n, err := ffs.Box(vc.Dims, vc.Global, vc.Offsets)
+	if err != nil {
+		return 0, fmt.Errorf("bp: variable %q: %w", vc.Name, err)
 	}
-	if vc.Global != nil {
-		if len(vc.Global) != len(vc.Dims) || len(vc.Offsets) != len(vc.Dims) {
-			return fmt.Errorf("bp: variable %q rank mismatch: dims %v global %v offsets %v",
-				vc.Name, vc.Dims, vc.Global, vc.Offsets)
-		}
-		for i := range vc.Dims {
-			if vc.Offsets[i]+vc.Dims[i] > vc.Global[i] {
-				return fmt.Errorf("bp: variable %q chunk exceeds global bounds in dim %d", vc.Name, i)
-			}
-		}
-	}
-	return nil
+	return n, nil
 }
 
 // indexEntry locates one chunk's payload within the file.
@@ -101,6 +82,7 @@ type indexEntry struct {
 	Offsets    []uint64
 	DataOff    int64  // file offset of the float64 payload
 	Checksum   uint32 // CRC-32 (IEEE) of the payload bytes
+	Elems      uint64 // element count of Dims (ffs.Box); not in the file
 }
 
 // Writer appends process groups to a BP file and writes the index footer
@@ -147,7 +129,10 @@ func (w *Writer) WritePG(rank int, timestep int64, chunks []VarChunk) (time.Dura
 			return 0, err
 		}
 	}
-	pg := w.reserve(rank, timestep, chunks)
+	pg, err := w.reserve(rank, timestep, chunks)
+	if err != nil {
+		return 0, err
+	}
 	for i := range chunks {
 		copy(pg.Chunks[i].Data, chunks[i].Data)
 	}
@@ -174,40 +159,29 @@ type PG struct {
 // writes it exactly once.
 func (w *Writer) ReservePG(rank int, timestep int64, chunks []VarChunk) (*PG, error) {
 	for i := range chunks {
-		if err := chunks[i].validateShape(); err != nil {
-			return nil, err
-		}
 		if chunks[i].Data != nil {
 			return nil, fmt.Errorf("bp: reserving variable %q that already has data (use WritePG)", chunks[i].Name)
 		}
 	}
-	return w.reserve(rank, timestep, chunks), nil
+	return w.reserve(rank, timestep, chunks)
 }
 
 // reserve is the one place a process group is laid out: the chunk count,
 // each chunk's name and dimension vectors, then the payloads contiguously.
 // The group is sized first so that it is one buffer, written once and handed
-// to the file system as one sequential write. The chunks' shapes have been
-// validated; their Data is ignored.
-func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) *PG {
+// to the file system as one sequential write. The chunks' shapes are
+// checked here; their Data is ignored.
+func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) (*PG, error) {
+	pg := &PG{Chunks: slices.Clone(chunks), w: w, entries: make([]indexEntry, len(chunks))}
 	header, words := 4, 0
-	for i := range chunks {
-		c := &chunks[i]
-		header += 4 + len(c.Name) + 3*4 + 8*(len(c.Dims)+len(c.Global)+len(c.Offsets))
-		words += int(elems(c.Dims))
-	}
-	frame, payload := wire.Float64Frame(header, words)
-	pg := &PG{Chunks: slices.Clone(chunks), w: w, frame: frame, entries: make([]indexEntry, len(chunks))}
-	hdr := binary.LittleEndian.AppendUint32(frame[:0], uint32(len(chunks)))
 	for i := range pg.Chunks {
 		c := &pg.Chunks[i]
-		hdr = appendString(hdr, c.Name)
-		hdr = appendU64s(hdr, c.Dims)
-		hdr = appendU64s(hdr, c.Global)
-		hdr = appendU64s(hdr, c.Offsets)
-		// Payload offsets are relative to the start of the group until
-		// Commit knows where the group lands.
-		n := int(elems(c.Dims))
+		n, err := c.shape()
+		if err != nil {
+			return nil, err
+		}
+		header += 4 + len(c.Name) + 3*4 + 8*(len(c.Dims)+len(c.Global)+len(c.Offsets))
+		words += int(n)
 		pg.entries[i] = indexEntry{
 			Name:       c.Name,
 			Timestep:   timestep,
@@ -215,11 +189,24 @@ func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) *PG {
 			Dims:       c.Dims,
 			Global:     c.Global,
 			Offsets:    c.Offsets,
-			DataOff:    int64(len(frame) - 8*len(payload)),
+			Elems:      n,
 		}
-		c.Data, payload = payload[:n:n], payload[n:]
 	}
-	return pg
+	frame, payload := wire.Float64Frame(header, words)
+	pg.frame = frame
+	hdr := binary.LittleEndian.AppendUint32(frame[:0], uint32(len(chunks)))
+	for i := range pg.Chunks {
+		c, e := &pg.Chunks[i], &pg.entries[i]
+		hdr = wire.AppendString(hdr, c.Name)
+		hdr = wire.AppendU64s(hdr, c.Dims)
+		hdr = wire.AppendU64s(hdr, c.Global)
+		hdr = wire.AppendU64s(hdr, c.Offsets)
+		// Payload offsets are relative to the start of the group until
+		// Commit knows where the group lands.
+		e.DataOff = int64(len(frame) - 8*len(payload))
+		c.Data, payload = payload[:e.Elems:e.Elems], payload[e.Elems:]
+	}
+	return pg, nil
 }
 
 // Commit checksums the payloads, reserves the group's place in the file and
@@ -279,12 +266,12 @@ func (w *Writer) Close() (time.Duration, error) {
 	foot := make([]byte, 0, 4096)
 	foot = binary.LittleEndian.AppendUint64(foot, uint64(len(w.index)))
 	for _, e := range w.index {
-		foot = appendString(foot, e.Name)
+		foot = wire.AppendString(foot, e.Name)
 		foot = binary.LittleEndian.AppendUint64(foot, uint64(e.Timestep))
 		foot = binary.LittleEndian.AppendUint64(foot, uint64(e.WriterRank))
-		foot = appendU64s(foot, e.Dims)
-		foot = appendU64s(foot, e.Global)
-		foot = appendU64s(foot, e.Offsets)
+		foot = wire.AppendU64s(foot, e.Dims)
+		foot = wire.AppendU64s(foot, e.Global)
+		foot = wire.AppendU64s(foot, e.Offsets)
 		foot = binary.LittleEndian.AppendUint64(foot, uint64(e.DataOff))
 		foot = binary.LittleEndian.AppendUint32(foot, e.Checksum)
 	}
@@ -300,19 +287,6 @@ func (w *Writer) Close() (time.Duration, error) {
 	w.ModeledTime += d
 	w.off += int64(len(foot))
 	return d, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendU64s(b []byte, v []uint64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, x)
-	}
-	return b
 }
 
 // VarInfo summarizes one variable at one timestep.
@@ -360,37 +334,53 @@ func OpenReader(fs *pfs.FileSystem, name string) (*Reader, error) {
 	if footLen <= 0 || footLen > size-12 {
 		return nil, fmt.Errorf("bp: %s has implausible footer length %d", name, footLen)
 	}
+	dataEnd := size - 12 - footLen
 	foot := make([]byte, footLen)
-	d, err = f.ReadAt(foot, size-12-footLen)
+	d, err = f.ReadAt(foot, dataEnd)
 	if err != nil {
 		return nil, err
 	}
 	r.ModeledTime += d
-	if err := r.parseFooter(foot); err != nil {
+	if err := r.parseFooter(foot, dataEnd); err != nil {
 		return nil, fmt.Errorf("bp: %s: %w", name, err)
 	}
 	return r, nil
 }
 
-func (r *Reader) parseFooter(foot []byte) error {
-	c := &cursor{buf: foot}
-	n := int(c.u64())
-	if n < 0 || n > 1<<28 {
-		return fmt.Errorf("implausible index size %d", n)
+// parseFooter loads the index and the attribute table. The footer comes
+// from outside the program, so each entry is checked before anything
+// trusts it: its geometry with ffs.Box, and its payload against the data
+// region between the file's 4-byte header and dataEnd, where the footer
+// starts.
+func (r *Reader) parseFooter(foot []byte, dataEnd int64) error {
+	c := wire.NewCursor(foot, "bp footer")
+	// An entry takes at least 44 bytes: the name's length, timestep, rank,
+	// three vector counts, payload offset and checksum.
+	n := c.U64()
+	if left := c.Left(); c.Err() == nil && n > uint64(left/44) {
+		return fmt.Errorf("implausible index size %d for %d bytes left", n, left)
 	}
-	for i := 0; i < n; i++ {
+	for range n {
 		e := indexEntry{
-			Name:       c.str(),
-			Timestep:   int64(c.u64()),
-			WriterRank: int64(c.u64()),
-			Dims:       c.u64s(),
-			Global:     c.u64s(),
-			Offsets:    c.u64s(),
+			Name:       c.Str(),
+			Timestep:   int64(c.U64()),
+			WriterRank: int64(c.U64()),
+			Dims:       c.U64s(),
+			Global:     c.U64s(),
+			Offsets:    c.U64s(),
+			DataOff:    int64(c.U64()),
+			Checksum:   c.U32(),
 		}
-		e.DataOff = int64(c.u64())
-		e.Checksum = c.u32()
-		if c.err != nil {
-			return c.err
+		if c.Err() != nil {
+			return c.Err()
+		}
+		var err error
+		if e.Elems, err = ffs.Box(e.Dims, e.Global, e.Offsets); err != nil {
+			return fmt.Errorf("variable %q: %w", e.Name, err)
+		}
+		if e.DataOff < 4 || e.DataOff > dataEnd || e.Elems > uint64(dataEnd-e.DataOff)/8 {
+			return fmt.Errorf("variable %q: %d-element payload at offset %d lies outside the data region [4, %d)",
+				e.Name, e.Elems, e.DataOff, dataEnd)
 		}
 		r.index = append(r.index, e)
 	}
@@ -399,67 +389,7 @@ func (r *Reader) parseFooter(foot []byte) error {
 		return err
 	}
 	r.attrs = attrs
-	return c.err
-}
-
-type cursor struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (c *cursor) need(n int) bool {
-	if c.err != nil {
-		return false
-	}
-	if c.off+n > len(c.buf) {
-		c.err = fmt.Errorf("truncated footer at offset %d", c.off)
-		return false
-	}
-	return true
-}
-
-func (c *cursor) u32() uint32 {
-	if !c.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if !c.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) str() string {
-	n := int(c.u32())
-	if !c.need(n) {
-		return ""
-	}
-	s := string(c.buf[c.off : c.off+n])
-	c.off += n
-	return s
-}
-
-func (c *cursor) u64s() []uint64 {
-	n := int(c.u32())
-	if n == 0 {
-		return nil
-	}
-	if !c.need(8 * n) {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = c.u64()
-	}
-	return out
+	return nil
 }
 
 // Vars lists the variables present in the file, one entry per
@@ -517,7 +447,14 @@ func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time
 		return nil, nil, 0, fmt.Errorf("bp: variable %q timestep %d not in file", name, timestep)
 	}
 	global := entries[0].Global
-	if global == nil {
+	if global != nil {
+		for _, e := range entries[1:] {
+			if !slices.Equal(e.Global, global) {
+				return nil, nil, 0, fmt.Errorf("bp: variable %q timestep %d: chunks disagree on global dims (%v vs %v)",
+					name, timestep, global, e.Global)
+			}
+		}
+	} else {
 		global = append([]uint64(nil), entries[0].Dims...)
 		for _, e := range entries[1:] {
 			if len(e.Dims) == 0 || e.Global != nil || len(e.Dims) != len(global) || !slices.Equal(e.Dims[1:], global[1:]) {
@@ -527,7 +464,17 @@ func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time
 			global[0] += e.Dims[0]
 		}
 	}
-	out := make([]float64, elems(global))
+	// The whole global array the index declares is allocated, however few
+	// of its elements the file holds: a valid file may write one chunk of a
+	// large array (the benchmark's layer walk reads one [8 8 16] chunk from
+	// a 754-byte file), so the file's size bounds the chunks, not this.
+	// Whether an array is too large to read is the caller's decision, made
+	// from VarInfo.Global.
+	n, err := ffs.Box(global, nil, nil)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("bp: variable %q timestep %d: %w", name, timestep, err)
+	}
+	out := make([]float64, n)
 	var total time.Duration
 	next := 0 // where the next local entry lands
 	for _, e := range entries {
@@ -540,7 +487,7 @@ func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time
 			next += copy(out[next:], data)
 			continue
 		}
-		scatterChunk(out, global, data, e.Dims, e.Offsets)
+		ffs.Scatter(out, global, data, e.Dims, e.Offsets)
 	}
 	r.ModeledTime += total
 	return out, global, total, nil
@@ -548,8 +495,7 @@ func (r *Reader) ReadVar(name string, timestep int64) ([]float64, []uint64, time
 
 // readChunkPayload reads one chunk's float64 payload, verifying its CRC.
 func (r *Reader) readChunkPayload(e indexEntry) ([]float64, time.Duration, error) {
-	n := elems(e.Dims)
-	raw := make([]byte, n*8)
+	raw := make([]byte, 8*e.Elems)
 	d, err := r.f.ReadAt(raw, e.DataOff)
 	if err != nil {
 		return nil, 0, err
@@ -560,40 +506,4 @@ func (r *Reader) readChunkPayload(e indexEntry) ([]float64, time.Duration, error
 	}
 	// raw is private to this call, so the payload is read in place.
 	return wire.Float64s(raw), d, nil
-}
-
-// scatterChunk places a row-major chunk into its position within the
-// row-major global array. Works for any rank.
-func scatterChunk(dst []float64, global []uint64, src []float64, dims, offsets []uint64) {
-	rank := len(dims)
-	if rank == 0 {
-		return
-	}
-	// Iterate over all rows (innermost dimension contiguous).
-	rowLen := dims[rank-1]
-	rows := elems(dims) / max(rowLen, 1)
-	idx := make([]uint64, rank) // multi-index over chunk rows
-	for row := uint64(0); row < rows; row++ {
-		// Compute destination offset of this row.
-		var dstOff uint64
-		stride := uint64(1)
-		for d := rank - 1; d >= 0; d-- {
-			coord := offsets[d]
-			if d < rank-1 {
-				coord += idx[d]
-			}
-			dstOff += coord * stride
-			stride *= global[d]
-		}
-		srcOff := row * rowLen
-		copy(dst[dstOff:dstOff+rowLen], src[srcOff:srcOff+rowLen])
-		// Advance the multi-index over the non-contiguous dimensions.
-		for d := rank - 2; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < dims[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
 }

@@ -1,7 +1,10 @@
 package bp
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -33,11 +36,25 @@ func TestChunkValidate(t *testing.T) {
 		{Name: "v", Dims: []uint64{2}, Data: []float64{1}},
 		{Name: "v", Dims: []uint64{2}, Global: []uint64{2, 2}, Offsets: []uint64{0}, Data: []float64{1, 2}},
 		{Name: "v", Dims: []uint64{2}, Global: []uint64{3}, Offsets: []uint64{2}, Data: []float64{1, 2}},
+		// The offset plus the extent wraps to 1, which is inside [0, 4).
+		{Name: "v", Dims: []uint64{2}, Global: []uint64{4}, Offsets: []uint64{math.MaxUint64}, Data: []float64{1, 2}},
 	}
 	for i := range cases {
 		if err := cases[i].Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	w, err := CreateWriter(newFS(t), "wrap.bp", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := cases[len(cases)-1]
+	if _, err := w.WritePG(0, 0, []VarChunk{wrap}); err == nil {
+		t.Error("WritePG accepted a wrapping offset")
+	}
+	wrap.Data = nil
+	if _, err := w.ReservePG(0, 0, []VarChunk{wrap}); err == nil {
+		t.Error("ReservePG accepted a wrapping offset")
 	}
 	good := VarChunk{Name: "v", Dims: []uint64{2}, Global: []uint64{4}, Offsets: []uint64{2}, Data: []float64{1, 2}}
 	if err := good.Validate(); err != nil {
@@ -315,21 +332,112 @@ func TestWriterErrors(t *testing.T) {
 	}
 }
 
+// TestOpenReaderErrors: a file that is no BP file, or whose footer says
+// what no writer would, fails to open or to read — with an error, and
+// without allocating what its index claims.
 func TestOpenReaderErrors(t *testing.T) {
-	fs := newFS(t)
-	if _, err := OpenReader(fs, "absent.bp"); err == nil {
-		t.Error("missing file opened")
+	pair := VarChunk{Name: "v", Dims: []uint64{2}, Global: []uint64{4}, Offsets: []uint64{0}, Data: []float64{1, 2}}
+	cases := []struct {
+		name string
+		file func(*pfs.FileSystem) error
+	}{
+		{"missing file", func(*pfs.FileSystem) error { return nil }},
+		{"tiny file", rawFile([]byte{1, 2, 3})},
+		{"no footer magic", rawFile(make([]byte, 64))},
+		// A local entry of 2^23 elements in a file of about 100 bytes.
+		{"payload past the footer", bpFile(func(e *indexEntry) { e.Dims = []uint64{1 << 23} },
+			VarChunk{Name: "v", Dims: []uint64{1}, Data: []float64{1}})},
+		// The payload is the one written, so its checksum holds.
+		{"chunk past its global dim", bpFile(func(e *indexEntry) { e.Offsets = []uint64{3} }, pair)},
+		{"global rank mismatch", bpFile(func(e *indexEntry) { e.Global = []uint64{4, 4} }, pair)},
+		// Each chunk is valid alone; the second lies past the first's array.
+		{"chunks disagree on global dims", bpFile(nil, pair,
+			VarChunk{Name: "v", Dims: []uint64{2}, Global: []uint64{8}, Offsets: []uint64{6}, Data: []float64{3, 4}})},
+		// The 12-byte footer: no index entries, then 2^20 attributes.
+		{"attribute count past the footer", rawFile(slices.Concat(
+			binary.LittleEndian.AppendUint32(nil, headerMagic),
+			binary.LittleEndian.AppendUint64(nil, 0),
+			binary.LittleEndian.AppendUint32(nil, 1<<20),
+			binary.LittleEndian.AppendUint64(nil, 12),
+			binary.LittleEndian.AppendUint32(nil, footerMagic)))},
 	}
-	f, _ := fs.Create("tiny", 1)
-	f.WriteAt([]byte{1, 2, 3}, 0)
-	if _, err := OpenReader(fs, "tiny"); err == nil {
-		t.Error("tiny file opened")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(t)
+			if err := tc.file(fs); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := readAll(fs, "f.bp", math.MaxUint64)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Error("file read without an error")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("reading the file allocated %d bytes", got)
+			}
+		})
 	}
-	f2, _ := fs.Create("nomagic", 1)
-	f2.WriteAt(make([]byte, 64), 0)
-	if _, err := OpenReader(fs, "nomagic"); err == nil {
-		t.Error("file without footer magic opened")
+}
+
+// rawFile writes b as the file f.bp.
+func rawFile(b []byte) func(*pfs.FileSystem) error {
+	return func(fs *pfs.FileSystem) error {
+		f, err := fs.Create("f.bp", 1)
+		if err != nil {
+			return err
+		}
+		_, err = f.WriteAt(b, 0)
+		return err
 	}
+}
+
+// bpFile writes each chunk as a process group of f.bp and, when patch is
+// non-nil, patches the first index entry before the footer is written.
+func bpFile(patch func(*indexEntry), chunks ...VarChunk) func(*pfs.FileSystem) error {
+	return func(fs *pfs.FileSystem) error {
+		w, err := CreateWriter(fs, "f.bp", 1)
+		if err != nil {
+			return err
+		}
+		for rank, c := range chunks {
+			if _, err := w.WritePG(rank, 0, []VarChunk{c}); err != nil {
+				return err
+			}
+		}
+		if patch != nil {
+			patch(&w.index[0])
+		}
+		_, err = w.Close()
+		return err
+	}
+}
+
+// readAll opens the named file and reads every variable it lists whose
+// global array has at most maxElems elements.
+func readAll(fs *pfs.FileSystem, name string, maxElems uint64) error {
+	r, err := OpenReader(fs, name)
+	if err != nil {
+		return err
+	}
+	for _, v := range r.Vars() {
+		n := uint64(1)
+		for _, d := range v.Global {
+			if d != 0 && n > maxElems/d {
+				n = maxElems + 1
+				break
+			}
+			n *= d
+		}
+		if n > maxElems {
+			continue
+		}
+		if _, _, _, err := r.ReadVar(v.Name, v.Timestep); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestScatterGatherProperty: writing a random 2D global array as random

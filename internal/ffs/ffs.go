@@ -97,32 +97,19 @@ type Array struct {
 	Int64   []int64
 }
 
-// Elems returns the number of elements implied by Dims.
+// Elems returns the number of elements implied by Dims: 0 when there are
+// none, or when their count would not fit in 64 bits.
 func (a *Array) Elems() uint64 {
-	n := uint64(1)
-	for _, d := range a.Dims {
-		n *= d
-	}
-	if len(a.Dims) == 0 {
-		return 0
-	}
+	n, _ := count(a.Dims)
 	return n
 }
 
-// Validate checks dimensional consistency of the array, in uint64
-// arithmetic that must not wrap: dims whose element count exceeds 2^64-1,
-// or an offset whose sum with its extent does, describe no array.
+// Validate checks that the array is a valid chunk (Box) whose one payload
+// holds as many elements as its dims imply.
 func (a *Array) Validate() error {
-	if len(a.Dims) == 0 {
-		return fmt.Errorf("ffs: array has no dimensions")
-	}
-	want := uint64(1)
-	for _, d := range a.Dims {
-		hi, lo := bits.Mul64(want, d)
-		if hi != 0 {
-			return fmt.Errorf("ffs: array dims %v imply more than 2^64-1 elements", a.Dims)
-		}
-		want = lo
+	want, err := Box(a.Dims, a.Global, a.Offsets)
+	if err != nil {
+		return err
 	}
 	var have uint64
 	switch {
@@ -138,23 +125,94 @@ func (a *Array) Validate() error {
 	if have != want {
 		return fmt.Errorf("ffs: array dims %v imply %d elements, payload has %d", a.Dims, want, have)
 	}
-	if a.Global != nil {
-		if len(a.Global) != len(a.Dims) || len(a.Offsets) != len(a.Dims) {
-			return fmt.Errorf("ffs: global/offset rank mismatch: dims %v global %v offsets %v",
-				a.Dims, a.Global, a.Offsets)
+	return nil
+}
+
+// Box is the one definition of a valid chunk: what the BP file format, the
+// staging reorg and FFS arrays all accept. It checks a chunk of the given
+// dims — placed at offsets in a global array of the given dims when global
+// is non-nil — and returns its element count. A chunk has at least one
+// dimension and fewer than 2^64 elements; a global chunk has the rank of
+// its global array, which also has fewer than 2^64 elements, and lies
+// inside it in every dimension. All of it is uint64 arithmetic that must
+// not wrap, so a chunk that passes can be handed to Scatter.
+func Box(dims, global, offsets []uint64) (uint64, error) {
+	n, err := count(dims)
+	if err != nil || global == nil {
+		return n, err
+	}
+	if len(global) != len(dims) || len(offsets) != len(dims) {
+		return 0, fmt.Errorf("ffs: global/offset rank mismatch: dims %v global %v offsets %v",
+			dims, global, offsets)
+	}
+	if _, err := count(global); err != nil {
+		return 0, err
+	}
+	for i := range dims {
+		end, carry := bits.Add64(offsets[i], dims[i], 0)
+		if carry != 0 {
+			return 0, fmt.Errorf("ffs: chunk offset %d + extent %d in dim %d wraps", offsets[i], dims[i], i)
 		}
-		for i := range a.Dims {
-			end, carry := bits.Add64(a.Offsets[i], a.Dims[i], 0)
-			if carry != 0 {
-				return fmt.Errorf("ffs: chunk offset %d + extent %d in dim %d wraps", a.Offsets[i], a.Dims[i], i)
-			}
-			if end > a.Global[i] {
-				return fmt.Errorf("ffs: chunk [%d:%d) exceeds global dim %d of %d",
-					a.Offsets[i], end, i, a.Global[i])
-			}
+		if end > global[i] {
+			return 0, fmt.Errorf("ffs: chunk [%d:%d) exceeds global dim %d of %d",
+				offsets[i], end, i, global[i])
 		}
 	}
-	return nil
+	return n, nil
+}
+
+// count returns the element count of dims, of which there must be some.
+func count(dims []uint64) (uint64, error) {
+	if len(dims) == 0 {
+		return 0, fmt.Errorf("ffs: array has no dimensions")
+	}
+	n := uint64(1)
+	for _, d := range dims {
+		hi, lo := bits.Mul64(n, d)
+		if hi != 0 {
+			return 0, fmt.Errorf("ffs: array dims %v imply more than 2^64-1 elements", dims)
+		}
+		n = lo
+	}
+	return n, nil
+}
+
+// Scatter places a row-major chunk into its position within the row-major
+// global array, one innermost-dimension run at a time: where the chunk's
+// rows land for the BP reader and the staging reorg alike. The chunk's
+// geometry must pass Box, dst must hold the global array and src the
+// chunk's elements.
+func Scatter(dst []float64, global []uint64, src []float64, dims, offsets []uint64) {
+	rank := len(dims)
+	if rank == 0 || len(src) == 0 {
+		return
+	}
+	rowLen := dims[rank-1]
+	if rowLen == 0 {
+		return
+	}
+	rows := uint64(len(src)) / rowLen
+	idx := make([]uint64, rank)
+	for row := uint64(0); row < rows; row++ {
+		var dstOff uint64
+		stride := uint64(1)
+		for d := rank - 1; d >= 0; d-- {
+			coord := offsets[d]
+			if d < rank-1 {
+				coord += idx[d]
+			}
+			dstOff += coord * stride
+			stride *= global[d]
+		}
+		copy(dst[dstOff:dstOff+rowLen], src[row*rowLen:(row+1)*rowLen])
+		for d := rank - 2; d >= 0; d-- {
+			idx[d]++
+			if idx[d] < dims[d] {
+				break
+			}
+			idx[d] = 0
+		}
+	}
 }
 
 // Record maps field names to values. Value types must match the schema:
@@ -351,142 +409,38 @@ func appendPayload[T float64 | int64](w *writer, v []T, a *Array, put func([]byt
 	w.seen = len(w.buf)
 }
 
-// reader is a bounds-checked little-endian cursor.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ffs: "+format, args...)
-	}
-}
-
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > len(r.buf) {
-		r.fail("truncated buffer: need %d bytes at offset %d of %d", n, r.off, len(r.buf))
-		return false
-	}
-	return true
-}
-
-func (r *reader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-// skip steps over n bytes.
-func (r *reader) skip(n int) {
-	if r.need(n) {
-		r.off += n
-	}
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) i64() int64   { return int64(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// bytesField returns the field as a view over the buffer, capped so an
-// append by the holder cannot reach the bytes that follow.
-func (r *reader) bytesField() []byte {
-	n := int(r.u32())
-	if !r.need(n) {
-		return nil
-	}
-	b := r.buf[r.off : r.off+n : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u64s() []uint64 {
-	n := int(r.u32())
-	if n == 0 {
-		return nil
-	}
-	if !r.need(8 * n) {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
-	}
-	return out
-}
-
 // words reads the header writer.words wrote and returns the payload's
 // bytes: the count, the alignment pad (which must be zero bytes), then
 // count 8-byte elements, all bounds-checked against the buffer.
-func (r *reader) words(what string) []byte {
-	n := r.u64()
-	pad := -r.off & 7
-	if !r.need(pad) {
-		return nil
-	}
-	for _, b := range r.buf[r.off : r.off+pad] {
+func words(r *wire.Cursor, what string) []byte {
+	n := r.U64()
+	at := r.Off()
+	for _, b := range r.Next(-at & 7) {
 		if b != 0 {
-			r.fail("non-zero alignment pad before %s payload at offset %d", what, r.off)
+			r.Fail("non-zero alignment pad before %s payload at offset %d", what, at)
 			return nil
 		}
 	}
-	r.off += pad
-	if n > uint64(len(r.buf)-r.off)/8 {
-		r.fail("%s slice length %d exceeds buffer", what, n)
+	if n > uint64(r.Left())/8 {
+		r.Fail("%s slice length %d exceeds buffer", what, n)
 		return nil
 	}
-	p := r.buf[r.off : r.off+int(n)*8]
-	r.off += len(p)
-	return p
+	return r.Next(int(n) * 8)
 }
 
 // f64s and i64s return the payload as a view over the buffer when the host
 // can read it in place (see package wire), else as a converted copy.
-func (r *reader) f64s() []float64 {
-	p := r.words("float64")
-	if r.err != nil {
+func f64s(r *wire.Cursor) []float64 {
+	p := words(r, "float64")
+	if r.Err() != nil {
 		return nil
 	}
 	return wire.Float64s(p)
 }
 
-func (r *reader) i64s() []int64 {
-	p := r.words("int64")
-	if r.err != nil {
+func i64s(r *wire.Cursor) []int64 {
+	p := words(r, "int64")
+	if r.Err() != nil {
 		return nil
 	}
 	return wire.Int64s(p)
@@ -633,26 +587,21 @@ func encodeValue(w *writer, f Field, v any) error {
 // so the cost is O(fields), not O(bytes): the caller must not write buf
 // afterwards, and a value keeps buf alive for as long as it is referenced.
 func Decode(buf []byte) (*Schema, Record, error) {
-	r := &reader{buf: buf}
-	if m := r.u32(); r.err == nil && m != Magic {
+	r := wire.NewCursor(buf, "ffs")
+	if m := r.U32(); r.Err() == nil && m != Magic {
 		return nil, nil, fmt.Errorf("ffs: bad magic 0x%08x", m)
 	}
-	schema := &Schema{Name: r.str()}
-	nf := int(r.u32())
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	// Each field descriptor takes at least a name length and a kind byte,
-	// so the bytes left bound the count before anything is allocated.
-	if left := len(buf) - r.off; nf < 0 || nf > left/5 {
-		return nil, nil, fmt.Errorf("ffs: implausible field count %d for %d bytes left", nf, left)
+	schema := &Schema{Name: r.Str()}
+	nf, err := fieldCount(r)
+	if err != nil {
+		return nil, nil, err
 	}
 	schema.Fields = make([]Field, nf)
 	for i := range schema.Fields {
-		schema.Fields[i] = Field{Name: r.str(), Kind: Kind(r.u8())}
+		schema.Fields[i] = Field{Name: r.Str(), Kind: Kind(r.U8())}
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if r.Err() != nil {
+		return nil, nil, r.Err()
 	}
 	rec := make(Record, nf)
 	for _, f := range schema.Fields {
@@ -662,13 +611,27 @@ func Decode(buf []byte) (*Schema, Record, error) {
 		}
 		rec[f.Name] = v
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if r.Err() != nil {
+		return nil, nil, r.Err()
 	}
-	if r.off != len(buf) {
-		return nil, nil, fmt.Errorf("ffs: %d trailing bytes after record", len(buf)-r.off)
+	if r.Left() != 0 {
+		return nil, nil, fmt.Errorf("ffs: %d trailing bytes after record", r.Left())
 	}
 	return schema, rec, nil
+}
+
+// fieldCount reads the schema's field count. Each field descriptor takes
+// at least a name length and a kind byte, so the bytes left bound the count
+// before anything is sized by it.
+func fieldCount(r *wire.Cursor) (int, error) {
+	nf := int(r.U32())
+	if r.Err() != nil {
+		return 0, r.Err()
+	}
+	if left := r.Left(); nf > left/5 {
+		return 0, fmt.Errorf("ffs: implausible field count %d for %d bytes left", nf, left)
+	}
+	return nf, nil
 }
 
 // Walk visits buf, an encoding that Decode turned into rec, in the ranges
@@ -682,122 +645,113 @@ func Decode(buf []byte) (*Schema, Record, error) {
 // just pulled the block into cache. A buf whose layout does not match rec
 // is an error.
 func Walk(buf []byte, rec Record, visit Visitor) error {
-	r := &reader{buf: buf}
+	r := wire.NewCursor(buf, "ffs")
 	seen := 0
-	flush := func() {
-		if r.off > seen {
-			visit(buf[seen:r.off:r.off], nil, 0, 0)
-			seen = r.off
+	flush := func(to int) {
+		if to > seen {
+			visit(buf[seen:to:to], nil, 0, 0)
+			seen = to
 		}
 	}
-	if m := r.u32(); r.err == nil && m != Magic {
+	if m := r.U32(); r.Err() == nil && m != Magic {
 		return fmt.Errorf("ffs: bad magic 0x%08x", m)
 	}
-	r.skip(int(r.u32())) // schema name
-	nf := int(r.u32())
-	if r.err != nil {
-		return r.err
-	}
-	if nf > 1<<20 {
-		return fmt.Errorf("ffs: implausible field count %d", nf)
+	r.Skip(int(r.U32())) // schema name
+	nf, err := fieldCount(r)
+	if err != nil {
+		return err
 	}
 	// The field descriptors are read a second time, in step with the
 	// values, by a cursor of their own: nothing is allocated.
-	desc := &reader{buf: buf, off: r.off}
+	desc := wire.NewCursor(buf, "ffs")
+	desc.Skip(r.Off())
 	for range nf {
-		r.skip(int(r.u32()))
-		r.u8()
+		r.Skip(int(r.U32()))
+		r.U8()
 	}
 	for range nf {
-		if r.err != nil || desc.err != nil {
+		if r.Err() != nil || desc.Err() != nil {
 			break
 		}
-		n := int(desc.u32())
-		if !desc.need(n) {
-			break
-		}
-		name := buf[desc.off : desc.off+n]
-		desc.off += n
-		switch kind := Kind(desc.u8()); kind {
+		name := desc.Bytes()
+		switch kind := Kind(desc.U8()); kind {
 		case KindInt64, KindUint64, KindFloat64:
-			r.skip(8)
+			r.Skip(8)
 		case KindString, KindBytes:
-			r.skip(int(r.u32()))
+			r.Skip(int(r.U32()))
 		case KindInt64Slice:
-			r.words("int64")
+			words(r, "int64")
 		case KindFloat64Slice:
-			r.words("float64")
+			words(r, "float64")
 		case KindArray:
 			for range 3 { // dims, global, offsets
-				r.skip(8 * int(r.u32()))
+				r.Skip(8 * int(r.U32()))
 			}
-			if r.u8() != 1 {
-				r.words("int64")
+			if r.U8() != 1 {
+				words(r, "int64")
 				continue
 			}
-			p := r.words("float64")
-			if r.err != nil {
+			p := words(r, "float64")
+			if r.Err() != nil {
 				break
 			}
 			a, ok := rec[string(name)].(*Array)
 			if !ok || a.Float64 == nil || len(a.Float64) != len(p)/8 || a.Validate() != nil {
 				return fmt.Errorf("ffs: walk: field %q is not the record's float64 array", name)
 			}
-			end := r.off
-			r.off -= len(p)
-			flush() // up to the payload
+			flush(r.Off() - len(p)) // up to the payload
 			rows, per, step := arrayBlocks(a, len(a.Float64))
 			for lo := 0; lo < rows; lo += step {
 				hi := min(lo+step, rows)
 				visit(p[lo*per*8:hi*per*8:hi*per*8], a, lo, hi)
 			}
-			r.off, seen = end, end
+			seen = r.Off()
 		default:
 			return fmt.Errorf("ffs: field %q has unsupported kind %v", name, kind)
 		}
 	}
 	switch {
-	case r.err != nil:
-		return r.err
-	case desc.err != nil:
-		return desc.err
-	case r.off != len(buf):
-		return fmt.Errorf("ffs: %d trailing bytes after record", len(buf)-r.off)
+	case r.Err() != nil:
+		return r.Err()
+	case desc.Err() != nil:
+		return desc.Err()
+	case r.Left() != 0:
+		return fmt.Errorf("ffs: %d trailing bytes after record", r.Left())
 	}
-	flush()
+	flush(len(buf))
 	return nil
 }
 
-func decodeValue(r *reader, f Field) (any, error) {
+func decodeValue(r *wire.Cursor, f Field) (any, error) {
 	switch f.Kind {
 	case KindInt64:
-		return r.i64(), r.err
+		return int64(r.U64()), r.Err()
 	case KindUint64:
-		return r.u64(), r.err
+		return r.U64(), r.Err()
 	case KindFloat64:
-		return r.f64(), r.err
+		return math.Float64frombits(r.U64()), r.Err()
 	case KindString:
-		return r.str(), r.err
+		return r.Str(), r.Err()
 	case KindBytes:
-		return r.bytesField(), r.err
+		return r.Bytes(), r.Err()
 	case KindInt64Slice:
-		return r.i64s(), r.err
+		return i64s(r), r.Err()
 	case KindFloat64Slice:
-		return r.f64s(), r.err
+		return f64s(r), r.Err()
 	case KindArray:
-		a := &Array{Dims: r.u64s(), Global: r.u64s(), Offsets: r.u64s()}
-		switch tag := r.u8(); tag {
+		a := &Array{Dims: r.U64s(), Global: r.U64s(), Offsets: r.U64s()}
+		switch tag := r.U8(); tag {
 		case 1:
-			a.Float64 = r.f64s()
+			a.Float64 = f64s(r)
 		case 2:
-			a.Int64 = r.i64s()
+			a.Int64 = i64s(r)
 		default:
-			if r.err == nil {
+			if r.Err() == nil {
 				return nil, fmt.Errorf("ffs: field %q has bad array payload tag %d", f.Name, tag)
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if err := a.Validate(); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -142,7 +143,8 @@ func TestDecodeTruncated(t *testing.T) {
 
 // TestDecodeImplausibleFieldCount feeds Decode 12 bytes: the magic, an
 // empty schema name and a field count of 2^20. The count must be refused
-// against the bytes left before anything is sized by it.
+// against the bytes left before anything is sized by it. Walk refuses it
+// the same way.
 func TestDecodeImplausibleFieldCount(t *testing.T) {
 	buf := binary.LittleEndian.AppendUint32(nil, Magic)
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
@@ -156,6 +158,10 @@ func TestDecodeImplausibleFieldCount(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("decoding %d bytes allocated %d bytes", len(buf), got)
+	}
+	err = Walk(buf, Record{}, func([]byte, *Array, int, int) {})
+	if err == nil || !strings.Contains(err.Error(), "implausible field count") {
+		t.Fatalf("Walk err = %v, want an implausible field count", err)
 	}
 }
 
@@ -348,6 +354,36 @@ func BenchmarkDecode1MParticleChunk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestScatterRandom: a random 2-D tiling into row bands reassembles the
+// global array exactly.
+func TestScatterRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		nx := 1 + rng.Intn(8)
+		ny := 1 + rng.Intn(8)
+		ref := make([]float64, nx*ny)
+		for i := range ref {
+			ref[i] = rng.Float64()
+		}
+		out := make([]float64, nx*ny)
+		for x := 0; x < nx; {
+			w := 1 + rng.Intn(nx-x)
+			block := make([]float64, w*ny)
+			for dx := 0; dx < w; dx++ {
+				copy(block[dx*ny:(dx+1)*ny], ref[(x+dx)*ny:(x+dx+1)*ny])
+			}
+			Scatter(out, []uint64{uint64(nx), uint64(ny)}, block,
+				[]uint64{uint64(w), uint64(ny)}, []uint64{uint64(x), 0})
+			x += w
+		}
+		for i := range ref {
+			if out[i] != ref[i] {
+				t.Fatalf("trial %d elem %d mismatch", trial, i)
+			}
 		}
 	}
 }

@@ -630,35 +630,6 @@ func TestMinMaxPartialAndAggregate(t *testing.T) {
 	}
 }
 
-func TestScatterRowsRandom(t *testing.T) {
-	// Randomized 2D tiling reassembles exactly.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		nx := 1 + rng.Intn(8)
-		ny := 1 + rng.Intn(8)
-		ref := make([]float64, nx*ny)
-		for i := range ref {
-			ref[i] = rng.Float64()
-		}
-		out := make([]float64, nx*ny)
-		for x := 0; x < nx; {
-			w := 1 + rng.Intn(nx-x)
-			block := make([]float64, w*ny)
-			for dx := 0; dx < w; dx++ {
-				copy(block[dx*ny:(dx+1)*ny], ref[(x+dx)*ny:(x+dx+1)*ny])
-			}
-			scatterRows(out, []uint64{uint64(nx), uint64(ny)}, block,
-				[]uint64{uint64(w), uint64(ny)}, []uint64{uint64(x), 0})
-			x += w
-		}
-		for i := range ref {
-			if out[i] != ref[i] {
-				t.Fatalf("trial %d elem %d mismatch", trial, i)
-			}
-		}
-	}
-}
-
 func TestMatrixVarErrors(t *testing.T) {
 	chunk := &staging.Chunk{WriterRank: 0, Record: ffs.Record{
 		"notarray": 5.0,

@@ -131,14 +131,11 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	if global == nil {
 		return nil
 	}
-	n := uint64(1)
-	for _, d := range global {
-		n *= d
-	}
+	merged := &ffs.Array{Dims: global, Global: global, Offsets: make([]uint64, len(global))}
+	n := merged.Elems()
 	if covered != n {
 		return fmt.Errorf("ops: variable %q chunks cover %d of %d elements", name, covered, n)
 	}
-	merged := &ffs.Array{Dims: global, Global: global, Offsets: make([]uint64, len(global))}
 	if o.cfg.Output == nil {
 		merged.Float64 = make([]float64, n)
 	} else {
@@ -152,7 +149,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	}
 	for _, v := range values {
 		arr := v.(*ffs.Array)
-		scatterRows(merged.Float64, global, arr.Float64, arr.Dims, arr.Offsets)
+		ffs.Scatter(merged.Float64, global, arr.Float64, arr.Dims, arr.Offsets)
 	}
 	o.merged[tag] = merged
 	return nil
@@ -204,41 +201,6 @@ func overlap(a, b *ffs.Array) bool {
 		}
 	}
 	return true
-}
-
-// scatterRows places a row-major chunk into its position within the
-// row-major global array, one innermost-dimension run at a time.
-func scatterRows(dst []float64, global []uint64, src []float64, dims, offsets []uint64) {
-	rank := len(dims)
-	if rank == 0 || len(src) == 0 {
-		return
-	}
-	rowLen := dims[rank-1]
-	if rowLen == 0 {
-		return
-	}
-	rows := uint64(len(src)) / rowLen
-	idx := make([]uint64, rank)
-	for row := uint64(0); row < rows; row++ {
-		var dstOff uint64
-		stride := uint64(1)
-		for d := rank - 1; d >= 0; d-- {
-			coord := offsets[d]
-			if d < rank-1 {
-				coord += idx[d]
-			}
-			dstOff += coord * stride
-			stride *= global[d]
-		}
-		copy(dst[dstOff:dstOff+rowLen], src[row*rowLen:(row+1)*rowLen])
-		for d := rank - 2; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < dims[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
 }
 
 var _ staging.Operator = (*ReorgOperator)(nil)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -12,6 +11,7 @@ import (
 	"predata/internal/flowctl"
 	"predata/internal/trace"
 	"predata/internal/wal"
+	"predata/internal/wire"
 )
 
 // Config configures a Daemon.
@@ -491,66 +491,29 @@ func ingestTimestep(qual string, version int) int64 {
 	return (objHash(qual)&0x7fffffff)<<32 | int64(uint32(version))
 }
 
-// encodeIngest serializes one ingest for the journal: qualified name,
-// version, region bounds, and raw cells, all length-prefixed.
+// encodeIngest serializes one ingest for the journal in the wire package's
+// little-endian layout: qualified name, version, region bounds and cells,
+// each string and vector behind its length.
 func encodeIngest(qual string, version int, lb, ub []uint64, data []float64) []byte {
-	buf := make([]byte, 0, 4+len(qual)+8+1+16*len(lb)+4+8*len(data))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(qual)))
-	buf = append(buf, qual...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(version))
-	buf = append(buf, byte(len(lb)))
-	for _, v := range lb {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
-	for _, v := range ub {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
-	for _, v := range data {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
+	buf := make([]byte, 0, 4+len(qual)+8+8+16*len(lb)+4+8*len(data))
+	buf = wire.AppendString(buf, qual)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(version))
+	buf = wire.AppendU64s(buf, lb)
+	buf = wire.AppendU64s(buf, ub)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
+	return wire.AppendFloat64s(buf, data)
 }
 
-// decodeIngest is encodeIngest's inverse.
+// decodeIngest is encodeIngest's inverse. The cells may be a view over buf;
+// the space copies what it is given.
 func decodeIngest(buf []byte) (qual string, version int, lb, ub []uint64, data []float64, err error) {
-	bad := fmt.Errorf("serve: truncated journal payload")
-	if len(buf) < 4 {
-		return "", 0, nil, nil, nil, bad
-	}
-	n := binary.BigEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint64(len(buf)) < uint64(n)+9 { // in 64 bits: n+9 wraps a uint32 near 2^32
-		return "", 0, nil, nil, nil, bad
-	}
-	qual = string(buf[:n])
-	buf = buf[n:]
-	version = int(int64(binary.BigEndian.Uint64(buf)))
-	buf = buf[8:]
-	dims := int(buf[0])
-	buf = buf[1:]
-	if len(buf) < 16*dims+4 {
-		return "", 0, nil, nil, nil, bad
-	}
-	lb = make([]uint64, dims)
-	ub = make([]uint64, dims)
-	for i := range lb {
-		lb[i] = binary.BigEndian.Uint64(buf)
-		buf = buf[8:]
-	}
-	for i := range ub {
-		ub[i] = binary.BigEndian.Uint64(buf)
-		buf = buf[8:]
-	}
-	cells := int(binary.BigEndian.Uint32(buf))
-	buf = buf[4:]
-	if len(buf) < 8*cells {
-		return "", 0, nil, nil, nil, bad
-	}
-	data = make([]float64, cells)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.BigEndian.Uint64(buf))
-		buf = buf[8:]
+	c := wire.NewCursor(buf, "serve: journal payload")
+	qual = c.Str()
+	version = int(int64(c.U64()))
+	lb, ub = c.U64s(), c.U64s()
+	data = wire.Float64s(c.Next(8 * int(c.U32())))
+	if c.Err() != nil {
+		return "", 0, nil, nil, nil, c.Err()
 	}
 	return qual, version, lb, ub, data, nil
 }
