@@ -82,10 +82,10 @@ elastic-soak:
 
 # adversary-soak runs the adversarial-wire suite: chunk integrity under
 # wire and source corruption, quorum fencing and heal across staging
-# partitions, control-plane dup suppression, hedged pulls (raced,
-# shuffled; DESIGN.md §13).
+# partitions, control-plane dup suppression (raced, shuffled;
+# DESIGN.md §13).
 adversary-soak:
-	$(GO) test -race -shuffle=on -count=1 -run 'Adversary|Corrupt|Partition|Hedg|Dup|Quorum|Fence|Heal|Seal|Integrity' ./internal/faults/ ./internal/fabric/ ./internal/predata/ ./internal/staging/ ./internal/trace/
+	$(GO) test -race -shuffle=on -count=1 -run 'Adversary|Corrupt|Partition|Dup|Quorum|Fence|Heal|Seal|Integrity' ./internal/faults/ ./internal/fabric/ ./internal/predata/ ./internal/staging/ ./internal/trace/
 
 # restart-soak runs the durability suite: WAL framing/recovery units
 # and fuzz seeds, journal-backed restart (with and without a starved

@@ -57,10 +57,8 @@ func cli(args []string) (code int) {
 		workers   = flags.Int("workers", 2, "map workers per staging rank")
 		faultPlan = flags.String("fault-plan", "",
 			"fault plan, e.g. 'transient:*:0.1;crash:9@1;degrade:3:0-2:4;corrupt:*:0.1:pull;partition:10|8,9@1-2;dup:*:0.2' (staging mode only)")
-		faultSeed   = flags.Int64("fault-seed", 1, "seed for the fault plan's probabilistic draws")
-		hedgeFactor = flags.Float64("hedge-factor", 0,
-			"straggler hedging: re-issue a pull once it exceeds this multiple of the bandwidth-model estimate (0 uses the default, negative disables; staging mode only)")
-		bufferMB = flags.Int("buffer-mb", -1,
+		faultSeed = flags.Int64("fault-seed", 1, "seed for the fault plan's probabilistic draws")
+		bufferMB  = flags.Int("buffer-mb", -1,
 			"staging memory budget in MB (0 disables; -1 takes the ADIOS <buffer size-MB> when -adios-config is given, else 0)")
 		spillDir = flags.String("spill-dir", "", "directory for overload spill and pass logs (default: system temp)")
 		walDir   = flags.String("wal-dir", "",
@@ -121,10 +119,6 @@ func cli(args []string) (code int) {
 			fmt.Fprintln(os.Stderr, "predata-run: -elastic requires -mode staging")
 			return 2
 		}
-		if *hedgeFactor != 0 {
-			fmt.Fprintln(os.Stderr, "predata-run: -hedge-factor requires -mode staging")
-			return 2
-		}
 		if *walDir != "" || *checkpointEvery != 0 {
 			fmt.Fprintln(os.Stderr, "predata-run: -wal-dir and -checkpoint-every require -mode staging")
 			return 2
@@ -143,14 +137,14 @@ func cli(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "predata-run: unknown -mode", *mode)
 		return 2
 	}
-	if err := run(*app, *compute, *stagingN, *particles, *local, *frames, *dumps, *workers, *opsFlag, *faultPlan, *faultSeed, *hedgeFactor, *bufferMB, *spillDir, *walDir, *checkpointEvery, *tracePath, *elasticSpec, *scalePolicy); err != nil {
+	if err := run(*app, *compute, *stagingN, *particles, *local, *frames, *dumps, *workers, *opsFlag, *faultPlan, *faultSeed, *bufferMB, *spillDir, *walDir, *checkpointEvery, *tracePath, *elasticSpec, *scalePolicy); err != nil {
 		fmt.Fprintln(os.Stderr, "predata-run:", err)
 		return 1
 	}
 	return 0
 }
 
-func run(app string, compute, stagingN, particles, local, frames, dumps, workers int, opsFlag, faultPlan string, faultSeed int64, hedgeFactor float64, bufferMB int, spillDir, walDir string, checkpointEvery int, tracePath, elasticSpec, scalePolicy string) error {
+func run(app string, compute, stagingN, particles, local, frames, dumps, workers int, opsFlag, faultPlan string, faultSeed int64, bufferMB int, spillDir, walDir string, checkpointEvery int, tracePath, elasticSpec, scalePolicy string) error {
 	opNames := strings.Split(opsFlag, ",")
 	factory, err := operatorFactory(app, opNames)
 	if err != nil {
@@ -179,7 +173,6 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 		Overload:        flowctl.Policy{SpillDir: spillDir},
 		WALDir:          walDir,
 		CheckpointEvery: checkpointEvery,
-		Retry:           predata.RetryPolicy{HedgeFactor: hedgeFactor},
 	}
 	if faultPlan != "" {
 		plan, err := faults.ParsePlan(faultPlan, faultSeed)
@@ -256,9 +249,6 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 		if rep.FencedDumps > 0 || rep.Heals > 0 {
 			fmt.Printf(", %d unreachable ops, %d fenced dumps, %d heals",
 				rep.Unreachables, rep.FencedDumps, rep.Heals)
-		}
-		if rep.HedgedPulls > 0 {
-			fmt.Printf(", %d hedged pulls (%d hedge wins)", rep.HedgedPulls, rep.HedgeWins)
 		}
 		if rep.Duplicates > 0 {
 			fmt.Printf(", %d duplicated ctl messages (%d absorbed)", rep.Duplicates, rep.DupDrops)

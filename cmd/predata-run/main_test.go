@@ -12,25 +12,25 @@ import (
 )
 
 func TestRunGTCPipeline(t *testing.T) {
-	if err := run("gtc", 4, 2, 500, 8, 64, 1, 2, "sort,hist,hist2d,index", "", 1, 0, 0, "", "", 0, "", "", ""); err != nil {
+	if err := run("gtc", 4, 2, 500, 8, 64, 1, 2, "sort,hist,hist2d,index", "", 1, 0, "", "", 0, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPixiePipeline(t *testing.T) {
-	if err := run("pixie3d", 4, 1, 0, 8, 64, 1, 1, "reorg", "", 1, 0, 0, "", "", 0, "", "", ""); err != nil {
+	if err := run("pixie3d", 4, 1, 0, 8, 64, 1, 1, "reorg", "", 1, 0, "", "", 0, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsUnknownOperator(t *testing.T) {
-	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "sort,frobnicate", "", 1, 0, 0, "", "", 0, "", "", ""); err == nil {
+	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "sort,frobnicate", "", 1, 0, "", "", 0, "", "", ""); err == nil {
 		t.Fatal("unknown operator accepted")
 	}
 }
 
 func TestRunMultipleDumps(t *testing.T) {
-	if err := run("gtc", 4, 2, 200, 8, 64, 3, 2, "hist", "", 1, 0, 0, "", "", 0, "", "", ""); err != nil {
+	if err := run("gtc", 4, 2, 200, 8, 64, 3, 2, "hist", "", 1, 0, "", "", 0, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,15 +41,15 @@ func TestRunDurableRestart(t *testing.T) {
 	// two-dump window — the run completes with the bounce journaled
 	// and replay-recovered, not failed.
 	if err := run("gtc", 4, 2, 200, 8, 64, 4, 2, "hist",
-		"restart:5@1:1", 1, 0, 0, "", t.TempDir(), 2, "", "", ""); err != nil {
+		"restart:5@1:1", 1, 0, "", t.TempDir(), 2, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// -checkpoint-every without -wal-dir is rejected.
-	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "", 1, 0, 0, "", "", 2, "", "", ""); err == nil {
+	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "", 1, 0, "", "", 2, "", "", ""); err == nil {
 		t.Fatal("-checkpoint-every without -wal-dir accepted")
 	}
 	// A restart plan without a journal directory is rejected.
-	if err := run("gtc", 2, 2, 10, 8, 64, 3, 1, "hist", "restart:3@1:1", 1, 0, 0, "", "", 0, "", "", ""); err == nil {
+	if err := run("gtc", 2, 2, 10, 8, 64, 3, 1, "hist", "restart:3@1:1", 1, 0, "", "", 0, "", "", ""); err == nil {
 		t.Fatal("restart plan without -wal-dir accepted")
 	}
 }
@@ -57,7 +57,7 @@ func TestRunDurableRestart(t *testing.T) {
 func TestRunWithMemoryBudget(t *testing.T) {
 	// A 1 MB budget with ~1.3 MB arriving per staging rank per dump: the
 	// full CLI path must complete under admission control and spill.
-	if err := run("gtc", 8, 2, 20000, 8, 64, 2, 1, "hist", "", 1, 0, 1, t.TempDir(), "", 0, "", "", ""); err != nil {
+	if err := run("gtc", 8, 2, 20000, 8, 64, 2, 1, "hist", "", 1, 1, t.TempDir(), "", 0, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,30 +65,29 @@ func TestRunWithMemoryBudget(t *testing.T) {
 func TestRunFaultPlanChaos(t *testing.T) {
 	// Transients plus a staging crash at dump 1: the run must complete
 	// (degraded, not failed) under the full CLI path.
-	if err := run("gtc", 4, 2, 200, 8, 64, 2, 2, "hist", "transient:*:0.05;crash:5@1", 42, 0, 0, "", "", 0, "", "", ""); err != nil {
+	if err := run("gtc", 4, 2, 200, 8, 64, 2, 2, "hist", "transient:*:0.05;crash:5@1", 42, 0, "", "", 0, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// A malformed plan fails before the pipeline launches.
-	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "explode:everything", 1, 0, 0, "", "", 0, "", "", ""); err == nil {
+	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "explode:everything", 1, 0, "", "", 0, "", "", ""); err == nil {
 		t.Fatal("malformed fault plan accepted")
 	}
 	// A plan crashing a compute endpoint is rejected.
-	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "crash:0@0", 1, 0, 0, "", "", 0, "", "", ""); err == nil {
+	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "crash:0@0", 1, 0, "", "", 0, "", "", ""); err == nil {
 		t.Fatal("compute-endpoint crash accepted")
 	}
 }
 
 func TestRunFaultPlanAdversary(t *testing.T) {
-	// Wire corruption plus a staging partition through the full CLI path,
-	// with hedging tuned via -hedge-factor: the run must complete with
-	// the fence window degraded, not failed.
+	// Wire corruption plus a staging partition through the full CLI path:
+	// the run must complete with the fence window degraded, not failed.
 	if err := run("gtc", 8, 3, 200, 8, 64, 4, 2, "hist",
-		"corrupt:*:0.1:pull;partition:10|8,9@1-2", 7, 3, 0, "", "", 0, "", "", ""); err != nil {
+		"corrupt:*:0.1:pull;partition:10|8,9@1-2", 7, 0, "", "", 0, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// A partition naming an out-of-range endpoint is rejected.
 	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist",
-		"partition:99|2@0-0", 1, 0, 0, "", "", 0, "", "", ""); err == nil {
+		"partition:99|2@0-0", 1, 0, "", "", 0, "", "", ""); err == nil {
 		t.Fatal("out-of-range partition endpoint accepted")
 	}
 }
@@ -97,7 +96,7 @@ func TestRunWithTrace(t *testing.T) {
 	dir := t.TempDir()
 	// Binary export: the file must round-trip through the PDTRACE1 reader.
 	bin := filepath.Join(dir, "run.trace")
-	if err := run("gtc", 4, 2, 300, 8, 64, 2, 2, "sort,hist", "", 1, 0, 0, "", "", 0, bin, "", ""); err != nil {
+	if err := run("gtc", 4, 2, 300, 8, 64, 2, 2, "sort,hist", "", 1, 0, "", "", 0, bin, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := trace.ReadFile(bin)
@@ -112,7 +111,7 @@ func TestRunWithTrace(t *testing.T) {
 	}
 	// Chrome export: the .json suffix selects trace_event output.
 	cj := filepath.Join(dir, "run.json")
-	if err := run("gtc", 4, 1, 100, 8, 64, 1, 1, "hist", "", 1, 0, 0, "", "", 0, cj, "", ""); err != nil {
+	if err := run("gtc", 4, 1, 100, 8, 64, 1, 1, "hist", "", 1, 0, "", "", 0, cj, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(cj)
@@ -160,7 +159,7 @@ func TestRunElasticXray(t *testing.T) {
 	// 1:3 pool: a 1 MB budget that bursts overrun, aggressive grow, and a
 	// verified trace export spanning the resizes.
 	tr := filepath.Join(t.TempDir(), "elastic.trace")
-	if err := run("xray", 8, 3, 0, 8, 100, 8, 1, "hist", "", 7, 0, 1, t.TempDir(), "", 0, tr,
+	if err := run("xray", 8, 3, 0, 8, 100, 8, 1, "hist", "", 7, 1, t.TempDir(), "", 0, tr,
 		"1:3", "growk=1,shrinkj=2,cooldown=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestParseScalePolicy(t *testing.T) {
 }
 
 func TestRunRejectsScalePolicyWithoutElastic(t *testing.T) {
-	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "", 1, 0, 0, "", "", 0, "", "", "growk=1"); err == nil {
+	if err := run("gtc", 2, 1, 10, 8, 64, 1, 1, "hist", "", 1, 0, "", "", 0, "", "", "growk=1"); err == nil {
 		t.Fatal("-scale-policy without -elastic accepted")
 	}
 }

@@ -90,7 +90,7 @@ func (p Policy) Validate() error {
 	if p.Max < p.Min {
 		return fmt.Errorf("elastic: Max %d must be >= Min %d", p.Max, p.Min)
 	}
-	if p.LowUtil < 0 || p.LowUtil >= 1 {
+	if !(p.LowUtil >= 0 && p.LowUtil < 1) { // written to also reject NaN
 		return fmt.Errorf("elastic: LowUtil %g must be in [0, 1)", p.LowUtil)
 	}
 	return nil

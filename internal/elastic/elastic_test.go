@@ -3,6 +3,7 @@ package elastic
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,9 @@ func TestPolicyValidation(t *testing.T) {
 	}
 	if err := (Policy{Min: 1, Max: 2, LowUtil: 1.5}).Validate(); err == nil {
 		t.Fatal("LowUtil 1.5 accepted")
+	}
+	if err := (Policy{Min: 1, Max: 2, LowUtil: math.NaN()}).Validate(); err == nil {
+		t.Fatal("LowUtil NaN accepted")
 	}
 	if _, err := New(Policy{Min: 0, Max: 4}, 1); err == nil {
 		t.Fatal("New accepted invalid policy")

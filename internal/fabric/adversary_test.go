@@ -129,8 +129,8 @@ func TestPullRetainAndAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The region survives the pull: a second (hedged or healing) pull of
-	// the same handle succeeds.
+	// The region survives the pull: a second (healing) pull of the same
+	// handle succeeds.
 	got2, _, err := dst.PullRetain(context.Background(), h)
 	if err != nil {
 		t.Fatalf("second retained pull: %v", err)
@@ -147,7 +147,7 @@ func TestPullRetainAndAck(t *testing.T) {
 	if src.ExposedBytes() != 0 {
 		t.Errorf("ack left %d bytes exposed", src.ExposedBytes())
 	}
-	// Double ack (hedge loser after the winner) is a no-op.
+	// A second ack of the same region is a no-op.
 	if err := dst.Ack(h); err != nil {
 		t.Fatalf("double ack: %v", err)
 	}
@@ -239,11 +239,12 @@ func TestSendSiteCorruptionPersists(t *testing.T) {
 	}
 }
 
-// TestHedgedPullsShareTheExposedBuffer is the hand-off rule: a pull does
-// not copy. Two retained pulls of one handle (a hedge and its primary)
-// return the exposed backing array itself, the region outlives both until
-// Ack, and the acked buffer stays valid in the puller's hands.
-func TestHedgedPullsShareTheExposedBuffer(t *testing.T) {
+// TestRetainedPullsShareTheExposedBuffer is the hand-off rule: a pull does
+// not copy. Two retained pulls of one handle (a CRC re-pull and the
+// delivery it replaces) return the exposed backing array itself, the
+// region outlives both until Ack, and the acked buffer stays valid in the
+// puller's hands.
+func TestRetainedPullsShareTheExposedBuffer(t *testing.T) {
 	f, err := New(quiet(2))
 	if err != nil {
 		t.Fatal(err)

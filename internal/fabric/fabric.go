@@ -7,8 +7,8 @@
 // results). The data plane is pull-mode memory movement: a compute
 // endpoint *exposes* a packed buffer, and a staging endpoint later *pulls*
 // it. Data really moves (the staging engine operates on the bytes), and
-// each pull also returns a modeled duration from a bandwidth/latency/
-// contention description of the network.
+// each pull also returns a modeled duration: the link latency plus the
+// bytes over the link bandwidth, stretched by any degrade window.
 //
 // The fabric also implements the paper's key scheduling idea: compute
 // endpoints declare when they are inside communication-intensive phases
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -58,15 +57,6 @@ type Config struct {
 	// duration charged to the source endpoint's application as slowdown
 	// when the fabric is unscheduled.
 	InterferencePenalty float64
-	// VarSigma adds log-normal noise to transfer durations.
-	VarSigma float64
-	// Seed seeds the noise generator.
-	Seed int64
-	// PaceScale, when positive, makes Pull really take (modeled duration
-	// x PaceScale) of wall time while holding its contention slot. Zero
-	// disables pacing (transfers complete at memory speed and only the
-	// returned duration reflects the model).
-	PaceScale float64
 	// Faults, when non-nil, injects transient pull/control failures,
 	// degraded-bandwidth windows, payload corruption, link partitions,
 	// and control-message duplication into every operation on this
@@ -86,7 +76,6 @@ func DefaultConfig(endpoints int) Config {
 		Latency:             5 * time.Microsecond,
 		Scheduled:           true,
 		InterferencePenalty: 0.5,
-		Seed:                1,
 	}
 }
 
@@ -102,12 +91,10 @@ type Handle struct {
 type Fabric struct {
 	cfg Config
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	eps    []*endpointState
-	rng    *rand.Rand
-	active int  // in-flight pulls across the fabric
-	down   bool // Shutdown has run
+	mu   sync.Mutex
+	cond *sync.Cond
+	eps  []*endpointState
+	down bool // Shutdown has run
 }
 
 // region is one exposed memory area, stamped with the dump epoch its
@@ -160,7 +147,6 @@ func New(cfg Config) (*Fabric, error) {
 	f := &Fabric{
 		cfg: cfg,
 		eps: make([]*endpointState, cfg.Endpoints),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	for i := range f.eps {
@@ -606,9 +592,8 @@ func (e *Endpoint) Pull(h Handle) ([]byte, time.Duration, error) {
 
 // PullContext is Pull bounded by ctx: a pull deferred behind a source
 // busy phase returns ctx's error instead of blocking forever, leaving the
-// region exposed for a later retry. Once the region is consumed the
-// transfer always completes — cancellation during the paced wait only
-// stops the pacing early, never loses the data.
+// region exposed for a later retry. Once the pull is past that wait it
+// completes.
 func (e *Endpoint) PullContext(ctx context.Context, h Handle) ([]byte, time.Duration, error) {
 	return e.pull(ctx, h, true)
 }
@@ -617,18 +602,18 @@ func (e *Endpoint) PullContext(ctx context.Context, h Handle) ([]byte, time.Dura
 // keeps the handle exposed until the puller calls Ack (or the owner
 // Release). This is the integrity-checked transfer primitive — the
 // puller verifies the delivered bytes end-to-end and acknowledges only
-// after its last read of them, so a corrupted delivery can be re-pulled,
-// concurrent hedged pulls of the same handle are safe, and the owner may
-// reuse the buffer once the region is gone.
+// after its last read of them, so a corrupted delivery can be re-pulled
+// from the intact region, and the owner may reuse the buffer once the
+// region is gone.
 func (e *Endpoint) PullRetain(ctx context.Context, h Handle) ([]byte, time.Duration, error) {
 	return e.pull(ctx, h, false)
 }
 
 // Ack releases the region named by h from the puller's side, completing
 // a PullRetain transfer: the puller is done reading the bytes, and the
-// owner may reuse them. Acking a region that is already gone — the loser
-// of a hedged pull acking after the winner, or an owner that crashed — is
-// a harmless no-op, so hedge races need no extra coordination.
+// owner may reuse them. Acking a region that is already gone — acked
+// twice, released by its owner, or lost with an owner that crashed — is
+// a harmless no-op.
 func (e *Endpoint) Ack(h Handle) error {
 	f := e.f
 	if h.Endpoint < 0 || h.Endpoint >= len(f.eps) {
@@ -638,19 +623,6 @@ func (e *Endpoint) Ack(h Handle) error {
 	delete(f.eps[h.Endpoint].regions, h.ID)
 	f.mu.Unlock()
 	return nil
-}
-
-// PullEstimate returns the modeled duration of pulling size bytes over
-// an idle, fault-free fabric, and the wall-clock time such a pull would
-// take under the configured pacing (zero when pacing is disabled).
-// Hedged pulls derive their trigger deadline from the wall estimate.
-func (e *Endpoint) PullEstimate(size int) (modeled, wall time.Duration) {
-	f := e.f
-	modeled = f.cfg.Latency + time.Duration(float64(size)/f.cfg.LinkBandwidth*float64(time.Second))
-	if f.cfg.PaceScale > 0 {
-		wall = time.Duration(float64(modeled) * f.cfg.PaceScale)
-	}
-	return modeled, wall
 }
 
 func (e *Endpoint) pull(ctx context.Context, h Handle, consume bool) ([]byte, time.Duration, error) {
@@ -712,21 +684,13 @@ func (e *Endpoint) pull(ctx context.Context, h Handle, consume bool) ([]byte, ti
 	if consume {
 		delete(src.regions, h.ID)
 	}
-	busy := src.busyDepth > 0
-	f.active++
-	sharers := float64(f.active)
-	noise := 1.0
-	if f.cfg.VarSigma > 0 {
-		noise = math.Exp(f.rng.NormFloat64() * f.cfg.VarSigma)
+	d := modeled(f.cfg.Latency, float64(len(reg.buf))/f.cfg.LinkBandwidth*
+		f.cfg.Faults.DegradeFactor(h.Endpoint, reg.epoch))
+	src.pulledBytes += int64(len(reg.buf))
+	if src.busyDepth > 0 && !f.cfg.Scheduled {
+		src.interference += time.Duration(float64(d) * f.cfg.InterferencePenalty)
 	}
 	f.mu.Unlock()
-
-	// Both NICs are crossed once; contention is modeled fabric-wide since
-	// staging pulls funnel into few endpoints. Degrade windows stretch the
-	// modeled duration of data exposed during the affected dumps.
-	slowdown := f.cfg.Faults.DegradeFactor(h.Endpoint, reg.epoch)
-	bw := f.cfg.LinkBandwidth / sharers
-	d := f.cfg.Latency + time.Duration(float64(len(reg.buf))/bw*noise*slowdown*float64(time.Second))
 
 	out := reg.buf
 	// A pull-site corrupt fault flips a byte in this delivery only — wire
@@ -739,25 +703,6 @@ func (e *Endpoint) pull(ctx context.Context, h Handle, consume bool) ([]byte, ti
 		out[pos] ^= 0xFF
 		f.cfg.Tracer.Instant(trace.PhaseCorrupt, e.id, h.Endpoint, reg.epoch, 0, int64(pos))
 	}
-	if f.cfg.PaceScale > 0 {
-		// The bytes are already handed over and the source region
-		// consumed, so ctx expiry only cuts the modeled pacing short — the
-		// pull still succeeds.
-		pace := time.NewTimer(time.Duration(float64(d) * f.cfg.PaceScale))
-		select {
-		case <-pace.C:
-		case <-ctx.Done():
-			pace.Stop()
-		}
-	}
-
-	f.mu.Lock()
-	f.active--
-	src.pulledBytes += int64(len(reg.buf))
-	if busy && !f.cfg.Scheduled {
-		src.interference += time.Duration(float64(d) * f.cfg.InterferencePenalty)
-	}
-	f.mu.Unlock()
 	sp.WithDump(reg.epoch).End(int64(len(out)))
 	return out, d, nil
 }
@@ -768,4 +713,14 @@ func (e *Endpoint) PulledBytes() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.eps[e.id].pulledBytes
+}
+
+// modeled is a pull's modeled time, latency plus secs of transfer,
+// saturating at the largest Duration: a huge degrade factor must not wrap
+// it negative.
+func modeled(latency time.Duration, secs float64) time.Duration {
+	if ns := secs * float64(time.Second); ns < float64(math.MaxInt64-latency) {
+		return latency + time.Duration(ns)
+	}
+	return math.MaxInt64
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +13,8 @@ import (
 	"predata/internal/faults"
 )
 
-func quiet(n int) Config {
-	cfg := DefaultConfig(n)
-	cfg.VarSigma = 0
-	return cfg
-}
+// quiet is the default fabric: no fault injector, no tracer.
+func quiet(n int) Config { return DefaultConfig(n) }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Endpoints: 0, LinkBandwidth: 1}); err == nil {
@@ -281,47 +279,57 @@ func TestShutdownUnblocksReceivers(t *testing.T) {
 	}
 }
 
-func TestConcurrentPullsShareBandwidth(t *testing.T) {
-	cfg := quiet(9)
-	// Pace transfers so the 8 pulls genuinely overlap in wall time and
-	// the contention model sees concurrent sharers.
-	cfg.PaceScale = 5
-	f, _ := New(cfg)
-	// One compute endpoint per puller; all pulls overlap.
-	const n = 8
-	var handles [n]Handle
-	for i := 0; i < n; i++ {
-		ep, _ := f.Endpoint(i)
-		handles[i] = ep.Expose(make([]byte, 4<<20))
+// TestConcurrentPullsModeledExactly: a pull's modeled time is latency plus
+// bytes over bandwidth, times the degrade factor of the dump its region
+// belongs to — whatever else is in flight. Sixteen pulls from eight
+// goroutines, half of them inside a degrade window, each get exactly that.
+func TestConcurrentPullsModeledExactly(t *testing.T) {
+	const n, factor = 8, 8
+	inj, err := faults.NewInjector(faults.Plan{Degrades: []faults.Degrade{
+		{Endpoint: faults.AnyEndpoint, FromDump: 1, ToDump: 1, Factor: factor},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	staging, _ := f.Endpoint(8)
+	cfg := quiet(n + 1)
+	cfg.LinkBandwidth = 1 << 30 // 1 MiB moves in 1/1024 s
+	cfg.Faults = inj
+	f, _ := New(cfg)
+	// Writer i exposes (i+1) MiB for dump 0 and the same for dump 1.
+	var handles [n][2]Handle
+	for i := range handles {
+		ep, _ := f.Endpoint(i)
+		for dump := range handles[i] {
+			ep.SetEpoch(int64(dump))
+			handles[i][dump] = ep.Expose(make([]byte, (i+1)<<20))
+		}
+	}
+	staging, _ := f.Endpoint(n)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	durs := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
+	for i := range handles {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, d, err := staging.Pull(handles[i])
-			if err != nil {
-				t.Error(err)
-				return
+			<-start
+			for dump, h := range handles[i] {
+				_, d, err := staging.Pull(h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				stretch := time.Duration(1)
+				if dump == 1 {
+					stretch = factor
+				}
+				if want := cfg.Latency + time.Duration(i+1)*time.Second*stretch/1024; d != want {
+					t.Errorf("writer %d dump %d: modeled %v, want %v", i, dump, d, want)
+				}
 			}
-			durs[i] = d
 		}(i)
 	}
+	close(start)
 	wg.Wait()
-	// With up to 8 concurrent pulls, at least some must be slower than a
-	// solo 4 MB transfer (2 ms at 2 GB/s).
-	solo := 2 * time.Millisecond
-	slower := 0
-	for _, d := range durs {
-		if d > solo*3/2 {
-			slower++
-		}
-	}
-	if slower == 0 {
-		t.Errorf("no contention observed across %d overlapping pulls: %v", n, durs)
-	}
 }
 
 func TestSendCtlAfterShutdownErrors(t *testing.T) {
@@ -468,6 +476,29 @@ func TestDegradeWindowScalesPullDuration(t *testing.T) {
 	}
 	if after > 2*clean {
 		t.Errorf("pull after the window %v still degraded (clean %v)", after, clean)
+	}
+}
+
+// TestHugeDegradeSaturates: a degrade factor too large for the modeled time
+// to fit a Duration saturates it instead of wrapping it negative.
+func TestHugeDegradeSaturates(t *testing.T) {
+	inj, err := faults.NewInjector(faults.Plan{Degrades: []faults.Degrade{
+		{Endpoint: faults.AnyEndpoint, FromDump: 0, ToDump: -1, Factor: 1e300},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quiet(2)
+	cfg.Faults = inj
+	f, _ := New(cfg)
+	src, _ := f.Endpoint(0)
+	dst, _ := f.Endpoint(1)
+	_, d, err := dst.Pull(src.Expose(make([]byte, 1<<20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != math.MaxInt64 {
+		t.Errorf("1 MiB pull under a 1e300 degrade modeled %v, want the largest Duration", d)
 	}
 }
 

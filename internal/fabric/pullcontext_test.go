@@ -57,31 +57,3 @@ func TestPullContextCancelledBeforeStartStillChecksLiveness(t *testing.T) {
 		t.Fatalf("exposed bytes after cancelled pull = %d, want 1", got)
 	}
 }
-
-func TestPullContextPacingCutShortStillDelivers(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.LinkBandwidth = 1 // 1 byte/s: pacing would take seconds
-	cfg.PaceScale = 1
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer f.Shutdown()
-	compute, _ := f.Endpoint(0)
-	staging, _ := f.Endpoint(1)
-	h := compute.Expose([]byte("slow-lane"))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	data, _, err := staging.PullContext(ctx, h)
-	if err != nil {
-		t.Fatalf("PullContext: %v", err)
-	}
-	if string(data) != "slow-lane" {
-		t.Fatalf("data = %q, want slow-lane", data)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("pacing not cut short: took %v", elapsed)
-	}
-}

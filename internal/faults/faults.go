@@ -28,6 +28,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -135,7 +136,7 @@ type Degrade struct {
 	Endpoint int // endpoint id, or AnyEndpoint
 	FromDump int
 	ToDump   int
-	Factor   float64 // transfer-duration multiplier, >= 1
+	Factor   float64 // transfer-duration multiplier, finite and >= 1
 }
 
 // Corrupt flips one payload byte with probability Prob per transfer,
@@ -251,8 +252,8 @@ func (p Plan) Validate() error {
 		if d.Endpoint < AnyEndpoint {
 			return fmt.Errorf("faults: degrade endpoint %d invalid", d.Endpoint)
 		}
-		if !(d.Factor >= 1) { // written to also reject NaN
-			return fmt.Errorf("faults: degrade factor %g must be >= 1", d.Factor)
+		if !(d.Factor >= 1) || math.IsInf(d.Factor, 1) { // written to also reject NaN
+			return fmt.Errorf("faults: degrade factor %g must be finite and >= 1", d.Factor)
 		}
 		if d.FromDump < 0 || (d.ToDump >= 0 && d.ToDump < d.FromDump) {
 			return fmt.Errorf("faults: degrade window [%d,%d] invalid", d.FromDump, d.ToDump)

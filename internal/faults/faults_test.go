@@ -57,6 +57,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"degrade:1:0-2:0.5",
 		"transient:*:NaN",
 		"degrade:1:0-2:NaN",
+		"degrade:1:0-2:Inf",
 		"",
 		"   ",
 		";;",

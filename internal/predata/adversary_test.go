@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"predata/internal/elastic"
-	"predata/internal/fabric"
 	"predata/internal/faults"
 	"predata/internal/trace"
 )
@@ -17,7 +16,7 @@ import (
 // tentpole's: every dump's Reduce output is either bit-identical to the
 // fault-free run or explicitly marked Degraded — never silently wrong —
 // and the recording passes every trace.Verify rule, including the
-// corruption-quarantine, heal-exclusivity and hedge-resolution checks.
+// corruption-quarantine and heal-exclusivity checks.
 
 const (
 	advCompute = 8
@@ -224,93 +223,6 @@ func TestSourceCorruptionFallsThroughToShed(t *testing.T) {
 	}
 	if vrep.Checks[trace.RuleCorruptQuarantine] == 0 {
 		t.Errorf("corrupt drops recorded but quarantine unchecked: %+v", vrep)
-	}
-}
-
-// TestHedgedPullsUnderStraggler: on a paced fabric with heavy log-normal
-// transfer noise, slow pulls blow the bandwidth-model deadline, hedges
-// fire, and every race resolves — with zero data loss and no
-// degradation. The trace's hedge-resolution rule checks the races from
-// the recording alone. The run is journaled, so a hedge and its primary
-// hold one region until the commit, whose one Ack releases it.
-func TestHedgedPullsUnderStraggler(t *testing.T) {
-	fcfg := fabric.DefaultConfig(advCompute + advStaging)
-	fcfg.PaceScale = 50
-	fcfg.VarSigma = 2.0
-	recorder := trace.New(trace.Config{
-		NumCompute: advCompute, NumStaging: advStaging, Dumps: advDumps,
-	})
-	res := runDrained(t, PipelineConfig{
-		NumCompute: advCompute,
-		NumStaging: advStaging,
-		Dumps:      advDumps,
-		Fabric:     fcfg,
-		WALDir:     t.TempDir(),
-		Timeout:    2 * time.Minute,
-		Tracer:     recorder,
-		// Trigger at the model estimate itself (factor 1, floor below the
-		// paced wall) so roughly half the noise distribution hedges —
-		// with 32 pulls per run the default tail-only trigger can go a
-		// whole run without firing and flake.
-		Retry: RetryPolicy{HedgeFactor: 1, HedgeFloor: 200 * time.Microsecond},
-	}, chaoticCompute(advDumps, advPerRank), countOps)
-	rec := recorder.Snapshot()
-	rep, err := trace.Verify(rec)
-	if err != nil {
-		t.Fatalf("trace.Verify: %v", err)
-	}
-	var hedged, wins int
-	for _, rankStats := range res.StagingStats {
-		for _, st := range rankStats {
-			hedged += st.HedgedPulls
-			wins += st.HedgeWins
-			if st.Drops != 0 || st.CorruptDrops != 0 || st.Degraded {
-				t.Errorf("straggler leg lost data: %+v", st)
-			}
-		}
-	}
-	if hedged == 0 {
-		t.Fatalf("no hedged pulls under VarSigma %g, PaceScale %g (wins %d)", fcfg.VarSigma, fcfg.PaceScale, wins)
-	}
-	if rep.Checks[trace.RuleHedgeResolution] == 0 {
-		t.Errorf("hedges fired but races unchecked: %+v", rep)
-	}
-	for dump := 0; dump < advDumps; dump++ {
-		var total int64
-		for rank := 0; rank < advStaging; rank++ {
-			if n, ok := res.StagingResults[rank][dump].PerOperator["count"]["n"].(int64); ok {
-				total += n
-			}
-		}
-		if total != advCompute*advPerRank {
-			t.Errorf("dump %d counted %d values, want %d", dump, total, advCompute*advPerRank)
-		}
-	}
-}
-
-// TestHedgingDisabledByNegativeFactor: HedgeFactor < 0 switches the
-// straggler protection off — the same noisy fabric records no hedges.
-func TestHedgingDisabledByNegativeFactor(t *testing.T) {
-	fcfg := fabric.DefaultConfig(advCompute + advStaging)
-	fcfg.PaceScale = 50
-	fcfg.VarSigma = 2.0
-	res, err := RunPipeline(PipelineConfig{
-		NumCompute: advCompute,
-		NumStaging: advStaging,
-		Dumps:      2,
-		Fabric:     fcfg,
-		Timeout:    2 * time.Minute,
-		Retry:      RetryPolicy{HedgeFactor: -1},
-	}, chaoticCompute(2, advPerRank), countOps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rankStats := range res.StagingStats {
-		for _, st := range rankStats {
-			if st.HedgedPulls != 0 {
-				t.Fatalf("hedging disabled yet %d pulls hedged", st.HedgedPulls)
-			}
-		}
 	}
 }
 

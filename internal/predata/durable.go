@@ -219,8 +219,7 @@ func (s *Server) ingestDump(timestep int64) (*DumpStats, error) {
 		if err != nil {
 			continue // the re-pull meets the same fault and records it
 		}
-		stats.BytesPulled += int64(len(frame) - staging.SealOverhead)
-		stats.PullModeled += modeled
+		stats.addPull(len(frame)-staging.SealOverhead, modeled)
 	}
 	if err := s.cfg.Journal.Sync(); err != nil {
 		return nil, fmt.Errorf("predata: syncing ingest journal for dump %d: %w", timestep, err)

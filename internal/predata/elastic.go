@@ -55,12 +55,8 @@ type ScaleEpoch struct {
 
 // ScaleReport summarizes the autoscaler's activity over one elastic run.
 type ScaleReport struct {
-	// Decision counters, mirroring elastic.Stats.
-	Decisions     int64
-	Grows         int64
-	Shrinks       int64
-	Holds         int64
-	CooldownHolds int64
+	// Stats holds the decision counters.
+	elastic.Stats
 	// Epochs lists every membership epoch in order.
 	Epochs []ScaleEpoch
 	// RankDumps is the sum of active rank counts over all dumps — the
@@ -174,7 +170,6 @@ func (el *elasticRun) observe(r *stagingRank, ts int64, ov *flowctl.OverloadStat
 	}
 	if active := r.view.active; r.idx == active[0] {
 		n := len(active)
-		st := r.scaler.Stats()
 		el.mu.Lock()
 		rep := &el.report
 		rep.RankDumps += int64(n)
@@ -182,8 +177,7 @@ func (el *elasticRun) observe(r *stagingRank, ts int64, ov *flowctl.OverloadStat
 			rep.MinActive = n
 		}
 		rep.MaxActive = max(rep.MaxActive, n)
-		rep.Decisions, rep.Grows, rep.Shrinks = st.Decisions, st.Grows, st.Shrinks
-		rep.Holds, rep.CooldownHolds = st.Holds, st.CooldownHolds
+		rep.Stats = r.scaler.Stats()
 		rep.FinalActive = r.scaler.Current()
 		el.mu.Unlock()
 	}

@@ -128,11 +128,6 @@ type FaultReport struct {
 	// window closed.
 	FencedDumps int64
 	Heals       int64
-	// HedgedPulls counts pulls that armed a second attempt after
-	// exceeding the bandwidth-model deadline; HedgeWins counts races the
-	// hedge attempt won.
-	HedgedPulls int64
-	HedgeWins   int64
 	// CrashedStaging lists the staging indices the plan crashed.
 	CrashedStaging []int
 	// RecoveryWall is the total membership-reconfiguration time.
@@ -236,7 +231,7 @@ type PipelineResult struct {
 	ClientVisible []float64
 	// Fault reports injection and recovery activity. It is nil only when
 	// there was nothing to report: no fault plan and no recovery action
-	// (a plan-free run on a noisy paced fabric still reports its hedges).
+	// (a plan-free journaled run still reports its WAL records).
 	Fault *FaultReport
 	// Overload reports flow-control activity; nil without a BufferMB
 	// budget.
@@ -902,8 +897,6 @@ func finishReports(cfg *PipelineConfig, inj *faults.Injector, report *FaultRepor
 			report.Drops += int64(st.Drops)
 			report.CorruptPulls += int64(st.CorruptPulls)
 			report.CorruptDrops += int64(st.CorruptDrops)
-			report.HedgedPulls += int64(st.HedgedPulls)
-			report.HedgeWins += int64(st.HedgeWins)
 			if st.Fenced {
 				report.FencedDumps++
 			}
@@ -916,9 +909,8 @@ func finishReports(cfg *PipelineConfig, inj *faults.Injector, report *FaultRepor
 	}
 	// The report surfaces whenever there is anything to report: always
 	// under an injector, but also on plan-free runs where the recovery
-	// layer still acted — e.g. hedged pulls against a noisy paced fabric,
-	// which are straggler protection, not a response to injected faults.
-	if inj != nil || report.Retries != 0 || report.HedgedPulls != 0 ||
+	// layer still acted — e.g. a journaled run's WAL records.
+	if inj != nil || report.Retries != 0 ||
 		report.Drops != 0 || report.Redistributed != 0 || report.DegradedDumps != 0 ||
 		report.WalRecords != 0 {
 		res.Fault = report

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -587,10 +588,6 @@ type DumpStats struct {
 	// damaged bytes — the source copy is bad. The chunk falls through to
 	// the shed ladder: the dump completes without it, marked Degraded.
 	CorruptDrops int
-	// HedgedPulls counts pulls that exceeded the bandwidth-model deadline
-	// and launched a hedge attempt; HedgeWins counts races the hedge won.
-	HedgedPulls int
-	HedgeWins   int
 	// Fenced marks a dump this rank sat out because a partition cut it
 	// off from the staging quorum: alive, but not serving.
 	Fenced bool
@@ -745,6 +742,14 @@ func (s *Server) beginDump(timestep int64, stats *DumpStats) {
 		// Collective instants group under the timestep too.
 		s.cfg.Comm.SetTraceDump(timestep)
 	}
+}
+
+// addPull charges one pull to the dump: its payload bytes and its modeled
+// time, the sum saturating at the largest Duration as the fabric's modeled
+// time does.
+func (st *DumpStats) addPull(n int, modeled time.Duration) {
+	st.BytesPulled += int64(n)
+	st.PullModeled = min(st.PullModeled, math.MaxInt64-modeled) + modeled
 }
 
 // dumpRun is the state one dump's chunk feed shares with the goroutines
@@ -1063,7 +1068,7 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 // is recorded by lost (ok false, no error); anything else lost returns is
 // an error that aborts the dump.
 func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, check *unverifiedPull) (payload []byte, ok bool, err error) {
-	frame, modeled, attempt, err := s.pullWithRetry(ctx, req, d.stats, &d.mu, 0, check != nil)
+	frame, modeled, attempt, err := s.pullWithRetry(ctx, req, d, 0, check != nil)
 	if err != nil {
 		return nil, false, s.lost(req, d, err)
 	}
@@ -1072,8 +1077,7 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, ch
 	}
 	payload = frame[staging.SealOverhead:]
 	d.mu.Lock()
-	d.stats.BytesPulled += int64(len(payload))
-	d.stats.PullModeled += modeled
+	d.stats.addPull(len(payload), modeled)
 	if check == nil || s.cfg.Journal != nil {
 		d.held = append(d.held, req.Handle)
 	}
@@ -1182,9 +1186,9 @@ func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 		d.held = append(d.held, req.Handle)
 		d.mu.Unlock()
 	}
-	if err = s.retryAfter(req, d.stats, &d.mu, u.attempt, err); err == nil {
+	if err = s.retryAfter(req, d, u.attempt, err); err == nil {
 		var frame []byte
-		if frame, _, _, err = s.pullWithRetry(u.ctx, req, d.stats, &d.mu, u.attempt+1, false); err == nil {
+		if frame, _, _, err = s.pullWithRetry(u.ctx, req, d, u.attempt+1, false); err == nil {
 			return staging.DecodeChunk(frame[staging.SealOverhead:])
 		}
 	}
@@ -1310,17 +1314,17 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 // the caller's shed path. ctx bounds each pull's deferred-phase wait
 // (background ctx preserves the fault-free contract of blocking until the
 // watchdog intervenes).
-func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex, first int, unverified bool) ([]byte, time.Duration, int, error) {
+func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, d *dumpRun, first int, unverified bool) ([]byte, time.Duration, int, error) {
 	for attempt := first; ; attempt++ {
-		frame, d, err := s.hedgedPull(ctx, req, stats, mu)
+		frame, modeled, err := s.cfg.Endpoint.PullRetain(ctx, req.Handle)
 		if err == nil {
 			if err = checkFrame(frame, req, attempt, !unverified); err == nil {
-				return frame, d, attempt, nil
+				return frame, modeled, attempt, nil
 			}
 		} else if !errors.Is(err, faults.ErrTransient) {
 			return nil, 0, 0, err
 		}
-		if err := s.retryAfter(req, stats, mu, attempt, err); err != nil {
+		if err := s.retryAfter(req, d, attempt, err); err != nil {
 			return nil, 0, 0, err
 		}
 	}
@@ -1351,12 +1355,12 @@ func checkFrame(frame []byte, req FetchRequest, attempt int, payloadCRC bool) er
 // the last attempt has a bad source copy that re-pulling cannot help: its
 // region is released so the writer's exposed-bytes accounting drains, and
 // the caller sheds the chunk.
-func (s *Server) retryAfter(req FetchRequest, stats *DumpStats, mu *sync.Mutex, attempt int, err error) error {
+func (s *Server) retryAfter(req FetchRequest, d *dumpRun, attempt int, err error) error {
 	corrupt := errors.Is(err, staging.ErrCorrupt)
 	if corrupt {
-		mu.Lock()
-		stats.CorruptPulls++
-		mu.Unlock()
+		d.mu.Lock()
+		d.stats.CorruptPulls++
+		d.mu.Unlock()
 		s.cfg.Tracer.Instant(trace.PhaseCorruptDetect, s.cfg.Endpoint.ID(),
 			req.Handle.Endpoint, req.Timestep, int64(req.WriterRank), int64(attempt))
 	}
@@ -1366,94 +1370,11 @@ func (s *Server) retryAfter(req FetchRequest, stats *DumpStats, mu *sync.Mutex, 
 		}
 		return err
 	}
-	mu.Lock()
-	stats.Retries++
-	mu.Unlock()
+	d.mu.Lock()
+	d.stats.Retries++
+	d.mu.Unlock()
 	s.cfg.Tracer.Instant(trace.PhaseRetry, s.cfg.Endpoint.ID(), req.Handle.Endpoint,
 		req.Timestep, int64(attempt), 0)
 	time.Sleep(s.retry.backoff(attempt))
 	return nil
-}
-
-// hedgedPull is one transfer attempt with straggler protection: when
-// the primary pull exceeds a deadline derived from the fabric's
-// bandwidth model (HedgeFactor x the idle-fabric wall estimate), a
-// second attempt is launched against the same retained region — the
-// source still holds the bytes, so the duplicate pull is safe — and the
-// first result wins while the loser is cancelled via its context.
-// Hedging engages only on a paced fabric; otherwise this is a plain
-// PullRetain.
-func (s *Server) hedgedPull(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex) ([]byte, time.Duration, error) {
-	if s.retry.HedgeFactor < 0 {
-		return s.cfg.Endpoint.PullRetain(ctx, req.Handle)
-	}
-	_, wall := s.cfg.Endpoint.PullEstimate(req.Handle.Size)
-	if wall <= 0 {
-		return s.cfg.Endpoint.PullRetain(ctx, req.Handle)
-	}
-	delay := time.Duration(float64(wall) * s.retry.HedgeFactor)
-	if delay < s.retry.HedgeFloor {
-		delay = s.retry.HedgeFloor
-	}
-	type result struct {
-		buf   []byte
-		d     time.Duration
-		err   error
-		hedge bool
-	}
-	pctx, cancelPrimary := context.WithCancel(ctx)
-	defer cancelPrimary()
-	hctx, cancelHedge := context.WithCancel(ctx)
-	defer cancelHedge()
-	ch := make(chan result, 2)
-	go func() {
-		buf, d, err := s.cfg.Endpoint.PullRetain(pctx, req.Handle)
-		ch <- result{buf, d, err, false}
-	}()
-	timer := time.NewTimer(delay)
-	var first result
-	select {
-	case first = <-ch:
-		timer.Stop()
-		return first.buf, first.d, first.err
-	case <-timer.C:
-	}
-	// The primary blew its bandwidth-model deadline: race a hedge
-	// against it on the retained region.
-	mu.Lock()
-	stats.HedgedPulls++
-	mu.Unlock()
-	s.cfg.Tracer.Instant(trace.PhaseHedge, s.cfg.Endpoint.ID(), req.Handle.Endpoint,
-		req.Timestep, int64(req.WriterRank), 0)
-	go func() {
-		buf, d, err := s.cfg.Endpoint.PullRetain(hctx, req.Handle)
-		ch <- result{buf, d, err, true}
-	}()
-	res := <-ch
-	if res.err != nil {
-		// The first finisher lost to an error; the race is decided by the
-		// remaining attempt (its context stays live until it reports).
-		if other := <-ch; other.err == nil {
-			res = other
-		}
-	} else {
-		// First clean finisher wins: cancel the loser and join it, so no
-		// attempt outlives the race.
-		if res.hedge {
-			cancelPrimary()
-		} else {
-			cancelHedge()
-		}
-		<-ch
-	}
-	hedgeWon := int64(0)
-	if res.hedge && res.err == nil {
-		hedgeWon = 1
-		mu.Lock()
-		stats.HedgeWins++
-		mu.Unlock()
-	}
-	s.cfg.Tracer.Instant(trace.PhaseHedgeCancel, s.cfg.Endpoint.ID(), req.Handle.Endpoint,
-		req.Timestep, int64(req.WriterRank), hedgeWon)
-	return res.buf, res.d, res.err
 }

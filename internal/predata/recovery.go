@@ -26,17 +26,6 @@ type RetryPolicy struct {
 	// DumpDeadline caps the wall time one ServeDump may spend gathering
 	// fetch requests (including transient-retry loops).
 	DumpDeadline time.Duration
-	// HedgeFactor arms hedged pulls: when a chunk pull has taken longer
-	// than HedgeFactor times its bandwidth-model estimate (floored at
-	// HedgeFloor), a second attempt is launched against the retained
-	// source region and the loser is cancelled via context. Zero selects
-	// the default factor; negative disables hedging. Hedging only
-	// engages on a paced fabric — without pacing a pull completes at
-	// memory speed and there is no straggler to hedge against.
-	HedgeFactor float64
-	// HedgeFloor is the minimum wall delay before a hedge fires, so tiny
-	// chunks do not hedge on scheduling noise. Zero selects the default.
-	HedgeFloor time.Duration
 }
 
 // DefaultRetryPolicy returns the policy used when a field is zero.
@@ -46,8 +35,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		BaseDelay:    200 * time.Microsecond,
 		MaxDelay:     10 * time.Millisecond,
 		DumpDeadline: 30 * time.Second,
-		HedgeFactor:  4,
-		HedgeFloor:   2 * time.Millisecond,
 	}
 }
 
@@ -65,12 +52,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.DumpDeadline <= 0 {
 		p.DumpDeadline = d.DumpDeadline
-	}
-	if p.HedgeFactor == 0 {
-		p.HedgeFactor = d.HedgeFactor
-	}
-	if p.HedgeFloor <= 0 {
-		p.HedgeFloor = d.HedgeFloor
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package predata
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -257,14 +258,43 @@ func TestCrashPlanValidation(t *testing.T) {
 	}
 }
 
+// TestHugeDegradeSaturatesPullModeled: under a degrade factor too large
+// for a pull's modeled time to fit a Duration, every dump's PullModeled
+// saturates at the largest Duration instead of summing wrapped pulls.
+func TestHugeDegradeSaturatesPullModeled(t *testing.T) {
+	plan, err := faults.ParsePlan("degrade:*:0-*:1e300", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunPipeline(PipelineConfig{
+		NumCompute: 4, NumStaging: 2, Dumps: 2, FaultPlan: &plan,
+	}, chaoticCompute(2, 10), countOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summed := 0
+	for rank, rankStats := range res.StagingStats {
+		for dump, st := range rankStats {
+			if st.Requests > 1 {
+				summed++
+			}
+			if st.PullModeled != math.MaxInt64 {
+				t.Errorf("rank %d dump %d: %d pulls modeled %v, want the largest Duration",
+					rank, dump, st.Requests, st.PullModeled)
+			}
+		}
+	}
+	if summed == 0 {
+		t.Fatal("no dump summed two pulls")
+	}
+}
+
 // TestPullDropCompletesDegraded: when a chunk's source endpoint dies
 // between expose and pull, the dump completes without that chunk, marked
 // Degraded with the drop counted — instead of failing the staging rank.
 func TestPullDropCompletesDegraded(t *testing.T) {
 	err := mpi.Run(1, func(world *mpi.Comm) error {
-		fcfg := fabric.DefaultConfig(3)
-		fcfg.VarSigma = 0
-		fab, err := fabric.New(fcfg)
+		fab, err := fabric.New(fabric.DefaultConfig(3))
 		if err != nil {
 			return err
 		}

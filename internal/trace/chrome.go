@@ -36,8 +36,7 @@ func phaseCat(p Phase) string {
 		PhaseCorrupt, PhaseDupDrop, PhaseUnreachable:
 		return "fabric"
 	case PhaseGather, PhaseAggregate, PhaseRecovery, PhaseCrashExit, PhaseDrop,
-		PhaseCorruptDetect, PhaseCorruptDrop, PhaseProbe, PhaseHeal,
-		PhaseHedge, PhaseHedgeCancel:
+		PhaseCorruptDetect, PhaseCorruptDrop, PhaseProbe, PhaseHeal:
 		return "pipeline"
 	case PhaseScale, PhaseScaleEpoch, PhaseHandoff, PhaseDrain:
 		return "elastic"

@@ -82,8 +82,6 @@ const (
 	PhaseUnreachable   // fabric: operation refused because a partition severs the pair (Endpoint = peer)
 	PhaseProbe         // predata: dump-aligned reachability probe verdict (Seq = live peers reached, Arg = 1 quorum held, 0 fenced)
 	PhaseHeal          // predata: fenced rank rejoined the serving set (Seq = epoch installed)
-	PhaseHedge         // predata: hedged pull launched (Endpoint = source, Seq = writer)
-	PhaseHedgeCancel   // predata: hedge race resolved, losing attempt cancelled (Endpoint = source, Seq = writer, Arg = 1 hedge won)
 	PhaseJournal       // wal: fetch request appended to the staging journal (Seq = writer, Arg = crc32 of the chunk payload it names)
 	PhaseWalCommit     // wal: dump commit record fsynced (Dump = committed dump)
 	PhaseCheckpoint    // wal: dump-boundary checkpoint written (Seq = first dump NOT covered)
@@ -145,8 +143,6 @@ var phaseNames = [...]string{
 	PhaseUnreachable:   "unreachable",
 	PhaseProbe:         "probe",
 	PhaseHeal:          "heal",
-	PhaseHedge:         "hedge",
-	PhaseHedgeCancel:   "hedge-cancel",
 	PhaseJournal:       "journal",
 	PhaseWalCommit:     "wal-commit",
 	PhaseCheckpoint:    "checkpoint",

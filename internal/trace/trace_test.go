@@ -399,7 +399,6 @@ func TestEveryRuleBites(t *testing.T) {
 		RuleChunkConservation: {syntheticElastic, func(r *Recording) { r.Events[6].Phase = PhaseRetry }},
 		RuleCorruptQuarantine: {syntheticAdversary, func(r *Recording) { r.Events[2].Phase, r.Events[3].Phase = PhaseRetry, PhaseRetry }},
 		RuleHealOnce:          {syntheticAdversary, appendEvent(chunk(4, 1, 2, 41))},
-		RuleHedgeResolution:   {syntheticAdversary, func(r *Recording) { r.Events[6].Phase = PhaseRetry }},
 		RuleWALReplay:         {syntheticRestart, func(r *Recording) { r.Events[10].Arg = 0xBEEF }},
 		RuleRestartOnce:       {syntheticRestart, appendEvent(chunk(2, 0, 1, 36))},
 		RuleCheckpointOrder:   {syntheticRestart, func(r *Recording) { r.Events[5].Phase = PhaseRetry }},

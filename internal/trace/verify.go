@@ -58,11 +58,6 @@ const (
 	// rejoining after a fence never re-processes work the quorum side
 	// already reduced. A check is a retired (dump, writer).
 	RuleHealOnce
-	// RuleHedgeResolution: per (rank, dump, writer), every hedged pull
-	// launched (PhaseHedge) resolved its race (PhaseHedgeCancel, which
-	// cancels and joins the loser), and no resolution appears without a
-	// launch. A check is a (rank, dump, writer) that hedged.
-	RuleHedgeResolution
 	// RuleWALReplay: every chunk re-pulled after recovery (PhaseWalReplay,
 	// Arg = the pulled frame's seal crc32) matches a journaled request
 	// (PhaseJournal, Arg = the crc32 the request names) of the same (dump,
@@ -108,8 +103,7 @@ var rules = [NumRules]struct {
 	RuleHealOnce: {"heal-once", func(v *verifier) {
 		v.retireOnce(PhaseHeal, "across a partition heal — double-reduced")
 	}},
-	RuleHedgeResolution: {"hedge-resolution", (*verifier).hedgeResolution},
-	RuleWALReplay:       {"wal-replay", (*verifier).walReplay},
+	RuleWALReplay: {"wal-replay", (*verifier).walReplay},
 	RuleRestartOnce: {"restart-once", func(v *verifier) {
 		v.retireOnce(PhaseRestart, "across a restart — journal dedup failed")
 	}},
@@ -542,33 +536,6 @@ func (v *verifier) retireOnce(trigger Phase, why string) {
 		v.check()
 		if n := v.retired[k]; n > 1 {
 			v.fail("dump %d: writer %d's chunk processed %d times %s", k.dump, k.writer, n, why)
-		}
-	}
-}
-
-func (v *verifier) hedgeResolution() {
-	type race struct {
-		rank         int32
-		dump, writer int64
-	}
-	counts := map[race][2]int{} // launches, resolutions
-	for i := range v.rec.Events {
-		e := &v.rec.Events[i]
-		if e.Phase == PhaseHedge || e.Phase == PhaseHedgeCancel {
-			k := race{e.Rank, e.Dump, e.Seq}
-			c := counts[k]
-			c[e.Phase-PhaseHedge]++ // PhaseHedgeCancel directly follows PhaseHedge
-			counts[k] = c
-		}
-	}
-	byRace := func(a, b race) int {
-		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.dump, b.dump), cmp.Compare(a.writer, b.writer))
-	}
-	for _, k := range sortedKeys(counts, byRace) {
-		v.check()
-		if c := counts[k]; c[0] != c[1] {
-			v.fail("rank %d dump %d writer %d: %d hedge launches but %d resolutions — a hedged attempt outlived its race",
-				k.rank, k.dump, k.writer, c[0], c[1])
 		}
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// syntheticAdversary builds a recording of a run that exercised all
-// three adversarial-wire mechanisms cleanly: 3 writers, 2 staging ranks
-// (world ranks 3..4), one CRC detection healed by re-pull, one chunk
-// corrupt-dropped after detection, one partition fence that heals, and
-// one hedged pull whose race resolved.
+// syntheticAdversary builds a recording of a run that exercised both
+// adversarial-wire mechanisms cleanly: 3 writers, 2 staging ranks (world
+// ranks 3..4), one CRC detection healed by re-pull, one chunk
+// corrupt-dropped after detection, and one partition fence that heals.
 func syntheticAdversary() *Recording {
 	return &Recording{
 		NumCompute: 3, NumStaging: 2, Dumps: 2,
@@ -22,9 +21,6 @@ func syntheticAdversary() *Recording {
 			ev(PhaseCorruptDetect, 3, 1, 0, 1, 0, 14),
 			ev(PhaseCorruptDetect, 3, 1, 0, 1, 1, 16),
 			ev(PhaseCorruptDrop, 3, 1, 0, 1, 0, 18),
-			// Writer 2 hedges and the race resolves (hedge lost).
-			ev(PhaseHedge, 4, 2, 0, 2, 0, 20),
-			ev(PhaseHedgeCancel, 4, 2, 0, 2, 0, 22),
 			chunk(4, 0, 2, 24),
 			// Dump 1: rank 4 is fenced (probe without quorum), its writer
 			// served by rank 3; rank 4 heals afterwards.
@@ -46,9 +42,6 @@ func TestVerifyAdversaryClean(t *testing.T) {
 	}
 	if n := rep.Checks[RuleHealOnce]; n != 5 {
 		t.Errorf("heal-once checks = %d, want 5 (every engine-retired (dump, writer))", n)
-	}
-	if n := rep.Checks[RuleHedgeResolution]; n != 1 {
-		t.Errorf("hedge-resolution checks = %d, want 1", n)
 	}
 }
 
@@ -82,23 +75,6 @@ func TestVerifyAdversaryDetectsViolations(t *testing.T) {
 					Rank: 4, Endpoint: 2, Dump: 1, Seq: 2, Start: 41, End: 41})
 			},
 			want: "double-reduced",
-		},
-		"hedge race never resolved": {
-			mutate: func(r *Recording) {
-				for i := range r.Events {
-					if r.Events[i].Phase == PhaseHedgeCancel {
-						r.Events[i].Phase = PhaseRetry
-					}
-				}
-			},
-			want: "outlived its race",
-		},
-		"resolution without a launch": {
-			mutate: func(r *Recording) {
-				r.Events = append(r.Events, Event{Kind: KindInstant, Phase: PhaseHedgeCancel,
-					Rank: 3, Endpoint: 0, Dump: 1, Seq: 0, Arg: 1, Start: 50, End: 50})
-			},
-			want: "outlived its race",
 		},
 	}
 	for name, tc := range cases {
