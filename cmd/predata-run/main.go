@@ -70,7 +70,7 @@ func cli(args []string) (code int) {
 		elasticSpec = flags.String("elastic", "",
 			"autoscale the active staging pool within \"min:max\" of the provisioned -staging ranks (staging mode only)")
 		scalePolicy = flags.String("scale-policy", "",
-			"autoscaler tuning as comma-separated k=v pairs: growk, shrinkj, lowutil, cooldown, maxstep, window (requires -elastic)")
+			"autoscaler tuning as comma-separated k=v pairs: growk, shrinkj, lowutil, cooldown, maxstep (requires -elastic)")
 		cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	if err := flags.Parse(args); err != nil {
@@ -78,6 +78,19 @@ func cli(args []string) (code int) {
 			return 0
 		}
 		return 2
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"compute", *compute, 1}, {"staging", *stagingN, 1}, {"particles", *particles, 1},
+		{"local", *local, 1}, {"frames", *frames, 1}, {"workers", *workers, 1},
+		{"dumps", *dumps, 0}, {"checkpoint-every", *checkpointEvery, 0},
+	} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "predata-run: -%s %d must be >= %d\n", f.name, f.val, f.min)
+			return 2
+		}
 	}
 	stop, err := trace.StartCPUProfile(*cpuProfile)
 	if err != nil {
@@ -229,9 +242,8 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 			scale.Decisions, scale.Grows, scale.Shrinks, scale.Holds, scale.CooldownHolds,
 			scale.MinActive, scale.MaxActive, scale.FinalActive, scale.RankDumps)
 		for _, ep := range scale.Epochs {
-			fmt.Printf("elastic: epoch %d from dump %d: %d active (%s), handoff %d cells in %v\n",
-				ep.Epoch, ep.FirstDump, ep.Active, scaleDirName(ep.Direction),
-				ep.HandoffCells, ep.HandoffWall.Round(time.Microsecond))
+			fmt.Printf("elastic: epoch %d from dump %d: %d active (%s)\n",
+				ep.Epoch, ep.FirstDump, ep.Active, scaleDirName(ep.Direction))
 		}
 	}
 	if recorder != nil {
@@ -395,10 +407,8 @@ func parseScalePolicy(spec, tuning string) (elastic.Policy, error) {
 				_, err = fmt.Sscanf(v, "%d", &pol.Cooldown)
 			case "maxstep":
 				_, err = fmt.Sscanf(v, "%d", &pol.MaxStep)
-			case "window":
-				_, err = fmt.Sscanf(v, "%d", &pol.Window)
 			default:
-				return pol, fmt.Errorf("unknown -scale-policy key %q (want growk|shrinkj|lowutil|cooldown|maxstep|window)", k)
+				return pol, fmt.Errorf("unknown -scale-policy key %q (want growk|shrinkj|lowutil|cooldown|maxstep)", k)
 			}
 			if err != nil {
 				return pol, fmt.Errorf("bad -scale-policy value %q for %s: %v", v, k, err)

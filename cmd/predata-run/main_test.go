@@ -173,12 +173,12 @@ func TestRunElasticXray(t *testing.T) {
 }
 
 func TestParseScalePolicy(t *testing.T) {
-	pol, err := parseScalePolicy("1:4", "growk=3,shrinkj=5,lowutil=0.5,cooldown=2,maxstep=1,window=8")
+	pol, err := parseScalePolicy("1:4", "growk=3,shrinkj=5,lowutil=0.5,cooldown=2,maxstep=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pol.Min != 1 || pol.Max != 4 || pol.GrowK != 3 || pol.ShrinkJ != 5 ||
-		pol.LowUtil != 0.5 || pol.Cooldown != 2 || pol.MaxStep != 1 || pol.Window != 8 {
+		pol.LowUtil != 0.5 || pol.Cooldown != 2 || pol.MaxStep != 1 {
 		t.Fatalf("parsed policy %+v", pol)
 	}
 	for _, bad := range []struct{ spec, tuning string }{
@@ -188,6 +188,7 @@ func TestParseScalePolicy(t *testing.T) {
 		{"0:2", ""},           // Min < 1
 		{"1:2", "growk"},      // not k=v
 		{"1:2", "bogus=3"},    // unknown key
+		{"1:2", "window=8"},   // unknown key: decisions read the streaks
 		{"1:2", "growk=fast"}, // unparsable value
 	} {
 		if _, err := parseScalePolicy(bad.spec, bad.tuning); err == nil {
@@ -259,6 +260,34 @@ func TestModeFromConfig(t *testing.T) {
 	}
 	if _, _, err := modeFromConfig("/nonexistent/x.xml", "gtc"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestCLIRejects: sizes no run can have are usage errors (exit 2) before
+// any rank starts, and an operator list naming one operator twice fails
+// the run (exit 1) instead of one result silently overwriting the other.
+func TestCLIRejects(t *testing.T) {
+	small := []string{"-compute", "2", "-staging", "1", "-particles", "100", "-dumps", "1"}
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"negative particles", []string{"-particles", "-5"}, 2},
+		{"negative local", []string{"-app", "pixie3d", "-local", "-2"}, 2},
+		{"zero frames", []string{"-app", "xray", "-frames", "0"}, 2},
+		{"negative frames", []string{"-app", "xray", "-frames", "-3"}, 2},
+		{"zero compute", []string{"-compute", "0"}, 2},
+		{"zero staging", []string{"-staging", "0"}, 2},
+		{"zero workers", []string{"-workers", "0"}, 2},
+		{"negative dumps", []string{"-dumps", "-1"}, 2},
+		{"negative checkpoint-every", []string{"-checkpoint-every", "-1"}, 2},
+		{"hist twice", append([]string{"-ops", "hist,hist"}, small...), 1},
+		{"sort twice", append([]string{"-ops", "sort,sort"}, small...), 1},
+	} {
+		if got := cli(c.args); got != c.code {
+			t.Errorf("%s: exit status %d, want %d", c.name, got, c.code)
+		}
 	}
 }
 

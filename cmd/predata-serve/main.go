@@ -171,8 +171,8 @@ func run(w io.Writer, tenants, versions, rows, cols, window, cache, cores, queri
 	totalMB := float64(tenants) * float64(versions) * float64(versionBytes) / (1 << 20)
 	fmt.Fprintf(w, "serve: %d tenants x %d versions (%.2f MB), wall %v, membership epoch %d\n",
 		tenants, versions, totalMB, wall.Round(time.Millisecond), d.Epoch())
-	fmt.Fprintf(w, "%-8s %7s %9s %9s %8s %8s %9s %9s %6s\n",
-		"tenant", "weight", "ingests", "cells", "queries", "reduces", "qP50us", "qP99us", "waits")
+	fmt.Fprintf(w, "%-8s %7s %9s %9s %8s %9s %9s %6s\n",
+		"tenant", "weight", "ingests", "cells", "queries", "qP50us", "qP99us", "waits")
 	for i, s := range sessions {
 		st, err := s.Stats()
 		if err != nil {
@@ -184,9 +184,9 @@ func run(w io.Writer, tenants, versions, rows, cols, window, cache, cores, queri
 				s.Tenant(), st.Ingests, st.IngestedCells, versions, wantCells)
 		}
 		qr := queryResults[i]
-		fmt.Fprintf(w, "%-8s %7d %9d %9d %8d %8d %9.2f %9.2f %6d\n",
+		fmt.Fprintf(w, "%-8s %7d %9d %9d %8d %9.2f %9.2f %6d\n",
 			s.Tenant(), st.Admission.Weight, st.Ingests, st.IngestedCells,
-			qr.Queries, qr.Reduces, qr.P50Seconds*1e6, qr.P99Seconds*1e6, st.Admission.Waits)
+			qr.Queries, qr.P50Seconds*1e6, qr.P99Seconds*1e6, st.Admission.Waits)
 	}
 	cs := d.CacheStats()
 	fmt.Fprintf(w, "cache: %d hits / %d misses / %d fills / %d invalidations (%d entries resident)\n",

@@ -32,20 +32,21 @@ const (
 	AttrCount
 )
 
+// The seeded burst process: dump sizes during a burst are BaseFrames ×
+// factor with factor in [burstMin, burstMax] — the 10–100× dump-to-dump
+// variance of detector acquisition — and each burst stretch lasts
+// 1..burstLen dumps, each quiet stretch 1..quietLen.
+const (
+	burstMin, burstMax = 10.0, 100.0
+	burstLen, quietLen = 4, 3
+)
+
 // Config sizes the proxy.
 type Config struct {
 	// Rank and NumRanks place this process in the compute job.
 	Rank, NumRanks int
 	// BaseFrames is the per-rank frame count of a quiet dump. Default 8.
 	BaseFrames int
-	// BurstMin/BurstMax bound the burst multiplier drawn per burst:
-	// dump sizes during a burst are BaseFrames × factor with factor in
-	// [BurstMin, BurstMax]. Defaults 10 and 100 — the 10–100×
-	// dump-to-dump variance of detector acquisition.
-	BurstMin, BurstMax float64
-	// BurstLen and QuietLen bound the length (in dumps) of burst and
-	// quiet stretches: each stretch lasts 1..Len dumps. Defaults 4 and 3.
-	BurstLen, QuietLen int
 	// Steps is the horizon of the precomputed burst schedule — the
 	// number of dumps the run will perform.
 	Steps int
@@ -61,18 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BaseFrames <= 0 {
 		c.BaseFrames = 8
-	}
-	if c.BurstMin <= 0 {
-		c.BurstMin = 10
-	}
-	if c.BurstMax <= 0 {
-		c.BurstMax = 100
-	}
-	if c.BurstLen <= 0 {
-		c.BurstLen = 4
-	}
-	if c.QuietLen <= 0 {
-		c.QuietLen = 3
 	}
 	return c
 }
@@ -94,9 +83,6 @@ func New(cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("xray: negative step count %d", cfg.Steps)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.BurstMax < cfg.BurstMin {
-		return nil, fmt.Errorf("xray: burst range [%g, %g] inverted", cfg.BurstMin, cfg.BurstMax)
-	}
 	d := &Detector{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed + int64(cfg.Rank)*7919 + 13)),
@@ -115,12 +101,12 @@ func New(cfg Config) (*Detector, error) {
 	}
 	// Seeded two-state burst process, derived from the seed alone so
 	// every rank computes the identical schedule: quiet stretches of
-	// 1..QuietLen dumps at factor 1, burst stretches of 1..BurstLen
-	// dumps at a factor drawn once per burst from [BurstMin, BurstMax].
+	// 1..quietLen dumps at factor 1, burst stretches of 1..burstLen
+	// dumps at a factor drawn once per burst from [burstMin, burstMax].
 	shared := rand.New(rand.NewSource(cfg.Seed*2654435761 + 97))
 	d.factors = make([]float64, cfg.Steps)
 	for i := 0; i < cfg.Steps; {
-		quiet := 1 + shared.Intn(cfg.QuietLen)
+		quiet := 1 + shared.Intn(quietLen)
 		for j := 0; j < quiet && i < cfg.Steps; j++ {
 			d.factors[i] = 1
 			i++
@@ -128,8 +114,8 @@ func New(cfg Config) (*Detector, error) {
 		if i >= cfg.Steps {
 			break
 		}
-		factor := cfg.BurstMin + shared.Float64()*(cfg.BurstMax-cfg.BurstMin)
-		burst := 1 + shared.Intn(cfg.BurstLen)
+		factor := burstMin + shared.Float64()*(burstMax-burstMin)
+		burst := 1 + shared.Intn(burstLen)
 		for j := 0; j < burst && i < cfg.Steps; j++ {
 			d.factors[i] = factor
 			i++

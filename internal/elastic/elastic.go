@@ -1,7 +1,7 @@
 // Package elastic closes the loop between the staging area's overload
 // telemetry and its size: an autoscaler that, at dump boundaries,
-// decides to grow, shrink, or hold the staging pool from a sliding
-// window of flow-control and fault signals.
+// decides to grow, shrink, or hold the staging pool from streaks of
+// flow-control and fault signals.
 //
 // PreDatA sizes the staging ground statically, so a burst that outruns
 // the provisioned ranks can only spill or shed, and an idle pool wastes
@@ -50,9 +50,6 @@ type Policy struct {
 	// MaxStep bounds how many ranks one decision may add or remove.
 	// Default 1 — the paper-scale handoff cost argues for gradual moves.
 	MaxStep int
-	// Window is how many dumps of telemetry the scaler retains for
-	// reporting. Default max(GrowK, ShrinkJ).
-	Window int
 }
 
 func (p Policy) withDefaults() Policy {
@@ -72,12 +69,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxStep <= 0 {
 		p.MaxStep = 1
-	}
-	if p.Window <= 0 {
-		p.Window = p.GrowK
-		if p.ShrinkJ > p.Window {
-			p.Window = p.ShrinkJ
-		}
 	}
 	return p
 }
@@ -178,7 +169,6 @@ type Autoscaler struct {
 	pol     Policy
 	current int
 
-	window       []Telemetry
 	growStreak   int
 	shrinkStreak int
 	cooldown     int // dumps remaining before decisions may fire again
@@ -227,14 +217,10 @@ func (a *Autoscaler) shrinkSignal(t Telemetry) bool {
 		t.RanksLost == 0
 }
 
-// Observe folds one dump's merged telemetry into the sliding window and
+// Observe folds one dump's merged telemetry into the streak counters and
 // returns the decision for the next dump. Deterministic: the same
 // telemetry sequence always yields the same decisions.
 func (a *Autoscaler) Observe(t Telemetry) Decision {
-	a.window = append(a.window, t)
-	if len(a.window) > a.pol.Window {
-		a.window = a.window[len(a.window)-a.pol.Window:]
-	}
 	a.decisions++
 
 	// Hysteresis: evidence for one direction resets the opposite streak,
@@ -304,12 +290,6 @@ type Stats struct {
 func (a *Autoscaler) Stats() Stats {
 	return Stats{Decisions: a.decisions, Grows: a.grows, Shrinks: a.shrinks,
 		Holds: a.holds, CooldownHolds: a.cooldownHolds}
-}
-
-// Window returns the retained telemetry, oldest first. The returned
-// slice is a copy.
-func (a *Autoscaler) Window() []Telemetry {
-	return append([]Telemetry(nil), a.window...)
 }
 
 // FromOverload adapts one rank's per-dump flowctl counters into its

@@ -69,10 +69,6 @@ type Policy struct {
 	// in-memory allowance for in-flight chunk data (the ADIOS
 	// <buffer size-MB> hint made binding).
 	BudgetBytes int64
-	// HighWater / LowWater are the overload latch fractions of
-	// BudgetBytes. Defaults 0.9 and 0.5.
-	HighWater float64
-	LowWater  float64
 	// Patience is how long a normal-level admission waits for credits
 	// before the dump escalates to spilling. Default 20ms.
 	Patience time.Duration
@@ -92,12 +88,6 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.HighWater == 0 {
-		p.HighWater = 0.9
-	}
-	if p.LowWater == 0 {
-		p.LowWater = 0.5
-	}
 	if p.Patience <= 0 {
 		p.Patience = 20 * time.Millisecond
 	}
@@ -174,10 +164,11 @@ func (c *Controller) SetTracer(tr *trace.Recorder, endpoint int) {
 	c.budget.SetTracer(tr, endpoint)
 }
 
-// NewController validates the policy and builds the rank's accountant.
+// NewController validates the policy and builds the rank's accountant,
+// whose overload latch trips at 90% of BudgetBytes and clears at 50%.
 func NewController(pol Policy) (*Controller, error) {
 	pol = pol.withDefaults()
-	b, err := NewBudget(pol.BudgetBytes, pol.HighWater, pol.LowWater)
+	b, err := NewBudget(pol.BudgetBytes, 0.9, 0.5)
 	if err != nil {
 		return nil, err
 	}

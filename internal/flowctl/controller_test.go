@@ -19,9 +19,6 @@ func testPolicy(budget int64) Policy {
 
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{BudgetBytes: 1000}.withDefaults()
-	if p.HighWater != 0.9 || p.LowWater != 0.5 {
-		t.Fatalf("watermarks = %g/%g, want 0.9/0.5", p.HighWater, p.LowWater)
-	}
 	if p.Patience <= 0 {
 		t.Fatalf("patience = %v, want positive", p.Patience)
 	}

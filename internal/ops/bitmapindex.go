@@ -17,13 +17,11 @@ type BitmapIndexConfig struct {
 	Columns []int
 	// Bins is the bin count of each index.
 	Bins int
-	// Ranges gives the static [lo, hi] per column, [0, 1] for a column it
-	// omits. When AggRanges is true, each finite aggregate bound
-	// (MinMaxAggregate keys) replaces the static one; an infinite or NaN
-	// bound — a dump with no rows, or a column holding ±Inf — is ignored.
-	// A range that ends up empty (hi <= lo) widens to [lo, lo+1]. This is
-	// the histograms' rule.
-	Ranges    map[int][2]float64
+	// Each column bins over [0, 1]. When AggRanges is true, each finite
+	// aggregate bound (MinMaxAggregate keys) replaces that default; an
+	// infinite or NaN bound — a dump with no rows, or a column holding
+	// ±Inf — is ignored. A range that ends up empty (hi <= lo) widens to
+	// [lo, lo+1]. This is the histograms' rule with no static ranges.
 	AggRanges bool
 }
 
@@ -59,7 +57,7 @@ func (b *BitmapIndexOperator) Name() string { return "bitmapindex" }
 func (b *BitmapIndexOperator) Initialize(ctx *staging.Context, agg map[string]any) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ranges = binRanges(b.cfg.Columns, b.cfg.Ranges, b.cfg.AggRanges, agg)
+	b.ranges = binRanges(b.cfg.Columns, nil, b.cfg.AggRanges, agg)
 	b.cols = make(map[int][]float64, len(b.cfg.Columns))
 	b.rows = 0
 	return nil

@@ -211,9 +211,9 @@ func TestDataSpacesOperatorEndToEnd(t *testing.T) {
 	}
 }
 
-// TestChunkOrderCustomization: a descending-writer-rank order is observed
-// by a strictly streaming (single-worker, single-pull) engine.
-func TestChunkOrderCustomization(t *testing.T) {
+// TestChunksStreamInWriterOrder: a strictly streaming (single-worker,
+// single-pull) engine sees a dump's chunks in ascending writer rank.
+func TestChunksStreamInWriterOrder(t *testing.T) {
 	const numCompute = 6
 	var mu sync.Mutex
 	var order []int
@@ -223,9 +223,6 @@ func TestChunkOrderCustomization(t *testing.T) {
 		Dumps:           1,
 		Engine:          staging.Config{Workers: 1},
 		PullConcurrency: 1,
-		ChunkOrder: func(a, b predata.FetchRequest) bool {
-			return a.WriterRank > b.WriterRank // descending
-		},
 	}
 	_, err := predata.RunPipeline(cfg,
 		func(comm *mpi.Comm, client *predata.Client) error {
@@ -247,8 +244,8 @@ func TestChunkOrderCustomization(t *testing.T) {
 		t.Fatalf("saw %d chunks", len(order))
 	}
 	for i := range order {
-		if order[i] != numCompute-1-i {
-			t.Fatalf("stream order %v, want descending writer ranks", order)
+		if order[i] != i {
+			t.Fatalf("stream order %v, want ascending writer ranks", order)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func (s *Server) gatherRequests(timestep int64, stats *DumpStats) (reqs []FetchR
 	}
 	stats.Requests = len(reqs)
 	for _, r := range reqs {
-		if s.cfg.Route(r.WriterRank, s.cfg.NumCompute, s.cfg.NumStaging) != s.cfg.StagingIndex {
+		if DefaultRoute(r.WriterRank, s.cfg.NumCompute, s.cfg.NumStaging) != s.cfg.StagingIndex {
 			stats.Redistributed++
 		}
 	}

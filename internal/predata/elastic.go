@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
-	"predata/internal/dataspaces"
 	"predata/internal/elastic"
 	"predata/internal/flowctl"
 	"predata/internal/mpi"
@@ -28,13 +26,6 @@ type ElasticConfig struct {
 	// Start is the initial active count, clamped into [Min, Max]; zero
 	// means Policy.Min.
 	Start int
-	// Space, when non-nil, is the shared DataSpaces instance whose
-	// shards are handed over at every resize: the designated survivor
-	// rehashes it onto the new active count inside the epoch boundary
-	// (donors' blocks move to joiners on a grow, departing ranks' blocks
-	// to survivors on a shrink), and the moved-cell volume lands in the
-	// ScaleReport and the flight recorder (PhaseHandoff).
-	Space *dataspaces.Space
 }
 
 // ScaleEpoch records one membership epoch of an elastic run: a stretch
@@ -47,10 +38,6 @@ type ScaleEpoch struct {
 	// crash-induced pool changes report the resulting direction too).
 	Active    int
 	Direction int
-	// HandoffCells and HandoffWall account the DataSpaces shard movement
-	// performed inside this epoch's boundary.
-	HandoffCells int64
-	HandoffWall  time.Duration
 }
 
 // ScaleReport summarizes the autoscaler's activity over one elastic run.
@@ -77,8 +64,7 @@ type ScaleReport struct {
 // that also consults the announced active count: grows widen the
 // serving communicator onto parked reserve ranks, shrinks retire ranks
 // by drain-then-Split (the departing rank finishes its dump — leases
-// flushed, spill replayed — hands its shards to the survivors, and goes
-// silent). Every resize is stamped into the flight recorder as a scale
+// flushed, spill replayed — and goes silent). Every resize is stamped into the flight recorder as a scale
 // epoch that trace.Verify checks for cross-rank agreement, chunk
 // conservation, and retired-rank silence.
 func RunElastic(cfg PipelineConfig, ecfg ElasticConfig, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, *ScaleReport, error) {
@@ -97,8 +83,8 @@ func RunElastic(cfg PipelineConfig, ecfg ElasticConfig, computeFn ComputeFunc, o
 
 // elasticRun is the autoscaling side of a staged run: the announced
 // schedule its membership value consults, and the work only an elastic
-// run does at a boundary — the shard handoff, the scale-epoch stamp,
-// and the telemetry exchange that feeds the next decision.
+// run does at a boundary — the scale-epoch stamp and the telemetry
+// exchange that feeds the next decision.
 type elasticRun struct {
 	cfg   ElasticConfig
 	start int // initial active count, clamped into [Min, Max]
@@ -109,24 +95,13 @@ type elasticRun struct {
 }
 
 // installEpoch is the elastic part of entering a membership epoch: the
-// designated survivor rehashes the shared space onto the new active
-// count and records the epoch, and every live rank stamps the epoch it
-// is entering — first dump, active count, and the active-index bitmask
-// that trace.Verify checks for cross-rank agreement and retired-rank
-// silence.
-func (el *elasticRun) installEpoch(r *stagingRank, ts int64, next epochView) error {
-	tr := r.cfg.Tracer
+// designated survivor records the epoch, and every live rank stamps the
+// epoch it is entering — first dump, active count, and the active-index
+// bitmask that trace.Verify checks for cross-rank agreement and
+// retired-rank silence.
+func (el *elasticRun) installEpoch(r *stagingRank, ts int64, next epochView) {
 	if r.idx == next.active[0] {
 		ep := ScaleEpoch{Epoch: r.epoch, FirstDump: ts, Active: len(next.active), Direction: elastic.Hold}
-		if el.cfg.Space != nil {
-			start := time.Now()
-			st, err := el.cfg.Space.Resize(len(next.active))
-			if err != nil {
-				return fmt.Errorf("shard handoff: %w", err)
-			}
-			ep.HandoffCells, ep.HandoffWall = st.MovedCells, time.Since(start)
-			tr.Instant(trace.PhaseHandoff, r.rank, -1, ts, r.epoch, ep.HandoffCells)
-		}
 		switch prev := r.view.active; {
 		case prev == nil:
 			// initial configuration, not a resize
@@ -143,8 +118,7 @@ func (el *elasticRun) installEpoch(r *stagingRank, ts int64, next epochView) err
 	for _, idx := range next.active {
 		mask |= 1 << idx
 	}
-	tr.Instant(trace.PhaseScaleEpoch, r.rank, len(next.active), ts, r.epoch, mask)
-	return nil
+	r.cfg.Tracer.Instant(trace.PhaseScaleEpoch, r.rank, len(next.active), ts, r.epoch, mask)
 }
 
 // observe is the boundary telemetry exchange after dump ts, over the

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"predata/internal/apps/xray"
-	"predata/internal/dataspaces"
 	"predata/internal/elastic"
 	"predata/internal/fabric"
 	"predata/internal/faults"
@@ -261,29 +260,13 @@ func elasticSoakConfig(t *testing.T, numStaging int) PipelineConfig {
 
 // TestElasticGrowsUnderBurstThenShrinks: the detector burst trips the
 // overload latch for consecutive dumps, the pool grows via the rehash
-// path onto parked reserve ranks (handing DataSpaces shards to the
-// joiners), and once the burst collapses the idle pool drains back down
-// — all stamped into the flight recorder and verified.
+// path onto parked reserve ranks, and once the burst collapses the idle
+// pool drains back down — all stamped into the flight recorder and
+// verified.
 func TestElasticGrowsUnderBurstThenShrinks(t *testing.T) {
-	space, err := dataspaces.New(dataspaces.Config{
-		Servers: 1,
-		Domain:  dataspaces.Domain{Dims: []uint64{64, 64}, BlockSize: []uint64{8, 8}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := make([]float64, 64*64)
-	for i := range cells {
-		cells[i] = float64(i)
-	}
-	if err := space.Put("state", 0, []uint64{0, 0}, []uint64{64, 64}, cells); err != nil {
-		t.Fatal(err)
-	}
-
 	cfg := elasticSoakConfig(t, 3)
 	res, scale, rec, rep := runElasticTraced(t, cfg, ElasticConfig{
 		Policy: elastic.Policy{Min: 1, Max: 3, GrowK: 2, ShrinkJ: 2, Cooldown: 1},
-		Space:  space,
 	}, xrayCompute(cfg.Dumps, burstBaseFrames, burstFactors, burstSeed), frameCountOps)
 
 	if scale.Grows < 1 {
@@ -302,18 +285,6 @@ func TestElasticGrowsUnderBurstThenShrinks(t *testing.T) {
 		t.Errorf("RankDumps %d, want > %d (pool above Min for part of the run)",
 			scale.RankDumps, cfg.Dumps)
 	}
-	// The shard handoff must have moved cells at some resize and lost none.
-	var moved int64
-	for _, ep := range scale.Epochs {
-		moved += ep.HandoffCells
-	}
-	if moved == 0 {
-		t.Error("no DataSpaces cells moved across any resize")
-	}
-	if got := space.MemoryCells(); got != 64*64 {
-		t.Errorf("space holds %d cells after resizes, want %d", got, 64*64)
-	}
-
 	// Conservation: every frame written reduces exactly once.
 	want := int64(cfg.NumCompute) * xrayTotalFrames(burstBaseFrames, burstFactors)
 	if got := sumFrameCounts(res); got != want {
@@ -328,7 +299,7 @@ func TestElasticGrowsUnderBurstThenShrinks(t *testing.T) {
 		t.Errorf("chunk conservation checked %d dumps, want %d", rep.Checks[trace.RuleChunkConservation], cfg.Dumps)
 	}
 	for _, ph := range []trace.Phase{trace.PhaseScale, trace.PhaseScaleEpoch,
-		trace.PhaseHandoff, trace.PhaseDrain, trace.PhaseSpill} {
+		trace.PhaseDrain, trace.PhaseSpill} {
 		if !hasPhase(rec, ph) {
 			t.Errorf("recording has no %v events", ph)
 		}

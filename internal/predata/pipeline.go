@@ -29,22 +29,14 @@ type PipelineConfig struct {
 	// Dumps is the number of I/O dumps each compute rank performs; the
 	// staging area serves the same count. Timesteps are 0..Dumps-1.
 	Dumps int
-	// Fabric configures the interconnect; Endpoints is overridden to
-	// NumCompute+NumStaging. Zero value selects DefaultConfig.
-	Fabric fabric.Config
 	// Engine configures the staging engine.
 	Engine staging.Config
-	// Route, Transform, PartialCalculate, Aggregate plug the usual hooks.
-	Route            RouteFunc
+	// Transform, PartialCalculate, Aggregate plug the usual hooks.
 	Transform        TransformFunc
 	PartialCalculate PartialFunc
 	Aggregate        AggregateFunc
 	// PullConcurrency bounds in-flight pulls per staging rank.
 	PullConcurrency int
-	// ChunkOrder customizes each staging rank's chunk stream order.
-	ChunkOrder func(a, b FetchRequest) bool
-	// ChunkFilter drops chunks before they reach any operator.
-	ChunkFilter func(*staging.Chunk) bool
 	// Timeout aborts the pipeline if it has not completed in time by
 	// shutting the fabric down; ranks blocked on fabric operations fail
 	// fast and the abort cascades through the message-passing layer.
@@ -65,8 +57,8 @@ type PipelineConfig struct {
 	// staging rank with a budget of BufferMB megabytes — the ADIOS
 	// <buffer size-MB> hint made binding. Zero disables admission control.
 	BufferMB int
-	// Overload tunes the degradation ladder (watermarks, patience, spill
-	// directory and escalation limits). Its BudgetBytes field is ignored —
+	// Overload tunes the degradation ladder (patience, spill directory
+	// and escalation limits). Its BudgetBytes field is ignored —
 	// the budget always derives from BufferMB.
 	Overload flowctl.Policy
 	// WALDir, when non-empty, turns on durable staging: every staging
@@ -151,39 +143,18 @@ type FaultReport struct {
 
 // OverloadReport aggregates the flow controllers' throttle/spill/shed
 // decisions across one pipeline run — the overload analogue of
-// FaultReport. Counters are totals over all staging ranks and dumps;
-// PeakBytes and MaxLevel are maxima.
+// FaultReport. It restates flowctl.OverloadStats for the whole run:
+// BudgetBytes is each staging rank's accountant capacity, counters are
+// totals over all staging ranks and dumps, PeakBytes, HeldPeakBytes,
+// UtilizationPeak and MaxLevel are maxima, and HeldMeanBytes and
+// UtilizationMean are the mean of the per-dump time-weighted means over
+// every (rank, dump) merged in. The elastic autoscaler's shrink signal
+// reads the utilization figures.
 type OverloadReport struct {
-	// BudgetBytes is each staging rank's accountant capacity.
-	BudgetBytes int64
-	// Throttles and ThrottleWait count admissions that waited for budget
-	// credits and the wall time spent waiting.
-	Throttles    int64
-	ThrottleWait time.Duration
-	// Spill trajectory: chunks/bytes through the disk overflow queue and
-	// chunks replayed back before Reduce.
-	SpilledChunks  int64
-	SpilledBytes   int64
-	ReplayedChunks int64
-	// Shed trajectory: chunks sampled for vs. withheld from optional
-	// operators.
-	SampledChunks int64
-	ShedChunks    int64
-	// Pass trajectory: chunks/bytes that bypassed the operators raw.
-	PassedChunks int64
-	PassedBytes  int64
-	// PeakBytes is the highest accounted memory on any staging rank.
-	PeakBytes int64
-	// MaxLevel is the highest ladder level any dump reached.
-	MaxLevel int
-	// Lease utilization: UtilizationPeak is the highest per-dump held
-	// fraction of the budget observed on any rank; UtilizationMean is the
-	// mean of the per-dump time-weighted means over every (rank, dump)
-	// merged in. The elastic autoscaler's shrink signal reads these.
-	UtilizationPeak float64
-	UtilizationMean float64
+	flowctl.OverloadStats
 
-	utilDumps int64 // dumps folded into the UtilizationMean running mean
+	dumps   int64 // dumps folded into the means
+	heldSum int64 // their HeldMeanBytes summed
 }
 
 // merge folds one dump's stats into the run totals.
@@ -197,18 +168,15 @@ func (r *OverloadReport) merge(o *flowctl.OverloadStats) {
 	r.ShedChunks += o.ShedChunks
 	r.PassedChunks += o.PassedChunks
 	r.PassedBytes += o.PassedBytes
-	if o.PeakBytes > r.PeakBytes {
-		r.PeakBytes = o.PeakBytes
-	}
-	if o.MaxLevel > r.MaxLevel {
-		r.MaxLevel = o.MaxLevel
-	}
-	if o.UtilizationPeak > r.UtilizationPeak {
-		r.UtilizationPeak = o.UtilizationPeak
-	}
+	r.PeakBytes = max(r.PeakBytes, o.PeakBytes)
+	r.HeldPeakBytes = max(r.HeldPeakBytes, o.HeldPeakBytes)
+	r.MaxLevel = max(r.MaxLevel, o.MaxLevel)
+	r.UtilizationPeak = max(r.UtilizationPeak, o.UtilizationPeak)
 	if o.BudgetBytes > 0 {
-		r.utilDumps++
-		r.UtilizationMean += (o.UtilizationMean - r.UtilizationMean) / float64(r.utilDumps)
+		r.dumps++
+		r.heldSum += o.HeldMeanBytes
+		r.HeldMeanBytes = r.heldSum / r.dumps
+		r.UtilizationMean += (o.UtilizationMean - r.UtilizationMean) / float64(r.dumps)
 	}
 }
 
@@ -268,15 +236,8 @@ func runStaged(cfg PipelineConfig, el *elasticRun, computeFn ComputeFunc, opsFor
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Route == nil {
-		cfg.Route = DefaultRoute
-	}
 	total := cfg.NumCompute + cfg.NumStaging
-	fcfg := cfg.Fabric
-	if fcfg.LinkBandwidth == 0 {
-		fcfg = fabric.DefaultConfig(total)
-	}
-	fcfg.Endpoints = total
+	fcfg := fabric.DefaultConfig(total)
 	fcfg.Faults = inj
 	fcfg.Tracer = cfg.Tracer
 	fab, err := fabric.New(fcfg)
@@ -295,7 +256,7 @@ func runStaged(cfg PipelineConfig, el *elasticRun, computeFn ComputeFunc, opsFor
 
 	run := &stagedRun{
 		cfg: cfg, fab: fab, el: el,
-		member: newMembership(inj, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.NumCompute),
+		member: newMembership(inj, cfg.NumCompute, cfg.NumStaging, cfg.NumCompute),
 		res: &PipelineResult{
 			StagingResults: make([][]*staging.Result, cfg.NumStaging),
 			StagingStats:   make([][]*DumpStats, cfg.NumStaging),
@@ -358,7 +319,6 @@ func (run *stagedRun) compute(comm *mpi.Comm, ep *fabric.Endpoint, computeFn Com
 		NumStaging:       cfg.NumStaging,
 		Endpoint:         ep,
 		StagingBase:      cfg.NumCompute,
-		Route:            cfg.Route,
 		Transform:        cfg.Transform,
 		PartialCalculate: cfg.PartialCalculate,
 		Membership:       run.member,
@@ -615,9 +575,7 @@ func (r *stagingRank) enterEpoch(ts int64, next epochView, t transition) (err er
 		}
 	}
 	if r.el != nil {
-		if err := r.el.installEpoch(r, ts, next); err != nil {
-			return err
-		}
+		r.el.installEpoch(r, ts, next)
 	}
 	r.view, r.state = next, state
 	entered = int64(len(next.active))
@@ -655,12 +613,9 @@ func (r *stagingRank) incarnate() (int, error) {
 		NumCompute:      cfg.NumCompute,
 		NumStaging:      cfg.NumStaging,
 		StagingBase:     cfg.NumCompute,
-		Route:           cfg.Route,
 		Aggregate:       cfg.Aggregate,
 		Engine:          engine,
 		PullConcurrency: cfg.PullConcurrency,
-		ChunkOrder:      cfg.ChunkOrder,
-		ChunkFilter:     cfg.ChunkFilter,
 		Membership:      r.member,
 		Retry:           cfg.Retry,
 		Flow:            r.flow,
@@ -916,7 +871,8 @@ func finishReports(cfg *PipelineConfig, inj *faults.Injector, report *FaultRepor
 		res.Fault = report
 	}
 	if cfg.BufferMB > 0 {
-		ov := &OverloadReport{BudgetBytes: int64(cfg.BufferMB) << 20}
+		ov := &OverloadReport{}
+		ov.BudgetBytes = int64(cfg.BufferMB) << 20
 		for _, rankStats := range res.StagingStats {
 			for _, st := range rankStats {
 				if st.Overload != nil {

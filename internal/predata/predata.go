@@ -6,7 +6,7 @@
 // the optional PartialCalculate first pass on the local output, packs the
 // output into a contiguous FFS buffer (the packed partial data chunk),
 // exposes it for RDMA pull, and sends a data-fetch request — with the small
-// partial result piggybacked — to the staging node chosen by Route. The
+// partial result piggybacked — to the staging node chosen by DefaultRoute. The
 // application then resumes computation; only packing and request dispatch
 // are visible I/O time.
 //
@@ -59,10 +59,6 @@ type RankPartial struct {
 	Rank    int
 	Partial any
 }
-
-// RouteFunc chooses the staging index in [0, numStaging) that serves a
-// compute writer rank.
-type RouteFunc func(writerRank, numCompute, numStaging int) int
 
 // DefaultRoute assigns contiguous blocks of compute ranks to staging ranks
 // (the paper's 64:1 / 128:1 server arrangement).
@@ -127,9 +123,6 @@ type ClientConfig struct {
 	// puts compute at endpoints [0, NumCompute) and staging immediately
 	// after, so StagingBase == NumCompute.
 	StagingBase int
-	// Route overrides the compute→staging assignment. Nil selects
-	// DefaultRoute.
-	Route RouteFunc
 	// Transform is the optional Stage-1a local processing pass (e.g.
 	// filtering), applied before PartialCalculate and packing.
 	Transform TransformFunc
@@ -189,11 +182,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.WriterRank < 0 || cfg.WriterRank >= cfg.NumCompute {
 		return nil, fmt.Errorf("predata: writer rank %d outside [0,%d)", cfg.WriterRank, cfg.NumCompute)
 	}
-	if cfg.Route == nil {
-		cfg.Route = DefaultRoute
-	}
 	if cfg.Membership == nil {
-		cfg.Membership = newMembership(nil, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
+		cfg.Membership = newMembership(nil, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
 	}
 	return &Client{cfg: cfg, retry: cfg.Retry.withDefaults()}, nil
 }
@@ -496,9 +486,6 @@ type ServerConfig struct {
 	Endpoint *fabric.Endpoint
 	// NumCompute is the size of the compute job.
 	NumCompute int
-	// Route must match the clients' route function. Nil selects
-	// DefaultRoute.
-	Route RouteFunc
 	// Aggregate combines piggybacked partials from *all* compute ranks;
 	// nil yields nil aggregates.
 	Aggregate AggregateFunc
@@ -507,17 +494,6 @@ type ServerConfig struct {
 	// PullConcurrency is the number of chunks pulled in flight at once.
 	// Values < 1 mean 1 (strict streaming).
 	PullConcurrency int
-	// ChunkOrder customizes the order in which this rank pulls and
-	// streams chunks ("place the data chunks present within the data
-	// stream into some desired order to ease implementing data analysis
-	// services"). Nil orders by ascending writer rank. With
-	// PullConcurrency > 1 the order determines pull issue order, not
-	// strict delivery order.
-	ChunkOrder func(a, b FetchRequest) bool
-	// ChunkFilter, when non-nil, drops chunks for which it returns false
-	// before they reach any operator. It runs on the event-stream path
-	// (an evpath filter stone), so dropped chunks cost no Map work.
-	ChunkFilter func(*staging.Chunk) bool
 	// NumStaging is the original size of the staging area, which stays
 	// fixed across failures (StagingIndex keeps its meaning even as the
 	// communicator shrinks). Zero means Comm.Size().
@@ -570,8 +546,6 @@ type DumpStats struct {
 	BytesPulled int64
 	// PullModeled is the modeled network time of this rank's pulls.
 	PullModeled time.Duration
-	// ChunksFiltered counts chunks dropped by the ChunkFilter stone.
-	ChunksFiltered int
 	// Retries counts fabric operations retried after transient faults
 	// (request receives and chunk pulls).
 	Retries int
@@ -639,9 +613,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.NumCompute < 1 {
 		return nil, fmt.Errorf("predata: NumCompute %d must be >= 1", cfg.NumCompute)
 	}
-	if cfg.Route == nil {
-		cfg.Route = DefaultRoute
-	}
 	if cfg.Engine == nil {
 		cfg.Engine = staging.NewEngine(staging.Config{})
 	}
@@ -655,7 +626,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.StagingBase = cfg.NumCompute
 	}
 	if cfg.Membership == nil {
-		cfg.Membership = newMembership(nil, cfg.Route, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
+		cfg.Membership = newMembership(nil, cfg.NumCompute, cfg.NumStaging, cfg.StagingBase)
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -664,7 +635,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		epoch:   -1,
 	}
 	for r := 0; r < cfg.NumCompute; r++ {
-		if cfg.Route(r, cfg.NumCompute, cfg.NumStaging) == cfg.StagingIndex {
+		if DefaultRoute(r, cfg.NumCompute, cfg.NumStaging) == cfg.StagingIndex {
 			s.served = append(s.served, r)
 		}
 	}
@@ -800,8 +771,7 @@ func (d *dumpRun) failed() bool {
 // journaled dump keeps them for the re-pull.
 func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, d *dumpRun) (*staging.Result, error) {
 	stats := d.stats
-	// A filter stone would judge a chunk before its bytes are checked.
-	d.blocks = s.cfg.ChunkFilter == nil && blockMapped(ops)
+	d.blocks = blockMapped(ops)
 	start := time.Now()
 	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
 	local := make([]RankPartial, len(reqs))
@@ -828,11 +798,7 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 	// Stages 3+4. The feed runs beside the engine so that network
 	// movement overlaps Map execution, as on the real machine.
 	start = time.Now()
-	order := s.cfg.ChunkOrder
-	if order == nil {
-		order = func(a, b FetchRequest) bool { return a.WriterRank < b.WriterRank }
-	}
-	sort.Slice(reqs, func(i, j int) bool { return order(reqs[i], reqs[j]) })
+	sort.Slice(reqs, func(i, j int) bool { return reqs[i].WriterRank < reqs[j].WriterRank })
 	chunks := make(chan *staging.Chunk, s.cfg.PullConcurrency)
 
 	// With a flow controller the dump runs under a deadline: admission
@@ -846,7 +812,7 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 		d.flow = s.cfg.Flow.StartDump(timestep)
 		defer d.flow.Finish()
 	}
-	mgr, decode, filter, err := s.newStoneGraph(d.flow, chunks)
+	mgr, decode, err := s.newStoneGraph(d.flow, chunks)
 	if err != nil {
 		return nil, err
 	}
@@ -855,11 +821,6 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 		// Drain the stone graph, then release the engine.
 		if err := mgr.Close(); err != nil {
 			d.fail(err)
-		}
-		if filter != nil {
-			d.mu.Lock()
-			stats.ChunksFiltered = int(filter.Stats().Dropped)
-			d.mu.Unlock()
 		}
 		close(chunks)
 	}()
@@ -886,7 +847,7 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 		err = s.commitDump(timestep)
 	}
 	// Every held chunk is released here, whatever became of it —
-	// processed, spilled, passed or filtered — and its writer may reuse
+	// processed, spilled or passed — and its writer may reuse
 	// the frame.
 	if err == nil || s.cfg.Journal == nil {
 		for _, h := range d.held {
@@ -906,38 +867,19 @@ func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []Fetch
 }
 
 // newStoneGraph builds the event-stream graph packed chunks cross on
-// their way to the engine: decode stone -> optional filter stone ->
-// terminal stone feeding chunks. The stones' bounded queues propagate
-// backpressure from a slow engine all the way to the feed.
-func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Chunk) (mgr *evpath.Manager, decode, filter *evpath.Stone, err error) {
+// their way to the engine: decode stone -> terminal stone feeding
+// chunks. The stones' bounded queues propagate backpressure from a slow
+// engine all the way to the feed.
+func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Chunk) (mgr *evpath.Manager, decode *evpath.Stone, err error) {
 	mgr = evpath.NewManager()
-	head, err := mgr.NewTerminalStone(func(e *evpath.Event) error {
+	terminal, err := mgr.NewTerminalStone(func(e *evpath.Event) error {
 		if chunk := e.Data.(*staging.Chunk); chunk != nil {
 			chunks <- chunk
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if s.cfg.ChunkFilter != nil {
-		filter, err = mgr.NewFilterStone(func(e *evpath.Event) bool {
-			chunk := e.Data.(*staging.Chunk)
-			keep := s.cfg.ChunkFilter(chunk)
-			if !keep && chunk.Release != nil {
-				// A dropped chunk never reaches the engine, so its budget
-				// credits come back here.
-				chunk.Release()
-			}
-			return keep
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := filter.LinkTo(head); err != nil {
-			return nil, nil, nil, err
-		}
-		head = filter
+		return nil, nil, err
 	}
 	decode, err = mgr.NewTransformStone(func(e *evpath.Event) (*evpath.Event, error) {
 		p := e.Data.(*pulledChunk)
@@ -970,10 +912,10 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 		return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	if err := decode.LinkTo(head); err != nil {
-		return nil, nil, nil, err
+	if err := decode.LinkTo(terminal); err != nil {
+		return nil, nil, err
 	}
 	if flow != nil {
 		// Byte-weighted stone queue: the decode stone's backlog is bounded
@@ -981,10 +923,10 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 		// cannot buffer more than one budget's worth of packed bytes.
 		weigh := func(e *evpath.Event) int64 { return int64(len(e.Data.(*pulledChunk).buf)) }
 		if err := decode.SetByteLimit(s.cfg.Flow.Budget().Capacity(), weigh); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	return mgr, decode, filter, nil
+	return mgr, decode, nil
 }
 
 // feedPulled submits one dump's chunks — reqs is in stream order — to

@@ -307,46 +307,6 @@ func TestPipelineValidation(t *testing.T) {
 	}
 }
 
-// TestChunkFilterDropsBeforeOperators: the evpath filter stone discards
-// chunks from odd writer ranks before any Map call sees them.
-func TestChunkFilterDropsBeforeOperators(t *testing.T) {
-	const numCompute = 6
-	cfg := PipelineConfig{
-		NumCompute: numCompute,
-		NumStaging: 2,
-		Dumps:      1,
-		ChunkFilter: func(c *staging.Chunk) bool {
-			return c.WriterRank%2 == 0
-		},
-	}
-	res, err := RunPipeline(cfg,
-		func(comm *mpi.Comm, client *Client) error {
-			_, err := client.Write(testSchema, ffs.Record{"values": []float64{1, 2, 3}}, 0)
-			return err
-		},
-		func(dump int) []staging.Operator { return []staging.Operator{&countOp{}} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total, filtered, processed int64
-	for rank := 0; rank < 2; rank++ {
-		n, _ := res.StagingResults[rank][0].PerOperator["count"]["n"].(int64)
-		total += n
-		filtered += int64(res.StagingStats[rank][0].ChunksFiltered)
-		processed += int64(res.StagingResults[rank][0].Chunks)
-	}
-	// Chunks processed excludes filtered ones: only even writer ranks.
-	if processed != numCompute/2 {
-		t.Errorf("processed %d chunks, want %d", processed, numCompute/2)
-	}
-	if total != 3*numCompute/2 {
-		t.Errorf("operators saw %d values, want %d", total, 3*numCompute/2)
-	}
-	if filtered != numCompute/2 {
-		t.Errorf("filtered %d chunks, want %d", filtered, numCompute/2)
-	}
-}
-
 // TestPipelineAbortsOnComputeFailure: a compute rank failing mid-job must
 // abort the whole pipeline promptly — staging ranks blocked waiting for
 // that rank's fetch request must error out rather than deadlock. This is

@@ -147,7 +147,6 @@ func activeStagingAt(inj *faults.Injector, stagingBase int, live []int, dump int
 // over its own layout.
 type Membership struct {
 	inj                                 *faults.Injector
-	route                               RouteFunc
 	numCompute, numStaging, stagingBase int
 	// everyone is the view with every staging rank serving: each dump's
 	// view when nothing can change membership, and what a fixed pool's
@@ -162,9 +161,9 @@ type Membership struct {
 
 // newMembership returns the membership of a fixed staging area laid out
 // as given, subject to inj's plan (nil: fault-free).
-func newMembership(inj *faults.Injector, route RouteFunc, numCompute, numStaging, stagingBase int) *Membership {
+func newMembership(inj *faults.Injector, numCompute, numStaging, stagingBase int) *Membership {
 	all := liveStagingAt(nil, stagingBase, numStaging, 0)
-	return &Membership{inj: inj, route: route,
+	return &Membership{inj: inj,
 		numCompute: numCompute, numStaging: numStaging, stagingBase: stagingBase,
 		everyone: epochView{live: all, active: all}}
 }
@@ -203,10 +202,10 @@ func (m *Membership) at(ts int64) (epochView, error) {
 }
 
 // pick resolves the staging index serving writer under dump ts's view v.
-// An elastic run places the writer by Route's position within the active
-// set, so every resize rebalances the whole pool. A fixed pool keeps each
-// writer on its primary, rehashing onto the serving ranks when the
-// primary has crashed or sits the dump out, and walking past staging
+// An elastic run places the writer by DefaultRoute's position within the
+// active set, so every resize rebalances the whole pool. A fixed pool
+// keeps each writer on its primary, rehashing onto the serving ranks when
+// the primary has crashed or sits the dump out, and walking past staging
 // ranks the writer cannot reach when a partition cuts the link. Both
 // sides of the fabric derive the view from the same shared fault plan —
 // the modeled equivalent of a dump-aligned probe — so producers and
@@ -214,9 +213,9 @@ func (m *Membership) at(ts int64) (epochView, error) {
 // is assumed: writer rank r lives at fabric endpoint r.
 func (m *Membership) pick(v epochView, writer int, ts int64) (idx int, rerouted bool, err error) {
 	if m.sched != nil {
-		return v.active[m.route(writer, m.numCompute, len(v.active))], false, nil
+		return v.active[DefaultRoute(writer, m.numCompute, len(v.active))], false, nil
 	}
-	primary := m.route(writer, m.numCompute, m.numStaging)
+	primary := DefaultRoute(writer, m.numCompute, m.numStaging)
 	if m.inj == nil {
 		return primary, false, nil
 	}

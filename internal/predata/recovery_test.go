@@ -40,7 +40,7 @@ func TestEffectiveRouteRehash(t *testing.T) {
 		numStaging = 3
 		base       = 8 // staging idx 1 lives at endpoint 9
 	)
-	member := newMembership(inj, DefaultRoute, numCompute, numStaging, base)
+	member := newMembership(inj, numCompute, numStaging, base)
 	for w := 0; w < numCompute; w++ {
 		// Before the crash every writer keeps its primary.
 		idx, rerouted, err := member.serverFor(w, 1)
@@ -67,7 +67,7 @@ func TestEffectiveRouteRehash(t *testing.T) {
 	all, _ := faults.NewInjector(faults.Plan{Crashes: []faults.Crash{
 		{Endpoint: 8, AtDump: 0}, {Endpoint: 9, AtDump: 0}, {Endpoint: 10, AtDump: 0},
 	}})
-	if _, _, err := newMembership(all, DefaultRoute, numCompute, numStaging, base).serverFor(0, 0); err == nil {
+	if _, _, err := newMembership(all, numCompute, numStaging, base).serverFor(0, 0); err == nil {
 		t.Error("routing with zero live staging ranks succeeded")
 	}
 }

@@ -59,8 +59,8 @@ func (p *probeOp) Reduce(ctx *staging.Context, tag int, values []any) error {
 }
 
 // TestJournaledRegionHeldUntilCommit pins journal by reference: with a
-// journal, every chunk the dump will reduce — and one the filter drops —
-// still has its writer's region exposed while Reduce runs, and every
+// journal, every chunk the dump will reduce still has its writer's
+// region exposed while Reduce runs, and every
 // region is released once ServeDump has committed the dump. Without a
 // journal the regions are held just as long, because the staging side
 // reads a chunk's bytes until the dump's Finalize returns and the writer
@@ -70,10 +70,8 @@ func (p *probeOp) Reduce(ctx *staging.Context, tag int, values []any) error {
 // give up: it is shed, not part of the dump.
 func TestJournaledRegionHeldUntilCommit(t *testing.T) {
 	const (
-		processed = 0 // reduced
-		corrupt   = 1 // source copy damaged at Expose: corrupt-dropped
-		filtered  = 2 // dropped by the ChunkFilter stone
-		writers   = 3
+		corrupt = 1 // source copy damaged at Expose: corrupt-dropped; writers 0 and 2 are reduced
+		writers = 3
 	)
 	plan, err := faults.ParsePlan(fmt.Sprintf("corrupt:%d:1:send", corrupt), 1)
 	if err != nil {
@@ -130,9 +128,8 @@ func TestJournaledRegionHeldUntilCommit(t *testing.T) {
 				}
 				server, err := NewServer(ServerConfig{
 					StagingIndex: 0, Comm: world, Endpoint: sep, NumCompute: writers,
-					ChunkFilter: func(c *staging.Chunk) bool { return c.WriterRank != filtered },
-					Retry:       RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-					Journal:     journal,
+					Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+					Journal: journal,
 				})
 				if err != nil {
 					return err
@@ -141,8 +138,8 @@ func TestJournaledRegionHeldUntilCommit(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if stats.CorruptDrops != 1 || stats.ChunksFiltered != 1 {
-					return fmt.Errorf("dump stats %+v, want one corrupt drop and one filtered chunk", stats)
+				if stats.CorruptDrops != 1 {
+					return fmt.Errorf("dump stats %+v, want one corrupt drop", stats)
 				}
 				return nil
 			})
@@ -163,9 +160,8 @@ func TestJournaledRegionHeldUntilCommit(t *testing.T) {
 
 // TestJournaledLadderAcksAtCommit drives a journaled dump down the
 // degradation ladder — spill escalating straight to raw pass-through —
-// with a filter on the stream, and checks that every region is still
-// released: spilled, passed and filtered chunks are all acknowledged
-// at their dump's commit.
+// and checks that every region is still released: spilled and passed
+// chunks are acknowledged at their dump's commit.
 func TestJournaledLadderAcksAtCommit(t *testing.T) {
 	const (
 		numCompute = 16
@@ -180,9 +176,7 @@ func TestJournaledLadderAcksAtCommit(t *testing.T) {
 		PartialCalculate: localMinMax,
 		Aggregate:        globalMinMax,
 		PullConcurrency:  4,
-		// Writer 0 streams first on its rank, ahead of any overload.
-		ChunkFilter: func(c *staging.Chunk) bool { return c.WriterRank != 0 },
-		BufferMB:    1,
+		BufferMB:         1,
 		Overload: flowctl.Policy{
 			Patience:        time.Millisecond,
 			SpillLimitBytes: 1, // the first spilled byte escalates
@@ -201,15 +195,6 @@ func TestJournaledLadderAcksAtCommit(t *testing.T) {
 	ov := res.Overload
 	if ov == nil || ov.SpilledChunks == 0 || ov.PassedChunks == 0 {
 		t.Fatalf("ladder never spilled and passed: %+v", ov)
-	}
-	filtered := 0
-	for _, rankStats := range res.StagingStats {
-		for _, st := range rankStats {
-			filtered += st.ChunksFiltered
-		}
-	}
-	if filtered == 0 {
-		t.Error("the filter dropped no chunk")
 	}
 }
 

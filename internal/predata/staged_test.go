@@ -178,7 +178,7 @@ func TestMembershipStateOf(t *testing.T) {
 	const numCompute, numStaging = 8, 3
 	mk := func(spec string, sched *elastic.Schedule) *Membership {
 		t.Helper()
-		m := newMembership(nil, DefaultRoute, numCompute, numStaging, numCompute)
+		m := newMembership(nil, numCompute, numStaging, numCompute)
 		m.sched, m.deadline = sched, time.Second
 		if spec != "" {
 			plan, err := faults.ParsePlan(spec, 1)

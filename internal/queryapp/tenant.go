@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"predata/internal/dataspaces"
 	"predata/internal/mpi"
 )
 
@@ -16,13 +15,12 @@ import (
 // only ever see its own tenant's data.
 type TenantSession interface {
 	Query(name string, version int, lb, ub []uint64) ([]float64, error)
-	Reduce(name string, version int, lb, ub []uint64, op dataspaces.ReduceOp) (float64, error)
 }
 
 // TenantConfig describes one serve-mode querying run: concurrent cores
-// sweeping a tenant's object with range queries, optionally mixing in
-// reductions, optionally re-sweeping the same regions (the repeated-
-// region workload the serve result cache accelerates).
+// sweeping a tenant's object with range queries, optionally re-sweeping
+// the same regions (the repeated-region workload the serve result cache
+// accelerates).
 type TenantConfig struct {
 	Session TenantSession
 	// Object and Version name the dataset inside the tenant namespace.
@@ -39,26 +37,22 @@ type TenantConfig struct {
 	// Rounds repeats the whole sweep; rounds past the first re-query
 	// identical regions. Zero means 1.
 	Rounds int
-	// ReduceEvery mixes a ReduceSum over the slice into every Nth query
-	// (0 disables reductions).
-	ReduceEvery int
 }
 
 // TenantResult aggregates a serve-mode querying run.
 type TenantResult struct {
 	// P50Seconds and P99Seconds are per-query latency percentiles over
-	// every query issued (ranges and reductions alike).
+	// every query issued.
 	P50Seconds float64
 	P99Seconds float64
 	// QuerySeconds is the mean per-query latency.
 	QuerySeconds float64
 	// TotalSeconds is the wall time of the whole run.
 	TotalSeconds float64
-	// Cells counts values retrieved by range queries; Queries and
-	// Reduces count the operations issued.
+	// Cells counts values retrieved by range queries; Queries counts the
+	// queries issued.
 	Cells   int64
 	Queries int64
-	Reduces int64
 }
 
 // RunTenant executes the serve-mode querying application and validates
@@ -88,14 +82,13 @@ func RunTenant(cfg TenantConfig) (TenantResult, error) {
 		latencies []time.Duration
 		cells     int64
 		gets      int64
-		reduces   int64
 	)
 	start := time.Now()
 	err := mpi.Run(cfg.Cores, func(c *mpi.Comm) error {
 		slabLo := uint64(c.Rank()) * rows / uint64(cfg.Cores)
 		slabHi := uint64(c.Rank()+1) * rows / uint64(cfg.Cores)
 		local := make([]time.Duration, 0, cfg.Rounds*cfg.Queries)
-		var localCells, localGets, localReduces int64
+		var localCells, localGets int64
 		for round := 0; round < cfg.Rounds; round++ {
 			for q := 0; q < cfg.Queries; q++ {
 				lo := slabLo + uint64(q)*(slabHi-slabLo)/uint64(cfg.Queries)
@@ -105,19 +98,12 @@ func RunTenant(cfg TenantConfig) (TenantResult, error) {
 				}
 				lb, ub := []uint64{lo, 0}, []uint64{hi, cfg.Domain[1]}
 				qStart := time.Now()
-				if cfg.ReduceEvery > 0 && q%cfg.ReduceEvery == cfg.ReduceEvery-1 {
-					if _, err := cfg.Session.Reduce(cfg.Object, cfg.Version, lb, ub, dataspaces.ReduceSum); err != nil {
-						return fmt.Errorf("queryapp: core %d round %d reduce %d: %w", c.Rank(), round, q, err)
-					}
-					localReduces++
-				} else {
-					region, err := cfg.Session.Query(cfg.Object, cfg.Version, lb, ub)
-					if err != nil {
-						return fmt.Errorf("queryapp: core %d round %d query %d: %w", c.Rank(), round, q, err)
-					}
-					localCells += int64(len(region))
-					localGets++
+				region, err := cfg.Session.Query(cfg.Object, cfg.Version, lb, ub)
+				if err != nil {
+					return fmt.Errorf("queryapp: core %d round %d query %d: %w", c.Rank(), round, q, err)
 				}
+				localCells += int64(len(region))
+				localGets++
 				local = append(local, time.Since(qStart))
 			}
 		}
@@ -125,7 +111,6 @@ func RunTenant(cfg TenantConfig) (TenantResult, error) {
 		latencies = append(latencies, local...)
 		cells += localCells
 		gets += localGets
-		reduces += localReduces
 		mu.Unlock()
 		return nil
 	})
@@ -136,7 +121,6 @@ func RunTenant(cfg TenantConfig) (TenantResult, error) {
 		TotalSeconds: time.Since(start).Seconds(),
 		Cells:        cells,
 		Queries:      gets,
-		Reduces:      reduces,
 	}
 	if len(latencies) > 0 {
 		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
@@ -148,13 +132,9 @@ func RunTenant(cfg TenantConfig) (TenantResult, error) {
 		res.P50Seconds = percentile(latencies, 0.50).Seconds()
 		res.P99Seconds = percentile(latencies, 0.99).Seconds()
 	}
-	// Coverage: range queries sweep the full domain once per round,
-	// minus the slices reductions took over.
-	if cfg.ReduceEvery == 0 {
-		want := int64(cfg.Domain[0]*cfg.Domain[1]) * int64(cfg.Rounds)
-		if cells != want {
-			return res, fmt.Errorf("queryapp: retrieved %d cells of %d", cells, want)
-		}
+	// Coverage: range queries sweep the full domain once per round.
+	if want := int64(cfg.Domain[0]*cfg.Domain[1]) * int64(cfg.Rounds); cells != want {
+		return res, fmt.Errorf("queryapp: retrieved %d cells of %d", cells, want)
 	}
 	return res, nil
 }

@@ -65,25 +65,3 @@ func TestRunTenantCoverageAndPercentiles(t *testing.T) {
 		t.Fatalf("cache hits %d after repeated rounds, want >= %d", st.Hits, 4*8)
 	}
 }
-
-func TestRunTenantReduceMix(t *testing.T) {
-	_, s, domain := seedTenant(t, 0)
-	res, err := queryapp.RunTenant(queryapp.TenantConfig{
-		Session:     s,
-		Object:      "field",
-		Version:     0,
-		Domain:      domain,
-		Cores:       2,
-		Queries:     8,
-		ReduceEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reduces != 2*2 {
-		t.Fatalf("reduces %d, want 4 (every 4th of 8 queries on 2 cores)", res.Reduces)
-	}
-	if res.Queries != 2*6 {
-		t.Fatalf("range queries %d, want 12", res.Queries)
-	}
-}

@@ -17,12 +17,10 @@ import (
 // Config configures a Daemon.
 type Config struct {
 	// Servers is the baseline DataSpaces shard count; the daemon grows
-	// the shard pool by one per additional tenant (the same atomic
-	// shard handoff RunElastic drives through Reconfigure) and shrinks
-	// it back as tenants leave. MaxServers caps the growth (default
-	// Servers + 7).
-	Servers    int
-	MaxServers int
+	// the shard pool by one per additional tenant, up to maxExtraServers
+	// more, through the space's atomic shard handoff, and shrinks it back
+	// as tenants leave.
+	Servers int
 	// Domain is the global grid every tenant's objects live on.
 	Domain dataspaces.Domain
 	// CapacityBytes is the staging admission pot shared by all tenants
@@ -67,12 +65,6 @@ type Daemon struct {
 func Open(cfg Config) (*Daemon, error) {
 	if cfg.Servers <= 0 {
 		cfg.Servers = 2
-	}
-	if cfg.MaxServers <= 0 {
-		cfg.MaxServers = cfg.Servers + 7
-	}
-	if cfg.MaxServers < cfg.Servers {
-		return nil, fmt.Errorf("serve: MaxServers %d below Servers %d", cfg.MaxServers, cfg.Servers)
 	}
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 256 << 20
@@ -162,19 +154,14 @@ func (d *Daemon) CacheStats() CacheStats {
 	return d.cache.snapshot()
 }
 
+// maxExtraServers caps how many shards tenants add over Config.Servers.
+const maxExtraServers = 7
+
 // targetServersLocked scales the shard pool with the tenant count:
 // baseline shards for the first tenant, one more per extra tenant,
-// capped at MaxServers.
+// capped at maxExtraServers more.
 func (d *Daemon) targetServersLocked() int {
-	extra := len(d.sessions) - 1
-	if extra < 0 {
-		extra = 0
-	}
-	n := d.cfg.Servers + extra
-	if n > d.cfg.MaxServers {
-		n = d.cfg.MaxServers
-	}
-	return n
+	return d.cfg.Servers + min(max(len(d.sessions)-1, 0), maxExtraServers)
 }
 
 // Join admits a tenant and returns its session. The membership epoch

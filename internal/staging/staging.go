@@ -279,7 +279,9 @@ type taggedValue struct {
 
 // ProcessDump drives all operators over the chunk stream for one I/O dump.
 // Every staging rank of comm must call ProcessDump collectively with the
-// same operator list (the shuffle and reduce phases synchronize). The
+// same operator list (the shuffle and reduce phases synchronize). Results
+// are keyed by operator name, so a name given twice is rejected before
+// any operator runs — on every rank alike, ahead of any collective. The
 // chunks channel must be closed by the producer when the dump's last
 // chunk has been delivered.
 func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operator, agg map[string]any) (*Result, error) {
@@ -290,6 +292,9 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		OperatorEmitted:   make(map[string]int, len(ops)),
 	}
 	for _, op := range ops {
+		if _, dup := res.OperatorBreakdown[op.Name()]; dup {
+			return nil, fmt.Errorf("staging: operator name %q given twice", op.Name())
+		}
 		res.OperatorBreakdown[op.Name()] = metrics.NewBreakdown()
 	}
 	ctxs := make([]*Context, len(ops))

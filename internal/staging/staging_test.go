@@ -376,6 +376,30 @@ func TestMultipleOperatorsShareStream(t *testing.T) {
 	}
 }
 
+// TestDuplicateOperatorNameRejected: results are keyed by operator name,
+// so a second operator of the same name would overwrite the first's.
+// Every rank rejects the list before Initialize, so none is left waiting
+// in a collective.
+func TestDuplicateOperatorNameRejected(t *testing.T) {
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		opA := &histOp{bins: 2, min: 0, max: 2}
+		opB := &histOp{bins: 2, min: 0, max: 2}
+		eng := NewEngine(Config{})
+		_, err := eng.ProcessDump(c, feed([]*Chunk{makeChunk(c.Rank(), []float64{0.5})}),
+			[]Operator{opA, opB}, nil)
+		if err == nil || !strings.Contains(err.Error(), `"hist" given twice`) {
+			return fmt.Errorf("rank %d: err = %v, want the repeated name rejected", c.Rank(), err)
+		}
+		if opA.final != nil || opB.final != nil {
+			return fmt.Errorf("rank %d: an operator was initialized", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // named renames an operator.
 type named struct {
 	Operator

@@ -73,7 +73,7 @@ const (
 	PhaseDrop          // staging: chunk lost to a crashed writer endpoint (Endpoint = writer, Seq = writer)
 	PhaseScale         // elastic: autoscale decision (Endpoint = direction, Dump = first dump affected, Seq = epoch, Arg = target ranks)
 	PhaseScaleEpoch    // elastic: resize epoch installed (Endpoint = active count, Dump = first dump of epoch, Seq = epoch, Arg = active-index bitmask)
-	PhaseHandoff       // elastic: DataSpaces shard handoff at a resize (Seq = epoch, Arg = cells moved)
+	PhaseHandoff       // serve: DataSpaces shard handoff at a shard-pool resize (Seq = epoch, Arg = cells moved)
 	PhaseDrain         // elastic: span — retiring rank flushes leases/spill before going silent (Seq = epoch, Arg = bytes outstanding at entry)
 	PhaseCorrupt       // fabric: injected payload bit-flip (Endpoint = data owner, Arg = byte offset)
 	PhaseCorruptDetect // predata: CRC verify failed on a pulled chunk (Endpoint = source, Seq = writer, Arg = attempt)
