@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"predata/internal/apps/gtc"
 	"predata/internal/bitmap"
 	"predata/internal/bp"
 	"predata/internal/ffs"
@@ -95,23 +96,22 @@ func cmdGen(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	schema := &ffs.Schema{Name: "particles", Fields: []ffs.Field{{Name: "p", Kind: ffs.KindArray}}}
 	cfg := predata.PipelineConfig{
 		NumCompute:       *writers,
 		NumStaging:       max(1, *writers/4),
 		Dumps:            1,
-		PartialCalculate: ops.MinMaxPartial("p", []int{0, 6}),
+		PartialCalculate: ops.MinMaxPartial("p", []int{gtc.AttrZeta, gtc.AttrRank}),
 		Aggregate:        ops.MinMaxAggregate(),
 	}
 	_, err = predata.RunPipeline(cfg,
 		func(comm *mpi.Comm, client *predata.Client) error {
-			arr := genParticles(comm.Rank(), *particles)
-			_, err := client.Write(schema, ffs.Record{"p": arr}, 0)
+			arr := gtc.GenParticles(comm.Rank(), *particles, 0)
+			_, err := client.Write(gtc.ParticleSchema, ffs.Record{"p": arr}, 0)
 			return err
 		},
 		func(dump int) []staging.Operator {
 			op, err := ops.NewSortOperator(ops.SortConfig{
-				Var: "p", KeyMajor: 6, KeyMinor: 7, AggFromColumn: true, Output: bw,
+				Var: "p", KeyMajor: gtc.AttrRank, KeyMinor: gtc.AttrLocalID, AggFromColumn: true, Output: bw,
 			})
 			if err != nil {
 				return nil
@@ -130,27 +130,6 @@ func cmdGen(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "wrote %s: %d writers x %d particles, sorted by label through the staging pipeline\n",
 		*out, *writers, *particles)
 	return nil
-}
-
-// genParticles builds one writer's [N,8] particle array with uniform
-// attributes and the (rank, id) label in columns 6 and 7.
-func genParticles(rank, n int) *ffs.Array {
-	const k = 8
-	data := make([]float64, n*k)
-	state := uint64(rank*2654435761 + 12345)
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11) / float64(1<<53)
-	}
-	for i := 0; i < n; i++ {
-		row := data[i*k:]
-		for c := 0; c < 6; c++ {
-			row[c] = next()
-		}
-		row[6] = float64(rank)
-		row[7] = float64(i)
-	}
-	return &ffs.Array{Dims: []uint64{uint64(n), k}, Float64: data}
 }
 
 func cmdLs(w io.Writer, args []string) error {

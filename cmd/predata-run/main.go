@@ -209,6 +209,7 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 		cfg.PartialCalculate = ops.MinMaxPartial(varFor(app), cols)
 		cfg.Aggregate = ops.MinMaxAggregate()
 	}
+	wl := workload{app: app, particles: particles, local: local, frames: frames, dumps: dumps, seed: faultSeed}
 	start := time.Now()
 	var (
 		res   *predata.PipelineResult
@@ -220,7 +221,7 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 			return err
 		}
 		res, scale, err = predata.RunElastic(cfg, predata.ElasticConfig{Policy: pol},
-			computeFn(app, particles, local, frames, dumps, faultSeed), factory)
+			computeFn(wl), factory)
 		if err != nil {
 			return err
 		}
@@ -228,7 +229,7 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 		if scalePolicy != "" {
 			return fmt.Errorf("-scale-policy requires -elastic")
 		}
-		res, err = predata.RunPipeline(cfg, computeFn(app, particles, local, frames, dumps, faultSeed), factory)
+		res, err = predata.RunPipeline(cfg, computeFn(wl), factory)
 		if err != nil {
 			return err
 		}
@@ -362,15 +363,8 @@ func exportTrace(recorder *trace.Recorder, path string) error {
 	return nil
 }
 
-func varFor(app string) string {
-	switch app {
-	case "pixie3d":
-		return "rho"
-	case "xray":
-		return "frames"
-	}
-	return "p"
-}
+// varFor names the app's one output variable.
+func varFor(app string) string { return workload{app: app}.schema().Fields[0].Name }
 
 func partialCols(app string) []int {
 	switch app {
@@ -428,58 +422,91 @@ func scaleDirName(dir int) string {
 	return "hold"
 }
 
-// computeFn builds the per-rank application driver.
-func computeFn(app string, particles, local, frames, dumps int, seed int64) predata.ComputeFunc {
-	if app == "xray" {
-		return func(comm *mpi.Comm, client *predata.Client) error {
-			det, err := xray.New(xray.Config{
-				Rank:       comm.Rank(),
-				NumRanks:   comm.Size(),
-				BaseFrames: frames,
-				Steps:      dumps,
-				Seed:       seed,
-			})
-			if err != nil {
-				return err
-			}
-			schema := xray.Schema()
-			for step := 0; step < dumps; step++ {
-				if _, err := client.Write(schema, ffs.Record{"frames": det.Frames(int64(step))}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+// workload is one compute rank's application: the app and the sizes of
+// its dumps. Both modes run it, each through its own adios.Writer.
+type workload struct {
+	app                      string
+	particles, local, frames int
+	dumps                    int
+	seed                     int64
+}
+
+// schema is the app's ADIOS output group.
+func (wl workload) schema() *ffs.Schema {
+	switch wl.app {
+	case "pixie3d":
+		return &ffs.Schema{Name: "pixie", Fields: []ffs.Field{{Name: "rho", Kind: ffs.KindArray}}}
+	case "xray":
+		return xray.Schema()
 	}
-	if app == "pixie3d" {
-		return func(comm *mpi.Comm, client *predata.Client) error {
-			n := uint64(local * local * local)
-			global := []uint64{n * uint64(comm.Size())}
-			schema := &ffs.Schema{Name: "pixie", Fields: []ffs.Field{{Name: "rho", Kind: ffs.KindArray}}}
-			for step := 0; step < dumps; step++ {
-				data := make([]float64, n)
-				for i := range data {
-					data[i] = float64(comm.Rank())*1000 + float64(i)
-				}
-				arr := &ffs.Array{
-					Dims: []uint64{n}, Global: global,
-					Offsets: []uint64{n * uint64(comm.Rank())}, Float64: data,
-				}
-				if _, err := client.Write(schema, ffs.Record{"rho": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
+	return gtc.ParticleSchema
+}
+
+// arrays returns what rank writes at each dump: the generated particles,
+// one 1-D slab of a global array for the reorg operator to merge, or
+// the detector's frames.
+func (wl workload) arrays(rank, size int) (func(step int) *ffs.Array, error) {
+	switch wl.app {
+	case "xray":
+		det, err := xray.New(xray.Config{
+			Rank: rank, NumRanks: size, BaseFrames: wl.frames, Steps: wl.dumps, Seed: wl.seed,
+		})
+		if err != nil {
+			return nil, err
 		}
+		return func(step int) *ffs.Array { return det.Frames(int64(step)) }, nil
+	case "pixie3d":
+		n := uint64(wl.local * wl.local * wl.local)
+		return func(int) *ffs.Array {
+			data := make([]float64, n)
+			for i := range data {
+				data[i] = float64(rank)*1000 + float64(i)
+			}
+			return &ffs.Array{
+				Dims: []uint64{n}, Global: []uint64{n * uint64(size)},
+				Offsets: []uint64{n * uint64(rank)}, Float64: data,
+			}
+		}, nil
 	}
+	return func(step int) *ffs.Array { return gtc.GenParticles(rank, wl.particles, int64(step)) }, nil
+}
+
+// write writes rank's dumps through w, one step each, and returns their
+// summed cost.
+func (wl workload) write(w adios.Writer, rank, size int) (adios.StepResult, error) {
+	var total adios.StepResult
+	array, err := wl.arrays(rank, size)
+	if err != nil {
+		return total, err
+	}
+	v := varFor(wl.app)
+	for step := 0; step < wl.dumps; step++ {
+		if err := w.BeginStep(int64(step)); err != nil {
+			return total, err
+		}
+		if err := w.Write(v, array(step)); err != nil {
+			return total, err
+		}
+		sr, err := w.EndStep()
+		if err != nil {
+			return total, err
+		}
+		total.Modeled += sr.Modeled
+		total.Bytes += sr.Bytes
+	}
+	return total, nil
+}
+
+// computeFn is the staging mode's per-rank driver: the workload written
+// through the PreDatA client.
+func computeFn(wl workload) predata.ComputeFunc {
 	return func(comm *mpi.Comm, client *predata.Client) error {
-		for step := 0; step < dumps; step++ {
-			arr := gtc.GenParticles(comm.Rank(), particles, int64(step))
-			if _, err := client.Write(gtc.ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-				return err
-			}
+		w, err := adios.NewStagingWriter(client, wl.schema())
+		if err != nil {
+			return err
 		}
-		return nil
+		_, err = wl.write(w, comm.Rank(), comm.Size())
+		return err
 	}
 }
 
@@ -601,52 +628,24 @@ func runInCompute(app string, compute, particles, local, dumps int) error {
 	if err != nil {
 		return err
 	}
+	wl := workload{app: app, particles: particles, local: local, dumps: dumps}
 	var (
-		mu      sync.Mutex
-		visible time.Duration
-		bytes   int64
-		n       int
+		mu    sync.Mutex
+		total adios.StepResult
 	)
-	writeStep := func(w adios.Writer, rank, step int) error {
-		if err := w.BeginStep(int64(step)); err != nil {
-			return err
-		}
-		if app == "pixie3d" {
-			nCells := uint64(local * local * local)
-			data := make([]float64, nCells)
-			if err := w.Write("rho", &ffs.Array{
-				Dims: []uint64{nCells}, Global: []uint64{nCells * uint64(compute)},
-				Offsets: []uint64{nCells * uint64(rank)}, Float64: data,
-			}); err != nil {
-				return err
-			}
-		} else {
-			arr := gtc.GenParticles(rank, particles, int64(step))
-			if err := w.Write("p", arr); err != nil {
-				return err
-			}
-		}
-		sr, err := w.EndStep()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		visible += sr.Modeled
-		bytes += sr.Bytes
-		n++
-		mu.Unlock()
-		return nil
-	}
 	err = mpi.Run(compute, func(comm *mpi.Comm) error {
 		w, err := adios.NewMPIIOWriter(bw, comm.Rank(), comm.Rank() == 0)
 		if err != nil {
 			return err
 		}
-		for step := 0; step < dumps; step++ {
-			if err := writeStep(w, comm.Rank(), step); err != nil {
-				return err
-			}
+		sr, err := wl.write(w, comm.Rank(), comm.Size())
+		if err != nil {
+			return err
 		}
+		mu.Lock()
+		total.Modeled += sr.Modeled
+		total.Bytes += sr.Bytes
+		mu.Unlock()
 		if err := comm.Barrier(); err != nil {
 			return err
 		}
@@ -655,8 +654,12 @@ func runInCompute(app string, compute, particles, local, dumps int) error {
 	if err != nil {
 		return err
 	}
+	var mean time.Duration
+	if dumps > 0 {
+		mean = total.Modeled / time.Duration(compute*dumps)
+	}
 	fmt.Printf("in-compute-node: %d ranks x %d dumps, %.1f MB total, mean visible write %v/rank/dump (modeled synchronous)\n",
-		compute, dumps, float64(bytes)/1e6, (visible / time.Duration(n)).Round(time.Microsecond))
+		compute, dumps, float64(total.Bytes)/1e6, mean.Round(time.Microsecond))
 	r, err := bp.OpenReader(fs, "incompute.bp")
 	if err != nil {
 		return err

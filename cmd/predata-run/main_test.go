@@ -266,6 +266,7 @@ func TestModeFromConfig(t *testing.T) {
 // TestCLIRejects: sizes no run can have are usage errors (exit 2) before
 // any rank starts, and an operator list naming one operator twice fails
 // the run (exit 1) instead of one result silently overwriting the other.
+// Zero dumps is a run that writes nothing, in either mode (exit 0).
 func TestCLIRejects(t *testing.T) {
 	small := []string{"-compute", "2", "-staging", "1", "-particles", "100", "-dumps", "1"}
 	for _, c := range []struct {
@@ -284,6 +285,8 @@ func TestCLIRejects(t *testing.T) {
 		{"negative checkpoint-every", []string{"-checkpoint-every", "-1"}, 2},
 		{"hist twice", append([]string{"-ops", "hist,hist"}, small...), 1},
 		{"sort twice", append([]string{"-ops", "sort,sort"}, small...), 1},
+		{"zero dumps staging", []string{"-compute", "2", "-staging", "1", "-dumps", "0"}, 0},
+		{"zero dumps incompute", []string{"-mode", "incompute", "-compute", "2", "-dumps", "0"}, 0},
 	} {
 		if got := cli(c.args); got != c.code {
 			t.Errorf("%s: exit status %d, want %d", c.name, got, c.code)

@@ -124,7 +124,7 @@ func run(w io.Writer, tenants, versions, rows, cols, window, cache, cores, queri
 	start := time.Now()
 	var wg sync.WaitGroup
 	errc := make(chan error, tenants)
-	queryResults := make([]queryapp.TenantResult, tenants)
+	queryResults := make([]queryapp.Result, tenants)
 	for i, s := range sessions {
 		wg.Add(1)
 		go func(i int, s *serve.Session) {
@@ -145,8 +145,8 @@ func run(w io.Writer, tenants, versions, rows, cols, window, cache, cores, queri
 					}
 				}
 			}
-			res, err := queryapp.RunTenant(queryapp.TenantConfig{
-				Session: s,
+			res, err := queryapp.Run(queryapp.Config{
+				Query:   s.Query,
 				Object:  "field",
 				Version: versions - 1,
 				Domain:  []uint64{uint64(rows), uint64(cols)},

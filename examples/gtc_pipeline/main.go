@@ -74,17 +74,7 @@ func main() {
 				if err := sim.Step(comm); err != nil {
 					return err
 				}
-				// The PreDatA pipeline serves timesteps 0..Dumps-1.
-				if err := w.BeginStep(int64(s)); err != nil {
-					return err
-				}
-				if err := w.Write("electrons", sim.Particles(gtc.Electrons)); err != nil {
-					return err
-				}
-				if err := w.Write("ions", sim.Particles(gtc.Ions)); err != nil {
-					return err
-				}
-				sr, err := w.EndStep()
+				sr, err := sim.WriteOutput(w)
 				if err != nil {
 					return err
 				}

@@ -18,6 +18,7 @@ import (
 	"log"
 	"math"
 
+	"predata/internal/adios"
 	"predata/internal/apps/gtc"
 	"predata/internal/bitmap"
 	"predata/internal/dataspaces"
@@ -138,15 +139,15 @@ func main() {
 			if err != nil {
 				return err
 			}
+			w, err := adios.NewStagingWriter(client, gtc.Schema())
+			if err != nil {
+				return err
+			}
 			for s := 0; s < steps; s++ {
 				if err := sim.Step(comm); err != nil {
 					return err
 				}
-				rec := ffs.Record{
-					"electrons": sim.Particles(gtc.Electrons),
-					"ions":      sim.Particles(gtc.Ions),
-				}
-				if _, err := client.Write(gtc.Schema(), rec, int64(s)); err != nil {
+				if _, err := sim.WriteOutput(w); err != nil {
 					return err
 				}
 			}

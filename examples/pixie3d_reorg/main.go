@@ -23,7 +23,6 @@ import (
 	"predata/internal/adios"
 	"predata/internal/apps/pixie3d"
 	"predata/internal/bp"
-	"predata/internal/ffs"
 	"predata/internal/mpi"
 	"predata/internal/ops"
 	"predata/internal/pfs"
@@ -45,13 +44,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// --- In-Compute-Node configuration: synchronous unmerged write. ---
-	unmerged, err := bp.CreateWriter(fs, "pixie_unmerged.bp", 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var icVisible time.Duration
-	err = mpi.Run(ranks, func(comm *mpi.Comm) error {
+	// One per-rank body runs under both configurations; only the
+	// adios.Writer it is handed differs. Rank 0 keeps its visible write
+	// time and its diagnostics.
+	var (
+		visible time.Duration
+		diag    pixie3d.Diagnostics
+	)
+	body := func(comm *mpi.Comm, w adios.Writer) error {
 		sim, err := pixie3d.New(pixie3d.Config{
 			Rank: comm.Rank(), ProcGrid: [3]int{2, 2, 2},
 			LocalSize: localSize, InnerIters: 2, Seed: 3,
@@ -62,21 +62,28 @@ func main() {
 		if err := sim.Step(comm); err != nil {
 			return err
 		}
-		if comm.Rank() == 0 {
-			d := sim.ComputeDiagnostics()
-			fmt.Printf("diagnostics (rank 0): energy=%.3f flux=%.3f divergence=%.3f maxVel=%.3f\n",
-				d.Energy, d.Flux, d.Divergence, d.MaxVelocity)
-		}
-		w, err := adios.NewMPIIOWriter(unmerged, comm.Rank(), comm.Rank() == 0)
-		if err != nil {
-			return err
-		}
 		sr, err := sim.WriteOutput(w)
 		if err != nil {
 			return err
 		}
 		if comm.Rank() == 0 {
-			icVisible = sr.Modeled
+			visible, diag = sr.Modeled, sim.ComputeDiagnostics()
+		}
+		return nil
+	}
+
+	// --- In-Compute-Node configuration: synchronous unmerged write. ---
+	unmerged, err := bp.CreateWriter(fs, "pixie_unmerged.bp", 8)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = mpi.Run(ranks, func(comm *mpi.Comm) error {
+		w, err := adios.NewMPIIOWriter(unmerged, comm.Rank(), comm.Rank() == 0)
+		if err != nil {
+			return err
+		}
+		if err := body(comm, w); err != nil {
+			return err
 		}
 		if err := comm.Barrier(); err != nil {
 			return err
@@ -86,42 +93,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	icVisible := visible
+	fmt.Printf("diagnostics (rank 0): energy=%.3f flux=%.3f divergence=%.3f maxVel=%.3f\n",
+		diag.Energy, diag.Flux, diag.Divergence, diag.MaxVelocity)
 
 	// --- Staging configuration: merge through the reorg operator. ---
 	merged, err := bp.CreateWriter(fs, "pixie_merged.bp", 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var stVisible time.Duration
 	cfg := predata.PipelineConfig{NumCompute: ranks, NumStaging: 2, Dumps: 1}
 	_, err = predata.RunPipeline(cfg,
 		func(comm *mpi.Comm, client *predata.Client) error {
-			sim, err := pixie3d.New(pixie3d.Config{
-				Rank: comm.Rank(), ProcGrid: [3]int{2, 2, 2},
-				LocalSize: localSize, InnerIters: 2, Seed: 3,
-			})
+			w, err := adios.NewStagingWriter(client, pixie3d.Schema())
 			if err != nil {
 				return err
 			}
-			if err := sim.Step(comm); err != nil {
-				return err
-			}
-			rec := ffs.Record{}
-			for _, name := range pixie3d.VarNames {
-				arr, err := sim.Field(name)
-				if err != nil {
-					return err
-				}
-				rec[name] = arr
-			}
-			visible, err := client.Write(pixie3d.Schema(), rec, 0)
-			if err != nil {
-				return err
-			}
-			if comm.Rank() == 0 {
-				stVisible = visible
-			}
-			return nil
+			return body(comm, w)
 		},
 		func(dump int) []staging.Operator {
 			op, err := ops.NewReorgOperator(ops.ReorgConfig{
@@ -138,6 +126,7 @@ func main() {
 	if _, err := merged.Close(); err != nil {
 		log.Fatal(err)
 	}
+	stVisible := visible
 
 	fmt.Printf("\nvisible write time per rank: In-Compute-Node %v (modeled sync) vs Staging %v (pack only)\n",
 		icVisible.Round(time.Microsecond), stVisible.Round(time.Microsecond))
@@ -148,21 +137,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The MPI-IO path stamps the simulation's step number; the
-		// staging pipeline numbers dumps from zero. Look the timestep up
-		// in the file's own index.
-		var info bp.VarInfo
-		for _, vi := range r.Vars() {
-			if vi.Name == "rho" {
-				info = vi
-			}
-		}
-		data, dims, d, err := r.ReadVar("rho", info.Timestep)
+		// Both configurations label the run's one dump timestep 0.
+		data, dims, d, err := r.ReadVar("rho", 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		var extents int
+		for _, vi := range r.Vars() {
+			if vi.Name == "rho" {
+				extents = vi.Chunks
+			}
+		}
 		fmt.Printf("%-20s rho %v in %d extents: modeled read %v\n",
-			file, dims, info.Chunks, d.Round(time.Millisecond))
+			file, dims, extents, d.Round(time.Millisecond))
 		return d, data
 	}
 	dU, dataU := report("pixie_unmerged.bp")

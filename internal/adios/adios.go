@@ -9,6 +9,11 @@
 //   - StagingWriter hands the step to the PreDatA client, which packs the
 //     data and returns as soon as the fetch request is dispatched (the
 //     "Staging" configuration).
+//
+// The GTC and Pixie3D proxies hold to it: their WriteOutput numbers
+// outputs from 0, the timesteps a staging run serves, so the same
+// per-rank code runs under either writer and dump i is timestep i in
+// both.
 package adios
 
 import (

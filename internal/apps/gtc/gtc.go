@@ -75,7 +75,7 @@ type Simulation struct {
 	cfg       Config
 	rng       *rand.Rand
 	particles [speciesCount][]float64
-	step      int64
+	outputs   int64 // outputs written so far: the next one's timestep
 }
 
 // New validates the configuration and builds the initial particle arrays.
@@ -126,7 +126,6 @@ func (s *Simulation) Step(comm *mpi.Comm) error {
 		return fmt.Errorf("gtc: communicator (%d/%d) does not match config (%d/%d)",
 			comm.Rank(), comm.Size(), s.cfg.Rank, s.cfg.NumRanks)
 	}
-	s.step++
 	const dt = 0.01
 	for sp := Species(0); sp < speciesCount; sp++ {
 		data := s.particles[sp]
@@ -198,9 +197,11 @@ func Schema() *ffs.Schema {
 }
 
 // WriteOutput commits both particle arrays for the current step through
-// the given writer.
+// the given writer. Outputs are numbered from 0 in the order they are
+// written, whichever writer takes them: dump i is timestep i in a BP file
+// and the i-th dump a staging run serves.
 func (s *Simulation) WriteOutput(w adios.Writer) (adios.StepResult, error) {
-	if err := w.BeginStep(s.step); err != nil {
+	if err := w.BeginStep(s.outputs); err != nil {
 		return adios.StepResult{}, err
 	}
 	if err := w.Write("electrons", s.Particles(Electrons)); err != nil {
@@ -209,5 +210,9 @@ func (s *Simulation) WriteOutput(w adios.Writer) (adios.StepResult, error) {
 	if err := w.Write("ions", s.Particles(Ions)); err != nil {
 		return adios.StepResult{}, err
 	}
-	return w.EndStep()
+	res, err := w.EndStep()
+	if err == nil {
+		s.outputs++
+	}
+	return res, err
 }

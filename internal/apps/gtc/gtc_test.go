@@ -2,14 +2,17 @@ package gtc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"predata/internal/adios"
 	"predata/internal/bp"
 	"predata/internal/mpi"
 	"predata/internal/pfs"
-
-	"predata/internal/adios"
+	"predata/internal/predata"
+	"predata/internal/staging"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -210,7 +213,7 @@ func TestWriteOutputMPIIO(t *testing.T) {
 	if len(vars) != 2 {
 		t.Fatalf("vars %+v", vars)
 	}
-	data, dims, _, err := r.ReadVar("electrons", 1)
+	data, dims, _, err := r.ReadVar("electrons", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +293,82 @@ func TestGenParticlesShape(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different ranks produced identical particles")
+	}
+}
+
+// TestWriteOutputEitherWriter: one per-rank body, Step then WriteOutput,
+// runs unchanged under both ADIOS writers. A staging run serves dumps
+// 0..Dumps-1, so it completes only if the proxy numbers its outputs from
+// 0; the MPI-IO file then holds dump i under timestep i.
+func TestWriteOutputEitherWriter(t *testing.T) {
+	const ranks, dumps = 2, 2
+	body := func(comm *mpi.Comm, w adios.Writer) error {
+		sim, err := New(Config{
+			Rank: comm.Rank(), NumRanks: comm.Size(),
+			ParticlesPerRank: 30, MigrationFraction: 0.1, Seed: 3,
+		})
+		if err != nil {
+			return err
+		}
+		for d := 0; d < dumps; d++ {
+			if err := sim.Step(comm); err != nil {
+				return err
+			}
+			if _, err := sim.WriteOutput(w); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	_, err := predata.RunPipeline(
+		predata.PipelineConfig{NumCompute: ranks, NumStaging: 1, Dumps: dumps, Timeout: time.Minute},
+		func(comm *mpi.Comm, client *predata.Client) error {
+			w, err := adios.NewStagingWriter(client, Schema())
+			if err != nil {
+				return err
+			}
+			return body(comm, w)
+		},
+		func(int) []staging.Operator { return nil })
+	if err != nil {
+		t.Fatalf("staging run: %v", err)
+	}
+
+	fs, err := pfs.New(pfs.Config{NumOSTs: 4, OSTBandwidth: 1e9, StripeSize: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw, err := bp.CreateWriter(fs, "gtc.bp", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(ranks, func(comm *mpi.Comm) error {
+		w, err := adios.NewMPIIOWriter(bw, comm.Rank(), comm.Rank() == 0)
+		if err != nil {
+			return err
+		}
+		if err := body(comm, w); err != nil {
+			return err
+		}
+		if err := comm.Barrier(); err != nil {
+			return err
+		}
+		return w.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := bp.OpenReader(fs, "gtc.bp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []int64
+	for _, vi := range r.Vars() {
+		if vi.Name == "electrons" {
+			steps = append(steps, vi.Timestep)
+		}
+	}
+	if !slices.Equal(steps, []int64{0, 1}) {
+		t.Fatalf("electrons written at timesteps %v, want [0 1]", steps)
 	}
 }

@@ -46,11 +46,11 @@ type Config struct {
 
 // Simulation is one rank's state: the eight local fields.
 type Simulation struct {
-	cfg    Config
-	coords [3]int
-	fields map[string][]float64
-	step   int64
-	rng    *rand.Rand
+	cfg     Config
+	coords  [3]int
+	fields  map[string][]float64
+	outputs int64 // outputs written so far: the next one's timestep
+	rng     *rand.Rand
 }
 
 // New validates the configuration and builds the initial fields.
@@ -103,7 +103,6 @@ func (s *Simulation) Coords() [3]int { return s.coords }
 // stencil update followed by the collectives of the implicit solver
 // (a residual Allreduce and a solution Bcast).
 func (s *Simulation) Step(comm *mpi.Comm) error {
-	s.step++
 	n := s.cfg.LocalSize
 	for iter := 0; iter < s.cfg.InnerIters; iter++ {
 		// Short computation: 7-point damped diffusion on each field.
@@ -199,9 +198,12 @@ func Schema() *ffs.Schema {
 	return &ffs.Schema{Name: "pixie3d", Fields: fields}
 }
 
-// WriteOutput commits all eight arrays for the current step.
+// WriteOutput commits all eight arrays for the current step. Outputs are
+// numbered from 0 in the order they are written, whichever writer takes
+// them: dump i is timestep i in a BP file and the i-th dump a staging run
+// serves.
 func (s *Simulation) WriteOutput(w adios.Writer) (adios.StepResult, error) {
-	if err := w.BeginStep(s.step); err != nil {
+	if err := w.BeginStep(s.outputs); err != nil {
 		return adios.StepResult{}, err
 	}
 	for _, name := range VarNames {
@@ -213,7 +215,11 @@ func (s *Simulation) WriteOutput(w adios.Writer) (adios.StepResult, error) {
 			return adios.StepResult{}, err
 		}
 	}
-	return w.EndStep()
+	res, err := w.EndStep()
+	if err == nil {
+		s.outputs++
+	}
+	return res, err
 }
 
 // Diagnostics are the derived quantities of the paper's Fig. 2 computed

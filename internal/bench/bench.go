@@ -10,11 +10,15 @@
 //
 // Every functional run of the GTC mini-workload is a leg (leg.go): a
 // PipelineConfig and the operators to run, whose one run method returns
-// the runtime's PipelineResult and the wall time. Experiments (report.go)
-// lists the entry points cmd/predata-bench walks. The runtime's
-// loss/replay/verify invariants are not checked here: each is a test in
-// the package that owns it (EXPERIMENTS.md lists them), and performance
-// numbers of record come from the repository benchmark (go run ./benchmark).
+// the runtime's PipelineResult and the wall time. Every functional run of
+// a proxy application under both configurations is a placement
+// (placement.go): one per-rank body, Step then WriteOutput, under
+// adios.MPIIOWriter and again under adios.StagingWriter. Experiments
+// (report.go) lists the entry points cmd/predata-bench walks. The
+// runtime's loss/replay/verify invariants are not checked here: each is a
+// test in the package that owns it (EXPERIMENTS.md lists them), and
+// performance numbers of record come from the repository benchmark (go
+// run ./benchmark).
 package bench
 
 import (
@@ -133,7 +137,7 @@ func fig8(rp *Report) error {
 // blocking each one exposes to the simulation.
 func fig8Functional(rp *Report) error {
 	rp.header("Fig. 8 — functional mini-run (GTC proxy, 8 ranks x 2 steps, both configurations)")
-	ic, st, err := gtcConfigComparison(8, 2, 10000)
+	ic, st, err := gtcPlacements(8, 2, 10000)
 	if err != nil {
 		return err
 	}
@@ -227,7 +231,7 @@ func fig9Functional(rp *Report) error {
 	indexWall := time.Since(start)
 
 	qres, err := queryapp.Run(queryapp.Config{
-		Space: space, Object: "weight", Version: 0,
+		Query: space.Get, Object: "weight", Version: 0,
 		Domain: []uint64{perRank, numCompute},
 		Cores:  queryCores, Queries: 11,
 	})
@@ -259,4 +263,46 @@ func fig10(rp *Report) error {
 	}
 	rp.printf("\nheadlines: staging slows Pixie3D by 0.01%%-0.7%% (paper: same band) and the CPU-cost gap narrows with scale\n")
 	return fig10Functional(rp)
+}
+
+// fig10Functional prints the real-implementation Pixie3D comparison.
+func fig10Functional(rp *Report) error {
+	rp.header("Fig. 10 — functional mini-run (Pixie3D proxy, 2x2x2 grid, both configurations)")
+	r, err := pixiePlacements([3]int{2, 2, 2}, 8, 2)
+	if err != nil {
+		return err
+	}
+	rp.printf("In-Compute-Node: mean visible I/O %v/dump (synchronous unmerged write)\n",
+		r.inCompute.Round(time.Microsecond))
+	rp.printf("Staging:         mean visible I/O %v/dump (pack only; reorg hidden in staging)\n",
+		r.staged.Round(time.Microsecond))
+	rp.printf("merged-layout read gain: %.1fx\n", float64(r.unmergedRead)/float64(r.mergedRead))
+	return nil
+}
+
+// fig11 regenerates the merged-vs-unmerged read comparison, from both the
+// calibrated model at the paper's 4,096-core scale and a functional
+// Pixie3D run whose staging side merges the file through the real reorg
+// operator.
+func fig11(rp *Report) error {
+	m := model.JaguarXT4()
+	rp.header("Fig. 11 — read time of one global array: merged vs unmerged BP files")
+	rp.printf("%8s %12s %12s %14s %10s\n",
+		"cores", "merged (s)", "unmerged (s)", "extents", "speedup")
+	for _, cores := range model.PixieScales {
+		r := m.PixieRead(cores)
+		rp.printf("%8d %12.2f %12.2f %14d %9.1fx\n",
+			cores, r.MergedSeconds, r.UnmergedRead, r.UnmergedChunks, r.Speedup)
+	}
+
+	const local = 16
+	r, err := pixiePlacements([3]int{4, 4, 4}, local, 1)
+	if err != nil {
+		return err
+	}
+	rp.header("Fig. 11 — functional mini-run (real BP files on the modeled file system)")
+	rp.printf("64 writers, %d^3 local arrays: unmerged %v (%d extents) vs merged %v -> %.1fx\n",
+		local, r.unmergedRead.Round(time.Millisecond), r.extents, r.mergedRead.Round(time.Millisecond),
+		float64(r.unmergedRead)/float64(r.mergedRead))
+	return nil
 }

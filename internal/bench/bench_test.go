@@ -115,15 +115,15 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig11FunctionalGap(t *testing.T) {
-	merged, unmerged, chunks, err := fig11Functional(32, 8)
+	r, err := pixiePlacements([3]int{4, 4, 2}, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chunks != 32 {
-		t.Errorf("unmerged extents %d want 32", chunks)
+	if r.extents != 32 {
+		t.Errorf("unmerged extents %d want 32", r.extents)
 	}
-	if float64(unmerged) < 3*float64(merged) {
-		t.Errorf("unmerged %v not much slower than merged %v", unmerged, merged)
+	if float64(r.unmergedRead) < 3*float64(r.mergedRead) {
+		t.Errorf("unmerged %v not much slower than merged %v", r.unmergedRead, r.mergedRead)
 	}
 }
 

@@ -34,10 +34,10 @@ func TestRunValidation(t *testing.T) {
 	space := fillSpace(t, 8, 2)
 	cases := []Config{
 		{},
-		{Space: space, Domain: []uint64{8}},
-		{Space: space, Domain: []uint64{8, 2}, Cores: 0, Queries: 1},
-		{Space: space, Domain: []uint64{8, 2}, Cores: 1, Queries: 0},
-		{Space: space, Domain: []uint64{8, 2}, Cores: 4, Queries: 4}, // 16 > 8 rows
+		{Query: space.Get, Domain: []uint64{8}},
+		{Query: space.Get, Domain: []uint64{8, 2}, Cores: 0, Queries: 1},
+		{Query: space.Get, Domain: []uint64{8, 2}, Cores: 1, Queries: 0},
+		{Query: space.Get, Domain: []uint64{8, 2}, Cores: 4, Queries: 4}, // 16 > 8 rows
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
@@ -51,7 +51,7 @@ func TestRunCoversDomainExactly(t *testing.T) {
 	space := fillSpace(t, rows, writers)
 	for _, cores := range []int{1, 2, 4} {
 		res, err := Run(Config{
-			Space: space, Object: "obj", Version: 3,
+			Query: space.Get, Object: "obj", Version: 3,
 			Domain: []uint64{rows, writers},
 			Cores:  cores, Queries: 11,
 		})
@@ -70,7 +70,7 @@ func TestRunCoversDomainExactly(t *testing.T) {
 func TestRunMissingObject(t *testing.T) {
 	space := fillSpace(t, 8, 2)
 	_, err := Run(Config{
-		Space: space, Object: "ghost", Version: 0,
+		Query: space.Get, Object: "ghost", Version: 0,
 		Domain: []uint64{8, 2}, Cores: 2, Queries: 2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "query") {
@@ -83,7 +83,7 @@ func TestRunUnevenSplits(t *testing.T) {
 	const rows, writers = 97, 3
 	space := fillSpace(t, rows, writers)
 	res, err := Run(Config{
-		Space: space, Object: "obj", Version: 3,
+		Query: space.Get, Object: "obj", Version: 3,
 		Domain: []uint64{rows, writers}, Cores: 3, Queries: 7,
 	})
 	if err != nil {

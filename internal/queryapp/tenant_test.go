@@ -37,8 +37,8 @@ func seedTenant(t *testing.T, cacheEntries int) (*serve.Daemon, *serve.Session, 
 
 func TestRunTenantCoverageAndPercentiles(t *testing.T) {
 	d, s, domain := seedTenant(t, 256)
-	res, err := queryapp.RunTenant(queryapp.TenantConfig{
-		Session: s,
+	res, err := queryapp.Run(queryapp.Config{
+		Query:   s.Query,
 		Object:  "field",
 		Version: 0,
 		Domain:  domain,
