@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"predata/internal/bp"
@@ -32,14 +33,16 @@ type SortConfig struct {
 }
 
 // SortOperator globally sorts particle rows by their label, as a streaming
-// operator: Map sorts each chunk as it arrives — on the engine's workers,
-// while other chunks are still being pulled — and emits one sorted run per
-// destination staging rank (range-partitioned by the major key, an
-// all-to-all exchange follows); Reduce merges the runs a rank received
-// straight into the buffer Finalize writes. Since partition ranges are
-// ordered by staging rank, the concatenation of rank 0..M-1 outputs is the
-// fully sorted sequence — restoring the order particles had at simulation
-// start.
+// operator: Map sorts each chunk's keys as it arrives — on the engine's
+// workers, while other chunks are still being pulled — and emits one
+// sorted run per destination staging rank (range-partitioned by the major
+// key, an all-to-all exchange follows): a view of the chunk's rows with
+// their sorted numbers and keys, not a copy. Reduce plans the merge of the
+// runs a rank received from their keys, then gathers every row, once,
+// from its writer's frame straight into the buffer Finalize writes. Since
+// partition ranges are ordered by staging rank, the concatenation of rank
+// 0..M-1 outputs is the fully sorted sequence — restoring the order
+// particles had at simulation start.
 //
 // Rows order by the key images of (major, minor) — see keyImage — and rows
 // with equal labels by (writer rank, row number in the writer's chunk), so
@@ -138,28 +141,69 @@ func keyImage(f float64) uint64 {
 	return b | 1<<63
 }
 
-// sortEntry stands in for one row while its chunk is sorted: 24 bytes move
-// through the radix passes instead of the row. Word 0 is the minor key's
-// image, word 1 the major key's, word 2 the destination rank (high half)
-// over the row number (low half), so that the entry's bytes, read from the
-// low end of word 0 upward, are the sort key from least to most significant
-// digit — with the row number's four bytes, which order nothing, left out.
-type sortEntry [3]uint64
+// sortKey is a row's sort key: the key images of its minor label (word 0)
+// and its major label (word 1), so that its bits, read from the low end of
+// word 0 upward, run from the least to the most significant.
+type sortKey [2]uint64
 
-const entryRowBits = 32
-
-// sortedRun is what Map emits and the shuffle carries, by pointer: the rows
-// of one chunk bound for one staging rank, packed and in sorted order, with
-// what the receiver needs to merge and label them even when it mapped no
-// chunk of its own.
-type sortedRun struct {
-	K      int // columns per row
-	Writer int // compute rank that wrote the chunk; breaks label ties
-	Rows   []float64
+// sortEntry stands in for one row while its chunk is sorted: 24 bytes, the
+// row's key and its number, move through the radix passes instead of the
+// row.
+type sortEntry struct {
+	key sortKey
+	row uint64
 }
 
-// Map sorts the chunk's rows by (destination rank, major, minor) and emits
-// them as one sorted run per destination under that rank's tag.
+// sortedRun is what Map emits and the shuffle carries, by pointer: the rows
+// of one chunk bound for one staging rank, in sorted order, with what the
+// receiver needs to merge and label them even when it mapped no chunk of
+// its own. The rows are not moved: Rows is the chunk's array, a view into
+// its writer's frame, and Order lists the run's rows by number, so that the
+// receiver copies each row once, from the frame into its output.
+type sortedRun struct {
+	K      int       // columns per row
+	Writer int       // compute rank that wrote the chunk; breaks label ties
+	Rows   []float64 // every row of the chunk, the run's and others'
+	Order  []uint32  // the run's row numbers, sorted
+	Keys   []sortKey // Keys[i] is row Order[i]'s key, carried so the merge reads no row
+}
+
+// Radix digits are at most radixBits wide: GTC's minor key varies in 26
+// bits, three digits instead of four bytes.
+const (
+	radixBits      = 11
+	radixMaxDigits = 2 * ((64 + radixBits - 1) / radixBits)
+)
+
+// radixCounts holds one bucket histogram per digit.
+type radixCounts [radixMaxDigits][1 << radixBits]uint32
+
+// sortScratch is the transient memory of one Map (entries, the radix
+// passes' other buffer and histograms, rows per destination) or one Reduce
+// (the merge plan). None of it outlives the call, so it is recycled through
+// scratchPool rather than allocated per chunk; the pool is package-level
+// because a pipeline builds a fresh operator for every dump.
+type sortScratch struct {
+	entries, spare []sortEntry
+	counts         radixCounts
+	dests          []int
+	plan           []rowRef
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity; the contents are undefined.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Map sorts the chunk's rows by (major, minor) and emits them as one sorted
+// run per destination rank under that rank's tag: views of the chunk's
+// rows, in the order the sort gave their numbers and keys.
 func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	arr, rows, k, err := matrixVar(chunk, s.cfg.Var)
 	if err != nil {
@@ -169,7 +213,7 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if major >= k || minor >= k {
 		return fmt.Errorf("ops: sort keys (%d,%d) outside %d columns", major, minor, k)
 	}
-	if len(arr.Float64) != rows*k || uint64(rows) >= 1<<entryRowBits {
+	if len(arr.Float64) != rows*k || uint64(rows) > math.MaxUint32 {
 		return fmt.Errorf("ops: sort cannot index %d values as %d rows of %d", len(arr.Float64), rows, k)
 	}
 	if err := s.adopt(k); err != nil {
@@ -183,87 +227,112 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	// together every bit on which some key differs from the first.
 	ranks := ctx.Ranks()
 	src := arr.Float64
-	entries := make([]sortEntry, rows)
-	counts := make([]int, ranks)
-	var first, varies sortEntry
+	sc := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(sc)
+	sc.entries, sc.spare = resize(sc.entries, rows), resize(sc.spare, rows)
+	sc.dests = resize(sc.dests, ranks)
+	counts := sc.dests
+	clear(counts)
+	entries := sc.entries
+	var varies sortKey
+	first := sortKey{keyImage(src[minor]), keyImage(src[major])}
 	for r := range entries {
 		row := src[r*k : r*k+k]
-		dst := s.bucketOf(row[major], ranks)
-		counts[dst]++
-		e := sortEntry{keyImage(row[minor]), keyImage(row[major]), uint64(dst)<<entryRowBits | uint64(r)}
-		if r == 0 {
-			first = e
-		}
-		varies[0] |= e[0] ^ first[0]
-		varies[1] |= e[1] ^ first[1]
-		varies[2] |= e[2] ^ first[2]
-		entries[r] = e
+		counts[s.bucketOf(row[major], ranks)]++
+		lo, hi := keyImage(row[minor]), keyImage(row[major])
+		varies[0] |= lo ^ first[0]
+		varies[1] |= hi ^ first[1]
+		// Stored word by word: a composite literal goes through the stack.
+		e := &entries[r]
+		e.key[0], e.key[1], e.row = lo, hi, uint64(r)
 	}
-	varies[2] &^= 1<<entryRowBits - 1
-	entries = radixSort(entries, varies)
-
-	// Gather each destination's rows, once, into a block of their size.
+	// The destination is not part of the key: bucketOf is non-decreasing
+	// in the major key's order, so rows sorted by key are already grouped
+	// by destination, in rank order.
+	order, keys := make([]uint32, rows), make([]sortKey, rows)
+	radixSort(entries, sc.spare, varies, &sc.counts, order, keys)
 	for dst, n := range counts {
 		if n == 0 {
 			continue
 		}
-		block := make([]float64, n*k)
-		for i, e := range entries[:n] {
-			r := int(e[2] & (1<<entryRowBits - 1))
-			copy(block[i*k:i*k+k], src[r*k:r*k+k])
-		}
-		entries = entries[n:]
-		ctx.Emit(dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: block})
+		ctx.Emit(dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: src, Order: order[:n:n], Keys: keys[:n:n]})
+		order, keys = order[n:], keys[n:]
 	}
 	return nil
 }
 
-// radixSort orders entries by their key bytes with a stable LSD radix sort,
-// one pass per byte position on which the keys differ at all (varies has a
-// bit set wherever two entries disagree): a position every key agrees on
-// orders nothing and is neither counted nor moved. GTC labels — small
-// integers as doubles — differ in about 4 of the 20 positions. It returns
-// the sorted entries, which are either the input slice or the scratch of
-// the same size the passes alternate with.
-func radixSort(entries []sortEntry, varies sortEntry) []sortEntry {
-	type digit struct {
-		word  int
-		shift uint
-	}
-	digits := make([]digit, 0, len(varies)*8)
-	for word := range varies {
-		for shift := uint(0); shift < 64; shift += 8 {
-			if varies[word]>>shift&0xff != 0 {
-				digits = append(digits, digit{word, shift})
-			}
+// radixDigit is one radix pass's digit: width bits of key word word, from
+// bit shift up.
+type radixDigit struct {
+	word         int
+	shift, width uint
+}
+
+// radixDigits covers the bits on which the keys differ (varies has a bit
+// set wherever two keys disagree) with digits of at most radixBits bits:
+// each starts at the lowest varying bit not yet covered and ends at the
+// last varying bit within reach, so a bit every key agrees on is skipped
+// unless it lies between two that differ, and no digit crosses a word.
+func radixDigits(varies sortKey) []radixDigit {
+	digits := make([]radixDigit, 0, radixMaxDigits)
+	for word, v := range varies {
+		for v != 0 {
+			shift := uint(bits.TrailingZeros64(v))
+			window := v >> shift & (1<<radixBits - 1)
+			width := uint(bits.Len64(window))
+			digits = append(digits, radixDigit{word, shift, width})
+			v &^= window << shift
 		}
 	}
-	if len(digits) == 0 {
-		return entries
+	return digits
+}
+
+// radixSort orders entries by key with a stable LSD radix sort, one pass
+// per digit of radixDigits(varies): bits every key agrees on order nothing
+// and are neither counted nor moved. The last pass scatters straight into
+// the output: the sorted row numbers into order and their keys into keys,
+// both as long as entries. The other passes alternate between entries and
+// spare, which must be as long, so the entries end up in neither order.
+// counts is the histograms' memory.
+func radixSort(entries, spare []sortEntry, varies sortKey, counts *radixCounts, order []uint32, keys []sortKey) {
+	digits := radixDigits(varies)
+	for d, dg := range digits {
+		clear(counts[d][:1<<dg.width])
 	}
 	// Counting does not depend on the order the entries are in, so one
 	// sweep fills every pass's histogram.
-	counts := make([][256]int, len(digits))
 	for i := range entries {
 		for d, dg := range digits {
-			counts[d][uint8(entries[i][dg.word]>>dg.shift)]++
+			counts[d][entries[i].key[dg.word]>>dg.shift&(1<<dg.width-1)]++
 		}
 	}
-	scratch := make([]sortEntry, len(entries))
 	for d, dg := range digits {
-		next := &counts[d]
-		sum := 0
+		next := counts[d][:1<<dg.width]
+		var sum uint32
 		for b, n := range next {
 			next[b], sum = sum, sum+n
 		}
+		mask := uint64(1)<<dg.width - 1
+		if d == len(digits)-1 {
+			for i := range entries {
+				e := &entries[i]
+				b := e.key[dg.word] >> dg.shift & mask
+				order[next[b]], keys[next[b]] = uint32(e.row), e.key
+				next[b]++
+			}
+			return
+		}
 		for i := range entries {
-			b := uint8(entries[i][dg.word] >> dg.shift)
-			scratch[next[b]] = entries[i]
+			b := entries[i].key[dg.word] >> dg.shift & mask
+			spare[next[b]] = entries[i]
 			next[b]++
 		}
-		entries, scratch = scratch, entries
+		entries, spare = spare, entries
 	}
-	return entries
+	// No digit: the entries are in order already.
+	for i := range entries {
+		order[i], keys[i] = uint32(entries[i].row), entries[i].key
+	}
 }
 
 // Partition routes tag b to staging rank b (identity): tags are already
@@ -272,25 +341,28 @@ func (s *SortOperator) Partition(tag, ranks int) int { return tag }
 
 // Reduce receives every run bound for this rank's key range and merges them
 // into the output: straight into a reserved process group when the operator
-// writes one, so the sorted array exists exactly once.
+// writes one, so each sorted row is copied once, from its writer's frame to
+// the group.
 func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
 	if s.sorted != nil {
 		return fmt.Errorf("ops: sort reduced twice in one dump (tags must be staging ranks)")
 	}
+	runs := make([]*sortedRun, 0, len(values))
+	rows := 0
 	for _, v := range values {
 		run := v.(*sortedRun)
 		if err := s.adopt(run.K); err != nil {
 			return err
 		}
+		if len(run.Order) > 0 {
+			runs = append(runs, run)
+			rows += len(run.Order)
+		}
 	}
-	m := merger{k: s.k, major: s.cfg.KeyMajor, minor: s.cfg.KeyMinor}
-	for _, v := range values {
-		m.add(v.(*sortedRun))
-	}
-	if m.rows == 0 {
+	if rows == 0 {
 		return nil
 	}
-	s.rows = m.rows
+	s.rows = rows
 	if s.cfg.Output == nil {
 		s.sorted = make([]float64, s.rows*s.k)
 	} else {
@@ -303,101 +375,135 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 		}
 		s.pg, s.sorted = pg, pg.Chunks[0].Data
 	}
-	m.mergeInto(s.sorted)
+	sc := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(sc)
+	sc.plan = resize(sc.plan, rows)
+	planMerge(runs, sc.plan)
+	gather(s.sorted, s.k, runs, sc.plan)
 	return nil
 }
 
-// merger is a k-way merge of sorted runs over a binary min-heap of their
-// heads: selecting the next run costs O(log R), and what is selected is not
-// a row but the whole stretch of the winning run that precedes the
-// runner-up's head, moved with one copy.
-type merger struct {
-	k, major, minor int       // row width and key columns, the same for every run
-	heads           []runHead // the heap: heads[0] holds the smallest next row
-	rows            int       // rows under the merge
-}
+// rowRef names one output row's source: row number row of runs[run].
+type rowRef struct{ run, row uint32 }
 
-// runHead is one run's unmerged remainder and the key of its first row.
-type runHead struct {
-	rest         []float64 // unmerged rows, packed
-	major, minor uint64    // key images of rest's first row
-	writer, seq  int       // tie-break: writer rank, then position among the runs
-}
-
-// add puts a run of m.k columns under the merge. Runs may be added in any
-// order.
-func (m *merger) add(run *sortedRun) {
-	if len(run.Rows) == 0 {
-		return
+// gather copies row plan[i] of runs into row i of out. The copies do not
+// depend on one another, so the memory system overlaps the fetches of
+// rows that are cold in cache, where a merge that copied each row as it
+// chose it would wait for one after another.
+func gather(out []float64, k int, runs []*sortedRun, plan []rowRef) {
+	for i, ref := range plan {
+		r := int(ref.row) * k
+		copy(out[i*k:i*k+k], runs[ref.run].Rows[r:r+k])
 	}
-	h := runHead{rest: run.Rows, writer: run.Writer, seq: len(m.heads)}
-	m.load(&h)
-	m.heads = append(m.heads, h)
-	m.rows += len(run.Rows) / m.k
 }
 
-// load refreshes h's key from its first remaining row.
-func (m *merger) load(h *runHead) {
-	h.major, h.minor = keyImage(h.rest[m.major]), keyImage(h.rest[m.minor])
+// mergeHead is a run's entry in the merge's heap: the key of its next row,
+// and what breaks a tie between equal keys — the writer rank (high half),
+// then the run's position among the runs (low half), which also names the
+// run. One writer's rows are already in row order inside its run. It holds
+// no pointer, so the heap moves entries without write barriers.
+type mergeHead struct {
+	key sortKey
+	tie uint64
 }
 
-// wins reports whether run a, were its next row labelled (major, minor),
-// would emit that row before b emits its head: by label, and for equal
-// labels by writer rank, then by position among the runs (one writer's rows
-// are already in row order inside its run).
-func (a *runHead) wins(major, minor uint64, b *runHead) bool {
-	if major != b.major {
-		return major < b.major
+// before reports whether h's row is emitted before o's.
+func (h *mergeHead) before(o *mergeHead) bool { return precedes(&h.key, h.tie, o) }
+
+// precedes reports whether a row keyed key, tie-broken by tie, is emitted
+// before o's.
+func precedes(key *sortKey, tie uint64, o *mergeHead) bool {
+	if key[1] != o.key[1] {
+		return key[1] < o.key[1]
 	}
-	if minor != b.minor {
-		return minor < b.minor
+	if key[0] != o.key[0] {
+		return key[0] < o.key[0]
 	}
-	if a.writer != b.writer {
-		return a.writer < b.writer
-	}
-	return a.seq < b.seq
+	return tie < o.tie
 }
 
-func (m *merger) less(i, j int) bool {
-	a := &m.heads[i]
-	return a.wins(a.major, a.minor, &m.heads[j])
+// planMerge fills plan, which has a slot for every row of runs, with the
+// rows in merged order. It is a k-way merge over a binary min-heap of the
+// runs' heads that reads keys only: selecting the next run costs
+// O(log R), and what is selected is not a row but the whole stretch of
+// the winning run that precedes the runner-up's head.
+func planMerge(runs []*sortedRun, plan []rowRef) {
+	heap := make([]mergeHead, len(runs))
+	pos := make([]int, len(runs)) // each run's next unmerged row
+	for i, run := range runs {
+		heap[i] = mergeHead{run.Keys[0], uint64(run.Writer)<<32 | uint64(i)}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for len(heap) > 0 {
+		top := &heap[0]
+		r := uint32(top.tie)
+		run, p := runs[r], pos[r]
+		n := len(run.Keys) - p
+		if len(heap) > 1 {
+			next := &heap[1]
+			if len(heap) > 2 && heap[2].before(next) {
+				next = &heap[2]
+			}
+			n = lead(run.Keys[p:], top.tie, next)
+		}
+		for i, row := range run.Order[p : p+n] {
+			plan[i] = rowRef{r, row}
+		}
+		plan, p = plan[n:], p+n
+		pos[r] = p
+		if p == len(run.Keys) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		} else {
+			top.key = run.Keys[p]
+		}
+		siftDown(heap, 0)
+	}
 }
 
 // siftDown restores the heap below position i.
-func (m *merger) siftDown(i int) {
+func siftDown(heap []mergeHead, i int) {
+	if i >= len(heap) {
+		return
+	}
+	h := heap[i]
 	for {
 		child := 2*i + 1
-		if child >= len(m.heads) {
-			return
+		if child >= len(heap) {
+			break
 		}
-		if child+1 < len(m.heads) && m.less(child+1, child) {
+		if child+1 < len(heap) && heap[child+1].before(&heap[child]) {
 			child++
 		}
-		if !m.less(child, i) {
-			return
+		if !heap[child].before(&h) {
+			break
 		}
-		m.heads[i], m.heads[child] = m.heads[child], m.heads[i]
+		heap[i] = heap[child]
 		i = child
 	}
+	heap[i] = h
 }
 
-// lead returns how many of a's remaining rows are emitted before b's head —
-// at least one when a is the heap's winner. It gallops: if a's last row
-// still wins, the whole remainder goes (runs with disjoint labels, such as
-// particles that have not migrated between writers, move at memmove speed);
-// otherwise an exponential search from the front brackets the first row
+// lead returns how many of keys, the remaining rows of the heap's winner
+// (tie-broken by tie), are emitted before next, the runner-up's head: at
+// least one. It gallops: if the second row already loses, one goes (runs
+// that interleave row by row pay one comparison more than a plain merge);
+// if the last row still wins, the whole remainder goes (runs with disjoint
+// labels, such as particles that have not migrated between writers, take
+// one step each); otherwise an exponential search brackets the first row
 // that loses and a binary search finds it, so short stretches stay cheap.
-func (m *merger) lead(a, b *runHead) int {
-	k := m.k
-	n := len(a.rest) / k
-	wins := func(row int) bool {
-		r := a.rest[row*k : row*k+k]
-		return a.wins(keyImage(r[m.major]), keyImage(r[m.minor]), b)
+func lead(keys []sortKey, tie uint64, next *mergeHead) int {
+	wins := func(i int) bool { return precedes(&keys[i], tie, next) }
+	n := len(keys)
+	if n == 1 || !wins(1) {
+		return 1
 	}
 	if wins(n - 1) {
 		return n
 	}
-	lo, hi := 0, n-1 // row lo wins, row hi does not
+	lo, hi := 1, n-1 // row lo wins, row hi does not
 	for step := 1; lo+step < hi; step *= 2 {
 		if !wins(lo + step) {
 			hi = lo + step
@@ -413,34 +519,6 @@ func (m *merger) lead(a, b *runHead) int {
 		}
 	}
 	return hi
-}
-
-// mergeInto merges every run added into out, which holds exactly their rows.
-func (m *merger) mergeInto(out []float64) {
-	for i := len(m.heads)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-	for len(m.heads) > 0 {
-		top := &m.heads[0]
-		n := len(top.rest) / m.k
-		if len(m.heads) > 1 {
-			next := 1
-			if len(m.heads) > 2 && m.less(2, 1) {
-				next = 2
-			}
-			n = m.lead(top, &m.heads[next])
-		}
-		moved := copy(out, top.rest[:n*m.k])
-		out, top.rest = out[moved:], top.rest[moved:]
-		if len(top.rest) == 0 {
-			last := len(m.heads) - 1
-			m.heads[0] = m.heads[last]
-			m.heads = m.heads[:last]
-		} else {
-			m.load(top)
-		}
-		m.siftDown(0)
-	}
 }
 
 // Finalize publishes and/or writes the sorted rows.

@@ -271,6 +271,17 @@ type Result struct {
 	ShedSkips int
 }
 
+// drain runs a dump's chunk stream out without mapping it, releasing each
+// chunk: a dump that fails before its Map phase must still take every
+// chunk its producer sends, or the producer blocks on the channel for good.
+func drain(chunks <-chan *Chunk) {
+	for chunk := range chunks {
+		if chunk.Release != nil {
+			chunk.Release()
+		}
+	}
+}
+
 // taggedValue is the shuffle wire format.
 type taggedValue struct {
 	Tag   int
@@ -283,7 +294,8 @@ type taggedValue struct {
 // are keyed by operator name, so a name given twice is rejected before
 // any operator runs — on every rank alike, ahead of any collective. The
 // chunks channel must be closed by the producer when the dump's last
-// chunk has been delivered.
+// chunk has been delivered; ProcessDump returns only after that, failed
+// or not, so the producer is done when it returns.
 func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operator, agg map[string]any) (*Result, error) {
 	res := &Result{
 		PerOperator:       make(map[string]map[string]any, len(ops)),
@@ -293,6 +305,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	}
 	for _, op := range ops {
 		if _, dup := res.OperatorBreakdown[op.Name()]; dup {
+			drain(chunks)
 			return nil, fmt.Errorf("staging: operator name %q given twice", op.Name())
 		}
 		res.OperatorBreakdown[op.Name()] = metrics.NewBreakdown()
@@ -314,6 +327,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	for i, op := range ops {
 		if err := op.Initialize(ctxs[i], agg); err != nil {
 			sp.End(0)
+			drain(chunks)
 			return nil, fmt.Errorf("staging: %s.Initialize: %w", op.Name(), err)
 		}
 	}
