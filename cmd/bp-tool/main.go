@@ -21,14 +21,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"time"
 
 	"predata/internal/apps/gtc"
 	"predata/internal/bitmap"
 	"predata/internal/bp"
 	"predata/internal/ffs"
-	"predata/internal/metrics"
 	"predata/internal/mpi"
 	"predata/internal/ops"
 	"predata/internal/pfs"
@@ -181,11 +182,39 @@ func cmdRead(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	s := metrics.Summarize(data)
 	fmt.Fprintf(w, "%s step %d: dims %v, %d values, modeled read %v\n",
 		*name, *step, dims, len(data), modeled.Round(time.Millisecond))
-	fmt.Fprintf(w, "stats: %s\n", s)
+	fmt.Fprintf(w, "stats: %s\n", summarize(data))
 	return nil
+}
+
+// summarize renders the count, minimum, mean, 95th percentile (linear
+// interpolation between order statistics), maximum and population
+// standard deviation of xs on one line; every statistic of no values is 0.
+func summarize(xs []float64) string {
+	var lo, mean, p95, hi, m2 float64
+	if n := len(xs); n > 0 {
+		s := slices.Clone(xs)
+		slices.Sort(s)
+		// Welford's online algorithm: numerically stable and immune to the
+		// sum-of-squares overflow the naive formula hits on large samples.
+		for i, x := range s {
+			delta := x - mean
+			mean += delta / float64(i+1)
+			m2 += delta * (x - mean)
+		}
+		m2 /= float64(n)
+		pos := 0.95 * float64(n-1)
+		i, j := int(math.Floor(pos)), int(math.Ceil(pos))
+		p95 = s[i]
+		if i != j {
+			f := pos - float64(i)
+			p95 = s[i]*(1-f) + s[j]*f
+		}
+		lo, hi = s[0], s[n-1]
+	}
+	return fmt.Sprintf("n=%d min=%.4g mean=%.4g p95=%.4g max=%.4g sd=%.4g",
+		len(xs), lo, mean, p95, hi, math.Sqrt(max(m2, 0)))
 }
 
 func cmdQuery(w io.Writer, args []string) error {

@@ -62,7 +62,7 @@ func cli(args []string) (code int) {
 			"staging memory budget in MB (0 disables; -1 takes the ADIOS <buffer size-MB> when -adios-config is given, else 0)")
 		spillDir = flags.String("spill-dir", "", "directory for overload spill and pass logs (default: system temp)")
 		walDir   = flags.String("wal-dir", "",
-			"durable staging: keep per-rank write-ahead journals under this directory and recover from them on start (required for restart/crashall fault plans; staging mode only)")
+			"durable staging: keep per-rank write-ahead journals under this empty or new directory and recover from them on start (required for restart/crashall fault plans; staging mode only)")
 		checkpointEvery = flags.Int("checkpoint-every", 0,
 			"write a dump-boundary checkpoint and truncate the journals every N dumps (0 disables; requires -wal-dir)")
 		tracePath = flags.String("trace", "",
@@ -148,6 +148,12 @@ func cli(args []string) (code int) {
 	}
 	if *mode != "staging" {
 		fmt.Fprintln(os.Stderr, "predata-run: unknown -mode", *mode)
+		return 2
+	}
+	// A journal left by an earlier run names dumps and regions this run's
+	// writers never exposed: recovering from it would wait on them.
+	if entries, _ := os.ReadDir(*walDir); len(entries) > 0 {
+		fmt.Fprintf(os.Stderr, "predata-run: -wal-dir %s holds an earlier run's journal; give an empty or new directory\n", *walDir)
 		return 2
 	}
 	if err := run(*app, *compute, *stagingN, *particles, *local, *frames, *dumps, *workers, *opsFlag, *faultPlan, *faultSeed, *bufferMB, *spillDir, *walDir, *checkpointEvery, *tracePath, *elasticSpec, *scalePolicy); err != nil {

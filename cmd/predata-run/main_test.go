@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"predata/internal/adios"
 	"predata/internal/trace"
@@ -291,6 +292,19 @@ func TestCLIRejects(t *testing.T) {
 		if got := cli(c.args); got != c.code {
 			t.Errorf("%s: exit status %d, want %d", c.name, got, c.code)
 		}
+	}
+	// A -wal-dir holding an earlier run's journal is refused at once, not
+	// recovered from until a dump deadline fails the run.
+	durable := append([]string{"-ops", "hist", "-wal-dir", t.TempDir()}, small...)
+	if got := cli(durable); got != 0 {
+		t.Fatalf("durable run: exit status %d, want 0", got)
+	}
+	start := time.Now()
+	if got := cli(durable); got != 2 {
+		t.Errorf("reused -wal-dir: exit status %d, want 2", got)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("reused -wal-dir refused after %v", took)
 	}
 }
 

@@ -1,14 +1,12 @@
 // Package chunkrelease proves that every staging.Chunk carrying a
 // Release hook fires it exactly once.
 //
-// Chunk.Release returns the chunk's memory-budget credits; today a
-// missed call leaks budget bytes and a double call corrupts the
-// accountant. The planned zero-copy overhaul (ROADMAP item 2) raises
-// the stakes: with pooled refcounted buffers a missed Release pins a
-// pool slot forever, a double Release frees someone else's buffer, and
-// any use after Release reads recycled memory. This pass is the gate
-// for that change — it enforces the exactly-once discipline while the
-// hook is still a plain closure.
+// Chunk.Release returns the chunk's memory-budget credits and, for a
+// chunk of a block-mapped dump, acks its writer's region, after which
+// the writer packs a later dump into the same frame. A missed call
+// leaks budget bytes and pins the region, a double call corrupts the
+// accountant, and a use after Release may read a frame its writer is
+// refilling.
 //
 // Tracked chunks are those born in the function: staging.DecodeChunk
 // results and staging.Chunk composite literals that set Release. A
@@ -35,7 +33,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "chunkrelease",
 	Doc: "flags staging chunks whose Release hook is leaked, fired twice, " +
-		"or used after firing (the refcounted-pooling gate)",
+		"or used after firing",
 	Run: run,
 }
 

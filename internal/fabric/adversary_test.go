@@ -48,12 +48,12 @@ func TestCtlDupDelivery(t *testing.T) {
 		}
 	}
 	st := cfg.Faults.Stats()
-	if st.Duplicates.Value() == 0 {
+	if st.Duplicates.Load() == 0 {
 		t.Fatal("no duplicates injected despite prob 1")
 	}
 	// All but the final stashed duplicate (which nothing flushed) were
 	// delivered late and absorbed by the receiver's (src, seq) dedup.
-	if got, want := st.DupDrops.Value(), st.Duplicates.Value()-1; got != want {
+	if got, want := st.DupDrops.Load(), st.Duplicates.Load()-1; got != want {
 		t.Errorf("dedup absorbed %d duplicates, want %d", got, want)
 	}
 }
@@ -110,8 +110,8 @@ func TestPartitionCutsBothPlanes(t *testing.T) {
 	}
 	// Four refused operations crossed the cut above (two sends, the
 	// misclassification probe, and one pull).
-	if cfg.Faults.Stats().Unreachables.Value() != 4 {
-		t.Errorf("unreachable refusals %d, want 4", cfg.Faults.Stats().Unreachables.Value())
+	if cfg.Faults.Stats().Unreachables.Load() != 4 {
+		t.Errorf("unreachable refusals %d, want 4", cfg.Faults.Stats().Unreachables.Load())
 	}
 }
 
@@ -199,8 +199,8 @@ func TestPullSiteCorruptionHealsOnRepull(t *testing.T) {
 	}
 	// The region itself stayed intact throughout: wire corruption only
 	// damages the delivered copy, so re-pulls heal.
-	if cfg.Faults.Stats().Corruptions.Value() != int64(corrupted) {
-		t.Errorf("corruption counter %d, want %d", cfg.Faults.Stats().Corruptions.Value(), corrupted)
+	if cfg.Faults.Stats().Corruptions.Load() != int64(corrupted) {
+		t.Errorf("corruption counter %d, want %d", cfg.Faults.Stats().Corruptions.Load(), corrupted)
 	}
 }
 

@@ -528,8 +528,8 @@ func TestTransientInjectionOnFabricOps(t *testing.T) {
 	if a.ExposedBytes() == 0 {
 		t.Error("transient pull consumed the region; retries could never succeed")
 	}
-	if inj.Stats().Transients.Value() < 3 {
-		t.Errorf("transient counter %d < 3", inj.Stats().Transients.Value())
+	if inj.Stats().Transients.Load() < 3 {
+		t.Errorf("transient counter %d < 3", inj.Stats().Transients.Load())
 	}
 }
 

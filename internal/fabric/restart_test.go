@@ -57,7 +57,7 @@ func TestDupStateBoundedUnderSoak(t *testing.T) {
 			t.Errorf("endpoint %d dedup state grew to %d entries (bound %d)", i, got, bound)
 		}
 	}
-	if cfg.Faults.Stats().Duplicates.Value() == 0 {
+	if cfg.Faults.Stats().Duplicates.Load() == 0 {
 		t.Fatal("soak injected no duplicates")
 	}
 }

@@ -113,8 +113,8 @@ func TestCorruptFaultDraws(t *testing.T) {
 	if _, hit := in.CorruptFault(OpPull, 3, 0); hit {
 		t.Error("empty payload corrupted")
 	}
-	if in.Stats().Corruptions.Value() != 32 {
-		t.Errorf("corruption counter %d", in.Stats().Corruptions.Value())
+	if in.Stats().Corruptions.Load() != 32 {
+		t.Errorf("corruption counter %d", in.Stats().Corruptions.Load())
 	}
 	// Same seed, same flip sequence.
 	mk := func() []int {
@@ -178,12 +178,12 @@ func TestDupFaultDraws(t *testing.T) {
 	if in.DupFault(3) {
 		t.Error("non-matching endpoint duplicated")
 	}
-	if in.Stats().Duplicates.Value() != 1 {
-		t.Errorf("duplicate counter %d", in.Stats().Duplicates.Value())
+	if in.Stats().Duplicates.Load() != 1 {
+		t.Errorf("duplicate counter %d", in.Stats().Duplicates.Load())
 	}
 	in.NoteDupDrop()
 	in.NoteUnreachable()
-	if in.Stats().DupDrops.Value() != 1 || in.Stats().Unreachables.Value() != 1 {
+	if in.Stats().DupDrops.Load() != 1 || in.Stats().Unreachables.Load() != 1 {
 		t.Error("note counters did not advance")
 	}
 }

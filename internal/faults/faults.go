@@ -31,8 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-
-	"predata/internal/metrics"
+	"sync/atomic"
 )
 
 // Typed fault errors. Errors returned by the fabric and the predata
@@ -422,20 +421,20 @@ func (p Plan) validatePartitions() error {
 // Stats counts injected faults. All counters are safe for concurrent use.
 type Stats struct {
 	// Transients is the number of transient failures fired.
-	Transients metrics.Counter
+	Transients atomic.Int64
 	// DownRefusals is the number of fabric operations refused because
 	// they addressed a crashed endpoint.
-	DownRefusals metrics.Counter
+	DownRefusals atomic.Int64
 	// Corruptions is the number of payload bytes flipped by corrupt rules.
-	Corruptions metrics.Counter
+	Corruptions atomic.Int64
 	// Duplicates is the number of control messages duplicated by dup rules.
-	Duplicates metrics.Counter
+	Duplicates atomic.Int64
 	// DupDrops is the number of duplicated control messages the receiver
 	// deduplicated (recorded by the fabric via NoteDupDrop).
-	DupDrops metrics.Counter
+	DupDrops atomic.Int64
 	// Unreachables is the number of fabric operations refused because a
 	// partition severed the endpoint pair (recorded via NoteUnreachable).
-	Unreachables metrics.Counter
+	Unreachables atomic.Int64
 }
 
 // Injector evaluates a Plan at runtime. A nil *Injector is valid and
@@ -513,7 +512,7 @@ func (in *Injector) OpFault(op Op, endpoint int) error {
 	if !hit {
 		return nil
 	}
-	in.stats.Transients.Inc()
+	in.stats.Transients.Add(1)
 	return fmt.Errorf("faults: injected %v fault on endpoint %d: %w", op, endpoint, ErrTransient)
 }
 
@@ -606,7 +605,7 @@ func (in *Injector) NoteDownRefusal() {
 	if in == nil {
 		return
 	}
-	in.stats.DownRefusals.Inc()
+	in.stats.DownRefusals.Add(1)
 }
 
 // CorruptFault draws the corruption decision for one transfer of size
@@ -645,7 +644,7 @@ func (in *Injector) CorruptFault(op Op, endpoint, size int) (int, bool) {
 	if !hit {
 		return 0, false
 	}
-	in.stats.Corruptions.Inc()
+	in.stats.Corruptions.Add(1)
 	return pos, true
 }
 
@@ -687,7 +686,7 @@ func (in *Injector) DupFault(endpoint int) bool {
 	hit := in.rng(endpoint).Float64() < prob
 	in.mu.Unlock()
 	if hit {
-		in.stats.Duplicates.Inc()
+		in.stats.Duplicates.Add(1)
 	}
 	return hit
 }
@@ -698,7 +697,7 @@ func (in *Injector) NoteDupDrop() {
 	if in == nil {
 		return
 	}
-	in.stats.DupDrops.Inc()
+	in.stats.DupDrops.Add(1)
 }
 
 // NoteUnreachable records a fabric operation refused because a
@@ -707,5 +706,5 @@ func (in *Injector) NoteUnreachable() {
 	if in == nil {
 		return
 	}
-	in.stats.Unreachables.Inc()
+	in.stats.Unreachables.Add(1)
 }

@@ -126,8 +126,8 @@ func TestTypedErrors(t *testing.T) {
 	if !strings.Contains(faultErr.Error(), "pull") || !strings.Contains(faultErr.Error(), "3") {
 		t.Errorf("fault error lacks context: %v", faultErr)
 	}
-	if in.Stats().Transients.Value() != 1 {
-		t.Errorf("transient counter %d", in.Stats().Transients.Value())
+	if in.Stats().Transients.Load() != 1 {
+		t.Errorf("transient counter %d", in.Stats().Transients.Load())
 	}
 }
 

@@ -830,12 +830,12 @@ func validate(cfg PipelineConfig, el *elasticRun) (*faults.Injector, error) {
 func finishReports(cfg *PipelineConfig, inj *faults.Injector, report *FaultReport, res *PipelineResult) {
 	if inj != nil {
 		ist := inj.Stats()
-		report.InjectedTransients = ist.Transients.Value()
-		report.DownRefusals = ist.DownRefusals.Value()
-		report.Corruptions = ist.Corruptions.Value()
-		report.Duplicates = ist.Duplicates.Value()
-		report.DupDrops = ist.DupDrops.Value()
-		report.Unreachables = ist.Unreachables.Value()
+		report.InjectedTransients = ist.Transients.Load()
+		report.DownRefusals = ist.DownRefusals.Load()
+		report.Corruptions = ist.Corruptions.Load()
+		report.Duplicates = ist.Duplicates.Load()
+		report.DupDrops = ist.DupDrops.Load()
+		report.Unreachables = ist.Unreachables.Load()
 		seen := map[int]bool{}
 		for _, c := range cfg.FaultPlan.Crashes {
 			if !seen[c.Endpoint] {

@@ -1072,32 +1072,27 @@ func blockMapped(ops []staging.Operator) bool {
 
 // unverifiedPull is a chunk pulled with only its seal header checked: the
 // engine checks the payload against the request's sum in its walk and
-// calls back (staging.Chunk.Verified and Corrupt).
+// calls back (staging.Chunk.Corrupt) on a mismatch.
 type unverifiedPull struct {
-	s        *Server
-	ctx      context.Context
-	d        *dumpRun
-	req      FetchRequest
-	attempt  int  // the pull attempt the payload came from
-	verified bool // the engine's check of the payload matched
+	s       *Server
+	ctx     context.Context
+	d       *dumpRun
+	req     FetchRequest
+	attempt int // the pull attempt the payload came from
 }
-
-// pass is the chunk's Verified hook.
-func (u *unverifiedPull) pass() { u.verified = true }
 
 // done returns the chunk's Release hook. The engine calls it once its
 // reads of the payload are over — after the walk, or after the Maps that
-// follow a whole-payload check — so it returns the budget credits and,
-// when the payload verified, acks the writer's region: block mappers emit
-// nothing that aliases the payload.
+// follow a whole-payload check — so it returns the budget credits and
+// acks the writer's region: block mappers emit nothing that aliases the
+// payload, and a re-pulled copy is read only before Release. A region
+// that failed its check is on d.held as well; acking it twice is a no-op.
 func (u *unverifiedPull) done(release func()) func() {
 	return func() {
 		if release != nil {
 			release()
 		}
-		if u.verified {
-			u.ack()
-		}
+		u.ack()
 	}
 }
 
@@ -1164,7 +1159,7 @@ func (p *pulledChunk) decode() (*staging.Chunk, error) {
 		return nil, err
 	}
 	chunk.Unverified, chunk.Sum = p.buf, p.check.req.Sum
-	chunk.Verified, chunk.Corrupt = p.check.pass, p.check.corrupt
+	chunk.Corrupt = p.check.corrupt
 	return chunk, nil
 }
 

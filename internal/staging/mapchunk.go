@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"predata/internal/ffs"
-	"predata/internal/metrics"
 )
 
 // mapper runs one dump's Map phase for the engine's workers: each chunk
@@ -16,7 +16,7 @@ type mapper struct {
 	ops      []Operator
 	ctxs     []*Context
 	optional []bool
-	bd       map[string]*metrics.Breakdown
+	spent    []atomic.Int64 // Map time per operator, summed over workers
 
 	mu  sync.Mutex
 	err error // the first failure
@@ -42,9 +42,6 @@ func (m *mapper) mapChunk(chunk *Chunk) *Chunk {
 	for chunk.Unverified != nil {
 		walked, ok := m.walk(chunk, shed)
 		if ok {
-			if chunk.Verified != nil {
-				chunk.Verified()
-			}
 			if walked {
 				return chunk
 			}
@@ -71,7 +68,7 @@ func (m *mapper) mapChunk(chunk *Chunk) *Chunk {
 		if err := op.Map(m.ctxs[i], chunk); err != nil {
 			m.fail(fmt.Errorf("staging: %s.Map: %w", op.Name(), err))
 		}
-		m.bd[op.Name()].Add("map", time.Since(start))
+		m.spent[i].Add(int64(time.Since(start)))
 	}
 	return chunk
 }
@@ -119,7 +116,7 @@ func (m *mapper) walk(chunk *Chunk, shed ShedClass) (walked, ok bool) {
 		if rm != nil {
 			start := time.Now()
 			rm.Emit()
-			m.bd[m.ops[i].Name()].Add("map", spent[i]+time.Since(start))
+			m.spent[i].Add(int64(spent[i] + time.Since(start)))
 		}
 	}
 	return true, true

@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"predata/internal/ffs"
-	"predata/internal/metrics"
 	"predata/internal/mpi"
 	"predata/internal/trace"
 )
@@ -62,13 +62,10 @@ type Chunk struct {
 	// every operator that sees the chunk is a BlockMapper and the record
 	// has one float64 array, the check rides the engine's one walk over
 	// the payload (ffs.Walk); otherwise the payload is checksummed before
-	// the first Map. On a match the engine calls Verified — before those
-	// Maps read the record, so the engine's last read is Release's to
-	// mark; on a mismatch it drops whatever the walk accumulated and calls
-	// Corrupt.
+	// the first Map. On a mismatch it drops whatever the walk accumulated
+	// and calls Corrupt.
 	Unverified []byte
 	Sum        uint32
-	Verified   func()
 	// Corrupt returns a re-pulled copy of the chunk to map in this one's
 	// place (the engine keeps this chunk's Shed and Release), or nil when
 	// the chunk is dropped: it then reaches no operator and records no
@@ -249,15 +246,12 @@ type Result struct {
 	// Chunks is the number of chunks this rank processed.
 	Chunks int
 	// Breakdown records per-phase wall-clock time across all operators.
-	Breakdown *metrics.Breakdown
+	Breakdown Phases
 	// OperatorBreakdown attributes per-phase time to each operator — the
 	// placement-decision input the paper's "automate placement decisions"
 	// future work calls for. Map time is summed across workers, so it can
-	// exceed the Breakdown's wall-clock map bucket.
-	OperatorBreakdown map[string]*metrics.Breakdown
-	// OperatorEmitted counts the intermediate values each operator
-	// emitted locally (after Combine) — the per-operator shuffle volume.
-	OperatorEmitted map[string]int
+	// exceed the Breakdown's wall-clock map time.
+	OperatorBreakdown map[string]*Phases
 	// Degraded marks a dump completed under failure recovery or overload
 	// shedding: chunks were dropped because their endpoint crashed, the
 	// staging area was operating with fewer ranks than it started with,
@@ -270,6 +264,32 @@ type Result struct {
 	// ShedSkips counts chunks withheld from optional operators.
 	ShedSkips int
 }
+
+// Phases is one dump's wall-clock time per engine phase, indexed by
+// trace.PhaseInitialize … trace.PhaseFinalize: the paper's per-phase
+// breakdown (Fig. 8(b), 10(b)).
+type Phases [trace.PhaseFinalize - trace.PhaseInitialize + 1]time.Duration
+
+// Names returns the phases' names in engine order.
+func (p Phases) Names() []string {
+	names := make([]string, len(p))
+	for i := range p {
+		names[i] = (trace.PhaseInitialize + trace.Phase(i)).String()
+	}
+	return names
+}
+
+// Get returns the named phase's time (0 for a name that is no phase).
+func (p Phases) Get(name string) time.Duration {
+	for i := range p {
+		if (trace.PhaseInitialize + trace.Phase(i)).String() == name {
+			return p[i]
+		}
+	}
+	return 0
+}
+
+func (p *Phases) add(ph trace.Phase, d time.Duration) { p[ph-trace.PhaseInitialize] += d }
 
 // drain runs a dump's chunk stream out without mapping it, releasing each
 // chunk: a dump that fails before its Map phase must still take every
@@ -299,16 +319,16 @@ type taggedValue struct {
 func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operator, agg map[string]any) (*Result, error) {
 	res := &Result{
 		PerOperator:       make(map[string]map[string]any, len(ops)),
-		Breakdown:         metrics.NewBreakdown(),
-		OperatorBreakdown: make(map[string]*metrics.Breakdown, len(ops)),
-		OperatorEmitted:   make(map[string]int, len(ops)),
+		OperatorBreakdown: make(map[string]*Phases, len(ops)),
 	}
-	for _, op := range ops {
+	opBD := make([]*Phases, len(ops))
+	for i, op := range ops {
 		if _, dup := res.OperatorBreakdown[op.Name()]; dup {
 			drain(chunks)
 			return nil, fmt.Errorf("staging: operator name %q given twice", op.Name())
 		}
-		res.OperatorBreakdown[op.Name()] = metrics.NewBreakdown()
+		opBD[i] = new(Phases)
+		res.OperatorBreakdown[op.Name()] = opBD[i]
 	}
 	ctxs := make([]*Context, len(ops))
 	for i, op := range ops {
@@ -320,19 +340,32 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			step:    e.dump,
 		}
 	}
+	// phase opens phase ph's span and clock, for operator i or (i < 0)
+	// all of them, and returns the closer: it ends the span with arg and
+	// adds the elapsed time to the rank's table and operator i's.
+	phase := func(ph trace.Phase, i int) func(arg int64) {
+		start := time.Now()
+		sp := e.tracer.Begin(ph, e.traceEP, -1, e.dump, int64(i))
+		return func(arg int64) {
+			sp.End(arg)
+			d := time.Since(start)
+			res.Breakdown.add(ph, d)
+			if i >= 0 {
+				opBD[i].add(ph, d)
+			}
+		}
+	}
 
 	// Initialize.
-	start := time.Now()
-	sp := e.tracer.Begin(trace.PhaseInitialize, e.traceEP, -1, e.dump, -1)
+	end := phase(trace.PhaseInitialize, -1)
 	for i, op := range ops {
 		if err := op.Initialize(ctxs[i], agg); err != nil {
-			sp.End(0)
+			end(0)
 			drain(chunks)
 			return nil, fmt.Errorf("staging: %s.Initialize: %w", op.Name(), err)
 		}
 	}
-	sp.End(int64(len(ops)))
-	res.Breakdown.Add("initialize", time.Since(start))
+	end(int64(len(ops)))
 
 	// Map: stream chunks through a worker pool. Each chunk visits every
 	// operator, preserving the paper's read-once constraint. Shedding
@@ -347,9 +380,8 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			anyOptional = true
 		}
 	}
-	start = time.Now()
-	sp = e.tracer.Begin(trace.PhaseMap, e.traceEP, -1, e.dump, -1)
-	m := &mapper{ops: ops, ctxs: ctxs, optional: optional, bd: res.OperatorBreakdown}
+	end = phase(trace.PhaseMap, -1)
+	m := &mapper{ops: ops, ctxs: ctxs, optional: optional, spent: make([]atomic.Int64, len(ops))}
 	var (
 		wg       sync.WaitGroup
 		nChunks  int64
@@ -384,7 +416,10 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		}()
 	}
 	wg.Wait()
-	sp.End(nChunks)
+	end(nChunks)
+	for i := range ops {
+		opBD[i].add(trace.PhaseMap, time.Duration(m.spent[i].Load()))
+	}
 	res.Chunks = int(nChunks)
 	res.ShedSkips = int(nSkips)
 	if shedSeen && anyOptional {
@@ -395,7 +430,6 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			}
 		}
 	}
-	res.Breakdown.Add("map", time.Since(start))
 	if mapErr := m.err; mapErr != nil {
 		// All ranks must still participate in the shuffle collectives to
 		// avoid deadlocking peers; exchange empty buckets, then report.
@@ -411,31 +445,25 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	// Combine + Shuffle + Reduce, one operator at a time so that every
 	// rank issues collectives in the same order.
 	for i, op := range ops {
-		opBD := res.OperatorBreakdown[op.Name()]
-		start = time.Now()
-		sp = e.tracer.Begin(trace.PhaseCombine, e.traceEP, -1, e.dump, int64(i))
+		end = phase(trace.PhaseCombine, i)
 		ctx := ctxs[i]
 		if cb, ok := op.(Combiner); ok {
 			for tag, vals := range ctx.emitted {
 				merged, err := cb.Combine(tag, vals)
 				if err != nil {
-					sp.End(0)
+					end(0)
 					return nil, fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
 				}
 				ctx.emitted[tag] = merged
 			}
 		}
-		res.Breakdown.Add("combine", time.Since(start))
-		opBD.Add("combine", time.Since(start))
 		emitted := 0
 		for _, vals := range ctx.emitted {
 			emitted += len(vals)
 		}
-		res.OperatorEmitted[op.Name()] = emitted
-		sp.End(int64(emitted))
+		end(int64(emitted))
 
-		start = time.Now()
-		sp = e.tracer.Begin(trace.PhaseShuffle, e.traceEP, -1, e.dump, int64(i))
+		end = phase(trace.PhaseShuffle, i)
 		partition := func(tag int) int {
 			if p, ok := op.(Partitioner); ok {
 				return p.Partition(tag, comm.Size())
@@ -446,7 +474,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		for tag, vals := range ctx.emitted {
 			dst := partition(tag)
 			if dst < 0 || dst >= comm.Size() {
-				sp.End(0)
+				end(0)
 				return nil, fmt.Errorf("staging: %s.Partition(%d) = %d outside [0,%d)",
 					op.Name(), tag, dst, comm.Size())
 			}
@@ -456,15 +484,12 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		}
 		recv, err := mpi.Alltoall(comm, buckets)
 		if err != nil {
-			sp.End(0)
+			end(0)
 			return nil, fmt.Errorf("staging: %s shuffle: %w", op.Name(), err)
 		}
-		sp.End(int64(emitted))
-		res.Breakdown.Add("shuffle", time.Since(start))
-		opBD.Add("shuffle", time.Since(start))
+		end(int64(emitted))
 
-		start = time.Now()
-		sp = e.tracer.Begin(trace.PhaseReduce, e.traceEP, -1, e.dump, int64(i))
+		end = phase(trace.PhaseReduce, i)
 		groups := make(map[int][]any)
 		for _, row := range recv {
 			for _, tv := range row {
@@ -479,27 +504,23 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		sort.Ints(tags)
 		for _, tag := range tags {
 			if err := op.Reduce(ctx, tag, groups[tag]); err != nil {
-				sp.End(0)
+				end(0)
 				return nil, fmt.Errorf("staging: %s.Reduce(tag %d): %w", op.Name(), tag, err)
 			}
 		}
-		sp.End(int64(len(tags)))
-		res.Breakdown.Add("reduce", time.Since(start))
-		opBD.Add("reduce", time.Since(start))
+		end(int64(len(tags)))
 	}
 
 	// Finalize.
-	start = time.Now()
-	sp = e.tracer.Begin(trace.PhaseFinalize, e.traceEP, -1, e.dump, -1)
+	end = phase(trace.PhaseFinalize, -1)
 	for i, op := range ops {
 		if err := op.Finalize(ctxs[i]); err != nil {
-			sp.End(0)
+			end(0)
 			return nil, fmt.Errorf("staging: %s.Finalize: %w", op.Name(), err)
 		}
 		res.PerOperator[op.Name()] = ctxs[i].results
 	}
-	sp.End(int64(len(ops)))
-	res.Breakdown.Add("finalize", time.Since(start))
+	end(int64(len(ops)))
 	return res, nil
 }
 

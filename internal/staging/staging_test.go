@@ -13,6 +13,7 @@ import (
 
 	"predata/internal/ffs"
 	"predata/internal/mpi"
+	"predata/internal/trace"
 )
 
 // histOp is a toy histogram operator: Map bins a float64 slice field,
@@ -574,29 +575,34 @@ type namedComb struct {
 
 func (n *namedComb) Name() string { return n.name }
 
+// TestOperatorEmittedCountsShuffleVolume: each operator's Combine span
+// records the values it emitted locally after Combine — its shuffle
+// volume.
 func TestOperatorEmittedCountsShuffleVolume(t *testing.T) {
+	rec := trace.New(trace.Config{NumCompute: 2, NumStaging: 1, Dumps: 1})
 	err := mpi.Run(1, func(c *mpi.Comm) error {
 		plain := &histOp{bins: 4, min: 0, max: 4}
 		combined := &namedComb{&histOp{bins: 4, min: 0, max: 4, useComb: true}, "histC"}
 		eng := NewEngine(Config{})
+		eng.SetTracer(rec, 2)
 		chunks := []*Chunk{
 			makeChunk(0, []float64{0.5, 1.5, 2.5}),
 			makeChunk(1, []float64{0.5, 1.5, 2.5}),
 		}
-		res, err := eng.ProcessDump(c, feed(chunks), []Operator{plain, combined}, nil)
-		if err != nil {
-			return err
-		}
-		// Without a combiner: one emit per value = 6; with: one per tag = 3.
-		if got := res.OperatorEmitted["hist"]; got != 6 {
-			return fmt.Errorf("plain emitted %d want 6", got)
-		}
-		if got := res.OperatorEmitted["histC"]; got != 3 {
-			return fmt.Errorf("combined emitted %d want 3", got)
-		}
-		return nil
+		_, err := eng.ProcessDump(c, feed(chunks), []Operator{plain, combined}, nil)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	emitted := map[int64]int64{}
+	for _, e := range rec.Snapshot().Events {
+		if e.Phase == trace.PhaseCombine {
+			emitted[e.Seq] = e.Arg
+		}
+	}
+	// Without a combiner: one emit per value = 6; with: one per tag = 3.
+	if len(emitted) != 2 || emitted[0] != 6 || emitted[1] != 3 {
+		t.Errorf("Combine spans record %v emitted by operator, want 0:6 1:3", emitted)
 	}
 }
