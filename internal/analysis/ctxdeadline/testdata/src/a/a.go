@@ -2,6 +2,7 @@ package a
 
 import (
 	"context"
+	"errors"
 	"time"
 )
 
@@ -94,30 +95,76 @@ func goodScalePollCtx(ctx context.Context, active func() int, target int) {
 	}
 }
 
-// A hedged transfer that keeps re-arming its hedge delay and retrying
-// the race with no context or attempt budget: a source that never
-// answers pins the puller forever.
-func badHedgeWait(pull func() ([]byte, bool), hedgeDelay time.Duration) []byte {
-	for { // want `retry loop sleeps between attempts but has no deadline, cancellation, or attempt bound`
-		if buf, ok := pull(); ok {
-			return buf
+var (
+	errTransient = errors.New("transient")
+	errDown      = errors.New("endpoint down")
+)
+
+// A writer's fetch-request send that waits out a staging rank's restart
+// by retrying while the plan says the rank revives, with no deadline: a
+// restart that never completes pins the writer forever.
+func badReviveWait(send func() error, revives func() bool) error {
+	for attempt := 0; ; attempt++ { // want `retry loop sleeps between attempts but has no deadline, cancellation, or attempt bound`
+		err := send()
+		if err == nil || !errors.Is(err, errDown) || !revives() {
+			return err
 		}
-		time.Sleep(hedgeDelay)
+		backoff(attempt)
 	}
 }
 
-// The hedged-pull wait loop's required shape: each attempt races a
-// primary against a hedge armed after the bandwidth-model delay, and
-// the enclosing loop is both context-cancellable and attempt-bounded.
-func goodHedgeWait(ctx context.Context, pull func(context.Context) ([]byte, bool), hedgeDelay time.Duration, maxAttempts int) []byte {
+// The send's required shape: transients spend the attempt budget, and
+// the revive wait gives up at the dump deadline.
+func goodReviveWait(send func() error, revives func() bool, maxAttempts int, dumpDeadline time.Duration) error {
+	deadline := time.Now().Add(dumpDeadline)
 	for attempt := 0; ; attempt++ {
-		if buf, ok := pull(ctx); ok {
-			return buf
-		}
-		if attempt+1 >= maxAttempts || ctx.Err() != nil {
+		err := send()
+		switch {
+		case err == nil:
 			return nil
+		case errors.Is(err, errTransient):
+			if attempt+1 >= maxAttempts {
+				return err
+			}
+		case errors.Is(err, errDown) && revives():
+			if time.Now().After(deadline) {
+				return err
+			}
+		default:
+			return err
 		}
-		time.Sleep(hedgeDelay)
+		backoff(attempt)
+	}
+}
+
+// A staging rank gathering fetch requests that retries an injected
+// transient receive with no deadline: a writer that never sends pins
+// the rank, and with it the collective dump.
+func badRecvRequest(recv func() (any, error)) (any, error) {
+	for attempt := 0; ; attempt++ { // want `retry loop sleeps between attempts but has no deadline, cancellation, or attempt bound`
+		data, err := recv()
+		if errors.Is(err, errTransient) {
+			backoff(attempt)
+			continue
+		}
+		return data, err
+	}
+}
+
+// The gather's required shape: every receive waits at most the time
+// left before the dump deadline, and the loop ends when none is left.
+func goodRecvRequest(recv func(time.Duration) (any, error), deadline time.Time) (any, error) {
+	for attempt := 0; ; attempt++ {
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			return nil, errTransient
+		}
+		data, err := recv(remaining)
+		if errors.Is(err, errTransient) {
+			backoff(attempt)
+			continue
+		}
+		return data, err
 	}
 }
 

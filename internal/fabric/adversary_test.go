@@ -25,7 +25,7 @@ func injected(t *testing.T, plan faults.Plan) *faults.Injector {
 // duplicates are counted as absorbed.
 func TestCtlDupDelivery(t *testing.T) {
 	cfg := quiet(2)
-	cfg.Faults = injected(t, faults.Plan{Seed: 7, Dups: []faults.Dup{{Endpoint: 1, Prob: 1}}})
+	cfg.Faults = injected(t, faults.Plan{Seed: 7, Dups: []faults.Rule{{Endpoint: 1, Prob: 1}}})
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestCtlDupDelivery(t *testing.T) {
 func TestPartitionCutsBothPlanes(t *testing.T) {
 	cfg := quiet(3)
 	cfg.Faults = injected(t, faults.Plan{Partitions: []faults.Partition{
-		{GroupA: []int{0}, GroupB: []int{2}, FromDump: 1, ToDump: 2},
+		{GroupA: []int{0}, GroupB: []int{2}, Window: faults.Window{From: 1, To: 2}},
 	}})
 	f, err := New(cfg)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestPullRetainAndAck(t *testing.T) {
 
 func TestPullSiteCorruptionHealsOnRepull(t *testing.T) {
 	cfg := quiet(2)
-	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Corrupt{
+	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Rule{
 		{Endpoint: 0, Op: faults.OpPull, Prob: 0.5},
 	}})
 	f, err := New(cfg)
@@ -206,7 +206,7 @@ func TestPullSiteCorruptionHealsOnRepull(t *testing.T) {
 
 func TestSendSiteCorruptionPersists(t *testing.T) {
 	cfg := quiet(2)
-	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Corrupt{
+	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Rule{
 		{Endpoint: 0, Op: faults.OpSendCtl, Prob: 1},
 	}})
 	f, err := New(cfg)
@@ -294,7 +294,7 @@ func TestRetainedPullsShareTheExposedBuffer(t *testing.T) {
 // returns the region itself and passes Unseal — corruption still heals.
 func TestCorruptPullDeliveryIsPrivateCopy(t *testing.T) {
 	cfg := quiet(2)
-	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Corrupt{
+	cfg.Faults = injected(t, faults.Plan{Seed: 3, Corrupts: []faults.Rule{
 		{Endpoint: 0, Op: faults.OpPull, Prob: 0.5},
 	}})
 	f, err := New(cfg)

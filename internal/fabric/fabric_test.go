@@ -286,7 +286,7 @@ func TestShutdownUnblocksReceivers(t *testing.T) {
 func TestConcurrentPullsModeledExactly(t *testing.T) {
 	const n, factor = 8, 8
 	inj, err := faults.NewInjector(faults.Plan{Degrades: []faults.Degrade{
-		{Endpoint: faults.AnyEndpoint, FromDump: 1, ToDump: 1, Factor: factor},
+		{Endpoint: faults.AnyEndpoint, Window: faults.Window{From: 1, To: 1}, Factor: factor},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +451,7 @@ func TestFailEndpointDropsRegions(t *testing.T) {
 
 func TestDegradeWindowScalesPullDuration(t *testing.T) {
 	inj, err := faults.NewInjector(faults.Plan{Degrades: []faults.Degrade{
-		{Endpoint: 0, FromDump: 1, ToDump: 1, Factor: 8},
+		{Endpoint: 0, Window: faults.Window{From: 1, To: 1}, Factor: 8},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestDegradeWindowScalesPullDuration(t *testing.T) {
 // to fit a Duration saturates it instead of wrapping it negative.
 func TestHugeDegradeSaturates(t *testing.T) {
 	inj, err := faults.NewInjector(faults.Plan{Degrades: []faults.Degrade{
-		{Endpoint: faults.AnyEndpoint, FromDump: 0, ToDump: -1, Factor: 1e300},
+		{Endpoint: faults.AnyEndpoint, Window: faults.Window{From: 0, To: -1}, Factor: 1e300},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +503,7 @@ func TestHugeDegradeSaturates(t *testing.T) {
 }
 
 func TestTransientInjectionOnFabricOps(t *testing.T) {
-	inj, err := faults.NewInjector(faults.Plan{Seed: 3, Transients: []faults.Transient{
+	inj, err := faults.NewInjector(faults.Plan{Seed: 3, Transients: []faults.Rule{
 		{Endpoint: faults.AnyEndpoint, Op: faults.OpAny, Prob: 1},
 	}})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 func TestDupStateBoundedUnderSoak(t *testing.T) {
 	const n = 4
 	cfg := quiet(n)
-	cfg.Faults = injected(t, faults.Plan{Seed: 11, Dups: []faults.Dup{{Endpoint: faults.AnyEndpoint, Prob: 0.5}}})
+	cfg.Faults = injected(t, faults.Plan{Seed: 11, Dups: []faults.Rule{{Endpoint: faults.AnyEndpoint, Prob: 0.5}}})
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestRevivePrunesDeadStream(t *testing.T) {
 // duplicates, and keeps the watermarks correct for later traffic.
 func TestDrainCtl(t *testing.T) {
 	cfg := quiet(2)
-	cfg.Faults = injected(t, faults.Plan{Seed: 3, Dups: []faults.Dup{{Endpoint: 1, Prob: 1}}})
+	cfg.Faults = injected(t, faults.Plan{Seed: 3, Dups: []faults.Rule{{Endpoint: 1, Prob: 1}}})
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

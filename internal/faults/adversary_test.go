@@ -14,23 +14,23 @@ func TestParseAdversaryRoundTrip(t *testing.T) {
 	if len(p.Corrupts) != 2 {
 		t.Fatalf("corrupts %+v", p.Corrupts)
 	}
-	if p.Corrupts[0] != (Corrupt{Endpoint: AnyEndpoint, Op: OpPull, Prob: 0.1}) {
+	if p.Corrupts[0] != (Rule{Endpoint: AnyEndpoint, Op: OpPull, Prob: 0.1}) {
 		t.Errorf("corrupt[0] %+v", p.Corrupts[0])
 	}
-	if p.Corrupts[1] != (Corrupt{Endpoint: 3, Op: OpSendCtl, Prob: 0.5}) {
+	if p.Corrupts[1] != (Rule{Endpoint: 3, Op: OpSendCtl, Prob: 0.5}) {
 		t.Errorf("corrupt[1] %+v", p.Corrupts[1])
 	}
 	if len(p.Partitions) != 2 {
 		t.Fatalf("partitions %+v", p.Partitions)
 	}
 	pt := p.Partitions[0]
-	if len(pt.GroupA) != 1 || pt.GroupA[0] != 8 || len(pt.GroupB) != 2 || pt.FromDump != 1 || pt.ToDump != 2 {
+	if len(pt.GroupA) != 1 || pt.GroupA[0] != 8 || len(pt.GroupB) != 2 || pt.From != 1 || pt.To != 2 {
 		t.Errorf("partition[0] %+v", pt)
 	}
-	if p.Partitions[1].ToDump != -1 {
+	if p.Partitions[1].To != -1 {
 		t.Errorf("open window parsed as %+v", p.Partitions[1])
 	}
-	if len(p.Dups) != 2 || p.Dups[0] != (Dup{Endpoint: 9, Prob: 0.3}) || p.Dups[1].Endpoint != AnyEndpoint {
+	if len(p.Dups) != 2 || p.Dups[0] != (Rule{Endpoint: 9, Prob: 0.3}) || p.Dups[1].Endpoint != AnyEndpoint {
 		t.Errorf("dups %+v", p.Dups)
 	}
 	again, err := ParsePlan(p.String(), 42)
@@ -91,7 +91,7 @@ func TestParseAdversaryErrors(t *testing.T) {
 }
 
 func TestCorruptFaultDraws(t *testing.T) {
-	in, err := NewInjector(Plan{Seed: 7, Corrupts: []Corrupt{{Endpoint: 3, Op: OpPull, Prob: 1}}})
+	in, err := NewInjector(Plan{Seed: 7, Corrupts: []Rule{{Endpoint: 3, Op: OpPull, Prob: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCorruptFaultDraws(t *testing.T) {
 	}
 	// Same seed, same flip sequence.
 	mk := func() []int {
-		in2, err := NewInjector(Plan{Seed: 7, Corrupts: []Corrupt{{Endpoint: 3, Op: OpPull, Prob: 0.5}}})
+		in2, err := NewInjector(Plan{Seed: 7, Corrupts: []Rule{{Endpoint: 3, Op: OpPull, Prob: 0.5}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +143,8 @@ func TestCorruptFaultDraws(t *testing.T) {
 
 func TestUnreachableWindows(t *testing.T) {
 	in, err := NewInjector(Plan{Partitions: []Partition{
-		{GroupA: []int{0, 1}, GroupB: []int{9}, FromDump: 1, ToDump: 2},
-		{GroupA: []int{5}, GroupB: []int{6}, FromDump: 4, ToDump: -1},
+		{GroupA: []int{0, 1}, GroupB: []int{9}, Window: Window{From: 1, To: 2}},
+		{GroupA: []int{5}, GroupB: []int{6}, Window: Window{From: 4, To: -1}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestUnreachableWindows(t *testing.T) {
 }
 
 func TestDupFaultDraws(t *testing.T) {
-	in, err := NewInjector(Plan{Seed: 1, Dups: []Dup{{Endpoint: 2, Prob: 1}}})
+	in, err := NewInjector(Plan{Seed: 1, Dups: []Rule{{Endpoint: 2, Prob: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

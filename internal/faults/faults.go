@@ -4,19 +4,21 @@
 // At the 64:1–128:1 compute:staging ratios the paper targets, the staging
 // area sits on the critical output path of a peta-scale run, where
 // transient link degradation and node loss are routine. A Plan describes
-// the faults of one run up front — endpoint crashes pinned to an I/O
-// dump, transient per-operation failures with per-endpoint probability,
-// and degraded-bandwidth windows — so that a chaotic run is exactly
-// reproducible from its seed. The Injector evaluates a Plan at runtime:
-// the fabric consults it on every pull and control message, and the
-// predata recovery layer consults it for dump-indexed membership (which
-// staging ranks are alive at dump t).
+// the faults of one run up front, so that a chaotic run is exactly
+// reproducible from its seed. Its directives are built from two shapes:
 //
-// Beyond clean failures the plan also models an adversarial wire:
-// seeded payload bit-flips (Corrupt), bidirectional link partitions
-// over a dump window (Partition — the peer is alive but unreachable,
-// distinct from a crash), and control-message duplication with
-// reordering (Dup).
+//   - a Rule (endpoint, op, probability), drawn per operation from the
+//     endpoint's seeded generator: transient failures, payload bit-flips
+//     (corrupt) and late duplicate control messages (dup);
+//   - a Window of dumps: degraded bandwidth (degrade), a bidirectional
+//     link cut between two endpoint groups (partition — the peer is
+//     alive but unreachable, distinct from a crash), and the down time
+//     of a restart or a crashall.
+//
+// Crashes, restarts and crashalls are pinned to a dump. The Injector
+// evaluates a Plan at runtime: the fabric consults it on every pull and
+// control message, and the predata recovery layer consults it for
+// dump-indexed membership (which staging ranks are alive at dump t).
 //
 // Three typed errors classify every injected failure for errors.Is:
 // ErrTransient (retry may succeed; the operation did not take effect),
@@ -30,6 +32,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -51,15 +55,15 @@ var (
 	ErrUnreachable = errors.New("endpoint unreachable")
 )
 
-// AnyEndpoint matches every endpoint in a Transient or Degrade rule.
+// AnyEndpoint matches every endpoint in a Rule or a Degrade.
 const AnyEndpoint = -1
 
-// Op classifies the fabric operations transient faults attach to.
+// Op classifies the fabric operations a Rule attaches to.
 type Op int
 
 const (
-	// OpAny matches every operation class in a Transient rule.
-	OpAny Op = iota - 1
+	// OpAny, the zero Op, matches every operation class in a Rule.
+	OpAny Op = iota
 	// OpPull is a data-plane pull of an exposed region.
 	OpPull
 	// OpSendCtl is a control-plane send (e.g. a data-fetch request).
@@ -68,19 +72,64 @@ const (
 	OpRecvCtl
 )
 
+var opNames = [...]string{OpAny: "any", OpPull: "pull", OpSendCtl: "send", OpRecvCtl: "recv"}
+
 // String names the operation class (the plan-format keyword).
 func (o Op) String() string {
-	switch o {
-	case OpAny:
-		return "any"
-	case OpPull:
-		return "pull"
-	case OpSendCtl:
-		return "send"
-	case OpRecvCtl:
-		return "recv"
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", int(o))
+}
+
+// The operation classes each rule kind's OP field may name, in the order
+// error messages list them. A dup rule has no OP field: it matches every
+// control message sent to its endpoint.
+var (
+	transientOps = []Op{OpPull, OpSendCtl, OpRecvCtl, OpAny}
+	corruptOps   = []Op{OpPull, OpSendCtl, OpAny}
+	dupOps       = []Op{OpAny}
+)
+
+// Rule fires with probability Prob per attempt of an operation class,
+// attributed to one endpoint or to all of them. The plan holds three
+// kinds. A transient fails the operation: a pull is attributed to its
+// source, a send to its destination, a recv to its receiver. A corrupt
+// flips one payload byte of a transfer, attributed to the endpoint the
+// data lives on: OpPull corrupts the pulled copy (wire corruption, a
+// re-pull heals), OpSendCtl the exposed region itself (source
+// corruption, every re-pull returns the same bad bytes). A dup delivers
+// a control message sent to the endpoint a second time, late: appended
+// behind a subsequent message, so the receiver sees duplicated and
+// reordered traffic that its (src, seq) dedup must absorb.
+type Rule struct {
+	Endpoint int // endpoint id, or AnyEndpoint
+	Op       Op  // operation class; OpAny matches every class
+	Prob     float64
+}
+
+// Window is the inclusive dump range [From, To]; To < 0 leaves it
+// open-ended.
+type Window struct {
+	From, To int
+}
+
+// covers reports whether dump falls inside the window.
+func (w Window) covers(dump int64) bool {
+	return dump >= int64(w.From) && (w.To < 0 || dump <= int64(w.To))
+}
+
+// overlaps reports whether the two windows share a dump.
+func (w Window) overlaps(o Window) bool {
+	return (w.To < 0 || o.From <= w.To) && (o.To < 0 || w.From <= o.To)
+}
+
+// String renders the window in the plan format, FROM-TO or FROM-*.
+func (w Window) String() string {
+	if w.To < 0 {
+		return fmt.Sprintf("%d-*", w.From)
+	}
+	return fmt.Sprintf("%d-%d", w.From, w.To)
 }
 
 // Crash kills one endpoint at a dump boundary: the endpoint is alive for
@@ -101,13 +150,8 @@ type Restart struct {
 	Downtime int // dumps spent down, >= 1
 }
 
-// revivesAt is the first dump the restarted endpoint serves again.
-func (r Restart) revivesAt() int { return r.AtDump + r.Downtime }
-
-// downAt reports whether the restart window covers dump.
-func (r Restart) downAt(dump int64) bool {
-	return dump >= int64(r.AtDump) && dump < int64(r.revivesAt())
-}
+// window is the dumps the restart holds its endpoint down.
+func (r Restart) window() Window { return Window{r.AtDump, r.AtDump + r.Downtime - 1} }
 
 // CrashAll kills and restarts the whole staging service mid-dump
 // AtDump: every staging rank loses its in-memory state at once —
@@ -119,74 +163,30 @@ type CrashAll struct {
 	AtDump int
 }
 
-// Transient makes an operation class fail with probability Prob per
-// attempt, attributed to one endpoint (the destination of a send, the
-// source of a pull, the receiver of a recv) or to all of them.
-type Transient struct {
-	Endpoint int // endpoint id, or AnyEndpoint
-	Op       Op  // operation class, or OpAny
-	Prob     float64
-}
-
-// Degrade slows pulls of data exposed for dumps in [FromDump, ToDump]
-// (ToDump < 0 leaves the window open-ended) by Factor — a transient
-// link-degradation window rather than a hard failure.
+// Degrade slows pulls of data exposed for dumps in its window by Factor —
+// a transient link-degradation window rather than a hard failure.
 type Degrade struct {
 	Endpoint int // endpoint id, or AnyEndpoint
-	FromDump int
-	ToDump   int
-	Factor   float64 // transfer-duration multiplier, finite and >= 1
-}
-
-// Corrupt flips one payload byte with probability Prob per transfer,
-// attributed to the endpoint the data lives on. Op selects the
-// injection site: OpPull corrupts the pulled copy (wire corruption — a
-// re-pull reads the intact region and heals), OpSendCtl corrupts the
-// exposed region itself (source corruption — every re-pull returns the
-// same bad bytes), and OpAny arms both sites.
-type Corrupt struct {
-	Endpoint int // endpoint id, or AnyEndpoint
-	Op       Op  // OpPull, OpSendCtl, or OpAny
-	Prob     float64
+	Window
+	Factor float64 // transfer-duration multiplier, finite and >= 1
 }
 
 // Partition drops every fabric operation between the two endpoint
 // groups — bidirectionally, in both the control and data planes — for
-// dumps in [FromDump, ToDump] (ToDump < 0 leaves the window open).
-// Endpoints inside one group still reach each other; the partition is a
-// cut between the groups, not a crash of either side.
+// dumps in its window. Endpoints inside one group still reach each
+// other; the partition is a cut between the groups, not a crash of
+// either side.
 type Partition struct {
-	GroupA   []int
-	GroupB   []int
-	FromDump int
-	ToDump   int
+	GroupA []int
+	GroupB []int
+	Window
 }
 
 // severs reports whether the partition cuts the (a, b) pair at dump.
 func (pt Partition) severs(a, b int, dump int64) bool {
-	if dump < int64(pt.FromDump) || (pt.ToDump >= 0 && dump > int64(pt.ToDump)) {
-		return false
-	}
-	return (contains(pt.GroupA, a) && contains(pt.GroupB, b)) ||
-		(contains(pt.GroupA, b) && contains(pt.GroupB, a))
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Dup duplicates control messages sent to Endpoint with probability
-// Prob per send. The duplicate is delivered late — appended behind a
-// subsequent message — so the receiver sees duplicated *and* reordered
-// control traffic, the delivery anomaly (src, seq) dedup must absorb.
-type Dup struct {
-	Endpoint int // endpoint id, or AnyEndpoint
-	Prob     float64
+	return pt.covers(dump) &&
+		((slices.Contains(pt.GroupA, a) && slices.Contains(pt.GroupB, b)) ||
+			(slices.Contains(pt.GroupA, b) && slices.Contains(pt.GroupB, a)))
 }
 
 // Plan is a complete, reproducible fault schedule for one run.
@@ -196,11 +196,11 @@ type Plan struct {
 	// that endpoint's operation order).
 	Seed       int64
 	Crashes    []Crash
-	Transients []Transient
+	Transients []Rule
 	Degrades   []Degrade
-	Corrupts   []Corrupt
+	Corrupts   []Rule
 	Partitions []Partition
-	Dups       []Dup
+	Dups       []Rule
 	Restarts   []Restart
 	CrashAlls  []CrashAll
 }
@@ -208,44 +208,24 @@ type Plan struct {
 // Validate checks rule ranges — probabilities in [0, 1], degrade factors
 // >= 1, endpoint ids >= AnyEndpoint, crash dumps >= 0 — and rejects
 // conflicting duplicates: a second crash for an endpoint would silently
-// shadow the first's dump, and a second transient rule with the same
-// endpoint and op makes the effective probability ambiguous. (Transient
-// rules with different scopes — say *:any plus 3:pull — deliberately
-// layer and stay legal.)
+// shadow the first's dump, and a second rule of one kind with the same
+// endpoint and op makes the effective probability ambiguous. (Rules
+// with different scopes — say *:any plus 3:pull — deliberately layer
+// and stay legal.)
 func (p Plan) Validate() error {
-	crashed := make(map[int]bool, len(p.Crashes))
-	for _, c := range p.Crashes {
+	for i, c := range p.Crashes {
 		if c.Endpoint < 0 {
 			return fmt.Errorf("faults: crash endpoint %d must be >= 0", c.Endpoint)
 		}
 		if c.AtDump < 0 {
 			return fmt.Errorf("faults: crash dump %d must be >= 0", c.AtDump)
 		}
-		if crashed[c.Endpoint] {
+		if slices.ContainsFunc(p.Crashes[:i], func(o Crash) bool { return o.Endpoint == c.Endpoint }) {
 			return fmt.Errorf("faults: endpoint %d crashed twice; one crash directive per endpoint", c.Endpoint)
 		}
-		crashed[c.Endpoint] = true
 	}
-	type scope struct {
-		ep int
-		op Op
-	}
-	seen := make(map[scope]bool, len(p.Transients))
-	for _, t := range p.Transients {
-		if t.Endpoint < AnyEndpoint {
-			return fmt.Errorf("faults: transient endpoint %d invalid", t.Endpoint)
-		}
-		if t.Op < OpAny || t.Op > OpRecvCtl {
-			return fmt.Errorf("faults: transient op %d invalid", int(t.Op))
-		}
-		if !(t.Prob >= 0 && t.Prob <= 1) { // written to also reject NaN
-			return fmt.Errorf("faults: transient probability %g outside [0,1]", t.Prob)
-		}
-		s := scope{t.Endpoint, t.Op}
-		if seen[s] {
-			return fmt.Errorf("faults: duplicate transient rule for endpoint %d op %v", t.Endpoint, t.Op)
-		}
-		seen[s] = true
+	if err := validateRules("transient", p.Transients, transientOps); err != nil {
+		return err
 	}
 	for _, d := range p.Degrades {
 		if d.Endpoint < AnyEndpoint {
@@ -254,44 +234,65 @@ func (p Plan) Validate() error {
 		if !(d.Factor >= 1) || math.IsInf(d.Factor, 1) { // written to also reject NaN
 			return fmt.Errorf("faults: degrade factor %g must be finite and >= 1", d.Factor)
 		}
-		if d.FromDump < 0 || (d.ToDump >= 0 && d.ToDump < d.FromDump) {
-			return fmt.Errorf("faults: degrade window [%d,%d] invalid", d.FromDump, d.ToDump)
+		if err := d.validate("degrade"); err != nil {
+			return err
 		}
 	}
-	corruptSeen := make(map[scope]bool, len(p.Corrupts))
-	for _, c := range p.Corrupts {
-		if c.Endpoint < AnyEndpoint {
-			return fmt.Errorf("faults: corrupt endpoint %d invalid", c.Endpoint)
-		}
-		if c.Op != OpAny && c.Op != OpPull && c.Op != OpSendCtl {
-			return fmt.Errorf("faults: corrupt op %v invalid (want pull|send|any)", c.Op)
-		}
-		if !(c.Prob >= 0 && c.Prob <= 1) { // written to also reject NaN
-			return fmt.Errorf("faults: corrupt probability %g outside [0,1]", c.Prob)
-		}
-		s := scope{c.Endpoint, c.Op}
-		if corruptSeen[s] {
-			return fmt.Errorf("faults: duplicate corrupt rule for endpoint %d op %v", c.Endpoint, c.Op)
-		}
-		corruptSeen[s] = true
+	if err := validateRules("corrupt", p.Corrupts, corruptOps); err != nil {
+		return err
 	}
 	if err := p.validatePartitions(); err != nil {
 		return err
 	}
-	dupSeen := make(map[int]bool, len(p.Dups))
-	for _, d := range p.Dups {
-		if d.Endpoint < AnyEndpoint {
-			return fmt.Errorf("faults: dup endpoint %d invalid", d.Endpoint)
-		}
-		if !(d.Prob >= 0 && d.Prob <= 1) { // written to also reject NaN
-			return fmt.Errorf("faults: dup probability %g outside [0,1]", d.Prob)
-		}
-		if dupSeen[d.Endpoint] {
-			return fmt.Errorf("faults: duplicate dup rule for endpoint %d", d.Endpoint)
-		}
-		dupSeen[d.Endpoint] = true
+	if err := validateRules("dup", p.Dups, dupOps); err != nil {
+		return err
 	}
-	return p.validateRestarts(crashed)
+	return p.validateRestarts()
+}
+
+// validateRules checks one kind's rules: a valid endpoint, an op the
+// kind allows, a probability in [0, 1], and at most one rule per
+// (endpoint, op) scope.
+func validateRules(kind string, rules []Rule, ops []Op) error {
+	seen := make(map[Rule]bool, len(rules))
+	for _, r := range rules {
+		if r.Endpoint < AnyEndpoint {
+			return fmt.Errorf("faults: %s endpoint %d invalid", kind, r.Endpoint)
+		}
+		if !slices.Contains(ops, r.Op) {
+			return fmt.Errorf("faults: %s op %v invalid (want %s)", kind, r.Op, opList(ops))
+		}
+		if !(r.Prob >= 0 && r.Prob <= 1) { // written to also reject NaN
+			return fmt.Errorf("faults: %s probability %g outside [0,1]", kind, r.Prob)
+		}
+		scope := Rule{Endpoint: r.Endpoint, Op: r.Op}
+		if seen[scope] {
+			if len(ops) == 1 {
+				return fmt.Errorf("faults: duplicate %s rule for endpoint %d", kind, r.Endpoint)
+			}
+			return fmt.Errorf("faults: duplicate %s rule for endpoint %d op %v", kind, r.Endpoint, r.Op)
+		}
+		seen[scope] = true
+	}
+	return nil
+}
+
+// opList renders ops as the plan format's alternatives, "pull|send|any".
+func opList(ops []Op) string {
+	names := make([]string, len(ops))
+	for i, o := range ops {
+		names[i] = o.String()
+	}
+	return strings.Join(names, "|")
+}
+
+// validate rejects a window that starts before dump 0 or ends before it
+// starts.
+func (w Window) validate(kind string) error {
+	if w.From < 0 || (w.To >= 0 && w.To < w.From) {
+		return fmt.Errorf("faults: %s window [%d,%d] invalid", kind, w.From, w.To)
+	}
+	return nil
 }
 
 // validateRestarts checks restart and crashall directives: well-formed
@@ -301,15 +302,7 @@ func (p Plan) Validate() error {
 // rank would fight over the same membership machinery — no restart or
 // crashall window overlapping a partition window that involves the
 // same endpoint.
-func (p Plan) validateRestarts(crashed map[int]bool) error {
-	partitionTouches := func(pt Partition, ep int, from, to int) (bool, bool) {
-		involved := ep < 0 || contains(pt.GroupA, ep) || contains(pt.GroupB, ep)
-		overlap := from <= pt.ToDump || pt.ToDump < 0
-		if to >= 0 && pt.FromDump > to {
-			overlap = false
-		}
-		return involved, overlap
-	}
+func (p Plan) validateRestarts() error {
 	for i, r := range p.Restarts {
 		if r.Endpoint < 0 {
 			return fmt.Errorf("faults: restart endpoint %d must be >= 0", r.Endpoint)
@@ -320,49 +313,44 @@ func (p Plan) validateRestarts(crashed map[int]bool) error {
 		if r.Downtime < 1 {
 			return fmt.Errorf("faults: restart downtime %d must be >= 1 dump", r.Downtime)
 		}
-		if crashed[r.Endpoint] {
+		if slices.ContainsFunc(p.Crashes, func(c Crash) bool { return c.Endpoint == r.Endpoint }) {
 			return fmt.Errorf("faults: endpoint %d both crashes and restarts; a crash is permanent — use one or the other", r.Endpoint)
 		}
-		last := r.revivesAt() - 1
+		w := r.window()
 		for _, prev := range p.Restarts[:i] {
-			if prev.Endpoint != r.Endpoint {
-				continue
-			}
-			if r.AtDump <= prev.revivesAt()-1 && prev.AtDump <= last {
+			if pw := prev.window(); prev.Endpoint == r.Endpoint && pw.overlaps(w) {
 				return fmt.Errorf("faults: endpoint %d restart windows [%d,%d] and [%d,%d] overlap",
-					r.Endpoint, prev.AtDump, prev.revivesAt()-1, r.AtDump, last)
+					r.Endpoint, pw.From, pw.To, w.From, w.To)
 			}
 		}
 		for _, pt := range p.Partitions {
-			involved, overlap := partitionTouches(pt, r.Endpoint, r.AtDump, last)
-			if involved && overlap {
+			if slices.Contains(slices.Concat(pt.GroupA, pt.GroupB), r.Endpoint) && pt.overlaps(w) {
 				return fmt.Errorf(
 					"faults: restart of endpoint %d over dumps [%d,%d] overlaps a partition window [%d,%d] involving it; a rank cannot fence and restart at once",
-					r.Endpoint, r.AtDump, last, pt.FromDump, pt.ToDump)
+					r.Endpoint, w.From, w.To, pt.From, pt.To)
 			}
 		}
 	}
-	crashAllSeen := make(map[int]bool, len(p.CrashAlls))
-	for _, c := range p.CrashAlls {
+	for i, c := range p.CrashAlls {
 		if c.AtDump < 0 {
 			return fmt.Errorf("faults: crashall dump %d must be >= 0", c.AtDump)
 		}
-		if crashAllSeen[c.AtDump] {
+		if slices.Contains(p.CrashAlls[:i], c) {
 			return fmt.Errorf("faults: duplicate crashall at dump %d", c.AtDump)
 		}
-		crashAllSeen[c.AtDump] = true
+		w := Window{c.AtDump, c.AtDump}
 		for _, pt := range p.Partitions {
-			if _, overlap := partitionTouches(pt, AnyEndpoint, c.AtDump, c.AtDump); overlap {
+			if pt.overlaps(w) {
 				return fmt.Errorf(
 					"faults: crashall at dump %d falls inside a partition window [%d,%d]; the correlated restart needs every link up to recover",
-					c.AtDump, pt.FromDump, pt.ToDump)
+					c.AtDump, pt.From, pt.To)
 			}
 		}
 		for _, r := range p.Restarts {
-			if r.downAt(int64(c.AtDump)) {
+			if rw := r.window(); rw.overlaps(w) {
 				return fmt.Errorf(
 					"faults: crashall at dump %d falls inside endpoint %d's restart window [%d,%d]",
-					c.AtDump, r.Endpoint, r.AtDump, r.revivesAt()-1)
+					c.AtDump, r.Endpoint, rw.From, rw.To)
 			}
 		}
 	}
@@ -375,43 +363,34 @@ func (p Plan) validateRestarts(crashed map[int]bool) error {
 // silently restate the first, so the schedule is ambiguous.
 func (p Plan) validatePartitions() error {
 	type pair struct{ a, b int }
-	type window struct{ from, to int }
-	windows := make(map[pair][]window)
+	windows := make(map[pair][]Window)
 	for _, pt := range p.Partitions {
 		if len(pt.GroupA) == 0 || len(pt.GroupB) == 0 {
 			return fmt.Errorf("faults: partition groups must both be non-empty")
 		}
-		for _, g := range [2][]int{pt.GroupA, pt.GroupB} {
-			for _, ep := range g {
-				if ep < 0 {
-					return fmt.Errorf("faults: partition endpoint %d must be >= 0", ep)
-				}
+		for _, ep := range slices.Concat(pt.GroupA, pt.GroupB) {
+			if ep < 0 {
+				return fmt.Errorf("faults: partition endpoint %d must be >= 0", ep)
 			}
 		}
-		if pt.FromDump < 0 || (pt.ToDump >= 0 && pt.ToDump < pt.FromDump) {
-			return fmt.Errorf("faults: partition window [%d,%d] invalid", pt.FromDump, pt.ToDump)
+		if err := pt.validate("partition"); err != nil {
+			return err
 		}
 		for _, a := range pt.GroupA {
-			if contains(pt.GroupB, a) {
+			if slices.Contains(pt.GroupB, a) {
 				return fmt.Errorf("faults: endpoint %d appears on both sides of a partition (self-partition)", a)
 			}
 		}
-		w := window{pt.FromDump, pt.ToDump}
 		for _, a := range pt.GroupA {
 			for _, b := range pt.GroupB {
-				k := pair{a, b}
-				if b < a {
-					k = pair{b, a}
-				}
+				k := pair{min(a, b), max(a, b)}
 				for _, prev := range windows[k] {
-					if w.from <= prev.to || prev.to < 0 {
-						if prev.from <= w.to || w.to < 0 {
-							return fmt.Errorf("faults: partitions overlap for endpoints %d and %d (windows [%d,%d] and [%d,%d])",
-								k.a, k.b, prev.from, prev.to, w.from, w.to)
-						}
+					if prev.overlaps(pt.Window) {
+						return fmt.Errorf("faults: partitions overlap for endpoints %d and %d (windows [%d,%d] and [%d,%d])",
+							k.a, k.b, prev.From, prev.To, pt.From, pt.To)
 					}
 				}
-				windows[k] = append(windows[k], w)
+				windows[k] = append(windows[k], pt.Window)
 			}
 		}
 	}
@@ -484,35 +463,44 @@ func (in *Injector) rng(endpoint int) *rand.Rand {
 	return r
 }
 
+// draw rolls one rule kind's decision for an operation on endpoint: the
+// highest probability among the rules matching (op, endpoint), drawn
+// from the endpoint's private generator. A hit adds one to count, and
+// with size > 0 also draws the byte offset to flip. With no matching rule nothing is drawn, so
+// each endpoint's sequence depends only on the operations rules cover.
+func (in *Injector) draw(rules []Rule, op Op, endpoint, size int, count *atomic.Int64) (bool, int) {
+	prob := 0.0
+	for _, r := range rules {
+		if (r.Endpoint == AnyEndpoint || r.Endpoint == endpoint) && (r.Op == OpAny || r.Op == op) {
+			prob = max(prob, r.Prob)
+		}
+	}
+	if prob <= 0 {
+		return false, 0
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	rng := in.rng(endpoint)
+	if rng.Float64() >= prob {
+		return false, 0
+	}
+	count.Add(1)
+	if size > 0 {
+		return true, rng.Intn(size)
+	}
+	return true, 0
+}
+
 // OpFault draws the transient-failure decision for one operation on one
 // endpoint, returning an error wrapping ErrTransient when the fault
 // fires and nil otherwise.
 func (in *Injector) OpFault(op Op, endpoint int) error {
-	if in == nil || len(in.plan.Transients) == 0 {
+	if in == nil {
 		return nil
 	}
-	prob := 0.0
-	for _, t := range in.plan.Transients {
-		if t.Endpoint != AnyEndpoint && t.Endpoint != endpoint {
-			continue
-		}
-		if t.Op != OpAny && t.Op != op {
-			continue
-		}
-		if t.Prob > prob {
-			prob = t.Prob
-		}
-	}
-	if prob <= 0 {
+	if hit, _ := in.draw(in.plan.Transients, op, endpoint, 0, &in.stats.Transients); !hit {
 		return nil
 	}
-	in.mu.Lock()
-	hit := in.rng(endpoint).Float64() < prob
-	in.mu.Unlock()
-	if !hit {
-		return nil
-	}
-	in.stats.Transients.Add(1)
 	return fmt.Errorf("faults: injected %v fault on endpoint %d: %w", op, endpoint, ErrTransient)
 }
 
@@ -521,30 +509,18 @@ func (in *Injector) OpFault(op Op, endpoint int) error {
 // (RestartDownAt) because a restarting rank stays in the live
 // membership and rejoins.
 func (in *Injector) DownAt(endpoint int, dump int64) bool {
-	if in == nil {
-		return false
-	}
-	for _, c := range in.plan.Crashes {
-		if c.Endpoint == endpoint && dump >= int64(c.AtDump) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(in.Plan().Crashes, func(c Crash) bool {
+		return c.Endpoint == endpoint && dump >= int64(c.AtDump)
+	})
 }
 
 // RestartDownAt reports whether a restart window holds the endpoint
 // down at dump: it serves nothing in [AtDump, AtDump+Downtime) and
 // revives after.
 func (in *Injector) RestartDownAt(endpoint int, dump int64) bool {
-	if in == nil {
-		return false
-	}
-	for _, r := range in.plan.Restarts {
-		if r.Endpoint == endpoint && r.downAt(dump) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(in.Plan().Restarts, func(r Restart) bool {
+		return r.Endpoint == endpoint && r.window().covers(dump)
+	})
 }
 
 // Revives reports whether the endpoint, though possibly down right
@@ -553,47 +529,25 @@ func (in *Injector) RestartDownAt(endpoint int, dump int64) bool {
 // The client's send path retries ErrEndpointDown against such an
 // endpoint — the refusal is the restart race, not node loss.
 func (in *Injector) Revives(endpoint int, dump int64) bool {
-	if in == nil || in.DownAt(endpoint, dump) || in.RestartDownAt(endpoint, dump) {
-		return false
-	}
-	for _, r := range in.plan.Restarts {
-		if r.Endpoint == endpoint && dump >= int64(r.revivesAt()) {
-			return true
-		}
-	}
-	return false
+	return !in.DownAt(endpoint, dump) && !in.RestartDownAt(endpoint, dump) &&
+		slices.ContainsFunc(in.Plan().Restarts, func(r Restart) bool {
+			return r.Endpoint == endpoint && dump > int64(r.window().To)
+		})
 }
 
 // CrashAllAt reports whether the plan crashes the whole staging
 // service mid-dump at dump.
 func (in *Injector) CrashAllAt(dump int64) bool {
-	if in == nil {
-		return false
-	}
-	for _, c := range in.plan.CrashAlls {
-		if int64(c.AtDump) == dump {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(in.Plan().CrashAlls, func(c CrashAll) bool { return int64(c.AtDump) == dump })
 }
 
 // DegradeFactor returns the transfer-duration multiplier (>= 1) for data
 // the endpoint exposed during dump.
 func (in *Injector) DegradeFactor(endpoint int, dump int64) float64 {
-	if in == nil {
-		return 1
-	}
 	factor := 1.0
-	for _, d := range in.plan.Degrades {
-		if d.Endpoint != AnyEndpoint && d.Endpoint != endpoint {
-			continue
-		}
-		if dump < int64(d.FromDump) || (d.ToDump >= 0 && dump > int64(d.ToDump)) {
-			continue
-		}
-		if d.Factor > factor {
-			factor = d.Factor
+	for _, d := range in.Plan().Degrades {
+		if (d.Endpoint == AnyEndpoint || d.Endpoint == endpoint) && d.covers(dump) {
+			factor = max(factor, d.Factor)
 		}
 	}
 	return factor
@@ -615,79 +569,28 @@ func (in *Injector) NoteDownRefusal() {
 // private generator, so corruption interleaves deterministically with
 // the endpoint's transient draws.
 func (in *Injector) CorruptFault(op Op, endpoint, size int) (int, bool) {
-	if in == nil || len(in.plan.Corrupts) == 0 || size <= 0 {
+	if in == nil || size <= 0 {
 		return 0, false
 	}
-	prob := 0.0
-	for _, c := range in.plan.Corrupts {
-		if c.Endpoint != AnyEndpoint && c.Endpoint != endpoint {
-			continue
-		}
-		if c.Op != OpAny && c.Op != op {
-			continue
-		}
-		if c.Prob > prob {
-			prob = c.Prob
-		}
-	}
-	if prob <= 0 {
-		return 0, false
-	}
-	in.mu.Lock()
-	r := in.rng(endpoint)
-	hit := r.Float64() < prob
-	pos := 0
-	if hit {
-		pos = r.Intn(size)
-	}
-	in.mu.Unlock()
-	if !hit {
-		return 0, false
-	}
-	in.stats.Corruptions.Add(1)
-	return pos, true
+	hit, pos := in.draw(in.plan.Corrupts, op, endpoint, size, &in.stats.Corruptions)
+	return pos, hit
 }
 
 // Unreachable reports whether a partition severs the (a, b) endpoint
 // pair at dump. Both directions are cut: Unreachable(a, b, d) ==
 // Unreachable(b, a, d).
 func (in *Injector) Unreachable(a, b int, dump int64) bool {
-	if in == nil || a == b {
-		return false
-	}
-	for _, pt := range in.plan.Partitions {
-		if pt.severs(a, b, dump) {
-			return true
-		}
-	}
-	return false
+	return a != b && slices.ContainsFunc(in.Plan().Partitions, func(pt Partition) bool { return pt.severs(a, b, dump) })
 }
 
 // DupFault draws the duplication decision for one control message sent
 // to endpoint, returning true when the message should be delivered a
 // second time (late, behind a subsequent send).
 func (in *Injector) DupFault(endpoint int) bool {
-	if in == nil || len(in.plan.Dups) == 0 {
+	if in == nil {
 		return false
 	}
-	prob := 0.0
-	for _, d := range in.plan.Dups {
-		if d.Endpoint != AnyEndpoint && d.Endpoint != endpoint {
-			continue
-		}
-		if d.Prob > prob {
-			prob = d.Prob
-		}
-	}
-	if prob <= 0 {
-		return false
-	}
-	in.mu.Lock()
-	hit := in.rng(endpoint).Float64() < prob
-	in.mu.Unlock()
-	if hit {
-		in.stats.Duplicates.Add(1)
-	}
+	hit, _ := in.draw(in.plan.Dups, OpSendCtl, endpoint, 0, &in.stats.Duplicates)
 	return hit
 }
 

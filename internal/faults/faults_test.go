@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,13 +23,13 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if len(p.Transients) != 2 {
 		t.Fatalf("transients %+v", p.Transients)
 	}
-	if p.Transients[0] != (Transient{Endpoint: AnyEndpoint, Op: OpAny, Prob: 0.2}) {
+	if p.Transients[0] != (Rule{Endpoint: AnyEndpoint, Op: OpAny, Prob: 0.2}) {
 		t.Errorf("transient[0] %+v", p.Transients[0])
 	}
-	if p.Transients[1] != (Transient{Endpoint: 7, Op: OpPull, Prob: 0.5}) {
+	if p.Transients[1] != (Rule{Endpoint: 7, Op: OpPull, Prob: 0.5}) {
 		t.Errorf("transient[1] %+v", p.Transients[1])
 	}
-	if len(p.Degrades) != 2 || p.Degrades[1].ToDump != -1 {
+	if len(p.Degrades) != 2 || p.Degrades[1].To != -1 {
 		t.Errorf("degrades %+v", p.Degrades)
 	}
 	// The rendered form reparses to the same plan.
@@ -112,7 +113,7 @@ func TestParsePlanLayeredTransientsLegal(t *testing.T) {
 }
 
 func TestTypedErrors(t *testing.T) {
-	in, err := NewInjector(Plan{Seed: 1, Transients: []Transient{{Endpoint: AnyEndpoint, Op: OpAny, Prob: 1}}})
+	in, err := NewInjector(Plan{Seed: 1, Transients: []Rule{{Endpoint: AnyEndpoint, Op: OpAny, Prob: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestTypedErrors(t *testing.T) {
 
 func TestOpFaultDeterministicPerSeed(t *testing.T) {
 	mk := func(seed int64) []bool {
-		in, err := NewInjector(Plan{Seed: seed, Transients: []Transient{{Endpoint: AnyEndpoint, Op: OpAny, Prob: 0.5}}})
+		in, err := NewInjector(Plan{Seed: seed, Transients: []Rule{{Endpoint: AnyEndpoint, Op: OpAny, Prob: 0.5}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestOpFaultDeterministicPerSeed(t *testing.T) {
 }
 
 func TestOpFaultMatching(t *testing.T) {
-	in, err := NewInjector(Plan{Seed: 1, Transients: []Transient{{Endpoint: 4, Op: OpSendCtl, Prob: 1}}})
+	in, err := NewInjector(Plan{Seed: 1, Transients: []Rule{{Endpoint: 4, Op: OpSendCtl, Prob: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,8 @@ func TestDownAt(t *testing.T) {
 
 func TestDegradeFactorWindows(t *testing.T) {
 	in, err := NewInjector(Plan{Degrades: []Degrade{
-		{Endpoint: 3, FromDump: 1, ToDump: 2, Factor: 4},
-		{Endpoint: AnyEndpoint, FromDump: 5, ToDump: -1, Factor: 2},
+		{Endpoint: 3, Window: Window{From: 1, To: 2}, Factor: 4},
+		{Endpoint: AnyEndpoint, Window: Window{From: 5, To: -1}, Factor: 2},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -244,13 +245,93 @@ func TestNilInjectorIsInert(t *testing.T) {
 }
 
 func TestNewInjectorValidates(t *testing.T) {
-	if _, err := NewInjector(Plan{Transients: []Transient{{Prob: 2}}}); err == nil {
+	if _, err := NewInjector(Plan{Transients: []Rule{{Prob: 2}}}); err == nil {
 		t.Error("probability 2 accepted")
 	}
-	if _, err := NewInjector(Plan{Degrades: []Degrade{{Factor: 0.5, ToDump: -1}}}); err == nil {
+	if _, err := NewInjector(Plan{Degrades: []Degrade{{Factor: 0.5, Window: Window{To: -1}}}}); err == nil {
 		t.Error("speed-up degrade accepted")
 	}
 	if _, err := NewInjector(Plan{Crashes: []Crash{{Endpoint: -2}}}); err == nil {
 		t.Error("negative crash endpoint accepted")
+	}
+}
+
+// TestDrawSequencePinned holds the injector's draws to a recorded
+// sequence: transient, corrupt and dup rules over three endpoints, with
+// the three draw calls interleaved. Each entry is "." for a miss, "t"
+// for a transient, "d" for a duplicate and the flip offset for a
+// corruption. A seed must replay the same faults in every build, so any
+// change to rule matching, generator seeding or draw order fails here.
+func TestDrawSequencePinned(t *testing.T) {
+	p, err := ParsePlan("transient:*:0.3;transient:5:0.6:pull;corrupt:5:0.4:pull;"+
+		"corrupt:*:0.2:send;corrupt:6:0.5;dup:6:0.5;dup:*:0.1", 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewInjector(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "t . 975 . . . t 613 60 . t . . . . t . . . . . t 315 . . " +
+		"t . . 19 d . . . 57 . t t . . d . . . . . t t 1016 . . " +
+		". t 342 59 . t t . . d t . . 40 . . . . 10 . t . . 62 d " +
+		"t . 96 . . t . . 6 . t . . . d . t . . . t . 1053 . . " +
+		". . . . d . . . 34 . t . . . . t . . . . . . 221 . . " +
+		"t . . 17 . t . . . d . t 1032 . . . . . 17 d t t . . . " +
+		". t . 40 . . t . 21 . . . . . . . t . 3 . . . . . . " +
+		"t . . . d t . 349 50 . . . 824 38 . t t . . . . t 289 . . " +
+		"t t 1142 52 . . . . . d . . . . . . . 1136 14 . . t . . d " +
+		"t . 1181 55 . . . 243 2 . t . . . . . . 1146 . . . t 968 . . " +
+		"t t . 4 . . . . . . . . 1002 . . t . . . . t . 31 16 d " +
+		". . . . . t . . 17 . . . . . . . . . 25 d . t . 30 d"
+	got := make([]string, 0, 300)
+	for i := 0; i < 300; i++ {
+		ep := 4 + i%3
+		hit := "."
+		switch i % 5 {
+		case 0:
+			if in.OpFault(OpPull, ep) != nil {
+				hit = "t"
+			}
+		case 1:
+			if in.OpFault(OpSendCtl, ep) != nil {
+				hit = "t"
+			}
+		case 2:
+			if pos, ok := in.CorruptFault(OpPull, ep, 1000+i); ok {
+				hit = strconv.Itoa(pos)
+			}
+		case 3:
+			if pos, ok := in.CorruptFault(OpSendCtl, ep, 64); ok {
+				hit = strconv.Itoa(pos)
+			}
+		case 4:
+			if in.DupFault(ep) {
+				hit = "d"
+			}
+		}
+		got = append(got, hit)
+	}
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("draw sequence changed:\n got %s\nwant %s", s, want)
+	}
+	st := in.Stats()
+	if n, c, d := st.Transients.Load(), st.Corruptions.Load(), st.Duplicates.Load(); n != 47 || c != 45 || d != 14 {
+		t.Errorf("stats transients=%d corruptions=%d duplicates=%d, want 47 45 14", n, c, d)
+	}
+}
+
+// TestPlanStringPinned renders the example in ParsePlan's doc comment:
+// the order is fixed by kind, a transient's default op is spelled out,
+// and every other directive reads back as written.
+func TestPlanStringPinned(t *testing.T) {
+	const doc = "transient:*:0.2;crash:9@1;degrade:3:0-2:4;corrupt:*:0.1:pull;partition:8|9,10@1-2;dup:9:0.3;restart:10@3:1;crashall@4"
+	p, err := ParsePlan(doc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "crash:9@1;transient:*:0.2:any;degrade:3:0-2:4;corrupt:*:0.1:pull;partition:8|9,10@1-2;dup:9:0.3;restart:10@3:1;crashall@4"
+	if got := p.String(); got != want {
+		t.Errorf("String() = %q\n want %q", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,7 +37,7 @@ import (
 //
 // EP is a fabric endpoint id or * for every endpoint. Example:
 //
-//	transient:*:0.2;crash:9@1;degrade:3:0-2:4;corrupt:*:0.1:pull;partition:8|9,10@1-2;dup:9:0.3;restart:10@2:1;crashall@4
+//	transient:*:0.2;crash:9@1;degrade:3:0-2:4;corrupt:*:0.1:pull;partition:8|9,10@1-2;dup:9:0.3;restart:10@3:1;crashall@4
 func ParsePlan(spec string, seed int64) (Plan, error) {
 	p := Plan{Seed: seed}
 	directives := 0
@@ -49,9 +50,11 @@ func ParsePlan(spec string, seed int64) (Plan, error) {
 		// crashall is the one colon-free directive: it names no endpoint,
 		// the whole service is its scope.
 		if rest, found := strings.CutPrefix(dir, "crashall@"); found {
-			if err := parseCrashAll(&p, rest); err != nil {
-				return Plan{}, err
+			dump, err := strconv.Atoi(rest)
+			if err != nil || dump < 0 {
+				return Plan{}, fmt.Errorf("faults: crashall dump %q must be a non-negative integer", rest)
 			}
+			p.CrashAlls = append(p.CrashAlls, CrashAll{AtDump: dump})
 			continue
 		}
 		kind, rest, ok := strings.Cut(dir, ":")
@@ -63,15 +66,15 @@ func ParsePlan(spec string, seed int64) (Plan, error) {
 		case "crash":
 			err = parseCrash(&p, rest)
 		case "transient":
-			err = parseTransient(&p, rest)
+			p.Transients, err = parseRule(p.Transients, kind, rest, transientOps)
 		case "degrade":
 			err = parseDegrade(&p, rest)
 		case "corrupt":
-			err = parseCorrupt(&p, rest)
+			p.Corrupts, err = parseRule(p.Corrupts, kind, rest, corruptOps)
 		case "partition":
 			err = parsePartition(&p, rest)
 		case "dup":
-			err = parseDup(&p, rest)
+			p.Dups, err = parseRule(p.Dups, kind, rest, dupOps)
 		case "restart":
 			err = parseRestart(&p, rest)
 		default:
@@ -122,36 +125,55 @@ func parseCrash(p *Plan, rest string) error {
 	return nil
 }
 
-func parseTransient(p *Plan, rest string) error {
-	parts := strings.Split(rest, ":")
-	if len(parts) != 2 && len(parts) != 3 {
-		return fmt.Errorf("faults: transient %q wants EP:PROB[:OP]", rest)
+// parseRule reads one rule kind's EP:PROB[:OP] and appends it to rules.
+// OP names one of ops and defaults to any; a kind whose only op is any
+// (dup) takes no OP field.
+func parseRule(rules []Rule, kind, rest string, ops []Op) ([]Rule, error) {
+	form, n := "EP:PROB[:OP]", -1
+	if len(ops) == 1 {
+		form, n = "EP:PROB", 2 // no OP field: everything after EP is PROB
+	}
+	parts := strings.SplitN(rest, ":", n)
+	if len(parts) < 2 || len(parts) > 3 {
+		return rules, fmt.Errorf("faults: %s %q wants %s", kind, rest, form)
 	}
 	ep, err := parseEndpoint(parts[0])
 	if err != nil {
-		return err
+		return rules, err
 	}
 	prob, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil {
-		return fmt.Errorf("faults: transient probability %q: %v", parts[1], err)
+		return rules, fmt.Errorf("faults: %s probability %q: %v", kind, parts[1], err)
 	}
 	op := OpAny
 	if len(parts) == 3 {
-		switch parts[2] {
-		case "pull":
-			op = OpPull
-		case "send":
-			op = OpSendCtl
-		case "recv":
-			op = OpRecvCtl
-		case "any":
-			op = OpAny
-		default:
-			return fmt.Errorf("faults: transient op %q (want pull|send|recv|any)", parts[2])
+		i := slices.IndexFunc(ops, func(o Op) bool { return o.String() == parts[2] })
+		if i < 0 {
+			return rules, fmt.Errorf("faults: %s op %q (want %s)", kind, parts[2], opList(ops))
+		}
+		op = ops[i]
+	}
+	return append(rules, Rule{Endpoint: ep, Op: op, Prob: prob}), nil
+}
+
+// parseWindow reads FROM-TO, where TO may be * for an open-ended window.
+func parseWindow(kind, s string) (Window, error) {
+	fromStr, toStr, ok := strings.Cut(s, "-")
+	if !ok {
+		return Window{}, fmt.Errorf("faults: %s window %q wants FROM-TO", kind, s)
+	}
+	from, err := strconv.Atoi(fromStr)
+	if err != nil || from < 0 {
+		return Window{}, fmt.Errorf("faults: %s window start %q must be a non-negative integer", kind, fromStr)
+	}
+	to := -1
+	if toStr != "*" {
+		to, err = strconv.Atoi(toStr)
+		if err != nil || to < from {
+			return Window{}, fmt.Errorf("faults: %s window end %q must be >= %d or *", kind, toStr, from)
 		}
 	}
-	p.Transients = append(p.Transients, Transient{Endpoint: ep, Op: op, Prob: prob})
-	return nil
+	return Window{from, to}, nil
 }
 
 func parseDegrade(p *Plan, rest string) error {
@@ -163,56 +185,15 @@ func parseDegrade(p *Plan, rest string) error {
 	if err != nil {
 		return err
 	}
-	fromStr, toStr, ok := strings.Cut(parts[1], "-")
-	if !ok {
-		return fmt.Errorf("faults: degrade window %q wants FROM-TO", parts[1])
-	}
-	from, err := strconv.Atoi(fromStr)
-	if err != nil || from < 0 {
-		return fmt.Errorf("faults: degrade window start %q must be a non-negative integer", fromStr)
-	}
-	to := -1
-	if toStr != "*" {
-		to, err = strconv.Atoi(toStr)
-		if err != nil || to < from {
-			return fmt.Errorf("faults: degrade window end %q must be >= %d or *", toStr, from)
-		}
+	w, err := parseWindow("degrade", parts[1])
+	if err != nil {
+		return err
 	}
 	factor, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil {
 		return fmt.Errorf("faults: degrade factor %q: %v", parts[2], err)
 	}
-	p.Degrades = append(p.Degrades, Degrade{Endpoint: ep, FromDump: from, ToDump: to, Factor: factor})
-	return nil
-}
-
-func parseCorrupt(p *Plan, rest string) error {
-	parts := strings.Split(rest, ":")
-	if len(parts) != 2 && len(parts) != 3 {
-		return fmt.Errorf("faults: corrupt %q wants EP:PROB[:OP]", rest)
-	}
-	ep, err := parseEndpoint(parts[0])
-	if err != nil {
-		return err
-	}
-	prob, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return fmt.Errorf("faults: corrupt probability %q: %v", parts[1], err)
-	}
-	op := OpAny
-	if len(parts) == 3 {
-		switch parts[2] {
-		case "pull":
-			op = OpPull
-		case "send":
-			op = OpSendCtl
-		case "any":
-			op = OpAny
-		default:
-			return fmt.Errorf("faults: corrupt op %q (want pull|send|any)", parts[2])
-		}
-	}
-	p.Corrupts = append(p.Corrupts, Corrupt{Endpoint: ep, Op: op, Prob: prob})
+	p.Degrades = append(p.Degrades, Degrade{Endpoint: ep, Window: w, Factor: factor})
 	return nil
 }
 
@@ -251,22 +232,11 @@ func parsePartition(p *Plan, rest string) error {
 	if err != nil {
 		return err
 	}
-	fromStr, toStr, ok := strings.Cut(windowStr, "-")
-	if !ok {
-		return fmt.Errorf("faults: partition window %q wants FROM-TO", windowStr)
+	w, err := parseWindow("partition", windowStr)
+	if err != nil {
+		return err
 	}
-	from, err := strconv.Atoi(fromStr)
-	if err != nil || from < 0 {
-		return fmt.Errorf("faults: partition window start %q must be a non-negative integer", fromStr)
-	}
-	to := -1
-	if toStr != "*" {
-		to, err = strconv.Atoi(toStr)
-		if err != nil || to < from {
-			return fmt.Errorf("faults: partition window end %q must be >= %d or *", toStr, from)
-		}
-	}
-	p.Partitions = append(p.Partitions, Partition{GroupA: a, GroupB: b, FromDump: from, ToDump: to})
+	p.Partitions = append(p.Partitions, Partition{GroupA: a, GroupB: b, Window: w})
 	return nil
 }
 
@@ -295,32 +265,6 @@ func parseRestart(p *Plan, rest string) error {
 	return nil
 }
 
-func parseCrashAll(p *Plan, rest string) error {
-	dump, err := strconv.Atoi(rest)
-	if err != nil || dump < 0 {
-		return fmt.Errorf("faults: crashall dump %q must be a non-negative integer", rest)
-	}
-	p.CrashAlls = append(p.CrashAlls, CrashAll{AtDump: dump})
-	return nil
-}
-
-func parseDup(p *Plan, rest string) error {
-	epStr, probStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("faults: dup %q wants EP:PROB", rest)
-	}
-	ep, err := parseEndpoint(epStr)
-	if err != nil {
-		return err
-	}
-	prob, err := strconv.ParseFloat(probStr, 64)
-	if err != nil {
-		return fmt.Errorf("faults: dup probability %q: %v", probStr, err)
-	}
-	p.Dups = append(p.Dups, Dup{Endpoint: ep, Prob: prob})
-	return nil
-}
-
 // String renders the plan back into the ParsePlan format (without the
 // seed, which rides separately).
 func (p Plan) String() string {
@@ -331,18 +275,16 @@ func (p Plan) String() string {
 		}
 		return strconv.Itoa(ep)
 	}
-	for _, c := range p.Crashes {
-		dirs = append(dirs, fmt.Sprintf("crash:%d@%d", c.Endpoint, c.AtDump))
-	}
-	for _, t := range p.Transients {
-		dirs = append(dirs, fmt.Sprintf("transient:%s:%g:%v", epStr(t.Endpoint), t.Prob, t.Op))
-	}
-	for _, d := range p.Degrades {
-		to := "*"
-		if d.ToDump >= 0 {
-			to = strconv.Itoa(d.ToDump)
+	// rules renders one kind; the OP field is spelled out whenever the
+	// kind has one, so parse -> String -> parse is a fixed point.
+	rules := func(kind string, rs []Rule, ops []Op) {
+		for _, r := range rs {
+			d := fmt.Sprintf("%s:%s:%g", kind, epStr(r.Endpoint), r.Prob)
+			if len(ops) > 1 {
+				d += ":" + r.Op.String()
+			}
+			dirs = append(dirs, d)
 		}
-		dirs = append(dirs, fmt.Sprintf("degrade:%s:%d-%s:%g", epStr(d.Endpoint), d.FromDump, to, d.Factor))
 	}
 	group := func(g []int) string {
 		parts := make([]string, len(g))
@@ -351,19 +293,18 @@ func (p Plan) String() string {
 		}
 		return strings.Join(parts, ",")
 	}
-	for _, c := range p.Corrupts {
-		dirs = append(dirs, fmt.Sprintf("corrupt:%s:%g:%v", epStr(c.Endpoint), c.Prob, c.Op))
+	for _, c := range p.Crashes {
+		dirs = append(dirs, fmt.Sprintf("crash:%d@%d", c.Endpoint, c.AtDump))
 	}
+	rules("transient", p.Transients, transientOps)
+	for _, d := range p.Degrades {
+		dirs = append(dirs, fmt.Sprintf("degrade:%s:%v:%g", epStr(d.Endpoint), d.Window, d.Factor))
+	}
+	rules("corrupt", p.Corrupts, corruptOps)
 	for _, pt := range p.Partitions {
-		to := "*"
-		if pt.ToDump >= 0 {
-			to = strconv.Itoa(pt.ToDump)
-		}
-		dirs = append(dirs, fmt.Sprintf("partition:%s|%s@%d-%s", group(pt.GroupA), group(pt.GroupB), pt.FromDump, to))
+		dirs = append(dirs, fmt.Sprintf("partition:%s|%s@%v", group(pt.GroupA), group(pt.GroupB), pt.Window))
 	}
-	for _, d := range p.Dups {
-		dirs = append(dirs, fmt.Sprintf("dup:%s:%g", epStr(d.Endpoint), d.Prob))
-	}
+	rules("dup", p.Dups, dupOps)
 	// Downtime renders explicitly so parse -> String -> parse is a
 	// fixed point whether or not the input spelled the default.
 	for _, r := range p.Restarts {

@@ -806,15 +806,27 @@ func validate(cfg PipelineConfig, el *elasticRun) (*faults.Injector, error) {
 		return nil, fmt.Errorf(
 			"predata: plan has restart/crashall faults but no WALDir — bounced ranks need a journal to rebuild from")
 	}
+	windows := make([]faults.Window, 0, len(plan.Restarts)+len(plan.Partitions))
 	for _, r := range plan.Restarts {
 		if r.Endpoint < cfg.NumCompute || r.Endpoint >= total {
 			return nil, fmt.Errorf(
 				"predata: restart endpoint %d is not a staging endpoint [%d,%d)",
 				r.Endpoint, cfg.NumCompute, total)
 		}
-		// Every window dump must keep at least one rank serving, or the
-		// writers routed around the bounce have nowhere to go.
-		for d := r.AtDump; d < r.AtDump+r.Downtime; d++ {
+		windows = append(windows, faults.Window{From: r.AtDump, To: r.AtDump + r.Downtime - 1})
+	}
+	for _, pt := range plan.Partitions {
+		windows = append(windows, pt.Window)
+	}
+	// Every dump a restart or partition window covers must keep at least
+	// one rank serving, or the writers routed around the bounce or the
+	// cut have nowhere to go. Dumps past the run's last are never served.
+	for _, w := range windows {
+		to := cfg.Dumps - 1
+		if w.To >= 0 {
+			to = min(to, w.To)
+		}
+		for d := w.From; d <= to; d++ {
 			live := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(d))
 			if len(activeStagingAt(inj, cfg.NumCompute, live, int64(d))) == 0 {
 				return nil, fmt.Errorf(

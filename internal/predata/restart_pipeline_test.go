@@ -465,4 +465,17 @@ func TestRestartPlanValidation(t *testing.T) {
 	}, nil, nil); err == nil || !strings.Contains(err.Error(), "no active staging rank") {
 		t.Errorf("all-ranks-down restart window accepted: %v", err)
 	}
+	// A partition that fences every staging rank is the same outage: no
+	// rank holds quorum, so it must be refused before any rank runs.
+	for _, spec := range []string{"partition:2|3@1-1", "partition:2|3@1-*"} {
+		cut, err := faults.ParsePlan(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunPipeline(PipelineConfig{
+			NumCompute: 2, NumStaging: 2, Dumps: 3, FaultPlan: &cut,
+		}, nil, nil); err == nil || !strings.Contains(err.Error(), "no active staging rank at dump 1") {
+			t.Errorf("%s: all-ranks-fenced partition accepted: %v", spec, err)
+		}
+	}
 }

@@ -176,17 +176,15 @@ const (
 	CollBcast
 	CollReduce
 	CollGather
-	CollScatter
 	CollAlltoall
 	CollScan
-	CollExScan
 	CollSplit
 	CollDup
 )
 
 // collNames maps collective op codes to display names.
 var collNames = [...]string{"", "barrier", "bcast", "reduce", "gather",
-	"scatter", "alltoall", "scan", "exscan", "split", "dup"}
+	"alltoall", "scan", "split", "dup"}
 
 // CollName returns the display name for a collective op code.
 func CollName(op int32) string {
