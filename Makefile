@@ -38,8 +38,10 @@ vet: $(VET_BIN) vet-fixtures
 	$(VET_BIN) ./...
 
 # vet-fixtures runs the analyzers' // want fixture tests (analysistest
-# harness, testdata/src/... corpora) without vetting the tree — the
-# fast loop when developing an analyzer.
+# harness, testdata/src/... corpora) and TestEveryAnalyzerBites, which
+# edits real packages (one fault per analyzer) and type-checks them
+# from source, without vetting the tree — the fast loop when developing
+# an analyzer.
 vet-fixtures:
 	$(GO) test ./internal/analysis/...
 

@@ -8,23 +8,22 @@
 //
 // Analyzers (see DESIGN.md §7 and §12 for the invariant behind each):
 //
-//	chunkrelease     staging chunks must fire their Release hook exactly once
 //	collectivecheck  collectives under rank-dependent control flow
 //	ctxdeadline      unbounded retry/backoff loops
 //	goroutineleak    goroutines without a join mechanism
-//	leaserelease     flowctl budget leases must be released on every path
 //	lockhold         blocking operations while a mutex is held
-//	spanend          trace spans must reach End on every path
+//	mustrelease      staging chunks (exactly once), budget leases, journal
+//	                 handles and trace spans must be released on every path
 //	typederr         ==/!= against sentinel errors instead of errors.Is
-//	walrelease       journal handles must be closed on every path
 //
 // A finding is suppressed by a comment on the offending line or the
 // line immediately above:
 //
 //	//predata:vet-ignore <analyzer> <reason>
 //
-// The reason is mandatory; a bare directive is itself reported.
-// -report-waivers lists every directive for the analyzers in the run
+// The reason is mandatory; a bare directive is itself reported, and so,
+// when no -run narrows the suite, is a directive naming no analyzer in
+// it. -report-waivers lists every directive for the analyzers in the run
 // with the number of findings it suppressed and exits 1 if any waiver
 // suppresses nothing (stale: the excused code no longer trips the
 // analyzer, so the directive only masks future regressions). Exit
@@ -91,7 +90,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "predata-vet: %v\n", err)
 		return 2
 	}
-	findings, waivers, err := analysis.RunAnalyzersWithWaivers(pkgs, analyzers)
+	findings, waivers, err := analysis.RunAnalyzersWithWaivers(pkgs, analyzers, *only == "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "predata-vet: %v\n", err)
 		return 2

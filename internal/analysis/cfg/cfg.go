@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs from Go
-// function bodies, the substrate for the dataflow-powered lifecycle
-// analyzers (leaserelease, chunkrelease, spanend).
+// function bodies, the substrate for the dataflow-powered mustrelease
+// analyzer.
 //
 // The graph is a list of basic blocks. Each block holds the statements
 // and expressions that execute unconditionally once the block is

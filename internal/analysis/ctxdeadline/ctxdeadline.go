@@ -19,6 +19,13 @@
 //   - an attempt bound: a comparison mentioning the loop's counter
 //     variable (for attempt := 0; ; attempt++ { ... attempt >= max ... }).
 //
+// A bound inside a switch or select clause bounds only the iterations
+// that take that clause: the transient case's attempt budget does not
+// bound a sibling case that waits out a restart. Such a statement
+// counts as a bound only when every clause that does not return
+// carries one. The branches of an if are not scoped this way: a bound
+// under either branch counts for the whole loop.
+//
 // Loops with an explicit condition are exempt: `for time.Now().Before(d)`
 // and `for i := 0; i < max; i++` bound themselves.
 package ctxdeadline
@@ -54,10 +61,7 @@ func run(pass *analysis.Pass) error {
 }
 
 func check(pass *analysis.Pass, loop *ast.ForStmt) {
-	info := pass.TypesInfo
 	sleeps := false
-	bounded := false
-	counters := counterVars(info, loop)
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // a nested closure is not this loop's control flow
@@ -67,31 +71,112 @@ func check(pass *analysis.Pass, loop *ast.ForStmt) {
 			check(pass, inner)
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			fn := analysis.CalleeFunc(info, n)
-			if fn == nil {
-				return true
-			}
-			if analysis.FuncIs(fn, "time", "Sleep") || isBackoff(fn) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil &&
+				(analysis.FuncIs(fn, "time", "Sleep") || isBackoff(fn)) {
 				sleeps = true
-			}
-			if analysis.FuncIs(fn, "time", "Until") ||
-				isTimeCmpMethod(fn) || isCtxSignal(fn) {
-				bounded = true
-			}
-		case *ast.BinaryExpr:
-			if isComparison(n.Op) && (mentionsVar(info, n, counters) || comparesTime(info, n)) {
-				bounded = true
 			}
 		}
 		return true
 	})
-	if sleeps && !bounded {
+	b := bounds{info: pass.TypesInfo, counters: counterVars(pass.TypesInfo, loop)}
+	if sleeps && !b.in(loop.Body) {
 		pass.Reportf(loop.Pos(),
 			"retry loop sleeps between attempts but has no deadline, cancellation, "+
 				"or attempt bound; thread a deadline or check the attempt budget")
 	}
+}
+
+// bounds finds a loop's exit bounds.
+type bounds struct {
+	info     *types.Info
+	counters map[*types.Var]bool
+}
+
+// in reports whether n holds a bound. A switch or select holds one only
+// when all its clauses are bounded; a select's channel operands,
+// evaluated on every pass, bound all of them.
+func (b bounds) in(n ast.Node) bool {
+	if n == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt:
+			return n.Cond != nil // a nested unbounded loop bounds nothing here
+		case *ast.SwitchStmt:
+			found = b.in(n.Init) || b.in(n.Tag) || b.clauses(n.Body, true)
+			return false
+		case *ast.TypeSwitchStmt:
+			found = b.in(n.Init) || b.clauses(n.Body, true)
+			return false
+		case *ast.SelectStmt:
+			for _, c := range n.Body.List {
+				found = found || b.in(c.(*ast.CommClause).Comm)
+			}
+			found = found || b.clauses(n.Body, false)
+			return false
+		case *ast.CallExpr:
+			fn := analysis.CalleeFunc(b.info, n)
+			found = fn != nil && (analysis.FuncIs(fn, "time", "Until") || isTimeCmpMethod(fn) || isCtxSignal(fn))
+		case *ast.BinaryExpr:
+			found = isComparison(n.Op) && (mentionsVar(b.info, n, b.counters) || comparesTime(b.info, n))
+		}
+		return !found
+	})
+	return found
+}
+
+// clauses reports whether every clause of a switch or select body is
+// bounded: it returns, holds a bound, or is chosen only after a case
+// expression holding one was evaluated. A switch evaluates its case
+// expressions in order and takes its default, or an implicit empty one,
+// last.
+func (b bounds) clauses(body *ast.BlockStmt, isSwitch bool) bool {
+	seen := false // a case expression evaluated so far holds a bound
+	bounded := func(stmts []ast.Stmt) bool {
+		if n := len(stmts); seen || n > 0 && isReturn(stmts[n-1]) {
+			return true
+		}
+		for _, s := range stmts {
+			if b.in(s) {
+				return true
+			}
+		}
+		return false
+	}
+	var dflt []ast.Stmt
+	for _, c := range body.List {
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			if c.List == nil {
+				dflt = c.Body
+				continue
+			}
+			for _, e := range c.List {
+				seen = seen || b.in(e)
+			}
+			if !bounded(c.Body) {
+				return false
+			}
+		case *ast.CommClause:
+			if !bounded(c.Body) {
+				return false
+			}
+		}
+	}
+	return !isSwitch || bounded(dflt)
+}
+
+func isReturn(s ast.Stmt) bool {
+	_, ok := s.(*ast.ReturnStmt)
+	return ok
 }
 
 // counterVars collects the variables advanced by the loop's init/post

@@ -137,6 +137,59 @@ func goodReviveWait(send func() error, revives func() bool, maxAttempts int, dum
 	}
 }
 
+// The same send with the revive wait's deadline check gone: the
+// transient case's attempt bound does not bound the revive case, which
+// waits out a restart that never completes forever.
+func badReviveWaitOneCaseBounded(send func() error, revives func() bool, maxAttempts int) error {
+	for attempt := 0; ; attempt++ { // want `retry loop sleeps between attempts but has no deadline, cancellation, or attempt bound`
+		err := send()
+		switch {
+		case err == nil:
+			return nil
+		case errors.Is(err, errTransient):
+			if attempt+1 >= maxAttempts {
+				return err
+			}
+		case errors.Is(err, errDown) && revives():
+		default:
+			return err
+		}
+		backoff(attempt)
+	}
+}
+
+// A deadline test in the first case expression runs on every attempt,
+// so it bounds the cases after it.
+func goodDeadlineCase(send func() error, deadline time.Time) error {
+	for attempt := 0; ; attempt++ {
+		err := send()
+		switch {
+		case time.Now().After(deadline):
+			return err
+		case err == nil:
+			return nil
+		case errors.Is(err, errTransient):
+		}
+		backoff(attempt)
+	}
+}
+
+// A select's channel operands are evaluated on every attempt: waiting
+// on ctx.Done() bounds every clause.
+func goodSelectCancel(ctx context.Context, send func() error, retry <-chan struct{}) error {
+	for attempt := 0; ; attempt++ {
+		if err := send(); err == nil {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-retry:
+		}
+		backoff(attempt)
+	}
+}
+
 // A staging rank gathering fetch requests that retries an injected
 // transient receive with no deadline: a writer that never sends pins
 // the rank, and with it the collective dump.

@@ -126,7 +126,7 @@ func (f *fn) classifyAssign(node ast.Node, lhs, rhs []ast.Expr, emit func(opKind
 		}
 	}
 	for _, e := range rhs {
-		if _, _, ok := f.isAcquire(e); ok {
+		if _, ok := f.isAcquire(e); ok {
 			// The acquire call itself is not a use of the resource; its
 			// arguments still are.
 			if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {

@@ -40,9 +40,8 @@
 // intraprocedural analysis cannot see, and end the obligation.
 //
 // A Spec describes one resource class (what acquires, what releases,
-// what passes through, what is benign); the three lifecycle analyzers
-// (leaserelease, chunkrelease, spanend) are thin Specs over this
-// engine.
+// what passes through, what is benign); the mustrelease analyzer is a
+// table of four Specs over this engine: chunk, lease, journal and span.
 package dataflow
 
 import (
@@ -56,13 +55,13 @@ import (
 
 // Spec describes one resource class to the engine.
 type Spec struct {
-	// Resource names the class in diagnostics, e.g. "flowctl lease".
+	// Resource names the class; the engine never reads it, and an
+	// analyzer uses it as the noun of its diagnostics ("lease").
 	Resource string
-	// Acquire classifies e as an acquire site: resultIdx is the index
-	// of the resource among the call's results (0 for single-result
-	// acquires and composite literals), desc names the site for
-	// diagnostics ("Budget.Acquire").
-	Acquire func(info *types.Info, e ast.Expr) (resultIdx int, desc string, ok bool)
+	// Acquire classifies e as an acquire site; desc names the site for
+	// diagnostics ("Budget.Acquire"). The resource is the call's first
+	// result (or the composite literal itself).
+	Acquire func(info *types.Info, e ast.Expr) (desc string, ok bool)
 	// Release reports whether call releases its receiver (a method
 	// call or release-member field call rooted at the tracked value).
 	Release func(info *types.Info, call *ast.CallExpr) bool
@@ -281,7 +280,7 @@ func (f *fn) discover() {
 					}
 				}
 			case *ast.ExprStmt:
-				if _, desc, ok := f.isAcquire(n.X); ok {
+				if desc, ok := f.isAcquire(n.X); ok {
 					f.report(Finding{Kind: Discard, Pos: n.X.Pos(), AcquirePos: n.X.Pos(), Desc: desc})
 				}
 			}
@@ -325,7 +324,7 @@ func (f *fn) discover() {
 
 // discoverAssign registers acquires on one (possibly tuple) assignment.
 func (f *fn) discoverAssign(node ast.Node, lhs, rhs []ast.Expr) {
-	bind := func(e ast.Expr, resultIdx int, desc string) {
+	bind := func(e ast.Expr, desc string) {
 		r := &resource{
 			id:      len(f.res),
 			acquire: node,
@@ -337,8 +336,8 @@ func (f *fn) discoverAssign(node ast.Node, lhs, rhs []ast.Expr) {
 			okVars:  map[*types.Var]bool{},
 		}
 		var target ast.Expr
-		if len(rhs) == 1 && len(lhs) > resultIdx && len(lhs) > 1 {
-			target = lhs[resultIdx]
+		if len(rhs) == 1 && len(lhs) > 1 {
+			target = lhs[0]
 		} else if len(lhs) == len(rhs) {
 			for i, r := range rhs {
 				if r == e {
@@ -365,10 +364,7 @@ func (f *fn) discoverAssign(node ast.Node, lhs, rhs []ast.Expr) {
 		}
 		// Validity flags: sibling results of type error or bool.
 		if len(rhs) == 1 && len(lhs) > 1 {
-			for i, l := range lhs {
-				if i == resultIdx {
-					continue
-				}
+			for _, l := range lhs[1:] {
 				v := f.lhsVar(l)
 				if v == nil {
 					continue
@@ -388,19 +384,19 @@ func (f *fn) discoverAssign(node ast.Node, lhs, rhs []ast.Expr) {
 		}
 	}
 	if len(rhs) == 1 {
-		if idx, desc, ok := f.isAcquire(rhs[0]); ok {
-			bind(ast.Unparen(rhs[0]), idx, desc)
+		if desc, ok := f.isAcquire(rhs[0]); ok {
+			bind(ast.Unparen(rhs[0]), desc)
 		}
 		return
 	}
 	for _, r := range rhs {
-		if idx, desc, ok := f.isAcquire(r); ok {
-			bind(ast.Unparen(r), idx, desc)
+		if desc, ok := f.isAcquire(r); ok {
+			bind(ast.Unparen(r), desc)
 		}
 	}
 }
 
-func (f *fn) isAcquire(e ast.Expr) (int, string, bool) {
+func (f *fn) isAcquire(e ast.Expr) (string, bool) {
 	return f.spec.Acquire(f.info, ast.Unparen(e))
 }
 

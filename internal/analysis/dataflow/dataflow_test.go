@@ -22,15 +22,15 @@ import (
 func toySpec(exactlyOnce bool) *Spec {
 	return &Spec{
 		Resource: "res",
-		Acquire: func(info *types.Info, e ast.Expr) (int, string, bool) {
+		Acquire: func(info *types.Info, e ast.Expr) (string, bool) {
 			call, ok := e.(*ast.CallExpr)
 			if !ok {
-				return 0, "", false
+				return "", false
 			}
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "acquire" {
-				return 0, "acquire", true
+				return "acquire", true
 			}
-			return 0, "", false
+			return "", false
 		},
 		Release: func(info *types.Info, call *ast.CallExpr) bool {
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

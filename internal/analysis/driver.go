@@ -85,15 +85,18 @@ func collectDirectives(fset *token.FileSet, f *ast.File) []directive {
 // RunAnalyzers applies every analyzer to every package and returns the
 // findings, sorted by position, with suppression directives applied.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunAnalyzersWithWaivers(pkgs, analyzers)
+	findings, _, err := RunAnalyzersWithWaivers(pkgs, analyzers, false)
 	return findings, err
 }
 
 // RunAnalyzersWithWaivers is RunAnalyzers plus the run's waiver audit:
 // every well-formed directive naming an analyzer in this run (or "all"),
-// with how many findings it suppressed. Directives for analyzers not in
-// the run are omitted — a partial -run invocation cannot judge them.
-func RunAnalyzersWithWaivers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Waiver, error) {
+// with how many findings it suppressed. When full is false, directives
+// for analyzers not in the run are omitted — a partial -run invocation
+// cannot judge them. When full is set, analyzers is the whole suite, so
+// a directive naming none of them can never suppress anything: it is
+// reported as a finding and audited as a stale waiver.
+func RunAnalyzersWithWaivers(pkgs []*Package, analyzers []*Analyzer, full bool) ([]Finding, []Waiver, error) {
 	running := map[string]bool{}
 	for _, a := range analyzers {
 		running[a.Name] = true
@@ -113,17 +116,25 @@ func RunAnalyzersWithWaivers(pkgs []*Package, analyzers []*Analyzer) ([]Finding,
 				d := d
 				p := pkg.Fset.Position(d.pos)
 				dirs[lineKey{p.Filename, d.line}] = append(dirs[lineKey{p.Filename, d.line}], &d)
-				if !d.malformed && (running[d.analyzer] || d.analyzer == "all") {
+				known := running[d.analyzer] || d.analyzer == "all"
+				if !d.malformed && (known || full) {
 					pkgDirs = append(pkgDirs, &d)
 				}
-				if d.malformed {
+				msg := ""
+				switch {
+				case d.malformed:
+					msg = fmt.Sprintf("malformed directive: want %s <analyzer> <reason>", IgnoreDirective)
+				case full && !known:
+					msg = fmt.Sprintf("directive names %q, which is no analyzer in the suite; "+
+						"it suppresses nothing", d.analyzer)
+				}
+				if msg != "" {
 					findings = append(findings, Finding{
 						Analyzer: "vet-ignore",
 						Path:     p.Filename,
 						Line:     d.line,
 						Column:   p.Column,
-						Message: fmt.Sprintf("malformed directive: want %s <analyzer> <reason>",
-							IgnoreDirective),
+						Message:  msg,
 					})
 				}
 			}

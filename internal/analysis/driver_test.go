@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/importer"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,7 +145,7 @@ func f3() {}
 //predata:vet-ignore fake
 func f4() {}
 `)
-	_, waivers, err := RunAnalyzersWithWaivers([]*Package{pkg}, []*Analyzer{funcReporter})
+	_, waivers, err := RunAnalyzersWithWaivers([]*Package{pkg}, []*Analyzer{funcReporter}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +185,46 @@ func f4() {}
 	}
 	if !strings.Contains(js.String(), `"suppressed": 0`) {
 		t.Errorf("JSON waiver audit missing zero count:\n%s", js.String())
+	}
+}
+
+// TestWaiverNamingNoAnalyzer: in a full-suite run a directive whose
+// analyzer is not in the suite (a pass since merged or renamed) is a
+// finding and a stale waiver; a partial run leaves it unjudged.
+func TestWaiverNamingNoAnalyzer(t *testing.T) {
+	pkg := checkSource(t, `package p
+
+//predata:vet-ignore fake covers a live finding
+func f1() {}
+
+//predata:vet-ignore chunkrelease the pass this named is gone
+func f2() {}
+`)
+	for _, full := range []bool{true, false} {
+		findings, waivers, err := RunAnalyzersWithWaivers([]*Package{pkg}, []*Analyzer{funcReporter}, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reported []Finding
+		for _, f := range findings {
+			if f.Analyzer == "vet-ignore" {
+				reported = append(reported, f)
+			}
+		}
+		stale := WriteWaivers(io.Discard, waivers)
+		if !full {
+			if len(reported) != 0 || len(waivers) != 1 || stale != 0 {
+				t.Errorf("partial run: directive findings %+v, waivers %+v; want none and the fake waiver", reported, waivers)
+			}
+			continue
+		}
+		if len(reported) != 1 || !strings.Contains(reported[0].Message, `"chunkrelease"`) ||
+			reported[0].Line != 6 || reported[0].Suppressed {
+			t.Errorf("full run: directive findings = %+v, want one unsuppressed finding on line 6 naming chunkrelease", reported)
+		}
+		if len(waivers) != 2 || stale != 1 {
+			t.Errorf("full run: waivers = %+v (stale %d), want the fake waiver and one stale chunkrelease waiver", waivers, stale)
+		}
 	}
 }
 

@@ -4,29 +4,23 @@ package suite
 
 import (
 	"predata/internal/analysis"
-	"predata/internal/analysis/chunkrelease"
 	"predata/internal/analysis/collectivecheck"
 	"predata/internal/analysis/ctxdeadline"
 	"predata/internal/analysis/goroutineleak"
-	"predata/internal/analysis/leaserelease"
 	"predata/internal/analysis/lockhold"
-	"predata/internal/analysis/spanend"
+	"predata/internal/analysis/mustrelease"
 	"predata/internal/analysis/typederr"
-	"predata/internal/analysis/walrelease"
 )
 
 // Analyzers returns the full predata-vet suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		chunkrelease.Analyzer,
 		collectivecheck.Analyzer,
 		ctxdeadline.Analyzer,
 		goroutineleak.Analyzer,
-		leaserelease.Analyzer,
 		lockhold.Analyzer,
-		spanend.Analyzer,
+		mustrelease.Analyzer,
 		typederr.Analyzer,
-		walrelease.Analyzer,
 	}
 }
 
