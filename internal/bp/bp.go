@@ -25,6 +25,7 @@ import (
 
 	"predata/internal/ffs"
 	"predata/internal/pfs"
+	"predata/internal/poison"
 	"predata/internal/wire"
 )
 
@@ -90,6 +91,7 @@ type indexEntry struct {
 // compute ranks write process groups into one shared file, exactly as the
 // ADIOS synchronous MPI-IO method does.
 type Writer struct {
+	fs     *pfs.FileSystem // whose free list reserve draws groups from
 	f      *pfs.File
 	mu     sync.Mutex
 	index  []indexEntry
@@ -108,7 +110,7 @@ func CreateWriter(fs *pfs.FileSystem, name string, stripes int) (*Writer, error)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f}
+	w := &Writer{fs: fs, f: f}
 	hdr := binary.LittleEndian.AppendUint32(nil, headerMagic)
 	d, err := f.WriteAt(hdr, 0)
 	if err != nil {
@@ -118,6 +120,11 @@ func CreateWriter(fs *pfs.FileSystem, name string, stripes int) (*Writer, error)
 	w.off = int64(len(hdr))
 	return w, nil
 }
+
+// foldBlock is the elements a producer folds at a time: one visited block
+// (ffs.VisitBlockBytes), small enough to be in cache still when Fold reads
+// what was just written.
+const foldBlock = ffs.VisitBlockBytes / 8
 
 // WritePG appends one process group: all chunks output by one writer rank
 // at one timestep. It returns the modeled duration of the file write.
@@ -134,7 +141,14 @@ func (w *Writer) WritePG(rank int, timestep int64, chunks []VarChunk) (time.Dura
 		return 0, err
 	}
 	for i := range chunks {
-		copy(pg.Chunks[i].Data, chunks[i].Data)
+		src, dst := chunks[i].Data, pg.Chunks[i].Data
+		for lo := 0; lo < len(src); lo += foldBlock {
+			hi := min(lo+foldBlock, len(src))
+			copy(dst[lo:hi], src[lo:hi])
+			if err := pg.Fold(i, lo, hi); err != nil {
+				return 0, err
+			}
+		}
 	}
 	return pg.Commit()
 }
@@ -151,12 +165,18 @@ type PG struct {
 	w       *Writer
 	frame   []byte // the whole group as it will sit in the file
 	entries []indexEntry
+	folded  []int // per chunk, the elements Fold has checksummed (entries[i].Checksum)
 }
 
 // ReservePG lays out one process group for the given chunk shapes (Data
 // must be nil) and returns it for the caller to fill and Commit. This is how
 // an operator that computes its output — rather than holding it already —
 // writes it exactly once.
+//
+// The group's buffer is, when one fits, a buffer of a file dropped from the
+// writer's file system (pfs.FileSystem.Reuse), and it is not cleared: Data
+// holds whatever that file held (0xA5 in a predata_poison build). The
+// producer must write every element of every chunk before Commit.
 func (w *Writer) ReservePG(rank int, timestep int64, chunks []VarChunk) (*PG, error) {
 	for i := range chunks {
 		if chunks[i].Data != nil {
@@ -169,10 +189,15 @@ func (w *Writer) ReservePG(rank int, timestep int64, chunks []VarChunk) (*PG, er
 // reserve is the one place a process group is laid out: the chunk count,
 // each chunk's name and dimension vectors, then the payloads contiguously.
 // The group is sized first so that it is one buffer, written once and handed
-// to the file system as one sequential write. The chunks' shapes are
-// checked here; their Data is ignored.
+// to the file system as one sequential write. That buffer is the shortest
+// one on the file system's free list that holds the group with at most an
+// eighth to spare, else a new one. The chunks' shapes are checked here;
+// their Data is ignored.
 func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) (*PG, error) {
-	pg := &PG{Chunks: slices.Clone(chunks), w: w, entries: make([]indexEntry, len(chunks))}
+	pg := &PG{
+		Chunks: slices.Clone(chunks), w: w,
+		entries: make([]indexEntry, len(chunks)), folded: make([]int, len(chunks)),
+	}
 	header, words := 4, 0
 	for i := range pg.Chunks {
 		c := &pg.Chunks[i]
@@ -192,7 +217,14 @@ func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) (*PG, erro
 			Elems:      n,
 		}
 	}
-	frame, payload := wire.Float64Frame(header, words)
+	// A group's buffer ends on a word boundary, so one that is d bytes
+	// longer than needed leaves the d mod 8 bytes Float64FrameIn skips.
+	// Any other buffer (an imported file's) may not fit and is let go.
+	need := header + 8*words
+	frame, payload, ok := wire.Float64FrameIn(w.fs.Reuse(need, need+need/8), header, words)
+	if !ok {
+		frame, payload = wire.Float64Frame(header, words)
+	}
 	pg.frame = frame
 	hdr := binary.LittleEndian.AppendUint32(frame[:0], uint32(len(chunks)))
 	for i := range pg.Chunks {
@@ -209,26 +241,54 @@ func (w *Writer) reserve(rank int, timestep int64, chunks []VarChunk) (*PG, erro
 	return pg, nil
 }
 
-// Commit checksums the payloads, reserves the group's place in the file and
-// writes it, returning the modeled duration. The buffer passes to the file
-// system: after Commit the caller may still read Chunks[i].Data but must
-// never write to it again. A PG commits once.
+// Fold extends chunk i's checksum over elements [lo, hi) of its Data, which
+// the producer has just finished: lo must be where the chunk's last fold
+// ended (0 at first), and the producer must not write a folded element
+// again. A producer that folds each block it fills while the block is in
+// cache spares Commit a cold pass over it; Commit folds whatever is left.
+func (pg *PG) Fold(i, lo, hi int) error {
+	if pg.frame == nil {
+		return fmt.Errorf("bp: fold of a committed process group")
+	}
+	if i < 0 || i >= len(pg.Chunks) {
+		return fmt.Errorf("bp: fold of chunk %d in a group of %d", i, len(pg.Chunks))
+	}
+	e, data := &pg.entries[i], pg.Chunks[i].Data
+	if lo != pg.folded[i] || hi < lo || hi > len(data) || uint64(len(data)) != e.Elems {
+		return fmt.Errorf("bp: variable %q: fold of elements [%d, %d) after the first %d of %d",
+			e.Name, lo, hi, pg.folded[i], e.Elems)
+	}
+	raw := pg.frame[e.DataOff+8*int64(lo):][:8*(hi-lo)]
+	wire.PutFloat64s(raw, data[lo:hi])
+	e.Checksum = crc32.Update(e.Checksum, crc32.IEEETable, raw)
+	pg.folded[i] = hi
+	return nil
+}
+
+// Commit checksums what Fold has not, reserves the group's place in the
+// file and writes it, returning the modeled duration. The buffer passes to
+// the file system: after Commit the caller may still read Chunks[i].Data,
+// until the file is dropped (pfs.FileSystem.Remove), but must never write
+// to it again. A PG commits once.
 func (pg *PG) Commit() (time.Duration, error) {
 	if pg.frame == nil {
 		return 0, fmt.Errorf("bp: process group already committed")
 	}
-	frame := pg.frame
-	pg.frame = nil
 	// Each payload carries a CRC so readers can detect corruption.
 	for i := range pg.Chunks {
 		if err := pg.Chunks[i].Validate(); err != nil {
 			return 0, err // the caller replaced Data or Dims
 		}
-		data := pg.Chunks[i].Data
-		raw := frame[pg.entries[i].DataOff:][:8*len(data)]
-		wire.PutFloat64s(raw, data)
-		pg.entries[i].Checksum = crc32.ChecksumIEEE(raw)
+		e := &pg.entries[i]
+		if err := pg.Fold(i, pg.folded[i], int(e.Elems)); err != nil {
+			return 0, err
+		}
+		if poison.Enabled && crc32.ChecksumIEEE(pg.frame[e.DataOff:][:8*e.Elems]) != e.Checksum {
+			return 0, fmt.Errorf("bp: variable %q: payload written after it was folded", e.Name)
+		}
 	}
+	frame := pg.frame
+	pg.frame = nil
 
 	// Reserve the file region and publish index entries.
 	w := pg.w

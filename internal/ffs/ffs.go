@@ -192,7 +192,13 @@ func Scatter(dst []float64, global []uint64, src []float64, dims, offsets []uint
 		return
 	}
 	rows := uint64(len(src)) / rowLen
-	idx := make([]uint64, rank)
+	// The index stays off the heap up to rank 8: the reorg calls Scatter
+	// once per chunk per slab.
+	var stack [8]uint64
+	idx := stack[:min(rank, len(stack))]
+	if rank > len(stack) {
+		idx = make([]uint64, rank)
+	}
 	for row := uint64(0); row < rows; row++ {
 		var dstOff uint64
 		stride := uint64(1)

@@ -15,9 +15,11 @@
 // written against the chunk schema the predata compute client produces.
 //
 // Sort and reorg compute their output straight into a process group
-// reserved from their bp.Writer (bp.ReservePG, filled in Reduce, committed
-// in Finalize), so the bytes they write exist once on the staging side;
-// a KeepResult array is a read-only view of the committed group. Operators
+// reserved from their bp.Writer (bp.ReservePG, filled and checksummed block
+// by block in Reduce, committed in Finalize), so the bytes they write exist
+// once on the staging side; a KeepResult array is a read-only view of the
+// committed group, valid until its file is dropped (pfs Remove, or a Create
+// over its name), which hands the group's buffer to the next one. Operators
 // that write several chunks write them in a fixed order — reorg in Vars
 // order, the histograms by ascending column or pair — so one input gives
 // byte-identical files.

@@ -22,7 +22,9 @@ type ReorgConfig struct {
 	Output *bp.Writer
 	// KeepResult stores the merged arrays in the dump result under the
 	// variable names; with Output set they are the written groups' data,
-	// read-only. Intended for tests and small runs.
+	// read-only, and valid until their file is dropped (pfs Remove, or a
+	// Create over its name), which recycles the group. Intended for tests
+	// and small runs.
 	KeepResult bool
 }
 
@@ -101,7 +103,8 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 
 // Reduce assembles one variable's contiguous global array from its
 // partial chunks, once they are shown to tile it exactly: pairwise
-// disjoint, and together as many elements as the array has.
+// disjoint, and together as many elements as the array has. So every
+// element is written, and a reserved group needs no clearing.
 func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
 	if tag < 0 || tag >= len(o.cfg.Vars) {
 		return fmt.Errorf("ops: reorg reduce got tag %d", tag)
@@ -147,11 +150,48 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 		}
 		o.pgs[tag], merged.Float64 = pg, pg.Chunks[0].Data
 	}
-	for _, v := range values {
-		arr := v.(*ffs.Array)
-		ffs.Scatter(merged.Float64, global, arr.Float64, arr.Dims, arr.Offsets)
+	if n > 0 {
+		if err := fillSlabs(merged.Float64, global, values, o.pgs[tag]); err != nil {
+			return fmt.Errorf("ops: reorg output: %w", err)
+		}
 	}
 	o.merged[tag] = merged
+	return nil
+}
+
+// fillSlabs scatters the chunks in values into out, the global array of
+// dims global (n > 0 elements), one slab at a time: a run of leading rows
+// of at most one visited block (ffs.BlockRows). A chunk's rows inside a
+// slab are one contiguous stretch of its payload, scattered by one call at
+// offsets shifted to the slab. When out lies in pg, each slab is folded
+// into pg's checksum while it is still in cache.
+func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
+	per := uint64(len(out)) / global[0] // elements in a leading row
+	step := uint64(ffs.BlockRows(int(per)))
+	slab := slices.Clone(global)
+	dims, offsets := make([]uint64, len(global)), make([]uint64, len(global))
+	for g0 := uint64(0); g0 < global[0]; g0 += step {
+		g1 := min(g0+step, global[0])
+		slab[0] = g1 - g0
+		for _, v := range values {
+			arr := v.(*ffs.Array)
+			lo, hi := max(arr.Offsets[0], g0), min(arr.Offsets[0]+arr.Dims[0], g1)
+			if lo >= hi {
+				continue
+			}
+			src := arr.Elems() / arr.Dims[0] // elements in one of the chunk's rows
+			copy(dims, arr.Dims)
+			copy(offsets, arr.Offsets)
+			dims[0], offsets[0] = hi-lo, lo-g0
+			rows := arr.Float64[(lo-arr.Offsets[0])*src : (hi-arr.Offsets[0])*src]
+			ffs.Scatter(out[g0*per:g1*per], slab, rows, dims, offsets)
+		}
+		if pg != nil {
+			if err := pg.Fold(0, int(g0*per), int(g1*per)); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 

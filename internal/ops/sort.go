@@ -28,7 +28,10 @@ type SortConfig struct {
 	// as one process group at Finalize.
 	Output *bp.Writer
 	// KeepResult stores the sorted rows in the dump result under "sorted"
-	// (an *ffs.Array). Large; intended for tests and small runs.
+	// (an *ffs.Array). With Output set they are the written group's data,
+	// read-only, and valid until its file is dropped (pfs Remove, or a
+	// Create over its name), which recycles the group. Large; intended for
+	// tests and small runs.
 	KeepResult bool
 }
 
@@ -379,22 +382,36 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 	defer scratchPool.Put(sc)
 	sc.plan = resize(sc.plan, rows)
 	planMerge(runs, sc.plan)
-	gather(s.sorted, s.k, runs, sc.plan)
+	if err := gather(s.sorted, s.k, runs, sc.plan, s.pg); err != nil {
+		return fmt.Errorf("ops: sort output: %w", err)
+	}
 	return nil
 }
 
 // rowRef names one output row's source: row number row of runs[run].
 type rowRef struct{ run, row uint32 }
 
-// gather copies row plan[i] of runs into row i of out. The copies do not
-// depend on one another, so the memory system overlaps the fetches of
-// rows that are cold in cache, where a merge that copied each row as it
-// chose it would wait for one after another.
-func gather(out []float64, k int, runs []*sortedRun, plan []rowRef) {
-	for i, ref := range plan {
-		r := int(ref.row) * k
-		copy(out[i*k:i*k+k], runs[ref.run].Rows[r:r+k])
+// gather copies row plan[i] of runs into row i of out, which has a row for
+// every entry of plan. The copies do not depend on one another, so the
+// memory system overlaps the fetches of rows that are cold in cache, where
+// a merge that copied each row as it chose it would wait for one after
+// another. When out lies in pg, each visited block of rows
+// (ffs.BlockRows) is folded into pg's checksum as soon as it is filled.
+func gather(out []float64, k int, runs []*sortedRun, plan []rowRef, pg *bp.PG) error {
+	step := ffs.BlockRows(k)
+	for lo := 0; lo < len(plan); lo += step {
+		hi := min(lo+step, len(plan))
+		for i, ref := range plan[lo:hi] {
+			r, o := int(ref.row)*k, (lo+i)*k
+			copy(out[o:o+k], runs[ref.run].Rows[r:r+k])
+		}
+		if pg != nil {
+			if err := pg.Fold(0, lo*k, hi*k); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
 }
 
 // mergeHead is a run's entry in the merge's heap: the key of its next row,

@@ -17,6 +17,10 @@ func (fs *FileSystem) Export(name string, w io.Writer) error {
 		return fmt.Errorf("pfs: export %s: no such file", name)
 	}
 	fd.mu.Lock()
+	if fd.dropped { // removed since the lookup
+		fd.mu.Unlock()
+		return fmt.Errorf("pfs: export %s: %w", name, ErrDropped)
+	}
 	data := make([]byte, fd.size)
 	fd.load(data, 0)
 	fd.mu.Unlock()
@@ -37,25 +41,17 @@ func (fs *FileSystem) ExportToOS(name, osPath string) error {
 	return f.Close()
 }
 
-// Import creates (or replaces) the named file with the bytes read from r.
-// The import itself is free under the performance model; subsequent reads
-// are charged normally.
+// Import creates the named file with the bytes read from r, dropping a
+// file already under the name as Create does. The import itself is free
+// under the performance model; subsequent reads are charged normally.
 func (fs *FileSystem) Import(name string, r io.Reader, stripes int) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return err
 	}
-	if stripes <= 0 {
-		stripes = 4
-	}
-	if stripes > fs.cfg.NumOSTs {
-		stripes = fs.cfg.NumOSTs
-	}
-	fd := &fileData{stripes: stripes}
+	fd := &fileData{stripes: fs.stripes(stripes)}
 	fd.store(data, 0, true)
-	fs.mu.Lock()
-	fs.files[name] = fd
-	fs.mu.Unlock()
+	fs.put(name, fd)
 	return nil
 }
 

@@ -15,6 +15,7 @@ package pfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,6 +23,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"predata/internal/poison"
 )
 
 // Config describes the modeled machine.
@@ -68,6 +71,17 @@ type Stats struct {
 	ModeledReadTime  time.Duration
 }
 
+// maxFreeBytes caps the bytes a FileSystem keeps for reuse: room for two
+// dumps of the largest output the benchmark writes (gtc-sort's 64 MiB), so
+// a run that retires a dump's files as it creates the next one's recycles
+// every group.
+const maxFreeBytes = 256 << 20
+
+// ErrDropped is the error of a read or write through a handle whose file
+// was removed, or replaced by Create or Import under its name, after the
+// handle was opened.
+var ErrDropped = errors.New("file was removed or replaced")
+
 // FileSystem is a simulated parallel file system. All methods are safe for
 // concurrent use.
 type FileSystem struct {
@@ -78,6 +92,10 @@ type FileSystem struct {
 	rng    *rand.Rand
 	active int // in-flight requests (sharers)
 	stats  Stats
+	// free holds the whole owned buffers of dropped files, oldest first,
+	// freeBytes their total length (at most maxFreeBytes).
+	free      [][]byte
+	freeBytes int
 }
 
 // fileData stores a file as a sorted list of non-overlapping, non-empty
@@ -88,12 +106,16 @@ type fileData struct {
 	mu      sync.Mutex
 	extents []extent
 	size    int64
-	stripes int // stripe count chosen at create time
+	stripes int  // stripe count chosen at create time
+	dropped bool // removed or replaced: its buffers may belong to another file
 }
 
 type extent struct {
 	off  int64
 	data []byte
+	// whole marks data as a whole buffer handed over by WriteOwned (or
+	// Import), which goes to the free list when the file is dropped.
+	whole bool
 }
 
 // from returns the index of the first extent that ends beyond off.
@@ -132,7 +154,8 @@ func (fd *fileData) store(p []byte, off int64, owned bool) {
 		if !owned {
 			piece = bytes.Clone(piece)
 		}
-		fd.extents = slices.Insert(fd.extents, i, extent{off: pos, data: piece})
+		whole := owned && pos == off && stop == end
+		fd.extents = slices.Insert(fd.extents, i, extent{off: pos, data: piece, whole: whole})
 		pos = stop
 	}
 }
@@ -179,24 +202,94 @@ func (fs *FileSystem) Stats() Stats {
 	return fs.stats
 }
 
-// Create creates (or truncates) a file striped over min(stripes, NumOSTs)
-// OSTs. stripes <= 0 selects the file-system default (4, matching typical
-// Lustre defaults).
+// Create creates a file striped over min(stripes, NumOSTs) OSTs. stripes
+// <= 0 selects the file-system default (4, matching typical Lustre
+// defaults). A file already under the name is dropped, as by Remove.
 func (fs *FileSystem) Create(name string, stripes int) (*File, error) {
 	if name == "" {
 		return nil, fmt.Errorf("pfs: empty file name")
 	}
-	if stripes <= 0 {
-		stripes = 4
+	fd := &fileData{stripes: fs.stripes(stripes)}
+	fs.put(name, fd)
+	return &File{fs: fs, name: name, fd: fd}, nil
+}
+
+// stripes resolves a requested stripe count: the default for <= 0, at most
+// NumOSTs.
+func (fs *FileSystem) stripes(n int) int {
+	if n <= 0 {
+		n = 4
 	}
-	if stripes > fs.cfg.NumOSTs {
-		stripes = fs.cfg.NumOSTs
-	}
-	fd := &fileData{stripes: stripes}
+	return min(n, fs.cfg.NumOSTs)
+}
+
+// put files fd under name and drops the file it replaces, if any.
+func (fs *FileSystem) put(name string, fd *fileData) {
 	fs.mu.Lock()
+	old := fs.files[name]
 	fs.files[name] = fd
 	fs.mu.Unlock()
-	return &File{fs: fs, name: name, fd: fd}, nil
+	if old != nil {
+		fs.drop(old)
+	}
+}
+
+// drop ends a file that is no longer filed under its name: every handle to
+// it fails from now on, and the whole buffers it was handed go to the free
+// list, poisoned first in a predata_poison build.
+func (fs *FileSystem) drop(fd *fileData) {
+	fd.mu.Lock()
+	fd.dropped = true
+	var whole [][]byte
+	for _, e := range fd.extents {
+		if e.whole && len(e.data) <= maxFreeBytes {
+			whole = append(whole, e.data[:len(e.data):len(e.data)])
+		}
+	}
+	fd.extents = nil
+	fd.mu.Unlock()
+	for _, b := range whole {
+		poison.Fill(b)
+	}
+
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, b := range whole {
+		fs.free = append(fs.free, b)
+		fs.freeBytes += len(b)
+	}
+	fs.trimFree(maxFreeBytes)
+}
+
+// trimFree lets the oldest buffers on the free list go until it holds at
+// most limit bytes. fs.mu must be held.
+func (fs *FileSystem) trimFree(limit int) {
+	for fs.freeBytes > limit {
+		fs.freeBytes -= len(fs.free[0])
+		fs.free = slices.Delete(fs.free, 0, 1)
+	}
+}
+
+// Reuse takes a buffer of a dropped file off the free list: the shortest
+// one of lo to hi bytes, the newest among equals, or nil when there is
+// none. The buffer is the caller's and holds whatever its file held (0xA5
+// in a predata_poison build).
+func (fs *FileSystem) Reuse(lo, hi int) []byte {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	best := -1
+	for i, b := range fs.free {
+		if len(b) >= lo && len(b) <= hi && (best < 0 || len(b) <= len(fs.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := fs.free[best]
+	fs.freeBytes -= len(b)
+	fs.free = slices.Delete(fs.free, best, best+1)
+	return b
 }
 
 // Open opens an existing file.
@@ -210,14 +303,19 @@ func (fs *FileSystem) Open(name string) (*File, error) {
 	return &File{fs: fs, name: name, fd: fd}, nil
 }
 
-// Remove deletes a file.
+// Remove deletes a file. Its handles fail with ErrDropped from then on,
+// and the buffers it was handed through WriteOwned go to the free list
+// (Reuse): a view into one of them — a committed bp group's Data, a
+// KeepResult array — is valid until its file is removed or replaced.
 func (fs *FileSystem) Remove(name string) error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; !ok {
+	fd, ok := fs.files[name]
+	delete(fs.files, name)
+	fs.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("pfs: remove %s: no such file", name)
 	}
-	delete(fs.files, name)
+	fs.drop(fd)
 	return nil
 }
 
@@ -258,7 +356,8 @@ func (f *File) WriteAt(p []byte, off int64) (time.Duration, error) {
 
 // WriteOwned is WriteAt for a buffer the caller gives away: where p lands on
 // no stored bytes the file keeps p itself instead of a copy, so the caller
-// must never write to p again (it may still read it).
+// must never write to p again. It may read p until the file is dropped
+// (Remove): then a p that landed whole on a hole goes to the free list.
 func (f *File) WriteOwned(p []byte, off int64) (time.Duration, error) {
 	return f.writeAt(p, off, true)
 }
@@ -268,6 +367,10 @@ func (f *File) writeAt(p []byte, off int64, owned bool) (time.Duration, error) {
 		return 0, fmt.Errorf("pfs: write %s: negative offset %d", f.name, off)
 	}
 	f.fd.mu.Lock()
+	if f.fd.dropped {
+		f.fd.mu.Unlock()
+		return 0, fmt.Errorf("pfs: write %s: %w", f.name, ErrDropped)
+	}
 	f.fd.store(p, off, owned)
 	stripes := f.fd.stripes
 	f.fd.mu.Unlock()
@@ -280,6 +383,10 @@ func (f *File) writeAt(p []byte, off int64, owned bool) (time.Duration, error) {
 // duration).
 func (f *File) Append(p []byte) (int64, time.Duration, error) {
 	f.fd.mu.Lock()
+	if f.fd.dropped {
+		f.fd.mu.Unlock()
+		return 0, 0, fmt.Errorf("pfs: append %s: %w", f.name, ErrDropped)
+	}
 	off := f.fd.size
 	f.fd.store(p, off, false)
 	stripes := f.fd.stripes
@@ -295,6 +402,10 @@ func (f *File) ReadAt(p []byte, off int64) (time.Duration, error) {
 		return 0, fmt.Errorf("pfs: read %s: negative offset %d", f.name, off)
 	}
 	f.fd.mu.Lock()
+	if f.fd.dropped {
+		f.fd.mu.Unlock()
+		return 0, fmt.Errorf("pfs: read %s: %w", f.name, ErrDropped)
+	}
 	if off+int64(len(p)) > f.fd.size {
 		sz := f.fd.size
 		f.fd.mu.Unlock()

@@ -34,6 +34,7 @@ import (
 	"predata/internal/ffs"
 	"predata/internal/flowctl"
 	"predata/internal/mpi"
+	"predata/internal/poison"
 	"predata/internal/staging"
 	"predata/internal/trace"
 	"predata/internal/wal"
@@ -302,11 +303,9 @@ func (c *Client) reclaim(size int) []byte {
 	}
 	clear(c.frames[len(live):])
 	c.frames = live
-	if fit != nil && poisonReclaimed {
+	if fit != nil && poison.Enabled {
 		fit = fit[:cap(fit)]
-		for i := range fit {
-			fit[i] = 0xA5
-		}
+		poison.Fill(fit)
 	}
 	return fit
 }

@@ -394,6 +394,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		go func() {
 			defer wg.Done()
 			for chunk := range chunks {
+				shed := chunk.Shed // the chunk is not read after its Release
 				mapped := m.mapChunk(chunk)
 				if chunk.Release != nil {
 					chunk.Release()
@@ -402,12 +403,12 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 					continue // dropped as corrupt
 				}
 				e.tracer.Instant(trace.PhaseChunk, e.traceEP, mapped.WriterRank,
-					mapped.Timestep, int64(mapped.WriterRank), int64(chunk.Shed))
+					mapped.Timestep, int64(mapped.WriterRank), int64(shed))
 				countMu.Lock()
 				nChunks++
-				if chunk.Shed != ShedNone {
+				if shed != ShedNone {
 					shedSeen = true
-					if chunk.Shed == ShedSkipped {
+					if shed == ShedSkipped {
 						nSkips++
 					}
 				}

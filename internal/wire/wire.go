@@ -7,7 +7,8 @@
 // alignment of a view is checked per call; whenever either does not hold the
 // portable element loop runs instead, so results never depend on the host.
 // Float64Frame goes the other way: it allocates the words first and exposes
-// their bytes, so a producer can compute straight into its output buffer.
+// their bytes, so a producer can compute straight into its output buffer;
+// Float64FrameIn lays the same frame out inside a buffer being reused.
 package wire
 
 import (
@@ -95,6 +96,29 @@ func Float64Frame(header, n int) (frame []byte, words []float64) {
 	lead := (header + 7) / 8 // words the header occupies, the first one partly
 	store := make([]float64, lead+n)
 	return bytesOf(store)[lead*8-header:], store[lead:]
+}
+
+// Float64FrameIn is Float64Frame inside a buffer the caller already has:
+// it skips the 0-7 leading bytes of buf that put the first payload word on
+// an 8-byte boundary, and returns the frame of header bytes and n doubles
+// that follows them, with words as frame[header:] itself. Nothing is
+// cleared: the frame holds whatever buf held. It reports false, and places
+// nothing, when buf is too short for that or the host is not
+// little-endian.
+func Float64FrameIn(buf []byte, header, n int) (frame []byte, words []float64, ok bool) {
+	if !hostLittleEndian {
+		return nil, nil, false
+	}
+	skip := int(-(uintptr(unsafe.Pointer(unsafe.SliceData(buf))) + uintptr(header)) & 7)
+	end := skip + header + 8*n
+	if end > len(buf) {
+		return nil, nil, false
+	}
+	frame, words = buf[skip:end:end], []float64{}
+	if n > 0 {
+		words, _ = viewOf[float64](frame[header:])
+	}
+	return frame, words, true
 }
 
 // PutFloat64s writes v over dst[:8*len(v)] as little-endian IEEE-754 doubles.

@@ -128,3 +128,45 @@ func TestFloat64FrameIsItsWords(t *testing.T) {
 		t.Error("PutFloat64s into separate memory differs from the portable encoding")
 	}
 }
+
+// TestFloat64FrameInReusesTheBuffer: a frame placed inside a buffer that
+// ends on a word boundary — every Float64Frame does — fits whenever the
+// buffer is long enough, whatever header the buffer was laid out for. It
+// lies inside the buffer, its words are its own aligned memory, and the
+// bytes it holds are the buffer's, not cleared. A host that cannot share
+// the memory places nothing.
+func TestFloat64FrameInReusesTheBuffer(t *testing.T) {
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for old := 0; old <= 9; old++ {
+		for header := 0; header <= 17; header++ {
+			for _, n := range []int{0, 1, 5} {
+				buf, _ := Float64Frame(old, 6)
+				for i := range buf {
+					buf[i] = 0xA5
+				}
+				hostLittleEndian = false
+				if _, _, ok := Float64FrameIn(buf, header, n); ok {
+					t.Fatal("a big-endian host placed a frame inside a buffer")
+				}
+				hostLittleEndian = true
+				frame, words, ok := Float64FrameIn(buf, header, n)
+				if ok != (header+8*n <= len(buf)) {
+					t.Fatalf("buffer of %d bytes (header %d) for header %d n %d: placed %v", len(buf), old, header, n, ok)
+				}
+				if !ok {
+					continue
+				}
+				start := reflect.ValueOf(frame).Pointer() - reflect.ValueOf(buf).Pointer()
+				if len(frame) != header+8*n || len(words) != n || start > 7 || int(start)+len(frame) > len(buf) {
+					t.Fatalf("header %d n %d: frame of %d bytes at %d in a %d-byte buffer, %d words", header, n, len(frame), start, len(buf), len(words))
+				}
+				if n > 0 && (reflect.ValueOf(words).Pointer() != reflect.ValueOf(frame[header:]).Pointer() || reflect.ValueOf(words).Pointer()%8 != 0) {
+					t.Fatalf("header %d n %d: words are not the frame's aligned payload", header, n)
+				}
+				if !bytes.Equal(frame, bytes.Repeat([]byte{0xA5}, len(frame))) {
+					t.Fatalf("header %d n %d: the frame does not hold the buffer's bytes", header, n)
+				}
+			}
+		}
+	}
+}
