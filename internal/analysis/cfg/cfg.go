@@ -1,6 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs from Go
-// function bodies, the substrate for the dataflow-powered mustrelease
-// analyzer.
+// function bodies: the one model of control flow the predata-vet passes
+// share (mustrelease through internal/analysis/dataflow, lockhold and
+// ctxdeadline directly).
 //
 // The graph is a list of basic blocks. Each block holds the statements
 // and expressions that execute unconditionally once the block is
@@ -14,10 +15,33 @@
 //     skip Abort paths — a leak on a dying process is not a leak.
 //
 // Conditional branches keep their condition: a block whose last
-// evaluation is an if condition records it in Cond, with Succs[0] the
-// true edge and Succs[1] the false edge, so dataflow clients can refine
-// state along the `err != nil` / `ok` idioms without a general
-// path-sensitive engine.
+// evaluation is an if or for condition, or a case expression of a
+// tagless switch, records it in Cond, with Succs[0] the true edge and
+// Succs[1] the false edge, so dataflow clients can refine state along
+// the `err != nil` / `ok` idioms without a general path-sensitive
+// engine.
+//
+// The graph follows Go's evaluation order where a client can tell:
+//
+//   - A switch tests its case expressions one by one in source order,
+//     each as the last node of its own block, with a match edge to the
+//     clause body and a miss edge to the next test; the default clause,
+//     wherever it is written, is taken after the last miss. A check in
+//     an earlier case expression therefore precedes every later clause.
+//   - A select evaluates the channel operand of every communication at
+//     its head, in source order, before it waits. The head block holds
+//     those operands and then the *ast.SelectStmt itself, the point where
+//     the goroutine blocks until a clause is ready (unless the select has
+//     a default); each clause block starts with its communication
+//     statement.
+//   - The head block of a loop, which every iteration returns to, starts
+//     with the *ast.ForStmt or *ast.RangeStmt itself. A for head then
+//     holds the condition; a range statement there also stands for its
+//     per-iteration step (range expression and iteration variables).
+//
+// Those three statement nodes mark a head; their bodies are never part
+// of the head's evaluation. Inspect walks a node the way its block
+// evaluates it.
 //
 // Function literals are opaque: a FuncLit appears as an expression in
 // the enclosing graph (its body runs at some other time, if at all) and
@@ -51,7 +75,8 @@ type Block struct {
 	Succs []*Block
 	// Cond is the branch condition this block ends with, or nil when
 	// the block has at most one successor (or branches without a
-	// refinable condition: range heads, select, switch dispatch).
+	// refinable condition: range heads, select heads, case tests of a
+	// tagged or type switch).
 	Cond ast.Expr
 }
 
@@ -198,6 +223,7 @@ func (b *builder) stmt(s ast.Stmt) {
 
 		body := b.newBlock()
 		b.cur = head
+		b.add(s)
 		if s.Cond != nil {
 			b.add(s.Cond)
 			head.Cond = s.Cond
@@ -239,7 +265,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		if s.Tag != nil {
 			b.add(s.Tag)
 		}
-		b.switchBody(s.Body, label, nil)
+		b.switchBody(s.Body, label, s.Tag == nil)
 
 	case *ast.TypeSwitchStmt:
 		label := b.takeLabel()
@@ -247,23 +273,27 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.add(s.Init)
 		}
 		b.add(s.Assign)
-		b.switchBody(s.Body, label, nil)
+		b.switchBody(s.Body, label, false)
 
 	case *ast.SelectStmt:
 		label := b.takeLabel()
+		for _, c := range s.Body.List {
+			if cc, ok := c.(*ast.CommClause); ok {
+				b.add(commChan(cc.Comm))
+			}
+		}
+		b.add(s)
 		head := b.cur
 		done := b.newBlock()
 		if label != "" {
 			b.labeledBreak[label] = done
 		}
 		b.breaks = append(b.breaks, done)
-		anyBody := false
 		for _, c := range s.Body.List {
 			cc, ok := c.(*ast.CommClause)
 			if !ok {
 				continue
 			}
-			anyBody = true
 			blk := b.newBlock()
 			head.Succs = append(head.Succs, blk)
 			b.cur = blk
@@ -275,7 +305,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 		b.breaks = b.breaks[:len(b.breaks)-1]
 		delete(b.labeledBreak, label)
-		if !anyBody {
+		if len(head.Succs) == 0 {
 			// select {} blocks forever: abnormal termination.
 			head.Succs = append(head.Succs, b.g.Abort)
 		}
@@ -307,6 +337,10 @@ func (b *builder) stmt(s ast.Stmt) {
 			}
 			b.jump(b.g.Exit)
 		case token.GOTO:
+			if s.Label == nil {
+				b.jump(b.g.Exit) // malformed; fail safe
+				return
+			}
 			name := s.Label.Name
 			if dst, ok := b.labeledBlocks[name]; ok {
 				b.jump(dst)
@@ -347,11 +381,14 @@ func (b *builder) stmt(s ast.Stmt) {
 	}
 }
 
-// switchBody wires the case clauses of an expression or type switch.
+// switchBody wires the case clauses of an expression or type switch:
+// the case expressions are tested in source order, the first at the end
+// of the current block and each later one in a block of its own, and a
+// miss on the last goes to the default clause, or past the switch when
+// there is none. In a tagless switch each test is a condition (Cond).
 // fallthrough in clause i adds an edge from the end of clause i's body
 // to the start of clause i+1's body.
-func (b *builder) switchBody(body *ast.BlockStmt, label string, _ ast.Expr) {
-	head := b.cur
+func (b *builder) switchBody(body *ast.BlockStmt, label string, tagless bool) {
 	done := b.newBlock()
 	if label != "" {
 		b.labeledBreak[label] = done
@@ -368,16 +405,25 @@ func (b *builder) switchBody(body *ast.BlockStmt, label string, _ ast.Expr) {
 	for i := range clauses {
 		bodyBlocks[i] = b.newBlock()
 	}
-	hasDefault := false
+	miss := done
 	for i, cc := range clauses {
 		if cc.List == nil {
-			hasDefault = true
+			miss = bodyBlocks[i]
+			continue
 		}
-		head.Succs = append(head.Succs, bodyBlocks[i])
-		b.cur = bodyBlocks[i]
 		for _, e := range cc.List {
 			b.add(e)
+			if tagless {
+				b.cur.Cond = e
+			}
+			next := b.newBlock()
+			b.cur.Succs = append(b.cur.Succs, bodyBlocks[i], next) // match, miss
+			b.cur = next
 		}
+	}
+	b.cur.Succs = append(b.cur.Succs, miss)
+	for i, cc := range clauses {
+		b.cur = bodyBlocks[i]
 		fallsThrough := false
 		for _, s := range cc.Body {
 			if br, ok := s.(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
@@ -392,13 +438,50 @@ func (b *builder) switchBody(body *ast.BlockStmt, label string, _ ast.Expr) {
 			b.cur.Succs = append(b.cur.Succs, done)
 		}
 	}
-	if !hasDefault {
-		// No default: the tag may match nothing.
-		head.Succs = append(head.Succs, done)
-	}
 	b.breaks = b.breaks[:len(b.breaks)-1]
 	delete(b.labeledBreak, label)
 	b.cur = done
+}
+
+// commChan returns the channel operand of a select communication: the
+// channel of a send, the operand of a receive, or nil for the default
+// clause (and for a malformed communication).
+func commChan(s ast.Stmt) ast.Expr {
+	var x ast.Expr
+	switch s := s.(type) {
+	case *ast.SendStmt:
+		return s.Chan
+	case *ast.ExprStmt:
+		x = s.X
+	case *ast.AssignStmt:
+		if len(s.Rhs) == 1 {
+			x = s.Rhs[0]
+		}
+	}
+	if u, ok := ast.Unparen(x).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u.X
+	}
+	return nil
+}
+
+// Inspect calls f in ast.Inspect order, but never with nil, on the part
+// of node n its block evaluates. A loop or select statement heading a block contributes only
+// the range expression of a range statement; function literals are
+// visited but not entered, since their bodies are graphs of their own.
+func Inspect(n ast.Node, f func(ast.Node) bool) {
+	switch s := n.(type) {
+	case *ast.ForStmt, *ast.SelectStmt:
+		return
+	case *ast.RangeStmt:
+		n = s.X
+	}
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == nil {
+			return false
+		}
+		_, lit := c.(*ast.FuncLit)
+		return f(c) && !lit
+	})
 }
 
 // pushLoop registers break/continue targets (and their labeled forms).
@@ -465,6 +548,22 @@ func (b *builder) noReturn(call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// Bodies calls visit on the body of every function declaration and
+// function literal in f, each of which is a graph of its own.
+func Bodies(f *ast.File, visit func(body *ast.BlockStmt)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				visit(n.Body)
+			}
+		case *ast.FuncLit:
+			visit(n.Body)
+		}
+		return true
+	})
 }
 
 // Reachable reports the blocks reachable from the entry, in index

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +25,37 @@ func buildFunc(t *testing.T, src, name string) *Graph {
 	}
 	t.Fatalf("func %s not found", name)
 	return nil
+}
+
+// find returns the block holding the expression printed as text, alone
+// or as an expression statement or a one-result return.
+func find(t *testing.T, g *Graph, text string) *Block {
+	t.Helper()
+	for _, blk := range g.Blocks {
+		for _, n := range blk.Nodes {
+			switch s := n.(type) {
+			case *ast.ExprStmt:
+				n = s.X
+			case *ast.ReturnStmt:
+				if len(s.Results) == 1 {
+					n = s.Results[0]
+				}
+			}
+			if e, ok := n.(ast.Expr); ok && types.ExprString(e) == text {
+				return blk
+			}
+		}
+	}
+	t.Fatalf("no block holds %s:\n%s", text, g)
+	return nil
+}
+
+// skipEmpty follows blk through empty single-successor blocks.
+func skipEmpty(blk *Block) *Block {
+	for len(blk.Nodes) == 0 && len(blk.Succs) == 1 {
+		blk = blk.Succs[0]
+	}
+	return blk
 }
 
 // exitReachable reports whether Exit is reachable from Entry.
@@ -139,25 +172,67 @@ func f(x int) int {
 	case 0:
 		fallthrough
 	case 1:
-		return 1
+		return 10
 	default:
-		return 2
+		return 20
 	}
 }`, "f")
 	if !exitReachable(g) {
 		t.Fatalf("exit unreachable:\n%s", g)
 	}
-	// With a default every head successor is a clause; the implicit
-	// no-match edge must be absent. Count the head's successors: the
-	// block holding the tag has 3 (three clauses), not 4.
-	var head *Block
+	// The head tests case 0 (a tagged switch has no Cond): a match runs
+	// clause 0, which falls through into clause 1; a miss tests case 1.
+	// With a default, a miss on case 1 takes it: no edge leaves the
+	// switch without running a clause.
+	head, one := find(t, g, "0"), find(t, g, "1")
+	if head != g.Entry || head.Cond != nil || len(head.Succs) != 2 || head.Succs[1] != one {
+		t.Fatalf("case 0 test does not miss into the case 1 test:\n%s", g)
+	}
+	clause0 := head.Succs[0]
+	if len(clause0.Nodes) != 1 || len(clause0.Succs) != 1 || clause0.Succs[0] != one.Succs[0] {
+		t.Fatalf("clause 0 does not fall through into clause 1:\n%s", g)
+	}
+	if dflt := skipEmpty(one.Succs[1]); dflt != find(t, g, "20") {
+		t.Fatalf("a miss on case 1 does not take the default:\n%s", g)
+	}
+}
+
+// TestSwitchCaseOrder: case expressions are tested in source order, a
+// tagless switch's tests are conditions, and the default clause runs
+// only after every test missed, wherever it is written.
+func TestSwitchCaseOrder(t *testing.T) {
+	g := buildFunc(t, `package p
+func f(a, b func() bool) {
+	switch {
+	default:
+		z()
+	case a():
+		x()
+	case b():
+		y()
+	}
+	w()
+}`, "f")
+	ta, tb, z := find(t, g, "a()"), find(t, g, "b()"), find(t, g, "z()")
+	if ta != g.Entry || ta.Cond == nil || len(ta.Succs) != 2 {
+		t.Fatalf("a() is not the first test, with a condition:\n%s", g)
+	}
+	if ta.Succs[0] != find(t, g, "x()") || ta.Succs[1] != tb {
+		t.Fatalf("a() does not match into x() and miss into the b() test:\n%s", g)
+	}
+	if tb.Cond == nil || tb.Succs[0] != find(t, g, "y()") || skipEmpty(tb.Succs[1]) != z {
+		t.Fatalf("b() does not match into y() and miss into the default:\n%s", g)
+	}
+	preds := 0
 	for _, blk := range g.Reachable() {
-		if len(blk.Succs) == 3 {
-			head = blk
+		for _, s := range blk.Succs {
+			if s == z {
+				preds++
+			}
 		}
 	}
-	if head == nil {
-		t.Fatalf("switch head with 3 clause edges not found:\n%s", g)
+	if preds != 1 {
+		t.Fatalf("default body has %d predecessors, want 1 (the last miss):\n%s", preds, g)
 	}
 }
 
@@ -169,7 +244,7 @@ func f(x int) {
 		_ = x
 	}
 }`, "f")
-	// One clause + the implicit no-match edge = 2 successors.
+	// The case test matches into the clause or misses past the switch.
 	found := false
 	for _, blk := range g.Reachable() {
 		if len(blk.Succs) == 2 {
@@ -193,6 +268,73 @@ func f(a, b chan int) int {
 }`, "f")
 	if !exitReachable(g) {
 		t.Fatalf("exit unreachable:\n%s", g)
+	}
+}
+
+// TestSelectHead: a select evaluates every channel operand at its head,
+// in source order, and then waits; each clause starts with its
+// communication.
+func TestSelectHead(t *testing.T) {
+	g := buildFunc(t, `package p
+func f(a, b chan int, done func() chan struct{}) {
+	select {
+	case v := <-a:
+		_ = v
+	case b <- 1:
+	case <-done():
+	default:
+	}
+}`, "f")
+	head := g.Entry
+	var got []string
+	for _, n := range head.Nodes {
+		if e, ok := n.(ast.Expr); ok {
+			got = append(got, types.ExprString(e))
+		}
+	}
+	sel, ok := head.Nodes[len(head.Nodes)-1].(*ast.SelectStmt)
+	if !ok || strings.Join(got, " ") != "a b done()" {
+		t.Fatalf("head holds operands %v and then %T, want [a b done()] then the select:\n%s", got, head.Nodes[len(head.Nodes)-1], g)
+	}
+	if len(head.Succs) != 4 {
+		t.Fatalf("select head has %d successors, want one per clause (4):\n%s", len(head.Succs), g)
+	}
+	for i, c := range sel.Body.List {
+		if comm := c.(*ast.CommClause).Comm; comm != nil && head.Succs[i].Nodes[0] != comm {
+			t.Errorf("clause %d does not start with its communication:\n%s", i, g)
+		}
+	}
+}
+
+// TestLoopHeadsHoldTheirStatement: the block every iteration returns to
+// starts with the loop statement; a for head then holds its condition.
+func TestLoopHeadsHoldTheirStatement(t *testing.T) {
+	g := buildFunc(t, `package p
+func f(n int, xs []int) {
+	for i := 0; i < n; i++ {
+	}
+	for range xs {
+	}
+	for {
+	}
+}`, "f")
+	var heads []string
+	for _, blk := range g.Reachable() {
+		if len(blk.Nodes) == 0 {
+			continue
+		}
+		switch s := blk.Nodes[0].(type) {
+		case *ast.ForStmt:
+			if s.Cond != nil && (len(blk.Nodes) != 2 || blk.Cond != s.Cond) {
+				t.Errorf("for head holds %d nodes, want the loop and its condition:\n%s", len(blk.Nodes), g)
+			}
+			heads = append(heads, "for")
+		case *ast.RangeStmt:
+			heads = append(heads, "range")
+		}
+	}
+	if strings.Join(heads, " ") != "for range for" {
+		t.Fatalf("loop heads %v, want [for range for]:\n%s", heads, g)
 	}
 }
 
@@ -289,4 +431,77 @@ func f() {
 	if exitReachable(g) {
 		t.Fatalf("for{} must not reach exit:\n%s", g)
 	}
+}
+
+// FuzzCFG builds the graph of every function body go/parser accepts, and
+// of every function literal in it, and checks what the passes rely on:
+// New does not panic, a block with a Cond has exactly two successors, and
+// every statement is in exactly one block.
+func FuzzCFG(f *testing.F) {
+	for _, body := range []string{
+		"x := 1; _ = x",
+		"if c { return 1 } else if d { panic(0) }; return 2",
+		"for i := 0; i < n; i++ { if i > 3 { break }; continue }",
+		"outer: for _, r := range m { for range r { continue outer } }",
+		"switch x { case 0: fallthrough; case 1, 2: return; default: }",
+		"switch { default: z(); case a(): x() }",
+		"switch v := i.(type) { case int: _ = v; case nil: }",
+		"select { case v, ok := <-a: _ = ok; case b <- <-c: ; default: }",
+		"select {}",
+		"retry: if c { goto out }; goto retry; out: _ = c",
+		"defer func() { recover() }(); go func() { for { select { case <-d: return } } }()",
+		"L: switch { case a: break L }; for { os.Exit(1) }",
+		"goto", // go/parser accepts a goto without its label
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		file, err := parser.ParseFile(token.NewFileSet(), "f.go", "package p\nfunc f() {\n"+body+"\n}\n", 0)
+		if err != nil {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkGraph(t, n.Body, New(n.Body, nil))
+				}
+			case *ast.FuncLit:
+				checkGraph(t, n.Body, New(n.Body, nil))
+			}
+			return true
+		})
+	})
+}
+
+// checkGraph checks g, built from body, for FuzzCFG.
+func checkGraph(t *testing.T, body *ast.BlockStmt, g *Graph) {
+	t.Helper()
+	in := map[ast.Node]int{}
+	for _, blk := range g.Blocks {
+		if blk.Cond != nil && len(blk.Succs) != 2 {
+			t.Fatalf("b%d has a Cond and %d successors:\n%s", blk.Index, len(blk.Succs), g)
+		}
+		for _, n := range blk.Nodes {
+			in[n]++
+		}
+	}
+	for n, k := range in {
+		if k != 1 {
+			t.Fatalf("%T at %d is in %d blocks:\n%s", n, n.Pos(), k, g)
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ExprStmt, *ast.AssignStmt, *ast.SendStmt, *ast.IncDecStmt,
+			*ast.ReturnStmt, *ast.DeclStmt, *ast.DeferStmt, *ast.GoStmt,
+			*ast.BranchStmt, *ast.EmptyStmt, *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt:
+			if in[n] != 1 {
+				t.Fatalf("%T at %d is in no block:\n%s", n, n.Pos(), g)
+			}
+		}
+		return true
+	})
 }

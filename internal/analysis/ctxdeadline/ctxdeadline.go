@@ -19,12 +19,15 @@
 //   - an attempt bound: a comparison mentioning the loop's counter
 //     variable (for attempt := 0; ; attempt++ { ... attempt >= max ... }).
 //
-// A bound inside a switch or select clause bounds only the iterations
-// that take that clause: the transient case's attempt budget does not
-// bound a sibling case that waits out a restart. Such a statement
-// counts as a bound only when every clause that does not return
-// carries one. The branches of an if are not scoped this way: a bound
-// under either branch counts for the whole loop.
+// The loop is read from internal/analysis/cfg: it is reported when some
+// path through its body sleeps and comes back to the loop's head, the
+// next iteration, without passing a node that holds a bound. A bound on
+// one branch therefore bounds only the paths through that branch: the
+// transient case's attempt budget does not bound a sibling branch that
+// waits out a restart. A switch tests its case expressions in order, so
+// a bound in one guards every later clause, and a select evaluates its
+// channel operands before it picks a clause, so <-ctx.Done() there
+// bounds every clause. A path that leaves the loop ends there.
 //
 // Loops with an explicit condition are exempt: `for time.Now().Before(d)`
 // and `for i := 0; i < max; i++` bound themselves.
@@ -36,6 +39,7 @@ import (
 	"go/types"
 
 	"predata/internal/analysis"
+	"predata/internal/analysis/cfg"
 )
 
 // Analyzer is the ctxdeadline pass.
@@ -48,173 +52,136 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			loop, ok := n.(*ast.ForStmt)
-			if !ok || loop.Cond != nil {
-				return true
-			}
-			check(pass, loop)
-			return true
-		})
+		cfg.Bodies(f, func(body *ast.BlockStmt) { checkBody(pass, body) })
 	}
 	return nil
 }
 
-func check(pass *analysis.Pass, loop *ast.ForStmt) {
-	sleeps := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a nested closure is not this loop's control flow
-		}
-		if inner, ok := n.(*ast.ForStmt); ok && inner.Cond == nil {
-			// A nested unbounded loop is checked on its own.
-			check(pass, inner)
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil &&
-				(analysis.FuncIs(fn, "time", "Sleep") || isBackoff(fn)) {
-				sleeps = true
-			}
-		}
-		return true
-	})
-	b := bounds{info: pass.TypesInfo, counters: counterVars(pass.TypesInfo, loop)}
-	if sleeps && !b.in(loop.Body) {
-		pass.Reportf(loop.Pos(),
-			"retry loop sleeps between attempts but has no deadline, cancellation, "+
-				"or attempt bound; thread a deadline or check the attempt budget")
-	}
-}
-
-// bounds finds a loop's exit bounds.
-type bounds struct {
-	info     *types.Info
-	counters map[*types.Var]bool
-}
-
-// in reports whether n holds a bound. A switch or select holds one only
-// when all its clauses are bounded; a select's channel operands,
-// evaluated on every pass, bound all of them.
-func (b bounds) in(n ast.Node) bool {
-	if n == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+// checkBody checks the condition-less loops of one function body; those
+// of its function literals are checked with the literal's body.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+	var loops []*ast.ForStmt
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.ForStmt:
-			return n.Cond != nil // a nested unbounded loop bounds nothing here
-		case *ast.SwitchStmt:
-			found = b.in(n.Init) || b.in(n.Tag) || b.clauses(n.Body, true)
-			return false
-		case *ast.TypeSwitchStmt:
-			found = b.in(n.Init) || b.clauses(n.Body, true)
-			return false
-		case *ast.SelectStmt:
-			for _, c := range n.Body.List {
-				found = found || b.in(c.(*ast.CommClause).Comm)
+			if n.Cond == nil {
+				loops = append(loops, n)
 			}
-			found = found || b.clauses(n.Body, false)
-			return false
-		case *ast.CallExpr:
-			fn := analysis.CalleeFunc(b.info, n)
-			found = fn != nil && (analysis.FuncIs(fn, "time", "Until") || isTimeCmpMethod(fn) || isCtxSignal(fn))
-		case *ast.BinaryExpr:
-			found = isComparison(n.Op) && (mentionsVar(b.info, n, b.counters) || comparesTime(b.info, n))
 		}
-		return !found
+		return true
 	})
-	return found
+	if len(loops) == 0 {
+		return
+	}
+	g := cfg.New(body, pass.TypesInfo)
+	for _, loop := range loops {
+		if unbounded(pass.TypesInfo, g, loop) {
+			pass.Reportf(loop.Pos(),
+				"retry loop sleeps between attempts but has no deadline, cancellation, "+
+					"or attempt bound; thread a deadline or check the attempt budget")
+		}
+	}
 }
 
-// clauses reports whether every clause of a switch or select body is
-// bounded: it returns, holds a bound, or is chosen only after a case
-// expression holding one was evaluated. A switch evaluates its case
-// expressions in order and takes its default, or an implicit empty one,
-// last.
-func (b bounds) clauses(body *ast.BlockStmt, isSwitch bool) bool {
-	seen := false // a case expression evaluated so far holds a bound
-	bounded := func(stmts []ast.Stmt) bool {
-		if n := len(stmts); seen || n > 0 && isReturn(stmts[n-1]) {
-			return true
+// unbounded reports whether some path from loop's head through its body
+// sleeps and returns to the head without passing a bound.
+func unbounded(info *types.Info, g *cfg.Graph, loop *ast.ForStmt) bool {
+	var head *cfg.Block
+	for _, blk := range g.Blocks {
+		if len(blk.Nodes) > 0 && blk.Nodes[0] == loop {
+			head = blk
 		}
-		for _, s := range stmts {
-			if b.in(s) {
-				return true
-			}
-		}
+	}
+	if head == nil {
 		return false
 	}
-	var dflt []ast.Stmt
-	for _, c := range body.List {
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				dflt = c.Body
-				continue
+	counters := counterVars(info, loop)
+	inLoop := func(n ast.Node) bool {
+		return n == loop.Post || loop.Body.Pos() <= n.Pos() && n.End() <= loop.Body.End()
+	}
+	type step struct {
+		blk   *cfg.Block
+		slept bool
+	}
+	seen := map[step]bool{}
+	var work []step
+	for _, succ := range head.Succs {
+		work = append(work, step{succ, false})
+	}
+	for len(work) > 0 {
+		st := work[len(work)-1]
+		work = work[:len(work)-1]
+		if st.blk == head {
+			if st.slept {
+				return true
 			}
-			for _, e := range c.List {
-				seen = seen || b.in(e)
+			continue
+		}
+		if seen[st] {
+			continue
+		}
+		seen[st] = true
+		passes := true
+		for _, n := range st.blk.Nodes {
+			sleeps, bound := scan(info, counters, n)
+			if !inLoop(n) || bound {
+				passes = false // left the loop, or bounded
+				break
 			}
-			if !bounded(c.Body) {
-				return false
-			}
-		case *ast.CommClause:
-			if !bounded(c.Body) {
-				return false
+			st.slept = st.slept || sleeps
+		}
+		if passes {
+			for _, succ := range st.blk.Succs {
+				work = append(work, step{succ, st.slept})
 			}
 		}
 	}
-	return !isSwitch || bounded(dflt)
+	return false
 }
 
-func isReturn(s ast.Stmt) bool {
-	_, ok := s.(*ast.ReturnStmt)
-	return ok
+// scan reports whether node n sleeps, calling time.Sleep or a backoff
+// helper (RetryPolicy.backoff or any sibling spelled backoff/Backoff),
+// and whether it holds a bound: a deadline or cancellation check, or a
+// comparison of one of the loop's counters.
+func scan(info *types.Info, counters map[*types.Var]bool, n ast.Node) (sleeps, bound bool) {
+	cfg.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if fn := analysis.CalleeFunc(info, n); fn != nil {
+				sleeps = sleeps || analysis.FuncIs(fn, "time", "Sleep") || fn.Name() == "backoff" || fn.Name() == "Backoff"
+				bound = bound || analysis.FuncIs(fn, "time", "Until") || isTimeCmpMethod(fn) || isCtxSignal(fn)
+			}
+		case *ast.BinaryExpr:
+			bound = bound || isComparison(n.Op) && (mentionsVar(info, n, counters) || comparesTime(info, n))
+		}
+		return true
+	})
+	return sleeps, bound
 }
 
 // counterVars collects the variables advanced by the loop's init/post
 // clauses — the attempt counters a bound may reference.
 func counterVars(info *types.Info, loop *ast.ForStmt) map[*types.Var]bool {
-	vars := map[*types.Var]bool{}
-	collect := func(s ast.Stmt) {
+	var targets []ast.Expr
+	for _, s := range []ast.Stmt{loop.Init, loop.Post} {
 		switch s := s.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if v, ok := objOf(info, id).(*types.Var); ok {
-						vars[v] = true
-					}
-				}
-			}
+			targets = append(targets, s.Lhs...)
 		case *ast.IncDecStmt:
-			if id, ok := s.X.(*ast.Ident); ok {
-				if v, ok := objOf(info, id).(*types.Var); ok {
-					vars[v] = true
-				}
+			targets = append(targets, s.X)
+		}
+	}
+	vars := map[*types.Var]bool{}
+	for _, e := range targets {
+		if id, ok := e.(*ast.Ident); ok {
+			if v, ok := info.ObjectOf(id).(*types.Var); ok {
+				vars[v] = true
 			}
 		}
 	}
-	if loop.Init != nil {
-		collect(loop.Init)
-	}
-	if loop.Post != nil {
-		collect(loop.Post)
-	}
 	return vars
-}
-
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Defs[id]; o != nil {
-		return o
-	}
-	return info.Uses[id]
 }
 
 func isComparison(op token.Token) bool {
@@ -248,12 +215,6 @@ func comparesTime(info *types.Info, b *ast.BinaryExpr) bool {
 		return ok && tv.Type != nil && analysis.NamedTypeIs(tv.Type, "time", "Time")
 	}
 	return isTime(b.X) || isTime(b.Y)
-}
-
-// isBackoff matches backoff helpers by name: RetryPolicy.backoff and any
-// sibling spelled backoff/Backoff.
-func isBackoff(fn *types.Func) bool {
-	return fn.Name() == "backoff" || fn.Name() == "Backoff"
 }
 
 // isTimeCmpMethod matches (time.Time).Before/After — the idiomatic

@@ -264,3 +264,41 @@ func goodServeDrain(pending func() int, deadline time.Time) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// badReviveWaitOneCaseBounded written with ifs: the transient branch's
+// attempt bound does not bound the revive branch, which backs off and
+// retries forever.
+func badReviveWaitIf(send func() error, revives func() bool, maxAttempts int) error {
+	for attempt := 0; ; attempt++ { // want `retry loop sleeps between attempts but has no deadline, cancellation, or attempt bound`
+		err := send()
+		if err == nil {
+			return nil
+		}
+		if errors.Is(err, errTransient) {
+			if attempt+1 >= maxAttempts {
+				return err
+			}
+		} else if !errors.Is(err, errDown) || !revives() {
+			return err
+		}
+		backoff(attempt)
+	}
+}
+
+// The same wait with the deadline on the revive branch.
+func goodReviveWaitIf(send func() error, revives func() bool, maxAttempts int, deadline time.Time) error {
+	for attempt := 0; ; attempt++ {
+		err := send()
+		if err == nil {
+			return nil
+		}
+		if errors.Is(err, errTransient) {
+			if attempt+1 >= maxAttempts {
+				return err
+			}
+		} else if !errors.Is(err, errDown) || !revives() || time.Now().After(deadline) {
+			return err
+		}
+		backoff(attempt)
+	}
+}

@@ -75,8 +75,9 @@ func (f *fn) classify(n ast.Node) []op {
 	case ast.Expr:
 		f.walkExpr(n, emit)
 
-	case *ast.BranchStmt, *ast.EmptyStmt:
-		// no uses
+	case *ast.BranchStmt, *ast.EmptyStmt, *ast.ForStmt, *ast.SelectStmt:
+		// No uses: a loop or select statement only marks its head; its
+		// condition, operands and communications are nodes of their own.
 
 	default:
 		// Unanticipated statement kinds: find uses generically so a

@@ -149,18 +149,8 @@ func Check(pass *analysis.Pass, spec *Spec) []Finding {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					out = append(out, checkBody(pass.TypesInfo, n.Body, spec)...)
-				}
-				return true // literals inside are found below
-			case *ast.FuncLit:
-				out = append(out, checkBody(pass.TypesInfo, n.Body, spec)...)
-				return true
-			}
-			return true
+		cfg.Bodies(f, func(body *ast.BlockStmt) {
+			out = append(out, checkBody(pass.TypesInfo, body, spec)...)
 		})
 	}
 	return out

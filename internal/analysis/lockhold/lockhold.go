@@ -16,12 +16,15 @@
 // block under a mutex (the fabric mailboxes and dataspaces object locks
 // rely on it).
 //
-// The pass is a conservative intra-procedural walk. It tracks Lock/
-// RLock/Unlock/RUnlock/defer-Unlock on each mutex-valued expression in
-// straight-line order and descends into branches with a copy of the
-// held set; function literals start empty (they run elsewhere), and a
-// call that merely passes the mutex onward is not a hold transfer.
-// False positives are expected to be rare and are suppressed with a
+// The pass reads control flow from internal/analysis/cfg, one graph per
+// function body and per function literal body (a literal runs elsewhere,
+// so it starts with nothing held). A forward may-hold fixpoint tracks
+// Lock/RLock/Unlock/RUnlock on each mutex-valued expression over the
+// blocks, uniting the held sets where paths join, so a lock taken on
+// only one branch is held after the join; defer mu.Unlock() keeps the
+// lock held to the end of the body. Each node is then checked against
+// the held set that reaches it. A call that merely passes the mutex
+// onward is not a hold transfer. False positives are suppressed with a
 // //predata:vet-ignore lockhold <reason> directive.
 package lockhold
 
@@ -29,8 +32,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"predata/internal/analysis"
+	"predata/internal/analysis/cfg"
 )
 
 // Analyzer is the lockhold pass.
@@ -42,179 +47,132 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					walkBlock(pass, n.Body, newHeld())
-				}
-				return false // nested FuncLits handled inside walkBlock
-			}
-			return true
-		})
+		cfg.Bodies(f, func(body *ast.BlockStmt) { checkBody(pass, body) })
 	}
 	return nil
 }
 
-// held is the set of lock expressions currently held, keyed by their
+// held is the set of lock expressions that may be held, keyed by their
 // printed source form ("f.mu", "s.locks[name].mu").
-type held map[string]token.Pos
+type held map[string]bool
 
-func newHeld() held { return held{} }
-
-func (h held) clone() held {
-	c := make(held, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
+// checker checks one function body.
+type checker struct {
+	pass *analysis.Pass
+	// comms are the communications of the body's select clauses: their
+	// channel operands are evaluated, and the select blocks, at the
+	// select's head.
+	comms map[ast.Stmt]bool
+	// report is set for the one pass over the converged held sets.
+	report bool
 }
 
-func (h held) any() (string, bool) {
-	best := ""
-	for k := range h {
-		if best == "" || k < best {
-			best = k
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+	c := &checker{pass: pass, comms: map[ast.Stmt]bool{}}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if cc, ok := n.(*ast.CommClause); ok && cc.Comm != nil {
+			c.comms[cc.Comm] = true
 		}
+		return true
+	})
+	g := cfg.New(body, pass.TypesInfo)
+	blocks := g.Reachable()
+	in := make(map[*cfg.Block]held, len(blocks))
+	for _, blk := range blocks {
+		in[blk] = held{}
 	}
-	return best, best != ""
-}
-
-// walkBlock processes statements in order, threading the held set.
-func walkBlock(pass *analysis.Pass, b *ast.BlockStmt, h held) {
-	for _, s := range b.List {
-		walkStmt(pass, s, h)
-	}
-}
-
-func walkStmt(pass *analysis.Pass, s ast.Stmt, h held) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if tryLockOp(pass, s.X, h) {
-			return
-		}
-		checkExpr(pass, s.X, h)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held for the remaining
-		// statements of this function — which is precisely the pattern
-		// the analyzer audits, so nothing to remove. defer of anything
-		// else is inspected with a fresh held set at "exit time".
-		if kind, _ := lockCall(pass, s.Call); kind == opUnlock {
-			return
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok && lit.Body != nil {
-			walkBlock(pass, lit.Body, newHeld())
-		}
-	case *ast.GoStmt:
-		// Spawning never blocks; the body runs on its own stack with no
-		// locks held.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok && lit.Body != nil {
-			walkBlock(pass, lit.Body, newHeld())
-		}
-		checkExprShallow(pass, s.Call, h)
-	case *ast.SendStmt:
-		report(pass, s.Pos(), "channel send", h)
-		checkExpr(pass, s.Value, h)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			checkExpr(pass, e, h)
-		}
-		for _, e := range s.Lhs {
-			checkExpr(pass, e, h)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			checkExpr(pass, e, h)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			walkStmt(pass, s.Init, h)
-		}
-		checkExpr(pass, s.Cond, h)
-		walkBlock(pass, s.Body, h.clone())
-		if s.Else != nil {
-			walkStmt(pass, s.Else, h.clone())
-		}
-	case *ast.BlockStmt:
-		walkBlock(pass, s, h.clone())
-	case *ast.ForStmt:
-		if s.Init != nil {
-			walkStmt(pass, s.Init, h)
-		}
-		if s.Cond != nil {
-			checkExpr(pass, s.Cond, h)
-		}
-		body := h.clone()
-		walkBlock(pass, s.Body, body)
-		if s.Post != nil {
-			walkStmt(pass, s.Post, body)
-		}
-	case *ast.RangeStmt:
-		// Ranging over a channel blocks per iteration.
-		if tv, ok := pass.TypesInfo.Types[s.X]; ok && tv.Type != nil {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				report(pass, s.Pos(), "range over channel", h)
-			}
-		}
-		checkExpr(pass, s.X, h)
-		walkBlock(pass, s.Body, h.clone())
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			report(pass, s.Pos(), "select without default", h)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sub := h.clone()
-				for _, cs := range cc.Body {
-					walkStmt(pass, cs, sub)
-				}
-			}
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			walkStmt(pass, s.Init, h)
-		}
-		if s.Tag != nil {
-			checkExpr(pass, s.Tag, h)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sub := h.clone()
-				for _, cs := range cc.Body {
-					walkStmt(pass, cs, sub)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sub := h.clone()
-				for _, cs := range cc.Body {
-					walkStmt(pass, cs, sub)
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		walkStmt(pass, s.Stmt, h)
-	case *ast.IncDecStmt:
-		checkExpr(pass, s.X, h)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						checkExpr(pass, v, h)
+	for changed := true; changed; {
+		changed = false
+		for _, blk := range blocks {
+			out := c.transfer(blk, maps.Clone(in[blk]))
+			for _, succ := range blk.Succs {
+				for k := range out {
+					if !in[succ][k] {
+						in[succ][k] = true
+						changed = true
 					}
 				}
 			}
 		}
 	}
+	c.report = true
+	for _, blk := range blocks {
+		c.transfer(blk, in[blk])
+	}
+}
+
+// transfer runs blk's nodes over h and returns the held set at its end,
+// checking each node when reporting.
+func (c *checker) transfer(blk *cfg.Block, h held) held {
+	for _, n := range blk.Nodes {
+		if es, ok := n.(*ast.ExprStmt); ok && c.lockOp(es.X, h) {
+			continue
+		}
+		if c.report {
+			c.check(n, h)
+		}
+	}
+	return h
+}
+
+// check reports the blocking operations node n performs while h is not
+// empty.
+func (c *checker) check(n ast.Node, h held) {
+	switch n := n.(type) {
+	case *ast.DeferStmt:
+		// The deferred call runs at exit; defer mu.Unlock() keeps the
+		// lock held until then, which is what the pass audits.
+		return
+	case *ast.GoStmt:
+		// Spawning never blocks; only the arguments are evaluated here.
+		for _, a := range n.Call.Args {
+			c.checkExpr(a, h)
+		}
+		return
+	case *ast.SelectStmt:
+		for _, cl := range n.Body.List {
+			if cl.(*ast.CommClause).Comm == nil {
+				return
+			}
+		}
+		c.reportf(n.Pos(), "select without default", h)
+		return
+	case *ast.RangeStmt:
+		// Ranging over a channel blocks per iteration.
+		if tv, ok := c.pass.TypesInfo.Types[n.X]; ok && tv.Type != nil {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				c.reportf(n.Pos(), "range over channel", h)
+			}
+		}
+	case *ast.SendStmt:
+		if !c.comms[n] {
+			c.reportf(n.Pos(), "channel send", h)
+		}
+		c.checkExpr(n.Value, h)
+		return
+	case ast.Stmt:
+		if c.comms[n] {
+			return // a receive clause: it blocked at the select's head
+		}
+	}
+	c.checkExpr(n, h)
+}
+
+// checkExpr reports the receives and blocking calls node n evaluates.
+func (c *checker) checkExpr(n ast.Node, h held) {
+	cfg.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				c.reportf(n.Pos(), "channel receive", h)
+			}
+		case *ast.CallExpr:
+			if desc, blocking := blockingCall(c.pass, n); blocking {
+				c.reportf(n.Pos(), desc, h)
+			}
+		}
+		return true
+	})
 }
 
 type lockOp int
@@ -250,62 +208,28 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr) (lockOp, string) {
 	return opNone, ""
 }
 
-// tryLockOp applies a lock/unlock expression statement to the held set,
-// reporting double-acquisition of the same mutex expression (a
-// self-deadlock for sync.Mutex).
-func tryLockOp(pass *analysis.Pass, e ast.Expr, h held) bool {
+// lockOp applies a lock/unlock call e to h and reports whether e is
+// one, reporting, on the reporting pass, a Lock of a mutex expression
+// that may already be held (a self-deadlock for sync.Mutex).
+func (c *checker) lockOp(e ast.Expr, h held) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	op, key := lockCall(pass, call)
+	op, key := lockCall(c.pass, call)
 	switch op {
 	case opLock:
-		if _, dup := h[key]; dup {
-			pass.Reportf(call.Pos(),
+		if h[key] && c.report {
+			c.pass.Reportf(call.Pos(),
 				"%s locked again while already held (self-deadlock for sync.Mutex)", key)
 		}
-		h[key] = call.Pos()
+		h[key] = true
 		return true
 	case opUnlock:
 		delete(h, key)
 		return true
 	}
 	return false
-}
-
-// checkExpr walks an expression, reporting blocking operations when any
-// lock is held. Function literals are analyzed with an empty held set.
-func checkExpr(pass *analysis.Pass, e ast.Expr, h held) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if n.Body != nil {
-				walkBlock(pass, n.Body, newHeld())
-			}
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				report(pass, n.Pos(), "channel receive", h)
-			}
-		case *ast.CallExpr:
-			if desc, blocking := blockingCall(pass, n); blocking {
-				report(pass, n.Pos(), desc, h)
-			}
-		}
-		return true
-	})
-}
-
-// checkExprShallow checks only the call's arguments, not the call
-// itself — used for go statements whose call runs elsewhere.
-func checkExprShallow(pass *analysis.Pass, call *ast.CallExpr, h held) {
-	for _, a := range call.Args {
-		checkExpr(pass, a, h)
-	}
 }
 
 // blockingCall classifies calls that can block indefinitely.
@@ -344,8 +268,16 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-func report(pass *analysis.Pass, pos token.Pos, what string, h held) {
-	if lock, some := h.any(); some {
-		pass.Reportf(pos, "blocking %s while %s is held; release the lock first", what, lock)
+// reportf reports the blocking operation what at pos when h holds a
+// lock, naming the first in sorted order.
+func (c *checker) reportf(pos token.Pos, what string, h held) {
+	lock := ""
+	for k := range h {
+		if lock == "" || k < lock {
+			lock = k
+		}
+	}
+	if lock != "" {
+		c.pass.Reportf(pos, "blocking %s while %s is held; release the lock first", what, lock)
 	}
 }

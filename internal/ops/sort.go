@@ -338,10 +338,6 @@ func radixSort(entries, spare []sortEntry, varies sortKey, counts *radixCounts, 
 	}
 }
 
-// Partition routes tag b to staging rank b (identity): tags are already
-// destination ranks.
-func (s *SortOperator) Partition(tag, ranks int) int { return tag }
-
 // Reduce receives every run bound for this rank's key range and merges them
 // into the output: straight into a reserved process group when the operator
 // writes one, so each sorted row is copied once, from its writer's frame to
@@ -566,8 +562,5 @@ func (s *SortOperator) Finalize(ctx *staging.Context) error {
 	return nil
 }
 
-// Compile-time interface checks.
-var (
-	_ staging.Operator    = (*SortOperator)(nil)
-	_ staging.Partitioner = (*SortOperator)(nil)
-)
+// Compile-time interface check.
+var _ staging.Operator = (*SortOperator)(nil)

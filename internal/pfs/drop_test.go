@@ -87,6 +87,22 @@ func TestFreeListKeepsWholeOwnedBuffers(t *testing.T) {
 	}
 }
 
+// TestImportedBufferStaysOffFreeList: an imported file's buffer was sized
+// by the read, not by a writer, so it need not end on a word boundary and
+// does not go to the free list when the file is dropped.
+func TestImportedBufferStaysOffFreeList(t *testing.T) {
+	fs, _ := New(quietConfig())
+	if err := fs.Import("f", bytes.NewReader(make([]byte, 13)), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("f"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Reuse(13, 13); got != nil {
+		t.Fatalf("Reuse(13, 13) returned the imported file's %d-byte buffer", len(got))
+	}
+}
+
 // TestFreeListDropsOldestFirst: past its cap the free list lets its oldest
 // buffers go.
 func TestFreeListDropsOldestFirst(t *testing.T) {

@@ -49,8 +49,12 @@ func (fs *FileSystem) Import(name string, r io.Reader, stripes int) error {
 	if err != nil {
 		return err
 	}
-	fd := &fileData{stripes: fs.stripes(stripes)}
-	fd.store(data, 0, true)
+	// The file keeps the buffer, but not as a whole one: io.ReadAll sized
+	// it, not a writer, so it stays off the free list when the file goes.
+	fd := &fileData{stripes: fs.stripes(stripes), size: int64(len(data))}
+	if len(data) > 0 {
+		fd.extents = []extent{{data: data}}
+	}
 	fs.put(name, fd)
 	return nil
 }

@@ -113,8 +113,8 @@ type fileData struct {
 type extent struct {
 	off  int64
 	data []byte
-	// whole marks data as a whole buffer handed over by WriteOwned (or
-	// Import), which goes to the free list when the file is dropped.
+	// whole marks data as a whole buffer handed over by WriteOwned, which
+	// goes to the free list when the file is dropped.
 	whole bool
 }
 

@@ -1197,8 +1197,9 @@ func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flo
 }
 
 // recvRequest receives one fetch request, retrying injected transient
-// receive faults under the dump deadline (zero deadline blocks without
-// limit, the fault-free contract).
+// receive faults under the dump deadline. A zero deadline blocks without
+// limit, the fault-free contract, and retries transients within the
+// attempt budget.
 func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest, error) {
 	for attempt := 0; ; attempt++ {
 		var (
@@ -1217,14 +1218,14 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 			_, data, err = s.cfg.Endpoint.RecvCtlTimeout(remaining)
 		}
 		if err != nil {
-			if errors.Is(err, faults.ErrTransient) {
-				stats.Retries++
-				s.cfg.Tracer.Instant(trace.PhaseRetry, s.cfg.Endpoint.ID(), -1,
-					-1, int64(attempt), 0)
-				time.Sleep(s.retry.backoff(attempt))
-				continue
+			if !errors.Is(err, faults.ErrTransient) || deadline.IsZero() && attempt+1 >= s.retry.MaxAttempts {
+				return FetchRequest{}, fmt.Errorf("predata: gathering fetch requests: %w", err)
 			}
-			return FetchRequest{}, fmt.Errorf("predata: gathering fetch requests: %w", err)
+			stats.Retries++
+			s.cfg.Tracer.Instant(trace.PhaseRetry, s.cfg.Endpoint.ID(), -1,
+				-1, int64(attempt), 0)
+			time.Sleep(s.retry.backoff(attempt))
+			continue
 		}
 		req, ok := data.(FetchRequest)
 		if !ok {

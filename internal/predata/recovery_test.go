@@ -1,6 +1,7 @@
 package predata
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -503,5 +504,41 @@ func TestDegradeWindowSlowsDump(t *testing.T) {
 	if other := slow.StagingStats[0][2].PullModeled; other > 4*clean.StagingStats[0][2].PullModeled {
 		t.Errorf("dump outside the window slowed: %v vs clean %v",
 			other, clean.StagingStats[0][2].PullModeled)
+	}
+}
+
+// TestRecvRequestBoundsTransientsWithoutDeadline: a dump with no deadline
+// (no membership faults) still gives up on a control receive that fails
+// transiently every time, once the attempt budget is spent.
+func TestRecvRequestBoundsTransientsWithoutDeadline(t *testing.T) {
+	plan, err := faults.ParsePlan("transient:1:1:recv", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.NewInjector(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fabric.DefaultConfig(2)
+	cfg.Faults = inj
+	fab, err := fabric.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, _ := fab.Endpoint(1)
+	err = mpi.Run(1, func(c *mpi.Comm) error {
+		s, err := NewServer(ServerConfig{Endpoint: ep, Comm: c, NumCompute: 1,
+			Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}})
+		if err != nil {
+			return err
+		}
+		var stats DumpStats
+		if _, err := s.recvRequest(time.Time{}, &stats); !errors.Is(err, faults.ErrTransient) || stats.Retries != 2 {
+			return fmt.Errorf("recvRequest: err %v after %d retries, want ErrTransient after 2", err, stats.Retries)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

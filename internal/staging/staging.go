@@ -150,12 +150,6 @@ func MapInBlocks(m RowMapper, a *ffs.Array) {
 	m.Emit()
 }
 
-// Partitioner is an optional Operator extension overriding the default
-// tag%size routing of intermediate values to staging ranks.
-type Partitioner interface {
-	Partition(tag, stagingRanks int) int
-}
-
 // Config controls engine execution.
 type Config struct {
 	// Workers is the number of Map worker threads per staging rank,
@@ -225,7 +219,8 @@ func (c *Context) Step() int64 { return c.step }
 // "standard programming model" insight.
 func (c *Context) Comm() *mpi.Comm { return c.comm }
 
-// Emit records an intermediate (tag, value) pair during Map.
+// Emit records an intermediate (tag, value) pair during Map. The shuffle
+// routes it to staging rank tag mod Ranks().
 func (c *Context) Emit(tag int, value any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -396,14 +391,16 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			for chunk := range chunks {
 				shed := chunk.Shed // the chunk is not read after its Release
 				mapped := m.mapChunk(chunk)
+				if mapped != nil {
+					e.tracer.Instant(trace.PhaseChunk, e.traceEP, mapped.WriterRank,
+						mapped.Timestep, int64(mapped.WriterRank), int64(shed))
+				}
 				if chunk.Release != nil {
 					chunk.Release()
 				}
 				if mapped == nil {
 					continue // dropped as corrupt
 				}
-				e.tracer.Instant(trace.PhaseChunk, e.traceEP, mapped.WriterRank,
-					mapped.Timestep, int64(mapped.WriterRank), int64(shed))
 				countMu.Lock()
 				nChunks++
 				if shed != ShedNone {
@@ -465,20 +462,9 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		end(int64(emitted))
 
 		end = phase(trace.PhaseShuffle, i)
-		partition := func(tag int) int {
-			if p, ok := op.(Partitioner); ok {
-				return p.Partition(tag, comm.Size())
-			}
-			return ((tag % comm.Size()) + comm.Size()) % comm.Size()
-		}
 		buckets := make([][]taggedValue, comm.Size())
 		for tag, vals := range ctx.emitted {
-			dst := partition(tag)
-			if dst < 0 || dst >= comm.Size() {
-				end(0)
-				return nil, fmt.Errorf("staging: %s.Partition(%d) = %d outside [0,%d)",
-					op.Name(), tag, dst, comm.Size())
-			}
+			dst := ((tag % comm.Size()) + comm.Size()) % comm.Size()
 			for _, v := range vals {
 				buckets[dst] = append(buckets[dst], taggedValue{Tag: tag, Value: v})
 			}

@@ -158,7 +158,7 @@ func TestEngineHistogramMultiRankPartitioned(t *testing.T) {
 			return err
 		}
 		bins := res.PerOperator["hist"]["bins"].(map[int]int64)
-		// Default partitioner routes tag t to rank t%4: this rank must
+		// The shuffle routes tag t to rank t%4: this rank must
 		// only own tags congruent to its rank.
 		for tag := range bins {
 			if tag%ranks != c.Rank() {
@@ -296,55 +296,6 @@ func TestReduceErrorPropagates(t *testing.T) {
 			}
 		} else if err != nil {
 			return fmt.Errorf("rank 1: unexpected err %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// customPart routes every tag to rank 0.
-type customPart struct{ histOp }
-
-func (p *customPart) Partition(tag, ranks int) int { return 0 }
-
-func TestCustomPartitioner(t *testing.T) {
-	err := mpi.Run(3, func(c *mpi.Comm) error {
-		op := &customPart{histOp{bins: 6, min: 0, max: 6}}
-		eng := NewEngine(Config{})
-		chunks := []*Chunk{makeChunk(c.Rank(), []float64{float64(c.Rank()*2) + 0.5})}
-		res, err := eng.ProcessDump(c, feed(chunks), []Operator{op}, nil)
-		if err != nil {
-			return err
-		}
-		bins := res.PerOperator["hist"]["bins"].(map[int]int64)
-		if c.Rank() == 0 {
-			if len(bins) != 3 {
-				return fmt.Errorf("rank 0 owns %d tags, want 3 (%v)", len(bins), bins)
-			}
-		} else if len(bins) != 0 {
-			return fmt.Errorf("rank %d owns %d tags", c.Rank(), len(bins))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// badPart returns an out-of-range destination.
-type badPart struct{ histOp }
-
-func (p *badPart) Partition(tag, ranks int) int { return ranks + 5 }
-
-func TestBadPartitionerRejected(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) error {
-		op := &badPart{histOp{bins: 2, min: 0, max: 2}}
-		eng := NewEngine(Config{})
-		_, err := eng.ProcessDump(c, feed([]*Chunk{makeChunk(0, []float64{0.5})}), []Operator{op}, nil)
-		if err == nil {
-			return errors.New("bad partition accepted")
 		}
 		return nil
 	})
@@ -604,5 +555,32 @@ func TestOperatorEmittedCountsShuffleVolume(t *testing.T) {
 	// Without a combiner: one emit per value = 6; with: one per tag = 3.
 	if len(emitted) != 2 || emitted[0] != 6 || emitted[1] != 3 {
 		t.Errorf("Combine spans record %v emitted by operator, want 0:6 1:3", emitted)
+	}
+}
+
+// TestChunkInstantReadBeforeRelease: a chunk's PhaseChunk instant names
+// the writer and timestep the chunk had before its Release, which hands
+// the chunk back for reuse (here: overwrites its fields).
+func TestChunkInstantReadBeforeRelease(t *testing.T) {
+	rec := trace.New(trace.Config{NumCompute: 2, NumStaging: 1, Dumps: 2})
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		eng := NewEngine(Config{Workers: 1})
+		eng.SetTracer(rec, 2)
+		chunk := makeChunk(1, []float64{0.5})
+		chunk.Release = func() { chunk.WriterRank, chunk.Timestep = 99, -7 }
+		_, err := eng.ProcessDump(c, feed([]*Chunk{chunk}), []Operator{&histOp{bins: 2, min: 0, max: 2}}, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Event
+	for _, e := range rec.Snapshot().Events {
+		if e.Phase == trace.PhaseChunk {
+			got = append(got, e)
+		}
+	}
+	if len(got) != 1 || got[0].Endpoint != 1 || got[0].Seq != 1 || got[0].Dump != 1 {
+		t.Fatalf("PhaseChunk instants %+v, want one for writer 1 at timestep 1", got)
 	}
 }
