@@ -313,7 +313,7 @@ func (e *Endpoint) SendCtl(dst int, data any) error {
 		return fmt.Errorf("fabric: SendCtl to endpoint %d outside fabric", dst)
 	}
 	f := e.f
-	if err := f.cfg.Faults.OpFault(faults.OpSendCtl, dst); err != nil {
+	if err := f.cfg.Faults.OpFault(faults.OpSendCtl, e.id, dst); err != nil {
 		f.cfg.Tracer.Instant(trace.PhaseFault, e.id, dst, -1, 0, int64(faults.OpSendCtl))
 		return fmt.Errorf("fabric: SendCtl to endpoint %d: %w", dst, err)
 	}
@@ -348,7 +348,7 @@ func (e *Endpoint) SendCtl(dst int, data any) error {
 	}
 	m := ctlMessage{src: e.id, seq: seq, data: data}
 	target.mailbox = append(target.mailbox, m)
-	if f.cfg.Faults.DupFault(dst) {
+	if f.cfg.Faults.DupFault(e.id, dst) {
 		target.dupStash = append(target.dupStash, m)
 	}
 	f.mu.Unlock()
@@ -372,7 +372,7 @@ func (e *Endpoint) RecvCtlTimeout(timeout time.Duration) (src int, data any, err
 
 func (e *Endpoint) recvCtl(timeout time.Duration) (src int, data any, err error) {
 	f := e.f
-	if ferr := f.cfg.Faults.OpFault(faults.OpRecvCtl, e.id); ferr != nil {
+	if ferr := f.cfg.Faults.OpFault(faults.OpRecvCtl, e.id, e.id); ferr != nil {
 		f.cfg.Tracer.Instant(trace.PhaseFault, e.id, -1, -1, 0, int64(faults.OpRecvCtl))
 		return 0, nil, fmt.Errorf("fabric: RecvCtl on endpoint %d: %w", e.id, ferr)
 	}
@@ -484,7 +484,7 @@ func (e *Endpoint) SetEpoch(epoch int64) {
 // The caller's buf is never mutated; the region keeps a corrupted copy.
 func (e *Endpoint) Expose(buf []byte) Handle {
 	f := e.f
-	if pos, hit := f.cfg.Faults.CorruptFault(faults.OpSendCtl, e.id, len(buf)); hit {
+	if pos, hit := f.cfg.Faults.CorruptFault(faults.OpSendCtl, e.id, e.id, len(buf)); hit {
 		bad := make([]byte, len(buf))
 		copy(bad, buf)
 		bad[pos] ^= 0xFF
@@ -632,7 +632,7 @@ func (e *Endpoint) pull(ctx context.Context, h Handle, consume bool) ([]byte, ti
 	}
 	// Transients fire before the region is consumed, so a retry of the
 	// same handle can still succeed.
-	if err := f.cfg.Faults.OpFault(faults.OpPull, h.Endpoint); err != nil {
+	if err := f.cfg.Faults.OpFault(faults.OpPull, e.id, h.Endpoint); err != nil {
 		f.cfg.Tracer.Instant(trace.PhaseFault, e.id, h.Endpoint, -1, 0, int64(faults.OpPull))
 		return nil, 0, fmt.Errorf("fabric: Pull from endpoint %d: %w", h.Endpoint, err)
 	}
@@ -698,7 +698,7 @@ func (e *Endpoint) pull(ctx context.Context, h Handle, consume bool) ([]byte, ti
 	// private copy first: the region keeps its intact bytes and a
 	// CRC-failed delivery heals on re-pull (which is why PullRetain leaves
 	// the region in place until the puller acks).
-	if pos, hit := f.cfg.Faults.CorruptFault(faults.OpPull, h.Endpoint, len(out)); hit {
+	if pos, hit := f.cfg.Faults.CorruptFault(faults.OpPull, e.id, h.Endpoint, len(out)); hit {
 		out = append([]byte(nil), reg.buf...)
 		out[pos] ^= 0xFF
 		f.cfg.Tracer.Instant(trace.PhaseCorrupt, e.id, h.Endpoint, reg.epoch, 0, int64(pos))

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -96,7 +97,7 @@ func TestCorruptFaultDraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		pos, hit := in.CorruptFault(OpPull, 3, 100)
+		pos, hit := in.CorruptFault(OpPull, 3, 3, 100)
 		if !hit {
 			t.Fatal("certain corruption did not fire")
 		}
@@ -104,13 +105,13 @@ func TestCorruptFaultDraws(t *testing.T) {
 			t.Fatalf("flip offset %d outside payload", pos)
 		}
 	}
-	if _, hit := in.CorruptFault(OpSendCtl, 3, 100); hit {
+	if _, hit := in.CorruptFault(OpSendCtl, 3, 3, 100); hit {
 		t.Error("pull-site rule fired at the send site")
 	}
-	if _, hit := in.CorruptFault(OpPull, 4, 100); hit {
+	if _, hit := in.CorruptFault(OpPull, 4, 4, 100); hit {
 		t.Error("non-matching endpoint fired")
 	}
-	if _, hit := in.CorruptFault(OpPull, 3, 0); hit {
+	if _, hit := in.CorruptFault(OpPull, 3, 3, 0); hit {
 		t.Error("empty payload corrupted")
 	}
 	if in.Stats().Corruptions.Load() != 32 {
@@ -124,7 +125,7 @@ func TestCorruptFaultDraws(t *testing.T) {
 		}
 		var seq []int
 		for i := 0; i < 64; i++ {
-			pos, hit := in2.CorruptFault(OpPull, 3, 1<<20)
+			pos, hit := in2.CorruptFault(OpPull, 3, 3, 1<<20)
 			if hit {
 				seq = append(seq, pos)
 			} else {
@@ -172,10 +173,10 @@ func TestDupFaultDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.DupFault(2) {
+	if !in.DupFault(2, 2) {
 		t.Error("certain dup did not fire")
 	}
-	if in.DupFault(3) {
+	if in.DupFault(3, 3) {
 		t.Error("non-matching endpoint duplicated")
 	}
 	if in.Stats().Duplicates.Load() != 1 {
@@ -190,13 +191,13 @@ func TestDupFaultDraws(t *testing.T) {
 
 func TestNilInjectorAdversaryInert(t *testing.T) {
 	var in *Injector
-	if _, hit := in.CorruptFault(OpPull, 0, 100); hit {
+	if _, hit := in.CorruptFault(OpPull, 0, 0, 100); hit {
 		t.Error("nil injector corrupted")
 	}
 	if in.Unreachable(0, 1, 0) {
 		t.Error("nil injector partitioned")
 	}
-	if in.DupFault(0) {
+	if in.DupFault(0, 0) {
 		t.Error("nil injector duplicated")
 	}
 	in.NoteDupDrop()
@@ -233,4 +234,71 @@ func FuzzParsePlan(f *testing.F) {
 			t.Fatalf("rendering not a fixed point: %q -> %q", rendered, again.String())
 		}
 	})
+}
+
+// TestDupDrawsReplayPerSender: several senders send to one destination at
+// once under a dup + transient plan, each making SendCtl's draws — the
+// transient decision, then the dup decision for a message that goes out.
+// Each sender's faults are the ones it draws alone, however the senders
+// interleave: a plan replays from its seed.
+func TestDupDrawsReplayPerSender(t *testing.T) {
+	const senders, msgs, dst = 4, 200, 9
+	plan, err := ParsePlan("transient:*:0.2:send;dup:*:0.3", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(concurrent bool) (out [senders]string) {
+		in, err := NewInjector(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func(s int) {
+			var b strings.Builder
+			for range msgs {
+				switch {
+				case in.OpFault(OpSendCtl, s, dst) != nil:
+					b.WriteByte('t')
+				case in.DupFault(s, dst):
+					b.WriteByte('d')
+				default:
+					b.WriteByte('.')
+				}
+			}
+			out[s] = b.String()
+		}
+		if !concurrent {
+			for s := range senders {
+				send(s)
+			}
+			return out
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for s := range senders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				send(s)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return out
+	}
+	alone := run(false)
+	for s, seq := range alone {
+		if !strings.Contains(seq, "t") || !strings.Contains(seq, "d") {
+			t.Fatalf("sender %d drew no transient or no dup in %d messages: %s", s, msgs, seq)
+		}
+		if s > 0 && seq == alone[0] {
+			t.Errorf("senders 0 and %d drew the same faults", s)
+		}
+	}
+	got := run(true)
+	for s := range got {
+		if got[s] != alone[s] {
+			t.Errorf("sender %d's faults depend on the other senders:\n together %s\n alone    %s", s, got[s], alone[s])
+		}
+	}
 }

@@ -422,7 +422,7 @@ type Stats struct {
 type Injector struct {
 	plan  Plan
 	mu    sync.Mutex
-	rngs  map[int]*rand.Rand
+	rngs  map[[2]int]*rand.Rand
 	stats Stats
 }
 
@@ -431,7 +431,7 @@ func NewInjector(p Plan) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{plan: p, rngs: make(map[int]*rand.Rand)}, nil
+	return &Injector{plan: p, rngs: make(map[[2]int]*rand.Rand)}, nil
 }
 
 // Plan returns the plan the injector evaluates (zero Plan when nil).
@@ -450,25 +450,35 @@ func (in *Injector) Stats() *Stats {
 	return &in.stats
 }
 
-// rng returns the endpoint's private generator. Per-endpoint sequencing
-// keeps draws reproducible: each endpoint's fabric operations are issued
-// in a deterministic order by its owning goroutines, independent of how
-// other endpoints' operations interleave with them.
-func (in *Injector) rng(endpoint int) *rand.Rand {
-	r, ok := in.rngs[endpoint]
+// rng returns the private generator of the operations from issues against
+// endpoint. Per-pair sequencing keeps draws reproducible: the operations
+// one endpoint issues against one target — a sender's control messages
+// to one destination, a puller's pulls from one source, an endpoint's own
+// receives and exposures — come in a fixed order, however many other
+// endpoints issue operations against the same target at the same time. An
+// endpoint's operations on itself keep the generator a key of the target
+// alone once gave; another issuer's seed carries it in the high bits.
+func (in *Injector) rng(from, endpoint int) *rand.Rand {
+	key := [2]int{from, endpoint}
+	r, ok := in.rngs[key]
 	if !ok {
-		r = rand.New(rand.NewSource(in.plan.Seed*1_000_003 + int64(endpoint) + 1))
-		in.rngs[endpoint] = r
+		seed := in.plan.Seed*1_000_003 + int64(endpoint) + 1
+		if from != endpoint {
+			seed ^= int64(from+1) << 32
+		}
+		r = rand.New(rand.NewSource(seed))
+		in.rngs[key] = r
 	}
 	return r
 }
 
-// draw rolls one rule kind's decision for an operation on endpoint: the
-// highest probability among the rules matching (op, endpoint), drawn
-// from the endpoint's private generator. A hit adds one to count, and
-// with size > 0 also draws the byte offset to flip. With no matching rule nothing is drawn, so
-// each endpoint's sequence depends only on the operations rules cover.
-func (in *Injector) draw(rules []Rule, op Op, endpoint, size int, count *atomic.Int64) (bool, int) {
+// draw rolls one rule kind's decision for an operation from issues on
+// endpoint: the highest probability among the rules matching (op,
+// endpoint), drawn from the pair's private generator. A hit adds one to
+// count, and with size > 0 also draws the byte offset to flip. With no
+// matching rule nothing is drawn, so each pair's sequence depends only on
+// the operations rules cover.
+func (in *Injector) draw(rules []Rule, op Op, from, endpoint, size int, count *atomic.Int64) (bool, int) {
 	prob := 0.0
 	for _, r := range rules {
 		if (r.Endpoint == AnyEndpoint || r.Endpoint == endpoint) && (r.Op == OpAny || r.Op == op) {
@@ -480,7 +490,7 @@ func (in *Injector) draw(rules []Rule, op Op, endpoint, size int, count *atomic.
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	rng := in.rng(endpoint)
+	rng := in.rng(from, endpoint)
 	if rng.Float64() >= prob {
 		return false, 0
 	}
@@ -491,14 +501,15 @@ func (in *Injector) draw(rules []Rule, op Op, endpoint, size int, count *atomic.
 	return true, 0
 }
 
-// OpFault draws the transient-failure decision for one operation on one
-// endpoint, returning an error wrapping ErrTransient when the fault
+// OpFault draws the transient-failure decision for one operation that
+// endpoint from issues on endpoint (from == endpoint for an endpoint's
+// own receive), returning an error wrapping ErrTransient when the fault
 // fires and nil otherwise.
-func (in *Injector) OpFault(op Op, endpoint int) error {
+func (in *Injector) OpFault(op Op, from, endpoint int) error {
 	if in == nil {
 		return nil
 	}
-	if hit, _ := in.draw(in.plan.Transients, op, endpoint, 0, &in.stats.Transients); !hit {
+	if hit, _ := in.draw(in.plan.Transients, op, from, endpoint, 0, &in.stats.Transients); !hit {
 		return nil
 	}
 	return fmt.Errorf("faults: injected %v fault on endpoint %d: %w", op, endpoint, ErrTransient)
@@ -563,16 +574,17 @@ func (in *Injector) NoteDownRefusal() {
 }
 
 // CorruptFault draws the corruption decision for one transfer of size
-// bytes attributed to endpoint, at the given injection site (OpPull for
-// the pulled copy, OpSendCtl for the exposed region). On a hit it
-// returns the byte offset to flip and true. Draws ride the endpoint's
-// private generator, so corruption interleaves deterministically with
-// the endpoint's transient draws.
-func (in *Injector) CorruptFault(op Op, endpoint, size int) (int, bool) {
+// bytes attributed to endpoint, at the given injection site: OpPull for
+// the copy endpoint from pulled, OpSendCtl for the region endpoint
+// exposed (from == endpoint). On a hit it returns the byte offset to flip
+// and true. Draws ride the (from, endpoint) pair's generator, so
+// corruption interleaves deterministically with the pair's transient
+// draws.
+func (in *Injector) CorruptFault(op Op, from, endpoint, size int) (int, bool) {
 	if in == nil || size <= 0 {
 		return 0, false
 	}
-	hit, pos := in.draw(in.plan.Corrupts, op, endpoint, size, &in.stats.Corruptions)
+	hit, pos := in.draw(in.plan.Corrupts, op, from, endpoint, size, &in.stats.Corruptions)
 	return pos, hit
 }
 
@@ -583,14 +595,14 @@ func (in *Injector) Unreachable(a, b int, dump int64) bool {
 	return a != b && slices.ContainsFunc(in.Plan().Partitions, func(pt Partition) bool { return pt.severs(a, b, dump) })
 }
 
-// DupFault draws the duplication decision for one control message sent
-// to endpoint, returning true when the message should be delivered a
-// second time (late, behind a subsequent send).
-func (in *Injector) DupFault(endpoint int) bool {
+// DupFault draws the duplication decision for one control message from
+// sent to endpoint, returning true when the message should be delivered
+// a second time (late, behind a subsequent send).
+func (in *Injector) DupFault(from, endpoint int) bool {
 	if in == nil {
 		return false
 	}
-	hit, _ := in.draw(in.plan.Dups, OpSendCtl, endpoint, 0, &in.stats.Duplicates)
+	hit, _ := in.draw(in.plan.Dups, OpSendCtl, from, endpoint, 0, &in.stats.Duplicates)
 	return hit
 }
 

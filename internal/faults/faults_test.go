@@ -117,7 +117,7 @@ func TestTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultErr := in.OpFault(OpPull, 3)
+	faultErr := in.OpFault(OpPull, 3, 3)
 	if !errors.Is(faultErr, ErrTransient) {
 		t.Errorf("certain fault returned %v", faultErr)
 	}
@@ -140,7 +140,7 @@ func TestOpFaultDeterministicPerSeed(t *testing.T) {
 		}
 		seq := make([]bool, 64)
 		for i := range seq {
-			seq[i] = in.OpFault(OpPull, 2) != nil
+			seq[i] = in.OpFault(OpPull, 2, 2) != nil
 		}
 		return seq
 	}
@@ -174,13 +174,13 @@ func TestOpFaultMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.OpFault(OpSendCtl, 4); !errors.Is(err, ErrTransient) {
+	if err := in.OpFault(OpSendCtl, 4, 4); !errors.Is(err, ErrTransient) {
 		t.Error("matching op/endpoint did not fire")
 	}
-	if err := in.OpFault(OpPull, 4); err != nil {
+	if err := in.OpFault(OpPull, 4, 4); err != nil {
 		t.Errorf("non-matching op fired: %v", err)
 	}
-	if err := in.OpFault(OpSendCtl, 5); err != nil {
+	if err := in.OpFault(OpSendCtl, 5, 5); err != nil {
 		t.Errorf("non-matching endpoint fired: %v", err)
 	}
 }
@@ -226,7 +226,7 @@ func TestDegradeFactorWindows(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if err := in.OpFault(OpPull, 0); err != nil {
+	if err := in.OpFault(OpPull, 0, 0); err != nil {
 		t.Error("nil injector faulted")
 	}
 	if in.DownAt(0, 0) {
@@ -257,11 +257,13 @@ func TestNewInjectorValidates(t *testing.T) {
 }
 
 // TestDrawSequencePinned holds the injector's draws to a recorded
-// sequence: transient, corrupt and dup rules over three endpoints, with
-// the three draw calls interleaved. Each entry is "." for a miss, "t"
-// for a transient, "d" for a duplicate and the flip offset for a
-// corruption. A seed must replay the same faults in every build, so any
-// change to rule matching, generator seeding or draw order fails here.
+// sequence: transient, corrupt and dup rules over three target endpoints,
+// operations on them issued by two other endpoints (an exposure by the
+// target itself), with the three draw calls interleaved. Each entry is
+// "." for a miss, "t" for a transient, "d" for a duplicate and the flip
+// offset for a corruption. A seed must replay the same faults in every
+// build, so any change to rule matching, generator seeding or keying, or
+// draw order fails here.
 func TestDrawSequencePinned(t *testing.T) {
 	p, err := ParsePlan("transient:*:0.3;transient:5:0.6:pull;corrupt:5:0.4:pull;"+
 		"corrupt:*:0.2:send;corrupt:6:0.5;dup:6:0.5;dup:*:0.1", 17)
@@ -272,41 +274,41 @@ func TestDrawSequencePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "t . 975 . . . t 613 60 . t . . . . t . . . . . t 315 . . " +
-		"t . . 19 d . . . 57 . t t . . d . . . . . t t 1016 . . " +
-		". t 342 59 . t t . . d t . . 40 . . . . 10 . t . . 62 d " +
-		"t . 96 . . t . . 6 . t . . . d . t . . . t . 1053 . . " +
-		". . . . d . . . 34 . t . . . . t . . . . . . 221 . . " +
-		"t . . 17 . t . . . d . t 1032 . . . . . 17 d t t . . . " +
-		". t . 40 . . t . 21 . . . . . . . t . 3 . . . . . . " +
-		"t . . . d t . 349 50 . . . 824 38 . t t . . . . t 289 . . " +
-		"t t 1142 52 . . . . . d . . . . . . . 1136 14 . . t . . d " +
-		"t . 1181 55 . . . 243 2 . t . . . . . . 1146 . . . t 968 . . " +
-		"t t . 4 . . . . . . . . 1002 . . t . . . . t . 31 16 d " +
-		". . . . . t . . 17 . . . . . . . . . 25 d . t . 30 d"
+	const want = "t . 166 54 . . t 174 45 . t . . . . . . 435 . . . . 72 . . " +
+		"t . . . d t . 169 . d . . 68 60 . . . . 31 d . t 626 . . " +
+		"t t . . . t . . . d . . . . . . . . . . t . . . . " +
+		"t t . 25 . t t . . . t . . . d . . 39 . . t . 783 . . " +
+		"t . . . . . . . 57 d . . . . . t t . . . . . 222 46 . " +
+		". t . . . . . . . . . t 874 . . . . 932 49 . t t . . . " +
+		". . 506 . . t . . 24 d . . . 19 d . t 882 31 . . . 346 . . " +
+		"t . . . . . t 948 . . . . 608 . . t t . . . t . 873 40 . " +
+		"t . . 0 . t . . . d t . . . . . t . . . . . . . d " +
+		". . . . . t t 1229 59 . t . . . d . . 846 32 . . . 830 57 . " +
+		"t . . 42 . . . 68 . d . . . . . . . . 14 d t t . 45 . " +
+		"t . . . . . t . . . . t . . . t t 198 10 . . . . . d"
 	got := make([]string, 0, 300)
 	for i := 0; i < 300; i++ {
-		ep := 4 + i%3
+		ep, from := 4+i%3, i%2
 		hit := "."
 		switch i % 5 {
 		case 0:
-			if in.OpFault(OpPull, ep) != nil {
+			if in.OpFault(OpPull, from, ep) != nil {
 				hit = "t"
 			}
 		case 1:
-			if in.OpFault(OpSendCtl, ep) != nil {
+			if in.OpFault(OpSendCtl, from, ep) != nil {
 				hit = "t"
 			}
 		case 2:
-			if pos, ok := in.CorruptFault(OpPull, ep, 1000+i); ok {
+			if pos, ok := in.CorruptFault(OpPull, from, ep, 1000+i); ok {
 				hit = strconv.Itoa(pos)
 			}
 		case 3:
-			if pos, ok := in.CorruptFault(OpSendCtl, ep, 64); ok {
+			if pos, ok := in.CorruptFault(OpSendCtl, ep, ep, 64); ok {
 				hit = strconv.Itoa(pos)
 			}
 		case 4:
-			if in.DupFault(ep) {
+			if in.DupFault(from, ep) {
 				hit = "d"
 			}
 		}
@@ -316,8 +318,8 @@ func TestDrawSequencePinned(t *testing.T) {
 		t.Errorf("draw sequence changed:\n got %s\nwant %s", s, want)
 	}
 	st := in.Stats()
-	if n, c, d := st.Transients.Load(), st.Corruptions.Load(), st.Duplicates.Load(); n != 47 || c != 45 || d != 14 {
-		t.Errorf("stats transients=%d corruptions=%d duplicates=%d, want 47 45 14", n, c, d)
+	if n, c, d := st.Transients.Load(), st.Corruptions.Load(), st.Duplicates.Load(); n != 45 || c != 43 || d != 14 {
+		t.Errorf("stats transients=%d corruptions=%d duplicates=%d, want 45 43 14", n, c, d)
 	}
 }
 

@@ -67,14 +67,22 @@ func NewReorgOperator(cfg ReorgConfig) (*ReorgOperator, error) {
 // Name implements staging.Operator.
 func (o *ReorgOperator) Name() string { return "reorg" }
 
-// Initialize resets per-dump state.
+// Initialize resets per-dump state. When the engine redoes a pass whose
+// check failed, it drops the groups that pass reserved, uncommitted
+// (bp.PG: an abandoned group costs only its memory).
 func (o *ReorgOperator) Initialize(ctx *staging.Context, agg map[string]any) error {
 	o.merged = make([]*ffs.Array, len(o.cfg.Vars))
 	o.pgs = make([]*bp.PG, len(o.cfg.Vars))
 	return nil
 }
 
-// Map emits each variable's partial chunk under the variable's tag.
+// VerifiesInReduce implements staging.VerifyingReducer: Reduce reads every
+// payload byte of the arrays Map emits once, in the slab scatter, and folds
+// each chunk's rows into its check right after scattering them.
+func (o *ReorgOperator) VerifiesInReduce() {}
+
+// Map emits each variable's partial chunk, as a view carrying its part of
+// the chunk's check, under the variable's tag.
 func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	for _, name := range o.cfg.Vars {
 		v, ok := chunk.Record[name]
@@ -96,7 +104,11 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		if err := arr.Validate(); err != nil {
 			return fmt.Errorf("ops: variable %q: %w", name, err)
 		}
-		ctx.Emit(o.varIdx[name], arr)
+		view, err := ctx.View(chunk, arr)
+		if err != nil {
+			return fmt.Errorf("ops: variable %q: %w", name, err)
+		}
+		ctx.Emit(o.varIdx[name], view)
 	}
 	return nil
 }
@@ -113,7 +125,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	var global []uint64
 	var covered uint64
 	for i, v := range values {
-		arr := v.(*ffs.Array)
+		arr := v.(*staging.View).Array
 		if global == nil {
 			global = arr.Global
 		} else if !slices.Equal(global, arr.Global) {
@@ -124,7 +136,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 		// beside the scatter at tens of writers; thousands would want a
 		// sort-and-sweep instead.
 		for _, w := range values[:i] {
-			if prev := w.(*ffs.Array); overlap(arr, prev) {
+			if prev := w.(*staging.View).Array; overlap(arr, prev) {
 				return fmt.Errorf("ops: variable %q chunks at offsets %v and %v overlap",
 					name, prev.Offsets, arr.Offsets)
 			}
@@ -163,8 +175,10 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 // dims global (n > 0 elements), one slab at a time: a run of leading rows
 // of at most one visited block (ffs.BlockRows). A chunk's rows inside a
 // slab are one contiguous stretch of its payload, scattered by one call at
-// offsets shifted to the slab. When out lies in pg, each slab is folded
-// into pg's checksum while it is still in cache.
+// offsets shifted to the slab and folded into the chunk's check right
+// after, while they are in cache; across the slabs each chunk's rows come
+// in payload order. When out lies in pg, each slab is folded into pg's
+// checksum while it is still in cache.
 func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
 	per := uint64(len(out)) / global[0] // elements in a leading row
 	step := uint64(ffs.BlockRows(int(per)))
@@ -174,7 +188,8 @@ func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
 		g1 := min(g0+step, global[0])
 		slab[0] = g1 - g0
 		for _, v := range values {
-			arr := v.(*ffs.Array)
+			view := v.(*staging.View)
+			arr := view.Array
 			lo, hi := max(arr.Offsets[0], g0), min(arr.Offsets[0]+arr.Dims[0], g1)
 			if lo >= hi {
 				continue
@@ -185,6 +200,7 @@ func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
 			dims[0], offsets[0] = hi-lo, lo-g0
 			rows := arr.Float64[(lo-arr.Offsets[0])*src : (hi-arr.Offsets[0])*src]
 			ffs.Scatter(out[g0*per:g1*per], slab, rows, dims, offsets)
+			view.Fold(int(lo-arr.Offsets[0]), int(hi-arr.Offsets[0]))
 		}
 		if pg != nil {
 			if err := pg.Fold(0, int(g0*per), int(g1*per)); err != nil {
@@ -243,4 +259,7 @@ func overlap(a, b *ffs.Array) bool {
 	return true
 }
 
-var _ staging.Operator = (*ReorgOperator)(nil)
+var (
+	_ staging.Operator         = (*ReorgOperator)(nil)
+	_ staging.VerifyingReducer = (*ReorgOperator)(nil)
+)

@@ -261,3 +261,44 @@ func BenchmarkReorgDump(b *testing.B) {
 		reorgBenchDump(b, fs, chunks)
 	}
 }
+
+// reorgBenchUnverified is reorgBenchInput as a dump that checks its chunks
+// at use receives it: each chunk decoded from its own FFS payload, whose
+// checksum is still owed (Chunk.Unverified and Sum).
+func reorgBenchUnverified(tb testing.TB) ([]*staging.Chunk, int64) {
+	tb.Helper()
+	chunks, payload := reorgBenchInput()
+	schema := &ffs.Schema{Name: "pixie3d", Fields: []ffs.Field{
+		{Name: "_rank", Kind: ffs.KindInt64}, {Name: "_timestep", Kind: ffs.KindInt64},
+	}}
+	for _, v := range reorgBenchVars {
+		schema.Fields = append(schema.Fields, ffs.Field{Name: v, Kind: ffs.KindArray})
+	}
+	for i, c := range chunks {
+		c.Record["_rank"], c.Record["_timestep"] = int64(c.WriterRank), int64(0)
+		buf, err := ffs.Encode(schema, c.Record)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d, err := staging.DecodeChunk(buf)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d.Unverified, d.Sum = buf, crc32.ChecksumIEEE(buf)
+		chunks[i] = d
+	}
+	return chunks, payload
+}
+
+// BenchmarkReorgDumpUnverified is BenchmarkReorgDump with every payload's
+// check inside the timing.
+func BenchmarkReorgDumpUnverified(b *testing.B) {
+	fs := newTestFS(b)
+	chunks, payload := reorgBenchUnverified(b)
+	b.ReportAllocs()
+	b.SetBytes(payload)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reorgBenchDump(b, fs, chunks)
+	}
+}

@@ -731,11 +731,14 @@ type dumpRun struct {
 	// replay marks a crashall's finishing dump: every pull re-pulls a
 	// chunk a crashed incarnation had already pulled once.
 	replay bool
-	// blocks marks a dump whose operators all map block by block: a chunk
-	// it processes is pulled with only its seal header checked, and the
-	// engine checks the payload in its walk (staging.Chunk.Unverified).
-	blocks bool
-	mu     sync.Mutex // guards stats, held and err while the feed runs
+	// blocks marks a dump whose operators all map block by block, reduces
+	// one whose operators all verify in Reduce: a chunk either processes
+	// is pulled with only its seal header checked
+	// (staging.Chunk.Unverified), and the engine checks the payload in its
+	// walk, or in the Reduce that scatters it and the verify step after
+	// (staging.VerifyingReducer).
+	blocks, reduces bool
+	mu              sync.Mutex // guards stats, held and err while the feed runs
 	// held lists the regions pulled and acknowledged only at the end of
 	// the dump: every chunk the staging side may still read after it is
 	// mapped (views into the frame feed Reduce and Finalize) and, with a
@@ -771,6 +774,7 @@ func (d *dumpRun) failed() bool {
 func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, d *dumpRun) (*staging.Result, error) {
 	stats := d.stats
 	d.blocks = blockMapped(ops)
+	d.reduces = staging.VerifiesInReduce(ops)
 	start := time.Now()
 	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
 	local := make([]RankPartial, len(reqs))
@@ -959,9 +963,10 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					adm = a
 				}
 				// A processed chunk of a block-mapped dump is checked in the
-				// engine's walk, not here.
+				// engine's walk, one of a dump that verifies in Reduce in
+				// the scatter; neither is checked here.
 				var check *unverifiedPull
-				if d.blocks && (adm == nil || adm.Decision() == flowctl.DecideProcess) {
+				if (d.blocks || d.reduces) && (adm == nil || adm.Decision() == flowctl.DecideProcess) {
 					check = &unverifiedPull{s: s, ctx: ctx, d: d, req: req}
 				}
 				buf, ok, err := s.pullChunk(ctx, req, d, check)
@@ -1019,7 +1024,7 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, ch
 	payload = frame[staging.SealOverhead:]
 	d.mu.Lock()
 	d.stats.addPull(len(payload), modeled)
-	if check == nil || s.cfg.Journal != nil {
+	if check == nil || !check.ackedAtRelease() {
 		d.held = append(d.held, req.Handle)
 	}
 	if d.replay {
@@ -1038,7 +1043,7 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, ch
 // lost takes a pull that failed for good. A chunk lost with its endpoint,
 // or whose source copy stays corrupt past the re-pull budget, is recorded
 // as a drop and nil returned: the dump completes without it, explicitly
-// Degraded — the bad bytes must never reach Reduce. Anything else
+// Degraded — the bad bytes must never reach a committed output. Anything else
 // (shutdown) comes back as the error that aborts the dump.
 func (s *Server) lost(req FetchRequest, d *dumpRun, err error) error {
 	var drops *int
@@ -1070,8 +1075,9 @@ func blockMapped(ops []staging.Operator) bool {
 }
 
 // unverifiedPull is a chunk pulled with only its seal header checked: the
-// engine checks the payload against the request's sum in its walk and
-// calls back (staging.Chunk.Corrupt) on a mismatch.
+// engine checks the payload against the request's sum — in its walk, or in
+// Reduce and the verify step after it — and calls back
+// (staging.Chunk.Corrupt) on a mismatch.
 type unverifiedPull struct {
 	s       *Server
 	ctx     context.Context
@@ -1080,13 +1086,20 @@ type unverifiedPull struct {
 	attempt int // the pull attempt the payload came from
 }
 
-// done returns the chunk's Release hook. The engine calls it once its
-// reads of the payload are over — after the walk, or after the Maps that
-// follow a whole-payload check — so it returns the budget credits and
-// acks the writer's region: block mappers emit nothing that aliases the
-// payload, and a re-pulled copy is read only before Release. A region
-// that failed its check is on d.held as well; acking it twice is a no-op.
+// done returns the chunk's Release hook, which returns the budget credits
+// after the chunk's first Maps. In a block-mapped dump the engine's reads
+// of the payload are over by then — after the walk, or after the Maps
+// that follow a whole-payload check — so it also acks the writer's region:
+// block mappers emit nothing that aliases the payload, and a re-pulled
+// copy is read only before Release. A region that failed its check is on
+// d.held as well; acking it twice is a no-op. A chunk whose check waits
+// for Reduce is read again after Release — by the scatter, the verify
+// step and any redo — so its region is held to the end of the dump, like
+// a chunk's checked at the pull.
 func (u *unverifiedPull) done(release func()) func() {
+	if !u.ackedAtRelease() {
+		return release
+	}
 	return func() {
 		if release != nil {
 			release()
@@ -1095,10 +1108,16 @@ func (u *unverifiedPull) done(release func()) func() {
 	}
 }
 
-// ack releases the writer's region. With a journal the region is held
-// until the dump commits, like every chunk's.
+// ackedAtRelease reports whether the writer's region is acked when the
+// engine releases the chunk rather than held to the end of the dump: only
+// a block-mapped dump's, and only without a journal, which holds every
+// region until the dump commits.
+func (u *unverifiedPull) ackedAtRelease() bool { return u.d.blocks && u.s.cfg.Journal == nil }
+
+// ack releases the writer's region, unless it is held to the end of the
+// dump.
 func (u *unverifiedPull) ack() {
-	if u.s.cfg.Journal != nil {
+	if !u.ackedAtRelease() {
 		return
 	}
 	if err := u.s.cfg.Endpoint.Ack(u.req.Handle); err != nil {
@@ -1117,7 +1136,7 @@ func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 	s, d, req := u.s, u.d, u.req
 	err := fmt.Errorf("predata: chunk from rank %d attempt %d: payload checksum: %w",
 		req.WriterRank, u.attempt, staging.ErrCorrupt)
-	if s.cfg.Journal == nil { // a journaled dump holds it already
+	if u.ackedAtRelease() { // otherwise d.held has it already
 		d.mu.Lock()
 		d.held = append(d.held, req.Handle)
 		d.mu.Unlock()

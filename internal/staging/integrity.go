@@ -3,9 +3,11 @@ package staging
 // End-to-end chunk integrity. A chunk is sealed where it is encoded —
 // on the compute client, before the bytes touch the fabric — and
 // verified where it is consumed, on the staging server, before anything
-// it produces reaches the engine's Reduce: right after the pull, or, when
-// every operator maps it block by block, inside the engine's one walk
-// over the payload, before any operator emits (Chunk.Unverified). The
+// it produces is committed (Chunk.Unverified): right after the pull; or,
+// when every operator maps it block by block, inside the engine's one
+// walk over the payload, before any operator emits; or, when every
+// operator verifies in Reduce, inside the Reduce that scatters the
+// payload, settled by the verify step before Finalize. The
 // frame travels through fabric.Pull and any intermediate hops untouched,
 // so a CRC mismatch at verification proves the wire (or the source's
 // memory) damaged the payload somewhere along the whole path, not just on

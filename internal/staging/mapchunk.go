@@ -10,13 +10,17 @@ import (
 	"predata/internal/ffs"
 )
 
-// mapper runs one dump's Map phase for the engine's workers: each chunk
-// through every operator that sees it, its payload verified on the way.
+// mapper runs one pass of a dump's Map phase for the engine's workers:
+// each chunk through every operator that sees it, its payload verified on
+// the way or its check left to Reduce.
 type mapper struct {
 	ops      []Operator
 	ctxs     []*Context
 	optional []bool
 	spent    []atomic.Int64 // Map time per operator, summed over workers
+	// checks, when non-nil, takes every unchecked chunk's check, which
+	// waits for Reduce (VerifyingReducer).
+	checks *checks
 
 	mu  sync.Mutex
 	err error // the first failure
@@ -36,9 +40,25 @@ func (m *mapper) sees(i int, c ShedClass) bool { return !m.optional[i] || c != S
 // mapChunk maps chunk through every operator that sees it and returns the
 // chunk it mapped: chunk itself, the intact copy that replaced it, or nil
 // when its payload failed verification and nothing replaced it. Only the
-// returned chunk's fields are known to come from intact bytes.
+// returned chunk's fields are known to come from intact bytes — except
+// while checks wait for Reduce (m.checks): such a chunk is mapped
+// unchecked and returned, and a Map error on it is judged by its
+// payload's sum.
 func (m *mapper) mapChunk(chunk *Chunk) *Chunk {
 	shed := chunk.Shed
+	if m.checks != nil && chunk.Unverified != nil {
+		k := m.checks.add(chunk)
+		// Map runs on bytes nobody has checked; an error it reports may be
+		// their damage, which the payload's sum settles now.
+		if err := m.mapOps(chunk, shed); err != nil {
+			if crc32.ChecksumIEEE(chunk.Unverified) == chunk.Sum {
+				m.fail(err)
+			} else {
+				k.bad = true
+			}
+		}
+		return chunk
+	}
 	for chunk.Unverified != nil {
 		walked, ok := m.walk(chunk, shed)
 		if ok {
@@ -60,17 +80,27 @@ func (m *mapper) mapChunk(chunk *Chunk) *Chunk {
 		}
 		chunk = next
 	}
+	if err := m.mapOps(chunk, shed); err != nil {
+		m.fail(err)
+	}
+	return chunk
+}
+
+// mapOps maps chunk through every operator that sees it and returns the
+// first Map error.
+func (m *mapper) mapOps(chunk *Chunk, shed ShedClass) error {
+	var first error
 	for i, op := range m.ops {
 		if !m.sees(i, shed) {
 			continue
 		}
 		start := time.Now()
-		if err := op.Map(m.ctxs[i], chunk); err != nil {
-			m.fail(fmt.Errorf("staging: %s.Map: %w", op.Name(), err))
+		if err := op.Map(m.ctxs[i], chunk); err != nil && first == nil {
+			first = fmt.Errorf("staging: %s.Map: %w", op.Name(), err)
 		}
 		m.spent[i].Add(int64(time.Since(start)))
 	}
-	return chunk
+	return first
 }
 
 // walk checks chunk's unverified payload against its Sum and reports ok

@@ -1,0 +1,249 @@
+package staging
+
+import (
+	"fmt"
+	"hash/crc32"
+	"sync"
+
+	"predata/internal/ffs"
+	"predata/internal/mpi"
+)
+
+// VerifyingReducer is an optional Operator extension for an operator whose
+// Reduce reads every payload byte of the arrays its Map emits, once and in
+// order, so the chunk's check can ride that read instead of a pass of its
+// own. Its Map emits each array it uses as a View (Context.View), and its
+// Reduce calls the view's Fold right after it reads each run of rows.
+//
+// When every operator of a dump is one, an unchecked chunk
+// (Chunk.Unverified) reaches Map with its check still pending: the views
+// carry its parts, and between Reduce and Finalize every rank runs one
+// verify step that sends each folded sum back to the rank holding the
+// chunk and gathers the verdicts. On a mismatch nothing is finalized: each
+// bad chunk goes through Chunk.Corrupt, and Initialize, Map, Shuffle and
+// Reduce run once more over the dump's chunks, all checked by then. So the
+// operator must keep nothing from a pass that Initialize does not reset,
+// and must not publish or commit anything before Finalize.
+type VerifyingReducer interface {
+	// VerifiesInReduce marks the operator; it is never called.
+	VerifiesInReduce()
+}
+
+// VerifiesInReduce reports whether every operator is a VerifyingReducer:
+// the dumps whose chunk checks wait for Reduce.
+func VerifiesInReduce(ops []Operator) bool {
+	for _, op := range ops {
+		if _, ok := op.(VerifyingReducer); !ok {
+			return false
+		}
+	}
+	return len(ops) > 0
+}
+
+// View is one float64 array of a chunk as a VerifyingReducer's Map emits
+// it. While the chunk is unchecked, the view carries the part of the
+// chunk's check that covers the array's payload bytes — the payload's own
+// little-endian words, so the sum does not depend on the host — and Reduce
+// folds the rows it reads into it (Fold).
+type View struct {
+	Array *ffs.Array
+
+	wire   []byte // the array's payload bytes; nil when there is nothing to check
+	origin int    // the staging rank holding the chunk
+	chunk  int    // the chunk's index among that rank's checks
+	part   int    // the view's index among the chunk's parts
+	sum    uint32
+	folded int // bytes of wire in sum; -1 after a fold out of order
+}
+
+// Fold extends the view's part of its chunk's check over rows [lo, hi) of
+// the array's leading dimension, which the caller has just read: the rows
+// must follow the last fold's. A fold out of order leaves the part
+// unsummed, and the rank holding the chunk sums those bytes itself.
+func (v *View) Fold(lo, hi int) {
+	if v.wire == nil || v.folded < 0 {
+		return
+	}
+	row := len(v.wire) / int(v.Array.Dims[0])
+	if lo*row != v.folded || hi < lo || hi*row > len(v.wire) {
+		v.folded = -1
+		return
+	}
+	v.sum = crc32.Update(v.sum, crc32.IEEETable, v.wire[lo*row:hi*row])
+	v.folded = hi * row
+}
+
+// View returns a, one of chunk's float64 arrays, as the value a
+// VerifyingReducer's Map emits for it: carrying the array's part of the
+// chunk's check when that waits for Reduce, and nothing more otherwise.
+func (c *Context) View(chunk *Chunk, a *ffs.Array) (*View, error) {
+	v := &View{Array: a}
+	k := c.checks.of(chunk)
+	if k == nil || len(a.Float64) == 0 {
+		return v, nil
+	}
+	i, err := k.part(a)
+	if err != nil {
+		return nil, err
+	}
+	p := k.parts[i]
+	v.wire = k.chunk.Unverified[p.off : p.off+p.n : p.off+p.n]
+	v.origin, v.chunk, v.part = c.Rank(), k.seq, i
+	return v, nil
+}
+
+// checks are one rank's pending chunk checks in a dump whose checks wait
+// for Reduce: one per chunk mapped unchecked, indexed by the order the Map
+// workers took them.
+type checks struct {
+	mu      sync.Mutex
+	list    []*check
+	byChunk map[*Chunk]*check
+}
+
+// check is one chunk's pending check. Its chunk is mapped by one worker,
+// so Map's views find their parts without a lock; the verify step reads
+// them after the Map phase.
+type check struct {
+	chunk *Chunk
+	seq   int
+	parts []part // each float64 array's payload bytes, in payload order, found on first use
+	bad   bool   // a Map failed and the payload does not match Sum
+}
+
+// part is the run of a chunk's payload that holds one float64 array, and
+// the sum Reduce folded over it once that comes back (known).
+type part struct {
+	a      *ffs.Array
+	off, n int
+	sum    uint32
+	known  bool
+}
+
+// add starts chunk's check.
+func (cs *checks) add(chunk *Chunk) *check {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	k := &check{chunk: chunk, seq: len(cs.list)}
+	cs.list = append(cs.list, k)
+	cs.byChunk[chunk] = k
+	return k
+}
+
+// of returns chunk's pending check, or nil when it has none.
+func (cs *checks) of(chunk *Chunk) *check {
+	if cs == nil {
+		return nil
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.byChunk[chunk]
+}
+
+// part returns the index of a's part: one walk of the headers (ffs.Walk
+// reads no payload byte) finds every array's on first use.
+func (k *check) part(a *ffs.Array) (int, error) {
+	if k.parts == nil {
+		k.parts = make([]part, 0, len(k.chunk.Record))
+		at := 0
+		err := ffs.Walk(k.chunk.Unverified, k.chunk.Record, func(b []byte, blk *ffs.Array, _, _ int) {
+			if blk != nil {
+				if n := len(k.parts); n > 0 && k.parts[n-1].a == blk {
+					k.parts[n-1].n += len(b)
+				} else {
+					k.parts = append(k.parts, part{a: blk, off: at, n: len(b)})
+				}
+			}
+			at += len(b)
+		})
+		if err != nil {
+			k.parts = nil
+			return 0, err
+		}
+	}
+	for i, p := range k.parts {
+		if p.a == a {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("staging: view of an array that is not one of the chunk's float64 arrays")
+}
+
+// matches reports whether the chunk's payload matches its Sum: each part
+// that came back folded is combined into the running sum unread, and
+// every other byte — headers, scalars, parts no Reduce folded — is summed
+// here.
+func (k *check) matches() bool {
+	payload := k.chunk.Unverified
+	var sum uint32
+	at := 0
+	for _, p := range k.parts {
+		if p.known {
+			sum = crc32.Update(sum, crc32.IEEETable, payload[at:p.off])
+			sum = crc32Combine(sum, p.sum, int64(p.n))
+			at = p.off + p.n
+		}
+	}
+	return crc32.Update(sum, crc32.IEEETable, payload[at:]) == k.chunk.Sum
+}
+
+// partSum is a folded part of a chunk's check on its way back to the rank
+// holding the chunk.
+type partSum struct {
+	Chunk, Part int
+	Sum         uint32
+}
+
+// verdict is one rank's outcome of a verify step.
+type verdict struct {
+	Bad    int  // chunks held here that failed their check
+	Failed bool // a Reduce failed here
+}
+
+// verify is the verify step, issued by every rank alike: an Alltoall sends
+// the sum of every view this rank reduced back to the rank holding its
+// chunk, each rank checks the chunks it holds, and an Allgather shares the
+// verdicts. It returns the checks that failed here, whether some rank's
+// failed (every rank then redoes the pass), and whether some rank's Reduce
+// failed (reduceFailed here).
+func (cs *checks) verify(comm *mpi.Comm, views []*View, reduceFailed bool) (bad []*check, redo, failed bool, err error) {
+	send := make([][]partSum, comm.Size())
+	for _, v := range views {
+		if v.wire != nil && v.folded == len(v.wire) {
+			send[v.origin] = append(send[v.origin], partSum{Chunk: v.chunk, Part: v.part, Sum: v.sum})
+		}
+	}
+	recv, err := mpi.Alltoall(comm, send)
+	if err != nil {
+		return nil, false, false, fmt.Errorf("staging: verify step: %w", err)
+	}
+	for _, row := range recv {
+		for _, ps := range row {
+			if ps.Chunk < 0 || ps.Chunk >= len(cs.list) || ps.Part < 0 || ps.Part >= len(cs.list[ps.Chunk].parts) {
+				continue
+			}
+			k := cs.list[ps.Chunk]
+			p := &k.parts[ps.Part]
+			// Two operators that read the same array must have read the
+			// same bytes.
+			k.bad = k.bad || p.known && p.sum != ps.Sum
+			p.sum, p.known = ps.Sum, true
+		}
+	}
+	for _, k := range cs.list {
+		if k.bad || !k.matches() {
+			bad = append(bad, k)
+		}
+	}
+	all, err := mpi.Allgather(comm, []verdict{{Bad: len(bad), Failed: reduceFailed}})
+	if err != nil {
+		return nil, false, false, fmt.Errorf("staging: verify step: %w", err)
+	}
+	for _, row := range all {
+		for _, v := range row {
+			redo = redo || v.Bad > 0
+			failed = failed || v.Failed
+		}
+	}
+	return bad, redo, failed, nil
+}

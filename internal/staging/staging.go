@@ -12,6 +12,7 @@
 package staging
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -53,23 +54,28 @@ type Chunk struct {
 	// Release, when non-nil, returns the chunk's memory-budget credits.
 	// The engine calls it exactly once, after the last operator's Map has
 	// seen the chunk (including error, shed and corrupt-drop paths); the
-	// engine itself reads none of the chunk's bytes after it.
+	// engine itself reads none of the chunk's bytes after it, except in a
+	// dump whose checks wait for Reduce (VerifyingReducer), whose chunks
+	// it keeps to the end of the dump for the verify step and any redo.
 	Release func()
 
 	// Unverified, when non-nil, is the FFS payload Record was decoded
 	// from, whose checksum nobody has checked yet: the engine checks it
-	// against Sum before any operator emits a value of the chunk. When
-	// every operator that sees the chunk is a BlockMapper and the record
-	// has one float64 array, the check rides the engine's one walk over
-	// the payload (ffs.Walk); otherwise the payload is checksummed before
-	// the first Map. On a mismatch it drops whatever the walk accumulated
-	// and calls Corrupt.
+	// against Sum before anything of the chunk is committed. When every
+	// operator that sees the chunk is a BlockMapper and the record has one
+	// float64 array, the check rides the engine's one walk over the
+	// payload (ffs.Walk), before any operator emits; when every operator
+	// of the dump is a VerifyingReducer, it rides the Reduce that reads
+	// the payload and the verify step after it; otherwise the payload is
+	// checksummed before the first Map. On a mismatch the engine drops
+	// whatever it built from the payload and calls Corrupt.
 	Unverified []byte
 	Sum        uint32
 	// Corrupt returns a re-pulled copy of the chunk to map in this one's
 	// place (the engine keeps this chunk's Shed and Release), or nil when
-	// the chunk is dropped: it then reaches no operator and records no
-	// PhaseChunk. An error fails the dump like a Map error.
+	// the chunk is dropped: it then reaches no operator of the pass that
+	// commits and records no PhaseChunk. An error fails the dump like a
+	// Map error.
 	Corrupt func() (*Chunk, error)
 }
 
@@ -121,9 +127,11 @@ type Combiner interface {
 // accumulator; the engine then hands it every row of the record's sole
 // float64 array, in order, in blocks of ffs.BlockRows rows, and calls Emit
 // once the payload verifies. Map must give what StartMap, every block and
-// Emit give. A block-mapped chunk's bytes go back to their writer as soon
-// as the engine is done with the chunk (Chunk.Release), so the values a
-// BlockMapper emits, from Emit or Map, must not alias the payload.
+// Emit give. How long a chunk's bytes live is a property of the chunk: a
+// block-mapped chunk's go back to their writer as soon as the engine is
+// done with the chunk (Chunk.Release), so the values a BlockMapper emits
+// for it, from Emit or Map, must not alias the payload; any other chunk's
+// stay readable until the dump's Finalize returns.
 type BlockMapper interface {
 	StartMap(ctx *Context, chunk *Chunk) (RowMapper, error)
 }
@@ -201,6 +209,7 @@ type Context struct {
 	emitted map[int][]any
 	results map[string]any
 	step    int64
+	checks  *checks // the dump's pending chunk checks, while they wait for Reduce
 }
 
 // Rank returns the staging rank executing this context.
@@ -325,16 +334,6 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		opBD[i] = new(Phases)
 		res.OperatorBreakdown[op.Name()] = opBD[i]
 	}
-	ctxs := make([]*Context, len(ops))
-	for i, op := range ops {
-		ctxs[i] = &Context{
-			comm:    comm,
-			op:      op.Name(),
-			emitted: make(map[int][]any),
-			results: make(map[string]any),
-			step:    e.dump,
-		}
-	}
 	// phase opens phase ph's span and clock, for operator i or (i < 0)
 	// all of them, and returns the closer: it ends the span with arg and
 	// adds the elapsed time to the rank's table and operator i's.
@@ -350,23 +349,6 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			}
 		}
 	}
-
-	// Initialize.
-	end := phase(trace.PhaseInitialize, -1)
-	for i, op := range ops {
-		if err := op.Initialize(ctxs[i], agg); err != nil {
-			end(0)
-			drain(chunks)
-			return nil, fmt.Errorf("staging: %s.Initialize: %w", op.Name(), err)
-		}
-	}
-	end(int64(len(ops)))
-
-	// Map: stream chunks through a worker pool. Each chunk visits every
-	// operator, preserving the paper's read-once constraint. Shedding
-	// only skips Map calls of optional operators — every rank still
-	// issues the identical collective sequence below, so a shed decision
-	// can never desynchronize the shuffle.
 	optional := make([]bool, len(ops))
 	anyOptional := false
 	for i, op := range ops {
@@ -375,131 +357,232 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			anyOptional = true
 		}
 	}
-	end = phase(trace.PhaseMap, -1)
-	m := &mapper{ops: ops, ctxs: ctxs, optional: optional, spent: make([]atomic.Int64, len(ops))}
+
+	// A dump whose operators all verify in Reduce keeps every chunk to its
+	// end: the verify step reads the unchecked ones, and a redo maps them
+	// all again. Whether a dump verifies in Reduce depends only on ops, so
+	// every rank issues the verify step's collectives, or none does.
+	deferred := VerifiesInReduce(ops)
 	var (
-		wg       sync.WaitGroup
-		nChunks  int64
-		nSkips   int64
-		shedSeen bool
-		countMu  sync.Mutex
+		ctxs []*Context
+		held []*Chunk
+		src  = chunks
+		// repulled is the first failure to re-pull a bad chunk, which
+		// fails the redo's Map phase.
+		repulled error
 	)
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range chunks {
-				shed := chunk.Shed // the chunk is not read after its Release
-				mapped := m.mapChunk(chunk)
-				if mapped != nil {
-					e.tracer.Instant(trace.PhaseChunk, e.traceEP, mapped.WriterRank,
-						mapped.Timestep, int64(mapped.WriterRank), int64(shed))
+	for pass := 0; ; pass++ {
+		first := pass == 0
+		var cs *checks
+		if deferred && first {
+			cs = &checks{byChunk: make(map[*Chunk]*check)}
+		}
+		ctxs = make([]*Context, len(ops))
+		for i, op := range ops {
+			ctxs[i] = &Context{
+				comm:    comm,
+				op:      op.Name(),
+				emitted: make(map[int][]any),
+				results: make(map[string]any),
+				step:    e.dump,
+				checks:  cs,
+			}
+		}
+
+		// Initialize.
+		end := phase(trace.PhaseInitialize, -1)
+		for i, op := range ops {
+			if err := op.Initialize(ctxs[i], agg); err != nil {
+				end(0)
+				if first {
+					drain(chunks)
 				}
-				if chunk.Release != nil {
-					chunk.Release()
+				return nil, fmt.Errorf("staging: %s.Initialize: %w", op.Name(), err)
+			}
+		}
+		end(int64(len(ops)))
+
+		// Map: stream chunks through a worker pool. Each chunk visits every
+		// operator, preserving the paper's read-once constraint. Shedding
+		// only skips Map calls of optional operators — every rank still
+		// issues the identical collective sequence below, so a shed decision
+		// can never desynchronize the shuffle. A chunk is released after its
+		// first pass only.
+		end = phase(trace.PhaseMap, -1)
+		m := &mapper{ops: ops, ctxs: ctxs, optional: optional, spent: make([]atomic.Int64, len(ops)), checks: cs}
+		if repulled != nil {
+			m.fail(repulled)
+		}
+		var (
+			wg       sync.WaitGroup
+			nChunks  int64
+			nSkips   int64
+			shedSeen bool
+			countMu  sync.Mutex
+		)
+		for w := 0; w < e.cfg.Workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for chunk := range src {
+					shed := chunk.Shed // the chunk is not read after its Release
+					mapped := m.mapChunk(chunk)
+					if mapped != nil && !deferred {
+						e.tracer.Instant(trace.PhaseChunk, e.traceEP, mapped.WriterRank,
+							mapped.Timestep, int64(mapped.WriterRank), int64(shed))
+					}
+					if first && chunk.Release != nil {
+						chunk.Release()
+					}
+					if mapped == nil {
+						continue // dropped as corrupt
+					}
+					countMu.Lock()
+					nChunks++
+					if shed != ShedNone {
+						shedSeen = true
+						if shed == ShedSkipped {
+							nSkips++
+						}
+					}
+					if cs != nil {
+						held = append(held, mapped)
+					}
+					countMu.Unlock()
 				}
-				if mapped == nil {
-					continue // dropped as corrupt
+			}()
+		}
+		wg.Wait()
+		end(nChunks)
+		for i := range ops {
+			opBD[i].add(trace.PhaseMap, time.Duration(m.spent[i].Load()))
+		}
+		res.Chunks = int(nChunks)
+		res.ShedSkips = int(nSkips)
+		res.Degraded, res.ShedOperators = false, nil
+		if shedSeen && anyOptional {
+			res.Degraded = true
+			for i, op := range ops {
+				if optional[i] {
+					res.ShedOperators = append(res.ShedOperators, op.Name())
 				}
-				countMu.Lock()
-				nChunks++
-				if shed != ShedNone {
-					shedSeen = true
-					if shed == ShedSkipped {
-						nSkips++
+			}
+		}
+		if mapErr := m.err; mapErr != nil {
+			// All ranks must still participate in the shuffle collectives to
+			// avoid deadlocking peers; exchange empty buckets, then report.
+			for range ops {
+				empty := make([][]taggedValue, comm.Size())
+				if _, err := mpi.Alltoall(comm, empty); err != nil {
+					return nil, fmt.Errorf("staging: error-path shuffle: %w (after %w)", err, mapErr)
+				}
+			}
+			return nil, mapErr
+		}
+
+		// Combine + Shuffle + Reduce, one operator at a time so that every
+		// rank issues collectives in the same order. While checks are
+		// pending, a Reduce error may be the work of damaged bytes: it is
+		// judged after the verify step, and the later operators only
+		// shuffle.
+		var (
+			views     []*View // the pending parts this rank reduced
+			reduceErr error
+		)
+		for i, op := range ops {
+			end = phase(trace.PhaseCombine, i)
+			ctx := ctxs[i]
+			if cb, ok := op.(Combiner); ok {
+				for tag, vals := range ctx.emitted {
+					merged, err := cb.Combine(tag, vals)
+					if err != nil {
+						end(0)
+						return nil, fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
+					}
+					ctx.emitted[tag] = merged
+				}
+			}
+			emitted := 0
+			for _, vals := range ctx.emitted {
+				emitted += len(vals)
+			}
+			end(int64(emitted))
+
+			end = phase(trace.PhaseShuffle, i)
+			buckets := make([][]taggedValue, comm.Size())
+			for tag, vals := range ctx.emitted {
+				dst := ((tag % comm.Size()) + comm.Size()) % comm.Size()
+				for _, v := range vals {
+					buckets[dst] = append(buckets[dst], taggedValue{Tag: tag, Value: v})
+				}
+			}
+			recv, err := mpi.Alltoall(comm, buckets)
+			if err != nil {
+				end(0)
+				return nil, fmt.Errorf("staging: %s shuffle: %w", op.Name(), err)
+			}
+			end(int64(emitted))
+
+			end = phase(trace.PhaseReduce, i)
+			groups := make(map[int][]any)
+			for _, row := range recv {
+				for _, tv := range row {
+					groups[tv.Tag] = append(groups[tv.Tag], tv.Value)
+					if v, ok := tv.Value.(*View); ok && v.wire != nil {
+						views = append(views, v)
 					}
 				}
-				countMu.Unlock()
 			}
-		}()
-	}
-	wg.Wait()
-	end(nChunks)
-	for i := range ops {
-		opBD[i].add(trace.PhaseMap, time.Duration(m.spent[i].Load()))
-	}
-	res.Chunks = int(nChunks)
-	res.ShedSkips = int(nSkips)
-	if shedSeen && anyOptional {
-		res.Degraded = true
-		for i, op := range ops {
-			if optional[i] {
-				res.ShedOperators = append(res.ShedOperators, op.Name())
+			// Deterministic reduce order.
+			tags := make([]int, 0, len(groups))
+			for tag := range groups {
+				tags = append(tags, tag)
 			}
-		}
-	}
-	if mapErr := m.err; mapErr != nil {
-		// All ranks must still participate in the shuffle collectives to
-		// avoid deadlocking peers; exchange empty buckets, then report.
-		for range ops {
-			empty := make([][]taggedValue, comm.Size())
-			if _, err := mpi.Alltoall(comm, empty); err != nil {
-				return nil, fmt.Errorf("staging: error-path shuffle: %w (after %w)", err, mapErr)
-			}
-		}
-		return nil, mapErr
-	}
-
-	// Combine + Shuffle + Reduce, one operator at a time so that every
-	// rank issues collectives in the same order.
-	for i, op := range ops {
-		end = phase(trace.PhaseCombine, i)
-		ctx := ctxs[i]
-		if cb, ok := op.(Combiner); ok {
-			for tag, vals := range ctx.emitted {
-				merged, err := cb.Combine(tag, vals)
-				if err != nil {
-					end(0)
-					return nil, fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
+			sort.Ints(tags)
+			for _, tag := range tags {
+				if reduceErr != nil {
+					break
 				}
-				ctx.emitted[tag] = merged
+				if err := op.Reduce(ctx, tag, groups[tag]); err != nil {
+					err = fmt.Errorf("staging: %s.Reduce(tag %d): %w", op.Name(), tag, err)
+					if cs == nil {
+						end(0)
+						return nil, err
+					}
+					reduceErr = err
+				}
 			}
+			end(int64(len(tags)))
 		}
-		emitted := 0
-		for _, vals := range ctx.emitted {
-			emitted += len(vals)
+		if cs == nil {
+			break
 		}
-		end(int64(emitted))
-
-		end = phase(trace.PhaseShuffle, i)
-		buckets := make([][]taggedValue, comm.Size())
-		for tag, vals := range ctx.emitted {
-			dst := ((tag % comm.Size()) + comm.Size()) % comm.Size()
-			for _, v := range vals {
-				buckets[dst] = append(buckets[dst], taggedValue{Tag: tag, Value: v})
-			}
+		start := time.Now()
+		bad, redo, failed, err := cs.verify(comm, views, reduceErr != nil)
+		res.Breakdown.add(trace.PhaseReduce, time.Since(start))
+		switch {
+		case err != nil:
+			return nil, err
+		case redo:
+			// Nothing of this pass is kept: Initialize drops what the
+			// operators reserved, and the redo maps every chunk checked.
+			held, repulled = repull(held, bad)
+			src = closedFeed(held)
+			continue
+		case reduceErr != nil:
+			return nil, reduceErr
+		case failed:
+			return nil, errors.New("staging: another rank's Reduce failed on checked chunks")
 		}
-		recv, err := mpi.Alltoall(comm, buckets)
-		if err != nil {
-			end(0)
-			return nil, fmt.Errorf("staging: %s shuffle: %w", op.Name(), err)
-		}
-		end(int64(emitted))
-
-		end = phase(trace.PhaseReduce, i)
-		groups := make(map[int][]any)
-		for _, row := range recv {
-			for _, tv := range row {
-				groups[tv.Tag] = append(groups[tv.Tag], tv.Value)
-			}
-		}
-		// Deterministic reduce order.
-		tags := make([]int, 0, len(groups))
-		for tag := range groups {
-			tags = append(tags, tag)
-		}
-		sort.Ints(tags)
-		for _, tag := range tags {
-			if err := op.Reduce(ctx, tag, groups[tag]); err != nil {
-				end(0)
-				return nil, fmt.Errorf("staging: %s.Reduce(tag %d): %w", op.Name(), tag, err)
-			}
-		}
-		end(int64(len(tags)))
+		break
+	}
+	for _, c := range held {
+		// A chunk whose check waited for Reduce is retired once it passed.
+		e.tracer.Instant(trace.PhaseChunk, e.traceEP, c.WriterRank, c.Timestep, int64(c.WriterRank), int64(c.Shed))
 	}
 
 	// Finalize.
-	end = phase(trace.PhaseFinalize, -1)
+	end := phase(trace.PhaseFinalize, -1)
 	for i, op := range ops {
 		if err := op.Finalize(ctxs[i]); err != nil {
 			end(0)
@@ -509,6 +592,52 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	}
 	end(int64(len(ops)))
 	return res, nil
+}
+
+// repull replaces each chunk of held whose check failed with its re-pulled
+// copy (Chunk.Corrupt), which keeps the old one's Shed, or drops it, marks
+// every other chunk checked, and returns the chunks a redo maps, with the
+// first re-pull failure.
+func repull(held []*Chunk, bad []*check) ([]*Chunk, error) {
+	next := make(map[*Chunk]*Chunk, len(bad))
+	var first error
+	for _, k := range bad {
+		c := k.chunk
+		next[c] = nil
+		if c.Corrupt == nil {
+			continue
+		}
+		n, err := c.Corrupt()
+		if err != nil && first == nil {
+			first = fmt.Errorf("staging: chunk from rank %d: %w", c.WriterRank, err)
+		}
+		if n != nil {
+			n.Shed = c.Shed
+			next[c] = n
+		}
+	}
+	var out []*Chunk
+	for _, c := range held {
+		if n, ok := next[c]; ok {
+			c = n
+		} else {
+			c.Unverified = nil // it passed
+		}
+		if c != nil {
+			out = append(out, c)
+		}
+	}
+	return out, first
+}
+
+// closedFeed returns a closed channel that delivers chunks.
+func closedFeed(chunks []*Chunk) <-chan *Chunk {
+	ch := make(chan *Chunk, len(chunks))
+	for _, c := range chunks {
+		ch <- c
+	}
+	close(ch)
+	return ch
 }
 
 // DecodeChunk unpacks an FFS-encoded packed partial data chunk into a

@@ -49,8 +49,10 @@ const (
 	// when shards and routes move between ranks. A check is a dump.
 	RuleChunkConservation
 	// RuleCorruptQuarantine: a (dump, writer) chunk abandoned as corrupt
-	// (PhaseCorruptDrop) was never engine-retired (PhaseChunk) — damaged
-	// bytes cannot reach Reduce — and carries at least one CRC detection:
+	// (PhaseCorruptDrop) was never engine-retired (PhaseChunk) — the engine
+	// retires a chunk only once its check passed, at the pull, in the Map
+	// walk or in the verify step after Reduce, so damaged bytes cannot reach
+	// a committed output — and carries at least one CRC detection:
 	// quarantine without evidence is a runtime bug. A check is a drop.
 	RuleCorruptQuarantine
 	// RuleHealOnce: on recordings containing a partition heal, no
@@ -515,7 +517,7 @@ func (v *verifier) corruptQuarantine() {
 	for _, k := range sortedKeys(dropped, dw.compare) {
 		v.check()
 		if v.retired[k] > 0 {
-			v.fail("dump %d: writer %d's chunk was corrupt-dropped yet engine-retired — corrupted bytes reached Reduce",
+			v.fail("dump %d: writer %d's chunk was corrupt-dropped yet engine-retired — corrupted bytes reached a committed output",
 				k.dump, k.writer)
 		}
 		if !detected[k] {

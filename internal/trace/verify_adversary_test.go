@@ -55,7 +55,7 @@ func TestVerifyAdversaryDetectsViolations(t *testing.T) {
 				r.Events = append(r.Events, Event{Kind: KindInstant, Phase: PhaseChunk,
 					Rank: 3, Endpoint: 1, Dump: 0, Seq: 1, Start: 19, End: 19})
 			},
-			want: "corrupted bytes reached Reduce",
+			want: "corrupted bytes reached a committed output",
 		},
 		"corrupt-drop without detection": {
 			mutate: func(r *Recording) {
