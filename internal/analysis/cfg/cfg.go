@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs from Go
 // function bodies: the one model of control flow the predata-vet passes
-// share (mustrelease through internal/analysis/dataflow, lockhold and
-// ctxdeadline directly).
+// share (mustrelease through internal/analysis/dataflow, lockhold,
+// ctxdeadline and collectivecheck directly).
 //
 // The graph is a list of basic blocks. Each block holds the statements
 // and expressions that execute unconditionally once the block is
@@ -19,7 +19,8 @@
 // tagless switch, records it in Cond, with Succs[0] the true edge and
 // Succs[1] the false edge, so dataflow clients can refine state along
 // the `err != nil` / `ok` idioms without a general path-sensitive
-// engine.
+// engine. Every case test also records its statement in Switch: what a
+// tagged or type switch tests is split between statement and case.
 //
 // The graph follows Go's evaluation order where a client can tell:
 //
@@ -42,6 +43,10 @@
 // Those three statement nodes mark a head; their bodies are never part
 // of the head's evaluation. Inspect walks a node the way its block
 // evaluates it.
+//
+// PostDominators computes the post-dominator tree and from it which
+// branch edges decide whether a block runs. An arm that can only abort,
+// or leave by a way a client names, decides nothing after its branch.
 //
 // Function literals are opaque: a FuncLit appears as an expression in
 // the enclosing graph (its body runs at some other time, if at all) and
@@ -78,6 +83,11 @@ type Block struct {
 	// refinable condition: range heads, select heads, case tests of a
 	// tagged or type switch).
 	Cond ast.Expr
+	// Switch is the switch or type switch statement whose case test this
+	// block ends with, or nil. A tagged switch's test compares the
+	// statement's Tag with the block's last node; a type switch's tests
+	// the dynamic type of the value its Assign evaluates.
+	Switch ast.Stmt
 }
 
 // Graph is the CFG of one function body.
@@ -265,7 +275,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		if s.Tag != nil {
 			b.add(s.Tag)
 		}
-		b.switchBody(s.Body, label, s.Tag == nil)
+		b.switchBody(s, s.Body, label, s.Tag == nil)
 
 	case *ast.TypeSwitchStmt:
 		label := b.takeLabel()
@@ -273,7 +283,7 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.add(s.Init)
 		}
 		b.add(s.Assign)
-		b.switchBody(s.Body, label, false)
+		b.switchBody(s, s.Body, label, false)
 
 	case *ast.SelectStmt:
 		label := b.takeLabel()
@@ -381,14 +391,14 @@ func (b *builder) stmt(s ast.Stmt) {
 	}
 }
 
-// switchBody wires the case clauses of an expression or type switch:
-// the case expressions are tested in source order, the first at the end
-// of the current block and each later one in a block of its own, and a
-// miss on the last goes to the default clause, or past the switch when
-// there is none. In a tagless switch each test is a condition (Cond).
-// fallthrough in clause i adds an edge from the end of clause i's body
-// to the start of clause i+1's body.
-func (b *builder) switchBody(body *ast.BlockStmt, label string, tagless bool) {
+// switchBody wires the case clauses of sw, an expression or type
+// switch: the case expressions are tested in source order, the first at
+// the end of the current block and each later one in a block of its
+// own, and a miss on the last goes to the default clause, or past the
+// switch when there is none. In a tagless switch each test is a
+// condition (Cond). fallthrough in clause i adds an edge from the end of
+// clause i's body to the start of clause i+1's body.
+func (b *builder) switchBody(sw ast.Stmt, body *ast.BlockStmt, label string, tagless bool) {
 	done := b.newBlock()
 	if label != "" {
 		b.labeledBreak[label] = done
@@ -413,6 +423,7 @@ func (b *builder) switchBody(body *ast.BlockStmt, label string, tagless bool) {
 		}
 		for _, e := range cc.List {
 			b.add(e)
+			b.cur.Switch = sw
 			if tagless {
 				b.cur.Cond = e
 			}
@@ -590,6 +601,100 @@ func (g *Graph) Reachable() []*Block {
 	}
 	return out
 }
+
+// PostDom is a graph's post-dominator tree, rooted at Exit, and the
+// control dependences it implies.
+type PostDom struct {
+	idom []*Block // by Block.Index
+	deps [][]Dep  // by Block.Index
+}
+
+// Dep is one control dependence: a block that has it runs whenever From
+// takes its successor Succs[Edge], but not on every path from From.
+type Dep struct {
+	From *Block
+	Edge int
+}
+
+// PostDominators computes g's post-dominator tree (Cooper, Harvey and
+// Kennedy's iteration over the reversed graph) and control dependences
+// (Ferrante, Ottenstein and Warren). A block for which leaves reports
+// true is taken to end the function without reaching Exit, as Abort
+// does; leaves may be nil.
+func (g *Graph) PostDominators(leaves func(*Block) bool) *PostDom {
+	n := len(g.Blocks)
+	succs, preds := make([][]*Block, n), make([][]*Block, n)
+	for _, blk := range g.Blocks {
+		if leaves == nil || !leaves(blk) {
+			succs[blk.Index] = blk.Succs
+			for _, s := range blk.Succs {
+				preds[s.Index] = append(preds[s.Index], blk)
+			}
+		}
+	}
+	// Number the blocks that reach Exit in postorder of the reversed
+	// graph, from 1 with Exit last; the rest stay 0, off the tree.
+	order := make([]int, n)
+	var post []*Block
+	var visit func(*Block)
+	visit = func(blk *Block) {
+		order[blk.Index] = -1
+		for _, p := range preds[blk.Index] {
+			if order[p.Index] == 0 {
+				visit(p)
+			}
+		}
+		post = append(post, blk)
+		order[blk.Index] = len(post)
+	}
+	visit(g.Exit)
+	pd := &PostDom{idom: make([]*Block, n), deps: make([][]Dep, n)}
+	idom := pd.idom
+	idom[g.Exit.Index] = g.Exit
+	for changed := true; changed; {
+		changed = false
+		for i := len(post) - 2; i >= 0; i-- {
+			var d *Block
+			for _, s := range succs[post[i].Index] {
+				if idom[s.Index] == nil {
+					continue
+				}
+				for d != nil && d != s {
+					if order[d.Index] < order[s.Index] {
+						d = idom[d.Index]
+					} else {
+						s = idom[s.Index]
+					}
+				}
+				d = s
+			}
+			if idom[post[i].Index] != d {
+				idom[post[i].Index], changed = d, true
+			}
+		}
+	}
+	idom[g.Exit.Index] = nil
+	// An edge from x decides the blocks from its target up the tree to
+	// x's own post-dominator. A block off the tree has none, so it
+	// depends on every edge into it.
+	for _, x := range g.Blocks {
+		for e, s := range succs[x.Index] {
+			for blk := s; blk != nil && blk != idom[x.Index]; blk = idom[blk.Index] {
+				pd.deps[blk.Index] = append(pd.deps[blk.Index], Dep{x, e})
+			}
+		}
+	}
+	return pd
+}
+
+// Idom returns blk's immediate post-dominator: the first block after blk
+// on every path from blk to Exit. It is nil for Exit and for a block
+// with no path to Exit, which lies off the tree.
+func (p *PostDom) Idom(blk *Block) *Block { return p.idom[blk.Index] }
+
+// Deps returns blk's control dependences: the edges whose target blk
+// post-dominates while blk does not post-dominate their source.
+func (p *PostDom) Deps(blk *Block) []Dep { return p.deps[blk.Index] }
 
 // String renders the graph for tests and debugging.
 func (g *Graph) String() string {

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -433,10 +434,56 @@ func f() {
 	}
 }
 
+// TestControlDependence: a block depends on the branch edges that decide
+// whether it runs, and not on a branch whose other arm can only abort or
+// leave.
+func TestControlDependence(t *testing.T) {
+	g := buildFunc(t, `package p
+func f(a, b, c bool) error {
+	if a {
+		x()
+	}
+	for b {
+		if c {
+			panic(0)
+		}
+		if d() {
+			return err
+		}
+		y()
+	}
+	z()
+	return nil
+}`, "f")
+	ret := find(t, g, "err")
+	pd := g.PostDominators(func(blk *Block) bool { return blk == ret })
+	for text, want := range map[string]string{
+		"x()":      "a/0",
+		"panic(0)": "c/0",
+		"err":      "d()/0",
+		"y()":      "b/0",
+		"z()":      "",
+		"nil":      "",
+	} {
+		var got []string
+		for _, d := range pd.Deps(find(t, g, text)) {
+			got = append(got, fmt.Sprintf("%s/%d", types.ExprString(d.From.Cond), d.Edge))
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s depends on %v, want %q:\n%s", text, got, want, g)
+		}
+	}
+	if pd.Idom(find(t, g, "panic(0)")) != nil || pd.Idom(ret) != nil {
+		t.Errorf("a block that can only abort or leave is in the post-dominator tree:\n%s", g)
+	}
+}
+
 // FuzzCFG builds the graph of every function body go/parser accepts, and
 // of every function literal in it, and checks what the passes rely on:
-// New does not panic, a block with a Cond has exactly two successors, and
-// every statement is in exactly one block.
+// New does not panic, a block with a Cond has exactly two successors,
+// every statement is in exactly one block, and the post-dominator tree
+// holds exactly the blocks that reach Exit, each under a block that lies
+// on every path from it to Exit.
 func FuzzCFG(f *testing.F) {
 	for _, body := range []string{
 		"x := 1; _ = x",
@@ -504,4 +551,42 @@ func checkGraph(t *testing.T, body *ast.BlockStmt, g *Graph) {
 		}
 		return true
 	})
+	pd := g.PostDominators(nil)
+	for _, blk := range g.Blocks {
+		d := pd.Idom(blk)
+		switch {
+		case blk == g.Exit:
+			if d != nil {
+				t.Fatalf("Exit has post-dominator b%d:\n%s", d.Index, g)
+			}
+		case !reaches(g, blk, nil):
+			if d != nil {
+				t.Fatalf("b%d cannot reach Exit but has post-dominator b%d:\n%s", blk.Index, d.Index, g)
+			}
+		case d == nil:
+			t.Fatalf("b%d reaches Exit but has no post-dominator:\n%s", blk.Index, g)
+		case d == blk || reaches(g, blk, d):
+			t.Fatalf("b%d reaches Exit around its post-dominator b%d:\n%s", blk.Index, d.Index, g)
+		}
+	}
+}
+
+// reaches reports whether some path from blk to Exit avoids the block
+// avoid.
+func reaches(g *Graph, blk, avoid *Block) bool {
+	seen := map[*Block]bool{avoid: true}
+	work := []*Block{blk}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch {
+		case seen[b]:
+		case b == g.Exit:
+			return true
+		default:
+			seen[b] = true
+			work = append(work, b.Succs...)
+		}
+	}
+	return false
 }

@@ -77,3 +77,99 @@ func badClosureSkipsOwnCollective(c *mpi.Comm, data []int) error {
 	}
 	return body()
 }
+
+func badTaglessSwitchCase(c *mpi.Comm) error {
+	switch {
+	case c.Rank() == 0:
+		return c.Barrier() // want `collective Comm\.Barrier inside rank-conditional branch`
+	}
+	return nil
+}
+
+func badTypeSwitch(c *mpi.Comm, data []int) ([]int, error) {
+	v := any(c.Rank())
+	switch v.(type) {
+	case int:
+		return mpi.Allreduce(c, data, sum) // want `collective mpi\.Allreduce inside rank-conditional branch`
+	}
+	return data, nil
+}
+
+func badGoto(c *mpi.Comm) error {
+	if c.Rank() == 0 {
+		goto done // want `rank-conditional goto skips a later collective`
+	}
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+done:
+	return nil
+}
+
+func badContinue(c *mpi.Comm, rounds []int) error {
+	for range rounds {
+		if c.Rank() == 0 {
+			continue // want `rank-conditional continue skips a later collective`
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func badLabelledContinue(c *mpi.Comm, rounds [][]int) error {
+outer:
+	for _, round := range rounds {
+		for range round {
+			if c.Rank() == 0 {
+				continue outer // want `rank-conditional continue skips a later collective`
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func goodErrorAbortCase(c *mpi.Comm, size int) error {
+	// A rank that fails the check leaves the run with an error; the ranks
+	// that stay all reach the barrier.
+	switch {
+	case c.Rank() >= size:
+		return errRankOutside{}
+	}
+	return c.Barrier()
+}
+
+func goodPanicUnderRankTest(c *mpi.Comm) error {
+	if c.Rank() < 0 {
+		panic("negative rank")
+	}
+	return c.Barrier()
+}
+
+func goodRankContinueBeforeExchange(c *mpi.Comm, rows [][]float64) ([][]float64, error) {
+	// The shape of gtc.Step's migration: the rank-conditional continue
+	// ends one iteration of the loop that routes rows, and every rank
+	// leaves that loop for the all-to-all.
+	send := make([][]float64, c.Size())
+	var keep []float64
+	for i, row := range rows {
+		if dst := i % c.Size(); dst != c.Rank() {
+			send[dst] = append(send[dst], row...)
+			continue
+		}
+		keep = append(keep, row...)
+	}
+	recv, err := mpi.Alltoall(c, send)
+	if err != nil {
+		return nil, err
+	}
+	return append(recv, keep), nil
+}
+
+type errRankOutside struct{}
+
+func (errRankOutside) Error() string { return "rank outside the configured size" }

@@ -13,7 +13,7 @@ import (
 )
 
 // checkSource parses and type-checks one synthetic file as a module
-// package, reusing the production checkUnit path.
+// package, reusing the production CheckUnit path.
 func checkSource(t *testing.T, src string) *Package {
 	t.Helper()
 	dir := t.TempDir()
@@ -21,10 +21,10 @@ func checkSource(t *testing.T, src string) *Package {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	pkg, err := checkUnit(fset, importer.ForCompiler(fset, "source", nil),
+	pkg, err := CheckUnit(fset, importer.ForCompiler(fset, "source", nil),
 		ModulePath+"/synthetic", dir, []string{"a.go"})
 	if err != nil {
-		t.Fatalf("checkUnit: %v", err)
+		t.Fatalf("CheckUnit: %v", err)
 	}
 	return pkg
 }

@@ -18,12 +18,9 @@
 // package-local and its body satisfies the same rules; calls into other
 // packages are assumed managed by their owner.
 //
-// The analyzer also flags goroutine bodies that reference the range/for
-// variable of an enclosing loop instead of taking it as an argument.
-// Go 1.22 made each iteration's variable distinct, so this is no longer
-// the classic aliasing bug, but the suite still rejects it: the
-// pass-as-argument form keeps the dependency explicit and survives
-// backports to pre-1.22 toolchains.
+// A goroutine literal may capture the variables of an enclosing loop:
+// the module's go line (1.22) gives each iteration its own variable, so
+// the capture aliases nothing.
 //
 // Test files are exempt — tests routinely spawn short-lived helpers the
 // t.Cleanup machinery already scopes.
@@ -40,9 +37,8 @@ import (
 // Analyzer is the goroutineleak pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutineleak",
-	Doc: "flags go statements without a join/completion mechanism and " +
-		"goroutines capturing loop variables",
-	Run: run,
+	Doc:  "flags go statements without a join/completion mechanism",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -61,50 +57,17 @@ func run(pass *analysis.Pass) error {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		var loopVars []map[*types.Var]bool // stack of enclosing loop variables
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				vars := map[*types.Var]bool{}
-				for _, e := range []ast.Expr{n.Key, n.Value} {
-					if id, ok := e.(*ast.Ident); ok && id != nil {
-						if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-							vars[v] = true
-						}
-					}
-				}
-				loopVars = append(loopVars, vars)
-				ast.Inspect(n.Body, walk)
-				loopVars = loopVars[:len(loopVars)-1]
-				return false
-			case *ast.ForStmt:
-				vars := map[*types.Var]bool{}
-				if init, ok := n.Init.(*ast.AssignStmt); ok {
-					for _, lhs := range init.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-								vars[v] = true
-							}
-						}
-					}
-				}
-				loopVars = append(loopVars, vars)
-				ast.Inspect(n.Body, walk)
-				loopVars = loopVars[:len(loopVars)-1]
-				return false
-			case *ast.GoStmt:
-				checkGo(pass, n, decls, loopVars)
-				return true
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				checkGo(pass, g, decls)
 			}
 			return true
-		}
-		ast.Inspect(f, walk)
+		})
 	}
 	return nil
 }
 
-func checkGo(pass *analysis.Pass, g *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl, loopVars []map[*types.Var]bool) {
+func checkGo(pass *analysis.Pass, g *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl) {
 	var body *ast.BlockStmt
 	switch fun := ast.Unparen(g.Call.Fun).(type) {
 	case *ast.FuncLit:
@@ -122,30 +85,6 @@ func checkGo(pass *analysis.Pass, g *ast.GoStmt, decls map[*types.Func]*ast.Func
 	}
 	if body == nil {
 		return
-	}
-
-	// Loop-variable capture: only meaningful for literals (named funcs
-	// cannot capture).
-	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		reported := map[*types.Var]bool{}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-			if !ok || reported[v] {
-				return true
-			}
-			for _, frame := range loopVars {
-				if frame[v] {
-					reported[v] = true
-					pass.Reportf(id.Pos(),
-						"goroutine captures loop variable %s; pass it as an argument", v.Name())
-				}
-			}
-			return true
-		})
 	}
 
 	if !hasJoin(pass.TypesInfo, body) {

@@ -76,7 +76,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			if len(u.files) == 0 {
 				continue
 			}
-			pkg, err := checkUnit(fset, imp, u.path, lp.Dir, u.files)
+			pkg, err := CheckUnit(fset, imp, u.path, lp.Dir, u.files)
 			if err != nil {
 				return nil, err
 			}
@@ -87,8 +87,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// checkUnit parses and type-checks one unit's files.
-func checkUnit(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
+// CheckUnit parses and type-checks the named files of directory dir as
+// the package path, resolving imports through imp from dir.
+func CheckUnit(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
 	var parsed []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -55,6 +55,11 @@ var bites = []bite{
 	{"collectivecheck", "predata/internal/apps/gtc", "gtc.go",
 		"if comm.Size() > 1 && s.cfg.MigrationFraction > 0 {",
 		"if comm.Rank() > 0 && s.cfg.MigrationFraction > 0 {"},
+	// Rank 0 skips every species' exchange: its loop continues past the
+	// all-to-all before reaching it.
+	{"collectivecheck", "predata/internal/apps/gtc", "gtc.go",
+		"sp++ {\n\t\tdata := s.particles[sp]",
+		"sp++ {\n\t\tif comm.Rank() == 0 {\n\t\t\tcontinue\n\t\t}\n\t\tdata := s.particles[sp]"},
 	// Admission waits for the spill slot with the flow's lock held.
 	{"lockhold", "predata/internal/flowctl", "controller.go",
 		"level := df.decideLocked()\n\tdf.mu.Unlock()",

@@ -58,6 +58,51 @@ func TestCtlDupDelivery(t *testing.T) {
 	}
 }
 
+// TestDupStashPerStream: a duplicate copy trails its own stream, so only
+// its sender's next send delivers it. Another sender's traffic to the same
+// endpoint leaves it stashed, and a seeded run absorbs the same number of
+// duplicates however the senders interleave.
+func TestDupStashPerStream(t *testing.T) {
+	cfg := quiet(3)
+	cfg.Faults = injected(t, faults.Plan{Seed: 5, Dups: []faults.Rule{{Endpoint: faults.AnyEndpoint, Prob: 1}}})
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := f.Endpoint(0)
+	b, _ := f.Endpoint(1)
+	c, _ := f.Endpoint(2)
+	recv := func(wantSrc int, want string) {
+		t.Helper()
+		src, data, err := c.RecvCtl()
+		if err != nil || src != wantSrc || data.(string) != want {
+			t.Fatalf("got src=%d data=%v err=%v, want %d %q", src, data, err, wantSrc, want)
+		}
+	}
+	absorbed := func(want int64) {
+		t.Helper()
+		if got := cfg.Faults.Stats().DupDrops.Load(); got != want {
+			t.Fatalf("absorbed %d duplicates, want %d", got, want)
+		}
+	}
+	for _, s := range []struct {
+		ep   *Endpoint
+		data string
+	}{{a, "a1"}, {b, "b1"}} {
+		if err := s.ep.SendCtl(2, s.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv(0, "a1")
+	recv(1, "b1")
+	absorbed(0) // b's send does not deliver a's copy
+	if err := a.SendCtl(2, "a2"); err != nil {
+		t.Fatal(err)
+	}
+	recv(0, "a2")
+	absorbed(1) // a's own next send does, behind the original
+}
+
 func TestPartitionCutsBothPlanes(t *testing.T) {
 	cfg := quiet(3)
 	cfg.Faults = injected(t, faults.Plan{Partitions: []faults.Partition{

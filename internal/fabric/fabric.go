@@ -120,11 +120,12 @@ type endpointState struct {
 	// Control-plane delivery state. ctlSent sequences this endpoint's
 	// outgoing messages per destination; lastCtl remembers the highest
 	// sequence delivered per source so recvCtl can absorb duplicates;
-	// dupStash holds fault-injected duplicate copies addressed to this
-	// endpoint, delivered late (behind a later send) to model reordering.
+	// dupStash holds, per source, the fault-injected duplicate copy of
+	// that stream's last message to this endpoint, delivered late (behind
+	// the stream's next send) to model reordering.
 	ctlSent  map[int]uint64
 	lastCtl  map[int]uint64
-	dupStash []ctlMessage
+	dupStash map[int]ctlMessage
 }
 
 // ctlMessage is one mailbox entry. seq is a per-(src → dst) stream
@@ -151,9 +152,10 @@ func New(cfg Config) (*Fabric, error) {
 	f.cond = sync.NewCond(&f.mu)
 	for i := range f.eps {
 		f.eps[i] = &endpointState{
-			regions: make(map[uint64]region),
-			ctlSent: make(map[int]uint64),
-			lastCtl: make(map[int]uint64),
+			regions:  make(map[uint64]region),
+			ctlSent:  make(map[int]uint64),
+			lastCtl:  make(map[int]uint64),
+			dupStash: make(map[int]ctlMessage),
 		}
 		f.eps[i].mailCond = sync.NewCond(&f.mu)
 	}
@@ -213,7 +215,7 @@ func (f *Fabric) FailEndpoint(id int) error {
 	st.failed = true
 	st.regions = make(map[uint64]region)
 	st.mailbox = nil
-	st.dupStash = nil
+	st.dupStash = make(map[int]ctlMessage)
 	st.ctlSent = make(map[int]uint64)
 	st.lastCtl = make(map[int]uint64)
 	f.mu.Unlock()
@@ -253,7 +255,7 @@ func (f *Fabric) ReviveEndpoint(id int) error {
 	st := f.eps[id]
 	st.failed = false
 	st.mailbox = nil
-	st.dupStash = nil
+	st.dupStash = make(map[int]ctlMessage)
 	st.ctlSent = make(map[int]uint64)
 	st.lastCtl = make(map[int]uint64)
 	for peerID, peer := range f.eps {
@@ -263,7 +265,7 @@ func (f *Fabric) ReviveEndpoint(id int) error {
 		delete(peer.ctlSent, id)
 		delete(peer.lastCtl, id)
 		peer.mailbox = pruneFrom(peer.mailbox, id)
-		peer.dupStash = pruneFrom(peer.dupStash, id)
+		delete(peer.dupStash, id)
 	}
 	f.mu.Unlock()
 	f.cond.Broadcast()
@@ -339,17 +341,19 @@ func (e *Endpoint) SendCtl(dst int, data any) error {
 	sender := f.eps[e.id]
 	sender.ctlSent[dst]++
 	seq := sender.ctlSent[dst]
-	// A stashed duplicate is flushed ahead of the new message: it lands
-	// behind its own original (the receiver sees a duplicate that is also
-	// reordered relative to newer traffic) but never before it.
-	if len(target.dupStash) > 0 {
-		target.mailbox = append(target.mailbox, target.dupStash[0])
-		target.dupStash = target.dupStash[1:]
+	// The stream's stashed duplicate is flushed ahead of the new message:
+	// it lands behind its own original (the receiver sees a duplicate that
+	// is also reordered relative to newer traffic) but never before it.
+	// Only this stream's sends flush it, so whether a copy arrives depends
+	// on its sender's program order alone, not on other senders' timing.
+	if dup, ok := target.dupStash[e.id]; ok {
+		target.mailbox = append(target.mailbox, dup)
+		delete(target.dupStash, e.id)
 	}
 	m := ctlMessage{src: e.id, seq: seq, data: data}
 	target.mailbox = append(target.mailbox, m)
 	if f.cfg.Faults.DupFault(e.id, dst) {
-		target.dupStash = append(target.dupStash, m)
+		target.dupStash[e.id] = m
 	}
 	f.mu.Unlock()
 	target.mailCond.Broadcast()

@@ -442,6 +442,7 @@ func (run *stagedRun) stage(rank int, comm *mpi.Comm, ep *fabric.Endpoint, opsFo
 			// active communicator, which holds exactly the ranks whose
 			// shared derivation lands in the serving set; the ranks
 			// sitting out above are outside it.
+			//predata:vet-ignore collectivecheck membership-derived: every rank of the active communicator takes this case for the dump, the ranks outside it sit out
 			res, st, err = r.server.ServeDump(ts, opsFor(dump))
 			if err == nil {
 				err = r.checkpoint(dump)

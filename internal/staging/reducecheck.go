@@ -76,8 +76,16 @@ func (v *View) Fold(lo, hi int) {
 // View returns a, one of chunk's float64 arrays, as the value a
 // VerifyingReducer's Map emits for it: carrying the array's part of the
 // chunk's check when that waits for Reduce, and nothing more otherwise.
+// The context hands views out of slabs of one record's arrays, so a
+// chunk's views cost at most one allocation.
 func (c *Context) View(chunk *Chunk, a *ffs.Array) (*View, error) {
-	v := &View{Array: a}
+	c.mu.Lock()
+	if len(c.views) == cap(c.views) {
+		c.views = make([]View, 0, max(len(chunk.Record), 1))
+	}
+	c.views = append(c.views, View{Array: a})
+	v := &c.views[len(c.views)-1]
+	c.mu.Unlock()
 	k := c.checks.of(chunk)
 	if k == nil || len(a.Float64) == 0 {
 		return v, nil

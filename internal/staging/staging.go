@@ -12,9 +12,10 @@
 package staging
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,6 +211,7 @@ type Context struct {
 	results map[string]any
 	step    int64
 	checks  *checks // the dump's pending chunk checks, while they wait for Reduce
+	views   []View  // the slab View hands views out of
 }
 
 // Rank returns the staging rank executing this context.
@@ -509,9 +511,18 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			end(int64(emitted))
 
 			end = phase(trace.PhaseShuffle, i)
-			buckets := make([][]taggedValue, comm.Size())
+			// Each rank's bucket is an exact run of one allocation.
+			dstOf := func(tag int) int { return ((tag % comm.Size()) + comm.Size()) % comm.Size() }
+			counts := make([]int, comm.Size())
 			for tag, vals := range ctx.emitted {
-				dst := ((tag % comm.Size()) + comm.Size()) % comm.Size()
+				counts[dstOf(tag)] += len(vals)
+			}
+			flat, buckets := make([]taggedValue, emitted), make([][]taggedValue, comm.Size())
+			for dst, at := 0, 0; dst < len(buckets); dst, at = dst+1, at+counts[dst] {
+				buckets[dst] = flat[at : at : at+counts[dst]]
+			}
+			for tag, vals := range ctx.emitted {
+				dst := dstOf(tag)
 				for _, v := range vals {
 					buckets[dst] = append(buckets[dst], taggedValue{Tag: tag, Value: v})
 				}
@@ -524,27 +535,23 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			end(int64(emitted))
 
 			end = phase(trace.PhaseReduce, i)
-			groups := make(map[int][]any)
-			for _, row := range recv {
-				for _, tv := range row {
-					groups[tv.Tag] = append(groups[tv.Tag], tv.Value)
-					if v, ok := tv.Value.(*View); ok && v.wire != nil {
+			// Deterministic reduce order: by tag, each tag's values in the
+			// order they arrived, as an exact run of one allocation.
+			all := slices.Concat(recv...)
+			slices.SortStableFunc(all, func(a, b taggedValue) int { return cmp.Compare(a.Tag, b.Tag) })
+			values, tags := make([]any, len(all)), 0
+			for lo, hi := 0, 0; lo < len(all); lo, tags = hi, tags+1 {
+				for ; hi < len(all) && all[hi].Tag == all[lo].Tag; hi++ {
+					values[hi] = all[hi].Value
+					if v, ok := all[hi].Value.(*View); ok && v.wire != nil {
 						views = append(views, v)
 					}
 				}
-			}
-			// Deterministic reduce order.
-			tags := make([]int, 0, len(groups))
-			for tag := range groups {
-				tags = append(tags, tag)
-			}
-			sort.Ints(tags)
-			for _, tag := range tags {
 				if reduceErr != nil {
-					break
+					continue
 				}
-				if err := op.Reduce(ctx, tag, groups[tag]); err != nil {
-					err = fmt.Errorf("staging: %s.Reduce(tag %d): %w", op.Name(), tag, err)
+				if err := op.Reduce(ctx, all[lo].Tag, values[lo:hi:hi]); err != nil {
+					err = fmt.Errorf("staging: %s.Reduce(tag %d): %w", op.Name(), all[lo].Tag, err)
 					if cs == nil {
 						end(0)
 						return nil, err
@@ -552,7 +559,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 					reduceErr = err
 				}
 			}
-			end(int64(len(tags)))
+			end(int64(tags))
 		}
 		if cs == nil {
 			break
