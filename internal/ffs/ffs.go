@@ -249,12 +249,13 @@ const VisitBlockBytes = 256 << 10
 // BlockRows returns the rows of perRow float64 words each (perRow > 0) that
 // make one visited block: as many whole rows as fit in VisitBlockBytes, or
 // one row when a row is larger. A kernel that walks an array in blocks of
-// BlockRows rows reads it in the blocks AppendEncode and Walk visit.
+// BlockRows rows reads it in the blocks AppendEncode visits.
 func BlockRows(perRow int) int { return max(VisitBlockBytes/(8*perRow), 1) }
 
 // SoleFloat64Array returns the field name and array of rec's float64 array
-// when it has exactly one, and nil otherwise: the array whose rows the
-// visitors of AppendEncode and Walk hand over block by block.
+// when it has exactly one, and nil otherwise: the array whose rows
+// AppendEncode's visitor, and the staging engine's walk, take block by
+// block.
 func SoleFloat64Array(rec Record) (string, *Array) {
 	var (
 		field string
@@ -593,37 +594,70 @@ func encodeValue(w *writer, f Field, v any) error {
 // so the cost is O(fields), not O(bytes): the caller must not write buf
 // afterwards, and a value keeps buf alive for as long as it is referenced.
 func Decode(buf []byte) (*Schema, Record, error) {
+	schema, rec, _, err := decode(buf, false)
+	return schema, rec, err
+}
+
+// Extent is where one float64 array's payload lies in the buffer it was
+// decoded from: its little-endian words are buf[Off : Off+Len].
+type Extent struct {
+	Array    *Array
+	Off, Len int
+}
+
+// DecodeExtents is Decode that also says where each float64 array's
+// payload lies in buf, found by the same parse: one Extent per array, in
+// buffer order, so the extents ascend and are disjoint. A reader that
+// slices buf by them reads exactly the bytes each array was decoded from.
+func DecodeExtents(buf []byte) (*Schema, Record, []Extent, error) {
+	return decode(buf, true)
+}
+
+func decode(buf []byte, extents bool) (*Schema, Record, []Extent, error) {
 	r := wire.NewCursor(buf, "ffs")
 	if m := r.U32(); r.Err() == nil && m != Magic {
-		return nil, nil, fmt.Errorf("ffs: bad magic 0x%08x", m)
+		return nil, nil, nil, fmt.Errorf("ffs: bad magic 0x%08x", m)
 	}
 	schema := &Schema{Name: r.Str()}
 	nf, err := fieldCount(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	schema.Fields = make([]Field, nf)
+	arrays := 0
 	for i := range schema.Fields {
 		schema.Fields[i] = Field{Name: r.Str(), Kind: Kind(r.U8())}
+		if schema.Fields[i].Kind == KindArray {
+			arrays++
+		}
 	}
 	if r.Err() != nil {
-		return nil, nil, r.Err()
+		return nil, nil, nil, r.Err()
+	}
+	var ext []Extent
+	if extents {
+		ext = make([]Extent, 0, arrays)
 	}
 	rec := make(Record, nf)
 	for _, f := range schema.Fields {
 		v, err := decodeValue(r, f)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		rec[f.Name] = v
+		// A float64 array's payload is the last thing its value reads.
+		if a, ok := v.(*Array); ok && extents && a.Float64 != nil {
+			n := 8 * len(a.Float64)
+			ext = append(ext, Extent{Array: a, Off: r.Off() - n, Len: n})
+		}
 	}
 	if r.Err() != nil {
-		return nil, nil, r.Err()
+		return nil, nil, nil, r.Err()
 	}
 	if r.Left() != 0 {
-		return nil, nil, fmt.Errorf("ffs: %d trailing bytes after record", r.Left())
+		return nil, nil, nil, fmt.Errorf("ffs: %d trailing bytes after record", r.Left())
 	}
-	return schema, rec, nil
+	return schema, rec, ext, nil
 }
 
 // fieldCount reads the schema's field count. Each field descriptor takes
@@ -638,94 +672,6 @@ func fieldCount(r *wire.Cursor) (int, error) {
 		return 0, fmt.Errorf("ffs: implausible field count %d for %d bytes left", nf, left)
 	}
 	return nf, nil
-}
-
-// Walk visits buf, an encoding that Decode turned into rec, in the ranges
-// AppendEncode visited while writing it: every byte exactly once, in order.
-// The payload of each float64 array arrives in blocks of whole rows of at
-// most VisitBlockBytes as (block, a, lo, hi), a being rec's decoded array;
-// every other range arrives as (range, nil, 0, 0). Walk parses only the
-// headers and hands each payload range over unread, so a running checksum
-// of the visited ranges is the checksum of buf, and a visitor that also
-// reads a block's rows (from a.Float64) reads them while the checksum has
-// just pulled the block into cache. A buf whose layout does not match rec
-// is an error.
-func Walk(buf []byte, rec Record, visit Visitor) error {
-	r := wire.NewCursor(buf, "ffs")
-	seen := 0
-	flush := func(to int) {
-		if to > seen {
-			visit(buf[seen:to:to], nil, 0, 0)
-			seen = to
-		}
-	}
-	if m := r.U32(); r.Err() == nil && m != Magic {
-		return fmt.Errorf("ffs: bad magic 0x%08x", m)
-	}
-	r.Skip(int(r.U32())) // schema name
-	nf, err := fieldCount(r)
-	if err != nil {
-		return err
-	}
-	// The field descriptors are read a second time, in step with the
-	// values, by a cursor of their own: nothing is allocated.
-	desc := wire.NewCursor(buf, "ffs")
-	desc.Skip(r.Off())
-	for range nf {
-		r.Skip(int(r.U32()))
-		r.U8()
-	}
-	for range nf {
-		if r.Err() != nil || desc.Err() != nil {
-			break
-		}
-		name := desc.Bytes()
-		switch kind := Kind(desc.U8()); kind {
-		case KindInt64, KindUint64, KindFloat64:
-			r.Skip(8)
-		case KindString, KindBytes:
-			r.Skip(int(r.U32()))
-		case KindInt64Slice:
-			words(r, "int64")
-		case KindFloat64Slice:
-			words(r, "float64")
-		case KindArray:
-			for range 3 { // dims, global, offsets
-				r.Skip(8 * int(r.U32()))
-			}
-			if r.U8() != 1 {
-				words(r, "int64")
-				continue
-			}
-			p := words(r, "float64")
-			if r.Err() != nil {
-				break
-			}
-			a, ok := rec[string(name)].(*Array)
-			if !ok || a.Float64 == nil || len(a.Float64) != len(p)/8 || a.Validate() != nil {
-				return fmt.Errorf("ffs: walk: field %q is not the record's float64 array", name)
-			}
-			flush(r.Off() - len(p)) // up to the payload
-			rows, per, step := arrayBlocks(a, len(a.Float64))
-			for lo := 0; lo < rows; lo += step {
-				hi := min(lo+step, rows)
-				visit(p[lo*per*8:hi*per*8:hi*per*8], a, lo, hi)
-			}
-			seen = r.Off()
-		default:
-			return fmt.Errorf("ffs: field %q has unsupported kind %v", name, kind)
-		}
-	}
-	switch {
-	case r.Err() != nil:
-		return r.Err()
-	case desc.Err() != nil:
-		return desc.Err()
-	case r.Left() != 0:
-		return fmt.Errorf("ffs: %d trailing bytes after record", r.Left())
-	}
-	flush(len(buf))
-	return nil
 }
 
 func decodeValue(r *wire.Cursor, f Field) (any, error) {

@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzDecode hardens the self-describing decoder: arbitrary bytes must
-// either decode or fail with an error — never panic or hang — and a decoded
-// value that is a view must lie inside the input. Staging nodes decode
+// either decode or fail with an error — never panic or hang — a decoded
+// value that is a view must lie inside the input, and so must every extent
+// DecodeExtents returns, in order (checkExtents). Staging nodes decode
 // buffers that crossed a network; robustness here is robustness of the
 // whole staging area.
 func FuzzDecode(f *testing.F) {
@@ -59,6 +60,9 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, ext, err := DecodeExtents(data); err == nil {
+			checkExtents(t, data, ext)
+		}
 		_, got, err := Decode(data)
 		if err != nil {
 			return
@@ -118,13 +122,12 @@ func FuzzAppendEncodeVisit(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWalk holds Walk to the same contract from the receiving side:
-// over the decoded record of every drawn encoding, the visited ranges
-// concatenate to the buffer and their running CRC32 is its checksum; the
-// float64 array's blocks are whole rows, in order, within the cache-sized
-// cap, handed over with the decoded array; and each block's bytes are that
-// array's rows [lo, hi). A record that is not the buffer's is an error.
-func FuzzDecodeWalk(f *testing.F) {
+// FuzzDecodeExtents holds DecodeExtents to Decode over the encoding of
+// every drawn record: it decodes the same schema and record, and its one
+// extent is the float64 array's, whose bytes are exactly the array's
+// little-endian words: what the staging engine folds into a chunk's check
+// while an operator reads the array.
+func FuzzDecodeExtents(f *testing.F) {
 	visitSeeds(f)
 	f.Fuzz(func(t *testing.T, rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bool, seed int64) {
 		schema, rec, _ := fuzzRecord(rows, rowWords, nameLen, sliceLen, global, seed)
@@ -132,40 +135,50 @@ func FuzzDecodeWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := Decode(buf)
+		wantSchema, want, err := Decode(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := got["a"].(*Array)
-		log := &visitLog{t: t, arr: a}
-		per := 0
-		if a.Dims[0] != 0 {
-			per = len(a.Float64) / int(a.Dims[0])
-		}
-		if err := Walk(buf, got, func(b []byte, va *Array, lo, hi int) {
-			log.visit(b, va, lo, hi)
-			if va == nil {
-				return
-			}
-			for i, x := range a.Float64[lo*per : hi*per] {
-				if w := binary.LittleEndian.Uint64(b[8*i:]); w != math.Float64bits(x) {
-					t.Fatalf("block [%d, %d) word %d is %#x, the decoded row holds %#x", lo, hi, i, w, math.Float64bits(x))
-				}
-			}
-		}); err != nil {
+		gotSchema, got, ext, err := DecodeExtents(buf)
+		if err != nil {
 			t.Fatal(err)
 		}
-		log.check(buf)
-		delete(got, "a")
-		if err := Walk(buf, got, func([]byte, *Array, int, int) {}); err == nil {
-			t.Fatal("Walk accepted a record without the buffer's array")
+		if !reflect.DeepEqual(gotSchema, wantSchema) || !reflect.DeepEqual(got, want) {
+			t.Fatal("DecodeExtents decoded another record than Decode")
+		}
+		if len(ext) != 1 || ext[0].Array != got["a"] {
+			t.Fatalf("%d extents, want the one float64 array's", len(ext))
+		}
+		checkExtents(t, buf, ext)
+		b := buf[ext[0].Off:]
+		for i, x := range ext[0].Array.Float64 {
+			if w := binary.LittleEndian.Uint64(b[8*i:]); w != math.Float64bits(x) {
+				t.Fatalf("extent word %d is %#x, the decoded array holds %#x", i, w, math.Float64bits(x))
+			}
 		}
 	})
 }
 
+// checkExtents holds extents to what the staging engine relies on when it
+// slices an untrusted payload by them: each lies inside buf, after the one
+// before it, and covers its array's words.
+func checkExtents(t *testing.T, buf []byte, ext []Extent) {
+	t.Helper()
+	at := 0
+	for i, e := range ext {
+		switch {
+		case e.Off < at || e.Len < 0 || e.Off+e.Len > len(buf):
+			t.Fatalf("extent %d [%d, +%d) is not inside [%d, %d)", i, e.Off, e.Len, at, len(buf))
+		case e.Array == nil || e.Len != 8*len(e.Array.Float64):
+			t.Fatalf("extent %d of %d bytes does not cover its array's words", i, e.Len)
+		}
+		at = e.Off + e.Len
+	}
+}
+
 // visitLog checks the ranges a Visitor receives, as they arrive, against
-// the contract AppendEncode and Walk share; check compares the whole with
-// the buffer once the walk is over.
+// AppendEncode's contract; check compares the whole with the buffer once
+// the encoding is over.
 type visitLog struct {
 	t    *testing.T
 	arr  *Array // the float64 array whose blocks arrive
@@ -210,7 +223,8 @@ func (l *visitLog) check(want []byte) {
 	}
 }
 
-// visitSeeds are the record shapes both visitor fuzzers start from.
+// visitSeeds are the record shapes FuzzAppendEncodeVisit and
+// FuzzDecodeExtents start from.
 func visitSeeds(f *testing.F) {
 	f.Add(uint32(65536), uint32(8), uint8(3), uint32(100), true, int64(1)) // 4 MiB: 16 blocks
 	f.Add(uint32(0), uint32(8), uint8(0), uint32(0), false, int64(2))      // no rows

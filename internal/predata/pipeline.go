@@ -415,11 +415,11 @@ func (run *stagedRun) stage(rank int, comm *mpi.Comm, ep *fabric.Endpoint, opsFo
 			return fmt.Errorf("staging rank %d: %w", r.idx, err)
 		}
 		lost := len(r.view.live) - len(next.live)
-		if boundary, t := diffMembership(r.view, next, r.idx); boundary {
-			if err := r.enterEpoch(ts, next, t); err != nil {
+		if boundary, leaving := diffMembership(r.view, next, r.idx); boundary {
+			if err := r.enterEpoch(ts, next, leaving); err != nil {
 				return fmt.Errorf("staging rank %d entering dump %d: %w", r.idx, dump, err)
 			}
-			if t == leave {
+			if leaving {
 				//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use communicators that exclude it
 				break
 			}
@@ -467,12 +467,12 @@ func (run *stagedRun) stage(rank int, comm *mpi.Comm, ep *fabric.Endpoint, opsFo
 // enterEpoch carries this rank across a membership epoch boundary into
 // dump ts. Whatever moved — a crash, a partition window opening or
 // closing, a restart bounce, an autoscaler resize, or several at once —
-// the sequence is the same: crashed ranks split out of the pool (t says
-// whether this rank is one), the epoch advances once, ranks that stop
+// the sequence is the same: crashed ranks split out of the pool (leaving
+// says whether this rank is one), the epoch advances once, ranks that stop
 // serving stand down, the serving communicator is re-derived, ranks that
 // start serving stand up, and every serving rank installs the new
 // communicator.
-func (r *stagingRank) enterEpoch(ts int64, next epochView, t transition) (err error) {
+func (r *stagingRank) enterEpoch(ts int64, next epochView, leaving bool) (err error) {
 	tr := r.cfg.Tracer
 	recStart := time.Now()
 	sp := tr.Begin(trace.PhaseRecovery, r.rank, -1, ts, -1)
@@ -489,14 +489,14 @@ func (r *stagingRank) enterEpoch(ts int64, next epochView, t transition) (err er
 		// MPI_UNDEFINED), drops off the fabric, and exits cleanly with
 		// the dumps it served.
 		color := 0
-		if t == leave {
+		if leaving {
 			color = -1
 		}
 		sub, err := r.pool.Split(color, r.idx)
 		if err != nil {
 			return fmt.Errorf("pool shrink: %w", err)
 		}
-		if t == leave {
+		if leaving {
 			if err := r.fab.FailEndpoint(r.rank); err != nil {
 				return err
 			}
@@ -506,10 +506,10 @@ func (r *stagingRank) enterEpoch(ts int64, next epochView, t transition) (err er
 		r.pool = sub
 	}
 	r.epoch++
-	// From here on the rank acts on its own state change, was → state, not
-	// on t: a rank can trade one reason for sitting out for another (a
-	// fence window closing as a restart window opens) at a boundary some
-	// other rank caused, without changing sides of the serving set.
+	// From here on the rank acts on its own state change, was → state: a
+	// rank can trade one reason for sitting out for another (a fence
+	// window closing as a restart window opens) at a boundary some other
+	// rank caused, without changing sides of the serving set.
 	was, state := r.state, r.member.stateOf(next, r.idx, ts)
 	if was == down && state != serving {
 		// A parked rank stays off the fabric with its journal sealed until

@@ -892,12 +892,11 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 				p.release()
 			}
 			if err != nil {
-				return nil, fmt.Errorf("predata: decode chunk from rank %d: %w",
-					int(e.Attrs["writer"]), err)
+				return nil, fmt.Errorf("predata: decode chunk from rank %d: %w", p.writer, err)
 			}
 			// Corrupt past the re-pull budget: the drop is recorded, and
 			// the terminal stone lets the nil chunk go.
-			return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
+			return &evpath.Event{Data: chunk}, nil
 		}
 		chunk.Release = p.release
 		if chunk.Unverified != nil {
@@ -912,7 +911,7 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 				}
 			}
 		}
-		return &evpath.Event{Attrs: e.Attrs, Data: chunk}, nil
+		return &evpath.Event{Data: chunk}, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -980,7 +979,7 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					}
 					continue
 				}
-				if err := s.routePulled(ctx, decode, adm, req, &pulledChunk{buf: buf, check: check}); err != nil {
+				if err := s.routePulled(ctx, decode, adm, req, &pulledChunk{writer: req.WriterRank, buf: buf, check: check}); err != nil {
 					d.fail(err)
 				}
 			}
@@ -997,10 +996,7 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 		// budget credits per chunk so replay drains no faster than the
 		// engine.
 		err := d.flow.Replay(ctx, func(writer int, ts int64, payload []byte, release func()) error {
-			return decode.SubmitContext(ctx, &evpath.Event{
-				Attrs: map[string]int64{"writer": int64(writer), "timestep": ts},
-				Data:  &pulledChunk{buf: payload, release: release},
-			})
+			return decode.SubmitContext(ctx, &evpath.Event{Data: &pulledChunk{writer: writer, buf: payload, release: release}})
 		})
 		if err != nil {
 			d.fail(fmt.Errorf("predata: spill replay: %w", err))
@@ -1150,11 +1146,12 @@ func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 	return nil, s.lost(req, d, err)
 }
 
-// pulledChunk is the decode stone's event payload: a chunk's packed
-// bytes plus, when the chunk was admitted against the budget, the
+// pulledChunk is the decode stone's event payload: a chunk's writer and
+// packed bytes plus, when the chunk was admitted against the budget, the
 // lease release hook the decode stone attaches to the decoded Chunk,
 // and, when the payload is still unchecked, the pull to call back.
 type pulledChunk struct {
+	writer  int
 	buf     []byte
 	release func()
 	check   *unverifiedPull
@@ -1186,7 +1183,6 @@ func (p *pulledChunk) decode() (*staging.Chunk, error) {
 // raw to the PFS sink (pass). With no admission (adm == nil) it streams
 // unconditionally, the pre-budget behavior.
 func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, p *pulledChunk) error {
-	attrs := map[string]int64{"writer": int64(req.WriterRank), "timestep": req.Timestep}
 	if adm != nil {
 		switch adm.Decision() {
 		case flowctl.DecideSpill:
@@ -1203,7 +1199,7 @@ func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flo
 			return fmt.Errorf("predata: unknown admission decision %d", adm.Decision())
 		}
 	}
-	if err := decode.SubmitContext(ctx, &evpath.Event{Attrs: attrs, Data: p}); err != nil {
+	if err := decode.SubmitContext(ctx, &evpath.Event{Data: p}); err != nil {
 		if p.release != nil {
 			p.release()
 		}

@@ -320,35 +320,16 @@ func (m *Membership) stateOf(v epochView, idx int, ts int64) rankState {
 	return idle
 }
 
-// transition is what one membership boundary means for one staging rank.
-type transition int
-
-const (
-	stay       transition = iota // same side of the serving set as before
-	leave                        // crashed: splits out of the pool and exits
-	deactivate                   // stops serving: fenced, restart-parked or retired
-	activate                     // starts serving: healed, revived or joined
-)
-
 // diffMembership compares dump views prev → next. boundary reports a
 // membership epoch boundary: every live rank bumps its epoch exactly
 // once, however many ranks moved and whether the pool, the serving set
-// or both changed. t is staging index idx's own transition across it —
-// which side of the pool and of the serving set it lands on. Why a rank
-// sits out is not in the views (see stateOf), so what it does to stand
-// down or up is decided from its state change, not from t.
-func diffMembership(prev, next epochView, idx int) (boundary bool, t transition) {
+// or both changed. leaving reports that staging index idx crashed across
+// it: it splits out of the pool and exits. Why a rank sits out is not in
+// the views (see stateOf), so what a staying rank does to stand down or
+// up is decided from its state change.
+func diffMembership(prev, next epochView, idx int) (boundary, leaving bool) {
 	boundary = !slices.Equal(prev.live, next.live) || !slices.Equal(prev.active, next.active)
-	was, is := slices.Contains(prev.active, idx), slices.Contains(next.active, idx)
-	switch {
-	case !slices.Contains(next.live, idx):
-		t = leave
-	case was && !is:
-		t = deactivate
-	case !was && is:
-		t = activate
-	}
-	return boundary, t
+	return boundary, !slices.Contains(next.live, idx)
 }
 
 // placeholder is the row a live rank records for a dump it sat out, so

@@ -101,67 +101,47 @@ func TestStaticElasticBitIdentical(t *testing.T) {
 // TestMembershipDiff drives the membership diff alone — no pipeline run —
 // through every event the dump loop handles: each boundary must be
 // recognised as exactly one epoch bump, however many ranks moved and
-// whether the pool, the serving set or both changed, and each rank must
-// get the transition its side of the change implies.
+// whether the pool, the serving set or both changed, and exactly the
+// crashed ranks must be told they are leaving.
 func TestMembershipDiff(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	for _, tc := range []struct {
 		name       string
 		prev, next epochView
-		want       []transition // per staging index 0..3
+		leaving    int // the staging index that crashes, or -1
 	}{
-		{"crash",
-			epochView{all, all}, epochView{[]int{0, 2, 3}, []int{0, 2, 3}},
-			[]transition{stay, leave, stay, stay}},
-		{"fence",
-			epochView{all, all}, epochView{all, []int{0, 1, 2}},
-			[]transition{stay, stay, stay, deactivate}},
-		{"heal",
-			epochView{all, []int{0, 1, 2}}, epochView{all, all},
-			[]transition{stay, stay, stay, activate}},
-		{"restart-park",
-			epochView{all, all}, epochView{all, []int{0, 2, 3}},
-			[]transition{stay, deactivate, stay, stay}},
-		{"revive",
-			epochView{all, []int{0, 2, 3}}, epochView{all, all},
-			[]transition{stay, activate, stay, stay}},
-		{"initial elastic configuration",
-			epochView{all, nil}, epochView{all, []int{0}},
-			[]transition{activate, stay, stay, stay}},
-		{"grow",
-			epochView{all, []int{0}}, epochView{all, []int{0, 1}},
-			[]transition{stay, activate, stay, stay}},
-		{"shrink",
-			epochView{all, []int{0, 1, 2}}, epochView{all, []int{0, 1}},
-			[]transition{stay, stay, deactivate, stay}},
-		{"crash-during-grow",
-			// Rank 1 joined a dump ago and dies as the pool grows again:
-			// the pool and the serving set both change at one boundary.
-			epochView{all, []int{0, 1}}, epochView{[]int{0, 2, 3}, []int{0, 2, 3}},
-			[]transition{stay, leave, activate, activate}},
-		{"crash of a parked rank",
-			epochView{all, []int{0, 1}}, epochView{[]int{0, 1, 2}, []int{0, 1}},
-			[]transition{stay, stay, stay, leave}},
+		{"crash", epochView{all, all}, epochView{[]int{0, 2, 3}, []int{0, 2, 3}}, 1},
+		{"fence", epochView{all, all}, epochView{all, []int{0, 1, 2}}, -1},
+		{"heal", epochView{all, []int{0, 1, 2}}, epochView{all, all}, -1},
+		{"restart-park", epochView{all, all}, epochView{all, []int{0, 2, 3}}, -1},
+		{"revive", epochView{all, []int{0, 2, 3}}, epochView{all, all}, -1},
+		{"initial elastic configuration", epochView{all, nil}, epochView{all, []int{0}}, -1},
+		{"grow", epochView{all, []int{0}}, epochView{all, []int{0, 1}}, -1},
+		{"shrink", epochView{all, []int{0, 1, 2}}, epochView{all, []int{0, 1}}, -1},
+		// Rank 1 joined a dump ago and dies as the pool grows again: the
+		// pool and the serving set both change at one boundary.
+		{"crash-during-grow", epochView{all, []int{0, 1}}, epochView{[]int{0, 2, 3}, []int{0, 2, 3}}, 1},
+		{"crash of a parked rank", epochView{all, []int{0, 1}}, epochView{[]int{0, 1, 2}, []int{0, 1}}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for idx, want := range tc.want {
+			for idx := range all {
 				// Each rank's loop: cross the boundary, then serve the next
 				// dump under the unchanged view.
 				epoch := int64(-1)
-				boundary, got := diffMembership(tc.prev, tc.next, idx)
+				boundary, leaving := diffMembership(tc.prev, tc.next, idx)
 				if boundary {
 					epoch++
 				}
-				if got != want {
-					t.Errorf("rank %d: transition %d, want %d", idx, got, want)
+				if leaving != (idx == tc.leaving) {
+					t.Errorf("rank %d: leaving %v, want %v", idx, leaving, idx == tc.leaving)
 				}
-				if got == leave {
+				if leaving {
 					continue // the rank exits at the boundary
 				}
-				if again, t2 := diffMembership(tc.next, tc.next, idx); again {
+				if again, gone := diffMembership(tc.next, tc.next, idx); again {
 					epoch++
-				} else if t2 != stay {
-					t.Errorf("rank %d: steady state reported transition %d", idx, t2)
+				} else if gone {
+					t.Errorf("rank %d: steady state reported it leaving", idx)
 				}
 				if epoch != 0 {
 					t.Errorf("rank %d ends on epoch %d, want exactly one bump to 0", idx, epoch)

@@ -2,7 +2,6 @@ package staging
 
 import (
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,19 +41,19 @@ func (m *mapper) sees(i int, c ShedClass) bool { return !m.optional[i] || c != S
 // when its payload failed verification and nothing replaced it. Only the
 // returned chunk's fields are known to come from intact bytes — except
 // while checks wait for Reduce (m.checks): such a chunk is mapped
-// unchecked and returned, and a Map error on it is judged by its
-// payload's sum.
+// unchecked and returned, and a Map error on it is judged by its check,
+// nothing folded yet.
 func (m *mapper) mapChunk(chunk *Chunk) *Chunk {
 	shed := chunk.Shed
 	if m.checks != nil && chunk.Unverified != nil {
-		k := m.checks.add(chunk)
+		m.checks.add(chunk)
 		// Map runs on bytes nobody has checked; an error it reports may be
-		// their damage, which the payload's sum settles now.
+		// their damage, which the check settles now.
 		if err := m.mapOps(chunk, shed); err != nil {
-			if crc32.ChecksumIEEE(chunk.Unverified) == chunk.Sum {
+			if chunk.check.matches(chunk) {
 				m.fail(err)
 			} else {
-				k.bad = true
+				chunk.check.bad = true
 			}
 		}
 		return chunk
@@ -106,57 +105,65 @@ func (m *mapper) mapOps(chunk *Chunk, shed ShedClass) error {
 // walk checks chunk's unverified payload against its Sum and reports ok
 // on a match. When every operator that sees the chunk is a BlockMapper and
 // the record has one float64 array, the check and the Map are one walk:
-// each block of the payload is folded into the checksum and handed to
+// each block of the array's payload is folded into the check and handed to
 // every operator while it is still in cache, and the operators emit only
-// after the last block matched — walked reports that they did. Otherwise
-// the payload is checksummed in one pass and the caller maps the chunk.
+// after the check matched — walked reports that they did. Otherwise the
+// payload is checked whole and the caller maps the chunk.
 func (m *mapper) walk(chunk *Chunk, shed ShedClass) (walked, ok bool) {
+	var k check
+	ext := chunk.extents()
 	_, a := ffs.SoleFloat64Array(chunk.Record)
-	var rms []RowMapper
-	if a != nil {
-		rms = m.startRows(chunk, shed)
+	var (
+		buf [4]rowMapper
+		rms []rowMapper
+	)
+	if len(ext) == 1 && ext[0].Array == a {
+		rms = m.startRows(chunk, shed, buf[:0])
 	}
 	if rms == nil {
-		return false, crc32.ChecksumIEEE(chunk.Unverified) == chunk.Sum
+		return false, k.matches(chunk)
 	}
-	spent := make([]time.Duration, len(m.ops))
-	var sum uint32
-	err := ffs.Walk(chunk.Unverified, chunk.Record, func(b []byte, blk *ffs.Array, lo, hi int) {
-		sum = crc32.Update(sum, crc32.IEEETable, b)
-		if blk != a {
-			return
-		}
-		for i, rm := range rms {
-			if rm != nil {
-				start := time.Now()
-				rm.MapRows(lo, hi)
-				spent[i] += time.Since(start)
+	e := ext[0]
+	v := View{Array: a, wire: chunk.Unverified[e.Off : e.Off+e.Len]}
+	if rows := int(a.Dims[0]); rows > 0 {
+		step := ffs.BlockRows(max(len(a.Float64)/rows, 1))
+		for lo := 0; lo < rows; lo += step {
+			hi := min(lo+step, rows)
+			v.Fold(lo, hi)
+			for i := range rms {
+				if r := &rms[i]; r.rm != nil {
+					start := time.Now()
+					r.rm.MapRows(lo, hi)
+					r.spent += time.Since(start)
+				}
 			}
 		}
-	})
-	if err != nil {
-		// The payload does not walk as the record it decoded to: check it
-		// whole, and let Map judge the record.
-		return false, crc32.ChecksumIEEE(chunk.Unverified) == chunk.Sum
 	}
-	if sum != chunk.Sum {
+	k.parts = []part{{sum: v.sum, known: v.folded == len(v.wire)}}
+	if !k.matches(chunk) {
 		return false, false // the accumulators are dropped unemitted
 	}
-	for i, rm := range rms {
-		if rm != nil {
+	for i, r := range rms {
+		if r.rm != nil {
 			start := time.Now()
-			rm.Emit()
-			m.spent[i].Add(int64(spent[i] + time.Since(start)))
+			r.rm.Emit()
+			m.spent[i].Add(int64(r.spent + time.Since(start)))
 		}
 	}
 	return true, true
 }
 
+// rowMapper is one operator's accumulator in a walk, and its Map time.
+type rowMapper struct {
+	rm    RowMapper
+	spent time.Duration
+}
+
 // startRows starts every operator that sees chunk on it, indexed like
-// m.ops, or returns nil when none sees it or one cannot map it block by
-// block.
-func (m *mapper) startRows(chunk *Chunk, shed ShedClass) []RowMapper {
-	var rms []RowMapper
+// m.ops in buf's memory when it is large enough, or returns nil when none
+// sees it or one cannot map it block by block.
+func (m *mapper) startRows(chunk *Chunk, shed ShedClass, buf []rowMapper) []rowMapper {
+	var rms []rowMapper
 	for i, op := range m.ops {
 		if !m.sees(i, shed) {
 			continue
@@ -170,9 +177,9 @@ func (m *mapper) startRows(chunk *Chunk, shed ShedClass) []RowMapper {
 			return nil // Map reports it, once the bytes are known to be intact
 		}
 		if rms == nil {
-			rms = make([]RowMapper, len(m.ops))
+			rms = append(buf[:0], make([]rowMapper, len(m.ops))...)
 		}
-		rms[i] = rm
+		rms[i].rm = rm
 	}
 	return rms
 }

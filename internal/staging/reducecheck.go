@@ -86,113 +86,96 @@ func (c *Context) View(chunk *Chunk, a *ffs.Array) (*View, error) {
 	c.views = append(c.views, View{Array: a})
 	v := &c.views[len(c.views)-1]
 	c.mu.Unlock()
-	k := c.checks.of(chunk)
-	if k == nil || len(a.Float64) == 0 {
+	ext := chunk.extents()
+	if c.checks == nil || chunk.check == nil || ext == nil || len(a.Float64) == 0 {
 		return v, nil
 	}
-	i, err := k.part(a)
-	if err != nil {
-		return nil, err
+	i := extentOf(ext, a)
+	if i < 0 {
+		return nil, fmt.Errorf("staging: view of an array that is not one of the chunk's float64 arrays")
 	}
-	p := k.parts[i]
-	v.wire = k.chunk.Unverified[p.off : p.off+p.n : p.off+p.n]
-	v.origin, v.chunk, v.part = c.Rank(), k.seq, i
+	e := ext[i]
+	v.wire = chunk.Unverified[e.Off : e.Off+e.Len : e.Off+e.Len]
+	v.origin, v.chunk, v.part = c.Rank(), chunk.check.seq, i
 	return v, nil
 }
 
 // checks are one rank's pending chunk checks in a dump whose checks wait
-// for Reduce: one per chunk mapped unchecked, indexed by the order the Map
-// workers took them.
+// for Reduce: the chunks mapped unchecked, each carrying its check, in the
+// order the Map workers took them.
 type checks struct {
-	mu      sync.Mutex
-	list    []*check
-	byChunk map[*Chunk]*check
-}
-
-// check is one chunk's pending check. Its chunk is mapped by one worker,
-// so Map's views find their parts without a lock; the verify step reads
-// them after the Map phase.
-type check struct {
-	chunk *Chunk
-	seq   int
-	parts []part // each float64 array's payload bytes, in payload order, found on first use
-	bad   bool   // a Map failed and the payload does not match Sum
-}
-
-// part is the run of a chunk's payload that holds one float64 array, and
-// the sum Reduce folded over it once that comes back (known).
-type part struct {
-	a      *ffs.Array
-	off, n int
-	sum    uint32
-	known  bool
+	mu   sync.Mutex
+	list []*Chunk
 }
 
 // add starts chunk's check.
-func (cs *checks) add(chunk *Chunk) *check {
+func (cs *checks) add(chunk *Chunk) {
+	k := &check{parts: make([]part, len(chunk.extents()))}
 	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	k := &check{chunk: chunk, seq: len(cs.list)}
-	cs.list = append(cs.list, k)
-	cs.byChunk[chunk] = k
-	return k
+	k.seq = len(cs.list)
+	cs.list = append(cs.list, chunk)
+	cs.mu.Unlock()
+	chunk.check = k
 }
 
-// of returns chunk's pending check, or nil when it has none.
-func (cs *checks) of(chunk *Chunk) *check {
-	if cs == nil {
+// check is an unchecked chunk's check against its Sum, built from where
+// Decode found the record's float64 arrays (Chunk.extents): one part per
+// array, folded where the part is read — block by block in the engine's
+// walk for a BlockMapper, through View.Fold in the Reduce scatter for a
+// VerifyingReducer. matches sums every other byte and judges.
+type check struct {
+	parts []part // each extent's folded sum, indexed like the extents
+	seq   int    // the chunk's index among its rank's pending checks
+	bad   bool   // a Map failed and the payload does not match Sum
+}
+
+// part is the sum folded over one extent, once it is known.
+type part struct {
+	sum   uint32
+	known bool
+}
+
+// extents returns where the record's float64 arrays lie in Unverified, or
+// nil when DecodeChunk did not decode the record from those bytes: such a
+// chunk is checked whole, never walked.
+func (c *Chunk) extents() []ffs.Extent {
+	p := c.Unverified
+	if c.base == nil || len(p) == 0 || &p[0] != c.base {
 		return nil
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.byChunk[chunk]
+	if n := len(c.layout); n > 0 && c.layout[n-1].Off+c.layout[n-1].Len > len(p) {
+		return nil
+	}
+	return c.layout
 }
 
-// part returns the index of a's part: one walk of the headers (ffs.Walk
-// reads no payload byte) finds every array's on first use.
-func (k *check) part(a *ffs.Array) (int, error) {
-	if k.parts == nil {
-		k.parts = make([]part, 0, len(k.chunk.Record))
-		at := 0
-		err := ffs.Walk(k.chunk.Unverified, k.chunk.Record, func(b []byte, blk *ffs.Array, _, _ int) {
-			if blk != nil {
-				if n := len(k.parts); n > 0 && k.parts[n-1].a == blk {
-					k.parts[n-1].n += len(b)
-				} else {
-					k.parts = append(k.parts, part{a: blk, off: at, n: len(b)})
-				}
-			}
-			at += len(b)
-		})
-		if err != nil {
-			k.parts = nil
-			return 0, err
+// extentOf returns the index of a's extent in ext, or -1 when a is not
+// one of the arrays ext locates.
+func extentOf(ext []ffs.Extent, a *ffs.Array) int {
+	for i, e := range ext {
+		if e.Array == a {
+			return i
 		}
 	}
-	for i, p := range k.parts {
-		if p.a == a {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("staging: view of an array that is not one of the chunk's float64 arrays")
+	return -1
 }
 
-// matches reports whether the chunk's payload matches its Sum: each part
-// that came back folded is combined into the running sum unread, and
-// every other byte — headers, scalars, parts no Reduce folded — is summed
-// here.
-func (k *check) matches() bool {
-	payload := k.chunk.Unverified
+// matches reports whether c's payload matches its Sum: each part that
+// came back folded is combined into the running sum unread, and every
+// other byte — headers, scalars, parts nothing folded — is summed here.
+func (k *check) matches(c *Chunk) bool {
+	payload, ext := c.Unverified, c.extents()
 	var sum uint32
 	at := 0
-	for _, p := range k.parts {
+	for i, p := range k.parts {
 		if p.known {
-			sum = crc32.Update(sum, crc32.IEEETable, payload[at:p.off])
-			sum = crc32Combine(sum, p.sum, int64(p.n))
-			at = p.off + p.n
+			e := ext[i]
+			sum = crc32.Update(sum, crc32.IEEETable, payload[at:e.Off])
+			sum = crc32Combine(sum, p.sum, int64(e.Len))
+			at = e.Off + e.Len
 		}
 	}
-	return crc32.Update(sum, crc32.IEEETable, payload[at:]) == k.chunk.Sum
+	return crc32.Update(sum, crc32.IEEETable, payload[at:]) == c.Sum
 }
 
 // partSum is a folded part of a chunk's check on its way back to the rank
@@ -214,7 +197,7 @@ type verdict struct {
 // verdicts. It returns the checks that failed here, whether some rank's
 // failed (every rank then redoes the pass), and whether some rank's Reduce
 // failed (reduceFailed here).
-func (cs *checks) verify(comm *mpi.Comm, views []*View, reduceFailed bool) (bad []*check, redo, failed bool, err error) {
+func (cs *checks) verify(comm *mpi.Comm, views []*View, reduceFailed bool) (bad []*Chunk, redo, failed bool, err error) {
 	send := make([][]partSum, comm.Size())
 	for _, v := range views {
 		if v.wire != nil && v.folded == len(v.wire) {
@@ -227,10 +210,13 @@ func (cs *checks) verify(comm *mpi.Comm, views []*View, reduceFailed bool) (bad 
 	}
 	for _, row := range recv {
 		for _, ps := range row {
-			if ps.Chunk < 0 || ps.Chunk >= len(cs.list) || ps.Part < 0 || ps.Part >= len(cs.list[ps.Chunk].parts) {
+			if ps.Chunk < 0 || ps.Chunk >= len(cs.list) {
 				continue
 			}
-			k := cs.list[ps.Chunk]
+			k := cs.list[ps.Chunk].check
+			if ps.Part < 0 || ps.Part >= len(k.parts) {
+				continue
+			}
 			p := &k.parts[ps.Part]
 			// Two operators that read the same array must have read the
 			// same bytes.
@@ -238,9 +224,9 @@ func (cs *checks) verify(comm *mpi.Comm, views []*View, reduceFailed bool) (bad 
 			p.sum, p.known = ps.Sum, true
 		}
 	}
-	for _, k := range cs.list {
-		if k.bad || !k.matches() {
-			bad = append(bad, k)
+	for _, c := range cs.list {
+		if c.check.bad || !c.check.matches(c) {
+			bad = append(bad, c)
 		}
 	}
 	all, err := mpi.Allgather(comm, []verdict{{Bad: len(bad), Failed: reduceFailed}})

@@ -139,3 +139,90 @@ func TestCorruptLastRowCaughtInReduce(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptScalarBetweenArraysCaughtInVerify: the reorg's scatter folds
+// both arrays' payloads, and the verify step sums every other byte of the
+// chunk — here a float64 scalar between the two arrays, the only damaged
+// bytes of writer 1's payload. The verify step must catch it: writer 1's
+// chunk is re-pulled once and both ranks redo the pass.
+func TestCorruptScalarBetweenArraysCaughtInVerify(t *testing.T) {
+	const writers, ranks = 2, 2
+	vars := []string{"a", "b"}
+	global := []uint64{writers, 4, 4}
+	schema := &ffs.Schema{Name: "mid", Fields: []ffs.Field{
+		{Name: "_rank", Kind: ffs.KindInt64}, {Name: "_timestep", Kind: ffs.KindInt64},
+		{Name: "a", Kind: ffs.KindArray}, {Name: "m", Kind: ffs.KindFloat64}, {Name: "b", Kind: ffs.KindArray},
+	}}
+	encode := func(w int, m float64) []byte {
+		rec := ffs.Record{"_rank": int64(w), "_timestep": int64(2), "m": m}
+		for v, name := range vars {
+			data := make([]float64, 16)
+			for i := range data {
+				data[i] = float64(v*100 + w*16 + i)
+			}
+			rec[name] = &ffs.Array{Dims: []uint64{1, 4, 4}, Global: global, Offsets: []uint64{uint64(w), 0, 0}, Float64: data}
+		}
+		buf, err := ffs.Encode(schema, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	// The scalar's bytes are where two encodings differing only in it
+	// differ.
+	clean, other := encode(1, 0.5), encode(1, -3)
+	at := -1
+	for i := range clean {
+		if clean[i] != other[i] {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("no byte holds the scalar")
+	}
+	bad := append([]byte(nil), clean...)
+	bad[at] ^= 0x01
+
+	var repulls, inits atomic.Int64
+	streams := make([][]*staging.Chunk, ranks)
+	for w := 0; w < writers; w++ {
+		buf := encode(w, 0.5)
+		payload := buf
+		if w == 1 {
+			payload = bad
+		}
+		chunk, err := staging.DecodeChunk(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk.Unverified, chunk.Sum = payload, crc32.ChecksumIEEE(buf)
+		chunk.Corrupt = func() (*staging.Chunk, error) {
+			repulls.Add(1)
+			return staging.DecodeChunk(buf)
+		}
+		streams[w%ranks] = append(streams[w%ranks], chunk)
+	}
+	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		op, err := ops.NewReorgOperator(ops.ReorgConfig{Vars: vars})
+		if err != nil {
+			return err
+		}
+		ch := make(chan *staging.Chunk, len(streams[c.Rank()]))
+		for _, chunk := range streams[c.Rank()] {
+			ch <- chunk
+		}
+		close(ch)
+		_, err = staging.NewEngine(staging.Config{Workers: 1}).ProcessDump(c, ch, []staging.Operator{countedReorg{op, &inits}}, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := repulls.Load(); n != 1 {
+		t.Errorf("%d re-pulls, want 1", n)
+	}
+	if n := inits.Load(); n != 2*ranks {
+		t.Errorf("%d Initialize calls over %d ranks, want a redo on each (%d)", n, ranks, 2*ranks)
+	}
+}

@@ -62,14 +62,18 @@ type Chunk struct {
 
 	// Unverified, when non-nil, is the FFS payload Record was decoded
 	// from, whose checksum nobody has checked yet: the engine checks it
-	// against Sum before anything of the chunk is committed. When every
-	// operator that sees the chunk is a BlockMapper and the record has one
-	// float64 array, the check rides the engine's one walk over the
-	// payload (ffs.Walk), before any operator emits; when every operator
-	// of the dump is a VerifyingReducer, it rides the Reduce that reads
-	// the payload and the verify step after it; otherwise the payload is
-	// checksummed before the first Map. On a mismatch the engine drops
-	// whatever it built from the payload and calls Corrupt.
+	// against Sum before anything of the chunk is committed. Each float64
+	// array's bytes are folded into the check where a pass reads them, at
+	// the extents DecodeChunk's one parse found: when every operator that
+	// sees the chunk is a BlockMapper and the record has one float64
+	// array, in the engine's walk over its blocks, before any operator
+	// emits; when every operator of the dump is a VerifyingReducer, in the
+	// Reduce that scatters the arrays, settled by the verify step after
+	// it. Every other byte is summed when the check is judged. Any other
+	// chunk is checked whole before its first Map, and a chunk whose
+	// Record DecodeChunk did not decode from these very bytes is checked
+	// whole, never walked. On a mismatch the engine drops whatever it
+	// built from the payload and calls Corrupt.
 	Unverified []byte
 	Sum        uint32
 	// Corrupt returns a re-pulled copy of the chunk to map in this one's
@@ -78,6 +82,13 @@ type Chunk struct {
 	// commits and records no PhaseChunk. An error fails the dump like a
 	// Map error.
 	Corrupt func() (*Chunk, error)
+	// layout is where Record's float64 arrays lie in the payload
+	// DecodeChunk decoded it from (ffs.DecodeExtents), whose first byte is
+	// base.
+	layout []ffs.Extent
+	base   *byte
+	// check is the chunk's pending check while it waits for Reduce.
+	check *check
 }
 
 // Optional marks an operator the overload ladder may degrade to sampled
@@ -377,7 +388,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		first := pass == 0
 		var cs *checks
 		if deferred && first {
-			cs = &checks{byChunk: make(map[*Chunk]*check)}
+			cs = &checks{}
 		}
 		ctxs = make([]*Context, len(ops))
 		for i, op := range ops {
@@ -605,11 +616,10 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 // copy (Chunk.Corrupt), which keeps the old one's Shed, or drops it, marks
 // every other chunk checked, and returns the chunks a redo maps, with the
 // first re-pull failure.
-func repull(held []*Chunk, bad []*check) ([]*Chunk, error) {
+func repull(held, bad []*Chunk) ([]*Chunk, error) {
 	next := make(map[*Chunk]*Chunk, len(bad))
 	var first error
-	for _, k := range bad {
-		c := k.chunk
+	for _, c := range bad {
 		next[c] = nil
 		if c.Corrupt == nil {
 			continue
@@ -628,7 +638,7 @@ func repull(held []*Chunk, bad []*check) ([]*Chunk, error) {
 		if n, ok := next[c]; ok {
 			c = n
 		} else {
-			c.Unverified = nil // it passed
+			c.Unverified, c.check = nil, nil // it passed
 		}
 		if c != nil {
 			out = append(out, c)
@@ -663,7 +673,7 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 		}
 		buf = payload
 	}
-	schema, rec, err := ffs.Decode(buf)
+	schema, rec, layout, err := ffs.DecodeExtents(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -675,5 +685,5 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 	if !ok {
 		return nil, fmt.Errorf("staging: chunk missing _timestep field")
 	}
-	return &Chunk{WriterRank: int(rank), Timestep: step, Schema: schema, Record: rec}, nil
+	return &Chunk{WriterRank: int(rank), Timestep: step, Schema: schema, Record: rec, layout: layout, base: &buf[0]}, nil
 }

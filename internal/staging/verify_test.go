@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,5 +295,76 @@ func TestCorruptChunkWithPlainOperatorCheckedBeforeMap(t *testing.T) {
 	}
 	if sums.emits.Load() != 2 {
 		t.Errorf("block mapper emitted %d chunks, want 2", sums.emits.Load())
+	}
+}
+
+// TestCorruptScalarAfterArray: the engine's walk folds the array's payload
+// block by block, and the check sums every other byte — here a float64
+// scalar after the array, the only damaged bytes. The chunk must be
+// dropped unemitted, with no PhaseChunk, or replaced by its re-pull: the
+// operator's result is then the all-intact dump's.
+func TestCorruptScalarAfterArray(t *testing.T) {
+	schema := &ffs.Schema{Name: "tail", Fields: append(slices.Clone(sumSchema.Fields), ffs.Field{Name: "t", Kind: ffs.KindFloat64})}
+	encode := func(rank int) []byte {
+		_, rec, err := ffs.Decode(encodedChunk(t, rank, 4096+10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec["t"] = 0.5
+		buf, err := ffs.Encode(schema, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	clean := [2][]byte{encode(0), encode(1)}
+	bad := append([]byte(nil), clean[1]...)
+	bad[len(bad)-1] ^= 0x40 // the sign and exponent byte of t
+	_, got, err := ffs.Decode(bad)
+	if err != nil || got["t"] == 0.5 {
+		t.Fatalf("the flip did not land in the scalar: %v, t = %v", err, got["t"])
+	}
+	sum1 := crc32.ChecksumIEEE(clean[1])
+
+	for _, repull := range []bool{false, true} {
+		t.Run(fmt.Sprintf("repull=%v", repull), func(t *testing.T) {
+			op := &colSumOp{}
+			rec := trace.New(trace.Config{NumCompute: 2, NumStaging: 1, Dumps: 1})
+			var res *Result
+			err := mpi.Run(1, func(c *mpi.Comm) error {
+				eng := NewEngine(Config{Workers: 1})
+				eng.SetTracer(rec, 2)
+				damaged := unverified(t, bad, sum1)
+				damaged.Corrupt = func() (*Chunk, error) {
+					if !repull {
+						return nil, nil
+					}
+					return unverified(t, clean[1], sum1), nil
+				}
+				intact := unverified(t, clean[0], crc32.ChecksumIEEE(clean[0]))
+				var err error
+				res, err = eng.ProcessDump(c, feed([]*Chunk{intact, damaged}), []Operator{op}, nil)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			retired := 0
+			for _, e := range rec.Snapshot().Events {
+				if e.Phase == trace.PhaseChunk {
+					retired++
+				}
+			}
+			want := 1
+			if repull {
+				want = 2
+			}
+			if int(op.emits.Load()) != want || res.Chunks != want || retired != want {
+				t.Errorf("emits %d, chunks %d, PhaseChunk %d: want %d each", op.emits.Load(), res.Chunks, retired, want)
+			}
+			if wantRows := float64(want * (4096 + 10)); op.sums[8] != wantRows {
+				t.Errorf("the dump counts %v rows, want %v", op.sums[8], wantRows)
+			}
+		})
 	}
 }
