@@ -78,8 +78,11 @@ var rows = []row{
 			ExactlyOnce:   true,
 			Acquire: func(info *types.Info, e ast.Expr) (string, bool) {
 				if call, ok := e.(*ast.CallExpr); ok {
-					return "staging.DecodeChunk",
-						analysis.FuncIs(analysis.CalleeFunc(info, call), stagingPath, "DecodeChunk")
+					fn := analysis.CalleeFunc(info, call)
+					if analysis.MethodIs(fn, stagingPath, "Decoder", "DecodeChunk") {
+						return "staging.Decoder.DecodeChunk", true
+					}
+					return "staging.DecodeChunk", analysis.FuncIs(fn, stagingPath, "DecodeChunk")
 				}
 				return "staging.Chunk literal with Release set", chunkLit(info, e)
 			},

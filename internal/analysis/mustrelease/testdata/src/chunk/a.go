@@ -20,6 +20,18 @@ func LeakShedPath(buf []byte, shed bool) {
 	ch.Release()
 }
 
+// LeakDecoderShedPath is LeakShedPath through a stream's Decoder.
+func LeakDecoderShedPath(d *staging.Decoder, buf []byte, shed bool) {
+	ch, err := d.DecodeChunk(buf) // want `chunk from staging.Decoder.DecodeChunk may drop its Release hook on some path`
+	if err != nil {
+		return
+	}
+	if shed {
+		return
+	}
+	ch.Release()
+}
+
 // LeakLiteral builds a chunk with a hook and forgets it on one path.
 func LeakLiteral(release func(), c bool) {
 	ch := staging.Chunk{Timestep: 1, Release: release} // want `chunk from staging.Chunk literal with Release set may drop its Release hook`

@@ -10,11 +10,13 @@
 package ffs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"predata/internal/wire"
 )
@@ -594,7 +596,7 @@ func encodeValue(w *writer, f Field, v any) error {
 // so the cost is O(fields), not O(bytes): the caller must not write buf
 // afterwards, and a value keeps buf alive for as long as it is referenced.
 func Decode(buf []byte) (*Schema, Record, error) {
-	schema, rec, _, err := decode(buf, false)
+	schema, rec, _, err := (*Decoder)(nil).decode(buf, false)
 	return schema, rec, err
 }
 
@@ -610,35 +612,47 @@ type Extent struct {
 // buffer order, so the extents ascend and are disjoint. A reader that
 // slices buf by them reads exactly the bytes each array was decoded from.
 func DecodeExtents(buf []byte) (*Schema, Record, []Extent, error) {
-	return decode(buf, true)
+	return (*Decoder)(nil).decode(buf, true)
 }
 
-func decode(buf []byte, extents bool) (*Schema, Record, []Extent, error) {
+// A Decoder decodes a stream of buffers that mostly carry one schema, as a
+// staging rank's chunks do: it keeps the last schema it decoded, and a
+// buffer whose schema bytes are that schema's gets the same *Schema, which
+// its readers must not change, instead of a new one. It keeps one schema
+// at most, so no input grows it. The zero value is ready for use, also by
+// concurrent goroutines.
+type Decoder struct {
+	last atomic.Pointer[wireSchema]
+}
+
+// wireSchema is a decoded schema and the bytes it was decoded from.
+type wireSchema struct {
+	wire   []byte
+	schema *Schema
+	arrays int // fields of KindArray
+}
+
+// DecodeExtents is DecodeExtents through d's schema.
+func (d *Decoder) DecodeExtents(buf []byte) (*Schema, Record, []Extent, error) {
+	return d.decode(buf, true)
+}
+
+// decode parses buf, recording the float64 arrays' extents when extents
+// is set. d may be nil: every schema is then decoded afresh.
+func (d *Decoder) decode(buf []byte, extents bool) (*Schema, Record, []Extent, error) {
 	r := wire.NewCursor(buf, "ffs")
 	if m := r.U32(); r.Err() == nil && m != Magic {
 		return nil, nil, nil, fmt.Errorf("ffs: bad magic 0x%08x", m)
 	}
-	schema := &Schema{Name: r.Str()}
-	nf, err := fieldCount(r)
+	schema, arrays, err := d.schema(buf, r)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	schema.Fields = make([]Field, nf)
-	arrays := 0
-	for i := range schema.Fields {
-		schema.Fields[i] = Field{Name: r.Str(), Kind: Kind(r.U8())}
-		if schema.Fields[i].Kind == KindArray {
-			arrays++
-		}
-	}
-	if r.Err() != nil {
-		return nil, nil, nil, r.Err()
 	}
 	var ext []Extent
 	if extents {
 		ext = make([]Extent, 0, arrays)
 	}
-	rec := make(Record, nf)
+	rec := make(Record, len(schema.Fields))
 	for _, f := range schema.Fields {
 		v, err := decodeValue(r, f)
 		if err != nil {
@@ -658,6 +672,41 @@ func decode(buf []byte, extents bool) (*Schema, Record, []Extent, error) {
 		return nil, nil, nil, fmt.Errorf("ffs: %d trailing bytes after record", r.Left())
 	}
 	return schema, rec, ext, nil
+}
+
+// schema reads the schema at r's offset in buf, and how many of its
+// fields are arrays. When those bytes start with the ones d decoded last,
+// it steps over them and returns that schema: the encoding delimits
+// itself, so the same bytes parse to the same schema and end at the same
+// place.
+func (d *Decoder) schema(buf []byte, r *wire.Cursor) (*Schema, int, error) {
+	start := r.Off()
+	if d != nil && r.Err() == nil {
+		if ws := d.last.Load(); ws != nil && bytes.HasPrefix(buf[start:], ws.wire) {
+			r.Skip(len(ws.wire))
+			return ws.schema, ws.arrays, nil
+		}
+	}
+	schema := &Schema{Name: r.Str()}
+	nf, err := fieldCount(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	schema.Fields = make([]Field, nf)
+	arrays := 0
+	for i := range schema.Fields {
+		schema.Fields[i] = Field{Name: r.Str(), Kind: Kind(r.U8())}
+		if schema.Fields[i].Kind == KindArray {
+			arrays++
+		}
+	}
+	if r.Err() != nil {
+		return nil, 0, r.Err()
+	}
+	if d != nil {
+		d.last.Store(&wireSchema{wire: bytes.Clone(buf[start:r.Off()]), schema: schema, arrays: arrays})
+	}
+	return schema, arrays, nil
 }
 
 // fieldCount reads the schema's field count. Each field descriptor takes

@@ -382,3 +382,67 @@ func TestScatterRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestDecoderReusesSchema: a Decoder hands every buffer whose schema bytes
+// repeat the last ones the very *Schema it decoded from them, and decodes
+// the record as Decode does; bytes that differ in a field's name or kind,
+// or in the group name at the same length, get a schema of their own, which
+// the next repeat then shares. Overwriting the first buffer afterwards, as
+// a writer reusing its frame does, changes no schema.
+func TestDecoderReusesSchema(t *testing.T) {
+	encode := func(s *Schema) []byte {
+		t.Helper()
+		rec := sampleRecord()
+		rec["lebal"] = rec["label"]
+		if s.Fields[0].Kind == KindUint64 {
+			rec["timestep"] = uint64(7)
+		}
+		buf, err := Encode(s, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	var d Decoder
+	decode := func(buf []byte) *Schema {
+		t.Helper()
+		s, rec, ext, err := d.DecodeExtents(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, wrec, wext, err := DecodeExtents(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, ws) || !reflect.DeepEqual(rec, wrec) || len(ext) != len(wext) {
+			t.Fatalf("the Decoder's result differs from DecodeExtents'")
+		}
+		return s
+	}
+	first := encode(particleSchema())
+	a := decode(first)
+	if b := decode(encode(particleSchema())); b != a {
+		t.Error("the same schema bytes gave a new *Schema")
+	}
+	renamed := particleSchema()
+	renamed.Fields[3].Name = "lebal"
+	rekinded := particleSchema()
+	rekinded.Fields[0].Kind = KindUint64
+	regrouped := particleSchema()
+	regrouped.Name = "particleZ"
+	for _, s := range []*Schema{renamed, rekinded, regrouped} {
+		got := decode(encode(s))
+		if got == a || !reflect.DeepEqual(got, s) {
+			t.Fatalf("schema %+v decoded as %+v (the cached one: %t)", s, got, got == a)
+		}
+		if again := decode(encode(s)); again != got {
+			t.Errorf("schema %q: a repeat gave a new *Schema", s.Name)
+		}
+	}
+	for i := range first {
+		first[i] = 0xA5
+	}
+	if !reflect.DeepEqual(a, particleSchema()) || !reflect.DeepEqual(decode(encode(regrouped)), regrouped) {
+		t.Error("overwriting a decoded buffer changed a schema")
+	}
+}

@@ -59,13 +59,26 @@ func FuzzDecode(f *testing.F) {
 			f.Add(padded)
 		}
 	}
+	// A Decoder that last decoded the valid seed takes a mutated buffer
+	// whose schema bytes still match through its cache.
+	var dec Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, _, ext, err := DecodeExtents(data); err == nil {
 			checkExtents(t, data, ext)
 		}
-		_, got, err := Decode(data)
+		schema, got, err := Decode(data)
+		if _, _, _, err := dec.DecodeExtents(valid); err != nil {
+			t.Fatal(err)
+		}
+		cschema, cgot, _, cerr := dec.DecodeExtents(data)
+		if (err == nil) != (cerr == nil) || err == nil && !reflect.DeepEqual(schema, cschema) {
+			t.Fatalf("a Decoder decoded %+v (%v), Decode %+v (%v)", cschema, cerr, schema, err)
+		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(encodeOrNil(schema, got), encodeOrNil(cschema, cgot)) {
+			t.Fatal("a Decoder decoded another record than Decode")
 		}
 		base, end := extent(data[:len(data):len(data)])
 		check := func(name string, slice any) {
@@ -267,4 +280,13 @@ func fuzzRecord(rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bo
 		"a": arr, "A": &Array{Dims: []uint64{3, 2}, Int64: []int64{1, -2, 3, -4, 5, -6}},
 	}
 	return schema, rec, arr
+}
+
+// encodeOrNil is Encode's buffer, or nil when it fails.
+func encodeOrNil(schema *Schema, rec Record) []byte {
+	buf, err := Encode(schema, rec)
+	if err != nil {
+		return nil
+	}
+	return buf
 }

@@ -51,6 +51,10 @@ type SortConfig struct {
 // with equal labels by (writer rank, row number in the writer's chunk), so
 // the output is a function of the dump's input and not of the order its
 // chunks were pulled in.
+//
+// The sort verifies on use (staging.VerifyingReducer): Map's key pass reads
+// every row of the chunk's array once, in order, and folds each block of
+// rows into the chunk's check right after reading its keys.
 type SortOperator struct {
 	cfg SortConfig
 
@@ -94,6 +98,12 @@ func (s *SortOperator) Initialize(ctx *staging.Context, agg map[string]any) erro
 	s.sorted, s.rows, s.pg = nil, 0, nil
 	return nil
 }
+
+// VerifiesInReduce implements staging.VerifyingReducer: Map's key pass
+// reads the whole array once, in row order, and folds it into the chunk's
+// check block by block; the view it emits to its own rank carries the sum
+// to the verify step.
+func (s *SortOperator) VerifiesInReduce() {}
 
 // adopt records the dump's row width from the first chunk or run seen and
 // holds every later one to the same width.
@@ -172,28 +182,30 @@ type sortedRun struct {
 }
 
 // Radix digits are at most radixBits wide: GTC's minor key varies in 26
-// bits, three digits instead of four bytes.
+// bits, two digits instead of four bytes.
 const (
-	radixBits      = 11
+	radixBits      = 13
 	radixMaxDigits = 2 * ((64 + radixBits - 1) / radixBits)
 )
 
-// radixCounts holds one bucket histogram per digit.
-type radixCounts [radixMaxDigits][1 << radixBits]uint32
-
-// sortScratch is the transient memory of one Map (entries, the radix
-// passes' other buffer and histograms, rows per destination) or one Reduce
-// (the merge plan). None of it outlives the call, so it is recycled through
-// scratchPool rather than allocated per chunk; the pool is package-level
-// because a pipeline builds a fresh operator for every dump.
+// sortScratch is the transient memory of one Map: entries, the radix
+// passes' other buffer and histograms, rows per destination. None of it
+// outlives the call, so it is recycled through scratchPool rather than
+// allocated per chunk, and so is one Reduce's merge plan through planPool.
+// The pools are package-level because a pipeline builds a fresh operator
+// for every dump, and apart so that an object the collector drops costs
+// only its own buffers to make again: a Map's scratch never carries a
+// merge plan.
 type sortScratch struct {
 	entries, spare []sortEntry
-	counts         radixCounts
+	counts         []uint32 // the radix passes' histograms, one after another
 	dests          []int
-	plan           []rowRef
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+var (
+	scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+	planPool    = sync.Pool{New: func() any { return new([]rowRef) }}
+)
 
 // resize returns s with length n, reallocating only when it lacks the
 // capacity; the contents are undefined.
@@ -206,7 +218,9 @@ func resize[T any](s []T, n int) []T {
 
 // Map sorts the chunk's rows by (major, minor) and emits them as one sorted
 // run per destination rank under that rank's tag: views of the chunk's
-// rows, in the order the sort gave their numbers and keys.
+// rows, in the order the sort gave their numbers and keys. The array goes
+// to this rank's tag as well, as a view carrying its part of the chunk's
+// check, folded as the key pass reads it.
 func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	arr, rows, k, err := matrixVar(chunk, s.cfg.Var)
 	if err != nil {
@@ -225,9 +239,14 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if rows == 0 {
 		return nil
 	}
+	view, err := ctx.View(chunk, arr)
+	if err != nil {
+		return fmt.Errorf("ops: sort: %w", err)
+	}
 
-	// One pass builds the entries, counts rows per destination and ORs
-	// together every bit on which some key differs from the first.
+	// One pass builds the entries, counts rows per destination, ORs
+	// together every bit on which some key differs from the first, and
+	// folds each block of rows into the chunk's check while it is in cache.
 	ranks := ctx.Ranks()
 	src := arr.Float64
 	sc := scratchPool.Get().(*sortScratch)
@@ -239,16 +258,22 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	entries := sc.entries
 	var varies sortKey
 	first := sortKey{keyImage(src[minor]), keyImage(src[major])}
-	for r := range entries {
-		row := src[r*k : r*k+k]
-		counts[s.bucketOf(row[major], ranks)]++
-		lo, hi := keyImage(row[minor]), keyImage(row[major])
-		varies[0] |= lo ^ first[0]
-		varies[1] |= hi ^ first[1]
-		// Stored word by word: a composite literal goes through the stack.
-		e := &entries[r]
-		e.key[0], e.key[1], e.row = lo, hi, uint64(r)
+	step := ffs.BlockRows(k)
+	for r0 := 0; r0 < rows; r0 += step {
+		r1 := min(r0+step, rows)
+		for r := r0; r < r1; r++ {
+			row := src[r*k : r*k+k]
+			counts[s.bucketOf(row[major], ranks)]++
+			lo, hi := keyImage(row[minor]), keyImage(row[major])
+			varies[0] |= lo ^ first[0]
+			varies[1] |= hi ^ first[1]
+			// Stored word by word: a composite literal goes through the stack.
+			e := &entries[r]
+			e.key[0], e.key[1], e.row = lo, hi, uint64(r)
+		}
+		view.Fold(r0, r1)
 	}
+	ctx.Emit(ctx.Rank(), view)
 	// The destination is not part of the key: bucketOf is non-decreasing
 	// in the major key's order, so rows sorted by key are already grouped
 	// by destination, in rank order.
@@ -296,21 +321,24 @@ func radixDigits(varies sortKey) []radixDigit {
 // the output: the sorted row numbers into order and their keys into keys,
 // both as long as entries. The other passes alternate between entries and
 // spare, which must be as long, so the entries end up in neither order.
-// counts is the histograms' memory.
-func radixSort(entries, spare []sortEntry, varies sortKey, counts *radixCounts, order []uint32, keys []sortKey) {
+// counts is the histograms' memory, resized to fit.
+func radixSort(entries, spare []sortEntry, varies sortKey, counts *[]uint32, order []uint32, keys []sortKey) {
 	digits := radixDigits(varies)
+	// Digit d's histogram starts at d<<radixBits.
+	c := resize(*counts, len(digits)<<radixBits)
+	*counts = c
 	for d, dg := range digits {
-		clear(counts[d][:1<<dg.width])
+		clear(c[d<<radixBits:][:1<<dg.width])
 	}
 	// Counting does not depend on the order the entries are in, so one
 	// sweep fills every pass's histogram.
 	for i := range entries {
 		for d, dg := range digits {
-			counts[d][entries[i].key[dg.word]>>dg.shift&(1<<dg.width-1)]++
+			c[d<<radixBits|int(entries[i].key[dg.word]>>dg.shift&(1<<dg.width-1))]++
 		}
 	}
 	for d, dg := range digits {
-		next := counts[d][:1<<dg.width]
+		next := c[d<<radixBits:][:1<<dg.width]
 		var sum uint32
 		for b, n := range next {
 			next[b], sum = sum, sum+n
@@ -349,7 +377,10 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 	runs := make([]*sortedRun, 0, len(values))
 	rows := 0
 	for _, v := range values {
-		run := v.(*sortedRun)
+		run, ok := v.(*sortedRun)
+		if !ok {
+			continue // a Map's view, bound for the verify step
+		}
 		if err := s.adopt(run.K); err != nil {
 			return err
 		}
@@ -374,11 +405,11 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 		}
 		s.pg, s.sorted = pg, pg.Chunks[0].Data
 	}
-	sc := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(sc)
-	sc.plan = resize(sc.plan, rows)
-	planMerge(runs, sc.plan)
-	if err := gather(s.sorted, s.k, runs, sc.plan, s.pg); err != nil {
+	plan := planPool.Get().(*[]rowRef)
+	defer planPool.Put(plan)
+	*plan = resize(*plan, rows)
+	planMerge(runs, *plan)
+	if err := gather(s.sorted, s.k, runs, *plan, s.pg); err != nil {
 		return fmt.Errorf("ops: sort output: %w", err)
 	}
 	return nil

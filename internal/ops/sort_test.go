@@ -2,6 +2,8 @@ package ops
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -620,66 +622,134 @@ func TestSortOutputDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestRadixSortDigitTable: keys whose varying bits straddle an 11-bit
-// digit boundary, reach bit 63, or span the minor and major words come out
-// of radixSort in the order sort.SliceStable gives them, ties in entry
-// order. The digits each key set is cut into are pinned too.
+// TestRadixSortDigitTable: keys whose varying bits straddle a digit
+// boundary, reach bit 63, or span the minor and major words come out of
+// radixSort in the order sort.SliceStable gives them, ties in entry order.
+// The digits each key set is cut into are pinned too.
 func TestRadixSortDigitTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ids := rng.Perm(1 << 16)
 	cases := []struct {
 		name   string
+		n      int // entries; 3000 when 0
 		key    func(i int) sortKey
 		digits []radixDigit
 	}{
-		{"one narrow digit", func(i int) sortKey { return sortKey{uint64(i%7) << 3, 5} },
+		{"one narrow digit", 0, func(i int) sortKey { return sortKey{uint64(i%7) << 3, 5} },
 			[]radixDigit{{0, 3, 3}}},
-		{"bits 8-11 are one digit, not two", func(i int) sortKey { return sortKey{uint64(rng.Intn(1<<4)) << 8, 0} },
+		{"bits 8-11 are one digit, not two", 0, func(i int) sortKey { return sortKey{uint64(rng.Intn(1<<4)) << 8, 0} },
 			[]radixDigit{{0, 8, 4}}},
-		{"13 varying bits need two digits", func(i int) sortKey { return sortKey{uint64(rng.Intn(1<<13)) << 5, 0} },
-			[]radixDigit{{0, 5, 11}, {0, 16, 2}}},
-		{"bit 63 and below", func(i int) sortKey { return sortKey{uint64(rng.Intn(8)) << 61, 1} },
+		{"13 varying bits are one digit", 0, func(i int) sortKey { return sortKey{uint64(rng.Intn(1<<13)) << 5, 0} },
+			[]radixDigit{{0, 5, 13}}},
+		{"13 varying bits need two digits", 0, func(i int) sortKey {
+			return sortKey{uint64(rng.Intn(1<<12))<<5 | uint64(rng.Intn(2))<<20, 0}
+		}, []radixDigit{{0, 5, 12}, {0, 20, 1}}},
+		{"15 varying bits need two digits", 0, func(i int) sortKey { return sortKey{uint64(rng.Intn(1<<15)) << 5, 0} },
+			[]radixDigit{{0, 5, 13}, {0, 18, 2}}},
+		{"bit 63 and below", 0, func(i int) sortKey { return sortKey{uint64(rng.Intn(8)) << 61, 1} },
 			[]radixDigit{{0, 61, 3}}},
-		{"only bit 63 of the major word", func(i int) sortKey { return sortKey{9, uint64(i%2) << 63} },
+		{"only bit 63 of the major word", 0, func(i int) sortKey { return sortKey{9, uint64(i%2) << 63} },
 			[]radixDigit{{1, 63, 1}}},
-		{"a gap every key agrees on is skipped", func(i int) sortKey {
+		{"a gap every key agrees on is skipped", 0, func(i int) sortKey {
 			return sortKey{uint64(rng.Intn(4)) | uint64(rng.Intn(4))<<40, 0}
 		}, []radixDigit{{0, 0, 2}, {0, 40, 2}}},
-		{"across the minor and major words", func(i int) sortKey {
+		{"across the minor and major words", 0, func(i int) sortKey {
 			return sortKey{uint64(rng.Intn(1<<6)) << 58, uint64(rng.Intn(1 << 5))}
 		}, []radixDigit{{0, 58, 6}, {1, 0, 5}}},
-		{"GTC labels", func(i int) sortKey {
+		// One GTC writer's chunk: its rank, and ids 0..65535 shuffled, whose
+		// key images vary in bits 37-62 (15 mantissa and 11 exponent bits).
+		{"one GTC writer's labels", 1 << 16, func(i int) sortKey {
+			return sortKey{keyImage(float64(ids[i])), keyImage(3)}
+		}, []radixDigit{{0, 37, 13}, {0, 50, 13}}},
+		{"GTC labels", 0, func(i int) sortKey {
 			return sortKey{keyImage(float64(rng.Intn(1 << 18))), keyImage(float64(rng.Intn(64)))}
 		}, nil},
-		{"every bit", func(i int) sortKey { return sortKey{rng.Uint64(), rng.Uint64()} }, nil},
-		{"all keys equal", func(i int) sortKey { return sortKey{3, 4} }, []radixDigit{}},
+		{"every bit", 0, func(i int) sortKey { return sortKey{rng.Uint64(), rng.Uint64()} }, nil},
+		{"all keys equal", 0, func(i int) sortKey { return sortKey{3, 4} }, []radixDigit{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			entries := make([]sortEntry, 3000)
-			var varies sortKey
+			entries := make([]sortEntry, cmp.Or(c.n, 3000))
 			for i := range entries {
 				entries[i] = sortEntry{c.key(i), uint64(i)}
-				varies[0] |= entries[i].key[0] ^ entries[0].key[0]
-				varies[1] |= entries[i].key[1] ^ entries[0].key[1]
 			}
-			if c.digits != nil && !slices.Equal(radixDigits(varies), c.digits) {
-				t.Errorf("digits %v, want %v", radixDigits(varies), c.digits)
+			if c.digits != nil && !slices.Equal(radixDigits(keysVary(entries)), c.digits) {
+				t.Errorf("digits %v, want %v", radixDigits(keysVary(entries)), c.digits)
 			}
-			want := slices.Clone(entries)
-			sort.SliceStable(want, func(a, b int) bool {
-				ka, kb := want[a].key, want[b].key
-				return ka[1] < kb[1] || ka[1] == kb[1] && ka[0] < kb[0]
-			})
-			order, keys := make([]uint32, len(entries)), make([]sortKey, len(entries))
-			radixSort(entries, make([]sortEntry, len(entries)), varies, new(radixCounts), order, keys)
-			for i, e := range want {
-				if order[i] != uint32(e.row) || keys[i] != e.key {
-					t.Fatalf("position %d holds row %d keyed %x, the stable reference sort row %d keyed %x",
-						i, order[i], keys[i], e.row, e.key)
-				}
-			}
+			checkRadixSort(t, entries, new([]uint32))
 		})
 	}
+}
+
+// keysVary returns the bits on which some entry's key differs from the
+// first's, as Map computes them.
+func keysVary(entries []sortEntry) sortKey {
+	var varies sortKey
+	for _, e := range entries {
+		varies[0] |= e.key[0] ^ entries[0].key[0]
+		varies[1] |= e.key[1] ^ entries[0].key[1]
+	}
+	return varies
+}
+
+// checkRadixSort fails t unless radixSort, with counts as its histograms'
+// memory, puts entries in the order sort.SliceStable gives them, by key and
+// ties in entry order (each entry's row is its position).
+func checkRadixSort(t *testing.T, entries []sortEntry, counts *[]uint32) {
+	t.Helper()
+	want := slices.Clone(entries)
+	sort.SliceStable(want, func(a, b int) bool {
+		ka, kb := want[a].key, want[b].key
+		return ka[1] < kb[1] || ka[1] == kb[1] && ka[0] < kb[0]
+	})
+	order, keys := make([]uint32, len(entries)), make([]sortKey, len(entries))
+	radixSort(entries, make([]sortEntry, len(entries)), keysVary(entries), counts, order, keys)
+	for i, e := range want {
+		if order[i] != uint32(e.row) || keys[i] != e.key {
+			t.Fatalf("position %d holds row %d keyed %x, the stable reference sort row %d keyed %x",
+				i, order[i], keys[i], e.row, e.key)
+		}
+	}
+}
+
+// FuzzRadixSort: for any key set, radixDigits covers every bit on which
+// two keys differ, with digits no wider than radixBits that cross no word
+// and do not overlap; and radixSort agrees with the stable reference.
+// Each of up to 64 keys is drawn from 16 bytes of the input, masked by the
+// first 16 so that few bits vary.
+func FuzzRadixSort(f *testing.F) {
+	counts := new([]uint32)
+	f.Add(bytes.Repeat([]byte{0xff}, 16*9))
+	f.Add(append(bytes.Repeat([]byte{0}, 15), 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17))
+	f.Add(append([]byte{0xf0, 0xff, 0x1f, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 0, 0, 0, 0x80}, bytes.Repeat([]byte{0x5a, 0xa5, 0x3c}, 60)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 32 || len(data) > 16*65 {
+			return
+		}
+		mask := sortKey{binary.LittleEndian.Uint64(data), binary.LittleEndian.Uint64(data[8:])}
+		entries := make([]sortEntry, 0, len(data)/16)
+		for b := data[16:]; len(b) >= 16; b = b[16:] {
+			key := sortKey{binary.LittleEndian.Uint64(b) & mask[0], binary.LittleEndian.Uint64(b[8:]) & mask[1]}
+			entries = append(entries, sortEntry{key, uint64(len(entries))})
+		}
+		varies := keysVary(entries)
+		digits := radixDigits(varies)
+		var covered sortKey
+		for _, dg := range digits {
+			if dg.width == 0 || dg.width > radixBits || dg.shift+dg.width > 64 {
+				t.Fatalf("digit %+v: want a width of 1..%d inside one word", dg, radixBits)
+			}
+			bits := (uint64(1)<<dg.width - 1) << dg.shift
+			if covered[dg.word]&bits != 0 {
+				t.Fatalf("digits %v overlap", digits)
+			}
+			covered[dg.word] |= bits
+		}
+		if varies[0]&^covered[0] != 0 || varies[1]&^covered[1] != 0 {
+			t.Fatalf("digits %v leave varying bits %x uncovered", digits, [2]uint64{varies[0] &^ covered[0], varies[1] &^ covered[1]})
+		}
+		checkRadixSort(t, entries, counts)
+	})
 }
 
 func BenchmarkSortDump(b *testing.B) {
@@ -695,5 +765,47 @@ func BenchmarkSortDump(b *testing.B) {
 				sortBenchDump(b, fs, chunks, rng)
 			}
 		})
+	}
+}
+
+// sortMapOnly is the sort with Reduce and Finalize dropped: a dump through
+// it is the sort's Initialize and Map, and the engine's small fixed cost.
+type sortMapOnly struct{ *SortOperator }
+
+func (sortMapOnly) Reduce(*staging.Context, int, []any) error { return nil }
+func (sortMapOnly) Finalize(*staging.Context) error           { return nil }
+
+// BenchmarkSortMap is the sort's Map on one chunk of the benchmark's shape —
+// one writer's 65,536 rows of 8 attributes, its ids shuffled — as a dump
+// that verifies on use receives it: decoded from its FFS payload, whose
+// check the key pass folds. Each iteration is a one-rank dump of that one
+// chunk.
+func BenchmarkSortMap(b *testing.B) {
+	const rows = 1 << 16
+	chunks, rng := sortBenchInput(1, rows, false)
+	schema := &ffs.Schema{Name: "particles", Fields: []ffs.Field{
+		{Name: "_rank", Kind: ffs.KindInt64}, {Name: "_timestep", Kind: ffs.KindInt64}, {Name: "p", Kind: ffs.KindArray},
+	}}
+	rec := chunks[0].Record
+	rec["_rank"], rec["_timestep"] = int64(0), int64(0)
+	buf, err := ffs.Encode(schema, rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk, err := staging.DecodeChunk(buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk.Unverified, chunk.Sum = buf, crc32.ChecksumIEEE(buf)
+	op, err := NewSortOperator(SortConfig{Var: "p", KeyMajor: colRank, KeyMinor: colID, MajorRange: rng})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := []staging.Operator{sortMapOnly{op}}
+	b.ReportAllocs()
+	b.SetBytes(rows * attrCount * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runDump(b, [][]*staging.Chunk{{chunk}}, 1, ops)
 	}
 }

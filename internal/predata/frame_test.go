@@ -477,3 +477,52 @@ func BenchmarkPackFrame(b *testing.B) {
 		packedFrame = frame
 	}
 }
+
+// TestUncheckedPullAddsOneAllocation: decoding a chunk pulled with only its
+// seal header checked costs one allocation more than decoding a checked
+// one, the Corrupt hook bound to the pull, which lives inside the
+// pulledChunk; the schema of a repeated chunk is shared, not decoded again.
+func TestUncheckedPullAddsOneAllocation(t *testing.T) {
+	schema := &ffs.Schema{Name: "particles", Fields: []ffs.Field{
+		{Name: "_rank", Kind: ffs.KindInt64}, {Name: "_timestep", Kind: ffs.KindInt64}, {Name: "p", Kind: ffs.KindArray},
+	}}
+	rec := ffs.Record{"_rank": int64(3), "_timestep": int64(1),
+		"p": &ffs.Array{Dims: []uint64{64, 8}, Float64: make([]float64, 64*8)}}
+	payload, err := ffs.Encode(schema, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{}
+	var chunks staging.Decoder
+	decode := func(d *dumpRun) float64 {
+		return testing.AllocsPerRun(100, func() {
+			p := &pulledChunk{writer: 3, buf: payload}
+			if d != nil {
+				p.check = unverifiedPull{s: s, ctx: context.Background(), d: d, req: FetchRequest{Sum: crc32.ChecksumIEEE(payload)}}
+			}
+			chunk, err := p.decode(&chunks)
+			if err != nil || (chunk.Unverified != nil) != (d != nil) || d != nil && chunk.Corrupt == nil {
+				t.Fatalf("decode: %v", err)
+			}
+		})
+	}
+	checked := decode(nil)
+	for _, d := range []*dumpRun{{reduces: true}, {blocks: true}} {
+		if got := decode(d); got != checked+1 {
+			t.Errorf("an unchecked pull (blocks %t) decodes in %v allocations, a checked one in %v: want one more", d.blocks, got, checked)
+		}
+	}
+	if a, b := mustDecode(t, &chunks, payload), mustDecode(t, &chunks, payload); a.Schema != b.Schema {
+		t.Error("a repeated chunk's schema was decoded again")
+	}
+}
+
+// mustDecode decodes payload through chunks.
+func mustDecode(t *testing.T, chunks *staging.Decoder, payload []byte) *staging.Chunk {
+	t.Helper()
+	c, err := chunks.DecodeChunk(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}

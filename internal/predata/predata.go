@@ -602,6 +602,9 @@ type Server struct {
 	// epoch is the membership epoch of the installed communicator; -1
 	// before the first Reconfigure. Epochs only move forward.
 	epoch int64
+	// chunks decodes every chunk this rank pulls, sharing the schema of
+	// chunks that carry the same one.
+	chunks staging.Decoder
 }
 
 // NewServer validates the configuration and returns a server.
@@ -886,7 +889,7 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 	}
 	decode, err = mgr.NewTransformStone(func(e *evpath.Event) (*evpath.Event, error) {
 		p := e.Data.(*pulledChunk)
-		chunk, err := p.decode()
+		chunk, err := p.decode(&s.chunks)
 		if err != nil || chunk == nil {
 			if p.release != nil {
 				p.release()
@@ -899,8 +902,8 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 			return &evpath.Event{Data: chunk}, nil
 		}
 		chunk.Release = p.release
-		if chunk.Unverified != nil {
-			chunk.Release = p.check.done(p.release)
+		if chunk.Unverified != nil && p.check.ackedAtRelease() {
+			p.check.release, chunk.Release = p.release, p.check.releaseAndAck
 		}
 		if flow != nil {
 			if shedding, sampled := flow.ShedClass(); shedding {
@@ -962,11 +965,14 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					adm = a
 				}
 				// A processed chunk of a block-mapped dump is checked in the
-				// engine's walk, one of a dump that verifies in Reduce in
-				// the scatter; neither is checked here.
+				// engine's walk, one of a dump of verifying reducers in the
+				// reorg's scatter or the sort's key pass; neither is checked
+				// here.
+				p := &pulledChunk{writer: req.WriterRank}
 				var check *unverifiedPull
 				if (d.blocks || d.reduces) && (adm == nil || adm.Decision() == flowctl.DecideProcess) {
-					check = &unverifiedPull{s: s, ctx: ctx, d: d, req: req}
+					p.check = unverifiedPull{s: s, ctx: ctx, d: d, req: req}
+					check = &p.check
 				}
 				buf, ok, err := s.pullChunk(ctx, req, d, check)
 				if !ok {
@@ -979,7 +985,8 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					}
 					continue
 				}
-				if err := s.routePulled(ctx, decode, adm, req, &pulledChunk{writer: req.WriterRank, buf: buf, check: check}); err != nil {
+				p.buf = buf
+				if err := s.routePulled(ctx, decode, adm, req, p); err != nil {
 					d.fail(err)
 				}
 			}
@@ -1072,36 +1079,36 @@ func blockMapped(ops []staging.Operator) bool {
 
 // unverifiedPull is a chunk pulled with only its seal header checked: the
 // engine checks the payload against the request's sum — in its walk, or in
-// Reduce and the verify step after it — and calls back
-// (staging.Chunk.Corrupt) on a mismatch.
+// Map or Reduce and the verify step after Reduce — and calls back
+// (staging.Chunk.Corrupt) on a mismatch. It lives inside its pulledChunk,
+// so the chunk's hooks are its own methods, and the one allocation an
+// unchecked pull adds is the Corrupt hook (and, when the region is acked
+// at release, the Release hook).
 type unverifiedPull struct {
-	s       *Server
+	s       *Server // nil when the payload was checked at the pull
 	ctx     context.Context
 	d       *dumpRun
 	req     FetchRequest
-	attempt int // the pull attempt the payload came from
+	attempt int    // the pull attempt the payload came from
+	release func() // the chunk's budget release, when releaseAndAck wraps it
 }
 
-// done returns the chunk's Release hook, which returns the budget credits
-// after the chunk's first Maps. In a block-mapped dump the engine's reads
-// of the payload are over by then — after the walk, or after the Maps
-// that follow a whole-payload check — so it also acks the writer's region:
-// block mappers emit nothing that aliases the payload, and a re-pulled
-// copy is read only before Release. A region that failed its check is on
-// d.held as well; acking it twice is a no-op. A chunk whose check waits
-// for Reduce is read again after Release — by the scatter, the verify
-// step and any redo — so its region is held to the end of the dump, like
-// a chunk's checked at the pull.
-func (u *unverifiedPull) done(release func()) func() {
-	if !u.ackedAtRelease() {
-		return release
+// releaseAndAck is the chunk's Release hook when its region is acked at
+// release (ackedAtRelease): it returns the budget credits after the chunk's
+// first Maps, and acks the writer's region, since in a block-mapped dump
+// the engine's reads of the payload are over by then — after the walk, or
+// after the Maps that follow a whole-payload check: block mappers emit
+// nothing that aliases the payload, and a re-pulled copy is read only
+// before Release. A region that failed its check is on d.held as well;
+// acking it twice is a no-op. A chunk whose check waits for Reduce is read
+// again after Release — by the scatter, the verify step and any redo — so
+// its region is held to the end of the dump, like a chunk's checked at the
+// pull, and its Release hook is the budget's own.
+func (u *unverifiedPull) releaseAndAck() {
+	if u.release != nil {
+		u.release()
 	}
-	return func() {
-		if release != nil {
-			release()
-		}
-		u.ack()
-	}
+	u.ack()
 }
 
 // ackedAtRelease reports whether the writer's region is acked when the
@@ -1140,7 +1147,7 @@ func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 	if err = s.retryAfter(req, d, u.attempt, err); err == nil {
 		var frame []byte
 		if frame, _, _, err = s.pullWithRetry(u.ctx, req, d, u.attempt+1, false); err == nil {
-			return staging.DecodeChunk(frame[staging.SealOverhead:])
+			return s.chunks.DecodeChunk(frame[staging.SealOverhead:])
 		}
 	}
 	return nil, s.lost(req, d, err)
@@ -1154,16 +1161,16 @@ type pulledChunk struct {
 	writer  int
 	buf     []byte
 	release func()
-	check   *unverifiedPull
+	check   unverifiedPull // check.s is nil when the payload was checked
 }
 
-// decode decodes the chunk, handing an unchecked payload's check on to
-// the engine. An unchecked payload that fails to decode is checksummed
-// first: a mismatch is corruption, taken through the re-pull path (nil
-// once dropped), while intact bytes are a real decode error.
-func (p *pulledChunk) decode() (*staging.Chunk, error) {
-	chunk, err := staging.DecodeChunk(p.buf)
-	if p.check == nil {
+// decode decodes the chunk through chunks, handing an unchecked payload's
+// check on to the engine. An unchecked payload that fails to decode is
+// checksummed first: a mismatch is corruption, taken through the re-pull
+// path (nil once dropped), while intact bytes are a real decode error.
+func (p *pulledChunk) decode(chunks *staging.Decoder) (*staging.Chunk, error) {
+	chunk, err := chunks.DecodeChunk(p.buf)
+	if p.check.s == nil {
 		return chunk, err
 	}
 	if err != nil {
@@ -1203,7 +1210,7 @@ func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flo
 		if p.release != nil {
 			p.release()
 		}
-		if p.check != nil {
+		if p.check.s != nil {
 			p.check.ack() // the dump fails; its region must not outlive it
 		}
 		return err

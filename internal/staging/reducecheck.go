@@ -9,11 +9,15 @@ import (
 	"predata/internal/mpi"
 )
 
-// VerifyingReducer is an optional Operator extension for an operator whose
-// Reduce reads every payload byte of the arrays its Map emits, once and in
-// order, so the chunk's check can ride that read instead of a pass of its
-// own. Its Map emits each array it uses as a View (Context.View), and its
-// Reduce calls the view's Fold right after it reads each run of rows.
+// VerifyingReducer is an optional Operator extension for an operator that
+// reads every payload byte of the arrays it uses once and in order, in its
+// Map or in its Reduce, so the chunk's check can ride that read instead of
+// a pass of its own. Its Map emits each array it uses as a View
+// (Context.View), and whichever of Map or Reduce reads the rows calls the
+// view's Fold right after it reads each run of them: the reorg folds in its
+// Reduce scatter, the sort in its Map key pass, emitting the folded view to
+// its own rank. Either way the view must reach some Reduce through the
+// shuffle: that is how its sum reaches the verify step.
 //
 // When every operator of a dump is one, an unchecked chunk
 // (Chunk.Unverified) reaches Map with its check still pending: the views
@@ -43,8 +47,8 @@ func VerifiesInReduce(ops []Operator) bool {
 // View is one float64 array of a chunk as a VerifyingReducer's Map emits
 // it. While the chunk is unchecked, the view carries the part of the
 // chunk's check that covers the array's payload bytes — the payload's own
-// little-endian words, so the sum does not depend on the host — and Reduce
-// folds the rows it reads into it (Fold).
+// little-endian words, so the sum does not depend on the host — and the
+// Map or Reduce that reads the rows folds them into it (Fold).
 type View struct {
 	Array *ffs.Array
 
@@ -121,8 +125,9 @@ func (cs *checks) add(chunk *Chunk) {
 // check is an unchecked chunk's check against its Sum, built from where
 // Decode found the record's float64 arrays (Chunk.extents): one part per
 // array, folded where the part is read — block by block in the engine's
-// walk for a BlockMapper, through View.Fold in the Reduce scatter for a
-// VerifyingReducer. matches sums every other byte and judges.
+// walk for a BlockMapper, through View.Fold for a VerifyingReducer (the
+// reorg's Reduce scatter, the sort's Map key pass). matches sums every
+// other byte and judges.
 type check struct {
 	parts []part // each extent's folded sum, indexed like the extents
 	seq   int    // the chunk's index among its rank's pending checks

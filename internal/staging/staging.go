@@ -68,12 +68,13 @@ type Chunk struct {
 	// sees the chunk is a BlockMapper and the record has one float64
 	// array, in the engine's walk over its blocks, before any operator
 	// emits; when every operator of the dump is a VerifyingReducer, in the
-	// Reduce that scatters the arrays, settled by the verify step after
-	// it. Every other byte is summed when the check is judged. Any other
-	// chunk is checked whole before its first Map, and a chunk whose
-	// Record DecodeChunk did not decode from these very bytes is checked
-	// whole, never walked. On a mismatch the engine drops whatever it
-	// built from the payload and calls Corrupt.
+	// Map or Reduce that reads the arrays (the sort's key pass, the reorg's
+	// scatter), settled by the verify step after Reduce. Every other byte
+	// is summed when the check is judged. Any other chunk is checked whole
+	// before its first Map, and a chunk whose Record DecodeChunk did not
+	// decode from these very bytes is checked whole, never walked. On a
+	// mismatch the engine drops whatever it built from the payload and
+	// calls Corrupt.
 	Unverified []byte
 	Sum        uint32
 	// Corrupt returns a re-pulled copy of the chunk to map in this one's
@@ -661,7 +662,18 @@ func closedFeed(chunks []*Chunk) <-chan *Chunk {
 // Chunk. The buffer must carry the writer rank and timestep under the
 // reserved field names "_rank" and "_timestep" (the predata compute
 // runtime adds them when packing).
-func DecodeChunk(buf []byte) (*Chunk, error) {
+func DecodeChunk(buf []byte) (*Chunk, error) { return decodeChunk(nil, buf) }
+
+// A Decoder decodes one stream of chunks: a chunk whose schema bytes repeat
+// the last chunk's shares that chunk's *ffs.Schema (ffs.Decoder). The zero
+// value is ready for use, also by concurrent goroutines.
+type Decoder struct{ schemas ffs.Decoder }
+
+// DecodeChunk is DecodeChunk through d's schema.
+func (d *Decoder) DecodeChunk(buf []byte) (*Chunk, error) { return decodeChunk(&d.schemas, buf) }
+
+// decodeChunk is DecodeChunk through schemas, which may be nil.
+func decodeChunk(schemas *ffs.Decoder, buf []byte) (*Chunk, error) {
 	// The pipeline hands over a raw FFS payload: verified at the pull, or
 	// still unchecked for the engine's walk (Chunk.Unverified, which the
 	// caller sets). Accepting a still-sealed chunk (verifying it in
@@ -673,7 +685,7 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 		}
 		buf = payload
 	}
-	schema, rec, layout, err := ffs.DecodeExtents(buf)
+	schema, rec, layout, err := schemas.DecodeExtents(buf)
 	if err != nil {
 		return nil, err
 	}
