@@ -40,8 +40,8 @@ var bites = []bite{
 		"return nil, 0, fmt.Errorf(\"fabric: Pull from endpoint %d: %w\", h.Endpoint, faults.ErrEndpointDown)"},
 	// A decoded chunk is dropped instead of handed to the engine.
 	{"mustrelease", "predata/internal/predata", "predata.go",
-		"return chunk, err",
-		"return nil, err"},
+		"return chunk, nil",
+		"return nil, nil"},
 	// The revive wait loses its dump deadline; the transient case's
 	// attempt budget must not stand in for it.
 	{"ctxdeadline", "predata/internal/predata", "predata.go",

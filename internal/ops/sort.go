@@ -190,12 +190,9 @@ const (
 
 // sortScratch is the transient memory of one Map: entries, the radix
 // passes' other buffer and histograms, rows per destination. None of it
-// outlives the call, so it is recycled through scratchPool rather than
-// allocated per chunk, and so is one Reduce's merge plan through planPool.
-// The pools are package-level because a pipeline builds a fresh operator
-// for every dump, and apart so that an object the collector drops costs
-// only its own buffers to make again: a Map's scratch never carries a
-// merge plan.
+// outlives the call, so it is recycled through scratches rather than
+// allocated per chunk, and so is one Reduce's merge plan through plans:
+// package-level lists, since a pipeline builds a fresh operator per dump.
 type sortScratch struct {
 	entries, spare []sortEntry
 	counts         []uint32 // the radix passes' histograms, one after another
@@ -203,9 +200,34 @@ type sortScratch struct {
 }
 
 var (
-	scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
-	planPool    = sync.Pool{New: func() any { return new([]rowRef) }}
+	scratches freeList[sortScratch]
+	plans     freeList[[]rowRef]
 )
+
+// freeList recycles values as a sync.Pool does, but the collector never
+// empties it, so a scratch idle across two collections is not made again.
+// It makes a value only while all it made are in use, so it holds no more
+// than were ever in use at once.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *freeList[T]) get() (v *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		v, l.free = l.free[n-1], l.free[:n-1]
+		return v
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(v *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, v)
+}
 
 // resize returns s with length n, reallocating only when it lacks the
 // capacity; the contents are undefined.
@@ -249,8 +271,8 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	// folds each block of rows into the chunk's check while it is in cache.
 	ranks := ctx.Ranks()
 	src := arr.Float64
-	sc := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(sc)
+	sc := scratches.get()
+	defer scratches.put(sc)
 	sc.entries, sc.spare = resize(sc.entries, rows), resize(sc.spare, rows)
 	sc.dests = resize(sc.dests, ranks)
 	counts := sc.dests
@@ -405,8 +427,8 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 		}
 		s.pg, s.sorted = pg, pg.Chunks[0].Data
 	}
-	plan := planPool.Get().(*[]rowRef)
-	defer planPool.Put(plan)
+	plan := plans.get()
+	defer plans.put(plan)
 	*plan = resize(*plan, rows)
 	planMerge(runs, *plan)
 	if err := gather(s.sorted, s.k, runs, *plan, s.pg); err != nil {

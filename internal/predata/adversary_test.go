@@ -2,13 +2,18 @@ package predata
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"predata/internal/elastic"
 	"predata/internal/faults"
+	"predata/internal/flowctl"
+	"predata/internal/staging"
 	"predata/internal/trace"
+	"predata/internal/wal"
 )
 
 // Adversarial-wire soak: corrupt, partition and degrade legs under each
@@ -224,6 +229,131 @@ func TestSourceCorruptionFallsThroughToShed(t *testing.T) {
 	if vrep.Checks[trace.RuleCorruptQuarantine] == 0 {
 		t.Errorf("corrupt drops recorded but quarantine unchecked: %+v", vrep)
 	}
+}
+
+// TestCorruptLadderSpillAndPass drives the overload ladder — spill
+// escalating straight to raw pass-through — under wire corruption. A
+// spilled chunk is pulled with only its seal header checked and checked
+// once it is replayed, re-pulled from its writer's region on a mismatch; a
+// passed one is checked at the pull, so its pass log holds only intact
+// bytes. Every CRC failure heals; each dump is the fault-free run's or
+// explicitly Degraded; the processed and the passed values together are
+// every writer's values, once; and every pass-log record decodes to its
+// writer's values.
+func TestCorruptLadderSpillAndPass(t *testing.T) {
+	const (
+		numCompute = 16
+		numStaging = 2
+		dumps      = 2
+		perRank    = 40_000 // ~320 KB a chunk, 8 chunks a rank a dump against a 1 MB budget
+	)
+	var wrong atomic.Int64
+	run := func(spec, spillDir string) *PipelineResult {
+		t.Helper()
+		cfg := PipelineConfig{
+			NumCompute:       numCompute,
+			NumStaging:       numStaging,
+			Dumps:            dumps,
+			PartialCalculate: localMinMax,
+			Aggregate:        globalMinMax,
+			PullConcurrency:  4,
+			BufferMB:         1,
+			Overload: flowctl.Policy{
+				Patience:        time.Millisecond,
+				SpillLimitBytes: 1, // the first spilled byte escalates
+				PassLimitBytes:  1, // straight to raw pass-through
+				SpillDir:        spillDir,
+			},
+			Timeout: 2 * time.Minute,
+		}
+		if spec != "" {
+			plan, err := faults.ParsePlan(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.FaultPlan = &plan
+		}
+		return runDrained(t, cfg, chaoticCompute(dumps, perRank), func(int) []staging.Operator {
+			return []staging.Operator{&writersHist{
+				slowHist: slowHist{minmaxHist: minmaxHist{bins: 16}, perChunk: 5 * time.Millisecond},
+				perRank:  perRank, wrong: &wrong,
+			}}
+		})
+	}
+	clean := run("", t.TempDir())
+	spillDir := t.TempDir()
+	res := run("corrupt:*:0.2:pull", spillDir)
+	if rep := res.Fault; rep == nil || rep.CorruptPulls == 0 || rep.CorruptDrops != 0 {
+		t.Fatalf("want healed CRC failures: %+v", rep)
+	}
+	ov := res.Overload
+	if ov == nil || ov.SpilledChunks == 0 || ov.ReplayedChunks != ov.SpilledChunks || ov.PassedChunks == 0 {
+		t.Fatalf("the ladder never spilled, replayed and passed: %+v", ov)
+	}
+
+	passed := make([]int64, dumps) // values in the pass logs, by dump
+	var records int
+	logs, err := filepath.Glob(filepath.Join(spillDir, "predata-pass-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range logs {
+		err := wal.Scan(dir, func(rec wal.Record) error {
+			records++
+			chunk, err := staging.DecodeChunk(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("pass-log record of writer %d: %w", rec.Writer, err)
+			}
+			vals, _ := chunk.Record["values"].([]float64)
+			if chunk.WriterRank != rec.Writer || chunk.Timestep != rec.Timestep ||
+				!reflect.DeepEqual(vals, chaoticValues(rec.Writer, int(rec.Timestep), perRank)) {
+				t.Errorf("pass-log record of writer %d dump %d is not its writer's values", rec.Writer, rec.Timestep)
+			}
+			passed[rec.Timestep] += int64(len(vals))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Errorf("%d chunks reached Map with values that are not their writer's", n)
+	}
+	if records != int(ov.PassedChunks) {
+		t.Errorf("%d pass-log records, %d chunks passed", records, ov.PassedChunks)
+	}
+	for dump := 0; dump < dumps; dump++ {
+		processed := int64(0)
+		for rank := 0; rank < numStaging; rank++ {
+			r := res.StagingResults[rank][dump]
+			bins, _ := r.PerOperator["minmaxhist"]["bins"].(map[int]int64)
+			for _, n := range bins {
+				processed += n
+			}
+			if !r.Degraded && !reflect.DeepEqual(r.PerOperator, clean.StagingResults[rank][dump].PerOperator) {
+				t.Errorf("rank %d dump %d: not Degraded yet differs from the fault-free run", rank, dump)
+			}
+		}
+		if total := processed + passed[dump]; total != numCompute*perRank {
+			t.Errorf("dump %d: %d values processed and %d passed, want %d in all", dump, processed, passed[dump], numCompute*perRank)
+		}
+	}
+}
+
+// writersHist is slowHist counting the chunks it maps whose values are
+// not the ones chaoticCompute's writer wrote.
+type writersHist struct {
+	slowHist
+	perRank int
+	wrong   *atomic.Int64
+}
+
+func (h *writersHist) Map(ctx *staging.Context, chunk *staging.Chunk) error {
+	vals, _ := chunk.Record["values"].([]float64)
+	if !reflect.DeepEqual(vals, chaoticValues(chunk.WriterRank, int(chunk.Timestep), h.perRank)) {
+		h.wrong.Add(1)
+	}
+	return h.slowHist.Map(ctx, chunk)
 }
 
 // TestPartitionPlanValidation: partition endpoints must exist in the

@@ -5,8 +5,9 @@ package predata_test
 // checked, and the engine checks the payload in the walk that bins it. These
 // tests hold that path to the contract the pull-time check kept — corrupted
 // bytes never reach Reduce, wire corruption heals bit-identically, a bad
-// source copy ends Degraded with the quarantine rule checking it — and keep a
-// dump with any other operator on the pull-time check.
+// source copy ends Degraded with the quarantine rule checking it — and hold
+// a dump with any other operator to a whole-payload check before its first
+// Map.
 
 import (
 	"fmt"
@@ -216,19 +217,27 @@ func TestAdversaryHistogramVerifyOnUse(t *testing.T) {
 		}
 	})
 	t.Run("wire/budget", func(t *testing.T) {
-		// Under a 1 MB budget each pull is admitted first; a processed
-		// chunk is checked in the walk, a spilled or passed one at the
-		// pull. The output is the fault-free run's or explicitly Degraded.
-		res, _, _ := bmRun(t, "corrupt:*:0.15:pull", 1, bmHistOps(t), func(cfg *predata.PipelineConfig) {
+		// Under a 1 MB budget, two chunks' worth, each pull is admitted
+		// first, and behind a histogram that takes 5 ms a chunk a rank's
+		// third chunk of a dump waits out the patience and spills. A
+		// processed chunk is checked in the walk, a spilled one in the walk
+		// once it is replayed. The output is the fault-free run's or
+		// explicitly Degraded.
+		paced := func(dump int) []staging.Operator {
+			hs := bmHistOps(t)(dump)
+			hs[0] = pacedHist{hs[0].(*ops.HistogramOperator), 5 * time.Millisecond}
+			return hs
+		}
+		res, _, _ := bmRun(t, "corrupt:*:0.15:pull", 1, paced, func(cfg *predata.PipelineConfig) {
 			cfg.BufferMB, cfg.PullConcurrency = 1, 4
-			cfg.Overload = flowctl.Policy{Patience: 2 * time.Millisecond, SpillDir: t.TempDir()}
+			cfg.Overload = flowctl.Policy{Patience: time.Millisecond, SpillDir: t.TempDir()}
 		})
 		bmCheck(t, clean, res, true)
 		if rep := res.Fault; rep == nil || rep.CorruptPulls == 0 || rep.CorruptDrops != 0 {
 			t.Errorf("want healed CRC failures: %+v", rep)
 		}
-		if res.Overload == nil {
-			t.Error("no overload report under a budget")
+		if ov := res.Overload; ov == nil || ov.SpilledChunks == 0 || ov.ReplayedChunks != ov.SpilledChunks {
+			t.Errorf("want spilled chunks, each replayed: %+v", ov)
 		}
 	})
 	t.Run("source", func(t *testing.T) {
@@ -289,6 +298,23 @@ func TestCorruptLastBlockHealsBitIdentically(t *testing.T) {
 	}
 }
 
+// pacedHist is the histogram operator with a modeled Map cost per chunk:
+// a consumer slower than the pulls, so a budget fills and chunks spill.
+type pacedHist struct {
+	*ops.HistogramOperator
+	perChunk time.Duration
+}
+
+func (p pacedHist) StartMap(ctx *staging.Context, chunk *staging.Chunk) (staging.RowMapper, error) {
+	time.Sleep(p.perChunk)
+	return p.HistogramOperator.StartMap(ctx, chunk)
+}
+
+func (p pacedHist) Map(ctx *staging.Context, chunk *staging.Chunk) error {
+	time.Sleep(p.perChunk)
+	return p.HistogramOperator.Map(ctx, chunk)
+}
+
 // watchedHist is the histogram operator, counting the chunks that reach it
 // with their payload still unchecked.
 type watchedHist struct {
@@ -327,12 +353,13 @@ func (p plainOp) Map(_ *staging.Context, chunk *staging.Chunk) error {
 	return nil
 }
 
-// TestCorruptMixedDumpChecksAtPull: a dump that mixes a block mapper with
-// an operator that is not one keeps the pull-time check, so under wire
-// corruption no chunk reaches either operator unchecked, and the output is
-// still the fault-free run's. The same histogram alone gets every chunk
-// unchecked: the engine's walk checks it.
-func TestCorruptMixedDumpChecksAtPull(t *testing.T) {
+// TestCorruptMixedDumpChecksBeforeMap: a dump that mixes a block mapper
+// with an operator that is not one checks each payload whole before its
+// first Map, so under wire corruption no chunk reaches either operator
+// unchecked — not in Map, not in StartMap — and the output is still the
+// fault-free run's. The same histogram alone gets every chunk unchecked:
+// the engine's walk checks it.
+func TestCorruptMixedDumpChecksBeforeMap(t *testing.T) {
 	var unverified atomic.Int64
 	watched := func(plain bool) predata.OperatorFactory {
 		return func(int) []staging.Operator {
@@ -351,7 +378,7 @@ func TestCorruptMixedDumpChecksAtPull(t *testing.T) {
 	res, _, _ := bmRun(t, "corrupt:*:0.2:pull", 2, watched(true), nil)
 	bmSameAsClean(t, clean, res)
 	if rep := res.Fault; rep == nil || rep.CorruptPulls == 0 {
-		t.Fatalf("want CRC failures at the pull: %+v", rep)
+		t.Fatalf("want CRC failures: %+v", rep)
 	}
 	if n := unverified.Load(); n != 0 {
 		t.Fatalf("%d chunks of a mixed dump reached an operator unchecked", n)

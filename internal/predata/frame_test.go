@@ -479,9 +479,9 @@ func BenchmarkPackFrame(b *testing.B) {
 }
 
 // TestUncheckedPullAddsOneAllocation: decoding a chunk pulled with only its
-// seal header checked costs one allocation more than decoding a checked
-// one, the Corrupt hook bound to the pull, which lives inside the
-// pulledChunk; the schema of a repeated chunk is shared, not decoded again.
+// seal header checked costs one allocation more than decoding its payload,
+// the Corrupt hook bound to the pull, which lives inside the pulledChunk;
+// the schema of a repeated chunk is shared, not decoded again.
 func TestUncheckedPullAddsOneAllocation(t *testing.T) {
 	schema := &ffs.Schema{Name: "particles", Fields: []ffs.Field{
 		{Name: "_rank", Kind: ffs.KindInt64}, {Name: "_timestep", Kind: ffs.KindInt64}, {Name: "p", Kind: ffs.KindArray},
@@ -494,22 +494,18 @@ func TestUncheckedPullAddsOneAllocation(t *testing.T) {
 	}
 	s := &Server{}
 	var chunks staging.Decoder
-	decode := func(d *dumpRun) float64 {
-		return testing.AllocsPerRun(100, func() {
-			p := &pulledChunk{writer: 3, buf: payload}
-			if d != nil {
-				p.check = unverifiedPull{s: s, ctx: context.Background(), d: d, req: FetchRequest{Sum: crc32.ChecksumIEEE(payload)}}
-			}
+	checked := testing.AllocsPerRun(100, func() { mustDecode(t, &chunks, payload) })
+	for _, d := range []*dumpRun{{}, {blocks: true}} {
+		p := &pulledChunk{writer: 3, buf: payload,
+			check: unverifiedPull{s: s, ctx: context.Background(), d: d, req: FetchRequest{Sum: crc32.ChecksumIEEE(payload)}}}
+		got := testing.AllocsPerRun(100, func() {
 			chunk, err := p.decode(&chunks)
-			if err != nil || (chunk.Unverified != nil) != (d != nil) || d != nil && chunk.Corrupt == nil {
+			if err != nil || chunk.Unverified == nil || chunk.Corrupt == nil {
 				t.Fatalf("decode: %v", err)
 			}
 		})
-	}
-	checked := decode(nil)
-	for _, d := range []*dumpRun{{reduces: true}, {blocks: true}} {
-		if got := decode(d); got != checked+1 {
-			t.Errorf("an unchecked pull (blocks %t) decodes in %v allocations, a checked one in %v: want one more", d.blocks, got, checked)
+		if got != checked+1 {
+			t.Errorf("an unchecked pull (blocks %t) decodes in %v allocations, its payload in %v: want one more", d.blocks, got, checked)
 		}
 	}
 	if a, b := mustDecode(t, &chunks, payload), mustDecode(t, &chunks, payload); a.Schema != b.Schema {

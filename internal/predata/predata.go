@@ -734,21 +734,15 @@ type dumpRun struct {
 	// replay marks a crashall's finishing dump: every pull re-pulls a
 	// chunk a crashed incarnation had already pulled once.
 	replay bool
-	// blocks marks a dump whose operators all map block by block, reduces
-	// one whose operators all verify in Reduce: a chunk either processes
-	// is pulled with only its seal header checked
-	// (staging.Chunk.Unverified), and the engine checks the payload in its
-	// walk, or in the Reduce that scatters it and the verify step after
-	// (staging.VerifyingReducer).
-	blocks, reduces bool
-	mu              sync.Mutex // guards stats, held and err while the feed runs
-	// held lists the regions pulled and acknowledged only at the end of
-	// the dump: every chunk the staging side may still read after it is
-	// mapped (views into the frame feed Reduce and Finalize) and, with a
-	// journal, every chunk — its region is the copy a crash would leave
-	// until the dump commits.
-	held []fabric.Handle
-	err  error
+	// blocks marks a dump whose operators all map block by block: none
+	// emits a view into a frame, so no rank waits for the others to ack.
+	blocks bool
+	mu     sync.Mutex // guards stats, held, spilled and err while the feed runs
+	// held lists the regions acked at the end of the dump: every one but a
+	// processed chunk's of a block-mapped dump without a journal.
+	held    []fabric.Handle
+	spilled map[int]unverifiedPull // each spilled chunk's pull, by writer
+	err     error
 }
 
 // fail stores the first feed failure.
@@ -776,8 +770,7 @@ func (d *dumpRun) failed() bool {
 // journaled dump keeps them for the re-pull.
 func (s *Server) reduceDump(timestep int64, ops []staging.Operator, reqs []FetchRequest, d *dumpRun) (*staging.Result, error) {
 	stats := d.stats
-	d.blocks = blockMapped(ops)
-	d.reduces = staging.VerifiesInReduce(ops)
+	d.blocks = staging.BlockMapped(ops)
 	start := time.Now()
 	sp := s.cfg.Tracer.Begin(trace.PhaseAggregate, s.cfg.Endpoint.ID(), -1, timestep, -1)
 	local := make([]RankPartial, len(reqs))
@@ -902,8 +895,8 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 			return &evpath.Event{Data: chunk}, nil
 		}
 		chunk.Release = p.release
-		if chunk.Unverified != nil && p.check.ackedAtRelease() {
-			p.check.release, chunk.Release = p.release, p.check.releaseAndAck
+		if !p.check.held {
+			chunk.Release = p.releaseAndAck
 		}
 		if flow != nil {
 			if shedding, sampled := flow.ShedClass(); shedding {
@@ -937,7 +930,7 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 // feedPulled submits one dump's chunks — reqs is in stream order — to
 // the stone graph's decode stone and returns once the last one is in: a
 // bounded pool of pull workers moves each request's chunk over the
-// fabric — admitted against the budget, CRC-verified — and submits it;
+// fabric — admitted against the budget, header-checked — and submits it;
 // once every pull is issued, spilled chunks are replayed behind them.
 func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone) {
 	var workers sync.WaitGroup
@@ -964,14 +957,15 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					}
 					adm = a
 				}
-				// A processed chunk of a block-mapped dump is checked in the
-				// engine's walk, one of a dump of verifying reducers in the
-				// reorg's scatter or the sort's key pass; neither is checked
-				// here.
+				// The engine checks every processed or spilled chunk's
+				// payload (staging.Chunk.Unverified); only a passed one,
+				// whose one reader is the pass log, is checked here.
 				p := &pulledChunk{writer: req.WriterRank}
 				var check *unverifiedPull
-				if (d.blocks || d.reduces) && (adm == nil || adm.Decision() == flowctl.DecideProcess) {
-					p.check = unverifiedPull{s: s, ctx: ctx, d: d, req: req}
+				if adm == nil || adm.Decision() != flowctl.DecidePass {
+					spill := adm != nil && adm.Decision() == flowctl.DecideSpill
+					p.check = unverifiedPull{s: s, ctx: ctx, d: d, req: req,
+						held: !d.blocks || s.cfg.Journal != nil || spill}
 					check = &p.check
 				}
 				buf, ok, err := s.pullChunk(ctx, req, d, check)
@@ -986,7 +980,7 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					continue
 				}
 				p.buf = buf
-				if err := s.routePulled(ctx, decode, adm, req, p); err != nil {
+				if err := s.routePulled(ctx, d, decode, adm, req, p); err != nil {
 					d.fail(err)
 				}
 			}
@@ -1001,9 +995,10 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 		// Lossless completion: replay the spill log through the same
 		// stone graph before the engine's stream ends, acquiring real
 		// budget credits per chunk so replay drains no faster than the
-		// engine.
+		// engine. A replayed chunk is checked as a processed one is.
 		err := d.flow.Replay(ctx, func(writer int, ts int64, payload []byte, release func()) error {
-			return decode.SubmitContext(ctx, &evpath.Event{Data: &pulledChunk{writer: writer, buf: payload, release: release}})
+			check := d.spilled[writer] // the pull workers are done
+			return decode.SubmitContext(ctx, &evpath.Event{Data: &pulledChunk{writer: writer, buf: payload, release: release, check: check}})
 		})
 		if err != nil {
 			d.fail(fmt.Errorf("predata: spill replay: %w", err))
@@ -1012,10 +1007,10 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 }
 
 // pullChunk moves one request's chunk to this rank and returns its
-// payload: verified, or, with check set, with only its seal header
-// checked, check recording the attempt it came from. A chunk lost for good
-// is recorded by lost (ok false, no error); anything else lost returns is
-// an error that aborts the dump.
+// payload: with check set, with only its seal header checked, check
+// recording the attempt it came from; without, verified whole (a passed
+// chunk). A chunk lost for good is recorded by lost (ok false, no error);
+// anything else lost returns is an error that aborts the dump.
 func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, check *unverifiedPull) (payload []byte, ok bool, err error) {
 	frame, modeled, attempt, err := s.pullWithRetry(ctx, req, d, 0, check != nil)
 	if err != nil {
@@ -1027,7 +1022,7 @@ func (s *Server) pullChunk(ctx context.Context, req FetchRequest, d *dumpRun, ch
 	payload = frame[staging.SealOverhead:]
 	d.mu.Lock()
 	d.stats.addPull(len(payload), modeled)
-	if check == nil || !check.ackedAtRelease() {
+	if check == nil || check.held {
 		d.held = append(d.held, req.Handle)
 	}
 	if d.replay {
@@ -1067,60 +1062,27 @@ func (s *Server) lost(req FetchRequest, d *dumpRun, err error) error {
 	return nil
 }
 
-// blockMapped reports whether every operator maps chunks block by block.
-func blockMapped(ops []staging.Operator) bool {
-	for _, op := range ops {
-		if _, ok := op.(staging.BlockMapper); !ok {
-			return false
-		}
-	}
-	return len(ops) > 0
-}
-
-// unverifiedPull is a chunk pulled with only its seal header checked: the
-// engine checks the payload against the request's sum — in its walk, or in
-// Map or Reduce and the verify step after Reduce — and calls back
-// (staging.Chunk.Corrupt) on a mismatch. It lives inside its pulledChunk,
-// so the chunk's hooks are its own methods, and the one allocation an
-// unchecked pull adds is the Corrupt hook (and, when the region is acked
-// at release, the Release hook).
+// unverifiedPull is a processed or spilled chunk, pulled with only its
+// seal header checked: the engine checks the payload against the
+// request's sum and calls back (staging.Chunk.Corrupt) on a mismatch. It
+// lives inside its pulledChunk, so the chunk's hooks are its own methods:
+// one allocation for the Corrupt hook, and one for the Release hook when
+// the region is not held.
 type unverifiedPull struct {
-	s       *Server // nil when the payload was checked at the pull
+	s       *Server
 	ctx     context.Context
 	d       *dumpRun
 	req     FetchRequest
-	attempt int    // the pull attempt the payload came from
-	release func() // the chunk's budget release, when releaseAndAck wraps it
+	attempt int // the pull attempt the payload came from
+	// held: the region is acked at the end of the dump (d.held), not at
+	// the engine's Release (pulledChunk.releaseAndAck).
+	held bool
 }
-
-// releaseAndAck is the chunk's Release hook when its region is acked at
-// release (ackedAtRelease): it returns the budget credits after the chunk's
-// first Maps, and acks the writer's region, since in a block-mapped dump
-// the engine's reads of the payload are over by then — after the walk, or
-// after the Maps that follow a whole-payload check: block mappers emit
-// nothing that aliases the payload, and a re-pulled copy is read only
-// before Release. A region that failed its check is on d.held as well;
-// acking it twice is a no-op. A chunk whose check waits for Reduce is read
-// again after Release — by the scatter, the verify step and any redo — so
-// its region is held to the end of the dump, like a chunk's checked at the
-// pull, and its Release hook is the budget's own.
-func (u *unverifiedPull) releaseAndAck() {
-	if u.release != nil {
-		u.release()
-	}
-	u.ack()
-}
-
-// ackedAtRelease reports whether the writer's region is acked when the
-// engine releases the chunk rather than held to the end of the dump: only
-// a block-mapped dump's, and only without a journal, which holds every
-// region until the dump commits.
-func (u *unverifiedPull) ackedAtRelease() bool { return u.d.blocks && u.s.cfg.Journal == nil }
 
 // ack releases the writer's region, unless it is held to the end of the
 // dump.
 func (u *unverifiedPull) ack() {
-	if !u.ackedAtRelease() {
+	if u.held {
 		return
 	}
 	if err := u.s.cfg.Endpoint.Ack(u.req.Handle); err != nil {
@@ -1130,16 +1092,16 @@ func (u *unverifiedPull) ack() {
 
 // corrupt takes a failed payload check as the CRC failure of the attempt
 // the payload came from, and carries on as pullWithRetry would: re-pull
-// under the same backoff and attempt budget — verifying at the pull now —
-// and decode. From here the region is held to the end of the dump, like
-// any chunk's mapped from a verified pull, unless the re-pulls give up and
-// release it (retryAfter). It returns the intact chunk, or nil once the
-// chunk is dropped (lost records it).
+// under the same backoff and attempt budget — verifying at the pull now,
+// so the copy it hands back is checked — and decode. From here the region
+// is held to the end of the dump unless the re-pulls give up and release
+// it (retryAfter). It returns the intact chunk, or nil once the chunk is
+// dropped (lost records it).
 func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 	s, d, req := u.s, u.d, u.req
 	err := fmt.Errorf("predata: chunk from rank %d attempt %d: payload checksum: %w",
 		req.WriterRank, u.attempt, staging.ErrCorrupt)
-	if u.ackedAtRelease() { // otherwise d.held has it already
+	if !u.held { // otherwise d.held has it already
 		d.mu.Lock()
 		d.held = append(d.held, req.Handle)
 		d.mu.Unlock()
@@ -1154,25 +1116,35 @@ func (u *unverifiedPull) corrupt() (*staging.Chunk, error) {
 }
 
 // pulledChunk is the decode stone's event payload: a chunk's writer and
-// packed bytes plus, when the chunk was admitted against the budget, the
-// lease release hook the decode stone attaches to the decoded Chunk,
-// and, when the payload is still unchecked, the pull to call back.
+// unchecked packed bytes, the pull to call back when they fail their
+// check and, when the chunk was admitted against the budget, the lease
+// release hook the decode stone attaches to the decoded Chunk.
 type pulledChunk struct {
 	writer  int
 	buf     []byte
 	release func()
-	check   unverifiedPull // check.s is nil when the payload was checked
+	check   unverifiedPull
 }
 
-// decode decodes the chunk through chunks, handing an unchecked payload's
-// check on to the engine. An unchecked payload that fails to decode is
-// checksummed first: a mismatch is corruption, taken through the re-pull
-// path (nil once dropped), while intact bytes are a real decode error.
+// releaseAndAck is the chunk's Release hook when its region is not held:
+// it returns the budget credits and acks the region, since in a
+// block-mapped dump the engine reads the payload, or a re-pulled copy,
+// only before Release, and block mappers emit nothing that aliases it. A
+// region that failed its check is on d.held as well; a second ack is a
+// no-op.
+func (p *pulledChunk) releaseAndAck() {
+	if p.release != nil {
+		p.release()
+	}
+	p.check.ack()
+}
+
+// decode decodes the chunk through chunks, handing its check on to the
+// engine. A payload that fails to decode is checksummed first: a mismatch
+// is corruption, taken through the re-pull path (nil once dropped), while
+// intact bytes are a real decode error.
 func (p *pulledChunk) decode(chunks *staging.Decoder) (*staging.Chunk, error) {
 	chunk, err := chunks.DecodeChunk(p.buf)
-	if p.check.s == nil {
-		return chunk, err
-	}
 	if err != nil {
 		if crc32.ChecksumIEEE(p.buf) != p.check.req.Sum {
 			return p.check.corrupt()
@@ -1189,10 +1161,16 @@ func (p *pulledChunk) decode(chunks *staging.Decoder) (*staging.Chunk, error) {
 // stone graph (process), append to the overflow log (spill), or write
 // raw to the PFS sink (pass). With no admission (adm == nil) it streams
 // unconditionally, the pre-budget behavior.
-func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, p *pulledChunk) error {
+func (s *Server) routePulled(ctx context.Context, d *dumpRun, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, p *pulledChunk) error {
 	if adm != nil {
 		switch adm.Decision() {
 		case flowctl.DecideSpill:
+			d.mu.Lock()
+			if d.spilled == nil {
+				d.spilled = make(map[int]unverifiedPull)
+			}
+			d.spilled[req.WriterRank] = p.check
+			d.mu.Unlock()
 			return adm.Spill(req.WriterRank, req.Timestep, p.buf)
 		case flowctl.DecidePass:
 			return adm.Pass(req.WriterRank, req.Timestep, p.buf)
@@ -1210,9 +1188,7 @@ func (s *Server) routePulled(ctx context.Context, decode *evpath.Stone, adm *flo
 		if p.release != nil {
 			p.release()
 		}
-		if p.check.s != nil {
-			p.check.ack() // the dump fails; its region must not outlive it
-		}
+		p.check.ack() // the dump fails; its region must not outlive it
 		return err
 	}
 	return nil
@@ -1257,15 +1233,13 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 	}
 }
 
-// pullWithRetry pulls one chunk end-to-end verified and returns its
-// sealed frame and the attempt that delivered it, counting attempts from
-// first: the transfer uses the non-consuming PullRetain, and the delivered
-// frame's seal is checked — its CRC must be the one the request names —
-// before anything downstream sees the bytes. The region stays exposed: the
-// bytes handed on are the writer's frame, acknowledged only after the
-// staging side's last read of them (unverifiedPull.ack or reduceDump).
-// With unverified set only the seal header is checked: the payload's CRC
-// is the caller's (unverifiedPull). Injected transients
+// pullWithRetry pulls one chunk and returns its sealed frame and the
+// attempt that delivered it, counting attempts from first: the transfer
+// uses the non-consuming PullRetain, and the frame's seal header — its CRC
+// must be the one the request names — and, unless unverified (the engine
+// checks it: unverifiedPull), its payload are checked before anything
+// downstream sees the bytes. The region stays exposed until the staging
+// side's last read (unverifiedPull.ack or reduceDump). Injected transients
 // *and* corrupted deliveries are retried with capped exponential backoff
 // within the attempt budget (retryAfter) — wire corruption heals on
 // re-pull because the source still holds the intact region. A source that

@@ -77,18 +77,27 @@ func TestEffectiveRouteRehash(t *testing.T) {
 // so two runs (fault-free and faulty) produce byte-identical chunks.
 func chaoticCompute(dumps, perRank int) ComputeFunc {
 	return func(comm *mpi.Comm, client *Client) error {
-		rng := rand.New(rand.NewSource(int64(comm.Rank()) + 1))
 		for step := 0; step < dumps; step++ {
-			vals := make([]float64, perRank)
-			for i := range vals {
-				vals[i] = rng.Float64()*10 - 5
-			}
+			vals := chaoticValues(comm.Rank(), step, perRank)
 			if _, err := client.Write(testSchema, ffs.Record{"values": vals}, int64(step)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+}
+
+// chaoticValues is the values chaoticCompute's rank writes at step: one
+// generator per rank, seeded by the rank and drawn step after step.
+func chaoticValues(rank, step, perRank int) []float64 {
+	rng := rand.New(rand.NewSource(int64(rank) + 1))
+	vals := make([]float64, perRank)
+	for s := 0; s <= step; s++ {
+		for i := range vals {
+			vals[i] = rng.Float64()*10 - 5
+		}
+	}
+	return vals
 }
 
 // TestTransientFaultRecoveryMatchesFaultFree: a run under a pure-transient

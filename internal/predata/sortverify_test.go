@@ -308,11 +308,12 @@ func TestAdversarySortVerifyOnUse(t *testing.T) {
 	})
 }
 
-// TestCorruptHistSortDumpChecksAtPull: a dump that mixes the sort with a
-// histogram is neither all block mappers nor all verifying reducers, so it
-// keeps the pull-time check: under wire corruption no chunk reaches either
-// operator unchecked, and the output is still the fault-free run's.
-func TestCorruptHistSortDumpChecksAtPull(t *testing.T) {
+// TestCorruptHistSortDumpChecksBeforeMap: a dump that mixes the sort with a
+// histogram is neither all block mappers nor all verifying reducers, so the
+// engine checks each payload whole before its first Map: under wire
+// corruption no chunk reaches either operator unchecked — not in Map, not in
+// StartMap — and the output is still the fault-free run's.
+func TestCorruptHistSortDumpChecksBeforeMap(t *testing.T) {
 	var unverified, inits atomic.Int64
 	opsFor := func(int) []staging.Operator {
 		h, err := ops.NewHistogramOperator(ops.HistogramConfig{Var: "p", Columns: bmCols, Bins: bmBins, Ranges: bmRanges})
@@ -329,7 +330,7 @@ func TestCorruptHistSortDumpChecksAtPull(t *testing.T) {
 	res, _, _ := bmRun(t, "corrupt:*:0.2:pull", 2, opsFor, nil)
 	bmSameAsClean(t, clean, res)
 	if rep := res.Fault; rep == nil || rep.CorruptPulls == 0 {
-		t.Fatalf("want CRC failures at the pull: %+v", rep)
+		t.Fatalf("want CRC failures: %+v", rep)
 	}
 	if n := unverified.Load(); n != 0 {
 		t.Fatalf("%d chunks of a hist+sort dump reached an operator unchecked", n)

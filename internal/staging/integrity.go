@@ -3,12 +3,10 @@ package staging
 // End-to-end chunk integrity. A chunk is sealed where it is encoded —
 // on the compute client, before the bytes touch the fabric — and
 // verified where it is consumed, on the staging server, before anything
-// it produces is committed (Chunk.Unverified): right after the pull; or,
-// when every operator maps it block by block, inside the engine's one
-// walk over the payload, before any operator emits; or, when every
-// operator verifies in Reduce, inside the Reduce that scatters the
-// payload, settled by the verify step before Finalize. The
-// frame travels through fabric.Pull and any intermediate hops untouched,
+// it produces is committed: the pull checks the header (FramePayload), the
+// engine the payload (Chunk.Unverified), in the first pass that reads it
+// or whole before the first Map. Unseal checks a chunk no engine pass
+// reads. The frame travels through fabric.Pull and any hops untouched,
 // so a CRC mismatch at verification proves the wire (or the source's
 // memory) damaged the payload somewhere along the whole path, not just on
 // the last hop.
@@ -82,11 +80,6 @@ func Seal(payload []byte) []byte {
 	copy(out[SealOverhead:], payload)
 	SealInPlace(out, crc32.ChecksumIEEE(payload))
 	return out
-}
-
-// Sealed reports whether buf starts with a seal frame header.
-func Sealed(buf []byte) bool {
-	return len(buf) >= SealOverhead && string(buf[:len(sealMagic)]) == sealMagic
 }
 
 // SealSum returns the payload checksum recorded in a sealed frame's

@@ -14,8 +14,8 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte{0xAB}, 1<<16),
 	} {
 		sealed := Seal(payload)
-		if !Sealed(sealed) {
-			t.Fatal("sealed frame not recognized")
+		if _, err := FramePayload(sealed); err != nil {
+			t.Fatalf("sealed frame not recognized: %v", err)
 		}
 		got, err := Unseal(sealed)
 		if err != nil {
@@ -25,7 +25,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 			t.Fatal("round trip changed payload")
 		}
 	}
-	if Sealed([]byte("not a frame")) {
+	if _, err := FramePayload([]byte("not a frame, just bytes")); !errors.Is(err, ErrCorrupt) {
 		t.Error("raw bytes recognized as sealed")
 	}
 }

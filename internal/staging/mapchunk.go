@@ -60,10 +60,10 @@ func (m *mapper) mapChunk(chunk *Chunk) *Chunk {
 	}
 	for chunk.Unverified != nil {
 		walked, ok := m.walk(chunk, shed)
+		if walked {
+			return chunk
+		}
 		if ok {
-			if walked {
-				return chunk
-			}
 			break
 		}
 		if chunk.Corrupt == nil {
@@ -103,12 +103,12 @@ func (m *mapper) mapOps(chunk *Chunk, shed ShedClass) error {
 }
 
 // walk checks chunk's unverified payload against its Sum and reports ok
-// on a match. When every operator that sees the chunk is a BlockMapper and
-// the record has one float64 array, the check and the Map are one walk:
-// each block of the array's payload is folded into the check and handed to
-// every operator while it is still in cache, and the operators emit only
-// after the check matched — walked reports that they did. Otherwise the
-// payload is checked whole and the caller maps the chunk.
+// on a match. When every operator is a BlockMapper and the record has one
+// float64 array, the check and the Map are one walk: each block of the
+// array's payload is folded into the check and handed to every operator
+// that sees the chunk while it is still in cache, and the operators emit
+// only after the check matched — walked reports that they did. Otherwise
+// the payload is checked whole, and a chunk that passes goes on checked.
 func (m *mapper) walk(chunk *Chunk, shed ShedClass) (walked, ok bool) {
 	var k check
 	ext := chunk.extents()
@@ -117,11 +117,15 @@ func (m *mapper) walk(chunk *Chunk, shed ShedClass) (walked, ok bool) {
 		buf [4]rowMapper
 		rms []rowMapper
 	)
-	if len(ext) == 1 && ext[0].Array == a {
+	if len(ext) == 1 && ext[0].Array == a && BlockMapped(m.ops) {
 		rms = m.startRows(chunk, shed, buf[:0])
 	}
 	if rms == nil {
-		return false, k.matches(chunk)
+		if !k.matches(chunk) {
+			return false, false
+		}
+		chunk.Unverified = nil
+		return false, true
 	}
 	e := ext[0]
 	v := View{Array: a, wire: chunk.Unverified[e.Off : e.Off+e.Len]}
@@ -159,20 +163,16 @@ type rowMapper struct {
 	spent time.Duration
 }
 
-// startRows starts every operator that sees chunk on it, indexed like
-// m.ops in buf's memory when it is large enough, or returns nil when none
-// sees it or one cannot map it block by block.
+// startRows starts every operator, all BlockMappers, that sees chunk on
+// it, indexed like m.ops in buf's memory when it is large enough, or
+// returns nil when none sees it or a StartMap fails.
 func (m *mapper) startRows(chunk *Chunk, shed ShedClass, buf []rowMapper) []rowMapper {
 	var rms []rowMapper
 	for i, op := range m.ops {
 		if !m.sees(i, shed) {
 			continue
 		}
-		bm, ok := op.(BlockMapper)
-		if !ok {
-			return nil
-		}
-		rm, err := bm.StartMap(m.ctxs[i], chunk)
+		rm, err := op.(BlockMapper).StartMap(m.ctxs[i], chunk)
 		if err != nil {
 			return nil // Map reports it, once the bytes are known to be intact
 		}

@@ -33,9 +33,9 @@ type VerifyingReducer interface {
 	VerifiesInReduce()
 }
 
-// VerifiesInReduce reports whether every operator is a VerifyingReducer:
+// verifiesInReduce reports whether every operator is a VerifyingReducer:
 // the dumps whose chunk checks wait for Reduce.
-func VerifiesInReduce(ops []Operator) bool {
+func verifiesInReduce(ops []Operator) bool {
 	for _, op := range ops {
 		if _, ok := op.(VerifyingReducer); !ok {
 			return false

@@ -54,34 +54,33 @@ type Chunk struct {
 	Shed ShedClass
 	// Release, when non-nil, returns the chunk's memory-budget credits.
 	// The engine calls it exactly once, after the last operator's Map has
-	// seen the chunk (including error, shed and corrupt-drop paths); the
-	// engine itself reads none of the chunk's bytes after it, except in a
-	// dump whose checks wait for Reduce (VerifyingReducer), whose chunks
-	// it keeps to the end of the dump for the verify step and any redo.
+	// seen the chunk or its re-pulled copy (including error, shed and
+	// corrupt-drop paths); the engine itself reads none of the chunk's
+	// bytes after it, except in a dump whose checks wait for Reduce
+	// (VerifyingReducer), whose chunks it keeps to the end of the dump.
 	Release func()
 
 	// Unverified, when non-nil, is the FFS payload Record was decoded
 	// from, whose checksum nobody has checked yet: the engine checks it
-	// against Sum before anything of the chunk is committed. Each float64
-	// array's bytes are folded into the check where a pass reads them, at
-	// the extents DecodeChunk's one parse found: when every operator that
-	// sees the chunk is a BlockMapper and the record has one float64
-	// array, in the engine's walk over its blocks, before any operator
-	// emits; when every operator of the dump is a VerifyingReducer, in the
-	// Map or Reduce that reads the arrays (the sort's key pass, the reorg's
-	// scatter), settled by the verify step after Reduce. Every other byte
-	// is summed when the check is judged. Any other chunk is checked whole
-	// before its first Map, and a chunk whose Record DecodeChunk did not
-	// decode from these very bytes is checked whole, never walked. On a
-	// mismatch the engine drops whatever it built from the payload and
-	// calls Corrupt.
+	// against Sum before anything of the chunk is committed, folding each
+	// float64 array's bytes, at the extents DecodeChunk's one parse found,
+	// where a pass reads them — the engine's block walk when every operator
+	// of the dump is a BlockMapper, the Map or Reduce that reads
+	// them when every operator is a VerifyingReducer (settled by the verify
+	// step) — and summing every other byte when the check is judged. Any
+	// other chunk is checked whole before any operator sees it and goes on
+	// with Unverified cleared, so a Map sees it set only while a
+	// VerifyingReducer's check is pending. A chunk whose Record was not
+	// decoded from these very bytes is checked whole, never walked. On a
+	// mismatch the engine drops what it built from the payload and calls
+	// Corrupt.
 	Unverified []byte
 	Sum        uint32
-	// Corrupt returns a re-pulled copy of the chunk to map in this one's
-	// place (the engine keeps this chunk's Shed and Release), or nil when
-	// the chunk is dropped: it then reaches no operator of the pass that
-	// commits and records no PhaseChunk. An error fails the dump like a
-	// Map error.
+	// Corrupt returns a re-pulled copy of the chunk, checked, to map in
+	// this one's place (the engine keeps this chunk's Shed and Release), or
+	// nil when the chunk is dropped: it then reaches no operator of the
+	// pass that commits and records no PhaseChunk. An error fails the dump
+	// like a Map error.
 	Corrupt func() (*Chunk, error)
 	// layout is where Record's float64 arrays lie in the payload
 	// DecodeChunk decoded it from (ffs.DecodeExtents), whose first byte is
@@ -147,6 +146,17 @@ type Combiner interface {
 // stay readable until the dump's Finalize returns.
 type BlockMapper interface {
 	StartMap(ctx *Context, chunk *Chunk) (RowMapper, error)
+}
+
+// BlockMapped reports whether every operator is a BlockMapper: the dumps
+// whose chunks the engine walks, and whose values never alias a payload.
+func BlockMapped(ops []Operator) bool {
+	for _, op := range ops {
+		if _, ok := op.(BlockMapper); !ok {
+			return false
+		}
+	}
+	return len(ops) > 0
 }
 
 // RowMapper is one chunk's accumulator for a BlockMapper.
@@ -376,7 +386,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	// end: the verify step reads the unchecked ones, and a redo maps them
 	// all again. Whether a dump verifies in Reduce depends only on ops, so
 	// every rank issues the verify step's collectives, or none does.
-	deferred := VerifiesInReduce(ops)
+	deferred := verifiesInReduce(ops)
 	var (
 		ctxs []*Context
 		held []*Chunk
@@ -674,17 +684,6 @@ func (d *Decoder) DecodeChunk(buf []byte) (*Chunk, error) { return decodeChunk(&
 
 // decodeChunk is DecodeChunk through schemas, which may be nil.
 func decodeChunk(schemas *ffs.Decoder, buf []byte) (*Chunk, error) {
-	// The pipeline hands over a raw FFS payload: verified at the pull, or
-	// still unchecked for the engine's walk (Chunk.Unverified, which the
-	// caller sets). Accepting a still-sealed chunk (verifying it in
-	// passing) keeps direct callers honest without a second API.
-	if Sealed(buf) {
-		payload, err := Unseal(buf)
-		if err != nil {
-			return nil, err
-		}
-		buf = payload
-	}
 	schema, rec, layout, err := schemas.DecodeExtents(buf)
 	if err != nil {
 		return nil, err

@@ -50,9 +50,9 @@ const (
 	RuleChunkConservation
 	// RuleCorruptQuarantine: a (dump, writer) chunk abandoned as corrupt
 	// (PhaseCorruptDrop) was never engine-retired (PhaseChunk) — the engine
-	// retires a chunk only once its check passed, at the pull, in the Map
-	// walk or in the verify step after Reduce, so damaged bytes cannot reach
-	// a committed output — and carries at least one CRC detection:
+	// retires a chunk only once its check passed, in the Map walk, before
+	// its first Map or in the verify step after Reduce, so damaged bytes
+	// cannot reach a committed output — and carries at least one CRC detection:
 	// quarantine without evidence is a runtime bug. A check is a drop.
 	RuleCorruptQuarantine
 	// RuleHealOnce: on recordings containing a partition heal, no
