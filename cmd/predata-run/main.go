@@ -64,7 +64,7 @@ func cli(args []string) (code int) {
 		walDir   = flags.String("wal-dir", "",
 			"durable staging: keep per-rank write-ahead journals under this empty or new directory and recover from them on start (required for restart/crashall fault plans; staging mode only)")
 		checkpointEvery = flags.Int("checkpoint-every", 0,
-			"write a dump-boundary checkpoint and truncate the journals every N dumps (0 disables; requires -wal-dir)")
+			"compact the journals every N dumps behind a dump-boundary checkpoint record (0 disables; requires -wal-dir)")
 		tracePath = flags.String("trace", "",
 			"flight-record the run and write the trace here (.json: Chrome trace_event; otherwise PDTRACE1 binary; staging mode only)")
 		elasticSpec = flags.String("elastic", "",

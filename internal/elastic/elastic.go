@@ -89,28 +89,22 @@ func (p Policy) Validate() error {
 
 // Telemetry is the merged view of one dump across all active staging
 // ranks — the input every rank feeds its scaler after the boundary
-// exchange. Merge folds the per-rank contributions.
+// exchange. Merge folds the per-rank rows, each made by FromOverload.
 type Telemetry struct {
-	Dump        int64
-	ActiveRanks int
-	// Overloaded reports whether any rank's budget latch tripped during
-	// the dump (used reached the high watermark).
-	Overloaded bool
-	// Overflow volume this dump across ranks: spilled to disk, passed
-	// through raw, and chunks shed from optional operators.
-	SpilledBytes int64
-	PassedBytes  int64
-	ShedChunks   int64
-	// Throttles counts admissions that waited for budget credits.
-	Throttles int64
-	// UtilizationPeak is the highest per-rank peak lease utilization;
-	// UtilizationMean the mean of the per-rank time-weighted means.
-	UtilizationPeak float64
-	UtilizationMean float64
+	Dump int64
 	// Faults observed this dump (crashed ranks discovered at the
 	// boundary); a faulted dump never counts toward a shrink.
 	RanksLost int
+	// The ranks' flow-control stats for the dump: overflow volume
+	// (spilled, passed, shed), throttles, and lease utilization, whose
+	// peak is the highest per-rank peak and whose mean is the mean of the
+	// per-rank time-weighted means.
+	flowctl.OverloadSum
 }
+
+// Overloaded reports whether any rank's ladder escalated past normal
+// admission during the dump: its budget patience was exhausted.
+func (t *Telemetry) Overloaded() bool { return t.MaxLevel >= flowctl.LevelSpill }
 
 // Merge folds per-rank telemetry rows for one dump into the combined
 // view. Rows must all carry the same Dump.
@@ -120,26 +114,9 @@ func Merge(rows []Telemetry) Telemetry {
 		return out
 	}
 	out.Dump = rows[0].Dump
-	var meanSum float64
-	var meanN int
-	for _, r := range rows {
-		out.ActiveRanks += r.ActiveRanks
-		out.Overloaded = out.Overloaded || r.Overloaded
-		out.SpilledBytes += r.SpilledBytes
-		out.PassedBytes += r.PassedBytes
-		out.ShedChunks += r.ShedChunks
-		out.Throttles += r.Throttles
-		out.RanksLost += r.RanksLost
-		if r.UtilizationPeak > out.UtilizationPeak {
-			out.UtilizationPeak = r.UtilizationPeak
-		}
-		if r.ActiveRanks > 0 {
-			meanSum += r.UtilizationMean
-			meanN++
-		}
-	}
-	if meanN > 0 {
-		out.UtilizationMean = meanSum / float64(meanN)
+	for i := range rows {
+		out.RanksLost += rows[i].RanksLost
+		out.Merge(&rows[i].OverloadSum)
 	}
 	return out
 }
@@ -203,7 +180,7 @@ func (a *Autoscaler) Policy() Policy { return a.pol }
 // pass, or shed volume) — throttling alone that the budget absorbed is
 // not sustained pressure.
 func growSignal(t Telemetry) bool {
-	return t.Overloaded && (t.SpilledBytes > 0 || t.PassedBytes > 0 || t.ShedChunks > 0)
+	return t.Overloaded() && (t.SpilledBytes > 0 || t.PassedBytes > 0 || t.ShedChunks > 0)
 }
 
 // shrinkSignal reports whether the dump provides shrink evidence: every
@@ -211,7 +188,7 @@ func growSignal(t Telemetry) bool {
 // overflowed, and no rank was lost (a faulted boundary is already a
 // membership change; piling a shrink on top would double-step).
 func (a *Autoscaler) shrinkSignal(t Telemetry) bool {
-	return !t.Overloaded &&
+	return !t.Overloaded() &&
 		t.SpilledBytes == 0 && t.PassedBytes == 0 && t.ShedChunks == 0 &&
 		t.UtilizationPeak < a.pol.LowUtil &&
 		t.RanksLost == 0
@@ -295,21 +272,9 @@ func (a *Autoscaler) Stats() Stats {
 // FromOverload adapts one rank's per-dump flowctl counters into its
 // Telemetry row. A nil stats (rank served without a flow controller, or
 // sat parked) yields an inert row. ranksLost is the number of staging
-// ranks this boundary discovered crashed. The overload latch is taken
-// from the ladder: a dump that escalated past normal admission had its
-// budget patience exhausted.
+// ranks this boundary discovered crashed.
 func FromOverload(dump int64, o *flowctl.OverloadStats, ranksLost int) Telemetry {
 	t := Telemetry{Dump: dump, RanksLost: ranksLost}
-	if o == nil {
-		return t
-	}
-	t.ActiveRanks = 1
-	t.Overloaded = o.MaxLevel >= flowctl.LevelSpill
-	t.SpilledBytes = o.SpilledBytes
-	t.PassedBytes = o.PassedBytes
-	t.ShedChunks = o.ShedChunks
-	t.Throttles = o.Throttles
-	t.UtilizationPeak = o.UtilizationPeak
-	t.UtilizationMean = o.UtilizationMean
+	t.Add(o)
 	return t
 }

@@ -17,16 +17,16 @@ func testPolicy() Policy {
 }
 
 func overloadedDump(dump int64) Telemetry {
-	return Telemetry{Dump: dump, ActiveRanks: 1, Overloaded: true,
-		SpilledBytes: 1 << 20, UtilizationPeak: 0.95, UtilizationMean: 0.8}
+	return FromOverload(dump, &flowctl.OverloadStats{MaxLevel: flowctl.LevelSpill,
+		SpilledBytes: 1 << 20, UtilizationPeak: 0.95, UtilizationMean: 0.8}, 0)
 }
 
 func idleDump(dump int64) Telemetry {
-	return Telemetry{Dump: dump, ActiveRanks: 1, UtilizationPeak: 0.05, UtilizationMean: 0.02}
+	return FromOverload(dump, &flowctl.OverloadStats{UtilizationPeak: 0.05, UtilizationMean: 0.02}, 0)
 }
 
 func busyDump(dump int64) Telemetry {
-	return Telemetry{Dump: dump, ActiveRanks: 1, UtilizationPeak: 0.6, UtilizationMean: 0.4}
+	return FromOverload(dump, &flowctl.OverloadStats{UtilizationPeak: 0.6, UtilizationMean: 0.4}, 0)
 }
 
 func TestPolicyValidation(t *testing.T) {
@@ -202,13 +202,13 @@ func TestDeterministicLockstep(t *testing.T) {
 
 func TestMergeCombinesRanks(t *testing.T) {
 	rows := []Telemetry{
-		{Dump: 3, ActiveRanks: 1, Overloaded: true, SpilledBytes: 100,
-			UtilizationPeak: 0.9, UtilizationMean: 0.6, Throttles: 2},
-		{Dump: 3, ActiveRanks: 1, UtilizationPeak: 0.2, UtilizationMean: 0.1},
-		{Dump: 3}, // parked rank: inert row
+		FromOverload(3, &flowctl.OverloadStats{MaxLevel: flowctl.LevelSpill, SpilledBytes: 100,
+			UtilizationPeak: 0.9, UtilizationMean: 0.6, Throttles: 2}, 0),
+		FromOverload(3, &flowctl.OverloadStats{UtilizationPeak: 0.2, UtilizationMean: 0.1}, 0),
+		FromOverload(3, nil, 0), // parked rank: inert row
 	}
 	m := Merge(rows)
-	if m.Dump != 3 || m.ActiveRanks != 2 || !m.Overloaded {
+	if m.Dump != 3 || m.Rows != 2 || !m.Overloaded() {
 		t.Fatalf("merge %+v", m)
 	}
 	if m.SpilledBytes != 100 || m.Throttles != 2 {
@@ -231,15 +231,15 @@ func TestFromOverload(t *testing.T) {
 		UtilizationPeak: 0.7, UtilizationMean: 0.5,
 	}
 	tel := FromOverload(9, o, 1)
-	if !tel.Overloaded || tel.SpilledBytes != 42 || tel.RanksLost != 1 || tel.ActiveRanks != 1 {
+	if !tel.Overloaded() || tel.SpilledBytes != 42 || tel.RanksLost != 1 || tel.Rows != 1 {
 		t.Fatalf("FromOverload %+v", tel)
 	}
 	inert := FromOverload(9, nil, 0)
-	if inert.ActiveRanks != 0 || inert.Overloaded {
+	if inert.Rows != 0 || inert.Overloaded() {
 		t.Fatalf("nil stats row %+v", inert)
 	}
 	normal := FromOverload(9, &flowctl.OverloadStats{MaxLevel: flowctl.LevelNormal}, 0)
-	if normal.Overloaded {
+	if normal.Overloaded() {
 		t.Fatal("normal-level dump flagged overloaded")
 	}
 }

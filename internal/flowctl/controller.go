@@ -143,6 +143,52 @@ type OverloadStats struct {
 	UtilizationMean float64
 }
 
+// OverloadSum folds (rank, dump) OverloadStats rows into one view, the
+// same way for a run's report and for the elastic autoscaler's per-dump
+// exchange: counters are summed; PeakBytes, HeldPeakBytes,
+// UtilizationPeak and MaxLevel are maxima; HeldMeanBytes and
+// UtilizationMean are the mean of the rows' time-weighted means. Rows
+// counts the rows folded in — a rank without a controller adds none.
+// BudgetBytes is left to the caller. The zero value is an empty fold.
+type OverloadSum struct {
+	OverloadStats
+	Rows int
+
+	heldSum int64   // the rows' HeldMeanBytes summed
+	utilSum float64 // the rows' UtilizationMean summed
+}
+
+// Add folds one row into s; nil is a rank without a controller.
+func (s *OverloadSum) Add(o *OverloadStats) {
+	if o != nil {
+		s.Merge(&OverloadSum{OverloadStats: *o, Rows: 1, heldSum: o.HeldMeanBytes, utilSum: o.UtilizationMean})
+	}
+}
+
+// Merge folds another sum into s.
+func (s *OverloadSum) Merge(o *OverloadSum) {
+	s.Throttles += o.Throttles
+	s.ThrottleWait += o.ThrottleWait
+	s.SpilledChunks += o.SpilledChunks
+	s.SpilledBytes += o.SpilledBytes
+	s.ReplayedChunks += o.ReplayedChunks
+	s.SampledChunks += o.SampledChunks
+	s.ShedChunks += o.ShedChunks
+	s.PassedChunks += o.PassedChunks
+	s.PassedBytes += o.PassedBytes
+	s.PeakBytes = max(s.PeakBytes, o.PeakBytes)
+	s.HeldPeakBytes = max(s.HeldPeakBytes, o.HeldPeakBytes)
+	s.MaxLevel = max(s.MaxLevel, o.MaxLevel)
+	s.UtilizationPeak = max(s.UtilizationPeak, o.UtilizationPeak)
+	s.Rows += o.Rows
+	s.heldSum += o.heldSum
+	s.utilSum += o.utilSum
+	if s.Rows > 0 {
+		s.HeldMeanBytes = s.heldSum / int64(s.Rows)
+		s.UtilizationMean = s.utilSum / float64(s.Rows)
+	}
+}
+
 // Controller owns one staging rank's budget and stamps out per-dump flow
 // state. One controller per server; dumps on a rank are served serially.
 type Controller struct {

@@ -167,9 +167,6 @@ func (s *Server) Recover(st *wal.State) (int, error) {
 	}
 	seen := make(map[dw]bool)
 	for _, rec := range st.Requests {
-		if st.CommittedDump(rec.Timestep) {
-			continue
-		}
 		req, err := decodeRequest(rec.Payload)
 		if err != nil {
 			return replayed, err

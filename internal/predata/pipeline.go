@@ -69,10 +69,10 @@ type PipelineConfig struct {
 	// is recovered on start. Required for plans with restart or crashall
 	// faults — bounced ranks rebuild from it.
 	WALDir string
-	// CheckpointEvery, when positive, writes a dump-boundary checkpoint
-	// every CheckpointEvery dumps and truncates the journal down to the
-	// records the checkpoint does not cover, bounding journal growth.
-	// Ignored without WALDir.
+	// CheckpointEvery, when positive, compacts each journal every
+	// CheckpointEvery dumps down to a dump-boundary checkpoint record and
+	// the records it does not cover, bounding journal growth. Ignored
+	// without WALDir.
 	CheckpointEvery int
 	// Tracer, when non-nil, flight-records the run: fabric operations,
 	// staging engine stages, collectives, flow-control decisions and
@@ -135,49 +135,10 @@ type FaultReport struct {
 	WalBytes    int64
 	JournalWall time.Duration
 	// WalReplayed counts chunks re-pulled after a crashall recovery,
-	// named by journaled requests; Checkpoints counts checkpoint+truncate
-	// cycles across all ranks.
+	// named by journaled requests; Checkpoints counts journal
+	// compactions across all ranks.
 	WalReplayed int64
 	Checkpoints int64
-}
-
-// OverloadReport aggregates the flow controllers' throttle/spill/shed
-// decisions across one pipeline run — the overload analogue of
-// FaultReport. It restates flowctl.OverloadStats for the whole run:
-// BudgetBytes is each staging rank's accountant capacity, counters are
-// totals over all staging ranks and dumps, PeakBytes, HeldPeakBytes,
-// UtilizationPeak and MaxLevel are maxima, and HeldMeanBytes and
-// UtilizationMean are the mean of the per-dump time-weighted means over
-// every (rank, dump) merged in. The elastic autoscaler's shrink signal
-// reads the utilization figures.
-type OverloadReport struct {
-	flowctl.OverloadStats
-
-	dumps   int64 // dumps folded into the means
-	heldSum int64 // their HeldMeanBytes summed
-}
-
-// merge folds one dump's stats into the run totals.
-func (r *OverloadReport) merge(o *flowctl.OverloadStats) {
-	r.Throttles += o.Throttles
-	r.ThrottleWait += o.ThrottleWait
-	r.SpilledChunks += o.SpilledChunks
-	r.SpilledBytes += o.SpilledBytes
-	r.ReplayedChunks += o.ReplayedChunks
-	r.SampledChunks += o.SampledChunks
-	r.ShedChunks += o.ShedChunks
-	r.PassedChunks += o.PassedChunks
-	r.PassedBytes += o.PassedBytes
-	r.PeakBytes = max(r.PeakBytes, o.PeakBytes)
-	r.HeldPeakBytes = max(r.HeldPeakBytes, o.HeldPeakBytes)
-	r.MaxLevel = max(r.MaxLevel, o.MaxLevel)
-	r.UtilizationPeak = max(r.UtilizationPeak, o.UtilizationPeak)
-	if o.BudgetBytes > 0 {
-		r.dumps++
-		r.heldSum += o.HeldMeanBytes
-		r.HeldMeanBytes = r.heldSum / r.dumps
-		r.UtilizationMean += (o.UtilizationMean - r.UtilizationMean) / float64(r.dumps)
-	}
 }
 
 // ComputeFunc runs the application on one compute rank. comm spans only
@@ -201,9 +162,11 @@ type PipelineResult struct {
 	// there was nothing to report: no fault plan and no recovery action
 	// (a plan-free journaled run still reports its WAL records).
 	Fault *FaultReport
-	// Overload reports flow-control activity; nil without a BufferMB
-	// budget.
-	Overload *OverloadReport
+	// Overload folds the flow controllers' per-dump stats over every
+	// staging rank and dump — the overload analogue of Fault — with
+	// BudgetBytes each rank's accountant capacity; nil without a
+	// BufferMB budget.
+	Overload *flowctl.OverloadSum
 }
 
 // RunPipeline executes computeFn on NumCompute ranks and the staging
@@ -711,21 +674,20 @@ func (r *stagingRank) crashAll(ts int64, ops []staging.Operator) (*staging.Resul
 	return res, st, nil
 }
 
-// checkpoint writes the dump-boundary checkpoint when the cadence says
-// so: everything below dump+1 is reduced and committed, so the journal
-// compacts down to the records the checkpoint does not cover.
+// checkpoint compacts the journal when the cadence says so: everything
+// below dump+1 is reduced and committed, so the journal shrinks to a
+// checkpoint record and the records it does not cover.
 func (r *stagingRank) checkpoint(dump int) error {
 	every := r.cfg.CheckpointEvery
 	if r.journal == nil || every <= 0 || (dump+1)%every != 0 {
 		return nil
 	}
 	next := int64(dump) + 1
-	kept, err := r.journal.WriteCheckpoint(wal.Checkpoint{Epoch: r.epoch, NextDump: next})
+	kept, err := r.journal.WriteCheckpoint(wal.Checkpoint{NextDump: next})
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	r.cfg.Tracer.Instant(trace.PhaseCheckpoint, r.rank, -1, int64(dump), next, 0)
-	r.cfg.Tracer.Instant(trace.PhaseWalTruncate, r.rank, -1, int64(dump), next, int64(kept))
+	r.cfg.Tracer.Instant(trace.PhaseCheckpoint, r.rank, -1, int64(dump), next, int64(kept))
 	r.mu.Lock()
 	r.report.Checkpoints++
 	r.mu.Unlock()
@@ -884,13 +846,11 @@ func finishReports(cfg *PipelineConfig, inj *faults.Injector, report *FaultRepor
 		res.Fault = report
 	}
 	if cfg.BufferMB > 0 {
-		ov := &OverloadReport{}
+		ov := &flowctl.OverloadSum{}
 		ov.BudgetBytes = int64(cfg.BufferMB) << 20
 		for _, rankStats := range res.StagingStats {
 			for _, st := range rankStats {
-				if st.Overload != nil {
-					ov.merge(st.Overload)
-				}
+				ov.Add(st.Overload)
 			}
 		}
 		res.Overload = ov

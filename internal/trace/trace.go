@@ -84,8 +84,7 @@ const (
 	PhaseHeal          // predata: fenced rank rejoined the serving set (Seq = epoch installed)
 	PhaseJournal       // wal: fetch request appended to the staging journal (Seq = writer, Arg = crc32 of the chunk payload it names)
 	PhaseWalCommit     // wal: dump commit record fsynced (Dump = committed dump)
-	PhaseCheckpoint    // wal: dump-boundary checkpoint written (Seq = first dump NOT covered)
-	PhaseWalTruncate   // wal: journal truncated behind a checkpoint (Seq = first dump kept, Arg = records kept)
+	PhaseCheckpoint    // wal: journal compacted behind a dump-boundary checkpoint (Seq = first dump NOT covered, Arg = records kept)
 	PhaseWalReplay     // predata: chunk re-pulled after a crashall recovery (Seq = writer, Arg = the pulled frame's seal crc32)
 	PhaseRestart       // pipeline: rank rejoined after a restart or crashall recovery (Seq = epoch installed, Arg = records replayed)
 
@@ -146,7 +145,6 @@ var phaseNames = [...]string{
 	PhaseJournal:       "journal",
 	PhaseWalCommit:     "wal-commit",
 	PhaseCheckpoint:    "checkpoint",
-	PhaseWalTruncate:   "wal-truncate",
 	PhaseWalReplay:     "wal-replay",
 	PhaseRestart:       "restart",
 

@@ -399,9 +399,8 @@ func TestEveryRuleBites(t *testing.T) {
 		RuleChunkConservation: {syntheticElastic, func(r *Recording) { r.Events[6].Phase = PhaseRetry }},
 		RuleCorruptQuarantine: {syntheticAdversary, func(r *Recording) { r.Events[2].Phase, r.Events[3].Phase = PhaseRetry, PhaseRetry }},
 		RuleHealOnce:          {syntheticAdversary, appendEvent(chunk(4, 1, 2, 41))},
-		RuleWALReplay:         {syntheticRestart, func(r *Recording) { r.Events[10].Arg = 0xBEEF }},
+		RuleWALReplay:         {syntheticRestart, func(r *Recording) { r.Events[9].Arg = 0xBEEF }},
 		RuleRestartOnce:       {syntheticRestart, appendEvent(chunk(2, 0, 1, 36))},
-		RuleCheckpointOrder:   {syntheticRestart, func(r *Recording) { r.Events[5].Phase = PhaseRetry }},
 		RuleTenantIsolation:   {syntheticServe, appendEvent(ev(PhaseServeQuery, 2, 2, 0, 0x1111, 1, 25))},
 		RuleCacheCoherence:    {syntheticServe, appendEvent(ev(PhaseCacheHit, 1, 1, 0, 0x1111, 0, 26))},
 	}

@@ -71,11 +71,6 @@ const (
 	// a recovered incarnation from re-reducing dumps the crashed one
 	// completed. A check is a retired (dump, writer).
 	RuleRestartOnce
-	// RuleCheckpointOrder: per rank, in time order, every journal
-	// truncation (PhaseWalTruncate, Seq = first dump kept) is preceded by
-	// a checkpoint (PhaseCheckpoint, Seq = first dump not covered) that
-	// covers every dump it discards. A check is a truncation.
-	RuleCheckpointOrder
 	// RuleTenantIsolation: every serve object (the hash of its
 	// tenant-qualified name, in Seq) is touched by one tenant only across
 	// ingest, query and cache events — a second tenant ID on one object
@@ -109,7 +104,6 @@ var rules = [NumRules]struct {
 	RuleRestartOnce: {"restart-once", func(v *verifier) {
 		v.retireOnce(PhaseRestart, "across a restart — journal dedup failed")
 	}},
-	RuleCheckpointOrder: {"checkpoint-order", (*verifier).checkpointOrder},
 	RuleTenantIsolation: {"tenant-isolation", (*verifier).tenantIsolation},
 	RuleCacheCoherence:  {"cache-coherence", (*verifier).cacheCoherence},
 }
@@ -566,34 +560,6 @@ func (v *verifier) walReplay() {
 		} else if !journaled[k][e.Arg] {
 			v.fail("dump %d: writer %d's re-pulled chunk checksum %#x matches no journal append",
 				e.Dump, e.Seq, uint32(e.Arg))
-		}
-	}
-}
-
-func (v *verifier) checkpointOrder() {
-	byRank := map[int32][]*Event{}
-	for i := range v.rec.Events {
-		e := &v.rec.Events[i]
-		if e.Phase == PhaseCheckpoint || e.Phase == PhaseWalTruncate {
-			byRank[e.Rank] = append(byRank[e.Rank], e)
-		}
-	}
-	for _, r := range sortedKeys(byRank, cmp.Compare[int32]) {
-		marks := byRank[r]
-		slices.SortStableFunc(marks, byStart)
-		covered := int64(-1) // highest first-uncovered dump checkpointed so far
-		for _, m := range marks {
-			if m.Phase == PhaseCheckpoint {
-				covered = max(covered, m.Seq)
-				continue
-			}
-			v.check()
-			if covered < 0 {
-				v.fail("rank %d: journal truncated (keeping dumps >= %d) with no prior checkpoint", r, m.Seq)
-			} else if m.Seq > covered {
-				v.fail("rank %d: journal truncated keeping dumps >= %d but the latest checkpoint covers only dumps < %d",
-					r, m.Seq, covered)
-			}
 		}
 	}
 }

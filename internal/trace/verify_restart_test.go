@@ -7,7 +7,7 @@ import (
 
 // syntheticRestart builds a recording of a clean crash-restart recovery:
 // 2 writers, 2 staging ranks (world ranks 2..3). Rank 2 journals both
-// dump-0 requests, commits, checkpoints, truncates, then crashes mid
+// dump-0 requests, commits, compacts its journal, then crashes mid
 // dump 1 and re-pulls the chunks its journaled requests name after the
 // restart — each chunk engine-retired exactly once, each replay matching
 // its append's checksum.
@@ -15,14 +15,13 @@ func syntheticRestart() *Recording {
 	return &Recording{
 		NumCompute: 2, NumStaging: 2, Dumps: 2,
 		Events: []Event{
-			// Dump 0: journal both requests, retire, commit, checkpoint, truncate.
+			// Dump 0: journal both requests, retire, commit, checkpoint.
 			ev(PhaseJournal, 2, -1, 0, 0, 0xAAAA, 10),
 			ev(PhaseJournal, 2, -1, 0, 1, 0xBBBB, 11),
 			ev(PhaseChunk, 2, -1, 0, 0, 0, 12),
 			ev(PhaseChunk, 2, -1, 0, 1, 0, 13),
 			ev(PhaseWalCommit, 2, -1, 0, 0, 0, 14),
-			ev(PhaseCheckpoint, 2, -1, 0, 1, 0, 15),  // covers dumps < 1
-			ev(PhaseWalTruncate, 2, -1, 0, 1, 0, 16), // keeps dumps >= 1
+			ev(PhaseCheckpoint, 2, -1, 0, 1, 0, 15), // covers dumps < 1, keeps no record
 			// Dump 1: requests journaled, then the service crashes and
 			// restarts; the chunks they name are re-pulled and retire once.
 			ev(PhaseJournal, 2, -1, 1, 0, 0xCCCC, 20),
@@ -47,9 +46,6 @@ func TestVerifyRestartClean(t *testing.T) {
 	}
 	if n := rep.Checks[RuleRestartOnce]; n != 4 {
 		t.Errorf("restart-once checks = %d, want 4 (every engine-retired (dump, writer))", n)
-	}
-	if n := rep.Checks[RuleCheckpointOrder]; n != 1 {
-		t.Errorf("checkpoint-order checks = %d, want 1", n)
 	}
 }
 
@@ -84,28 +80,6 @@ func TestVerifyRestartDetectsViolations(t *testing.T) {
 					Rank: 2, Endpoint: -1, Dump: 0, Seq: 1, Start: 36, End: 36})
 			},
 			want: "journal dedup failed",
-		},
-		"truncate without a checkpoint": {
-			mutate: func(r *Recording) {
-				for i := range r.Events {
-					if r.Events[i].Phase == PhaseCheckpoint {
-						r.Events[i].Phase = PhaseRetry
-					}
-				}
-			},
-			want: "no prior checkpoint",
-		},
-		"truncate beyond checkpoint coverage": {
-			mutate: func(r *Recording) {
-				// Truncation discards dumps < 2 but the checkpoint only
-				// covers dumps < 1.
-				for i := range r.Events {
-					if r.Events[i].Phase == PhaseWalTruncate {
-						r.Events[i].Seq = 2
-					}
-				}
-			},
-			want: "covers only dumps",
 		},
 	}
 	for name, tc := range cases {

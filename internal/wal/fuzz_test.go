@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,9 +84,9 @@ func FuzzWALRoundTrip(f *testing.F) {
 			t.Fatalf("recovered chunks=%d requests=%d, want %d/%d",
 				len(st.Chunks), len(st.Requests), wantChunks, wantReqs)
 		}
-		for ts, c := range committed {
-			if c && !st.CommittedDump(ts) {
-				t.Fatalf("dump %d commit lost", ts)
+		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
+			if committed[r.Timestep] {
+				t.Fatalf("record for committed dump %d survived", r.Timestep)
 			}
 		}
 		for _, r := range st.Chunks {
@@ -96,23 +97,37 @@ func FuzzWALRoundTrip(f *testing.F) {
 	})
 }
 
-// fuzzJournal builds a small valid journal and returns its bytes.
+// fuzzJournal builds a small valid compacted journal and returns its
+// bytes: a checkpoint record covering dump 0, a request for dump 1
+// carried across it, then dumps 1 and 2 with dump 1 committed.
 func fuzzJournal(t *testing.T, dir string) []byte {
 	t.Helper()
 	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ts := int64(0); ts < 2; ts++ {
+	for ts := int64(0); ts < 3; ts++ {
 		if err := l.AppendRequest(1, ts, []byte("request-blob")); err != nil {
 			t.Fatal(err)
+		}
+		if ts == 0 {
+			if err := l.AppendRequest(1, 1, []byte("early-request")); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := l.AppendChunk(1, ts, []byte("chunk-payload-bytes")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.AppendCommit(0); err != nil {
-		t.Fatal(err)
+		if ts < 2 {
+			if err := l.AppendCommit(ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ts == 0 {
+			if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 1}); err != nil || kept != 1 {
+				t.Fatalf("checkpoint kept %d, err %v", kept, err)
+			}
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -133,6 +148,7 @@ func FuzzWALTruncatedTail(f *testing.F) {
 	f.Add(uint(9))
 	f.Add(uint(40))
 	f.Add(uint(1 << 20))
+	f.Add(uint(20)) // inside the checkpoint record
 	f.Fuzz(func(t *testing.T, cut uint) {
 		src := t.TempDir()
 		whole := fuzzJournal(t, src)
@@ -157,7 +173,8 @@ func FuzzWALTruncatedTail(f *testing.F) {
 // FuzzWALBitFlip flips one byte anywhere in a valid journal: recovery
 // must never error or panic — the damage either lands in the tail
 // (prefix shortens, Torn) or in the magic (ErrCorrupt, the one loud
-// case) — and the surviving prefix must still satisfy commit dedup.
+// case) — and the surviving prefix must still satisfy commit dedup and
+// checkpoint coverage.
 // Scan, the strict reader spill replay uses, must deliver exactly the
 // records recovery kept and fail with ErrCorrupt exactly when recovery
 // saw damage.
@@ -179,7 +196,17 @@ func FuzzWALBitFlip(f *testing.F) {
 			t.Fatal(err)
 		}
 		var scanned int64
-		scanErr := Scan(dir, func(Record) error { scanned++; return nil })
+		floor, commits := int64(math.MinInt64), map[int64]bool{}
+		scanErr := Scan(dir, func(rec Record) error {
+			scanned++
+			switch rec.Kind {
+			case KindCheckpoint:
+				floor = max(floor, rec.Timestep)
+			case KindCommit:
+				commits[rec.Timestep] = true
+			}
+			return nil
+		})
 		st, err := Recover(dir)
 		if err != nil {
 			if off < len(journalMagic) && errors.Is(scanErr, ErrCorrupt) {
@@ -192,7 +219,7 @@ func FuzzWALBitFlip(f *testing.F) {
 				off, scanned, scanErr, st.Records, st.Torn)
 		}
 		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
-			if st.CommittedDump(r.Timestep) {
+			if r.Timestep < floor || commits[r.Timestep] {
 				t.Fatalf("bit flip at %d: record for committed dump %d survived", off, r.Timestep)
 			}
 		}

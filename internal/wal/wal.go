@@ -1,22 +1,23 @@
 // Package wal is the staging area's durability layer: a CRC-framed
-// write-ahead journal (PDWAL1) plus compact dump-boundary checkpoints
-// (PDCKPT1), so a staging rank survives a process crash or a whole-
-// service restart without losing in-flight dumps.
+// write-ahead journal (PDWAL1) that compacts itself behind a
+// dump-boundary checkpoint record, so a staging rank survives a process
+// crash or a whole-service restart without losing in-flight dumps.
 //
-// Every record — journal entry or checkpoint — is framed one way, by
-// one writer (writeRecord) and one reader (readRecord): a little-endian
-// fixed header (kind, writer, timestep, length) and a CRC32-IEEE over
-// the payload, whose length the reader bounds by the bytes left in the
-// file. The journal records fetch requests as they are consumed from the
-// fabric mailbox (the pending-map state a restart would otherwise
-// forget), dump-boundary commit markers, and — in the streaming service
-// only — ingested payloads. The staging pipeline journals its chunks by
-// reference: a request names the writer's region and the seal's
-// checksum, and the writer keeps that region until the dump's commit is
-// durable, so a restart re-pulls instead of replaying bytes from here. A
-// commit record is the durability point: it is flushed and fsynced, and
-// on recovery every chunk/request of a committed dump is deduplicated
-// away, which is what makes replay exactly-once across a restart.
+// Every record is framed one way, by one writer (writeRecord) and one
+// reader (readRecord): a little-endian fixed header (kind, writer,
+// timestep, length) and a CRC32-IEEE over the payload, whose length the
+// reader bounds by the bytes left in the file. The journal records fetch
+// requests as they are consumed from the fabric mailbox (the pending-map
+// state a restart would otherwise forget), dump-boundary commit markers,
+// the checkpoint record that opens a compacted journal, and — in the
+// streaming service only — ingested payloads. The staging pipeline
+// journals its chunks by reference: a request names the writer's region
+// and the seal's checksum, and the writer keeps that region until the
+// dump's commit is durable, so a restart re-pulls instead of replaying
+// bytes from here. A commit record is the durability point: it is
+// flushed and fsynced, and on recovery every chunk/request of a
+// committed dump is deduplicated away, which is what makes replay
+// exactly-once across a restart.
 //
 // To recovery a torn journal tail is *normal*: the process died
 // mid-append. Recover keeps the longest valid prefix and reports Torn
@@ -27,18 +28,17 @@
 // which a torn or damaged record is ErrCorrupt: a spill is lossless or
 // loud.
 //
-// Checkpoints compact the journal: WriteCheckpoint durably writes the
-// checkpoint (tmp + rename + sync) FIRST and only then rewrites the
-// journal keeping the records the checkpoint does not cover. A crash
-// between the two steps leaves covered records in the journal; recovery
-// drops them against the checkpoint's NextDump, so the ordering — never
-// truncate state that is not yet checkpointed — is what trace.Verify's
-// checkpoint→truncate rule pins down.
+// Checkpoints compact the journal in one atomic step: WriteCheckpoint
+// writes a fresh file — the magic, a checkpoint record saying every dump
+// below NextDump is committed, and the records it does not cover —
+// fsyncs it and renames it over the journal. A crash leaves either the
+// old journal or the compacted one, each whole; a leftover
+// journal.wal.tmp is never read and the next compaction overwrites it.
+// Recovery drops every record the checkpoint record covers.
 package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,24 +47,23 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
 
 const (
-	journalMagic    = "PDWAL1\n\x00"
-	checkpointMagic = "PDCKPT1\n"
-	journalName     = "journal.wal"
-	checkpointName  = "checkpoint.ckpt"
+	journalMagic = "PDWAL1\n\x00"
+	journalName  = "journal.wal"
 
 	// header: kind uint8 | writer int64 | timestep int64 | length uint32 | crc32 uint32
 	headerSize = 1 + 8 + 8 + 4 + 4
 )
 
-// ErrCorrupt marks a file that is not a journal or checkpoint at all
-// (bad magic), a damaged checkpoint, and — to Scan only — a torn or
-// bit-flipped record. To recovery a damaged record is a torn tail, not
-// an error: it truncates recovery to the valid prefix.
+// ErrCorrupt marks a file that is not a journal at all (bad magic)
+// and — to Scan only — a torn or bit-flipped record. To recovery a
+// damaged record is a torn tail, not an error: it truncates recovery to
+// the valid prefix.
 var ErrCorrupt = errors.New("wal: corrupt")
 
 // Kind classifies a journal record.
@@ -82,6 +81,10 @@ const (
 	// is fsynced. Recovery dedupes everything belonging to a committed
 	// dump.
 	KindCommit Kind = 3
+	// KindCheckpoint is the first record of a compacted journal: every
+	// dump below its Timestep (the checkpoint's NextDump) is committed.
+	// It carries no payload.
+	KindCheckpoint Kind = 4
 )
 
 // Record is one journal entry.
@@ -108,9 +111,9 @@ type Log struct {
 	// size is the journal file's length once everything buffered is
 	// flushed; uncached is the page-aligned prefix already durable and
 	// dropped from the page cache; newest is the highest Timestep of any
-	// record in the file (noRecord when it holds none). Open derives all
-	// three from its scan, so they describe the file, not just this
-	// handle's appends.
+	// record in the file but its checkpoint record (noRecord when it
+	// holds none). Open derives all three from its scan, so they describe
+	// the file, not just this handle's appends.
 	size     int64
 	uncached int64
 	newest   int64
@@ -144,7 +147,12 @@ func Open(dir string) (*Log, error) {
 	}
 	path := filepath.Join(dir, journalName)
 	newest := int64(noRecord)
-	_, validLen, _, scanErr := scanJournal(path, func(rec Record) error { newest = max(newest, rec.Timestep); return nil })
+	_, validLen, _, scanErr := scanJournal(path, func(rec Record) error {
+		if rec.Kind != KindCheckpoint {
+			newest = max(newest, rec.Timestep)
+		}
+		return nil
+	})
 	fresh := false
 	switch {
 	case errors.Is(scanErr, os.ErrNotExist):
@@ -281,20 +289,19 @@ func (l *Log) Wall() time.Duration {
 }
 
 // Checkpoint is the compact dump-boundary state: every dump below
-// NextDump is fully reduced and committed, and Epoch is the membership
-// epoch at the boundary.
+// NextDump is fully reduced and committed.
 type Checkpoint struct {
-	Epoch    int64
 	NextDump int64
 }
 
-// WriteCheckpoint durably writes the checkpoint, then truncates the
-// journal down to the records the checkpoint does not cover (those
-// with Timestep >= NextDump), returning how many records survived the
-// truncation. The ordering is load-bearing: the checkpoint hits disk
-// (tmp + rename + fsync) before a single journal byte is dropped, so a
-// crash between the steps only leaves covered records behind — which
-// recovery dedupes — never a hole.
+// WriteCheckpoint compacts the journal behind c: it writes a fresh file
+// holding c's checkpoint record and the records c does not cover (those
+// with Timestep >= NextDump; an older checkpoint record is never carried
+// forward), fsyncs it and renames it over the journal, returning how
+// many records it kept besides the checkpoint. The new file's fsync
+// before the rename makes every kept record durable, so the old journal
+// needs none; a crash on either side of the rename leaves one whole
+// journal.
 func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -305,84 +312,48 @@ func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
 	if err := l.w.Flush(); err != nil {
 		return 0, fmt.Errorf("wal: checkpoint flush: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return 0, fmt.Errorf("wal: checkpoint fsync: %w", err)
-	}
-
-	// Step 1: the checkpoint itself, atomically.
-	tmp := filepath.Join(l.dir, checkpointName+".tmp")
-	cf, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	werr := func() error {
-		if _, err := cf.WriteString(checkpointMagic); err != nil {
-			return err
-		}
-		// One kind-0 record with an empty payload: Epoch in the writer
-		// word, NextDump in the timestep word.
-		if err := writeRecord(cf, Record{Writer: int(c.Epoch), Timestep: c.NextDump}); err != nil {
-			return err
-		}
-		return cf.Sync()
-	}()
-	cerr := cf.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wal: checkpoint write: %w", errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wal: checkpoint rename: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return 0, err
-	}
-
-	// Step 2: journal truncation — rewrite keeping only the records the
-	// checkpoint does not cover, then swap atomically. When the file
-	// holds no record that recent (the usual case: a checkpoint follows
-	// its dump's commit) nothing survives and the journal is not read
-	// back — the last commit dropped its pages from the cache.
-	var keep []Record
+	// When the file holds no record the checkpoint leaves uncovered (the
+	// usual case: a checkpoint follows its dump's commit) the journal is
+	// not read back — the last commit dropped its pages from the cache.
+	recs := []Record{{Kind: KindCheckpoint, Writer: -1, Timestep: c.NextDump}}
 	if l.newest >= c.NextDump {
 		if _, _, _, err := scanJournal(l.path, func(rec Record) error {
-			if rec.Timestep >= c.NextDump {
-				keep = append(keep, rec)
+			if rec.Kind != KindCheckpoint && rec.Timestep >= c.NextDump {
+				recs = append(recs, rec)
 			}
 			return nil
 		}); err != nil {
 			return 0, err
 		}
 	}
-	jtmp := filepath.Join(l.dir, journalName+".tmp")
-	if err := writeJournal(jtmp, keep); err != nil {
+	tmp := l.path + ".tmp"
+	if err := writeJournal(tmp, recs); err != nil {
 		return 0, err
 	}
-	if err := os.Rename(jtmp, l.path); err != nil {
-		os.Remove(jtmp)
-		return 0, fmt.Errorf("wal: journal truncate rename: %w", err)
+	if err := os.Rename(tmp, l.path); err != nil {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("wal: checkpoint rename: %w", err)
 	}
 	if err := syncDir(l.dir); err != nil {
 		return 0, err
 	}
-	// Reattach the append handle to the rewritten file.
+	// Reattach the append handle to the compacted file.
 	if err := l.f.Close(); err != nil {
-		return 0, fmt.Errorf("wal: journal truncate: %w", err)
+		return 0, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	nf, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("wal: journal truncate reopen: %w", err)
+		return 0, fmt.Errorf("wal: checkpoint reopen: %w", err)
 	}
 	l.f = nf
-	l.w = bufio.NewWriter(nf)
-	l.size, l.uncached, l.newest = int64(len(journalMagic)), 0, noRecord
-	for _, rec := range keep {
+	l.w.Reset(nf)
+	l.size, l.uncached, l.newest = int64(len(journalMagic)+headerSize), 0, noRecord
+	for _, rec := range recs[1:] {
 		l.size += int64(headerSize + len(rec.Payload))
 		l.newest = max(l.newest, rec.Timestep)
 	}
 	l.wall += time.Since(start)
-	return len(keep), nil
+	return len(recs) - 1, nil
 }
 
 // writeJournal writes a fresh journal file holding recs, fsynced.
@@ -506,7 +477,7 @@ func scanJournal(path string, fn func(Record) error) (records int64, validLen in
 		// The end of the file exactly at a record boundary is a clean
 		// tail; anything else is torn.
 		rec, ok := readRecord(r, fi.Size()-validLen)
-		if !ok || rec.Kind != KindChunk && rec.Kind != KindRequest && rec.Kind != KindCommit {
+		if !ok || rec.Kind < KindChunk || rec.Kind > KindCheckpoint {
 			return records, validLen, validLen != fi.Size(), nil
 		}
 		if err := fn(rec); err != nil {
@@ -532,101 +503,46 @@ func Scan(dir string, fn func(Record) error) error {
 	return err
 }
 
-// readCheckpoint loads the checkpoint file. A missing file reports
-// ok=false; a torn or CRC-damaged checkpoint is ErrCorrupt — unlike
-// the journal it is written atomically, so damage means the file is
-// not trustworthy at all.
-func readCheckpoint(dir string) (Checkpoint, bool, error) {
-	b, err := os.ReadFile(filepath.Join(dir, checkpointName))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return Checkpoint{}, false, nil
-		}
-		return Checkpoint{}, false, fmt.Errorf("wal: read checkpoint: %w", err)
-	}
-	body, ok := bytes.CutPrefix(b, []byte(checkpointMagic))
-	var rec Record
-	if ok {
-		rec, ok = readRecord(bytes.NewReader(body), int64(len(body)))
-	}
-	if !ok || headerSize+len(rec.Payload) != len(body) {
-		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
-	}
-	return Checkpoint{Epoch: int64(rec.Writer), NextDump: rec.Timestep}, true, nil
-}
-
-// State is what recovery hands the restarted server: the checkpoint
-// (if any), the set of explicitly committed dumps in the journal tail,
-// and the uncommitted chunk/request records in append order —
-// everything needed to rebuild pending state and replay the in-flight
-// dump without re-reducing a committed one.
+// State is what recovery hands the restarted server: the journal's
+// uncommitted chunk/request records in append order — everything needed
+// to rebuild pending state and replay the in-flight dump without
+// re-reducing a committed one.
 type State struct {
-	HaveCheckpoint bool
-	Checkpoint     Checkpoint
-	// Committed holds dumps with a journal commit record. Dumps covered
-	// by the checkpoint (below NextDump) are committed too but carry no
-	// entry; use CommittedDump.
-	Committed map[int64]bool
-	// Chunks and Requests are the journal's uncommitted records in
-	// append order.
 	Chunks   []Record
 	Requests []Record
-	// LastCommitted is the highest committed dump (-1 when none).
-	LastCommitted int64
 	// Torn reports a discarded journal tail (crash mid-append).
 	Torn bool
 	// Records counts valid journal records scanned.
 	Records int64
 }
 
-// CommittedDump reports whether the dump was fully reduced before the
-// crash — by an explicit commit record or by checkpoint coverage.
-func (st *State) CommittedDump(ts int64) bool {
-	if st.HaveCheckpoint && ts < st.Checkpoint.NextDump {
-		return true
-	}
-	return st.Committed[ts]
-}
-
-// NextDump is the dump index the recovered rank re-enters the pipeline
-// at: one past the highest committed dump.
-func (st *State) NextDump() int64 { return st.LastCommitted + 1 }
-
-// Recover replays the checkpoint plus the journal's valid prefix from
-// dir. A missing directory or journal is an empty state, not an error:
-// a rank restarting with no durable history simply starts from dump 0.
+// Recover replays the journal's valid prefix from dir, dropping every
+// record of a committed dump: one the checkpoint record covers or one
+// with a commit record. A missing directory or journal is an empty
+// state, not an error: a rank restarting with no durable history simply
+// starts from dump 0.
 func Recover(dir string) (*State, error) {
-	st := &State{Committed: make(map[int64]bool), LastCommitted: -1}
-	ck, ok, err := readCheckpoint(dir)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		st.HaveCheckpoint = true
-		st.Checkpoint = ck
-		st.LastCommitted = ck.NextDump - 1
+	st := &State{}
+	next := int64(math.MinInt64) // every dump below it is covered by a checkpoint
+	committed := make(map[int64]bool)
+	drop := func(covered func(Record) bool) {
+		st.Chunks = slices.DeleteFunc(st.Chunks, covered)
+		st.Requests = slices.DeleteFunc(st.Requests, covered)
 	}
 	records, _, torn, err := scanJournal(filepath.Join(dir, journalName), func(rec Record) error {
-		if st.HaveCheckpoint && rec.Timestep < st.Checkpoint.NextDump {
-			return nil // covered by the checkpoint: a pre-truncation leftover
-		}
-		switch rec.Kind {
-		case KindCommit:
-			st.Committed[rec.Timestep] = true
-			if rec.Timestep > st.LastCommitted {
-				st.LastCommitted = rec.Timestep
-			}
-			// Dedup: drop everything already collected for the dump.
-			st.Chunks = dropTimestep(st.Chunks, rec.Timestep)
-			st.Requests = dropTimestep(st.Requests, rec.Timestep)
-		case KindChunk:
-			if !st.Committed[rec.Timestep] {
-				st.Chunks = append(st.Chunks, rec)
-			}
-		case KindRequest:
-			if !st.Committed[rec.Timestep] {
-				st.Requests = append(st.Requests, rec)
-			}
+		switch {
+		case rec.Kind == KindCheckpoint:
+			next = max(next, rec.Timestep)
+			drop(func(r Record) bool { return r.Timestep < next })
+		case rec.Timestep < next || committed[rec.Timestep]:
+			// Already committed: nothing of the dump is replayed.
+		case rec.Kind == KindCommit:
+			committed[rec.Timestep] = true
+			drop(func(r Record) bool { return r.Timestep == rec.Timestep })
+		case rec.Kind == KindChunk:
+			st.Chunks = append(st.Chunks, rec)
+		case rec.Kind == KindRequest:
+			st.Requests = append(st.Requests, rec)
 		}
 		return nil
 	})
@@ -639,15 +555,4 @@ func Recover(dir string) (*State, error) {
 	st.Records = records
 	st.Torn = torn
 	return st, nil
-}
-
-// dropTimestep removes records with the given timestep, preserving order.
-func dropTimestep(recs []Record, ts int64) []Record {
-	out := recs[:0]
-	for _, r := range recs {
-		if r.Timestep != ts {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,6 +18,19 @@ func mustOpen(t *testing.T, dir string) *Log {
 		t.Fatalf("Open: %v", err)
 	}
 	return l
+}
+
+// startsWithCheckpoint fails unless the journal in dir opens with the
+// checkpoint record for next and holds n records in all.
+func startsWithCheckpoint(t *testing.T, dir string, next int64, n int) {
+	t.Helper()
+	var recs []Record
+	if err := Scan(dir, func(rec Record) error { recs = append(recs, rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n || recs[0].Kind != KindCheckpoint || recs[0].Timestep != next {
+		t.Fatalf("journal holds %+v, want the checkpoint record for dump %d and %d records in all", recs, next, n)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -54,9 +68,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := st.Chunks[0]; got.Writer != 3 || got.Timestep != 0 || !bytes.Equal(got.Payload, []byte("chunk-3-bytes")) {
 		t.Fatalf("chunk 0 round-trip: %+v", got)
 	}
-	if st.NextDump() != 0 {
-		t.Fatalf("NextDump = %d with nothing committed", st.NextDump())
-	}
 }
 
 func TestCommitDedupes(t *testing.T) {
@@ -80,17 +91,11 @@ func TestCommitDedupes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CommittedDump(0) || st.CommittedDump(1) {
-		t.Fatalf("committed set wrong: %+v", st.Committed)
-	}
 	if len(st.Chunks) != 1 || st.Chunks[0].Timestep != 1 {
 		t.Fatalf("commit did not dedupe dump 0 chunks: %+v", st.Chunks)
 	}
 	if len(st.Requests) != 1 || st.Requests[0].Timestep != 1 {
 		t.Fatalf("commit did not dedupe dump 0 requests: %+v", st.Requests)
-	}
-	if st.NextDump() != 1 {
-		t.Fatalf("NextDump = %d, want 1", st.NextDump())
 	}
 }
 
@@ -99,7 +104,7 @@ func TestRecoverMissingDirIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.HaveCheckpoint || st.Records != 0 || st.NextDump() != 0 {
+	if st.Torn || st.Records != 0 || len(st.Chunks) != 0 || len(st.Requests) != 0 {
 		t.Fatalf("missing dir not empty: %+v", st)
 	}
 }
@@ -120,7 +125,7 @@ func TestCheckpointTruncatesAndCarriesForward(t *testing.T) {
 	if err := l.AppendRequest(5, 3, []byte("early-request")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.WriteCheckpoint(Checkpoint{Epoch: 2, NextDump: 2}); err != nil {
+	if _, err := l.WriteCheckpoint(Checkpoint{NextDump: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Appends after the checkpoint land in the rewritten journal.
@@ -138,57 +143,34 @@ func TestCheckpointTruncatesAndCarriesForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.HaveCheckpoint || st.Checkpoint.Epoch != 2 || st.Checkpoint.NextDump != 2 {
-		t.Fatalf("checkpoint not recovered: %+v", st.Checkpoint)
-	}
-	if !st.CommittedDump(0) || !st.CommittedDump(1) || st.CommittedDump(2) {
-		t.Fatal("checkpoint coverage wrong")
-	}
+	startsWithCheckpoint(t, dir, 2, 3)
 	if len(st.Requests) != 1 || st.Requests[0].Timestep != 3 {
 		t.Fatalf("future request did not survive truncation: %+v", st.Requests)
 	}
 	if len(st.Chunks) != 1 || !bytes.Equal(st.Chunks[0].Payload, []byte("post-ckpt")) {
 		t.Fatalf("post-checkpoint append lost: %+v", st.Chunks)
 	}
-	if st.NextDump() != 2 {
-		t.Fatalf("NextDump = %d, want 2", st.NextDump())
-	}
 }
 
 func TestRecoverDropsRecordsCoveredByCheckpoint(t *testing.T) {
-	// Model the crash between checkpoint rename and journal rewrite: the
-	// checkpoint covers dump 0 but the journal still holds its records.
+	// A checkpoint record followed by stale records it covers — which
+	// WriteCheckpoint never writes — and one record it does not: recovery
+	// drops the covered ones whatever their kind.
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	if err := l.AppendChunk(0, 0, []byte("covered")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendChunk(1, 1, []byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Write the checkpoint by hand, leaving the journal untouched.
-	l2 := mustOpen(t, dir)
-	if _, err := l2.WriteCheckpoint(Checkpoint{Epoch: 1, NextDump: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
+	if err := writeJournal(filepath.Join(dir, journalName), []Record{
+		{Kind: KindCheckpoint, Writer: -1, Timestep: 2},
+		{Kind: KindRequest, Writer: 0, Timestep: 1, Payload: []byte("covered-request")},
+		{Kind: KindChunk, Writer: 0, Timestep: 0, Payload: []byte("covered")},
+		{Kind: KindChunk, Writer: 1, Timestep: 2, Payload: []byte("tail")},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Chunks) != 1 || st.Chunks[0].Timestep != 1 {
-		t.Fatalf("covered records not dropped: %+v", st.Chunks)
+	if st.Torn || st.Records != 4 || len(st.Requests) != 0 || len(st.Chunks) != 1 || st.Chunks[0].Timestep != 2 {
+		t.Fatalf("covered records not dropped: %+v", st)
 	}
 }
 
@@ -280,18 +262,17 @@ func TestLargeChunkRecovers(t *testing.T) {
 }
 
 // TestGoldenBytes pins the bytes of a journal holding one record of each
-// kind, of a checkpoint, and of the journal a checkpoint rewrites, and
-// recovers the pinned bytes: journals and checkpoints written by any
-// version of the codec must still read back.
+// appended kind and of the journal a checkpoint compacts it to, and
+// recovers the pinned bytes: journals written by any version of the
+// codec must still read back.
 func TestGoldenBytes(t *testing.T) {
 	const (
 		journal = "504457414c310a00" +
 			"0103000000000000000700000000000000050000002e710695" + "6368756e6b" +
 			"02feffffffffffffff080000000000000002000000a5fcc702" + "01fe" +
 			"03ffffffffffffffff07000000000000000000000000000000"
-		checkpoint = "5044434b5054310a" +
-			"00050000000000000008000000000000000000000000000000"
-		rewritten = "504457414c310a00" +
+		compacted = "504457414c310a00" +
+			"04ffffffffffffffff08000000000000000000000000000000" +
 			"02feffffffffffffff080000000000000002000000a5fcc702" + "01fe"
 	)
 	dir := t.TempDir()
@@ -316,40 +297,31 @@ func TestGoldenBytes(t *testing.T) {
 		}
 	}
 	golden(journalName, journal)
-	if kept, err := l.WriteCheckpoint(Checkpoint{Epoch: 5, NextDump: 8}); err != nil || kept != 1 {
+	if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 8}); err != nil || kept != 1 {
 		t.Fatalf("checkpoint kept %d, err %v", kept, err)
 	}
-	golden(checkpointName, checkpoint)
-	golden(journalName, rewritten)
+	golden(journalName, compacted)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The pinned bytes recover: the whole journal alone, then the
-	// checkpoint beside the journal it rewrote.
-	for _, files := range []map[string]string{
-		{journalName: journal},
-		{journalName: rewritten, checkpointName: checkpoint},
-	} {
+	// The pinned bytes recover to the same state: dump 7 committed, the
+	// request for dump 8 pending.
+	for name, h := range map[string]string{"journal": journal, "compacted": compacted} {
 		rdir := t.TempDir()
-		for name, h := range files {
-			b, _ := hex.DecodeString(h)
-			if err := os.WriteFile(filepath.Join(rdir, name), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		b, _ := hex.DecodeString(h)
+		if err := os.WriteFile(filepath.Join(rdir, journalName), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		st, err := Recover(rdir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Torn || len(st.Requests) != 1 || st.NextDump() != 8 {
-			t.Fatalf("golden files %v: torn=%v requests=%d next dump %d", len(files), st.Torn, len(st.Requests), st.NextDump())
+		if st.Torn || len(st.Chunks) != 0 || len(st.Requests) != 1 {
+			t.Fatalf("golden %s: torn=%v chunks=%d requests=%d", name, st.Torn, len(st.Chunks), len(st.Requests))
 		}
 		if r := st.Requests[0]; r.Writer != -2 || r.Timestep != 8 || !bytes.Equal(r.Payload, []byte{0x01, 0xfe}) {
 			t.Fatalf("golden request: %+v", r)
-		}
-		if _, ok := files[checkpointName]; ok && st.Checkpoint != (Checkpoint{Epoch: 5, NextDump: 8}) {
-			t.Fatalf("golden checkpoint: %+v", st.Checkpoint)
 		}
 	}
 }
@@ -373,8 +345,10 @@ func TestAppendAfterCloseFails(t *testing.T) {
 
 // TestPrefixConsistencyAtEveryOffset is the crash-replay property test:
 // truncating the journal at EVERY byte offset must recover without
-// error to a state that is a prefix of the full record sequence — never
-// a record the full journal does not hold, never a gap.
+// error to exactly the state the surviving whole records describe —
+// never a record the full journal does not hold, never a gap. The
+// journal is a compacted one, so it opens with a checkpoint record and
+// carries a request forward past it.
 func TestPrefixConsistencyAtEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
@@ -383,7 +357,7 @@ func TestPrefixConsistencyAtEveryOffset(t *testing.T) {
 		ts   int64
 	}
 	var full []step
-	for ts := int64(0); ts < 3; ts++ {
+	for ts := int64(0); ts < 4; ts++ {
 		for w := 0; w < 2; w++ {
 			if err := l.AppendRequest(w, ts, []byte(fmt.Sprintf("req-%d-%d", w, ts))); err != nil {
 				t.Fatal(err)
@@ -394,10 +368,22 @@ func TestPrefixConsistencyAtEveryOffset(t *testing.T) {
 			}
 			full = append(full, step{KindChunk, ts})
 		}
+		if ts == 0 {
+			// An early request for dump 2, carried across the checkpoint.
+			if err := l.AppendRequest(9, 2, []byte("early")); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := l.AppendCommit(ts); err != nil {
 			t.Fatal(err)
 		}
 		full = append(full, step{KindCommit, ts})
+		if ts == 0 {
+			if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 1}); err != nil || kept != 1 {
+				t.Fatalf("checkpoint kept %d, err %v", kept, err)
+			}
+			full = []step{{KindCheckpoint, 1}, {KindRequest, 2}}
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -427,16 +413,31 @@ func TestPrefixConsistencyAtEveryOffset(t *testing.T) {
 		if int(st.Records) != replayed {
 			t.Fatalf("offset %d: recovered %d records, prefix holds %d", off, st.Records, replayed)
 		}
-		// Every surviving chunk/request must belong to an uncommitted
-		// dump, and committed dumps must form a prefix 0..LastCommitted.
-		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
-			if st.CommittedDump(r.Timestep) {
-				t.Fatalf("offset %d: record for committed dump %d survived", off, r.Timestep)
+		// Recovery keeps exactly the prefix's chunks and requests of
+		// dumps neither its checkpoint nor its commits cover.
+		floor, commits := int64(0), map[int64]bool{}
+		for _, s := range full[:replayed] {
+			switch s.kind {
+			case KindCheckpoint:
+				floor = s.ts
+			case KindCommit:
+				commits[s.ts] = true
 			}
 		}
-		for ts := int64(0); ts <= st.LastCommitted; ts++ {
-			if !st.CommittedDump(ts) {
-				t.Fatalf("offset %d: commit gap at dump %d (last %d)", off, ts, st.LastCommitted)
+		committed := func(ts int64) bool { return ts < floor || commits[ts] }
+		want := map[Kind]int{}
+		for _, s := range full[:replayed] {
+			if !committed(s.ts) {
+				want[s.kind]++
+			}
+		}
+		if len(st.Chunks) != want[KindChunk] || len(st.Requests) != want[KindRequest] {
+			t.Fatalf("offset %d: recovered %d chunks and %d requests, the prefix leaves %d and %d",
+				off, len(st.Chunks), len(st.Requests), want[KindChunk], want[KindRequest])
+		}
+		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
+			if committed(r.Timestep) {
+				t.Fatalf("offset %d: record for committed dump %d survived", off, r.Timestep)
 			}
 		}
 	}
@@ -566,13 +567,7 @@ func TestCheckpointKeepsCarryingForward(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 0 || st.NextDump() != 5 {
-		t.Fatalf("after the last checkpoint: %d records, next dump %d", st.Records, st.NextDump())
-	}
+	startsWithCheckpoint(t, dir, 5, 1)
 }
 
 // TestEmptyingCheckpointDoesNotReadJournal is the allocation tripwire for
@@ -602,5 +597,76 @@ func TestEmptyingCheckpointDoesNotReadJournal(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 		t.Fatalf("a checkpoint that keeps nothing allocated %d bytes over a %d-byte journal", got, 16*len(chunk))
+	}
+}
+
+// TestLeftoverTmpIgnored models a crash during compaction, before the
+// rename: any prefix of the compacted file lies beside the old journal.
+// Open and Recover read only the old journal, and the next compaction
+// overwrites the leftover.
+func TestLeftoverTmpIgnored(t *testing.T) {
+	build := func(dir string) *Log {
+		l := mustOpen(t, dir)
+		for ts := int64(0); ts < 2; ts++ {
+			if err := l.AppendRequest(1, ts, []byte("r")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendCommit(ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.AppendRequest(1, 2, []byte("pending")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	ref := t.TempDir()
+	l := build(ref)
+	if _, err := l.WriteCheckpoint(Checkpoint{NextDump: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(filepath.Join(ref, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut <= len(compacted); cut++ {
+		dir := t.TempDir()
+		if err := build(dir).Close(); err != nil {
+			t.Fatal(err)
+		}
+		old, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmp := filepath.Join(dir, journalName+".tmp")
+		if err := os.WriteFile(tmp, compacted[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Recover(dir)
+		if err != nil || st.Torn || st.Records != 5 || len(st.Requests) != 1 || st.Requests[0].Timestep != 2 {
+			t.Fatalf("cut %d: recovered %+v, err %v; want the old journal's state", cut, st, err)
+		}
+		l := mustOpen(t, dir)
+		if got, err := os.ReadFile(filepath.Join(dir, journalName)); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("cut %d: Open changed the old journal (err %v)", cut, err)
+		}
+		if kept, err := l.WriteCheckpoint(Checkpoint{NextDump: 2}); err != nil || kept != 1 {
+			t.Fatalf("cut %d: checkpoint kept %d, err %v", cut, kept, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, journalName)); err != nil || !bytes.Equal(got, compacted) {
+			t.Fatalf("cut %d: compaction over a leftover wrote %x, want %x (err %v)", cut, got, compacted, err)
+		}
+		if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("cut %d: leftover still beside the journal: %v", cut, err)
+		}
 	}
 }
