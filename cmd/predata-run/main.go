@@ -66,7 +66,7 @@ func cli(args []string) (code int) {
 		checkpointEvery = flags.Int("checkpoint-every", 0,
 			"compact the journals every N dumps behind a dump-boundary checkpoint record (0 disables; requires -wal-dir)")
 		tracePath = flags.String("trace", "",
-			"flight-record the run and write the trace here (.json: Chrome trace_event; otherwise PDTRACE1 binary; staging mode only)")
+			"flight-record the run and write the trace here (.json: Chrome trace_event; otherwise PDTRACE2 binary; staging mode only)")
 		elasticSpec = flags.String("elastic", "",
 			"autoscale the active staging pool within \"min:max\" of the provisioned -staging ranks (staging mode only)")
 		scalePolicy = flags.String("scale-policy", "",
@@ -339,7 +339,7 @@ func satOut(st *predata.DumpStats) string {
 
 // exportTrace snapshots the flight recorder, checks the recording against
 // the runtime invariants, and writes it to path — Chrome trace_event JSON
-// for a .json suffix, PDTRACE1 binary otherwise.
+// for a .json suffix, PDTRACE2 binary otherwise.
 func exportTrace(recorder *trace.Recorder, path string) error {
 	rec := recorder.Snapshot()
 	f, err := os.Create(path)

@@ -95,7 +95,7 @@ func TestRunFaultPlanAdversary(t *testing.T) {
 
 func TestRunWithTrace(t *testing.T) {
 	dir := t.TempDir()
-	// Binary export: the file must round-trip through the PDTRACE1 reader.
+	// Binary export: the file must round-trip through the PDTRACE2 reader.
 	bin := filepath.Join(dir, "run.trace")
 	if err := run("gtc", 4, 2, 300, 8, 64, 2, 2, "sort,hist", "", 1, 0, "", "", 0, bin, "", ""); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-// Command predata-trace inspects PDTRACE1 flight-recorder files written
+// Command predata-trace inspects PDTRACE2 flight-recorder files written
 // by predata-run -trace or the bench harness.
 //
 // Usage:

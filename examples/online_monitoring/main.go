@@ -60,14 +60,14 @@ func (o *weightHistOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		// edge bins.
 		counts[bitmap.Bin(arr.Float64[i*k+gtc.AttrWeight], [2]float64{0, 1}, bins)]++
 	}
-	ctx.Emit(0, counts)
+	staging.Emit(ctx, 0, counts)
 	return nil
 }
 
-func (o *weightHistOp) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (o *weightHistOp) Reduce(ctx *staging.Context, tag int, values [][]int64) error {
 	sum := make([]float64, bins)
-	for _, v := range values {
-		for i, c := range v.([]int64) {
+	for _, counts := range values {
+		for i, c := range counts {
 			sum[i] += float64(c)
 		}
 	}

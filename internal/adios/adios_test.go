@@ -179,13 +179,13 @@ func (s *sinkOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	if !ok {
 		return fmt.Errorf("chunk missing v: %v", chunk.Record)
 	}
-	ctx.Emit(0, int64(len(arr.Float64)))
+	staging.Emit(ctx, 0, int64(len(arr.Float64)))
 	return nil
 }
-func (s *sinkOp) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (s *sinkOp) Reduce(ctx *staging.Context, tag int, values []int64) error {
 	for _, v := range values {
 		s.mu.Lock()
-		s.n += v.(int64)
+		s.n += v
 		s.mu.Unlock()
 	}
 	return nil

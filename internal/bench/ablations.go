@@ -50,7 +50,7 @@ type countingHist struct {
 	combine  bool
 }
 
-func (c *countingHist) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (c *countingHist) Reduce(ctx *staging.Context, tag int, values [][]int64) error {
 	c.mu.Lock()
 	c.shuffled += len(values)
 	c.mu.Unlock()
@@ -58,7 +58,7 @@ func (c *countingHist) Reduce(ctx *staging.Context, tag int, values []any) error
 }
 
 // Combine forwards to the histogram combiner only when enabled.
-func (c *countingHist) Combine(tag int, values []any) ([]any, error) {
+func (c *countingHist) Combine(tag int, values [][]int64) ([][]int64, error) {
 	if !c.combine {
 		return values, nil
 	}

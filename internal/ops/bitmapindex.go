@@ -29,9 +29,9 @@ type BitmapIndexConfig struct {
 // rows each staging rank receives, merging all of the rank's chunks into
 // one bulk-loaded row set first (the paper's "multiple array chunks are
 // merged to speed up bulk loading"). Rows stay on the rank that pulled
-// them — indexing needs no shuffle — so Reduce is a no-op and Finalize
-// publishes, per rank, the per-column indexes plus the column values
-// needed for boundary-bin re-checks.
+// them — indexing needs no shuffle, so Map emits nothing and the operator
+// has no Reduce — and Finalize publishes, per rank, the per-column indexes
+// plus the column values needed for boundary-bin re-checks.
 type BitmapIndexOperator struct {
 	cfg BitmapIndexConfig
 
@@ -82,11 +82,6 @@ func (b *BitmapIndexOperator) Map(ctx *staging.Context, chunk *staging.Chunk) er
 		b.cols[c] = col
 	}
 	b.rows += rows
-	return nil
-}
-
-// Reduce is a no-op: indexing requires no cross-rank exchange.
-func (b *BitmapIndexOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
 	return nil
 }
 

@@ -36,7 +36,6 @@ type DataSpacesOperator struct {
 
 	mu       sync.Mutex
 	inserted int64
-	version  int
 }
 
 // NewDataSpacesOperator validates the configuration and returns the
@@ -79,9 +78,6 @@ func (d *DataSpacesOperator) Map(ctx *staging.Context, chunk *staging.Chunk) err
 	if d.cfg.ValueCol >= k || d.cfg.IDCol >= k || d.cfg.RankCol >= k {
 		return fmt.Errorf("ops: dataspaces operator columns outside %d columns", k)
 	}
-	d.mu.Lock()
-	d.version = int(chunk.Timestep)
-	d.mu.Unlock()
 	var n int64
 	for r := 0; r < rows; r++ {
 		row := arr.Float64[r*k : (r+1)*k]
@@ -101,17 +97,13 @@ func (d *DataSpacesOperator) Map(ctx *staging.Context, chunk *staging.Chunk) err
 	return nil
 }
 
-// Reduce is a no-op: the space itself is the shared result.
-func (d *DataSpacesOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
-	return nil
-}
-
-// Finalize publishes the insert count and version.
+// Finalize publishes the insert count and the version: the dump's
+// timestep, on a rank that mapped no chunk too.
 func (d *DataSpacesOperator) Finalize(ctx *staging.Context) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ctx.SetResult("inserted", d.inserted)
-	ctx.SetResult("version", int64(d.version))
+	ctx.SetResult("version", ctx.Step())
 	return nil
 }
 

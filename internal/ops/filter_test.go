@@ -127,8 +127,7 @@ func (r *rowAuditOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	}
 	return nil
 }
-func (r *rowAuditOp) Reduce(ctx *staging.Context, tag int, values []any) error { return nil }
-func (r *rowAuditOp) Finalize(ctx *staging.Context) error                      { return nil }
+func (r *rowAuditOp) Finalize(ctx *staging.Context) error { return nil }
 
 func TestDataSpacesOperatorValidation(t *testing.T) {
 	space, err := dataspaces.New(dataspaces.Config{
@@ -260,8 +259,7 @@ func (c *chunkOrderOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	c.onChunk(chunk.WriterRank)
 	return nil
 }
-func (c *chunkOrderOp) Reduce(ctx *staging.Context, tag int, values []any) error { return nil }
-func (c *chunkOrderOp) Finalize(ctx *staging.Context) error                      { return nil }
+func (c *chunkOrderOp) Finalize(ctx *staging.Context) error { return nil }
 
 // newRNG keeps test particle generation consistent with
 // runParticlePipeline's seeding convention (see ops_test.go).

@@ -199,48 +199,33 @@ func (m *histRows) MapRows(lo, hi int) {
 // Emit emits one count vector per tag.
 func (m *histRows) Emit() {
 	for tag, counts := range m.counts {
-		m.ctx.Emit(tag, counts)
+		staging.Emit(m.ctx, tag, counts)
 	}
 }
 
 // sum adds up the count vectors of one tag.
-func (h *HistogramOperator) sum(values []any) ([]int64, error) {
+func (h *HistogramOperator) sum(values [][]int64) []int64 {
 	sum := make([]int64, h.cells())
-	for _, v := range values {
-		counts, ok := v.([]int64)
-		if !ok || len(counts) != len(sum) {
-			return nil, fmt.Errorf("ops: %s: bad value %T", h.name, v)
-		}
+	for _, counts := range values {
 		for i, n := range counts {
 			sum[i] += n
 		}
 	}
-	return sum, nil
+	return sum
 }
 
 // Combine sums the local count vectors per tag before the shuffle.
-func (h *HistogramOperator) Combine(tag int, values []any) ([]any, error) {
+func (h *HistogramOperator) Combine(tag int, values [][]int64) ([][]int64, error) {
 	if len(values) <= 1 {
 		return values, nil
 	}
-	sum, err := h.sum(values)
-	if err != nil {
-		return nil, err
-	}
-	return []any{sum}, nil
+	return [][]int64{h.sum(values)}, nil
 }
 
 // Reduce sums the per-rank count vectors of one tag.
-func (h *HistogramOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
-	if tag < 0 || tag >= len(h.cfg.Columns)/h.dim {
-		return fmt.Errorf("ops: %s reduce got tag %d", h.name, tag)
-	}
-	sum, err := h.sum(values)
-	if err != nil {
-		return err
-	}
+func (h *HistogramOperator) Reduce(ctx *staging.Context, tag int, values [][]int64) error {
 	h.mu.Lock()
-	h.counts[tag] = sum
+	h.counts[tag] = h.sum(values)
 	h.mu.Unlock()
 	return nil
 }
@@ -289,7 +274,7 @@ func (h *HistogramOperator) Finalize(ctx *staging.Context) error {
 }
 
 var (
-	_ staging.Operator    = (*HistogramOperator)(nil)
-	_ staging.Combiner    = (*HistogramOperator)(nil)
-	_ staging.BlockMapper = (*HistogramOperator)(nil)
+	_ staging.Reducer[[]int64]  = (*HistogramOperator)(nil)
+	_ staging.Combiner[[]int64] = (*HistogramOperator)(nil)
+	_ staging.BlockMapper       = (*HistogramOperator)(nil)
 )

@@ -242,8 +242,7 @@ func (a *readOnceAudit) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	a.counts.Store(key, v.(int)+1)
 	return nil
 }
-func (a *readOnceAudit) Reduce(ctx *staging.Context, tag int, values []any) error { return nil }
-func (a *readOnceAudit) Finalize(ctx *staging.Context) error                      { return nil }
+func (a *readOnceAudit) Finalize(ctx *staging.Context) error { return nil }
 
 // TestOutputTimestepFromEngine: with more staging ranks than writers, some
 // ranks map no chunk yet own a histogram column, a 2-D pair or a merged

@@ -108,7 +108,7 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		if err != nil {
 			return fmt.Errorf("ops: variable %q: %w", name, err)
 		}
-		ctx.Emit(o.varIdx[name], view)
+		staging.Emit(ctx, o.varIdx[name], view)
 	}
 	return nil
 }
@@ -117,15 +117,12 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 // partial chunks, once they are shown to tile it exactly: pairwise
 // disjoint, and together as many elements as the array has. So every
 // element is written, and a reserved group needs no clearing.
-func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
-	if tag < 0 || tag >= len(o.cfg.Vars) {
-		return fmt.Errorf("ops: reorg reduce got tag %d", tag)
-	}
+func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []*staging.View) error {
 	name := o.cfg.Vars[tag]
 	var global []uint64
 	var covered uint64
 	for i, v := range values {
-		arr := v.(*staging.View).Array
+		arr := v.Array
 		if global == nil {
 			global = arr.Global
 		} else if !slices.Equal(global, arr.Global) {
@@ -136,15 +133,12 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 		// beside the scatter at tens of writers; thousands would want a
 		// sort-and-sweep instead.
 		for _, w := range values[:i] {
-			if prev := w.(*staging.View).Array; overlap(arr, prev) {
+			if prev := w.Array; overlap(arr, prev) {
 				return fmt.Errorf("ops: variable %q chunks at offsets %v and %v overlap",
 					name, prev.Offsets, arr.Offsets)
 			}
 		}
 		covered += arr.Elems()
-	}
-	if global == nil {
-		return nil
 	}
 	merged := &ffs.Array{Dims: global, Global: global, Offsets: make([]uint64, len(global))}
 	n := merged.Elems()
@@ -163,7 +157,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 		o.pgs[tag], merged.Float64 = pg, pg.Chunks[0].Data
 	}
 	if n > 0 {
-		if err := fillSlabs(merged.Float64, global, values, o.pgs[tag]); err != nil {
+		if err := fillSlabs(ctx, merged.Float64, global, values, o.pgs[tag]); err != nil {
 			return fmt.Errorf("ops: reorg output: %w", err)
 		}
 	}
@@ -171,15 +165,15 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	return nil
 }
 
-// fillSlabs scatters the chunks in values into out, the global array of
+// fillSlabs scatters the chunks in views into out, the global array of
 // dims global (n > 0 elements), one slab at a time: a run of leading rows
 // of at most one visited block (ffs.BlockRows). A chunk's rows inside a
 // slab are one contiguous stretch of its payload, scattered by one call at
-// offsets shifted to the slab and folded into the chunk's check right
-// after, while they are in cache; across the slabs each chunk's rows come
-// in payload order. When out lies in pg, each slab is folded into pg's
-// checksum while it is still in cache.
-func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
+// offsets shifted to the slab and folded into the chunk's check through
+// ctx right after, while they are in cache; across the slabs each chunk's
+// rows come in payload order. When out lies in pg, each slab is folded
+// into pg's checksum while it is still in cache.
+func fillSlabs(ctx *staging.Context, out []float64, global []uint64, views []*staging.View, pg *bp.PG) error {
 	per := uint64(len(out)) / global[0] // elements in a leading row
 	step := uint64(ffs.BlockRows(int(per)))
 	slab := slices.Clone(global)
@@ -187,8 +181,7 @@ func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
 	for g0 := uint64(0); g0 < global[0]; g0 += step {
 		g1 := min(g0+step, global[0])
 		slab[0] = g1 - g0
-		for _, v := range values {
-			view := v.(*staging.View)
+		for _, view := range views {
 			arr := view.Array
 			lo, hi := max(arr.Offsets[0], g0), min(arr.Offsets[0]+arr.Dims[0], g1)
 			if lo >= hi {
@@ -200,7 +193,7 @@ func fillSlabs(out []float64, global []uint64, values []any, pg *bp.PG) error {
 			dims[0], offsets[0] = hi-lo, lo-g0
 			rows := arr.Float64[(lo-arr.Offsets[0])*src : (hi-arr.Offsets[0])*src]
 			ffs.Scatter(out[g0*per:g1*per], slab, rows, dims, offsets)
-			view.Fold(int(lo-arr.Offsets[0]), int(hi-arr.Offsets[0]))
+			ctx.Fold(view, int(lo-arr.Offsets[0]), int(hi-arr.Offsets[0]))
 		}
 		if pg != nil {
 			if err := pg.Fold(0, int(g0*per), int(g1*per)); err != nil {
@@ -260,6 +253,6 @@ func overlap(a, b *ffs.Array) bool {
 }
 
 var (
-	_ staging.Operator         = (*ReorgOperator)(nil)
-	_ staging.VerifyingReducer = (*ReorgOperator)(nil)
+	_ staging.Reducer[*staging.View] = (*ReorgOperator)(nil)
+	_ staging.VerifyingReducer       = (*ReorgOperator)(nil)
 )

@@ -101,8 +101,7 @@ func (s *SortOperator) Initialize(ctx *staging.Context, agg map[string]any) erro
 
 // VerifiesInReduce implements staging.VerifyingReducer: Map's key pass
 // reads the whole array once, in row order, and folds it into the chunk's
-// check block by block; the view it emits to its own rank carries the sum
-// to the verify step.
+// check block by block.
 func (s *SortOperator) VerifiesInReduce() {}
 
 // adopt records the dump's row width from the first chunk or run seen and
@@ -240,9 +239,8 @@ func resize[T any](s []T, n int) []T {
 
 // Map sorts the chunk's rows by (major, minor) and emits them as one sorted
 // run per destination rank under that rank's tag: views of the chunk's
-// rows, in the order the sort gave their numbers and keys. The array goes
-// to this rank's tag as well, as a view carrying its part of the chunk's
-// check, folded as the key pass reads it.
+// rows, in the order the sort gave their numbers and keys. The key pass
+// folds the array into the chunk's check as it reads it.
 func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	arr, rows, k, err := matrixVar(chunk, s.cfg.Var)
 	if err != nil {
@@ -293,9 +291,8 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 			e := &entries[r]
 			e.key[0], e.key[1], e.row = lo, hi, uint64(r)
 		}
-		view.Fold(r0, r1)
+		ctx.Fold(view, r0, r1)
 	}
-	ctx.Emit(ctx.Rank(), view)
 	// The destination is not part of the key: bucketOf is non-decreasing
 	// in the major key's order, so rows sorted by key are already grouped
 	// by destination, in rank order.
@@ -305,7 +302,7 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		if n == 0 {
 			continue
 		}
-		ctx.Emit(dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: src, Order: order[:n:n], Keys: keys[:n:n]})
+		staging.Emit(ctx, dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: src, Order: order[:n:n], Keys: keys[:n:n]})
 		order, keys = order[n:], keys[n:]
 	}
 	return nil
@@ -392,27 +389,16 @@ func radixSort(entries, spare []sortEntry, varies sortKey, counts *[]uint32, ord
 // into the output: straight into a reserved process group when the operator
 // writes one, so each sorted row is copied once, from its writer's frame to
 // the group.
-func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []*sortedRun) error {
 	if s.sorted != nil {
 		return fmt.Errorf("ops: sort reduced twice in one dump (tags must be staging ranks)")
 	}
-	runs := make([]*sortedRun, 0, len(values))
 	rows := 0
-	for _, v := range values {
-		run, ok := v.(*sortedRun)
-		if !ok {
-			continue // a Map's view, bound for the verify step
-		}
+	for _, run := range values {
 		if err := s.adopt(run.K); err != nil {
 			return err
 		}
-		if len(run.Order) > 0 {
-			runs = append(runs, run)
-			rows += len(run.Order)
-		}
-	}
-	if rows == 0 {
-		return nil
+		rows += len(run.Order)
 	}
 	s.rows = rows
 	if s.cfg.Output == nil {
@@ -430,8 +416,8 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []any) error
 	plan := plans.get()
 	defer plans.put(plan)
 	*plan = resize(*plan, rows)
-	planMerge(runs, *plan)
-	if err := gather(s.sorted, s.k, runs, *plan, s.pg); err != nil {
+	planMerge(values, *plan)
+	if err := gather(s.sorted, s.k, values, *plan, s.pg); err != nil {
 		return fmt.Errorf("ops: sort output: %w", err)
 	}
 	return nil
@@ -615,5 +601,4 @@ func (s *SortOperator) Finalize(ctx *staging.Context) error {
 	return nil
 }
 
-// Compile-time interface check.
-var _ staging.Operator = (*SortOperator)(nil)
+var _ staging.Reducer[*sortedRun] = (*SortOperator)(nil)

@@ -772,8 +772,8 @@ func BenchmarkSortDump(b *testing.B) {
 // it is the sort's Initialize and Map, and the engine's small fixed cost.
 type sortMapOnly struct{ *SortOperator }
 
-func (sortMapOnly) Reduce(*staging.Context, int, []any) error { return nil }
-func (sortMapOnly) Finalize(*staging.Context) error           { return nil }
+func (sortMapOnly) Reduce(*staging.Context, int, []*sortedRun) error { return nil }
+func (sortMapOnly) Finalize(*staging.Context) error                  { return nil }
 
 // BenchmarkSortMap is the sort's Map on one chunk of the benchmark's shape —
 // one writer's 65,536 rows of 8 attributes, its ids shuffled — as a dump

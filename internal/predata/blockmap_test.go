@@ -344,7 +344,6 @@ type plainOp struct{ unverified *atomic.Int64 }
 
 func (plainOp) Name() string                                      { return "plain" }
 func (plainOp) Initialize(*staging.Context, map[string]any) error { return nil }
-func (plainOp) Reduce(*staging.Context, int, []any) error         { return nil }
 func (plainOp) Finalize(*staging.Context) error                   { return nil }
 func (p plainOp) Map(_ *staging.Context, chunk *staging.Chunk) error {
 	if chunk.Unverified != nil {

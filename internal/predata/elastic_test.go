@@ -185,15 +185,15 @@ func (c *frameCountOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 			cost = time.Duration(arr.Dims[0]) * frameCost
 		}
 		time.Sleep(cost)
-		ctx.Emit(0, int64(arr.Dims[0]))
+		staging.Emit(ctx, 0, int64(arr.Dims[0]))
 	}
 	return nil
 }
-func (c *frameCountOp) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (c *frameCountOp) Reduce(ctx *staging.Context, tag int, values []int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, v := range values {
-		c.n += v.(int64)
+		c.n += v
 	}
 	return nil
 }

@@ -147,23 +147,23 @@ func (h *minmaxHist) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		if bin >= h.bins {
 			bin = h.bins - 1
 		}
-		ctx.Emit(bin, int64(1))
+		staging.Emit(ctx, bin, int64(1))
 	}
 	return nil
 }
 
-func (h *minmaxHist) Combine(tag int, values []any) ([]any, error) {
+func (h *minmaxHist) Combine(tag int, values []int64) ([]int64, error) {
 	var sum int64
 	for _, v := range values {
-		sum += v.(int64)
+		sum += v
 	}
-	return []any{sum}, nil
+	return []int64{sum}, nil
 }
 
-func (h *minmaxHist) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (h *minmaxHist) Reduce(ctx *staging.Context, tag int, values []int64) error {
 	var sum int64
 	for _, v := range values {
-		sum += v.(int64)
+		sum += v
 	}
 	h.mu.Lock()
 	h.total[tag] += sum
@@ -417,13 +417,13 @@ func (c *countOp) Initialize(ctx *staging.Context, agg map[string]any) error {
 }
 func (c *countOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	vals, _ := chunk.Record["values"].([]float64)
-	ctx.Emit(0, int64(len(vals)))
+	staging.Emit(ctx, 0, int64(len(vals)))
 	return nil
 }
-func (c *countOp) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (c *countOp) Reduce(ctx *staging.Context, tag int, values []int64) error {
 	for _, v := range values {
 		c.mu.Lock()
-		c.n += v.(int64)
+		c.n += v
 		c.mu.Unlock()
 	}
 	return nil

@@ -198,7 +198,7 @@ type slowCheckedReorg struct {
 	atReduce func()
 }
 
-func (r slowCheckedReorg) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (r slowCheckedReorg) Reduce(ctx *staging.Context, tag int, values []*staging.View) error {
 	time.Sleep(20 * time.Millisecond)
 	r.atReduce()
 	return r.ReorgOperator.Reduce(ctx, tag, values)

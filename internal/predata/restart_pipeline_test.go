@@ -54,7 +54,7 @@ type probeOp struct {
 	probe func()
 }
 
-func (p *probeOp) Reduce(ctx *staging.Context, tag int, values []any) error {
+func (p *probeOp) Reduce(ctx *staging.Context, tag int, values []int64) error {
 	p.probe()
 	return p.countOp.Reduce(ctx, tag, values)
 }

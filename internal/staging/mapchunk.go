@@ -133,7 +133,7 @@ func (m *mapper) walk(chunk *Chunk, shed ShedClass) (walked, ok bool) {
 		step := ffs.BlockRows(max(len(a.Float64)/rows, 1))
 		for lo := 0; lo < rows; lo += step {
 			hi := min(lo+step, rows)
-			v.Fold(lo, hi)
+			v.fold(lo, hi)
 			for i := range rms {
 				if r := &rms[i]; r.rm != nil {
 					start := time.Now()

@@ -3,6 +3,7 @@ package staging
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"predata/internal/ffs"
@@ -12,12 +13,12 @@ import (
 // VerifyingReducer is an optional Operator extension for an operator that
 // reads every payload byte of the arrays it uses once and in order, in its
 // Map or in its Reduce, so the chunk's check can ride that read instead of
-// a pass of its own. Its Map emits each array it uses as a View
-// (Context.View), and whichever of Map or Reduce reads the rows calls the
-// view's Fold right after it reads each run of them: the reorg folds in its
-// Reduce scatter, the sort in its Map key pass, emitting the folded view to
-// its own rank. Either way the view must reach some Reduce through the
-// shuffle: that is how its sum reaches the verify step.
+// a pass of its own. Its Map takes each array it uses as a View
+// (Context.View), and whichever of Map or Reduce reads the rows folds each
+// run of them right after reading it, through the Context of the rank
+// reading them (Context.Fold): the reorg in its Reduce scatter, the sort in
+// its Map key pass. The folding rank sends the view's sum to the verify
+// step.
 //
 // When every operator of a dump is one, an unchecked chunk
 // (Chunk.Unverified) reaches Map with its check still pending: the views
@@ -33,22 +34,11 @@ type VerifyingReducer interface {
 	VerifiesInReduce()
 }
 
-// verifiesInReduce reports whether every operator is a VerifyingReducer:
-// the dumps whose chunk checks wait for Reduce.
-func verifiesInReduce(ops []Operator) bool {
-	for _, op := range ops {
-		if _, ok := op.(VerifyingReducer); !ok {
-			return false
-		}
-	}
-	return len(ops) > 0
-}
-
-// View is one float64 array of a chunk as a VerifyingReducer's Map emits
+// View is one float64 array of a chunk as a VerifyingReducer's Map takes
 // it. While the chunk is unchecked, the view carries the part of the
 // chunk's check that covers the array's payload bytes — the payload's own
 // little-endian words, so the sum does not depend on the host — and the
-// Map or Reduce that reads the rows folds them into it (Fold).
+// Map or Reduce that reads the rows folds them into it (Context.Fold).
 type View struct {
 	Array *ffs.Array
 
@@ -60,11 +50,21 @@ type View struct {
 	folded int // bytes of wire in sum; -1 after a fold out of order
 }
 
-// Fold extends the view's part of its chunk's check over rows [lo, hi) of
-// the array's leading dimension, which the caller has just read: the rows
-// must follow the last fold's. A fold out of order leaves the part
-// unsummed, and the rank holding the chunk sums those bytes itself.
-func (v *View) Fold(lo, hi int) {
+// Fold extends v's part of its chunk's check over rows [lo, hi) of the
+// array's leading dimension, which the caller has just read on c's rank,
+// whose verify step sends the sum: the rows must follow the last fold's. A
+// fold out of order leaves the part unsummed, and the rank holding the
+// chunk sums those bytes itself.
+func (c *Context) Fold(v *View, lo, hi int) {
+	if v.wire != nil && lo == 0 {
+		c.mu.Lock()
+		c.folded = append(c.folded, v)
+		c.mu.Unlock()
+	}
+	v.fold(lo, hi)
+}
+
+func (v *View) fold(lo, hi int) {
 	if v.wire == nil || v.folded < 0 {
 		return
 	}
@@ -77,9 +77,9 @@ func (v *View) Fold(lo, hi int) {
 	v.folded = hi * row
 }
 
-// View returns a, one of chunk's float64 arrays, as the value a
-// VerifyingReducer's Map emits for it: carrying the array's part of the
-// chunk's check when that waits for Reduce, and nothing more otherwise.
+// View returns a, one of chunk's float64 arrays, as a VerifyingReducer's
+// Map takes it: carrying the array's part of the chunk's check when that
+// waits for Reduce, and nothing more otherwise.
 // The context hands views out of slabs of one record's arrays, so a
 // chunk's views cost at most one allocation.
 func (c *Context) View(chunk *Chunk, a *ffs.Array) (*View, error) {
@@ -94,7 +94,7 @@ func (c *Context) View(chunk *Chunk, a *ffs.Array) (*View, error) {
 	if c.checks == nil || chunk.check == nil || ext == nil || len(a.Float64) == 0 {
 		return v, nil
 	}
-	i := extentOf(ext, a)
+	i := slices.IndexFunc(ext, func(e ffs.Extent) bool { return e.Array == a })
 	if i < 0 {
 		return nil, fmt.Errorf("staging: view of an array that is not one of the chunk's float64 arrays")
 	}
@@ -125,7 +125,7 @@ func (cs *checks) add(chunk *Chunk) {
 // check is an unchecked chunk's check against its Sum, built from where
 // Decode found the record's float64 arrays (Chunk.extents): one part per
 // array, folded where the part is read — block by block in the engine's
-// walk for a BlockMapper, through View.Fold for a VerifyingReducer (the
+// walk for a BlockMapper, through Context.Fold for a VerifyingReducer (the
 // reorg's Reduce scatter, the sort's Map key pass). matches sums every
 // other byte and judges.
 type check struct {
@@ -152,17 +152,6 @@ func (c *Chunk) extents() []ffs.Extent {
 		return nil
 	}
 	return c.layout
-}
-
-// extentOf returns the index of a's extent in ext, or -1 when a is not
-// one of the arrays ext locates.
-func extentOf(ext []ffs.Extent, a *ffs.Array) int {
-	for i, e := range ext {
-		if e.Array == a {
-			return i
-		}
-	}
-	return -1
 }
 
 // matches reports whether c's payload matches its Sum: each part that
@@ -197,16 +186,18 @@ type verdict struct {
 }
 
 // verify is the verify step, issued by every rank alike: an Alltoall sends
-// the sum of every view this rank reduced back to the rank holding its
-// chunk, each rank checks the chunks it holds, and an Allgather shares the
-// verdicts. It returns the checks that failed here, whether some rank's
-// failed (every rank then redoes the pass), and whether some rank's Reduce
-// failed (reduceFailed here).
-func (cs *checks) verify(comm *mpi.Comm, views []*View, reduceFailed bool) (bad []*Chunk, redo, failed bool, err error) {
+// the sum of every view folded whole through ctxs, this rank's contexts,
+// back to the rank holding its chunk, each rank checks the chunks it holds,
+// and an Allgather shares the verdicts. It returns the checks that failed
+// here, whether some rank's failed (every rank then redoes the pass), and
+// whether some rank's Reduce failed (reduceFailed here).
+func (cs *checks) verify(comm *mpi.Comm, ctxs []*Context, reduceFailed bool) (bad []*Chunk, redo, failed bool, err error) {
 	send := make([][]partSum, comm.Size())
-	for _, v := range views {
-		if v.wire != nil && v.folded == len(v.wire) {
-			send[v.origin] = append(send[v.origin], partSum{Chunk: v.chunk, Part: v.part, Sum: v.sum})
+	for _, c := range ctxs {
+		for _, v := range c.folded {
+			if v.folded == len(v.wire) {
+				send[v.origin] = append(send[v.origin], partSum{Chunk: v.chunk, Part: v.part, Sum: v.sum})
+			}
 		}
 	}
 	recv, err := mpi.Alltoall(comm, send)

@@ -63,17 +63,14 @@ type Chunk struct {
 	// Unverified, when non-nil, is the FFS payload Record was decoded
 	// from, whose checksum nobody has checked yet: the engine checks it
 	// against Sum before anything of the chunk is committed, folding each
-	// float64 array's bytes, at the extents DecodeChunk's one parse found,
-	// where a pass reads them — the engine's block walk when every operator
-	// of the dump is a BlockMapper, the Map or Reduce that reads
-	// them when every operator is a VerifyingReducer (settled by the verify
-	// step) — and summing every other byte when the check is judged. Any
-	// other chunk is checked whole before any operator sees it and goes on
-	// with Unverified cleared, so a Map sees it set only while a
-	// VerifyingReducer's check is pending. A chunk whose Record was not
-	// decoded from these very bytes is checked whole, never walked. On a
-	// mismatch the engine drops what it built from the payload and calls
-	// Corrupt.
+	// float64 array's bytes where a pass reads them — its block walk when
+	// every operator is a BlockMapper, the Map or Reduce that reads them
+	// when every operator is a VerifyingReducer — and summing every other
+	// byte when the check is judged. Any other chunk, and one whose Record
+	// was not decoded from these very bytes, is checked whole before any
+	// operator sees it, so a Map sees Unverified set only while a
+	// VerifyingReducer's check is pending. On a mismatch the engine drops
+	// what it built from the payload and calls Corrupt.
 	Unverified []byte
 	Sum        uint32
 	// Corrupt returns a re-pulled copy of the chunk, checked, to map in
@@ -104,10 +101,12 @@ type Optional interface {
 // with Workers > 1; implementations must either be safe for that or be
 // wrapped with Workers == 1.
 //
-// A chunk's record values are views into its writer's frame, read-only.
-// An operator may keep them — emit them, read them in Reduce — until the
-// dump's Finalize returns, and no longer: after that the writer reuses the
-// frame for a later dump.
+// An operator that emits values (Emit) emits values of one type V and is a
+// Reducer[V]; one that emits nothing needs no Reduce. A chunk's record
+// values are views into its writer's frame, read-only. An operator may keep
+// them — emit them, read them in Reduce — until the dump's Finalize
+// returns, and no longer: after that the writer reuses the frame for a
+// later dump.
 type Operator interface {
 	// Name identifies the operator in results and errors.
 	Name() string
@@ -115,21 +114,26 @@ type Operator interface {
 	// aggregated results generated from the pre-fetch request phase.
 	Initialize(ctx *Context, agg map[string]any) error
 	// Map is called once per chunk. Intermediate results are emitted with
-	// ctx.Emit and later grouped by tag for Reduce.
+	// Emit and later grouped by tag for Reduce.
 	Map(ctx *Context, chunk *Chunk) error
-	// Reduce is called once per tag owned by this staging rank, with all
-	// intermediate values emitted under that tag across all ranks.
-	Reduce(ctx *Context, tag int, values []any) error
 	// Finalize is called once after all Reduce calls complete: write final
 	// results, feed consumers, clean up.
 	Finalize(ctx *Context) error
 }
 
-// Combiner is an optional Operator extension: Combine merges the locally
-// emitted values for one tag before the shuffle, cutting shuffle volume
-// (the classic combiner optimization).
-type Combiner interface {
-	Combine(tag int, values []any) ([]any, error)
+// Reducer is the Operator extension that receives what its Map emits:
+// Reduce is called once per tag owned by this staging rank, tags
+// ascending, with all the values emitted under that tag across all ranks,
+// by sender rank and then emission order.
+type Reducer[V any] interface {
+	Reduce(ctx *Context, tag int, values []V) error
+}
+
+// Combiner is an optional extension of an operator that emits values of
+// type V: Combine merges the locally emitted values for one tag before the
+// shuffle, cutting shuffle volume (the classic combiner optimization).
+type Combiner[V any] interface {
+	Combine(tag int, values []V) ([]V, error)
 }
 
 // BlockMapper is an optional Operator extension for an operator whose Map
@@ -150,9 +154,12 @@ type BlockMapper interface {
 
 // BlockMapped reports whether every operator is a BlockMapper: the dumps
 // whose chunks the engine walks, and whose values never alias a payload.
-func BlockMapped(ops []Operator) bool {
+func BlockMapped(ops []Operator) bool { return every[BlockMapper](ops) }
+
+// every reports whether ops is not empty and every operator is a T.
+func every[T any](ops []Operator) bool {
 	for _, op := range ops {
-		if _, ok := op.(BlockMapper); !ok {
+		if _, ok := op.(T); !ok {
 			return false
 		}
 	}
@@ -163,8 +170,8 @@ func BlockMapped(ops []Operator) bool {
 type RowMapper interface {
 	// MapRows maps rows [lo, hi) of the chunk's float64 array.
 	MapRows(lo, hi int)
-	// Emit emits the chunk's intermediate values with Context.Emit. A
-	// chunk whose payload fails verification is never emitted.
+	// Emit emits the chunk's intermediate values with Emit. A chunk whose
+	// payload fails verification is never emitted.
 	Emit()
 }
 
@@ -227,13 +234,15 @@ func (e *Engine) SetDump(dump int64) { e.dump = dump }
 // operator callback.
 type Context struct {
 	comm    *mpi.Comm
-	op      string
+	op      Operator
 	mu      sync.Mutex
-	emitted map[int][]any
+	emitted emissions // nil until the first Emit
+	err     error     // an ErrEmitType
 	results map[string]any
 	step    int64
 	checks  *checks // the dump's pending chunk checks, while they wait for Reduce
 	views   []View  // the slab View hands views out of
+	folded  []*View // the views folded on this rank, whose sums the verify step sends
 }
 
 // Rank returns the staging rank executing this context.
@@ -252,12 +261,104 @@ func (c *Context) Step() int64 { return c.step }
 // "standard programming model" insight.
 func (c *Context) Comm() *mpi.Comm { return c.comm }
 
+// ErrEmitType fails a dump, like a Map error, in which an operator emitted
+// values of a second type, or of a type it has no Reducer for.
+var ErrEmitType = errors.New("staging: operator emitted a value it cannot reduce")
+
 // Emit records an intermediate (tag, value) pair during Map. The shuffle
-// routes it to staging rank tag mod Ranks().
-func (c *Context) Emit(tag int, value any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.emitted[tag] = append(c.emitted[tag], value)
+// routes it to staging rank tag mod Ranks(), whose Reducer[V] receives it
+// with the tag's other values.
+func Emit[V any](ctx *Context, tag int, value V) {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	e, ok := ctx.emitted.(emits[V])
+	if !ok {
+		if _, reduces := ctx.op.(Reducer[V]); ctx.emitted != nil || !reduces {
+			if ctx.err == nil {
+				ctx.err = fmt.Errorf("%w: %s emitted a %T", ErrEmitType, ctx.op.Name(), value)
+			}
+			return
+		}
+		e = emits[V]{}
+		ctx.emitted = e
+	}
+	e[tag] = append(e[tag], value)
+}
+
+// emissions are one operator's emits on one rank as the engine sees them.
+// route combines each tag's values with the operator's Combiner, if it has
+// one, and returns each tag's run in the bucket of the rank owning the
+// tag, with how many values they hold.
+type emissions interface {
+	route(op Operator, ranks int) (buckets [][]run, values int, err error)
+}
+
+// run is one tag's values from one rank, on its way to the rank owning the
+// tag: the shuffle's element, whatever the values' type.
+type run interface {
+	// reduce orders runs, all that this rank received for the operator,
+	// stably by tag, and calls its Reduce once per tag with the tag's
+	// values, by sender rank and then emission order — from the first
+	// failure on, or with skip, no more. It returns the number of tags.
+	reduce(ctx *Context, runs []run, skip bool) (tags int, err error)
+}
+
+// emits are the emissions of an operator whose values are Vs, by tag.
+type emits[V any] map[int][]V
+
+type emitRun[V any] struct {
+	tag  int
+	vals []V
+}
+
+func (e emits[V]) route(op Operator, ranks int) (buckets [][]run, values int, err error) {
+	cb, combines := op.(Combiner[V])
+	runs := make([]emitRun[V], 0, len(e))
+	for tag, vals := range e {
+		if combines {
+			if vals, err = cb.Combine(tag, vals); err != nil {
+				return nil, 0, err
+			}
+		}
+		runs = append(runs, emitRun[V]{tag, vals})
+		values += len(vals)
+	}
+	// Grouped by destination, each rank's bucket is an exact run of one
+	// allocation.
+	slices.SortFunc(runs, func(a, b emitRun[V]) int { return cmp.Compare(owner(a.tag, ranks), owner(b.tag, ranks)) })
+	flat, buckets := make([]run, len(runs)), make([][]run, ranks)
+	for i := range runs {
+		flat[i] = &runs[i]
+		dst := owner(runs[i].tag, ranks)
+		buckets[dst] = flat[i-len(buckets[dst]) : i+1 : i+1]
+	}
+	return buckets, values, nil
+}
+
+// owner is the staging rank that reduces tag.
+func owner(tag, ranks int) int { return ((tag % ranks) + ranks) % ranks }
+
+func (*emitRun[V]) reduce(ctx *Context, runs []run, skip bool) (tags int, err error) {
+	as := func(r run) *emitRun[V] { return r.(*emitRun[V]) }
+	slices.SortStableFunc(runs, func(a, b run) int { return cmp.Compare(as(a).tag, as(b).tag) })
+	n := 0
+	for _, r := range runs {
+		n += len(as(r).vals)
+	}
+	// Every tag's values are an exact run of one allocation.
+	vals := make([]V, 0, n)
+	for lo, hi := 0, 0; lo < len(runs); lo, tags = hi, tags+1 {
+		tag, at := as(runs[lo]).tag, len(vals)
+		for hi = lo; hi < len(runs) && as(runs[hi]).tag == tag; hi++ {
+			vals = append(vals, as(runs[hi]).vals...)
+		}
+		if !skip && err == nil {
+			if err = ctx.op.(Reducer[V]).Reduce(ctx, tag, slices.Clip(vals[at:])); err != nil {
+				err = fmt.Errorf("staging: %s.Reduce(tag %d): %w", ctx.op.Name(), tag, err)
+			}
+		}
+	}
+	return tags, err
 }
 
 // SetResult stores a named final result, retrievable from the dump Result.
@@ -330,12 +431,6 @@ func drain(chunks <-chan *Chunk) {
 	}
 }
 
-// taggedValue is the shuffle wire format.
-type taggedValue struct {
-	Tag   int
-	Value any
-}
-
 // ProcessDump drives all operators over the chunk stream for one I/O dump.
 // Every staging rank of comm must call ProcessDump collectively with the
 // same operator list (the shuffle and reduce phases synchronize). Results
@@ -373,12 +468,10 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			}
 		}
 	}
-	optional := make([]bool, len(ops))
-	anyOptional := false
+	optional, shedable := make([]bool, len(ops)), []string(nil)
 	for i, op := range ops {
 		if o, ok := op.(Optional); ok && o.Optional() {
-			optional[i] = true
-			anyOptional = true
+			optional[i], shedable = true, append(shedable, op.Name())
 		}
 	}
 
@@ -386,7 +479,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 	// end: the verify step reads the unchecked ones, and a redo maps them
 	// all again. Whether a dump verifies in Reduce depends only on ops, so
 	// every rank issues the verify step's collectives, or none does.
-	deferred := verifiesInReduce(ops)
+	deferred := every[VerifyingReducer](ops)
 	var (
 		ctxs []*Context
 		held []*Chunk
@@ -405,8 +498,7 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		for i, op := range ops {
 			ctxs[i] = &Context{
 				comm:    comm,
-				op:      op.Name(),
-				emitted: make(map[int][]any),
+				op:      op,
 				results: make(map[string]any),
 				step:    e.dump,
 				checks:  cs,
@@ -478,30 +570,24 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		}
 		wg.Wait()
 		end(nChunks)
-		for i := range ops {
+		for i, ctx := range ctxs {
 			opBD[i].add(trace.PhaseMap, time.Duration(m.spent[i].Load()))
+			if ctx.err != nil {
+				m.fail(ctx.err)
+			}
 		}
 		res.Chunks = int(nChunks)
 		res.ShedSkips = int(nSkips)
 		res.Degraded, res.ShedOperators = false, nil
-		if shedSeen && anyOptional {
-			res.Degraded = true
-			for i, op := range ops {
-				if optional[i] {
-					res.ShedOperators = append(res.ShedOperators, op.Name())
-				}
-			}
+		if shedSeen && shedable != nil {
+			res.Degraded, res.ShedOperators = true, shedable
 		}
-		if mapErr := m.err; mapErr != nil {
-			// All ranks must still participate in the shuffle collectives to
-			// avoid deadlocking peers; exchange empty buckets, then report.
-			for range ops {
-				empty := make([][]taggedValue, comm.Size())
-				if _, err := mpi.Alltoall(comm, empty); err != nil {
-					return nil, fmt.Errorf("staging: error-path shuffle: %w (after %w)", err, mapErr)
-				}
+		if m.err != nil {
+			// The rank still joins every shuffle, so no peer waits on it,
+			// but sends nothing, reduces nothing, and then fails.
+			for _, ctx := range ctxs {
+				ctx.emitted = nil
 			}
-			return nil, mapErr
 		}
 
 		// Combine + Shuffle + Reduce, one operator at a time so that every
@@ -509,46 +595,20 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		// pending, a Reduce error may be the work of damaged bytes: it is
 		// judged after the verify step, and the later operators only
 		// shuffle.
-		var (
-			views     []*View // the pending parts this rank reduced
-			reduceErr error
-		)
+		var reduceErr error
 		for i, op := range ops {
 			end = phase(trace.PhaseCombine, i)
 			ctx := ctxs[i]
-			if cb, ok := op.(Combiner); ok {
-				for tag, vals := range ctx.emitted {
-					merged, err := cb.Combine(tag, vals)
-					if err != nil {
-						end(0)
-						return nil, fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
-					}
-					ctx.emitted[tag] = merged
-				}
-			}
-			emitted := 0
-			for _, vals := range ctx.emitted {
-				emitted += len(vals)
+			buckets, emitted, err := [][]run(nil), 0, error(nil)
+			if ctx.emitted == nil {
+				buckets = make([][]run, comm.Size())
+			} else if buckets, emitted, err = ctx.emitted.route(op, comm.Size()); err != nil {
+				end(0)
+				return nil, fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
 			}
 			end(int64(emitted))
 
 			end = phase(trace.PhaseShuffle, i)
-			// Each rank's bucket is an exact run of one allocation.
-			dstOf := func(tag int) int { return ((tag % comm.Size()) + comm.Size()) % comm.Size() }
-			counts := make([]int, comm.Size())
-			for tag, vals := range ctx.emitted {
-				counts[dstOf(tag)] += len(vals)
-			}
-			flat, buckets := make([]taggedValue, emitted), make([][]taggedValue, comm.Size())
-			for dst, at := 0, 0; dst < len(buckets); dst, at = dst+1, at+counts[dst] {
-				buckets[dst] = flat[at : at : at+counts[dst]]
-			}
-			for tag, vals := range ctx.emitted {
-				dst := dstOf(tag)
-				for _, v := range vals {
-					buckets[dst] = append(buckets[dst], taggedValue{Tag: tag, Value: v})
-				}
-			}
 			recv, err := mpi.Alltoall(comm, buckets)
 			if err != nil {
 				end(0)
@@ -557,37 +617,27 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			end(int64(emitted))
 
 			end = phase(trace.PhaseReduce, i)
-			// Deterministic reduce order: by tag, each tag's values in the
-			// order they arrived, as an exact run of one allocation.
-			all := slices.Concat(recv...)
-			slices.SortStableFunc(all, func(a, b taggedValue) int { return cmp.Compare(a.Tag, b.Tag) })
-			values, tags := make([]any, len(all)), 0
-			for lo, hi := 0, 0; lo < len(all); lo, tags = hi, tags+1 {
-				for ; hi < len(all) && all[hi].Tag == all[lo].Tag; hi++ {
-					values[hi] = all[hi].Value
-					if v, ok := all[hi].Value.(*View); ok && v.wire != nil {
-						views = append(views, v)
-					}
+			tags, all := 0, slices.Concat(recv...)
+			if len(all) > 0 {
+				tags, err = all[0].reduce(ctx, all, m.err != nil || reduceErr != nil)
+			}
+			if err != nil {
+				if cs == nil {
+					end(0)
+					return nil, err
 				}
-				if reduceErr != nil {
-					continue
-				}
-				if err := op.Reduce(ctx, all[lo].Tag, values[lo:hi:hi]); err != nil {
-					err = fmt.Errorf("staging: %s.Reduce(tag %d): %w", op.Name(), all[lo].Tag, err)
-					if cs == nil {
-						end(0)
-						return nil, err
-					}
-					reduceErr = err
-				}
+				reduceErr = err
 			}
 			end(int64(tags))
+		}
+		if m.err != nil {
+			return nil, m.err
 		}
 		if cs == nil {
 			break
 		}
 		start := time.Now()
-		bad, redo, failed, err := cs.verify(comm, views, reduceErr != nil)
+		bad, redo, failed, err := cs.verify(comm, ctxs, reduceErr != nil)
 		res.Breakdown.add(trace.PhaseReduce, time.Since(start))
 		switch {
 		case err != nil:
@@ -596,7 +646,12 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			// Nothing of this pass is kept: Initialize drops what the
 			// operators reserved, and the redo maps every chunk checked.
 			held, repulled = repull(held, bad)
-			src = closedFeed(held)
+			feed := make(chan *Chunk, len(held))
+			for _, c := range held {
+				feed <- c
+			}
+			close(feed)
+			src = feed
 			continue
 		case reduceErr != nil:
 			return nil, reduceErr
@@ -656,16 +711,6 @@ func repull(held, bad []*Chunk) ([]*Chunk, error) {
 		}
 	}
 	return out, first
-}
-
-// closedFeed returns a closed channel that delivers chunks.
-func closedFeed(chunks []*Chunk) <-chan *Chunk {
-	ch := make(chan *Chunk, len(chunks))
-	for _, c := range chunks {
-		ch <- c
-	}
-	close(ch)
-	return ch
 }
 
 // DecodeChunk unpacks an FFS-encoded packed partial data chunk into a

@@ -53,27 +53,27 @@ func (h *histOp) Map(ctx *Context, chunk *Chunk) error {
 		if bin < 0 {
 			bin = 0
 		}
-		ctx.Emit(bin, int64(1))
+		Emit(ctx, bin, int64(1))
 	}
 	return nil
 }
 
-func (h *histOp) Combine(tag int, values []any) ([]any, error) {
+func (h *histOp) Combine(tag int, values []int64) ([]int64, error) {
 	if !h.useComb {
 		return values, nil
 	}
 	atomic.AddInt32(&h.combines, 1)
 	var sum int64
 	for _, v := range values {
-		sum += v.(int64)
+		sum += v
 	}
-	return []any{sum}, nil
+	return []int64{sum}, nil
 }
 
-func (h *histOp) Reduce(ctx *Context, tag int, values []any) error {
+func (h *histOp) Reduce(ctx *Context, tag int, values []int64) error {
 	var sum int64
 	for _, v := range values {
-		sum += v.(int64)
+		sum += v
 	}
 	h.mu.Lock()
 	h.final[tag] = sum
@@ -245,10 +245,10 @@ func (f *failOp) Map(ctx *Context, chunk *Chunk) error {
 	if f.phase == "map" {
 		return errors.New("map boom")
 	}
-	ctx.Emit(0, 1)
+	Emit(ctx, 0, 1)
 	return nil
 }
-func (f *failOp) Reduce(ctx *Context, tag int, values []any) error {
+func (f *failOp) Reduce(ctx *Context, tag int, values []int) error {
 	if f.phase == "reduce" {
 		return errors.New("reduce boom")
 	}
@@ -314,7 +314,7 @@ func TestMultipleOperatorsShareStream(t *testing.T) {
 			makeChunk(c.Rank(), []float64{0.5}),
 			makeChunk(c.Rank(), []float64{1.5}),
 		}
-		res, err := eng.ProcessDump(c, feed(chunks), []Operator{opA, &named{opB, "hist2"}}, nil)
+		res, err := eng.ProcessDump(c, feed(chunks), []Operator{opA, &namedComb{opB, "hist2"}}, nil)
 		if err != nil {
 			return err
 		}
@@ -352,14 +352,6 @@ func TestDuplicateOperatorNameRejected(t *testing.T) {
 	}
 }
 
-// named renames an operator.
-type named struct {
-	Operator
-	name string
-}
-
-func (n *named) Name() string { return n.name }
-
 func TestDecodeChunk(t *testing.T) {
 	schema := &ffs.Schema{Name: "g", Fields: []ffs.Field{
 		{Name: "_rank", Kind: ffs.KindInt64},
@@ -391,7 +383,7 @@ func TestDecodeChunk(t *testing.T) {
 func TestOperatorBreakdownAttributed(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		opA := &histOp{bins: 4, min: 0, max: 4}
-		opB := &named{&histOp{bins: 4, min: 0, max: 4}, "histB"}
+		opB := &namedComb{&histOp{bins: 4, min: 0, max: 4}, "histB"}
 		eng := NewEngine(Config{Workers: 2})
 		chunks := []*Chunk{
 			makeChunk(c.Rank(), []float64{0.5, 1.5, 2.5}),
@@ -517,8 +509,7 @@ func BenchmarkEngineMapShuffleReduce(b *testing.B) {
 	}
 }
 
-// namedComb renames a histOp while keeping its Combiner implementation
-// promoted (unlike `named`, which wraps the plain Operator interface).
+// namedComb renames a histOp, keeping its Reducer and Combiner promoted.
 type namedComb struct {
 	*histOp
 	name string

@@ -46,11 +46,10 @@ func (o *colSumOp) Map(ctx *Context, chunk *Chunk) error {
 	return nil
 }
 
-func (o *colSumOp) Reduce(ctx *Context, tag int, values []any) error {
+func (o *colSumOp) Reduce(ctx *Context, tag int, values [][]float64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, v := range values {
-		s := v.([]float64)
+	for _, s := range values {
 		if o.sums == nil {
 			o.sums = make([]float64, len(s))
 		}
@@ -85,7 +84,7 @@ func (m *colSums) MapRows(lo, hi int) {
 
 func (m *colSums) Emit() {
 	m.op.emits.Add(1)
-	m.ctx.Emit(0, m.sums)
+	Emit(m.ctx, 0, m.sums)
 }
 
 // seenOp is a plain (not block-mapped) operator that logs every chunk its
@@ -98,7 +97,6 @@ type seenOp struct {
 
 func (o *seenOp) Name() string                              { return "seen" }
 func (o *seenOp) Initialize(*Context, map[string]any) error { return nil }
-func (o *seenOp) Reduce(*Context, int, []any) error         { return nil }
 func (o *seenOp) Finalize(*Context) error                   { return nil }
 func (o *seenOp) Map(_ *Context, chunk *Chunk) error {
 	o.mu.Lock()

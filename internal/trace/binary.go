@@ -2,16 +2,17 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 )
 
-// Binary recording format, sibling of wal's PDWAL1 record logs (the
+// Binary recording format, sibling of wal's PDWAL2 record logs (the
 // journal, and flowctl's spill and pass logs):
 //
-//	magic   "PDTRACE1"                       8 bytes
+//	magic   "PDTRACE2"                       8 bytes
 //	header  numCompute int32 | numStaging int32 | dumps int32 |
 //	        dropped int64 | count uint32     24 bytes, little endian
 //	body    count fixed-size event records   50 bytes each
@@ -22,14 +23,18 @@ import (
 // CRC makes torn or bit-rotted files detectable; the reader never
 // trusts the count field beyond what the file length supports.
 
+// ErrPDTRACE1 refuses a recording of the first format, which numbers the
+// phases after checkpoint as they were before the journal took it in.
+var ErrPDTRACE1 = errors.New("trace: PDTRACE1 recording: its phase numbers predate this reader's")
+
 const (
-	binaryMagic  = "PDTRACE1"
+	binaryMagic  = "PDTRACE2"
 	headerSize   = 24
 	recordSize   = 50
 	maxBinaryLen = 1 << 31 // refuse absurd files before allocating
 )
 
-// WriteBinary serializes the recording in PDTRACE1 form.
+// WriteBinary serializes the recording in PDTRACE2 form.
 func WriteBinary(w io.Writer, rec *Recording) error {
 	if rec == nil {
 		return fmt.Errorf("trace: nil recording")
@@ -63,7 +68,7 @@ func appendRecord(buf []byte, e *Event) []byte {
 	return buf
 }
 
-// ReadBinary parses a PDTRACE1 recording. Corrupt input yields an
+// ReadBinary parses a PDTRACE2 recording. Corrupt input yields an
 // error, never a panic, and the CRC is checked before any record is
 // decoded.
 func ReadBinary(r io.Reader) (*Recording, error) {
@@ -74,13 +79,16 @@ func ReadBinary(r io.Reader) (*Recording, error) {
 	return DecodeBinary(data)
 }
 
-// DecodeBinary parses a PDTRACE1 recording from memory.
+// DecodeBinary parses a PDTRACE2 recording from memory.
 func DecodeBinary(data []byte) (*Recording, error) {
 	if len(data) > maxBinaryLen {
 		return nil, fmt.Errorf("trace: recording exceeds %d bytes", maxBinaryLen)
 	}
 	if len(data) < len(binaryMagic)+headerSize+4 {
 		return nil, fmt.Errorf("trace: recording truncated (%d bytes)", len(data))
+	}
+	if string(data[:len(binaryMagic)]) == "PDTRACE1" {
+		return nil, ErrPDTRACE1
 	}
 	if string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", data[:len(binaryMagic)])
@@ -136,7 +144,7 @@ func decodeRecord(b []byte, e *Event) error {
 	return nil
 }
 
-// ReadFile loads a PDTRACE1 recording from disk.
+// ReadFile loads a PDTRACE2 recording from disk.
 func ReadFile(path string) (*Recording, error) {
 	f, err := os.Open(path)
 	if err != nil {

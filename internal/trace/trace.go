@@ -4,7 +4,7 @@
 // (collective calls, retries, injected faults, spill/shed decisions,
 // lease movements). Recordings export to Chrome trace_event JSON for
 // timeline inspection and to a compact CRC-checked binary format
-// (PDTRACE1) for archiving and trace-driven conformance tests; Verify
+// (PDTRACE2) for archiving and trace-driven conformance tests; Verify
 // checks runtime ordering invariants from a recording alone.
 //
 // The recorder follows the flowctl budget philosophy: memory is bounded

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -167,6 +168,22 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	if err := WriteBinary(&buf, nil); err == nil {
 		t.Error("nil recording serialized")
+	}
+}
+
+// TestBinaryRefusesPDTRACE1: a recording of the first format numbers the
+// phases after checkpoint differently, so the reader names it rather than
+// decoding shifted phases.
+func TestBinaryRefusesPDTRACE1(t *testing.T) {
+	r := New(Config{NumCompute: 1, NumStaging: 1, Dumps: 1})
+	r.Instant(PhaseRetry, 0, -1, 0, 1, 0)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("PDTRACE1"), buf.Bytes()[len(binaryMagic):]...)
+	if _, err := DecodeBinary(old); !errors.Is(err, ErrPDTRACE1) {
+		t.Fatalf("DecodeBinary of a PDTRACE1 file: %v, want ErrPDTRACE1", err)
 	}
 }
 

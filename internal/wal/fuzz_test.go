@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -177,12 +178,14 @@ func FuzzWALTruncatedTail(f *testing.F) {
 // checkpoint coverage.
 // Scan, the strict reader spill replay uses, must deliver exactly the
 // records recovery kept and fail with ErrCorrupt exactly when recovery
-// saw damage.
+// saw damage. A flip outside the magic always tears the journal, and the
+// records before it are a strict prefix of the unflipped journal's.
 func FuzzWALBitFlip(f *testing.F) {
 	f.Add(uint(0), byte(0xff))
 	f.Add(uint(8), byte(0x01))
 	f.Add(uint(30), byte(0x80))
 	f.Add(uint(100), byte(0x55))
+	f.Add(uint(len(journalMagic)+9), byte(0x01)) // the checkpoint record's timestep
 	f.Fuzz(func(t *testing.T, pos uint, mask byte) {
 		if mask == 0 {
 			t.Skip()
@@ -197,8 +200,10 @@ func FuzzWALBitFlip(f *testing.F) {
 		}
 		var scanned int64
 		floor, commits := int64(math.MinInt64), map[int64]bool{}
+		var got []Record
 		scanErr := Scan(dir, func(rec Record) error {
 			scanned++
+			got = append(got, rec)
 			switch rec.Kind {
 			case KindCheckpoint:
 				floor = max(floor, rec.Timestep)
@@ -218,10 +223,25 @@ func FuzzWALBitFlip(f *testing.F) {
 			t.Fatalf("bit flip at %d: Scan delivered %d records with err %v; Recover kept %d, torn=%v",
 				off, scanned, scanErr, st.Records, st.Torn)
 		}
+		// Every byte past the magic is under a record's checksum: the flip
+		// tears the journal at the record it hit, and what is read before
+		// it is the unflipped journal's records, unchanged.
+		var want []Record
+		if err := Scan(src, func(rec Record) error { want = append(want, rec); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !st.Torn || len(got) >= len(want) || !slices.EqualFunc(got, want[:len(got)], sameRecord) {
+			t.Fatalf("bit flip at %d: recovered %+v, torn=%v; want a strict prefix of %+v, torn", off, got, st.Torn, want)
+		}
 		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
 			if r.Timestep < floor || commits[r.Timestep] {
 				t.Fatalf("bit flip at %d: record for committed dump %d survived", off, r.Timestep)
 			}
 		}
 	})
+}
+
+// sameRecord reports whether a and b are one record.
+func sameRecord(a, b Record) bool {
+	return a.Kind == b.Kind && a.Writer == b.Writer && a.Timestep == b.Timestep && bytes.Equal(a.Payload, b.Payload)
 }

@@ -1,12 +1,12 @@
 // Package wal is the staging area's durability layer: a CRC-framed
-// write-ahead journal (PDWAL1) that compacts itself behind a
+// write-ahead journal (PDWAL2) that compacts itself behind a
 // dump-boundary checkpoint record, so a staging rank survives a process
 // crash or a whole-service restart without losing in-flight dumps.
 //
 // Every record is framed one way, by one writer (writeRecord) and one
 // reader (readRecord): a little-endian fixed header (kind, writer,
-// timestep, length) and a CRC32-IEEE over the payload, whose length the
-// reader bounds by the bytes left in the file. The journal records fetch
+// timestep, length) and a CRC32-IEEE over those fields and the payload,
+// whose length the reader bounds by the bytes left in the file. The journal records fetch
 // requests as they are consumed from the fabric mailbox (the pending-map
 // state a restart would otherwise forget), dump-boundary commit markers,
 // the checkpoint record that opens a compacted journal, and — in the
@@ -53,10 +53,10 @@ import (
 )
 
 const (
-	journalMagic = "PDWAL1\n\x00"
+	journalMagic = "PDWAL2\n\x00"
 	journalName  = "journal.wal"
 
-	// header: kind uint8 | writer int64 | timestep int64 | length uint32 | crc32 uint32
+	// header: kind uint8 | writer int64 | timestep int64 | length uint32 | crc32 uint32 (of all before it, then the payload)
 	headerSize = 1 + 8 + 8 + 4 + 4
 )
 
@@ -411,12 +411,17 @@ func writeRecord(w io.Writer, rec Record) error {
 	binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
 	binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
 	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
-	binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(rec.Payload))
+	binary.LittleEndian.PutUint32(hdr[21:25], recordSum(hdr, rec.Payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	_, err := w.Write(rec.Payload)
 	return err
+}
+
+// recordSum is a record's checksum: its header fields, then its payload.
+func recordSum(hdr [headerSize]byte, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr[:21]), crc32.IEEETable, payload)
 }
 
 // readRecord reads the next record from r, which holds the last left
@@ -435,7 +440,7 @@ func readRecord(r io.Reader, left int64) (Record, bool) {
 		return Record{}, false
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
+	if _, err := io.ReadFull(r, payload); err != nil || recordSum(hdr, payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
 		return Record{}, false
 	}
 	return Record{

@@ -264,16 +264,16 @@ func TestLargeChunkRecovers(t *testing.T) {
 // TestGoldenBytes pins the bytes of a journal holding one record of each
 // appended kind and of the journal a checkpoint compacts it to, and
 // recovers the pinned bytes: journals written by any version of the
-// codec must still read back.
+// PDWAL2 codec must still read back.
 func TestGoldenBytes(t *testing.T) {
 	const (
-		journal = "504457414c310a00" +
-			"0103000000000000000700000000000000050000002e710695" + "6368756e6b" +
-			"02feffffffffffffff080000000000000002000000a5fcc702" + "01fe" +
-			"03ffffffffffffffff07000000000000000000000000000000"
-		compacted = "504457414c310a00" +
-			"04ffffffffffffffff08000000000000000000000000000000" +
-			"02feffffffffffffff080000000000000002000000a5fcc702" + "01fe"
+		journal = "504457414c320a00" +
+			"010300000000000000070000000000000005000000c1113d44" + "6368756e6b" +
+			"02feffffffffffffff080000000000000002000000a7bca37a" + "01fe" +
+			"03ffffffffffffffff0700000000000000000000003f7eecad"
+		compacted = "504457414c320a00" +
+			"04ffffffffffffffff08000000000000000000000016679fb6" +
+			"02feffffffffffffff080000000000000002000000a7bca37a" + "01fe"
 	)
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
@@ -323,6 +323,49 @@ func TestGoldenBytes(t *testing.T) {
 		if r := st.Requests[0]; r.Writer != -2 || r.Timestep != 8 || !bytes.Equal(r.Payload, []byte{0x01, 0xfe}) {
 			t.Fatalf("golden request: %+v", r)
 		}
+	}
+}
+
+// TestHeaderBitFlipTearsRecord: a record's checksum covers its header, so
+// a commit of dump 4 whose timestep has bit 0 flipped — a valid-looking
+// commit of dump 5 — is a torn tail, and dump 5's request survives. A
+// PDWAL1 journal, whose checksum covered the payload only, is refused.
+func TestHeaderBitFlipTearsRecord(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir)
+	if err := l.AppendRequest(0, 5, []byte("req")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendCommit(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := len(journalMagic) + headerSize + len("req")
+	b[commit+9] ^= 0x01 // the commit's timestep, 4 → 5
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Torn || st.Records != 1 || len(st.Requests) != 1 || st.Requests[0].Timestep != 5 {
+		t.Fatalf("torn=%v records=%d requests=%+v, want a torn tail after dump 5's request", st.Torn, st.Records, st.Requests)
+	}
+
+	copy(b, "PDWAL1\n\x00")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Recover of a PDWAL1 journal: %v, want ErrCorrupt", err)
 	}
 }
 
