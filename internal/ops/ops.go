@@ -28,11 +28,20 @@ package ops
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"predata/internal/ffs"
 	"predata/internal/staging"
 )
+
+// yieldBlock ends each output block of a Reduce kernel (fillSlabs,
+// gather). Staging ranks are goroutines on GOMAXPROCS Ps, and the last rank
+// into a shuffle readies its peers onto its own P, where they would wait
+// out its whole Reduce: yielding after every block, at most
+// ffs.VisitBlockBytes of output, lets a readied peer run within one block
+// (DESIGN.md §5, "Ranks share the box").
+func yieldBlock() { runtime.Gosched() }
 
 // matrixVar extracts a [rows, cols] float64 array variable from a chunk.
 func matrixVar(chunk *staging.Chunk, name string) (*ffs.Array, int, int, error) {

@@ -172,7 +172,8 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []*staging.
 // offsets shifted to the slab and folded into the chunk's check through
 // ctx right after, while they are in cache; across the slabs each chunk's
 // rows come in payload order. When out lies in pg, each slab is folded
-// into pg's checksum while it is still in cache.
+// into pg's checksum while it is still in cache. Each slab ends with a
+// yield (yieldBlock).
 func fillSlabs(ctx *staging.Context, out []float64, global []uint64, views []*staging.View, pg *bp.PG) error {
 	per := uint64(len(out)) / global[0] // elements in a leading row
 	step := uint64(ffs.BlockRows(int(per)))
@@ -200,6 +201,7 @@ func fillSlabs(ctx *staging.Context, out []float64, global []uint64, views []*st
 				return err
 			}
 		}
+		yieldBlock()
 	}
 	return nil
 }

@@ -432,6 +432,7 @@ type rowRef struct{ run, row uint32 }
 // a merge that copied each row as it chose it would wait for one after
 // another. When out lies in pg, each visited block of rows
 // (ffs.BlockRows) is folded into pg's checksum as soon as it is filled.
+// Each block ends with a yield (yieldBlock).
 func gather(out []float64, k int, runs []*sortedRun, plan []rowRef, pg *bp.PG) error {
 	step := ffs.BlockRows(k)
 	for lo := 0; lo < len(plan); lo += step {
@@ -445,6 +446,7 @@ func gather(out []float64, k int, runs []*sortedRun, plan []rowRef, pg *bp.PG) e
 				return err
 			}
 		}
+		yieldBlock()
 	}
 	return nil
 }

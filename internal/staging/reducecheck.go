@@ -182,7 +182,7 @@ type partSum struct {
 // verdict is one rank's outcome of a verify step.
 type verdict struct {
 	Bad    int  // chunks held here that failed their check
-	Failed bool // a Reduce failed here
+	Failed bool // a Map, Combine or Reduce failed here
 }
 
 // verify is the verify step, issued by every rank alike: an Alltoall sends
@@ -190,8 +190,8 @@ type verdict struct {
 // back to the rank holding its chunk, each rank checks the chunks it holds,
 // and an Allgather shares the verdicts. It returns the checks that failed
 // here, whether some rank's failed (every rank then redoes the pass), and
-// whether some rank's Reduce failed (reduceFailed here).
-func (cs *checks) verify(comm *mpi.Comm, ctxs []*Context, reduceFailed bool) (bad []*Chunk, redo, failed bool, err error) {
+// whether some rank's Map, Combine or Reduce failed (failedHere here).
+func (cs *checks) verify(comm *mpi.Comm, ctxs []*Context, failedHere bool) (bad []*Chunk, redo, failed bool, err error) {
 	send := make([][]partSum, comm.Size())
 	for _, c := range ctxs {
 		for _, v := range c.folded {
@@ -225,7 +225,7 @@ func (cs *checks) verify(comm *mpi.Comm, ctxs []*Context, reduceFailed bool) (ba
 			bad = append(bad, c)
 		}
 	}
-	all, err := mpi.Allgather(comm, []verdict{{Bad: len(bad), Failed: reduceFailed}})
+	all, err := mpi.Allgather(comm, []verdict{{Bad: len(bad), Failed: failedHere}})
 	if err != nil {
 		return nil, false, false, fmt.Errorf("staging: verify step: %w", err)
 	}

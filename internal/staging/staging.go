@@ -582,29 +582,25 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		if shedSeen && shedable != nil {
 			res.Degraded, res.ShedOperators = true, shedable
 		}
-		if m.err != nil {
-			// The rank still joins every shuffle, so no peer waits on it,
-			// but sends nothing, reduces nothing, and then fails.
-			for _, ctx := range ctxs {
-				ctx.emitted = nil
-			}
-		}
 
 		// Combine + Shuffle + Reduce, one operator at a time so that every
-		// rank issues collectives in the same order. While checks are
-		// pending, a Reduce error may be the work of damaged bytes: it is
-		// judged after the verify step, and the later operators only
-		// shuffle.
-		var reduceErr error
+		// rank issues collectives in the same order. A rank that failed — in
+		// Map, a Combine or a Reduce — still joins every later shuffle and
+		// the verify step, so no peer waits on it, but sends nothing, reduces
+		// nothing, and then fails. While checks are pending, a failure may be
+		// the work of damaged bytes: it is judged after the verify step.
+		failure := m.err
 		for i, op := range ops {
 			end = phase(trace.PhaseCombine, i)
 			ctx := ctxs[i]
 			buckets, emitted, err := [][]run(nil), 0, error(nil)
-			if ctx.emitted == nil {
+			if ctx.emitted != nil && failure == nil {
+				if buckets, emitted, err = ctx.emitted.route(op, comm.Size()); err != nil {
+					failure = fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
+				}
+			}
+			if buckets == nil {
 				buckets = make([][]run, comm.Size())
-			} else if buckets, emitted, err = ctx.emitted.route(op, comm.Size()); err != nil {
-				end(0)
-				return nil, fmt.Errorf("staging: %s.Combine: %w", op.Name(), err)
 			}
 			end(int64(emitted))
 
@@ -619,25 +615,20 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			end = phase(trace.PhaseReduce, i)
 			tags, all := 0, slices.Concat(recv...)
 			if len(all) > 0 {
-				tags, err = all[0].reduce(ctx, all, m.err != nil || reduceErr != nil)
-			}
-			if err != nil {
-				if cs == nil {
-					end(0)
-					return nil, err
+				if tags, err = all[0].reduce(ctx, all, failure != nil); err != nil {
+					failure = err
 				}
-				reduceErr = err
 			}
 			end(int64(tags))
 		}
-		if m.err != nil {
-			return nil, m.err
-		}
 		if cs == nil {
+			if failure != nil {
+				return nil, failure
+			}
 			break
 		}
 		start := time.Now()
-		bad, redo, failed, err := cs.verify(comm, ctxs, reduceErr != nil)
+		bad, redo, failed, err := cs.verify(comm, ctxs, failure != nil)
 		res.Breakdown.add(trace.PhaseReduce, time.Since(start))
 		switch {
 		case err != nil:
@@ -653,10 +644,10 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			close(feed)
 			src = feed
 			continue
-		case reduceErr != nil:
-			return nil, reduceErr
+		case failure != nil:
+			return nil, failure
 		case failed:
-			return nil, errors.New("staging: another rank's Reduce failed on checked chunks")
+			return nil, errors.New("staging: another rank failed on checked chunks")
 		}
 		break
 	}

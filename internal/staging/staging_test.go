@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"predata/internal/ffs"
 	"predata/internal/mpi"
@@ -302,6 +303,71 @@ func TestReduceErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runWithin is mpi.Run over n ranks, failing t when the ranks have not
+// all returned within d: a rank left waiting in a collective.
+func runWithin(t *testing.T, d time.Duration, n int, fn func(c *mpi.Comm) error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- mpi.Run(n, fn) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("the ranks had not all returned after %v", d)
+	}
+}
+
+// rank0Fail is failOp failing on rank 0 only, verifying in Reduce.
+type rank0Fail struct{ failOp }
+
+func (*rank0Fail) VerifiesInReduce() {}
+
+func (o *rank0Fail) Map(ctx *Context, chunk *Chunk) error {
+	if ctx.Rank() == 0 {
+		return o.failOp.Map(ctx, chunk)
+	}
+	Emit(ctx, 0, 1)
+	return nil
+}
+
+// TestMapErrorInVerifyingDumpFailsEveryRank: in a dump whose checks wait
+// for Reduce, the rank whose Map failed still joins the verify step,
+// reporting its failure there, so its peer learns of it and fails instead
+// of waiting for it.
+func TestMapErrorInVerifyingDumpFailsEveryRank(t *testing.T) {
+	runWithin(t, 2*time.Second, 2, func(c *mpi.Comm) error {
+		_, err := NewEngine(Config{}).ProcessDump(c, feed([]*Chunk{makeChunk(c.Rank(), nil)}),
+			[]Operator{&rank0Fail{failOp{phase: "map"}}}, nil)
+		switch {
+		case err == nil:
+			return fmt.Errorf("rank %d: no error", c.Rank())
+		case c.Rank() == 0 && !strings.Contains(err.Error(), "map boom"):
+			return fmt.Errorf("rank 0: err = %v", err)
+		}
+		return nil
+	})
+}
+
+// TestReduceErrorBeforeLaterOperatorFailsAlone: a Reduce error on rank 0
+// in the first of two operators fails rank 0 only; it still joins the
+// second operator's shuffle, so rank 1 finishes the dump.
+func TestReduceErrorBeforeLaterOperatorFailsAlone(t *testing.T) {
+	runWithin(t, 2*time.Second, 2, func(c *mpi.Comm) error {
+		hist := &histOp{bins: 2, min: 0, max: 2}
+		_, err := NewEngine(Config{}).ProcessDump(c, feed([]*Chunk{makeChunk(c.Rank(), []float64{0.5, 1.5})}),
+			[]Operator{&failOp{phase: "reduce"}, hist}, nil)
+		switch {
+		case c.Rank() == 0 && (err == nil || !strings.Contains(err.Error(), "reduce boom")):
+			return fmt.Errorf("rank 0: err = %v", err)
+		case c.Rank() == 1 && err != nil:
+			return fmt.Errorf("rank 1: unexpected err %v", err)
+		}
+		return nil
+	})
 }
 
 func TestMultipleOperatorsShareStream(t *testing.T) {
