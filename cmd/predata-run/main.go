@@ -60,7 +60,7 @@ func cli(args []string) (code int) {
 		faultSeed = flags.Int64("fault-seed", 1, "seed for the fault plan's probabilistic draws")
 		bufferMB  = flags.Int("buffer-mb", -1,
 			"staging memory budget in MB (0 disables; -1 takes the ADIOS <buffer size-MB> when -adios-config is given, else 0)")
-		spillDir = flags.String("spill-dir", "", "directory for overload spill and pass logs (default: system temp)")
+		spillDir = flags.String("spill-dir", "", "directory for overload pass logs (default: system temp)")
 		walDir   = flags.String("wal-dir", "",
 			"durable staging: keep per-rank write-ahead journals under this empty or new directory and recover from them on start (required for restart/crashall fault plans; staging mode only)")
 		checkpointEvery = flags.Int("checkpoint-every", 0,

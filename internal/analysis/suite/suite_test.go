@@ -25,11 +25,11 @@ type bite struct {
 }
 
 var bites = []bite{
-	// The lease is no longer handed to deliver, so a replayed chunk's
-	// budget bytes are never returned.
+	// Replay's admission carries an empty lease instead of the credits
+	// it acquired, so a replayed chunk's budget bytes are never returned.
 	{"mustrelease", "predata/internal/flowctl", "controller.go",
-		"rec.Payload, lease.Release); err != nil {",
-		"rec.Payload, nil); err != nil {"},
+		"lease, err := df.c.budget.Acquire(ctx, n)",
+		"_, err := df.c.budget.Acquire(ctx, n)\n\tlease := &Lease{}"},
 	// The daemon opens its journal and never stores it for Close.
 	{"mustrelease", "predata/internal/serve", "serve.go",
 		"d.journal = log",
@@ -60,7 +60,7 @@ var bites = []bite{
 	{"collectivecheck", "predata/internal/apps/gtc", "gtc.go",
 		"sp++ {\n\t\tdata := s.particles[sp]",
 		"sp++ {\n\t\tif comm.Rank() == 0 {\n\t\t\tcontinue\n\t\t}\n\t\tdata := s.particles[sp]"},
-	// Admission waits for the spill slot with the flow's lock held.
+	// Admission waits for the pass slot with the flow's lock held.
 	{"lockhold", "predata/internal/flowctl", "controller.go",
 		"level := df.decideLocked()\n\tdf.mu.Unlock()",
 		"level := df.decideLocked()"},

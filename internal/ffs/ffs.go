@@ -23,7 +23,7 @@ import (
 
 // Magic identifies an FFS-encoded buffer. "FFS2" pads numeric payloads to
 // 8-byte offsets; there is one format and no FFS1 reader — encoded buffers
-// (chunks, journals, spill logs) do not outlive a run's binary.
+// (chunks, journals, pass logs) do not outlive a run's binary.
 const Magic = 0x46465332 // "FFS2"
 
 // Kind enumerates the value types a field can carry.

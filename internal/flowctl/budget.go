@@ -2,10 +2,10 @@
 // overload-protection machinery: a byte-denominated accountant with
 // high/low watermarks (Budget/Lease) and the one admission queue in
 // front of it (FairShare registers weighted tenants on that queue),
-// credit-based admission of incoming chunks, a spill-to-disk overflow
-// queue kept as a wal log of chunk records, and the degradation ladder the
-// staging engine climbs under persistent overload — throttle, spill,
-// shed optional operators, raw pass-through.
+// credit-based admission of incoming chunks, and the degradation ladder
+// the staging engine climbs under persistent overload — throttle, spill
+// (defer a chunk's pull: it waits in its writer's region), shed optional
+// operators, raw pass-through to a retained wal log.
 //
 // The paper's central resource constraint motivates all of it: staging
 // nodes are provisioned at 64:1–128:1 compute:staging ratios with a
@@ -45,8 +45,8 @@ import (
 //   - a request larger than the whole capacity is granted once the
 //     accountant is idle (used == 0), so one oversized chunk passes alone
 //     instead of deadlocking;
-//   - Overdraft grants immediately regardless of pressure, for the spill
-//     path's transient pull buffer. Spills serialize on one overdraft at
+//   - Overdraft grants immediately regardless of pressure, for the pass
+//     path's transient pull buffer. Passes serialize on one overdraft at
 //     a time, so the accounted peak never exceeds capacity + one chunk.
 type Budget struct {
 	capacity int64
@@ -311,8 +311,8 @@ func (b *Budget) TryAcquire(n int64) (*Lease, bool) {
 }
 
 // Overdraft accounts n bytes immediately regardless of pressure. It
-// exists for the spill path's transient pull buffer: the caller holds the
-// overdraft only while moving the bytes to disk, and spills serialize so
+// exists for the pass path's transient pull buffer: the caller holds the
+// overdraft only while moving the bytes to disk, and passes serialize so
 // at most one overdraft is outstanding — bounding the accountant's peak
 // at the admission ceiling + one chunk. The ceiling is the capacity,
 // except that fitsLocked grants one chunk larger than the whole budget

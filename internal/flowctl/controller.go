@@ -20,8 +20,9 @@ const (
 	// LevelNormal admits chunks against the budget, waiting up to the
 	// policy's patience for credits.
 	LevelNormal = iota
-	// LevelSpill admits what fits immediately and spills the rest to a
-	// disk log, replayed before Reduce — lossless, slower.
+	// LevelSpill admits what fits immediately and defers the rest: the
+	// chunk waits in its writer's region and is pulled before Reduce —
+	// lossless, slower.
 	LevelSpill
 	// LevelShed additionally starves optional operators down to sampled
 	// input; their results are flagged Degraded.
@@ -55,8 +56,8 @@ type Decision int
 const (
 	// DecideProcess: credits held — pull and stream through the engine.
 	DecideProcess Decision = iota
-	// DecideSpill: no credits — pull under a serialized overdraft and
-	// spill to the overflow log.
+	// DecideSpill: no credits — leave the chunk in its writer's region
+	// and pull it after the dump's other chunks (Replay).
 	DecideSpill
 	// DecidePass: ladder exhausted — pull and write raw to the PFS sink.
 	DecidePass
@@ -81,9 +82,8 @@ type Policy struct {
 	// PassLimitBytes caps the spilled bytes before the dump escalates to
 	// raw pass-through. Default 4x SpillLimitBytes.
 	PassLimitBytes int64
-	// SpillDir hosts each dump's temp log directories ("" = OS temp
-	// dir): the spill log, and the retained log raw pass-through chunks
-	// go to.
+	// SpillDir hosts each dump's retained pass log directory ("" = OS
+	// temp dir), the log raw pass-through chunks go to.
 	SpillDir string
 }
 
@@ -110,9 +110,9 @@ type OverloadStats struct {
 	// credits, and the wall time they spent waiting.
 	Throttles    int64
 	ThrottleWait time.Duration
-	// SpilledChunks/SpilledBytes went through the disk overflow queue;
-	// ReplayedChunks of them were streamed back before Reduce (always all
-	// of them unless the dump escalated to pass-through or failed).
+	// SpilledChunks/SpilledBytes were deferred: left in their writers'
+	// regions when admitted; ReplayedChunks of them were pulled back
+	// before Reduce (always all of them unless the dump failed).
 	SpilledChunks  int64
 	SpilledBytes   int64
 	ReplayedChunks int64
@@ -227,15 +227,15 @@ func (c *Controller) Budget() *Budget { return c.budget }
 // Policy returns the resolved (defaulted) policy.
 func (c *Controller) Policy() Policy { return c.pol }
 
-// StartDump opens per-dump flow state: ladder level, spill log, and
+// StartDump opens per-dump flow state: ladder level, pass log, and
 // decision counters.
 func (c *Controller) StartDump(timestep int64) *DumpFlow {
 	c.budget.ResetWindow()
 	return &DumpFlow{
-		c:         c,
-		timestep:  timestep,
-		base:      c.budget.Stats(),
-		spillSlot: make(chan struct{}, 1),
+		c:        c,
+		timestep: timestep,
+		base:     c.budget.Stats(),
+		passSlot: make(chan struct{}, 1),
 	}
 }
 
@@ -245,17 +245,16 @@ type DumpFlow struct {
 	timestep int64
 	base     BudgetStats // budget counters at StartDump, for per-dump deltas
 
-	// spillSlot serializes overdraft pulls: at most one spilling chunk is
+	// passSlot serializes overdraft pulls: at most one passing chunk is
 	// in memory at a time, bounding the accountant's peak at capacity +
 	// one chunk. A channel token (not a mutex) so waiting is ctx-aware.
-	spillSlot chan struct{}
+	passSlot chan struct{}
 
 	mu        sync.Mutex
 	level     int
 	maxLevel  int
-	spilled   int64    // payload bytes spilled this dump
+	spilled   int64    // bytes spilled this dump
 	shedTick  int64    // sampling counter while shedding
-	spill     *wal.Log // chunk records, opened at the first spill
 	pass      *wal.Log // chunk records, opened at the first pass
 	stats     OverloadStats
 	finished  bool
@@ -291,13 +290,13 @@ func (df *DumpFlow) decideLocked() int {
 
 // Admission is the outcome of admitting one chunk: a decision plus the
 // resources backing it (a budget lease for DecideProcess, a serialized
-// overdraft for DecideSpill/DecidePass). Exactly one of Keep, Spill,
-// Pass, or Abort must be called.
+// overdraft for DecidePass, nothing for DecideSpill). Exactly one of
+// Keep, Spill, Pass, or Abort must be called.
 type Admission struct {
 	df       *DumpFlow
 	decision Decision
-	lease    *Lease // process: real credits; spill/pass: overdraft
-	slot     bool   // holds df.spillSlot
+	lease    *Lease // process: real credits; pass: overdraft
+	slot     bool   // holds df.passSlot
 	done     bool
 }
 
@@ -323,34 +322,31 @@ func (df *DumpFlow) Admit(ctx context.Context, n int64) (*Admission, error) {
 			return nil, fmt.Errorf("flowctl: admission at dump %d: %w", df.timestep, ctx.Err())
 		}
 		// Patience exhausted: the budget cannot absorb the burst. Climb
-		// to spill and fall through to the overflow path for this chunk.
+		// to spill and fall through to the spill rung for this chunk.
 		df.mu.Lock()
 		df.escalateLocked(LevelSpill)
 		level = df.level
 		df.mu.Unlock()
 	}
 
-	// Spill/shed/pass levels: admit immediately what fits, overflow the
-	// rest without waiting.
+	// Spill/shed levels: admit immediately what fits, defer the rest
+	// without waiting; the chunk stays in its writer's region.
 	if level < LevelPass {
 		if lease, ok := df.c.budget.TryAcquire(n); ok {
 			return &Admission{df: df, decision: DecideProcess, lease: lease}, nil
 		}
+		return &Admission{df: df, decision: DecideSpill}, nil
 	}
-	// Overflow: serialize on the spill slot, then take an overdraft for
-	// the transient pull buffer.
+	// Pass: serialize on the pass slot, then take an overdraft for the
+	// transient pull buffer.
 	select {
-	case df.spillSlot <- struct{}{}:
+	case df.passSlot <- struct{}{}:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("flowctl: waiting for spill slot at dump %d: %w", df.timestep, ctx.Err())
-	}
-	decision := DecideSpill
-	if level >= LevelPass {
-		decision = DecidePass
+		return nil, fmt.Errorf("flowctl: waiting for pass slot at dump %d: %w", df.timestep, ctx.Err())
 	}
 	return &Admission{
 		df:       df,
-		decision: decision,
+		decision: DecidePass,
 		lease:    df.c.budget.Overdraft(n),
 		slot:     true,
 	}, nil
@@ -367,13 +363,13 @@ func (a *Admission) Keep() (release func(), err error) {
 	return a.lease.Release, nil
 }
 
-// finish releases the admission's overdraft and spill slot.
+// finish releases the admission's overdraft and pass slot.
 func (a *Admission) finish() {
 	a.done = true
 	a.lease.Release()
 	if a.slot {
 		a.slot = false
-		<-a.df.spillSlot
+		<-a.df.passSlot
 	}
 }
 
@@ -386,54 +382,26 @@ func (a *Admission) Abort() {
 	a.finish()
 }
 
-// appendLog appends one chunk record to the dump's log in *slot,
-// opening it in a fresh directory under the policy's SpillDir first if
-// the dump has none yet.
-func (df *DumpFlow) appendLog(slot **wal.Log, pattern string, writer int, timestep int64, payload []byte) error {
-	df.mu.Lock()
-	if *slot == nil {
-		dir, err := os.MkdirTemp(df.c.pol.SpillDir, pattern)
-		if err != nil {
-			df.mu.Unlock()
-			return fmt.Errorf("flowctl: %w", err)
-		}
-		l, err := wal.Open(dir)
-		if err != nil {
-			df.mu.Unlock()
-			os.RemoveAll(dir)
-			return err
-		}
-		*slot = l
-	}
-	l := *slot
-	df.mu.Unlock()
-	return l.AppendChunk(writer, timestep, payload)
-}
-
-// Spill finalizes a DecideSpill admission: append the pulled payload to
-// the dump's spill log, release the overdraft, and escalate the ladder
-// when the spill volume crosses the policy's limits.
-func (a *Admission) Spill(writer int, timestep int64, payload []byte) error {
+// Spill finalizes a DecideSpill admission of writer's n-byte chunk: it
+// counts the chunk, whose pull is deferred to Replay, and escalates the
+// ladder when the spill volume crosses the policy's limits.
+func (a *Admission) Spill(writer int, timestep int64, n int64) error {
 	if a.decision != DecideSpill || a.done {
 		return errors.New("flowctl: Spill on a non-spill or finished admission")
 	}
+	a.done = true
 	df := a.df
-	if err := df.appendLog(&df.spill, "predata-spill-*", writer, timestep, payload); err != nil {
-		a.finish()
-		return err
-	}
-	df.c.tracer.Instant(trace.PhaseSpill, df.c.traceEP, writer, timestep, 0, int64(len(payload)))
+	df.c.tracer.Instant(trace.PhaseSpill, df.c.traceEP, writer, timestep, 0, n)
 	df.mu.Lock()
-	df.spilled += int64(len(payload))
+	defer df.mu.Unlock()
+	df.spilled += n
 	df.stats.SpilledChunks++
-	df.stats.SpilledBytes += int64(len(payload))
+	df.stats.SpilledBytes += n
 	if df.spilled > df.c.pol.PassLimitBytes {
 		df.escalateLocked(LevelPass)
 	} else if df.spilled > df.c.pol.SpillLimitBytes {
 		df.escalateLocked(LevelShed)
 	}
-	df.mu.Unlock()
-	a.finish()
 	return nil
 }
 
@@ -444,7 +412,10 @@ func (a *Admission) Pass(writer int, timestep int64, payload []byte) error {
 		return errors.New("flowctl: Pass on a non-pass or finished admission")
 	}
 	df := a.df
-	err := df.appendLog(&df.pass, "predata-pass-*", writer, timestep, payload)
+	l, err := df.passLog()
+	if err == nil {
+		err = l.AppendChunk(writer, timestep, payload)
+	}
 	if err == nil {
 		df.c.tracer.Instant(trace.PhasePass, df.c.traceEP, writer, timestep, 0, int64(len(payload)))
 		df.mu.Lock()
@@ -454,6 +425,24 @@ func (a *Admission) Pass(writer int, timestep int64, payload []byte) error {
 	}
 	a.finish()
 	return err
+}
+
+// passLog returns the dump's pass log, opening it in a fresh directory
+// under the policy's SpillDir at the dump's first pass.
+func (df *DumpFlow) passLog() (*wal.Log, error) {
+	df.mu.Lock()
+	defer df.mu.Unlock()
+	if df.pass == nil {
+		dir, err := os.MkdirTemp(df.c.pol.SpillDir, "predata-pass-*")
+		if err != nil {
+			return nil, fmt.Errorf("flowctl: %w", err)
+		}
+		if df.pass, err = wal.Open(dir); err != nil {
+			os.RemoveAll(dir)
+			return nil, err
+		}
+	}
+	return df.pass, nil
 }
 
 // ShedClass reports how the next chunk entering the engine should be
@@ -479,40 +468,20 @@ func (df *DumpFlow) ShedClass() (shedding, sampled bool) {
 	return true, sampled
 }
 
-// Replay drains the dump's spill log back through deliver, in spill
-// order, acquiring real budget credits per chunk — the backpressure that
-// makes replay wait for the engine to drain. deliver receives the release
-// hook to attach to the decoded chunk. A torn or damaged record fails
-// Replay with an error wrapping wal.ErrCorrupt after the chunks before
-// it: a spill is lossless or loud, never a silent prefix. The log is
-// removed afterwards.
-func (df *DumpFlow) Replay(ctx context.Context, deliver func(writer int, timestep int64, payload []byte, release func()) error) error {
+// Replay admits a spilled chunk of n bytes for its deferred pull: it
+// waits for real budget credits — the backpressure that makes replay
+// drain no faster than the engine — and returns a DecideProcess
+// admission over them.
+func (df *DumpFlow) Replay(ctx context.Context, writer int, timestep int64, n int64) (*Admission, error) {
+	lease, err := df.c.budget.Acquire(ctx, n)
+	if err != nil {
+		return nil, err
+	}
+	df.c.tracer.Instant(trace.PhaseReplay, df.c.traceEP, writer, timestep, int64(writer), n)
 	df.mu.Lock()
-	spill := df.spill
-	df.spill = nil
+	df.stats.ReplayedChunks++
 	df.mu.Unlock()
-	if spill == nil {
-		return nil
-	}
-	defer os.RemoveAll(spill.Dir())
-	if err := spill.Close(); err != nil {
-		return err
-	}
-	return wal.Scan(spill.Dir(), func(rec wal.Record) error {
-		lease, err := df.c.budget.Acquire(ctx, int64(len(rec.Payload)))
-		if err != nil {
-			return err
-		}
-		if err := deliver(rec.Writer, rec.Timestep, rec.Payload, lease.Release); err != nil {
-			lease.Release()
-			return err
-		}
-		df.c.tracer.Instant(trace.PhaseReplay, df.c.traceEP, rec.Writer, rec.Timestep, int64(rec.Writer), int64(len(rec.Payload)))
-		df.mu.Lock()
-		df.stats.ReplayedChunks++
-		df.mu.Unlock()
-		return nil
-	})
+	return &Admission{df: df, decision: DecideProcess, lease: lease}, nil
 }
 
 // PassLogDir returns the directory of the retained pass-through log, a
@@ -527,8 +496,8 @@ func (df *DumpFlow) PassLogDir() string {
 }
 
 // Finish closes the dump's flow state and returns its OverloadStats.
-// Idempotent: later calls return the same snapshot. An unreplayed spill
-// log (abort path) is removed; the pass log is closed and kept.
+// Idempotent: later calls return the same snapshot. The pass log is
+// closed and kept.
 func (df *DumpFlow) Finish() OverloadStats {
 	df.mu.Lock()
 	defer df.mu.Unlock()
@@ -536,11 +505,6 @@ func (df *DumpFlow) Finish() OverloadStats {
 		return df.finalStat
 	}
 	df.finished = true
-	if df.spill != nil {
-		df.spill.Close()
-		os.RemoveAll(df.spill.Dir())
-		df.spill = nil
-	}
 	if df.pass != nil {
 		df.pass.Close()
 	}

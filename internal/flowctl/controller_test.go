@@ -95,35 +95,28 @@ func TestAdmitEscalatesToSpill(t *testing.T) {
 	if df.Level() != LevelSpill {
 		t.Fatalf("level = %d, want spill", df.Level())
 	}
-	// Overdraft is accounted while the spill is in flight.
-	if got := c.Budget().Stats().Used; got != 1300 {
-		t.Fatalf("used during spill = %d, want 1300", got)
-	}
-	payload := make([]byte, 300)
-	if err := a.Spill(2, 1, payload); err != nil {
+	// A spill holds nothing: the chunk waits in its writer's region.
+	if err := a.Spill(2, 1, 300); err != nil {
 		t.Fatalf("Spill: %v", err)
 	}
 	if got := c.Budget().Stats().Used; got != 1000 {
 		t.Fatalf("used after spill = %d, want 1000", got)
 	}
 
-	// Replay delivers the spilled chunk back with real credits.
+	// Replay admits the spilled chunk's deferred pull with real credits.
 	release()
-	var replayed int
-	err = df.Replay(ctx, func(writer int, timestep int64, p []byte, rel func()) error {
-		replayed++
-		if writer != 2 || timestep != 1 || len(p) != 300 {
-			t.Errorf("replayed record writer=%d ts=%d len=%d", writer, timestep, len(p))
-		}
-		rel()
-		return nil
-	})
+	r, err := df.Replay(ctx, 2, 1, 300)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if replayed != 1 {
-		t.Fatalf("replayed %d chunks, want 1", replayed)
+	rel, err := r.Keep()
+	if err != nil {
+		t.Fatalf("Keep on a replay admission: %v", err)
 	}
+	if got := c.Budget().Stats().Used; got != 300 {
+		t.Fatalf("used during replay = %d, want 300", got)
+	}
+	rel()
 	st := df.Finish()
 	if st.SpilledChunks != 1 || st.SpilledBytes != 300 || st.ReplayedChunks != 1 {
 		t.Fatalf("stats = %+v, want 1 spilled+replayed chunk of 300 bytes", st)
@@ -150,7 +143,7 @@ func TestSpillDeescalatesWhenDrained(t *testing.T) {
 	if a.Decision() != DecideSpill {
 		t.Fatalf("decision = %v, want spill", a.Decision())
 	}
-	if err := a.Spill(0, 1, make([]byte, 100)); err != nil {
+	if err := a.Spill(0, 1, 100); err != nil {
 		t.Fatalf("Spill: %v", err)
 	}
 	// Drain below the low watermark: the ladder relaxes back to normal.
@@ -199,7 +192,7 @@ func TestLadderEscalatesToShedAndPass(t *testing.T) {
 				}
 				continue
 			}
-			if err := a.Spill(0, 7, make([]byte, 100)); err != nil {
+			if err := a.Spill(0, 7, 100); err != nil {
 				t.Fatalf("Spill: %v", err)
 			}
 		}
@@ -289,11 +282,11 @@ func TestFinishIdempotentAndCleansSegments(t *testing.T) {
 	hold, _ := df.Admit(ctx, 100)
 	rel, _ := hold.Keep()
 	a, _ := df.Admit(ctx, 50)
-	if err := a.Spill(0, 1, make([]byte, 50)); err != nil {
+	if err := a.Spill(0, 1, 50); err != nil {
 		t.Fatalf("Spill: %v", err)
 	}
 	rel()
-	st1 := df.Finish() // abort path: spill log removed unreplayed
+	st1 := df.Finish() // abort path: the spill is never replayed
 	st2 := df.Finish()
 	if st1 != st2 {
 		t.Fatalf("Finish not idempotent: %+v vs %+v", st1, st2)
@@ -326,15 +319,22 @@ func TestAdmitRespectsContext(t *testing.T) {
 	df.Finish()
 }
 
-func TestSpillSlotSerializesOverdrafts(t *testing.T) {
-	c, _ := NewController(testPolicy(100))
+func TestPassSlotSerializesOverdrafts(t *testing.T) {
+	pol := testPolicy(100)
+	pol.SpillLimitBytes, pol.PassLimitBytes = 1, 1 // the first spill escalates to pass
+	pol.SpillDir = t.TempDir()
+	c, _ := NewController(pol)
 	df := c.StartDump(1)
 	ctx := context.Background()
 	hold, _ := df.Admit(ctx, 100)
 	release, _ := hold.Keep()
 	defer release()
+	a, _ := df.Admit(ctx, 60)
+	if err := a.Spill(0, 1, 60); err != nil {
+		t.Fatalf("Spill: %v", err)
+	}
 
-	// Concurrent spilling admissions: the budget's peak must stay within
+	// Concurrent passing admissions: the budget's peak must stay within
 	// capacity + the largest single overdraft, proving serialization.
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
@@ -346,13 +346,13 @@ func TestSpillSlotSerializesOverdrafts(t *testing.T) {
 				t.Errorf("Admit %d: %v", i, err)
 				return
 			}
-			if a.Decision() != DecideSpill {
+			if a.Decision() != DecidePass {
 				a.Abort()
-				t.Errorf("Admit %d decision = %v, want spill", i, a.Decision())
+				t.Errorf("Admit %d decision = %v, want pass", i, a.Decision())
 				return
 			}
-			if err := a.Spill(i, 1, make([]byte, 60)); err != nil {
-				t.Errorf("Spill %d: %v", i, err)
+			if err := a.Pass(i, 1, make([]byte, 60)); err != nil {
+				t.Errorf("Pass %d: %v", i, err)
 			}
 		}(i)
 	}

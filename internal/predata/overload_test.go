@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -112,6 +114,42 @@ func (h *slowHist) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	return h.minmaxHist.Map(ctx, chunk)
 }
 
+// The overload soak's shape: the budget is smaller than one dump's
+// share, and the consumer drains far slower than pulls arrive.
+const (
+	soakStaging = 2
+	soakDumps   = 2
+)
+
+// soakRun runs the overload soak's pipeline — 8 writers of ~320 KB
+// chunks (4 per rank per dump, ≈ 1.3 MB against a 1 MB budget) and a
+// histogram costing 5 ms a chunk — with a bufMB budget (0: none), 2 ms
+// of patience and spillDir as the policy's SpillDir.
+func soakRun(t *testing.T, bufMB int, plan *faults.Plan, spillDir string) *PipelineResult {
+	t.Helper()
+	return runDrained(t, PipelineConfig{
+		NumCompute:       8,
+		NumStaging:       soakStaging,
+		Dumps:            soakDumps,
+		PartialCalculate: localMinMax,
+		Aggregate:        globalMinMax,
+		PullConcurrency:  4,
+		BufferMB:         bufMB,
+		Overload: flowctl.Policy{
+			Patience: 2 * time.Millisecond,
+			SpillDir: spillDir,
+		},
+		FaultPlan: plan,
+		Timeout:   2 * time.Minute,
+	}, chaoticCompute(soakDumps, 40_000),
+		func(dump int) []staging.Operator {
+			return []staging.Operator{&slowHist{
+				minmaxHist: minmaxHist{bins: 16},
+				perChunk:   5 * time.Millisecond,
+			}}
+		})
+}
+
 // TestOverloadSoakSpillLossless is the overload acceptance soak: the
 // budget is smaller than one dump's share and the consumer drains far
 // slower than pulls arrive (>=4:1 byte-rate imbalance via a per-chunk Map
@@ -121,39 +159,7 @@ func (h *slowHist) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 // exceeds budget + one chunk. The constrained run goes once clean and
 // once under transient faults on every endpoint.
 func TestOverloadSoakSpillLossless(t *testing.T) {
-	const (
-		numCompute = 8
-		numStaging = 2
-		dumps      = 2
-		perRank    = 40_000 // ~320 KB packed per chunk; 4 chunks/rank/dump ≈ 1.3 MB > 1 MB budget
-		bufferMB   = 1
-	)
-	run := func(bufMB int, plan *faults.Plan) *PipelineResult {
-		t.Helper()
-		return runDrained(t, PipelineConfig{
-			NumCompute:       numCompute,
-			NumStaging:       numStaging,
-			Dumps:            dumps,
-			PartialCalculate: localMinMax,
-			Aggregate:        globalMinMax,
-			PullConcurrency:  4,
-			BufferMB:         bufMB,
-			Overload: flowctl.Policy{
-				Patience: 2 * time.Millisecond,
-				SpillDir: t.TempDir(),
-			},
-			FaultPlan: plan,
-			Timeout:   2 * time.Minute,
-		}, chaoticCompute(dumps, perRank),
-			func(dump int) []staging.Operator {
-				return []staging.Operator{&slowHist{
-					minmaxHist: minmaxHist{bins: 16},
-					perChunk:   5 * time.Millisecond,
-				}}
-			})
-	}
-
-	unconstrained := run(0, nil)
+	unconstrained := soakRun(t, 0, nil, t.TempDir())
 	if unconstrained.Overload != nil {
 		t.Fatal("overload report present without a budget")
 	}
@@ -167,7 +173,7 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 				}
 				plan = &p
 			}
-			constrained := run(bufferMB, plan)
+			constrained := soakRun(t, 1, plan, t.TempDir())
 			if plan != nil && (constrained.Fault == nil || constrained.Fault.InjectedTransients == 0) {
 				t.Errorf("transient plan never fired: %+v", constrained.Fault)
 			}
@@ -213,8 +219,8 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 
 			// Losslessness: operator results identical to the unconstrained
 			// run, and nothing marked Degraded (spill never degrades).
-			for rank := 0; rank < numStaging; rank++ {
-				for dump := 0; dump < dumps; dump++ {
+			for rank := 0; rank < soakStaging; rank++ {
+				for dump := 0; dump < soakDumps; dump++ {
 					want := unconstrained.StagingResults[rank][dump]
 					got := constrained.StagingResults[rank][dump]
 					if got.Degraded {
@@ -227,6 +233,41 @@ func TestOverloadSoakSpillLossless(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOverloadSpillByReference runs the soak with SpillDir naming a
+// regular file, under which no directory can be made: a spilled chunk
+// waits in its writer's region and is pulled once, at replay, so the run
+// spills and replays every spilled chunk without touching SpillDir, the
+// accountant never holds more than its budget, and the results are the
+// unbudgeted run's.
+func TestOverloadSpillByReference(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unconstrained := soakRun(t, 0, nil, file)
+	constrained := soakRun(t, 1, nil, file)
+	ov := constrained.Overload
+	if ov == nil {
+		t.Fatal("no overload report from a budgeted run")
+	}
+	if ov.SpilledChunks == 0 || ov.ReplayedChunks != ov.SpilledChunks || ov.PassedChunks != 0 {
+		t.Errorf("want spills, each replayed, and no pass: %+v", ov)
+	}
+	if ov.PeakBytes > ov.BudgetBytes {
+		t.Errorf("peak accounted bytes %d exceed the budget %d", ov.PeakBytes, ov.BudgetBytes)
+	}
+	for rank := range soakStaging {
+		for dump := range soakDumps {
+			want := unconstrained.StagingResults[rank][dump]
+			got := constrained.StagingResults[rank][dump]
+			if got.Degraded || !reflect.DeepEqual(got.PerOperator, want.PerOperator) {
+				t.Errorf("rank %d dump %d: degraded %v, results %v; want %v",
+					rank, dump, got.Degraded, got.PerOperator, want.PerOperator)
+			}
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type PipelineConfig struct {
 	// staging rank with a budget of BufferMB megabytes — the ADIOS
 	// <buffer size-MB> hint made binding. Zero disables admission control.
 	BufferMB int
-	// Overload tunes the degradation ladder (patience, spill directory
+	// Overload tunes the degradation ladder (patience, pass log directory
 	// and escalation limits). Its BudgetBytes field is ignored —
 	// the budget always derives from BufferMB.
 	Overload flowctl.Policy

@@ -512,8 +512,8 @@ type ServerConfig struct {
 	// that gathers block until the watchdog intervenes.
 	Retry RetryPolicy
 	// Flow, when non-nil, is this rank's memory-budget controller: every
-	// pull is admitted against its byte budget, overflow spills to disk
-	// and is replayed before Reduce, and persistent overload climbs the
+	// pull is admitted against its byte budget, overflow spills (its pull
+	// is deferred until before Reduce), and persistent overload climbs the
 	// degradation ladder (spill → shed optional operators → raw
 	// pass-through). Nil disables admission control (the pre-budget
 	// behavior). With Flow set, the dump is also bounded by the retry
@@ -737,12 +737,11 @@ type dumpRun struct {
 	// blocks marks a dump whose operators all map block by block: none
 	// emits a view into a frame, so no rank waits for the others to ack.
 	blocks bool
-	mu     sync.Mutex // guards stats, held, spilled and err while the feed runs
+	mu     sync.Mutex // guards stats, held and err while the feed runs
 	// held lists the regions acked at the end of the dump: every one but a
 	// processed chunk's of a block-mapped dump without a journal.
-	held    []fabric.Handle
-	spilled map[int]unverifiedPull // each spilled chunk's pull, by writer
-	err     error
+	held []fabric.Handle
+	err  error
 }
 
 // fail stores the first feed failure.
@@ -929,11 +928,16 @@ func (s *Server) newStoneGraph(flow *flowctl.DumpFlow, chunks chan<- *staging.Ch
 
 // feedPulled submits one dump's chunks — reqs is in stream order — to
 // the stone graph's decode stone and returns once the last one is in: a
-// bounded pool of pull workers moves each request's chunk over the
-// fabric — admitted against the budget, header-checked — and submits it;
-// once every pull is issued, spilled chunks are replayed behind them.
+// bounded pool of pull workers admits each request's chunk against the
+// budget and pulls and routes it (pullAndRoute). A spilled chunk is left
+// in its writer's region; once the workers are done, each is pulled the
+// same way behind them.
 func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest, decode *evpath.Stone) {
-	var workers sync.WaitGroup
+	var (
+		workers sync.WaitGroup
+		mu      sync.Mutex // guards spilled
+		spilled []FetchRequest
+	)
 	reqCh := make(chan FetchRequest)
 	for w := 0; w < s.cfg.PullConcurrency; w++ {
 		workers.Add(1)
@@ -944,43 +948,29 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 					continue // drain remaining requests without pulling
 				}
 				// Credit-based admission: the pull is only issued once the
-				// budget (or the spill path's serialized overdraft) covers
+				// budget (or the pass path's serialized overdraft) covers
 				// the chunk, so the compute rank's exposed buffer — not
 				// staging memory — absorbs the wait, and the compute side
 				// stays asynchronous.
 				var adm *flowctl.Admission
 				if d.flow != nil {
 					a, err := d.flow.Admit(ctx, int64(req.Bytes))
+					if err == nil && a.Decision() == flowctl.DecideSpill {
+						// The chunk waits in its writer's region.
+						if err = a.Spill(req.WriterRank, req.Timestep, spillBytes(req)); err == nil {
+							mu.Lock()
+							spilled = append(spilled, req)
+							mu.Unlock()
+							continue
+						}
+					}
 					if err != nil {
 						d.fail(fmt.Errorf("predata: admitting chunk from rank %d: %w", req.WriterRank, err))
 						continue
 					}
 					adm = a
 				}
-				// The engine checks every processed or spilled chunk's
-				// payload (staging.Chunk.Unverified); only a passed one,
-				// whose one reader is the pass log, is checked here.
-				p := &pulledChunk{writer: req.WriterRank}
-				var check *unverifiedPull
-				if adm == nil || adm.Decision() != flowctl.DecidePass {
-					spill := adm != nil && adm.Decision() == flowctl.DecideSpill
-					p.check = unverifiedPull{s: s, ctx: ctx, d: d, req: req,
-						held: !d.blocks || s.cfg.Journal != nil || spill}
-					check = &p.check
-				}
-				buf, ok, err := s.pullChunk(ctx, req, d, check)
-				if !ok {
-					// Dropped or failed: nothing enters the graph.
-					if adm != nil {
-						adm.Abort()
-					}
-					if err != nil {
-						d.fail(err)
-					}
-					continue
-				}
-				p.buf = buf
-				if err := s.routePulled(ctx, d, decode, adm, req, p); err != nil {
+				if err := s.pullAndRoute(ctx, d, decode, adm, req); err != nil {
 					d.fail(err)
 				}
 			}
@@ -991,20 +981,26 @@ func (s *Server) feedPulled(ctx context.Context, d *dumpRun, reqs []FetchRequest
 	}
 	close(reqCh)
 	workers.Wait()
-	if d.flow != nil {
-		// Lossless completion: replay the spill log through the same
-		// stone graph before the engine's stream ends, acquiring real
-		// budget credits per chunk so replay drains no faster than the
-		// engine. A replayed chunk is checked as a processed one is.
-		err := d.flow.Replay(ctx, func(writer int, ts int64, payload []byte, release func()) error {
-			check := d.spilled[writer] // the pull workers are done
-			return decode.SubmitContext(ctx, &evpath.Event{Data: &pulledChunk{writer: writer, buf: payload, release: release, check: check}})
-		})
+	// Lossless completion: pull every spilled chunk into the same stone
+	// graph before the engine's stream ends, each under real budget
+	// credits, so replay drains no faster than the engine.
+	for _, req := range spilled {
+		if d.failed() {
+			return
+		}
+		adm, err := d.flow.Replay(ctx, req.WriterRank, req.Timestep, spillBytes(req))
+		if err == nil {
+			err = s.pullAndRoute(ctx, d, decode, adm, req)
+		}
 		if err != nil {
 			d.fail(fmt.Errorf("predata: spill replay: %w", err))
 		}
 	}
 }
+
+// spillBytes is what a spill of req's chunk counts and its replay
+// waits for: the chunk's payload, without the seal header.
+func spillBytes(req FetchRequest) int64 { return int64(req.Bytes - staging.SealOverhead) }
 
 // pullChunk moves one request's chunk to this rank and returns its
 // payload: with check set, with only its seal header checked, check
@@ -1062,8 +1058,8 @@ func (s *Server) lost(req FetchRequest, d *dumpRun, err error) error {
 	return nil
 }
 
-// unverifiedPull is a processed or spilled chunk, pulled with only its
-// seal header checked: the engine checks the payload against the
+// unverifiedPull is a processed chunk, pulled with only its seal header
+// checked: the engine checks the payload against the
 // request's sum and calls back (staging.Chunk.Corrupt) on a mismatch. It
 // lives inside its pulledChunk, so the chunk's hooks are its own methods:
 // one allocation for the Corrupt hook, and one for the Release hook when
@@ -1157,31 +1153,35 @@ func (p *pulledChunk) decode(chunks *staging.Decoder) (*staging.Chunk, error) {
 	return chunk, nil
 }
 
-// routePulled hands a pulled chunk to its admitted fate: stream into the
-// stone graph (process), append to the overflow log (spill), or write
-// raw to the PFS sink (pass). With no admission (adm == nil) it streams
+// pullAndRoute pulls one admitted request's chunk and hands it to its
+// fate: stream into the stone graph (process), or write raw to the PFS
+// sink (pass). The engine checks a processed chunk's payload
+// (staging.Chunk.Unverified); only a passed one, whose one reader is the
+// pass log, is checked here. With no admission (adm == nil) it streams
 // unconditionally, the pre-budget behavior.
-func (s *Server) routePulled(ctx context.Context, d *dumpRun, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest, p *pulledChunk) error {
+func (s *Server) pullAndRoute(ctx context.Context, d *dumpRun, decode *evpath.Stone, adm *flowctl.Admission, req FetchRequest) error {
+	pass := adm != nil && adm.Decision() == flowctl.DecidePass
+	p := &pulledChunk{writer: req.WriterRank}
+	var check *unverifiedPull
+	if !pass {
+		p.check = unverifiedPull{s: s, ctx: ctx, d: d, req: req, held: !d.blocks || s.cfg.Journal != nil}
+		check = &p.check
+	}
+	buf, ok, err := s.pullChunk(ctx, req, d, check)
+	if !ok {
+		// Dropped or failed: nothing enters the graph.
+		if adm != nil {
+			adm.Abort()
+		}
+		return err
+	}
+	if pass {
+		return adm.Pass(req.WriterRank, req.Timestep, buf)
+	}
+	p.buf = buf
 	if adm != nil {
-		switch adm.Decision() {
-		case flowctl.DecideSpill:
-			d.mu.Lock()
-			if d.spilled == nil {
-				d.spilled = make(map[int]unverifiedPull)
-			}
-			d.spilled[req.WriterRank] = p.check
-			d.mu.Unlock()
-			return adm.Spill(req.WriterRank, req.Timestep, p.buf)
-		case flowctl.DecidePass:
-			return adm.Pass(req.WriterRank, req.Timestep, p.buf)
-		case flowctl.DecideProcess:
-			release, err := adm.Keep()
-			if err != nil {
-				return err
-			}
-			p.release = release
-		default:
-			return fmt.Errorf("predata: unknown admission decision %d", adm.Decision())
+		if p.release, err = adm.Keep(); err != nil {
+			return err
 		}
 	}
 	if err := decode.SubmitContext(ctx, &evpath.Event{Data: p}); err != nil {

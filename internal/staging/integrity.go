@@ -16,7 +16,7 @@ package staging
 //	magic "PDCHNK1\n" | payload length u32 | crc32(IEEE) of payload u32 | payload
 //
 // The same magic-then-checksum shape as wal's record logs (PDWAL2: the
-// journal and the spill and pass logs) and the trace archive (PDTRACE2).
+// journal and the pass logs) and the trace archive (PDTRACE2).
 
 import (
 	"encoding/binary"

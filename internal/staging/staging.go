@@ -487,6 +487,9 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 		// repulled is the first failure to re-pull a bad chunk, which
 		// fails the redo's Map phase.
 		repulled error
+		// initErr is the first pass's Initialize failure. It fails a redo
+		// too: the chunks were released unmapped, so a redo would miss them.
+		initErr error
 	)
 	for pass := 0; ; pass++ {
 		first := pass == 0
@@ -505,18 +508,21 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			}
 		}
 
-		// Initialize.
+		// Initialize. A rank whose Initialize failed maps nothing: it
+		// releases its chunks unmapped and fails after the collectives.
+		failure := initErr
 		end := phase(trace.PhaseInitialize, -1)
-		for i, op := range ops {
-			if err := op.Initialize(ctxs[i], agg); err != nil {
-				end(0)
-				if first {
-					drain(chunks)
-				}
-				return nil, fmt.Errorf("staging: %s.Initialize: %w", op.Name(), err)
+		for i := 0; failure == nil && i < len(ops); i++ {
+			if err := ops[i].Initialize(ctxs[i], agg); err != nil {
+				failure = fmt.Errorf("staging: %s.Initialize: %w", ops[i].Name(), err)
+				initErr = failure
 			}
 		}
-		end(int64(len(ops)))
+		if failure != nil {
+			end(0)
+		} else {
+			end(int64(len(ops)))
+		}
 
 		// Map: stream chunks through a worker pool. Each chunk visits every
 		// operator, preserving the paper's read-once constraint. Shedding
@@ -541,6 +547,12 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 			go func() {
 				defer wg.Done()
 				for chunk := range src {
+					if failure != nil {
+						if first && chunk.Release != nil {
+							chunk.Release()
+						}
+						continue
+					}
 					shed := chunk.Shed // the chunk is not read after its Release
 					mapped := m.mapChunk(chunk)
 					if mapped != nil && !deferred {
@@ -585,11 +597,14 @@ func (e *Engine) ProcessDump(comm *mpi.Comm, chunks <-chan *Chunk, ops []Operato
 
 		// Combine + Shuffle + Reduce, one operator at a time so that every
 		// rank issues collectives in the same order. A rank that failed — in
-		// Map, a Combine or a Reduce — still joins every later shuffle and
-		// the verify step, so no peer waits on it, but sends nothing, reduces
-		// nothing, and then fails. While checks are pending, a failure may be
-		// the work of damaged bytes: it is judged after the verify step.
-		failure := m.err
+		// Initialize, Map, a Combine or a Reduce — still joins every later
+		// shuffle and the verify step, so no peer waits on it, but sends
+		// nothing, reduces nothing, and then fails. While checks are
+		// pending, a failure may be the work of damaged bytes: it is judged
+		// after the verify step.
+		if failure == nil {
+			failure = m.err
+		}
 		for i, op := range ops {
 			end = phase(trace.PhaseCombine, i)
 			ctx := ctxs[i]

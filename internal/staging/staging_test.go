@@ -370,6 +370,112 @@ func TestReduceErrorBeforeLaterOperatorFailsAlone(t *testing.T) {
 	})
 }
 
+// hookFail fails in one hook when armed, and emits a value to every
+// rank's tag, so that every rank reduces.
+type hookFail struct {
+	hook  string
+	armed bool
+}
+
+func (f *hookFail) Name() string { return "hookfail" }
+func (f *hookFail) fail(hook string) error {
+	if f.armed && f.hook == hook {
+		return fmt.Errorf("%s boom", hook)
+	}
+	return nil
+}
+func (f *hookFail) Initialize(*Context, map[string]any) error { return f.fail("init") }
+func (f *hookFail) Map(ctx *Context, chunk *Chunk) error {
+	for tag := range ctx.Ranks() {
+		Emit(ctx, tag, 1)
+	}
+	return f.fail("map")
+}
+func (f *hookFail) Combine(tag int, values []int) ([]int, error) { return values, f.fail("combine") }
+func (f *hookFail) Reduce(*Context, int, []int) error            { return f.fail("reduce") }
+func (f *hookFail) Finalize(*Context) error                      { return f.fail("finalize") }
+
+// verifyingHookFail is hookFail verifying in Reduce.
+type verifyingHookFail struct{ hookFail }
+
+func (*verifyingHookFail) VerifiesInReduce() {}
+
+// TestFailedHookKeepsRanksJoined sweeps a failure through every operator
+// hook, on the first and on the last of 3 ranks, with the failing
+// operator alone, ahead of another, and verifying in Reduce: every rank
+// returns within 2 s (the failing one still joins every collective), the
+// failing rank returns its error, its peers return nil or, when the
+// failure reaches the verify step, the peer error, and the
+// communicator's next dump succeeds.
+func TestFailedHookKeepsRanksJoined(t *testing.T) {
+	layouts := []struct {
+		name string
+		ops  func(f hookFail) []Operator
+	}{
+		{"alone", func(f hookFail) []Operator { return []Operator{&f} }},
+		{"ahead", func(f hookFail) []Operator { return []Operator{&f, &histOp{bins: 2, min: 0, max: 2}} }},
+		{"verifying", func(f hookFail) []Operator { return []Operator{&verifyingHookFail{f}} }},
+	}
+	for _, hook := range []string{"init", "map", "combine", "reduce", "finalize"} {
+		for _, bad := range []int{0, 2} {
+			for _, layout := range layouts {
+				t.Run(fmt.Sprintf("%s/rank%d/%s", hook, bad, layout.name), func(t *testing.T) {
+					runWithin(t, 2*time.Second, 3, func(c *mpi.Comm) error {
+						chunks := func() <-chan *Chunk { return feed([]*Chunk{makeChunk(c.Rank(), []float64{0.5, 1.5})}) }
+						ops := layout.ops(hookFail{hook: hook, armed: c.Rank() == bad})
+						_, err := NewEngine(Config{}).ProcessDump(c, chunks(), ops, nil)
+						switch {
+						case c.Rank() == bad:
+							if err == nil || !strings.Contains(err.Error(), hook+" boom") {
+								return fmt.Errorf("failing rank %d: err = %v", bad, err)
+							}
+						case layout.name == "verifying" && hook != "finalize":
+							if err == nil || !strings.Contains(err.Error(), "another rank failed") {
+								return fmt.Errorf("rank %d: err = %v, want the peer error", c.Rank(), err)
+							}
+						case err != nil:
+							return fmt.Errorf("rank %d: unexpected err %v", c.Rank(), err)
+						}
+						if _, err := NewEngine(Config{}).ProcessDump(c, chunks(), []Operator{&histOp{bins: 2, min: 0, max: 2}}, nil); err != nil {
+							return fmt.Errorf("rank %d: the next dump failed: %w", c.Rank(), err)
+						}
+						return nil
+					})
+				})
+			}
+		}
+	}
+}
+
+// initOnceFail is verifyingHookFail whose Initialize fails once at most.
+type initOnceFail struct{ verifyingHookFail }
+
+func (f *initOnceFail) Initialize(ctx *Context, agg map[string]any) error {
+	err := f.hookFail.Initialize(ctx, agg)
+	f.armed = false
+	return err
+}
+
+// TestInitializeFailureOutlastsRedo: rank 0's Initialize fails in the first
+// pass of a dump verifying in Reduce, and rank 1's chunk fails its check,
+// so both ranks redo the pass. Rank 0 released its chunk unmapped, so it
+// must fail the redo too, though its Initialize succeeds there.
+func TestInitializeFailureOutlastsRedo(t *testing.T) {
+	runWithin(t, 2*time.Second, 2, func(c *mpi.Comm) error {
+		chunk := makeChunk(c.Rank(), []float64{0.5})
+		if c.Rank() == 1 {
+			chunk.Unverified, chunk.Sum = []byte{1}, 0 // the sum of {1} is not 0
+			chunk.Corrupt = func() (*Chunk, error) { return makeChunk(1, []float64{0.5}), nil }
+		}
+		op := &initOnceFail{verifyingHookFail{hookFail{hook: "init", armed: c.Rank() == 0}}}
+		_, err := NewEngine(Config{}).ProcessDump(c, feed([]*Chunk{chunk}), []Operator{op}, nil)
+		if c.Rank() == 0 && (err == nil || !strings.Contains(err.Error(), "init boom")) {
+			return fmt.Errorf("rank 0: err = %v, want its Initialize error", err)
+		}
+		return nil
+	})
+}
+
 func TestMultipleOperatorsShareStream(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		opA := &histOp{bins: 2, min: 0, max: 2}

@@ -10,7 +10,7 @@ import (
 )
 
 // Binary recording format, sibling of wal's PDWAL2 record logs (the
-// journal, and flowctl's spill and pass logs):
+// journal, and flowctl's pass logs):
 //
 //	magic   "PDTRACE2"                       8 bytes
 //	header  numCompute int32 | numStaging int32 | dumps int32 |

@@ -61,10 +61,10 @@ const (
 	PhaseEndpointDown  // fabric: endpoint declared failed
 	PhaseRefusal       // fabric: operation refused because the peer is down
 	PhaseReroute       // predata client: write rerouted off a down server
-	PhaseSpill         // flowctl: chunk spilled to disk (Arg = bytes)
+	PhaseSpill         // flowctl: chunk spilled, its pull deferred (Arg = bytes)
 	PhasePass          // flowctl: chunk passed through unanalyzed (Arg = bytes)
 	PhaseShed          // flowctl: shed decision (Arg = 1 kept as sample, 0 dropped)
-	PhaseReplay        // flowctl: spilled chunk replayed (Seq = writer, Arg = bytes)
+	PhaseReplay        // flowctl: spilled chunk admitted for its pull (Seq = writer, Arg = bytes)
 	PhaseLease         // flowctl: budget movement (Arg = signed delta, Seq = used bytes after)
 	PhaseBudgetCap     // flowctl: budget capacity announcement (Arg = capacity bytes)
 	PhaseOverload      // flowctl: overload latch transition (Arg = 1 latched, 0 released)

@@ -31,8 +31,9 @@ const (
 	// contract. A check is a (rank, dump) that both replayed and reduced.
 	RuleReplayOrder
 	// RuleLeasePeak: per rank, the peak of budget-accounted bytes never
-	// exceeds the admission ceiling plus the largest grant (the one-chunk
-	// Overdraft). The ceiling is the capacity, or the largest grant when a
+	// exceeds the admission ceiling plus the largest grant (a pass's
+	// one-chunk Overdraft; without a pass, the peak stays within the
+	// ceiling). The ceiling is the capacity, or the largest grant when a
 	// chunk larger than the whole budget was granted alone to an idle
 	// accountant. A check is a rank that announced a budget.
 	RuleLeasePeak

@@ -176,7 +176,7 @@ func FuzzWALTruncatedTail(f *testing.F) {
 // (prefix shortens, Torn) or in the magic (ErrCorrupt, the one loud
 // case) — and the surviving prefix must still satisfy commit dedup and
 // checkpoint coverage.
-// Scan, the strict reader spill replay uses, must deliver exactly the
+// Scan, the strict reader pass logs are read with, must deliver exactly the
 // records recovery kept and fail with ErrCorrupt exactly when recovery
 // saw damage. A flip outside the magic always tears the journal, and the
 // records before it are a strict prefix of the unflipped journal's.

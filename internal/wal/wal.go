@@ -23,10 +23,9 @@
 // mid-append. Recover keeps the longest valid prefix and reports Torn
 // instead of failing, so replay after a crash at any byte offset yields
 // a prefix-consistent state (property-tested). Only a damaged magic —
-// the file is not a journal at all — is an error. flowctl's spill and
-// pass queues are Logs of chunk records too, read back by Scan, to
-// which a torn or damaged record is ErrCorrupt: a spill is lossless or
-// loud.
+// the file is not a journal at all — is an error. flowctl's pass queue
+// is a Log of chunk records too, read back by Scan, to which a torn or
+// damaged record is ErrCorrupt: a pass log is whole or loud.
 //
 // Checkpoints compact the journal in one atomic step: WriteCheckpoint
 // writes a fresh file — the magic, a checkpoint record saying every dump

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -711,5 +712,92 @@ func TestLeftoverTmpIgnored(t *testing.T) {
 		if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("cut %d: leftover still beside the journal: %v", cut, err)
 		}
+	}
+}
+
+// scanChunks writes payloads as chunk records (writer i, timestep 4) to
+// a fresh journal and returns its directory and file.
+func scanChunks(t *testing.T, payloads ...[]byte) (dir, path string) {
+	t.Helper()
+	dir = t.TempDir()
+	l := mustOpen(t, dir)
+	for i, p := range payloads {
+		if err := l.AppendChunk(i, 4, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, filepath.Join(dir, journalName)
+}
+
+// TestScanCorruption damages a journal one way per row: Scan must
+// deliver only the records before the damage, then fail with
+// ErrCorrupt. (A damaged magic and a flipped byte are FuzzWALBitFlip's
+// seeds.) An error from fn stops Scan and comes back as is.
+func TestScanCorruption(t *testing.T) {
+	chunks := [][]byte{[]byte("chunk-0-payload"), []byte("chunk-1-payload"), []byte("chunk-2-payload")}
+	second := len(journalMagic) + headerSize + len(chunks[0])
+	for _, row := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"truncated payload", func(b []byte) []byte { return b[:second+headerSize+5] }},
+		{"truncated header", func(b []byte) []byte { return b[:second+10] }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir, path := scanChunks(t, chunks...)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, row.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got [][]byte
+			err = Scan(dir, func(rec Record) error { got = append(got, rec.Payload); return nil })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Scan err = %v, want ErrCorrupt", err)
+			}
+			if len(got) != 1 || !bytes.Equal(got[0], chunks[0]) {
+				t.Fatalf("Scan delivered %q, want only the record before the damage", got)
+			}
+		})
+	}
+	t.Run("fn error propagates", func(t *testing.T) {
+		dir, _ := scanChunks(t, chunks...)
+		sentinel := errors.New("stop")
+		n := 0
+		err := Scan(dir, func(Record) error { n++; return sentinel })
+		if !errors.Is(err, sentinel) || n != 1 {
+			t.Fatalf("Scan err = %v after %d records, want the sentinel after 1", err, n)
+		}
+	})
+}
+
+// TestScanBoundsLength damages a record's length word to claim almost
+// 4 GiB: Scan must refuse it without allocating more than the file
+// holds.
+func TestScanBoundsLength(t *testing.T) {
+	dir, path := scanChunks(t, []byte("chunk-0-payload"))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[len(journalMagic)+17:], 0xFFFFFFF0) // the record's length word
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	n := 0
+	runtime.ReadMemStats(&before)
+	err = Scan(dir, func(Record) error { n++; return nil })
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || n != 0 {
+		t.Fatalf("Scan delivered %d records, err %v; want none and ErrCorrupt", n, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("scanning a %d-byte journal allocated %d bytes", len(b), alloc)
 	}
 }
