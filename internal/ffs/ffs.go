@@ -21,17 +21,18 @@ import (
 	"predata/internal/wire"
 )
 
-// Magic identifies an FFS-encoded buffer. "FFS2" pads numeric payloads to
-// 8-byte offsets; there is one format and no FFS1 reader — encoded buffers
+// Magic identifies an FFS-encoded buffer. "FFS3" pads numeric payloads to
+// 64-byte offsets, so each starts on a cache line of a line-aligned buffer;
+// there is one format and no reader of an older one — encoded buffers
 // (chunks, journals, pass logs) do not outlive a run's binary.
-const Magic = 0x46465332 // "FFS2"
+const Magic = 0x46465333 // "FFS3"
 
 // Kind enumerates the value types a field can carry.
 type Kind uint8
 
 // Field kinds. Scalars are fixed-width little-endian; slices and strings
 // are length-prefixed; arrays carry dimension metadata. The payload of a
-// numeric slice or array starts at an 8-byte offset of the buffer, behind
+// numeric slice or array starts at a 64-byte offset of the buffer, behind
 // zero padding both sides derive from the cursor.
 const (
 	KindInvalid Kind = iota
@@ -365,15 +366,22 @@ func (w *writer) u64s(v []uint64) {
 	}
 }
 
+// payloadAlign is the offset of the FFS buffer every numeric payload
+// starts at: a cache line, so the payload of a line-aligned buffer starts on
+// one and a bulk copy into or out of it runs on aligned words.
+const payloadAlign = 64
+
 // words writes the header of a numeric payload of count 8-byte elements:
-// the count, then zero bytes up to the next 8-byte offset of the FFS
+// the count, then zero bytes up to the next payloadAlign offset of the FFS
 // buffer, so a receiver holding the buffer at an aligned address can read
 // the payload in place. The caller appends the payload itself.
 func (w *writer) words(count int) {
 	w.u64(uint64(count))
-	for w.n&7 != 0 {
-		w.u8(0)
+	pad := -w.n & (payloadAlign - 1)
+	if !w.sizing {
+		w.buf = append(w.buf, make([]byte, pad)...)
 	}
+	w.n += pad
 }
 
 // f64s writes a float64 payload; a is the array it belongs to, or nil.
@@ -424,7 +432,7 @@ func appendPayload[T float64 | int64](w *writer, v []T, a *Array, put func([]byt
 func words(r *wire.Cursor, what string) []byte {
 	n := r.U64()
 	at := r.Off()
-	for _, b := range r.Next(-at & 7) {
+	for _, b := range r.Next(-at & (payloadAlign - 1)) {
 		if b != 0 {
 			r.Fail("non-zero alignment pad before %s payload at offset %d", what, at)
 			return nil
@@ -468,7 +476,7 @@ func Size(schema *Schema, rec Record) (int, error) {
 // AppendEncode appends the record's encoding to dst and returns the
 // extended slice. The FFS buffer starts at len(dst): alignment pads are
 // measured from there, so a caller that wants the numeric payloads
-// decodable in place keeps len(dst) a multiple of 8 (a reserved frame
+// decodable in place keeps len(dst) a multiple of 64 (a reserved frame
 // header, say) in a buffer with Size bytes of spare capacity. Each byte is
 // written once; application arrays are copied, never retained.
 //

@@ -37,13 +37,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte{0x32, 0x53, 0x46, 0x46}) // magic only
+	f.Add([]byte{0x33, 0x53, 0x46, 0x46}) // magic only
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-8]) // payload one element short
 	// Frames whose pads have every width, and one with a damaged pad: with
 	// an empty schema name the first payload's count ends at offset 47,
-	// leaving one pad byte there.
-	for n := 0; n < 8; n++ {
+	// leaving 17 pad bytes from there.
+	for n := 0; n < payloadAlign; n++ {
 		schema.Name = strings.Repeat("n", n)
 		padded, err := Encode(schema, rec)
 		if err != nil {
@@ -267,7 +267,7 @@ func fuzzRecord(rows, rowWords uint32, nameLen uint8, sliceLen uint32, global bo
 	if global {
 		arr.Global, arr.Offsets = []uint64{uint64(rows) + 3, uint64(rowWords)}, []uint64{3, 0}
 	}
-	schema := &Schema{Name: strings.Repeat("n", int(nameLen%8)), Fields: []Field{
+	schema := &Schema{Name: strings.Repeat("n", int(nameLen%payloadAlign)), Fields: []Field{
 		{Name: "i", Kind: KindInt64},
 		{Name: "s", Kind: KindString},
 		{Name: "I", Kind: KindInt64Slice},

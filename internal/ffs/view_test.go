@@ -30,12 +30,12 @@ func within(slice any, buf []byte) bool {
 }
 
 // TestPadWidths pins where pads fall: the payload of a numeric slice starts
-// at the next 8-byte offset after its count, whatever precedes it, and
-// names of every length mod 8 force every pad width.
+// at the next 64-byte offset after its count, whatever precedes it, and
+// names of every length mod 64 force every pad width.
 func TestPadWidths(t *testing.T) {
 	payload := []float64{1, 2, 3}
 	seen := map[int]bool{}
-	for n := 0; n < 16; n++ {
+	for n := 0; n < 128; n++ {
 		schema := &Schema{Name: strings.Repeat("s", n), Fields: []Field{{Name: "f", Kind: KindFloat64Slice}}}
 		buf, err := Encode(schema, Record{"f": payload})
 		if err != nil {
@@ -43,7 +43,7 @@ func TestPadWidths(t *testing.T) {
 		}
 		// magic, name, field count, field (name, kind), element count.
 		cursor := 4 + 4 + n + 4 + (4 + 1 + 1) + 8
-		pad := -cursor & 7
+		pad := -cursor & 63
 		seen[pad] = true
 		if want := cursor + pad + 8*len(payload); len(buf) != want {
 			t.Fatalf("name length %d: encoded %d bytes, want %d (pad %d)", n, len(buf), want, pad)
@@ -68,7 +68,7 @@ func TestPadWidths(t *testing.T) {
 			}
 		}
 	}
-	for pad := 0; pad < 8; pad++ {
+	for pad := 0; pad < 64; pad++ {
 		if !seen[pad] {
 			t.Errorf("pad width %d never exercised", pad)
 		}
@@ -128,12 +128,12 @@ func everyKindRecord(schema *Schema, rng *rand.Rand) Record {
 }
 
 // TestRoundTripEveryKindEveryPad round-trips random records holding every
-// Kind, with schema and field names of every length mod 8 ahead of the
+// Kind, with schema and field names of every length mod 64 ahead of the
 // numeric payloads, from an aligned buffer (views) and from the same bytes
 // at an odd address (the portable loop): both must give the record back.
 func TestRoundTripEveryKindEveryPad(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for nameLen := 0; nameLen < 8; nameLen++ {
+	for nameLen := 0; nameLen < payloadAlign; nameLen++ {
 		for trial := 0; trial < 8; trial++ {
 			schema := everyKindSchema(nameLen)
 			rec := everyKindRecord(schema, rng)

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"predata/internal/bp"
 	"predata/internal/ffs"
+	"predata/internal/poison"
 	"predata/internal/staging"
 )
 
@@ -171,13 +173,44 @@ type sortEntry struct {
 // receiver needs to merge and label them even when it mapped no chunk of
 // its own. The rows are not moved: Rows is the chunk's array, a view into
 // its writer's frame, and Order lists the run's rows by number, so that the
-// receiver copies each row once, from the frame into its output.
+// receiver copies each row once, from the frame into its output. Order and
+// Keys lie in buf, which the receiving Reduce releases once it has planned
+// the merge: neither is read after that.
 type sortedRun struct {
 	K      int       // columns per row
 	Writer int       // compute rank that wrote the chunk; breaks label ties
 	Rows   []float64 // every row of the chunk, the run's and others'
 	Order  []uint32  // the run's row numbers, sorted
 	Keys   []sortKey // Keys[i] is row Order[i]'s key, carried so the merge reads no row
+	buf    *runBuf
+}
+
+// runBuf is the memory of the runs cut from one chunk: every run's Order
+// and Keys are stretches of order and keys. live counts the runs not yet
+// released; the last release returns the buffer to runBufs. A run that is
+// never merged (its dump failed, or a redo dropped its pass) is never
+// released, and its buffer is simply collected.
+type runBuf struct {
+	order []uint32
+	keys  []sortKey
+	live  atomic.Int32
+}
+
+// release marks r merged: its Order and Keys are not read again.
+func (r *sortedRun) release() {
+	b := r.buf
+	if b.live.Add(-1) != 0 {
+		return
+	}
+	if poison.Enabled {
+		for i := range b.order {
+			b.order[i] = 0xA5A5A5A5
+		}
+		for i := range b.keys {
+			b.keys[i] = sortKey{0xA5A5A5A5A5A5A5A5, 0xA5A5A5A5A5A5A5A5}
+		}
+	}
+	runBufs.put(b)
 }
 
 // Radix digits are at most radixBits wide: GTC's minor key varies in 26
@@ -190,8 +223,9 @@ const (
 // sortScratch is the transient memory of one Map: entries, the radix
 // passes' other buffer and histograms, rows per destination. None of it
 // outlives the call, so it is recycled through scratches rather than
-// allocated per chunk, and so is one Reduce's merge plan through plans:
-// package-level lists, since a pipeline builds a fresh operator per dump.
+// allocated per chunk, and so are one Reduce's merge plan through plans
+// and the runs' row numbers and keys through runBufs: package-level lists,
+// since a pipeline builds a fresh operator per dump.
 type sortScratch struct {
 	entries, spare []sortEntry
 	counts         []uint32 // the radix passes' histograms, one after another
@@ -201,6 +235,7 @@ type sortScratch struct {
 var (
 	scratches freeList[sortScratch]
 	plans     freeList[[]rowRef]
+	runBufs   freeList[runBuf]
 )
 
 // freeList recycles values as a sync.Pool does, but the collector never
@@ -296,13 +331,20 @@ func (s *SortOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 	// The destination is not part of the key: bucketOf is non-decreasing
 	// in the major key's order, so rows sorted by key are already grouped
 	// by destination, in rank order.
-	order, keys := make([]uint32, rows), make([]sortKey, rows)
+	buf := runBufs.get()
+	buf.order, buf.keys = resize(buf.order, rows), resize(buf.keys, rows)
+	order, keys := buf.order, buf.keys
 	radixSort(entries, sc.spare, varies, &sc.counts, order, keys)
+	var live int32
+	for _, n := range counts {
+		live += int32(min(n, 1))
+	}
+	buf.live.Store(live)
 	for dst, n := range counts {
 		if n == 0 {
 			continue
 		}
-		staging.Emit(ctx, dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: src, Order: order[:n:n], Keys: keys[:n:n]})
+		staging.Emit(ctx, dst, &sortedRun{K: k, Writer: chunk.WriterRank, Rows: src, Order: order[:n:n], Keys: keys[:n:n], buf: buf})
 		order, keys = order[n:], keys[n:]
 	}
 	return nil
@@ -417,6 +459,9 @@ func (s *SortOperator) Reduce(ctx *staging.Context, tag int, values []*sortedRun
 	defer plans.put(plan)
 	*plan = resize(*plan, rows)
 	planMerge(values, *plan)
+	for _, run := range values {
+		run.release()
+	}
 	if err := gather(s.sorted, s.k, values, *plan, s.pg); err != nil {
 		return fmt.Errorf("ops: sort output: %w", err)
 	}

@@ -291,8 +291,9 @@ func exportFile(tb testing.TB, fs *pfs.FileSystem, name string) []byte {
 }
 
 // sortDumpToFiles runs one dump in which staging rank r sorts by cfg into
-// its own BP file "sorted-<r>.bp" on fs; the files are closed on return.
-func sortDumpToFiles(tb testing.TB, fs *pfs.FileSystem, streams [][]*staging.Chunk, workers int, cfg SortConfig) {
+// its own BP file "sorted-<r>.bp" on fs, and returns the ranks' results;
+// the files are closed on return.
+func sortDumpToFiles(tb testing.TB, fs *pfs.FileSystem, streams [][]*staging.Chunk, workers int, cfg SortConfig) []*staging.Result {
 	tb.Helper()
 	writers := make([]*bp.Writer, len(streams))
 	ops := make([]staging.Operator, len(streams))
@@ -308,12 +309,13 @@ func sortDumpToFiles(tb testing.TB, fs *pfs.FileSystem, streams [][]*staging.Chu
 		}
 		writers[r], ops[r] = w, op
 	}
-	runDump(tb, streams, workers, ops)
+	results := runDump(tb, streams, workers, ops)
 	for _, w := range writers {
 		if _, err := w.Close(); err != nil {
 			tb.Fatal(err)
 		}
 	}
+	return results
 }
 
 // sortToFiles sorts one dump of sortChunk rows, one Map worker per rank so
@@ -524,7 +526,8 @@ func sortBenchDump(tb testing.TB, fs *pfs.FileSystem, chunks []*staging.Chunk, r
 // TestSortDumpAllocationBudget: on the staging side a sorted row is
 // allocated once, in the process group, which the file system keeps. Map
 // emits views of the chunk's rows with their sorted numbers and keys (20
-// bytes a row), its entries and radix scratch are recycled, and Reduce
+// bytes a row, recycled through runBufs once warm; TestSortRunsRecycled
+// holds that), its entries and radix scratch are recycled, and Reduce
 // gathers each row from the writer's frame straight into the group: about
 // 1.3 bytes per payload byte at eight columns, for runs that merge by
 // whole copies and for runs that interleave row by row alike. That holds
@@ -561,6 +564,56 @@ func TestSortDumpAllocationBudget(t *testing.T) {
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			check("warm", warmBudget)
 		})
+	}
+}
+
+// TestSortRunsRecycled: Map takes the runs' row numbers and keys from
+// runBufs, and they go back once the Reduces that merge them have planned
+// the merge. The keys interleave, so every chunk's runs reach both ranks
+// and its buffer returns only after both Reduces released their runs.
+// After a warm-up dump, a dump allocates under 1 % of its payload bytes
+// (the output groups are the dropped files' buffers), where runs made
+// fresh take 20 bytes a 64-byte row, and its output is the reference
+// sort. The least of three dumps is held to that: the Map scratch list
+// keeps as many scratches as Maps ever ran at once, and a scratch grows
+// its histograms for a chunk with more radix digits, so a dump whose Maps
+// overlap more than any before it makes one more.
+func TestSortRunsRecycled(t *testing.T) {
+	const writers, rows = 8, 1 << 14
+	chunks, rng := sortBenchInput(writers, rows, true)
+	var want [][]float64
+	for _, c := range chunks {
+		data := c.Record["p"].(*ffs.Array).Float64
+		for i := 0; i < len(data); i += attrCount {
+			want = append(want, data[i:i+attrCount])
+		}
+	}
+	slices.SortFunc(want, func(a, b []float64) int {
+		return cmp.Or(refCmp(a[colRank], b[colRank]), refCmp(a[colID], b[colID]))
+	})
+	payload := uint64(writers * rows * attrCount * 8)
+	fs := newTestFS(t)
+	cfg := SortConfig{Var: "p", KeyMajor: colRank, KeyMinor: colID, MajorRange: rng, KeepResult: true}
+	least := uint64(math.MaxUint64)
+	for dump := range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		results := sortDumpToFiles(t, fs, dealChunks(chunks, 2), 2, cfg)
+		runtime.ReadMemStats(&after)
+		for r, res := range results {
+			if got := res.PerOperator["sort"]["rows"].(int64); got == 0 || got == writers*rows {
+				t.Fatalf("dump %d: rank %d sorted %d of %d rows, want a share of them", dump, r, got, writers*rows)
+			}
+		}
+		if !sameBits(keptRows(results), slices.Concat(want...)) {
+			t.Fatalf("dump %d: the sorted rows are not the reference sort", dump)
+		}
+		if dump > 0 {
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if limit := payload / 100; least >= limit {
+		t.Errorf("the least a warm dump of %d payload bytes allocated is %d (%.4f B/B), limit %d", payload, least, float64(least)/float64(payload), limit)
 	}
 }
 
@@ -758,10 +811,10 @@ func BenchmarkSortDump(b *testing.B) {
 			fs := newTestFS(b)
 			const writers, rows = 8, 1 << 15
 			chunks, rng := sortBenchInput(writers, rows, shape == "interleaved")
+			sortBenchDump(b, fs, chunks, rng) // warm-up: the timed dumps reuse what it frees
 			b.ReportAllocs()
 			b.SetBytes(writers * rows * attrCount * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				sortBenchDump(b, fs, chunks, rng)
 			}
 		})
@@ -770,10 +823,17 @@ func BenchmarkSortDump(b *testing.B) {
 
 // sortMapOnly is the sort with Reduce and Finalize dropped: a dump through
 // it is the sort's Initialize and Map, and the engine's small fixed cost.
+// Its Reduce releases the runs, as the sort's does once it has planned the
+// merge, so each Map takes the memory the last one released.
 type sortMapOnly struct{ *SortOperator }
 
-func (sortMapOnly) Reduce(*staging.Context, int, []*sortedRun) error { return nil }
-func (sortMapOnly) Finalize(*staging.Context) error                  { return nil }
+func (sortMapOnly) Reduce(_ *staging.Context, _ int, runs []*sortedRun) error {
+	for _, run := range runs {
+		run.release()
+	}
+	return nil
+}
+func (sortMapOnly) Finalize(*staging.Context) error { return nil }
 
 // BenchmarkSortMap is the sort's Map on one chunk of the benchmark's shape —
 // one writer's 65,536 rows of 8 attributes, its ids shuffled — as a dump
@@ -802,10 +862,10 @@ func BenchmarkSortMap(b *testing.B) {
 		b.Fatal(err)
 	}
 	ops := []staging.Operator{sortMapOnly{op}}
+	runDump(b, [][]*staging.Chunk{{chunk}}, 1, ops) // warm-up: the timed dumps reuse what it frees
 	b.ReportAllocs()
 	b.SetBytes(rows * attrCount * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		runDump(b, [][]*staging.Chunk{{chunk}}, 1, ops)
 	}
 }

@@ -318,12 +318,15 @@ func (c *Client) reclaim(size int) []byte {
 // cache-sized block into the frame and hands it over, the partial fold
 // reads the block's rows, and the seal's CRC takes its bytes, all while
 // the block is still in cache. The encoder writes every byte of the
-// frame, so a reused frame needs no clearing. Seal at encode: the CRC
-// frame travels through the fabric untouched and is verified on the
-// staging side before anything reduces the chunk, so corruption anywhere
-// along the path is caught end to end. A record too large for the frame's
-// length field is a named error here, not a wrapped length the staging
-// rank would re-pull as corruption.
+// frame, so a reused frame needs no clearing. The seal header is one
+// 64-byte line and ffs starts every numeric payload at a 64-byte offset
+// behind it, so in a frame the allocator line-aligns (any past 32 KiB)
+// each payload starts on a cache line and the block copies run aligned.
+// Seal at encode: the CRC frame travels through the fabric untouched and
+// is verified on the staging side before anything reduces the chunk, so
+// corruption anywhere along the path is caught end to end. A record too
+// large for the frame's length field is a named error here, not a wrapped
+// length the staging rank would re-pull as corruption.
 func packFrame(schema *ffs.Schema, rec ffs.Record, fold *partialFold, reuse func(size int) []byte) ([]byte, error) {
 	n, err := ffs.Size(schema, rec)
 	if err != nil {

@@ -13,9 +13,10 @@ package staging
 //
 // Frame layout, little-endian:
 //
-//	magic "PDCHNK1\n" | payload length u32 | crc32(IEEE) of payload u32 | payload
+//	magic "PDCHNK2\n" | payload length u32 | crc32(IEEE) of payload u32 | 48 zero bytes | payload
 //
-// The same magic-then-checksum shape as wal's record logs (PDWAL2: the
+// The zero bytes fill the header to one 64-byte cache line, so a payload
+// laid out for 64-byte offsets (ffs) keeps them inside the frame. The same magic-then-checksum shape as wal's record logs (PDWAL2: the
 // journal and the pass logs) and the trace archive (PDTRACE2).
 
 import (
@@ -33,12 +34,17 @@ import (
 // reduce it.
 var ErrCorrupt = errors.New("chunk corrupt")
 
-const sealMagic = "PDCHNK1\n"
+const sealMagic = "PDCHNK2\n"
 
-// SealOverhead is the length of the seal header — magic, length, checksum
-// — that precedes the payload in a frame. It is a multiple of 8, so a
-// payload laid out for 8-byte offsets keeps them inside the frame.
-const SealOverhead = len(sealMagic) + 8
+// SealOverhead is the length of the seal header — magic, length, checksum,
+// zero bytes — that precedes the payload in a frame: one 64-byte cache
+// line, so a payload laid out for 64-byte offsets keeps them inside the
+// frame.
+const SealOverhead = 64
+
+// sealFields is how much of the header the magic, length and checksum use;
+// the rest of it is zero.
+const sealFields = len(sealMagic) + 8
 
 // ErrFrameTooLarge marks a payload the header's 32-bit length field cannot
 // describe. Sealing it anyway would wrap the length, and the receiver
@@ -56,7 +62,7 @@ func FrameSize(payloadLen int) (int, error) {
 
 // SealInPlace seals a frame whose payload is already in position: frame is
 // FrameSize(n) bytes with the payload at frame[SealOverhead:], and the
-// header — magic, length, sum — is written into the reserved
+// header — magic, length, sum, zero bytes — is written into the reserved
 // frame[:SealOverhead]. sum is the payload's CRC32 (IEEE), which the caller
 // folded with crc32.Update while it wrote the payload, block by block with
 // each block still in cache; the payload is not read again. No second
@@ -65,6 +71,7 @@ func SealInPlace(frame []byte, sum uint32) {
 	n := copy(frame, sealMagic)
 	binary.LittleEndian.PutUint32(frame[n:], uint32(len(frame)-SealOverhead))
 	binary.LittleEndian.PutUint32(frame[n+4:], sum)
+	clear(frame[sealFields:SealOverhead])
 }
 
 // Seal frames a copy of payload with a magic header, its length, and a CRC
@@ -89,11 +96,11 @@ func SealSum(frame []byte) uint32 {
 	return binary.LittleEndian.Uint32(frame[len(sealMagic)+4:])
 }
 
-// FramePayload checks a sealed frame's header — magic and length — and
-// returns the payload (aliasing buf's memory, no copy) without reading it:
-// the caller owes the payload's checksum against SealSum(buf), either with
-// Unseal's one pass or folded into its own walk over the bytes. A damaged
-// header returns an error wrapping ErrCorrupt.
+// FramePayload checks a sealed frame's header — magic, length, zero bytes
+// — and returns the payload (aliasing buf's memory, no copy) without
+// reading it: the caller owes the payload's checksum against SealSum(buf),
+// either with Unseal's one pass or folded into its own walk over the bytes.
+// A damaged header returns an error wrapping ErrCorrupt.
 func FramePayload(buf []byte) ([]byte, error) {
 	if len(buf) < SealOverhead {
 		return nil, fmt.Errorf("staging: sealed chunk truncated at %d bytes: %w", len(buf), ErrCorrupt)
@@ -105,6 +112,11 @@ func FramePayload(buf []byte) ([]byte, error) {
 	payload := buf[SealOverhead:]
 	if int(n) != len(payload) {
 		return nil, fmt.Errorf("staging: sealed chunk length %d, frame says %d: %w", len(payload), n, ErrCorrupt)
+	}
+	for i, b := range buf[sealFields:SealOverhead] {
+		if b != 0 {
+			return nil, fmt.Errorf("staging: sealed chunk header byte %d is %#02x, not zero: %w", sealFields+i, b, ErrCorrupt)
+		}
 	}
 	return payload, nil
 }

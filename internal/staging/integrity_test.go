@@ -50,6 +50,34 @@ func TestUnsealDetectsEveryByteFlip(t *testing.T) {
 	}
 }
 
+// TestFramePayloadRejectsReservedBytes: the 48 bytes that fill the seal
+// header to a cache line are zero in a sealed frame, and a frame with any
+// one of them set is corrupt at the header check, before any payload byte
+// is read. A reused frame that held other bytes there is sealed clean.
+func TestFramePayloadRejectsReservedBytes(t *testing.T) {
+	payload := []byte("reserved header bytes")
+	frame := Seal(payload)
+	if reserved := SealOverhead - sealFields; reserved != 48 {
+		t.Fatalf("%d reserved header bytes, want 48", reserved)
+	}
+	for i := sealFields; i < SealOverhead; i++ {
+		if frame[i] != 0 {
+			t.Fatalf("sealed frame's header byte %d is %#02x, not zero", i, frame[i])
+		}
+		bad := bytes.Clone(frame)
+		bad[i] = 1
+		if _, err := FramePayload(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("header byte %d set: FramePayload = %v, want ErrCorrupt", i, err)
+		}
+	}
+	reused := bytes.Repeat([]byte{0xA5}, len(frame))
+	copy(reused[SealOverhead:], payload)
+	SealInPlace(reused, crc32.ChecksumIEEE(payload))
+	if !bytes.Equal(reused, frame) {
+		t.Error("SealInPlace over a used buffer differs from Seal's frame")
+	}
+}
+
 func TestSealDoesNotAliasInput(t *testing.T) {
 	payload := []byte("mutate me after sealing")
 	sealed := Seal(payload)
@@ -86,8 +114,8 @@ func TestSealInPlaceMatchesSeal(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("Unseal of in-place frame: %v", err)
 	}
-	if SealOverhead%8 != 0 {
-		t.Errorf("SealOverhead %d breaks the payload's 8-byte offsets", SealOverhead)
+	if SealOverhead%64 != 0 {
+		t.Errorf("SealOverhead %d breaks the payload's 64-byte offsets", SealOverhead)
 	}
 	SealInPlace(frame, sum^1)
 	if _, err := Unseal(frame); !errors.Is(err, ErrCorrupt) {

@@ -666,8 +666,7 @@ func BenchmarkEngineMapShuffleReduce(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.SetBytes(4 * 2 * int64(len(vals)) * 8) // four ranks map two chunks each
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		err := mpi.Run(4, func(c *mpi.Comm) error {
 			op := &histOp{bins: 64, min: 0, max: 1, useComb: true}
 			eng := NewEngine(Config{Workers: 2})
